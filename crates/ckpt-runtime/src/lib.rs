@@ -26,8 +26,11 @@
 //! * [`lineage`] — record collection and sequential restoration;
 //! * [`restore`] — the parallel restart engine: prefetched tier reads
 //!   feeding a single-pass resolution walk;
+//! * [`cluster_dir`] — the on-disk record layout: export a chain to a
+//!   directory, import it back unverified, and the one `verify`;
 //! * [`coordinator`] — the multi-rank strong-scaling harness (Fig. 6).
 
+pub mod cluster_dir;
 pub mod compress;
 pub mod coordinator;
 pub mod fault;
@@ -40,6 +43,7 @@ pub mod restore;
 pub mod runtime;
 pub mod tier;
 
+pub use cluster_dir::{ClusterDir, Layout, VerifyReport, VerifyStatus};
 pub use compress::{CompressMetrics, CompressionEngine, CompressionPolicy};
 pub use coordinator::{
     compact_below, run_scaling, RebasePolicy, ScalingConfig, ScalingMethod, ScalingReport,

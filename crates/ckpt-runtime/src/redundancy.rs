@@ -556,16 +556,19 @@ impl RedundancyStore {
     /// Rebuild a store (detached metrics) from [`export_manifest`] output.
     /// The caller re-inserts the exported group objects into
     /// [`group_tier`](Self::group_tier) afterwards. Returns `None` on any
-    /// malformed line — a truncated manifest must not half-load.
+    /// malformed line — a truncated manifest must not half-load: the text
+    /// must end in a newline and every member line must carry exactly its
+    /// seven fields, the last a full 16-hex-digit checksum, so a cut
+    /// anywhere but a line boundary is refused.
     pub fn from_manifest(text: &str) -> Option<RedundancyStore> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let mut lines = text.strip_suffix('\n')?.lines();
         let policy = RedundancyPolicy::parse(lines.next()?.strip_prefix("policy ")?)?;
         if policy == RedundancyPolicy::Off {
             return None;
         }
         let store = RedundancyStore::new(policy, RedundancyMetrics::detached());
         for line in lines {
-            let mut f = line.strip_prefix("member ")?.split_whitespace();
+            let mut f = line.strip_prefix("member ")?.split(' ');
             let rank: u32 = f.next()?.parse().ok()?;
             let ckpt: u32 = f.next()?.parse().ok()?;
             let meta = MemberMeta {
@@ -573,8 +576,14 @@ impl RedundancyStore {
                 uncompressed_len: f.next()?.parse().ok()?,
                 stored_len: f.next()?.parse().ok()?,
                 chunk_len: f.next()?.parse().ok()?,
-                checksum: u64::from_str_radix(f.next()?, 16).ok()?,
+                checksum: f
+                    .next()
+                    .filter(|h| h.len() == 16)
+                    .and_then(|h| u64::from_str_radix(h, 16).ok())?,
             };
+            if f.next().is_some() {
+                return None;
+            }
             store.members.lock().insert((rank, ckpt), meta);
             store.encoded.lock().insert((rank, ckpt));
         }
@@ -879,8 +888,33 @@ mod tests {
             (mid.0 != 1).then(|| objs[mid.0 as usize].clone())
         };
         assert_eq!(loaded.reconstruct((1, 4), &fetch).unwrap(), objs[1]);
-        assert!(RedundancyStore::from_manifest("policy off").is_none());
-        assert!(RedundancyStore::from_manifest("member 0 0").is_none());
+        assert!(RedundancyStore::from_manifest("policy off\n").is_none());
+        assert!(RedundancyStore::from_manifest("member 0 0\n").is_none());
+    }
+
+    #[test]
+    fn truncated_manifest_never_half_loads() {
+        let s = store(RedundancyPolicy::Xor { group_size: 2 });
+        for (rank, ckpt) in [(0, 0), (1, 0), (0, 1)] {
+            s.encode_member((rank, ckpt), &payload(rank, ckpt, 300));
+        }
+        let manifest = s.export_manifest();
+        assert_eq!(manifest.lines().count(), 4);
+        for cut in 0..manifest.len() {
+            let loaded = RedundancyStore::from_manifest(&manifest[..cut]);
+            // Only a cut on a line boundary (past the policy line) is a
+            // well-formed, shorter manifest; it loads exactly the whole
+            // member lines before the cut.
+            let on_boundary = cut > 0 && manifest.as_bytes()[cut - 1] == b'\n';
+            match loaded {
+                Some(l) => {
+                    assert!(on_boundary, "cut {cut} half-loaded a line");
+                    let whole = manifest[..cut].lines().count() - 1;
+                    assert_eq!(l.member_ids(), s.member_ids()[..whole], "cut {cut}");
+                }
+                None => assert!(!on_boundary, "cut {cut} refused a whole-line prefix"),
+            }
+        }
     }
 
     #[test]

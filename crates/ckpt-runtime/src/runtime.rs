@@ -94,24 +94,10 @@ impl TierChain {
     /// Default-configured chain whose tiers all consult `plan` (the
     /// fault-injection hook; specs are keyed by tier name).
     pub fn with_faults(plan: Arc<FaultPlan>) -> Self {
-        Self::with_configs_and_faults(
-            TierConfig::host(),
-            TierConfig::ssd(),
-            TierConfig::pfs(),
-            plan,
-        )
-    }
-
-    pub fn with_configs_and_faults(
-        host: TierConfig,
-        ssd: TierConfig,
-        pfs: TierConfig,
-        plan: Arc<FaultPlan>,
-    ) -> Self {
         Self::assemble(
-            Tier::with_faults(host, Arc::clone(&plan)),
-            Tier::with_faults(ssd, Arc::clone(&plan)),
-            Tier::with_faults(pfs, plan),
+            Tier::with_faults(TierConfig::host(), Arc::clone(&plan)),
+            Tier::with_faults(TierConfig::ssd(), Arc::clone(&plan)),
+            Tier::with_faults(TierConfig::pfs(), plan),
         )
     }
 
@@ -880,17 +866,16 @@ impl AsyncRuntime {
     /// [`submit_blocking`](Self::submit_blocking) — the §1 high-frequency
     /// limitation this runtime exists to study.
     pub fn with_tiers_throttled(tiers: TierChain, time_scale: f64) -> Self {
-        Self::with_telemetry(tiers, time_scale, Arc::new(Registry::new()))
+        Self::with_compression(
+            tiers,
+            time_scale,
+            Arc::new(Registry::new()),
+            CompressionPolicy::Off,
+        )
     }
 
-    /// Like [`with_tiers_throttled`](Self::with_tiers_throttled), but
-    /// recording metrics into a caller-provided registry (so several
-    /// subsystems can share one report).
-    pub fn with_telemetry(tiers: TierChain, time_scale: f64, registry: Arc<Registry>) -> Self {
-        Self::with_compression(tiers, time_scale, registry, CompressionPolicy::Off)
-    }
-
-    /// The full constructor: a throttled, telemetry-bound runtime whose
+    /// A throttled runtime recording into a caller-provided registry (so
+    /// several subsystems can share one report), whose
     /// flusher compresses every object per `policy` on its first hop off
     /// the host tier. `CompressionPolicy::Off` reproduces the
     /// pre-compression runtime byte for byte (and, thanks to lazy

@@ -187,7 +187,9 @@ impl StoredObject {
         }
     }
 
-    fn frame(&self, id: ObjectId) -> Vec<u8> {
+    /// The self-verifying frame this object is stored as under `id` — the
+    /// bytes a tier holds and a record file contains.
+    pub fn frame(&self, id: ObjectId) -> Vec<u8> {
         if self.codec == 0 {
             frame::encode_frame(id.0, id.1, &self.payload)
         } else {
@@ -199,6 +201,18 @@ impl StoredObject {
                 &self.payload,
             )
         }
+    }
+
+    /// Inverse of [`frame`](Self::frame): verify the frame (checksum over
+    /// the stored bytes and, with `expect`, the slot ids) and return the
+    /// object still in its stored form.
+    pub fn unframe(framed: &[u8], expect: Option<ObjectId>) -> Result<Self, frame::FrameError> {
+        let (header, stored) = frame::decode_frame_expecting(framed, expect)?;
+        Ok(StoredObject {
+            codec: header.codec,
+            uncompressed_len: header.uncompressed_len,
+            payload: stored.to_vec(),
+        })
     }
 }
 
@@ -485,19 +499,30 @@ impl Tier {
             Some(bytes) => bytes.clone(),
             None => return ObjectState::Missing,
         };
-        match frame::decode_frame_expecting(&framed, Some(id)) {
-            Ok((header, stored)) => ObjectState::Valid(StoredObject {
-                codec: header.codec,
-                uncompressed_len: header.uncompressed_len,
-                payload: stored.to_vec(),
-            }),
+        match StoredObject::unframe(&framed, Some(id)) {
+            Ok(object) => ObjectState::Valid(object),
             Err(e) => ObjectState::Corrupt(e),
         }
     }
 
-    /// The raw framed bytes, unverified and fault-free (diagnostics only).
+    /// Install already-framed bytes verbatim: no fault hook, no modeled
+    /// time, and *no verification* — a damaged frame is found by the next
+    /// read, exactly like one damaged in place. This is how a record
+    /// directory is loaded back (see [`crate::cluster_dir`]).
+    pub fn put_framed(&self, id: ObjectId, framed: Vec<u8>) {
+        self.used
+            .fetch_add(Self::charged_bytes(&framed), Ordering::Relaxed);
+        if let Some(old) = self.objects.lock().insert(id, framed) {
+            self.used
+                .fetch_sub(Self::charged_bytes(&old), Ordering::Relaxed);
+        }
+    }
+
+    /// The framed bytes of a resident (else quarantined) object, unverified
+    /// and fault-free: what export writes and loss diagnostics re-examine.
     pub fn raw(&self, id: ObjectId) -> Option<Vec<u8>> {
-        self.objects.lock().get(&id).cloned()
+        let resident = self.objects.lock().get(&id).cloned();
+        resident.or_else(|| self.quarantined.lock().get(&id).cloned())
     }
 
     pub fn contains(&self, id: ObjectId) -> bool {

@@ -31,9 +31,13 @@ impl Drop for TempDir {
 
 /// Write three snapshot files with sparse mutations between them.
 fn write_snapshots(dir: &Path) -> Vec<PathBuf> {
+    write_n_snapshots(dir, 3)
+}
+
+fn write_n_snapshots(dir: &Path, n: usize) -> Vec<PathBuf> {
     let mut data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
     let mut paths = Vec::new();
-    for k in 0..3 {
+    for k in 0..n {
         if k > 0 {
             for j in 0..40 {
                 let at = (k * 977 + j * 131) % data.len();
@@ -610,4 +614,118 @@ fn compacted_record_round_trip_and_head_check() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// Murmur3 digest over (sorted relative path, file bytes) of a directory
+/// tree: any change to a file name, a file's length or a single stored
+/// byte moves it.
+fn dir_digest(root: &Path) -> String {
+    fn walk(root: &Path, dir: &Path, files: &mut Vec<(String, Vec<u8>)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, files);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().to_str().unwrap();
+                files.push((rel.replace('\\', "/"), std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    let mut files = Vec::new();
+    walk(root, root, &mut files);
+    files.sort();
+    let mut buf = Vec::new();
+    for (rel, bytes) in &files {
+        buf.extend_from_slice(rel.as_bytes());
+        buf.push(0);
+        buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        buf.extend_from_slice(bytes);
+    }
+    gpu_dedup_ckpt::hash::murmur3::murmur3_x64_128(&buf, 0).to_hex()
+}
+
+/// On-disk byte stability: the digests below were captured from the `ckpt`
+/// binary as it stood before `create` moved onto `AsyncRuntime` +
+/// `ClusterDir::export`. Equal digests mean every directory written by an
+/// older binary is byte-for-byte what this one writes — and each is then
+/// verified and restored by the current read path.
+#[test]
+fn on_disk_bytes_are_stable() {
+    let tmp = TempDir::new("golden");
+    let snaps = write_n_snapshots(tmp.path(), 8);
+    let cluster = [
+        "--ranks",
+        "4",
+        "--redundancy",
+        "xor:4",
+        "--rank-dedup",
+        "--compress",
+        "adaptive",
+    ];
+    for (tag, extra, n, want) in [
+        (
+            "flat-off",
+            &["--compress", "off"][..],
+            3,
+            "04b557dc9f1155a3ec23772d0386965c",
+        ),
+        (
+            "flat-adaptive-list",
+            &["--compress", "adaptive", "--method", "list"][..],
+            3,
+            "837b97c6463ae02da09508f5072e21b5",
+        ),
+        (
+            "cluster",
+            &cluster[..],
+            8,
+            "bf12f87cf7ae848ff838198619162130",
+        ),
+    ] {
+        let record = tmp.path().join(tag);
+        let out = ckpt()
+            .args(["create", "--out", record.to_str().unwrap()])
+            .args(extra)
+            .args(snaps[..n].iter().map(|p| p.to_str().unwrap()))
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(dir_digest(&record), want, "{tag}: on-disk bytes moved");
+
+        let out = ckpt()
+            .args(["verify", record.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // The newest version of the last rank (or of the flat record).
+        let target = if tag == "cluster" {
+            record.join("rank0003")
+        } else {
+            record.clone()
+        };
+        let restored = tmp.path().join(format!("{tag}.bin"));
+        let out = ckpt()
+            .args(["restore", target.to_str().unwrap(), "--out"])
+            .arg(&restored)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            std::fs::read(&restored).unwrap(),
+            std::fs::read(&snaps[n - 1]).unwrap(),
+            "{tag}"
+        );
+    }
 }

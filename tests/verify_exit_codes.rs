@@ -216,3 +216,195 @@ fn usage_errors_exit_2() {
         );
     }
 }
+
+/// Run `ckpt` and return (exit code, stdout, stderr).
+fn run(args: &[&str]) -> (i32, String, String) {
+    let out = ckpt().args(args).output().unwrap();
+    (
+        out.status.code().unwrap(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn create(record: &Path, snaps: &[PathBuf], extra: &[&str]) {
+    let out = ckpt()
+        .args(["create", "--out", record.to_str().unwrap(), "--chunk", "64"])
+        .args(extra)
+        .args(snaps.iter().map(|p| p.to_str().unwrap()))
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "create {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// A version missing below surviving incremental ones is a hole: it is
+/// typed `lost` (never a clean report), and `restore` without `--version`
+/// fails naming it instead of writing the stale older state. A redundancy
+/// group that still knows the id makes it `repairable`, and restore goes
+/// through the group.
+#[test]
+fn holed_chain_is_lost_or_group_repairable_never_stale() {
+    let tmp = TempDir::new("hole");
+    let snaps = write_snapshots(tmp.path(), 6);
+    let out = tmp.path().join("restored.bin");
+
+    // (layout, victim file, the rank's record path, its newest snapshot)
+    for (tag, extra, victim, member, newest) in [
+        ("flat", &[][..], "0002.ckpt", "", 4),
+        (
+            "ranks2",
+            &["--ranks", "2"][..],
+            "rank0001/0001.ckpt",
+            "rank0001",
+            5,
+        ),
+        (
+            "ranks2-partner",
+            &["--ranks", "2", "--redundancy", "partner"][..],
+            "rank0001/0001.ckpt",
+            "rank0001",
+            5,
+        ),
+    ] {
+        let record = tmp.path().join(tag);
+        create(&record, &snaps[..=newest], extra);
+        std::fs::remove_file(record.join(victim)).unwrap();
+        let dir = record.to_str().unwrap();
+        let member = record.join(member);
+        let (rank, ckpt_id) = if tag == "flat" { (0, 2) } else { (1, 1) };
+        let (code, json) = verify_json(&record);
+        let rank_objects = json
+            .split(&format!(r#""rank":{rank},"#))
+            .nth(1)
+            .unwrap_or_default();
+        let restore = run(&[
+            "restore",
+            member.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        let restored = std::fs::read(&out).ok();
+        let _ = std::fs::remove_file(&out);
+
+        if tag == "ranks2-partner" {
+            assert_eq!(code, 3, "{tag}: the group still knows the id: {json}");
+            assert!(
+                rank_objects.contains(&format!(r#"{{"ckpt_id":{ckpt_id},"status":"repairable"}}"#)),
+                "{tag}: {json}"
+            );
+            assert_eq!(run(&["verify", dir]).0, 3, "{tag}");
+            assert_eq!(
+                restore.0, 0,
+                "{tag}: restore goes through the group: {}",
+                restore.2
+            );
+            assert_eq!(restored, std::fs::read(&snaps[newest]).ok(), "{tag}");
+            continue;
+        }
+        assert_eq!(code, 4, "{tag}: a hole must exit 4: {json}");
+        assert!(json.contains(r#""clean":false"#), "{tag}: {json}");
+        assert!(
+            rank_objects.contains(&format!(r#"{{"ckpt_id":{ckpt_id},"status":"lost"}}"#)),
+            "{tag}: the missing id itself must be reported: {json}"
+        );
+        let (code, stdout, _) = run(&["verify", dir]);
+        assert_ne!(code, 0, "{tag}: verify without --json must fail too");
+        assert_eq!(code == 4, tag != "flat", "{tag}: exit {code}");
+        assert!(
+            stdout.contains(&format!("v{ckpt_id:04}")),
+            "{tag}: {stdout}"
+        );
+        assert_ne!(restore.0, 0, "{tag}: restore must not write stale state");
+        assert!(
+            restore.2.contains(&format!("v{ckpt_id:04}")),
+            "{tag}: restore must name the missing version: {}",
+            restore.2
+        );
+        assert!(
+            restored.is_none(),
+            "{tag}: no output file on a failed restore"
+        );
+    }
+}
+
+/// Group objects and the manifest are bytes like any other: damage there
+/// keeps `verify` in the 0/3/4 matrix, is reported per object, degrades
+/// only the members that need that stripe, and never hides behind a
+/// misleading load error in `stats`/`restore`.
+#[test]
+fn damaged_group_tier_stays_in_the_matrix() {
+    let tmp = TempDir::new("group-damage");
+    let snaps = write_snapshots(tmp.path(), 8);
+    let record = tmp.path().join("record");
+    create_cluster(&record, &snaps, "xor:2");
+    let dir = record.to_str().unwrap();
+    let member = record.join("rank0001");
+    let out = tmp.path().join("restored.bin");
+    let restore_member = || {
+        run(&[
+            "restore",
+            member.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ])
+    };
+
+    // xor:2 hosts rank 1's stripe for checkpoint 1 on rank 0.
+    let stripe = record.join("group").join("h0000_c0001.grp");
+    let pristine = std::fs::read(&stripe).unwrap();
+    for damaged in [
+        {
+            let mut b = pristine.clone();
+            let at = b.len() / 2;
+            b[at] ^= 0x04;
+            b
+        },
+        pristine[..10].to_vec(),
+    ] {
+        std::fs::write(&stripe, damaged).unwrap();
+        let (code, stdout, stderr) = run(&["verify", dir, "--json"]);
+        assert_eq!(code, 0, "no member needs the stripe yet: {stdout}{stderr}");
+        assert!(stdout.contains("group h0000_c0001 BAD"), "{stdout}");
+        assert!(stdout.lines().last().unwrap().contains(r#""clean":true"#));
+        assert_eq!(run(&["stats", dir]).0, 0);
+        assert_eq!(restore_member().0, 0);
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            std::fs::read(&snaps[3]).unwrap()
+        );
+    }
+
+    // Now the one member that needs the damaged stripe loses its file.
+    std::fs::remove_file(member.join("0001.ckpt")).unwrap();
+    let (code, json) = verify_json(&record);
+    assert_eq!(code, 4, "{json}");
+    let rank1 = json.split(r#""rank":1,"#).nth(1).unwrap_or_default();
+    assert!(
+        rank1.starts_with(
+            r#""objects":[{"ckpt_id":0,"status":"verified"},{"ckpt_id":1,"status":"lost"}"#
+        ),
+        "only the object behind the damaged stripe degrades: {json}"
+    );
+    let (code, _, stderr) = restore_member();
+    assert_ne!(code, 0);
+    assert!(
+        stderr.contains("v0001") && stderr.contains("group cannot rebuild"),
+        "{stderr}"
+    );
+    std::fs::write(&stripe, &pristine).unwrap();
+    assert_eq!(verify_json(&record).0, 3, "stripe back: repairable again");
+
+    // A manifest cut mid-line is refused whole (never half-loaded) and
+    // says so; with it gone the missing file has no repair path left.
+    let manifest = record.join("group").join("MANIFEST");
+    let text = std::fs::read(&manifest).unwrap();
+    std::fs::write(&manifest, &text[..text.len() - 7]).unwrap();
+    let (code, stdout, _) = run(&["verify", dir, "--json"]);
+    assert_eq!(code, 4, "{stdout}");
+    assert!(stdout.contains("MANIFEST BAD"), "{stdout}");
+    assert!(!stdout.contains(r#""status":"repairable""#), "{stdout}");
+}
