@@ -2136,7 +2136,9 @@ mod tests {
                     p.stages.iter().any(|(n, _, _)| n == "leaf_hash"),
                     "missing per-stage breakdown"
                 );
-                assert!(p.host_modeled_sec > 0.0);
+                // A difference of wall clocks, clamped at 0 where it is
+                // computed: on a loaded runner it can land exactly there.
+                assert!(p.host_modeled_sec.is_finite() && p.host_modeled_sec >= 0.0);
             }
         }
     }

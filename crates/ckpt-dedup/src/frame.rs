@@ -614,9 +614,13 @@ pub struct RankDedupRecord {
     /// [`checksum64`]`(rank, ckpt_id, original payload)`: resolution is
     /// verified against this before any payload is returned.
     pub orig_checksum: u64,
-    pub entries: Vec<RankDedupEntry>,
+    entries: Vec<RankDedupEntry>,
     /// Local entries' bytes, concatenated in table order.
-    pub local: Vec<u8>,
+    local: Vec<u8>,
+    /// `starts[i]`: offset in `local` at which entry `i`'s bytes begin (the
+    /// running local total for a remote entry). Derived from `entries`, so
+    /// both stay private: [`local_slice`](Self::local_slice) is one lookup.
+    starts: Vec<usize>,
 }
 
 /// Seed mixing for the record checksum: distinct from both the frame and
@@ -627,38 +631,63 @@ fn rankdedup_sum(rank: u32, ckpt_id: u32, region: &[u8]) -> u64 {
 }
 
 impl RankDedupRecord {
-    /// Total bytes of local entries (must equal `local.len()`).
-    fn local_len(&self) -> u64 {
-        self.entries
+    /// Assemble a record from its entry table and the local entries' bytes
+    /// (concatenated in table order; their lengths must add up to
+    /// `local.len()`).
+    pub fn new(
+        rank: u32,
+        ckpt_id: u32,
+        chunk_len: u32,
+        orig_len: u64,
+        orig_checksum: u64,
+        entries: Vec<RankDedupEntry>,
+        local: Vec<u8>,
+    ) -> RankDedupRecord {
+        let mut at = 0usize;
+        let starts = entries
             .iter()
-            .map(|e| match e {
-                RankDedupEntry::Local { len } => *len as u64,
-                RankDedupEntry::Remote(_) => 0,
+            .map(|e| {
+                let start = at;
+                if let RankDedupEntry::Local { len } = e {
+                    at += *len as usize;
+                }
+                start
             })
-            .sum()
+            .collect();
+        debug_assert_eq!(at, local.len());
+        RankDedupRecord {
+            rank,
+            ckpt_id,
+            chunk_len,
+            orig_len,
+            orig_checksum,
+            entries,
+            local,
+            starts,
+        }
+    }
+
+    /// The entry table, one slot per grid cell.
+    pub fn entries(&self) -> &[RankDedupEntry] {
+        &self.entries
+    }
+
+    /// Local entries' bytes, concatenated in table order.
+    pub fn local(&self) -> &[u8] {
+        &self.local
     }
 
     /// Borrow the inline bytes of local entry `index`. `None` when the
     /// index is out of range or names a remote entry.
     pub fn local_slice(&self, index: u32) -> Option<&[u8]> {
-        let mut at = 0usize;
-        for (i, e) in self.entries.iter().enumerate() {
-            match e {
-                RankDedupEntry::Local { len } => {
-                    let len = *len as usize;
-                    if i as u32 == index {
-                        return self.local.get(at..at + len);
-                    }
-                    at += len;
-                }
-                RankDedupEntry::Remote(_) => {
-                    if i as u32 == index {
-                        return None;
-                    }
-                }
+        let i = index as usize;
+        match self.entries.get(i)? {
+            RankDedupEntry::Local { len } => {
+                let at = self.starts[i];
+                self.local.get(at..at.checked_add(*len as usize)?)
             }
+            RankDedupEntry::Remote(_) => None,
         }
-        None
     }
 
     /// Every remote reference the record carries, in table order.
@@ -671,7 +700,6 @@ impl RankDedupRecord {
 
     /// Serialize to the layout documented above.
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert_eq!(self.local_len(), self.local.len() as u64);
         let body_len = RANKDEDUP_ENTRY_LEN * self.entries.len() + self.local.len();
         let mut out = Vec::with_capacity(RANKDEDUP_HEADER_LEN + body_len);
         out.extend_from_slice(&RANKDEDUP_MAGIC);
@@ -750,10 +778,14 @@ impl RankDedupRecord {
             });
         }
         let mut entries = Vec::with_capacity(n_entries as usize);
+        let mut starts = Vec::with_capacity(n_entries as usize);
         let mut at = RANKDEDUP_HEADER_LEN;
         let mut local_sum = 0u64;
         for i in 0..n_entries {
             let e = &bytes[at..at + RANKDEDUP_ENTRY_LEN];
+            // At most `local_len` (≤ the buffer) while the record is valid;
+            // a forged table that runs past it fails the sum check below.
+            starts.push(local_sum as usize);
             match e[0] {
                 0 => {
                     let len = u32::from_le_bytes(e[1..5].try_into().unwrap());
@@ -788,6 +820,7 @@ impl RankDedupRecord {
             orig_checksum,
             entries,
             local: bytes[at..].to_vec(),
+            starts,
         })
     }
 }
@@ -1043,13 +1076,13 @@ mod tests {
     }
 
     fn sample_rankdedup() -> RankDedupRecord {
-        RankDedupRecord {
-            rank: 2,
-            ckpt_id: 5,
-            chunk_len: 64,
-            orig_len: 40 + 3 * 64,
-            orig_checksum: 0x1122_3344_5566_7788,
-            entries: vec![
+        RankDedupRecord::new(
+            2,
+            5,
+            64,
+            40 + 3 * 64,
+            0x1122_3344_5566_7788,
+            vec![
                 RankDedupEntry::Local { len: 40 },
                 RankDedupEntry::Remote(RemoteRef {
                     owner_rank: 0,
@@ -1063,8 +1096,8 @@ mod tests {
                     chunk: 2,
                 }),
             ],
-            local: (0..104u32).map(|i| (i % 253) as u8).collect(),
-        }
+            (0..104u32).map(|i| (i % 253) as u8).collect(),
+        )
     }
 
     #[test]
@@ -1083,17 +1116,32 @@ mod tests {
         assert_eq!(back.remote_refs().count(), 2);
     }
 
+    /// The pre-offset-table `local_slice`: walk the entry table from 0,
+    /// summing local lengths. Kept as the oracle for the indexed lookup.
+    fn local_slice_linear(rec: &RankDedupRecord, index: u32) -> Option<&[u8]> {
+        let mut at = 0usize;
+        for (i, e) in rec.entries.iter().enumerate() {
+            match e {
+                RankDedupEntry::Local { len } => {
+                    let len = *len as usize;
+                    if i as u32 == index {
+                        return rec.local.get(at..at + len);
+                    }
+                    at += len;
+                }
+                RankDedupEntry::Remote(_) => {
+                    if i as u32 == index {
+                        return None;
+                    }
+                }
+            }
+        }
+        None
+    }
+
     #[test]
     fn empty_rankdedup_record_round_trips() {
-        let rec = RankDedupRecord {
-            rank: 0,
-            ckpt_id: 0,
-            chunk_len: 64,
-            orig_len: 0,
-            orig_checksum: checksum64(0, 0, &[]),
-            entries: Vec::new(),
-            local: Vec::new(),
-        };
+        let rec = RankDedupRecord::new(0, 0, 64, 0, checksum64(0, 0, &[]), Vec::new(), Vec::new());
         let bytes = rec.encode();
         assert_eq!(bytes.len(), RANKDEDUP_HEADER_LEN);
         assert_eq!(RankDedupRecord::decode(&bytes).unwrap(), rec);
@@ -1212,6 +1260,43 @@ mod tests {
                 prop_assert_eq!(back, payload);
             }
 
+            /// The offset table answers exactly what the linear scan did,
+            /// for a record built by the encoder's constructor and for its
+            /// decoded round trip: every in-range index (local, zero-length
+            /// local, remote) and out-of-range ones.
+            #[test]
+            fn indexed_local_slice_equals_linear_scan(
+                cells in proptest::collection::vec((any::<bool>(), 0u32..48), 0..64),
+                far in any::<u32>(),
+            ) {
+                let entries: Vec<RankDedupEntry> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(remote, len))| {
+                        if remote {
+                            RankDedupEntry::Remote(RemoteRef {
+                                owner_rank: len,
+                                ckpt_id: i as u32,
+                                chunk: len ^ 5,
+                            })
+                        } else {
+                            RankDedupEntry::Local { len }
+                        }
+                    })
+                    .collect();
+                let local_len: u32 = cells.iter().filter(|c| !c.0).map(|c| c.1).sum();
+                let local: Vec<u8> = (0..local_len).map(|i| (i % 251) as u8).collect();
+                let built = RankDedupRecord::new(3, 4, 48, 0, 0, entries, local);
+                let decoded = RankDedupRecord::decode(&built.encode()).unwrap();
+                prop_assert_eq!(&decoded, &built);
+                let n = cells.len() as u32;
+                for index in (0..n + 8).chain([far, u32::MAX]) {
+                    let want = local_slice_linear(&built, index);
+                    prop_assert_eq!(built.local_slice(index), want);
+                    prop_assert_eq!(decoded.local_slice(index), want);
+                }
+            }
+
             /// Fuzz: feeding arbitrary byte strings to every parser in
             /// this module never panics — each either succeeds (the fuzzer
             /// stumbled on a valid object, which the checksums make
@@ -1284,13 +1369,13 @@ mod tests {
                 }
 
                 let half = payload.len() / 2;
-                let dedup = RankDedupRecord {
+                let dedup = RankDedupRecord::new(
                     rank,
-                    ckpt_id: ckpt,
-                    chunk_len: 64,
-                    orig_len: payload.len() as u64,
-                    orig_checksum: checksum64(rank, ckpt, &payload),
-                    entries: vec![
+                    ckpt,
+                    64,
+                    payload.len() as u64,
+                    checksum64(rank, ckpt, &payload),
+                    vec![
                         RankDedupEntry::Local { len: half as u32 },
                         RankDedupEntry::Remote(RemoteRef {
                             owner_rank: rank ^ 1,
@@ -1301,8 +1386,8 @@ mod tests {
                             len: (payload.len() - half) as u32,
                         },
                     ],
-                    local: payload.clone(),
-                }
+                    payload.clone(),
+                )
                 .encode();
                 for cut in 0..dedup.len() {
                     prop_assert!(RankDedupRecord::decode(&dedup[..cut]).is_err());

@@ -12,7 +12,7 @@
 
 use crate::tier::ObjectId;
 use ckpt_telemetry::{Counter, JsonWriter, Registry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// Lazily-registered integrity counters bound to a telemetry registry.
@@ -240,9 +240,10 @@ impl RecoveryReport {
     }
 }
 
-/// Group object ids by rank, each rank's ids sorted and de-duplicated.
-pub(crate) fn group_by_rank(ids: impl IntoIterator<Item = ObjectId>) -> HashMap<u32, Vec<u32>> {
-    let mut by_rank: HashMap<u32, Vec<u32>> = HashMap::new();
+/// Group object ids by rank — ranks ascending, each rank's ids sorted and
+/// de-duplicated — so whoever walks the result does so in one fixed order.
+pub(crate) fn group_by_rank(ids: impl IntoIterator<Item = ObjectId>) -> BTreeMap<u32, Vec<u32>> {
+    let mut by_rank: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     for (rank, ckpt) in ids {
         by_rank.entry(rank).or_default().push(ckpt);
     }
@@ -323,8 +324,8 @@ mod tests {
 
     #[test]
     fn grouping_sorts_and_dedups() {
-        let grouped = group_by_rank([(1, 3), (0, 1), (1, 0), (1, 3), (0, 0)]);
-        assert_eq!(grouped[&0], vec![0, 1]);
-        assert_eq!(grouped[&1], vec![0, 3]);
+        let grouped = group_by_rank([(7, 2), (1, 3), (0, 1), (1, 0), (1, 3), (0, 0)]);
+        let want = [(0, vec![0, 1]), (1, vec![0, 3]), (7, vec![2])];
+        assert_eq!(grouped.into_iter().collect::<Vec<_>>(), want);
     }
 }

@@ -60,11 +60,11 @@ pub use lineage::{
 pub use pipeline::{CheckpointPipeline, PipelineStats, ProduceFn};
 pub use rankdedup::{
     resolve_record, ClaimBatch, ClaimExchange, ClaimLoc, RankDedupConfig, RankDedupEngine,
-    RankDedupError, RankDedupIndex, RankDedupMetrics,
+    RankDedupError, RankDedupIndex, RankDedupMetrics, Resolver,
 };
 pub use redundancy::{ReconstructError, RedundancyMetrics, RedundancyPolicy, RedundancyStore};
 pub use restore::{restore_rank_latest_parallel, ParallelRestoreOutcome};
-pub use runtime::{AsyncRuntime, TierChain};
+pub use runtime::{AsyncRuntime, ChainReader, TierChain};
 pub use tier::{
     FrameState, ObjectState, StoreError, StoreErrorKind, StoredObject, Tier, TierConfig,
 };

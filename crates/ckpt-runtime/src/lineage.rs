@@ -69,6 +69,9 @@ impl std::error::Error for LineageError {}
 /// [`LineageError::Hole`] instead of silently restoring stale state.
 pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>), LineageError> {
     let mut present: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+    // One read session: a record several of the rank's records reference
+    // is fetched and indexed once for the whole collection.
+    let mut reader = tiers.reader();
     // Ids known only to the redundancy group (every local copy wiped by a
     // rank loss) must be enumerated too: `locate` falls back to a group
     // rebuild for them.
@@ -84,7 +87,7 @@ pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>
     ] {
         for (r, k) in tier_ids {
             if r == rank && !present.contains_key(&k) {
-                if let Some(bytes) = tiers.locate((rank, k)) {
+                if let Some(bytes) = reader.locate((rank, k)) {
                     present.insert(k, bytes);
                 }
             }

@@ -53,15 +53,16 @@
 //!
 //! # Resolution
 //!
-//! [`resolve_record`] reassembles the original payload, fetching
-//! referenced records through a caller-supplied closure (the tier chain's
-//! read path, including group-tier reconstruction — so a remote chunk on a
-//! lost rank rebuilds from its parity group before restore proceeds). The
-//! reassembly is verified against the original payload's checksum recorded
-//! at encode time: a dangling or wrong reference is a typed
-//! [`RankDedupError`], never a silently wrong payload. References are
-//! depth-1 by construction (claims only ever name *local* entries), so
-//! resolution never recurses.
+//! A [`Resolver`] reassembles original payloads, fetching referenced
+//! records through a caller-supplied closure (the tier chain's read path,
+//! including group-tier reconstruction — so a remote chunk on a lost rank
+//! rebuilds from its parity group before restore proceeds). It lives for
+//! one read call and fetches each distinct referenced object once in that
+//! call; [`resolve_record`] is the one-record form. The reassembly is
+//! verified against the original payload's checksum recorded at encode
+//! time: a dangling or wrong reference is a typed [`RankDedupError`], never
+//! a silently wrong payload. References are depth-1 by construction (claims
+//! only ever name *local* entries), so resolution never recurses.
 
 use crate::fault::{FaultKind, FaultPlan, OpKind, SplitMix64};
 use crate::tier::ObjectId;
@@ -783,81 +784,132 @@ impl RankDedupEngine {
             claimant: id,
             claims: cross,
         });
-        RankDedupRecord {
-            rank: id.0,
-            ckpt_id: id.1,
-            chunk_len: chunk_len as u32,
-            orig_len: bytes.len() as u64,
+        RankDedupRecord::new(
+            id.0,
+            id.1,
+            chunk_len as u32,
+            bytes.len() as u64,
             orig_checksum,
             entries,
             local,
-        }
+        )
         .encode()
     }
 }
 
-/// Resolve a rank-dedup record back to its original payload. `fetch`
-/// returns the *stored payload bytes* of a referenced object (themselves a
-/// serialized record), through whatever read path the caller has — the
-/// tier chain's `locate` (including group-tier reconstruction for lost
-/// ranks) at runtime, raw files in the CLI. Depth-1: referenced entries
-/// must be local in their record. The reassembly is verified against the
-/// recorded original length and checksum before it is returned.
+/// Remote-reference resolution for the span of **one read call** (a
+/// restore, a [`collect_record`](crate::lineage::collect_record), a
+/// [`recover_report`](crate::runtime::TierChain::recover_report)): the
+/// fetch closure plus every referenced record fetched so far, decoded
+/// (record checksum verified) and indexed.
+///
+/// `fetch` returns the *stored payload bytes* of a referenced object
+/// (themselves a serialized record), through whatever read path the caller
+/// has — the tier chain's `locate` (including group-tier reconstruction for
+/// lost ranks) at runtime, a plain map in tests. Each distinct referenced
+/// object is fetched once per `Resolver`, in first-reference order — one at
+/// a time, so a [`FaultPlan`]'s op ordinals replay. Nothing outlives the
+/// call, so there is nothing to invalidate; the memory bound is one indexed
+/// copy per distinct referenced object. A failed fetch is not remembered:
+/// the next record naming that object asks again.
+pub struct Resolver<F> {
+    fetch: F,
+    targets: HashMap<ObjectId, RankDedupRecord>,
+}
+
+impl<F: Fn(ObjectId) -> Option<Vec<u8>>> Resolver<F> {
+    pub fn new(fetch: F) -> Self {
+        Resolver {
+            fetch,
+            targets: HashMap::new(),
+        }
+    }
+
+    /// Reassemble the original payload of the record `bytes` stored as
+    /// object `id`. Depth-1: referenced entries must be local in their
+    /// record. The reassembly is verified against the recorded original
+    /// length and checksum before it is returned.
+    pub fn resolve(&mut self, id: ObjectId, bytes: &[u8]) -> Result<Vec<u8>, RankDedupError> {
+        let rec = RankDedupRecord::decode(bytes).map_err(RankDedupError::Decode)?;
+        if (rec.rank, rec.ckpt_id) != id {
+            return Err(RankDedupError::Decode(frame::FrameError::IdMismatch {
+                expected: id,
+                got: (rec.rank, rec.ckpt_id),
+            }));
+        }
+        // References come in runs into one object: remember the last one
+        // looked at, here and below, and skip the map for the rest of a run.
+        let mut last = id;
+        for r in rec.remote_refs() {
+            let target = (r.owner_rank, r.ckpt_id);
+            if target == last {
+                continue;
+            }
+            last = target;
+            if target == id {
+                continue;
+            }
+            if let Entry::Vacant(slot) = self.targets.entry(target) {
+                let raw =
+                    (self.fetch)(target).ok_or(RankDedupError::DanglingRef { reference: r })?;
+                slot.insert(RankDedupRecord::decode(&raw).map_err(RankDedupError::Decode)?);
+            }
+        }
+        // Every cell is now one table lookup away; sizing the output from
+        // the cells themselves means a forged `orig_len` is a typed
+        // mismatch, never an allocation.
+        let mut cells: Vec<&[u8]> = Vec::with_capacity(rec.entries().len());
+        let mut from = (id, &rec);
+        for (i, entry) in rec.entries().iter().enumerate() {
+            cells.push(match entry {
+                RankDedupEntry::Local { len } => rec.local_slice(i as u32).ok_or(
+                    RankDedupError::Decode(frame::FrameError::LengthMismatch {
+                        expected: *len as u64,
+                        got: 0,
+                    }),
+                )?,
+                RankDedupEntry::Remote(r) => {
+                    let not_local = RankDedupError::NotLocal { reference: *r };
+                    let target = (r.owner_rank, r.ckpt_id);
+                    if target != from.0 {
+                        let source = if target == id {
+                            &rec
+                        } else {
+                            self.targets.get(&target).ok_or(not_local)?
+                        };
+                        from = (target, source);
+                    }
+                    from.1.local_slice(r.chunk).ok_or(not_local)?
+                }
+            });
+        }
+        let got: u64 = cells.iter().map(|c| c.len() as u64).sum();
+        if got != rec.orig_len {
+            return Err(RankDedupError::LengthMismatch {
+                expected: rec.orig_len,
+                got,
+            });
+        }
+        let mut out: Vec<u8> = Vec::with_capacity(got as usize);
+        for cell in cells {
+            out.extend_from_slice(cell);
+        }
+        if frame::checksum64(rec.rank, rec.ckpt_id, &out) != rec.orig_checksum {
+            return Err(RankDedupError::ChecksumMismatch);
+        }
+        Ok(out)
+    }
+}
+
+/// Resolve one rank-dedup record back to its original payload with a
+/// one-shot [`Resolver`]: every object the record references is fetched
+/// once for this call.
 pub fn resolve_record(
     id: ObjectId,
     bytes: &[u8],
     fetch: &dyn Fn(ObjectId) -> Option<Vec<u8>>,
 ) -> Result<Vec<u8>, RankDedupError> {
-    let rec = RankDedupRecord::decode(bytes).map_err(RankDedupError::Decode)?;
-    if (rec.rank, rec.ckpt_id) != id {
-        return Err(RankDedupError::Decode(frame::FrameError::IdMismatch {
-            expected: id,
-            got: (rec.rank, rec.ckpt_id),
-        }));
-    }
-    let mut cache: HashMap<ObjectId, RankDedupRecord> = HashMap::new();
-    let mut out: Vec<u8> = Vec::new();
-    for (i, entry) in rec.entries.iter().enumerate() {
-        match entry {
-            RankDedupEntry::Local { .. } => {
-                let slice = rec
-                    .local_slice(i as u32)
-                    .expect("local entry of a decoded record");
-                out.extend_from_slice(slice);
-            }
-            RankDedupEntry::Remote(r) => {
-                let target = (r.owner_rank, r.ckpt_id);
-                let chunk = if target == id {
-                    rec.local_slice(r.chunk)
-                        .ok_or(RankDedupError::NotLocal { reference: *r })?
-                } else {
-                    let rec2 = match cache.entry(target) {
-                        Entry::Occupied(o) => o.into_mut(),
-                        Entry::Vacant(v) => {
-                            let raw = fetch(target)
-                                .ok_or(RankDedupError::DanglingRef { reference: *r })?;
-                            let rec2 =
-                                RankDedupRecord::decode(&raw).map_err(RankDedupError::Decode)?;
-                            v.insert(rec2)
-                        }
-                    };
-                    rec2.local_slice(r.chunk)
-                        .ok_or(RankDedupError::NotLocal { reference: *r })?
-                };
-                out.extend_from_slice(chunk);
-            }
-        }
-    }
-    if out.len() as u64 != rec.orig_len {
-        return Err(RankDedupError::LengthMismatch {
-            expected: rec.orig_len,
-            got: out.len() as u64,
-        });
-    }
-    if frame::checksum64(rec.rank, rec.ckpt_id, &out) != rec.orig_checksum {
-        return Err(RankDedupError::ChecksumMismatch);
-    }
-    Ok(out)
+    Resolver::new(fetch).resolve(id, bytes)
 }
 
 #[cfg(test)]
@@ -934,6 +986,64 @@ mod tests {
         ));
         let fetch_ok = move |_: ObjectId| Some(first.clone());
         assert_eq!(resolve_record((1, 0), &second, &fetch_ok).unwrap(), shared);
+    }
+
+    #[test]
+    fn resolver_fetches_each_target_once_resolve_record_once_per_call() {
+        use std::cell::RefCell;
+        // Two pools first stored on ranks 0 and 1; twelve records on rank
+        // 2 each carry both pools plus a tail of their own, so every one
+        // of them references the same two objects.
+        let e = engine(4, 64);
+        let pools = [payload(1, 64 * 6), payload(2, 64 * 6)];
+        let mut store: HashMap<ObjectId, Vec<u8>> = HashMap::new();
+        store.insert((0, 0), e.encode((0, 0), pools[0].clone()));
+        store.insert((1, 0), e.encode((1, 0), pools[1].clone()));
+        let originals: Vec<Vec<u8>> = (0..12u8)
+            .map(|k| [&pools[0][..], &pools[1][..], &payload(100 + k, 64 * 2)[..]].concat())
+            .collect();
+        for (k, original) in originals.iter().enumerate() {
+            let id = (2, k as u32);
+            store.insert(id, e.encode(id, original.clone()));
+        }
+        let fetched = RefCell::new(Vec::new());
+        let fetch = |id: ObjectId| {
+            fetched.borrow_mut().push(id);
+            store.get(&id).cloned()
+        };
+
+        let mut resolver = Resolver::new(&fetch);
+        for (k, original) in originals.iter().enumerate() {
+            let id = (2, k as u32);
+            assert_eq!(&resolver.resolve(id, &store[&id]).unwrap(), original);
+        }
+        // One fetch per distinct target for the whole chain, in
+        // first-reference order.
+        assert_eq!(*fetched.borrow(), [(0, 0), (1, 0)]);
+
+        fetched.borrow_mut().clear();
+        for (k, original) in originals.iter().enumerate() {
+            let id = (2, k as u32);
+            assert_eq!(&resolve_record(id, &store[&id], &fetch).unwrap(), original);
+        }
+        assert_eq!(*fetched.borrow(), [(0, 0), (1, 0)].repeat(12));
+    }
+
+    #[test]
+    fn failed_fetch_is_typed_and_asked_again() {
+        use std::cell::Cell;
+        let e = engine(2, 64);
+        let shared = payload(9, 64 * 4);
+        let first = e.encode((0, 0), shared.clone());
+        let second = e.encode((1, 0), shared.clone());
+        let present = Cell::new(false);
+        let mut resolver = Resolver::new(|_: ObjectId| present.get().then(|| first.clone()));
+        assert!(matches!(
+            resolver.resolve((1, 0), &second),
+            Err(RankDedupError::DanglingRef { .. })
+        ));
+        present.set(true);
+        assert_eq!(resolver.resolve((1, 0), &second).unwrap(), shared);
     }
 
     #[test]

@@ -1,28 +1,41 @@
 //! The parallel restart engine: single-pass chain resolution fed by
-//! prefetched tier reads.
+//! demand-driven, one-record-ahead tier reads.
 //!
 //! [`ckpt_dedup::restart::SinglePassRestore`] resolves a record chain
 //! newest→oldest, needing each encoded diff exactly once. That shape is a
-//! pipeline: while the resolution kernel works on record *j*, the next
-//! record *j−1* can already be on its way out of the tier chain. This
-//! module supplies that overlap with the same depth-1 bounded-channel
-//! double buffer the submit path uses ([`crate::pipeline`]): a reader
-//! thread walks the chain downward through [`TierChain::locate`] (so
-//! corrupt shallow copies are skipped and repaired exactly like the
-//! sequential restart path) while the caller's thread decodes and feeds.
+//! pipeline: while the resolution kernel works on record *j*, record *j−1*
+//! can already be on its way out of the tier chain. A reader thread
+//! supplies that overlap — but only on demand. The caller's thread decodes
+//! record *j*, and hands the reader one token for *j−1* **unless** *j* is
+//! self-contained (a Full record, or a rebase record: it references
+//! nothing older, so the walk ends there); only then does it resolve *j*.
+//! The reader never starts a `locate` it holds no token for, so a
+//! self-contained top record costs exactly one `locate` and no thread, a
+//! rebase-terminated chain fetches exactly the records it reads, and any
+//! other chain at most one more (the engine can finish on a record that
+//! is not structurally self-contained, with its successor already asked
+//! for).
+//!
+//! Every read of the walk goes through one [`ChainReader`], so corrupt
+//! shallow copies are skipped and repaired exactly like the sequential
+//! restart path, and a record referenced by several rank-dedup records of
+//! the chain is fetched and indexed once per restore.
 //!
 //! A chain whose newest surviving run sits above a lost record is *not*
 //! silently truncated to stale state: the walk either terminates at a
-//! self-contained rebase record (resolution completes and the reader is
-//! dropped) or reaches the hole and reports [`LineageError::Hole`].
+//! self-contained rebase record or reaches the hole and reports
+//! [`LineageError::Hole`].
+//!
+//! [`ChainReader`]: crate::runtime::ChainReader
 
 use crate::lineage::LineageError;
 use crate::runtime::{AsyncRuntime, TierChain};
 use ckpt_dedup::diff::Diff;
-use ckpt_dedup::restart::{RestartStats, SinglePassRestore};
+use ckpt_dedup::restart::{is_self_contained, RestartStats, SinglePassRestore};
 use ckpt_telemetry::Registry;
 use crossbeam::channel::bounded;
 use gpu_sim::Device;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Result of one parallel restart.
@@ -70,9 +83,10 @@ pub fn restore_rank_latest_parallel(
     }
     candidates.sort_unstable();
     candidates.dedup();
+    let mut reader = tiers.reader();
     let mut target: Option<(u32, Vec<u8>)> = None;
     for &k in candidates.iter().rev() {
-        if let Some(bytes) = tiers.locate((rank, k)) {
+        if let Some(bytes) = reader.locate((rank, k)) {
             target = Some((k, bytes));
             break;
         }
@@ -84,31 +98,51 @@ pub fn restore_rank_latest_parallel(
     let mut records_read = 1u64;
     let mut bytes_read = top_bytes.len() as u64;
     let mut fetch_wait_ns = 0u64;
+    // Locates the walk started, the top record's included. A statistic
+    // only, read after the scope below has joined the reader.
+    let records_fetched = AtomicU64::new(1);
 
-    // Positions are absolute checkpoint ids (base 0): the engine stops on
-    // its own at a self-contained rebase record, so the true chain base
-    // never needs to be known up front.
-    let top_diff = Diff::decode(&top_bytes).map_err(|e| LineageError::Decode(top, e))?;
-    let mut engine =
-        SinglePassRestore::begin(device, 0, &top_diff).map_err(LineageError::Restore)?;
+    let mut diff = Diff::decode(&top_bytes).map_err(|e| LineageError::Decode(top, e))?;
+    // A record that references nothing older provably ends the walk: the
+    // one below it is asked for — before this one is resolved, which is the
+    // overlap — only otherwise.
+    let mut ends_walk = is_self_contained(&diff);
 
-    let result: Result<(), LineageError> = std::thread::scope(|s| {
+    let engine = std::thread::scope(|s| -> Result<SinglePassRestore, LineageError> {
+        let (want, wanted) = bounded::<()>(1);
         let (tx, rx) = bounded::<(u32, Option<Vec<u8>>)>(1);
-        s.spawn(move || {
-            // Prefetch reader: one record in the channel while the engine
-            // resolves the previous one. A dropped receiver (resolution
-            // complete, or an error) ends the walk.
-            for id in (0..top).rev() {
-                let bytes = tiers.locate((rank, id));
-                if tx.send((id, bytes)).is_err() {
-                    break;
+        if !ends_walk {
+            let records_fetched = &records_fetched;
+            s.spawn(move || {
+                // One `locate` per token, newest first. Either channel
+                // closing (resolution complete, or an error) ends the walk.
+                for id in (0..top).rev() {
+                    if wanted.recv().is_err() {
+                        break;
+                    }
+                    records_fetched.fetch_add(1, Ordering::Relaxed);
+                    if tx.send((id, reader.locate((rank, id)))).is_err() {
+                        break;
+                    }
                 }
+            });
+            let _ = want.send(());
+        }
+        // Positions are absolute checkpoint ids (base 0): the engine stops
+        // on its own at a self-contained rebase record, so the true chain
+        // base never needs to be known up front.
+        let mut engine =
+            SinglePassRestore::begin(device, 0, &diff).map_err(LineageError::Restore)?;
+        loop {
+            if engine.feed(&diff).map_err(LineageError::Restore)? || ends_walk {
+                return Ok(engine);
             }
-        });
-        let mut done = engine.feed(&top_diff).map_err(LineageError::Restore)?;
-        while !done {
             let t0 = Instant::now();
-            let (id, bytes) = rx.recv().expect("reader thread feeds every id down to 0");
+            let Ok((id, bytes)) = rx.recv() else {
+                // The reader is gone with the engine still wanting records;
+                // `finish` below types that.
+                return Ok(engine);
+            };
             fetch_wait_ns += t0.elapsed().as_nanos() as u64;
             let Some(bytes) = bytes else {
                 // Every copy of `id` is missing or corrupt, and newer
@@ -121,18 +155,23 @@ pub fn restore_rank_latest_parallel(
             };
             records_read += 1;
             bytes_read += bytes.len() as u64;
-            let diff = Diff::decode(&bytes).map_err(|e| LineageError::Decode(id, e))?;
-            done = engine.feed(&diff).map_err(LineageError::Restore)?;
+            diff = Diff::decode(&bytes).map_err(|e| LineageError::Decode(id, e))?;
+            ends_walk = is_self_contained(&diff);
+            if !ends_walk {
+                // With no reader left to hear it, the `recv` above fails.
+                let _ = want.send(());
+            }
         }
-        Ok(())
-        // `rx` drops here; the reader's next send fails and it exits.
-    });
-    result?;
+        // `want` and `rx` drop on return: the reader's `recv` or `send`
+        // fails and it exits without starting another `locate`.
+    })?;
     let (data, stats) = engine.finish().map_err(LineageError::Restore)?;
 
     if let Some(reg) = registry {
         reg.counter("restore/chains_restored").inc();
         reg.counter("restore/records_read").add(records_read);
+        reg.counter("restore/records_fetched")
+            .add(records_fetched.into_inner());
         reg.counter("restore/bytes_read").add(bytes_read);
         reg.counter("restore/regions_copied")
             .add(stats.regions_copied);
@@ -203,19 +242,119 @@ mod tests {
         for key in ["restore/chains_restored", "restore/records_read"] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        // The walk runs down to checkpoint 0: every record is read, and
+        // the reader is never more than the one asked-for record ahead.
+        let (read, fetched) = walk_counts(&registry);
+        assert_eq!(read, 6);
+        assert!((read..=read + 1).contains(&fetched), "fetched {fetched}");
+    }
+
+    fn walk_counts(registry: &ckpt_telemetry::Registry) -> (u64, u64) {
+        (
+            registry.counter("restore/records_read").get(),
+            registry.counter("restore/records_fetched").get(),
+        )
+    }
+
+    #[test]
+    fn full_top_record_is_the_only_locate() {
+        let tiers = crate::runtime::TierChain::new();
+        let mut ckpt = FullCheckpointer::new(gpu_sim::Device::a100(), 64);
+        let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 239) as u8).collect();
+        for k in 0..4u32 {
+            data[k as usize * 7] ^= 0x33;
+            tiers
+                .pfs
+                .put((0, k), ckpt.checkpoint(&data).diff.encode())
+                .unwrap();
+        }
+        let registry = ckpt_telemetry::Registry::new();
+        let device = gpu_sim::Device::a100();
+        let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
+        assert_eq!((out.version, &out.data), (3, &data));
+        assert_eq!(walk_counts(&registry), (1, 1));
     }
 
     #[test]
     fn rebase_record_stops_the_prefetch_walk() {
         let (tiers, snapshots) = run_chain(Some(4));
         let device = gpu_sim::Device::a100();
-        let out = restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap();
+        let registry = ckpt_telemetry::Registry::new();
+        let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
         assert_eq!(&out.data, snapshots.last().unwrap());
         assert!(
             out.stats.records_visited <= 2,
             "walk must stop at the rebase record, visited {}",
             out.stats.records_visited
         );
+        // Records 5 and 4 and nothing below: the rebase record is known to
+        // end the walk before anything under it is asked for.
+        assert_eq!(walk_counts(&registry), (2, 2));
+    }
+
+    #[test]
+    fn shared_referenced_record_is_fetched_once_per_restore() {
+        use crate::fault::{FaultPlan, OpKind};
+        use crate::rankdedup::{RankDedupConfig, RankDedupEngine, RankDedupMetrics};
+        // Rank 0 stores a pool of chunks once; each of rank 1's twelve Tree
+        // checkpoints then overwrites one more stripe of its own state
+        // with the pool's bytes — new to rank 1, already claimed by (0, 0)
+        // cluster-wide — so records 1..=11 all reference that one object.
+        let plan = FaultPlan::empty();
+        let tiers = crate::runtime::TierChain::with_faults(plan.clone());
+        let cfg = RankDedupConfig {
+            ranks: 2,
+            chunk_len: 64,
+        };
+        let engine = RankDedupEngine::new(cfg, RankDedupMetrics::detached());
+        let dev = gpu_sim::Device::a100();
+        let pool: Vec<u8> = (0..8192u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        let stored = TreeCheckpointer::new(dev.clone(), TreeConfig::new(64))
+            .checkpoint(&pool)
+            .diff
+            .encode();
+        tiers
+            .pfs
+            .put((0, 0), engine.encode((0, 0), stored))
+            .unwrap();
+
+        let mut ckpt = TreeCheckpointer::new(dev.clone(), TreeConfig::new(64));
+        let mut data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
+        for k in 0..12u32 {
+            if k > 0 {
+                let stripe = k as usize * 512..(k as usize + 1) * 512;
+                data[stripe.clone()].copy_from_slice(&pool[stripe]);
+            }
+            let encoded = ckpt.checkpoint(&data).diff.encode();
+            tiers
+                .pfs
+                .put((1, k), engine.encode((1, k), encoded))
+                .unwrap();
+        }
+        let referers = (0..12u32)
+            .filter(|&k| {
+                let record = tiers.pfs.get((1, k)).unwrap();
+                ckpt_dedup::RankDedupRecord::decode(&record)
+                    .unwrap()
+                    .remote_refs()
+                    .any(|r| (r.owner_rank, r.ckpt_id) == (0, 0))
+            })
+            .count();
+        assert!(referers >= 11, "only {referers} records share the pool");
+
+        let pfs_gets = || {
+            plan.op_counts()
+                .into_iter()
+                .find(|(key, _)| *key == ("pfs", OpKind::Get))
+                .map_or(0, |(_, n)| n)
+        };
+        let before = pfs_gets();
+        let out = restore_rank_latest_parallel(&tiers, &dev, 1, None).unwrap();
+        assert_eq!((out.version, &out.data), (11, &data));
+        // Twelve records of the chain plus the one object they share.
+        assert_eq!(pfs_gets() - before, 12 + 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::fault::FaultPlan;
 use crate::integrity::{
     group_by_rank, IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
 };
-use crate::rankdedup::{RankDedupEngine, RankDedupIndex};
+use crate::rankdedup::{RankDedupEngine, RankDedupIndex, Resolver};
 use crate::redundancy::{RedundancyMetrics, RedundancyPolicy, RedundancyStore};
 use crate::tier::{
     ObjectId, ObjectState, StoreErrorKind, StoredObject, Tier, TierConfig, TierFull,
@@ -243,9 +243,21 @@ impl TierChain {
     /// valid copy when one exists. Repairs re-store the *encoded* bytes,
     /// so a compressed object stays compressed (and its compressed-payload
     /// checksum is what the repaired copy re-verifies against).
+    ///
+    /// One-shot: a call that reads several objects opens one
+    /// [`reader`](Self::reader) instead, so the records they reference are
+    /// fetched once for the whole call.
     pub fn locate(&self, id: ObjectId) -> Option<Vec<u8>> {
-        let bytes = self.locate_stored(id)?;
-        self.resolve_if_rank_dedup(id, bytes)
+        self.reader().locate(id)
+    }
+
+    /// A read session over this chain for one restore / record collection /
+    /// recovery call. See [`ChainReader`].
+    pub fn reader(&self) -> ChainReader<'_> {
+        ChainReader {
+            tiers: self,
+            resolver: Resolver::new(Box::new(move |target| self.locate_stored(target))),
+        }
     }
 
     /// `locate` minus rank-dedup resolution: the stored payload verbatim
@@ -309,38 +321,16 @@ impl TierChain {
         decoded
     }
 
-    /// Resolve a rank-dedup record back to the originally submitted
-    /// payload; anything else passes through untouched. A reference that
-    /// cannot be resolved — target gone from every tier *and* its group,
-    /// or failing the recorded checksum — yields `None` (a typed hole),
-    /// never a wrong payload.
-    fn resolve_if_rank_dedup(&self, id: ObjectId, bytes: Vec<u8>) -> Option<Vec<u8>> {
-        if !ckpt_dedup::frame::looks_rankdedup(&bytes) {
-            return Some(bytes);
-        }
-        let t0 = Instant::now();
-        let fetch = |target: ObjectId| self.locate_stored(target);
-        let resolved = crate::rankdedup::resolve_record(id, &bytes, &fetch);
-        if let Some(ix) = &self.rank_dedup {
-            ix.metrics().on_fetch(t0.elapsed());
-        }
-        match resolved {
-            Ok(payload) => Some(payload),
-            Err(_) => {
-                if let Some(ix) = &self.rank_dedup {
-                    ix.metrics().on_orphans(1);
-                }
-                None
-            }
-        }
-    }
-
     /// Classify one object for recovery; returns its status and, when
     /// durable, the verified (decoded) payload.
-    fn recover_object(&self, id: ObjectId) -> (ObjectStatus, Option<Vec<u8>>) {
+    fn recover_object(
+        &self,
+        reader: &mut ChainReader<'_>,
+        id: ObjectId,
+    ) -> (ObjectStatus, Option<Vec<u8>>) {
         let (status, payload) = self.recover_object_stored(id);
         match payload {
-            Some(p) => match self.resolve_if_rank_dedup(id, p) {
+            Some(p) => match reader.resolve(id, p) {
                 Some(resolved) => (status, Some(resolved)),
                 // The record itself is durable but a cross-rank reference
                 // dangles (referenced rank lost beyond its group's reach):
@@ -432,14 +422,16 @@ impl TierChain {
         // cluster-scope recovery classifies them too (restored or typed
         // lost — never silently absent).
         ids.extend(self.redundancy_member_ids());
-        let by_rank = group_by_rank(ids);
-        let mut ranks: Vec<RankRecovery> = by_rank
+        // Ranks ascend (a `BTreeMap`): the PFS re-stores recovery performs
+        // and the reader's fetch order repeat from run to run.
+        let mut reader = self.reader();
+        let ranks = group_by_rank(ids)
             .into_iter()
             .map(|(rank, ckpts)| {
                 let mut objects = Vec::with_capacity(ckpts.len());
                 let mut durable: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
                 for ckpt_id in ckpts {
-                    let (status, payload) = self.recover_object((rank, ckpt_id));
+                    let (status, payload) = self.recover_object(&mut reader, (rank, ckpt_id));
                     if status.is_durable() {
                         durable.insert(ckpt_id, payload.expect("durable object carries payload"));
                     }
@@ -455,8 +447,48 @@ impl TierChain {
                 }
             })
             .collect();
-        ranks.sort_by_key(|r| r.rank);
         RecoveryReport { ranks }
+    }
+}
+
+/// Fetch closure of a [`ChainReader`]: the chain's `locate_stored`.
+type StoredFetch<'a> = Box<dyn Fn(ObjectId) -> Option<Vec<u8>> + Send + 'a>;
+
+/// [`TierChain::locate`] for the span of one read call. Rank-dedup records
+/// resolve through a single [`Resolver`], so a referenced object shared by
+/// several records of the call is located, frame-verified, decompressed and
+/// indexed once — and dropped with the reader, so no copy can go stale.
+pub struct ChainReader<'a> {
+    tiers: &'a TierChain,
+    resolver: Resolver<StoredFetch<'a>>,
+}
+
+impl ChainReader<'_> {
+    /// See [`TierChain::locate`].
+    pub fn locate(&mut self, id: ObjectId) -> Option<Vec<u8>> {
+        let bytes = self.tiers.locate_stored(id)?;
+        self.resolve(id, bytes)
+    }
+
+    /// Resolve a rank-dedup record back to the originally submitted
+    /// payload; anything else passes through untouched. A reference that
+    /// cannot be resolved — target gone from every tier *and* its group,
+    /// or failing the recorded checksum — yields `None` (a typed hole),
+    /// never a wrong payload.
+    fn resolve(&mut self, id: ObjectId, bytes: Vec<u8>) -> Option<Vec<u8>> {
+        if !ckpt_dedup::frame::looks_rankdedup(&bytes) {
+            return Some(bytes);
+        }
+        let metrics = self.tiers.rank_dedup.as_ref().map(|ix| ix.metrics());
+        let t0 = Instant::now();
+        let resolved = self.resolver.resolve(id, &bytes);
+        if let Some(m) = metrics {
+            m.on_fetch(t0.elapsed());
+            if resolved.is_err() {
+                m.on_orphans(1);
+            }
+        }
+        resolved.ok()
     }
 }
 
@@ -530,7 +562,8 @@ enum Job {
 /// | `compress/*` | mixed | see [`crate::compress`] (lazy) |
 /// | `integrity/frames_*` | counter | see [`crate::integrity`] (lazy) |
 /// | `restore/chains_restored` | counter | parallel restarts completed (lazy) |
-/// | `restore/records_read` | counter | encoded diffs fetched by restart walks (lazy) |
+/// | `restore/records_read` | counter | encoded diffs restart walks consumed (lazy) |
+/// | `restore/records_fetched` | counter | records restart walks started a `locate` for (lazy) |
 /// | `restore/bytes_read` | counter | encoded bytes fetched by restart walks (lazy) |
 /// | `restore/regions_copied` | counter | copy regions materialized by restarts (lazy) |
 /// | `restore/bytes_copied` | counter | payload bytes gathered by restarts (lazy) |

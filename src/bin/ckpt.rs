@@ -599,7 +599,7 @@ fn cmd_stats(args: &[String]) -> CliResult {
             if let Some(rec) = dedup.and_then(|p| RankDedupRecord::decode(&p).ok()) {
                 dedup_records += 1;
                 dedup_remote_refs += rec.remote_refs().count() as u64;
-                dedup_bytes_saved += rec.orig_len.saturating_sub(rec.local.len() as u64);
+                dedup_bytes_saved += rec.orig_len.saturating_sub(rec.local().len() as u64);
             }
         }
         versions += diffs.len() as u64;
