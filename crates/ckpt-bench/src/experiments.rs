@@ -11,7 +11,9 @@ use crate::workload::gdv_snapshots;
 use ckpt_compress::all_codecs;
 use ckpt_dedup::prelude::*;
 use ckpt_graph::{GraphStats, PaperGraph};
-use ckpt_runtime::{run_scaling, AsyncRuntime, RebasePolicy, ScalingConfig, ScalingMethod};
+use ckpt_runtime::{
+    run_scaling, AsyncRuntime, RebasePolicy, RuntimeConfig, ScalingConfig, ScalingMethod,
+};
 use gpu_sim::Device;
 
 /// Shared experiment knobs (scaled-down defaults; the paper's 11–18 M-vertex
@@ -884,7 +886,11 @@ pub fn highfreq(cfg: ExpConfig) -> Vec<HighFreqPoint> {
         // Time dilation: one modeled SSD-second costs 25 real seconds, so a
         // full-checkpoint drain takes ~30 ms of real time and the producer's
         // burst outpaces it visibly (while keeping the experiment short).
-        let rt = AsyncRuntime::with_tiers_throttled(tiers, 25.0);
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers,
+            time_scale: 25.0,
+            ..Default::default()
+        });
         let t0 = std::time::Instant::now();
         let mut stall = std::time::Duration::ZERO;
         let mut total_stored = 0u64;
@@ -1060,8 +1066,8 @@ pub fn flush_pipeline(cfg: ExpConfig) -> FlushPipelineReport {
 /// method, hash the record once (the encoded diffs and their modeled device
 /// time depend on neither policy nor threads), then sweep policy × thread
 /// count over the *flush* side: submit every encoded diff through the
-/// depth-1 [`CheckpointPipeline`] into an [`AsyncRuntime`] whose flusher
-/// compresses per the policy, wait until the PFS holds the whole record,
+/// depth-1 [`ckpt_runtime::CheckpointPipeline`] into an [`AsyncRuntime`]
+/// whose flusher compresses per the policy, wait until the PFS holds the whole record,
 /// and round-trip the latest version back through the parallel restart
 /// engine. Stored bytes are read off the PFS tier (wire sizes, what the
 /// bandwidth model charges); the modeled end-to-end makespan overlaps
@@ -1070,7 +1076,7 @@ pub fn flush_pipeline(cfg: ExpConfig) -> FlushPipelineReport {
 pub fn flush_pipeline_at(scales: &[usize], seed: u64, threads: &[usize]) -> FlushPipelineReport {
     use ckpt_hash::{Hasher128, Murmur3};
     use ckpt_runtime::{
-        restore_rank_latest_parallel, CheckpointPipeline, CompressionPolicy, TierChain, TierConfig,
+        restore_rank_latest_parallel, CheckpointPipeline, CompressionPolicy, TierConfig,
     };
     use ckpt_telemetry::Registry;
     use rayon::prelude::*;
@@ -1112,12 +1118,11 @@ pub fn flush_pipeline_at(scales: &[usize], seed: u64, threads: &[usize]) -> Flus
                         // Warm the pool outside the timed region.
                         (0..(1usize << 14)).into_par_iter().for_each(|_| {});
                         let registry = Arc::new(Registry::new());
-                        let rt = Arc::new(AsyncRuntime::with_compression(
-                            TierChain::new(),
-                            0.0,
-                            Arc::clone(&registry),
-                            policy,
-                        ));
+                        let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
+                            registry: Arc::clone(&registry),
+                            compression: policy,
+                            ..Default::default()
+                        }));
                         let pipe = CheckpointPipeline::new(Arc::clone(&rt));
                         let ids: Vec<(u32, u32)> =
                             (0..encoded.len() as u32).map(|k| (0, k)).collect();
@@ -1313,7 +1318,6 @@ pub fn redundancy_at(scale: usize, seed: u64) -> RedundancyReport {
     use ckpt_hash::{Hasher128, Murmur3};
     use ckpt_runtime::{
         restore_rank_latest_parallel, CheckpointPipeline, CompressionPolicy, RedundancyPolicy,
-        TierChain,
     };
     use ckpt_telemetry::Registry;
     use std::sync::Arc;
@@ -1363,13 +1367,12 @@ pub fn redundancy_at(scale: usize, seed: u64) -> RedundancyReport {
         for policy_name in REDUNDANCY_POLICIES {
             let redundancy = RedundancyPolicy::parse(policy_name).expect("known policy");
             let registry = Arc::new(Registry::new());
-            let rt = Arc::new(AsyncRuntime::with_redundancy(
-                TierChain::new(),
-                0.0,
-                Arc::clone(&registry),
-                CompressionPolicy::parse("adaptive").expect("known policy"),
+            let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
+                registry: Arc::clone(&registry),
+                compression: CompressionPolicy::parse("adaptive").expect("known policy"),
                 redundancy,
-            ));
+                ..Default::default()
+            }));
             let pipe = CheckpointPipeline::new(Arc::clone(&rt));
             let ids: Vec<(u32, u32)> = (0..REDUNDANCY_CHECKPOINTS as u32)
                 .flat_map(|k| (0..REDUNDANCY_RANKS as u32).map(move |r| (r, k)))
@@ -1579,8 +1582,8 @@ pub const RANK_DEDUP_CHUNK: usize = FIG5_CHUNK;
 pub fn rank_dedup_at(scale: usize, seed: u64) -> RankDedupReport {
     use ckpt_hash::{Hasher128, Murmur3};
     use ckpt_runtime::{
-        restore_rank_latest_parallel, CheckpointPipeline, CompressionPolicy, RankDedupConfig,
-        RankDedupEngine, RankDedupMetrics, RedundancyPolicy, TierChain,
+        restore_rank_latest_parallel, CheckpointPipeline, RankDedupConfig, RankDedupEngine,
+        RankDedupMetrics, RedundancyPolicy,
     };
     use ckpt_telemetry::Registry;
     use std::sync::Arc;
@@ -1670,14 +1673,12 @@ pub fn rank_dedup_at(scale: usize, seed: u64) -> RankDedupReport {
                 // index's stored-byte effect (the compression stage has
                 // its own sweep, `flush_pipeline`, and composes with
                 // rank-dedup in the production path).
-                let rt = Arc::new(AsyncRuntime::with_rank_dedup(
-                    TierChain::new(),
-                    0.0,
-                    Arc::clone(&registry),
-                    CompressionPolicy::Off,
+                let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
+                    registry: Arc::clone(&registry),
                     redundancy,
-                    engine,
-                ));
+                    rank_dedup: engine,
+                    ..Default::default()
+                }));
                 let pipe = CheckpointPipeline::new(Arc::clone(&rt));
                 let ids: Vec<(u32, u32)> = (0..REDUNDANCY_CHECKPOINTS as u32)
                     .flat_map(|k| (0..REDUNDANCY_RANKS as u32).map(move |r| (r, k)))

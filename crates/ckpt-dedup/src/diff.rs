@@ -29,6 +29,8 @@
 //! -- payload: payload_len bytes --
 //! ```
 
+use crate::util::LeReader;
+
 /// Which checkpointing method produced a diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -155,26 +157,8 @@ impl Diff {
     /// to start its chunk grid at the payload — metadata prefixes differ
     /// per rank, but payload bytes of replicated regions align.
     pub fn payload_offset(buf: &[u8]) -> Option<usize> {
-        if buf.len() < HEADER_BYTES || buf[0..4] != MAGIC {
-            return None;
-        }
-        if u16::from_le_bytes(buf[4..6].try_into().unwrap()) != VERSION {
-            return None;
-        }
-        let kind = MethodKind::from_u8(buf[6])?;
-        let data_len = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        let chunk_size = u32::from_le_bytes(buf[20..24].try_into().unwrap());
-        let n_first = u32::from_le_bytes(buf[24..28].try_into().unwrap()) as usize;
-        let n_shift = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
-        let payload_len = u64::from_le_bytes(buf[32..40].try_into().unwrap()) as usize;
-        let n_chunks = (data_len as usize).div_ceil(chunk_size.max(1) as usize);
-        let meta_len = match kind {
-            MethodKind::Full => 0,
-            MethodKind::Basic => n_chunks.div_ceil(8),
-            MethodKind::List | MethodKind::Tree => n_first * 4 + n_shift * 12,
-        };
-        let offset = HEADER_BYTES.checked_add(meta_len)?;
-        (offset.checked_add(payload_len) == Some(buf.len())).then_some(offset)
+        let (h, _) = Header::read(buf).ok()?;
+        Some(h.total_len - h.payload_len)
     }
 
     /// Serialize to bytes.
@@ -211,77 +195,109 @@ impl Diff {
 
     /// Deserialize from bytes.
     pub fn decode(buf: &[u8]) -> Result<Diff, DecodeError> {
-        if buf.len() < HEADER_BYTES {
-            return Err(DecodeError::TooShort);
-        }
-        if buf[0..4] != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let kind = MethodKind::from_u8(buf[6]).ok_or(DecodeError::BadKind(buf[6]))?;
-        let payload_codec = buf[7];
-        let ckpt_id = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        let data_len = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        let chunk_size = u32::from_le_bytes(buf[20..24].try_into().unwrap());
-        let n_first = u32::from_le_bytes(buf[24..28].try_into().unwrap()) as usize;
-        let n_shift = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
-        let payload_len = u64::from_le_bytes(buf[32..40].try_into().unwrap()) as usize;
-
-        let n_chunks = (data_len as usize).div_ceil(chunk_size.max(1) as usize);
-        let (bitmap_len, table_len, keep_first) = match kind {
-            MethodKind::Full => (0, 0, false),
-            MethodKind::Basic => (n_chunks.div_ceil(8), 0, false),
-            MethodKind::List | MethodKind::Tree => (0, n_first * 4 + n_shift * 12, true),
+        let (h, mut r) = Header::read(buf)?;
+        // `Header::read` checked the sections against the buffer, so none
+        // of the reads below can underrun.
+        let underrun = || DecodeError::LengthMismatch {
+            expected: h.total_len,
+            actual: buf.len(),
         };
-        let expected = HEADER_BYTES + bitmap_len + table_len + payload_len;
-        if buf.len() != expected {
-            return Err(DecodeError::LengthMismatch {
-                expected,
-                actual: buf.len(),
+        let bitmap = r.take(h.bitmap_len).ok_or_else(underrun)?.to_vec();
+        let mut first_regions = Vec::with_capacity(h.n_first);
+        for _ in 0..h.n_first {
+            first_regions.push(r.u32().ok_or_else(underrun)?);
+        }
+        let mut shift_regions = Vec::with_capacity(h.n_shift);
+        for _ in 0..h.n_shift {
+            shift_regions.push(ShiftRegion {
+                node: r.u32().ok_or_else(underrun)?,
+                ref_node: r.u32().ok_or_else(underrun)?,
+                ref_ckpt: r.u32().ok_or_else(underrun)?,
             });
         }
-
-        let mut pos = HEADER_BYTES;
-        let bitmap = buf[pos..pos + bitmap_len].to_vec();
-        pos += bitmap_len;
-
-        let mut first_regions = Vec::new();
-        let mut shift_regions = Vec::new();
-        if keep_first {
-            first_regions.reserve(n_first);
-            for _ in 0..n_first {
-                first_regions.push(u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()));
-                pos += 4;
-            }
-            shift_regions.reserve(n_shift);
-            for _ in 0..n_shift {
-                let node = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-                let ref_node = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-                let ref_ckpt = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().unwrap());
-                shift_regions.push(ShiftRegion {
-                    node,
-                    ref_node,
-                    ref_ckpt,
-                });
-                pos += 12;
-            }
-        }
-        let payload = buf[pos..pos + payload_len].to_vec();
-
         Ok(Diff {
-            kind,
-            ckpt_id,
-            data_len,
-            chunk_size,
+            kind: h.kind,
+            ckpt_id: h.ckpt_id,
+            data_len: h.data_len,
+            chunk_size: h.chunk_size,
             first_regions,
             shift_regions,
             bitmap,
-            payload_codec,
-            payload,
+            payload_codec: h.payload_codec,
+            payload: r.rest().to_vec(),
         })
+    }
+}
+
+/// The fixed header of an encoded diff, checked against the buffer it
+/// heads: the section lengths it announces add up to exactly the buffer.
+struct Header {
+    kind: MethodKind,
+    payload_codec: u8,
+    ckpt_id: u32,
+    data_len: u64,
+    chunk_size: u32,
+    /// Region-table entry counts (`List`/`Tree`; 0 for the other kinds,
+    /// which carry no tables whatever the header says).
+    n_first: usize,
+    n_shift: usize,
+    /// Bitmap bytes (`Basic` only).
+    bitmap_len: usize,
+    payload_len: usize,
+    /// Header + metadata + payload.
+    total_len: usize,
+}
+
+impl Header {
+    /// Parse and check the header of `buf`; the returned reader stands at
+    /// the first metadata byte.
+    fn read(buf: &[u8]) -> Result<(Header, LeReader<'_>), DecodeError> {
+        let mut r = LeReader::new(buf);
+        let magic = r.take(MAGIC.len()).ok_or(DecodeError::TooShort)?;
+        let version = r.u16().ok_or(DecodeError::TooShort)?;
+        let kind = r.u8().ok_or(DecodeError::TooShort)?;
+        let payload_codec = r.u8().ok_or(DecodeError::TooShort)?;
+        let ckpt_id = r.u32().ok_or(DecodeError::TooShort)?;
+        let data_len = r.u64().ok_or(DecodeError::TooShort)?;
+        let chunk_size = r.u32().ok_or(DecodeError::TooShort)?;
+        let n_first = r.u32().ok_or(DecodeError::TooShort)? as usize;
+        let n_shift = r.u32().ok_or(DecodeError::TooShort)? as usize;
+        let payload_len = r.u64().ok_or(DecodeError::TooShort)? as usize;
+        if magic != MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        if version != VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        let kind = MethodKind::from_u8(kind).ok_or(DecodeError::BadKind(kind))?;
+        let n_chunks = (data_len as usize).div_ceil(chunk_size.max(1) as usize);
+        let (bitmap_len, n_first, n_shift) = match kind {
+            MethodKind::Full => (0, 0, 0),
+            MethodKind::Basic => (n_chunks.div_ceil(8), 0, 0),
+            MethodKind::List | MethodKind::Tree => (0, n_first, n_shift),
+        };
+        // Saturating: a forged length can only fail the comparison.
+        let total_len =
+            (HEADER_BYTES + bitmap_len + n_first * 4 + n_shift * 12).saturating_add(payload_len);
+        if buf.len() != total_len {
+            return Err(DecodeError::LengthMismatch {
+                expected: total_len,
+                actual: buf.len(),
+            });
+        }
+        let header = Header {
+            kind,
+            payload_codec,
+            ckpt_id,
+            data_len,
+            chunk_size,
+            n_first,
+            n_shift,
+            bitmap_len,
+            payload_len,
+            total_len,
+        };
+        Ok((header, r))
     }
 }
 
@@ -374,6 +390,18 @@ mod tests {
         assert!(bitmap::get(&back.bitmap, 0));
         assert!(!bitmap::get(&back.bitmap, 5));
         assert!(bitmap::get(&back.bitmap, 9));
+    }
+
+    #[test]
+    fn forged_payload_length_is_a_typed_mismatch_not_an_overflow() {
+        // payload_len = u64::MAX used to overflow the expected-length sum.
+        let mut bytes = sample_tree_diff().encode();
+        bytes[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            Diff::decode(&bytes),
+            Err(DecodeError::LengthMismatch { .. })
+        ));
+        assert_eq!(Diff::payload_offset(&bytes), None);
     }
 
     #[test]

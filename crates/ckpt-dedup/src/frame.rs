@@ -39,6 +39,7 @@
 //! one before returning. Legacy frames (flags = 0) are byte-identical to
 //! the pre-codec format and keep decoding unchanged — the version stays 1.
 
+use crate::util::LeReader;
 use ckpt_hash::{Hasher128, Murmur3};
 
 /// Length of the uncompressed-length extension field present when the
@@ -232,17 +233,22 @@ pub fn looks_framed(bytes: &[u8]) -> bool {
 /// is hashed or copied, so a bit-flipped length field can never drive an
 /// allocation — and checksum.
 pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(FrameError::TooShort { len: bytes.len() });
-    }
-    if bytes[0..4] != FRAME_MAGIC {
+    let short = FrameError::TooShort { len: bytes.len() };
+    let mut r = LeReader::new(bytes);
+    let magic = r.take(FRAME_MAGIC.len()).ok_or(short)?;
+    let version = r.u16().ok_or(short)?;
+    let flags = r.u16().ok_or(short)?;
+    let rank = r.u32().ok_or(short)?;
+    let ckpt_id = r.u32().ok_or(short)?;
+    let payload_len = r.u64().ok_or(short)?;
+    let checksum = r.u64().ok_or(short)?;
+    let region = r.rest();
+    if magic != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
     if version != FRAME_VERSION {
         return Err(FrameError::BadVersion { version });
     }
-    let flags = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
     if flags & 0xff00 != 0 {
         return Err(FrameError::BadFlags { flags });
     }
@@ -250,15 +256,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
     if codec != 0 && ckpt_compress::codec_by_id(codec).is_none() {
         return Err(FrameError::UnknownCodec { codec });
     }
-    let rank = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let ckpt_id = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
     let ext = if codec != 0 { FRAME_EXT_LEN as u64 } else { 0 };
     // Length validation happens strictly before the checksum touches any
     // payload byte: the header's claim is checked against what is actually
     // in the buffer.
-    let have = (bytes.len() - FRAME_HEADER_LEN) as u64;
+    let have = region.len() as u64;
     let expected = payload_len.saturating_add(ext);
     if have < expected {
         return Err(FrameError::Truncated { expected, have });
@@ -266,7 +268,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
     if have > expected {
         return Err(FrameError::TrailingBytes { expected, have });
     }
-    let region = &bytes[FRAME_HEADER_LEN..];
     let got = checksum64_region(rank, ckpt_id, codec, region);
     if got != checksum {
         return Err(FrameError::ChecksumMismatch {
@@ -275,8 +276,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
         });
     }
     let (uncompressed_len, payload) = if codec != 0 {
-        let ext_bytes: [u8; FRAME_EXT_LEN] = region[..FRAME_EXT_LEN].try_into().unwrap();
-        (u64::from_le_bytes(ext_bytes), &region[FRAME_EXT_LEN..])
+        let mut r = LeReader::new(region);
+        let len = r.u64().ok_or(FrameError::Truncated { expected, have })?;
+        (len, r.rest())
     } else {
         (payload_len, region)
     };
@@ -455,27 +457,28 @@ impl ParityRecord {
     /// validated against the actual buffer before anything is hashed, so a
     /// corrupted count field can never drive an allocation.
     pub fn decode(bytes: &[u8]) -> Result<ParityRecord, FrameError> {
-        if bytes.len() < PARITY_HEADER_LEN {
-            return Err(FrameError::TooShort { len: bytes.len() });
-        }
-        if bytes[0..4] != PARITY_MAGIC {
+        let short = FrameError::TooShort { len: bytes.len() };
+        let mut r = LeReader::new(bytes);
+        let magic = r.take(PARITY_MAGIC.len()).ok_or(short)?;
+        let version = r.u16().ok_or(short)?;
+        let reserved = r.u16().ok_or(short)?;
+        let group = r.u32().ok_or(short)?;
+        let stripe = r.u32().ok_or(short)?;
+        let ckpt_id = r.u32().ok_or(short)?;
+        let n_members = r.u32().ok_or(short)? as u64;
+        let parity_len = r.u64().ok_or(short)?;
+        let checksum = r.u64().ok_or(short)?;
+        let body = r.rest();
+        if magic != PARITY_MAGIC {
             return Err(FrameError::BadMagic);
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
         if version != PARITY_VERSION {
             return Err(FrameError::BadVersion { version });
         }
-        let reserved = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
         if reserved != 0 {
             return Err(FrameError::BadFlags { flags: reserved });
         }
-        let group = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        let stripe = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let ckpt_id = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-        let n_members = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as u64;
-        let parity_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
-        let have = (bytes.len() - PARITY_HEADER_LEN) as u64;
+        let have = body.len() as u64;
         let expected = n_members
             .saturating_mul(PARITY_MEMBER_LEN as u64)
             .saturating_add(parity_len);
@@ -485,7 +488,6 @@ impl ParityRecord {
         if have > expected {
             return Err(FrameError::TrailingBytes { expected, have });
         }
-        let body = &bytes[PARITY_HEADER_LEN..];
         let got = checksum64_region(group, stripe ^ ckpt_id.rotate_left(8), 0, body);
         if got != checksum {
             return Err(FrameError::ChecksumMismatch {
@@ -493,26 +495,25 @@ impl ParityRecord {
                 got,
             });
         }
+        let truncated = FrameError::Truncated { expected, have };
+        let mut r = LeReader::new(body);
         let mut members = Vec::with_capacity(n_members as usize);
-        let mut at = 0usize;
         for _ in 0..n_members {
-            let m = &body[at..at + PARITY_MEMBER_LEN];
             members.push(ParityMember {
-                rank: u32::from_le_bytes(m[0..4].try_into().unwrap()),
-                codec: m[4],
-                uncompressed_len: u64::from_le_bytes(m[5..13].try_into().unwrap()),
-                stored_len: u64::from_le_bytes(m[13..21].try_into().unwrap()),
-                chunk_len: u64::from_le_bytes(m[21..29].try_into().unwrap()),
-                checksum: u64::from_le_bytes(m[29..37].try_into().unwrap()),
+                rank: r.u32().ok_or(truncated)?,
+                codec: r.u8().ok_or(truncated)?,
+                uncompressed_len: r.u64().ok_or(truncated)?,
+                stored_len: r.u64().ok_or(truncated)?,
+                chunk_len: r.u64().ok_or(truncated)?,
+                checksum: r.u64().ok_or(truncated)?,
             });
-            at += PARITY_MEMBER_LEN;
         }
         Ok(ParityRecord {
             group,
             stripe,
             ckpt_id,
             members,
-            parity: body[at..].to_vec(),
+            parity: r.rest().to_vec(),
         })
     }
 }
@@ -738,29 +739,31 @@ impl RankDedupRecord {
     /// validated against the actual buffer before anything is hashed, so a
     /// corrupted count field can never drive an allocation.
     pub fn decode(bytes: &[u8]) -> Result<RankDedupRecord, FrameError> {
-        if bytes.len() < RANKDEDUP_HEADER_LEN {
-            return Err(FrameError::TooShort { len: bytes.len() });
-        }
-        if bytes[0..4] != RANKDEDUP_MAGIC {
+        let short = FrameError::TooShort { len: bytes.len() };
+        let mut r = LeReader::new(bytes);
+        let magic = r.take(RANKDEDUP_MAGIC.len()).ok_or(short)?;
+        let version = r.u16().ok_or(short)?;
+        let reserved = r.u16().ok_or(short)?;
+        let rank = r.u32().ok_or(short)?;
+        let ckpt_id = r.u32().ok_or(short)?;
+        let checksum = r.u64().ok_or(short)?;
+        // Everything from here on is what the record checksum covers.
+        let covered = r.rest();
+        let chunk_len = r.u32().ok_or(short)?;
+        let n_entries = r.u32().ok_or(short)? as u64;
+        let orig_len = r.u64().ok_or(short)?;
+        let orig_checksum = r.u64().ok_or(short)?;
+        let local_len = r.u64().ok_or(short)?;
+        if magic != RANKDEDUP_MAGIC {
             return Err(FrameError::BadMagic);
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
         if version != RANKDEDUP_VERSION {
             return Err(FrameError::BadVersion { version });
         }
-        let reserved = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
         if reserved != 0 {
             return Err(FrameError::BadFlags { flags: reserved });
         }
-        let rank = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        let ckpt_id = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let chunk_len = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-        let n_entries = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as u64;
-        let orig_len = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
-        let orig_checksum = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
-        let local_len = u64::from_le_bytes(bytes[48..56].try_into().unwrap());
-        let have = (bytes.len() - RANKDEDUP_CHECK_OFFSET) as u64;
+        let have = covered.len() as u64;
         let expected = ((RANKDEDUP_HEADER_LEN - RANKDEDUP_CHECK_OFFSET) as u64)
             .saturating_add(n_entries.saturating_mul(RANKDEDUP_ENTRY_LEN as u64))
             .saturating_add(local_len);
@@ -770,32 +773,34 @@ impl RankDedupRecord {
         if have > expected {
             return Err(FrameError::TrailingBytes { expected, have });
         }
-        let got = rankdedup_sum(rank, ckpt_id, &bytes[RANKDEDUP_CHECK_OFFSET..]);
+        let got = rankdedup_sum(rank, ckpt_id, covered);
         if got != checksum {
             return Err(FrameError::ChecksumMismatch {
                 expected: checksum,
                 got,
             });
         }
+        let truncated = FrameError::Truncated { expected, have };
         let mut entries = Vec::with_capacity(n_entries as usize);
         let mut starts = Vec::with_capacity(n_entries as usize);
-        let mut at = RANKDEDUP_HEADER_LEN;
         let mut local_sum = 0u64;
         for i in 0..n_entries {
-            let e = &bytes[at..at + RANKDEDUP_ENTRY_LEN];
             // At most `local_len` (≤ the buffer) while the record is valid;
             // a forged table that runs past it fails the sum check below.
             starts.push(local_sum as usize);
-            match e[0] {
+            // One slot, one length check: a record has tens of thousands.
+            let slot: [u8; RANKDEDUP_ENTRY_LEN] = r.array().ok_or(truncated)?;
+            let mut e = LeReader::new(&slot);
+            match e.u8().ok_or(truncated)? {
                 0 => {
-                    let len = u32::from_le_bytes(e[1..5].try_into().unwrap());
+                    let len = e.u32().ok_or(truncated)?;
                     local_sum += len as u64;
                     entries.push(RankDedupEntry::Local { len });
                 }
                 1 => entries.push(RankDedupEntry::Remote(RemoteRef {
-                    owner_rank: u32::from_le_bytes(e[1..5].try_into().unwrap()),
-                    ckpt_id: u32::from_le_bytes(e[5..9].try_into().unwrap()),
-                    chunk: u32::from_le_bytes(e[9..13].try_into().unwrap()),
+                    owner_rank: e.u32().ok_or(truncated)?,
+                    ckpt_id: e.u32().ok_or(truncated)?,
+                    chunk: e.u32().ok_or(truncated)?,
                 })),
                 tag => {
                     return Err(FrameError::BadEntryTag {
@@ -804,7 +809,6 @@ impl RankDedupRecord {
                     })
                 }
             }
-            at += RANKDEDUP_ENTRY_LEN;
         }
         if local_sum != local_len {
             return Err(FrameError::LengthMismatch {
@@ -819,7 +823,7 @@ impl RankDedupRecord {
             orig_len,
             orig_checksum,
             entries,
-            local: bytes[at..].to_vec(),
+            local: r.rest().to_vec(),
             starts,
         })
     }

@@ -191,7 +191,7 @@ impl Checkpointer for ListCheckpointer {
 
     /// Rebase: reset the historical record and disable the fixed-duplicate
     /// shortcut for one checkpoint, so every reference lands inside it (see
-    /// [`TreeCheckpointer::rebase_checkpoint`]).
+    /// [`crate::TreeCheckpointer::rebase_checkpoint`]).
     fn rebase_checkpoint(&mut self, data: &[u8]) -> CheckpointOutput {
         if let Some(state) = self.state.as_mut() {
             let occupancy = state.map.len();

@@ -13,7 +13,7 @@
 //! shifted duplicate is redirected (possibly to an older record), and an
 //! uncovered chunk is a fixed duplicate that simply carries to the
 //! next-older record. Each visited record then contributes exactly one
-//! parallel [`copy_regions`] wave for the chunks it finalized. Total bytes
+//! parallel `copy_regions` wave for the chunks it finalized. Total bytes
 //! moved: one checkpoint's worth, regardless of chain length.
 //!
 //! **Determinism:** every chunk's resolution is a pure function of the

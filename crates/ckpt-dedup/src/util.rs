@@ -1,6 +1,54 @@
-//! Small utilities for parallel kernels.
+//! Small utilities: a shared mutable slice for parallel kernels and a
+//! bounds-checked reader for the parsers of untrusted bytes.
 
 use std::cell::UnsafeCell;
+
+/// A cursor over untrusted bytes that reads little-endian fields in order.
+/// Every read is bounds-checked: an underrun is `None`, never a panic, and
+/// consumes nothing.
+pub(crate) struct LeReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> LeReader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Self {
+        LeReader { rest: bytes }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, tail) = self.rest.split_at_checked(n)?;
+        self.rest = tail;
+        Some(head)
+    }
+
+    /// The next `N` bytes, by value: a reader over the result reads fields
+    /// of a fixed-size slot with every bounds check decided at compile time.
+    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    pub fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Everything not yet read.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+}
 
 /// A mutable slice shareable across the threads of one parallel kernel.
 ///
@@ -73,6 +121,22 @@ impl<'a, T> SharedSliceMut<'a, T> {
 mod tests {
     use super::*;
     use rayon::prelude::*;
+
+    #[test]
+    fn reader_reads_in_order_and_refuses_underruns() {
+        let bytes = [1u8, 2, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 9, 8];
+        let mut r = LeReader::new(&bytes);
+        assert_eq!(r.u8(), Some(1));
+        assert_eq!(r.u16(), Some(2));
+        assert_eq!(r.u32(), Some(3));
+        assert_eq!(r.u64(), Some(4));
+        // An underrun consumes nothing.
+        assert_eq!(r.u32(), None);
+        assert_eq!(r.take(3), None);
+        assert_eq!(r.take(1), Some(&[9u8][..]));
+        assert_eq!(r.rest(), &[8]);
+        assert_eq!(LeReader::new(&[]).u8(), None);
+    }
 
     #[test]
     fn parallel_disjoint_writes() {

@@ -1,0 +1,542 @@
+//! The tier chain under the GPU and its read side: locate, repair and
+//! post-crash recovery.
+//!
+//! Every stored object is integrity-framed (see [`crate::tier`]). Reads
+//! verify frames, retry transient tier errors with bounded exponential
+//! backoff, quarantine copies that fail verification and repair them from
+//! a surviving valid copy — a redundant tier first, the object's
+//! redundancy group last. [`TierChain::recover_report`] enumerates, per
+//! rank, which objects verified, which were repaired and which are lost,
+//! instead of silently returning a partial chain. The write side — the
+//! flusher that drains host → SSD → PFS — lives in `flusher.rs`, and
+//! [`AsyncRuntime::start`](crate::AsyncRuntime::start) is where a chain
+//! gets its redundancy group, dedup index and telemetry attached.
+
+use crate::compress::CompressMetrics;
+use crate::fault::FaultPlan;
+use crate::integrity::{
+    group_by_rank, IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
+};
+use crate::rankdedup::{RankDedupIndex, Resolver};
+use crate::redundancy::RedundancyStore;
+use crate::tier::{ObjectId, ObjectState, StoredObject, Tier, TierConfig};
+use ckpt_telemetry::Registry;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// The three-tier hierarchy under the GPU.
+pub struct TierChain {
+    pub host: Tier,
+    pub ssd: Tier,
+    pub pfs: Tier,
+    integrity: IntegrityCounters,
+    /// Cross-rank redundancy level (`None` = the pre-redundancy chain,
+    /// byte for byte).
+    redundancy: Option<Arc<RedundancyStore>>,
+    /// Cluster-wide dedup index (`None` = no rank-dedup resolution on the
+    /// read path, byte for byte the pre-index chain).
+    rank_dedup: Option<Arc<RankDedupIndex>>,
+    /// Ranks named by fired `RankLoss` faults, wiped at the next
+    /// deterministic poll point (flush start, locate, recovery).
+    loss_sink: Arc<Mutex<Vec<u32>>>,
+}
+
+impl TierChain {
+    pub fn new() -> Self {
+        Self::with_configs(TierConfig::host(), TierConfig::ssd(), TierConfig::pfs())
+    }
+
+    fn assemble(host: Tier, ssd: Tier, pfs: Tier) -> Self {
+        let loss_sink: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        for tier in [&host, &ssd, &pfs] {
+            tier.bind_loss_sink(Arc::clone(&loss_sink));
+        }
+        TierChain {
+            host,
+            ssd,
+            pfs,
+            integrity: IntegrityCounters::detached(),
+            redundancy: None,
+            rank_dedup: None,
+            loss_sink,
+        }
+    }
+
+    pub fn with_configs(host: TierConfig, ssd: TierConfig, pfs: TierConfig) -> Self {
+        Self::assemble(Tier::new(host), Tier::new(ssd), Tier::new(pfs))
+    }
+
+    /// Default-configured chain whose tiers all consult `plan` (the
+    /// fault-injection hook; specs are keyed by tier name).
+    pub fn with_faults(plan: Arc<FaultPlan>) -> Self {
+        Self::assemble(
+            Tier::with_faults(TierConfig::host(), Arc::clone(&plan)),
+            Tier::with_faults(TierConfig::ssd(), Arc::clone(&plan)),
+            Tier::with_faults(TierConfig::pfs(), plan),
+        )
+    }
+
+    /// Attach the cross-rank redundancy level. The group tier joins the
+    /// chain's rank-loss sink so `RankLoss` faults scheduled against
+    /// `"group"` are observed too.
+    pub(crate) fn attach_redundancy(&mut self, store: Arc<RedundancyStore>) {
+        store
+            .group_tier()
+            .bind_loss_sink(Arc::clone(&self.loss_sink));
+        self.redundancy = Some(store);
+    }
+
+    /// The attached redundancy store, if any.
+    pub fn redundancy(&self) -> Option<&Arc<RedundancyStore>> {
+        self.redundancy.as_ref()
+    }
+
+    /// Attach the cluster-wide dedup index: the read path resolves
+    /// `CKPR` records through it (and types dangling references).
+    pub(crate) fn attach_rank_dedup(&mut self, index: Arc<RankDedupIndex>) {
+        self.rank_dedup = Some(index);
+    }
+
+    /// The attached cluster dedup index, if any.
+    pub fn rank_dedup_index(&self) -> Option<&Arc<RankDedupIndex>> {
+        self.rank_dedup.as_ref()
+    }
+
+    /// Every id a tier lists (resident or quarantined) or the redundancy
+    /// group remembers, unordered and with repeats.
+    fn listed_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        [&self.pfs, &self.ssd, &self.host]
+            .into_iter()
+            .flat_map(|tier| tier.resident().into_iter().chain(tier.quarantined()))
+            // Objects whose every local copy a rank loss wiped are
+            // invisible to the tier scan; the group's member table still
+            // names them, so they are classified or rebuilt too — never
+            // silently absent.
+            .chain(self.redundancy.iter().flat_map(|group| group.member_ids()))
+    }
+
+    /// The checkpoint ids of `rank` the chain knows of, ascending and
+    /// de-duplicated: what a read of the rank's record has to probe.
+    pub fn known_ckpts(&self, rank: u32) -> Vec<u32> {
+        let of_rank = self.listed_ids().filter(|id| id.0 == rank);
+        group_by_rank(of_rank).remove(&rank).unwrap_or_default()
+    }
+
+    /// [`known_ckpts`](Self::known_ckpts) of every rank, ranks ascending.
+    pub fn known_ids(&self) -> BTreeMap<u32, Vec<u32>> {
+        group_by_rank(self.listed_ids())
+    }
+
+    /// Apply any pending `RankLoss` faults: wipe the lost ranks' volatile
+    /// tiers (host, SSD — never the PFS) and the group objects they
+    /// hosted. Returns the ids wiped from the volatile tiers (sorted) so
+    /// the flusher can mark non-durable ones undrainable. Deterministic:
+    /// losses are queued by the fault hook at exact op ordinals and applied
+    /// here, at the chain's fixed poll points.
+    pub fn poll_rank_loss(&self) -> Vec<ObjectId> {
+        let pending: Vec<u32> = std::mem::take(&mut *self.loss_sink.lock());
+        if pending.is_empty() {
+            return Vec::new();
+        }
+        let mut seen = HashSet::new();
+        let mut wiped = Vec::new();
+        for rank in pending {
+            if !seen.insert(rank) {
+                continue;
+            }
+            wiped.extend(self.host.wipe_rank(rank));
+            wiped.extend(self.ssd.wipe_rank(rank));
+            if let Some(red) = &self.redundancy {
+                red.apply_rank_loss(rank);
+                red.metrics().rank_losses.inc();
+            }
+        }
+        wiped.sort_unstable();
+        wiped.dedup();
+        wiped
+    }
+
+    /// Rebuild an object from its redundancy group, re-storing the result
+    /// on the PFS so later reads find it durably. Returns `None` without a
+    /// group, for unknown members, and for failed rebuilds (counted).
+    fn reconstruct_from_group(&self, id: ObjectId) -> Option<StoredObject> {
+        let red = self.redundancy.as_ref()?;
+        let fetch = |mid: ObjectId| -> Option<StoredObject> {
+            for tier in [&self.pfs, &self.ssd, &self.host] {
+                if let ObjectState::Valid(obj) = Self::inspect(tier, mid) {
+                    return Some(obj);
+                }
+            }
+            None
+        };
+        match red.reconstruct(id, &fetch) {
+            Ok(obj) => {
+                red.metrics().restored_objects.inc();
+                let _ = self.pfs.store_object(id, obj.clone());
+                Some(obj)
+            }
+            Err(_) => {
+                if red.knows_member(id) {
+                    red.metrics().restore_failures.inc();
+                }
+                None
+            }
+        }
+    }
+
+    /// Route integrity counters into `registry`, so `integrity/frames_*`
+    /// land in the runtime's report.
+    pub(crate) fn bind_telemetry(&mut self, registry: Arc<Registry>) {
+        self.integrity = IntegrityCounters::bound(registry);
+    }
+
+    /// Route decode-time accounting from every tier's transparent read
+    /// path into the given compression metric sink.
+    pub(crate) fn bind_compress_metrics(&self, metrics: &Arc<CompressMetrics>) {
+        for tier in [&self.host, &self.ssd, &self.pfs] {
+            tier.bind_compress_metrics(Arc::clone(metrics));
+        }
+    }
+
+    /// Integrity counters for this chain (verified / corrupt / repaired).
+    pub fn integrity(&self) -> &IntegrityCounters {
+        &self.integrity
+    }
+
+    /// Read-and-verify (without decoding), retrying transient errors.
+    fn inspect(tier: &Tier, id: ObjectId) -> ObjectState {
+        tier.inspect_object_with_retry(id, || {})
+    }
+
+    /// Find a *verified* copy of an object in the deepest tier holding one
+    /// (PFS preferred: it is the durable copy). Copies whose frame fails
+    /// verification — or whose compressed payload fails to decode — are
+    /// skipped (a bit-flipped host copy can never shadow a good SSD copy),
+    /// then quarantined, and transparently repaired from the surviving
+    /// valid copy when one exists. Repairs re-store the *encoded* bytes,
+    /// so a compressed object stays compressed (and its compressed-payload
+    /// checksum is what the repaired copy re-verifies against).
+    ///
+    /// One-shot: a call that reads several objects opens one
+    /// [`reader`](Self::reader) instead, so the records they reference are
+    /// fetched once for the whole call.
+    pub fn locate(&self, id: ObjectId) -> Option<Vec<u8>> {
+        self.reader().locate(id)
+    }
+
+    /// A read session over this chain for one restore / record collection /
+    /// recovery call. See [`ChainReader`].
+    pub fn reader(&self) -> ChainReader<'_> {
+        ChainReader {
+            tiers: self,
+            resolver: Resolver::new(Box::new(move |target| self.locate_stored(target))),
+        }
+    }
+
+    /// `locate` minus rank-dedup resolution: the stored payload verbatim
+    /// (a `CKPR` record when the object was submitted with rank-dedup on).
+    /// Resolution fetches *referenced* records through this, so a remote
+    /// chunk on a lost rank still reconstructs from its parity group — and
+    /// resolution never recurses.
+    fn locate_stored(&self, id: ObjectId) -> Option<Vec<u8>> {
+        self.poll_rank_loss();
+        let order = [&self.pfs, &self.ssd, &self.host];
+        let mut decoded: Option<Vec<u8>> = None;
+        let mut encoded: Option<StoredObject> = None;
+        let mut corrupt: Vec<&Tier> = Vec::new();
+        for tier in order {
+            match Self::inspect(tier, id) {
+                ObjectState::Valid(obj) => {
+                    if decoded.is_some() {
+                        // A redundant valid copy; no need to decode it too.
+                        self.integrity.on_verified();
+                        continue;
+                    }
+                    match obj.clone().decode() {
+                        Ok(p) => {
+                            self.integrity.on_verified();
+                            decoded = Some(p);
+                            encoded = Some(obj);
+                        }
+                        Err(_) => {
+                            self.integrity.on_corrupt();
+                            tier.quarantine(id);
+                            corrupt.push(tier);
+                        }
+                    }
+                }
+                ObjectState::Corrupt(_) => {
+                    self.integrity.on_corrupt();
+                    tier.quarantine(id);
+                    corrupt.push(tier);
+                }
+                ObjectState::Missing | ObjectState::TransientIo => {}
+            }
+        }
+        if decoded.is_none() {
+            // Every local copy is gone or corrupt: last resort before the
+            // caller sees a hole is a bit-identical rebuild from the
+            // object's redundancy group.
+            if let Some(obj) = self.reconstruct_from_group(id) {
+                if let Ok(p) = obj.clone().decode() {
+                    decoded = Some(p);
+                    encoded = Some(obj);
+                }
+            }
+        }
+        if let Some(obj) = &encoded {
+            for tier in corrupt {
+                if tier.store_object(id, obj.clone()).is_ok() {
+                    self.integrity.on_repaired();
+                }
+            }
+        }
+        decoded
+    }
+
+    /// Classify one object for recovery: a durable status with the
+    /// verified, resolved payload, or the typed loss.
+    fn recover_object(&self, reader: &mut ChainReader<'_>, id: ObjectId) -> Recovered {
+        let (status, stored) = self.recover_object_stored(id)?;
+        // The record itself may be durable while a cross-rank reference
+        // dangles (referenced rank lost beyond its group's reach): typed
+        // loss, never a wrong payload.
+        let payload = reader
+            .resolve(id, stored)
+            .ok_or(ObjectStatus::LostCorrupt)?;
+        Ok((status, payload))
+    }
+
+    /// Tier/group classification of one object, pre-resolution.
+    fn recover_object_stored(&self, id: ObjectId) -> Recovered {
+        match Self::inspect(&self.pfs, id) {
+            ObjectState::Valid(obj) => match obj.decode() {
+                Ok(p) => {
+                    self.integrity.on_verified();
+                    Ok((ObjectStatus::Verified, p))
+                }
+                Err(_) => {
+                    self.integrity.on_corrupt();
+                    self.pfs.quarantine(id);
+                    self.repair_pfs_from_upper(id)
+                }
+            },
+            ObjectState::Corrupt(_) => {
+                self.integrity.on_corrupt();
+                self.pfs.quarantine(id);
+                self.repair_pfs_from_upper(id)
+            }
+            ObjectState::Missing | ObjectState::TransientIo => {
+                if let Some(p) = self.recover_from_group(id) {
+                    return Ok((ObjectStatus::RestoredFromGroup, p));
+                }
+                if self.redundancy.as_ref().is_some_and(|r| r.knows_member(id)) {
+                    // The group knew this object but could not rebuild it
+                    // (e.g. two losses in one XOR group): typed loss, never
+                    // a wrong payload.
+                    Err(ObjectStatus::LostCorrupt)
+                } else {
+                    // Never durable: copies above the PFS are volatile.
+                    Err(ObjectStatus::LostVolatile)
+                }
+            }
+        }
+    }
+
+    /// Group-rebuild step of recovery: returns the decoded payload when
+    /// the redundancy group reconstructed the object bit-identically.
+    fn recover_from_group(&self, id: ObjectId) -> Option<Vec<u8>> {
+        let obj = self.reconstruct_from_group(id)?;
+        obj.decode().ok()
+    }
+
+    /// Repair the durable copy from a redundant valid copy in a higher
+    /// tier, moving the encoded bytes verbatim (no transcode). When no
+    /// local tier holds a usable copy, the object's redundancy group is
+    /// the final source before declaring it lost.
+    fn repair_pfs_from_upper(&self, id: ObjectId) -> Recovered {
+        for tier in [&self.ssd, &self.host] {
+            if let ObjectState::Valid(obj) = Self::inspect(tier, id) {
+                if let Ok(p) = obj.clone().decode() {
+                    self.integrity.on_verified();
+                    if self.pfs.store_object(id, obj).is_ok() {
+                        self.integrity.on_repaired();
+                        return Ok((ObjectStatus::Repaired, p));
+                    }
+                }
+            }
+        }
+        if let Some(p) = self.recover_from_group(id) {
+            return Ok((ObjectStatus::RestoredFromGroup, p));
+        }
+        Err(ObjectStatus::LostCorrupt)
+    }
+
+    /// Post-crash recovery with full accounting: every object known to any
+    /// tier (including quarantined ones) is classified as verified,
+    /// repaired, or lost, and each rank's contiguous durable prefix is
+    /// extracted. See [`RecoveryReport`].
+    pub fn recover_report(&self) -> RecoveryReport {
+        self.poll_rank_loss();
+        // Ranks ascend (a `BTreeMap`): the PFS re-stores recovery performs
+        // and the reader's fetch order repeat from run to run.
+        let mut reader = self.reader();
+        let ranks = self
+            .known_ids()
+            .into_iter()
+            .map(|(rank, ckpts)| {
+                let mut objects = Vec::with_capacity(ckpts.len());
+                let mut durable: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+                for ckpt_id in ckpts {
+                    let status = match self.recover_object(&mut reader, (rank, ckpt_id)) {
+                        Ok((status, payload)) => {
+                            durable.insert(ckpt_id, payload);
+                            status
+                        }
+                        Err(lost) => lost,
+                    };
+                    objects.push(RecoveredObject { ckpt_id, status });
+                }
+                let (base, payloads) = usable_chain(&mut durable);
+                RankRecovery {
+                    rank,
+                    objects,
+                    base,
+                    prefix_len: payloads.len(),
+                    payloads,
+                }
+            })
+            .collect();
+        RecoveryReport { ranks }
+    }
+}
+
+/// Outcome of classifying one object for recovery: `Ok` carries a durable
+/// status ([`ObjectStatus::is_durable`]) with the decoded payload, `Err` the
+/// typed loss.
+type Recovered = Result<(ObjectStatus, Vec<u8>), ObjectStatus>;
+
+/// Fetch closure of a [`ChainReader`]: the chain's `locate_stored`.
+type StoredFetch<'a> = Box<dyn Fn(ObjectId) -> Option<Vec<u8>> + Send + 'a>;
+
+/// [`TierChain::locate`] for the span of one read call. Rank-dedup records
+/// resolve through a single [`Resolver`], so a referenced object shared by
+/// several records of the call is located, frame-verified, decompressed and
+/// indexed once — and dropped with the reader, so no copy can go stale.
+pub struct ChainReader<'a> {
+    tiers: &'a TierChain,
+    resolver: Resolver<StoredFetch<'a>>,
+}
+
+impl ChainReader<'_> {
+    /// See [`TierChain::locate`].
+    pub fn locate(&mut self, id: ObjectId) -> Option<Vec<u8>> {
+        let bytes = self.tiers.locate_stored(id)?;
+        self.resolve(id, bytes)
+    }
+
+    /// Resolve a rank-dedup record back to the originally submitted
+    /// payload; anything else passes through untouched. A reference that
+    /// cannot be resolved — target gone from every tier *and* its group,
+    /// or failing the recorded checksum — yields `None` (a typed hole),
+    /// never a wrong payload.
+    fn resolve(&mut self, id: ObjectId, bytes: Vec<u8>) -> Option<Vec<u8>> {
+        if !ckpt_dedup::frame::looks_rankdedup(&bytes) {
+            return Some(bytes);
+        }
+        let metrics = self.tiers.rank_dedup.as_ref().map(|ix| ix.metrics());
+        let t0 = Instant::now();
+        let resolved = self.resolver.resolve(id, &bytes);
+        if let Some(m) = metrics {
+            m.on_fetch(t0.elapsed());
+            if resolved.is_err() {
+                m.on_orphans(1);
+            }
+        }
+        resolved.ok()
+    }
+}
+
+/// The newest restorable chain among a rank's durable objects: the
+/// contiguous run with the greatest top id whose first record either is
+/// checkpoint 0 or is structurally self-contained (a rebase record, the
+/// legal chain head after compaction garbage-collected its predecessors).
+/// An incremental run stranded above a hole is skipped in favor of an
+/// older replayable run; with none, the chain is empty.
+fn usable_chain(durable: &mut BTreeMap<u32, Vec<u8>>) -> (u32, Vec<Vec<u8>>) {
+    let ids: Vec<u32> = durable.keys().copied().collect();
+    // Contiguous runs, newest first.
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for &id in &ids {
+        match runs.last_mut() {
+            Some((_, hi)) if *hi + 1 == id => *hi = id,
+            _ => runs.push((id, id)),
+        }
+    }
+    for &(lo, hi) in runs.iter().rev() {
+        // A run reaching checkpoint 0 replays whole; otherwise it replays
+        // from its lowest self-contained rebase record, if any.
+        let head = if lo == 0 {
+            Some(0)
+        } else {
+            (lo..=hi).find(|k| {
+                ckpt_dedup::Diff::decode(&durable[k])
+                    .map(|d| ckpt_dedup::is_self_contained(&d))
+                    .unwrap_or(false)
+            })
+        };
+        if let Some(head) = head {
+            let payloads = (head..=hi).map(|k| durable.remove(&k).unwrap()).collect();
+            return (head, payloads);
+        }
+    }
+    (0, Vec::new())
+}
+
+impl Default for TierChain {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
+    use crate::redundancy::{RedundancyMetrics, RedundancyPolicy};
+
+    #[test]
+    fn known_ckpts_unions_tiers_quarantine_and_group() {
+        // The second PFS put is bit-flipped: id (0, 5) ends up only in
+        // quarantine once something reads it.
+        let plan = FaultPlan::builder()
+            .on_put("pfs", 1, FaultKind::BitFlip { bit: 99 })
+            .build();
+        let mut tiers = TierChain::with_faults(plan);
+        let store = RedundancyStore::new(RedundancyPolicy::Partner, RedundancyMetrics::detached());
+        // Rank 3 is known only to the group: no tier lists it.
+        store.encode_member((3, 1), &StoredObject::raw(vec![3; 32]));
+        store.encode_member((3, 0), &StoredObject::raw(vec![3; 32]));
+        tiers.attach_redundancy(Arc::new(store));
+        tiers.pfs.put((0, 2), vec![1; 64]).unwrap();
+        tiers.pfs.put((0, 5), vec![2; 64]).unwrap(); // corrupted by the plan
+        tiers.ssd.put((0, 2), vec![1; 64]).unwrap(); // listed twice
+        tiers.host.put((0, 7), vec![4; 64]).unwrap();
+        tiers.host.put((1, 0), vec![5; 64]).unwrap();
+        assert_eq!(tiers.locate((0, 5)), None);
+        assert_eq!(tiers.pfs.quarantined(), vec![(0, 5)]);
+        assert!(!tiers.pfs.contains((0, 5)));
+
+        assert_eq!(tiers.known_ckpts(0), vec![2, 5, 7]);
+        assert_eq!(tiers.known_ckpts(1), vec![0]);
+        assert_eq!(tiers.known_ckpts(3), vec![0, 1]);
+        assert_eq!(tiers.known_ckpts(9), Vec::<u32>::new());
+        let all: Vec<(u32, Vec<u32>)> = tiers.known_ids().into_iter().collect();
+        assert_eq!(
+            all,
+            [(0, vec![2, 5, 7]), (1, vec![0]), (3, vec![0, 1])],
+            "ranks ascend, each rank as known_ckpts reports it"
+        );
+    }
+}

@@ -22,9 +22,9 @@
 //! records, or a known id *above* the chain's top, is lost; restore fails
 //! naming it rather than handing back an older version.
 
+use crate::chain::TierChain;
 use crate::lineage::{collect_record, LineageError};
 use crate::redundancy::RedundancyStore;
-use crate::runtime::TierChain;
 use crate::tier::{ObjectId, ObjectState, StoredObject};
 use crate::ObjectStatus;
 use ckpt_dedup::diff::Diff;
@@ -388,21 +388,10 @@ impl Loaded {
         Ok(())
     }
 
-    /// Every id a file (intact or quarantined) or the group manifest names.
-    fn known_ids(&self) -> Vec<ObjectId> {
-        let pfs = &self.tiers.pfs;
-        [
-            pfs.resident(),
-            pfs.quarantined(),
-            self.tiers.redundancy_member_ids(),
-        ]
-        .concat()
-    }
-
     /// Every rank with a directory, a file or a group-manifest entry.
     pub fn ranks(&self) -> BTreeSet<u32> {
         let mut ranks = self.rank_dirs.clone();
-        ranks.extend(self.known_ids().iter().map(|id| id.0));
+        ranks.extend(self.tiers.known_ids().into_keys());
         ranks
     }
 
@@ -412,10 +401,7 @@ impl Loaded {
     pub fn record(&self, rank: u32) -> Result<Record, RecordError> {
         // Listed before reading: reads move ids from resident to
         // quarantined, never out of the union.
-        let known: BTreeSet<u32> = {
-            let ids = self.known_ids().into_iter();
-            ids.filter(|id| id.0 == rank).map(|id| id.1).collect()
-        };
+        let known = self.tiers.known_ckpts(rank);
         let lost = |ckpt_id: u32, suffix: String| RecordError {
             ckpt_id,
             detail: format!("{}{suffix}", self.loss_detail((rank, ckpt_id))),
@@ -439,7 +425,7 @@ impl Loaded {
             Err(_) => return Err(lost(known.last().copied().unwrap_or(0), String::new())),
         };
         let top = base + chain.len() as u32 - 1;
-        if let Some(&above) = known.range(top + 1..).next() {
+        if let Some(&above) = known.iter().find(|&&k| k > top) {
             return Err(lost(above, format!("; newest readable is v{top:04}")));
         }
         let diffs = chain
@@ -564,22 +550,18 @@ impl VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AsyncRuntime, CompressionPolicy, RedundancyPolicy};
+    use crate::{AsyncRuntime, RedundancyPolicy, RuntimeConfig};
     use ckpt_dedup::prelude::*;
-    use ckpt_telemetry::Registry;
 
     /// A throwaway directory holding a 2-rank x 3-version partner record
     /// written through the runtime, plus each rank's newest snapshot.
     fn exported(tag: &str) -> (PathBuf, Vec<Vec<u8>>) {
         let root = std::env::temp_dir().join(format!("cluster-dir-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let rt = AsyncRuntime::with_redundancy(
-            TierChain::new(),
-            0.0,
-            Arc::new(Registry::new()),
-            CompressionPolicy::Off,
-            RedundancyPolicy::Partner,
-        );
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            redundancy: RedundancyPolicy::Partner,
+            ..Default::default()
+        });
         let mut newest = Vec::new();
         let mut ids = Vec::new();
         for rank in 0..2u32 {

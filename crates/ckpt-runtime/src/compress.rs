@@ -31,7 +31,7 @@ use crate::tier::StoredObject;
 use ckpt_compress::blocks::{compress_blocks, DEFAULT_BLOCK_SIZE};
 use ckpt_compress::codec_by_id;
 use ckpt_dedup::frame::FRAME_EXT_LEN;
-use ckpt_telemetry::{Counter, Gauge, Registry};
+use ckpt_telemetry::{Gauge, LazyCounter, Registry};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -99,80 +99,61 @@ impl CompressionPolicy {
 /// | `compress/decode_ns` | counter | container decode time on reads |
 /// | `compress/objects/<codec>` | counter | objects stored per codec (`store` = fallback) |
 pub struct CompressMetrics {
+    /// For the gauge and the per-codec counters, whose names are dynamic.
     registry: Option<Arc<Registry>>,
-    bytes_in: OnceLock<Arc<Counter>>,
-    bytes_out: OnceLock<Arc<Counter>>,
+    bytes_in: LazyCounter,
+    bytes_out: LazyCounter,
     ratio_pct: OnceLock<Arc<Gauge>>,
-    select_ns: OnceLock<Arc<Counter>>,
-    encode_ns: OnceLock<Arc<Counter>>,
-    decode_ns: OnceLock<Arc<Counter>>,
+    select_ns: LazyCounter,
+    encode_ns: LazyCounter,
+    decode_ns: LazyCounter,
 }
 
 impl CompressMetrics {
     pub fn bound(registry: Arc<Registry>) -> Self {
-        CompressMetrics {
-            registry: Some(registry),
-            ..Self::detached()
-        }
+        Self::over(Some(registry))
     }
 
     /// A sink that counts nothing (chains built without telemetry).
     pub fn detached() -> Self {
-        CompressMetrics {
-            registry: None,
-            bytes_in: OnceLock::new(),
-            bytes_out: OnceLock::new(),
-            ratio_pct: OnceLock::new(),
-            select_ns: OnceLock::new(),
-            encode_ns: OnceLock::new(),
-            decode_ns: OnceLock::new(),
-        }
+        Self::over(None)
     }
 
-    fn lazy<'a>(
-        &'a self,
-        slot: &'a OnceLock<Arc<Counter>>,
-        name: &'static str,
-    ) -> Option<&'a Arc<Counter>> {
-        self.registry
-            .as_ref()
-            .map(|r| slot.get_or_init(|| r.counter(name)))
+    fn over(registry: Option<Arc<Registry>>) -> Self {
+        let lazy = |name| LazyCounter::new(registry.as_ref(), name);
+        CompressMetrics {
+            bytes_in: lazy("compress/bytes_in"),
+            bytes_out: lazy("compress/bytes_out"),
+            ratio_pct: OnceLock::new(),
+            select_ns: lazy("compress/select_ns"),
+            encode_ns: lazy("compress/encode_ns"),
+            decode_ns: lazy("compress/decode_ns"),
+            registry,
+        }
     }
 
     fn on_select(&self, ns: u64) {
-        if let Some(c) = self.lazy(&self.select_ns, "compress/select_ns") {
-            c.add(ns);
-        }
+        self.select_ns.add(ns);
     }
 
     fn on_encode(&self, codec_label: &str, bytes_in: u64, bytes_out: u64, ns: u64) {
         let Some(reg) = self.registry.as_ref() else {
             return;
         };
-        let b_in = self
-            .bytes_in
-            .get_or_init(|| reg.counter("compress/bytes_in"));
-        let b_out = self
-            .bytes_out
-            .get_or_init(|| reg.counter("compress/bytes_out"));
-        b_in.add(bytes_in);
-        b_out.add(bytes_out);
-        if let Some(c) = self.lazy(&self.encode_ns, "compress/encode_ns") {
-            c.add(ns);
-        }
+        self.bytes_in.add(bytes_in);
+        self.bytes_out.add(bytes_out);
+        self.encode_ns.add(ns);
         reg.counter(&format!("compress/objects/{codec_label}"))
             .inc();
-        let total_in = b_in.get().max(1);
+        let total_in = self.bytes_in.get().max(1);
         self.ratio_pct
             .get_or_init(|| reg.gauge("compress/ratio_pct"))
-            .set((b_out.get() * 100 / total_in) as i64);
+            .set((self.bytes_out.get() * 100 / total_in) as i64);
     }
 
     /// Record one container decode (called from the tier read path).
     pub fn on_decode(&self, ns: u64) {
-        if let Some(c) = self.lazy(&self.decode_ns, "compress/decode_ns") {
-            c.add(ns);
-        }
+        self.decode_ns.add(ns);
     }
 }
 

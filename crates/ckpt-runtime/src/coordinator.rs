@@ -10,8 +10,9 @@
 //! to the number of co-located GPUs on its node (8 per ThetaGPU node), its
 //! own checkpointer state, and a share of one [`AsyncRuntime`].
 
+use crate::chain::TierChain;
 use crate::pipeline::CheckpointPipeline;
-use crate::runtime::{AsyncRuntime, TierChain};
+use crate::runtime::AsyncRuntime;
 use ckpt_dedup::prelude::*;
 use gpu_sim::Device;
 use std::sync::Arc;

@@ -78,7 +78,7 @@ struct PlanState {
 /// [`FaultPlan::builder`] for explicit schedules or
 /// [`FaultPlan::from_seed`] for randomized-but-reproducible ones, then hand
 /// an `Arc` of it to [`Tier::with_faults`](crate::tier::Tier::with_faults)
-/// (or [`TierChain::with_faults`](crate::runtime::TierChain::with_faults)).
+/// (or [`TierChain::with_faults`](crate::chain::TierChain::with_faults)).
 pub struct FaultPlan {
     scheduled: HashMap<(&'static str, OpKind, u64), FaultKind>,
     state: Mutex<PlanState>,

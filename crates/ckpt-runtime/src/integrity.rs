@@ -11,30 +11,27 @@
 //! | `integrity/frames_repaired` | counter | corrupt copies rewritten from a redundant valid copy |
 
 use crate::tier::ObjectId;
-use ckpt_telemetry::{Counter, JsonWriter, Registry};
+use ckpt_telemetry::{JsonWriter, LazyCounter, Registry};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Lazily-registered integrity counters bound to a telemetry registry.
-///
-/// Handles are resolved on first use so that a runtime which never touches
-/// an integrity path exports exactly the same metric set as before this
-/// subsystem existed.
+/// Lazily-registered integrity counters bound to a telemetry registry, so
+/// that a runtime which never touches an integrity path exports exactly
+/// the same metric set as before this subsystem existed.
 pub struct IntegrityCounters {
-    registry: Arc<Registry>,
-    verified: OnceLock<Arc<Counter>>,
-    corrupt: OnceLock<Arc<Counter>>,
-    repaired: OnceLock<Arc<Counter>>,
+    verified: LazyCounter,
+    corrupt: LazyCounter,
+    repaired: LazyCounter,
 }
 
 impl IntegrityCounters {
     /// Counters that will register into `registry` on first use.
     pub fn bound(registry: Arc<Registry>) -> Self {
+        let lazy = |name| LazyCounter::new(Some(&registry), name);
         IntegrityCounters {
-            registry,
-            verified: OnceLock::new(),
-            corrupt: OnceLock::new(),
-            repaired: OnceLock::new(),
+            verified: lazy("integrity/frames_verified"),
+            corrupt: lazy("integrity/frames_corrupt"),
+            repaired: lazy("integrity/frames_repaired"),
         }
     }
 
@@ -45,33 +42,27 @@ impl IntegrityCounters {
     }
 
     pub fn on_verified(&self) {
-        self.verified
-            .get_or_init(|| self.registry.counter("integrity/frames_verified"))
-            .inc();
+        self.verified.inc();
     }
 
     pub fn on_corrupt(&self) {
-        self.corrupt
-            .get_or_init(|| self.registry.counter("integrity/frames_corrupt"))
-            .inc();
+        self.corrupt.inc();
     }
 
     pub fn on_repaired(&self) {
-        self.repaired
-            .get_or_init(|| self.registry.counter("integrity/frames_repaired"))
-            .inc();
+        self.repaired.inc();
     }
 
     pub fn verified_count(&self) -> u64 {
-        self.verified.get().map_or(0, |c| c.get())
+        self.verified.get()
     }
 
     pub fn corrupt_count(&self) -> u64 {
-        self.corrupt.get().map_or(0, |c| c.get())
+        self.corrupt.get()
     }
 
     pub fn repaired_count(&self) -> u64 {
-        self.repaired.get().map_or(0, |c| c.get())
+        self.repaired.get()
     }
 }
 

@@ -8,14 +8,18 @@
 //! recovering the durable prefix of each rank's record after a failure and
 //! replaying it back into checkpoint contents.
 //!
-//! * [`tier`] — simulated storage tiers with bandwidth/capacity accounting
-//!   and integrity framing;
+//! * [`tier`] — simulated storage tiers with bandwidth/capacity accounting,
+//!   integrity framing and the one bounded retry of tier reads and writes;
+//! * [`chain`] — the host/SSD/PFS [`TierChain`] and its read side: locate,
+//!   quarantine, repair, post-crash recovery;
 //! * [`compress`] — the post-dedup compression stage: per-object adaptive
 //!   codec selection, pool-parallel encode, lazy `compress/*` telemetry;
 //! * [`fault`] — deterministic, seedable fault injection;
 //! * [`integrity`] — frame-verification counters and recovery reports;
-//! * [`runtime`] — the asynchronous flusher with retry/degradation and
-//!   failure injection;
+//! * [`runtime`] — [`RuntimeConfig`] and [`AsyncRuntime`]: the one place
+//!   a runtime is assembled, submission, durability waits, kill/recover
+//!   (its flusher thread — the Fig. 3 stage list with retry and
+//!   degradation — is the private `flusher` module);
 //! * [`pipeline`] — the double-buffered submit tail that overlaps one
 //!   checkpoint's serialize/D2H/submit with the next one's hashing;
 //! * [`redundancy`] — cross-rank redundancy groups (partner copy / XOR
@@ -30,10 +34,12 @@
 //!   directory, import it back unverified, and the one `verify`;
 //! * [`coordinator`] — the multi-rank strong-scaling harness (Fig. 6).
 
+pub mod chain;
 pub mod cluster_dir;
 pub mod compress;
 pub mod coordinator;
 pub mod fault;
+mod flusher;
 pub mod integrity;
 pub mod lineage;
 pub mod pipeline;
@@ -43,6 +49,7 @@ pub mod restore;
 pub mod runtime;
 pub mod tier;
 
+pub use chain::{ChainReader, TierChain};
 pub use cluster_dir::{ClusterDir, Layout, VerifyReport, VerifyStatus};
 pub use compress::{CompressMetrics, CompressionEngine, CompressionPolicy};
 pub use coordinator::{
@@ -64,7 +71,7 @@ pub use rankdedup::{
 };
 pub use redundancy::{ReconstructError, RedundancyMetrics, RedundancyPolicy, RedundancyStore};
 pub use restore::{restore_rank_latest_parallel, ParallelRestoreOutcome};
-pub use runtime::{AsyncRuntime, ChainReader, TierChain};
+pub use runtime::{AsyncRuntime, RuntimeConfig};
 pub use tier::{
     FrameState, ObjectState, StoreError, StoreErrorKind, StoredObject, Tier, TierConfig,
 };

@@ -5,8 +5,8 @@
 //! decodes them and replays the de-duplication diffs through
 //! [`ckpt_dedup::restore_record`].
 
+use crate::chain::TierChain;
 use crate::integrity::RecoveryReport;
-use crate::runtime::TierChain;
 use ckpt_dedup::diff::{DecodeError, Diff};
 use ckpt_dedup::restart::is_self_contained;
 use ckpt_dedup::restore::{RestoreError, Restorer};
@@ -72,25 +72,9 @@ pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>
     // One read session: a record several of the rank's records reference
     // is fetched and indexed once for the whole collection.
     let mut reader = tiers.reader();
-    // Ids known only to the redundancy group (every local copy wiped by a
-    // rank loss) must be enumerated too: `locate` falls back to a group
-    // rebuild for them.
-    let group_ids = tiers.redundancy_member_ids();
-    for tier_ids in [
-        tiers.pfs.resident(),
-        tiers.pfs.quarantined(),
-        tiers.ssd.resident(),
-        tiers.ssd.quarantined(),
-        tiers.host.resident(),
-        tiers.host.quarantined(),
-        group_ids,
-    ] {
-        for (r, k) in tier_ids {
-            if r == rank && !present.contains_key(&k) {
-                if let Some(bytes) = reader.locate((rank, k)) {
-                    present.insert(k, bytes);
-                }
-            }
+    for k in tiers.known_ckpts(rank) {
+        if let Some(bytes) = reader.locate((rank, k)) {
+            present.insert(k, bytes);
         }
     }
     let Some(&max) = present.keys().next_back() else {
@@ -257,7 +241,7 @@ mod tests {
         let plan = FaultPlan::builder()
             .on_put("host", 1, FaultKind::BitFlip { bit: 40 })
             .build();
-        let tiers = crate::runtime::TierChain::with_faults(plan);
+        let tiers = crate::chain::TierChain::with_faults(plan);
         tiers.pfs.put((0, 0), vec![1, 2, 3]).unwrap();
         tiers.pfs.put((0, 1), vec![4, 5]).unwrap();
         tiers.host.put((0, 0), vec![1, 2, 3]).unwrap();
@@ -281,7 +265,7 @@ mod tests {
         let plan = FaultPlan::builder()
             .on_put("pfs", 1, FaultKind::TornWrite { keep_bytes: 12 })
             .build();
-        let tiers = crate::runtime::TierChain::with_faults(plan);
+        let tiers = crate::chain::TierChain::with_faults(plan);
         let dev = gpu_sim::Device::a100();
         let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
         let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 239) as u8).collect();
@@ -306,7 +290,7 @@ mod tests {
     #[test]
     fn compacted_chain_collects_from_the_rebase_base() {
         // GC below a rebase record: ids 0–1 evicted, 2 is self-contained.
-        let tiers = crate::runtime::TierChain::new();
+        let tiers = crate::chain::TierChain::new();
         let dev = gpu_sim::Device::a100();
         let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
         let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 233) as u8).collect();

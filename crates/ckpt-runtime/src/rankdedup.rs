@@ -69,13 +69,13 @@ use crate::tier::ObjectId;
 use ckpt_dedup::diff::Diff;
 use ckpt_dedup::frame::{self, RankDedupEntry, RankDedupRecord, RemoteRef};
 use ckpt_hash::{Hasher128, Murmur3};
-use ckpt_telemetry::{Counter, Registry};
+use ckpt_telemetry::{LazyCounter, Registry};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -94,74 +94,55 @@ const CHUNK_HASH_SEED: u32 = 0x5244_4858;
 /// | `rankdedup/fetch_ns` | counter | nanoseconds spent resolving remote refs on reads |
 /// | `rankdedup/orphans` | counter | claims that lost a race or were dropped/killed in the exchange |
 pub struct RankDedupMetrics {
-    registry: Option<Arc<Registry>>,
-    claims: OnceLock<Arc<Counter>>,
-    remote_refs: OnceLock<Arc<Counter>>,
-    remote_bytes_saved: OnceLock<Arc<Counter>>,
-    fetch_ns: OnceLock<Arc<Counter>>,
-    orphans: OnceLock<Arc<Counter>>,
+    claims: LazyCounter,
+    remote_refs: LazyCounter,
+    remote_bytes_saved: LazyCounter,
+    fetch_ns: LazyCounter,
+    orphans: LazyCounter,
 }
 
 impl RankDedupMetrics {
     pub fn bound(registry: Arc<Registry>) -> Self {
-        RankDedupMetrics {
-            registry: Some(registry),
-            ..Self::detached()
-        }
+        Self::over(Some(&registry))
     }
 
     /// A sink that counts nothing (indexes built without telemetry).
     pub fn detached() -> Self {
-        RankDedupMetrics {
-            registry: None,
-            claims: OnceLock::new(),
-            remote_refs: OnceLock::new(),
-            remote_bytes_saved: OnceLock::new(),
-            fetch_ns: OnceLock::new(),
-            orphans: OnceLock::new(),
-        }
+        Self::over(None)
     }
 
-    fn lazy<'a>(
-        &'a self,
-        slot: &'a OnceLock<Arc<Counter>>,
-        name: &'static str,
-    ) -> Option<&'a Arc<Counter>> {
-        self.registry
-            .as_ref()
-            .map(|r| slot.get_or_init(|| r.counter(name)))
+    fn over(registry: Option<&Arc<Registry>>) -> Self {
+        let lazy = |name| LazyCounter::new(registry, name);
+        RankDedupMetrics {
+            claims: lazy("rankdedup/claims"),
+            remote_refs: lazy("rankdedup/remote_refs"),
+            remote_bytes_saved: lazy("rankdedup/remote_bytes_saved"),
+            fetch_ns: lazy("rankdedup/fetch_ns"),
+            orphans: lazy("rankdedup/orphans"),
+        }
     }
 
     pub fn on_claims(&self, n: u64) {
         if n > 0 {
-            if let Some(c) = self.lazy(&self.claims, "rankdedup/claims") {
-                c.add(n);
-            }
+            self.claims.add(n);
         }
     }
 
     pub fn on_remote_refs(&self, n: u64, bytes_saved: u64) {
         if n > 0 {
-            if let Some(c) = self.lazy(&self.remote_refs, "rankdedup/remote_refs") {
-                c.add(n);
-            }
-            if let Some(c) = self.lazy(&self.remote_bytes_saved, "rankdedup/remote_bytes_saved") {
-                c.add(bytes_saved);
-            }
+            self.remote_refs.add(n);
+            self.remote_bytes_saved.add(bytes_saved);
         }
     }
 
     pub fn on_fetch(&self, elapsed: Duration) {
-        if let Some(c) = self.lazy(&self.fetch_ns, "rankdedup/fetch_ns") {
-            c.add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-        }
+        self.fetch_ns
+            .add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     pub fn on_orphans(&self, n: u64) {
         if n > 0 {
-            if let Some(c) = self.lazy(&self.orphans, "rankdedup/orphans") {
-                c.add(n);
-            }
+            self.orphans.add(n);
         }
     }
 }
@@ -799,7 +780,7 @@ impl RankDedupEngine {
 
 /// Remote-reference resolution for the span of **one read call** (a
 /// restore, a [`collect_record`](crate::lineage::collect_record), a
-/// [`recover_report`](crate::runtime::TierChain::recover_report)): the
+/// [`recover_report`](crate::chain::TierChain::recover_report)): the
 /// fetch closure plus every referenced record fetched so far, decoded
 /// (record checksum verified) and indexed.
 ///

@@ -52,10 +52,10 @@
 
 use crate::tier::{ObjectId, ObjectState, StoredObject, Tier, TierConfig};
 use ckpt_dedup::frame::{self, ParityMember, ParityRecord};
-use ckpt_telemetry::{Counter, Registry};
+use ckpt_telemetry::{LazyCounter, Registry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// How checkpoint objects are protected across ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,79 +158,33 @@ impl std::error::Error for ReconstructError {}
 /// | `redundancy/restore_failures` | counter | known members that failed to rebuild |
 /// | `redundancy/rank_losses` | counter | `RankLoss` faults applied to the chain |
 pub struct RedundancyMetrics {
-    registry: Option<Arc<Registry>>,
-    partner_copies: OnceLock<Arc<Counter>>,
-    parity_updates: OnceLock<Arc<Counter>>,
-    bytes_stored: OnceLock<Arc<Counter>>,
-    restored_objects: OnceLock<Arc<Counter>>,
-    restore_failures: OnceLock<Arc<Counter>>,
-    rank_losses: OnceLock<Arc<Counter>>,
+    partner_copies: LazyCounter,
+    parity_updates: LazyCounter,
+    bytes_stored: LazyCounter,
+    pub(crate) restored_objects: LazyCounter,
+    pub(crate) restore_failures: LazyCounter,
+    pub(crate) rank_losses: LazyCounter,
 }
 
 impl RedundancyMetrics {
     pub fn bound(registry: Arc<Registry>) -> Self {
-        RedundancyMetrics {
-            registry: Some(registry),
-            ..Self::detached()
-        }
+        Self::over(Some(&registry))
     }
 
     /// A sink that counts nothing (stores built without telemetry).
     pub fn detached() -> Self {
+        Self::over(None)
+    }
+
+    fn over(registry: Option<&Arc<Registry>>) -> Self {
+        let lazy = |name| LazyCounter::new(registry, name);
         RedundancyMetrics {
-            registry: None,
-            partner_copies: OnceLock::new(),
-            parity_updates: OnceLock::new(),
-            bytes_stored: OnceLock::new(),
-            restored_objects: OnceLock::new(),
-            restore_failures: OnceLock::new(),
-            rank_losses: OnceLock::new(),
-        }
-    }
-
-    fn lazy<'a>(
-        &'a self,
-        slot: &'a OnceLock<Arc<Counter>>,
-        name: &'static str,
-    ) -> Option<&'a Arc<Counter>> {
-        self.registry
-            .as_ref()
-            .map(|r| slot.get_or_init(|| r.counter(name)))
-    }
-
-    fn on_partner_copy(&self, bytes: u64) {
-        if let Some(c) = self.lazy(&self.partner_copies, "redundancy/partner_copies") {
-            c.inc();
-        }
-        if let Some(c) = self.lazy(&self.bytes_stored, "redundancy/bytes_stored") {
-            c.add(bytes);
-        }
-    }
-
-    fn on_parity_update(&self, bytes: u64) {
-        if let Some(c) = self.lazy(&self.parity_updates, "redundancy/parity_updates") {
-            c.inc();
-        }
-        if let Some(c) = self.lazy(&self.bytes_stored, "redundancy/bytes_stored") {
-            c.add(bytes);
-        }
-    }
-
-    pub(crate) fn on_restored(&self) {
-        if let Some(c) = self.lazy(&self.restored_objects, "redundancy/restored_objects") {
-            c.inc();
-        }
-    }
-
-    pub(crate) fn on_restore_failure(&self) {
-        if let Some(c) = self.lazy(&self.restore_failures, "redundancy/restore_failures") {
-            c.inc();
-        }
-    }
-
-    pub(crate) fn on_rank_loss(&self) {
-        if let Some(c) = self.lazy(&self.rank_losses, "redundancy/rank_losses") {
-            c.inc();
+            partner_copies: lazy("redundancy/partner_copies"),
+            parity_updates: lazy("redundancy/parity_updates"),
+            bytes_stored: lazy("redundancy/bytes_stored"),
+            restored_objects: lazy("redundancy/restored_objects"),
+            restore_failures: lazy("redundancy/restore_failures"),
+            rank_losses: lazy("redundancy/rank_losses"),
         }
     }
 }
@@ -259,10 +213,6 @@ impl MemberMeta {
         }
     }
 }
-
-/// Bounded retries against the group tier, mirroring the flusher's policy:
-/// transient faults are expected to clear on retry.
-const MAX_GROUP_STORE_ATTEMPTS: usize = 4;
 
 /// The cross-rank redundancy level: a dedicated group [`Tier`] holding
 /// partner copies / parity stripes, plus the member and hosting metadata
@@ -339,22 +289,6 @@ impl RedundancyStore {
         frame::checksum64_region(id.0, id.1, object.codec, &object.payload)
     }
 
-    fn store_with_retry(&self, key: ObjectId, object: StoredObject) -> bool {
-        let mut object = object;
-        for _ in 0..MAX_GROUP_STORE_ATTEMPTS {
-            match self.group.store_object(key, object) {
-                Ok(()) => return true,
-                Err(e) => {
-                    if e.kind == crate::tier::StoreErrorKind::Full {
-                        return false;
-                    }
-                    object = e.object;
-                }
-            }
-        }
-        false
-    }
-
     /// Protect one member's encoded object across its group. Idempotent:
     /// re-encoding an already-protected id (degraded re-flushes) is a
     /// no-op. Runs on the flusher thread, off the producer's critical path.
@@ -372,10 +306,13 @@ impl RedundancyStore {
         match self.policy {
             RedundancyPolicy::Off => unreachable!("Off carries no store"),
             RedundancyPolicy::Partner => {
-                if self.store_with_retry(id, object.clone()) {
+                // Group stores follow the chain's retry policy.
+                let copy = object.clone();
+                if self.group.store_object_with_retry(id, copy, || {}).is_ok() {
                     self.hosts.lock().insert(id, id.0 ^ 1);
                     self.members.lock().insert(id, meta);
-                    self.metrics.on_partner_copy(object.stored_len());
+                    self.metrics.partner_copies.inc();
+                    self.metrics.bytes_stored.add(object.stored_len());
                 } else {
                     self.encoded.lock().remove(&id);
                 }
@@ -419,9 +356,15 @@ impl RedundancyStore {
             rec.members.sort_by_key(|m| m.rank);
             let bytes = rec.encode();
             let stored = bytes.len() as u64;
-            if self.store_with_retry(key, StoredObject::raw(bytes)) {
+            let stripe = StoredObject::raw(bytes);
+            if self
+                .group
+                .store_object_with_retry(key, stripe, || {})
+                .is_ok()
+            {
                 self.hosts.lock().insert(key, host);
-                self.metrics.on_parity_update(stored);
+                self.metrics.parity_updates.inc();
+                self.metrics.bytes_stored.add(stored);
             } else {
                 all_ok = false;
             }
@@ -553,7 +496,8 @@ impl RedundancyStore {
         out
     }
 
-    /// Rebuild a store (detached metrics) from [`export_manifest`] output.
+    /// Rebuild a store (detached metrics) from
+    /// [`export_manifest`](Self::export_manifest) output.
     /// The caller re-inserts the exported group objects into
     /// [`group_tier`](Self::group_tier) afterwards. Returns `None` on any
     /// malformed line — a truncated manifest must not half-load: the text
@@ -611,7 +555,7 @@ impl RedundancyStore {
             }
             self.hosts.lock().remove(&key);
         }
-        self.metrics.on_rank_loss();
+        self.metrics.rank_losses.inc();
         wiped
     }
 

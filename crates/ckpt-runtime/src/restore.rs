@@ -26,10 +26,11 @@
 //! self-contained rebase record or reaches the hole and reports
 //! [`LineageError::Hole`].
 //!
-//! [`ChainReader`]: crate::runtime::ChainReader
+//! [`ChainReader`]: crate::chain::ChainReader
 
+use crate::chain::TierChain;
 use crate::lineage::LineageError;
-use crate::runtime::{AsyncRuntime, TierChain};
+use crate::runtime::AsyncRuntime;
 use ckpt_dedup::diff::Diff;
 use ckpt_dedup::restart::{is_self_contained, RestartStats, SinglePassRestore};
 use ckpt_telemetry::Registry;
@@ -63,34 +64,14 @@ pub fn restore_rank_latest_parallel(
     rank: u32,
     registry: Option<&Registry>,
 ) -> Result<ParallelRestoreOutcome, LineageError> {
-    // Newest surviving id: probe candidates from the tier listings top
-    // down; `locate` skips (and quarantines) copies that fail
-    // verification, so the first hit is the newest restorable target.
-    let mut candidates: Vec<u32> = Vec::new();
-    for tier in [&tiers.pfs, &tiers.ssd, &tiers.host] {
-        for (r, k) in tier.resident().into_iter().chain(tier.quarantined()) {
-            if r == rank {
-                candidates.push(k);
-            }
-        }
-    }
-    // A fully-lost rank has no local listings at all; its redundancy
-    // group still names the ids, and `locate` rebuilds them on demand.
-    for (r, k) in tiers.redundancy_member_ids() {
-        if r == rank {
-            candidates.push(k);
-        }
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
+    // Newest surviving id: probe the ids the chain knows of, newest first
+    // (a fully-lost rank has no local listings at all, but its redundancy
+    // group still names its ids and `locate` rebuilds them on demand);
+    // `locate` skips (and quarantines) copies that fail verification, so
+    // the first hit is the newest restorable target.
     let mut reader = tiers.reader();
-    let mut target: Option<(u32, Vec<u8>)> = None;
-    for &k in candidates.iter().rev() {
-        if let Some(bytes) = reader.locate((rank, k)) {
-            target = Some((k, bytes));
-            break;
-        }
-    }
+    let mut newest_first = tiers.known_ckpts(rank).into_iter().rev();
+    let target = newest_first.find_map(|k| Some((k, reader.locate((rank, k))?)));
     let Some((top, top_bytes)) = target else {
         return Err(LineageError::Empty);
     };
@@ -204,8 +185,8 @@ mod tests {
     use crate::lineage::{restore_rank_latest, LineageError};
     use ckpt_dedup::prelude::*;
 
-    fn run_chain(rebase_at: Option<u32>) -> (crate::runtime::TierChain, Vec<Vec<u8>>) {
-        let tiers = crate::runtime::TierChain::new();
+    fn run_chain(rebase_at: Option<u32>) -> (crate::chain::TierChain, Vec<Vec<u8>>) {
+        let tiers = crate::chain::TierChain::new();
         let dev = gpu_sim::Device::a100();
         let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
         let mut data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
@@ -258,7 +239,7 @@ mod tests {
 
     #[test]
     fn full_top_record_is_the_only_locate() {
-        let tiers = crate::runtime::TierChain::new();
+        let tiers = crate::chain::TierChain::new();
         let mut ckpt = FullCheckpointer::new(gpu_sim::Device::a100(), 64);
         let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 239) as u8).collect();
         for k in 0..4u32 {
@@ -301,7 +282,7 @@ mod tests {
         // with the pool's bytes — new to rank 1, already claimed by (0, 0)
         // cluster-wide — so records 1..=11 all reference that one object.
         let plan = FaultPlan::empty();
-        let tiers = crate::runtime::TierChain::with_faults(plan.clone());
+        let tiers = crate::chain::TierChain::with_faults(plan.clone());
         let cfg = RankDedupConfig {
             ranks: 2,
             chunk_len: 64,
@@ -387,7 +368,7 @@ mod tests {
 
     #[test]
     fn empty_rank_errors() {
-        let tiers = crate::runtime::TierChain::new();
+        let tiers = crate::chain::TierChain::new();
         let device = gpu_sim::Device::a100();
         assert!(matches!(
             restore_rank_latest_parallel(&tiers, &device, 9, None),

@@ -7,6 +7,11 @@
 //! host → SSD → PFS, evicting from the upper tier once the object is safe
 //! one level down. A checkpoint is *durable* once it reaches the PFS.
 //!
+//! A runtime is assembled in exactly one place, [`AsyncRuntime::start`],
+//! from one [`RuntimeConfig`]: every level of the stack — throttling,
+//! compression, the redundancy group, the cluster dedup index — is switched
+//! by a field of that object.
+//!
 //! # Failure model
 //!
 //! Every stored object is integrity-framed (see [`crate::tier`]); the
@@ -16,867 +21,79 @@
 //! SSD). [`AsyncRuntime::kill`] simulates a node crash: it halts the
 //! flusher and joins it, so when `kill` returns the tiers are in a
 //! well-defined state (no write is ever half-applied; see the torn-write
-//! contract on [`Tier::put`]). [`AsyncRuntime::recover`] /
-//! [`TierChain::recover_report`] then enumerate, per rank, which objects
-//! verified, which were repaired from a redundant copy, and which are lost
-//! — instead of silently returning a partial chain.
+//! contract on [`Tier::put`](crate::tier::Tier::put)).
+//! [`AsyncRuntime::recover`] / [`TierChain::recover_report`] then
+//! enumerate, per rank, which objects verified, which were repaired from a
+//! redundant copy, and which are lost — instead of silently returning a
+//! partial chain.
 
+use crate::chain::TierChain;
 use crate::compress::{CompressMetrics, CompressionEngine, CompressionPolicy};
-use crate::fault::FaultPlan;
-use crate::integrity::{
-    group_by_rank, IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
-};
-use crate::rankdedup::{RankDedupEngine, RankDedupIndex, Resolver};
+use crate::flusher::{Flusher, Job, Shared};
+use crate::integrity::RecoveryReport;
+use crate::rankdedup::RankDedupEngine;
 use crate::redundancy::{RedundancyMetrics, RedundancyPolicy, RedundancyStore};
-use crate::tier::{
-    ObjectId, ObjectState, StoreErrorKind, StoredObject, Tier, TierConfig, TierFull,
-};
-use ckpt_telemetry::{Counter, Gauge, Histogram, Registry};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use crate::tier::{ObjectId, TierFull};
+use ckpt_telemetry::Registry;
+use crossbeam::channel::{unbounded, Sender};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Max attempts for a tier write before the flusher gives up on that tier
-/// (1 initial try + 3 retries).
-const MAX_STORE_ATTEMPTS: u32 = 4;
-/// Max attempts for a tier read (transient errors only).
-const MAX_READ_ATTEMPTS: u32 = 3;
-/// Base backoff between retries; doubles per attempt (50 µs, 100 µs, …) so
-/// retry exhaustion stays well under a millisecond in tests.
-const RETRY_BACKOFF: Duration = Duration::from_micros(50);
-
-/// The three-tier hierarchy under the GPU.
-pub struct TierChain {
-    pub host: Tier,
-    pub ssd: Tier,
-    pub pfs: Tier,
-    integrity: IntegrityCounters,
-    /// Cross-rank redundancy level (`None` = the pre-redundancy chain,
-    /// byte for byte).
-    redundancy: Option<Arc<RedundancyStore>>,
-    /// Cluster-wide dedup index (`None` = no rank-dedup resolution on the
-    /// read path, byte for byte the pre-index chain).
-    rank_dedup: Option<Arc<RankDedupIndex>>,
-    /// Ranks named by fired `RankLoss` faults, wiped at the next
-    /// deterministic poll point (flush start, locate, recovery).
-    loss_sink: Arc<Mutex<Vec<u32>>>,
+/// Everything that distinguishes one runtime from another. The default is
+/// the plain Fig. 3 runtime: default tiers, unthrottled, a private
+/// registry, no compression, no redundancy group, no cluster dedup index.
+pub struct RuntimeConfig {
+    /// The tier chain to drain through (capacities, bandwidths, fault
+    /// plan).
+    pub tiers: TierChain,
+    /// Real seconds the flusher sleeps per *modeled* second of tier
+    /// bandwidth (e.g. `1e-3` makes one modeled second cost one real
+    /// millisecond); 0 never sleeps. With a non-zero scale, finite tier
+    /// capacities produce genuine backpressure: producers that emit
+    /// checkpoints faster than the chain drains stall in
+    /// [`submit_blocking`](AsyncRuntime::submit_blocking) — the §1
+    /// high-frequency limitation this runtime exists to study.
+    pub time_scale: f64,
+    /// Where the runtime records its metrics; share one registry to get
+    /// several subsystems into one report.
+    pub registry: Arc<Registry>,
+    /// How the flusher compresses each object on its way off the host
+    /// tier. `Off` is the pre-compression runtime byte for byte (and,
+    /// thanks to lazy `compress/*` metrics, report for report).
+    pub compression: CompressionPolicy,
+    /// The cross-rank redundancy group. With `Off` no store is attached,
+    /// no `redundancy/*` metric registers, and the runtime is the
+    /// pre-redundancy one byte for byte.
+    pub redundancy: RedundancyPolicy,
+    /// The cluster-wide dedup engine, shared: every rank's runtime in a
+    /// group holds the same `Arc` (one index, one claim exchange). With
+    /// `None` no index attaches, no `rankdedup/*` metric registers, and
+    /// the runtime is the per-rank one byte for byte.
+    pub rank_dedup: Option<Arc<RankDedupEngine>>,
 }
 
-impl TierChain {
-    pub fn new() -> Self {
-        Self::with_configs(TierConfig::host(), TierConfig::ssd(), TierConfig::pfs())
-    }
-
-    fn assemble(host: Tier, ssd: Tier, pfs: Tier) -> Self {
-        let loss_sink: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-        for tier in [&host, &ssd, &pfs] {
-            tier.bind_loss_sink(Arc::clone(&loss_sink));
-        }
-        TierChain {
-            host,
-            ssd,
-            pfs,
-            integrity: IntegrityCounters::detached(),
-            redundancy: None,
-            rank_dedup: None,
-            loss_sink,
-        }
-    }
-
-    pub fn with_configs(host: TierConfig, ssd: TierConfig, pfs: TierConfig) -> Self {
-        Self::assemble(Tier::new(host), Tier::new(ssd), Tier::new(pfs))
-    }
-
-    /// Default-configured chain whose tiers all consult `plan` (the
-    /// fault-injection hook; specs are keyed by tier name).
-    pub fn with_faults(plan: Arc<FaultPlan>) -> Self {
-        Self::assemble(
-            Tier::with_faults(TierConfig::host(), Arc::clone(&plan)),
-            Tier::with_faults(TierConfig::ssd(), Arc::clone(&plan)),
-            Tier::with_faults(TierConfig::pfs(), plan),
-        )
-    }
-
-    /// Attach the cross-rank redundancy level. The group tier joins the
-    /// chain's rank-loss sink so `RankLoss` faults scheduled against
-    /// `"group"` are observed too.
-    pub fn attach_redundancy(&mut self, store: Arc<RedundancyStore>) {
-        store
-            .group_tier()
-            .bind_loss_sink(Arc::clone(&self.loss_sink));
-        self.redundancy = Some(store);
-    }
-
-    /// The attached redundancy store, if any.
-    pub fn redundancy(&self) -> Option<&Arc<RedundancyStore>> {
-        self.redundancy.as_ref()
-    }
-
-    /// Attach the cluster-wide dedup index: the read path resolves
-    /// `CKPR` records through it (and types dangling references).
-    pub fn attach_rank_dedup(&mut self, index: Arc<RankDedupIndex>) {
-        self.rank_dedup = Some(index);
-    }
-
-    /// The attached cluster dedup index, if any.
-    pub fn rank_dedup_index(&self) -> Option<&Arc<RankDedupIndex>> {
-        self.rank_dedup.as_ref()
-    }
-
-    /// Member ids the redundancy group knows about (empty without one) —
-    /// recovery enumerates these so an object whose every local copy was
-    /// wiped is still *seen*.
-    pub fn redundancy_member_ids(&self) -> Vec<ObjectId> {
-        self.redundancy
-            .as_ref()
-            .map(|r| r.member_ids())
-            .unwrap_or_default()
-    }
-
-    /// Hand one post-compression object to the redundancy level (no-op
-    /// without one; idempotent).
-    pub(crate) fn encode_redundancy(&self, id: ObjectId, object: &StoredObject) {
-        if let Some(red) = &self.redundancy {
-            red.encode_member(id, object);
-        }
-    }
-
-    /// Apply any pending `RankLoss` faults: wipe the lost ranks' volatile
-    /// tiers (host, SSD — never the PFS) and the group objects they
-    /// hosted. Returns the ids wiped from the volatile tiers (sorted) so
-    /// the flusher can mark non-durable ones undrainable. Deterministic:
-    /// losses are queued by the fault hook at exact op ordinals and applied
-    /// here, at the chain's fixed poll points.
-    pub fn poll_rank_loss(&self) -> Vec<ObjectId> {
-        let pending: Vec<u32> = std::mem::take(&mut *self.loss_sink.lock());
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let mut seen = HashSet::new();
-        let mut wiped = Vec::new();
-        for rank in pending {
-            if !seen.insert(rank) {
-                continue;
-            }
-            wiped.extend(self.host.wipe_rank(rank));
-            wiped.extend(self.ssd.wipe_rank(rank));
-            if let Some(red) = &self.redundancy {
-                red.apply_rank_loss(rank);
-                red.metrics().on_rank_loss();
-            }
-        }
-        wiped.sort_unstable();
-        wiped.dedup();
-        wiped
-    }
-
-    /// Rebuild an object from its redundancy group, re-storing the result
-    /// on the PFS so later reads find it durably. Returns `None` without a
-    /// group, for unknown members, and for failed rebuilds (counted).
-    fn reconstruct_from_group(&self, id: ObjectId) -> Option<StoredObject> {
-        let red = self.redundancy.as_ref()?;
-        let fetch = |mid: ObjectId| -> Option<StoredObject> {
-            for tier in [&self.pfs, &self.ssd, &self.host] {
-                if let ObjectState::Valid(obj) = Self::inspect_object_retry(tier, mid) {
-                    return Some(obj);
-                }
-            }
-            None
-        };
-        match red.reconstruct(id, &fetch) {
-            Ok(obj) => {
-                red.metrics().on_restored();
-                let _ = self.pfs.store_object(id, obj.clone());
-                Some(obj)
-            }
-            Err(_) => {
-                if red.knows_member(id) {
-                    red.metrics().on_restore_failure();
-                }
-                None
-            }
-        }
-    }
-
-    /// Route integrity counters into `registry` (done by the runtime at
-    /// construction so `integrity/frames_*` land in its report).
-    pub fn bind_telemetry(&mut self, registry: Arc<Registry>) {
-        self.integrity = IntegrityCounters::bound(registry);
-    }
-
-    /// Route decode-time accounting from every tier's transparent read
-    /// path into the given compression metric sink.
-    pub fn bind_compress_metrics(&self, metrics: &Arc<CompressMetrics>) {
-        for tier in [&self.host, &self.ssd, &self.pfs] {
-            tier.bind_compress_metrics(Arc::clone(metrics));
-        }
-    }
-
-    /// Integrity counters for this chain (verified / corrupt / repaired).
-    pub fn integrity(&self) -> &IntegrityCounters {
-        &self.integrity
-    }
-
-    /// Read-and-verify (without decoding) with bounded retry of injected
-    /// transient errors.
-    fn inspect_object_retry(tier: &Tier, id: ObjectId) -> ObjectState {
-        for attempt in 0..MAX_READ_ATTEMPTS {
-            match tier.inspect_object(id) {
-                ObjectState::TransientIo if attempt + 1 < MAX_READ_ATTEMPTS => {
-                    std::thread::sleep(RETRY_BACKOFF * (1 << attempt));
-                }
-                state => return state,
-            }
-        }
-        ObjectState::TransientIo
-    }
-
-    /// Find a *verified* copy of an object in the deepest tier holding one
-    /// (PFS preferred: it is the durable copy). Copies whose frame fails
-    /// verification — or whose compressed payload fails to decode — are
-    /// skipped (a bit-flipped host copy can never shadow a good SSD copy),
-    /// then quarantined, and transparently repaired from the surviving
-    /// valid copy when one exists. Repairs re-store the *encoded* bytes,
-    /// so a compressed object stays compressed (and its compressed-payload
-    /// checksum is what the repaired copy re-verifies against).
-    ///
-    /// One-shot: a call that reads several objects opens one
-    /// [`reader`](Self::reader) instead, so the records they reference are
-    /// fetched once for the whole call.
-    pub fn locate(&self, id: ObjectId) -> Option<Vec<u8>> {
-        self.reader().locate(id)
-    }
-
-    /// A read session over this chain for one restore / record collection /
-    /// recovery call. See [`ChainReader`].
-    pub fn reader(&self) -> ChainReader<'_> {
-        ChainReader {
-            tiers: self,
-            resolver: Resolver::new(Box::new(move |target| self.locate_stored(target))),
-        }
-    }
-
-    /// `locate` minus rank-dedup resolution: the stored payload verbatim
-    /// (a `CKPR` record when the object was submitted with rank-dedup on).
-    /// Resolution fetches *referenced* records through this, so a remote
-    /// chunk on a lost rank still reconstructs from its parity group — and
-    /// resolution never recurses.
-    fn locate_stored(&self, id: ObjectId) -> Option<Vec<u8>> {
-        self.poll_rank_loss();
-        let order = [&self.pfs, &self.ssd, &self.host];
-        let mut decoded: Option<Vec<u8>> = None;
-        let mut encoded: Option<StoredObject> = None;
-        let mut corrupt: Vec<&Tier> = Vec::new();
-        for tier in order {
-            match Self::inspect_object_retry(tier, id) {
-                ObjectState::Valid(obj) => {
-                    if decoded.is_some() {
-                        // A redundant valid copy; no need to decode it too.
-                        self.integrity.on_verified();
-                        continue;
-                    }
-                    match obj.clone().decode() {
-                        Ok(p) => {
-                            self.integrity.on_verified();
-                            decoded = Some(p);
-                            encoded = Some(obj);
-                        }
-                        Err(_) => {
-                            self.integrity.on_corrupt();
-                            tier.quarantine(id);
-                            corrupt.push(tier);
-                        }
-                    }
-                }
-                ObjectState::Corrupt(_) => {
-                    self.integrity.on_corrupt();
-                    tier.quarantine(id);
-                    corrupt.push(tier);
-                }
-                ObjectState::Missing | ObjectState::TransientIo => {}
-            }
-        }
-        if decoded.is_none() {
-            // Every local copy is gone or corrupt: last resort before the
-            // caller sees a hole is a bit-identical rebuild from the
-            // object's redundancy group.
-            if let Some(obj) = self.reconstruct_from_group(id) {
-                if let Ok(p) = obj.clone().decode() {
-                    decoded = Some(p);
-                    encoded = Some(obj);
-                }
-            }
-        }
-        if let Some(obj) = &encoded {
-            for tier in corrupt {
-                if tier.store_object(id, obj.clone()).is_ok() {
-                    self.integrity.on_repaired();
-                }
-            }
-        }
-        decoded
-    }
-
-    /// Classify one object for recovery; returns its status and, when
-    /// durable, the verified (decoded) payload.
-    fn recover_object(
-        &self,
-        reader: &mut ChainReader<'_>,
-        id: ObjectId,
-    ) -> (ObjectStatus, Option<Vec<u8>>) {
-        let (status, payload) = self.recover_object_stored(id);
-        match payload {
-            Some(p) => match reader.resolve(id, p) {
-                Some(resolved) => (status, Some(resolved)),
-                // The record itself is durable but a cross-rank reference
-                // dangles (referenced rank lost beyond its group's reach):
-                // typed loss, never a wrong payload.
-                None => (ObjectStatus::LostCorrupt, None),
-            },
-            None => (status, None),
-        }
-    }
-
-    /// Tier/group classification of one object, pre-resolution.
-    fn recover_object_stored(&self, id: ObjectId) -> (ObjectStatus, Option<Vec<u8>>) {
-        match Self::inspect_object_retry(&self.pfs, id) {
-            ObjectState::Valid(obj) => match obj.decode() {
-                Ok(p) => {
-                    self.integrity.on_verified();
-                    (ObjectStatus::Verified, Some(p))
-                }
-                Err(_) => {
-                    self.integrity.on_corrupt();
-                    self.pfs.quarantine(id);
-                    self.repair_pfs_from_upper(id)
-                }
-            },
-            ObjectState::Corrupt(_) => {
-                self.integrity.on_corrupt();
-                self.pfs.quarantine(id);
-                self.repair_pfs_from_upper(id)
-            }
-            ObjectState::Missing | ObjectState::TransientIo => {
-                if let Some(p) = self.recover_from_group(id) {
-                    return (ObjectStatus::RestoredFromGroup, Some(p));
-                }
-                if self.redundancy.as_ref().is_some_and(|r| r.knows_member(id)) {
-                    // The group knew this object but could not rebuild it
-                    // (e.g. two losses in one XOR group): typed loss, never
-                    // a wrong payload.
-                    (ObjectStatus::LostCorrupt, None)
-                } else {
-                    // Never durable: copies above the PFS are volatile.
-                    (ObjectStatus::LostVolatile, None)
-                }
-            }
-        }
-    }
-
-    /// Group-rebuild step of recovery: returns the decoded payload when
-    /// the redundancy group reconstructed the object bit-identically.
-    fn recover_from_group(&self, id: ObjectId) -> Option<Vec<u8>> {
-        let obj = self.reconstruct_from_group(id)?;
-        obj.decode().ok()
-    }
-
-    /// Repair the durable copy from a redundant valid copy in a higher
-    /// tier, moving the encoded bytes verbatim (no transcode). When no
-    /// local tier holds a usable copy, the object's redundancy group is
-    /// the final source before declaring it lost.
-    fn repair_pfs_from_upper(&self, id: ObjectId) -> (ObjectStatus, Option<Vec<u8>>) {
-        for tier in [&self.ssd, &self.host] {
-            if let ObjectState::Valid(obj) = Self::inspect_object_retry(tier, id) {
-                if let Ok(p) = obj.clone().decode() {
-                    self.integrity.on_verified();
-                    if self.pfs.store_object(id, obj).is_ok() {
-                        self.integrity.on_repaired();
-                        return (ObjectStatus::Repaired, Some(p));
-                    }
-                }
-            }
-        }
-        if let Some(p) = self.recover_from_group(id) {
-            return (ObjectStatus::RestoredFromGroup, Some(p));
-        }
-        (ObjectStatus::LostCorrupt, None)
-    }
-
-    /// Post-crash recovery with full accounting: every object known to any
-    /// tier (including quarantined ones) is classified as verified,
-    /// repaired, or lost, and each rank's contiguous durable prefix is
-    /// extracted. See [`RecoveryReport`].
-    pub fn recover_report(&self) -> RecoveryReport {
-        self.poll_rank_loss();
-        let mut ids: Vec<ObjectId> = Vec::new();
-        for tier in [&self.pfs, &self.ssd, &self.host] {
-            ids.extend(tier.resident());
-            ids.extend(tier.quarantined());
-        }
-        // Objects whose every local copy a rank loss wiped are invisible
-        // to the tier scan; the group's member table still names them, so
-        // cluster-scope recovery classifies them too (restored or typed
-        // lost — never silently absent).
-        ids.extend(self.redundancy_member_ids());
-        // Ranks ascend (a `BTreeMap`): the PFS re-stores recovery performs
-        // and the reader's fetch order repeat from run to run.
-        let mut reader = self.reader();
-        let ranks = group_by_rank(ids)
-            .into_iter()
-            .map(|(rank, ckpts)| {
-                let mut objects = Vec::with_capacity(ckpts.len());
-                let mut durable: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-                for ckpt_id in ckpts {
-                    let (status, payload) = self.recover_object(&mut reader, (rank, ckpt_id));
-                    if status.is_durable() {
-                        durable.insert(ckpt_id, payload.expect("durable object carries payload"));
-                    }
-                    objects.push(RecoveredObject { ckpt_id, status });
-                }
-                let (base, payloads) = usable_chain(&mut durable);
-                RankRecovery {
-                    rank,
-                    objects,
-                    base,
-                    prefix_len: payloads.len(),
-                    payloads,
-                }
-            })
-            .collect();
-        RecoveryReport { ranks }
-    }
-}
-
-/// Fetch closure of a [`ChainReader`]: the chain's `locate_stored`.
-type StoredFetch<'a> = Box<dyn Fn(ObjectId) -> Option<Vec<u8>> + Send + 'a>;
-
-/// [`TierChain::locate`] for the span of one read call. Rank-dedup records
-/// resolve through a single [`Resolver`], so a referenced object shared by
-/// several records of the call is located, frame-verified, decompressed and
-/// indexed once — and dropped with the reader, so no copy can go stale.
-pub struct ChainReader<'a> {
-    tiers: &'a TierChain,
-    resolver: Resolver<StoredFetch<'a>>,
-}
-
-impl ChainReader<'_> {
-    /// See [`TierChain::locate`].
-    pub fn locate(&mut self, id: ObjectId) -> Option<Vec<u8>> {
-        let bytes = self.tiers.locate_stored(id)?;
-        self.resolve(id, bytes)
-    }
-
-    /// Resolve a rank-dedup record back to the originally submitted
-    /// payload; anything else passes through untouched. A reference that
-    /// cannot be resolved — target gone from every tier *and* its group,
-    /// or failing the recorded checksum — yields `None` (a typed hole),
-    /// never a wrong payload.
-    fn resolve(&mut self, id: ObjectId, bytes: Vec<u8>) -> Option<Vec<u8>> {
-        if !ckpt_dedup::frame::looks_rankdedup(&bytes) {
-            return Some(bytes);
-        }
-        let metrics = self.tiers.rank_dedup.as_ref().map(|ix| ix.metrics());
-        let t0 = Instant::now();
-        let resolved = self.resolver.resolve(id, &bytes);
-        if let Some(m) = metrics {
-            m.on_fetch(t0.elapsed());
-            if resolved.is_err() {
-                m.on_orphans(1);
-            }
-        }
-        resolved.ok()
-    }
-}
-
-/// The newest restorable chain among a rank's durable objects: the
-/// contiguous run with the greatest top id whose first record either is
-/// checkpoint 0 or is structurally self-contained (a rebase record, the
-/// legal chain head after compaction garbage-collected its predecessors).
-/// An incremental run stranded above a hole is skipped in favor of an
-/// older replayable run; with none, the chain is empty.
-fn usable_chain(durable: &mut BTreeMap<u32, Vec<u8>>) -> (u32, Vec<Vec<u8>>) {
-    let ids: Vec<u32> = durable.keys().copied().collect();
-    // Contiguous runs, newest first.
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    for &id in &ids {
-        match runs.last_mut() {
-            Some((_, hi)) if *hi + 1 == id => *hi = id,
-            _ => runs.push((id, id)),
-        }
-    }
-    for &(lo, hi) in runs.iter().rev() {
-        // A run reaching checkpoint 0 replays whole; otherwise it replays
-        // from its lowest self-contained rebase record, if any.
-        let head = if lo == 0 {
-            Some(0)
-        } else {
-            (lo..=hi).find(|k| {
-                ckpt_dedup::Diff::decode(&durable[k])
-                    .map(|d| ckpt_dedup::is_self_contained(&d))
-                    .unwrap_or(false)
-            })
-        };
-        if let Some(head) = head {
-            let payloads = (head..=hi).map(|k| durable.remove(&k).unwrap()).collect();
-            return (head, payloads);
-        }
-    }
-    (0, Vec::new())
-}
-
-impl Default for TierChain {
+impl Default for RuntimeConfig {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-enum Job {
-    Flush(ObjectId),
-    Shutdown,
-}
-
-/// Pre-resolved telemetry handles for the runtime's hot paths, shared
-/// between producers and the flusher thread so neither ever touches the
-/// registry lock after construction.
-///
-/// Metric inventory (all names are stable JSON keys):
-///
-/// | metric | kind | meaning |
-/// |---|---|---|
-/// | `runtime/submitted` | counter | checkpoints accepted into host staging |
-/// | `runtime/durable` | counter | checkpoints that reached the PFS |
-/// | `runtime/producer_stalls` | counter | blocking submissions that had to wait |
-/// | `runtime/producer_stall_ns` | counter | total wall time producers spent stalled |
-/// | `runtime/retries` | counter | flusher retries after transient tier errors (lazy) |
-/// | `runtime/degraded_flushes` | counter | flushes that skipped a failed tier (lazy) |
-/// | `runtime/queue_depth` | gauge | flush jobs enqueued but not yet picked up |
-/// | `runtime/durable_lag` | gauge | submitted minus durable (in-flight objects) |
-/// | `tier/host/used_bytes` | gauge | host staging occupancy |
-/// | `tier/host/evictions`, `tier/ssd/evictions` | counter | drains that freed the tier above |
-/// | `tier/<t>/object_bytes` | histogram | *payload* sizes written to tier `<t>` (pre-frame, pre-compression) |
-/// | `tier/ssd/flush_ns`, `tier/pfs/flush_ns` | histogram | per-hop flush latency |
-/// | `compress/*` | mixed | see [`crate::compress`] (lazy) |
-/// | `integrity/frames_*` | counter | see [`crate::integrity`] (lazy) |
-/// | `restore/chains_restored` | counter | parallel restarts completed (lazy) |
-/// | `restore/records_read` | counter | encoded diffs restart walks consumed (lazy) |
-/// | `restore/records_fetched` | counter | records restart walks started a `locate` for (lazy) |
-/// | `restore/bytes_read` | counter | encoded bytes fetched by restart walks (lazy) |
-/// | `restore/regions_copied` | counter | copy regions materialized by restarts (lazy) |
-/// | `restore/bytes_copied` | counter | payload bytes gathered by restarts (lazy) |
-/// | `restore/fetch_wait_ns` | counter | restart time blocked on tier prefetch (lazy) |
-///
-/// Lazy counters only register on their first event so fault-free runs
-/// export exactly the pre-existing metric schema.
-struct RuntimeMetrics {
-    registry: Arc<Registry>,
-    submitted: Arc<Counter>,
-    durable: Arc<Counter>,
-    producer_stalls: Arc<Counter>,
-    producer_stall_ns: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    durable_lag: Arc<Gauge>,
-    host_used_bytes: Arc<Gauge>,
-    host_evictions: Arc<Counter>,
-    ssd_evictions: Arc<Counter>,
-    host_object_bytes: Arc<Histogram>,
-    ssd_object_bytes: Arc<Histogram>,
-    pfs_object_bytes: Arc<Histogram>,
-    ssd_flush_ns: Arc<Histogram>,
-    pfs_flush_ns: Arc<Histogram>,
-    retries: OnceLock<Arc<Counter>>,
-    degraded_flushes: OnceLock<Arc<Counter>>,
-}
-
-impl RuntimeMetrics {
-    fn new(registry: Arc<Registry>) -> Self {
-        RuntimeMetrics {
-            submitted: registry.counter("runtime/submitted"),
-            durable: registry.counter("runtime/durable"),
-            producer_stalls: registry.counter("runtime/producer_stalls"),
-            producer_stall_ns: registry.counter("runtime/producer_stall_ns"),
-            queue_depth: registry.gauge("runtime/queue_depth"),
-            durable_lag: registry.gauge("runtime/durable_lag"),
-            host_used_bytes: registry.gauge("tier/host/used_bytes"),
-            host_evictions: registry.counter("tier/host/evictions"),
-            ssd_evictions: registry.counter("tier/ssd/evictions"),
-            host_object_bytes: registry.histogram("tier/host/object_bytes"),
-            ssd_object_bytes: registry.histogram("tier/ssd/object_bytes"),
-            pfs_object_bytes: registry.histogram("tier/pfs/object_bytes"),
-            ssd_flush_ns: registry.histogram("tier/ssd/flush_ns"),
-            pfs_flush_ns: registry.histogram("tier/pfs/flush_ns"),
-            retries: OnceLock::new(),
-            degraded_flushes: OnceLock::new(),
-            registry,
+        RuntimeConfig {
+            tiers: TierChain::new(),
+            time_scale: 0.0,
+            registry: Arc::new(Registry::new()),
+            compression: CompressionPolicy::Off,
+            redundancy: RedundancyPolicy::Off,
+            rank_dedup: None,
         }
-    }
-
-    /// Book-keeping for one accepted submission of `len` bytes.
-    fn on_submitted(&self, len: usize, host_used: u64) {
-        self.submitted.inc();
-        self.durable_lag.add(1);
-        self.queue_depth.add(1);
-        self.host_object_bytes.record(len as u64);
-        self.host_used_bytes.set(host_used as i64);
-    }
-
-    fn on_retry(&self) {
-        self.retries
-            .get_or_init(|| self.registry.counter("runtime/retries"))
-            .inc();
-    }
-
-    fn on_degraded_flush(&self) {
-        self.degraded_flushes
-            .get_or_init(|| self.registry.counter("runtime/degraded_flushes"))
-            .inc();
-    }
-}
-
-/// The flusher thread's working set.
-struct Flusher {
-    tiers: Arc<TierChain>,
-    m: Arc<RuntimeMetrics>,
-    /// Post-dedup compression stage: raw staged payloads are encoded here,
-    /// on the shared pool, before their first hop off the host tier — off
-    /// the producer's critical path.
-    engine: CompressionEngine,
-    killed: Arc<AtomicBool>,
-    space_freed: Arc<(Mutex<u64>, Condvar)>,
-    /// Objects the flusher has given up on (never durable without outside
-    /// help); lets `wait_durable` terminate instead of spinning forever.
-    undrainable: Arc<Mutex<HashSet<ObjectId>>>,
-    time_scale: f64,
-}
-
-impl Flusher {
-    fn throttle(&self, bytes: u64, bw: f64) {
-        if self.time_scale > 0.0 {
-            let sec = bytes as f64 / bw * self.time_scale;
-            std::thread::sleep(Duration::from_secs_f64(sec));
-        }
-    }
-
-    /// Write with bounded retry + exponential backoff for transient
-    /// errors. A full tier fails fast (retrying cannot free space — the
-    /// caller degrades instead). Returns the object on failure, encoded
-    /// exactly as handed in, so no retry or degradation ever re-encodes.
-    fn store_object_with_retry(
-        &self,
-        tier: &Tier,
-        id: ObjectId,
-        object: StoredObject,
-    ) -> Result<(), StoredObject> {
-        let mut object = object;
-        for attempt in 0..MAX_STORE_ATTEMPTS {
-            match tier.store_object(id, object) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if e.kind == StoreErrorKind::Full || attempt + 1 == MAX_STORE_ATTEMPTS {
-                        return Err(e.object);
-                    }
-                    self.m.on_retry();
-                    std::thread::sleep(RETRY_BACKOFF * (1 << attempt));
-                    object = e.object;
-                }
-            }
-        }
-        unreachable!("loop returns on last attempt")
-    }
-
-    /// Read (without decoding) with bounded retry of transient errors,
-    /// counting retries.
-    fn read_object_with_retry(&self, tier: &Tier, id: ObjectId) -> ObjectState {
-        for attempt in 0..MAX_READ_ATTEMPTS {
-            match tier.inspect_object(id) {
-                ObjectState::TransientIo if attempt + 1 < MAX_READ_ATTEMPTS => {
-                    self.m.on_retry();
-                    std::thread::sleep(RETRY_BACKOFF * (1 << attempt));
-                }
-                state => return state,
-            }
-        }
-        ObjectState::TransientIo
-    }
-
-    /// Evict the host copy once the object is safe below, then wake any
-    /// producers stalled on host capacity.
-    fn free_host(&self, id: ObjectId) {
-        if self.tiers.host.evict(id) {
-            self.m.host_evictions.inc();
-        }
-        self.m
-            .host_used_bytes
-            .set(self.tiers.host.used_bytes() as i64);
-        let (gen, cv) = &*self.space_freed;
-        *gen.lock() += 1;
-        cv.notify_all();
-    }
-
-    fn mark_undrainable(&self, id: ObjectId) {
-        self.undrainable.lock().insert(id);
-    }
-
-    fn on_durable(&self) {
-        self.m.durable.inc();
-        self.m.durable_lag.sub(1);
-    }
-
-    /// Drain one object host → SSD → PFS, with retry, degradation and
-    /// integrity handling at every hop.
-    ///
-    /// Compression happens exactly once, on the first hop off the host
-    /// tier: the staged raw payload is encoded per the policy, and from
-    /// then on the encoded object moves verbatim (hop 2 and degraded
-    /// paths never transcode). Throttling and tier accounting charge the
-    /// encoded size — what actually crosses the link — while
-    /// `tier/<t>/object_bytes` records the original payload size so size
-    /// distributions stay comparable across compression policies.
-    fn flush(&self, id: ObjectId) {
-        let t = &self.tiers;
-        // Apply any rank loss queued by the fault hook before touching the
-        // tiers; in-flight objects the wipe took (and that never reached
-        // the PFS) can only come back via their redundancy group at
-        // recovery, so `wait_durable` must not spin on them.
-        for wiped in t.poll_rank_loss() {
-            if !t.pfs.contains(wiped) {
-                self.mark_undrainable(wiped);
-            }
-        }
-        // Hop 1: host → SSD, degrading host → PFS if the SSD refuses the
-        // object after retry exhaustion (full or persistently erroring).
-        match self.read_object_with_retry(&t.host, id) {
-            ObjectState::Valid(staged) => {
-                // Host staging holds raw objects; anything already encoded
-                // (a re-flush of a repaired copy) passes through untouched.
-                let object = if staged.codec == 0 {
-                    self.engine.encode(staged.payload)
-                } else {
-                    staged
-                };
-                // Redundancy-encode the framed (post-compression) object
-                // across its parity group, off the producer's critical
-                // path and overlapped with the drain — idempotent, so a
-                // degraded re-flush never double-XORs.
-                t.encode_redundancy(id, &object);
-                let raw_len = object.uncompressed_len;
-                let wire_len = object.stored_len();
-                let hop = Instant::now();
-                match self.store_object_with_retry(&t.ssd, id, object) {
-                    Ok(()) => {
-                        self.throttle(wire_len, t.ssd.config().bandwidth_bps);
-                        self.m.ssd_flush_ns.record_duration(hop.elapsed());
-                        self.m.ssd_object_bytes.record(raw_len);
-                        self.free_host(id);
-                    }
-                    Err(object) => {
-                        self.m.on_degraded_flush();
-                        let hop = Instant::now();
-                        match self.store_object_with_retry(&t.pfs, id, object) {
-                            Ok(()) => {
-                                self.throttle(wire_len, t.pfs.config().bandwidth_bps);
-                                self.m.pfs_flush_ns.record_duration(hop.elapsed());
-                                self.m.pfs_object_bytes.record(raw_len);
-                                self.on_durable();
-                                self.free_host(id);
-                            }
-                            Err(_) => self.mark_undrainable(id),
-                        }
-                        return; // degraded objects skip the SSD hop
-                    }
-                }
-            }
-            ObjectState::Corrupt(_) => {
-                // A corrupt staged copy can never drain; only a deeper copy
-                // can still make this object durable.
-                t.integrity.on_corrupt();
-                t.host.quarantine(id);
-                if !t.ssd.contains(id) && !t.pfs.contains(id) {
-                    self.mark_undrainable(id);
-                    return;
-                }
-            }
-            ObjectState::TransientIo => {
-                if !t.ssd.contains(id) && !t.pfs.contains(id) {
-                    self.mark_undrainable(id);
-                    return;
-                }
-            }
-            ObjectState::Missing => {}
-        }
-        if self.killed.load(Ordering::Relaxed) {
-            return;
-        }
-        // Hop 2: SSD → PFS. The encoded object moves verbatim.
-        match self.read_object_with_retry(&t.ssd, id) {
-            ObjectState::Valid(object) => {
-                let raw_len = object.uncompressed_len;
-                let wire_len = object.stored_len();
-                let hop = Instant::now();
-                match self.store_object_with_retry(&t.pfs, id, object) {
-                    Ok(()) => {
-                        self.throttle(wire_len, t.pfs.config().bandwidth_bps);
-                        self.m.pfs_flush_ns.record_duration(hop.elapsed());
-                        self.m.pfs_object_bytes.record(raw_len);
-                        self.on_durable();
-                        if t.ssd.evict(id) {
-                            self.m.ssd_evictions.inc();
-                        }
-                    }
-                    Err(_) => self.mark_undrainable(id),
-                }
-            }
-            ObjectState::Corrupt(_) => {
-                t.integrity.on_corrupt();
-                t.ssd.quarantine(id);
-                if !t.pfs.contains(id) {
-                    self.mark_undrainable(id);
-                }
-            }
-            ObjectState::TransientIo => {
-                if !t.pfs.contains(id) {
-                    self.mark_undrainable(id);
-                }
-            }
-            ObjectState::Missing => {}
-        }
-    }
-
-    fn run(&self, rx: Receiver<Job>) {
-        for job in rx.iter() {
-            match job {
-                Job::Shutdown => break,
-                Job::Flush(id) => {
-                    self.m.queue_depth.sub(1);
-                    if self.killed.load(Ordering::Relaxed) {
-                        // Simulated node failure: stop draining.
-                        break;
-                    }
-                    self.flush(id);
-                }
-            }
-        }
-        // Unblock any stalled producers on exit.
-        let (gen, cv) = &*self.space_freed;
-        *gen.lock() += 1;
-        cv.notify_all();
     }
 }
 
 /// Asynchronous checkpoint flusher over a [`TierChain`].
 pub struct AsyncRuntime {
-    tiers: Arc<TierChain>,
-    metrics: Arc<RuntimeMetrics>,
+    shared: Arc<Shared>,
     tx: Sender<Job>,
     worker: Mutex<Option<JoinHandle<()>>>,
-    killed: Arc<AtomicBool>,
-    /// Signaled after the flusher evicts from the host tier, unblocking
-    /// producers stalled in [`submit_blocking`](Self::submit_blocking).
-    space_freed: Arc<(Mutex<u64>, Condvar)>,
-    undrainable: Arc<Mutex<HashSet<ObjectId>>>,
     /// Cluster-wide dedup engine; when set, every submission is rewritten
     /// against the shared index before it is staged.
     rank_dedup: Option<Arc<RankDedupEngine>>,
@@ -884,114 +101,67 @@ pub struct AsyncRuntime {
 
 impl AsyncRuntime {
     pub fn new() -> Self {
-        Self::with_tiers(TierChain::new())
+        Self::start(RuntimeConfig::default())
     }
 
-    pub fn with_tiers(tiers: TierChain) -> Self {
-        Self::with_tiers_throttled(tiers, 0.0)
-    }
-
-    /// A runtime whose flusher paces itself in *real* time to the tiers'
-    /// modeled bandwidths, scaled by `time_scale` (e.g. `1e-3` makes one
-    /// modeled second cost one real millisecond). With a non-zero scale,
-    /// finite tier capacities produce genuine backpressure: producers that
-    /// emit checkpoints faster than the chain drains will stall in
-    /// [`submit_blocking`](Self::submit_blocking) — the §1 high-frequency
-    /// limitation this runtime exists to study.
-    pub fn with_tiers_throttled(tiers: TierChain, time_scale: f64) -> Self {
-        Self::with_compression(
-            tiers,
+    /// Assemble a runtime and start its flusher: attach the redundancy
+    /// group and the dedup index to the chain, route the chain's telemetry
+    /// into the registry, and hand the flusher its compression stage.
+    pub fn start(config: RuntimeConfig) -> Self {
+        let RuntimeConfig {
+            mut tiers,
             time_scale,
-            Arc::new(Registry::new()),
-            CompressionPolicy::Off,
-        )
-    }
-
-    /// A throttled runtime recording into a caller-provided registry (so
-    /// several subsystems can share one report), whose
-    /// flusher compresses every object per `policy` on its first hop off
-    /// the host tier. `CompressionPolicy::Off` reproduces the
-    /// pre-compression runtime byte for byte (and, thanks to lazy
-    /// `compress/*` metrics, report for report).
-    pub fn with_compression(
-        mut tiers: TierChain,
-        time_scale: f64,
-        registry: Arc<Registry>,
-        policy: CompressionPolicy,
-    ) -> Self {
+            registry,
+            compression,
+            redundancy,
+            rank_dedup,
+        } = config;
+        if let Some(engine) = &rank_dedup {
+            tiers.attach_rank_dedup(Arc::clone(engine.index()));
+        }
+        if redundancy != RedundancyPolicy::Off {
+            let metrics = RedundancyMetrics::bound(Arc::clone(&registry));
+            tiers.attach_redundancy(Arc::new(RedundancyStore::new(redundancy, metrics)));
+        }
         tiers.bind_telemetry(Arc::clone(&registry));
         let cmetrics = Arc::new(CompressMetrics::bound(Arc::clone(&registry)));
         tiers.bind_compress_metrics(&cmetrics);
-        let tiers = Arc::new(tiers);
-        let metrics = Arc::new(RuntimeMetrics::new(registry));
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
-        let killed = Arc::new(AtomicBool::new(false));
-        let space_freed: Arc<(Mutex<u64>, Condvar)> = Arc::new((Mutex::new(0), Condvar::new()));
-        let undrainable: Arc<Mutex<HashSet<ObjectId>>> = Arc::new(Mutex::new(HashSet::new()));
+        let shared = Arc::new(Shared::new(tiers, registry));
         let flusher = Flusher {
-            tiers: Arc::clone(&tiers),
-            m: Arc::clone(&metrics),
-            engine: CompressionEngine::new(policy, cmetrics),
-            killed: Arc::clone(&killed),
-            space_freed: Arc::clone(&space_freed),
-            undrainable: Arc::clone(&undrainable),
+            shared: Arc::clone(&shared),
+            engine: CompressionEngine::new(compression, cmetrics),
             time_scale,
         };
+        let (tx, rx) = unbounded();
         let worker = std::thread::spawn(move || flusher.run(rx));
         AsyncRuntime {
-            tiers,
-            metrics,
+            shared,
             tx,
             worker: Mutex::new(Some(worker)),
-            killed,
-            space_freed,
-            undrainable,
-            rank_dedup: None,
+            rank_dedup,
         }
     }
 
-    /// The fullest constructor: [`with_compression`](Self::with_compression)
-    /// plus a cross-rank redundancy group. With
-    /// [`RedundancyPolicy::Off`] this delegates directly — no store is
-    /// attached, no `redundancy/*` metric registers, and the runtime is
-    /// the pre-redundancy one byte for byte.
-    pub fn with_redundancy(
-        mut tiers: TierChain,
-        time_scale: f64,
-        registry: Arc<Registry>,
-        policy: CompressionPolicy,
-        redundancy: RedundancyPolicy,
-    ) -> Self {
-        if redundancy != RedundancyPolicy::Off {
-            let store = Arc::new(RedundancyStore::new(
-                redundancy,
-                RedundancyMetrics::bound(Arc::clone(&registry)),
-            ));
-            tiers.attach_redundancy(store);
-        }
-        Self::with_compression(tiers, time_scale, registry, policy)
-    }
-
-    /// [`with_redundancy`](Self::with_redundancy) plus the cluster-wide
-    /// dedup engine. The engine is shared: every rank's runtime in a group
-    /// holds the same `Arc` (one index, one claim exchange). With `None`
-    /// this delegates directly — no index attaches, no `rankdedup/*`
-    /// metric registers, and the runtime is the per-rank one byte for
-    /// byte.
+    /// [`start`](Self::start) with the six [`RuntimeConfig`] fields as
+    /// positional arguments. Kept, under this name and signature, only
+    /// because the frozen `bench/` package calls it; everything else calls
+    /// `start`.
     pub fn with_rank_dedup(
-        mut tiers: TierChain,
+        tiers: TierChain,
         time_scale: f64,
         registry: Arc<Registry>,
-        policy: CompressionPolicy,
+        compression: CompressionPolicy,
         redundancy: RedundancyPolicy,
-        engine: Option<Arc<RankDedupEngine>>,
+        rank_dedup: Option<Arc<RankDedupEngine>>,
     ) -> Self {
-        if let Some(e) = &engine {
-            tiers.attach_rank_dedup(Arc::clone(e.index()));
-        }
-        let mut rt = Self::with_redundancy(tiers, time_scale, registry, policy, redundancy);
-        rt.rank_dedup = engine;
-        rt
+        Self::start(RuntimeConfig {
+            tiers,
+            time_scale,
+            registry,
+            compression,
+            redundancy,
+            rank_dedup,
+        })
     }
 
     /// The shared cluster dedup engine, if any.
@@ -1000,20 +170,20 @@ impl AsyncRuntime {
     }
 
     pub fn tiers(&self) -> &TierChain {
-        &self.tiers
+        &self.shared.tiers
     }
 
     /// The registry this runtime records into; snapshot with
     /// [`Registry::snapshot_json`] for the `ckpt stats` report.
     pub fn telemetry(&self) -> &Arc<Registry> {
-        &self.metrics.registry
+        &self.shared.m.registry
     }
 
     /// Objects the flusher has given up on (corrupt with no redundant
     /// copy, or every lower tier refused them through retries and
     /// degradation). Sorted for deterministic assertions.
     pub fn undrainable(&self) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.undrainable.lock().iter().copied().collect();
+        let mut ids: Vec<ObjectId> = self.shared.undrainable.lock().iter().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -1025,8 +195,9 @@ impl AsyncRuntime {
         let id = (rank, ckpt_id);
         let bytes = self.dedup_transform(id, bytes);
         let len = bytes.len();
-        self.tiers.host.put(id, bytes)?;
-        self.metrics.on_submitted(len, self.tiers.host.used_bytes());
+        let host = &self.shared.tiers.host;
+        host.put(id, bytes)?;
+        self.shared.m.on_submitted(len, host.used_bytes());
         // The send only fails after shutdown/kill; the object stays staged.
         let _ = self.tx.send(Job::Flush(id));
         Ok(())
@@ -1046,20 +217,20 @@ impl AsyncRuntime {
     ) -> Result<Duration, TierFull> {
         let start = Instant::now();
         let id = (rank, ckpt_id);
+        let (host, m) = (&self.shared.tiers.host, &self.shared.m);
         let mut bytes = self.dedup_transform(id, bytes);
         let mut stalled = false;
         loop {
             let len = bytes.len();
-            match self.tiers.host.try_put(id, bytes) {
+            match host.try_put(id, bytes) {
                 Ok(()) => {
-                    self.metrics.on_submitted(len, self.tiers.host.used_bytes());
+                    m.on_submitted(len, host.used_bytes());
                     // Only submissions that found the host tier full count as
                     // stalls — an unthrottled chain must report exactly zero.
                     if stalled {
                         let waited = start.elapsed();
-                        self.metrics.producer_stalls.inc();
-                        self.metrics
-                            .producer_stall_ns
+                        m.producer_stalls.inc();
+                        m.producer_stall_ns
                             .add(waited.as_nanos().min(u64::MAX as u128) as u64);
                     }
                     let _ = self.tx.send(Job::Flush(id));
@@ -1067,15 +238,13 @@ impl AsyncRuntime {
                 }
                 Err(returned) => {
                     stalled = true;
-                    if self.killed.load(Ordering::Relaxed) {
-                        return Err(TierFull {
-                            tier: self.tiers.host.name(),
-                        });
+                    if self.shared.killed.load(Ordering::Relaxed) {
+                        return Err(TierFull { tier: host.name() });
                     }
                     bytes = returned;
                     // Wait for the flusher to evict something (bounded nap to
                     // stay robust against missed wakeups).
-                    let (gen, cv) = &*self.space_freed;
+                    let (gen, cv) = &self.shared.space_freed;
                     let mut g = gen.lock();
                     cv.wait_for(&mut g, Duration::from_millis(20));
                 }
@@ -1083,24 +252,29 @@ impl AsyncRuntime {
         }
     }
 
-    /// Block until every given checkpoint has either drained to the PFS or
-    /// been abandoned by the flusher (see [`undrainable`](Self::undrainable)),
-    /// then return. (Polling keeps the flusher honest about ordering.)
-    pub fn wait_durable(&self, ids: &[ObjectId]) {
+    /// Spin until every given id is `settled`, abandoned by the flusher
+    /// (see [`undrainable`](Self::undrainable)), or the runtime is killed —
+    /// a failure after which nothing progresses further. (Polling keeps
+    /// the flusher honest about ordering.)
+    fn wait_settled(&self, ids: &[ObjectId], settled: impl Fn(ObjectId) -> bool) {
         loop {
-            let settled = {
-                let undrainable = self.undrainable.lock();
+            let all_settled = {
+                let undrainable = self.shared.undrainable.lock();
                 ids.iter()
-                    .all(|id| self.tiers.pfs.contains(*id) || undrainable.contains(id))
+                    .all(|&id| settled(id) || undrainable.contains(&id))
             };
-            if settled {
+            if all_settled || self.shared.killed.load(Ordering::Relaxed) {
                 return;
-            }
-            if self.killed.load(Ordering::Relaxed) {
-                return; // failure: durability will not progress further
             }
             std::thread::yield_now();
         }
+    }
+
+    /// Block until every given checkpoint has either drained to the PFS or
+    /// been abandoned by the flusher (see [`undrainable`](Self::undrainable)),
+    /// then return.
+    pub fn wait_durable(&self, ids: &[ObjectId]) {
+        self.wait_settled(ids, |id| self.shared.tiers.pfs.contains(id));
     }
 
     /// Block until every given checkpoint's redundancy encoding is
@@ -1109,22 +283,8 @@ impl AsyncRuntime {
     /// this before `compact_below` so a rebase record's group encoding is
     /// never outrun by the eviction of the history it replaces.
     pub fn wait_redundancy_durable(&self, ids: &[ObjectId]) {
-        let Some(red) = self.tiers.redundancy() else {
-            return;
-        };
-        loop {
-            let settled = {
-                let undrainable = self.undrainable.lock();
-                ids.iter()
-                    .all(|id| red.is_encoded(*id) || undrainable.contains(id))
-            };
-            if settled {
-                return;
-            }
-            if self.killed.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::yield_now();
+        if let Some(red) = self.shared.tiers.redundancy() {
+            self.wait_settled(ids, |id| red.is_encoded(id));
         }
     }
 
@@ -1141,11 +301,12 @@ impl AsyncRuntime {
     /// `kill` *joins* the flusher before returning, so afterwards the tiers
     /// are in a well-defined state: no further mutations happen, and since
     /// every tier write is atomic (the torn-write contract on
-    /// [`Tier::put`]), each object is either fully present in a tier or
-    /// absent — any partial frame observed later was injected by a
-    /// [`FaultPlan`], never left by a half-applied `try_put`.
+    /// [`Tier::put`](crate::tier::Tier::put)), each object is either fully
+    /// present in a tier or absent — any partial frame observed later was
+    /// injected by a [`FaultPlan`](crate::fault::FaultPlan), never left by
+    /// a half-applied `try_put`.
     pub fn kill(&self) {
-        self.killed.store(true, Ordering::Relaxed);
+        self.shared.killed.store(true, Ordering::Relaxed);
         let _ = self.tx.send(Job::Shutdown);
         self.join_worker();
         // The crash takes the claim-exchange stage with it: queued claims
@@ -1176,7 +337,7 @@ impl AsyncRuntime {
     /// Post-crash recovery with per-object verified/repaired/lost
     /// accounting (see [`RecoveryReport`]).
     pub fn recover_report(&self) -> RecoveryReport {
-        self.tiers.recover_report()
+        self.shared.tiers.recover_report()
     }
 
     /// Graceful shutdown: drain everything, then join the worker.
@@ -1203,6 +364,8 @@ impl Drop for AsyncRuntime {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
+    use crate::integrity::ObjectStatus;
+    use crate::tier::{StoredObject, TierConfig};
 
     #[test]
     fn submit_drains_to_pfs_and_evicts_above() {
@@ -1281,7 +444,11 @@ mod tests {
             TierConfig::pfs(),
         );
         // 100 bytes at 1 MB/s modeled = 0.1 ms real per hop at scale 1.0.
-        let rt = AsyncRuntime::with_tiers_throttled(tiers, 1.0);
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers,
+            time_scale: 1.0,
+            ..Default::default()
+        });
         let mut total_stall = Duration::ZERO;
         for k in 0..8u32 {
             total_stall += rt.submit_blocking(0, k, vec![k as u8; 100]).unwrap();
@@ -1314,7 +481,10 @@ mod tests {
             TierConfig::ssd(),
             TierConfig::pfs(),
         );
-        let rt = AsyncRuntime::with_tiers(tiers);
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers,
+            ..Default::default()
+        });
         // Kill first so the flusher deterministically never drains: ckpt 0
         // stays staged in host memory.
         rt.kill();
@@ -1375,7 +545,10 @@ mod tests {
             .on_put("ssd", 1, FaultKind::TransientIo)
             .on_put("pfs", 0, FaultKind::TransientIo)
             .build();
-        let rt = AsyncRuntime::with_tiers(TierChain::with_faults(plan));
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(plan),
+            ..Default::default()
+        });
         for k in 0..3u32 {
             rt.submit(0, k, vec![k as u8; 128]).unwrap();
         }
@@ -1400,7 +573,10 @@ mod tests {
         for op in 0..64 {
             b = b.on_put("ssd", op, FaultKind::TransientIo);
         }
-        let rt = AsyncRuntime::with_tiers(TierChain::with_faults(b.build()));
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(b.build()),
+            ..Default::default()
+        });
         rt.submit(0, 0, vec![5; 256]).unwrap();
         rt.wait_durable(&[(0, 0)]);
         assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![5; 256]));
@@ -1426,7 +602,10 @@ mod tests {
             },
             TierConfig::pfs(),
         );
-        let rt = AsyncRuntime::with_tiers(tiers);
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers,
+            ..Default::default()
+        });
         rt.submit(0, 0, vec![1; 64]).unwrap();
         rt.wait_durable(&[(0, 0)]);
         assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![1; 64]));
@@ -1444,7 +623,10 @@ mod tests {
         let plan = FaultPlan::builder()
             .on_put("host", 0, FaultKind::TornWrite { keep_bytes: 8 })
             .build();
-        let rt = AsyncRuntime::with_tiers(TierChain::with_faults(plan));
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(plan),
+            ..Default::default()
+        });
         rt.submit(0, 0, vec![9; 512]).unwrap();
         rt.submit(0, 1, vec![8; 512]).unwrap();
         rt.wait_durable(&[(0, 0), (0, 1)]);
@@ -1535,12 +717,11 @@ mod tests {
     #[test]
     fn compressed_flush_round_trips_and_shrinks_lower_tiers() {
         let reg = Arc::new(Registry::new());
-        let rt = AsyncRuntime::with_compression(
-            TierChain::new(),
-            0.0,
-            Arc::clone(&reg),
-            CompressionPolicy::Adaptive,
-        );
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            registry: Arc::clone(&reg),
+            compression: CompressionPolicy::Adaptive,
+            ..Default::default()
+        });
         let payload = compressible_payload(100_000);
         rt.submit(0, 0, payload.clone()).unwrap();
         rt.wait_durable(&[(0, 0)]);
@@ -1594,12 +775,12 @@ mod tests {
             TierConfig::pfs(),
         );
         let reg = Arc::new(Registry::new());
-        let rt = AsyncRuntime::with_compression(
+        let rt = AsyncRuntime::start(RuntimeConfig {
             tiers,
-            0.0,
-            Arc::clone(&reg),
-            CompressionPolicy::Fixed(6),
-        );
+            registry: Arc::clone(&reg),
+            compression: CompressionPolicy::Fixed(6),
+            ..Default::default()
+        });
         let payload = compressible_payload(60_000);
         rt.submit(0, 0, payload.clone()).unwrap();
         rt.wait_durable(&[(0, 0)]);

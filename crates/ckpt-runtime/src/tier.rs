@@ -38,9 +38,9 @@
 //! reader (or a crash via [`AsyncRuntime::kill`](crate::AsyncRuntime::kill))
 //! observes either the complete framed object or nothing — never a
 //! half-applied write. The *only* source of partial frames is an injected
-//! [`FaultKind::TornWrite`](crate::fault::FaultKind::TornWrite), which
-//! atomically installs a prefix of the framed bytes to model a write racing
-//! a crash; frame verification detects it at the next read.
+//! [`FaultKind::TornWrite`], which atomically installs a prefix of the
+//! framed bytes to model a write racing a crash; frame verification detects
+//! it at the next read.
 
 use crate::compress::CompressMetrics;
 use crate::fault::{apply_latency, FaultKind, FaultPlan, OpKind};
@@ -49,10 +49,29 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Identifies one checkpoint object: `(rank, ckpt_id)`.
 pub type ObjectId = (u32, u32);
+
+/// Max attempts for a tier write before the caller gives up on that tier
+/// (1 initial try + 3 retries).
+const MAX_STORE_ATTEMPTS: u32 = 4;
+/// Max attempts for a tier read (transient errors only).
+const MAX_READ_ATTEMPTS: u32 = 3;
+/// Base backoff between retries; doubles per attempt (50 µs, 100 µs, …) so
+/// retry exhaustion stays well under a millisecond in tests.
+const RETRY_BACKOFF: Duration = Duration::from_micros(50);
+
+/// Before attempt number `attempt` (0-based) of a retried operation: the
+/// first goes straight through, every later one is reported to `on_retry`
+/// and backed off.
+fn before_attempt(attempt: u32, on_retry: &impl Fn()) {
+    if attempt > 0 {
+        on_retry();
+        std::thread::sleep(RETRY_BACKOFF * (1 << (attempt - 1)));
+    }
+}
 
 /// Static tier parameters.
 #[derive(Debug, Clone, Copy)]
@@ -446,6 +465,46 @@ impl Tier {
                 .fetch_sub(Self::charged_bytes(&old), Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    /// [`store_object`](Self::store_object) with bounded retry and
+    /// exponential backoff of transient errors; `on_retry` hears every
+    /// retry. A full tier fails fast (retrying cannot free space — the
+    /// caller degrades instead). Hands the object back on failure, encoded
+    /// exactly as handed in, so no retry or degradation ever re-encodes.
+    pub(crate) fn store_object_with_retry(
+        &self,
+        id: ObjectId,
+        mut object: StoredObject,
+        on_retry: impl Fn(),
+    ) -> Result<(), StoredObject> {
+        for attempt in 0..MAX_STORE_ATTEMPTS {
+            before_attempt(attempt, &on_retry);
+            match self.store_object(id, object) {
+                Ok(()) => return Ok(()),
+                Err(e) if e.kind == StoreErrorKind::Full => return Err(e.object),
+                Err(e) => object = e.object,
+            }
+        }
+        Err(object)
+    }
+
+    /// [`inspect_object`](Self::inspect_object) with bounded retry and
+    /// exponential backoff of transient errors; `on_retry` hears every
+    /// retry.
+    pub(crate) fn inspect_object_with_retry(
+        &self,
+        id: ObjectId,
+        on_retry: impl Fn(),
+    ) -> ObjectState {
+        for attempt in 0..MAX_READ_ATTEMPTS {
+            before_attempt(attempt, &on_retry);
+            match self.inspect_object(id) {
+                ObjectState::TransientIo => {}
+                state => return state,
+            }
+        }
+        ObjectState::TransientIo
     }
 
     /// Fetch a verified copy of an object's payload, transparently

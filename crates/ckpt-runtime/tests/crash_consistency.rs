@@ -22,9 +22,9 @@ use ckpt_dedup::prelude::*;
 use ckpt_dedup::Diff;
 use ckpt_runtime::tier::ObjectId;
 use ckpt_runtime::{
-    AsyncRuntime, CompressionPolicy, FaultPlan, ObjectStatus, RecoveryReport, SplitMix64, TierChain,
+    AsyncRuntime, CompressionPolicy, FaultPlan, ObjectStatus, RecoveryReport, RuntimeConfig,
+    SplitMix64, TierChain,
 };
-use ckpt_telemetry::Registry;
 use gpu_sim::Device;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -142,12 +142,11 @@ fn run_schedule_with_policy(
     kill_after: usize,
     policy: CompressionPolicy,
 ) -> RunOutcome {
-    let rt = AsyncRuntime::with_compression(
-        TierChain::with_faults(Arc::clone(&plan)),
-        0.0,
-        Arc::new(Registry::new()),
-        policy,
-    );
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        tiers: TierChain::with_faults(Arc::clone(&plan)),
+        compression: policy,
+        ..Default::default()
+    });
     let mut submitted_ok: Vec<ObjectId> = Vec::new();
     let mut n = 0usize;
     let mut killed = false;
@@ -371,7 +370,10 @@ fn kill_in_the_compaction_window_keeps_a_restorable_chain() {
         // (no durability wait, flusher killed immediately). GC must not
         // have run, and the original prefix restores.
         {
-            let rt = AsyncRuntime::with_tiers(TierChain::with_faults(FaultPlan::empty()));
+            let rt = AsyncRuntime::start(RuntimeConfig {
+                tiers: TierChain::with_faults(FaultPlan::empty()),
+                ..Default::default()
+            });
             let pre: Vec<ObjectId> = (0..rebase_at).map(|k| (0, k)).collect();
             for k in 0..rebase_at {
                 rt.submit(0, k, sched.diffs[0][k as usize].clone()).unwrap();
@@ -393,7 +395,10 @@ fn kill_in_the_compaction_window_keeps_a_restorable_chain() {
         // rebase and the GC (2), then the GC runs on the recovered tiers
         // and the compacted chain must still restore (3).
         {
-            let rt = AsyncRuntime::with_tiers(TierChain::with_faults(FaultPlan::empty()));
+            let rt = AsyncRuntime::start(RuntimeConfig {
+                tiers: TierChain::with_faults(FaultPlan::empty()),
+                ..Default::default()
+            });
             let all: Vec<ObjectId> = (0..6).map(|k| (0, k)).collect();
             for k in 0..6u32 {
                 rt.submit(0, k, sched.diffs[0][k as usize].clone()).unwrap();
@@ -449,7 +454,10 @@ proptest! {
 
         // GC below the rebase point if (and only if) it came back durable,
         // then re-check: the compacted chain must still replay bit-exact.
-        let rt = AsyncRuntime::with_tiers(TierChain::with_faults(FaultPlan::empty()));
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(FaultPlan::empty()),
+            ..Default::default()
+        });
         for (k, bytes) in sched.diffs[0].iter().take(kill_after.min(total)).enumerate() {
             let _ = rt.submit(0, k as u32, bytes.clone());
         }
@@ -501,9 +509,10 @@ fn kill_during_double_buffered_submit_leaks_nothing() {
 
     for method_idx in 0..3 {
         let sched = Schedule::build(1, 4, 600, 99 + method_idx as u64, method_idx);
-        let rt = Arc::new(AsyncRuntime::with_tiers(TierChain::with_faults(
-            FaultPlan::empty(),
-        )));
+        let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(FaultPlan::empty()),
+            ..Default::default()
+        }));
         let device = Device::a100();
         let pipe = CheckpointPipeline::new(Arc::clone(&rt));
         for k in 0..sched.ckpts {
@@ -641,12 +650,11 @@ fn fault_free_compressed_schedules_lose_nothing_and_shrink_the_pfs() {
             CompressionPolicy::Adaptive,
         ] {
             let plan = FaultPlan::empty();
-            let rt = AsyncRuntime::with_compression(
-                TierChain::with_faults(Arc::clone(&plan)),
-                0.0,
-                Arc::new(Registry::new()),
-                policy,
-            );
+            let rt = AsyncRuntime::start(RuntimeConfig {
+                tiers: TierChain::with_faults(Arc::clone(&plan)),
+                compression: policy,
+                ..Default::default()
+            });
             let mut ids = Vec::new();
             for k in 0..sched.ckpts {
                 for r in 0..sched.ranks {

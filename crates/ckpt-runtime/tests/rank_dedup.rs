@@ -23,7 +23,7 @@ use ckpt_dedup::prelude::*;
 use ckpt_runtime::tier::ObjectId;
 use ckpt_runtime::{
     compact_below, restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, RankDedupConfig,
-    RankDedupEngine, RankDedupMetrics, RedundancyPolicy, SplitMix64, TierChain,
+    RankDedupEngine, RankDedupMetrics, RedundancyPolicy, RuntimeConfig, SplitMix64,
 };
 use ckpt_telemetry::Registry;
 use gpu_sim::Device;
@@ -140,14 +140,13 @@ fn run_cluster(
             RankDedupMetrics::bound(Arc::clone(&registry)),
         )
     });
-    let rt = AsyncRuntime::with_rank_dedup(
-        TierChain::new(),
-        0.0,
+    let rt = AsyncRuntime::start(RuntimeConfig {
         registry,
         compression,
-        RedundancyPolicy::Off,
-        engine,
-    );
+        redundancy: RedundancyPolicy::Off,
+        rank_dedup: engine,
+        ..Default::default()
+    });
     for k in 0..sched.ckpts {
         for r in 0..sched.ranks {
             rt.submit(r, k, sched.diffs[r as usize][k as usize].clone())
@@ -331,9 +330,9 @@ fn shared_working_set_stores_less_and_restores_equal() {
     on.kill();
 }
 
-/// A dedup-off chain built through the rank-dedup constructor is
-/// frame-for-frame what the plain constructor stores: `None` must be a
-/// true no-op, not a third code path.
+/// A chain whose configuration names `rank_dedup: None` is frame-for-frame
+/// what one that never mentions the field stores: `None` must be a true
+/// no-op, not a third code path.
 #[test]
 fn disabled_engine_is_invisible() {
     let sched = Cluster::build(2, 2, 1024, 99, 0, None);
@@ -344,13 +343,11 @@ fn disabled_engine_is_invisible() {
         Arc::new(Registry::new()),
         None,
     );
-    let b = AsyncRuntime::with_redundancy(
-        TierChain::new(),
-        0.0,
-        Arc::new(Registry::new()),
-        CompressionPolicy::Off,
-        RedundancyPolicy::Off,
-    );
+    let b = AsyncRuntime::start(RuntimeConfig {
+        compression: CompressionPolicy::Off,
+        redundancy: RedundancyPolicy::Off,
+        ..Default::default()
+    });
     for k in 0..sched.ckpts {
         for r in 0..sched.ranks {
             b.submit(r, k, sched.diffs[r as usize][k as usize].clone())

@@ -22,8 +22,8 @@ use ckpt_dedup::Diff;
 use ckpt_runtime::tier::ObjectId;
 use ckpt_runtime::{
     restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, FaultKind, FaultPlan,
-    ObjectStatus, RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyPolicy, SplitMix64,
-    TierChain,
+    ObjectStatus, RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyPolicy,
+    RuntimeConfig, SplitMix64, TierChain,
 };
 use ckpt_telemetry::Registry;
 use gpu_sim::Device;
@@ -92,13 +92,12 @@ fn make_runtime(
     compression: CompressionPolicy,
     redundancy: RedundancyPolicy,
 ) -> AsyncRuntime {
-    AsyncRuntime::with_redundancy(
-        TierChain::with_faults(plan),
-        0.0,
-        Arc::new(Registry::new()),
+    AsyncRuntime::start(RuntimeConfig {
+        tiers: TierChain::with_faults(plan),
         compression,
         redundancy,
-    )
+        ..Default::default()
+    })
 }
 
 /// Submit the whole cluster rank-interleaved with an optional mid-schedule
@@ -282,14 +281,13 @@ proptest! {
             }
         };
 
-        // Baseline: the pre-redundancy constructor.
+        // Baseline: a configuration that never names redundancy.
         let plan_a = mk();
-        let rt = AsyncRuntime::with_compression(
-            TierChain::with_faults(Arc::clone(&plan_a)),
-            0.0,
-            Arc::new(Registry::new()),
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(Arc::clone(&plan_a)),
             compression,
-        );
+            ..Default::default()
+        });
         let mut ok_a = Vec::new();
         for k in 0..sched.ckpts {
             for r in 0..sched.ranks {
@@ -307,7 +305,7 @@ proptest! {
         let base_json = rt.recover_report().to_json();
         let base_fired = plan_a.fired();
 
-        // Same schedule through the redundancy-aware constructor, Off.
+        // Same schedule with the redundancy field spelled out, Off.
         let plan_b = mk();
         let rt = make_runtime(Arc::clone(&plan_b), compression, RedundancyPolicy::Off);
         let mut ok_b = Vec::new();
@@ -532,14 +530,13 @@ fn exchange_faults_orphan_claims_but_keep_prefixes_bit_exact() {
         2,
         Some(Arc::clone(&plan)),
     );
-    let rt = AsyncRuntime::with_rank_dedup(
-        TierChain::new(),
-        0.0,
-        Arc::clone(&registry),
-        CompressionPolicy::Adaptive,
-        RedundancyPolicy::Xor { group_size: 4 },
-        Some(engine),
-    );
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        registry: Arc::clone(&registry),
+        compression: CompressionPolicy::Adaptive,
+        redundancy: RedundancyPolicy::Xor { group_size: 4 },
+        rank_dedup: Some(engine),
+        ..Default::default()
+    });
     let ids = sched.ids();
     for k in 0..sched.ckpts {
         for r in 0..sched.ranks {
@@ -602,14 +599,13 @@ fn exchange_kill_mid_schedule_keeps_durable_prefixes_bit_exact() {
         3,
         None,
     );
-    let rt = AsyncRuntime::with_rank_dedup(
-        TierChain::new(),
-        0.0,
-        Arc::clone(&registry),
-        CompressionPolicy::Off,
-        RedundancyPolicy::Partner,
-        Some(Arc::clone(&engine)),
-    );
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        registry: Arc::clone(&registry),
+        compression: CompressionPolicy::Off,
+        redundancy: RedundancyPolicy::Partner,
+        rank_dedup: Some(Arc::clone(&engine)),
+        ..Default::default()
+    });
     let ids = sched.ids();
     for k in 0..sched.ckpts {
         // The exchange crashes between checkpoint rounds 1 and 2.
@@ -654,7 +650,7 @@ fn exchange_kill_mid_schedule_keeps_durable_prefixes_bit_exact() {
 }
 
 /// Satellite differential: with rank-dedup *absent* (engine `None`), the
-/// rank-dedup-aware constructor produces a `recover_report()` whose JSON
+/// runtime produces a `recover_report()` whose JSON
 /// is byte-for-byte the baseline redundancy runtime's on the same
 /// schedules — the cluster index is invisible unless enabled.
 #[test]
@@ -666,14 +662,12 @@ fn rank_dedup_off_report_json_identical_to_baseline() {
         let sched = Cluster::build(3, 3, 1024, data_seed);
         let run = |dedup_aware: bool| {
             let rt = if dedup_aware {
-                AsyncRuntime::with_rank_dedup(
-                    TierChain::new(),
-                    0.0,
-                    Arc::new(Registry::new()),
+                AsyncRuntime::start(RuntimeConfig {
                     compression,
-                    RedundancyPolicy::Off,
-                    None,
-                )
+                    redundancy: RedundancyPolicy::Off,
+                    rank_dedup: None,
+                    ..Default::default()
+                })
             } else {
                 make_runtime(FaultPlan::empty(), compression, RedundancyPolicy::Off)
             };

@@ -6,6 +6,7 @@
 //! share:
 //!
 //! - [`Counter`] — monotonic event counts (evictions, stalls, kernels);
+//!   [`LazyCounter`] registers one on its first event only;
 //! - [`Gauge`] — instantaneous signed levels (queue depth, durable lag);
 //! - [`Histogram`] — log₂-bucketed distributions for latencies and sizes;
 //! - [`StageClock`] / [`StageBreakdown`] — contiguous per-stage attribution
@@ -44,6 +45,6 @@ mod stage;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use json::{collect_keys, JsonWriter};
-pub use metrics::{Counter, Gauge};
+pub use metrics::{Counter, Gauge, LazyCounter};
 pub use registry::{Registry, SpanGuard, SpanStats};
 pub use stage::{StageBreakdown, StageClock, StageSample};

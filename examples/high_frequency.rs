@@ -15,7 +15,7 @@
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::runtime::tier::TierConfig;
-use gpu_dedup_ckpt::runtime::{AsyncRuntime, TierChain};
+use gpu_dedup_ckpt::runtime::{AsyncRuntime, RuntimeConfig, TierChain};
 
 const CKPTS: usize = 20;
 const STATE_BYTES: usize = 2 << 20;
@@ -47,7 +47,11 @@ fn drive(name: &str, mut method: Box<dyn Checkpointer>, snaps: &[Vec<u8>]) {
     );
     // Time dilation: 1 modeled second = 25 real seconds, so one full
     // checkpoint takes ~25 ms to drain through the 2 GB/s SSD.
-    let rt = AsyncRuntime::with_tiers_throttled(tiers, 25.0);
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        tiers,
+        time_scale: 25.0,
+        ..Default::default()
+    });
 
     let t0 = std::time::Instant::now();
     let mut stall = std::time::Duration::ZERO;

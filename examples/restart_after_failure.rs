@@ -28,6 +28,7 @@ fn main() {
     reference.run_to_completion();
 
     // ---- First life -----------------------------------------------------
+    // The plain Fig. 3 runtime: `start(RuntimeConfig::default())`.
     let runtime = AsyncRuntime::new();
     let mut ckpt = TreeCheckpointer::new(Device::a100(), TreeConfig::new(128));
     let mut run = OrangesRun::new(&graph);

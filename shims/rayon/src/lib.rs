@@ -1,5 +1,5 @@
 //! Minimal offline stand-in for the subset of `rayon` 1.x this workspace
-//! uses, backed by a persistent work-stealing thread pool ([`pool`]).
+//! uses, backed by a persistent work-stealing thread pool (`pool`).
 //!
 //! Unlike the earlier shim — which wrapped sequential iterators and spawned
 //! fresh scoped threads per `for_each` — every terminal here (`for_each`,
@@ -12,7 +12,7 @@
 //!   position, so output order is independent of execution order;
 //! * `reduce`/`sum` compute one partial per executor chunk and combine the
 //!   partials in ascending chunk order. Chunk boundaries are a pure
-//!   function of the item count ([`pool::plan`]), never of the thread
+//!   function of the item count (`pool::plan`), never of the thread
 //!   count, so even non-associative combines (float sums, hash folds) are
 //!   bit-identical at 1, 2, or N threads.
 //!

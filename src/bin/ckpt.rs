@@ -19,11 +19,10 @@
 //! checkpoints a fixed-size buffer, like the paper's GDV array).
 //!
 //! `--compress` applies the runtime's frame-level compression stage to each
-//! record file: the encoded diff goes through the
-//! [`CompressionPolicy`](ckpt_runtime::CompressionPolicy) (`adaptive`
-//! samples each object and picks a codec; a codec name fixes one; `off` is
-//! the default) and is stored in a compressed frame whose checksum covers
-//! the compressed bytes. `info`/`stats`/`verify` read the codec flag and
+//! record file: the encoded diff goes through the [`CompressionPolicy`]
+//! (`adaptive` samples each object and picks a codec; a codec name fixes
+//! one; `off` is the default) and is stored in a compressed frame whose
+//! checksum covers the compressed bytes. `info`/`stats`/`verify` read the codec flag and
 //! decompress transparently. `--payload-compress` is the older, orthogonal
 //! dedup-layer knob: it compresses first-occurrence chunk payloads *inside*
 //! the diff (`Diff::payload_codec`) before it is ever framed.
@@ -57,8 +56,8 @@ use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::runtime::cluster_dir::{rank_name, Loaded, Record};
 use gpu_dedup_ckpt::runtime::{
     AsyncRuntime, ClusterDir, CompressionPolicy, Layout, RankDedupConfig, RankDedupEngine,
-    RankDedupMetrics, RedundancyPolicy, RedundancyStore, StoredObject, TierChain, VerifyReport,
-    VerifyStatus,
+    RankDedupMetrics, RedundancyPolicy, RedundancyStore, RuntimeConfig, StoredObject, TierChain,
+    VerifyReport, VerifyStatus,
 };
 use gpu_dedup_ckpt::telemetry::{JsonWriter, Registry, StageBreakdown};
 use std::path::{Path, PathBuf};
@@ -368,14 +367,13 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
             RankDedupMetrics::bound(registry.clone()),
         )
     });
-    let rt = AsyncRuntime::with_rank_dedup(
-        TierChain::new(),
-        0.0,
-        registry.clone(),
-        policy,
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        registry: registry.clone(),
+        compression: policy,
         redundancy,
-        dedup.clone(),
-    );
+        rank_dedup: dedup.clone(),
+        ..Default::default()
+    });
 
     // Contiguous split: the first `n % ranks` ranks take one extra.
     let mut next = 0usize;

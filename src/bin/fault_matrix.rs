@@ -19,7 +19,9 @@
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::dedup::Diff;
 use gpu_dedup_ckpt::gpu_sim::Device;
-use gpu_dedup_ckpt::runtime::{AsyncRuntime, FaultPlan, ObjectStatus, SplitMix64, TierChain};
+use gpu_dedup_ckpt::runtime::{
+    AsyncRuntime, FaultPlan, ObjectStatus, RuntimeConfig, SplitMix64, TierChain,
+};
 use gpu_dedup_ckpt::telemetry::JsonWriter;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -113,7 +115,10 @@ fn main() -> ExitCode {
     }
 
     // Drive the schedule: submit rank-interleaved, crash at the kill point.
-    let rt = AsyncRuntime::with_tiers(TierChain::with_faults(Arc::clone(&plan)));
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        tiers: TierChain::with_faults(Arc::clone(&plan)),
+        ..Default::default()
+    });
     let mut submitted_ok = Vec::new();
     let mut n = 0usize;
     let mut killed = false;

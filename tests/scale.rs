@@ -9,10 +9,8 @@
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::runtime::{
-    restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, RedundancyPolicy, TierChain,
+    restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, RedundancyPolicy, RuntimeConfig,
 };
-use gpu_dedup_ckpt::telemetry::Registry;
-use std::sync::Arc;
 
 /// 128 MiB, 1 M chunks at 128 B: sparse updates must keep diffs tiny and
 /// restore exactly.
@@ -114,13 +112,11 @@ fn multi_rank_interleaved_submit_survives_a_mid_drain_kill() {
         diffs.push(encs);
     }
 
-    let rt = AsyncRuntime::with_redundancy(
-        TierChain::new(),
-        0.0,
-        Arc::new(Registry::new()),
-        CompressionPolicy::Adaptive,
-        RedundancyPolicy::Xor { group_size: 4 },
-    );
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        compression: CompressionPolicy::Adaptive,
+        redundancy: RedundancyPolicy::Xor { group_size: 4 },
+        ..Default::default()
+    });
     // Checkpoint-major interleave; kill while the last wave is draining
     // (no durability barrier first — the drain is genuinely in flight).
     let mut ids = Vec::new();

@@ -4,7 +4,9 @@
 
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
-use gpu_dedup_ckpt::runtime::{restore_rank, AsyncRuntime, ObjectStatus, TierChain, TierConfig};
+use gpu_dedup_ckpt::runtime::{
+    restore_rank, AsyncRuntime, ObjectStatus, RuntimeConfig, TierChain, TierConfig,
+};
 
 fn rank_snapshots(rank: u32, n: usize) -> Vec<Vec<u8>> {
     let len = 16 * 1024;
@@ -91,7 +93,11 @@ fn kill_during_drain_reconciles_report_with_telemetry() {
             },
             TierConfig::pfs(),
         );
-        let rt = AsyncRuntime::with_tiers_throttled(tiers, time_scale);
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers,
+            time_scale,
+            ..Default::default()
+        });
         let n_ranks = 4u32;
         let n_ckpts = 6usize;
         std::thread::scope(|s| {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
-use gpu_dedup_ckpt::runtime::{AsyncRuntime, TierChain, TierConfig};
+use gpu_dedup_ckpt::runtime::{AsyncRuntime, RuntimeConfig, TierChain, TierConfig};
 use gpu_dedup_ckpt::telemetry::Registry;
 
 /// A short mutating snapshot series: enough churn that every stage of
@@ -149,7 +149,11 @@ fn producer_stall_is_positive_under_throttled_backpressure() {
         },
         TierConfig::pfs(),
     );
-    let rt = AsyncRuntime::with_tiers_throttled(tiers, 1.0);
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        tiers,
+        time_scale: 1.0,
+        ..Default::default()
+    });
     for k in 0..8u32 {
         rt.submit_blocking(0, k, vec![k as u8; 100]).unwrap();
     }
