@@ -7,6 +7,7 @@
 //! flop/byte cost) plus one device-to-host transfer of the compressed bytes,
 //! mirroring how the de-duplication methods are accounted.
 
+use crate::report::{f, table_only, Row, Value::*};
 use ckpt_compress::Codec;
 use ckpt_telemetry::{StageBreakdown, StageSample};
 use gpu_sim::{Device, KernelCost};
@@ -41,6 +42,22 @@ impl MeasuredRecord {
 
     pub fn measured_throughput(&self) -> f64 {
         self.uncompressed as f64 / self.measured_sec.max(1e-12)
+    }
+
+    /// The record's report fields (the `methods[]` schema of
+    /// `BENCH_fig5.json`, plus the throughputs the human tables show).
+    pub fn row(&self) -> Row {
+        vec![
+            f("name", Text(self.name.clone())),
+            f("uncompressed_bytes", Bytes(self.uncompressed)),
+            f("stored_bytes", Bytes(self.stored)),
+            f("metadata_bytes", Bytes(self.metadata)),
+            f("ratio", Ratio(self.ratio())),
+            f("modeled_sec", Seconds(self.modeled_sec)),
+            f("measured_sec", Seconds(self.measured_sec)),
+            table_only("modeled_tp", Rate(self.modeled_throughput())),
+            table_only("measured_tp", Rate(self.measured_throughput())),
+        ]
     }
 }
 

@@ -1,20 +1,28 @@
 //! Experiment drivers: one function per paper table/figure plus ablations.
 //!
-//! Each returns plain data; `report` renders it and the `figures` binary
-//! wires both to the command line. Absolute numbers differ from the paper's
+//! Each returns plain data that lists its fields once as a [`Report`];
+//! `report` renders that and the `figures` binary wires both to the command
+//! line and evaluates the gates. Absolute numbers differ from the paper's
 //! A100 testbed (see `EXPERIMENTS.md`), but each driver reproduces the
 //! *design* of its experiment: same sweeps, same baselines, same
 //! aggregation rules.
 
 use crate::codecs::{run_codec, run_dedup, MeasuredRecord};
+use crate::report::{
+    f, json_only, rows, Fields, Gate, Report, Row, Rule, Show, Value, Value::*, Violation,
+};
 use crate::workload::gdv_snapshots;
 use ckpt_compress::all_codecs;
 use ckpt_dedup::prelude::*;
 use ckpt_graph::{GraphStats, PaperGraph};
 use ckpt_runtime::{
-    run_scaling, AsyncRuntime, RebasePolicy, RuntimeConfig, ScalingConfig, ScalingMethod,
+    restore_rank_latest_parallel, run_scaling, AsyncRuntime, CheckpointPipeline, CompressionPolicy,
+    RankDedupConfig, RankDedupEngine, RankDedupMetrics, RebasePolicy, RedundancyPolicy,
+    RuntimeConfig, ScalingConfig, ScalingMethod,
 };
+use ckpt_telemetry::Registry;
 use gpu_sim::Device;
+use std::sync::Arc;
 
 /// Shared experiment knobs (scaled-down defaults; the paper's 11–18 M-vertex
 /// graphs become `scale`-vertex synthetic stand-ins).
@@ -77,6 +85,28 @@ pub struct Table1Row {
     pub generated_gdv_bytes: u64,
 }
 
+impl Fields for Table1Row {
+    const TITLE: &'static str = "Table 1: input graphs (paper original vs generated stand-in)";
+    fn fields(&self) -> Row {
+        vec![
+            f("graph", Text(self.graph.name().into())),
+            f("paper_vertices", Count(self.paper_vertices)),
+            f("paper_arcs", Count(self.paper_arcs)),
+            f("paper_gdv_bytes", Bytes(self.paper_gdv_bytes)),
+            f(
+                "generated_vertices",
+                Count(self.generated.n_vertices as u64),
+            ),
+            f("generated_arcs", Count(self.generated.n_arcs as u64)),
+            f("generated_gdv_bytes", Bytes(self.generated_gdv_bytes)),
+            f(
+                "generated_triangles",
+                Count(self.generated.n_triangles as u64),
+            ),
+        ]
+    }
+}
+
 pub fn table1(cfg: ExpConfig) -> Vec<Table1Row> {
     PaperGraph::all()
         .into_iter()
@@ -105,6 +135,51 @@ pub struct Fig4Cell {
     pub graph: PaperGraph,
     pub chunk_size: usize,
     pub methods: Vec<MeasuredRecord>,
+}
+
+/// How many times larger `big` is than `small`.
+fn more(big: u64, small: u64) -> Value {
+    Ratio(big as f64 / small.max(1) as f64)
+}
+
+impl Report for Vec<Fig4Cell> {
+    fn title(&self) -> &'static str {
+        "Figure 4: chunk-size sweep (dedup ratio & throughput), N=10 checkpoints"
+    }
+
+    /// The JSON side (frozen) is each method's aggregated
+    /// [`ckpt_telemetry::StageBreakdown`]; the table side is the record.
+    fn body(&self) -> Value {
+        let method = |m: &MeasuredRecord| {
+            let mut row = m.row();
+            row.iter_mut().for_each(|field| field.show = Show::Table);
+            let b = &m.breakdown;
+            row.extend([
+                json_only("method", Text(b.method.clone())),
+                json_only("ckpt_id", Count(b.ckpt_id as u64)),
+                json_only("total_measured_sec", Seconds(b.total_measured_sec)),
+                json_only("total_modeled_sec", Seconds(b.total_modeled_sec)),
+                json_only(
+                    "stages",
+                    rows(&b.stages, |s| {
+                        vec![
+                            f("name", Text(s.name.into())),
+                            f("measured_sec", Seconds(s.measured_sec)),
+                            f("modeled_sec", Seconds(s.modeled_sec)),
+                        ]
+                    }),
+                ),
+            ]);
+            row
+        };
+        rows(self, |c| {
+            vec![
+                f("chunk_size", Count(c.chunk_size as u64)),
+                f("graph", Text(c.graph.name().into())),
+                f("methods", rows(&c.methods, method)),
+            ]
+        })
+    }
 }
 
 /// Chunk sizes swept by Figure 4.
@@ -146,6 +221,23 @@ pub struct Fig5Cell {
     pub graph: PaperGraph,
     pub n_checkpoints: usize,
     pub methods: Vec<MeasuredRecord>,
+}
+
+impl Report for Vec<Fig5Cell> {
+    fn title(&self) -> &'static str {
+        "Figure 5: checkpoint-frequency sweep (chunk 128 B), vs compressors"
+    }
+
+    fn body(&self) -> Value {
+        let cells = rows(self, |c| {
+            vec![
+                f("graph", Text(c.graph.name().into())),
+                f("n_checkpoints", Count(c.n_checkpoints as u64)),
+                f("methods", rows(&c.methods, MeasuredRecord::row)),
+            ]
+        });
+        Obj(vec![f("cells", cells)])
+    }
 }
 
 /// Checkpoint counts swept by Figure 5.
@@ -206,28 +298,35 @@ pub struct Fig6Point {
     pub measured_throughput: f64,
 }
 
+impl Fields for Fig6Point {
+    const TITLE: &'static str =
+        "Figure 6: strong scaling on Delaunay, Tree vs Full, 10 ckpts/process";
+    fn fields(&self) -> Row {
+        vec![
+            f("n_ranks", Count(self.n_ranks as u64)),
+            f("method", Text(self.method.name().into())),
+            f("total_full", Bytes(self.total_full)),
+            f("total_stored", Bytes(self.total_stored)),
+            f("reduction", more(self.total_full, self.total_stored)),
+            f("modeled_throughput", Rate(self.modeled_throughput)),
+            f("measured_throughput", Rate(self.measured_throughput)),
+        ]
+    }
+}
+
 /// Rank counts swept by Figure 6.
 pub const FIG6_RANKS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Checkpoints per process in the scaling scenario.
 pub const FIG6_CHECKPOINTS: usize = 10;
 
-/// Figure 6: strong scaling, Tree vs Full on Delaunay.
+/// Figure 6: strong scaling, Tree vs Full on Delaunay, over a rank sweep
+/// ([`FIG6_RANKS`]; tests use short sweeps).
 ///
 /// `per_rank_scale` is the vertex count of each rank's partition (the
-/// paper's per-GPU share of Delaunay N24).
-pub fn fig6(per_rank_scale: usize, seed: u64) -> Vec<Fig6Point> {
-    fig6_with_ranks(
-        per_rank_scale,
-        seed,
-        &FIG6_RANKS,
-        crate::workload::SCALING_COVERAGE,
-    )
-}
-
-/// [`fig6`] over a custom rank sweep and run coverage (tests use short
-/// sweeps; the coverage knob models how early in the long Delaunay run the
-/// paper's 10-minute checkpoint interval samples).
+/// paper's per-GPU share of Delaunay N24); the coverage knob models how
+/// early in the long Delaunay run the paper's 10-minute checkpoint interval
+/// samples.
 pub fn fig6_with_ranks(
     per_rank_scale: usize,
     seed: u64,
@@ -278,6 +377,33 @@ pub fn fig6_with_ranks(
 }
 
 // ---------------------------------------------------------- Host scaling
+
+/// Resize the persistent pool and warm it, so worker spawns are not billed
+/// to the timed region that follows.
+fn warm_pool(threads: usize) {
+    use rayon::prelude::*;
+    rayon::set_active_threads(threads);
+    (0..(1usize << 16)).into_par_iter().for_each(|_| {});
+}
+
+/// Run `work` inside a host-clock window: its result, its wall seconds,
+/// and the shim pool's clock sample over the window.
+fn host_clocked<T>(work: impl FnOnce() -> T) -> (T, f64, rayon::HostClockSample) {
+    rayon::host_clock_enable(true);
+    let _ = rayon::host_clock_take();
+    let t0 = std::time::Instant::now();
+    let out = work();
+    let wall_sec = t0.elapsed().as_secs_f64();
+    let clock = rayon::host_clock_take();
+    rayon::host_clock_enable(false);
+    (out, wall_sec, clock)
+}
+
+/// Wall time with the pool's real parallel time swapped for its modeled
+/// makespan (see [`HostScalingPoint::host_modeled_sec`]).
+fn host_modeled_sec(wall_sec: f64, clock: &rayon::HostClockSample) -> f64 {
+    (wall_sec - clock.real_parallel_sec + clock.modeled_parallel_sec).max(0.0)
+}
 
 /// One thread-count point of the host-throughput sweep.
 #[derive(Debug)]
@@ -342,6 +468,83 @@ impl HostScalingReport {
     }
 }
 
+/// Floor on the 4-thread host-modeled speedup at the largest swept scale.
+/// Local calibration shows ~2.9-3.3x at the CI smoke scales; 1.8 keeps slack
+/// for noisy shared runners while still catching a serialized pool.
+pub const HOST_SPEEDUP_FLOOR: f64 = 1.8;
+
+impl Report for HostScalingReport {
+    fn title(&self) -> &'static str {
+        "Host scaling: Tree method over the persistent pool (scale x threads)"
+    }
+
+    fn body(&self) -> Value {
+        let point = |sc: &HostScalingScale, p: &HostScalingPoint| {
+            vec![
+                f("threads", Count(p.threads as u64)),
+                f("wall_sec", Seconds(p.wall_sec)),
+                f("host_modeled_sec", Seconds(p.host_modeled_sec)),
+                f("real_parallel_sec", Seconds(p.real_parallel_sec)),
+                f("modeled_parallel_sec", Seconds(p.modeled_parallel_sec)),
+                f("modeled_sec", Seconds(p.modeled_sec)),
+                f("stored_bytes", Bytes(p.stored_bytes)),
+                f("speedup_vs_1", Ratio(sc.speedup_vs_1(p))),
+                f("record_digest", Digest(p.record_digest)),
+                json_only(
+                    "stages",
+                    rows(&p.stages, |(stage, measured, modeled)| {
+                        vec![
+                            f("stage", Text(stage.clone())),
+                            f("measured_sec", Seconds(*measured)),
+                            f("modeled_sec", Seconds(*modeled)),
+                        ]
+                    }),
+                ),
+            ]
+        };
+        let scales = rows(&self.scales, |sc| {
+            vec![
+                f("scale", Count(sc.scale as u64)),
+                f("snapshot_bytes", Bytes(sc.snapshot_bytes as u64)),
+                f("bit_identical", Bool(sc.bit_identical())),
+                f("points", rows(&sc.points, |p| point(sc, p))),
+            ]
+        });
+        Obj(vec![
+            f("n_checkpoints", Count(self.n_checkpoints as u64)),
+            f("bit_identical", Bool(self.bit_identical())),
+            f("scales", scales),
+        ])
+    }
+
+    /// Checkpoint bytes and record digests must not move with the thread
+    /// count, and the pool must still scale on the largest scale.
+    fn gate(&self) -> Vec<Violation> {
+        let mut g = Gate::default();
+        g.check(Rule::Shape, self.n_checkpoints > 0, "no checkpoints");
+        let largest = self.scales.iter().map(|sc| sc.scale).max();
+        for sc in &self.scales {
+            g.at = format!("scale {}", sc.scale);
+            let swept = sc.points.len() >= 3 && sc.points[0].threads == 1;
+            let sized = sc.scale > 0 && sc.snapshot_bytes > 0;
+            g.check(Rule::Shape, sized && swept, "needs >= 3 thread counts");
+            let staged = sc.points.iter().all(|p| !p.stages.is_empty());
+            g.check(Rule::Shape, staged, "empty stage breakdown");
+            g.check(Rule::DigestDrift, sc.bit_identical(), "digest drifted");
+            let stored = |w: &[HostScalingPoint]| w[0].stored_bytes == w[1].stored_bytes;
+            let fixed = sc.points.windows(2).all(stored);
+            g.check(Rule::StoredBytes, fixed, "stored bytes moved with threads");
+            let four = sc.points.iter().find(|p| p.threads == 4);
+            if let Some(p) = four.filter(|_| Some(sc.scale) == largest) {
+                let speedup = sc.speedup_vs_1(p);
+                let what = format!("4-thread speedup {speedup:.2}x under HOST_SPEEDUP_FLOOR");
+                g.check(Rule::Threshold, speedup >= HOST_SPEEDUP_FLOOR, &what);
+            }
+        }
+        g.found
+    }
+}
+
 /// Checkpoints per (scale, thread-count) point in the host-scaling sweep.
 pub const HOST_SCALING_CHECKPOINTS: usize = 8;
 
@@ -352,12 +555,6 @@ pub const HOST_SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Default problem scales (graph vertices; one snapshot is `73 * 4` bytes
 /// per vertex). Spans ~6 MiB to ~58 MiB snapshots.
 pub const HOST_SCALING_SCALES: [usize; 3] = [20_000, 80_000, 200_000];
-
-/// Host-throughput benchmark over the default scales. See
-/// [`host_scaling_at`].
-pub fn host_scaling(cfg: ExpConfig) -> HostScalingReport {
-    host_scaling_at(&HOST_SCALING_SCALES, cfg.seed)
-}
 
 /// Host-throughput benchmark: for each problem scale, sweep the persistent
 /// pool's thread count and measure the Tree method end-to-end over the GDV
@@ -371,7 +568,6 @@ pub fn host_scaling(cfg: ExpConfig) -> HostScalingReport {
 /// correctness check, not a pipeline stage).
 pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
     use ckpt_hash::{Hasher128, Murmur3};
-    use rayon::prelude::*;
 
     let hasher = Murmur3;
     let mut out = Vec::new();
@@ -395,40 +591,29 @@ pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
         }
         let mut points: Vec<HostScalingPoint> = Vec::new();
         for &threads in &HOST_SCALING_THREADS {
-            rayon::set_active_threads(threads);
-            // Warm the pool outside the timed region so worker spawns are
-            // not billed to the first checkpoint.
-            (0..(1usize << 16)).into_par_iter().for_each(|_| {});
+            warm_pool(threads);
             m.reset_record();
 
-            rayon::host_clock_enable(true);
-            let _ = rayon::host_clock_take();
             let before = device.metrics().snapshot();
-            let mut stage_names: Vec<&'static str> = Vec::new();
-            let mut stage_measured: Vec<f64> = Vec::new();
-            let mut stage_modeled: Vec<f64> = Vec::new();
+            let mut stages: Vec<(String, f64, f64)> = Vec::new();
             let mut diffs = Vec::with_capacity(w.snapshots.len());
-            let t0 = std::time::Instant::now();
-            for snap in &w.snapshots {
-                let out = m.checkpoint(snap);
-                for s in &out.breakdown.stages {
-                    match stage_names.iter().position(|n| *n == s.name) {
-                        Some(i) => {
-                            stage_measured[i] += s.measured_sec;
-                            stage_modeled[i] += s.modeled_sec;
-                        }
-                        None => {
-                            stage_names.push(s.name);
-                            stage_measured.push(s.measured_sec);
-                            stage_modeled.push(s.modeled_sec);
+            let ((), wall_sec, clock) = host_clocked(|| {
+                for snap in &w.snapshots {
+                    let out = m.checkpoint(snap);
+                    for s in &out.breakdown.stages {
+                        match stages.iter_mut().find(|(name, ..)| name == s.name) {
+                            Some((_, measured, modeled)) => {
+                                *measured += s.measured_sec;
+                                *modeled += s.modeled_sec;
+                            }
+                            None => {
+                                stages.push((s.name.to_string(), s.measured_sec, s.modeled_sec))
+                            }
                         }
                     }
+                    diffs.push(out.diff);
                 }
-                diffs.push(out.diff);
-            }
-            let wall_sec = t0.elapsed().as_secs_f64();
-            let clock = rayon::host_clock_take();
-            rayon::host_clock_enable(false);
+            });
             let after = device.metrics().snapshot();
 
             let mut stored = 0u64;
@@ -440,18 +625,13 @@ pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
             points.push(HostScalingPoint {
                 threads,
                 wall_sec,
-                host_modeled_sec: (wall_sec - clock.real_parallel_sec + clock.modeled_parallel_sec)
-                    .max(0.0),
+                host_modeled_sec: host_modeled_sec(wall_sec, &clock),
                 real_parallel_sec: clock.real_parallel_sec,
                 modeled_parallel_sec: clock.modeled_parallel_sec,
                 modeled_sec: after.modeled_sec - before.modeled_sec,
                 stored_bytes: stored,
                 record_digest: (digest.h1, digest.h2),
-                stages: stage_names
-                    .iter()
-                    .zip(stage_measured.iter().zip(stage_modeled.iter()))
-                    .map(|(n, (&me, &mo))| (n.to_string(), me, mo))
-                    .collect(),
+                stages,
             });
         }
         out.push(HostScalingScale {
@@ -541,16 +721,86 @@ impl RestartLatencyReport {
     }
 }
 
+/// Floor on the best host-modeled speedup of the single-pass engine over
+/// sequential replay on the 32-record Tree chain. Local calibration shows
+/// ~4-5.5x at 8 threads; 2.0 is the committed acceptance floor.
+pub const RESTART_SPEEDUP_FLOOR: f64 = 2.0;
+
+/// The chain length [`RESTART_SPEEDUP_FLOOR`] is gated on.
+const RESTART_GATED_CHAIN: usize = 32;
+
+impl Report for RestartLatencyReport {
+    fn title(&self) -> &'static str {
+        "Restart latency: sequential replay vs single-pass parallel engine"
+    }
+
+    fn body(&self) -> Value {
+        let point = |cell: &RestartLatencyCell, p: &RestartLatencyPoint| {
+            vec![
+                f("threads", Count(p.threads as u64)),
+                f("seq_wall_sec", Seconds(p.seq_wall_sec)),
+                f("par_wall_sec", Seconds(p.par_wall_sec)),
+                f("seq_host_modeled_sec", Seconds(p.seq_host_modeled_sec)),
+                f("par_host_modeled_sec", Seconds(p.par_host_modeled_sec)),
+                f("speedup", Ratio(cell.speedup(p))),
+                f("seq_digest", Digest(p.seq_digest)),
+                f("par_digest", Digest(p.par_digest)),
+                f("records_visited", Count(p.records_visited as u64)),
+                f("bytes_copied", Bytes(p.bytes_copied)),
+            ]
+        };
+        let cells = rows(&self.cells, |cell| {
+            vec![
+                f("method", Text(cell.method.into())),
+                f("chain_len", Count(cell.chain_len as u64)),
+                f("snapshot_bytes", Bytes(cell.snapshot_bytes as u64)),
+                f("bit_identical", Bool(cell.bit_identical())),
+                f("best_speedup", Ratio(cell.best_speedup())),
+                f("points", rows(&cell.points, |p| point(cell, p))),
+            ]
+        });
+        Obj(vec![
+            f("scale", Count(self.scale as u64)),
+            f("bit_identical", Bool(self.bit_identical())),
+            f("cells", cells),
+        ])
+    }
+
+    /// Both engines restore identical bytes at every thread count (a
+    /// correctness break, zero tolerance), the copy wave resolves each
+    /// chunk once, and the single-pass engine keeps its latency edge.
+    fn gate(&self) -> Vec<Violation> {
+        let mut g = Gate::default();
+        let methods: Vec<&str> = self.cells.iter().map(|c| c.method).collect();
+        let all_four = covers(&methods, &["Full", "Basic", "List", "Tree"]);
+        g.check(Rule::Shape, all_four, "a dedup method is missing");
+        for c in &self.cells {
+            g.at = format!("{} chain of {}", c.method, c.chain_len);
+            let swept = c.points.len() >= 3 && c.points[0].threads == 1;
+            let sized = c.snapshot_bytes > 0;
+            g.check(Rule::Shape, sized && swept, "needs >= 3 thread counts");
+            let same = c.bit_identical();
+            g.check(Rule::DigestDrift, same, "parallel != sequential restore");
+            let bounded = c.points.iter().all(|p| {
+                (1..=c.chain_len).contains(&(p.records_visited as usize))
+                    && p.bytes_copied <= c.snapshot_bytes as u64
+            });
+            let what = "walk left the chain or copied more than one snapshot";
+            g.check(Rule::RestoreWork, bounded, what);
+            if c.method == "Tree" && c.chain_len == RESTART_GATED_CHAIN {
+                let best = c.best_speedup();
+                let what = format!("best speedup {best:.2}x under RESTART_SPEEDUP_FLOOR");
+                g.check(Rule::Threshold, best >= RESTART_SPEEDUP_FLOOR, &what);
+            }
+        }
+        g.found
+    }
+}
+
 /// Chain lengths swept by [`restart_latency_at`]: a short chain where the
 /// walk overhead shows, and the paper-shaped 32-record chain the ≥2x
 /// speedup acceptance gate runs against.
 pub const RESTART_CHAIN_LENS: [usize; 2] = [8, 32];
-
-/// Restart-latency benchmark over the default chain lengths. See
-/// [`restart_latency_at`].
-pub fn restart_latency(cfg: ExpConfig) -> RestartLatencyReport {
-    restart_latency_at(&RESTART_CHAIN_LENS, cfg.scale, cfg.seed)
-}
 
 /// Restart-latency benchmark: for each (chain length, method) cell, build
 /// a checkpoint chain over the GDV workload, then sweep the persistent
@@ -561,10 +811,6 @@ pub fn restart_latency(cfg: ExpConfig) -> RestartLatencyReport {
 /// restored bytes are digested outside the timed windows and must be
 /// bit-identical across engines and thread counts.
 pub fn restart_latency_at(chain_lens: &[usize], scale: usize, seed: u64) -> RestartLatencyReport {
-    use ckpt_hash::{Hasher128, Murmur3};
-    use rayon::prelude::*;
-
-    let hasher = Murmur3;
     let mut cells = Vec::new();
     for &chain_len in chain_lens {
         let w = gdv_snapshots(PaperGraph::MessageRace, scale, chain_len, seed, true);
@@ -573,43 +819,20 @@ pub fn restart_latency_at(chain_lens: &[usize], scale: usize, seed: u64) -> Rest
             let device = Device::a100();
             let mut points = Vec::new();
             for &threads in &HOST_SCALING_THREADS {
-                rayon::set_active_threads(threads);
-                // Warm the pool outside both timed regions so worker
-                // spawns are not billed to either engine.
-                (0..(1usize << 16)).into_par_iter().for_each(|_| {});
-
-                rayon::host_clock_enable(true);
-                let _ = rayon::host_clock_take();
-                let t0 = std::time::Instant::now();
-                let seq = restore_latest(&diffs).expect("sequential replay");
-                let seq_wall_sec = t0.elapsed().as_secs_f64();
-                let seq_clock = rayon::host_clock_take();
-
-                let t1 = std::time::Instant::now();
-                let (par, stats) =
-                    restore_latest_single_pass(&device, 0, &diffs).expect("single-pass restart");
-                let par_wall_sec = t1.elapsed().as_secs_f64();
-                let par_clock = rayon::host_clock_take();
-                rayon::host_clock_enable(false);
-
+                warm_pool(threads);
+                let (seq, seq_wall_sec, seq_clock) =
+                    host_clocked(|| restore_latest(&diffs).expect("sequential replay"));
+                let ((par, stats), par_wall_sec, par_clock) = host_clocked(|| {
+                    restore_latest_single_pass(&device, 0, &diffs).expect("single-pass restart")
+                });
                 points.push(RestartLatencyPoint {
                     threads,
                     seq_wall_sec,
                     par_wall_sec,
-                    seq_host_modeled_sec: (seq_wall_sec - seq_clock.real_parallel_sec
-                        + seq_clock.modeled_parallel_sec)
-                        .max(0.0),
-                    par_host_modeled_sec: (par_wall_sec - par_clock.real_parallel_sec
-                        + par_clock.modeled_parallel_sec)
-                        .max(0.0),
-                    seq_digest: {
-                        let d = hasher.hash(&seq);
-                        (d.h1, d.h2)
-                    },
-                    par_digest: {
-                        let d = hasher.hash(&par);
-                        (d.h1, d.h2)
-                    },
+                    seq_host_modeled_sec: host_modeled_sec(seq_wall_sec, &seq_clock),
+                    par_host_modeled_sec: host_modeled_sec(par_wall_sec, &par_clock),
+                    seq_digest: murmur3(&seq),
+                    par_digest: murmur3(&par),
                     records_visited: stats.records_visited,
                     bytes_copied: stats.bytes_copied,
                 });
@@ -637,6 +860,22 @@ pub struct MetadataPoint {
     pub list_metadata: u64,
     pub tree_regions: u64,
     pub list_entries: u64,
+}
+
+impl Fields for MetadataPoint {
+    const TITLE: &'static str =
+        "Ablation A2: metadata compaction (Tree vs List), aggregated over N=10";
+    fn fields(&self) -> Row {
+        vec![
+            f("graph", Text(self.graph.name().into())),
+            f("chunk_size", Count(self.chunk_size as u64)),
+            f("tree_metadata", Bytes(self.tree_metadata)),
+            f("list_metadata", Bytes(self.list_metadata)),
+            f("tree_regions", Count(self.tree_regions)),
+            f("list_entries", Count(self.list_entries)),
+            f("saving", more(self.list_metadata, self.tree_metadata)),
+        ]
+    }
 }
 
 pub fn ablation_metadata(cfg: ExpConfig) -> Vec<MetadataPoint> {
@@ -677,6 +916,28 @@ pub struct WavesPoint {
     pub workload: String,
     pub two_stage: MeasuredRecord,
     pub naive: MeasuredRecord,
+}
+
+impl Fields for WavesPoint {
+    const TITLE: &'static str =
+        "Ablation A3: two-stage wave ordering vs naive fused sweep (chunk 64 B)";
+    fn fields(&self) -> Row {
+        vec![
+            f("workload", Text(self.workload.clone())),
+            f(
+                "naive_stores",
+                more(self.naive.stored, self.two_stage.stored),
+            ),
+            f(
+                "naive_metadata",
+                more(self.naive.metadata, self.two_stage.metadata),
+            ),
+            f(
+                "methods",
+                rows(&[&self.two_stage, &self.naive], |m| m.row()),
+            ),
+        ]
+    }
 }
 
 /// Synthetic workload exhibiting the §2.2 hazard: every checkpoint writes a
@@ -745,6 +1006,18 @@ pub struct AdjointPoint {
     pub store_bytes: u64,
 }
 
+impl Fields for AdjointPoint {
+    const TITLE: &'static str =
+        "Extension E5 (\u{a7}5): adjoint reversal, recomputation vs de-duplicated storage";
+    fn fields(&self) -> Row {
+        vec![
+            f("strategy", Text(self.strategy.clone())),
+            f("forward_steps", Count(self.forward_steps)),
+            f("store_bytes", Bytes(self.store_bytes)),
+        ]
+    }
+}
+
 pub fn adjoint(cfg: ExpConfig) -> Vec<AdjointPoint> {
     use ckpt_adjoint::{run_dedup_store, run_revolve, HeatModel, HeatParams};
     let n = cfg.scale.clamp(1_024, 1 << 16);
@@ -800,6 +1073,19 @@ impl StreamingPoint {
     }
 }
 
+impl Fields for StreamingPoint {
+    const TITLE: &'static str =
+        "Extension E3 (\u{a7}5): checkpoint-level streaming (overlap dedup with transfers)";
+    fn fields(&self) -> Row {
+        vec![
+            f("graph", Text(self.graph.name().into())),
+            f("sequential_sec", Seconds(self.sequential_sec)),
+            f("pipelined_sec", Seconds(self.pipelined_sec)),
+            f("speedup", Ratio(self.speedup())),
+        ]
+    }
+}
+
 pub fn streaming(cfg: ExpConfig) -> Vec<StreamingPoint> {
     PaperGraph::single_process()
         .into_iter()
@@ -849,6 +1135,19 @@ pub struct HighFreqPoint {
     /// End-to-end time to emit all checkpoints.
     pub makespan_sec: f64,
     pub total_stored: u64,
+}
+
+impl Fields for HighFreqPoint {
+    const TITLE: &'static str =
+        "Extension E2 (\u{a7}1): high-frequency checkpointing under storage backpressure";
+    fn fields(&self) -> Row {
+        vec![
+            f("method", Text(self.method.into())),
+            f("stall_sec", Seconds(self.stall_sec)),
+            f("makespan_sec", Seconds(self.makespan_sec)),
+            f("total_stored", Bytes(self.total_stored)),
+        ]
+    }
 }
 
 pub fn highfreq(cfg: ExpConfig) -> Vec<HighFreqPoint> {
@@ -921,6 +1220,17 @@ pub struct HybridPoint {
     pub methods: Vec<MeasuredRecord>,
 }
 
+impl Fields for HybridPoint {
+    const TITLE: &'static str =
+        "Extension E1 (paper \u{a7}5): compressing first occurrences inside the diff";
+    fn fields(&self) -> Row {
+        vec![
+            f("graph", Text(self.graph.name().into())),
+            f("methods", rows(&self.methods, MeasuredRecord::row)),
+        ]
+    }
+}
+
 pub fn hybrid(cfg: ExpConfig) -> Vec<HybridPoint> {
     PaperGraph::single_process()
         .into_iter()
@@ -942,6 +1252,186 @@ pub fn hybrid(cfg: ExpConfig) -> Vec<HybridPoint> {
             HybridPoint { graph, methods }
         })
         .collect()
+}
+
+// ------------------------------------ The cluster sweeps' shared runner
+
+/// The methods the three cluster sweeps cross with their stacks.
+const CLUSTER_METHODS: [&str; 2] = ["Tree", "Full"];
+
+fn murmur3(bytes: &[u8]) -> (u64, u64) {
+    use ckpt_hash::{Hasher128, Murmur3};
+    let d = Murmur3.hash(bytes);
+    (d.h1, d.h2)
+}
+
+/// Every rank's record under one method, hashed and encoded once: the
+/// encoded diffs and their modeled device time depend on neither the stack
+/// nor the thread count.
+struct EncodedCluster {
+    device: Device,
+    /// `records[rank][ckpt]`, the encoded diffs.
+    records: Vec<Vec<Vec<u8>>>,
+    /// `hash_sec[rank][ckpt]`, modeled device seconds spent hashing.
+    hash_sec: Vec<Vec<f64>>,
+    /// Σ encoded diff lengths over all ranks.
+    raw_bytes: u64,
+    /// Murmur3 digest of each rank's final snapshot.
+    want: Vec<(u64, u64)>,
+}
+
+fn encode_cluster(method: &str, snapshots: &[&[Vec<u8>]]) -> EncodedCluster {
+    let device = Device::a100();
+    let (mut records, mut hash_sec) = (Vec::new(), Vec::new());
+    for rank in snapshots {
+        let mut m: Box<dyn Checkpointer> = match method {
+            "Tree" => Box::new(TreeCheckpointer::new(
+                device.clone(),
+                TreeConfig::new(FIG5_CHUNK),
+            )),
+            _ => Box::new(FullCheckpointer::new(device.clone(), FIG5_CHUNK)),
+        };
+        let (mut encoded, mut sec) = (Vec::new(), Vec::new());
+        for snap in *rank {
+            let before = device.metrics().snapshot().modeled_sec;
+            let out = m.checkpoint(snap);
+            sec.push(device.metrics().snapshot().modeled_sec - before);
+            encoded.push(out.diff.encode());
+        }
+        records.push(encoded);
+        hash_sec.push(sec);
+    }
+    EncodedCluster {
+        device,
+        raw_bytes: records.iter().flatten().map(|e| e.len() as u64).sum(),
+        want: snapshots
+            .iter()
+            .map(|rank| murmur3(rank.last().expect("snapshots")))
+            .collect(),
+        records,
+        hash_sec,
+    }
+}
+
+/// A stack whose record has drained: the tiers still hold every object.
+struct Drained {
+    rt: Arc<AsyncRuntime>,
+    /// Wall time from first submit to a fully drained PFS.
+    wall_sec: f64,
+    /// Extra wall time until every redundancy encoding is durable and
+    /// every claim batch settled.
+    settle_sec: f64,
+    /// Post-compression wire bytes of each object on the PFS,
+    /// checkpoint-major.
+    wire: Vec<u64>,
+    /// Bytes resident on the redundancy group tier.
+    group_bytes: u64,
+}
+
+/// Start the stack a sweep cell names (compression and redundancy policy
+/// as the spellings the reports print, cluster dedup index on or off),
+/// submit every rank's record interleaved checkpoint-major (the cluster
+/// schedule: the first rank to submit a checkpoint wins its shared claims)
+/// through one depth-1 [`CheckpointPipeline`], and settle: PFS durable,
+/// then redundancy encodings and claims.
+fn drain_cluster(
+    enc: &EncodedCluster,
+    compression: &str,
+    redundancy: &str,
+    rank_dedup: bool,
+) -> Drained {
+    let (n_ranks, n_ckpts) = (enc.records.len() as u32, enc.records[0].len() as u32);
+    let registry = Arc::new(Registry::new());
+    let engine = rank_dedup.then(|| {
+        let config = RankDedupConfig {
+            ranks: n_ranks,
+            chunk_len: RANK_DEDUP_CHUNK,
+        };
+        RankDedupEngine::new(config, RankDedupMetrics::bound(Arc::clone(&registry)))
+    });
+    let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
+        registry: Arc::clone(&registry),
+        compression: CompressionPolicy::parse(compression).expect("known policy"),
+        redundancy: RedundancyPolicy::parse(redundancy).expect("known policy"),
+        rank_dedup: engine,
+        ..Default::default()
+    }));
+    let pipe = CheckpointPipeline::new(Arc::clone(&rt));
+    let ids: Vec<(u32, u32)> = (0..n_ckpts)
+        .flat_map(|k| (0..n_ranks).map(move |r| (r, k)))
+        .collect();
+    let t0 = std::time::Instant::now();
+    for &(r, k) in &ids {
+        let b = enc.records[r as usize][k as usize].clone();
+        pipe.submit_with(r, k, Box::new(move || b));
+    }
+    let pstats = pipe.close();
+    rt.wait_durable(&ids);
+    let wall_sec = t0.elapsed().as_secs_f64();
+    assert_eq!(
+        pstats.submitted,
+        ids.len() as u64,
+        "every checkpoint must land durably"
+    );
+    let t1 = std::time::Instant::now();
+    rt.wait_redundancy_durable(&ids);
+    if let Some(e) = rt.rank_dedup() {
+        e.quiesce();
+    }
+    let settle_sec = t1.elapsed().as_secs_f64();
+
+    let tiers = rt.tiers();
+    let stored_len = |&id| {
+        let object = tiers.pfs.inspect_object(id).into_object();
+        object.expect("durable object").stored_len()
+    };
+    Drained {
+        wire: ids.iter().map(stored_len).collect(),
+        group_bytes: tiers
+            .redundancy()
+            .map_or(0, |red| red.group_tier().used_bytes()),
+        rt,
+        wall_sec,
+        settle_sec,
+    }
+}
+
+impl Drained {
+    /// Producer time blocked in the depth-1 handoff.
+    fn enqueue_wait_sec(&self) -> f64 {
+        let span = self.rt.telemetry().span_stats("pipeline/enqueue_wait");
+        span.measured_sec()
+    }
+
+    /// Full local loss of `rank`: host and SSD always go; with a
+    /// redundancy group the PFS copies go too, so both the rank's own
+    /// restore and every cross-rank reference into it must come back
+    /// through the group. Returns where recovery has to come from.
+    fn lose_rank(&self, rank: u32) -> &'static str {
+        let tiers = self.rt.tiers();
+        tiers.host.wipe_rank(rank);
+        tiers.ssd.wipe_rank(rank);
+        if tiers.redundancy().is_none() {
+            return "pfs";
+        }
+        tiers.pfs.wipe_rank(rank);
+        "group"
+    }
+
+    /// Restore `rank`'s latest checkpoint through the parallel restart
+    /// engine: the Murmur3 digest of the bytes and the wall time it took.
+    fn restore(&self, enc: &EncodedCluster, rank: u32) -> ((u64, u64), f64) {
+        let t = std::time::Instant::now();
+        let restored = restore_rank_latest_parallel(self.rt.tiers(), &enc.device, rank, None)
+            .expect("rank restorable");
+        let sec = t.elapsed().as_secs_f64();
+        (murmur3(&restored.data), sec)
+    }
+}
+
+/// True when `have` holds every name in `want`.
+fn covers(have: &[&str], want: &[&str]) -> bool {
+    want.iter().all(|w| have.contains(w))
 }
 
 // ------------------------------------ Flush pipeline (compressed tiers)
@@ -1042,6 +1532,97 @@ impl FlushPipelineReport {
     }
 }
 
+/// Ceiling on the Hugebubbles Tree cell's adaptive `ratio_pct`: adaptive
+/// compression must keep paying on the mesh workload, i.e. store strictly
+/// less than 100% of raw.
+pub const ADAPTIVE_RATIO_CEILING_PCT: u64 = 100;
+
+impl Report for FlushPipelineReport {
+    fn title(&self) -> &'static str {
+        "Flush pipeline: compressed tiers (methods x policy x threads)"
+    }
+
+    fn body(&self) -> Value {
+        let point = |p: &FlushPipelinePoint| {
+            vec![
+                f("policy", Text(p.policy.clone())),
+                f("threads", Count(p.threads as u64)),
+                f("raw_bytes", Bytes(p.raw_bytes)),
+                f("stored_bytes", Bytes(p.stored_bytes)),
+                f("ratio_pct", Count(p.ratio_pct)),
+                f("modeled_pfs_write_sec", Seconds(p.modeled_pfs_write_sec)),
+                f("modeled_e2e_sec", Seconds(p.modeled_e2e_sec)),
+                f("wall_sec", Seconds(p.wall_sec)),
+                f("enqueue_wait_sec", Seconds(p.enqueue_wait_sec)),
+                f("restore_digest", Digest(p.restore_digest)),
+                f("restore_ok", Bool(p.restore_ok)),
+            ]
+        };
+        let cell = |c: &FlushPipelineCell| {
+            vec![
+                f("method", Text(c.method.into())),
+                f("bit_identical", Bool(c.bit_identical())),
+                f(
+                    "stored_reduction_adaptive",
+                    Ratio(c.stored_reduction_adaptive()),
+                ),
+                f("e2e_speedup_adaptive", Ratio(c.e2e_speedup_adaptive())),
+                f("points", rows(&c.points, point)),
+            ]
+        };
+        let workloads = rows(&self.workloads, |w| {
+            vec![
+                f("graph", Text(w.graph.name().into())),
+                f("scale", Count(w.scale as u64)),
+                f("snapshot_bytes", Bytes(w.snapshot_bytes as u64)),
+                f("cells", rows(&w.cells, cell)),
+            ]
+        });
+        Obj(vec![
+            f("n_checkpoints", Count(self.n_checkpoints as u64)),
+            f("bit_identical", Bool(self.bit_identical())),
+            f("workloads", workloads),
+        ])
+    }
+
+    /// Compressed and uncompressed flushes restore identical bytes at every
+    /// thread count (zero tolerance), compression never inflates, and
+    /// adaptive keeps paying on the mesh workload.
+    fn gate(&self) -> Vec<Violation> {
+        let mut g = Gate::default();
+        let mesh = |w: &FlushPipelineWorkload| w.graph == PaperGraph::Hugebubbles;
+        let swept = self.n_checkpoints > 0 && self.workloads.iter().any(mesh);
+        g.check(Rule::Shape, swept, "needs a Hugebubbles workload");
+        for w in &self.workloads {
+            g.at = format!("{}/{}", w.graph, w.scale);
+            let methods: Vec<&str> = w.cells.iter().map(|c| c.method).collect();
+            let sized = w.snapshot_bytes > 0 && covers(&methods, &CLUSTER_METHODS);
+            g.check(Rule::Shape, sized, "needs a snapshot and Tree + Full cells");
+            for c in &w.cells {
+                g.at = format!("{}/{} {}", w.graph, w.scale, c.method);
+                let policies: Vec<&str> = c.points.iter().map(|p| &p.policy[..]).collect();
+                let baseline = covers(&policies, &["off", "adaptive"]);
+                g.check(Rule::Shape, baseline, "needs off and adaptive points");
+                let same = c.bit_identical();
+                g.check(Rule::DigestDrift, same, "restore digest drifted");
+                let within = |p: &FlushPipelinePoint| (1..=p.raw_bytes).contains(&p.stored_bytes);
+                let bounded = c.points.iter().all(within);
+                g.check(Rule::StoredBytes, bounded, "stored bytes outside (0, raw]");
+                let gated = mesh(w) && c.method == "Tree";
+                for p in c.points.iter().filter(|p| gated && p.policy == "adaptive") {
+                    let what = format!(
+                        "{}t: adaptive ratio {}% not under raw",
+                        p.threads, p.ratio_pct
+                    );
+                    let under = p.ratio_pct < ADAPTIVE_RATIO_CEILING_PCT;
+                    g.check(Rule::Threshold, under, &what);
+                }
+            }
+        }
+        g.found
+    }
+}
+
 /// Checkpoints per cell in the flush-pipeline sweep.
 pub const FLUSH_PIPELINE_CHECKPOINTS: usize = 8;
 
@@ -1057,11 +1638,6 @@ pub const FLUSH_PIPELINE_POLICIES: [&str; 3] = ["off", "zstd", "adaptive"];
 /// per vertex).
 pub const FLUSH_PIPELINE_SCALES: [usize; 2] = [20_000, 80_000];
 
-/// Compressed-flush benchmark over the default scales and thread counts.
-pub fn flush_pipeline(cfg: ExpConfig) -> FlushPipelineReport {
-    flush_pipeline_at(&FLUSH_PIPELINE_SCALES, cfg.seed, &FLUSH_PIPELINE_THREADS)
-}
-
 /// The compressed-flush benchmark: for each workload (graph × scale) and
 /// method, hash the record once (the encoded diffs and their modeled device
 /// time depend on neither policy nor threads), then sweep policy × thread
@@ -1074,89 +1650,29 @@ pub fn flush_pipeline(cfg: ExpConfig) -> FlushPipelineReport {
 /// checkpoint `k`'s hashing with the SSD+PFS flush of `k-1`, exactly the
 /// double-buffer schedule the submit path implements.
 pub fn flush_pipeline_at(scales: &[usize], seed: u64, threads: &[usize]) -> FlushPipelineReport {
-    use ckpt_hash::{Hasher128, Murmur3};
-    use ckpt_runtime::{
-        restore_rank_latest_parallel, CheckpointPipeline, CompressionPolicy, TierConfig,
-    };
-    use ckpt_telemetry::Registry;
-    use rayon::prelude::*;
-    use std::sync::Arc;
+    use ckpt_runtime::TierConfig;
 
-    let hasher = Murmur3;
     let ssd_bw = TierConfig::ssd().bandwidth_bps;
     let pfs_bw = TierConfig::pfs().bandwidth_bps;
     let mut workloads = Vec::new();
     for &scale in scales {
         for graph in [PaperGraph::MessageRace, PaperGraph::Hugebubbles] {
             let w = gdv_snapshots(graph, scale, FLUSH_PIPELINE_CHECKPOINTS, seed, true);
-            let want = hasher.hash(w.snapshots.last().expect("snapshots"));
             let mut cells = Vec::new();
-            for method in ["Tree", "Full"] {
-                let device = Device::a100();
-                let mut m: Box<dyn Checkpointer> = match method {
-                    "Tree" => Box::new(TreeCheckpointer::new(
-                        device.clone(),
-                        TreeConfig::new(FIG5_CHUNK),
-                    )),
-                    _ => Box::new(FullCheckpointer::new(device.clone(), FIG5_CHUNK)),
-                };
-                let mut encoded: Vec<Vec<u8>> = Vec::new();
-                let mut hash_sec: Vec<f64> = Vec::new();
-                for snap in &w.snapshots {
-                    let before = device.metrics().snapshot();
-                    let out = m.checkpoint(snap);
-                    hash_sec.push(device.metrics().snapshot().modeled_sec - before.modeled_sec);
-                    encoded.push(out.diff.encode());
-                }
-                let raw_bytes: u64 = encoded.iter().map(|e| e.len() as u64).sum();
-
+            for method in CLUSTER_METHODS {
+                let enc = encode_cluster(method, &[&w.snapshots[..]]);
+                let hash_sec = &enc.hash_sec[0];
                 let mut points = Vec::new();
-                for policy_name in FLUSH_PIPELINE_POLICIES {
-                    let policy = CompressionPolicy::parse(policy_name).expect("known policy");
+                for policy in FLUSH_PIPELINE_POLICIES {
                     for &t in threads {
-                        rayon::set_active_threads(t);
-                        // Warm the pool outside the timed region.
-                        (0..(1usize << 14)).into_par_iter().for_each(|_| {});
-                        let registry = Arc::new(Registry::new());
-                        let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
-                            registry: Arc::clone(&registry),
-                            compression: policy,
-                            ..Default::default()
-                        }));
-                        let pipe = CheckpointPipeline::new(Arc::clone(&rt));
-                        let ids: Vec<(u32, u32)> =
-                            (0..encoded.len() as u32).map(|k| (0, k)).collect();
-                        let t0 = std::time::Instant::now();
-                        for (k, bytes) in encoded.iter().enumerate() {
-                            let b = bytes.clone();
-                            pipe.submit_with(0, k as u32, Box::new(move || b));
-                        }
-                        let pstats = pipe.close();
-                        rt.wait_durable(&ids);
-                        let wall_sec = t0.elapsed().as_secs_f64();
-                        assert_eq!(
-                            pstats.submitted,
-                            encoded.len() as u64,
-                            "every checkpoint must land durably"
-                        );
-
-                        // Post-compression wire bytes, per object, off the PFS.
-                        let wire: Vec<u64> = ids
-                            .iter()
-                            .map(|&id| {
-                                rt.tiers()
-                                    .pfs
-                                    .inspect_object(id)
-                                    .into_object()
-                                    .expect("durable object")
-                                    .stored_len()
-                            })
-                            .collect();
-                        let stored_bytes: u64 = wire.iter().sum();
+                        warm_pool(t);
+                        let run = drain_cluster(&enc, policy, "off", false);
+                        let stored_bytes: u64 = run.wire.iter().sum();
 
                         // Depth-1 overlap: hash of checkpoint k hides behind
                         // the SSD+PFS flush of k-1; the last flush drains alone.
-                        let flush: Vec<f64> = wire
+                        let flush: Vec<f64> = run
+                            .wire
                             .iter()
                             .map(|&b| b as f64 / ssd_bw + b as f64 / pfs_bw)
                             .collect();
@@ -1166,28 +1682,20 @@ pub fn flush_pipeline_at(scales: &[usize], seed: u64, threads: &[usize]) -> Flus
                         }
                         e2e += flush[flush.len() - 1];
 
-                        let restored = restore_rank_latest_parallel(rt.tiers(), &device, 0, None)
-                            .expect("record restorable");
-                        let digest = hasher.hash(&restored.data);
+                        let (restore_digest, _) = run.restore(&enc, 0);
                         points.push(FlushPipelinePoint {
-                            policy: policy_name.to_string(),
+                            policy: policy.to_string(),
                             threads: t,
-                            raw_bytes,
+                            raw_bytes: enc.raw_bytes,
                             stored_bytes,
-                            ratio_pct: stored_bytes * 100 / raw_bytes.max(1),
+                            ratio_pct: stored_bytes * 100 / enc.raw_bytes.max(1),
                             modeled_pfs_write_sec: stored_bytes as f64 / pfs_bw,
                             modeled_e2e_sec: e2e,
-                            wall_sec,
-                            enqueue_wait_sec: registry
-                                .span_stats("pipeline/enqueue_wait")
-                                .measured_sec(),
-                            restore_digest: (digest.h1, digest.h2),
-                            restore_ok: (digest.h1, digest.h2) == (want.h1, want.h2),
+                            wall_sec: run.wall_sec,
+                            enqueue_wait_sec: run.enqueue_wait_sec(),
+                            restore_digest,
+                            restore_ok: restore_digest == enc.want[0],
                         });
-                        Arc::try_unwrap(rt)
-                            .ok()
-                            .expect("pipeline released its handle")
-                            .shutdown();
                     }
                 }
                 cells.push(FlushPipelineCell { method, points });
@@ -1291,6 +1799,105 @@ impl RedundancyReport {
     }
 }
 
+/// Ceiling on the Tree cell's `xor:4` storage overhead, percent of stored
+/// bytes. Theory is ~100/(k-1) = 33%; 50 keeps slack for the per-stripe
+/// member-list framing on small objects while staying well under the
+/// partner mirror's 100%. Overheads are gated on stored bytes, never wall
+/// time: wall-clock deltas at smoke scale are runner noise.
+pub const XOR4_OVERHEAD_CEILING_PCT: u64 = 50;
+
+/// Where a lost rank must come back from under `policy`: without a group
+/// only the local tiers are wiped and the PFS copy serves; with one the
+/// PFS copy is wiped too, so only partners/parity can.
+fn restore_source_for(policy: &str) -> &'static str {
+    match policy {
+        "off" => "pfs",
+        _ => "group",
+    }
+}
+
+impl Report for RedundancyReport {
+    fn title(&self) -> &'static str {
+        "Cross-rank redundancy: rank-loss recovery (methods x policy)"
+    }
+
+    fn body(&self) -> Value {
+        let point = |cell: &RedundancyCell, p: &RedundancyPoint| {
+            vec![
+                f("policy", Text(p.policy.clone())),
+                f("raw_bytes", Bytes(p.raw_bytes)),
+                f("stored_bytes", Bytes(p.stored_bytes)),
+                f("group_bytes", Bytes(p.group_bytes)),
+                f("storage_overhead_pct", Count(p.storage_overhead_pct)),
+                f("wall_sec", Seconds(p.wall_sec)),
+                f("agg_throughput_bps", Rate(p.agg_throughput_bps)),
+                f(
+                    "throughput_overhead_pct",
+                    Ratio(cell.throughput_overhead_pct(&p.policy)),
+                ),
+                f("redundancy_drain_sec", Seconds(p.redundancy_drain_sec)),
+                f("enqueue_wait_sec", Seconds(p.enqueue_wait_sec)),
+                f("restore_source", Text(p.restore_source.into())),
+                f("rank_loss_restore_sec", Seconds(p.rank_loss_restore_sec)),
+                f("restore_digest", Digest(p.restore_digest)),
+                f("restore_ok", Bool(p.restore_ok)),
+            ]
+        };
+        let cells = rows(&self.cells, |cell| {
+            vec![
+                f("method", Text(cell.method.into())),
+                f("bit_identical", Bool(cell.bit_identical())),
+                f("points", rows(&cell.points, |p| point(cell, p))),
+            ]
+        });
+        Obj(vec![
+            f("graph", Text(self.graph.name().into())),
+            f("scale", Count(self.scale as u64)),
+            f("n_ranks", Count(self.n_ranks as u64)),
+            f("n_checkpoints", Count(self.n_checkpoints as u64)),
+            f("lost_rank", Count(self.lost_rank as u64)),
+            f("bit_identical", Bool(self.bit_identical())),
+            f("cells", cells),
+        ])
+    }
+
+    /// Every policy restores the lost rank bit-identically to fault-free
+    /// replay (zero tolerance: that is the point of the parity group),
+    /// from where its policy says, at a bounded storage cost.
+    fn gate(&self) -> Vec<Violation> {
+        let mut g = Gate::default();
+        let methods: Vec<&str> = self.cells.iter().map(|c| c.method).collect();
+        let cluster = self.n_ranks >= 4 && (self.lost_rank as usize) < self.n_ranks;
+        let swept = self.n_checkpoints > 0 && covers(&methods, &CLUSTER_METHODS);
+        let what = "needs >= 4 ranks, one of them lost, and Tree + Full cells";
+        g.check(Rule::Shape, cluster && swept, what);
+        for c in &self.cells {
+            g.at = c.method.to_string();
+            let policies: Vec<&str> = c.points.iter().map(|p| &p.policy[..]).collect();
+            let all = covers(&policies, &REDUNDANCY_POLICIES);
+            g.check(Rule::Shape, all, "a redundancy policy is missing");
+            let same = |w: &[RedundancyPoint]| w[0].restore_digest == w[1].restore_digest;
+            let same = c.bit_identical() && c.points.windows(2).all(same);
+            g.check(Rule::DigestDrift, same, "lost-rank restore digest drifted");
+            for p in &c.points {
+                g.at = format!("{} {}", c.method, p.policy);
+                let want = restore_source_for(&p.policy);
+                let grouped = (p.group_bytes > 0) == (want == "group");
+                g.check(Rule::StoredBytes, grouped, "group bytes vs policy");
+                let what = format!("restored from {}, not {want}", p.restore_source);
+                g.check(Rule::RestoreSource, p.restore_source == want, &what);
+                if c.method == "Tree" && p.policy == "xor:4" {
+                    let pct = p.storage_overhead_pct;
+                    let what =
+                        format!("storage overhead {pct}% not under XOR4_OVERHEAD_CEILING_PCT");
+                    g.check(Rule::Threshold, pct < XOR4_OVERHEAD_CEILING_PCT, &what);
+                }
+            }
+        }
+        g.found
+    }
+}
+
 /// Checkpoints per rank in the redundancy sweep.
 pub const REDUNDANCY_CHECKPOINTS: usize = 6;
 
@@ -1315,14 +1922,6 @@ pub const REDUNDANCY_SCALE: usize = 20_000;
 /// group before replaying. The restored bytes are digest-checked against
 /// the rank's final snapshot.
 pub fn redundancy_at(scale: usize, seed: u64) -> RedundancyReport {
-    use ckpt_hash::{Hasher128, Murmur3};
-    use ckpt_runtime::{
-        restore_rank_latest_parallel, CheckpointPipeline, CompressionPolicy, RedundancyPolicy,
-    };
-    use ckpt_telemetry::Registry;
-    use std::sync::Arc;
-
-    let hasher = Murmur3;
     let graph = PaperGraph::MessageRace;
     let lost_rank: u32 = 1;
 
@@ -1330,125 +1929,32 @@ pub fn redundancy_at(scale: usize, seed: u64) -> RedundancyReport {
     let workloads: Vec<_> = (0..REDUNDANCY_RANKS)
         .map(|r| gdv_snapshots(graph, scale, REDUNDANCY_CHECKPOINTS, seed + r as u64, true))
         .collect();
-    let want: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            let d = hasher.hash(w.snapshots.last().expect("snapshots"));
-            (d.h1, d.h2)
-        })
-        .collect();
+    let snapshots: Vec<&[Vec<u8>]> = workloads.iter().map(|w| &w.snapshots[..]).collect();
 
-    let device = Device::a100();
     let mut cells = Vec::new();
-    for method in ["Tree", "Full"] {
-        // Hash every rank's record once; diffs depend only on the method.
-        let mut encoded: Vec<Vec<Vec<u8>>> = Vec::new();
-        for w in &workloads {
-            let mut m: Box<dyn Checkpointer> = match method {
-                "Tree" => Box::new(TreeCheckpointer::new(
-                    device.clone(),
-                    TreeConfig::new(FIG5_CHUNK),
-                )),
-                _ => Box::new(FullCheckpointer::new(device.clone(), FIG5_CHUNK)),
-            };
-            encoded.push(
-                w.snapshots
-                    .iter()
-                    .map(|s| m.checkpoint(s).diff.encode())
-                    .collect(),
-            );
-        }
-        let raw_bytes: u64 = encoded
-            .iter()
-            .flat_map(|r| r.iter().map(|e| e.len() as u64))
-            .sum();
-
+    for method in CLUSTER_METHODS {
+        let enc = encode_cluster(method, &snapshots);
         let mut points = Vec::new();
-        for policy_name in REDUNDANCY_POLICIES {
-            let redundancy = RedundancyPolicy::parse(policy_name).expect("known policy");
-            let registry = Arc::new(Registry::new());
-            let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
-                registry: Arc::clone(&registry),
-                compression: CompressionPolicy::parse("adaptive").expect("known policy"),
-                redundancy,
-                ..Default::default()
-            }));
-            let pipe = CheckpointPipeline::new(Arc::clone(&rt));
-            let ids: Vec<(u32, u32)> = (0..REDUNDANCY_CHECKPOINTS as u32)
-                .flat_map(|k| (0..REDUNDANCY_RANKS as u32).map(move |r| (r, k)))
-                .collect();
-            let t0 = std::time::Instant::now();
-            for k in 0..REDUNDANCY_CHECKPOINTS {
-                // Interleave ranks checkpoint-major, the cluster schedule.
-                for (r, rank_encoded) in encoded.iter().enumerate() {
-                    let b = rank_encoded[k].clone();
-                    pipe.submit_with(r as u32, k as u32, Box::new(move || b));
-                }
-            }
-            let pstats = pipe.close();
-            rt.wait_durable(&ids);
-            let wall_sec = t0.elapsed().as_secs_f64();
-            assert_eq!(
-                pstats.submitted,
-                ids.len() as u64,
-                "every checkpoint must land durably"
-            );
-            let t1 = std::time::Instant::now();
-            rt.wait_redundancy_durable(&ids);
-            let redundancy_drain_sec = t1.elapsed().as_secs_f64();
-
-            let stored_bytes: u64 = ids
-                .iter()
-                .map(|&id| {
-                    rt.tiers()
-                        .pfs
-                        .inspect_object(id)
-                        .into_object()
-                        .expect("durable object")
-                        .stored_len()
-                })
-                .sum();
-            let group_bytes = rt
-                .tiers()
-                .redundancy()
-                .map(|red| red.group_tier().used_bytes())
-                .unwrap_or(0);
-
-            // Rank loss: local tiers always go; with redundancy on, the
-            // PFS copies go too so recovery must come from the group.
-            rt.tiers().host.wipe_rank(lost_rank);
-            rt.tiers().ssd.wipe_rank(lost_rank);
-            let restore_source = if redundancy == RedundancyPolicy::Off {
-                "pfs"
-            } else {
-                rt.tiers().pfs.wipe_rank(lost_rank);
-                "group"
-            };
-            let t2 = std::time::Instant::now();
-            let restored = restore_rank_latest_parallel(rt.tiers(), &device, lost_rank, None)
-                .expect("lost rank restorable");
-            let rank_loss_restore_sec = t2.elapsed().as_secs_f64();
-            let digest = hasher.hash(&restored.data);
-
+        for policy in REDUNDANCY_POLICIES {
+            let run = drain_cluster(&enc, "adaptive", policy, false);
+            let stored_bytes: u64 = run.wire.iter().sum();
+            let restore_source = run.lose_rank(lost_rank);
+            let (restore_digest, rank_loss_restore_sec) = run.restore(&enc, lost_rank);
             points.push(RedundancyPoint {
-                policy: policy_name.to_string(),
-                raw_bytes,
+                policy: policy.to_string(),
+                raw_bytes: enc.raw_bytes,
                 stored_bytes,
-                group_bytes,
-                storage_overhead_pct: group_bytes * 100 / stored_bytes.max(1),
-                wall_sec,
-                agg_throughput_bps: raw_bytes as f64 / wall_sec.max(1e-12),
-                redundancy_drain_sec,
-                enqueue_wait_sec: registry.span_stats("pipeline/enqueue_wait").measured_sec(),
+                group_bytes: run.group_bytes,
+                storage_overhead_pct: run.group_bytes * 100 / stored_bytes.max(1),
+                wall_sec: run.wall_sec,
+                agg_throughput_bps: enc.raw_bytes as f64 / run.wall_sec.max(1e-12),
+                redundancy_drain_sec: run.settle_sec,
+                enqueue_wait_sec: run.enqueue_wait_sec(),
                 restore_source,
                 rank_loss_restore_sec,
-                restore_digest: (digest.h1, digest.h2),
-                restore_ok: (digest.h1, digest.h2) == want[lost_rank as usize],
+                restore_digest,
+                restore_ok: restore_digest == enc.want[lost_rank as usize],
             });
-            Arc::try_unwrap(rt)
-                .ok()
-                .expect("pipeline released its handle")
-                .shutdown();
         }
         cells.push(RedundancyCell { method, points });
     }
@@ -1535,7 +2041,6 @@ pub struct RankDedupReport {
     pub chunk: usize,
     pub lost_rank: u32,
     pub witness_rank: u32,
-    pub threads: Vec<usize>,
     pub cells: Vec<RankDedupCell>,
 }
 
@@ -1550,6 +2055,116 @@ impl RankDedupReport {
             .iter()
             .flat_map(|c| RANK_DEDUP_POLICIES.iter().map(move |p| c.reduction_pct(p)))
             .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// Floor on the stored-byte reduction of the cluster index over per-rank
+/// dedup, percent, in every (method, policy) cell. Local calibration shows
+/// ~42% Tree / ~88% Full on the overlapping working set.
+pub const RANK_DEDUP_REDUCTION_FLOOR_PCT: f64 = 25.0;
+
+impl Report for RankDedupReport {
+    fn title(&self) -> &'static str {
+        "Cluster-wide rank dedup: stored bytes and restores (methods x policy x index on/off)"
+    }
+
+    fn body(&self) -> Value {
+        let restore = |r: &RankDedupRestore| {
+            vec![
+                f("threads", Count(r.threads as u64)),
+                f("lost_digest", Digest(r.lost_digest)),
+                f("witness_digest", Digest(r.witness_digest)),
+                f("lost_ok", Bool(r.lost_ok)),
+                f("witness_ok", Bool(r.witness_ok)),
+                f("restore_sec", Seconds(r.restore_sec)),
+            ]
+        };
+        let point = |cell: &RankDedupCell, p: &RankDedupPoint| {
+            let reduction = p.rank_dedup.then(|| cell.reduction_pct(&p.policy));
+            vec![
+                f("policy", Text(p.policy.clone())),
+                f("rank_dedup", Bool(p.rank_dedup)),
+                f("raw_bytes", Bytes(p.raw_bytes)),
+                f("stored_bytes", Bytes(p.stored_bytes)),
+                f("group_bytes", Bytes(p.group_bytes)),
+                f("claims", Count(p.claims)),
+                f("remote_refs", Count(p.remote_refs)),
+                f("remote_bytes_saved", Bytes(p.remote_bytes_saved)),
+                f("reduction_pct", Ratio(reduction.unwrap_or(0.0))),
+                f("wall_sec", Seconds(p.wall_sec)),
+                f("modeled_e2e_sec", Seconds(p.modeled_e2e_sec)),
+                f("restore_source", Text(p.restore_source.into())),
+                f("restores", rows(&p.restores, restore)),
+            ]
+        };
+        let cells = rows(&self.cells, |cell| {
+            vec![
+                f("method", Text(cell.method.into())),
+                f("bit_identical", Bool(cell.bit_identical())),
+                f("points", rows(&cell.points, |p| point(cell, p))),
+            ]
+        });
+        Obj(vec![
+            f("graph", Text(self.graph.name().into())),
+            f("scale", Count(self.scale as u64)),
+            f("n_ranks", Count(self.n_ranks as u64)),
+            f("n_checkpoints", Count(self.n_checkpoints as u64)),
+            f("chunk", Count(self.chunk as u64)),
+            f("lost_rank", Count(self.lost_rank as u64)),
+            f("witness_rank", Count(self.witness_rank as u64)),
+            f("bit_identical", Bool(self.bit_identical())),
+            f("min_reduction_pct", Ratio(self.min_reduction_pct())),
+            f("cells", cells),
+        ])
+    }
+
+    /// No restore digest moves with the dedup switch, the policy or the
+    /// thread count (zero tolerance: a cross-rank reference must resolve
+    /// to the exact bytes the owner stored), only the index publishes
+    /// claims, and it stores strictly and substantially less.
+    fn gate(&self) -> Vec<Violation> {
+        let mut g = Gate::default();
+        let methods: Vec<&str> = self.cells.iter().map(|c| c.method).collect();
+        let lost = self.lost_rank;
+        let cluster = self.n_ranks >= 4 && (lost as usize) < self.n_ranks;
+        let swept = self.n_checkpoints > 0 && covers(&methods, &CLUSTER_METHODS);
+        let what = "needs >= 4 ranks, a lost and another witness rank, and Tree + Full cells";
+        let witnessed = self.witness_rank != lost;
+        g.check(Rule::Shape, cluster && swept && witnessed, what);
+        for c in &self.cells {
+            for p in &c.points {
+                g.at = format!("{} {} index {}", c.method, p.policy, p.rank_dedup);
+                let threads: Vec<usize> = p.restores.iter().map(|r| r.threads).collect();
+                let all = threads == RANK_DEDUP_THREADS;
+                g.check(Rule::Shape, all, "a restore thread count is missing");
+                g.check(Rule::DigestDrift, p.bit_identical(), "digest mismatch");
+                let want = restore_source_for(&p.policy);
+                let what = format!("restored from {}, not {want}", p.restore_source);
+                g.check(Rule::RestoreSource, p.restore_source == want, &what);
+                let published = [p.claims, p.remote_refs, p.remote_bytes_saved];
+                let only_on = published.iter().all(|&n| (n > 0) == p.rank_dedup);
+                g.check(Rule::Claims, only_on, "claims must follow the index switch");
+            }
+            for policy in RANK_DEDUP_POLICIES {
+                g.at = format!("{} {policy}", c.method);
+                let stored = |on: bool| {
+                    let mut points = c.points.iter();
+                    let p = points.find(|p| p.policy == policy && p.rank_dedup == on);
+                    p.map(|p| p.stored_bytes)
+                };
+                let (Some(off), Some(on)) = (stored(false), stored(true)) else {
+                    g.check(Rule::Shape, false, "needs index-off and index-on points");
+                    continue;
+                };
+                let what = format!("cluster index stored {on} >= per-rank {off}");
+                g.check(Rule::StoredBytes, on < off, &what);
+                let pct = c.reduction_pct(policy);
+                let what = format!("reduction {pct:.1}% under RANK_DEDUP_REDUCTION_FLOOR_PCT");
+                let enough = on >= off || pct >= RANK_DEDUP_REDUCTION_FLOOR_PCT;
+                g.check(Rule::Threshold, enough, &what);
+            }
+        }
+        g.found
     }
 }
 
@@ -1580,15 +2195,6 @@ pub const RANK_DEDUP_CHUNK: usize = FIG5_CHUNK;
 /// records point *into* the lost rank — are restored at several thread
 /// counts and digest-checked against their final snapshots.
 pub fn rank_dedup_at(scale: usize, seed: u64) -> RankDedupReport {
-    use ckpt_hash::{Hasher128, Murmur3};
-    use ckpt_runtime::{
-        restore_rank_latest_parallel, CheckpointPipeline, RankDedupConfig, RankDedupEngine,
-        RankDedupMetrics, RedundancyPolicy,
-    };
-    use ckpt_telemetry::Registry;
-    use std::sync::Arc;
-
-    let hasher = Murmur3;
     let graph = PaperGraph::MessageRace;
     // The first submitter under the checkpoint-major interleave wins the
     // shared-region claims, so losing it exercises group reconstruction
@@ -1626,157 +2232,56 @@ pub fn rank_dedup_at(scale: usize, seed: u64) -> RankDedupReport {
                 .collect()
         })
         .collect();
-    let want: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            let d = hasher.hash(w.last().expect("snapshots"));
-            (d.h1, d.h2)
-        })
-        .collect();
+    let snapshots: Vec<&[Vec<u8>]> = workloads.iter().map(|w| &w[..]).collect();
 
-    let device = Device::a100();
     let mut cells = Vec::new();
-    for method in ["Tree", "Full"] {
-        // Hash every rank's record once; encoded diffs depend only on
-        // the method, not on the policy/dedup cell.
-        let mut encoded: Vec<Vec<Vec<u8>>> = Vec::new();
-        for w in &workloads {
-            let mut m: Box<dyn Checkpointer> = match method {
-                "Tree" => Box::new(TreeCheckpointer::new(
-                    device.clone(),
-                    TreeConfig::new(FIG5_CHUNK),
-                )),
-                _ => Box::new(FullCheckpointer::new(device.clone(), FIG5_CHUNK)),
-            };
-            encoded.push(w.iter().map(|s| m.checkpoint(s).diff.encode()).collect());
-        }
-        let raw_bytes: u64 = encoded
-            .iter()
-            .flat_map(|r| r.iter().map(|e| e.len() as u64))
-            .sum();
-
+    for method in CLUSTER_METHODS {
+        let enc = encode_cluster(method, &snapshots);
         let mut points = Vec::new();
-        for policy_name in RANK_DEDUP_POLICIES {
+        for policy in RANK_DEDUP_POLICIES {
             for rank_dedup in [false, true] {
-                let redundancy = RedundancyPolicy::parse(policy_name).expect("known policy");
-                let registry = Arc::new(Registry::new());
-                let engine = rank_dedup.then(|| {
-                    RankDedupEngine::new(
-                        RankDedupConfig {
-                            ranks: REDUNDANCY_RANKS as u32,
-                            chunk_len: RANK_DEDUP_CHUNK,
-                        },
-                        RankDedupMetrics::bound(Arc::clone(&registry)),
-                    )
-                });
                 // Compression off: the sweep isolates the cluster
                 // index's stored-byte effect (the compression stage has
                 // its own sweep, `flush_pipeline`, and composes with
                 // rank-dedup in the production path).
-                let rt = Arc::new(AsyncRuntime::start(RuntimeConfig {
-                    registry: Arc::clone(&registry),
-                    redundancy,
-                    rank_dedup: engine,
-                    ..Default::default()
-                }));
-                let pipe = CheckpointPipeline::new(Arc::clone(&rt));
-                let ids: Vec<(u32, u32)> = (0..REDUNDANCY_CHECKPOINTS as u32)
-                    .flat_map(|k| (0..REDUNDANCY_RANKS as u32).map(move |r| (r, k)))
-                    .collect();
-                let t0 = std::time::Instant::now();
-                for k in 0..REDUNDANCY_CHECKPOINTS {
-                    for (r, rank_encoded) in encoded.iter().enumerate() {
-                        let b = rank_encoded[k].clone();
-                        pipe.submit_with(r as u32, k as u32, Box::new(move || b));
-                    }
-                }
-                let pstats = pipe.close();
-                rt.wait_durable(&ids);
-                let wall_sec = t0.elapsed().as_secs_f64();
-                assert_eq!(
-                    pstats.submitted,
-                    ids.len() as u64,
-                    "every checkpoint must land durably"
-                );
-                rt.wait_redundancy_durable(&ids);
-                if let Some(e) = rt.rank_dedup() {
-                    e.quiesce();
-                }
+                let run = drain_cluster(&enc, "off", policy, rank_dedup);
+                let tiers = run.rt.tiers();
+                let modeled_e2e_sec = tiers.host.modeled_busy_sec()
+                    + tiers.ssd.modeled_busy_sec()
+                    + tiers.pfs.modeled_busy_sec();
+                let counter = |name: &str| run.rt.telemetry().counter(name).get();
 
-                let stored_bytes: u64 = ids
-                    .iter()
-                    .map(|&id| {
-                        rt.tiers()
-                            .pfs
-                            .inspect_object(id)
-                            .into_object()
-                            .expect("durable object")
-                            .stored_len()
-                    })
-                    .sum();
-                let group_bytes = rt
-                    .tiers()
-                    .redundancy()
-                    .map(|red| red.group_tier().used_bytes())
-                    .unwrap_or(0);
-                let modeled_e2e_sec = rt.tiers().host.modeled_busy_sec()
-                    + rt.tiers().ssd.modeled_busy_sec()
-                    + rt.tiers().pfs.modeled_busy_sec();
-                let counter = |name: &str| registry.counter(name).get();
-
-                // Full local loss of the claim-winning rank; with
-                // redundancy on, the PFS copies go too so both its own
-                // restore and every cross-rank reference into it must
-                // come back through the parity group.
-                rt.tiers().host.wipe_rank(lost_rank);
-                rt.tiers().ssd.wipe_rank(lost_rank);
-                let restore_source = if redundancy == RedundancyPolicy::Off {
-                    "pfs"
-                } else {
-                    rt.tiers().pfs.wipe_rank(lost_rank);
-                    "group"
-                };
+                let restore_source = run.lose_rank(lost_rank);
                 let mut restores = Vec::new();
                 for &threads in &RANK_DEDUP_THREADS {
                     rayon::set_active_threads(threads);
-                    let t1 = std::time::Instant::now();
-                    let lost = restore_rank_latest_parallel(rt.tiers(), &device, lost_rank, None)
-                        .expect("lost rank restorable");
-                    let witness =
-                        restore_rank_latest_parallel(rt.tiers(), &device, witness_rank, None)
-                            .expect("witness rank restorable");
-                    let restore_sec = t1.elapsed().as_secs_f64();
-                    let ld = hasher.hash(&lost.data);
-                    let wd = hasher.hash(&witness.data);
+                    let (lost_digest, lost_sec) = run.restore(&enc, lost_rank);
+                    let (witness_digest, witness_sec) = run.restore(&enc, witness_rank);
                     restores.push(RankDedupRestore {
                         threads,
-                        lost_digest: (ld.h1, ld.h2),
-                        witness_digest: (wd.h1, wd.h2),
-                        lost_ok: (ld.h1, ld.h2) == want[lost_rank as usize],
-                        witness_ok: (wd.h1, wd.h2) == want[witness_rank as usize],
-                        restore_sec,
+                        lost_digest,
+                        witness_digest,
+                        lost_ok: lost_digest == enc.want[lost_rank as usize],
+                        witness_ok: witness_digest == enc.want[witness_rank as usize],
+                        restore_sec: lost_sec + witness_sec,
                     });
                 }
                 rayon::set_active_threads(0);
 
                 points.push(RankDedupPoint {
-                    policy: policy_name.to_string(),
+                    policy: policy.to_string(),
                     rank_dedup,
-                    raw_bytes,
-                    stored_bytes,
-                    group_bytes,
+                    raw_bytes: enc.raw_bytes,
+                    stored_bytes: run.wire.iter().sum(),
+                    group_bytes: run.group_bytes,
                     claims: counter("rankdedup/claims"),
                     remote_refs: counter("rankdedup/remote_refs"),
                     remote_bytes_saved: counter("rankdedup/remote_bytes_saved"),
-                    wall_sec,
+                    wall_sec: run.wall_sec,
                     modeled_e2e_sec,
                     restore_source,
                     restores,
                 });
-                Arc::try_unwrap(rt)
-                    .ok()
-                    .expect("pipeline released its handle")
-                    .shutdown();
             }
         }
         cells.push(RankDedupCell { method, points });
@@ -1789,7 +2294,6 @@ pub fn rank_dedup_at(scale: usize, seed: u64) -> RankDedupReport {
         chunk: RANK_DEDUP_CHUNK,
         lost_rank,
         witness_rank,
-        threads: RANK_DEDUP_THREADS.to_vec(),
         cells,
     }
 }
@@ -1810,6 +2314,16 @@ pub const ORDERINGS: [(&str, crate::workload::VertexOrder); 4] = [
     ("rcm", crate::workload::VertexOrder::Rcm),
     ("gorder", crate::workload::VertexOrder::Gorder),
 ];
+
+impl Fields for GorderPoint {
+    const TITLE: &'static str = "Ablation A4: vertex-ordering pre-processing (Tree, chunk 64 B)";
+    fn fields(&self) -> Row {
+        vec![
+            f("graph", Text(self.graph.name().into())),
+            f("orderings", rows(&self.orderings, MeasuredRecord::row)),
+        ]
+    }
+}
 
 pub fn ablation_gorder(cfg: ExpConfig) -> Vec<GorderPoint> {
     use crate::workload::gdv_snapshots_ordered;
@@ -1840,6 +2354,19 @@ pub struct HashPoint {
     pub bytes_per_sec: f64,
     /// End-to-end Tree checkpoint record with this hash.
     pub record: MeasuredRecord,
+}
+
+impl Fields for HashPoint {
+    const TITLE: &'static str = "Ablation A1: hash function choice (chunk 128 B)";
+    fn fields(&self) -> Row {
+        let mut row = vec![
+            f("hasher", Text(self.hasher.into())),
+            f("chunk_size", Count(self.chunk_size as u64)),
+            f("raw_hashing", Rate(self.bytes_per_sec)),
+        ];
+        row.extend(self.record.row().into_iter().skip(1));
+        row
+    }
 }
 
 pub fn ablation_hash(cfg: ExpConfig) -> Vec<HashPoint> {
@@ -1887,6 +2414,22 @@ pub struct FusionPoint {
     pub unfused: (u64, f64, f64),
 }
 
+impl Fields for FusionPoint {
+    const TITLE: &'static str =
+        "Ablation A5: fused kernels (\u{a7}2.1), modeled launch-latency cost";
+    fn fields(&self) -> Row {
+        vec![
+            f("graph", Text(self.graph.name().into())),
+            f("fused_launches", Count(self.fused.0)),
+            f("fused_launch_sec", Seconds(self.fused.1)),
+            f("fused_total_sec", Seconds(self.fused.2)),
+            f("unfused_launches", Count(self.unfused.0)),
+            f("unfused_launch_sec", Seconds(self.unfused.1)),
+            f("unfused_total_sec", Seconds(self.unfused.2)),
+        ]
+    }
+}
+
 pub fn ablation_fusion(cfg: ExpConfig) -> Vec<FusionPoint> {
     PaperGraph::single_process()
         .into_iter()
@@ -1927,6 +2470,25 @@ pub struct Fig2Demo {
     pub tree_shift: Vec<(u32, u32, u32)>,
 }
 
+impl Report for Fig2Demo {
+    fn title(&self) -> &'static str {
+        "Figure 2 worked example (8 chunks, second checkpoint): compaction 7 -> 3 as in the paper"
+    }
+
+    fn body(&self) -> Value {
+        Obj(vec![
+            f("tree_regions", Count(self.tree_regions as u64)),
+            f("tree_first_roots", Text(format!("{:?}", self.tree_first))),
+            f("tree_shifted", Text(format!("{:?}", self.tree_shift))),
+            f("list_entries", Count(self.list_entries as u64)),
+            f(
+                "saved_entries",
+                Count((self.list_entries - self.tree_regions) as u64),
+            ),
+        ])
+    }
+}
+
 pub fn fig2_demo() -> Fig2Demo {
     const CS: usize = 32;
     let chunks = |tags: &[u8]| -> Vec<u8> {
@@ -1961,11 +2523,398 @@ pub fn fig2_demo() -> Fig2Demo {
 mod tests {
     use super::*;
 
+    fn cfg(scale: usize, seed: u64) -> ExpConfig {
+        ExpConfig { scale, seed }
+    }
+
     fn tiny() -> ExpConfig {
-        ExpConfig {
-            scale: 1200,
-            seed: 7,
+        cfg(1200, 7)
+    }
+
+    // Hand-built reports, clean under their gates. The schema test cuts
+    // each down to one row per level; the gate tests break one rule each.
+
+    const DIGEST: (u64, u64) = (0xdead, 0xbeef);
+
+    fn host_clean() -> HostScalingReport {
+        let point = |threads: usize| HostScalingPoint {
+            threads,
+            wall_sec: 0.5,
+            host_modeled_sec: 0.4 / threads as f64,
+            real_parallel_sec: 0.3,
+            modeled_parallel_sec: 0.2,
+            modeled_sec: 0.01,
+            stored_bytes: 123,
+            record_digest: DIGEST,
+            stages: vec![("leaf_hash".to_string(), 0.1, 0.005)],
+        };
+        let scale = HostScalingScale {
+            scale: 1000,
+            snapshot_bytes: 292_000,
+            points: [1, 2, 4].map(point).into(),
+        };
+        HostScalingReport {
+            n_checkpoints: 8,
+            scales: vec![scale],
         }
+    }
+
+    fn restart_clean() -> RestartLatencyReport {
+        let point = |threads: usize| RestartLatencyPoint {
+            threads,
+            seq_wall_sec: 0.5,
+            par_wall_sec: 0.1,
+            seq_host_modeled_sec: 0.4,
+            par_host_modeled_sec: 0.1,
+            seq_digest: DIGEST,
+            par_digest: DIGEST,
+            records_visited: 32,
+            bytes_copied: 292_000,
+        };
+        let cell = |method| RestartLatencyCell {
+            method,
+            chain_len: 32,
+            snapshot_bytes: 292_000,
+            points: [1, 2, 4].map(point).into(),
+        };
+        RestartLatencyReport {
+            scale: 4000,
+            cells: ["Tree", "Full", "Basic", "List"].map(cell).into(),
+        }
+    }
+
+    fn flush_clean() -> FlushPipelineReport {
+        let point = |policy: &str| FlushPipelinePoint {
+            policy: policy.to_string(),
+            threads: 1,
+            raw_bytes: 1000,
+            stored_bytes: if policy == "off" { 1000 } else { 400 },
+            ratio_pct: if policy == "off" { 100 } else { 40 },
+            modeled_pfs_write_sec: 0.01,
+            modeled_e2e_sec: 0.02,
+            wall_sec: 0.5,
+            enqueue_wait_sec: 0.001,
+            restore_digest: DIGEST,
+            restore_ok: true,
+        };
+        let cell = |method| FlushPipelineCell {
+            method,
+            points: FLUSH_PIPELINE_POLICIES.map(point).into(),
+        };
+        let workload = FlushPipelineWorkload {
+            graph: PaperGraph::Hugebubbles,
+            scale: 5000,
+            snapshot_bytes: 292_000,
+            cells: CLUSTER_METHODS.map(cell).into(),
+        };
+        FlushPipelineReport {
+            n_checkpoints: 8,
+            workloads: vec![workload],
+        }
+    }
+
+    fn redundancy_clean() -> RedundancyReport {
+        let point = |policy: &str| RedundancyPoint {
+            policy: policy.to_string(),
+            raw_bytes: 2000,
+            stored_bytes: 1000,
+            group_bytes: if policy == "off" { 0 } else { 340 },
+            storage_overhead_pct: 34,
+            wall_sec: 0.5,
+            agg_throughput_bps: 4000.0,
+            redundancy_drain_sec: 0.01,
+            enqueue_wait_sec: 0.001,
+            restore_source: restore_source_for(policy),
+            rank_loss_restore_sec: 0.02,
+            restore_digest: DIGEST,
+            restore_ok: true,
+        };
+        let cell = |method| RedundancyCell {
+            method,
+            points: REDUNDANCY_POLICIES.map(point).into(),
+        };
+        RedundancyReport {
+            graph: PaperGraph::MessageRace,
+            scale: 8000,
+            n_ranks: 4,
+            n_checkpoints: 6,
+            lost_rank: 1,
+            cells: CLUSTER_METHODS.map(cell).into(),
+        }
+    }
+
+    fn rank_dedup_clean() -> RankDedupReport {
+        let restore = |threads| RankDedupRestore {
+            threads,
+            lost_digest: DIGEST,
+            witness_digest: DIGEST,
+            lost_ok: true,
+            witness_ok: true,
+            restore_sec: 0.02,
+        };
+        let point = |(policy, on): (&str, bool)| RankDedupPoint {
+            policy: policy.to_string(),
+            rank_dedup: on,
+            raw_bytes: 2000,
+            stored_bytes: if on { 500 } else { 1000 },
+            group_bytes: 0,
+            claims: if on { 10 } else { 0 },
+            remote_refs: if on { 20 } else { 0 },
+            remote_bytes_saved: if on { 500 } else { 0 },
+            wall_sec: 0.5,
+            modeled_e2e_sec: 0.02,
+            restore_source: restore_source_for(policy),
+            restores: RANK_DEDUP_THREADS.map(restore).into(),
+        };
+        let cell = |method| RankDedupCell {
+            method,
+            points: RANK_DEDUP_POLICIES
+                .iter()
+                .flat_map(|&policy| [(policy, false), (policy, true)])
+                .map(point)
+                .collect(),
+        };
+        RankDedupReport {
+            graph: PaperGraph::MessageRace,
+            scale: 4000,
+            n_ranks: 4,
+            n_checkpoints: 6,
+            chunk: 128,
+            lost_rank: 0,
+            witness_rank: 2,
+            cells: CLUSTER_METHODS.map(cell).into(),
+        }
+    }
+
+    fn record() -> MeasuredRecord {
+        let mut tree = TreeCheckpointer::new(Device::a100(), TreeConfig::new(64));
+        let mut record = run_dedup(&mut tree, "Tree", &[vec![7u8; 4096]], false);
+        record.breakdown.stages.truncate(1);
+        record
+    }
+
+    /// Each JSON report's keys on a one-row report, in order, are the
+    /// literal the parent commit's renderer produced, and as a set they are
+    /// the keys of the committed `BENCH_<name>.json` (Fig. 4 has none).
+    #[test]
+    fn json_reports_have_expected_schema() {
+        use crate::report::render_json;
+        use std::collections::BTreeSet;
+        let (mut hs, mut rl, mut fp) = (host_clean(), restart_clean(), flush_clean());
+        let (mut red, mut rd) = (redundancy_clean(), rank_dedup_clean());
+        hs.scales[0].points.truncate(1);
+        rl.cells.truncate(1);
+        rl.cells[0].points.truncate(1);
+        fp.workloads[0].cells.truncate(1);
+        fp.workloads[0].cells[0].points.truncate(1);
+        red.cells.truncate(1);
+        red.cells[0].points.truncate(1);
+        rd.cells.truncate(1);
+        rd.cells[0].points.truncate(1);
+        rd.cells[0].points[0].restores.truncate(1);
+        let (graph, methods) = (PaperGraph::MessageRace, vec![record()]);
+        let fig4 = vec![Fig4Cell {
+            graph,
+            chunk_size: 128,
+            methods: methods.clone(),
+        }];
+        let fig5 = vec![Fig5Cell {
+            graph,
+            n_checkpoints: 5,
+            methods,
+        }];
+        let check = |name: &str, body: Value, golden: &str| {
+            let keys = ckpt_telemetry::collect_keys(&render_json(name, &body));
+            let golden: Vec<&str> = std::iter::once(name).chain(golden.split(' ')).collect();
+            assert_eq!(keys, golden, "{name}: key order");
+            if name != "fig4" {
+                let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+                let committed = std::fs::read_to_string(path).expect("committed artifact");
+                let set = |keys: Vec<String>| keys.into_iter().collect::<BTreeSet<_>>();
+                let committed = set(ckpt_telemetry::collect_keys(&committed));
+                assert_eq!(set(keys), committed, "{name}: committed artifact's keys");
+            }
+        };
+        check(
+            "host_scaling",
+            hs.body(),
+            "n_checkpoints bit_identical scales scale snapshot_bytes bit_identical points \
+             threads wall_sec host_modeled_sec real_parallel_sec modeled_parallel_sec \
+             modeled_sec stored_bytes speedup_vs_1 record_digest stages stage measured_sec \
+             modeled_sec",
+        );
+        check(
+            "restart_latency",
+            rl.body(),
+            "scale bit_identical cells method chain_len snapshot_bytes bit_identical \
+             best_speedup points threads seq_wall_sec par_wall_sec seq_host_modeled_sec \
+             par_host_modeled_sec speedup seq_digest par_digest records_visited bytes_copied",
+        );
+        check(
+            "flush_pipeline",
+            fp.body(),
+            "n_checkpoints bit_identical workloads graph scale snapshot_bytes cells method \
+             bit_identical stored_reduction_adaptive e2e_speedup_adaptive points policy \
+             threads raw_bytes stored_bytes ratio_pct modeled_pfs_write_sec modeled_e2e_sec \
+             wall_sec enqueue_wait_sec restore_digest restore_ok",
+        );
+        check(
+            "redundancy",
+            red.body(),
+            "graph scale n_ranks n_checkpoints lost_rank bit_identical cells method \
+             bit_identical points policy raw_bytes stored_bytes group_bytes \
+             storage_overhead_pct wall_sec agg_throughput_bps throughput_overhead_pct \
+             redundancy_drain_sec enqueue_wait_sec restore_source rank_loss_restore_sec \
+             restore_digest restore_ok",
+        );
+        check(
+            "rank_dedup",
+            rd.body(),
+            "graph scale n_ranks n_checkpoints chunk lost_rank witness_rank bit_identical \
+             min_reduction_pct cells method bit_identical points policy rank_dedup raw_bytes \
+             stored_bytes group_bytes claims remote_refs remote_bytes_saved reduction_pct \
+             wall_sec modeled_e2e_sec restore_source restores threads lost_digest \
+             witness_digest lost_ok witness_ok restore_sec",
+        );
+        check(
+            "fig5",
+            fig5.body(),
+            "cells graph n_checkpoints methods name uncompressed_bytes stored_bytes \
+             metadata_bytes ratio modeled_sec measured_sec",
+        );
+        check(
+            "fig4",
+            fig4.body(),
+            "chunk_size graph methods method ckpt_id total_measured_sec total_modeled_sec \
+             stages name measured_sec modeled_sec",
+        );
+    }
+
+    /// Breaks one rule of a clean report.
+    type Break<R> = fn(&mut R);
+
+    /// The clean report passes its gate; each mutation fires exactly its rule.
+    fn fires<R: Report>(clean: fn() -> R, cases: &[(Break<R>, Rule)]) {
+        let rules = |r: &R| r.gate().iter().map(|v| v.rule).collect::<Vec<_>>();
+        assert_eq!(rules(&clean()), [], "clean {}", clean().title());
+        for (i, (mutate, rule)) in cases.iter().enumerate() {
+            let mut report = clean();
+            mutate(&mut report);
+            assert_eq!(rules(&report), [*rule], "case {i}: {:?}", report.gate());
+        }
+    }
+
+    // Point `i` of each clean report's first (Tree) cell.
+    fn hs(r: &mut HostScalingReport, i: usize) -> &mut HostScalingPoint {
+        &mut r.scales[0].points[i]
+    }
+    fn rl(r: &mut RestartLatencyReport, i: usize) -> &mut RestartLatencyPoint {
+        &mut r.cells[0].points[i]
+    }
+    fn fp(r: &mut FlushPipelineReport, i: usize) -> &mut FlushPipelinePoint {
+        &mut r.workloads[0].cells[0].points[i]
+    }
+    fn red(r: &mut RedundancyReport, i: usize) -> &mut RedundancyPoint {
+        &mut r.cells[0].points[i]
+    }
+    fn rd(r: &mut RankDedupReport, i: usize) -> &mut RankDedupPoint {
+        &mut r.cells[0].points[i]
+    }
+
+    #[test]
+    fn each_gate_fires_exactly_the_rule_broken() {
+        fires(
+            host_clean,
+            &[
+                (|r| r.n_checkpoints = 0, Rule::Shape),
+                (|r| r.scales[0].snapshot_bytes = 0, Rule::Shape),
+                (|r| r.scales[0].points.truncate(2), Rule::Shape),
+                (|r| hs(r, 1).stages.clear(), Rule::Shape),
+                (|r| hs(r, 1).record_digest = (1, 2), Rule::DigestDrift),
+                (|r| hs(r, 1).stored_bytes += 1, Rule::StoredBytes),
+                // One step under the floor at 4 threads (1 thread: 0.4 s).
+                (
+                    |r| hs(r, 2).host_modeled_sec = 0.4 / (HOST_SPEEDUP_FLOOR - 0.01),
+                    Rule::Threshold,
+                ),
+            ],
+        );
+        fires(
+            restart_clean,
+            &[
+                (|r| r.cells.retain(|c| c.method != "List"), Rule::Shape),
+                (|r| rl(r, 0).threads = 2, Rule::Shape),
+                (|r| rl(r, 2).par_digest = (1, 2), Rule::DigestDrift),
+                (|r| rl(r, 2).seq_digest = (1, 2), Rule::DigestDrift),
+                (|r| rl(r, 0).records_visited = 0, Rule::RestoreWork),
+                (|r| rl(r, 0).records_visited = 33, Rule::RestoreWork),
+                (|r| rl(r, 0).bytes_copied += 1, Rule::RestoreWork),
+                // Every Tree point one step under the floor (sequential: 0.4 s).
+                (
+                    |r| {
+                        let slow = 0.4 / (RESTART_SPEEDUP_FLOOR - 0.01);
+                        (0..3).for_each(|i| rl(r, i).par_host_modeled_sec = slow);
+                    },
+                    Rule::Threshold,
+                ),
+            ],
+        );
+        fires(
+            flush_clean,
+            &[
+                (|r| r.n_checkpoints = 0, Rule::Shape),
+                (|r| r.workloads[0].graph = PaperGraph::AsiaOsm, Rule::Shape),
+                (|r| r.workloads[0].cells.truncate(1), Rule::Shape),
+                (|r| r.workloads[0].cells[1].points.truncate(2), Rule::Shape),
+                (|r| fp(r, 1).restore_ok = false, Rule::DigestDrift),
+                (|r| fp(r, 1).restore_digest = (1, 2), Rule::DigestDrift),
+                (|r| fp(r, 1).stored_bytes = 1001, Rule::StoredBytes),
+                (|r| fp(r, 1).stored_bytes = 0, Rule::StoredBytes),
+                (
+                    |r| fp(r, 2).ratio_pct = ADAPTIVE_RATIO_CEILING_PCT,
+                    Rule::Threshold,
+                ),
+            ],
+        );
+        fires(
+            redundancy_clean,
+            &[
+                (|r| r.n_ranks = 3, Rule::Shape),
+                (|r| r.lost_rank = 4, Rule::Shape),
+                (|r| r.cells.truncate(1), Rule::Shape),
+                (|r| r.cells[1].points.truncate(2), Rule::Shape),
+                (|r| red(r, 2).restore_ok = false, Rule::DigestDrift),
+                (|r| red(r, 2).restore_digest = (1, 2), Rule::DigestDrift),
+                (|r| red(r, 0).group_bytes = 1, Rule::StoredBytes),
+                (|r| red(r, 1).group_bytes = 0, Rule::StoredBytes),
+                (|r| red(r, 3).restore_source = "pfs", Rule::RestoreSource),
+                (
+                    |r| red(r, 3).storage_overhead_pct = XOR4_OVERHEAD_CEILING_PCT,
+                    Rule::Threshold,
+                ),
+            ],
+        );
+        // Points alternate index off / on per policy: 0-1 off, 2-3 partner, 4-5 xor:4.
+        fires(
+            rank_dedup_clean,
+            &[
+                (|r| r.n_ranks = 3, Rule::Shape),
+                (|r| r.witness_rank = r.lost_rank, Rule::Shape),
+                (|r| r.cells.truncate(1), Rule::Shape),
+                (|r| rd(r, 0).restores.truncate(2), Rule::Shape),
+                (|r| r.cells[0].points.truncate(5), Rule::Shape),
+                (
+                    |r| rd(r, 3).restores[1].witness_ok = false,
+                    Rule::DigestDrift,
+                ),
+                (|r| rd(r, 4).restore_source = "pfs", Rule::RestoreSource),
+                (|r| rd(r, 0).claims = 5, Rule::Claims),
+                (|r| rd(r, 1).remote_refs = 0, Rule::Claims),
+                (|r| rd(r, 1).stored_bytes = 1000, Rule::StoredBytes),
+                // 24.9% fewer bytes than index-off: one step under the floor.
+                (|r| rd(r, 1).stored_bytes = 751, Rule::Threshold),
+            ],
+        );
     }
 
     #[test]
@@ -1991,10 +2940,7 @@ mod tests {
 
     #[test]
     fn fig4_tree_wins_ratio_at_fine_chunks() {
-        let cells = fig4(ExpConfig {
-            scale: 1500,
-            seed: 3,
-        });
+        let cells = fig4(cfg(1500, 3));
         // At 32-byte chunks the Tree method must beat List on every graph.
         for cell in cells.iter().filter(|c| c.chunk_size == 32) {
             let find = |n: &str| cell.methods.iter().find(|m| m.name == n).unwrap();
@@ -2029,10 +2975,7 @@ mod tests {
 
     #[test]
     fn hybrid_compresses_further_without_losing_restorability() {
-        let points = hybrid(ExpConfig {
-            scale: 1500,
-            seed: 4,
-        });
+        let points = hybrid(cfg(1500, 4));
         for p in &points {
             let raw = &p.methods[0];
             let zstd = p.methods.iter().find(|m| m.name == "Tree+zstd").unwrap();
@@ -2048,10 +2991,7 @@ mod tests {
 
     #[test]
     fn fusion_saves_launch_latency() {
-        for p in ablation_fusion(ExpConfig {
-            scale: 1200,
-            seed: 3,
-        }) {
+        for p in ablation_fusion(cfg(1200, 3)) {
             let (_, fused_launch, fused_total) = p.fused;
             let (_, unfused_launch, unfused_total) = p.unfused;
             assert!(
@@ -2065,10 +3005,7 @@ mod tests {
 
     #[test]
     fn adjoint_strategies_agree_and_tradeoff_holds() {
-        let points = adjoint(ExpConfig {
-            scale: 1024,
-            seed: 0,
-        });
+        let points = adjoint(cfg(1024, 0));
         let dedup = &points[0];
         let raw = &points[1];
         let revolve4 = points.iter().find(|p| p.strategy.contains("c=4")).unwrap();
@@ -2081,10 +3018,7 @@ mod tests {
 
     #[test]
     fn streaming_pipeline_never_slower_and_usually_faster() {
-        let points = streaming(ExpConfig {
-            scale: 1500,
-            seed: 4,
-        });
+        let points = streaming(cfg(1500, 4));
         for p in &points {
             assert!(
                 p.pipelined_sec <= p.sequential_sec * 1.0001,
@@ -2101,10 +3035,7 @@ mod tests {
 
     #[test]
     fn highfreq_full_stalls_more_than_tree() {
-        let points = highfreq(ExpConfig {
-            scale: 1500,
-            seed: 4,
-        });
+        let points = highfreq(cfg(1500, 4));
         let tree = points.iter().find(|p| p.method == "Tree").unwrap();
         let full = points.iter().find(|p| p.method == "Full").unwrap();
         assert!(
@@ -2120,23 +3051,17 @@ mod tests {
     fn host_scaling_sweeps_and_stays_bit_identical() {
         let rep = host_scaling_at(&[1_200, 2_400], tiny().seed);
         assert_eq!(rep.scales.len(), 2);
-        assert!(
-            rep.bit_identical(),
-            "checkpoint bytes drifted across thread counts"
-        );
+        // Bytes and digests fixed across thread counts, stages present;
+        // the speedup threshold is wall-clock, not for a debug-build test.
+        let mut found = rep.gate();
+        found.retain(|v| v.rule != Rule::Threshold);
+        assert!(found.is_empty(), "{found:?}");
         for sc in &rep.scales {
             assert_eq!(sc.points.len(), HOST_SCALING_THREADS.len());
-            assert_eq!(sc.points[0].threads, 1);
-            assert!(sc.points.iter().any(|p| p.threads == 4));
-            let stored0 = sc.points[0].stored_bytes;
             for p in &sc.points {
-                assert_eq!(p.stored_bytes, stored0);
                 assert!((p.modeled_sec - sc.points[0].modeled_sec).abs() < 1e-9);
                 assert!(sc.speedup_vs_1(p).is_finite());
-                assert!(
-                    p.stages.iter().any(|(n, _, _)| n == "leaf_hash"),
-                    "missing per-stage breakdown"
-                );
+                assert!(p.stages.iter().any(|(n, _, _)| n == "leaf_hash"));
                 // A difference of wall clocks, clamped at 0 where it is
                 // computed: on a loaded runner it can land exactly there.
                 assert!(p.host_modeled_sec.is_finite() && p.host_modeled_sec >= 0.0);
@@ -2147,19 +3072,10 @@ mod tests {
     #[test]
     fn redundancy_restores_lost_rank_bit_identically() {
         let rep = redundancy_at(900, 7);
-        assert_eq!(rep.cells.len(), 2);
-        assert!(rep.bit_identical(), "lost-rank restore drifted");
+        // Every policy present and restored bit-identically from where it
+        // must, group bytes only with a group, xor:4 under its ceiling.
+        assert!(rep.gate().is_empty(), "{:?}", rep.gate());
         for cell in &rep.cells {
-            assert_eq!(cell.points.len(), REDUNDANCY_POLICIES.len());
-            let off = cell.point("off").unwrap();
-            assert_eq!(off.group_bytes, 0);
-            assert_eq!(off.restore_source, "pfs");
-            for policy in ["partner", "xor:2", "xor:4"] {
-                let p = cell.point(policy).unwrap();
-                assert_eq!(p.restore_source, "group");
-                assert!(p.group_bytes > 0, "{policy}: no group objects");
-                assert_eq!(p.restore_digest, off.restore_digest);
-            }
             // XOR parity must be cheaper than mirroring, and wider groups
             // cheaper than narrow ones.
             let partner = cell.point("partner").unwrap();
@@ -2172,10 +3088,7 @@ mod tests {
 
     #[test]
     fn ablation_waves_naive_has_more_metadata() {
-        let points = ablation_waves(ExpConfig {
-            scale: 1200,
-            seed: 9,
-        });
+        let points = ablation_waves(cfg(1200, 9));
         for p in &points {
             assert!(
                 p.naive.stored >= p.two_stage.stored,

@@ -3,8 +3,9 @@
 //!
 //! * [`workload`] — ORANGES GDV snapshot sequences over the Table 1 graphs;
 //! * [`codecs`] — compressor baselines and the common measurement currency;
-//! * [`experiments`] — one driver per table/figure/ablation;
-//! * [`report`] — plain-text rendering.
+//! * [`experiments`] — one driver per table/figure/ablation, each result
+//!   listing its fields once and, where it has invariants, its gate;
+//! * [`report`] — the report model, its one table and one JSON renderer.
 //!
 //! Run `cargo run -p ckpt-bench --release --bin figures -- all` to regenerate
 //! everything; see `EXPERIMENTS.md` at the repository root for the recorded

@@ -1,8 +1,148 @@
-//! Plain-text rendering of experiment results, one section per paper
-//! table/figure.
+//! The one report path from experiment to table, JSON and gate.
+//!
+//! An experiment's result implements [`Report`]: it lists every field once,
+//! in JSON order, as a `(key, typed value)` [`Field`] — derived fields and
+//! nested rows included — and [`render_table`] / [`render_json`] walk that
+//! list. A report with invariants worth failing a run over also implements
+//! [`Report::gate`]; the `figures` binary evaluates it after every run.
 
-use crate::codecs::MeasuredRecord;
-use crate::experiments::*;
+use ckpt_telemetry::JsonWriter;
+use std::fmt;
+
+/// A typed report value. The type fixes the JSON encoding (integer, float,
+/// string, bool, object, array) and the human formatting.
+#[derive(Debug)]
+pub enum Value {
+    Count(u64),
+    Bytes(u64),
+    Seconds(f64),
+    /// A dimensionless float: speedup, reduction, percentage.
+    Ratio(f64),
+    /// Bytes per second.
+    Rate(f64),
+    /// A 128-bit Murmur3 digest, 32 hex digits in JSON.
+    Digest((u64, u64)),
+    Text(String),
+    Bool(bool),
+    Obj(Row),
+    Rows(Vec<Row>),
+}
+
+/// Which renderer shows a field. JSON schemas are frozen, so a column the
+/// human table wants on top (a throughput, say) is `Table`-only, and a
+/// machine-only subtree (Fig. 4's stage breakdown) is `Json`-only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Show {
+    Both,
+    Table,
+    Json,
+}
+
+#[derive(Debug)]
+pub struct Field {
+    pub key: &'static str,
+    pub value: Value,
+    pub show: Show,
+}
+
+/// One object's fields, in JSON order.
+pub type Row = Vec<Field>;
+
+pub fn f(key: &'static str, value: Value) -> Field {
+    let show = Show::Both;
+    Field { key, value, show }
+}
+
+pub fn table_only(key: &'static str, value: Value) -> Field {
+    let show = Show::Table;
+    Field { key, value, show }
+}
+
+pub fn json_only(key: &'static str, value: Value) -> Field {
+    let show = Show::Json;
+    Field { key, value, show }
+}
+
+/// An array of objects, one per item.
+pub fn rows<T>(items: &[T], row: impl Fn(&T) -> Row) -> Value {
+    Value::Rows(items.iter().map(row).collect())
+}
+
+/// What every experiment result provides; see the module docs.
+pub trait Report {
+    fn title(&self) -> &'static str;
+    /// The report's root: an [`Value::Obj`] or [`Value::Rows`].
+    fn body(&self) -> Value;
+    /// Invariant violations; a report without invariants has none.
+    fn gate(&self) -> Vec<Violation> {
+        Vec::new()
+    }
+}
+
+/// A row type whose fields need no context: a `Vec` of them is a [`Report`].
+pub trait Fields {
+    const TITLE: &'static str;
+    fn fields(&self) -> Row;
+}
+
+impl<T: Fields> Report for Vec<T> {
+    fn title(&self) -> &'static str {
+        T::TITLE
+    }
+    fn body(&self) -> Value {
+        rows(self, T::fields)
+    }
+}
+
+/// The kind of invariant a [`Violation`] broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// The sweep does not cover the cells the other rules read.
+    Shape,
+    /// Restored or recorded bytes differ where they must be identical.
+    DigestDrift,
+    /// A lost rank came back from the wrong place.
+    RestoreSource,
+    /// A stored-byte total is out of order against its reference.
+    StoredBytes,
+    /// Claims or references published with the index off, or none with it on.
+    Claims,
+    /// The restart engine visited or copied more than the chain holds.
+    RestoreWork,
+    /// A gated figure crossed its named constant.
+    Threshold,
+}
+
+#[derive(Debug)]
+pub struct Violation {
+    pub rule: Rule,
+    /// The cell it was found in and what was wrong there.
+    pub what: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(out, "{:?}: {}", self.rule, self.what)
+    }
+}
+
+/// Accumulates a gate's violations.
+#[derive(Default)]
+pub struct Gate {
+    /// The cell the next checks look at; prefixed to their messages.
+    pub at: String,
+    pub found: Vec<Violation>,
+}
+
+impl Gate {
+    /// Record a violation of `rule` unless `ok`.
+    pub fn check(&mut self, rule: Rule, ok: bool, what: &str) {
+        if !ok {
+            let what = format!("{}: {what}", self.at);
+            self.found.push(Violation { rule, what });
+        }
+    }
+}
 
 /// Human-friendly byte formatting.
 pub fn fmt_bytes(b: u64) -> String {
@@ -20,838 +160,119 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Throughput in GB/s.
-pub fn fmt_tp(bps: f64) -> String {
-    format!("{:.2} GB/s", bps / 1e9)
+pub fn fmt_digest(d: (u64, u64)) -> String {
+    format!("{:016x}{:016x}", d.0, d.1)
 }
 
-fn method_line(m: &MeasuredRecord) -> String {
-    format!(
-        "    {:<10} ratio {:>8.2}x | stored {:>12} | meta {:>10} | modeled {} | measured {}",
-        m.name,
-        m.ratio(),
-        fmt_bytes(m.stored),
-        fmt_bytes(m.metadata),
-        fmt_tp(m.modeled_throughput()),
-        fmt_tp(m.measured_throughput()),
-    )
-}
-
-pub fn render_table1(rows: &[Table1Row]) -> String {
-    let mut s = String::new();
-    s.push_str("Table 1: input graphs (paper original vs generated stand-in)\n");
-    s.push_str(&format!(
-        "{:<18} {:>12} {:>13} {:>9} | {:>10} {:>12} {:>10} {:>9}\n",
-        "Graph", "|V| paper", "arcs paper", "GDV", "|V| gen", "arcs gen", "GDV gen", "tri"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<18} {:>12} {:>13} {:>9} | {:>10} {:>12} {:>10} {:>9}\n",
-            r.graph.name(),
-            r.paper_vertices,
-            r.paper_arcs,
-            fmt_bytes(r.paper_gdv_bytes),
-            r.generated.n_vertices,
-            r.generated.n_arcs,
-            fmt_bytes(r.generated_gdv_bytes),
-            r.generated.n_triangles,
-        ));
-    }
-    s
-}
-
-pub fn render_fig2(d: &Fig2Demo) -> String {
-    format!(
-        "Figure 2 worked example (8 chunks, second checkpoint):\n\
-           Tree compact metadata : {} regions (first-occurrence roots {:?}, \
-         shifted {:?})\n\
-           List naive metadata   : {} entries\n\
-           -> compaction saves {} entries, as in the paper (7 -> 3)\n",
-        d.tree_regions,
-        d.tree_first,
-        d.tree_shift,
-        d.list_entries,
-        d.list_entries - d.tree_regions,
-    )
-}
-
-pub fn render_fig4(cells: &[Fig4Cell]) -> String {
-    let mut s = String::new();
-    s.push_str("Figure 4: chunk-size sweep (dedup ratio & throughput), N=10 checkpoints\n");
-    let mut last = None;
-    for c in cells {
-        if last != Some(c.graph) {
-            s.push_str(&format!("\n  [{}]\n", c.graph.name()));
-            last = Some(c.graph);
-        }
-        s.push_str(&format!("  chunk {:>4} B\n", c.chunk_size));
-        for m in &c.methods {
-            s.push_str(&method_line(m));
-            s.push('\n');
-        }
-    }
-    s.push_str("\nper-stage breakdown (JSON):\n");
-    s.push_str(&render_fig4_json(cells));
-    s.push('\n');
-    s
-}
-
-/// The machine-readable side of Figure 4: each cell's methods with their
-/// aggregated [`ckpt_telemetry::StageBreakdown`]s, on one line.
-pub fn render_fig4_json(cells: &[Fig4Cell]) -> String {
-    let mut w = ckpt_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("fig4").begin_array();
-    for c in cells {
-        w.begin_object();
-        w.key("chunk_size").u64(c.chunk_size as u64);
-        w.key("graph").string(c.graph.name());
-        w.key("methods").begin_array();
-        for m in &c.methods {
-            m.breakdown.write_json(&mut w);
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-pub fn render_fig5(cells: &[Fig5Cell]) -> String {
-    let mut s = String::new();
-    s.push_str("Figure 5: checkpoint-frequency sweep (chunk 128 B), vs compressors\n");
-    let mut last = None;
-    for c in cells {
-        if last != Some(c.graph) {
-            s.push_str(&format!("\n  [{}]\n", c.graph.name()));
-            last = Some(c.graph);
-        }
-        s.push_str(&format!("  N = {} checkpoints\n", c.n_checkpoints));
-        for m in &c.methods {
-            s.push_str(&method_line(m));
-            s.push('\n');
-        }
-    }
-    s
-}
-
-pub fn render_fig6(points: &[Fig6Point]) -> String {
-    let mut s = String::new();
-    s.push_str("Figure 6: strong scaling on Delaunay, Tree vs Full, 10 ckpts/process\n");
-    s.push_str(&format!(
-        "{:>6} {:>8} {:>14} {:>14} {:>10} {:>14} {:>14}\n",
-        "ranks", "method", "total full", "total stored", "reduction", "modeled tp", "measured tp"
-    ));
-    for p in points {
-        s.push_str(&format!(
-            "{:>6} {:>8} {:>14} {:>14} {:>9.1}x {:>14} {:>14}\n",
-            p.n_ranks,
-            p.method.name(),
-            fmt_bytes(p.total_full),
-            fmt_bytes(p.total_stored),
-            p.total_full as f64 / p.total_stored.max(1) as f64,
-            fmt_tp(p.modeled_throughput),
-            fmt_tp(p.measured_throughput),
-        ));
-    }
-    s
-}
-
-pub fn render_metadata(points: &[MetadataPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("Ablation A2: metadata compaction (Tree vs List), aggregated over N=10\n");
-    s.push_str(&format!(
-        "{:<18} {:>6} {:>14} {:>14} {:>12} {:>12} {:>8}\n",
-        "graph", "chunk", "tree meta", "list meta", "tree regions", "list entries", "saving"
-    ));
-    for p in points {
-        s.push_str(&format!(
-            "{:<18} {:>6} {:>14} {:>14} {:>12} {:>12} {:>7.1}x\n",
-            p.graph.name(),
-            p.chunk_size,
-            fmt_bytes(p.tree_metadata),
-            fmt_bytes(p.list_metadata),
-            p.tree_regions,
-            p.list_entries,
-            p.list_metadata as f64 / p.tree_metadata.max(1) as f64,
-        ));
-    }
-    s
-}
-
-pub fn render_waves(points: &[WavesPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("Ablation A3: two-stage wave ordering vs naive fused sweep (chunk 64 B)\n");
-    for p in points {
-        s.push_str(&format!("  [{}]\n", p.workload));
-        s.push_str(&method_line(&p.two_stage));
-        s.push('\n');
-        s.push_str(&method_line(&p.naive));
-        s.push_str(&format!(
-            "\n    -> naive stores {:.2}x more ({:.2}x more metadata)\n",
-            p.naive.stored as f64 / p.two_stage.stored.max(1) as f64,
-            p.naive.metadata as f64 / p.two_stage.metadata.max(1) as f64
-        ));
-    }
-    s
-}
-
-pub fn render_hybrid(points: &[HybridPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("Extension E1 (paper \u{a7}5): compressing first occurrences inside the diff\n");
-    for p in points {
-        s.push_str(&format!("  [{}]\n", p.graph.name()));
-        for m in &p.methods {
-            s.push_str(&method_line(m));
-            s.push('\n');
-        }
-    }
-    s
-}
-
-pub fn render_adjoint(points: &[AdjointPoint]) -> String {
-    let mut s = String::new();
-    s.push_str(
-        "Extension E5 (\u{a7}5): adjoint reversal \u{2014} recomputation vs de-duplicated storage\n",
-    );
-    s.push_str(&format!(
-        "{:<28} {:>14} {:>14}\n",
-        "strategy", "forward steps", "store bytes"
-    ));
-    for p in points {
-        s.push_str(&format!(
-            "{:<28} {:>14} {:>14}\n",
-            p.strategy,
-            p.forward_steps,
-            fmt_bytes(p.store_bytes),
-        ));
-    }
-    s
-}
-
-pub fn render_streaming(points: &[StreamingPoint]) -> String {
-    let mut s = String::new();
-    s.push_str(
-        "Extension E3 (\u{a7}5): checkpoint-level streaming (overlap dedup with transfers)\n",
-    );
-    s.push_str(&format!(
-        "{:<20} {:>16} {:>16} {:>9}\n",
-        "graph", "sequential", "pipelined", "speedup"
-    ));
-    for p in points {
-        s.push_str(&format!(
-            "{:<20} {:>13.3} ms {:>13.3} ms {:>8.2}x\n",
-            p.graph.name(),
-            p.sequential_sec * 1e3,
-            p.pipelined_sec * 1e3,
-            p.speedup(),
-        ));
-    }
-    s
-}
-
-pub fn render_highfreq(points: &[HighFreqPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("Extension E2 (\u{a7}1): high-frequency checkpointing under storage backpressure\n");
-    s.push_str(&format!(
-        "{:>8} {:>14} {:>14} {:>16}\n",
-        "method", "stall", "makespan", "record stored"
-    ));
-    for p in points {
-        s.push_str(&format!(
-            "{:>8} {:>12.2} s {:>12.2} s {:>16}\n",
-            p.method,
-            p.stall_sec,
-            p.makespan_sec,
-            fmt_bytes(p.total_stored),
-        ));
-    }
-    s
-}
-
-pub fn render_gorder(points: &[GorderPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("Ablation A4: vertex-ordering pre-processing (Tree, chunk 64 B)\n");
-    for p in points {
-        s.push_str(&format!("  [{}]\n", p.graph.name()));
-        for rec in &p.orderings {
-            s.push_str(&method_line(rec));
-            s.push('\n');
-        }
-    }
-    s
-}
-
-pub fn render_fusion(points: &[FusionPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("Ablation A5: fused kernels (\u{a7}2.1) \u{2014} modeled launch-latency cost\n");
-    s.push_str(&format!(
-        "{:<20} {:>10} {:>14} {:>14} | {:>10} {:>14} {:>14}\n",
-        "graph", "fused", "launch", "total", "unfused", "launch", "total"
-    ));
-    for p in points {
-        s.push_str(&format!(
-            "{:<20} {:>10} {:>11.3} ms {:>11.3} ms | {:>10} {:>11.3} ms {:>11.3} ms\n",
-            p.graph.name(),
-            p.fused.0,
-            p.fused.1 * 1e3,
-            p.fused.2 * 1e3,
-            p.unfused.0,
-            p.unfused.1 * 1e3,
-            p.unfused.2 * 1e3,
-        ));
-    }
-    s
-}
-
-pub fn render_host_scaling(rep: &HostScalingReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "Host scaling: Tree method, {} checkpoints per point (persistent pool)\n",
-        rep.n_checkpoints,
-    ));
-    for sc in &rep.scales {
-        s.push_str(&format!(
-            "scale {} ({} per snapshot)\n",
-            sc.scale,
-            fmt_bytes(sc.snapshot_bytes as u64),
-        ));
-        s.push_str(&format!(
-            "{:>8} {:>12} {:>12} {:>12} {:>14} {:>10} {:>34}\n",
-            "threads", "wall", "host-model", "dev-model", "stored", "speedup", "record digest"
-        ));
-        for p in &sc.points {
-            s.push_str(&format!(
-                "{:>8} {:>9.2} ms {:>9.2} ms {:>9.2} ms {:>14} {:>9.2}x {:>34}\n",
-                p.threads,
-                p.wall_sec * 1e3,
-                p.host_modeled_sec * 1e3,
-                p.modeled_sec * 1e3,
-                fmt_bytes(p.stored_bytes),
-                sc.speedup_vs_1(p),
-                format!("{:016x}{:016x}", p.record_digest.0, p.record_digest.1),
-            ));
-        }
-        s.push_str(&format!(
-            "bit-identical across thread counts: {}\n",
-            sc.bit_identical()
-        ));
-    }
-    s
-}
-
-/// The machine-readable side of the host-scaling sweep
-/// (`BENCH_host_scaling.json`).
-pub fn render_host_scaling_json(rep: &HostScalingReport) -> String {
-    let mut w = ckpt_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("host_scaling").begin_object();
-    w.key("n_checkpoints").u64(rep.n_checkpoints as u64);
-    w.key("bit_identical").bool(rep.bit_identical());
-    w.key("scales").begin_array();
-    for sc in &rep.scales {
-        w.begin_object();
-        w.key("scale").u64(sc.scale as u64);
-        w.key("snapshot_bytes").u64(sc.snapshot_bytes as u64);
-        w.key("bit_identical").bool(sc.bit_identical());
-        w.key("points").begin_array();
-        for p in &sc.points {
-            w.begin_object();
-            w.key("threads").u64(p.threads as u64);
-            w.key("wall_sec").f64(p.wall_sec);
-            w.key("host_modeled_sec").f64(p.host_modeled_sec);
-            w.key("real_parallel_sec").f64(p.real_parallel_sec);
-            w.key("modeled_parallel_sec").f64(p.modeled_parallel_sec);
-            w.key("modeled_sec").f64(p.modeled_sec);
-            w.key("stored_bytes").u64(p.stored_bytes);
-            w.key("speedup_vs_1").f64(sc.speedup_vs_1(p));
-            w.key("record_digest").string(&format!(
-                "{:016x}{:016x}",
-                p.record_digest.0, p.record_digest.1
-            ));
-            w.key("stages").begin_array();
-            for (name, measured, modeled) in &p.stages {
-                w.begin_object();
-                w.key("stage").string(name);
-                w.key("measured_sec").f64(*measured);
-                w.key("modeled_sec").f64(*modeled);
-                w.end_object();
+/// `{"<name>": <body>}` on one line.
+pub fn render_json(name: &str, body: &Value) -> String {
+    fn value(w: &mut JsonWriter, v: &Value) {
+        match v {
+            Value::Count(n) | Value::Bytes(n) => w.u64(*n),
+            Value::Seconds(x) | Value::Ratio(x) | Value::Rate(x) => w.f64(*x),
+            Value::Digest(d) => w.string(&fmt_digest(*d)),
+            Value::Text(s) => w.string(s),
+            Value::Bool(b) => w.bool(*b),
+            Value::Obj(row) => object(w, row),
+            Value::Rows(rows) => {
+                w.begin_array();
+                rows.iter().for_each(|row| {
+                    object(w, row);
+                });
+                w.end_array()
             }
-            w.end_array();
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
+        };
     }
-    w.end_array();
-    w.end_object();
-    w.end_object();
-    w.finish()
-}
-
-pub fn render_restart_latency(rep: &RestartLatencyReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "Restart latency: sequential replay vs single-pass parallel engine (scale {})\n",
-        rep.scale,
-    ));
-    for cell in &rep.cells {
-        s.push_str(&format!(
-            "{} chain, {} records ({} per snapshot)\n",
-            cell.method,
-            cell.chain_len,
-            fmt_bytes(cell.snapshot_bytes as u64),
-        ));
-        s.push_str(&format!(
-            "{:>8} {:>14} {:>14} {:>10} {:>10} {:>14}\n",
-            "threads", "seq host-model", "par host-model", "speedup", "visited", "copied"
-        ));
-        for p in &cell.points {
-            s.push_str(&format!(
-                "{:>8} {:>11.2} ms {:>11.2} ms {:>9.2}x {:>10} {:>14}\n",
-                p.threads,
-                p.seq_host_modeled_sec * 1e3,
-                p.par_host_modeled_sec * 1e3,
-                cell.speedup(p),
-                p.records_visited,
-                fmt_bytes(p.bytes_copied),
-            ));
-        }
-        s.push_str(&format!(
-            "bit-identical to sequential replay: {}\n",
-            cell.bit_identical()
-        ));
-    }
-    s
-}
-
-/// The machine-readable side of the restart-latency sweep
-/// (`BENCH_restart_latency.json`).
-pub fn render_restart_latency_json(rep: &RestartLatencyReport) -> String {
-    let mut w = ckpt_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("restart_latency").begin_object();
-    w.key("scale").u64(rep.scale as u64);
-    w.key("bit_identical").bool(rep.bit_identical());
-    w.key("cells").begin_array();
-    for cell in &rep.cells {
+    fn object<'w>(w: &'w mut JsonWriter, row: &Row) -> &'w mut JsonWriter {
         w.begin_object();
-        w.key("method").string(cell.method);
-        w.key("chain_len").u64(cell.chain_len as u64);
-        w.key("snapshot_bytes").u64(cell.snapshot_bytes as u64);
-        w.key("bit_identical").bool(cell.bit_identical());
-        w.key("best_speedup").f64(cell.best_speedup());
-        w.key("points").begin_array();
-        for p in &cell.points {
-            w.begin_object();
-            w.key("threads").u64(p.threads as u64);
-            w.key("seq_wall_sec").f64(p.seq_wall_sec);
-            w.key("par_wall_sec").f64(p.par_wall_sec);
-            w.key("seq_host_modeled_sec").f64(p.seq_host_modeled_sec);
-            w.key("par_host_modeled_sec").f64(p.par_host_modeled_sec);
-            w.key("speedup").f64(cell.speedup(p));
-            w.key("seq_digest")
-                .string(&format!("{:016x}{:016x}", p.seq_digest.0, p.seq_digest.1));
-            w.key("par_digest")
-                .string(&format!("{:016x}{:016x}", p.par_digest.0, p.par_digest.1));
-            w.key("records_visited").u64(p.records_visited as u64);
-            w.key("bytes_copied").u64(p.bytes_copied);
-            w.end_object();
+        for field in row.iter().filter(|field| field.show != Show::Table) {
+            w.key(field.key);
+            value(w, &field.value);
         }
-        w.end_array();
-        w.end_object();
+        w.end_object()
     }
-    w.end_array();
-    w.end_object();
+    let mut w = JsonWriter::new();
+    w.begin_object().key(name);
+    value(&mut w, body);
     w.end_object();
     w.finish()
 }
 
-pub fn render_flush_pipeline(rep: &FlushPipelineReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "Flush pipeline: compressed tiers, {} checkpoints per cell (methods x policy x threads)\n",
-        rep.n_checkpoints,
-    ));
-    for wl in &rep.workloads {
-        s.push_str(&format!(
-            "\n[{} / scale {}] ({} per snapshot)\n",
-            wl.graph.name(),
-            wl.scale,
-            fmt_bytes(wl.snapshot_bytes as u64),
-        ));
-        for cell in &wl.cells {
-            s.push_str(&format!(
-                "{}: adaptive vs off — stored {:.2}x smaller, modeled hash+flush {:.2}x faster\n",
-                cell.method,
-                cell.stored_reduction_adaptive(),
-                cell.e2e_speedup_adaptive(),
-            ));
-            s.push_str(&format!(
-                "{:>10} {:>8} {:>12} {:>7} {:>12} {:>12} {:>10} {:>12} {:>8}\n",
-                "policy",
-                "threads",
-                "stored",
-                "ratio",
-                "pfs-write",
-                "e2e-model",
-                "wall",
-                "enq-wait",
-                "restore"
-            ));
-            for p in &cell.points {
-                s.push_str(&format!(
-                    "{:>10} {:>8} {:>12} {:>6}% {:>9.3} ms {:>9.3} ms {:>7.2} ms {:>9.3} ms {:>8}\n",
-                    p.policy,
-                    p.threads,
-                    fmt_bytes(p.stored_bytes),
-                    p.ratio_pct,
-                    p.modeled_pfs_write_sec * 1e3,
-                    p.modeled_e2e_sec * 1e3,
-                    p.wall_sec * 1e3,
-                    p.enqueue_wait_sec * 1e3,
-                    if p.restore_ok { "ok" } else { "MISMATCH" },
-                ));
+/// The human rendering: an object prints its scalars on one `key value`
+/// line and each nested field indented below it; an array of objects prints
+/// one aligned table of its rows' scalars, each row followed by its own
+/// nested fields.
+pub fn render_table(title: &str, body: &Value) -> String {
+    fn scalar(v: &Value) -> Option<String> {
+        Some(match v {
+            Value::Count(n) => n.to_string(),
+            Value::Bytes(b) => fmt_bytes(*b),
+            Value::Seconds(s) => format!("{:.3} ms", s * 1e3),
+            Value::Ratio(r) => format!("{r:.2}"),
+            Value::Rate(bps) => format!("{:.2} GB/s", bps / 1e9),
+            Value::Digest(d) => fmt_digest(*d),
+            Value::Text(s) => s.clone(),
+            Value::Bool(b) => b.to_string(),
+            Value::Obj(_) | Value::Rows(_) => return None,
+        })
+    }
+    /// The row's table-visible fields, scalars formatted.
+    fn shown(row: &Row) -> impl Iterator<Item = (&Field, Option<String>)> {
+        let visible = row.iter().filter(|field| field.show != Show::Json);
+        visible.map(|field| (field, scalar(&field.value)))
+    }
+    fn nested(out: &mut String, row: &Row, indent: usize) {
+        for (field, _) in shown(row).filter(|(_, scalar)| scalar.is_none()) {
+            out.push_str(&format!("{:indent$}{}:\n", "", field.key));
+            walk(out, &field.value, indent + 2);
+        }
+    }
+    fn walk(out: &mut String, v: &Value, indent: usize) {
+        match v {
+            Value::Obj(row) => {
+                let line: Vec<String> = shown(row)
+                    .filter_map(|(field, scalar)| Some(format!("{} {}", field.key, scalar?)))
+                    .collect();
+                out.push_str(&format!("{:indent$}{}\n", "", line.join(", ")));
+                nested(out, row, indent);
             }
-            s.push_str(&format!(
-                "bit-identical restores across policy x threads: {}\n",
-                cell.bit_identical()
-            ));
-        }
-    }
-    s
-}
-
-/// The machine-readable side of the flush-pipeline sweep
-/// (`BENCH_flush_pipeline.json`).
-pub fn render_flush_pipeline_json(rep: &FlushPipelineReport) -> String {
-    let mut w = ckpt_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("flush_pipeline").begin_object();
-    w.key("n_checkpoints").u64(rep.n_checkpoints as u64);
-    w.key("bit_identical").bool(rep.bit_identical());
-    w.key("workloads").begin_array();
-    for wl in &rep.workloads {
-        w.begin_object();
-        w.key("graph").string(wl.graph.name());
-        w.key("scale").u64(wl.scale as u64);
-        w.key("snapshot_bytes").u64(wl.snapshot_bytes as u64);
-        w.key("cells").begin_array();
-        for cell in &wl.cells {
-            w.begin_object();
-            w.key("method").string(cell.method);
-            w.key("bit_identical").bool(cell.bit_identical());
-            w.key("stored_reduction_adaptive")
-                .f64(cell.stored_reduction_adaptive());
-            w.key("e2e_speedup_adaptive")
-                .f64(cell.e2e_speedup_adaptive());
-            w.key("points").begin_array();
-            for p in &cell.points {
-                w.begin_object();
-                w.key("policy").string(&p.policy);
-                w.key("threads").u64(p.threads as u64);
-                w.key("raw_bytes").u64(p.raw_bytes);
-                w.key("stored_bytes").u64(p.stored_bytes);
-                w.key("ratio_pct").u64(p.ratio_pct);
-                w.key("modeled_pfs_write_sec").f64(p.modeled_pfs_write_sec);
-                w.key("modeled_e2e_sec").f64(p.modeled_e2e_sec);
-                w.key("wall_sec").f64(p.wall_sec);
-                w.key("enqueue_wait_sec").f64(p.enqueue_wait_sec);
-                w.key("restore_digest").string(&format!(
-                    "{:016x}{:016x}",
-                    p.restore_digest.0, p.restore_digest.1
-                ));
-                w.key("restore_ok").bool(p.restore_ok);
-                w.end_object();
+            Value::Rows(rows) => {
+                let header = rows.first().into_iter().flat_map(shown);
+                let header: Vec<String> = header
+                    .filter_map(|(field, scalar)| scalar.map(|_| field.key.to_string()))
+                    .collect();
+                let cells: Vec<Vec<String>> = rows
+                    .iter()
+                    .map(|row| shown(row).filter_map(|(_, scalar)| scalar).collect())
+                    .collect();
+                let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+                for cols in &cells {
+                    let grow =
+                        |(width, col): (&mut usize, &String)| *width = (*width).max(col.len());
+                    widths.iter_mut().zip(cols).for_each(grow);
+                }
+                let line = |cols: &[String]| {
+                    let cols = cols.iter().zip(&widths);
+                    let text: String = cols.map(|(col, w)| format!(" {col:>w$}")).collect();
+                    " ".repeat(indent) + &text + "\n"
+                };
+                out.push_str(&line(&header));
+                for (row, cols) in rows.iter().zip(&cells) {
+                    out.push_str(&line(cols));
+                    nested(out, row, indent + 4);
+                }
             }
-            w.end_array();
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.end_object();
-    w.finish()
-}
-
-pub fn render_redundancy(rep: &RedundancyReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "Cross-rank redundancy: {} ranks x {} checkpoints [{} / scale {}], rank {} lost\n",
-        rep.n_ranks,
-        rep.n_checkpoints,
-        rep.graph.name(),
-        rep.scale,
-        rep.lost_rank,
-    ));
-    for cell in &rep.cells {
-        s.push_str(&format!(
-            "\n{}: rank-loss restores bit-identical: {}\n",
-            cell.method,
-            cell.bit_identical()
-        ));
-        s.push_str(&format!(
-            "{:>8} {:>12} {:>12} {:>9} {:>10} {:>9} {:>10} {:>7} {:>10} {:>8}\n",
-            "policy",
-            "stored",
-            "group",
-            "store-ov",
-            "wall",
-            "tput-ov",
-            "red-drain",
-            "source",
-            "restore",
-            "digest"
-        ));
-        for p in &cell.points {
-            s.push_str(&format!(
-                "{:>8} {:>12} {:>12} {:>8}% {:>7.2} ms {:>8.1}% {:>7.2} ms {:>7} {:>7.2} ms {:>8}\n",
-                p.policy,
-                fmt_bytes(p.stored_bytes),
-                fmt_bytes(p.group_bytes),
-                p.storage_overhead_pct,
-                p.wall_sec * 1e3,
-                cell.throughput_overhead_pct(&p.policy),
-                p.redundancy_drain_sec * 1e3,
-                p.restore_source,
-                p.rank_loss_restore_sec * 1e3,
-                if p.restore_ok { "ok" } else { "MISMATCH" },
-            ));
+            other => out.extend(scalar(other).map(|s| format!("{:indent$}{s}\n", ""))),
         }
     }
-    s
-}
-
-/// The machine-readable side of the redundancy sweep
-/// (`BENCH_redundancy.json`).
-pub fn render_redundancy_json(rep: &RedundancyReport) -> String {
-    let mut w = ckpt_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("redundancy").begin_object();
-    w.key("graph").string(rep.graph.name());
-    w.key("scale").u64(rep.scale as u64);
-    w.key("n_ranks").u64(rep.n_ranks as u64);
-    w.key("n_checkpoints").u64(rep.n_checkpoints as u64);
-    w.key("lost_rank").u64(rep.lost_rank as u64);
-    w.key("bit_identical").bool(rep.bit_identical());
-    w.key("cells").begin_array();
-    for cell in &rep.cells {
-        w.begin_object();
-        w.key("method").string(cell.method);
-        w.key("bit_identical").bool(cell.bit_identical());
-        w.key("points").begin_array();
-        for p in &cell.points {
-            w.begin_object();
-            w.key("policy").string(&p.policy);
-            w.key("raw_bytes").u64(p.raw_bytes);
-            w.key("stored_bytes").u64(p.stored_bytes);
-            w.key("group_bytes").u64(p.group_bytes);
-            w.key("storage_overhead_pct").u64(p.storage_overhead_pct);
-            w.key("wall_sec").f64(p.wall_sec);
-            w.key("agg_throughput_bps").f64(p.agg_throughput_bps);
-            w.key("throughput_overhead_pct")
-                .f64(cell.throughput_overhead_pct(&p.policy));
-            w.key("redundancy_drain_sec").f64(p.redundancy_drain_sec);
-            w.key("enqueue_wait_sec").f64(p.enqueue_wait_sec);
-            w.key("restore_source").string(p.restore_source);
-            w.key("rank_loss_restore_sec").f64(p.rank_loss_restore_sec);
-            w.key("restore_digest").string(&format!(
-                "{:016x}{:016x}",
-                p.restore_digest.0, p.restore_digest.1
-            ));
-            w.key("restore_ok").bool(p.restore_ok);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.end_object();
-    w.finish()
-}
-
-pub fn render_rank_dedup(rep: &RankDedupReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "Cluster-wide rank dedup: {} ranks x {} checkpoints [{} / scale {} / chunk {} B], \
-         rank {} lost, rank {} witness\n",
-        rep.n_ranks,
-        rep.n_checkpoints,
-        rep.graph.name(),
-        rep.scale,
-        rep.chunk,
-        rep.lost_rank,
-        rep.witness_rank,
-    ));
-    for cell in &rep.cells {
-        s.push_str(&format!(
-            "\n{}: restores bit-identical at threads {:?}: {}\n",
-            cell.method,
-            rep.threads,
-            cell.bit_identical()
-        ));
-        s.push_str(&format!(
-            "{:>8} {:>6} {:>12} {:>12} {:>7} {:>8} {:>12} {:>10} {:>7} {:>10} {:>8}\n",
-            "policy",
-            "dedup",
-            "stored",
-            "group",
-            "claims",
-            "refs",
-            "saved",
-            "modeled",
-            "source",
-            "restore",
-            "reduct"
-        ));
-        for p in &cell.points {
-            let restore_ms: f64 =
-                p.restores.iter().map(|r| r.restore_sec).sum::<f64>() / p.restores.len() as f64;
-            s.push_str(&format!(
-                "{:>8} {:>6} {:>12} {:>12} {:>7} {:>8} {:>12} {:>7.2} ms {:>7} {:>7.2} ms {:>7}\n",
-                p.policy,
-                if p.rank_dedup { "on" } else { "off" },
-                fmt_bytes(p.stored_bytes),
-                fmt_bytes(p.group_bytes),
-                p.claims,
-                p.remote_refs,
-                fmt_bytes(p.remote_bytes_saved),
-                p.modeled_e2e_sec * 1e3,
-                p.restore_source,
-                restore_ms * 1e3,
-                if p.rank_dedup {
-                    format!("{:.1}%", cell.reduction_pct(&p.policy))
-                } else {
-                    "-".into()
-                },
-            ));
-        }
-    }
-    s.push_str(&format!(
-        "\nworst-case stored-byte reduction vs per-rank dedup: {:.1}%\n",
-        rep.min_reduction_pct()
-    ));
-    s
-}
-
-/// The machine-readable side of the rank-dedup sweep
-/// (`BENCH_rank_dedup.json`).
-pub fn render_rank_dedup_json(rep: &RankDedupReport) -> String {
-    let mut w = ckpt_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("rank_dedup").begin_object();
-    w.key("graph").string(rep.graph.name());
-    w.key("scale").u64(rep.scale as u64);
-    w.key("n_ranks").u64(rep.n_ranks as u64);
-    w.key("n_checkpoints").u64(rep.n_checkpoints as u64);
-    w.key("chunk").u64(rep.chunk as u64);
-    w.key("lost_rank").u64(rep.lost_rank as u64);
-    w.key("witness_rank").u64(rep.witness_rank as u64);
-    w.key("bit_identical").bool(rep.bit_identical());
-    w.key("min_reduction_pct").f64(rep.min_reduction_pct());
-    w.key("cells").begin_array();
-    for cell in &rep.cells {
-        w.begin_object();
-        w.key("method").string(cell.method);
-        w.key("bit_identical").bool(cell.bit_identical());
-        w.key("points").begin_array();
-        for p in &cell.points {
-            w.begin_object();
-            w.key("policy").string(&p.policy);
-            w.key("rank_dedup").bool(p.rank_dedup);
-            w.key("raw_bytes").u64(p.raw_bytes);
-            w.key("stored_bytes").u64(p.stored_bytes);
-            w.key("group_bytes").u64(p.group_bytes);
-            w.key("claims").u64(p.claims);
-            w.key("remote_refs").u64(p.remote_refs);
-            w.key("remote_bytes_saved").u64(p.remote_bytes_saved);
-            w.key("reduction_pct").f64(if p.rank_dedup {
-                cell.reduction_pct(&p.policy)
-            } else {
-                0.0
-            });
-            w.key("wall_sec").f64(p.wall_sec);
-            w.key("modeled_e2e_sec").f64(p.modeled_e2e_sec);
-            w.key("restore_source").string(p.restore_source);
-            w.key("restores").begin_array();
-            for r in &p.restores {
-                w.begin_object();
-                w.key("threads").u64(r.threads as u64);
-                w.key("lost_digest")
-                    .string(&format!("{:016x}{:016x}", r.lost_digest.0, r.lost_digest.1));
-                w.key("witness_digest").string(&format!(
-                    "{:016x}{:016x}",
-                    r.witness_digest.0, r.witness_digest.1
-                ));
-                w.key("lost_ok").bool(r.lost_ok);
-                w.key("witness_ok").bool(r.witness_ok);
-                w.key("restore_sec").f64(r.restore_sec);
-                w.end_object();
-            }
-            w.end_array();
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.end_object();
-    w.finish()
-}
-
-/// The machine-readable side of Figure 5 (`BENCH_fig5.json`), including
-/// the hybrid `Tree+codec` series.
-pub fn render_fig5_json(cells: &[Fig5Cell]) -> String {
-    let mut w = ckpt_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("fig5").begin_object();
-    w.key("cells").begin_array();
-    for c in cells {
-        w.begin_object();
-        w.key("graph").string(c.graph.name());
-        w.key("n_checkpoints").u64(c.n_checkpoints as u64);
-        w.key("methods").begin_array();
-        for m in &c.methods {
-            w.begin_object();
-            w.key("name").string(&m.name);
-            w.key("uncompressed_bytes").u64(m.uncompressed);
-            w.key("stored_bytes").u64(m.stored);
-            w.key("metadata_bytes").u64(m.metadata);
-            w.key("ratio").f64(m.ratio());
-            w.key("modeled_sec").f64(m.modeled_sec);
-            w.key("measured_sec").f64(m.measured_sec);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.end_object();
-    w.finish()
-}
-
-pub fn render_hash(points: &[HashPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("Ablation A1: hash function choice (chunk 128 B)\n");
-    for p in points {
-        s.push_str(&format!(
-            "  {:<8} raw hashing {:>12} | end-to-end Tree: {}\n",
-            p.hasher,
-            fmt_tp(p.bytes_per_sec),
-            method_line(&p.record).trim_start(),
-        ));
-    }
-    s
+    let mut out = format!("{title}\n");
+    walk(&mut out, body, 0);
+    out
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Value::*;
     use super::*;
 
     #[test]
@@ -863,112 +284,27 @@ mod tests {
     }
 
     #[test]
-    fn host_scaling_json_has_expected_schema() {
-        use crate::experiments::{HostScalingPoint, HostScalingReport, HostScalingScale};
-        let rep = HostScalingReport {
-            n_checkpoints: 8,
-            scales: vec![HostScalingScale {
-                scale: 1000,
-                snapshot_bytes: 292_000,
-                points: vec![HostScalingPoint {
-                    threads: 1,
-                    wall_sec: 0.5,
-                    host_modeled_sec: 0.4,
-                    real_parallel_sec: 0.3,
-                    modeled_parallel_sec: 0.2,
-                    modeled_sec: 0.01,
-                    stored_bytes: 123,
-                    record_digest: (0xdead, 0xbeef),
-                    stages: vec![("leaf_hash".to_string(), 0.1, 0.005)],
-                }],
-            }],
-        };
-        let json = render_host_scaling_json(&rep);
-        let keys = ckpt_telemetry::collect_keys(&json);
-        for k in [
-            "host_scaling",
-            "scales",
-            "scale",
-            "snapshot_bytes",
-            "n_checkpoints",
-            "bit_identical",
-            "points",
-            "threads",
-            "wall_sec",
-            "host_modeled_sec",
-            "real_parallel_sec",
-            "modeled_parallel_sec",
-            "modeled_sec",
-            "stored_bytes",
-            "speedup_vs_1",
-            "record_digest",
-            "stages",
-            "stage",
-            "measured_sec",
-        ] {
-            assert!(keys.iter().any(|have| have == k), "missing key {k}");
-        }
-        assert!(json.contains("000000000000dead000000000000beef"));
-        assert!(json.contains("leaf_hash"));
-    }
-
-    #[test]
-    fn restart_latency_json_has_expected_schema() {
-        use crate::experiments::{RestartLatencyCell, RestartLatencyPoint, RestartLatencyReport};
-        let rep = RestartLatencyReport {
-            scale: 4000,
-            cells: vec![RestartLatencyCell {
-                method: "Tree",
-                chain_len: 32,
-                snapshot_bytes: 292_000,
-                points: vec![RestartLatencyPoint {
-                    threads: 8,
-                    seq_wall_sec: 0.5,
-                    par_wall_sec: 0.1,
-                    seq_host_modeled_sec: 0.4,
-                    par_host_modeled_sec: 0.1,
-                    seq_digest: (0xdead, 0xbeef),
-                    par_digest: (0xdead, 0xbeef),
-                    records_visited: 32,
-                    bytes_copied: 292_000,
-                }],
-            }],
-        };
-        assert!(rep.bit_identical());
-        let json = render_restart_latency_json(&rep);
-        let keys = ckpt_telemetry::collect_keys(&json);
-        for k in [
-            "restart_latency",
-            "scale",
-            "bit_identical",
-            "cells",
-            "method",
-            "chain_len",
-            "snapshot_bytes",
-            "best_speedup",
-            "points",
-            "threads",
-            "seq_wall_sec",
-            "par_wall_sec",
-            "seq_host_modeled_sec",
-            "par_host_modeled_sec",
-            "speedup",
-            "seq_digest",
-            "par_digest",
-            "records_visited",
-            "bytes_copied",
-        ] {
-            assert!(keys.iter().any(|have| have == k), "missing key {k}");
-        }
-        assert!(json.contains("000000000000dead000000000000beef"));
-        assert!(json.contains("\"Tree\""));
-    }
-
-    #[test]
-    fn fig2_rendering_mentions_savings() {
-        let d = crate::experiments::fig2_demo();
-        let text = render_fig2(&d);
-        assert!(text.contains("3 regions"));
-        assert!(text.contains("7 entries"));
+    fn one_field_list_drives_both_renderers() {
+        let body = Obj(vec![
+            f("n", Count(2)),
+            f(
+                "rows",
+                Rows(vec![vec![
+                    f("size", Bytes(2048)),
+                    table_only("tp", Rate(2.5e9)),
+                    f("digest", Digest((0xdead, 0xbeef))),
+                    json_only("inner", Rows(vec![vec![f("sec", Seconds(0.5))]])),
+                ]]),
+            ),
+            f("ok", Bool(true)),
+        ]);
+        assert_eq!(
+            render_json("x", &body),
+            r#"{"x":{"n":2,"rows":[{"size":2048,"digest":"000000000000dead000000000000beef","inner":[{"sec":0.5}]}],"ok":true}}"#
+        );
+        let text = render_table("T", &body);
+        assert!(text.starts_with("T\nn 2, ok true\nrows:\n"), "{text}");
+        assert!(text.contains("2.00 KiB 2.50 GB/s 000000000000dead000000000000beef"));
+        assert!(!text.contains("inner") && !text.contains("sec"));
     }
 }

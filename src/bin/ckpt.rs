@@ -314,6 +314,12 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
                 rank_dedup = true;
                 i += 1;
             }
+            flag if flag.starts_with("--") => {
+                return Err(exit_with(
+                    EXIT_USAGE,
+                    format!("create: unknown flag {flag}"),
+                ));
+            }
             other => {
                 snapshots.push(PathBuf::from(other));
                 i += 1;
@@ -662,6 +668,12 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
             "--parallel" => {
                 parallel = true;
                 i += 1;
+            }
+            flag if flag.starts_with("--") => {
+                return Err(exit_with(
+                    EXIT_USAGE,
+                    format!("restore: unknown flag {flag}"),
+                ));
             }
             other => {
                 dir = Some(PathBuf::from(other));

@@ -425,6 +425,22 @@ fn helpful_errors() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("not in record"));
+    // An unknown flag is a usage error naming it, not a snapshot path or
+    // record directory that then fails to open.
+    let x = tmp.path().join("x");
+    let (record, x) = (record.to_str().unwrap(), x.to_str().unwrap());
+    for args in [
+        vec!["create", "--out", x, "--bogus", snaps[0].to_str().unwrap()],
+        vec!["restore", record, "--bogus", "--out", x],
+    ] {
+        let out = ckpt().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag --bogus"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// `ckpt restore --parallel`: the single-pass restart engine restores the
