@@ -109,7 +109,7 @@ pub fn run_dedup_store(
     chunk_size: usize,
 ) -> AdjointReport {
     let device = Device::a100();
-    let mut ckpt = TreeCheckpointer::new(device, TreeConfig::new(chunk_size));
+    let mut ckpt = TreeCheckpointer::new(device.clone(), TreeConfig::new(chunk_size));
 
     // Forward sweep: checkpoint state 0..=l as versions 0..=l.
     let mut diffs = Vec::with_capacity(l + 1);
@@ -123,12 +123,12 @@ pub fn run_dedup_store(
     }
     let record_bytes: u64 = diffs.iter().map(|d| d.stored_bytes() as u64).sum();
 
-    // Backward sweep: random-access reads in reverse order.
-    let reader = RecordReader::build(&diffs).expect("well-formed record");
+    // Backward sweep: one single-pass restore per state, in reverse order.
     let mut lambda = model.adjoint_seed(&current);
     let mut backward_steps = 0u64;
     for step in (0..l).rev() {
-        let bytes = reader.read_version(step as u32).expect("version present");
+        let (bytes, _) =
+            restore_version_single_pass(&device, 0, &diffs, step).expect("well-formed record");
         let u_before = HeatModel::state_from_bytes(&bytes).expect("valid state");
         lambda = model.adjoint_step(&lambda, &u_before);
         backward_steps += 1;
@@ -201,8 +201,8 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences_through_the_record() {
-        // The full pipeline (checkpoint every state → random-access reverse
-        // reads → adjoint) must produce the true gradient.
+        // The full pipeline (checkpoint every state → restore in reverse
+        // order → adjoint) must produce the true gradient.
         let m = HeatModel::new(HeatParams::new(20));
         let u0 = m.initial_state();
         let l = 10;

@@ -805,8 +805,9 @@ pub const RESTART_CHAIN_LENS: [usize; 2] = [8, 32];
 /// Restart-latency benchmark: for each (chain length, method) cell, build
 /// a checkpoint chain over the GDV workload, then sweep the persistent
 /// pool's thread count restoring the *latest* version two ways — the
-/// sequential full replay (`restore_latest`) and the single-pass parallel
-/// engine (`restore_latest_single_pass`). Both run inside host-clock
+/// sequential-replay oracle (`restore_record`, last version) as the
+/// baseline and the single-pass engine (`restore_latest_single_pass`),
+/// the production restore path. Both run inside host-clock
 /// windows so shim-pool wall time is swapped for modeled parallel time;
 /// restored bytes are digested outside the timed windows and must be
 /// bit-identical across engines and thread counts.
@@ -821,7 +822,8 @@ pub fn restart_latency_at(chain_lens: &[usize], scale: usize, seed: u64) -> Rest
             for &threads in &HOST_SCALING_THREADS {
                 warm_pool(threads);
                 let (seq, seq_wall_sec, seq_clock) =
-                    host_clocked(|| restore_latest(&diffs).expect("sequential replay"));
+                    host_clocked(|| restore_record(&diffs).expect("sequential replay").pop());
+                let seq = seq.expect("chain has a version");
                 let ((par, stats), par_wall_sec, par_clock) = host_clocked(|| {
                     restore_latest_single_pass(&device, 0, &diffs).expect("single-pass restart")
                 });

@@ -29,6 +29,7 @@
 //! -- payload: payload_len bytes --
 //! ```
 
+use crate::chunking::Chunking;
 use crate::util::LeReader;
 
 /// Which checkpointing method produced a diff.
@@ -114,7 +115,17 @@ pub enum DecodeError {
     BadMagic,
     BadVersion(u16),
     BadKind(u8),
-    LengthMismatch { expected: usize, actual: usize },
+    LengthMismatch {
+        expected: usize,
+        actual: usize,
+    },
+    /// `(data_len, chunk_size)` with an empty buffer or a chunk size below
+    /// [`Chunking::MIN_CHUNK_SIZE`]: no checkpointer produces one and no
+    /// restore path can chunk it.
+    BadGeometry(u64, u32),
+    /// `(node, n_nodes)`: a region table names a node outside the
+    /// `2·n_chunks − 1` nodes of the geometry's tree.
+    NodeOutOfRange(u32, u64),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -126,6 +137,12 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadKind(k) => write!(f, "unknown method kind {k}"),
             DecodeError::LengthMismatch { expected, actual } => {
                 write!(f, "diff length mismatch: expected {expected}, got {actual}")
+            }
+            DecodeError::BadGeometry(len, chunk) => {
+                write!(f, "bad geometry: {len} bytes in chunks of {chunk}")
+            }
+            DecodeError::NodeOutOfRange(node, n_nodes) => {
+                write!(f, "region node {node} outside a tree of {n_nodes} nodes")
             }
         }
     }
@@ -193,7 +210,9 @@ impl Diff {
         out
     }
 
-    /// Deserialize from bytes.
+    /// Deserialize from bytes. A decoded diff is safe to hand to any
+    /// restore path: its geometry can be chunked and every region-table
+    /// node id lies inside the geometry's tree.
     pub fn decode(buf: &[u8]) -> Result<Diff, DecodeError> {
         let (h, mut r) = Header::read(buf)?;
         // `Header::read` checked the sections against the buffer, so none
@@ -202,16 +221,25 @@ impl Diff {
             expected: h.total_len,
             actual: buf.len(),
         };
+        let n_nodes = 2 * h.data_len.div_ceil(h.chunk_size as u64) - 1;
+        let in_tree = |node: Option<u32>| {
+            let node = node.ok_or_else(underrun)?;
+            if (node as u64) < n_nodes {
+                Ok(node)
+            } else {
+                Err(DecodeError::NodeOutOfRange(node, n_nodes))
+            }
+        };
         let bitmap = r.take(h.bitmap_len).ok_or_else(underrun)?.to_vec();
         let mut first_regions = Vec::with_capacity(h.n_first);
         for _ in 0..h.n_first {
-            first_regions.push(r.u32().ok_or_else(underrun)?);
+            first_regions.push(in_tree(r.u32())?);
         }
         let mut shift_regions = Vec::with_capacity(h.n_shift);
         for _ in 0..h.n_shift {
             shift_regions.push(ShiftRegion {
-                node: r.u32().ok_or_else(underrun)?,
-                ref_node: r.u32().ok_or_else(underrun)?,
+                node: in_tree(r.u32())?,
+                ref_node: in_tree(r.u32())?,
                 ref_ckpt: r.u32().ok_or_else(underrun)?,
             });
         }
@@ -270,7 +298,10 @@ impl Header {
             return Err(DecodeError::BadVersion(version));
         }
         let kind = MethodKind::from_u8(kind).ok_or(DecodeError::BadKind(kind))?;
-        let n_chunks = (data_len as usize).div_ceil(chunk_size.max(1) as usize);
+        if data_len == 0 || (chunk_size as usize) < Chunking::MIN_CHUNK_SIZE {
+            return Err(DecodeError::BadGeometry(data_len, chunk_size));
+        }
+        let n_chunks = (data_len as usize).div_ceil(chunk_size as usize);
         let (bitmap_len, n_first, n_shift) = match kind {
             MethodKind::Full => (0, 0, 0),
             MethodKind::Basic => (n_chunks.div_ceil(8), 0, 0),
@@ -402,6 +433,76 @@ mod tests {
             Err(DecodeError::LengthMismatch { .. })
         ));
         assert_eq!(Diff::payload_offset(&bytes), None);
+    }
+
+    /// Forge every geometry field and every region-table node id of a
+    /// valid diff to each boundary value: what no restore path can chunk
+    /// or index is a typed error here, and whatever still decodes is safe
+    /// to chunk and has every node inside its tree.
+    #[test]
+    fn forged_geometry_and_node_ids_are_typed_errors() {
+        let d = sample_tree_diff();
+        let bytes = d.encode();
+        let n_nodes = 2 * d.n_chunks() as u32 - 1;
+        let min = Chunking::MIN_CHUNK_SIZE as u32;
+        let forged = [0, min - 1, n_nodes, u32::MAX];
+
+        // (field offset, width): data_len u64 @12, chunk_size u32 @20.
+        for (at, width) in [(12, 8), (20, 4)] {
+            for v in forged {
+                let mut b = bytes.clone();
+                b[at..at + width].copy_from_slice(&(v as u64).to_le_bytes()[..width]);
+                match Diff::decode(&b) {
+                    Ok(got) => {
+                        let ck = Chunking::new(got.data_len as usize, got.chunk_size as usize);
+                        let nodes = got
+                            .first_regions
+                            .iter()
+                            .copied()
+                            .chain(got.shift_regions.iter().flat_map(|s| [s.node, s.ref_node]));
+                        for node in nodes {
+                            assert!((node as usize) < 2 * ck.n_chunks() - 1, "@{at}={v}");
+                        }
+                    }
+                    Err(e) => assert!(
+                        matches!(
+                            e,
+                            DecodeError::BadGeometry(..)
+                                | DecodeError::NodeOutOfRange(..)
+                                | DecodeError::LengthMismatch { .. }
+                        ),
+                        "@{at}={v}: {e}"
+                    ),
+                }
+            }
+        }
+        for (at, width, v) in [(12, 8, 0), (20, 4, 0), (20, 4, min - 1)] {
+            let mut b = bytes.clone();
+            b[at..at + width].copy_from_slice(&(v as u64).to_le_bytes()[..width]);
+            assert!(
+                matches!(Diff::decode(&b), Err(DecodeError::BadGeometry(..))),
+                "@{at}={v}"
+            );
+        }
+
+        // Node ids: two first regions, then the shift's node and ref_node.
+        for at in [40, 44, 48, 52] {
+            for v in forged {
+                let mut b = bytes.clone();
+                b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                let got = Diff::decode(&b);
+                if v < n_nodes {
+                    assert!(got.is_ok(), "node @{at}={v}: {got:?}");
+                } else {
+                    assert_eq!(
+                        got,
+                        Err(DecodeError::NodeOutOfRange(v, n_nodes as u64)),
+                        "node @{at}={v}"
+                    );
+                }
+            }
+        }
+        assert_eq!(Diff::decode(&bytes).unwrap(), d, "valid bytes still decode");
     }
 
     #[test]

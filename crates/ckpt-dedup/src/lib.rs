@@ -22,7 +22,7 @@
 //! use ckpt_dedup::prelude::*;
 //!
 //! let device = gpu_sim::Device::a100();
-//! let mut ckpt = TreeCheckpointer::new(device, TreeConfig::new(64));
+//! let mut ckpt = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
 //!
 //! let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
 //! let out0 = ckpt.checkpoint(&data);          // initial checkpoint: full
@@ -31,16 +31,25 @@
 //! assert!(out1.diff.stored_bytes() < out0.diff.stored_bytes() / 10);
 //!
 //! // Reconstruct any version from the record.
-//! let versions = restore_record(&[out0.diff, out1.diff]).unwrap();
-//! assert_eq!(versions[1], data);
+//! let record = [out0.diff, out1.diff];
+//! let (v1, _) = restore_version_single_pass(&device, 0, &record, 1).unwrap();
+//! assert_eq!(v1, data);
 //! ```
+//!
+//! # Restoring
+//!
+//! [`restart`] is the restore engine, the only one production code calls:
+//! one newest→oldest pass that writes each chunk of the wanted version
+//! once, plus [`check_chain`], which proves a whole chain restorable from
+//! its region tables alone. [`mod@restore`] is §2.2's sequential replay; it
+//! builds every version and shares no resolution logic with the engine —
+//! kept as the oracle the engine is tested against, not as a second way in.
 
 pub mod chunking;
 pub mod diff;
 pub mod frame;
 pub mod labels;
 pub mod methods;
-pub mod random_access;
 pub mod record;
 pub mod restart;
 pub mod restore;
@@ -65,13 +74,12 @@ pub use methods::tree::{TreeCheckpointer, TreeConfig};
 pub use methods::tree_naive::NaiveTreeCheckpointer;
 pub use methods::tree_serial::SerialTreeCheckpointer;
 pub use methods::{CheckpointOutput, Checkpointer};
-pub use random_access::RecordReader;
 pub use record::{run_record, CheckpointRecord};
 pub use restart::{
-    is_self_contained, restore_latest_single_pass, restore_version_single_pass, RestartStats,
-    SinglePassRestore,
+    check_chain, is_self_contained, restore_latest_single_pass, restore_version_single_pass,
+    RestartStats, SinglePassRestore,
 };
-pub use restore::{restore_latest, restore_record, restore_record_from, RestoreError, Restorer};
+pub use restore::{restore_record, restore_record_from, RestoreError};
 pub use stats::{CheckpointStats, RecordStats};
 pub use tree::{MerkleTree, TreeShape};
 
@@ -84,13 +92,12 @@ pub mod prelude {
     pub use crate::methods::tree_naive::NaiveTreeCheckpointer;
     pub use crate::methods::tree_serial::SerialTreeCheckpointer;
     pub use crate::methods::{CheckpointOutput, Checkpointer};
-    pub use crate::random_access::RecordReader;
     pub use crate::record::{run_record, CheckpointRecord};
     pub use crate::restart::{
-        is_self_contained, restore_latest_single_pass, restore_version_single_pass,
+        check_chain, is_self_contained, restore_latest_single_pass, restore_version_single_pass,
         SinglePassRestore,
     };
-    pub use crate::restore::{restore_latest, restore_record, restore_record_from, Restorer};
+    pub use crate::restore::{restore_record, restore_record_from};
     pub use crate::stats::{CheckpointStats, RecordStats};
     pub use crate::MethodKind;
 }

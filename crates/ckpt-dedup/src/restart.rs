@@ -1,13 +1,14 @@
-//! Single-pass parallel restart: last-writer-wins restore without
+//! The restore engine: single-pass, last-writer-wins, without
 //! materializing intermediate checkpoints.
 //!
-//! The sequential [`Restorer`](crate::restore::Restorer) replays a record
-//! front-to-back, cloning and patching every version on the way to the one
-//! that is actually wanted — O(chain length × checkpoint size) bytes moved
-//! for a single restore. This module walks the chain the other way: starting
-//! from the target checkpoint, a per-chunk **resolution table** records which
-//! record position must supply each chunk. Visiting records newest→oldest,
-//! a device kernel advances every unresolved chunk through the current
+//! Replaying a record front-to-back clones and patches every version on
+//! the way to the one that is wanted — O(chain length × checkpoint size)
+//! bytes moved for a single restore (that replay survives in
+//! [`crate::restore`] as the oracle this engine is tested against). This
+//! module walks the chain the other way: starting from the target
+//! checkpoint, a per-chunk **resolution table** records which record
+//! position must supply each chunk. Visiting records newest→oldest, a
+//! device kernel advances every unresolved chunk through the current
 //! record's region tables — a chunk covered by payload is *finalized* (its
 //! source record and payload offset are now known), a chunk covered by a
 //! shifted duplicate is redirected (possibly to an older record), and an
@@ -26,6 +27,12 @@
 //! [`Checkpointer::rebase_checkpoint`](crate::methods::Checkpointer::rebase_checkpoint))
 //! short-circuit: a self-contained record finalizes every remaining chunk,
 //! so older records are never visited — the chain-compaction payoff.
+//!
+//! **Everything that can fail, fails before a byte moves.** A record visit
+//! starts with `Chain::index` (header, payload decode, table ranges, disjoint
+//! destinations, acyclic same-record shifts); past it neither the resolution
+//! kernel nor the copy wave can fail. So [`check_chain`] proves a whole chain
+//! restorable by indexing each record once — no table, no buffer, no copy.
 
 use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
@@ -33,14 +40,14 @@ use crate::restore::{copy_regions, decoded_payload, RestoreError};
 use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
 use gpu_sim::{ArenaLease, Device, KernelCost};
+use std::borrow::Cow;
 
 /// Per-chunk resolution status after a record visit (kernel → host codes).
 const ST_CARRIED: u32 = 0;
 const ST_PAYLOAD: u32 = 1;
 const ST_ZERO: u32 = 2;
-const ST_CYCLE: u32 = 3;
 
-/// Counters describing one single-pass restore.
+/// Counters describing one single-pass restore (or one [`check_chain`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestartStats {
     /// Records the resolution walk actually visited (≤ chain length; a
@@ -114,108 +121,135 @@ enum RecordIndex {
         flags: ArenaLease<u64>,
         ranks: ArenaLease<u64>,
     },
-    /// Tree/List: sorted interval tables over chunk ids.
+    /// Tree/List: interval tables over chunk ids, sorted by `clo`, their
+    /// destinations pairwise disjoint.
     Regions {
         payload: Vec<PayloadIv>,
         shifts: Vec<ShiftIv>,
     },
 }
 
-/// Incremental single-pass restore of one target version.
-///
-/// Feed records newest→oldest starting with the target itself;
-/// [`feed`](Self::feed) returns `true` once every chunk is resolved (always
-/// by the time record position 0 has been fed). The incremental shape lets a
-/// driver overlap fetching record *j−1* from storage with resolving record
-/// *j* — the runtime crate's prefetching engine does exactly that.
-pub struct SinglePassRestore {
+/// A chunk that two entries of the tables (each sorted by `clo`) both
+/// write, if there is one.
+fn first_overlap(payload: &[PayloadIv], shifts: &[ShiftIv]) -> Option<u32> {
+    let in_payload = payload.windows(2).find(|w| w[1].clo < w[0].chi);
+    let in_shifts = shifts.windows(2).find(|w| w[1].clo < w[0].chi);
+    // Only consulted once both tables are disjoint in themselves, which is
+    // what makes the binary search over `payload` sound.
+    let across = || {
+        shifts.iter().find_map(|s| {
+            let r = payload.get(payload.partition_point(|r| r.chi <= s.clo))?;
+            (r.clo < s.chi).then_some(r.clo.max(s.clo))
+        })
+    };
+    in_payload
+        .map(|w| w[1].clo)
+        .or(in_shifts.map(|w| w[1].clo))
+        .or_else(across)
+}
+
+/// How many same-record shifts (`ref_pos == j`) can never be applied: a
+/// shift must follow every same-record shift whose destination its source
+/// overlaps, so one on — or leading into — a dependency cycle never gets
+/// its turn. `shifts` is sorted by `clo` with disjoint destinations, so a
+/// shift's dependencies are one contiguous run. Zero for every table a
+/// method emits; then a chunk's chase enters each shift at most once.
+fn stuck_shifts(shifts: &[ShiftIv], j: u32) -> usize {
+    const UNSEEN: u8 = 0;
+    const ON_PATH: u8 = 1;
+    const APPLIED: u8 = 2;
+    const STUCK: u8 = 3;
+    // A shift reading an older record has its data the moment it is asked.
+    let mut state: Vec<u8> = shifts
+        .iter()
+        .map(|s| if s.ref_pos == j { UNSEEN } else { APPLIED })
+        .collect();
+    let deps = |s: &ShiftIv| {
+        let first = shifts.partition_point(|r| r.chi <= s.slo);
+        let src_end = s.slo + (s.chi - s.clo);
+        first..first + shifts[first..].partition_point(|r| r.clo < src_end)
+    };
+    // Depth-first over dependencies: (shift, its dependencies not yet seen).
+    let mut path = Vec::new();
+    for root in 0..shifts.len() {
+        if state[root] != UNSEEN {
+            continue;
+        }
+        state[root] = ON_PATH;
+        path.push((root, deps(&shifts[root])));
+        while let Some((s, rest)) = path.last_mut() {
+            match rest.next().map(|dep| (dep, state[dep])) {
+                None => {
+                    state[*s] = APPLIED;
+                    path.pop();
+                }
+                Some((dep, UNSEEN)) => {
+                    state[dep] = ON_PATH;
+                    path.push((dep, deps(&shifts[dep])));
+                }
+                Some((_, APPLIED)) => {}
+                // On the path (a cycle) or already stuck: so is everything
+                // waiting on it.
+                Some(_) => path.drain(..).for_each(|(s, _)| state[s] = STUCK),
+            }
+        }
+    }
+    state.iter().filter(|&&st| st == STUCK).count()
+}
+
+/// What every record of one chain shares, and the validation of one record
+/// against it.
+struct Chain {
     device: Device,
     kind: MethodKind,
     ck: Chunking,
     shape: TreeShape,
+    /// First surviving checkpoint id: position `p` is `ckpt_id == base + p`.
     base: u32,
-    /// Record position the next `feed` must carry (`ckpt_id == base + pos`).
-    next_pos: u32,
-    buf: Vec<u8>,
-    /// Per-chunk: record position whose content the chunk currently needs.
-    need_pos: ArenaLease<u32>,
-    /// Per-chunk: chunk index within that version.
-    need_chunk: ArenaLease<u32>,
-    /// Per-chunk visit status (`ST_*`).
-    status: ArenaLease<u32>,
-    /// Per-chunk payload byte offset once finalized.
-    final_off: ArenaLease<u64>,
-    /// Target chunks not yet finalized, ascending.
-    pending: Vec<u32>,
-    done: bool,
-    stats: RestartStats,
 }
 
-impl SinglePassRestore {
-    /// Start a restore of `target` (the newest record that matters) for a
-    /// chain whose first surviving checkpoint id is `base`. The target diff
-    /// itself must then be the first record fed.
-    pub fn begin(device: &Device, base: u32, target: &Diff) -> Result<Self, RestoreError> {
-        let Some(target_pos) = target.ckpt_id.checked_sub(base) else {
-            return Err(RestoreError::OutOfOrder {
-                index: 0,
-                ckpt_id: target.ckpt_id,
-            });
-        };
-        let ck = Chunking::new(target.data_len as usize, target.chunk_size as usize);
-        let shape = TreeShape::new(ck.n_chunks());
-        let n = ck.n_chunks();
-        let arena = device.arena();
-        let mut need_pos = arena.lease::<u32>("restart/need_pos", n);
-        let mut need_chunk = arena.lease::<u32>("restart/need_chunk", n);
-        let status = arena.lease::<u32>("restart/status", n);
-        let final_off = arena.lease::<u64>("restart/final_off", n);
-        {
-            // Leases carry stale pool contents; seed the resolution table:
-            // every chunk needs its own position of the target version.
-            let pos = SharedSliceMut::new(need_pos.as_mut_slice());
-            let chunk = SharedSliceMut::new(need_chunk.as_mut_slice());
-            device.parallel_for(
-                "restart_seed_resolution",
-                n,
-                KernelCost::stream(8 * n as u64),
-                |c| unsafe {
-                    // SAFETY: chunk index owned by this thread.
-                    pos.write(c, target_pos);
-                    chunk.write(c, c as u32);
-                },
-            );
-        }
-        Ok(SinglePassRestore {
+impl Chain {
+    /// The chain `member` belongs to.
+    fn of(device: &Device, base: u32, member: &Diff) -> Chain {
+        let ck = Chunking::new(member.data_len as usize, member.chunk_size as usize);
+        Chain {
             device: device.clone(),
-            kind: target.kind,
+            kind: member.kind,
             ck,
-            shape,
+            shape: TreeShape::new(ck.n_chunks()),
             base,
-            next_pos: target_pos,
-            buf: vec![0u8; ck.data_len()],
-            need_pos,
-            need_chunk,
-            status,
-            final_off,
-            pending: (0..n as u32).collect(),
-            done: false,
-            stats: RestartStats::default(),
-        })
+        }
     }
 
-    /// True once every chunk has a resolved source.
-    pub fn is_done(&self) -> bool {
-        self.done
+    /// Validate `diff` as the chain's record at position `pos` and build
+    /// its visit index — the only fallible step of a record visit.
+    fn index<'d>(
+        &self,
+        pos: u32,
+        diff: &'d Diff,
+    ) -> Result<(Cow<'d, [u8]>, RecordIndex), RestoreError> {
+        if diff.ckpt_id != self.base + pos {
+            return Err(RestoreError::OutOfOrder {
+                index: pos as usize,
+                ckpt_id: diff.ckpt_id,
+            });
+        }
+        if diff.kind != self.kind {
+            return Err(RestoreError::MixedKinds {
+                expected: self.kind,
+                found: diff.kind,
+            });
+        }
+        if diff.data_len as usize != self.ck.data_len()
+            || diff.chunk_size as usize != self.ck.chunk_size()
+        {
+            return Err(RestoreError::GeometryChanged);
+        }
+        let payload = decoded_payload(diff)?;
+        let index = self.build_index(diff, payload.len())?;
+        Ok((payload, index))
     }
 
-    /// Record position expected by the next [`feed`](Self::feed).
-    pub fn next_position(&self) -> Option<u32> {
-        (!self.done).then_some(self.next_pos)
-    }
-
-    /// Build the visit index for `diff`, validating its tables the same way
-    /// the sequential restorer does.
     fn build_index(&self, diff: &Diff, payload_len: usize) -> Result<RecordIndex, RestoreError> {
         let n = self.ck.n_chunks();
         match diff.kind {
@@ -305,39 +339,139 @@ impl SinglePassRestore {
                     });
                 }
                 shifts.sort_unstable_by_key(|r| r.clo);
+
+                if let Some(chunk) = first_overlap(&payload, &shifts) {
+                    return Err(RestoreError::RegionsOverlap {
+                        ckpt_id: diff.ckpt_id,
+                        chunk,
+                    });
+                }
+                let stuck = stuck_shifts(&shifts, diff.ckpt_id - self.base);
+                if stuck > 0 {
+                    return Err(RestoreError::UnresolvableShifts {
+                        ckpt_id: diff.ckpt_id,
+                        remaining: stuck,
+                    });
+                }
                 Ok(RecordIndex::Regions { payload, shifts })
             }
         }
     }
+}
 
-    /// Visit the next record (position [`next_position`](Self::next_position),
-    /// newest first). Returns `true` when every chunk is resolved and the
-    /// remaining (older) records are not needed.
+/// Prove that every version of a chain restores, without restoring any.
+///
+/// By induction: a visited record sends a chunk only to itself, to an older
+/// record of the chain, or to the zero prefix, so version `k` restores iff
+/// version `k − 1` does and record `k` passes the one fallible step of a
+/// visit — the `Chain::index` that [`SinglePassRestore::feed`] runs. One
+/// pass over each record's metadata (plus a decompression where the payload
+/// carries a codec); the stats count the records and, there being no buffer
+/// to copy into, no copies.
+pub fn check_chain(
+    device: &Device,
+    base: u32,
+    diffs: &[Diff],
+) -> Result<RestartStats, RestoreError> {
+    let Some(head) = diffs.first() else {
+        return Err(RestoreError::OutOfOrder {
+            index: 0,
+            ckpt_id: base,
+        });
+    };
+    let chain = Chain::of(device, base, head);
+    for (pos, diff) in diffs.iter().enumerate() {
+        chain.index(pos as u32, diff)?;
+    }
+    Ok(RestartStats {
+        records_visited: diffs.len() as u32,
+        ..RestartStats::default()
+    })
+}
+
+/// Incremental single-pass restore of one target version.
+///
+/// Feed records newest→oldest starting with the target itself;
+/// [`feed`](Self::feed) returns `true` once every chunk is resolved (always
+/// by the time record position 0 has been fed). The incremental shape lets a
+/// driver overlap fetching record *j−1* from storage with resolving record
+/// *j* — the runtime crate's prefetching engine does exactly that.
+pub struct SinglePassRestore {
+    chain: Chain,
+    /// Record position the next `feed` must carry (`ckpt_id == base + pos`).
+    next_pos: u32,
+    buf: Vec<u8>,
+    /// Per-chunk: record position whose content the chunk currently needs.
+    need_pos: ArenaLease<u32>,
+    /// Per-chunk: chunk index within that version.
+    need_chunk: ArenaLease<u32>,
+    /// Per-chunk visit status (`ST_*`).
+    status: ArenaLease<u32>,
+    /// Per-chunk payload byte offset once finalized.
+    final_off: ArenaLease<u64>,
+    /// Target chunks not yet finalized, ascending.
+    pending: Vec<u32>,
+    done: bool,
+    stats: RestartStats,
+}
+
+impl SinglePassRestore {
+    /// Start a restore of `target` (the newest record that matters) for a
+    /// chain whose first surviving checkpoint id is `base`. The target diff
+    /// itself must then be the first record fed.
+    pub fn begin(device: &Device, base: u32, target: &Diff) -> Result<Self, RestoreError> {
+        let Some(target_pos) = target.ckpt_id.checked_sub(base) else {
+            return Err(RestoreError::OutOfOrder {
+                index: 0,
+                ckpt_id: target.ckpt_id,
+            });
+        };
+        let chain = Chain::of(device, base, target);
+        let n = chain.ck.n_chunks();
+        let arena = device.arena();
+        let mut need_pos = arena.lease::<u32>("restart/need_pos", n);
+        let mut need_chunk = arena.lease::<u32>("restart/need_chunk", n);
+        let status = arena.lease::<u32>("restart/status", n);
+        let final_off = arena.lease::<u64>("restart/final_off", n);
+        {
+            // Leases carry stale pool contents; seed the resolution table:
+            // every chunk needs its own position of the target version.
+            let pos = SharedSliceMut::new(need_pos.as_mut_slice());
+            let chunk = SharedSliceMut::new(need_chunk.as_mut_slice());
+            device.parallel_for(
+                "restart_seed_resolution",
+                n,
+                KernelCost::stream(8 * n as u64),
+                |c| unsafe {
+                    // SAFETY: chunk index owned by this thread.
+                    pos.write(c, target_pos);
+                    chunk.write(c, c as u32);
+                },
+            );
+        }
+        Ok(SinglePassRestore {
+            next_pos: target_pos,
+            buf: vec![0u8; chain.ck.data_len()],
+            chain,
+            need_pos,
+            need_chunk,
+            status,
+            final_off,
+            pending: (0..n as u32).collect(),
+            done: false,
+            stats: RestartStats::default(),
+        })
+    }
+
+    /// Visit the next record, newest first: the target, then each position
+    /// below the last one fed. Returns `true` when every chunk is resolved
+    /// and the remaining (older) records are not needed.
     pub fn feed(&mut self, diff: &Diff) -> Result<bool, RestoreError> {
         if self.done {
             return Ok(true);
         }
         let j = self.next_pos;
-        if diff.ckpt_id != self.base + j {
-            return Err(RestoreError::OutOfOrder {
-                index: j as usize,
-                ckpt_id: diff.ckpt_id,
-            });
-        }
-        if diff.kind != self.kind {
-            return Err(RestoreError::MixedKinds {
-                expected: self.kind,
-                found: diff.kind,
-            });
-        }
-        if diff.data_len as usize != self.ck.data_len()
-            || diff.chunk_size as usize != self.ck.chunk_size()
-        {
-            return Err(RestoreError::GeometryChanged);
-        }
-
-        let payload = decoded_payload(diff)?;
-        let index = self.build_index(diff, payload.len())?;
+        let (payload, index) = self.chain.index(j, diff)?;
         self.stats.records_visited += 1;
 
         // Resolution kernel: advance every unresolved chunk through this
@@ -345,7 +479,7 @@ impl SinglePassRestore {
         // tables are read-only; so the pass is embarrassingly parallel and
         // its outcome is thread-count independent.
         let n_pend = self.pending.len();
-        let chunk_size = self.ck.chunk_size();
+        let chunk_size = self.chain.ck.chunk_size();
         {
             let pending = &self.pending;
             let need_pos = SharedSliceMut::new(self.need_pos.as_mut_slice());
@@ -354,7 +488,8 @@ impl SinglePassRestore {
             let final_off = SharedSliceMut::new(self.final_off.as_mut_slice());
             let index = &index;
             let cost = KernelCost::stream(32 * n_pend as u64);
-            self.device
+            self.chain
+                .device
                 .parallel_for("restart_resolve", n_pend, cost, |i| {
                     let c = pending[i] as usize;
                     // SAFETY: chunk `c` appears once in `pending`; all state
@@ -381,9 +516,9 @@ impl SinglePassRestore {
                                 }
                             }
                             RecordIndex::Regions { payload, shifts } => {
-                                // Chase within this record; a cycle among
-                                // same-record shifts exhausts the fuel.
-                                let mut fuel = shifts.len() + 1;
+                                // Chase within this record. The index has no
+                                // same-record shift cycle, so the chase
+                                // leaves every shift it enters for good.
                                 loop {
                                     let p = payload.partition_point(|r| r.chi <= cur);
                                     if let Some(r) = payload.get(p) {
@@ -401,11 +536,6 @@ impl SinglePassRestore {
                                         if r.clo <= cur && cur < r.chi {
                                             let src = r.slo + (cur - r.clo);
                                             if r.ref_pos == j {
-                                                if fuel == 0 {
-                                                    status.write(c, ST_CYCLE);
-                                                    break;
-                                                }
-                                                fuel -= 1;
                                                 cur = src;
                                                 continue;
                                             }
@@ -435,35 +565,27 @@ impl SinglePassRestore {
         // record finalized from the ones carried to older records.
         let status = &self.status;
         let pending = &self.pending;
-        let (finalized, carried) = self
-            .device
-            .partition_where("restart_partition", n_pend, |i| {
-                status[pending[i] as usize] != ST_CARRIED
-            });
+        let (finalized, carried) =
+            self.chain
+                .device
+                .partition_where("restart_partition", n_pend, |i| {
+                    status[pending[i] as usize] != ST_CARRIED
+                });
 
         let mut regions: Vec<(usize, usize, usize)> = Vec::with_capacity(finalized.len());
-        let mut cycles = 0usize;
         for &i in &finalized {
             let c = self.pending[i as usize] as usize;
-            match self.status[c] {
-                ST_PAYLOAD => {
-                    let (a, b) = self.ck.byte_range(c);
-                    regions.push((a, b - a, self.final_off[c] as usize));
-                }
-                ST_ZERO => self.stats.zero_chunks += 1,
-                _ => cycles += 1,
+            if self.status[c] == ST_PAYLOAD {
+                let (a, b) = self.chain.ck.byte_range(c);
+                regions.push((a, b - a, self.final_off[c] as usize));
+            } else {
+                self.stats.zero_chunks += 1;
             }
-        }
-        if cycles > 0 {
-            return Err(RestoreError::UnresolvableShifts {
-                ckpt_id: diff.ckpt_id,
-                remaining: cycles,
-            });
         }
 
         // One parallel copy wave for everything this record supplies.
         let bytes: usize = regions.iter().map(|r| r.1).sum();
-        self.device.parallel_for(
+        self.chain.device.parallel_for(
             "restart_copy_wave",
             0,
             KernelCost::copy(bytes as u64),
@@ -493,7 +615,7 @@ impl SinglePassRestore {
     pub fn finish(self) -> Result<(Vec<u8>, RestartStats), RestoreError> {
         if !self.done {
             return Err(RestoreError::UnresolvableShifts {
-                ckpt_id: self.base + self.next_pos,
+                ckpt_id: self.chain.base + self.next_pos,
                 remaining: self.pending.len(),
             });
         }
@@ -532,13 +654,8 @@ pub fn restore_latest_single_pass(
     base: u32,
     diffs: &[Diff],
 ) -> Result<(Vec<u8>, RestartStats), RestoreError> {
-    if diffs.is_empty() {
-        return Err(RestoreError::UnresolvableShifts {
-            ckpt_id: base,
-            remaining: 0,
-        });
-    }
-    restore_version_single_pass(device, base, diffs, diffs.len() - 1)
+    // An empty record has no index 0: typed there.
+    restore_version_single_pass(device, base, diffs, diffs.len().saturating_sub(1))
 }
 
 #[cfg(test)]
@@ -715,6 +832,91 @@ mod tests {
         ];
         let err = restore_latest_single_pass(&device, 0, std::slice::from_ref(&cyc)).unwrap_err();
         assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
+    }
+
+    /// Tables the oracle refuses are refused the same way here, before a
+    /// byte moves: two entries writing one chunk, and shifts that wait on
+    /// each other region-wise even though no single chunk's chase loops.
+    #[test]
+    fn overlapping_and_deadlocked_tables_match_the_oracle() {
+        let device = Device::a100();
+        let both = |d: &Diff| {
+            let engine = restore_latest_single_pass(&device, 0, std::slice::from_ref(d));
+            let check = check_chain(&device, 0, std::slice::from_ref(d)).unwrap_err();
+            let oracle = restore_record(std::slice::from_ref(d)).unwrap_err();
+            assert_eq!(engine.unwrap_err(), check);
+            (check, oracle)
+        };
+
+        // Node 1 (chunks 0–1) as payload, and leaf 4 (chunk 1) shifted in.
+        let mut d = tree_diff(0, 128);
+        d.first_regions = vec![1, 2];
+        d.payload = vec![0; 128];
+        d.shift_regions = vec![ShiftRegion {
+            node: 4,
+            ref_node: 6,
+            ref_ckpt: 0,
+        }];
+        let overlap = RestoreError::RegionsOverlap {
+            ckpt_id: 0,
+            chunk: 1,
+        };
+        assert_eq!(both(&d), (overlap.clone(), overlap));
+
+        // Chunks 0–1 <- chunks 2–3 and chunk 2 <- chunk 1: chunk 0 chases
+        // 0 -> 2 -> 1 -> 3 and ends in payload, but neither region can be
+        // applied before the other.
+        let mut d = tree_diff(0, 128);
+        d.first_regions = vec![6];
+        d.payload = vec![9; 32];
+        d.shift_regions = vec![
+            ShiftRegion {
+                node: 1,
+                ref_node: 2,
+                ref_ckpt: 0,
+            },
+            ShiftRegion {
+                node: 5,
+                ref_node: 4,
+                ref_ckpt: 0,
+            },
+        ];
+        let stuck = RestoreError::UnresolvableShifts {
+            ckpt_id: 0,
+            remaining: 2,
+        };
+        assert_eq!(both(&d), (stuck.clone(), stuck));
+    }
+
+    #[test]
+    fn check_chain_visits_every_record_and_launches_nothing() {
+        let device = Device::a100();
+        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
+        let snaps = snapshots(6, 8192);
+        let mut diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
+        let cold = Device::a100();
+        let stats = check_chain(&cold, 0, &diffs).unwrap();
+        assert_eq!(
+            stats,
+            RestartStats {
+                records_visited: 6,
+                ..RestartStats::default()
+            }
+        );
+        assert_eq!(cold.metrics().kernels_launched(), 0);
+        assert_eq!(cold.arena().stats().misses, 0, "no table, no buffer leased");
+
+        // A bad record anywhere fails the chain, also where a restore of
+        // the newest version would never look.
+        diffs[2].ckpt_id = 9;
+        assert!(matches!(
+            check_chain(&cold, 0, &diffs),
+            Err(RestoreError::OutOfOrder {
+                index: 2,
+                ckpt_id: 9
+            })
+        ));
+        assert!(check_chain(&cold, 0, &[]).is_err());
     }
 
     #[test]

@@ -1,4 +1,11 @@
-//! Checkpoint reconstruction from a record of incremental diffs.
+//! Sequential replay of a record of incremental diffs — the **oracle**.
+//!
+//! Production code restores through [`crate::restart`]. This module is the
+//! independent reference that engine is tested against (differential
+//! proptests, the fault matrix, the `restart_latency` baseline): a direct
+//! transcription of the paper's procedure that materializes every version
+//! in order. It must stay independent — no resolution logic is shared with
+//! the engine; only the payload decode and the region memcpy are.
 //!
 //! "To restore a checkpoint from the differences, it is enough to start from
 //! the first-time occurrences, then fill the fixed duplicates and finally
@@ -47,6 +54,9 @@ pub enum RestoreError {
     },
     /// A shifted duplicate's source span does not match its target span.
     SpanMismatch { node: u32, ref_node: u32 },
+    /// Two region-table entries write `chunk`. No method emits such a
+    /// table, and which entry would win is not defined.
+    RegionsOverlap { ckpt_id: u32, chunk: u32 },
     /// Same-checkpoint shifted duplicates could not be resolved (cycle or
     /// corrupt reference).
     UnresolvableShifts { ckpt_id: u32, remaining: usize },
@@ -94,6 +104,9 @@ impl std::fmt::Display for RestoreError {
             RestoreError::SpanMismatch { node, ref_node } => {
                 write!(f, "shift region {node} has mismatched source {ref_node}")
             }
+            RestoreError::RegionsOverlap { ckpt_id, chunk } => {
+                write!(f, "two regions of checkpoint {ckpt_id} write chunk {chunk}")
+            }
             RestoreError::UnresolvableShifts { ckpt_id, remaining } => {
                 write!(
                     f,
@@ -112,131 +125,47 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Incrementally materializes a checkpoint record.
-///
-/// Keeps every restored version in memory because shifted duplicates may
-/// reference any previous checkpoint (the paper keeps the record on storage
-/// tiers; random access there is the runtime crate's concern).
-pub struct Restorer {
-    kind: Option<MethodKind>,
-    data_len: usize,
-    chunk_size: usize,
-    /// First checkpoint id of the record. Non-zero for compacted chains
-    /// whose records below a rebase point were garbage-collected: the first
-    /// diff applied must carry `ckpt_id == base` and be self-contained.
-    base: u32,
-    versions: Vec<Vec<u8>>,
-}
-
-impl Restorer {
-    pub fn new() -> Self {
-        Self::with_base(0)
-    }
-
-    /// A restorer for a compacted record whose first surviving checkpoint id
-    /// is `base` (a rebase point). Version `k` of the record is checkpoint
-    /// `base + k`; references below `base` are rejected as
-    /// [`RestoreError::RefBelowBase`].
-    pub fn with_base(base: u32) -> Self {
-        Restorer {
-            kind: None,
-            data_len: 0,
-            chunk_size: 0,
-            base,
-            versions: Vec::new(),
-        }
-    }
-
-    /// Number of versions materialized so far.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-
-    /// Materialized bytes of version `k`.
-    pub fn version(&self, k: usize) -> Option<&[u8]> {
-        self.versions.get(k).map(|v| v.as_slice())
-    }
-
-    /// The most recently applied version.
-    pub fn latest(&self) -> Option<&[u8]> {
-        self.versions.last().map(|v| v.as_slice())
-    }
-
-    /// Apply the next diff in sequence, materializing its version.
-    pub fn apply(&mut self, diff: &Diff) -> Result<&[u8], RestoreError> {
-        let index = self.versions.len();
-        if diff.ckpt_id as usize != self.base as usize + index {
-            return Err(RestoreError::OutOfOrder {
-                index,
-                ckpt_id: diff.ckpt_id,
-            });
-        }
-        match self.kind {
-            None => {
-                self.kind = Some(diff.kind);
-                self.data_len = diff.data_len as usize;
-                self.chunk_size = diff.chunk_size as usize;
-            }
-            Some(k) => {
-                if k != diff.kind {
-                    return Err(RestoreError::MixedKinds {
-                        expected: k,
-                        found: diff.kind,
-                    });
-                }
-                if self.data_len != diff.data_len as usize
-                    || self.chunk_size != diff.chunk_size as usize
-                {
-                    return Err(RestoreError::GeometryChanged);
-                }
-            }
-        }
-
-        let prev: Option<&[u8]> = index.checked_sub(1).map(|i| self.versions[i].as_slice());
-        let buf = match diff.kind {
-            MethodKind::Full => restore_full(diff)?,
-            MethodKind::Basic => restore_basic(diff, prev)?,
-            MethodKind::List | MethodKind::Tree => {
-                restore_regions(diff, prev, &self.versions, self.base)?
-            }
-        };
-        self.versions.push(buf);
-        Ok(self.versions.last().unwrap())
-    }
-}
-
-impl Default for Restorer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Materialize every version of a record.
 pub fn restore_record(diffs: &[Diff]) -> Result<Vec<Vec<u8>>, RestoreError> {
     restore_record_from(0, diffs)
 }
 
-/// Materialize every version of a compacted record whose first surviving
-/// checkpoint id is `base`.
+/// Materialize every version of a record whose first checkpoint id is
+/// `base` — non-zero for a compacted chain whose records below a rebase
+/// point were garbage-collected. Version `k` of the result is checkpoint
+/// `base + k`; references below `base` are
+/// [`RestoreError::RefBelowBase`].
+///
+/// Every restored version stays in memory, because a shifted duplicate
+/// may reference any earlier checkpoint.
 pub fn restore_record_from(base: u32, diffs: &[Diff]) -> Result<Vec<Vec<u8>>, RestoreError> {
-    let mut r = Restorer::with_base(base);
-    for d in diffs {
-        r.apply(d)?;
+    let mut versions: Vec<Vec<u8>> = Vec::with_capacity(diffs.len());
+    for (index, diff) in diffs.iter().enumerate() {
+        if diff.ckpt_id as usize != base as usize + index {
+            return Err(RestoreError::OutOfOrder {
+                index,
+                ckpt_id: diff.ckpt_id,
+            });
+        }
+        let head = &diffs[0];
+        if head.kind != diff.kind {
+            return Err(RestoreError::MixedKinds {
+                expected: head.kind,
+                found: diff.kind,
+            });
+        }
+        if head.data_len != diff.data_len || head.chunk_size != diff.chunk_size {
+            return Err(RestoreError::GeometryChanged);
+        }
+        let prev = versions.last().map(Vec::as_slice);
+        let buf = match diff.kind {
+            MethodKind::Full => restore_full(diff)?,
+            MethodKind::Basic => restore_basic(diff, prev)?,
+            MethodKind::List | MethodKind::Tree => restore_regions(diff, prev, &versions, base)?,
+        };
+        versions.push(buf);
     }
-    Ok(r.versions)
-}
-
-/// Materialize only the final version of a record.
-pub fn restore_latest(diffs: &[Diff]) -> Result<Vec<u8>, RestoreError> {
-    let mut versions = restore_record(diffs)?;
-    versions.pop().ok_or(RestoreError::UnresolvableShifts {
-        ckpt_id: 0,
-        remaining: 0,
-    })
+    Ok(versions)
 }
 
 /// The diff's payload with any §5 hybrid compression undone.
@@ -258,33 +187,27 @@ pub(crate) fn decoded_payload(diff: &Diff) -> Result<Cow<'_, [u8]>, RestoreError
 }
 
 /// Copy `regions` — `(dst_offset, len, payload_offset)` triples, already
-/// bounds-checked by the caller — from `payload` into `buf`.
+/// bounds-checked and with pairwise disjoint destinations (both restore
+/// paths reject a table that writes a chunk twice) — from `payload` into
+/// `buf`.
 ///
-/// When the destinations are pairwise disjoint (every region from a
-/// well-formed diff is), the buffer is split into one mutable slice per
+/// Above a size threshold the buffer is split into one mutable slice per
 /// region and the copies run on the thread pool; each region is a single
-/// streaming memcpy, mirroring the serializer's team-gather. Overlapping
-/// destinations (only reachable with corrupt input) fall back to the
-/// sequential in-table-order copy, preserving the old last-writer-wins
-/// behavior.
+/// streaming memcpy, mirroring the serializer's team-gather.
 pub(crate) fn copy_regions(buf: &mut [u8], payload: &[u8], regions: &[(usize, usize, usize)]) {
     use rayon::prelude::*;
     /// Below this many payload bytes the split/scheduling overhead wins.
     const PAR_MIN_BYTES: usize = 64 * 1024;
 
     let total: usize = regions.iter().map(|r| r.1).sum();
-    let mut order: Vec<usize> = (0..regions.len()).collect();
-    order.sort_unstable_by_key(|&i| regions[i].0);
-    let disjoint = order.windows(2).all(|w| {
-        let (a_off, a_len, _) = regions[w[0]];
-        a_off + a_len <= regions[w[1]].0
-    });
-    if total < PAR_MIN_BYTES || !disjoint {
+    if total < PAR_MIN_BYTES {
         for &(d, len, s) in regions {
             buf[d..d + len].copy_from_slice(&payload[s..s + len]);
         }
         return;
     }
+    let mut order: Vec<usize> = (0..regions.len()).collect();
+    order.sort_unstable_by_key(|&i| regions[i].0);
 
     // Split the buffer into disjoint parts in ascending destination order.
     let mut parts: Vec<(&mut [u8], usize)> = Vec::with_capacity(regions.len());
@@ -357,13 +280,28 @@ fn restore_regions(
         None => vec![0u8; data_len],
     };
 
+    // A well-formed table writes each chunk at most once: `claim` marks a
+    // region's chunks and rejects a region that meets an earlier one.
+    let mut written = vec![false; ck.n_chunks()];
+    let mut claim = |node: u32| {
+        let (clo, chi) = shape.chunk_range(node as usize);
+        if let Some(twice) = written[clo..chi].iter().position(|&w| w) {
+            return Err(RestoreError::RegionsOverlap {
+                ckpt_id: diff.ckpt_id,
+                chunk: (clo + twice) as u32,
+            });
+        }
+        written[clo..chi].fill(true);
+        Ok((clo, chi))
+    };
+
     // First occurrences: payload slices in region-table order. Validate the
     // whole table first, then copy all regions in parallel.
     let payload = decoded_payload(diff)?;
     let mut regions: Vec<(usize, usize, usize)> = Vec::with_capacity(diff.first_regions.len());
     let mut cursor = 0usize;
     for &node in &diff.first_regions {
-        let (clo, chi) = shape.chunk_range(node as usize);
+        let (clo, chi) = claim(node)?;
         let (a, b) = ck.byte_range_of_chunks(clo, chi);
         let len = b - a;
         if cursor + len > payload.len() {
@@ -381,7 +319,7 @@ fn restore_regions(
     // region is copied in.
     let mut ready = vec![true; ck.n_chunks()];
     for s in &diff.shift_regions {
-        let (clo, chi) = shape.chunk_range(s.node as usize);
+        let (clo, chi) = claim(s.node)?;
         ready[clo..chi].fill(false);
     }
 

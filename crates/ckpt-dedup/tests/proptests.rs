@@ -1,6 +1,7 @@
 //! Property-based tests: for *any* sequence of snapshot mutations, every
-//! method's record restores to the exact original bytes, and the parallel
-//! Tree implementation agrees with its sequential reference.
+//! method's record restores to the exact original bytes — by sequential
+//! replay and, version by version, by the single-pass engine — and the
+//! parallel Tree implementation agrees with its sequential reference.
 
 use ckpt_dedup::prelude::*;
 use gpu_sim::Device;
@@ -73,6 +74,19 @@ fn assert_roundtrip(method: &mut dyn Checkpointer, snapshots: &[Vec<u8>]) {
     let versions = restore_record(&rec.diffs).expect("restore must succeed");
     for (k, (got, want)) in versions.iter().zip(snapshots).enumerate() {
         assert_eq!(got, want, "{} diverged at version {k}", method.name());
+    }
+    // The engine rebuilds each version on its own, and the chain check
+    // vouches for all of them.
+    let device = Device::a100();
+    check_chain(&device, 0, &rec.diffs).expect("chain check must pass");
+    for (k, want) in snapshots.iter().enumerate() {
+        let (got, _) = restore_version_single_pass(&device, 0, &rec.diffs, k).expect("engine");
+        assert_eq!(
+            &got,
+            want,
+            "{} engine diverged at version {k}",
+            method.name()
+        );
     }
 }
 
@@ -166,58 +180,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn random_access_reader_matches_full_restore(
-        len in 100usize..3000,
-        seed in any::<u8>(),
-        edits in prop::collection::vec(edit_strategy(), 1..5),
-        reads in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 1..20),
-    ) {
-        let snapshots = snapshots_from_edits(len, seed, &edits);
-        let mut m = TreeCheckpointer::new(Device::a100(), TreeConfig::new(32));
-        let diffs: Vec<_> = snapshots.iter().map(|s| m.checkpoint(s).diff).collect();
-        let reader = ckpt_dedup::RecordReader::build(&diffs).unwrap();
-        for (v, off, rlen) in reads {
-            let v = (v as usize) % snapshots.len();
-            let off = (off as usize) % len;
-            let rlen = (rlen as usize) % (len - off).max(1);
-            let mut out = vec![0u8; rlen];
-            reader.read_at(v as u32, off, &mut out).unwrap();
-            prop_assert_eq!(&out[..], &snapshots[v][off..off + rlen]);
-        }
-    }
-
-    #[test]
-    fn random_access_reader_matches_chain_restore_for_every_method(
-        len in 100usize..2500,
-        seed in any::<u8>(),
-        edits in prop::collection::vec(edit_strategy(), 1..5),
-        method_idx in 0usize..4,
-        reads in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 1..16),
-    ) {
-        // Arbitrary (version, byte-range) random-access reads must be
-        // byte-equal to the corresponding slice of a full chain restore —
-        // for every method the reader supports.
-        let snapshots = snapshots_from_edits(len, seed, &edits);
-        let mut m: Box<dyn Checkpointer> = match method_idx {
-            0 => Box::new(TreeCheckpointer::new(Device::a100(), TreeConfig::new(32))),
-            1 => Box::new(ListCheckpointer::new(Device::a100(), TreeConfig::new(32))),
-            2 => Box::new(BasicCheckpointer::new(Device::a100(), 32)),
-            _ => Box::new(FullCheckpointer::new(Device::a100(), 32)),
-        };
-        let diffs: Vec<_> = snapshots.iter().map(|s| m.checkpoint(s).diff).collect();
-        let chain = restore_record(&diffs).expect("chain restore must succeed");
-        let reader = ckpt_dedup::RecordReader::build(&diffs).unwrap();
-        for (v, off, rlen) in reads {
-            let v = (v as usize) % chain.len();
-            let off = (off as usize) % len;
-            let rlen = (rlen as usize) % (len - off).max(1);
-            let mut out = vec![0u8; rlen];
-            reader.read_at(v as u32, off, &mut out).unwrap();
-            prop_assert_eq!(&out[..], &chain[v][off..off + rlen]);
-        }
-    }
 
     #[test]
     fn hybrid_codecs_restore_any_workload(

@@ -29,7 +29,8 @@ use crate::tier::{ObjectId, ObjectState, StoredObject};
 use crate::ObjectStatus;
 use ckpt_dedup::diff::Diff;
 use ckpt_dedup::frame::{looks_framed, looks_rankdedup};
-use ckpt_dedup::restore::restore_record_from;
+use ckpt_dedup::restart::{check_chain, RestartStats};
+use gpu_sim::Device;
 use std::collections::{BTreeSet, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -251,6 +252,9 @@ impl ClusterDir {
     /// or the file was damaged and another record's reference resolution
     /// already rebuilt it; *lost* — `LostCorrupt` / `LostVolatile`, an
     /// undecodable payload, or a hole in the rank's chain (module docs).
+    ///
+    /// That a rank's chain restores is proven by [`check_chain`]: the engine's
+    /// own per-visit validation, run once per record; no version is built.
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let loaded = self.import()?;
         let tiers = &loaded.tiers;
@@ -273,6 +277,7 @@ impl ClusterDir {
             .collect();
         let recovery = tiers.recover_report();
         let group = tiers.redundancy().map(|r| r.policy().label());
+        let device = Device::a100();
         let mut ranks: Vec<RankVerify> = Vec::new();
         // Every rank with a directory: one that is empty and unknown to the
         // group has no objects, and `record` types that below.
@@ -312,8 +317,8 @@ impl ClusterDir {
                 chain: None,
             };
             match record {
-                Ok(record) => match restore_record_from(record.base, &record.diffs) {
-                    Ok(versions) => rank.chain = Some((record.base, versions.len())),
+                Ok(record) => match check_chain(&device, record.base, &record.diffs) {
+                    Ok(walk) => rank.chain = Some((record.base, walk)),
                     Err(e) => rank.mark_lost(
                         record.base + record.diffs.len() as u32 - 1,
                         format!("restore chain does not replay: {e}"),
@@ -499,9 +504,10 @@ pub struct RankVerify {
     pub rank: u32,
     /// Sorted by checkpoint id.
     pub objects: Vec<ObjectVerify>,
-    /// `(base, versions)` of the chain when it reaches the newest known
-    /// checkpoint and replays end to end.
-    pub chain: Option<(u32, usize)>,
+    /// The chain's base and [`check_chain`]'s walk counters — one record
+    /// visited per version, nothing copied — when the chain reaches the
+    /// newest known checkpoint and every version of it restores.
+    pub chain: Option<(u32, RestartStats)>,
 }
 
 impl RankVerify {
@@ -583,10 +589,20 @@ mod tests {
         (root, newest)
     }
 
+    /// What [`check_chain`] reports for `versions` restorable versions:
+    /// each record visited once, no region and no byte copied.
+    fn proven(versions: u32) -> RestartStats {
+        RestartStats {
+            records_visited: versions,
+            ..RestartStats::default()
+        }
+    }
+
     fn latest(loaded: &Loaded, rank: u32) -> Vec<u8> {
         let record = loaded.record(rank).unwrap();
-        let mut versions = restore_record_from(record.base, &record.diffs).unwrap();
-        versions.pop().unwrap()
+        let device = Device::a100();
+        let (bytes, _) = restore_latest_single_pass(&device, record.base, &record.diffs).unwrap();
+        bytes
     }
 
     #[test]
@@ -603,7 +619,35 @@ mod tests {
         assert_eq!(latest(&loaded, 1), newest[1]);
         let report = dir.verify().unwrap();
         assert_eq!(report.count(VerifyStatus::Verified), 6);
-        assert!(report.ranks.iter().all(|r| r.chain == Some((0, 3))));
+        assert!(report.ranks.iter().all(|r| r.chain == Some((0, proven(3)))));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// `verify` proves a chain from its region tables: on a 32-record Tree
+    /// chain it visits each record once and copies nothing — where the
+    /// sequential replay it used to run built all 32 versions.
+    #[test]
+    fn verify_proves_a_long_chain_without_restoring_a_version() {
+        let root = std::env::temp_dir().join(format!("cluster-dir-long-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let rt = AsyncRuntime::new();
+        let mut ckpt = TreeCheckpointer::new(Device::a100(), TreeConfig::new(64));
+        let mut data: Vec<u8> = (0..16384u32).map(|i| (i % 211) as u8).collect();
+        let ids: Vec<ObjectId> = (0..32).map(|k| (0, k)).collect();
+        for &(rank, k) in &ids {
+            data[(k as usize * 487) % 16384] ^= 0x5a;
+            rt.submit(rank, k, ckpt.checkpoint(&data).diff.encode())
+                .unwrap();
+        }
+        rt.wait_durable(&ids);
+        let dir = ClusterDir::new(&root);
+        dir.export(rt.tiers(), Layout::Flat).unwrap();
+
+        let report = dir.verify().unwrap();
+        assert_eq!(report.count(VerifyStatus::Verified), 32);
+        let rank = &report.ranks[0];
+        assert_eq!(rank.chain, Some((0, proven(32))));
+        assert_eq!(latest(&dir.import().unwrap(), 0), data);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -636,7 +680,7 @@ mod tests {
         assert_eq!(rank0.objects[1].status, VerifyStatus::Lost);
         assert!(rank0.objects[1].detail.starts_with("corrupt frame"));
         assert_eq!(rank0.chain, None);
-        assert_eq!(report.ranks[1].chain, Some((0, 2)));
+        assert_eq!(report.ranks[1].chain, Some((0, proven(2))));
         let err = dir.import().unwrap().record(0).err().unwrap();
         assert_eq!(err.ckpt_id, 1);
         std::fs::remove_dir_all(&root).unwrap();

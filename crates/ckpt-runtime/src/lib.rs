@@ -27,9 +27,10 @@
 //! * [`rankdedup`] — the cluster-wide content-addressed dedup index:
 //!   hash-space sharding across a group's ranks, asynchronous
 //!   first-occurrence claim exchange, cross-rank reference records;
-//! * [`lineage`] — record collection and sequential restoration;
-//! * [`restore`] — the parallel restart engine: prefetched tier reads
-//!   feeding a single-pass resolution walk;
+//! * [`lineage`] — record collection (the hole rule) and the
+//!   sequential-replay oracle tests compare the engine against;
+//! * [`restore`] — the restore engine: prefetched tier reads feeding a
+//!   single-pass resolution walk;
 //! * [`cluster_dir`] — the on-disk record layout: export a chain to a
 //!   directory, import it back unverified, and the one `verify`;
 //! * [`coordinator`] — the multi-rank strong-scaling harness (Fig. 6).
@@ -61,9 +62,7 @@ pub use fault::{
 pub use integrity::{
     IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
 };
-pub use lineage::{
-    collect_record, restore_rank, restore_rank_latest, restore_rank_with_report, LineageError,
-};
+pub use lineage::{collect_record, restore_rank, LineageError};
 pub use pipeline::{CheckpointPipeline, PipelineStats, ProduceFn};
 pub use rankdedup::{
     resolve_record, ClaimBatch, ClaimExchange, ClaimLoc, RankDedupConfig, RankDedupEngine,

@@ -1,15 +1,17 @@
-//! Lineage access: reconstruct checkpoint contents from the stored record.
+//! Lineage access: find a rank's restorable record in the tier chain.
 //!
 //! The record of a rank is the ordered sequence of encoded diffs
-//! `(rank, 0), (rank, 1), …` spread across the tier chain. Restoration
-//! decodes them and replays the de-duplication diffs through
-//! [`ckpt_dedup::restore_record`].
+//! `(rank, 0), (rank, 1), …` spread across the tier chain.
+//! [`collect_record`] picks the newest restorable run of them (the hole
+//! rule); rebuilding a version from that run is the single-pass engine's
+//! job ([`crate::restore`], `ckpt_dedup::restart`). The one exception is
+//! [`restore_rank`], the sequential-replay oracle that tests compare the
+//! engine against.
 
 use crate::chain::TierChain;
-use crate::integrity::RecoveryReport;
 use ckpt_dedup::diff::{DecodeError, Diff};
 use ckpt_dedup::restart::is_self_contained;
-use ckpt_dedup::restore::{RestoreError, Restorer};
+use ckpt_dedup::restore::RestoreError;
 use std::collections::BTreeMap;
 
 /// Errors when reading a rank's lineage back.
@@ -107,54 +109,22 @@ pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>
     Ok((base, chain))
 }
 
-/// Replay a base-offset sequence of encoded diffs into materialized
-/// versions (version `i` of the result is checkpoint `base + i`).
-fn replay(base: u32, encoded: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, LineageError> {
-    if encoded.is_empty() {
-        return Err(LineageError::Empty);
-    }
-    let mut restorer = Restorer::with_base(base);
-    for (i, bytes) in encoded.iter().enumerate() {
-        let diff = Diff::decode(bytes).map_err(|e| LineageError::Decode(base + i as u32, e))?;
-        restorer.apply(&diff).map_err(LineageError::Restore)?;
-    }
-    Ok((0..restorer.len())
-        .map(|k| restorer.version(k).unwrap().to_vec())
-        .collect())
-}
-
-/// The restart path with full accounting: run chain-level recovery (which
-/// verifies, repairs, and quarantines — see [`TierChain::recover_report`]),
-/// then materialize `rank`'s usable chain. The report covers *all* ranks
-/// so callers can log cluster-wide damage while restoring one rank.
-pub fn restore_rank_with_report(
-    tiers: &TierChain,
-    rank: u32,
-) -> Result<(u32, Vec<Vec<u8>>, RecoveryReport), LineageError> {
-    let report = tiers.recover_report();
-    let (base, encoded) = report
-        .ranks
-        .iter()
-        .find(|r| r.rank == rank)
-        .map(|r| (r.base, r.payloads.clone()))
-        .unwrap_or((0, Vec::new()));
-    let versions = replay(base, &encoded)?;
-    Ok((base, versions, report))
-}
-
-/// Materialize every surviving version of `rank`'s record. Returns the
-/// base checkpoint id (0 unless the chain was compacted) and the versions
-/// `base, base+1, …` in order.
+/// The runtime-level **oracle**: materialize every surviving version of
+/// `rank`'s record by sequential replay (`ckpt_dedup::restore_record_from`,
+/// which shares no resolution logic with the engine). Returns the base
+/// checkpoint id (0 unless the chain was compacted) and the versions
+/// `base, base+1, …` in order. Tests hold the engine's bytes against this;
+/// production code restores through [`crate::restore`] and must not call
+/// it — it keeps every version of the chain in memory.
 pub fn restore_rank(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>), LineageError> {
     let (base, encoded) = collect_record(tiers, rank)?;
-    Ok((base, replay(base, &encoded)?))
-}
-
-/// Materialize only the latest version of `rank`'s record (the restart path).
-pub fn restore_rank_latest(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<u8>), LineageError> {
-    let (base, versions) = restore_rank(tiers, rank)?;
-    let last = base + versions.len() as u32 - 1;
-    Ok((last, versions.into_iter().next_back().unwrap()))
+    let diffs = encoded
+        .iter()
+        .enumerate()
+        .map(|(i, bytes)| Diff::decode(bytes).map_err(|e| LineageError::Decode(base + i as u32, e)))
+        .collect::<Result<Vec<Diff>, LineageError>>()?;
+    let versions = ckpt_dedup::restore::restore_record_from(base, &diffs);
+    Ok((base, versions.map_err(LineageError::Restore)?))
 }
 
 #[cfg(test)]
@@ -192,34 +162,6 @@ mod tests {
         for (v, s) in versions.iter().zip(&snapshots) {
             assert_eq!(v, s);
         }
-        let (last, latest) = restore_rank_latest(rt.tiers(), 0).unwrap();
-        assert_eq!(last, 3);
-        assert_eq!(&latest, snapshots.last().unwrap());
-        rt.shutdown();
-    }
-
-    #[test]
-    fn restore_with_report_accounts_for_every_object() {
-        let rt = AsyncRuntime::new();
-        let dev = gpu_sim::Device::a100();
-        let mut ckpt = ListCheckpointer::new(dev, TreeConfig::new(64));
-        let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 199) as u8).collect();
-        let mut snapshots = Vec::new();
-        for k in 0..3u32 {
-            if k > 0 {
-                data[k as usize * 31] ^= 0xff;
-            }
-            snapshots.push(data.clone());
-            let out = ckpt.checkpoint(&data);
-            rt.submit(0, k, out.diff.encode()).unwrap();
-        }
-        rt.wait_durable(&[(0, 0), (0, 1), (0, 2)]);
-        let (base, versions, report) = restore_rank_with_report(rt.tiers(), 0).unwrap();
-        assert_eq!(base, 0);
-        assert_eq!(versions, snapshots);
-        assert_eq!(report.total_verified(), 3);
-        assert_eq!(report.total_lost(), 0);
-        assert_eq!(report.total_durable_prefix(), 3);
         rt.shutdown();
     }
 
@@ -311,9 +253,9 @@ mod tests {
         assert!(tiers.pfs.evict((0, 1)));
         let (base, chain) = collect_record(&tiers, 0).unwrap();
         assert_eq!((base, chain.len()), (2, 2));
-        let (last, latest) = restore_rank_latest(&tiers, 0).unwrap();
-        assert_eq!(last, 3);
-        assert_eq!(&latest, &snapshots[3]);
+        let (base, versions) = restore_rank(&tiers, 0).unwrap();
+        assert_eq!(base, 2);
+        assert_eq!(versions, snapshots[2..]);
     }
 
     #[test]

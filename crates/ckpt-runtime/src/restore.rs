@@ -1,5 +1,5 @@
-//! The parallel restart engine: single-pass chain resolution fed by
-//! demand-driven, one-record-ahead tier reads.
+//! The restore engine: single-pass chain resolution fed by demand-driven,
+//! one-record-ahead tier reads.
 //!
 //! [`ckpt_dedup::restart::SinglePassRestore`] resolves a record chain
 //! newest→oldest, needing each encoded diff exactly once. That shape is a
@@ -17,9 +17,9 @@
 //! for).
 //!
 //! Every read of the walk goes through one [`ChainReader`], so corrupt
-//! shallow copies are skipped and repaired exactly like the sequential
-//! restart path, and a record referenced by several rank-dedup records of
-//! the chain is fetched and indexed once per restore.
+//! shallow copies are skipped and repaired on the way, and a record
+//! referenced by several rank-dedup records of the chain is fetched and
+//! indexed once per restore.
 //!
 //! A chain whose newest surviving run sits above a lost record is *not*
 //! silently truncated to stale state: the walk either terminates at a
@@ -44,7 +44,7 @@ use std::time::Instant;
 pub struct ParallelRestoreOutcome {
     /// Checkpoint id of the restored version (the newest surviving one).
     pub version: u32,
-    /// The restored bytes — bit-identical to sequential replay.
+    /// The restored bytes — bit-identical to the sequential-replay oracle.
     pub data: Vec<u8>,
     /// Resolution-walk counters from the single-pass engine.
     pub stats: RestartStats,
@@ -53,8 +53,9 @@ pub struct ParallelRestoreOutcome {
 /// Restore the latest surviving version of `rank`'s record in a single
 /// pass, prefetching tier reads one record ahead. Records are fetched
 /// via [`TierChain::locate`], so corruption fallback and repair behave
-/// exactly as in [`crate::lineage::restore_rank`]; the restored bytes are
-/// bit-identical to that sequential replay at any thread count.
+/// exactly as in [`crate::lineage::collect_record`]; the restored bytes are
+/// bit-identical to the oracle's ([`crate::lineage::restore_rank`]) at any
+/// thread count.
 ///
 /// When `registry` is given, the walk records `restore/*` counters (see
 /// the metric table on the runtime's telemetry).
@@ -182,7 +183,7 @@ impl AsyncRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage::{restore_rank_latest, LineageError};
+    use crate::lineage::{restore_rank, LineageError};
     use ckpt_dedup::prelude::*;
 
     fn run_chain(rebase_at: Option<u32>) -> (crate::chain::TierChain, Vec<Vec<u8>>) {
@@ -217,8 +218,9 @@ mod tests {
         let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
         assert_eq!(out.version, 5);
         assert_eq!(&out.data, snapshots.last().unwrap());
-        let (seq_last, seq) = restore_rank_latest(&tiers, 0).unwrap();
-        assert_eq!((out.version, &out.data), (seq_last, &seq));
+        let (base, oracle) = restore_rank(&tiers, 0).unwrap();
+        assert_eq!(out.version as usize, base as usize + oracle.len() - 1);
+        assert_eq!(Some(&out.data), oracle.last());
         let json = registry.snapshot_json();
         for key in ["restore/chains_restored", "restore/records_read"] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -7,13 +7,22 @@
 
 use ckpt_dedup::prelude::*;
 use ckpt_runtime::{
-    restore_rank, restore_rank_latest, restore_rank_latest_parallel, FaultKind, FaultPlan,
-    LineageError, TierChain,
+    restore_rank, restore_rank_latest_parallel, FaultKind, FaultPlan, LineageError, TierChain,
 };
 use gpu_sim::Device;
 
 const CHUNK: usize = 64;
 const CKPTS: u32 = 5;
+
+/// The sequential-replay oracle's newest version: `(checkpoint id, bytes)`.
+fn oracle_latest(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<u8>), LineageError> {
+    let (base, mut versions) = restore_rank(tiers, rank)?;
+    let last = base + versions.len() as u32 - 1;
+    Ok((
+        last,
+        versions.pop().expect("a collected chain has a version"),
+    ))
+}
 
 fn chain(rebase_at: Option<u32>) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let mut ckpt = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CHUNK));
@@ -108,7 +117,7 @@ fn sole_copy_corruption_matches_sequential_for_every_record() {
         }
         let device = Device::a100();
         let par = restore_rank_latest_parallel(&tiers, &device, 0, None);
-        let seq = restore_rank_latest(&tiers, 0);
+        let seq = oracle_latest(&tiers, 0);
         if victim == CKPTS - 1 {
             // The newest record is gone; the chain just ends one earlier.
             let par = par.unwrap_or_else(|e| panic!("victim {victim}: {e}"));
@@ -177,7 +186,7 @@ fn rebase_point_shields_corruption_below_it() {
                 let par = par.unwrap_or_else(|e| panic!("victim {victim}: {e}"));
                 assert_eq!(par.version, CKPTS - 1);
                 assert_eq!(&par.data, snaps.last().unwrap(), "victim {victim}");
-                let (last, seq_bytes) = restore_rank_latest(&tiers, 0).unwrap();
+                let (last, seq_bytes) = oracle_latest(&tiers, 0).unwrap();
                 assert_eq!((last, &seq_bytes), (par.version, &par.data));
             }
             v if v == CKPTS - 1 => {

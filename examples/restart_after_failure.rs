@@ -15,7 +15,7 @@ use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::graph::PaperGraph;
 use gpu_dedup_ckpt::oranges::OrangesRun;
-use gpu_dedup_ckpt::runtime::{restore_rank_latest, AsyncRuntime};
+use gpu_dedup_ckpt::runtime::{restore_rank_latest_parallel, AsyncRuntime};
 
 const RANK: u32 = 0;
 const N_CHECKPOINTS: usize = 8;
@@ -62,7 +62,10 @@ fn main() {
     println!("recovery: {usable} durable checkpoints on the PFS");
     assert_eq!(usable, crash_after);
 
-    let (last_id, gdv_bytes) = restore_rank_latest(runtime.tiers(), RANK).expect("restore");
+    // The replacement node restores on its own (cold) device.
+    let restored = restore_rank_latest_parallel(runtime.tiers(), &Device::a100(), RANK, None)
+        .expect("restore");
+    let (last_id, gdv_bytes) = (restored.version, restored.data);
     let resume_root = progress_of[last_id as usize];
     println!(
         "restored checkpoint {last_id} ({} bytes); resuming at root {resume_root}",

@@ -6,7 +6,7 @@
 //!              [--payload-compress zstd|lz4|...] [--stats] <snapshot files...>
 //! ckpt info    <dir>
 //! ckpt stats   <dir>
-//! ckpt restore <dir> --version K --out <file> [--parallel] [--stats]
+//! ckpt restore <dir> --version K --out <file> [--stats]
 //! ckpt verify  <dir> [--json] [<original snapshot files...>]
 //! ```
 //!
@@ -34,15 +34,15 @@
 //! unrepairable *below* surviving incremental ones is a hole: `verify`
 //! types it lost and `restore` fails naming it, never writing older state.
 //!
-//! `ckpt restore --parallel` uses the single-pass restart engine: one
-//! newest-to-oldest walk resolves every chunk's provenance, then each
-//! resolved region is copied exactly once — bit-identical to sequential
-//! replay at any thread count.
+//! `ckpt restore` has one engine, the single-pass one: a newest-to-oldest
+//! walk resolves every chunk's provenance, then each resolved region is
+//! copied exactly once, whatever the chain's length or base. With originals,
+//! `ckpt verify` restores and compares one version at a time the same way.
 //!
 //! `ckpt verify <dir>` with no originals runs in *integrity mode*: every
 //! object is classified verified / repairable / lost by
-//! [`ClusterDir::verify`] and each rank's restore chain replayed, without
-//! needing the original snapshots.
+//! [`ClusterDir::verify`] and each rank's chain proven restorable from its
+//! region tables alone — no version is built, no original needed.
 //!
 //! `--stats` (on `create` and `restore`) and the `stats` subcommand emit a
 //! one-line JSON telemetry report on stdout, prefixed with `stats: `. The
@@ -71,7 +71,7 @@ fn usage() -> ExitCode {
          [--redundancy off|partner|xor:<k>] [--ranks R] [--rank-dedup] \
          [--verify-collisions] [--stats] <snapshots...>\n  \
          ckpt info    <dir>\n  ckpt stats   <dir>\n  \
-         ckpt restore <dir> --version K --out <file> [--parallel] [--stats]\n  \
+         ckpt restore <dir> --version K --out <file> [--stats]\n  \
          ckpt verify  <dir> [--json] [<snapshots...>]   (no snapshots: integrity-only mode)\n\n\
          --redundancy splits the snapshots across R ranks (default: the group \
          size), writes rank####/ record subdirs plus a group/ directory of \
@@ -653,7 +653,6 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
     let mut dir: Option<PathBuf> = None;
     let mut version: Option<usize> = None;
     let mut out: Option<PathBuf> = None;
-    let mut parallel = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -664,10 +663,6 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
             "--out" => {
                 out = Some(PathBuf::from(args.get(i + 1).ok_or("--out needs a value")?));
                 i += 2;
-            }
-            "--parallel" => {
-                parallel = true;
-                i += 1;
             }
             flag if flag.starts_with("--") => {
                 return Err(exit_with(
@@ -692,40 +687,10 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
     }
     let index = version - base;
     let registry = Registry::new();
-    let mut span = stats.then(|| registry.span("cli/restore"));
-    let bytes = if parallel {
-        // Single-pass parallel restart: walk the chain newest -> oldest,
-        // resolve every chunk's provenance, then copy each resolved
-        // region exactly once — no intermediate version materialized.
-        let device = Device::a100();
-        let (bytes, rstats) = restore_version_single_pass(&device, base as u32, &diffs, index)?;
-        if stats {
-            registry.counter("restore/chains_restored").inc();
-            registry
-                .counter("restore/records_read")
-                .add(rstats.records_visited as u64);
-            registry
-                .counter("restore/regions_copied")
-                .add(rstats.regions_copied);
-            registry
-                .counter("restore/bytes_copied")
-                .add(rstats.bytes_copied);
-            registry
-                .counter("restore/zero_chunks")
-                .add(rstats.zero_chunks);
-        }
-        bytes
-    } else if base == 0 {
-        // Random-access reader: restores without materializing every
-        // version (requires an uncompacted record, ids from 0).
-        let reader = RecordReader::build(&diffs)?;
-        reader.read_version(version as u32)?
-    } else {
-        // Compacted record: sequential replay from the rebase base.
-        let mut versions = restore_record_from(base as u32, &diffs)?;
-        versions.swap_remove(index)
-    };
-    drop(span.take());
+    let span = stats.then(|| registry.span("cli/restore"));
+    let device = Device::a100();
+    let (bytes, walk) = restore_version_single_pass(&device, base as u32, &diffs, index)?;
+    drop(span);
     std::fs::write(&out, &bytes)?;
     println!(
         "restored v{version} ({} bytes) -> {}",
@@ -733,6 +698,15 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
         out.display()
     );
     if stats {
+        for (name, value) in [
+            ("restore/chains_restored", 1),
+            ("restore/records_read", walk.records_visited as u64),
+            ("restore/regions_copied", walk.regions_copied),
+            ("restore/bytes_copied", walk.bytes_copied),
+            ("restore/zero_chunks", walk.zero_chunks),
+        ] {
+            registry.counter(name).add(value);
+        }
         registry
             .histogram("cli/restored_bytes")
             .record(bytes.len() as u64);
@@ -787,8 +761,8 @@ fn verify_report_json(report: &VerifyReport, [verified, repairable, lost]: [u64;
     w.finish()
 }
 
-/// `ckpt verify`. With originals: restore every version of one rank's
-/// chain and compare bit for bit. Without: print [`ClusterDir::verify`] —
+/// `ckpt verify`. With originals: restore each version of one rank's
+/// chain in turn and compare it bit for bit. Without: print [`ClusterDir::verify`] —
 /// the per-object status is the library's, flat records being the
 /// one-rank, no-group case of the same report — and exit on the matrix
 /// (0 clean / 3 repairable / 4 lost; a flat record without `--json` keeps
@@ -817,15 +791,15 @@ fn cmd_verify(args: &[String]) -> CliResult {
             )
             .into());
         }
-        let versions = restore_record_from(base, &diffs)?;
-        for (k, (restored, path)) in versions.iter().zip(originals).enumerate() {
-            let original = std::fs::read(path)?;
-            if restored != &original {
+        let device = Device::a100();
+        for (k, path) in originals.iter().enumerate() {
+            let (restored, _) = restore_version_single_pass(&device, base, &diffs, k)?;
+            if restored != std::fs::read(path)? {
                 return Err(format!("version {} does not match {path}", base as usize + k).into());
             }
             println!("v{:04} ok  {path}", base as usize + k);
         }
-        println!("all {} versions verified bit-exact", versions.len());
+        println!("all {} versions verified bit-exact", diffs.len());
         return Ok(());
     }
 
@@ -851,7 +825,8 @@ fn cmd_verify(args: &[String]) -> CliResult {
             let sep = if o.detail.is_empty() { "" } else { "  " };
             println!("{prefix}v{:04} {label}{sep}{}", o.ckpt_id, o.detail);
         }
-        if let Some((base, versions)) = rank.chain {
+        if let Some((base, walk)) = rank.chain {
+            let versions = walk.records_visited;
             if base > 0 {
                 println!(
                     "{prefix}record is compacted: first surviving version is v{base:04} (rebase point)"

@@ -390,6 +390,79 @@ fn verify_integrity_mode_and_legacy_fallback() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("legacy unframed"));
 }
 
+/// A legacy unframed record has no checksum, so a forged header field or
+/// table entry reaches `Diff::decode` straight from disk. Each is a typed
+/// failure naming the version — `verify` types it lost, `restore` exits 1
+/// and writes nothing — never a panic (exit 101), never bytes.
+#[test]
+fn forged_legacy_record_is_a_typed_loss_not_a_panic() {
+    let tmp = TempDir::new("forged-legacy");
+    let snaps = write_snapshots(tmp.path());
+    let record = tmp.path().join("record");
+    assert!(ckpt()
+        .args(["create", "--out", record.to_str().unwrap(), "--chunk", "64"])
+        .args(snaps.iter().map(|p| p.to_str().unwrap()))
+        .status()
+        .unwrap()
+        .success());
+    for version in 0..3 {
+        let path = record.join(format!("{version:04}.ckpt"));
+        let framed = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &framed[32..]).unwrap();
+    }
+    // Diff header: data_len u64 @12, chunk_size u32 @20; the first region
+    // node id sits right behind the 40-byte header. Forged into the newest
+    // record (where the restore walk starts) and the oldest (where it ends).
+    for victim in [2, 0] {
+        let path = record.join(format!("{victim:04}.ckpt"));
+        let pristine = std::fs::read(&path).unwrap();
+        let flipped = [pristine[43] ^ 0x80];
+        for (what, at, forged) in [
+            ("data_len = 0", 12, &[0u8; 8][..]),
+            ("chunk_size = 0", 20, &[0u8; 4][..]),
+            ("chunk_size = 31", 20, &31u32.to_le_bytes()[..]),
+            ("first node id = u32::MAX", 40, &[0xff; 4][..]),
+            ("one flipped node-id bit", 43, &flipped[..]),
+        ] {
+            let what = format!("v{victim:04} {what}");
+            let mut bytes = pristine.clone();
+            bytes[at..at + forged.len()].copy_from_slice(forged);
+            std::fs::write(&path, &bytes).unwrap();
+
+            let out = ckpt()
+                .args(["verify", record.to_str().unwrap(), "--json"])
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(4), "{what}: {stdout}");
+            let lost = format!(r#"{{"ckpt_id":{victim},"status":"lost"}}"#);
+            assert!(stdout.contains(&lost), "{what}: {stdout}");
+            // Plain flat mode keeps its historical exit 1.
+            let out = ckpt()
+                .args(["verify", record.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{what}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let bad = format!("v{victim:04} BAD  undecodable diff");
+            assert!(stdout.contains(&bad), "{what}: {stdout}");
+
+            let restored = tmp.path().join("restored.bin");
+            let out = ckpt()
+                .args(["restore", record.to_str().unwrap(), "--out"])
+                .arg(&restored)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+            let lost = format!("v{victim:04} LOST  undecodable diff");
+            assert!(stderr.contains(&lost), "{what}: {stderr}");
+            assert!(!restored.exists(), "{what}: restore wrote output");
+        }
+        std::fs::write(&path, &pristine).unwrap();
+    }
+}
+
 #[test]
 fn helpful_errors() {
     let tmp = TempDir::new("errors");
@@ -429,26 +502,32 @@ fn helpful_errors() {
     // record directory that then fails to open.
     let x = tmp.path().join("x");
     let (record, x) = (record.to_str().unwrap(), x.to_str().unwrap());
-    for args in [
-        vec!["create", "--out", x, "--bogus", snaps[0].to_str().unwrap()],
-        vec!["restore", record, "--bogus", "--out", x],
+    let snap = snaps[0].to_str().unwrap();
+    for (flag, args) in [
+        ("--bogus", vec!["create", "--out", x, "--bogus", snap]),
+        ("--bogus", vec!["restore", record, "--bogus", "--out", x]),
+        // Gone with the engines it chose between: single-pass is the only
+        // restore path.
+        (
+            "--parallel",
+            vec!["restore", record, "--parallel", "--out", x],
+        ),
     ] {
         let out = ckpt().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("unknown flag --bogus"),
+            stderr.contains(&format!("unknown flag {flag}")),
             "{args:?}: {stderr}"
         );
     }
 }
 
-/// `ckpt restore --parallel`: the single-pass restart engine restores the
-/// same bytes as the sequential reader for every version, and `--stats`
-/// reports the `restore/*` counters.
+/// Every version restores to its snapshot through the one restore path,
+/// and `--stats` always reports the engine's `restore/*` counters.
 #[test]
-fn parallel_restore_matches_sequential_and_counts() {
-    let tmp = TempDir::new("parallel");
+fn every_version_restores_and_stats_count_the_walk() {
+    let tmp = TempDir::new("restore-all");
     let snaps = write_snapshots(tmp.path());
     let record = tmp.path().join("record");
     assert!(ckpt()
@@ -459,46 +538,31 @@ fn parallel_restore_matches_sequential_and_counts() {
         .success());
 
     for (version, snap) in snaps.iter().enumerate() {
-        let seq = tmp.path().join(format!("seq{version}.bin"));
-        let par = tmp.path().join(format!("par{version}.bin"));
-        let v = version.to_string();
-        for (flag, out_path) in [(None, &seq), (Some("--parallel"), &par)] {
-            let mut args = vec![
-                "restore",
-                record.to_str().unwrap(),
-                "--version",
-                &v,
-                "--out",
-                out_path.to_str().unwrap(),
-            ];
-            args.extend(flag);
-            let out = ckpt().args(&args).output().unwrap();
-            assert!(
-                out.status.success(),
-                "restore v{version} ({flag:?}): {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-        }
-        assert_eq!(
-            std::fs::read(&par).unwrap(),
-            std::fs::read(&seq).unwrap(),
-            "version {version}"
+        let restored = tmp.path().join(format!("v{version}.bin"));
+        let out = ckpt()
+            .args(["restore", record.to_str().unwrap(), "--version"])
+            .arg(version.to_string())
+            .args(["--out", restored.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "restore v{version}: {}",
+            String::from_utf8_lossy(&out.stderr)
         );
         assert_eq!(
-            std::fs::read(&par).unwrap(),
+            std::fs::read(&restored).unwrap(),
             std::fs::read(snap).unwrap(),
             "version {version}"
         );
     }
 
-    // --stats on the parallel path reports the restore/* counters.
     let out = ckpt()
         .args([
             "restore",
             record.to_str().unwrap(),
             "--out",
             tmp.path().join("latest.bin").to_str().unwrap(),
-            "--parallel",
             "--stats",
         ])
         .output()
@@ -569,7 +633,6 @@ fn compacted_record_round_trip_and_head_check() {
             "2",
             "--out",
             restored.to_str().unwrap(),
-            "--parallel",
         ])
         .output()
         .unwrap();

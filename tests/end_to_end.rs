@@ -8,7 +8,7 @@ use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::graph::{gorder, PaperGraph};
 use gpu_dedup_ckpt::oranges::OrangesRun;
-use gpu_dedup_ckpt::runtime::{restore_rank, restore_rank_latest, AsyncRuntime};
+use gpu_dedup_ckpt::runtime::{restore_rank, restore_rank_latest_parallel, AsyncRuntime};
 
 /// GDV snapshots of a small ORANGES run (shared fixture).
 fn snapshots(graph: PaperGraph, n: usize, ckpts: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -64,7 +64,8 @@ fn crash_recovery_resumes_to_identical_result() {
     runtime.kill();
 
     // Recovery: restore the durable prefix and resume.
-    let (last, gdv) = restore_rank_latest(runtime.tiers(), 7).unwrap();
+    let restored = restore_rank_latest_parallel(runtime.tiers(), &Device::a100(), 7, None).unwrap();
+    let (last, gdv) = (restored.version, restored.data);
     assert_eq!(last, 2);
     let mut resumed = OrangesRun::resume(&g, &gdv, progress[last as usize]).unwrap();
     resumed.run_to_completion();

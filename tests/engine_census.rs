@@ -1,0 +1,87 @@
+//! Engine census: production code has exactly one way to rebuild a
+//! version — the single-pass engine (`ckpt_dedup::restart`). The
+//! sequential replay (`restore_record`, `restore_record_from`) survives
+//! only as the oracle tests compare the engine against, and the runtime's
+//! one doorway to it is `lineage::restore_rank`. This test reads the
+//! non-test source of the CLI, `ckpt-runtime` and `ckpt-adjoint` and fails
+//! if the oracle — or either deleted reader — is named anywhere else, so a
+//! second restore path cannot quietly grow back.
+
+use std::path::{Path, PathBuf};
+
+const ORACLE_ONLY: [&str; 4] = [
+    "restore_record",
+    "restore_record_from",
+    "Restorer",
+    "RecordReader",
+];
+
+/// The file's source above its first `#[cfg(test)]`.
+fn production_source(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+    text[..end].to_string()
+}
+
+/// `source` without the item `pub fn <name>(`: its doc comment, signature
+/// and body, up to the closing brace in column 0.
+fn without_fn(source: &str, name: &str) -> String {
+    let lines: Vec<&str> = source.lines().collect();
+    let sig = format!("pub fn {name}(");
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with(&sig))
+        .unwrap_or_else(|| panic!("`{sig}` not found"));
+    let start = (0..at)
+        .rev()
+        .take_while(|&i| lines[i].starts_with("///"))
+        .last()
+        .unwrap_or(at);
+    let end = at + lines[at..].iter().position(|l| *l == "}").expect("fn end");
+    [&lines[..start], &lines[end + 1..]].concat().join("\n")
+}
+
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn the_oracle_is_named_only_inside_lineage_restore_rank() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("src/bin/ckpt.rs")];
+    files.extend(rust_files(&root.join("crates/ckpt-runtime/src")));
+    files.extend(rust_files(&root.join("crates/ckpt-adjoint/src")));
+
+    let mut saw_the_doorway = false;
+    let mut offences = Vec::new();
+    for path in &files {
+        let mut source = production_source(path);
+        if path.ends_with("ckpt-runtime/src/lineage.rs") {
+            let outside = without_fn(&source, "restore_rank");
+            saw_the_doorway = source.len() > outside.len();
+            source = outside;
+        }
+        for line in source.lines() {
+            if let Some(name) = ORACLE_ONLY.iter().find(|name| line.contains(**name)) {
+                let shown = path.strip_prefix(root).unwrap().display();
+                offences.push(format!("{shown}: `{name}` in: {}", line.trim()));
+            }
+        }
+    }
+    assert!(saw_the_doorway, "lineage::restore_rank is gone");
+    assert!(
+        offences.is_empty(),
+        "the sequential oracle is reachable from production code:\n{}",
+        offences.join("\n")
+    );
+    assert!(
+        !root.join("crates/ckpt-dedup/src/random_access.rs").exists(),
+        "random_access.rs is back"
+    );
+}
