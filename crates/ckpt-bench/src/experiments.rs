@@ -13,12 +13,13 @@ use crate::report::{
 };
 use crate::workload::gdv_snapshots;
 use ckpt_compress::all_codecs;
+use ckpt_dedup::methods::tree_naive::NaiveTreeCheckpointer;
 use ckpt_dedup::prelude::*;
 use ckpt_graph::{GraphStats, PaperGraph};
 use ckpt_runtime::{
     restore_rank_latest_parallel, run_scaling, AsyncRuntime, CheckpointPipeline, CompressionPolicy,
     RankDedupConfig, RankDedupEngine, RankDedupMetrics, RebasePolicy, RedundancyPolicy,
-    RuntimeConfig, ScalingConfig, ScalingMethod,
+    RuntimeConfig, ScalingConfig,
 };
 use ckpt_telemetry::Registry;
 use gpu_sim::Device;
@@ -45,30 +46,13 @@ impl Default for ExpConfig {
 
 /// The four de-duplication methods of Figures 4–5, in legend order.
 fn dedup_methods(chunk: usize) -> Vec<(&'static str, Box<dyn Checkpointer>)> {
-    vec![
-        (
-            "Full",
-            Box::new(FullCheckpointer::new(Device::a100(), chunk)) as Box<dyn Checkpointer>,
-        ),
-        (
-            "Basic",
-            Box::new(BasicCheckpointer::new(Device::a100(), chunk)),
-        ),
-        (
-            "List",
-            Box::new(ListCheckpointer::new(
-                Device::a100(),
-                TreeConfig::new(chunk),
-            )),
-        ),
-        (
-            "Tree",
-            Box::new(TreeCheckpointer::new(
-                Device::a100(),
-                TreeConfig::new(chunk),
-            )),
-        ),
-    ]
+    use MethodKind::{Basic, Full, List, Tree};
+    [Full, Basic, List, Tree]
+        .map(|kind| {
+            let m = new_checkpointer(kind, Device::a100(), TreeConfig::new(chunk));
+            (kind.name(), m)
+        })
+        .into()
 }
 
 // ---------------------------------------------------------------- Table 1
@@ -291,7 +275,7 @@ pub fn fig5(cfg: ExpConfig) -> Vec<Fig5Cell> {
 #[derive(Debug)]
 pub struct Fig6Point {
     pub n_ranks: usize,
-    pub method: ScalingMethod,
+    pub method: MethodKind,
     pub total_stored: u64,
     pub total_full: u64,
     pub modeled_throughput: f64,
@@ -353,7 +337,7 @@ pub fn fig6_with_ranks(
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for method in [ScalingMethod::Tree, ScalingMethod::Full] {
+        for method in [MethodKind::Tree, MethodKind::Full] {
             let rt = std::sync::Arc::new(AsyncRuntime::new());
             let cfg = ScalingConfig {
                 method,
@@ -886,7 +870,8 @@ pub fn ablation_metadata(cfg: ExpConfig) -> Vec<MetadataPoint> {
         let w = gdv_snapshots(graph, cfg.scale, FIG4_CHECKPOINTS, cfg.seed, true);
         for chunk in FIG4_CHUNKS {
             let mut tree = TreeCheckpointer::new(Device::a100(), TreeConfig::new(chunk));
-            let mut list = ListCheckpointer::new(Device::a100(), TreeConfig::new(chunk));
+            let mut list =
+                new_checkpointer(MethodKind::List, Device::a100(), TreeConfig::new(chunk));
             let (mut tm, mut lm, mut tr, mut le) = (0u64, 0u64, 0u64, 0u64);
             for (k, snap) in w.snapshots.iter().enumerate() {
                 let t = tree.checkpoint(snap);
@@ -1160,19 +1145,9 @@ pub fn highfreq(cfg: ExpConfig) -> Vec<HighFreqPoint> {
     let snap_bytes = w.snapshot_bytes() as u64;
 
     let mut out = Vec::new();
-    for (name, mut method) in [
-        (
-            "Tree",
-            Box::new(TreeCheckpointer::new(
-                Device::a100(),
-                TreeConfig::new(FIG5_CHUNK),
-            )) as Box<dyn Checkpointer>,
-        ),
-        (
-            "Full",
-            Box::new(FullCheckpointer::new(Device::a100(), FIG5_CHUNK)),
-        ),
-    ] {
+    for kind in [MethodKind::Tree, MethodKind::Full] {
+        let name = kind.name();
+        let mut method = new_checkpointer(kind, Device::a100(), TreeConfig::new(FIG5_CHUNK));
         // Host staging holds ~3 full checkpoints; the SSD throttles in real
         // time (scaled) to its modeled bandwidth.
         let tiers = TierChain::with_configs(
@@ -1283,16 +1258,11 @@ struct EncodedCluster {
 }
 
 fn encode_cluster(method: &str, snapshots: &[&[Vec<u8>]]) -> EncodedCluster {
+    let kind = MethodKind::from_name(method).expect("a sweep names one of the four methods");
     let device = Device::a100();
     let (mut records, mut hash_sec) = (Vec::new(), Vec::new());
     for rank in snapshots {
-        let mut m: Box<dyn Checkpointer> = match method {
-            "Tree" => Box::new(TreeCheckpointer::new(
-                device.clone(),
-                TreeConfig::new(FIG5_CHUNK),
-            )),
-            _ => Box::new(FullCheckpointer::new(device.clone(), FIG5_CHUNK)),
-        };
+        let mut m = new_checkpointer(kind, device.clone(), TreeConfig::new(FIG5_CHUNK));
         let (mut encoded, mut sec) = (Vec::new(), Vec::new());
         for snap in *rank {
             let before = device.metrics().snapshot().modeled_sec;
@@ -2504,7 +2474,7 @@ pub fn fig2_demo() -> Fig2Demo {
     let mut tree = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
     tree.checkpoint(&v0);
     let t = tree.checkpoint(&v1);
-    let mut list = ListCheckpointer::new(Device::a100(), TreeConfig::new(CS));
+    let mut list = new_checkpointer(MethodKind::List, Device::a100(), TreeConfig::new(CS));
     list.checkpoint(&v0);
     let l = list.checkpoint(&v1);
 
@@ -2961,15 +2931,15 @@ mod tests {
     #[test]
     fn fig6_tree_reduces_total_size_at_scale() {
         let points = fig6_with_ranks(800, 5, &[1, 8], 0.5);
-        let at = |ranks: usize, m: ScalingMethod| {
+        let at = |ranks: usize, m: MethodKind| {
             points
                 .iter()
                 .find(|p| p.n_ranks == ranks && p.method == m)
                 .unwrap()
         };
         for &ranks in &[1usize, 8] {
-            let tree = at(ranks, ScalingMethod::Tree);
-            let full = at(ranks, ScalingMethod::Full);
+            let tree = at(ranks, MethodKind::Tree);
+            let full = at(ranks, MethodKind::Full);
             assert_eq!(tree.total_full, full.total_full);
             assert!(tree.total_stored * 4 < full.total_stored, "ranks {ranks}");
         }

@@ -67,6 +67,14 @@ impl MethodKind {
             MethodKind::Tree => "Tree",
         }
     }
+
+    /// Inverse of [`name`](Self::name), ignoring ASCII case (`tree` on a
+    /// command line, `Tree` in a report).
+    pub fn from_name(name: &str) -> Option<MethodKind> {
+        (0..4)
+            .filter_map(MethodKind::from_u8)
+            .find(|k| k.name().eq_ignore_ascii_case(name))
+    }
 }
 
 /// A shifted-duplicate region: `node`'s data equals the data that first

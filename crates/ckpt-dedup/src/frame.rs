@@ -35,7 +35,7 @@
 //! 8-byte uncompressed-length field sits between the header and the
 //! payload. The checksum covers the *compressed* bytes (plus the length
 //! field), so corruption is detected without paying for decompression, and
-//! [`decode_payload`] verifies the decompressed size against the recorded
+//! [`decompress_payload`] verifies the decompressed size against the recorded
 //! one before returning. Legacy frames (flags = 0) are byte-identical to
 //! the pre-codec format and keep decoding unchanged — the version stays 1.
 
@@ -171,6 +171,141 @@ pub fn checksum64(rank: u32, ckpt_id: u32, payload: &[u8]) -> u64 {
     checksum64_region(rank, ckpt_id, 0, payload)
 }
 
+/// The three self-describing object formats of this module. All open with
+/// the same prelude — magic, version, a 16-bit flags word — and all carry a
+/// 64-bit checksum field immediately followed by the region it covers, so
+/// one reader, one length-and-checksum check and one writer serve the
+/// three; each format keeps only its own fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `CKF1`: the integrity frame around every stored object.
+    Frame,
+    /// `CKPX`: a redundancy-group parity record.
+    Parity,
+    /// `CKPR`: a payload rewritten against the cluster dedup index.
+    RankDedup,
+}
+
+impl Kind {
+    const ALL: [Kind; 3] = [Kind::Frame, Kind::Parity, Kind::RankDedup];
+
+    fn magic(self) -> [u8; 4] {
+        match self {
+            Kind::Frame => FRAME_MAGIC,
+            Kind::Parity => PARITY_MAGIC,
+            Kind::RankDedup => RANKDEDUP_MAGIC,
+        }
+    }
+
+    fn version(self) -> u16 {
+        match self {
+            Kind::Frame => FRAME_VERSION,
+            Kind::Parity => PARITY_VERSION,
+            Kind::RankDedup => RANKDEDUP_VERSION,
+        }
+    }
+
+    /// Fixed header length: fewer bytes than this is `TooShort`.
+    fn header_len(self) -> usize {
+        match self {
+            Kind::Frame => FRAME_HEADER_LEN,
+            Kind::Parity => PARITY_HEADER_LEN,
+            Kind::RankDedup => RANKDEDUP_HEADER_LEN,
+        }
+    }
+
+    /// Offset of the checksum field; what it covers starts 8 bytes later.
+    fn checksum_at(self) -> usize {
+        match self {
+            Kind::Frame => 24,
+            Kind::Parity => 32,
+            Kind::RankDedup => RANKDEDUP_CHECK_OFFSET - 8,
+        }
+    }
+
+    /// Which format `bytes` opens with, by magic alone (a cheap sniff for
+    /// legacy/unframed inputs; says nothing about validity).
+    pub fn sniff(bytes: &[u8]) -> Option<Kind> {
+        Kind::ALL
+            .into_iter()
+            .find(|k| bytes.starts_with(&k.magic()))
+    }
+
+    /// Read the prelude: the fixed header must be whole (`TooShort`), then
+    /// magic, version and the reserved flag bits are checked, in that
+    /// order. A frame keeps its codec in the flags' low byte; the records
+    /// reserve the whole word. Returns that low byte and a reader positioned
+    /// at the format's own fields.
+    fn open(self, bytes: &[u8]) -> Result<(u8, LeReader<'_>), FrameError> {
+        let short = FrameError::TooShort { len: bytes.len() };
+        if bytes.len() < self.header_len() {
+            return Err(short);
+        }
+        let mut r = LeReader::new(bytes);
+        let magic = r.take(4).ok_or(short)?;
+        let version = r.u16().ok_or(short)?;
+        let flags = r.u16().ok_or(short)?;
+        if magic != self.magic() {
+            return Err(FrameError::BadMagic);
+        }
+        if version != self.version() {
+            return Err(FrameError::BadVersion { version });
+        }
+        let reserved = if self == Kind::Frame { 0xff00 } else { 0xffff };
+        if flags & reserved != 0 {
+            return Err(FrameError::BadFlags { flags });
+        }
+        Ok((flags as u8, r))
+    }
+
+    /// Start an object: the prelude, in a buffer sized for `len` bytes.
+    fn begin(self, flags: u16, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&self.magic());
+        out.extend_from_slice(&self.version().to_le_bytes());
+        out.extend_from_slice(&flags.to_le_bytes());
+        out
+    }
+
+    /// Finish an object: patch `sum` of the covered region into the
+    /// checksum field the format's writer left zeroed.
+    fn seal(self, mut out: Vec<u8>, sum: impl FnOnce(&[u8]) -> u64) -> Vec<u8> {
+        let at = self.checksum_at();
+        let sum = sum(&out[at + 8..]);
+        out[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+}
+
+/// The check every decoder runs on the region its checksum covers. The
+/// header's length claim is validated against what is actually in the
+/// buffer strictly before the checksum touches a byte (so a bit-flipped
+/// length field can never drive an allocation or a hash), then stored vs
+/// computed. Returns the `Truncated` error the format's own field reads
+/// use for a region that passes here and still underruns.
+fn check_covered(
+    covered: &[u8],
+    expected: u64,
+    stored: u64,
+    sum: impl FnOnce(&[u8]) -> u64,
+) -> Result<FrameError, FrameError> {
+    let have = covered.len() as u64;
+    if have < expected {
+        return Err(FrameError::Truncated { expected, have });
+    }
+    if have > expected {
+        return Err(FrameError::TrailingBytes { expected, have });
+    }
+    let got = sum(covered);
+    if got != stored {
+        return Err(FrameError::ChecksumMismatch {
+            expected: stored,
+            got,
+        });
+    }
+    Ok(FrameError::Truncated { expected, have })
+}
+
 fn encode_frame_inner(
     rank: u32,
     ckpt_id: u32,
@@ -179,21 +314,18 @@ fn encode_frame_inner(
     payload: &[u8],
 ) -> Vec<u8> {
     let ext = if codec != 0 { FRAME_EXT_LEN } else { 0 };
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + ext + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    out.extend_from_slice(&(codec as u16).to_le_bytes());
+    let mut out = Kind::Frame.begin(codec as u16, FRAME_HEADER_LEN + ext + payload.len());
     out.extend_from_slice(&rank.to_le_bytes());
     out.extend_from_slice(&ckpt_id.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&[0u8; 8]); // checksum patched below
+    out.extend_from_slice(&[0u8; 8]); // checksum, patched by `seal`
     if codec != 0 {
         out.extend_from_slice(&uncompressed_len.to_le_bytes());
     }
     out.extend_from_slice(payload);
-    let sum = checksum64_region(rank, ckpt_id, codec, &out[FRAME_HEADER_LEN..]);
-    out[24..32].copy_from_slice(&sum.to_le_bytes());
-    out
+    Kind::Frame.seal(out, |region| {
+        checksum64_region(rank, ckpt_id, codec, region)
+    })
 }
 
 /// Wrap `payload` in a verified frame for object `(rank, ckpt_id)`. The
@@ -220,113 +352,56 @@ pub fn encode_frame_compressed(
     encode_frame_inner(rank, ckpt_id, codec, uncompressed_len, compressed)
 }
 
-/// Whether `bytes` begins with the frame magic (cheap format sniff for
-/// legacy/unframed inputs; says nothing about validity).
-pub fn looks_framed(bytes: &[u8]) -> bool {
-    bytes.len() >= FRAME_MAGIC.len() && bytes[..FRAME_MAGIC.len()] == FRAME_MAGIC
-}
-
 /// Parse and fully verify a frame, returning the header and a borrowed
 /// *stored* payload slice (still compressed when the codec byte is set).
 /// Every integrity property is checked: magic, version, codec id, exact
-/// length — validated against the actual remaining buffer before anything
-/// is hashed or copied, so a bit-flipped length field can never drive an
-/// allocation — and checksum.
-pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
+/// length, checksum — and, when `expect` names an object slot, that the
+/// frame belongs to it.
+pub fn decode_frame(
+    bytes: &[u8],
+    expect: Option<(u32, u32)>,
+) -> Result<(FrameHeader, &[u8]), FrameError> {
     let short = FrameError::TooShort { len: bytes.len() };
-    let mut r = LeReader::new(bytes);
-    let magic = r.take(FRAME_MAGIC.len()).ok_or(short)?;
-    let version = r.u16().ok_or(short)?;
-    let flags = r.u16().ok_or(short)?;
+    let (codec, mut r) = Kind::Frame.open(bytes)?;
     let rank = r.u32().ok_or(short)?;
     let ckpt_id = r.u32().ok_or(short)?;
     let payload_len = r.u64().ok_or(short)?;
     let checksum = r.u64().ok_or(short)?;
     let region = r.rest();
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::BadMagic);
-    }
-    if version != FRAME_VERSION {
-        return Err(FrameError::BadVersion { version });
-    }
-    if flags & 0xff00 != 0 {
-        return Err(FrameError::BadFlags { flags });
-    }
-    let codec = flags as u8;
     if codec != 0 && ckpt_compress::codec_by_id(codec).is_none() {
         return Err(FrameError::UnknownCodec { codec });
     }
     let ext = if codec != 0 { FRAME_EXT_LEN as u64 } else { 0 };
-    // Length validation happens strictly before the checksum touches any
-    // payload byte: the header's claim is checked against what is actually
-    // in the buffer.
-    let have = region.len() as u64;
-    let expected = payload_len.saturating_add(ext);
-    if have < expected {
-        return Err(FrameError::Truncated { expected, have });
-    }
-    if have > expected {
-        return Err(FrameError::TrailingBytes { expected, have });
-    }
-    let got = checksum64_region(rank, ckpt_id, codec, region);
-    if got != checksum {
-        return Err(FrameError::ChecksumMismatch {
-            expected: checksum,
-            got,
-        });
-    }
+    let truncated = check_covered(region, payload_len.saturating_add(ext), checksum, |b| {
+        checksum64_region(rank, ckpt_id, codec, b)
+    })?;
     let (uncompressed_len, payload) = if codec != 0 {
         let mut r = LeReader::new(region);
-        let len = r.u64().ok_or(FrameError::Truncated { expected, have })?;
-        (len, r.rest())
+        (r.u64().ok_or(truncated)?, r.rest())
     } else {
         (payload_len, region)
     };
-    Ok((
-        FrameHeader {
-            rank,
-            ckpt_id,
-            payload_len,
-            checksum,
-            codec,
-            uncompressed_len,
-        },
-        payload,
-    ))
-}
-
-/// Like [`decode_frame`], but additionally checks the frame belongs to the
-/// given object slot.
-pub fn decode_frame_expecting(
-    bytes: &[u8],
-    expect: Option<(u32, u32)>,
-) -> Result<(FrameHeader, &[u8]), FrameError> {
-    let (header, payload) = decode_frame(bytes)?;
     if let Some(expected) = expect {
-        let got = (header.rank, header.ckpt_id);
+        let got = (rank, ckpt_id);
         if got != expected {
             return Err(FrameError::IdMismatch { expected, got });
         }
     }
+    let header = FrameHeader {
+        rank,
+        ckpt_id,
+        payload_len,
+        checksum,
+        codec,
+        uncompressed_len,
+    };
     Ok((header, payload))
 }
 
 /// Verify a frame and (optionally) that it belongs to the given object
 /// slot, returning the stored payload slice.
 pub fn verify_frame(bytes: &[u8], expect: Option<(u32, u32)>) -> Result<&[u8], FrameError> {
-    decode_frame_expecting(bytes, expect).map(|(_, payload)| payload)
-}
-
-/// Fully decode a frame to its original payload: verify, then decompress
-/// through the recorded codec when one is set, checking the decompressed
-/// size against the recorded uncompressed length.
-pub fn decode_payload(
-    bytes: &[u8],
-    expect: Option<(u32, u32)>,
-) -> Result<(FrameHeader, Vec<u8>), FrameError> {
-    let (header, stored) = decode_frame_expecting(bytes, expect)?;
-    let payload = decompress_payload(header.codec, header.uncompressed_len, stored)?;
-    Ok((header, payload))
+    decode_frame(bytes, expect).map(|(_, payload)| payload)
 }
 
 /// Decompress a stored payload extracted from a frame with the given codec
@@ -421,19 +496,22 @@ pub struct ParityRecord {
 }
 
 impl ParityRecord {
+    /// Seeds the record checksum with all three ids, so a stripe read from
+    /// another group, stripe index or checkpoint fails it.
+    fn sum(group: u32, stripe: u32, ckpt_id: u32, body: &[u8]) -> u64 {
+        checksum64_region(group, stripe ^ ckpt_id.rotate_left(8), 0, body)
+    }
+
     /// Serialize to the layout documented above.
     pub fn encode(&self) -> Vec<u8> {
         let body_len = PARITY_MEMBER_LEN * self.members.len() + self.parity.len();
-        let mut out = Vec::with_capacity(PARITY_HEADER_LEN + body_len);
-        out.extend_from_slice(&PARITY_MAGIC);
-        out.extend_from_slice(&PARITY_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
+        let mut out = Kind::Parity.begin(0, PARITY_HEADER_LEN + body_len);
         out.extend_from_slice(&self.group.to_le_bytes());
         out.extend_from_slice(&self.stripe.to_le_bytes());
         out.extend_from_slice(&self.ckpt_id.to_le_bytes());
         out.extend_from_slice(&(self.members.len() as u32).to_le_bytes());
         out.extend_from_slice(&(self.parity.len() as u64).to_le_bytes());
-        out.extend_from_slice(&[0u8; 8]); // checksum patched below
+        out.extend_from_slice(&[0u8; 8]); // checksum, patched by `seal`
         for m in &self.members {
             out.extend_from_slice(&m.rank.to_le_bytes());
             out.push(m.codec);
@@ -443,14 +521,9 @@ impl ParityRecord {
             out.extend_from_slice(&m.checksum.to_le_bytes());
         }
         out.extend_from_slice(&self.parity);
-        let sum = checksum64_region(
-            self.group,
-            self.stripe ^ self.ckpt_id.rotate_left(8),
-            0,
-            &out[PARITY_HEADER_LEN..],
-        );
-        out[32..40].copy_from_slice(&sum.to_le_bytes());
-        out
+        Kind::Parity.seal(out, |body| {
+            Self::sum(self.group, self.stripe, self.ckpt_id, body)
+        })
     }
 
     /// Parse and fully verify a serialized parity record. Lengths are
@@ -458,10 +531,7 @@ impl ParityRecord {
     /// corrupted count field can never drive an allocation.
     pub fn decode(bytes: &[u8]) -> Result<ParityRecord, FrameError> {
         let short = FrameError::TooShort { len: bytes.len() };
-        let mut r = LeReader::new(bytes);
-        let magic = r.take(PARITY_MAGIC.len()).ok_or(short)?;
-        let version = r.u16().ok_or(short)?;
-        let reserved = r.u16().ok_or(short)?;
+        let (_, mut r) = Kind::Parity.open(bytes)?;
         let group = r.u32().ok_or(short)?;
         let stripe = r.u32().ok_or(short)?;
         let ckpt_id = r.u32().ok_or(short)?;
@@ -469,33 +539,12 @@ impl ParityRecord {
         let parity_len = r.u64().ok_or(short)?;
         let checksum = r.u64().ok_or(short)?;
         let body = r.rest();
-        if magic != PARITY_MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        if version != PARITY_VERSION {
-            return Err(FrameError::BadVersion { version });
-        }
-        if reserved != 0 {
-            return Err(FrameError::BadFlags { flags: reserved });
-        }
-        let have = body.len() as u64;
         let expected = n_members
             .saturating_mul(PARITY_MEMBER_LEN as u64)
             .saturating_add(parity_len);
-        if have < expected {
-            return Err(FrameError::Truncated { expected, have });
-        }
-        if have > expected {
-            return Err(FrameError::TrailingBytes { expected, have });
-        }
-        let got = checksum64_region(group, stripe ^ ckpt_id.rotate_left(8), 0, body);
-        if got != checksum {
-            return Err(FrameError::ChecksumMismatch {
-                expected: checksum,
-                got,
-            });
-        }
-        let truncated = FrameError::Truncated { expected, have };
+        let truncated = check_covered(body, expected, checksum, |b| {
+            Self::sum(group, stripe, ckpt_id, b)
+        })?;
         let mut r = LeReader::new(body);
         let mut members = Vec::with_capacity(n_members as usize);
         for _ in 0..n_members {
@@ -516,12 +565,6 @@ impl ParityRecord {
             parity: r.rest().to_vec(),
         })
     }
-}
-
-/// Whether a stored payload is a serialized parity record (cheap format
-/// sniff; says nothing about validity).
-pub fn looks_parity(bytes: &[u8]) -> bool {
-    bytes.len() >= PARITY_MAGIC.len() && bytes[..PARITY_MAGIC.len()] == PARITY_MAGIC
 }
 
 // ---- Cluster-wide rank-dedup records ------------------------------------
@@ -702,13 +745,10 @@ impl RankDedupRecord {
     /// Serialize to the layout documented above.
     pub fn encode(&self) -> Vec<u8> {
         let body_len = RANKDEDUP_ENTRY_LEN * self.entries.len() + self.local.len();
-        let mut out = Vec::with_capacity(RANKDEDUP_HEADER_LEN + body_len);
-        out.extend_from_slice(&RANKDEDUP_MAGIC);
-        out.extend_from_slice(&RANKDEDUP_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
+        let mut out = Kind::RankDedup.begin(0, RANKDEDUP_HEADER_LEN + body_len);
         out.extend_from_slice(&self.rank.to_le_bytes());
         out.extend_from_slice(&self.ckpt_id.to_le_bytes());
-        out.extend_from_slice(&[0u8; 8]); // checksum patched below
+        out.extend_from_slice(&[0u8; 8]); // checksum, patched by `seal`
         out.extend_from_slice(&self.chunk_len.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.orig_len.to_le_bytes());
@@ -730,9 +770,9 @@ impl RankDedupRecord {
             }
         }
         out.extend_from_slice(&self.local);
-        let sum = rankdedup_sum(self.rank, self.ckpt_id, &out[RANKDEDUP_CHECK_OFFSET..]);
-        out[16..24].copy_from_slice(&sum.to_le_bytes());
-        out
+        Kind::RankDedup.seal(out, |covered| {
+            rankdedup_sum(self.rank, self.ckpt_id, covered)
+        })
     }
 
     /// Parse and fully verify a serialized rank-dedup record. Lengths are
@@ -740,10 +780,7 @@ impl RankDedupRecord {
     /// corrupted count field can never drive an allocation.
     pub fn decode(bytes: &[u8]) -> Result<RankDedupRecord, FrameError> {
         let short = FrameError::TooShort { len: bytes.len() };
-        let mut r = LeReader::new(bytes);
-        let magic = r.take(RANKDEDUP_MAGIC.len()).ok_or(short)?;
-        let version = r.u16().ok_or(short)?;
-        let reserved = r.u16().ok_or(short)?;
+        let (_, mut r) = Kind::RankDedup.open(bytes)?;
         let rank = r.u32().ok_or(short)?;
         let ckpt_id = r.u32().ok_or(short)?;
         let checksum = r.u64().ok_or(short)?;
@@ -754,33 +791,12 @@ impl RankDedupRecord {
         let orig_len = r.u64().ok_or(short)?;
         let orig_checksum = r.u64().ok_or(short)?;
         let local_len = r.u64().ok_or(short)?;
-        if magic != RANKDEDUP_MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        if version != RANKDEDUP_VERSION {
-            return Err(FrameError::BadVersion { version });
-        }
-        if reserved != 0 {
-            return Err(FrameError::BadFlags { flags: reserved });
-        }
-        let have = covered.len() as u64;
         let expected = ((RANKDEDUP_HEADER_LEN - RANKDEDUP_CHECK_OFFSET) as u64)
             .saturating_add(n_entries.saturating_mul(RANKDEDUP_ENTRY_LEN as u64))
             .saturating_add(local_len);
-        if have < expected {
-            return Err(FrameError::Truncated { expected, have });
-        }
-        if have > expected {
-            return Err(FrameError::TrailingBytes { expected, have });
-        }
-        let got = rankdedup_sum(rank, ckpt_id, covered);
-        if got != checksum {
-            return Err(FrameError::ChecksumMismatch {
-                expected: checksum,
-                got,
-            });
-        }
-        let truncated = FrameError::Truncated { expected, have };
+        let truncated = check_covered(covered, expected, checksum, |b| {
+            rankdedup_sum(rank, ckpt_id, b)
+        })?;
         let mut entries = Vec::with_capacity(n_entries as usize);
         let mut starts = Vec::with_capacity(n_entries as usize);
         let mut local_sum = 0u64;
@@ -829,23 +845,28 @@ impl RankDedupRecord {
     }
 }
 
-/// Whether a stored payload is a serialized rank-dedup record (cheap
-/// format sniff; says nothing about validity).
-pub fn looks_rankdedup(bytes: &[u8]) -> bool {
-    bytes.len() >= RANKDEDUP_MAGIC.len() && bytes[..RANKDEDUP_MAGIC.len()] == RANKDEDUP_MAGIC
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Verify, then decompress through the recorded codec — what a tier
+    /// read does with a stored object.
+    fn decode_payload(
+        bytes: &[u8],
+        expect: Option<(u32, u32)>,
+    ) -> Result<(FrameHeader, Vec<u8>), FrameError> {
+        let (header, stored) = decode_frame(bytes, expect)?;
+        let payload = decompress_payload(header.codec, header.uncompressed_len, stored)?;
+        Ok((header, payload))
+    }
 
     #[test]
     fn round_trip_preserves_payload() {
         let payload = b"the quick brown fox".to_vec();
         let framed = encode_frame(3, 7, &payload);
         assert_eq!(framed.len(), FRAME_HEADER_LEN + payload.len());
-        assert!(looks_framed(&framed));
-        let (header, got) = decode_frame(&framed).unwrap();
+        assert_eq!(Kind::sniff(&framed), Some(Kind::Frame));
+        let (header, got) = decode_frame(&framed, None).unwrap();
         assert_eq!(got, &payload[..]);
         assert_eq!(header.rank, 3);
         assert_eq!(header.ckpt_id, 7);
@@ -894,17 +915,17 @@ mod tests {
         let mut framed = encode_frame(0, 1, b"xy");
         framed.push(0);
         assert!(matches!(
-            decode_frame(&framed),
+            decode_frame(&framed, None),
             Err(FrameError::TrailingBytes { .. })
         ));
     }
 
     #[test]
     fn legacy_bytes_are_not_framed() {
-        assert!(!looks_framed(b"CK"));
-        assert!(!looks_framed(b"not a frame"));
+        assert_eq!(Kind::sniff(b"CK"), None);
+        assert_eq!(Kind::sniff(b"not a frame"), None);
         assert!(matches!(
-            decode_frame(b"not a frame at all, but long enough to parse!"),
+            decode_frame(b"not a frame at all, but long enough to parse!", None),
             Err(FrameError::BadMagic)
         ));
     }
@@ -922,7 +943,7 @@ mod tests {
             .collect();
         let framed = compressed_frame(3, 7, &payload, 6);
         assert!(framed.len() < payload.len(), "counters must compress");
-        let (header, stored) = decode_frame(&framed).unwrap();
+        let (header, stored) = decode_frame(&framed, None).unwrap();
         assert_eq!(header.codec, 6);
         assert_eq!(header.uncompressed_len, payload.len() as u64);
         assert_eq!(header.payload_len, stored.len() as u64);
@@ -961,7 +982,7 @@ mod tests {
         let mut framed = encode_frame(0, 0, b"x");
         framed[6] = 0x63; // unregistered codec id
         assert_eq!(
-            decode_frame(&framed).unwrap_err(),
+            decode_frame(&framed, None).unwrap_err(),
             FrameError::UnknownCodec { codec: 0x63 }
         );
     }
@@ -974,7 +995,7 @@ mod tests {
         let mut framed = encode_frame(0, 0, b"payload");
         framed[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            decode_frame(&framed),
+            decode_frame(&framed, None),
             Err(FrameError::Truncated { .. })
         ));
     }
@@ -1027,8 +1048,7 @@ mod tests {
     fn parity_record_round_trips() {
         let rec = sample_parity();
         let bytes = rec.encode();
-        assert!(looks_parity(&bytes));
-        assert!(!looks_framed(&bytes));
+        assert_eq!(Kind::sniff(&bytes), Some(Kind::Parity));
         assert_eq!(ParityRecord::decode(&bytes).unwrap(), rec);
     }
 
@@ -1108,9 +1128,7 @@ mod tests {
     fn rankdedup_record_round_trips() {
         let rec = sample_rankdedup();
         let bytes = rec.encode();
-        assert!(looks_rankdedup(&bytes));
-        assert!(!looks_framed(&bytes));
-        assert!(!looks_parity(&bytes));
+        assert_eq!(Kind::sniff(&bytes), Some(Kind::RankDedup));
         let back = RankDedupRecord::decode(&bytes).unwrap();
         assert_eq!(back, rec);
         assert_eq!(back.local_slice(0).unwrap(), &rec.local[..40]);
@@ -1216,6 +1234,67 @@ mod tests {
         ));
     }
 
+    /// `(wire digest, error-taxonomy digest)` of one encoded object: the
+    /// bytes themselves, and the `Debug` of `decode`'s result on the intact
+    /// object, on every strict prefix and on every single-bit flip.
+    fn wire_and_taxonomy(bytes: &[u8], decode: impl Fn(&[u8]) -> String) -> (String, String) {
+        use std::fmt::Write;
+        let mut log = decode(bytes);
+        for cut in 0..bytes.len() {
+            writeln!(log, "\ncut {cut}: {}", decode(&bytes[..cut])).unwrap();
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            writeln!(log, "flip {bit}: {}", decode(&bad)).unwrap();
+        }
+        (
+            Murmur3.hash(bytes).to_hex(),
+            Murmur3.hash(log.as_bytes()).to_hex(),
+        )
+    }
+
+    /// Captured at the commit before the three preludes became one: neither
+    /// the wire bytes nor the `FrameError` any damaged input decodes to may
+    /// move.
+    #[test]
+    fn wire_bytes_and_error_taxonomy_are_pinned() {
+        let slot = Some((1, 2));
+        let plain = encode_frame(1, 2, b"payload bytes under test");
+        let payload: Vec<u8> = (0..4096u32).map(|i| ((i / 32) % 11) as u8).collect();
+        let packed = compressed_frame(1, 2, &payload, 1);
+        let got = [
+            wire_and_taxonomy(&plain, |b| format!("{:?}", decode_frame(b, slot))),
+            wire_and_taxonomy(&packed, |b| format!("{:?}", decode_payload(b, slot))),
+            wire_and_taxonomy(&sample_parity().encode(), |b| {
+                format!("{:?}", ParityRecord::decode(b))
+            }),
+            wire_and_taxonomy(&sample_rankdedup().encode(), |b| {
+                format!("{:?}", RankDedupRecord::decode(b))
+            }),
+        ];
+        let got: Vec<_> = got.iter().map(|(w, t)| (w.as_str(), t.as_str())).collect();
+        let want = [
+            (
+                "ce38465739672c03c4dbcd2b6939264e",
+                "4f418289e3fe6df1235ce7df8e9c501d",
+            ),
+            (
+                "410eaec2377951f766cb03ef4865d619",
+                "1fc705487eb3ec2e92752d884afafe14",
+            ),
+            (
+                "fe7982cd3e5fe0aa63e95ab68bb56170",
+                "8596afa12351ca725184d6f83c91c4ae",
+            ),
+            (
+                "1e5946a8007aafea42185d33a4c5473d",
+                "5f203cf5fc78f9cba35f492a5d585cc9",
+            ),
+        ];
+        assert_eq!(got, want, "order: CKF1, CKF1+codec, CKPX, CKPR");
+    }
+
     mod prop {
         use super::*;
         use proptest::prelude::*;
@@ -1309,7 +1388,7 @@ mod tests {
             fn arbitrary_bytes_never_panic_any_parser(
                 bytes in proptest::collection::vec(any::<u8>(), 0..512),
             ) {
-                let _ = decode_frame(&bytes);
+                let _ = decode_frame(&bytes, None);
                 let _ = decode_payload(&bytes, Some((1, 2)));
                 let _ = ParityRecord::decode(&bytes);
                 let _ = RankDedupRecord::decode(&bytes);
@@ -1329,7 +1408,7 @@ mod tests {
                 };
                 let mut bytes = magic.to_vec();
                 bytes.extend_from_slice(&tail);
-                prop_assert!(decode_frame(&bytes).is_err() || which == 0);
+                prop_assert!(decode_frame(&bytes, None).is_err() || which == 0);
                 prop_assert!(ParityRecord::decode(&bytes).is_err() || which == 1);
                 prop_assert!(RankDedupRecord::decode(&bytes).is_err() || which == 2);
             }
@@ -1350,7 +1429,7 @@ mod tests {
                     compressed_frame(rank, ckpt, &payload, codec)
                 };
                 for cut in 0..framed.len() {
-                    prop_assert!(decode_frame(&framed[..cut]).is_err());
+                    prop_assert!(decode_frame(&framed[..cut], None).is_err());
                 }
 
                 let parity = ParityRecord {

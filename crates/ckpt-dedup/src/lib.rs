@@ -36,6 +36,17 @@
 //! assert_eq!(v1, data);
 //! ```
 //!
+//! # Methods
+//!
+//! [`new_checkpointer`] turns a [`MethodKind`] (or a name, through
+//! [`MethodKind::from_name`]) into one of the four compared methods. Tree
+//! and List are one pipeline — leaf pass, region building, reference
+//! resolution, serialization — that differs in the region-building step
+//! alone, so both take every [`TreeConfig`] option; Basic and Full read its
+//! chunk size. The A3 ablation's single-stage sweep is a third step, at
+//! [`methods::tree_naive`]; [`SerialTreeCheckpointer`] is the sequential
+//! oracle the pipeline is tested against.
+//!
 //! # Restoring
 //!
 //! [`restart`] is the restore engine, the only one production code calls:
@@ -61,8 +72,7 @@ pub use chunking::Chunking;
 pub use ckpt_telemetry::{StageBreakdown, StageSample};
 pub use diff::{Diff, MethodKind, ShiftRegion};
 pub use frame::{
-    decode_frame, decode_frame_expecting, decode_payload, encode_frame, encode_frame_compressed,
-    looks_framed, looks_parity, looks_rankdedup, verify_frame, FrameError, FrameHeader,
+    decode_frame, encode_frame, encode_frame_compressed, verify_frame, FrameError, FrameHeader,
     ParityMember, ParityRecord, RankDedupEntry, RankDedupRecord, RemoteRef, FRAME_EXT_LEN,
     FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION,
 };
@@ -71,9 +81,8 @@ pub use methods::basic::BasicCheckpointer;
 pub use methods::full::FullCheckpointer;
 pub use methods::list::ListCheckpointer;
 pub use methods::tree::{TreeCheckpointer, TreeConfig};
-pub use methods::tree_naive::NaiveTreeCheckpointer;
 pub use methods::tree_serial::SerialTreeCheckpointer;
-pub use methods::{CheckpointOutput, Checkpointer};
+pub use methods::{new_checkpointer, CheckpointOutput, Checkpointer};
 pub use record::{run_record, CheckpointRecord};
 pub use restart::{
     check_chain, is_self_contained, restore_latest_single_pass, restore_version_single_pass,
@@ -89,9 +98,8 @@ pub mod prelude {
     pub use crate::methods::full::FullCheckpointer;
     pub use crate::methods::list::ListCheckpointer;
     pub use crate::methods::tree::{TreeCheckpointer, TreeConfig};
-    pub use crate::methods::tree_naive::NaiveTreeCheckpointer;
     pub use crate::methods::tree_serial::SerialTreeCheckpointer;
-    pub use crate::methods::{CheckpointOutput, Checkpointer};
+    pub use crate::methods::{new_checkpointer, CheckpointOutput, Checkpointer};
     pub use crate::record::{run_record, CheckpointRecord};
     pub use crate::restart::{
         check_chain, is_self_contained, restore_latest_single_pass, restore_version_single_pass,

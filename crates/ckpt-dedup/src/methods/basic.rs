@@ -9,7 +9,7 @@
 
 use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
-use crate::methods::{CheckpointOutput, Checkpointer, Timer};
+use crate::methods::{CheckpointOutput, Checkpointer, MemoryStats, StageRecorder, Timer};
 use crate::stats::CheckpointStats;
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use gpu_sim::{Device, KernelCost};
@@ -20,10 +20,8 @@ pub struct BasicCheckpointer {
     device: Device,
     hasher: Box<dyn Hasher128>,
     chunk_size: usize,
-    fused: bool,
     state: Option<State>,
     ckpt_id: u32,
-    buffer_reuse: bool,
     /// Rebase mode for the current checkpoint: mark every chunk changed.
     force_all: bool,
 }
@@ -40,10 +38,8 @@ impl BasicCheckpointer {
             device,
             hasher: Box::new(Murmur3),
             chunk_size,
-            fused: true,
             state: None,
             ckpt_id: 0,
-            buffer_reuse: true,
             force_all: false,
         }
     }
@@ -58,9 +54,6 @@ impl Checkpointer for BasicCheckpointer {
         let device = self.device.clone();
         let ckpt_id = self.ckpt_id;
         let timer = Timer::start(&device);
-        if !self.buffer_reuse {
-            device.arena().trim();
-        }
         if self.state.is_none() {
             let chunking = Chunking::new(data.len(), self.chunk_size);
             self.state = Some(State {
@@ -98,8 +91,8 @@ impl Checkpointer for BasicCheckpointer {
         let changed = changed;
         let prev = crate::util::SharedSliceMut::new(&mut state.prev);
 
-        let mut recorder = super::StageRecorder::start(&device);
-        let run = |rec: &mut super::StageRecorder<'_>| {
+        let mut rec = StageRecorder::start(&device);
+        let (bm, payload, n_changed) = device.fused("basic_checkpoint", || {
             device.parallel_for(
                 "basic_hash_compare",
                 n,
@@ -160,15 +153,9 @@ impl Checkpointer for BasicCheckpointer {
             let payload = staging[..payload_len].to_vec();
             device.account_d2h_bytes(bm.len() as u64);
             rec.mark("d2h");
-            (bm, payload, changed_idx.len())
-        };
-
-        let (bm, payload, n_changed) = if self.fused {
-            device.fused("basic_checkpoint", || run(&mut recorder))
-        } else {
-            run(&mut recorder)
-        };
-        let breakdown = recorder.finish(MethodKind::Basic, ckpt_id);
+            (bm, payload, changed_idx.len() as u64)
+        });
+        let breakdown = rec.finish(MethodKind::Basic, ckpt_id);
 
         let diff = Diff {
             kind: MethodKind::Basic,
@@ -181,20 +168,8 @@ impl Checkpointer for BasicCheckpointer {
             payload_codec: 0,
             payload,
         };
-        let (measured_sec, modeled_sec) = timer.stop(&device);
-        let stats = CheckpointStats {
-            method: MethodKind::Basic,
-            ckpt_id,
-            uncompressed_bytes: data.len() as u64,
-            stored_bytes: diff.stored_bytes() as u64,
-            metadata_bytes: diff.metadata_bytes() as u64,
-            payload_bytes: diff.payload.len() as u64,
-            n_first: n_changed as u64,
-            n_shift: 0,
-            n_fixed_chunks: (n - n_changed) as u64,
-            measured_sec,
-            modeled_sec,
-        };
+        let unchanged = n as u64 - n_changed;
+        let stats = CheckpointStats::of(&diff, n_changed, 0, unchanged, timer.stop(&device));
         self.ckpt_id += 1;
         CheckpointOutput {
             diff,
@@ -223,20 +198,8 @@ impl Checkpointer for BasicCheckpointer {
         self.ckpt_id = 0;
     }
 
-    fn set_buffer_reuse(&mut self, on: bool) {
-        self.buffer_reuse = on;
-    }
-
-    fn memory_stats(&self) -> super::MemoryStats {
-        let a = self.device.arena().stats();
-        // Basic keeps no historical record; the map counters stay zero.
-        super::MemoryStats {
-            device_bytes_leased: a.bytes_leased,
-            device_bytes_allocated: a.bytes_allocated,
-            arena_hits: a.hits,
-            arena_misses: a.misses,
-            map_generation_bumps: 0,
-            map_rehash_rebuilds: 0,
-        }
+    /// Basic keeps no historical record; the map counters stay zero.
+    fn memory_stats(&self) -> MemoryStats {
+        MemoryStats::of(&self.device, None)
     }
 }

@@ -60,20 +60,7 @@ impl Checkpointer for FullCheckpointer {
             payload_codec: 0,
             payload,
         };
-        let (measured_sec, modeled_sec) = timer.stop(&self.device);
-        let stats = CheckpointStats {
-            method: MethodKind::Full,
-            ckpt_id,
-            uncompressed_bytes: data.len() as u64,
-            stored_bytes: diff.stored_bytes() as u64,
-            metadata_bytes: 0,
-            payload_bytes: data.len() as u64,
-            n_first: 0,
-            n_shift: 0,
-            n_fixed_chunks: 0,
-            measured_sec,
-            modeled_sec,
-        };
+        let stats = CheckpointStats::of(&diff, 0, 0, 0, timer.stop(&self.device));
         self.ckpt_id += 1;
         CheckpointOutput::with_total_breakdown(diff, stats)
     }

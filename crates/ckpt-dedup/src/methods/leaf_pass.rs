@@ -7,48 +7,37 @@
 //! a different position), and keep the historical record pointing at the
 //! *earliest* occurrence within the current checkpoint (lines 13–16).
 
-use crate::chunking::Chunking;
 use crate::labels::{Label, LabelArray};
+use crate::methods::pipeline::Pass;
 use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
-use ckpt_hash::{Digest128, Hasher128};
-use gpu_sim::{
-    ContentCache, Device, DistinctMap, InsertResult, KernelCost, MapEntry, Verification,
-};
+use ckpt_hash::Digest128;
+use gpu_sim::{ContentCache, InsertResult, KernelCost, MapEntry, Verification};
 
-/// Run the leaf pass for checkpoint `ckpt_id` of `data`.
+/// Run the leaf pass of one checkpoint: `pass.labels` receives the per-leaf
+/// classification and `pass.map` the first occurrences.
 ///
-/// * `digests` — per-node digest array; leaf slots hold the previous
-///   checkpoint's digests on entry and the current ones on exit.
-/// * `labels` — written with the per-leaf classification.
-/// * `map` — the historical record of unique hashes, updated with first
-///   occurrences.
-/// * `cache` — optional chunk-content cache (§2.4's hash-collision
-///   mitigation): first occurrences are cached; candidate duplicates whose
-///   cached bytes differ are *collisions* and are stored instead of
-///   referenced, under a salted digest so no ancestor consolidates on the
-///   colliding value.
-/// * `force_all` — rebase mode: disable the fixed-duplicate shortcut so every
-///   chunk re-enters the (freshly reset) historical record. With the record
-///   reset beforehand, every emitted reference lands inside this checkpoint,
-///   making the resulting diff self-contained.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    device: &Device,
-    shape: &TreeShape,
-    chunking: &Chunking,
-    hasher: &dyn Hasher128,
-    data: &[u8],
-    digests: &mut [Digest128],
-    labels: &LabelArray,
-    map: &DistinctMap,
-    ckpt_id: u32,
-    cache: Option<&ContentCache>,
-    force_all: bool,
-) {
+/// With a content cache (§2.4's hash-collision mitigation) first occurrences
+/// are cached; candidate duplicates whose cached bytes differ are
+/// *collisions* and are stored instead of referenced, under a salted digest
+/// so no ancestor consolidates on the colliding value.
+pub(crate) fn run(pass: &mut Pass<'_>) {
+    let Pass {
+        device,
+        shape,
+        chunking,
+        hasher,
+        data,
+        labels,
+        map,
+        cache,
+        ckpt_id,
+        force_all,
+        ..
+    } = *pass;
     debug_assert_eq!(data.len(), chunking.data_len());
     debug_assert_eq!(shape.n_chunks(), chunking.n_chunks());
-    let tree = SharedSliceMut::new(digests);
+    let tree = SharedSliceMut::new(pass.digests);
     let n = chunking.n_chunks();
     let cost = KernelCost::stream(data.len() as u64)
         .with_writes((n * std::mem::size_of::<Digest128>()) as u64);
@@ -176,193 +165,116 @@ pub(crate) fn leaf_label_counts(shape: &TreeShape, labels: &LabelArray) -> (u64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_hash::Murmur3;
+    use crate::chunking::Chunking;
+    use crate::methods::StageRecorder;
+    use ckpt_hash::{Hasher128, Murmur3};
+    use gpu_sim::{Device, DistinctMap};
 
-    fn setup(data_len: usize, chunk_size: usize) -> (Device, TreeShape, Chunking) {
-        let ck = Chunking::new(data_len, chunk_size);
-        (Device::a100(), TreeShape::new(ck.n_chunks()), ck)
+    /// One record's leaf-pass state: what the checkpointer body keeps
+    /// between checkpoints, with a map of `record_capacity` digests.
+    struct Record {
+        device: Device,
+        chunking: Chunking,
+        shape: TreeShape,
+        digests: Vec<Digest128>,
+        labels: LabelArray,
+        map: DistinctMap,
+        ckpt_id: u32,
+    }
+
+    impl Record {
+        fn new(n_chunks: usize, record_capacity: usize) -> Record {
+            let chunking = Chunking::new(32 * n_chunks, 32);
+            let shape = TreeShape::new(chunking.n_chunks());
+            Record {
+                device: Device::a100(),
+                chunking,
+                shape,
+                digests: vec![Digest128::ZERO; shape.n_nodes()],
+                labels: LabelArray::new(shape.n_nodes()),
+                map: DistinctMap::with_capacity(record_capacity),
+                ckpt_id: 0,
+            }
+        }
+
+        /// Leaf pass of the next checkpoint; returns `(first, fixed, shift)`.
+        fn checkpoint(&mut self, data: &[u8]) -> (u64, u64, u64) {
+            self.labels.clear();
+            run(&mut Pass {
+                device: &self.device,
+                shape: self.shape,
+                chunking: self.chunking,
+                hasher: &Murmur3,
+                data,
+                digests: &mut self.digests,
+                labels: &self.labels,
+                map: &self.map,
+                cache: None,
+                ckpt_id: self.ckpt_id,
+                force_all: false,
+                stages: StageRecorder::start(&self.device),
+            });
+            self.ckpt_id += 1;
+            leaf_label_counts(&self.shape, &self.labels)
+        }
+    }
+
+    /// 32-byte chunks, each filled with its tag.
+    fn chunks(tags: &[u8]) -> Vec<u8> {
+        tags.iter().flat_map(|&t| [t; 32]).collect()
     }
 
     #[test]
     fn first_checkpoint_all_first_or_shift() {
-        let (dev, shape, ck) = setup(32 * 8, 32);
-        // Chunks: A B A B C C D E -> first occurrences A,B,C,D,E; shifts: 2.
-        let mut data = vec![0u8; 256];
-        for (i, tag) in [0u8, 1, 0, 1, 2, 2, 3, 4].iter().enumerate() {
-            data[i * 32..(i + 1) * 32].fill(*tag);
-        }
-        let mut digests = vec![Digest128::ZERO; shape.n_nodes()];
-        let labels = LabelArray::new(shape.n_nodes());
-        let map = DistinctMap::with_capacity(64);
-        run(
-            &dev,
-            &shape,
-            &ck,
-            &Murmur3,
-            &data,
-            &mut digests,
-            &labels,
-            &map,
-            0,
-            None,
-            false,
-        );
-
-        let (first, fixed, shift) = leaf_label_counts(&shape, &labels);
-        assert_eq!(first, 5);
-        assert_eq!(fixed, 0);
-        assert_eq!(shift, 3);
-        assert_eq!(map.len(), 5);
+        let mut rec = Record::new(8, 64);
+        // Chunks: A B A B C C D E -> first occurrences A,B,C,D,E; shifts: 3.
+        let counts = rec.checkpoint(&chunks(&[0, 1, 0, 1, 2, 2, 3, 4]));
+        assert_eq!(counts, (5, 0, 3));
+        assert_eq!(rec.map.len(), 5);
     }
 
     #[test]
     fn earliest_leaf_is_canonical() {
-        let (dev, shape, ck) = setup(32 * 4, 32);
-        let data = vec![7u8; 128]; // four identical chunks
-        let mut digests = vec![Digest128::ZERO; shape.n_nodes()];
-        let labels = LabelArray::new(shape.n_nodes());
-        let map = DistinctMap::with_capacity(16);
-        run(
-            &dev,
-            &shape,
-            &ck,
-            &Murmur3,
-            &data,
-            &mut digests,
-            &labels,
-            &map,
-            0,
-            None,
-            false,
-        );
+        let mut rec = Record::new(4, 16);
+        let data = chunks(&[7; 4]);
+        rec.checkpoint(&data);
 
-        let d = Murmur3.hash(&data[0..32]);
-        let entry = map.get(&d).unwrap();
+        let entry = rec.map.get(&Murmur3.hash(&data[0..32])).unwrap();
         // Canonical occurrence is the leaf with the smallest node id among
         // the four (all four leaves hold the same digest).
-        let min_leaf = (0..4).map(|c| shape.leaf_of_chunk(c)).min().unwrap();
+        let min_leaf = (0..4).map(|c| rec.shape.leaf_of_chunk(c)).min().unwrap();
         assert_eq!(entry.node as usize, min_leaf);
-        assert_eq!(labels.get(min_leaf), Label::FirstOcur);
+        assert_eq!(rec.labels.get(min_leaf), Label::FirstOcur);
     }
 
     #[test]
     fn second_checkpoint_fixed_duplicates() {
-        let (dev, shape, ck) = setup(32 * 4, 32);
-        let mut data = vec![0u8; 128];
-        for (i, t) in [1u8, 2, 3, 4].iter().enumerate() {
-            data[i * 32..(i + 1) * 32].fill(*t);
-        }
-        let mut digests = vec![Digest128::ZERO; shape.n_nodes()];
-        let mut labels = LabelArray::new(shape.n_nodes());
-        let map = DistinctMap::with_capacity(64);
-        run(
-            &dev,
-            &shape,
-            &ck,
-            &Murmur3,
-            &data,
-            &mut digests,
-            &labels,
-            &map,
-            0,
-            None,
-            false,
-        );
-
+        let mut rec = Record::new(4, 64);
+        rec.checkpoint(&chunks(&[1, 2, 3, 4]));
         // Second checkpoint: chunk 2 modified, rest unchanged.
-        data[2 * 32..3 * 32].fill(9);
-        labels.clear();
-        run(
-            &dev,
-            &shape,
-            &ck,
-            &Murmur3,
-            &data,
-            &mut digests,
-            &labels,
-            &map,
-            1,
-            None,
-            false,
-        );
-        let (first, fixed, shift) = leaf_label_counts(&shape, &labels);
-        assert_eq!(fixed, 3);
-        assert_eq!(first, 1);
-        assert_eq!(shift, 0);
+        assert_eq!(rec.checkpoint(&chunks(&[1, 2, 9, 4])), (1, 3, 0));
     }
 
     #[test]
     fn second_checkpoint_shifted_duplicate_of_old_data() {
-        let (dev, shape, ck) = setup(32 * 4, 32);
-        let mut data = vec![0u8; 128];
-        for (i, t) in [1u8, 2, 3, 4].iter().enumerate() {
-            data[i * 32..(i + 1) * 32].fill(*t);
-        }
-        let mut digests = vec![Digest128::ZERO; shape.n_nodes()];
-        let mut labels = LabelArray::new(shape.n_nodes());
-        let map = DistinctMap::with_capacity(64);
-        run(
-            &dev,
-            &shape,
-            &ck,
-            &Murmur3,
-            &data,
-            &mut digests,
-            &labels,
-            &map,
-            0,
-            None,
-            false,
-        );
-
+        let mut rec = Record::new(4, 64);
+        rec.checkpoint(&chunks(&[1, 2, 3, 4]));
         // Chunk 0 now holds chunk 3's old content: shifted duplicate.
-        data[0..32].fill(4);
-        labels.clear();
-        run(
-            &dev,
-            &shape,
-            &ck,
-            &Murmur3,
-            &data,
-            &mut digests,
-            &labels,
-            &map,
-            1,
-            None,
-            false,
-        );
-        let leaf0 = shape.leaf_of_chunk(0);
-        assert_eq!(labels.get(leaf0), Label::ShiftDupl);
-        let entry = map.get(&Murmur3.hash(&data[0..32])).unwrap();
+        let data = chunks(&[4, 2, 3, 4]);
+        rec.checkpoint(&data);
+        assert_eq!(rec.labels.get(rec.shape.leaf_of_chunk(0)), Label::ShiftDupl);
+        let entry = rec.map.get(&Murmur3.hash(&data[0..32])).unwrap();
         assert_eq!(entry.ckpt, 0);
-        assert_eq!(entry.node as usize, shape.leaf_of_chunk(3));
+        assert_eq!(entry.node as usize, rec.shape.leaf_of_chunk(3));
     }
 
     #[test]
     fn degrades_to_first_ocur_when_map_full() {
-        let (dev, shape, ck) = setup(32 * 8, 32);
+        let mut rec = Record::new(8, 1); // 2-slot table, fills instantly
         let data: Vec<u8> = (0..256u32)
             .map(|i| (i / 32) as u8 * 17 + (i % 32) as u8)
             .collect();
-        let mut digests = vec![Digest128::ZERO; shape.n_nodes()];
-        let labels = LabelArray::new(shape.n_nodes());
-        let map = DistinctMap::with_capacity(1); // 2-slot table, fills instantly
-        run(
-            &dev,
-            &shape,
-            &ck,
-            &Murmur3,
-            &data,
-            &mut digests,
-            &labels,
-            &map,
-            0,
-            None,
-            false,
-        );
-        let (first, fixed, shift) = leaf_label_counts(&shape, &labels);
         // All chunks distinct; whatever did not fit became FirstOcur anyway.
-        assert_eq!(first, 8);
-        assert_eq!(fixed + shift, 0);
+        assert_eq!(rec.checkpoint(&data), (8, 0, 0));
     }
 }

@@ -8,14 +8,24 @@
 //! * [`tree::TreeCheckpointer`] — the paper's contribution: Merkle-tree
 //!   compacted metadata (Algorithm 1).
 //!
+//! Tree and List are one checkpointer body (`pipeline.rs`: leaf pass →
+//! region building → reference resolution → serialization) that differs
+//! only in its region-building step; `tree.rs` and `list.rs` hold their
+//! step. [`tree_naive`] is a third step, ablation A3's single-stage sweep,
+//! kept here because it needs the crate-private passes. Basic and Full have
+//! bodies of their own, and [`tree_serial`] is the sequential oracle the
+//! pipeline is checked against — it shares no logic with it.
+//!
 //! All share the [`Checkpointer`] trait so experiments can sweep methods
-//! uniformly, and all parallel code paths run through the `gpu-sim` device so
-//! their modeled cost is comparable.
+//! uniformly, all parallel code paths run through the `gpu-sim` device so
+//! their modeled cost is comparable, and [`new_checkpointer`] is the one
+//! place a [`MethodKind`] becomes a checkpointer.
 
 pub mod basic;
 pub mod full;
-pub mod leaf_pass;
+pub(crate) mod leaf_pass;
 pub mod list;
+pub(crate) mod pipeline;
 pub mod tree;
 pub mod tree_naive;
 pub mod tree_serial;
@@ -23,6 +33,22 @@ pub mod tree_serial;
 use crate::diff::{Diff, MethodKind};
 use crate::stats::CheckpointStats;
 use ckpt_telemetry::{StageBreakdown, StageClock, StageSample};
+use gpu_sim::{Device, DistinctMap};
+
+/// Build the checkpointer for `kind`. Basic and Full read only
+/// `config.chunk_size`.
+pub fn new_checkpointer(
+    kind: MethodKind,
+    device: Device,
+    config: tree::TreeConfig,
+) -> Box<dyn Checkpointer> {
+    match kind {
+        MethodKind::Tree => Box::new(tree::TreeCheckpointer::new(device, config)),
+        MethodKind::List => Box::new(list::ListCheckpointer::new(device, config)),
+        MethodKind::Basic => Box::new(basic::BasicCheckpointer::new(device, config.chunk_size)),
+        MethodKind::Full => Box::new(full::FullCheckpointer::new(device, config.chunk_size)),
+    }
+}
 
 /// One checkpoint's outputs: the encoded diff, its statistics, and the
 /// per-stage attribution of where the checkpoint's time went.
@@ -62,6 +88,33 @@ impl CheckpointOutput {
     }
 }
 
+impl CheckpointStats {
+    /// Statistics of one checkpoint from the diff it produced: sizes come
+    /// off the diff, the region/chunk counts from the method, and `elapsed`
+    /// is [`Timer::stop`]'s `(measured, modeled)` seconds.
+    pub(crate) fn of(
+        diff: &Diff,
+        n_first: u64,
+        n_shift: u64,
+        n_fixed_chunks: u64,
+        (measured_sec, modeled_sec): (f64, f64),
+    ) -> CheckpointStats {
+        CheckpointStats {
+            method: diff.kind,
+            ckpt_id: diff.ckpt_id,
+            uncompressed_bytes: diff.data_len,
+            stored_bytes: diff.stored_bytes() as u64,
+            metadata_bytes: diff.metadata_bytes() as u64,
+            payload_bytes: diff.payload.len() as u64,
+            n_first,
+            n_shift,
+            n_fixed_chunks,
+            measured_sec,
+            modeled_sec,
+        }
+    }
+}
+
 /// Steady-state memory counters for one checkpointer: the device arena's
 /// lease/allocation tallies plus the historical record's reset/rebuild
 /// counts. The zero-allocation tests assert that after a warm-up checkpoint
@@ -80,6 +133,22 @@ pub struct MemoryStats {
     pub map_generation_bumps: u64,
     /// Capacity-growth rebuilds of the historical record.
     pub map_rehash_rebuilds: u64,
+}
+
+impl MemoryStats {
+    /// The device arena's tallies plus the historical record's, for a
+    /// method that keeps one.
+    pub(crate) fn of(device: &Device, map: Option<&DistinctMap>) -> MemoryStats {
+        let a = device.arena().stats();
+        MemoryStats {
+            device_bytes_leased: a.bytes_leased,
+            device_bytes_allocated: a.bytes_allocated,
+            arena_hits: a.hits,
+            arena_misses: a.misses,
+            map_generation_bumps: map.map_or(0, |m| m.generation_bumps()),
+            map_rehash_rebuilds: map.map_or(0, |m| m.rehash_rebuilds()),
+        }
+    }
 }
 
 /// A checkpointing method with internal state accumulated across a record.
@@ -128,11 +197,6 @@ pub trait Checkpointer: Send {
         panic!("{} does not support record reset", self.name());
     }
 
-    /// Toggle device-arena buffer reuse. `false` trims the arena before each
-    /// checkpoint so every lease allocates fresh — the "unpooled" reference
-    /// path the determinism tests compare against. Default: reuse on.
-    fn set_buffer_reuse(&mut self, _on: bool) {}
-
     /// Steady-state memory counters (zeros for methods without device
     /// scratch or a historical record).
     fn memory_stats(&self) -> MemoryStats {
@@ -148,7 +212,7 @@ pub(crate) struct Timer {
 }
 
 impl Timer {
-    pub(crate) fn start(device: &gpu_sim::Device) -> Self {
+    pub(crate) fn start(device: &Device) -> Self {
         Timer {
             start: std::time::Instant::now(),
             modeled_before: device.metrics().modeled_sec(),
@@ -156,7 +220,7 @@ impl Timer {
     }
 
     /// (measured_sec, modeled_sec) elapsed since `start`.
-    pub(crate) fn stop(self, device: &gpu_sim::Device) -> (f64, f64) {
+    pub(crate) fn stop(self, device: &Device) -> (f64, f64) {
         (
             self.start.elapsed().as_secs_f64(),
             device.metrics().modeled_sec() - self.modeled_before,
@@ -169,12 +233,12 @@ impl Timer {
 /// the previous mark. Because consecutive deltas tile the checkpoint, the
 /// per-stage modeled times sum to the total exactly.
 pub(crate) struct StageRecorder<'d> {
-    device: &'d gpu_sim::Device,
+    device: &'d Device,
     clock: StageClock,
 }
 
 impl<'d> StageRecorder<'d> {
-    pub(crate) fn start(device: &'d gpu_sim::Device) -> Self {
+    pub(crate) fn start(device: &'d Device) -> Self {
         StageRecorder {
             device,
             clock: StageClock::start(device.metrics().modeled_sec()),

@@ -1,50 +1,40 @@
 //! The paper's contribution: Merkle-tree de-duplication with compact
 //! metadata (the **Tree** method, Algorithm 1).
 //!
-//! Pipeline per checkpoint, all inside one fused device kernel:
+//! Tree is the shared pipeline (`pipeline.rs`) with this
+//! region-building step between the leaf pass and reference resolution:
 //!
-//! 1. **Leaf pass** (lines 1–23): hash + classify every chunk
-//!    ([`super::leaf_pass`]).
-//! 2. **First-occurrence consolidation** (lines 24–32): level-by-level
+//! 1. **First-occurrence consolidation** (lines 24–32): level-by-level
 //!    bottom-up, consolidate adjacent first-occurrence subtrees, inserting
 //!    each consolidated region's digest into the historical record.
-//! 3. **Shifted-duplicate consolidation and region collection** (lines
+//! 2. **Shifted-duplicate consolidation and region collection** (lines
 //!    33–46): level-by-level bottom-up over the remaining nodes, consolidate
 //!    adjacent shifted duplicates when their combined digest is already
 //!    recorded, propagate fixed duplicates, and emit the roots of maximal
 //!    uniform regions.
 //!
-//! Stages 2 and 3 are strictly ordered ("we process the sub-trees
-//! corresponding to the first-time occurrences, then ... the shifted
-//! duplicates") so a shifted-duplicate lookup never races with the
-//! first-occurrence insert it should match — the missed-dedup hazard §2.2
-//! calls out. The ablation benchmark `waves` quantifies what a fused
+//! The two are strictly ordered ("we process the sub-trees corresponding to
+//! the first-time occurrences, then ... the shifted duplicates") so a
+//! shifted-duplicate lookup never races with the first-occurrence insert it
+//! should match — the missed-dedup hazard §2.2 calls out. The ablation
+//! benchmark `waves` ([`super::tree_naive`]) quantifies what a fused
 //! single-stage pass would lose.
-//!
-//! 4. **Serialization**: region tables plus a team-cooperative gather of
-//!    first-occurrence bytes into one contiguous device buffer, then a single
-//!    device-to-host transfer (§2.1, §2.4).
 
-use crate::chunking::Chunking;
-use crate::diff::{Diff, MethodKind, ShiftRegion};
-use crate::labels::{Label, LabelArray};
-use crate::methods::{leaf_pass, CheckpointOutput, Checkpointer, Timer};
-use crate::stats::CheckpointStats;
-use crate::tree::{MerkleTree, TreeShape};
+use crate::diff::MethodKind;
+use crate::labels::Label;
+use crate::methods::pipeline::{DedupCheckpointer, EmittedRegions, Pass, RegionStep};
+use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
-use ckpt_hash::{Hasher128, Murmur3};
-use gpu_sim::{Device, DistinctMap, InsertResult, KernelCost, MapEntry};
+use gpu_sim::{Device, InsertResult, KernelCost, MapEntry};
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
-/// Configuration for [`TreeCheckpointer`] (and [`super::list::ListCheckpointer`]).
+/// Configuration of the pipeline methods: [`TreeCheckpointer`],
+/// [`super::list::ListCheckpointer`] and the A3 ablation. Basic and Full read
+/// only `chunk_size`.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
     /// De-duplication granularity in bytes (32–512 in the paper's sweeps).
     pub chunk_size: usize,
-    /// Capacity of the historical record of unique hashes. `None` sizes it
-    /// to `4 × (2·n_chunks − 1)` digests at the first checkpoint, enough for
-    /// several checkpoints of fully-new data before graceful degradation.
-    pub map_capacity: Option<usize>,
     /// Run the whole pipeline as one fused kernel (§2.1). Disable to measure
     /// the per-launch latency a naive multi-kernel implementation pays.
     pub fused: bool,
@@ -67,7 +57,6 @@ impl TreeConfig {
     pub fn new(chunk_size: usize) -> Self {
         TreeConfig {
             chunk_size,
-            map_capacity: None,
             fused: true,
             payload_codec: None,
             streamed_slices: None,
@@ -110,104 +99,43 @@ impl Default for TreeConfig {
     }
 }
 
+/// The Tree method: two-stage consolidation waves over the Merkle tree.
+pub struct TreeStep;
+
 /// The Tree method's persistent state across a checkpoint record.
-pub struct TreeCheckpointer {
-    device: Device,
-    hasher: Box<dyn Hasher128>,
-    config: TreeConfig,
-    codec: Option<(u8, Box<dyn ckpt_compress::Codec>)>,
-    state: Option<State>,
-    ckpt_id: u32,
-    buffer_reuse: bool,
-    /// Rebase mode for the current checkpoint: no fixed-duplicate shortcut,
-    /// so every reference resolves inside this checkpoint.
-    force_all: bool,
-}
+pub type TreeCheckpointer = DedupCheckpointer<TreeStep>;
 
-struct State {
-    chunking: Chunking,
-    tree: MerkleTree,
-    labels: LabelArray,
-    map: DistinctMap,
-    cache: Option<gpu_sim::ContentCache>,
-}
+impl RegionStep for TreeStep {
+    const KIND: MethodKind = MethodKind::Tree;
+    const NAME: &'static str = "Tree";
 
-impl TreeCheckpointer {
-    pub fn new(device: Device, config: TreeConfig) -> Self {
-        Self::with_hasher(device, config, Box::new(Murmur3))
+    fn live_digests(shape: &TreeShape) -> usize {
+        shape.n_nodes()
     }
 
-    /// Use a custom hash function (the A1 ablation swaps in MD5).
-    pub fn with_hasher(device: Device, config: TreeConfig, hasher: Box<dyn Hasher128>) -> Self {
-        let codec = config.payload_codec.map(|id| {
-            (
-                id,
-                ckpt_compress::codec_by_id(id).expect("validated by TreeConfig"),
-            )
-        });
-        TreeCheckpointer {
-            device,
-            hasher,
-            config,
-            codec,
-            state: None,
-            ckpt_id: 0,
-            buffer_reuse: true,
-            force_all: false,
-        }
-    }
-
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// Number of checkpoints taken so far.
-    pub fn checkpoints_taken(&self) -> u32 {
-        self.ckpt_id
-    }
-
-    /// Unique digests in the historical record.
-    pub fn record_len(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.map.len())
-    }
-
-    fn init_state(&mut self, data_len: usize) -> &mut State {
-        let chunking = Chunking::new(data_len, self.config.chunk_size);
-        let shape = TreeShape::new(chunking.n_chunks());
-        let map_cap = self.config.map_capacity.unwrap_or(4 * shape.n_nodes());
-        let cache = self
-            .config
-            .verify_collisions
-            .then(|| gpu_sim::ContentCache::new(2 * shape.n_chunks(), self.config.chunk_size));
-        self.state = Some(State {
-            chunking,
-            tree: MerkleTree::new(chunking.n_chunks()),
-            labels: LabelArray::new(shape.n_nodes()),
-            map: DistinctMap::with_capacity(map_cap),
-            cache,
-        });
-        self.state.as_mut().unwrap()
+    fn build_regions(pass: &mut Pass<'_>) -> EmittedRegions {
+        first_ocur_pass(pass);
+        pass.stages.mark("first_ocur_wave");
+        let emit_flags = collect_pass(pass);
+        pass.stages.mark("shift_dupl_wave");
+        // Compaction stays outside the waves so the stage clock attributes
+        // them and the metadata compaction separately.
+        compact_emissions(pass.device, &emit_flags)
     }
 }
 
-/// Regions emitted by the collection pass, before payload gathering.
-#[derive(Debug, Default)]
-pub(crate) struct EmittedRegions {
-    pub first: Vec<u32>,
-    pub shift_nodes: Vec<u32>,
-}
-
-/// Pass 2: consolidate first-occurrence subtrees bottom-up (lines 24–32).
-pub(crate) fn first_ocur_pass(
-    device: &Device,
-    shape: &TreeShape,
-    hasher: &dyn Hasher128,
-    digests: &mut [ckpt_hash::Digest128],
-    labels: &LabelArray,
-    map: &DistinctMap,
-    ckpt_id: u32,
-) {
-    let tree = SharedSliceMut::new(digests);
+/// Consolidate first-occurrence subtrees bottom-up (lines 24–32).
+fn first_ocur_pass(pass: &mut Pass<'_>) {
+    let Pass {
+        device,
+        shape,
+        hasher,
+        labels,
+        map,
+        ckpt_id,
+        ..
+    } = *pass;
+    let tree = SharedSliceMut::new(pass.digests);
     for (lo, hi) in shape.interior_levels_bottom_up() {
         let width = hi - lo;
         let cost = KernelCost::stream((width * 2 * 16) as u64).with_writes((width * 16) as u64);
@@ -271,8 +199,8 @@ pub(crate) fn first_ocur_pass(
     }
 }
 
-/// Pass 3: consolidate shifted duplicates, propagate fixed duplicates, and
-/// collect maximal region roots (lines 33–46).
+/// Consolidate shifted duplicates, propagate fixed duplicates, and collect
+/// maximal region roots (lines 33–46).
 ///
 /// Per §2.2, a consolidated region "is added to the historical record of
 /// unique hashes" even when its combined digest is *new*: the first
@@ -284,16 +212,17 @@ pub(crate) fn first_ocur_pass(
 /// first publish combined digests into the record (with the same
 /// earliest-twin canonicalization as the other passes, so the outcome is
 /// deterministic), then decide labels and emit regions.
-pub(crate) fn collect_pass(
-    device: &Device,
-    shape: &TreeShape,
-    hasher: &dyn Hasher128,
-    digests: &mut [ckpt_hash::Digest128],
-    labels: &LabelArray,
-    map: &DistinctMap,
-    ckpt_id: u32,
-) -> gpu_sim::ArenaLease<AtomicU8> {
-    let tree = SharedSliceMut::new(digests);
+fn collect_pass(pass: &mut Pass<'_>) -> gpu_sim::ArenaLease<AtomicU8> {
+    let Pass {
+        device,
+        shape,
+        hasher,
+        labels,
+        map,
+        ckpt_id,
+        ..
+    } = *pass;
+    let tree = SharedSliceMut::new(pass.digests);
     // Lock-free emission, GPU style: kernels set a per-node flag (1 = first
     // occurrence region, 2 = shifted region) and the lists are built
     // afterwards by stream compaction — no mutex exists in a real kernel.
@@ -415,10 +344,6 @@ pub(crate) fn collect_pass(
 
     // The root of a fully-uniform tree never had a parent to emit it.
     emit(0);
-
-    // Callers run `compact_emissions` on the returned flags; keeping the
-    // compaction outside lets the stage clock attribute the consolidation
-    // waves and the metadata compaction separately.
     emit_flags
 }
 
@@ -434,351 +359,5 @@ pub(crate) fn compact_emissions(device: &Device, emit_flags: &[AtomicU8]) -> Emi
         shift_nodes: device.compact_where("compact_shift_regions", n, |i| {
             emit_flags[i].load(AtomicOrdering::Relaxed) == 2
         }),
-    }
-}
-
-/// Resolve each emitted shifted-duplicate node to its historical reference.
-pub(crate) fn resolve_shift_refs(
-    digests: &[ckpt_hash::Digest128],
-    map: &DistinctMap,
-    ckpt_id: u32,
-    shift_nodes: &[u32],
-    first: &mut Vec<u32>,
-) -> Vec<ShiftRegion> {
-    use rayon::prelude::*;
-    // The map probes are the expensive part; do them in parallel into
-    // position-indexed results, then partition sequentially so both output
-    // lists keep the order the sequential reference produces.
-    let resolved: Vec<Result<ShiftRegion, u32>> = shift_nodes
-        .par_iter()
-        .map(|&node| {
-            let digest = digests[node as usize];
-            match map.get(&digest) {
-                Some(e) if !(e.node == node && e.ckpt == ckpt_id) => Ok(ShiftRegion {
-                    node,
-                    ref_node: e.node,
-                    ref_ckpt: e.ckpt,
-                }),
-                // Defensive: a self-reference or vanished entry would make
-                // the diff unrestorable — store the data instead.
-                // Unreachable under the algorithm's invariants, cheap to
-                // keep as a safety net.
-                _ => Err(node),
-            }
-        })
-        .collect();
-    let mut out = Vec::with_capacity(shift_nodes.len());
-    for r in resolved {
-        match r {
-            Ok(region) => out.push(region),
-            Err(node) => first.push(node),
-        }
-    }
-    first.sort_unstable();
-    out
-}
-
-/// Gather the payload for the first-occurrence regions and build the diff.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn serialize_diff(
-    device: &Device,
-    shape: &TreeShape,
-    chunking: &Chunking,
-    data: &[u8],
-    ckpt_id: u32,
-    kind: MethodKind,
-    first: Vec<u32>,
-    shift: Vec<ShiftRegion>,
-    codec: Option<&(u8, Box<dyn ckpt_compress::Codec>)>,
-    streamed_slices: Option<u32>,
-    mut stages: Option<&mut super::StageRecorder<'_>>,
-) -> Diff {
-    // Scratch comes from the device arena with worst-case floors (regions
-    // are disjoint chunk ranges, so there are at most `n_chunks` segments
-    // covering at most the whole snapshot): after the warm-up checkpoint
-    // every lease is a pool hit regardless of how the diff size fluctuates.
-    let arena = device.arena();
-    let mut segments = arena.lease_with_floor::<(usize, usize)>(
-        "dedup/segments",
-        first.len(),
-        chunking.n_chunks(),
-    );
-    for (seg, &node) in segments.as_mut_slice().iter_mut().zip(first.iter()) {
-        let (clo, chi) = shape.chunk_range(node as usize);
-        let (a, b) = chunking.byte_range_of_chunks(clo, chi);
-        *seg = (a, b - a);
-    }
-    let payload_len: usize = segments.iter().map(|s| s.1).sum();
-
-    if let Some(n_slices) = streamed_slices {
-        // §5 streaming extension: gather and transfer overlap as a pipeline;
-        // the overlapped work is attributed to the gather stage, leaving only
-        // the metadata ride-along under "d2h".
-        let payload =
-            device.streamed_gather_to_host("serialize_streamed", data, &segments, n_slices);
-        if let Some(rec) = stages.as_deref_mut() {
-            rec.mark("gather_serialize");
-        }
-        device.account_d2h_bytes((first.len() * 4 + shift.len() * 12) as u64);
-        if let Some(rec) = stages.as_deref_mut() {
-            rec.mark("d2h");
-        }
-        return Diff {
-            kind,
-            ckpt_id,
-            data_len: chunking.data_len() as u64,
-            chunk_size: chunking.chunk_size() as u32,
-            first_regions: first,
-            shift_regions: shift,
-            bitmap: Vec::new(),
-            payload_codec: 0,
-            payload,
-        };
-    }
-
-    // Consolidate scattered regions into one contiguous device buffer with
-    // team-cooperative copies, then one device-to-host transfer (§2.1). The
-    // staging buffer is an arena lease floored at the full snapshot size;
-    // the gather overwrites exactly the prefix the transfer reads, so stale
-    // pool contents are never observable.
-    let mut staging = arena.lease_with_floor::<u8>("dedup/staging", payload_len, data.len());
-    device.team_gather("serialize_payload", data, &segments, staging.as_mut_slice());
-
-    // Optional §5 hybrid: compress the consolidated first occurrences on the
-    // device before the transfer (modeled as one more kernel over the
-    // payload), shipping whichever representation is smaller.
-    let compressed = match codec {
-        Some((id, codec)) if payload_len > 0 => {
-            let packed = codec.compress(staging.as_slice());
-            device.parallel_for(
-                "compress_payload",
-                0,
-                KernelCost {
-                    bytes_read: payload_len as u64,
-                    bytes_written: packed.len() as u64,
-                    flops: (payload_len as f64 * codec.flops_per_byte()) as u64,
-                },
-                |_| {},
-            );
-            (packed.len() < payload_len).then_some((*id, packed))
-        }
-        _ => None,
-    };
-    if let Some(rec) = stages.as_deref_mut() {
-        rec.mark("gather_serialize");
-    }
-    let (payload_codec, payload) = match compressed {
-        Some((id, packed)) => {
-            device.account_d2h_bytes(packed.len() as u64);
-            (id, packed)
-        }
-        None => {
-            device.account_d2h_bytes(payload_len as u64);
-            (0, staging[..payload_len].to_vec())
-        }
-    };
-    // The metadata tables ride along in the same consolidated transfer.
-    device.account_d2h_bytes((first.len() * 4 + shift.len() * 12) as u64);
-    if let Some(rec) = stages {
-        rec.mark("d2h");
-    }
-
-    Diff {
-        kind,
-        ckpt_id,
-        data_len: chunking.data_len() as u64,
-        chunk_size: chunking.chunk_size() as u32,
-        first_regions: first,
-        shift_regions: shift,
-        bitmap: Vec::new(),
-        payload_codec,
-        payload,
-    }
-}
-
-impl Checkpointer for TreeCheckpointer {
-    fn kind(&self) -> MethodKind {
-        MethodKind::Tree
-    }
-
-    fn checkpoint(&mut self, data: &[u8]) -> CheckpointOutput {
-        let device = self.device.clone();
-        let ckpt_id = self.ckpt_id;
-        let timer = Timer::start(&device);
-        if !self.buffer_reuse {
-            // Unpooled reference path: every lease below allocates fresh.
-            device.arena().trim();
-        }
-        if self.state.is_none() {
-            self.init_state(data.len());
-        }
-        let hasher = &*self.hasher;
-        let fused = self.config.fused;
-        let codec = self.codec.as_ref();
-        let streamed = self.config.streamed_slices;
-        let force_all = self.force_all;
-        let state = self.state.as_mut().unwrap();
-        assert_eq!(
-            data.len(),
-            state.chunking.data_len(),
-            "checkpoint size changed mid-record"
-        );
-        let shape = *state.tree.shape();
-        let chunking = state.chunking;
-        state.labels.clear();
-
-        let mut recorder = super::StageRecorder::start(&device);
-        let run = |state: &mut State, rec: &mut super::StageRecorder<'_>| {
-            leaf_pass::run(
-                &device,
-                &shape,
-                &chunking,
-                hasher,
-                data,
-                state.tree.digests_mut(),
-                &state.labels,
-                &state.map,
-                ckpt_id,
-                state.cache.as_ref(),
-                force_all,
-            );
-            rec.mark("leaf_hash");
-            first_ocur_pass(
-                &device,
-                &shape,
-                hasher,
-                state.tree.digests_mut(),
-                &state.labels,
-                &state.map,
-                ckpt_id,
-            );
-            rec.mark("first_ocur_wave");
-            let emit_flags = collect_pass(
-                &device,
-                &shape,
-                hasher,
-                state.tree.digests_mut(),
-                &state.labels,
-                &state.map,
-                ckpt_id,
-            );
-            rec.mark("shift_dupl_wave");
-            let mut regions = compact_emissions(&device, &emit_flags);
-            let shift = resolve_shift_refs(
-                state.tree.digests(),
-                &state.map,
-                ckpt_id,
-                &regions.shift_nodes,
-                &mut regions.first,
-            );
-            rec.mark("metadata_compact");
-            serialize_diff(
-                &device,
-                &shape,
-                &chunking,
-                data,
-                ckpt_id,
-                MethodKind::Tree,
-                regions.first,
-                shift,
-                codec,
-                streamed,
-                Some(rec),
-            )
-        };
-
-        let diff = if fused {
-            device.fused("tree_dedup_checkpoint", || run(state, &mut recorder))
-        } else {
-            run(state, &mut recorder)
-        };
-
-        let breakdown = recorder.finish(MethodKind::Tree, ckpt_id);
-        let (measured_sec, modeled_sec) = timer.stop(&device);
-        let (_, fixed, _) = leaf_pass::leaf_label_counts(&shape, &state.labels);
-        let stats = CheckpointStats {
-            method: MethodKind::Tree,
-            ckpt_id,
-            uncompressed_bytes: data.len() as u64,
-            stored_bytes: diff.stored_bytes() as u64,
-            metadata_bytes: diff.metadata_bytes() as u64,
-            payload_bytes: diff.payload.len() as u64,
-            n_first: diff.first_regions.len() as u64,
-            n_shift: diff.shift_regions.len() as u64,
-            n_fixed_chunks: fixed,
-            measured_sec,
-            modeled_sec,
-        };
-        self.ckpt_id += 1;
-        CheckpointOutput {
-            diff,
-            stats,
-            breakdown,
-        }
-    }
-
-    /// Rebase: reset the historical record (O(1) generation bump) and take
-    /// one checkpoint with the fixed-duplicate shortcut disabled, so every
-    /// chunk re-registers and every emitted reference points inside this
-    /// checkpoint. The record afterwards holds exactly this checkpoint's
-    /// digests, so subsequent incremental checkpoints de-duplicate against
-    /// the rebase content — checkpoint ids stay consecutive.
-    fn rebase_checkpoint(&mut self, data: &[u8]) -> CheckpointOutput {
-        if let Some(state) = self.state.as_mut() {
-            let occupancy = state.map.len();
-            state.map.reset_with_hint(occupancy);
-        }
-        self.force_all = true;
-        let out = self.checkpoint(data);
-        self.force_all = false;
-        out
-    }
-
-    fn device_state_bytes(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| {
-            s.tree.memory_bytes() + s.labels.len() + s.map.memory_bytes()
-        })
-    }
-
-    /// Start a new record with warm device state. Checkpoint ids restart at
-    /// 0 and the historical record resets via an O(1) generation bump,
-    /// pre-sized from the outgoing record's occupancy. Stale Merkle digests
-    /// are safe to keep: every digest read in a checkpoint was written
-    /// earlier in the *same* checkpoint (leaves are always rewritten at
-    /// `ckpt_id == 0` since the fixed-duplicate shortcut requires
-    /// `ckpt_id > 0`, and interior digests are only read after the wave that
-    /// wrote them), so no pass can observe a previous record's tree.
-    fn reset_record(&mut self) {
-        self.ckpt_id = 0;
-        if let Some(state) = self.state.as_mut() {
-            state.labels.clear();
-            let occupancy = state.map.len();
-            state.map.reset_with_hint(occupancy);
-            if let Some(cache) = state.cache.as_mut() {
-                *cache = gpu_sim::ContentCache::new(
-                    2 * state.chunking.n_chunks(),
-                    self.config.chunk_size,
-                );
-            }
-        }
-    }
-
-    fn set_buffer_reuse(&mut self, on: bool) {
-        self.buffer_reuse = on;
-    }
-
-    fn memory_stats(&self) -> super::MemoryStats {
-        let a = self.device.arena().stats();
-        let (bumps, rebuilds) = self.state.as_ref().map_or((0, 0), |s| {
-            (s.map.generation_bumps(), s.map.rehash_rebuilds())
-        });
-        super::MemoryStats {
-            device_bytes_leased: a.bytes_leased,
-            device_bytes_allocated: a.bytes_allocated,
-            arena_hits: a.hits,
-            arena_misses: a.misses,
-            map_generation_bumps: bumps,
-            map_rehash_rebuilds: rebuilds,
-        }
     }
 }

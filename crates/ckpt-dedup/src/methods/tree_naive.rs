@@ -14,60 +14,48 @@
 //! opportunities are missed, inflating the metadata — which the `waves`
 //! ablation benchmark quantifies against the proper two-stage method.
 
-use crate::chunking::Chunking;
 use crate::diff::MethodKind;
-use crate::labels::{Label, LabelArray};
-use crate::methods::tree::{resolve_shift_refs, serialize_diff, EmittedRegions, TreeConfig};
-use crate::methods::{leaf_pass, CheckpointOutput, Checkpointer, Timer};
-use crate::stats::CheckpointStats;
-use crate::tree::{MerkleTree, TreeShape};
+use crate::labels::Label;
+use crate::methods::pipeline::{DedupCheckpointer, EmittedRegions, Pass, RegionStep};
+use crate::methods::tree::compact_emissions;
+use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
-use ckpt_hash::{Hasher128, Murmur3};
-use gpu_sim::{Device, DistinctMap, InsertResult, KernelCost, MapEntry};
+use gpu_sim::{InsertResult, KernelCost, MapEntry};
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
+/// Naive single-stage consolidation (ablation only).
+pub struct NaiveStep;
+
 /// Tree method with naive single-stage consolidation (ablation only).
-pub struct NaiveTreeCheckpointer {
-    device: Device,
-    hasher: Box<dyn Hasher128>,
-    config: TreeConfig,
-    state: Option<State>,
-    ckpt_id: u32,
-}
+pub type NaiveTreeCheckpointer = DedupCheckpointer<NaiveStep>;
 
-struct State {
-    chunking: Chunking,
-    tree: MerkleTree,
-    labels: LabelArray,
-    map: DistinctMap,
-}
+impl RegionStep for NaiveStep {
+    const KIND: MethodKind = MethodKind::Tree;
+    const NAME: &'static str = "Tree(naive-waves)";
 
-impl NaiveTreeCheckpointer {
-    pub fn new(device: Device, config: TreeConfig) -> Self {
-        NaiveTreeCheckpointer {
-            device,
-            hasher: Box::new(Murmur3),
-            config,
-            state: None,
-            ckpt_id: 0,
-        }
+    fn live_digests(shape: &TreeShape) -> usize {
+        shape.n_nodes()
+    }
+
+    fn build_regions(pass: &mut Pass<'_>) -> EmittedRegions {
+        naive_sweep(pass)
     }
 }
 
 /// One interleaved sweep over the interior levels: per level, the
 /// shifted-duplicate phase runs against the pre-level record, then the
 /// first-occurrence phase inserts that level's digests.
-#[allow(clippy::too_many_arguments)]
-fn naive_sweep(
-    device: &Device,
-    shape: &TreeShape,
-    hasher: &dyn Hasher128,
-    digests: &mut [ckpt_hash::Digest128],
-    labels: &LabelArray,
-    map: &DistinctMap,
-    ckpt_id: u32,
-) -> EmittedRegions {
-    let tree = SharedSliceMut::new(digests);
+fn naive_sweep(pass: &mut Pass<'_>) -> EmittedRegions {
+    let Pass {
+        device,
+        shape,
+        hasher,
+        labels,
+        map,
+        ckpt_id,
+        ..
+    } = *pass;
+    let tree = SharedSliceMut::new(pass.digests);
     // Lock-free emission via flags + compaction, as in the two-stage method.
     let emit_flags: Vec<AtomicU8> = (0..shape.n_nodes()).map(|_| AtomicU8::new(0)).collect();
     let emit = |node: usize| match labels.get(node) {
@@ -172,114 +160,16 @@ fn naive_sweep(
     }
 
     emit(0);
-    crate::methods::tree::compact_emissions(device, &emit_flags)
-}
-
-impl Checkpointer for NaiveTreeCheckpointer {
-    fn kind(&self) -> MethodKind {
-        MethodKind::Tree
-    }
-
-    fn name(&self) -> &'static str {
-        "Tree(naive-waves)"
-    }
-
-    fn checkpoint(&mut self, data: &[u8]) -> CheckpointOutput {
-        let device = self.device.clone();
-        let ckpt_id = self.ckpt_id;
-        let timer = Timer::start(&device);
-        if self.state.is_none() {
-            let chunking = Chunking::new(data.len(), self.config.chunk_size);
-            let shape = TreeShape::new(chunking.n_chunks());
-            let map_cap = self.config.map_capacity.unwrap_or(4 * shape.n_nodes());
-            self.state = Some(State {
-                chunking,
-                tree: MerkleTree::new(chunking.n_chunks()),
-                labels: LabelArray::new(shape.n_nodes()),
-                map: DistinctMap::with_capacity(map_cap),
-            });
-        }
-        let hasher = &*self.hasher;
-        let state = self.state.as_mut().unwrap();
-        assert_eq!(
-            data.len(),
-            state.chunking.data_len(),
-            "checkpoint size changed mid-record"
-        );
-        let shape = *state.tree.shape();
-        let chunking = state.chunking;
-        state.labels.clear();
-
-        let diff = device.fused("naive_tree_checkpoint", || {
-            leaf_pass::run(
-                &device,
-                &shape,
-                &chunking,
-                hasher,
-                data,
-                state.tree.digests_mut(),
-                &state.labels,
-                &state.map,
-                ckpt_id,
-                None,
-                false,
-            );
-            let mut regions = naive_sweep(
-                &device,
-                &shape,
-                hasher,
-                state.tree.digests_mut(),
-                &state.labels,
-                &state.map,
-                ckpt_id,
-            );
-            let shift = resolve_shift_refs(
-                state.tree.digests(),
-                &state.map,
-                ckpt_id,
-                &regions.shift_nodes,
-                &mut regions.first,
-            );
-            serialize_diff(
-                &device,
-                &shape,
-                &chunking,
-                data,
-                ckpt_id,
-                MethodKind::Tree,
-                regions.first,
-                shift,
-                None,
-                None,
-                None,
-            )
-        });
-
-        let (measured_sec, modeled_sec) = timer.stop(&device);
-        let (_, fixed, _) = leaf_pass::leaf_label_counts(&shape, &state.labels);
-        let stats = CheckpointStats {
-            method: MethodKind::Tree,
-            ckpt_id,
-            uncompressed_bytes: data.len() as u64,
-            stored_bytes: diff.stored_bytes() as u64,
-            metadata_bytes: diff.metadata_bytes() as u64,
-            payload_bytes: diff.payload.len() as u64,
-            n_first: diff.first_regions.len() as u64,
-            n_shift: diff.shift_regions.len() as u64,
-            n_fixed_chunks: fixed,
-            measured_sec,
-            modeled_sec,
-        };
-        self.ckpt_id += 1;
-        CheckpointOutput::with_total_breakdown(diff, stats)
-    }
+    compact_emissions(device, &emit_flags)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::tree::TreeCheckpointer;
+    use crate::methods::tree::{TreeCheckpointer, TreeConfig};
+    use crate::methods::Checkpointer;
     use crate::restore::restore_record;
+    use gpu_sim::Device;
 
     const CS: usize = 32;
 

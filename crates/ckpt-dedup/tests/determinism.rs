@@ -109,19 +109,25 @@ fn assert_bit_identical_across_threads(name: &str, make: &dyn Fn() -> Box<dyn Ch
 }
 
 /// Device-arena pooling must be invisible in the output: a checkpointer
-/// reusing leased buffers (the default) and one trimming the arena before
+/// reusing leased buffers and one whose device arena is trimmed before
 /// every checkpoint (every lease allocates fresh) must produce the same
 /// bytes at every thread count.
-fn assert_pooled_matches_unpooled(name: &str, make: &dyn Fn() -> Box<dyn Checkpointer>) {
+fn assert_pooled_matches_unpooled(name: &str, make: &dyn Fn(Device) -> Box<dyn Checkpointer>) {
     let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let snapshots = workload(200_000, 8);
     for threads in [1usize, 2, rayon::current_num_threads().max(4)] {
         rayon::set_active_threads(threads);
-        let mut pooled = make();
-        let mut unpooled = make();
-        unpooled.set_buffer_reuse(false);
+        let mut pooled = make(Device::a100());
         let a = encoded_record(pooled.as_mut(), &snapshots);
-        let b = encoded_record(unpooled.as_mut(), &snapshots);
+        let device = Device::a100();
+        let mut unpooled = make(device.clone());
+        let b: Vec<Vec<u8>> = snapshots
+            .iter()
+            .map(|s| {
+                device.arena().trim();
+                unpooled.checkpoint(s).diff.encode()
+            })
+            .collect();
         assert_eq!(
             a, b,
             "{name}: pooled and unpooled checkpoints differ at {threads} threads"
@@ -169,22 +175,22 @@ fn basic_checkpoints_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn tree_pooled_matches_unpooled() {
-    assert_pooled_matches_unpooled("tree", &|| {
-        Box::new(TreeCheckpointer::new(Device::a100(), TreeConfig::new(128)))
+    assert_pooled_matches_unpooled("tree", &|device| {
+        Box::new(TreeCheckpointer::new(device, TreeConfig::new(128)))
     });
 }
 
 #[test]
 fn list_pooled_matches_unpooled() {
-    assert_pooled_matches_unpooled("list", &|| {
-        Box::new(ListCheckpointer::new(Device::a100(), TreeConfig::new(128)))
+    assert_pooled_matches_unpooled("list", &|device| {
+        Box::new(ListCheckpointer::new(device, TreeConfig::new(128)))
     });
 }
 
 #[test]
 fn basic_pooled_matches_unpooled() {
-    assert_pooled_matches_unpooled("basic", &|| {
-        Box::new(BasicCheckpointer::new(Device::a100(), 128))
+    assert_pooled_matches_unpooled("basic", &|device| {
+        Box::new(BasicCheckpointer::new(device, 128))
     });
 }
 

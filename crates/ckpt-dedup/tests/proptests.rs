@@ -3,6 +3,7 @@
 //! replay and, version by version, by the single-pass engine — and the
 //! parallel Tree implementation agrees with its sequential reference.
 
+use ckpt_dedup::methods::tree_naive::NaiveTreeCheckpointer;
 use ckpt_dedup::prelude::*;
 use gpu_sim::Device;
 use proptest::prelude::*;
@@ -244,7 +245,7 @@ proptest! {
         );
         for cut in 0..framed.len() {
             prop_assert!(
-                ckpt_dedup::decode_frame(&framed[..cut]).is_err(),
+                ckpt_dedup::decode_frame(&framed[..cut], None).is_err(),
                 "truncation to {} bytes went undetected", cut
             );
         }

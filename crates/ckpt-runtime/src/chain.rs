@@ -20,6 +20,7 @@ use crate::integrity::{
 use crate::rankdedup::{RankDedupIndex, Resolver};
 use crate::redundancy::RedundancyStore;
 use crate::tier::{ObjectId, ObjectState, StoredObject, Tier, TierConfig};
+use ckpt_dedup::frame::Kind;
 use ckpt_telemetry::Registry;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
@@ -443,7 +444,7 @@ impl ChainReader<'_> {
     /// or failing the recorded checksum — yields `None` (a typed hole),
     /// never a wrong payload.
     fn resolve(&mut self, id: ObjectId, bytes: Vec<u8>) -> Option<Vec<u8>> {
-        if !ckpt_dedup::frame::looks_rankdedup(&bytes) {
+        if Kind::sniff(&bytes) != Some(Kind::RankDedup) {
             return Some(bytes);
         }
         let metrics = self.tiers.rank_dedup.as_ref().map(|ix| ix.metrics());

@@ -28,7 +28,7 @@ use crate::redundancy::RedundancyStore;
 use crate::tier::{ObjectId, ObjectState, StoredObject};
 use crate::ObjectStatus;
 use ckpt_dedup::diff::Diff;
-use ckpt_dedup::frame::{looks_framed, looks_rankdedup};
+use ckpt_dedup::frame::Kind;
 use ckpt_dedup::restart::{check_chain, RestartStats};
 use gpu_sim::Device;
 use std::collections::{BTreeSet, HashSet};
@@ -381,7 +381,7 @@ impl Loaded {
             let bytes = std::fs::read(&path)?;
             // Only flat records predate framing; in a ranked layout an
             // unframed file is a damaged frame.
-            if self.layout == Layout::Flat && !looks_framed(&bytes) {
+            if self.layout == Layout::Flat && Kind::sniff(&bytes) != Some(Kind::Frame) {
                 self.legacy.insert(id);
                 self.tiers
                     .pfs
@@ -454,7 +454,7 @@ impl Loaded {
             // The file itself is fine, so no copy of it would help.
             Some(raw) => match StoredObject::unframe(&raw, Some(id)).and_then(|o| o.decode()) {
                 Err(e) => format!("corrupt frame: {e}"),
-                Ok(payload) if looks_rankdedup(&payload) => {
+                Ok(payload) if Kind::sniff(&payload) == Some(Kind::RankDedup) => {
                     return "dangling rank-dedup reference".into()
                 }
                 Ok(_) => return "undecodable diff".into(),

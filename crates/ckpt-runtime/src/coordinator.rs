@@ -17,39 +17,6 @@ use ckpt_dedup::prelude::*;
 use gpu_sim::Device;
 use std::sync::Arc;
 
-/// Which method a scaling run uses (Fig. 6 compares Tree vs Full).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalingMethod {
-    Tree,
-    Full,
-    Basic,
-    List,
-}
-
-impl ScalingMethod {
-    pub fn name(&self) -> &'static str {
-        match self {
-            ScalingMethod::Tree => "Tree",
-            ScalingMethod::Full => "Full",
-            ScalingMethod::Basic => "Basic",
-            ScalingMethod::List => "List",
-        }
-    }
-
-    fn build(&self, device: Device, chunk_size: usize) -> Box<dyn Checkpointer> {
-        match self {
-            ScalingMethod::Tree => {
-                Box::new(TreeCheckpointer::new(device, TreeConfig::new(chunk_size)))
-            }
-            ScalingMethod::Full => Box::new(FullCheckpointer::new(device, chunk_size)),
-            ScalingMethod::Basic => Box::new(BasicCheckpointer::new(device, chunk_size)),
-            ScalingMethod::List => {
-                Box::new(ListCheckpointer::new(device, TreeConfig::new(chunk_size)))
-            }
-        }
-    }
-}
-
 /// When the coordinator emits a **rebase** checkpoint: a self-contained
 /// record that references nothing earlier, so it is a legal restart chain
 /// head and every record below it becomes garbage-collectable. Bounds the
@@ -82,7 +49,8 @@ impl RebasePolicy {
 /// Configuration of one strong-scaling run.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingConfig {
-    pub method: ScalingMethod,
+    /// Fig. 6 compares Tree vs Full.
+    pub method: MethodKind,
     pub n_ranks: usize,
     /// GPUs per node (PCIe contenders); ThetaGPU has 8.
     pub gpus_per_node: usize,
@@ -108,7 +76,7 @@ pub struct RankReport {
 /// Aggregate outcome of a scaling run.
 #[derive(Debug)]
 pub struct ScalingReport {
-    pub method: ScalingMethod,
+    pub method: MethodKind,
     pub n_ranks: usize,
     /// Σ original checkpoint bytes over all ranks and checkpoints (what Full
     /// would store).
@@ -161,7 +129,8 @@ where
                 s.spawn(move || {
                     let device = Device::a100();
                     device.set_contenders(contenders);
-                    let mut method = cfg.method.build(device.clone(), cfg.chunk_size);
+                    let mut method =
+                        new_checkpointer(cfg.method, device, TreeConfig::new(cfg.chunk_size));
                     let snapshots = snapshots_for(rank);
                     let mut stats = RecordStats::new();
                     let pipe = CheckpointPipeline::new(Arc::clone(runtime));
@@ -301,12 +270,8 @@ mod tests {
                 chunk_size: 64,
                 rebase: RebasePolicy::Never,
             };
-            let tree = run_scaling(mk(ScalingMethod::Tree), &rt_tree, |r| {
-                snapshots(r, 5, 64_000)
-            });
-            let full = run_scaling(mk(ScalingMethod::Full), &rt_full, |r| {
-                snapshots(r, 5, 64_000)
-            });
+            let tree = run_scaling(mk(MethodKind::Tree), &rt_tree, |r| snapshots(r, 5, 64_000));
+            let full = run_scaling(mk(MethodKind::Full), &rt_full, |r| snapshots(r, 5, 64_000));
             assert_eq!(tree.total_full_bytes, full.total_full_bytes);
             assert!(
                 tree.total_stored_bytes < full.total_stored_bytes / 2,
@@ -323,7 +288,7 @@ mod tests {
     fn every_rank_record_restores_through_the_runtime() {
         let rt = Arc::new(AsyncRuntime::new());
         let cfg = ScalingConfig {
-            method: ScalingMethod::Tree,
+            method: MethodKind::Tree,
             n_ranks: 4,
             gpus_per_node: 8,
             chunk_size: 64,
@@ -347,7 +312,7 @@ mod tests {
     fn rebase_policy_compacts_and_still_restores_latest() {
         let rt = Arc::new(AsyncRuntime::new());
         let cfg = ScalingConfig {
-            method: ScalingMethod::Tree,
+            method: MethodKind::Tree,
             n_ranks: 2,
             gpus_per_node: 8,
             chunk_size: 64,
@@ -376,7 +341,7 @@ mod tests {
         let rt1 = Arc::new(AsyncRuntime::new());
         let rt8 = Arc::new(AsyncRuntime::new());
         let base = ScalingConfig {
-            method: ScalingMethod::Full,
+            method: MethodKind::Full,
             n_ranks: 2,
             gpus_per_node: 1,
             chunk_size: 64,

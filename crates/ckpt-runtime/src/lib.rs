@@ -53,9 +53,7 @@ pub mod tier;
 pub use chain::{ChainReader, TierChain};
 pub use cluster_dir::{ClusterDir, Layout, VerifyReport, VerifyStatus};
 pub use compress::{CompressMetrics, CompressionEngine, CompressionPolicy};
-pub use coordinator::{
-    compact_below, run_scaling, RebasePolicy, ScalingConfig, ScalingMethod, ScalingReport,
-};
+pub use coordinator::{compact_below, run_scaling, RebasePolicy, ScalingConfig, ScalingReport};
 pub use fault::{
     FaultKind, FaultPlan, FaultPlanBuilder, FaultSpec, FiredFault, OpKind, SplitMix64,
 };

@@ -226,7 +226,7 @@ impl StoredObject {
     /// the stored bytes and, with `expect`, the slot ids) and return the
     /// object still in its stored form.
     pub fn unframe(framed: &[u8], expect: Option<ObjectId>) -> Result<Self, frame::FrameError> {
-        let (header, stored) = frame::decode_frame_expecting(framed, expect)?;
+        let (header, stored) = frame::decode_frame(framed, expect)?;
         Ok(StoredObject {
             codec: header.codec,
             uncompressed_len: header.uncompressed_len,
@@ -742,7 +742,7 @@ mod tests {
         t.put((3, 9), vec![5; 64]).unwrap();
         let raw = t.raw((3, 9)).unwrap();
         assert_eq!(raw.len(), 64 + ckpt_dedup::frame::FRAME_HEADER_LEN);
-        assert!(ckpt_dedup::frame::looks_framed(&raw));
+        assert_eq!(frame::Kind::sniff(&raw), Some(frame::Kind::Frame));
         // get strips and verifies the frame.
         assert_eq!(t.get((3, 9)), Some(vec![5; 64]));
         assert_eq!(t.inspect((3, 9)), FrameState::Valid(vec![5; 64]));

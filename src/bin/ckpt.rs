@@ -3,7 +3,8 @@
 //! ```text
 //! ckpt create  --out <dir> [--method tree|list|basic|full] [--chunk N]
 //!              [--compress off|adaptive|zstd|lz4|...]
-//!              [--payload-compress zstd|lz4|...] [--stats] <snapshot files...>
+//!              [--payload-compress zstd|lz4|...] [--verify-collisions]
+//!              [--stats] <snapshot files...>
 //! ckpt info    <dir>
 //! ckpt stats   <dir>
 //! ckpt restore <dir> --version K --out <file> [--stats]
@@ -25,7 +26,11 @@
 //! checksum covers the compressed bytes. `info`/`stats`/`verify` read the codec flag and
 //! decompress transparently. `--payload-compress` is the older, orthogonal
 //! dedup-layer knob: it compresses first-occurrence chunk payloads *inside*
-//! the diff (`Diff::payload_codec`) before it is ever framed.
+//! the diff (`Diff::payload_codec`) before it is ever framed. It and
+//! `--verify-collisions` act inside the de-duplication pipeline, so they
+//! take `--method tree` or `list`; with `basic` or `full` they are a usage
+//! error (exit 2), and an unknown codec name fails like an unknown
+//! `--compress` policy.
 //!
 //! A *compacted* record (chain-compaction GC deleted the files below a
 //! rebase point) starts at some version above 0; every command detects the
@@ -73,6 +78,8 @@ fn usage() -> ExitCode {
          ckpt info    <dir>\n  ckpt stats   <dir>\n  \
          ckpt restore <dir> --version K --out <file> [--stats]\n  \
          ckpt verify  <dir> [--json] [<snapshots...>]   (no snapshots: integrity-only mode)\n\n\
+         --payload-compress and --verify-collisions apply to --method \
+         tree|list only. \
          --redundancy splits the snapshots across R ranks (default: the group \
          size), writes rank####/ record subdirs plus a group/ directory of \
          partner copies or XOR parity stripes, and makes verify/stats/restore \
@@ -331,6 +338,31 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
     if n == 0 {
         return Err("no snapshot files given".into());
     }
+    let kind =
+        MethodKind::from_name(&method).ok_or_else(|| format!("unknown method '{method}'"))?;
+    // The dedup-layer knobs act inside the Tree/List pipeline; Basic and
+    // Full have nothing they could apply to.
+    for (flag, given) in [
+        ("--payload-compress", payload_compress.is_some()),
+        ("--verify-collisions", verify_collisions),
+    ] {
+        if given && !matches!(kind, MethodKind::Tree | MethodKind::List) {
+            return Err(exit_with(
+                EXIT_USAGE,
+                format!("create: {flag} applies to --method tree|list, not {method}"),
+            ));
+        }
+    }
+    let mut cfg = TreeConfig::new(chunk);
+    if let Some(codec) = &payload_compress {
+        if gpu_dedup_ckpt::compress::codec_id(codec).is_none() {
+            return Err(format!("unknown --payload-compress codec '{codec}'").into());
+        }
+        cfg = cfg.with_payload_codec(codec);
+    }
+    if verify_collisions {
+        cfg = cfg.with_collision_verification();
+    }
 
     // `--compress` is the frame-level stage (post-dedup, per record file);
     // `--payload-compress` the dedup-layer knob (inside the diff).
@@ -389,20 +421,7 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
     for rank in 0..n_ranks as u32 {
         let take = n / n_ranks + usize::from((rank as usize) < n % n_ranks);
         let device = Device::a100();
-        let mut cfg = TreeConfig::new(chunk);
-        if let Some(codec) = &payload_compress {
-            cfg = cfg.with_payload_codec(codec);
-        }
-        if verify_collisions {
-            cfg = cfg.with_collision_verification();
-        }
-        let mut ckpt: Box<dyn Checkpointer> = match method.as_str() {
-            "tree" => Box::new(TreeCheckpointer::new(device.clone(), cfg)),
-            "list" => Box::new(ListCheckpointer::new(device.clone(), cfg)),
-            "basic" => Box::new(BasicCheckpointer::new(device.clone(), chunk)),
-            "full" => Box::new(FullCheckpointer::new(device.clone(), chunk)),
-            other => return Err(format!("unknown method '{other}'").into()),
-        };
+        let mut ckpt = new_checkpointer(kind, device.clone(), cfg);
         let prefix = rank_prefix(layout, rank);
         for (version, path) in snapshots[next..next + take].iter().enumerate() {
             let data = std::fs::read(path)?;

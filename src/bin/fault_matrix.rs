@@ -88,23 +88,19 @@ fn main() -> ExitCode {
     // Everything below is a pure function of the seed + knobs.
     let mut rng = SplitMix64::new(seed);
     let total = (ranks * ckpts) as usize;
-    let method_idx = (rng.next() % 3) as usize;
+    let method_name = ["tree", "list", "basic"][(rng.next() % 3) as usize];
+    let kind = MethodKind::from_name(method_name).expect("named above");
     let fault_count = 4 + (rng.next() % 8) as usize;
     let kill_after = (rng.next() as usize) % (total + 1);
     let horizon = (total * 4) as u64;
     let plan = FaultPlan::from_seed(rng.next(), fault_count, horizon);
-    let method_name = ["tree", "list", "basic"][method_idx];
 
     // Ground truth + the exact bytes handed to the runtime.
     let mut snapshots: Vec<Vec<Vec<u8>>> = Vec::new();
     let mut diffs: Vec<Vec<Vec<u8>>> = Vec::new();
     for r in 0..ranks {
         let snaps = rank_snapshots(r, len, seed, ckpts as usize);
-        let mut m: Box<dyn Checkpointer> = match method_idx {
-            0 => Box::new(TreeCheckpointer::new(Device::a100(), TreeConfig::new(64))),
-            1 => Box::new(ListCheckpointer::new(Device::a100(), TreeConfig::new(64))),
-            _ => Box::new(BasicCheckpointer::new(Device::a100(), 64)),
-        };
+        let mut m = new_checkpointer(kind, Device::a100(), TreeConfig::new(64));
         diffs.push(
             snaps
                 .iter()

@@ -125,6 +125,11 @@ fn create_with_compression_and_other_methods() {
     for (tag, extra) in [
         ("tree-zstd", vec!["--method", "tree", "--compress", "zstd"]),
         ("list", vec!["--method", "list"]),
+        (
+            "list-zstd",
+            vec!["--method", "list", "--payload-compress", "zstd"],
+        ),
+        ("list-vc", vec!["--method", "list", "--verify-collisions"]),
         ("basic", vec!["--method", "basic"]),
         ("full", vec!["--method", "full"]),
         ("tree-vc", vec!["--method", "tree", "--verify-collisions"]),
@@ -152,6 +157,36 @@ fn create_with_compression_and_other_methods() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+
+    // List runs the same serializer as Tree, so it honours the dedup-layer
+    // codec: the (compressible) first occurrences shrink, and the record
+    // still restores bit-exactly.
+    let stored = |tag: &str| -> u64 {
+        std::fs::read_dir(tmp.path().join(format!("rec-{tag}")))
+            .unwrap()
+            .map(|f| f.unwrap().metadata().unwrap().len())
+            .sum()
+    };
+    assert!(
+        stored("list-zstd") < stored("list") / 2,
+        "list+zstd {} vs list {}",
+        stored("list-zstd"),
+        stored("list")
+    );
+    let restored = tmp.path().join("list-zstd.bin");
+    assert!(ckpt()
+        .args([
+            "restore",
+            tmp.path().join("rec-list-zstd").to_str().unwrap()
+        ])
+        .args(["--out", restored.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    assert_eq!(
+        std::fs::read(&restored).unwrap(),
+        std::fs::read(snaps.last().unwrap()).unwrap()
+    );
 }
 
 /// Extract the one-line JSON report from a command's stdout.
@@ -521,6 +556,37 @@ fn helpful_errors() {
             "{args:?}: {stderr}"
         );
     }
+    // A dedup-layer flag on a method with no pipeline to apply it to is a
+    // usage error naming both, not a silently ignored option.
+    for (method, flag) in [
+        ("basic", vec!["--payload-compress", "zstd"]),
+        ("full", vec!["--verify-collisions"]),
+    ] {
+        let out = ckpt()
+            .args(["create", "--out", x, "--method", method])
+            .args(&flag)
+            .arg(snap)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{method} {flag:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag[0]) && stderr.contains(method),
+            "{method} {flag:?}: {stderr}"
+        );
+    }
+    // An unknown payload codec fails like an unknown --compress policy: a
+    // message naming it, not a panic.
+    let out = ckpt()
+        .args(["create", "--out", x, "--payload-compress", "bogus", snap])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown --payload-compress codec 'bogus'"),
+        "{stderr}"
+    );
 }
 
 /// Every version restores to its snapshot through the one restore path,

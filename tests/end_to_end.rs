@@ -4,6 +4,7 @@
 //! graph generation → Gorder → ORANGES → GPU-sim de-duplication →
 //! asynchronous multi-level runtime → failure → recovery → restart.
 
+use gpu_dedup_ckpt::dedup::methods::tree_naive::NaiveTreeCheckpointer;
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::graph::{gorder, PaperGraph};

@@ -6,6 +6,11 @@
 //! non-test source of the CLI, `ckpt-runtime` and `ckpt-adjoint` and fails
 //! if the oracle — or either deleted reader — is named anywhere else, so a
 //! second restore path cannot quietly grow back.
+//!
+//! Method census: the de-duplication pipeline exists once. Tree, List and
+//! the A3 ablation are one checkpointer body with three region-building
+//! steps, and every binary, runtime and sweep turns a `MethodKind` into a
+//! checkpointer through `ckpt_dedup::new_checkpointer`.
 
 use std::path::{Path, PathBuf};
 
@@ -83,5 +88,61 @@ fn the_oracle_is_named_only_inside_lineage_restore_rank() {
     assert!(
         !root.join("crates/ckpt-dedup/src/random_access.rs").exists(),
         "random_access.rs is back"
+    );
+}
+
+#[test]
+fn one_pipeline_body_and_one_constructor() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let methods = root.join("crates/ckpt-dedup/src/methods");
+    // One entry per `impl … Checkpointer for`, named by its file: Full,
+    // Basic, the shared pipeline body, the serial oracle.
+    let mut bodies = Vec::new();
+    for path in rust_files(&methods) {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        for line in production_source(&path).lines() {
+            if line.starts_with("impl") && line.contains(" Checkpointer for ") {
+                bodies.push(file.clone());
+            }
+        }
+    }
+    assert_eq!(
+        bodies,
+        ["basic.rs", "full.rs", "pipeline.rs", "tree_serial.rs"]
+    );
+    for step in ["list.rs", "tree_naive.rs"] {
+        assert!(
+            !production_source(&methods.join(step)).contains("fn checkpoint"),
+            "{step} grew a checkpointer body of its own"
+        );
+    }
+
+    let mut offences = Vec::new();
+    for dir in [
+        "src",
+        "src/bin",
+        "crates/ckpt-runtime/src",
+        "crates/ckpt-bench/src",
+        "crates/ckpt-bench/src/bin",
+    ] {
+        for path in rust_files(&root.join(dir)) {
+            for line in production_source(&path).lines() {
+                for name in [
+                    "ListCheckpointer::new",
+                    "BasicCheckpointer::new",
+                    "ScalingMethod",
+                ] {
+                    if line.contains(name) {
+                        let shown = path.strip_prefix(root).unwrap().display();
+                        offences.push(format!("{shown}: `{name}` in: {}", line.trim()));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "a method is built outside ckpt_dedup::new_checkpointer:\n{}",
+        offences.join("\n")
     );
 }
