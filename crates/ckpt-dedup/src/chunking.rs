@@ -5,6 +5,10 @@
 //! final chunk may be shorter when the data length is not a multiple of the
 //! chunk size.
 
+use ckpt_hash::{Digest128, Hasher128};
+use gpu_sim::TILE;
+use std::ops::Range;
+
 /// Chunking geometry for a checkpoint buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chunking {
@@ -75,6 +79,23 @@ impl Chunking {
     pub fn chunk<'d>(&self, data: &'d [u8], c: usize) -> &'d [u8] {
         let (a, b) = self.byte_range(c);
         &data[a..b]
+    }
+
+    /// Chunk digests of one kernel tile (the chunk run `tile`, at most
+    /// [`TILE`] long) of `data`: one batch call into `out`, whose filled
+    /// prefix is returned.
+    #[inline]
+    pub(crate) fn hash_tile<'o>(
+        &self,
+        hasher: &dyn Hasher128,
+        data: &[u8],
+        tile: &Range<usize>,
+        out: &'o mut [Digest128; TILE],
+    ) -> &'o [Digest128] {
+        let (lo, hi) = self.byte_range_of_chunks(tile.start, tile.end);
+        let out = &mut out[..tile.len()];
+        hasher.hash_chunks(&data[lo..hi], self.chunk_size, 0, out);
+        out
     }
 }
 

@@ -12,7 +12,7 @@ use crate::diff::{bitmap, Diff, MethodKind};
 use crate::methods::{CheckpointOutput, Checkpointer, MemoryStats, StageRecorder, Timer};
 use crate::stats::CheckpointStats;
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
-use gpu_sim::{Device, KernelCost};
+use gpu_sim::{Device, KernelCost, TILE};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The Basic method's persistent state.
@@ -93,17 +93,21 @@ impl Checkpointer for BasicCheckpointer {
 
         let mut rec = StageRecorder::start(&device);
         let (bm, payload, n_changed) = device.fused("basic_checkpoint", || {
-            device.parallel_for(
+            device.parallel_for_tiles(
                 "basic_hash_compare",
                 n,
                 KernelCost::stream(data.len() as u64),
-                |c| {
-                    let digest = hasher.hash(chunking.chunk(data, c));
-                    // SAFETY: chunk index owned by this thread.
-                    let old = unsafe { prev.read(c) };
-                    if force_all || ckpt_id == 0 || digest != old {
-                        changed[c].store(1, Ordering::Relaxed);
-                        unsafe { prev.write(c, digest) };
+                || (),
+                |(), tile| {
+                    let mut digests = [Digest128::ZERO; TILE];
+                    let digests = chunking.hash_tile(hasher, data, &tile, &mut digests);
+                    for (c, &digest) in tile.zip(digests) {
+                        // SAFETY: chunk index owned by this thread.
+                        let old = unsafe { prev.read(c) };
+                        if force_all || ckpt_id == 0 || digest != old {
+                            changed[c].store(1, Ordering::Relaxed);
+                            unsafe { prev.write(c, digest) };
+                        }
                     }
                 },
             );

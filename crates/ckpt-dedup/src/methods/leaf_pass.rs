@@ -12,7 +12,9 @@ use crate::methods::pipeline::Pass;
 use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
 use ckpt_hash::Digest128;
-use gpu_sim::{ContentCache, InsertResult, KernelCost, MapEntry, Verification};
+use gpu_sim::{
+    BatchedInserts, ContentCache, InsertResult, KernelCost, MapEntry, Verification, TILE,
+};
 
 /// Run the leaf pass of one checkpoint: `pass.labels` receives the per-leaf
 /// classification and `pass.map` the first occurrences.
@@ -42,15 +44,11 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
     let cost = KernelCost::stream(data.len() as u64)
         .with_writes((n * std::mem::size_of::<Digest128>()) as u64);
 
-    // Per-chunk kernel state: a batched map-insert handle (one shared
-    // `len` atomic update per chunk instead of per inserted digest) and a
-    // reusable salt-combine scratch buffer (no per-collision allocation).
-    let state = || (map.batch(), [0u8; 32]);
-    device.parallel_for_init("leaf_hash_and_classify", n, cost, state, |state, c| {
+    // Classify chunk `c`, whose content hashes to `digest`.
+    let classify = |state: &mut (BatchedInserts<'_>, [u8; 32]), c: usize, digest: Digest128| {
         let (batch, scratch) = state;
         let leaf = shape.leaf_of_chunk(c);
         let chunk = chunking.chunk(data, c);
-        let digest = hasher.hash(chunk);
         // A detected collision must not be referenced *or* become
         // referenceable: the chunk is stored as a first occurrence under a
         // digest salted with its position, which no other content hashes to.
@@ -143,6 +141,19 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
                 // the chunk as payload (no dedup opportunity recorded).
                 labels.set(leaf, Label::FirstOcur)
             }
+        }
+    };
+
+    // Per-tile kernel state: a batched map-insert handle (one shared `len`
+    // atomic update per tile instead of per inserted digest) and a reusable
+    // salt-combine scratch buffer (no per-collision allocation). A tile is
+    // hashed in one batch call, then classified chunk by chunk.
+    let state = || (map.batch(), [0u8; 32]);
+    device.parallel_for_tiles("leaf_hash_and_classify", n, cost, state, |state, tile| {
+        let mut digests = [Digest128::ZERO; TILE];
+        let digests = chunking.hash_tile(hasher, data, &tile, &mut digests);
+        for (c, &digest) in tile.zip(digests) {
+            classify(state, c, digest);
         }
     });
 }

@@ -8,7 +8,7 @@
 //! override-touching tests share `THREAD_LOCK`.
 
 use ckpt_dedup::prelude::*;
-use gpu_sim::Device;
+use gpu_sim::{Device, TILE};
 use std::sync::Mutex;
 
 static THREAD_LOCK: Mutex<()> = Mutex::new(());
@@ -150,6 +150,59 @@ fn assert_reset_record_repeats(name: &str, make: &dyn Fn() -> Box<dyn Checkpoint
         first, second,
         "{name}: record replay after reset_record diverged"
     );
+}
+
+/// The leaf kernels hash a [`TILE`] of chunks per batch call and hand every
+/// tile to the pool as one unit. Grids that end one chunk either side of a
+/// tile edge or of the 1024-chunk sequential cut-off, with a full or a
+/// short last chunk, at chunk sizes the lane kernel takes (32, 128) and one
+/// it leaves to the scalar path (100), must still give the bytes of the
+/// sequential oracle, at every thread count.
+#[test]
+fn tile_seams_match_the_serial_oracle_at_every_thread_count() {
+    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    type Make<'a> = &'a dyn Fn() -> Box<dyn Checkpointer>;
+    let seam = |cs: usize, n_chunks: usize, short_last: bool, methods: &[(&str, Make)]| {
+        let len = n_chunks * cs - if short_last { cs / 3 } else { 0 };
+        let snapshots = workload(len, 4);
+        let oracle = encoded_record(&mut SerialTreeCheckpointer::new(cs), &snapshots);
+        for &(name, make) in methods {
+            let at = format!("{name}, {n_chunks} chunks of {cs} B, short last chunk: {short_last}");
+            let (encoded, restored) = run_method_at(1, make, &snapshots);
+            assert_eq!(restored, snapshots, "{at}: restore diverged from source");
+            if name == "tree" {
+                assert_eq!(encoded, oracle, "{at}: differs from the serial oracle");
+            }
+            for threads in [2, 4] {
+                let (again, _) = run_method_at(threads, make, &snapshots);
+                assert_eq!(again, encoded, "{at}: bytes differ at {threads} threads");
+            }
+        }
+    };
+    let tree = |config: TreeConfig| -> Box<dyn Checkpointer> {
+        Box::new(TreeCheckpointer::new(Device::a100(), config))
+    };
+    for cs in [32, 100, 128] {
+        let config = TreeConfig::new(cs);
+        let list =
+            || -> Box<dyn Checkpointer> { Box::new(ListCheckpointer::new(Device::a100(), config)) };
+        let basic =
+            || -> Box<dyn Checkpointer> { Box::new(BasicCheckpointer::new(Device::a100(), cs)) };
+        let methods: [(&str, Make); 3] = [
+            ("tree", &|| tree(config)),
+            ("list", &list),
+            ("basic", &basic),
+        ];
+        for n_chunks in [TILE - 1, TILE, TILE + 1, 1023, 1025] {
+            for short_last in [false, true] {
+                seam(cs, n_chunks, short_last, &methods);
+            }
+        }
+    }
+    // Once with §2.4's content verification in the classify body.
+    let verified = TreeConfig::new(128).with_collision_verification();
+    seam(128, 1025, true, &[("tree", &|| tree(verified))]);
+    rayon::set_active_threads(0);
 }
 
 #[test]

@@ -40,6 +40,23 @@ pub trait Hasher128: Send + Sync {
         self.hash_seeded(data, 0)
     }
 
+    /// Hash the chunk grid of `data` in one call: `out[i]` receives the
+    /// digest [`hash_seeded`](Self::hash_seeded) gives chunk `i` of
+    /// `data.chunks(chunk_size)` (the last one may be short). This is how the
+    /// per-chunk hashing kernels hash — a tile of chunks per call — so an
+    /// implementation can overlap the work of neighbouring chunks; the
+    /// default hashes them one after another.
+    ///
+    /// # Panics
+    /// If `chunk_size` is zero or `out.len()` is not the number of chunks,
+    /// `data.len().div_ceil(chunk_size)`.
+    fn hash_chunks(&self, data: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128]) {
+        assert_chunk_grid(data, chunk_size, out);
+        for (digest, chunk) in out.iter_mut().zip(data.chunks(chunk_size)) {
+            *digest = self.hash_seeded(chunk, seed);
+        }
+    }
+
     /// Combine two child digests into a parent digest (Merkle-tree inner node).
     ///
     /// The default implementation hashes the concatenation of the two raw
@@ -70,6 +87,16 @@ pub trait Hasher128: Send + Sync {
 
     /// Human-readable name, used in benchmark reports.
     fn name(&self) -> &'static str;
+}
+
+/// The documented panics of [`Hasher128::hash_chunks`].
+fn assert_chunk_grid(data: &[u8], chunk_size: usize, out: &[Digest128]) {
+    assert!(chunk_size > 0, "chunk size must be positive");
+    assert_eq!(
+        out.len(),
+        data.len().div_ceil(chunk_size),
+        "hash_chunks: one output digest per chunk"
+    );
 }
 
 #[cfg(test)]

@@ -3,6 +3,12 @@
 //! This is the hash function the paper uses for chunk digests: a fast
 //! non-cryptographic 128-bit hash whose computational cost is low enough that
 //! hashing is memory-bandwidth-bound rather than compute-bound on a GPU.
+//!
+//! On the host one hash state is a serial multiply/rotate chain, so hashing
+//! a grid of small chunks one at a time is latency-bound. [`Murmur3`]'s
+//! [`hash_chunks`](Hasher128::hash_chunks) therefore advances eight chunks
+//! side by side; the scalar [`murmur3_x64_128`] shares its block round and
+//! finalizer, and remains the path for everything the lanes do not take.
 
 use crate::{Digest128, Hasher128};
 
@@ -23,6 +29,50 @@ fn fmix64(mut k: u64) -> u64 {
     k
 }
 
+/// One body round: fold the 16-byte block `(k1, k2)` into the state.
+#[inline(always)]
+fn mix_block(h1: &mut u64, h2: &mut u64, mut k1: u64, mut k2: u64) {
+    k1 = k1.wrapping_mul(C1);
+    k1 = k1.rotate_left(31);
+    k1 = k1.wrapping_mul(C2);
+    *h1 ^= k1;
+
+    *h1 = h1.rotate_left(27);
+    *h1 = h1.wrapping_add(*h2);
+    *h1 = h1.wrapping_mul(5).wrapping_add(0x52dc_e729);
+
+    k2 = k2.wrapping_mul(C2);
+    k2 = k2.rotate_left(33);
+    k2 = k2.wrapping_mul(C1);
+    *h2 ^= k2;
+
+    *h2 = h2.rotate_left(31);
+    *h2 = h2.wrapping_add(*h1);
+    *h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
+}
+
+/// Finalization: fold in the input length and avalanche both halves.
+#[inline(always)]
+fn finalize(mut h1: u64, mut h2: u64, len: usize) -> Digest128 {
+    h1 ^= len as u64;
+    h2 ^= len as u64;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix64(h1);
+    h2 = fmix64(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    Digest128 { h1, h2 }
+}
+
+#[inline(always)]
+fn le_words(block: &[u8]) -> (u64, u64) {
+    (
+        u64::from_le_bytes(block[0..8].try_into().unwrap()),
+        u64::from_le_bytes(block[8..16].try_into().unwrap()),
+    )
+}
+
 /// Hash `data` with `seed`, returning the 128-bit digest.
 ///
 /// Matches the reference `MurmurHash3_x64_128` byte-for-byte (verified by the
@@ -36,26 +86,8 @@ pub fn murmur3_x64_128(data: &[u8], seed: u32) -> Digest128 {
 
     // Body: 16-byte blocks.
     for block in data.chunks_exact(16) {
-        let mut k1 = u64::from_le_bytes(block[0..8].try_into().unwrap());
-        let mut k2 = u64::from_le_bytes(block[8..16].try_into().unwrap());
-
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(31);
-        k1 = k1.wrapping_mul(C2);
-        h1 ^= k1;
-
-        h1 = h1.rotate_left(27);
-        h1 = h1.wrapping_add(h2);
-        h1 = h1.wrapping_mul(5).wrapping_add(0x52dc_e729);
-
-        k2 = k2.wrapping_mul(C2);
-        k2 = k2.rotate_left(33);
-        k2 = k2.wrapping_mul(C1);
-        h2 ^= k2;
-
-        h2 = h2.rotate_left(31);
-        h2 = h2.wrapping_add(h1);
-        h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
+        let (k1, k2) = le_words(block);
+        mix_block(&mut h1, &mut h2, k1, k2);
     }
 
     // Tail: up to 15 remaining bytes.
@@ -84,23 +116,88 @@ pub fn murmur3_x64_128(data: &[u8], seed: u32) -> Digest128 {
         h1 ^= k1;
     }
 
-    // Finalization.
-    h1 ^= len as u64;
-    h2 ^= len as u64;
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    h1 = fmix64(h1);
-    h2 = fmix64(h2);
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
+    finalize(h1, h2, len)
+}
 
-    Digest128 { h1, h2 }
+/// Chunks hashed side by side by the batch kernel. One Murmur3 state is a
+/// serial multiply/rotate chain; eight independent ones keep the multiplier
+/// and enough loads busy to stream a snapshot that is not in cache.
+const LANES: usize = 8;
+
+/// How far ahead of the block being mixed the batch kernel prefetches.
+#[cfg(target_arch = "x86_64")]
+const PREFETCH_AHEAD: usize = 8 << 10;
+
+/// Hash `LANES` consecutive `chunk_size`-byte chunks of `group`, one state
+/// per chunk, all states advanced one block at a time.
+#[inline]
+fn hash_lanes(group: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128]) {
+    debug_assert!(chunk_size.is_multiple_of(16) && group.len() == LANES * chunk_size);
+    debug_assert_eq!(out.len(), LANES);
+    let lanes: [&[u8]; LANES] = std::array::from_fn(|l| &group[l * chunk_size..][..chunk_size]);
+    let mut h1 = [seed as u64; LANES];
+    let mut h2 = [seed as u64; LANES];
+    for at in (0..chunk_size).step_by(16) {
+        for l in 0..LANES {
+            #[cfg(target_arch = "x86_64")]
+            if at.is_multiple_of(64) {
+                let ahead = lanes[l].as_ptr().wrapping_add(at + PREFETCH_AHEAD);
+                // SAFETY: a prefetch is a hint: it never faults and reads
+                // nothing architecturally, so the address may lie past the
+                // end of `group` (`wrapping_add` keeps computing it defined).
+                unsafe {
+                    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                    _mm_prefetch::<_MM_HINT_T0>(ahead.cast());
+                }
+            }
+            let (k1, k2) = le_words(&lanes[l][at..at + 16]);
+            mix_block(&mut h1[l], &mut h2[l], k1, k2);
+        }
+    }
+    for l in 0..LANES {
+        out[l] = finalize(h1[l], h2[l], chunk_size);
+    }
 }
 
 impl Hasher128 for Murmur3 {
     #[inline]
     fn hash_seeded(&self, data: &[u8], seed: u32) -> Digest128 {
         murmur3_x64_128(data, seed)
+    }
+
+    /// Full chunks whose size is a multiple of the 16-byte block go through
+    /// the eight-lane interleaved kernel, a group at a time; the groups'
+    /// remainder, a trailing partial chunk and every other chunk size take
+    /// [`murmur3_x64_128`]. Digests are those of the per-chunk call.
+    fn hash_chunks(&self, data: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128]) {
+        crate::assert_chunk_grid(data, chunk_size, out);
+        let mut done = 0;
+        if chunk_size.is_multiple_of(16) {
+            let group = LANES * chunk_size;
+            for (bytes, digests) in data.chunks_exact(group).zip(out.chunks_exact_mut(LANES)) {
+                hash_lanes(bytes, chunk_size, seed, digests);
+                done += LANES;
+            }
+        }
+        let rest = data[done * chunk_size..].chunks(chunk_size);
+        for (digest, chunk) in out[done..].iter_mut().zip(rest) {
+            *digest = murmur3_x64_128(chunk, seed);
+        }
+    }
+
+    /// The two digests are exactly the two 16-byte blocks of `left || right`,
+    /// so their words feed the body rounds directly; `scratch` is not touched.
+    #[inline]
+    fn combine_with(
+        &self,
+        left: &Digest128,
+        right: &Digest128,
+        _scratch: &mut [u8; 32],
+    ) -> Digest128 {
+        let (mut h1, mut h2) = (0, 0);
+        mix_block(&mut h1, &mut h2, left.h1, left.h2);
+        mix_block(&mut h1, &mut h2, right.h1, right.h2);
+        finalize(h1, h2, 32)
     }
 
     fn name(&self) -> &'static str {
@@ -111,6 +208,154 @@ impl Hasher128 for Murmur3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Murmur3 through the trait's *default* `hash_chunks` and
+    /// `combine_with`: the per-chunk reference both overrides must equal.
+    struct PerChunk;
+
+    impl Hasher128 for PerChunk {
+        fn hash_seeded(&self, data: &[u8], seed: u32) -> Digest128 {
+            murmur3_x64_128(data, seed)
+        }
+        fn name(&self) -> &'static str {
+            "murmur3-per-chunk"
+        }
+    }
+
+    /// Sizes on both sides of the lane kernel's precondition: 100 is not a
+    /// multiple of the 16-byte block, the others are.
+    const CHUNK_SIZES: [usize; 6] = [32, 48, 100, 128, 512, 4096];
+    /// The seed `ckpt-runtime`'s rank-dedup index hashes its grid with.
+    const CHUNK_HASH_SEED: u32 = 0x5244_4858;
+
+    fn pattern(len: usize, salt: u64) -> Vec<u8> {
+        let mut x = salt | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    fn batch(hasher: &dyn Hasher128, data: &[u8], cs: usize, seed: u32) -> Vec<Digest128> {
+        // Pre-filled with a value no digest below takes, so a slot the
+        // kernel skipped shows.
+        let mut out = vec![Digest128::new(!0, !0); data.len().div_ceil(cs)];
+        hasher.hash_chunks(data, cs, seed, &mut out);
+        out
+    }
+
+    fn assert_batch_is_per_chunk(data: &[u8], cs: usize, seed: u32) {
+        let want: Vec<Digest128> = data.chunks(cs).map(|c| murmur3_x64_128(c, seed)).collect();
+        assert_eq!(batch(&Murmur3, data, cs, seed), want, "lanes: cs {cs}");
+        assert_eq!(batch(&PerChunk, data, cs, seed), want, "default: cs {cs}");
+    }
+
+    #[test]
+    fn hash_chunks_equals_per_chunk_hashing_on_fixed_shapes() {
+        for cs in CHUNK_SIZES {
+            // Empty, under one chunk, fewer chunks than lanes, exact lane
+            // groups, a group plus stragglers, and ragged last chunks.
+            let lens = [
+                0,
+                1,
+                cs - 1,
+                cs,
+                cs + 1,
+                (LANES - 1) * cs,
+                LANES * cs,
+                LANES * cs + 1,
+                (LANES + 1) * cs,
+                2 * LANES * cs,
+                (2 * LANES + 3) * cs + cs / 2,
+                64 * cs,
+                65 * cs + 7,
+            ];
+            for (i, len) in lens.into_iter().enumerate() {
+                let data = pattern(len, (cs * 131 + i) as u64);
+                for seed in [0, CHUNK_HASH_SEED, 0xdead_beef] {
+                    assert_batch_is_per_chunk(&data, cs, seed);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn hash_chunks_equals_per_chunk_hashing(
+            size in 0usize..CHUNK_SIZES.len(),
+            n_full in 0usize..40,
+            ragged in 0usize..4096,
+            seed in any::<u32>(),
+            salt in any::<u64>(),
+        ) {
+            let cs = CHUNK_SIZES[size];
+            let data = pattern(n_full * cs + ragged % cs, salt);
+            assert_batch_is_per_chunk(&data, cs, seed);
+        }
+
+        #[test]
+        fn combine_with_equals_the_trait_default(
+            l in (any::<u64>(), any::<u64>()),
+            r in (any::<u64>(), any::<u64>()),
+        ) {
+            let (left, right) = (Digest128::new(l.0, l.1), Digest128::new(r.0, r.1));
+            let mut dirty = [0xAAu8; 32];
+            let want = PerChunk.combine_with(&left, &right, &mut [0x55u8; 32]);
+            prop_assert_eq!(Murmur3.combine_with(&left, &right, &mut dirty), want);
+            prop_assert_eq!(Murmur3.combine(&left, &right), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one output digest per chunk")]
+    fn hash_chunks_rejects_a_short_output() {
+        let data = pattern(LANES * 128, 1);
+        Murmur3.hash_chunks(&data, 128, 0, &mut [Digest128::ZERO; LANES - 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one output digest per chunk")]
+    fn default_hash_chunks_rejects_a_long_output() {
+        let data = pattern(3 * 128 + 5, 1);
+        PerChunk.hash_chunks(&data, 128, 0, &mut [Digest128::ZERO; 5]);
+    }
+
+    /// The SMHasher constant with every key the lane kernel accepts (length
+    /// a positive multiple of 16) hashed by it: the key is laid out as
+    /// `LANES + 1` equal chunks, so lanes and the scalar straggler must agree
+    /// before the lane digest enters the verification buffer.
+    #[test]
+    fn smhasher_verification_constant_through_the_batch_path() {
+        let through_lanes = |key: &[u8], seed: u32| {
+            let grid = key.repeat(LANES + 1);
+            let digests = batch(&Murmur3, &grid, key.len(), seed);
+            assert!(
+                digests.iter().all(|d| *d == digests[0]),
+                "len {}",
+                key.len()
+            );
+            digests[0]
+        };
+        let mut key = [0u8; 256];
+        let mut hashes = Vec::with_capacity(256 * 16);
+        for i in 0..256 {
+            key[i] = i as u8;
+            let seed = (256 - i) as u32;
+            let d = match i {
+                0 => murmur3_x64_128(&[], seed),
+                _ => through_lanes(&key[..i], seed),
+            };
+            hashes.extend_from_slice(&d.to_bytes());
+        }
+        let fin = through_lanes(&hashes, 0);
+        let verification = u32::from_le_bytes(fin.to_bytes()[..4].try_into().unwrap());
+        assert_eq!(verification, 0x6384_BA69, "got {verification:#010x}");
+    }
 
     #[test]
     fn empty_input_seed_zero_is_zero() {

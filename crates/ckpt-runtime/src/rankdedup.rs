@@ -68,9 +68,10 @@ use crate::fault::{FaultKind, FaultPlan, OpKind, SplitMix64};
 use crate::tier::ObjectId;
 use ckpt_dedup::diff::Diff;
 use ckpt_dedup::frame::{self, RankDedupEntry, RankDedupRecord, RemoteRef};
-use ckpt_hash::{Hasher128, Murmur3};
+use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use ckpt_telemetry::{LazyCounter, Registry};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use gpu_sim::TILE;
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -711,39 +712,46 @@ impl RankDedupEngine {
             entries.push(RankDedupEntry::Local { len: off as u32 });
             local.extend_from_slice(&bytes[..off]);
         }
-        for chunk in bytes[off..].chunks(chunk_len) {
-            let idx = entries.len() as u32;
-            let hash = chunk_hash(chunk);
-            if let Some(&at) = pending.get(&hash) {
-                entries.push(RankDedupEntry::Remote(RemoteRef {
-                    owner_rank: id.0,
-                    ckpt_id: id.1,
-                    chunk: at,
-                }));
-                remote_refs += 1;
-                bytes_saved += chunk.len() as u64;
-                continue;
+        // The grid is hashed a tile at a time through the batch kernel
+        // (digests of `chunk_hash`), then walked chunk by chunk.
+        let mut digests = [Digest128::ZERO; TILE];
+        for tile in bytes[off..].chunks(TILE.saturating_mul(chunk_len)) {
+            let digests = &mut digests[..tile.len().div_ceil(chunk_len)];
+            Murmur3.hash_chunks(tile, chunk_len, CHUNK_HASH_SEED, digests);
+            for (chunk, digest) in tile.chunks(chunk_len).zip(digests.iter()) {
+                let idx = entries.len() as u32;
+                let hash = (digest.h1, digest.h2);
+                if let Some(&at) = pending.get(&hash) {
+                    entries.push(RankDedupEntry::Remote(RemoteRef {
+                        owner_rank: id.0,
+                        ckpt_id: id.1,
+                        chunk: at,
+                    }));
+                    remote_refs += 1;
+                    bytes_saved += chunk.len() as u64;
+                    continue;
+                }
+                if let Some(loc) = self.index.lookup(hash) {
+                    entries.push(RankDedupEntry::Remote(loc.reference()));
+                    refs.insert(loc.object());
+                    remote_refs += 1;
+                    bytes_saved += chunk.len() as u64;
+                    continue;
+                }
+                entries.push(RankDedupEntry::Local {
+                    len: chunk.len() as u32,
+                });
+                local.extend_from_slice(chunk);
+                pending.insert(hash, idx);
+                claims.push((
+                    hash,
+                    ClaimLoc {
+                        rank: id.0,
+                        ckpt_id: id.1,
+                        chunk: idx,
+                    },
+                ));
             }
-            if let Some(loc) = self.index.lookup(hash) {
-                entries.push(RankDedupEntry::Remote(loc.reference()));
-                refs.insert(loc.object());
-                remote_refs += 1;
-                bytes_saved += chunk.len() as u64;
-                continue;
-            }
-            entries.push(RankDedupEntry::Local {
-                len: chunk.len() as u32,
-            });
-            local.extend_from_slice(chunk);
-            pending.insert(hash, idx);
-            claims.push((
-                hash,
-                ClaimLoc {
-                    rank: id.0,
-                    ckpt_id: id.1,
-                    chunk: idx,
-                },
-            ));
         }
         // Pin referenced objects *before* this object becomes visible, so
         // a GC floor can never outrun a reference.

@@ -6,8 +6,15 @@ use crate::collectives;
 use crate::metrics::DeviceMetrics;
 use crate::perf::{DeviceConfig, PerfModel};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+
+/// Work items per tile of a [`Device::parallel_for_tiles`] launch: enough
+/// for a batch primitive to amortise its call over (eight groups of the
+/// Murmur3 lane kernel), small enough that a tile's results fit a stack
+/// array and that a grid splits into many more tiles than threads.
+pub const TILE: usize = 64;
 
 /// Work description for one kernel, used by the performance model.
 ///
@@ -173,6 +180,44 @@ impl Device {
             }
         } else {
             (0..n).into_par_iter().for_each_init(init, body);
+        }
+    }
+
+    /// Launch a grid of `n` work items a [`TILE`] at a time: `body(state,
+    /// lo..hi)` once per tile, for kernels whose first step is a batch
+    /// primitive over neighbouring items (hash a tile of chunks in one call,
+    /// then classify each). Tile `t` is `t * TILE..min((t + 1) * TILE, n)` —
+    /// a pure function of `n`, so per-tile state with side effects stays as
+    /// deterministic as under [`parallel_for_init`](Self::parallel_for_init).
+    /// Every tile is its own schedulable unit with its own `init` state:
+    /// a tile is already coarse, and grouping tiles under the executor's
+    /// per-item minimum would leave a 1 426-tile grid as two units. One
+    /// launch and one `cost`, like the per-item launches; the sequential
+    /// cut-off is still counted in items.
+    pub fn parallel_for_tiles<T, INIT, F>(
+        &self,
+        _name: &str,
+        n: usize,
+        cost: KernelCost,
+        init: INIT,
+        body: F,
+    ) where
+        INIT: Fn() -> T + Sync + Send,
+        F: Fn(&mut T, Range<usize>) + Sync + Send,
+    {
+        self.account_launch(cost);
+        let tile = |t: usize| t * TILE..((t + 1) * TILE).min(n);
+        let n_tiles = n.div_ceil(TILE);
+        if n < 1024 {
+            let mut state = init();
+            for t in 0..n_tiles {
+                body(&mut state, tile(t));
+            }
+        } else {
+            (0..n_tiles)
+                .into_par_iter()
+                .with_max_len(1)
+                .for_each_init(init, |state, t| body(state, tile(t)));
         }
     }
 

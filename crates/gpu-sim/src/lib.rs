@@ -39,7 +39,7 @@ pub mod perf;
 pub use arena::{ArenaLease, ArenaStats, DeviceArena};
 pub use buffer::DeviceBuffer;
 pub use content_cache::{ContentCache, Verification};
-pub use device::{Device, KernelCost};
+pub use device::{Device, KernelCost, TILE};
 pub use distinct_map::{BatchedInserts, DistinctMap, InsertResult, MapEntry};
 pub use metrics::DeviceMetrics;
 pub use perf::{DeviceConfig, PerfModel};

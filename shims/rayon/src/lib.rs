@@ -56,6 +56,13 @@ pub unsafe trait Producer: Sync {
         1024
     }
 
+    /// Items per executor chunk above which a chunk is split further, even
+    /// past the pool's chunks-per-job budget ([`Par::with_max_len`]). Like
+    /// the minimum, a property of the source, never of the thread count.
+    fn max_items_per_chunk(&self) -> usize {
+        usize::MAX
+    }
+
     /// Produce the item at position `i`.
     ///
     /// # Safety
@@ -343,6 +350,28 @@ unsafe impl<P: Producer> Producer for EnumerateProducer<P> {
     }
 }
 
+pub struct MaxLenProducer<P> {
+    inner: P,
+    max: usize,
+}
+
+// SAFETY: forwards the inner producer's guarantees.
+unsafe impl<P: Producer> Producer for MaxLenProducer<P> {
+    type Item = P::Item;
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn min_items_per_chunk(&self) -> usize {
+        self.inner.min_items_per_chunk()
+    }
+    fn max_items_per_chunk(&self) -> usize {
+        self.inner.max_items_per_chunk().min(self.max)
+    }
+    unsafe fn item(&self, i: usize) -> P::Item {
+        unsafe { self.inner.item(i) }
+    }
+}
+
 pub struct ZipProducer<A, B> {
     a: A,
     b: B,
@@ -412,6 +441,14 @@ impl<P: Producer> Par<P> {
         Par(EnumerateProducer { inner: self.0 })
     }
 
+    /// Cap the items one executor chunk may hold (rayon's `with_max_len`).
+    /// `with_max_len(1)` makes every item its own schedulable unit — for
+    /// sources whose items are already coarse (a tile of a kernel grid).
+    pub fn with_max_len(self, max: usize) -> Par<MaxLenProducer<P>> {
+        assert!(max > 0, "max_len must be positive");
+        Par(MaxLenProducer { inner: self.0, max })
+    }
+
     pub fn zip<J: IntoParallelIterator>(self, other: J) -> Par<ZipProducer<P, J::Producer>> {
         Par(ZipProducer {
             a: self.0,
@@ -424,7 +461,7 @@ impl<P: Producer> Par<P> {
         F: Fn(P::Item) + Sync,
     {
         let p = self.0;
-        let plan = pool::plan(p.len(), p.min_items_per_chunk());
+        let plan = pool::plan(&p);
         let n = p.len();
         pool::run_chunks(plan.n_chunks, &|c| {
             let lo = c * plan.chunk_size;
@@ -445,7 +482,7 @@ impl<P: Producer> Par<P> {
         F: Fn(&mut T, P::Item) + Sync,
     {
         let p = self.0;
-        let plan = pool::plan(p.len(), p.min_items_per_chunk());
+        let plan = pool::plan(&p);
         let n = p.len();
         pool::run_chunks(plan.n_chunks, &|c| {
             let lo = c * plan.chunk_size;
@@ -468,7 +505,7 @@ impl<P: Producer> Par<P> {
     {
         let p = self.0;
         let n = p.len();
-        let plan = pool::plan(n, p.min_items_per_chunk());
+        let plan = pool::plan(&p);
         if plan.n_chunks == 0 {
             return identity();
         }
@@ -498,7 +535,7 @@ impl<P: Producer> Par<P> {
     {
         let p = self.0;
         let n = p.len();
-        let plan = pool::plan(n, p.min_items_per_chunk());
+        let plan = pool::plan(&p);
         if plan.n_chunks == 0 {
             return std::iter::empty::<P::Item>().sum();
         }
@@ -529,7 +566,7 @@ impl<P: Producer> Par<P> {
         let n = p.len();
         let mut out = uninit_slots::<P::Item>(n);
         let slots = Slots(out.as_mut_ptr());
-        let plan = pool::plan(n, p.min_items_per_chunk());
+        let plan = pool::plan(&p);
         pool::run_chunks(plan.n_chunks, &|c| {
             let lo = c * plan.chunk_size;
             let hi = (lo + plan.chunk_size).min(n);

@@ -36,6 +36,7 @@ pub const MAX_POOL_THREADS: usize = 256;
 
 /// Upper bound on chunks per job: enough slack for stealing to balance
 /// skewed workloads, small enough that queue traffic stays negligible.
+/// A producer's `max_items_per_chunk` overrides it.
 const MAX_CHUNKS_PER_JOB: usize = 1024;
 
 thread_local! {
@@ -52,25 +53,29 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// How a terminal's index space maps onto executor chunks.
 ///
-/// A pure function of `(n_items, min_items_per_chunk)`: chunk boundaries
-/// must not depend on the thread count, so order-sensitive combines (e.g.
-/// `reduce` partials) yield bit-identical results at any parallelism.
+/// A pure function of the producer's length and its min/max items per
+/// chunk: chunk boundaries must not depend on the thread count, so
+/// order-sensitive combines (e.g. `reduce` partials) yield bit-identical
+/// results at any parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChunkPlan {
     pub chunk_size: usize,
     pub n_chunks: usize,
 }
 
-pub(crate) fn plan(n_items: usize, min_items_per_chunk: usize) -> ChunkPlan {
+pub(crate) fn plan<P: crate::Producer>(p: &P) -> ChunkPlan {
+    let n_items = p.len();
     if n_items == 0 {
         return ChunkPlan {
             chunk_size: 1,
             n_chunks: 0,
         };
     }
-    let chunk_size = min_items_per_chunk
+    let chunk_size = p
+        .min_items_per_chunk()
         .max(1)
-        .max(n_items.div_ceil(MAX_CHUNKS_PER_JOB));
+        .max(n_items.div_ceil(MAX_CHUNKS_PER_JOB))
+        .min(p.max_items_per_chunk());
     ChunkPlan {
         chunk_size,
         n_chunks: n_items.div_ceil(chunk_size),
