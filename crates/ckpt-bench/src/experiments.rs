@@ -706,9 +706,18 @@ impl RestartLatencyReport {
 }
 
 /// Floor on the best host-modeled speedup of the single-pass engine over
-/// sequential replay on the 32-record Tree chain. Local calibration shows
-/// ~4-5.5x at 8 threads; 2.0 is the committed acceptance floor.
-pub const RESTART_SPEEDUP_FLOOR: f64 = 2.0;
+/// sequential replay on the 32-record Tree chain: half the smallest best
+/// speedup seen in calibration (and never under 2.0). Calibrated for the
+/// run-list engine from 12 runs at each CI scale (`--chain-lens 8,32`, 2
+/// cores):
+///
+/// - `--scale 4000`: 16.14 14.32 14.03 18.54 27.51 14.51 16.59 14.56 16.00
+///   15.60 16.36 13.52
+/// - `--scale 12000`: 16.15 14.22 15.88 15.14 15.53 15.38 16.19 15.29 15.05
+///   14.44 15.56 15.00
+///
+/// Smallest 13.52. The default `--scale 20000` reads 13.3.
+pub const RESTART_SPEEDUP_FLOOR: f64 = 6.7;
 
 /// The chain length [`RESTART_SPEEDUP_FLOOR`] is gated on.
 const RESTART_GATED_CHAIN: usize = 32;
@@ -782,8 +791,8 @@ impl Report for RestartLatencyReport {
 }
 
 /// Chain lengths swept by [`restart_latency_at`]: a short chain where the
-/// walk overhead shows, and the paper-shaped 32-record chain the ≥2x
-/// speedup acceptance gate runs against.
+/// walk overhead shows, and the paper-shaped 32-record chain the
+/// [`RESTART_SPEEDUP_FLOOR`] gate runs against.
 pub const RESTART_CHAIN_LENS: [usize; 2] = [8, 32];
 
 /// Restart-latency benchmark: for each (chain length, method) cell, build
@@ -2535,9 +2544,9 @@ mod tests {
         let point = |threads: usize| RestartLatencyPoint {
             threads,
             seq_wall_sec: 0.5,
-            par_wall_sec: 0.1,
+            par_wall_sec: 0.04,
             seq_host_modeled_sec: 0.4,
-            par_host_modeled_sec: 0.1,
+            par_host_modeled_sec: 0.04,
             seq_digest: DIGEST,
             par_digest: DIGEST,
             records_visited: 32,

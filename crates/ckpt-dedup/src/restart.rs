@@ -5,47 +5,43 @@
 //! the way to the one that is wanted — O(chain length × checkpoint size)
 //! bytes moved for a single restore (that replay survives in
 //! [`crate::restore`] as the oracle this engine is tested against). This
-//! module walks the chain the other way: starting from the target
-//! checkpoint, a per-chunk **resolution table** records which record
-//! position must supply each chunk. Visiting records newest→oldest, a
-//! device kernel advances every unresolved chunk through the current
-//! record's region tables — a chunk covered by payload is *finalized* (its
-//! source record and payload offset are now known), a chunk covered by a
-//! shifted duplicate is redirected (possibly to an older record), and an
-//! uncovered chunk is a fixed duplicate that simply carries to the
-//! next-older record. Each visited record then contributes exactly one
-//! parallel `copy_regions` wave for the chunks it finalized. Total bytes
-//! moved: one checkpoint's worth, regardless of chain length.
+//! module walks the chain the other way, and by **runs**, not by chunks:
+//! the demand on a record is a list of `Run`s — stretches of the target's
+//! chunks that hold what that record's version has at some stretch of its
+//! own — seeded with the single run `0..n` at the target. Visiting records
+//! newest→oldest, each waiting run is split against the record's region
+//! tables: a piece covered by payload is copied into place (adjacent pieces
+//! coalesce into one `memcpy`), a piece covered by a shifted duplicate
+//! becomes a run on the referenced record (possibly this one — chased on an
+//! explicit work stack), and an uncovered piece is a fixed duplicate that
+//! carries to the next-older record. Total bytes moved: one checkpoint's
+//! worth, regardless of chain length; total resolution work: proportional
+//! to the runs a record is asked for, not to the snapshot's chunk count.
 //!
-//! **Determinism:** every chunk's resolution is a pure function of the
-//! record's region tables — threads never exchange data — so the restored
-//! bytes are identical at any thread count, and identical to the sequential
-//! replay (the per-chunk walk computes exactly the provenance the sequential
-//! clone-and-patch loop realizes in place).
+//! **Determinism:** a visit is a pure function of the record's region tables
+//! and the runs waiting on it, every run list has pairwise-disjoint
+//! destinations, and each output chunk is written by exactly one copy — so
+//! the restored bytes and every counter are identical at any thread count,
+//! and identical to the sequential replay (the run walk computes exactly the
+//! provenance the sequential clone-and-patch loop realizes in place).
 //!
 //! Chains whose head is a **rebase record** (see
 //! [`Checkpointer::rebase_checkpoint`](crate::methods::Checkpointer::rebase_checkpoint))
-//! short-circuit: a self-contained record finalizes every remaining chunk,
+//! short-circuit: a self-contained record supplies every remaining chunk,
 //! so older records are never visited — the chain-compaction payoff.
 //!
 //! **Everything that can fail, fails before a byte moves.** A record visit
 //! starts with `Chain::index` (header, payload decode, table ranges, disjoint
-//! destinations, acyclic same-record shifts); past it neither the resolution
-//! kernel nor the copy wave can fail. So [`check_chain`] proves a whole chain
-//! restorable by indexing each record once — no table, no buffer, no copy.
+//! destinations, acyclic same-record shifts); past it neither the run walk
+//! nor the copies can fail. So [`check_chain`] proves a whole chain
+//! restorable by indexing each record once — no run list, no buffer, no copy.
 
 use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
-use crate::restore::{copy_regions, decoded_payload, RestoreError};
+use crate::restore::{decoded_payload, RestoreError};
 use crate::tree::TreeShape;
-use crate::util::SharedSliceMut;
 use gpu_sim::{ArenaLease, Device, KernelCost};
 use std::borrow::Cow;
-
-/// Per-chunk resolution status after a record visit (kernel → host codes).
-const ST_CARRIED: u32 = 0;
-const ST_PAYLOAD: u32 = 1;
-const ST_ZERO: u32 = 2;
 
 /// Counters describing one single-pass restore (or one [`check_chain`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +49,10 @@ pub struct RestartStats {
     /// Records the resolution walk actually visited (≤ chain length; a
     /// self-contained rebase record stops the walk).
     pub records_visited: u32,
-    /// Copy regions materialized across all per-record waves.
+    /// Copies made into the restored buffer, after coalescing: pieces that
+    /// are adjacent in both the output and the supplying payload are one
+    /// copy (a Full record is 1; a scattered Tree chain approaches one per
+    /// chunk).
     pub regions_copied: u64,
     /// Payload bytes copied into the restored buffer.
     pub bytes_copied: u64,
@@ -389,6 +388,148 @@ pub fn check_chain(
     })
 }
 
+/// A stretch of the target waiting on one record: output chunks
+/// `dst..dst + len` hold what that record's version has at chunks
+/// `src..src + len`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    dst: u32,
+    src: u32,
+    len: u32,
+}
+
+/// Append `run` to `list`, growing the last run instead where `run`
+/// continues it in both the output and the source.
+fn push_run(list: &mut Vec<Run>, run: Run) {
+    match list.last_mut() {
+        Some(last) if last.dst + last.len == run.dst && last.src + last.len == run.src => {
+            last.len += run.len
+        }
+        _ => list.push(run),
+    }
+}
+
+/// Where chunks `clo..chi` of the visited record's version come from.
+struct Seg {
+    clo: u32,
+    chi: u32,
+    from: Source,
+}
+
+enum Source {
+    /// This record's decoded payload, from byte `off`.
+    Payload { off: u64 },
+    /// Record position `ref_pos`'s version, from chunk `slo`.
+    Shift { slo: u32, ref_pos: u32 },
+    /// In neither table: a fixed duplicate of the previous version's chunks
+    /// at the same place — below the chain's first record, zeros.
+    Previous,
+}
+
+/// A record's two tables (each sorted by `clo`, all destinations disjoint)
+/// and the gaps they leave, merged into one list that tiles `0..n_chunks`.
+fn segments(payload: &[PayloadIv], shifts: &[ShiftIv], n_chunks: u32) -> Vec<Seg> {
+    let mut segs = Vec::with_capacity(2 * (payload.len() + shifts.len()) + 1);
+    let (mut payload, mut shifts) = (payload.iter().peekable(), shifts.iter().peekable());
+    let gap = |clo, chi| Seg {
+        clo,
+        chi,
+        from: Source::Previous,
+    };
+    let mut covered = 0;
+    loop {
+        let next = match (payload.peek(), shifts.peek()) {
+            (Some(p), s) if s.is_none_or(|s| p.clo < s.clo) => payload
+                .next()
+                .map(|p| (p.clo, p.chi, Source::Payload { off: p.off })),
+            _ => shifts.next().map(|s| {
+                let (slo, ref_pos) = (s.slo, s.ref_pos);
+                (s.clo, s.chi, Source::Shift { slo, ref_pos })
+            }),
+        };
+        let Some((clo, chi, from)) = next else { break };
+        if covered < clo {
+            segs.push(gap(covered, clo));
+        }
+        segs.push(Seg { clo, chi, from });
+        covered = chi;
+    }
+    if covered < n_chunks {
+        segs.push(gap(covered, n_chunks));
+    }
+    segs
+}
+
+/// One record visit: where the pieces of the runs waiting on it go. A copy
+/// is held back until the next piece shows whether it continues it — in the
+/// output and in the payload — so a maximal contiguous stretch is one
+/// `memcpy`.
+struct Visit<'a> {
+    ck: Chunking,
+    buf: &'a mut [u8],
+    payload: &'a [u8],
+    /// The lists of the records below the visited one, by position.
+    older: &'a mut [Vec<Run>],
+    /// The copy not yet made: `(output byte, payload byte, length)`.
+    held: (usize, usize, usize),
+    /// Pieces handled.
+    pieces: u64,
+    stats: &'a mut RestartStats,
+    unresolved: &'a mut usize,
+}
+
+impl Visit<'_> {
+    /// Output chunks `dst..dst + len` are the payload's bytes from `off`.
+    fn copy(&mut self, dst: u32, len: u32, off: u64) {
+        let (a, b) = self
+            .ck
+            .byte_range_of_chunks(dst as usize, (dst + len) as usize);
+        let (to, from, held) = self.held;
+        if to + held == a && from + held == off as usize {
+            self.held.2 += b - a;
+        } else {
+            self.flush();
+            self.held = (a, off as usize, b - a);
+        }
+        self.pieces += 1;
+        *self.unresolved -= len as usize;
+    }
+
+    fn flush(&mut self) {
+        let (to, from, len) = std::mem::take(&mut self.held);
+        if len > 0 {
+            self.buf[to..to + len].copy_from_slice(&self.payload[from..from + len]);
+            self.stats.regions_copied += 1;
+            self.stats.bytes_copied += len as u64;
+        }
+    }
+
+    /// `piece` is what record position `ref_pos` has at `piece.src`: it
+    /// waits on that record's list — or, that being the visited record
+    /// itself (`older` ends one below it), on the visit's own stack.
+    fn refer(&mut self, ref_pos: u32, piece: Run, same_record: &mut Vec<Run>) {
+        match self.older.get_mut(ref_pos as usize) {
+            Some(list) => push_run(list, piece),
+            None => same_record.push(piece),
+        }
+        self.pieces += 1;
+    }
+
+    /// `piece` is in neither table of the visited record: it waits on the
+    /// previous record, or below the chain's first record is the zeros the
+    /// buffer starts as.
+    fn carry(&mut self, piece: Run) {
+        match self.older.last_mut() {
+            Some(previous) => push_run(previous, piece),
+            None => {
+                self.stats.zero_chunks += piece.len as u64;
+                *self.unresolved -= piece.len as usize;
+            }
+        }
+        self.pieces += 1;
+    }
+}
+
 /// Incremental single-pass restore of one target version.
 ///
 /// Feed records newest→oldest starting with the target itself;
@@ -401,17 +542,13 @@ pub struct SinglePassRestore {
     /// Record position the next `feed` must carry (`ckpt_id == base + pos`).
     next_pos: u32,
     buf: Vec<u8>,
-    /// Per-chunk: record position whose content the chunk currently needs.
-    need_pos: ArenaLease<u32>,
-    /// Per-chunk: chunk index within that version.
-    need_chunk: ArenaLease<u32>,
-    /// Per-chunk visit status (`ST_*`).
-    status: ArenaLease<u32>,
-    /// Per-chunk payload byte offset once finalized.
-    final_off: ArenaLease<u64>,
-    /// Target chunks not yet finalized, ascending.
-    pending: Vec<u32>,
-    done: bool,
+    /// Per record position, the runs it must supply. Across all lists the
+    /// destinations are pairwise disjoint and are exactly the chunks not
+    /// yet resolved.
+    waiting: Vec<Vec<Run>>,
+    /// Target chunks no visited record has supplied yet; the restore is
+    /// done at zero.
+    unresolved: usize,
     stats: RestartStats,
 }
 
@@ -428,37 +565,16 @@ impl SinglePassRestore {
         };
         let chain = Chain::of(device, base, target);
         let n = chain.ck.n_chunks();
-        let arena = device.arena();
-        let mut need_pos = arena.lease::<u32>("restart/need_pos", n);
-        let mut need_chunk = arena.lease::<u32>("restart/need_chunk", n);
-        let status = arena.lease::<u32>("restart/status", n);
-        let final_off = arena.lease::<u64>("restart/final_off", n);
-        {
-            // Leases carry stale pool contents; seed the resolution table:
-            // every chunk needs its own position of the target version.
-            let pos = SharedSliceMut::new(need_pos.as_mut_slice());
-            let chunk = SharedSliceMut::new(need_chunk.as_mut_slice());
-            device.parallel_for(
-                "restart_seed_resolution",
-                n,
-                KernelCost::stream(8 * n as u64),
-                |c| unsafe {
-                    // SAFETY: chunk index owned by this thread.
-                    pos.write(c, target_pos);
-                    chunk.write(c, c as u32);
-                },
-            );
-        }
+        // The whole target is one run on the target's own record.
+        let mut waiting = vec![Vec::new(); target_pos as usize + 1];
+        let (dst, src, len) = (0, 0, n as u32);
+        waiting[target_pos as usize].push(Run { dst, src, len });
         Ok(SinglePassRestore {
             next_pos: target_pos,
             buf: vec![0u8; chain.ck.data_len()],
             chain,
-            need_pos,
-            need_chunk,
-            status,
-            final_off,
-            pending: (0..n as u32).collect(),
-            done: false,
+            waiting,
+            unresolved: n,
             stats: RestartStats::default(),
         })
     }
@@ -467,156 +583,116 @@ impl SinglePassRestore {
     /// below the last one fed. Returns `true` when every chunk is resolved
     /// and the remaining (older) records are not needed.
     pub fn feed(&mut self, diff: &Diff) -> Result<bool, RestoreError> {
-        if self.done {
+        if self.unresolved == 0 {
             return Ok(true);
         }
         let j = self.next_pos;
         let (payload, index) = self.chain.index(j, diff)?;
         self.stats.records_visited += 1;
 
-        // Resolution kernel: advance every unresolved chunk through this
-        // record's tables. Each pending chunk is owned by one thread; the
-        // tables are read-only; so the pass is embarrassingly parallel and
-        // its outcome is thread-count independent.
-        let n_pend = self.pending.len();
-        let chunk_size = self.chain.ck.chunk_size();
-        {
-            let pending = &self.pending;
-            let need_pos = SharedSliceMut::new(self.need_pos.as_mut_slice());
-            let need_chunk = SharedSliceMut::new(self.need_chunk.as_mut_slice());
-            let status = SharedSliceMut::new(self.status.as_mut_slice());
-            let final_off = SharedSliceMut::new(self.final_off.as_mut_slice());
-            let index = &index;
-            let cost = KernelCost::stream(32 * n_pend as u64);
-            self.chain
-                .device
-                .parallel_for("restart_resolve", n_pend, cost, |i| {
-                    let c = pending[i] as usize;
-                    // SAFETY: chunk `c` appears once in `pending`; all state
-                    // slots for `c` are owned by this thread.
-                    unsafe {
-                        status.write(c, ST_CARRIED);
-                        if need_pos.read(c) != j {
-                            return; // waiting for an older record
-                        }
-                        let mut cur = need_chunk.read(c);
-                        match index {
-                            RecordIndex::Full => {
-                                status.write(c, ST_PAYLOAD);
-                                final_off.write(c, cur as u64 * chunk_size as u64);
-                            }
-                            RecordIndex::Basic { flags, ranks } => {
-                                if flags[cur as usize] == 1 {
-                                    status.write(c, ST_PAYLOAD);
-                                    final_off.write(c, ranks[cur as usize] * chunk_size as u64);
-                                } else if j == 0 {
-                                    status.write(c, ST_ZERO);
-                                } else {
-                                    need_pos.write(c, j - 1);
-                                }
-                            }
-                            RecordIndex::Regions { payload, shifts } => {
-                                // Chase within this record. The index has no
-                                // same-record shift cycle, so the chase
-                                // leaves every shift it enters for good.
-                                loop {
-                                    let p = payload.partition_point(|r| r.chi <= cur);
-                                    if let Some(r) = payload.get(p) {
-                                        if r.clo <= cur && cur < r.chi {
-                                            status.write(c, ST_PAYLOAD);
-                                            final_off.write(
-                                                c,
-                                                r.off + (cur - r.clo) as u64 * chunk_size as u64,
-                                            );
-                                            break;
-                                        }
-                                    }
-                                    let s = shifts.partition_point(|r| r.chi <= cur);
-                                    if let Some(r) = shifts.get(s) {
-                                        if r.clo <= cur && cur < r.chi {
-                                            let src = r.slo + (cur - r.clo);
-                                            if r.ref_pos == j {
-                                                cur = src;
-                                                continue;
-                                            }
-                                            need_pos.write(c, r.ref_pos);
-                                            need_chunk.write(c, src);
-                                            break;
-                                        }
-                                    }
-                                    // Uncovered: a fixed duplicate — the
-                                    // chunk's content is the previous
-                                    // version's at the same position.
-                                    if j == 0 {
-                                        status.write(c, ST_ZERO);
-                                    } else {
-                                        need_pos.write(c, j - 1);
-                                        need_chunk.write(c, cur);
-                                    }
-                                    break;
-                                }
-                            }
+        // Split every run waiting on this record against its tables. Older
+        // records' lists only grow here and no two runs anywhere share an
+        // output chunk, so the order of the walk cannot show in the result.
+        let (older, rest) = self.waiting.split_at_mut(j as usize);
+        let runs = std::mem::take(&mut rest[0]);
+        let ck = self.chain.ck;
+        let chunk_size = ck.chunk_size() as u64;
+        let copied_before = self.stats.bytes_copied;
+        let mut visit = Visit {
+            ck,
+            buf: &mut self.buf,
+            payload: &payload,
+            older,
+            held: (0, 0, 0),
+            pieces: 0,
+            stats: &mut self.stats,
+            unresolved: &mut self.unresolved,
+        };
+        match &index {
+            RecordIndex::Full => {
+                for run in &runs {
+                    visit.copy(run.dst, run.len, run.src as u64 * chunk_size);
+                }
+            }
+            RecordIndex::Basic { flags, ranks } => {
+                for run in &runs {
+                    for (dst, src) in (run.dst..).zip(run.src..run.src + run.len) {
+                        if flags[src as usize] == 1 {
+                            visit.copy(dst, 1, ranks[src as usize] * chunk_size);
+                        } else {
+                            visit.carry(Run { dst, src, len: 1 });
                         }
                     }
-                });
-        }
-
-        // Resolution-table split: one device wave separates the chunks this
-        // record finalized from the ones carried to older records.
-        let status = &self.status;
-        let pending = &self.pending;
-        let (finalized, carried) =
-            self.chain
-                .device
-                .partition_where("restart_partition", n_pend, |i| {
-                    status[pending[i] as usize] != ST_CARRIED
-                });
-
-        let mut regions: Vec<(usize, usize, usize)> = Vec::with_capacity(finalized.len());
-        for &i in &finalized {
-            let c = self.pending[i as usize] as usize;
-            if self.status[c] == ST_PAYLOAD {
-                let (a, b) = self.chain.ck.byte_range(c);
-                regions.push((a, b - a, self.final_off[c] as usize));
-            } else {
-                self.stats.zero_chunks += 1;
+                }
+            }
+            RecordIndex::Regions { .. } if runs.is_empty() => {}
+            RecordIndex::Regions { payload, shifts } => {
+                let segs = segments(payload, shifts, ck.n_chunks() as u32);
+                // cover[chunk] → the segment holding it: one load per piece
+                // where finding it in `segs` is a binary search.
+                let arena = self.chain.device.arena();
+                let mut cover = arena.lease::<u32>("restart/cover", ck.n_chunks());
+                for (k, seg) in segs.iter().enumerate() {
+                    cover[seg.clo as usize..seg.chi as usize].fill(k as u32);
+                }
+                // Shifts into this same record are chased on a stack, never
+                // by recursion. The index has no same-record shift cycle, so
+                // a piece leaves every shift it enters for good and no chunk
+                // is chased further than it would be alone.
+                let mut stack = Vec::new();
+                for &run in &runs {
+                    stack.push(run);
+                    while let Some(mut run) = stack.pop() {
+                        while run.len > 0 {
+                            let seg = &segs[cover[run.src as usize] as usize];
+                            let len = run.len.min(seg.chi - run.src);
+                            let (dst, into) = (run.dst, run.src - seg.clo);
+                            match seg.from {
+                                Source::Payload { off } => {
+                                    visit.copy(dst, len, off + into as u64 * chunk_size)
+                                }
+                                Source::Shift { slo, ref_pos } => {
+                                    let src = slo + into;
+                                    visit.refer(ref_pos, Run { dst, src, len }, &mut stack)
+                                }
+                                Source::Previous => visit.carry(Run { len, ..run }),
+                            }
+                            run.dst += len;
+                            run.src += len;
+                            run.len -= len;
+                        }
+                    }
+                }
             }
         }
+        visit.flush();
 
-        // One parallel copy wave for everything this record supplies.
-        let bytes: usize = regions.iter().map(|r| r.1).sum();
-        self.chain.device.parallel_for(
-            "restart_copy_wave",
-            0,
-            KernelCost::copy(bytes as u64),
-            |_| {},
-        );
-        copy_regions(&mut self.buf, &payload, &regions);
-        self.stats.regions_copied += regions.len() as u64;
-        self.stats.bytes_copied += bytes as u64;
+        // On the device the split is one kernel over the pieces handled, and
+        // everything this record supplies moves in one copy wave.
+        let split = KernelCost::stream(std::mem::size_of::<Run>() as u64 * visit.pieces);
+        let copy = KernelCost::copy(self.stats.bytes_copied - copied_before);
+        let device = &self.chain.device;
+        device.parallel_for("restart_split_runs", 0, split, |_| {});
+        device.parallel_for("restart_copy_wave", 0, copy, |_| {});
 
-        self.pending = carried
-            .into_iter()
-            .map(|i| self.pending[i as usize])
-            .collect();
         debug_assert!(
-            j > 0 || self.pending.is_empty(),
+            j > 0 || self.unresolved == 0,
             "record position 0 must resolve every chunk"
         );
-        self.done = self.pending.is_empty();
-        if !self.done {
+        let done = self.unresolved == 0;
+        if !done {
             self.next_pos = j - 1;
         }
-        Ok(self.done)
+        Ok(done)
     }
 
     /// The restored bytes and walk statistics. Errors if records stopped
     /// being fed before every chunk was resolved.
     pub fn finish(self) -> Result<(Vec<u8>, RestartStats), RestoreError> {
-        if !self.done {
+        if self.unresolved > 0 {
             return Err(RestoreError::UnresolvableShifts {
                 ckpt_id: self.chain.base + self.next_pos,
-                remaining: self.pending.len(),
+                remaining: self.unresolved,
             });
         }
         Ok((self.buf, self.stats))
@@ -832,6 +908,32 @@ mod tests {
         ];
         let err = restore_latest_single_pass(&device, 0, std::slice::from_ref(&cyc)).unwrap_err();
         assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
+    }
+
+    /// What no record covers is the zeros below the chain — reached directly,
+    /// through a shift, or on the short last chunk — and is counted, not
+    /// copied.
+    #[test]
+    fn uncovered_chunks_are_zero_chunks() {
+        let mut d = tree_diff(0, 123);
+        d.first_regions = vec![4]; // chunk 1
+        d.payload = vec![7; 32];
+        d.shift_regions = vec![ShiftRegion {
+            node: 5, // chunk 2 <- chunk 0, which nothing covers
+            ref_node: 3,
+            ref_ckpt: 0,
+        }];
+        let device = Device::a100();
+        let (v, stats) = restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap();
+        assert_eq!(v, restore_record(std::slice::from_ref(&d)).unwrap()[0]);
+        assert_eq!(v, [vec![0; 32], vec![7; 32], vec![0; 59]].concat());
+        let expect = RestartStats {
+            records_visited: 1,
+            regions_copied: 1,
+            bytes_copied: 32,
+            zero_chunks: 3,
+        };
+        assert_eq!(stats, expect);
     }
 
     /// Tables the oracle refuses are refused the same way here, before a

@@ -5,7 +5,7 @@
 //! proptests, the fault matrix, the `restart_latency` baseline): a direct
 //! transcription of the paper's procedure that materializes every version
 //! in order. It must stay independent — no resolution logic is shared with
-//! the engine; only the payload decode and the region memcpy are.
+//! the engine; only the payload decode is.
 //!
 //! "To restore a checkpoint from the differences, it is enough to start from
 //! the first-time occurrences, then fill the fixed duplicates and finally
@@ -187,14 +187,13 @@ pub(crate) fn decoded_payload(diff: &Diff) -> Result<Cow<'_, [u8]>, RestoreError
 }
 
 /// Copy `regions` — `(dst_offset, len, payload_offset)` triples, already
-/// bounds-checked and with pairwise disjoint destinations (both restore
-/// paths reject a table that writes a chunk twice) — from `payload` into
-/// `buf`.
+/// bounds-checked and with pairwise disjoint destinations (a table that
+/// writes a chunk twice is rejected first) — from `payload` into `buf`.
 ///
 /// Above a size threshold the buffer is split into one mutable slice per
 /// region and the copies run on the thread pool; each region is a single
 /// streaming memcpy, mirroring the serializer's team-gather.
-pub(crate) fn copy_regions(buf: &mut [u8], payload: &[u8], regions: &[(usize, usize, usize)]) {
+fn copy_regions(buf: &mut [u8], payload: &[u8], regions: &[(usize, usize, usize)]) {
     use rayon::prelude::*;
     /// Below this many payload bytes the split/scheduling overhead wins.
     const PAR_MIN_BYTES: usize = 64 * 1024;

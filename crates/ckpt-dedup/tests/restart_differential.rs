@@ -5,11 +5,16 @@
 //! rebase record and compacted chains restored from a non-zero base. And
 //! for chains whose region tables were tampered with, the no-copy chain
 //! check must reach the oracle's Ok/Err verdict without moving a byte.
+//!
+//! The engine resolves by runs, so the fixed cases below aim at run shapes:
+//! tens of thousands of one-chunk runs, a self-similar base record, runs
+//! that end on a short last chunk, and a same-record shift chain far deeper
+//! than a small stack could recurse.
 
 use ckpt_dedup::prelude::*;
-use ckpt_dedup::restart::{check_chain, restore_version_single_pass};
+use ckpt_dedup::restart::{check_chain, restore_version_single_pass, RestartStats};
 use ckpt_dedup::restore::{restore_record, restore_record_from};
-use ckpt_dedup::{Diff, MethodKind};
+use ckpt_dedup::{Diff, MethodKind, ShiftRegion, TreeShape};
 use gpu_sim::Device;
 use proptest::prelude::*;
 
@@ -136,6 +141,197 @@ fn build_chain(method_idx: usize, snaps: &[Vec<u8>], rebase_at: Option<usize>) -
         .collect()
 }
 
+/// Restore every version of `chain` (first checkpoint id `base`) at 1, 2 and
+/// 8 pool threads. Each must be the oracle's bytes, with the same counters at
+/// every width, and account for every output byte: copied once, or part of a
+/// chunk counted as zero. Returns the counters per version.
+fn assert_matches_oracle(base: u32, chain: &[Diff], what: &str) -> Vec<RestartStats> {
+    let oracle = restore_record_from(base, chain).expect("sequential replay");
+    let (data_len, chunk) = (chain[0].data_len, chain[0].chunk_size as u64);
+    // Bytes the last chunk is short of a whole one.
+    let short = chain[0].n_chunks() as u64 * chunk - data_len;
+    let device = Device::a100();
+    let mut per_width = Vec::new();
+    for threads in [1usize, 2, 8] {
+        rayon::set_active_threads(threads);
+        let mut stats = Vec::new();
+        for (target, expect) in oracle.iter().enumerate() {
+            let (got, st) =
+                restore_version_single_pass(&device, base, chain, target).expect("single pass");
+            assert!(got == *expect, "{what}: threads {threads} target {target}");
+            let zero_bytes = data_len - st.bytes_copied;
+            let zero_whole = st.zero_chunks * chunk;
+            assert!(
+                zero_bytes == zero_whole
+                    || (st.zero_chunks > 0 && zero_bytes + short == zero_whole),
+                "{what}: target {target}: {st:?} leaves {zero_bytes} of {data_len} bytes uncopied",
+            );
+            stats.push(st);
+        }
+        per_width.push(stats);
+    }
+    rayon::set_active_threads(0);
+    assert_eq!(
+        per_width[0], per_width[1],
+        "{what}: counters at 1 vs 2 threads"
+    );
+    assert_eq!(
+        per_width[0], per_width[2],
+        "{what}: counters at 1 vs 8 threads"
+    );
+    per_width.swap_remove(0)
+}
+
+/// Random content in which every step rewrites `edits` scattered single
+/// chunks: nothing to de-duplicate, so what a record changed is payload.
+fn scattered_snapshots(seed: u64, count: usize, chunks: usize, edits: usize) -> Vec<Vec<u8>> {
+    let mut next = splitmix(seed);
+    let mut data: Vec<u8> = (0..chunks * CHUNK).map(|_| (next() & 0xff) as u8).collect();
+    let mut out = vec![data.clone()];
+    for _ in 1..count {
+        for _ in 0..edits {
+            let at = (next() as usize) % chunks * CHUNK;
+            data[at..at + 8].copy_from_slice(&next().to_le_bytes());
+        }
+        out.push(data.clone());
+    }
+    out
+}
+
+/// A snapshot of zeros with a few live bytes, as a degree vector starts out:
+/// its first record is zero pages shifted onto one another, doubling. Every
+/// step adds a few more live bytes.
+fn mostly_zero_snapshots(seed: u64, count: usize, len: usize) -> Vec<Vec<u8>> {
+    let mut next = splitmix(seed);
+    let mut data = vec![0u8; len];
+    (0..count)
+        .map(|_| {
+            for _ in 0..12 {
+                data[(next() as usize) % len] = 1 + (next() % 255) as u8;
+            }
+            data.clone()
+        })
+        .collect()
+}
+
+/// Sixteen records that each rewrite scattered single chunks: by the time
+/// the walk reaches the first record it asks it for tens of thousands of
+/// runs a chunk or two long.
+#[test]
+fn scattered_single_chunk_rewrites_reach_the_base_as_short_runs() {
+    let (count, chunks, edits) = (16, 32 * 1024, 2000);
+    let snaps = scattered_snapshots(7, count, chunks, edits);
+    for method_idx in 0..4 {
+        let diffs = build_chain(method_idx, &snaps, None);
+        let stats = assert_matches_oracle(0, &diffs, &format!("method {method_idx}"));
+        let newest = stats[count - 1];
+        assert_eq!(newest.zero_chunks, 0);
+        match diffs[0].kind {
+            // One copy, whatever the chain.
+            MethodKind::Full => assert_eq!((newest.records_visited, newest.regions_copied), (1, 1)),
+            // The rewritten chunks split what the first record supplies
+            // into about as many stretches.
+            _ => {
+                assert_eq!(newest.records_visited as usize, count);
+                assert!(
+                    newest.regions_copied > 20_000,
+                    "method {method_idx}: {newest:?}"
+                );
+                assert!(newest.regions_copied < chunks as u64);
+            }
+        }
+    }
+}
+
+/// A self-similar first record (zero pages), restored itself and through
+/// the whole chain; then with a rebase record mid-chain, and compacted from it.
+#[test]
+fn mostly_zero_snapshots_restore_through_a_self_similar_base_record() {
+    let count = 6;
+    let snaps = mostly_zero_snapshots(11, count, 96 * 1024);
+    for method_idx in 0..4 {
+        let what = format!("method {method_idx}");
+        assert_matches_oracle(0, &build_chain(method_idx, &snaps, None), &what);
+        let rebased = build_chain(method_idx, &snaps, Some(3));
+        assert_matches_oracle(0, &rebased, &format!("{what}, rebase at 3"));
+        let stats = assert_matches_oracle(3, &rebased[3..], &format!("{what}, compacted from 3"));
+        assert_eq!(stats[0].records_visited, 1, "the rebase record is a base");
+    }
+}
+
+/// `data_len` is not a multiple of the chunk size, and the edits keep
+/// touching the short last chunk: runs that end there copy fewer bytes.
+#[test]
+fn runs_that_end_on_a_short_last_chunk() {
+    let len = 300 * CHUNK + 17;
+    let mut snaps = snapshots(23, 6, len);
+    for (k, s) in snaps.iter_mut().enumerate().skip(1).step_by(2) {
+        s[len - 1] = k as u8;
+        s[len - 20] = k as u8;
+    }
+    for method_idx in 0..4 {
+        let diffs = build_chain(method_idx, &snaps, None);
+        let stats = assert_matches_oracle(0, &diffs, &format!("method {method_idx}"));
+        assert!(stats.iter().all(|st| st.bytes_copied == len as u64));
+    }
+}
+
+/// Chunk `k` of record 0 is chunk `k − 1` of the same record, 20 000 times
+/// over, down to one chunk of payload; record 1 asks for the far end. The
+/// engine follows the chain on a stack too small to recurse that deep.
+#[test]
+fn a_twenty_thousand_link_same_record_chain_is_chased_iteratively() {
+    const LINKS: usize = 20_000;
+    let (n, chunk) = (LINKS + 1, 32usize);
+    let shape = TreeShape::new(n);
+    let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
+    let record = |ckpt_id: u32| Diff {
+        kind: MethodKind::Tree,
+        ckpt_id,
+        data_len: (n * chunk) as u64,
+        chunk_size: chunk as u32,
+        first_regions: Vec::new(),
+        shift_regions: Vec::new(),
+        bitmap: Vec::new(),
+        payload_codec: 0,
+        payload: Vec::new(),
+    };
+    let mut base = record(0);
+    base.first_regions = vec![leaf(0)];
+    base.payload = vec![0xc4; chunk];
+    base.shift_regions = (1..n)
+        .map(|c| ShiftRegion {
+            node: leaf(c),
+            ref_node: leaf(c - 1),
+            ref_ckpt: 0,
+        })
+        .collect();
+    // Record 1: its own payload everywhere but chunk 0, which is the last
+    // chunk of record 0.
+    let mut top = record(1);
+    top.first_regions = (1..n).map(leaf).collect();
+    top.payload = (0..LINKS * chunk).map(|i| (i % 251) as u8).collect();
+    top.shift_regions = vec![ShiftRegion {
+        node: leaf(0),
+        ref_node: leaf(LINKS),
+        ref_ckpt: 0,
+    }];
+    let chain = vec![base, top];
+
+    let oracle = restore_record(&chain).expect("sequential replay");
+    assert_eq!(oracle[1][..chunk], [0xc4; 32]);
+    let restored = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || restore_version_single_pass(&Device::a100(), 0, &chain, 1))
+        .expect("spawn")
+        .join()
+        .expect("the chase must not overflow the stack");
+    let (got, stats) = restored.expect("single pass");
+    assert!(got == oracle[1]);
+    assert_eq!(stats.records_visited, 2);
+    assert_eq!(stats.bytes_copied, (n * chunk) as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -158,23 +354,7 @@ proptest! {
         for (k, v) in seq.iter().enumerate() {
             prop_assert_eq!(v, &snaps[k], "sequential replay ground truth, version {}", k);
         }
-        let device = Device::a100();
-        for threads in [1usize, 2, 8] {
-            rayon::set_active_threads(threads);
-            for (target, expect) in seq.iter().enumerate() {
-                let (par, _) =
-                    restore_version_single_pass(&device, 0, &diffs, target).expect("single pass");
-                prop_assert_eq!(
-                    &par,
-                    expect,
-                    "method {} threads {} target {}",
-                    method_idx,
-                    threads,
-                    target
-                );
-            }
-        }
-        rayon::set_active_threads(0);
+        assert_matches_oracle(0, &diffs, &format!("method {method_idx}"));
     }
 
     /// Compacted chains: drop everything below the rebase record and
@@ -193,14 +373,10 @@ proptest! {
         let diffs = build_chain(method_idx, &snaps, Some(rebase_at));
         let tail = &diffs[rebase_at..];
         let seq = restore_record_from(rebase_at as u32, tail).expect("base-offset replay");
-        let device = Device::a100();
         for (i, v) in seq.iter().enumerate() {
             prop_assert_eq!(v, &snaps[rebase_at + i], "version {}", rebase_at + i);
-            let (par, _) =
-                restore_version_single_pass(&device, rebase_at as u32, tail, i)
-                    .expect("single pass from base");
-            prop_assert_eq!(&par, v, "method {} version {}", method_idx, rebase_at + i);
         }
+        assert_matches_oracle(rebase_at as u32, tail, &format!("method {method_idx}"));
     }
 }
 
@@ -249,7 +425,7 @@ proptest! {
                 "method {} base {} {}: check {:?}, oracle {:?}",
                 method_idx, base, what, check, oracle.as_ref().map(|_| ()),
             );
-            let (Ok(stats), Ok(versions)) = (check, oracle) else {
+            let (Ok(stats), Ok(_)) = (check, oracle) else {
                 continue;
             };
             prop_assert_eq!(stats.records_visited as usize, chain.len());
@@ -262,11 +438,7 @@ proptest! {
                 // Not even a kernel: the tables were read, nothing resolved.
                 prop_assert_eq!(device.metrics().kernels_launched(), 0, "{}", what);
             }
-            for (k, expect) in versions.iter().enumerate() {
-                let (got, _) = restore_version_single_pass(&device, base as u32, &chain, k)
-                    .expect("a checked chain restores");
-                prop_assert_eq!(&got, expect, "{} version {}", what, base + k);
-            }
+            assert_matches_oracle(base as u32, &chain, &what);
         }
     }
 }

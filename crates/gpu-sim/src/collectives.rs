@@ -151,92 +151,6 @@ where
     out
 }
 
-/// Stable stream partition over a predicate: split `0..n` into the indices
-/// where `pred(i)` holds and those where it does not, each in ascending
-/// order.
-///
-/// One predicate evaluation pass per block (the counts pass re-evaluates like
-/// [`compact_where`]'s), then both output lists are written in the same
-/// per-block sweep into disjoint ranges: a block's matches go at
-/// `true_offsets[b]`, its non-matches at `block_lo - true_offsets[b]` of the
-/// false list. This is the restore engine's resolution-table split — one wave
-/// separates the chunks finalized at the current record from the ones carried
-/// to the next-older record.
-pub fn partition_where<P>(n: usize, pred: P) -> (Vec<u32>, Vec<u32>)
-where
-    P: Fn(usize) -> bool + Sync,
-{
-    if n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    if n <= SCAN_BLOCK {
-        let mut yes = Vec::new();
-        let mut no = Vec::new();
-        for i in 0..n {
-            if pred(i) {
-                yes.push(i as u32);
-            } else {
-                no.push(i as u32);
-            }
-        }
-        return (yes, no);
-    }
-
-    let n_blocks = n.div_ceil(SCAN_BLOCK);
-    // Pass 1: per-block match counts.
-    let counts: Vec<u64> = (0..n_blocks)
-        .into_par_iter()
-        .map(|b| {
-            let lo = b * SCAN_BLOCK;
-            let hi = (lo + SCAN_BLOCK).min(n);
-            (lo..hi).filter(|&i| pred(i)).count() as u64
-        })
-        .collect();
-
-    // Pass 2: block output offsets. A block's false-list offset is its start
-    // index minus the matches preceding it.
-    let mut yes_offsets = vec![0u64; n_blocks];
-    let total_yes = exclusive_scan(&counts, &mut yes_offsets) as usize;
-
-    // Pass 3: per-block writes into disjoint ranges of both outputs.
-    let mut yes = vec![0u32; total_yes];
-    let mut no = vec![0u32; n - total_yes];
-    let mut yes_parts: Vec<&mut [u32]> = Vec::with_capacity(n_blocks);
-    let mut no_parts: Vec<&mut [u32]> = Vec::with_capacity(n_blocks);
-    let (mut yes_rest, mut no_rest) = (&mut yes[..], &mut no[..]);
-    for (b, &c) in counts.iter().enumerate() {
-        let lo = b * SCAN_BLOCK;
-        let hi = (lo + SCAN_BLOCK).min(n);
-        let (head, tail) = yes_rest.split_at_mut(c as usize);
-        yes_parts.push(head);
-        yes_rest = tail;
-        let (head, tail) = no_rest.split_at_mut(hi - lo - c as usize);
-        no_parts.push(head);
-        no_rest = tail;
-    }
-    yes_parts
-        .into_par_iter()
-        .zip(no_parts)
-        .enumerate()
-        .for_each(|(b, (yes_part, no_part))| {
-            let lo = b * SCAN_BLOCK;
-            let hi = (lo + SCAN_BLOCK).min(n);
-            let (mut y, mut f) = (0usize, 0usize);
-            for i in lo..hi {
-                if pred(i) {
-                    yes_part[y] = i as u32;
-                    y += 1;
-                } else {
-                    no_part[f] = i as u32;
-                    f += 1;
-                }
-            }
-            debug_assert_eq!(y, yes_part.len());
-            debug_assert_eq!(f, no_part.len());
-        });
-    (yes, no)
-}
-
 /// A source region to gather: `(offset, len)` into the source buffer.
 pub type Segment = (usize, usize);
 
@@ -386,36 +300,6 @@ mod tests {
         assert_eq!(compact_where(3, |_| true), vec![0, 1, 2]);
         let n = SCAN_BLOCK + 1;
         assert_eq!(compact_where(n, |i| i == n - 1), vec![(n - 1) as u32]);
-    }
-
-    #[test]
-    fn partition_where_splits_stably() {
-        let n = SCAN_BLOCK * 2 + 31;
-        let (yes, no) = partition_where(n, |i| i % 3 == 1);
-        let expect_yes: Vec<u32> = (0..n as u32).filter(|i| i % 3 == 1).collect();
-        let expect_no: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
-        assert_eq!(yes, expect_yes);
-        assert_eq!(no, expect_no);
-    }
-
-    #[test]
-    fn partition_where_edge_cases() {
-        assert_eq!(partition_where(0, |_| true), (vec![], vec![]));
-        let (yes, no) = partition_where(4, |_| true);
-        assert_eq!(yes, vec![0, 1, 2, 3]);
-        assert!(no.is_empty());
-        let (yes, no) = partition_where(SCAN_BLOCK + 5, |_| false);
-        assert!(yes.is_empty());
-        assert_eq!(no.len(), SCAN_BLOCK + 5);
-    }
-
-    #[test]
-    fn partition_agrees_with_compact() {
-        let n = SCAN_BLOCK + 1234;
-        let pred = |i: usize| i.is_multiple_of(7) || i % 977 == 3;
-        let (yes, no) = partition_where(n, pred);
-        assert_eq!(yes, compact_where(n, pred));
-        assert_eq!(yes.len() + no.len(), n);
     }
 
     #[test]

@@ -280,20 +280,6 @@ impl Device {
         collectives::compact_where(n, pred)
     }
 
-    /// Stable stream partition over a predicate: `(matches, rest)` index
-    /// lists for `0..n`, both ascending, built in one device wave (per-block
-    /// counts → scan → disjoint writes of both lists). The restore engine's
-    /// resolution-table split: chunks finalized at the current record versus
-    /// chunks carried to the next-older one. Same modeled cost as a
-    /// compaction — the extra output list writes the same `n` indices.
-    pub fn partition_where<P>(&self, _name: &str, n: usize, pred: P) -> (Vec<u32>, Vec<u32>)
-    where
-        P: Fn(usize) -> bool + Sync + Send,
-    {
-        self.account_launch(KernelCost::stream(2 * n as u64));
-        collectives::partition_where(n, pred)
-    }
-
     /// Team-cooperative gather of scattered `segments` of `src` into `dst`
     /// (the consolidation step of §2.1, one team per region so memory accesses
     /// coalesce). Returns bytes gathered.
