@@ -117,11 +117,6 @@ impl<'a> BitReader<'a> {
         self.n_bits -= n;
         Ok(())
     }
-
-    /// Bits remaining (including zero padding of the final byte).
-    pub fn remaining_bits(&self) -> usize {
-        (self.data.len() - self.pos) * 8 + self.n_bits as usize
-    }
 }
 
 #[cfg(test)]

@@ -142,11 +142,6 @@ impl<S: RegionStep> DedupCheckpointer<S> {
         &self.device
     }
 
-    /// Number of checkpoints taken so far.
-    pub fn checkpoints_taken(&self) -> u32 {
-        self.ckpt_id
-    }
-
     /// Unique digests in the historical record.
     pub fn record_len(&self) -> usize {
         self.state.as_ref().map_or(0, |s| s.map.len())

@@ -9,7 +9,6 @@ use std::fmt;
 /// and in the lock-free distinct-hash map, mirroring how the paper keeps
 /// 16-byte Murmur3 digests in GPU global memory.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Digest128 {
     /// Low 64 bits.
     pub h1: u64,

@@ -17,9 +17,10 @@ use crate::fault::FaultPlan;
 use crate::integrity::{
     group_by_rank, IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
 };
+use crate::lineage::run_head;
 use crate::rankdedup::{RankDedupIndex, Resolver};
 use crate::redundancy::RedundancyStore;
-use crate::tier::{ObjectId, ObjectState, StoredObject, Tier, TierConfig};
+use crate::tier::{Decoded, ObjectId, ObjectState, StoredObject, Tier, TierConfig};
 use ckpt_dedup::frame::Kind;
 use ckpt_telemetry::Registry;
 use parking_lot::Mutex;
@@ -193,8 +194,8 @@ impl TierChain {
         self.integrity = IntegrityCounters::bound(registry);
     }
 
-    /// Route decode-time accounting from every tier's transparent read
-    /// path into the given compression metric sink.
+    /// Route every tier's decode-time accounting into the given
+    /// compression metric sink.
     pub(crate) fn bind_compress_metrics(&self, metrics: &Arc<CompressMetrics>) {
         for tier in [&self.host, &self.ssd, &self.pfs] {
             tier.bind_compress_metrics(Arc::clone(metrics));
@@ -236,6 +237,38 @@ impl TierChain {
         }
     }
 
+    /// The read step every tier copy goes through: verify the frame, decode
+    /// (unless `found` already holds a payload — a redundant valid copy is
+    /// verified, not decoded too), count it verified or corrupt, and
+    /// quarantine a copy that failed either check. A missing or
+    /// transiently unreadable copy counts nothing. Returns whether the
+    /// copy was condemned, so the caller can repair it.
+    fn read_copy(&self, tier: &Tier, id: ObjectId, found: &mut Option<Decoded>) -> bool {
+        let usable = match Self::inspect(tier, id) {
+            ObjectState::Missing | ObjectState::TransientIo => return false,
+            ObjectState::Corrupt(_) => false,
+            ObjectState::Valid(_) if found.is_some() => true,
+            ObjectState::Valid(object) => {
+                *found = tier.decode(object).ok();
+                found.is_some()
+            }
+        };
+        if usable {
+            self.integrity.on_verified();
+        } else {
+            self.integrity.on_corrupt();
+            tier.quarantine(id);
+        }
+        !usable
+    }
+
+    /// Group-rebuild step of a read: the decoded object when the
+    /// redundancy group reconstructed it bit-identically.
+    fn recover_from_group(&self, id: ObjectId) -> Option<Decoded> {
+        let object = self.reconstruct_from_group(id)?;
+        self.pfs.decode(object).ok()
+    }
+
     /// `locate` minus rank-dedup resolution: the stored payload verbatim
     /// (a `CKPR` record when the object was submitted with rank-dedup on).
     /// Resolution fetches *referenced* records through this, so a remote
@@ -243,58 +276,23 @@ impl TierChain {
     /// resolution never recurses.
     fn locate_stored(&self, id: ObjectId) -> Option<Vec<u8>> {
         self.poll_rank_loss();
-        let order = [&self.pfs, &self.ssd, &self.host];
-        let mut decoded: Option<Vec<u8>> = None;
-        let mut encoded: Option<StoredObject> = None;
+        let mut found = None;
         let mut corrupt: Vec<&Tier> = Vec::new();
-        for tier in order {
-            match Self::inspect(tier, id) {
-                ObjectState::Valid(obj) => {
-                    if decoded.is_some() {
-                        // A redundant valid copy; no need to decode it too.
-                        self.integrity.on_verified();
-                        continue;
-                    }
-                    match obj.clone().decode() {
-                        Ok(p) => {
-                            self.integrity.on_verified();
-                            decoded = Some(p);
-                            encoded = Some(obj);
-                        }
-                        Err(_) => {
-                            self.integrity.on_corrupt();
-                            tier.quarantine(id);
-                            corrupt.push(tier);
-                        }
-                    }
-                }
-                ObjectState::Corrupt(_) => {
-                    self.integrity.on_corrupt();
-                    tier.quarantine(id);
-                    corrupt.push(tier);
-                }
-                ObjectState::Missing | ObjectState::TransientIo => {}
+        for tier in [&self.pfs, &self.ssd, &self.host] {
+            if self.read_copy(tier, id, &mut found) {
+                corrupt.push(tier);
             }
         }
-        if decoded.is_none() {
-            // Every local copy is gone or corrupt: last resort before the
-            // caller sees a hole is a bit-identical rebuild from the
-            // object's redundancy group.
-            if let Some(obj) = self.reconstruct_from_group(id) {
-                if let Ok(p) = obj.clone().decode() {
-                    decoded = Some(p);
-                    encoded = Some(obj);
-                }
+        // Every local copy gone or corrupt: the last resort before the
+        // caller sees a hole is a bit-identical rebuild from the object's
+        // redundancy group.
+        let found = found.or_else(|| self.recover_from_group(id))?;
+        for tier in corrupt {
+            if tier.store_object(id, found.stored()).is_ok() {
+                self.integrity.on_repaired();
             }
         }
-        if let Some(obj) = &encoded {
-            for tier in corrupt {
-                if tier.store_object(id, obj.clone()).is_ok() {
-                    self.integrity.on_repaired();
-                }
-            }
-        }
-        decoded
+        Some(found.payload)
     }
 
     /// Classify one object for recovery: a durable status with the
@@ -312,65 +310,52 @@ impl TierChain {
 
     /// Tier/group classification of one object, pre-resolution.
     fn recover_object_stored(&self, id: ObjectId) -> Recovered {
-        match Self::inspect(&self.pfs, id) {
-            ObjectState::Valid(obj) => match obj.decode() {
-                Ok(p) => {
-                    self.integrity.on_verified();
-                    Ok((ObjectStatus::Verified, p))
-                }
-                Err(_) => {
-                    self.integrity.on_corrupt();
-                    self.pfs.quarantine(id);
-                    self.repair_pfs_from_upper(id)
-                }
-            },
-            ObjectState::Corrupt(_) => {
-                self.integrity.on_corrupt();
-                self.pfs.quarantine(id);
-                self.repair_pfs_from_upper(id)
-            }
-            ObjectState::Missing | ObjectState::TransientIo => {
-                if let Some(p) = self.recover_from_group(id) {
-                    return Ok((ObjectStatus::RestoredFromGroup, p));
-                }
-                if self.redundancy.as_ref().is_some_and(|r| r.knows_member(id)) {
-                    // The group knew this object but could not rebuild it
-                    // (e.g. two losses in one XOR group): typed loss, never
-                    // a wrong payload.
-                    Err(ObjectStatus::LostCorrupt)
-                } else {
-                    // Never durable: copies above the PFS are volatile.
-                    Err(ObjectStatus::LostVolatile)
-                }
-            }
+        let mut durable = None;
+        if self.read_copy(&self.pfs, id, &mut durable) {
+            return self.repair_pfs_from_upper(id);
         }
-    }
-
-    /// Group-rebuild step of recovery: returns the decoded payload when
-    /// the redundancy group reconstructed the object bit-identically.
-    fn recover_from_group(&self, id: ObjectId) -> Option<Vec<u8>> {
-        let obj = self.reconstruct_from_group(id)?;
-        obj.decode().ok()
+        if let Some(found) = durable {
+            return Ok((ObjectStatus::Verified, found.payload));
+        }
+        if let Some(found) = self.recover_from_group(id) {
+            return Ok((ObjectStatus::RestoredFromGroup, found.payload));
+        }
+        if self.redundancy.as_ref().is_some_and(|r| r.knows_member(id)) {
+            // The group knew this object but could not rebuild it (e.g.
+            // two losses in one XOR group): typed loss, never a wrong
+            // payload.
+            Err(ObjectStatus::LostCorrupt)
+        } else {
+            // Never durable: copies above the PFS are volatile.
+            Err(ObjectStatus::LostVolatile)
+        }
     }
 
     /// Repair the durable copy from a redundant valid copy in a higher
     /// tier, moving the encoded bytes verbatim (no transcode). When no
     /// local tier holds a usable copy, the object's redundancy group is
     /// the final source before declaring it lost.
+    ///
+    /// Not [`read_copy`](Self::read_copy): an upper copy that fails
+    /// verification or decode is passed over, neither counted nor
+    /// quarantined, where `locate` would condemn and repair it. Kept as
+    /// found — unifying the two is a behaviour change (DESIGN §9, finding).
     fn repair_pfs_from_upper(&self, id: ObjectId) -> Recovered {
         for tier in [&self.ssd, &self.host] {
-            if let ObjectState::Valid(obj) = Self::inspect(tier, id) {
-                if let Ok(p) = obj.clone().decode() {
-                    self.integrity.on_verified();
-                    if self.pfs.store_object(id, obj).is_ok() {
-                        self.integrity.on_repaired();
-                        return Ok((ObjectStatus::Repaired, p));
-                    }
-                }
+            let ObjectState::Valid(object) = Self::inspect(tier, id) else {
+                continue;
+            };
+            let Ok(found) = tier.decode(object) else {
+                continue;
+            };
+            self.integrity.on_verified();
+            if self.pfs.store_object(id, found.stored()).is_ok() {
+                self.integrity.on_repaired();
+                return Ok((ObjectStatus::Repaired, found.payload));
             }
         }
-        if let Some(p) = self.recover_from_group(id) {
-            return Ok((ObjectStatus::RestoredFromGroup, p));
+        if let Some(found) = self.recover_from_group(id) {
+            return Ok((ObjectStatus::RestoredFromGroup, found.payload));
         }
         Err(ObjectStatus::LostCorrupt)
     }
@@ -461,39 +446,29 @@ impl ChainReader<'_> {
 }
 
 /// The newest restorable chain among a rank's durable objects: the
-/// contiguous run with the greatest top id whose first record either is
-/// checkpoint 0 or is structurally self-contained (a rebase record, the
-/// legal chain head after compaction garbage-collected its predecessors).
-/// An incremental run stranded above a hole is skipped in favor of an
-/// older replayable run; with none, the chain is empty.
+/// contiguous run with the greatest top id that has a legal head (see
+/// [`run_head`]). An incremental run stranded above a hole is skipped in
+/// favor of an older replayable run; with none, the chain is empty.
 fn usable_chain(durable: &mut BTreeMap<u32, Vec<u8>>) -> (u32, Vec<Vec<u8>>) {
-    let ids: Vec<u32> = durable.keys().copied().collect();
-    // Contiguous runs, newest first.
+    // Contiguous runs, oldest first.
     let mut runs: Vec<(u32, u32)> = Vec::new();
-    for &id in &ids {
+    for &id in durable.keys() {
         match runs.last_mut() {
             Some((_, hi)) if *hi + 1 == id => *hi = id,
             _ => runs.push((id, id)),
         }
     }
-    for &(lo, hi) in runs.iter().rev() {
-        // A run reaching checkpoint 0 replays whole; otherwise it replays
-        // from its lowest self-contained rebase record, if any.
-        let head = if lo == 0 {
-            Some(0)
-        } else {
-            (lo..=hi).find(|k| {
-                ckpt_dedup::Diff::decode(&durable[k])
-                    .map(|d| ckpt_dedup::is_self_contained(&d))
-                    .unwrap_or(false)
-            })
-        };
-        if let Some(head) = head {
-            let payloads = (head..=hi).map(|k| durable.remove(&k).unwrap()).collect();
-            return (head, payloads);
-        }
-    }
-    (0, Vec::new())
+    let newest = runs
+        .iter()
+        .rev()
+        .find_map(|&(lo, hi)| Some((run_head(durable, lo, hi)?, hi)));
+    let Some((head, hi)) = newest else {
+        return (0, Vec::new());
+    };
+    let payloads = (head..=hi)
+        .map(|k| durable.remove(&k).expect("a run is made of present ids"))
+        .collect();
+    (head, payloads)
 }
 
 impl Default for TierChain {

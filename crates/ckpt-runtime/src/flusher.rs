@@ -35,8 +35,8 @@ pub(crate) struct RuntimeMetrics {
     pub registry: Arc<Registry>,
     submitted: Arc<Counter>,
     durable: Arc<Counter>,
-    pub producer_stalls: Arc<Counter>,
-    pub producer_stall_ns: Arc<Counter>,
+    producer_stalls: Arc<Counter>,
+    producer_stall_ns: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     durable_lag: Arc<Gauge>,
     host_used_bytes: Arc<Gauge>,
@@ -45,7 +45,7 @@ pub(crate) struct RuntimeMetrics {
     ssd_evictions: Arc<Counter>,
     into_ssd: Landing,
     into_pfs: Landing,
-    retries: LazyCounter,
+    pub retries: LazyCounter,
     degraded_flushes: LazyCounter,
 }
 
@@ -81,13 +81,19 @@ impl RuntimeMetrics {
         }
     }
 
-    /// Book-keeping for one accepted submission of `len` bytes.
-    pub fn on_submitted(&self, len: usize, host_used: u64) {
+    /// Book-keeping for one accepted submission of `len` bytes; `stalled`
+    /// is how long the producer waited on a full host tier, if it did.
+    pub fn on_submitted(&self, len: usize, host_used: u64, stalled: Option<Duration>) {
         self.submitted.inc();
         self.durable_lag.add(1);
         self.queue_depth.add(1);
         self.host_object_bytes.record(len as u64);
         self.host_used_bytes.set(host_used as i64);
+        if let Some(waited) = stalled {
+            self.producer_stalls.inc();
+            self.producer_stall_ns
+                .add(waited.as_nanos().min(u64::MAX as u128) as u64);
+        }
     }
 }
 
@@ -205,7 +211,8 @@ impl Flusher {
         };
         let (raw_len, wire_len) = (object.uncompressed_len, object.stored_len());
         let started = Instant::now();
-        dst.store_object_with_retry(id, object, || m.retries.inc())?;
+        dst.store_object_with_retry(id, object, || m.retries.inc())
+            .map_err(|refused| refused.object)?;
         self.throttle(wire_len, dst.config().bandwidth_bps);
         landing.flush_ns.record_duration(started.elapsed());
         landing.object_bytes.record(raw_len);

@@ -69,6 +69,4 @@ pub use rankdedup::{
 pub use redundancy::{ReconstructError, RedundancyMetrics, RedundancyPolicy, RedundancyStore};
 pub use restore::{restore_rank_latest_parallel, ParallelRestoreOutcome};
 pub use runtime::{AsyncRuntime, RuntimeConfig};
-pub use tier::{
-    FrameState, ObjectState, StoreError, StoreErrorKind, StoredObject, Tier, TierConfig,
-};
+pub use tier::{ObjectState, StoreError, StoreErrorKind, StoredObject, Tier, TierConfig};

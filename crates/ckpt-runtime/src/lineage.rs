@@ -82,31 +82,35 @@ pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>
     let Some(&max) = present.keys().next_back() else {
         return Err(LineageError::Empty);
     };
-    let mut base = max;
-    while base > 0 && present.contains_key(&(base - 1)) {
-        base -= 1;
+    let mut lo = max;
+    while lo > 0 && present.contains_key(&(lo - 1)) {
+        lo -= 1;
     }
-    if base > 0 {
-        // The run does not reach checkpoint 0: it is only replayable from
-        // a self-contained rebase record. Use the lowest one in the run
-        // (keeping the most versions); with none, the run is stranded
-        // above a genuine hole.
-        let head = (base..=max).find(|k| {
-            Diff::decode(&present[k])
-                .map(|d| is_self_contained(&d))
-                .unwrap_or(false)
+    // A newest run with no legal head is stranded above a genuine hole.
+    let Some(base) = run_head(&present, lo, max) else {
+        return Err(LineageError::Hole {
+            rank,
+            missing: lo - 1,
+            present_above: lo,
         });
-        let Some(head) = head else {
-            return Err(LineageError::Hole {
-                rank,
-                missing: base - 1,
-                present_above: base,
-            });
-        };
-        base = head;
-    }
+    };
     let chain = (base..=max).map(|k| present.remove(&k).unwrap()).collect();
     Ok((base, chain))
+}
+
+/// The record that may head a replay of the contiguous run `lo..=hi` of
+/// `records`: checkpoint 0 when the run reaches it, otherwise the run's
+/// lowest self-contained record (a rebase record, the legal chain head
+/// after compaction garbage-collected its predecessors — the lowest keeps
+/// the most versions). `None`: the run is incremental all the way down and
+/// cannot be replayed. What a caller does with a stranded newest run is its
+/// own answer ([`collect_record`] types the hole, recovery falls back to an
+/// older run).
+pub(crate) fn run_head(records: &BTreeMap<u32, Vec<u8>>, lo: u32, hi: u32) -> Option<u32> {
+    if lo == 0 {
+        return Some(0);
+    }
+    (lo..=hi).find(|k| Diff::decode(&records[k]).is_ok_and(|d| is_self_contained(&d)))
 }
 
 /// The runtime-level **oracle**: materialize every surviving version of

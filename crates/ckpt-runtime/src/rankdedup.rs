@@ -452,11 +452,6 @@ impl ClaimExchange {
         }
     }
 
-    /// Whether claims commit synchronously in [`publish`](Self::publish).
-    pub fn is_inline(&self) -> bool {
-        self.inline
-    }
-
     /// Hand one checkpoint's claims to the exchange. Inline mode commits
     /// before returning; otherwise the batch is queued for the worker and
     /// this returns immediately (the PR 4 pipeline hand-off shape). After

@@ -33,7 +33,7 @@ use crate::flusher::{Flusher, Job, Shared};
 use crate::integrity::RecoveryReport;
 use crate::rankdedup::RankDedupEngine;
 use crate::redundancy::{RedundancyMetrics, RedundancyPolicy, RedundancyStore};
-use crate::tier::{ObjectId, TierFull};
+use crate::tier::{ObjectId, StoreErrorKind, StoredObject, TierFull};
 use ckpt_telemetry::Registry;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -190,66 +190,64 @@ impl AsyncRuntime {
 
     /// Stage a checkpoint diff in host memory and schedule its background
     /// drain. Returns once the host write completes (the application's
-    /// blocking time).
+    /// blocking time). One attempt: any refusal is a [`TierFull`].
     pub fn submit(&self, rank: u32, ckpt_id: u32, bytes: Vec<u8>) -> Result<(), TierFull> {
-        let id = (rank, ckpt_id);
-        let bytes = self.dedup_transform(id, bytes);
-        let len = bytes.len();
-        let host = &self.shared.tiers.host;
-        host.put(id, bytes)?;
-        self.shared.m.on_submitted(len, host.used_bytes());
-        // The send only fails after shutdown/kill; the object stays staged.
-        let _ = self.tx.send(Job::Flush(id));
-        Ok(())
+        self.stage((rank, ckpt_id), bytes, false).map(|_| ())
     }
 
     /// Stage a checkpoint, blocking while the host tier is full — the
     /// application-visible stall of a producer outrunning the flusher (§1:
     /// "the HPC workflow may be delayed if it produces new checkpoints
-    /// faster than they can be flushed to slower memory tiers").
-    /// Returns the time spent stalled. Errors if the runtime died while
-    /// waiting.
+    /// faster than they can be flushed to slower memory tiers"). A
+    /// transient host error is not a stall: it goes through the tier's
+    /// bounded retry and counts in `runtime/retries`. Returns the time
+    /// spent in the call. Errors if the runtime died while waiting or the
+    /// host tier kept erroring past the retry budget.
     pub fn submit_blocking(
         &self,
         rank: u32,
         ckpt_id: u32,
         bytes: Vec<u8>,
     ) -> Result<Duration, TierFull> {
+        self.stage((rank, ckpt_id), bytes, true)
+    }
+
+    /// The one staging body, and the only place that writes the host tier:
+    /// rewrite against the cluster dedup index, store, account, queue the
+    /// drain. `blocking` waits out a full host tier (retrying transient
+    /// errors); otherwise the store is attempted once.
+    fn stage(&self, id: ObjectId, bytes: Vec<u8>, blocking: bool) -> Result<Duration, TierFull> {
         let start = Instant::now();
-        let id = (rank, ckpt_id);
         let (host, m) = (&self.shared.tiers.host, &self.shared.m);
-        let mut bytes = self.dedup_transform(id, bytes);
+        let mut object = StoredObject::raw(self.dedup_transform(id, bytes));
+        let len = object.payload.len();
         let mut stalled = false;
         loop {
-            let len = bytes.len();
-            match host.try_put(id, bytes) {
-                Ok(()) => {
-                    m.on_submitted(len, host.used_bytes());
-                    // Only submissions that found the host tier full count as
-                    // stalls — an unthrottled chain must report exactly zero.
-                    if stalled {
-                        let waited = start.elapsed();
-                        m.producer_stalls.inc();
-                        m.producer_stall_ns
-                            .add(waited.as_nanos().min(u64::MAX as u128) as u64);
-                    }
-                    let _ = self.tx.send(Job::Flush(id));
-                    return Ok(start.elapsed());
-                }
-                Err(returned) => {
-                    stalled = true;
-                    if self.shared.killed.load(Ordering::Relaxed) {
-                        return Err(TierFull { tier: host.name() });
-                    }
-                    bytes = returned;
-                    // Wait for the flusher to evict something (bounded nap to
-                    // stay robust against missed wakeups).
-                    let (gen, cv) = &self.shared.space_freed;
-                    let mut g = gen.lock();
-                    cv.wait_for(&mut g, Duration::from_millis(20));
-                }
+            let stored = if blocking {
+                host.store_object_with_retry(id, object, || m.retries.inc())
+            } else {
+                host.store_object(id, object)
+            };
+            let Err(refused) = stored else { break };
+            let wait = blocking
+                && refused.kind == StoreErrorKind::Full
+                && !self.shared.killed.load(Ordering::Relaxed);
+            if !wait {
+                return Err(TierFull { tier: host.name() });
             }
+            stalled = true;
+            object = refused.object;
+            // Wait for the flusher to evict something (bounded nap to stay
+            // robust against missed wakeups).
+            let (gen, cv) = &self.shared.space_freed;
+            cv.wait_for(&mut gen.lock(), Duration::from_millis(20));
         }
+        // Only submissions that found the host tier full count as stalls —
+        // an unthrottled chain must report exactly zero.
+        m.on_submitted(len, host.used_bytes(), stalled.then(|| start.elapsed()));
+        // The send only fails after shutdown/kill; the object stays staged.
+        let _ = self.tx.send(Job::Flush(id));
+        Ok(start.elapsed())
     }
 
     /// Spin until every given id is `settled`, abandoned by the flusher
@@ -304,7 +302,7 @@ impl AsyncRuntime {
     /// [`Tier::put`](crate::tier::Tier::put)), each object is either fully
     /// present in a tier or absent — any partial frame observed later was
     /// injected by a [`FaultPlan`](crate::fault::FaultPlan), never left by
-    /// a half-applied `try_put`.
+    /// a half-applied write.
     pub fn kill(&self) {
         self.shared.killed.store(true, Ordering::Relaxed);
         let _ = self.tx.send(Job::Shutdown);
@@ -365,7 +363,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::integrity::ObjectStatus;
-    use crate::tier::{StoredObject, TierConfig};
+    use crate::tier::TierConfig;
 
     #[test]
     fn submit_drains_to_pfs_and_evicts_above() {
@@ -751,6 +749,63 @@ mod tests {
         );
         assert!(reg.gauge("compress/ratio_pct").get() < 100);
         assert!(reg.counter("compress/decode_ns").get() > 0);
+    }
+
+    #[test]
+    fn production_read_path_counts_its_decodes() {
+        // Restore and recovery decompress through the chain, never through
+        // `Tier::get`; `compress/decode_ns` must see them all the same.
+        let dev = gpu_sim::Device::a100();
+        let mut ckpt = ckpt_dedup::new_checkpointer(
+            ckpt_dedup::MethodKind::Tree,
+            dev.clone(),
+            ckpt_dedup::TreeConfig::new(64),
+        );
+        let reg = Arc::new(Registry::new());
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            registry: Arc::clone(&reg),
+            compression: CompressionPolicy::Adaptive,
+            ..Default::default()
+        });
+        let mut data = compressible_payload(50_000);
+        for k in 0..3u32 {
+            data[k as usize * 4001] ^= 0x5a;
+            rt.submit(0, k, ckpt.checkpoint(&data).diff.encode())
+                .unwrap();
+        }
+        rt.wait_durable(&[(0, 0), (0, 1), (0, 2)]);
+        let durable = rt.tiers().pfs.inspect_object((0, 0)).into_object().unwrap();
+        assert!(durable.is_compressed(), "the stack must compress this");
+
+        let decode_ns = || reg.counter("compress/decode_ns").get();
+        assert_eq!(decode_ns(), 0);
+        let restored = rt.restore_latest_parallel(&dev, 0).unwrap();
+        assert_eq!((restored.version, &restored.data), (2, &data));
+        let after_restore = decode_ns();
+        assert!(after_restore > 0, "restore decoded nothing it counted");
+        assert_eq!(rt.recover_report().ranks[0].prefix_len, 3);
+        assert!(decode_ns() > after_restore, "recovery decodes uncounted");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn transient_host_error_under_submit_blocking_is_a_retry_not_a_stall() {
+        let plan = FaultPlan::builder()
+            .on_put("host", 0, FaultKind::TransientIo)
+            .build();
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(plan),
+            ..Default::default()
+        });
+        rt.submit_blocking(0, 0, vec![7; 256]).unwrap();
+        rt.wait_durable(&[(0, 0)]);
+        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![7; 256]));
+        let reg = Arc::clone(rt.telemetry());
+        rt.shutdown();
+        // The host tier had room all along.
+        assert_eq!(reg.counter("runtime/producer_stalls").get(), 0);
+        assert_eq!(reg.counter("runtime/producer_stall_ns").get(), 0);
+        assert_eq!(reg.counter("runtime/retries").get(), 1);
     }
 
     #[test]

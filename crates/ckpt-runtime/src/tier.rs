@@ -12,10 +12,12 @@
 //!
 //! Every stored object is wrapped in a self-describing
 //! [`ckpt_dedup::frame`] (magic, rank/ckpt ids, codec, payload length,
-//! 64-bit checksum) at [`put`](Tier::put) time and verified at read time.
-//! [`get`](Tier::get) returns only payloads whose frame verifies;
-//! [`inspect`](Tier::inspect) additionally distinguishes missing from
-//! corrupt objects so chain-level code can quarantine and repair. Capacity,
+//! 64-bit checksum) at write time and verified at read time. There is one
+//! verified way in and one out: [`store_object`](Tier::store_object) and
+//! [`inspect_object`](Tier::inspect_object), which tells a missing object
+//! from a corrupt one so chain-level code can quarantine and repair.
+//! [`put`](Tier::put) / [`get`](Tier::get) are that pair for callers that
+//! hold a plain payload and only want it back if it verifies. Capacity,
 //! bandwidth and byte accounting remain *payload-based* (the 32-byte header
 //! is bookkeeping, not modeled I/O).
 //!
@@ -26,15 +28,16 @@
 //! and the original length, the checksum covers the *compressed* bytes,
 //! and capacity / bandwidth / modeled-time accounting all use the
 //! post-compression size (that is what actually moves and sits on the
-//! device). Reads stay transparent: [`get`](Tier::get)/[`inspect`](Tier::inspect)
-//! decompress after verification, while
-//! [`inspect_object`](Tier::inspect_object) exposes the encoded form so
-//! the drain loop can move an object down a tier without transcoding it.
+//! device). [`inspect_object`](Tier::inspect_object) returns the encoded
+//! form, so the drain loop moves an object down a tier without transcoding
+//! it; every reader that wants the original bytes — [`get`](Tier::get),
+//! the chain's locate and recovery — decompresses through the one
+//! `Tier::decode`, which is what `compress/decode_ns` times.
 //!
 //! # Torn-write contract
 //!
-//! `put`/`try_put`/`store` are **atomic**: the object map is updated under
-//! a lock only after the frame is fully materialized, so a concurrent
+//! `store_object` (and so `put`) is **atomic**: the object map is updated
+//! under a lock only after the frame is fully materialized, so a concurrent
 //! reader (or a crash via [`AsyncRuntime::kill`](crate::AsyncRuntime::kill))
 //! observes either the complete framed object or nothing — never a
 //! half-applied write. The *only* source of partial frames is an injected
@@ -136,8 +139,8 @@ pub struct Tier {
     busy_femtos: AtomicU64,
     /// Optional fault-injection hook (see [`crate::fault`]).
     faults: Option<Arc<FaultPlan>>,
-    /// Bound once by the runtime so transparent reads can account decode
-    /// time; never set in metric-less contexts.
+    /// Bound once by the runtime so `decode` can account its time; never
+    /// set in metric-less contexts.
     compress_metrics: OnceLock<Arc<CompressMetrics>>,
     /// Bound once by the tier chain: ranks named by a fired
     /// [`FaultKind::RankLoss`] are pushed here and wiped at the chain's
@@ -161,7 +164,7 @@ pub struct StoredObject {
 }
 
 impl StoredObject {
-    /// An uncompressed object (the legacy `store` path).
+    /// An uncompressed object.
     pub fn raw(payload: Vec<u8>) -> Self {
         StoredObject {
             codec: 0,
@@ -249,20 +252,13 @@ impl std::fmt::Display for TierFull {
 
 impl std::error::Error for TierFull {}
 
-/// Why a [`Tier::store`] failed. The object is handed back so the caller
+/// Why a [`Tier::store_object`] failed. The object is handed back so the caller
 /// can retry without copying (and, for compressed objects, without
 /// re-encoding).
 #[derive(Debug)]
 pub struct StoreError {
     pub kind: StoreErrorKind,
     pub object: StoredObject,
-}
-
-impl StoreError {
-    /// The stored payload bytes, for raw-path callers.
-    pub fn into_payload(self) -> Vec<u8> {
-        self.object.payload
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,31 +269,9 @@ pub enum StoreErrorKind {
     TransientIo,
 }
 
-/// The verified state of one object slot, as seen by [`Tier::inspect`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameState {
-    /// No object stored under this id.
-    Missing,
-    /// Frame verified; the decoded payload.
-    Valid(Vec<u8>),
-    /// An object is stored but its frame fails verification.
-    Corrupt(frame::FrameError),
-    /// An injected transient read error; retry is expected to succeed.
-    TransientIo,
-}
-
-impl FrameState {
-    pub fn into_payload(self) -> Option<Vec<u8>> {
-        match self {
-            FrameState::Valid(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
-/// The verified state of one object slot in its *encoded* form, as seen by
-/// [`Tier::inspect_object`]. Same outcomes as [`FrameState`] but without
-/// decompressing, so the drain loop can move compressed objects verbatim.
+/// The verified state of one object slot, as seen by
+/// [`Tier::inspect_object`]: the object comes back in its *encoded* form,
+/// so the drain loop can move compressed objects verbatim.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ObjectState {
     /// No object stored under this id.
@@ -315,6 +289,26 @@ impl ObjectState {
         match self {
             ObjectState::Valid(o) => Some(o),
             _ => None,
+        }
+    }
+}
+
+/// A verified object after [`Tier::decode`]: the original payload, plus the
+/// stored form when that is something else.
+pub(crate) struct Decoded {
+    pub payload: Vec<u8>,
+    /// The object as read, kept only when compressed — a raw object *is*
+    /// its payload, which was moved here rather than copied.
+    compressed: Option<StoredObject>,
+}
+
+impl Decoded {
+    /// The object in its stored form again, for a verbatim re-store. This
+    /// is the one copy a repair pays; a plain read never makes it.
+    pub fn stored(&self) -> StoredObject {
+        match &self.compressed {
+            Some(object) => object.clone(),
+            None => StoredObject::raw(self.payload.clone()),
         }
     }
 }
@@ -358,8 +352,8 @@ impl Tier {
         }
     }
 
-    /// Bind the compression metric sink so transparent reads account their
-    /// decode time. First binding wins; later calls are ignored.
+    /// Bind the compression metric sink the tier's `decode` accounts
+    /// its time to. First binding wins; later calls are ignored.
     pub fn bind_compress_metrics(&self, metrics: Arc<CompressMetrics>) {
         let _ = self.compress_metrics.set(metrics);
     }
@@ -379,27 +373,18 @@ impl Tier {
         stored.len().saturating_sub(frame::FRAME_HEADER_LEN) as u64
     }
 
-    /// Store an object, accounting capacity and modeled write time.
+    /// [`store_object`](Self::store_object) of a plain payload, for callers
+    /// that do not care why a write failed.
     pub fn put(&self, id: ObjectId, bytes: Vec<u8>) -> Result<(), TierFull> {
-        self.store(id, bytes).map_err(|_| TierFull {
-            tier: self.cfg.name,
-        })
+        self.store_object(id, StoredObject::raw(bytes))
+            .map_err(|_| TierFull {
+                tier: self.cfg.name,
+            })
     }
 
-    /// Like [`put`](Self::put), but hands the payload back on failure so
-    /// the caller can retry (backpressure path).
-    pub fn try_put(&self, id: ObjectId, bytes: Vec<u8>) -> Result<(), Vec<u8>> {
-        self.store(id, bytes).map_err(|e| e.into_payload())
-    }
-
-    /// Store `payload` under `id`, framed and uncompressed, reporting *why*
-    /// on failure so the drain loop can distinguish a full tier (degrade)
-    /// from a transient I/O error (retry with backoff).
-    pub fn store(&self, id: ObjectId, payload: Vec<u8>) -> Result<(), StoreError> {
-        self.store_object(id, StoredObject::raw(payload))
-    }
-
-    /// Store an object in its encoded form. Capacity, bandwidth, byte and
+    /// Store an object in its encoded form, reporting *why* on failure so
+    /// the caller can tell a full tier (degrade, or stall) from a transient
+    /// I/O error (retry with backoff). Capacity, bandwidth, byte and
     /// modeled-time accounting all charge [`StoredObject::stored_len`] —
     /// the compressed size when a codec is set, because that is what moves
     /// over the link and sits on the device.
@@ -470,23 +455,25 @@ impl Tier {
     /// [`store_object`](Self::store_object) with bounded retry and
     /// exponential backoff of transient errors; `on_retry` hears every
     /// retry. A full tier fails fast (retrying cannot free space — the
-    /// caller degrades instead). Hands the object back on failure, encoded
-    /// exactly as handed in, so no retry or degradation ever re-encodes.
+    /// caller degrades or stalls instead). The error hands the object back,
+    /// encoded exactly as handed in, so no retry or degradation ever
+    /// re-encodes; its kind is that of the last attempt.
     pub(crate) fn store_object_with_retry(
         &self,
         id: ObjectId,
         mut object: StoredObject,
         on_retry: impl Fn(),
-    ) -> Result<(), StoredObject> {
-        for attempt in 0..MAX_STORE_ATTEMPTS {
+    ) -> Result<(), StoreError> {
+        let last = MAX_STORE_ATTEMPTS - 1;
+        for attempt in 0..last {
             before_attempt(attempt, &on_retry);
             match self.store_object(id, object) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.kind == StoreErrorKind::Full => return Err(e.object),
-                Err(e) => object = e.object,
+                Err(e) if e.kind == StoreErrorKind::TransientIo => object = e.object,
+                outcome => return outcome,
             }
         }
-        Err(object)
+        before_attempt(last, &on_retry);
+        self.store_object(id, object)
     }
 
     /// [`inspect_object`](Self::inspect_object) with bounded retry and
@@ -507,41 +494,44 @@ impl Tier {
         ObjectState::TransientIo
     }
 
-    /// Fetch a verified copy of an object's payload, transparently
-    /// decompressed. Corrupt, missing and transiently-unreadable objects
-    /// all read as `None`; use [`inspect`](Self::inspect) to tell them
-    /// apart.
+    /// [`inspect_object`](Self::inspect_object) then the tier's timed
+    /// `decode`: a verified copy of an object's original payload. Corrupt,
+    /// undecodable, missing and transiently-unreadable objects all read as
+    /// `None`; `inspect_object` tells them apart.
     pub fn get(&self, id: ObjectId) -> Option<Vec<u8>> {
-        self.inspect(id).into_payload()
+        let object = self.inspect_object(id).into_object()?;
+        Some(self.decode(object).ok()?.payload)
     }
 
-    /// Read and verify an object's frame, distinguishing every outcome and
-    /// decoding the payload back to its original bytes (a payload that
-    /// verifies but fails to decompress reads as `Corrupt`).
-    pub fn inspect(&self, id: ObjectId) -> FrameState {
-        match self.inspect_object(id) {
-            ObjectState::Missing => FrameState::Missing,
-            ObjectState::TransientIo => FrameState::TransientIo,
-            ObjectState::Corrupt(e) => FrameState::Corrupt(e),
-            ObjectState::Valid(obj) => {
-                let timed = obj.is_compressed().then(Instant::now);
-                match obj.decode() {
-                    Ok(payload) => {
-                        if let (Some(t0), Some(m)) = (timed, self.compress_metrics.get()) {
-                            m.on_decode(t0.elapsed().as_nanos() as u64);
-                        }
-                        FrameState::Valid(payload)
-                    }
-                    Err(e) => FrameState::Corrupt(e),
-                }
-            }
+    /// The one decode of a verified object back to its original payload,
+    /// timed into `compress/decode_ns` when it decompresses. A compressed
+    /// object is decompressed from a borrow and kept beside the result; a
+    /// raw one is moved — nothing is copied just to be decoded. An object
+    /// whose frame verified but whose payload the codec rejects is an
+    /// error the caller treats as corruption.
+    pub(crate) fn decode(&self, object: StoredObject) -> Result<Decoded, frame::FrameError> {
+        if !object.is_compressed() {
+            return Ok(Decoded {
+                payload: object.payload,
+                compressed: None,
+            });
         }
+        let started = Instant::now();
+        let payload =
+            frame::decompress_payload(object.codec, object.uncompressed_len, &object.payload)?;
+        if let Some(m) = self.compress_metrics.get() {
+            m.on_decode(started.elapsed().as_nanos() as u64);
+        }
+        Ok(Decoded {
+            payload,
+            compressed: Some(object),
+        })
     }
 
     /// Read and verify an object's frame *without* decompressing: the
-    /// checksum (over the stored bytes) and ids are checked, but the
-    /// payload is returned in its encoded form so it can be re-stored on
-    /// another tier verbatim.
+    /// checksum (over the stored bytes) and ids are checked, and every
+    /// outcome is told apart; the payload comes back in its encoded form
+    /// so it can be re-stored on another tier verbatim.
     pub fn inspect_object(&self, id: ObjectId) -> ObjectState {
         let fault = self
             .faults
@@ -745,8 +735,11 @@ mod tests {
         assert_eq!(frame::Kind::sniff(&raw), Some(frame::Kind::Frame));
         // get strips and verifies the frame.
         assert_eq!(t.get((3, 9)), Some(vec![5; 64]));
-        assert_eq!(t.inspect((3, 9)), FrameState::Valid(vec![5; 64]));
-        assert_eq!(t.inspect((3, 8)), FrameState::Missing);
+        assert_eq!(
+            t.inspect_object((3, 9)),
+            ObjectState::Valid(StoredObject::raw(vec![5; 64]))
+        );
+        assert_eq!(t.inspect_object((3, 8)), ObjectState::Missing);
     }
 
     #[test]
@@ -758,7 +751,7 @@ mod tests {
         t.put((0, 0), vec![7; 100]).unwrap();
         assert!(t.contains((0, 0)));
         assert_eq!(t.get((0, 0)), None);
-        assert!(matches!(t.inspect((0, 0)), FrameState::Corrupt(_)));
+        assert!(matches!(t.inspect_object((0, 0)), ObjectState::Corrupt(_)));
         // Sub-header stub charges nothing.
         assert_eq!(t.used_bytes(), 0);
         assert!(t.quarantine((0, 0)));
@@ -777,7 +770,7 @@ mod tests {
             .build();
         let t = Tier::with_faults(TierConfig::host(), plan);
         t.put((0, 0), vec![1; 50]).unwrap();
-        assert!(matches!(t.inspect((0, 0)), FrameState::Corrupt(_)));
+        assert!(matches!(t.inspect_object((0, 0)), ObjectState::Corrupt(_)));
         // Accounting still sees the full payload (the flip corrupts, it
         // does not shrink).
         assert_eq!(t.used_bytes(), 50);
@@ -790,7 +783,9 @@ mod tests {
             .on_get("host", 1, FaultKind::TransientIo)
             .build();
         let t = Tier::with_faults(TierConfig::host(), plan);
-        let err = t.store((0, 0), vec![9; 30]).unwrap_err();
+        let err = t
+            .store_object((0, 0), StoredObject::raw(vec![9; 30]))
+            .unwrap_err();
         assert_eq!(err.kind, StoreErrorKind::TransientIo);
         assert_eq!(err.object.payload, vec![9; 30]);
         assert_eq!(t.used_bytes(), 0);
@@ -799,7 +794,7 @@ mod tests {
         t.store_object((0, 0), err.object).unwrap();
         // Get op 0 fine, op 1 faulted, op 2 fine.
         assert_eq!(t.get((0, 0)), Some(vec![9; 30]));
-        assert_eq!(t.inspect((0, 0)), FrameState::TransientIo);
+        assert_eq!(t.inspect_object((0, 0)), ObjectState::TransientIo);
         assert_eq!(t.get((0, 0)), Some(vec![9; 30]));
     }
 
@@ -810,7 +805,7 @@ mod tests {
         t.put((0, 0), vec![4; 16]).unwrap();
         let raw = t.raw((0, 0)).unwrap();
         t.objects.lock().insert((0, 1), raw);
-        assert!(matches!(t.inspect((0, 1)), FrameState::Corrupt(_)));
+        assert!(matches!(t.inspect_object((0, 1)), ObjectState::Corrupt(_)));
     }
 
     fn zstd_object(payload: &[u8]) -> StoredObject {
@@ -835,8 +830,7 @@ mod tests {
         t.store_object((2, 7), obj.clone()).unwrap();
 
         // Reads decode transparently…
-        assert_eq!(t.get((2, 7)), Some(payload.clone()));
-        assert_eq!(t.inspect((2, 7)), FrameState::Valid(payload));
+        assert_eq!(t.get((2, 7)), Some(payload));
         // …while inspect_object exposes the encoded form verbatim.
         assert_eq!(t.inspect_object((2, 7)), ObjectState::Valid(obj));
 
@@ -857,10 +851,8 @@ mod tests {
         });
         assert!(obj.stored_len() <= t.config().capacity);
         t.store_object((0, 0), obj).unwrap();
-        assert_eq!(
-            t.store((0, 1), payload).unwrap_err().kind,
-            StoreErrorKind::Full
-        );
+        let refused = t.store_object((0, 1), StoredObject::raw(payload));
+        assert_eq!(refused.unwrap_err().kind, StoreErrorKind::Full);
     }
 
     #[test]
@@ -870,10 +862,13 @@ mod tests {
         let t = Tier::new(TierConfig::host());
         let garbage = StoredObject::encoded(6, 4096, vec![0xAB; 64]);
         t.store_object((1, 1), garbage.clone()).unwrap();
-        assert_eq!(t.inspect_object((1, 1)), ObjectState::Valid(garbage));
+        assert_eq!(
+            t.inspect_object((1, 1)),
+            ObjectState::Valid(garbage.clone())
+        );
         assert!(matches!(
-            t.inspect((1, 1)),
-            FrameState::Corrupt(frame::FrameError::Decompress { codec: 6 })
+            t.decode(garbage).map(|d| d.payload),
+            Err(frame::FrameError::Decompress { codec: 6 })
         ));
         assert_eq!(t.get((1, 1)), None);
     }
@@ -887,6 +882,6 @@ mod tests {
         let payload: Vec<u8> = (0..50_000u32).flat_map(|i| (i % 9).to_le_bytes()).collect();
         t.store_object((0, 0), zstd_object(&payload)).unwrap();
         assert!(matches!(t.inspect_object((0, 0)), ObjectState::Corrupt(_)));
-        assert!(matches!(t.inspect((0, 0)), FrameState::Corrupt(_)));
+        assert_eq!(t.get((0, 0)), None);
     }
 }

@@ -1,11 +1,10 @@
 //! Device-resident buffers.
 //!
 //! A [`DeviceBuffer`] marks data as living in simulated device memory.
-//! Movement between it and host slices goes through explicit `copy_to_host` /
-//! `copy_from_host` calls that accrue modeled PCIe time on the owning
-//! [`Device`] — the same discipline a CUDA/Kokkos program has to follow, which
-//! is what makes the paper's "consolidate, then one D2H transfer" design
-//! measurable here.
+//! Movement from it to a host slice goes through an explicit `copy_to_host`
+//! call that accrues modeled PCIe time on the owning [`Device`] — the same
+//! discipline a CUDA/Kokkos program has to follow, which is what makes the
+//! paper's "consolidate, then one D2H transfer" design measurable here.
 
 use crate::device::Device;
 
@@ -60,23 +59,6 @@ impl<T: Clone + Send + Sync> DeviceBuffer<T> {
         host.clone_from_slice(&self.data);
     }
 
-    /// Copy a prefix of the buffer to a host vector, accruing one D2H
-    /// transfer of exactly `len` elements (the consolidated diff is usually
-    /// much shorter than its backing allocation).
-    pub fn copy_prefix_to_host(&self, len: usize) -> Vec<T> {
-        assert!(len <= self.data.len());
-        self.device
-            .account_d2h((len * std::mem::size_of::<T>()) as u64);
-        self.data[..len].to_vec()
-    }
-
-    /// Overwrite the buffer from host data, accruing one H2D transfer.
-    pub fn copy_from_host(&mut self, host: &[T]) {
-        assert_eq!(host.len(), self.data.len(), "host/device length mismatch");
-        self.device.account_h2d(self.size_bytes());
-        self.data.clone_from_slice(host);
-    }
-
     /// Consume the buffer, returning the underlying storage *without* a
     /// transfer (device-side hand-off between pipeline stages).
     pub fn into_inner(self) -> Vec<T> {
@@ -104,16 +86,6 @@ mod tests {
         buf.copy_to_host(&mut back);
         assert_eq!(back[0], 42);
         assert_eq!(&back[1..], &host[1..]);
-    }
-
-    #[test]
-    fn prefix_copy_accounts_only_prefix_bytes() {
-        let dev = Device::a100();
-        let buf = dev.alloc_from_host(&vec![7u8; 1000]);
-        let before = dev.metrics().d2h_bytes();
-        let prefix = buf.copy_prefix_to_host(100);
-        assert_eq!(prefix.len(), 100);
-        assert_eq!(dev.metrics().d2h_bytes() - before, 100);
     }
 
     #[test]

@@ -221,36 +221,6 @@ impl Device {
         }
     }
 
-    /// Launch a parallel map-reduce over `0..n`.
-    pub fn parallel_reduce<T, M, R>(
-        &self,
-        _name: &str,
-        n: usize,
-        cost: KernelCost,
-        identity: T,
-        map: M,
-        reduce: R,
-    ) -> T
-    where
-        T: Send + Sync + Clone,
-        M: Fn(usize) -> T + Sync + Send,
-        R: Fn(T, T) -> T + Sync + Send,
-    {
-        self.account_launch(cost);
-        if n < 1024 {
-            let mut acc = identity;
-            for i in 0..n {
-                acc = reduce(acc, map(i));
-            }
-            acc
-        } else {
-            (0..n)
-                .into_par_iter()
-                .map(map)
-                .reduce(|| identity.clone(), reduce)
-        }
-    }
-
     /// Exclusive prefix sum on the device (used to pre-compute serialization
     /// offsets). Returns the total.
     pub fn exclusive_scan(&self, name: &str, input: &[u64], out: &mut [u64]) -> u64 {
@@ -319,8 +289,7 @@ impl Device {
     /// host→device transfer.
     pub fn alloc_from_host<T: Clone + Send + Sync>(&self, host: &[T]) -> DeviceBuffer<T> {
         let bytes = std::mem::size_of_val(host) as u64;
-        let sec = self.inner.perf.transfer_sec(bytes, self.contenders());
-        self.inner.metrics.record_h2d(bytes, sec);
+        self.account_h2d(bytes);
         self.inner.metrics.record_alloc(bytes);
         DeviceBuffer::new(self.clone(), host.to_vec())
     }
@@ -344,17 +313,6 @@ impl Device {
     /// in the same consolidated diff transfer.
     pub fn account_d2h_bytes(&self, bytes: u64) {
         self.account_d2h(bytes);
-    }
-
-    /// Account a *scattered* device→host transfer of `n_segments` pieces
-    /// (what the naive per-chunk flush would cost; used by the serialization
-    /// ablation).
-    pub fn account_scattered_d2h(&self, bytes: u64, n_segments: u64) {
-        let sec = self
-            .inner
-            .perf
-            .scattered_transfer_sec(bytes, n_segments, self.contenders());
-        self.inner.metrics.record_d2h(bytes, sec);
     }
 
     /// Gather scattered `segments` into host memory as a *streamed* pipeline:
@@ -429,21 +387,6 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn parallel_reduce_sums() {
-        let dev = Device::a100();
-        let n = 100_000usize;
-        let total = dev.parallel_reduce(
-            "sum",
-            n,
-            KernelCost::stream(n as u64),
-            0u64,
-            |i| i as u64,
-            |a, b| a + b,
-        );
-        assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
     }
 
     #[test]

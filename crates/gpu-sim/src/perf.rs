@@ -109,13 +109,6 @@ impl PerfModel {
         self.config.transfer_setup_sec + bytes as f64 / share
     }
 
-    /// Modeled cost of a *scattered* transfer: `n_segments` independent DMA
-    /// setups (the naive strategy the paper's serialization avoids, §2.1).
-    pub fn scattered_transfer_sec(&self, bytes: u64, n_segments: u64, contenders: u32) -> f64 {
-        let share = self.config.pcie_bytes_per_sec / contenders.max(1) as f64;
-        n_segments as f64 * self.config.transfer_setup_sec + bytes as f64 / share
-    }
-
     /// Modeled duration of a two-stage pipeline (a producer stage overlapped
     /// with a DMA stage over `n_slices` slices): the §5 "streaming methods
     /// that overlap de-duplication with transfers" extension. Classic
@@ -165,15 +158,6 @@ mod tests {
         let t8 = m.transfer_sec(1 << 30, 8);
         // 8-way contention ≈ 8x slower modulo the fixed setup cost.
         assert!(t8 > 7.0 * t1 * 0.9 && t8 < 8.5 * t1);
-    }
-
-    #[test]
-    fn scattered_transfer_pays_per_segment_setup() {
-        let m = PerfModel::new(DeviceConfig::a100());
-        let consolidated = m.transfer_sec(1 << 20, 1);
-        let scattered = m.scattered_transfer_sec(1 << 20, 10_000, 1);
-        // 10k segment setups at 10 µs each dominate a 1 MiB payload.
-        assert!(scattered > 50.0 * consolidated);
     }
 
     #[test]

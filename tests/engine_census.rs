@@ -11,6 +11,10 @@
 //! the A3 ablation are one checkpointer body with three region-building
 //! steps, and every binary, runtime and sweep turns a `MethodKind` into a
 //! checkpointer through `ckpt_dedup::new_checkpointer`.
+//!
+//! Tier census: one verified pair moves bytes through a `Tier`
+//! (`store_object` / `inspect_object`), one timed function decodes what
+//! came out, and one staging body writes the host tier.
 
 use std::path::{Path, PathBuf};
 
@@ -144,5 +148,83 @@ fn one_pipeline_body_and_one_constructor() {
         offences.is_empty(),
         "a method is built outside ckpt_dedup::new_checkpointer:\n{}",
         offences.join("\n")
+    );
+}
+
+/// Tier census: bytes go through a `Tier` one verified way each way —
+/// `store_object` in, `inspect_object` out — and a stored object is decoded
+/// back to its payload by one timed function, `Tier::decode`.
+#[test]
+fn one_verified_way_through_a_tier() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let runtime = root.join("crates/ckpt-runtime/src");
+
+    // The deleted parallel entry points stay deleted.
+    let mut offences = Vec::new();
+    for dir in [
+        runtime.clone(),
+        root.join("src/bin"),
+        root.join("crates/ckpt-bench/src"),
+    ] {
+        for path in rust_files(&dir) {
+            for line in production_source(&path).lines() {
+                for gone in ["FrameState", ".try_put(", ".clone().decode()"] {
+                    if line.contains(gone) {
+                        let shown = path.strip_prefix(root).unwrap().display();
+                        offences.push(format!("{shown}: `{gone}` in: {}", line.trim()));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "a second way through a tier grew back:\n{}",
+        offences.join("\n")
+    );
+
+    // The function each matching non-comment line of a file sits in.
+    let fns_with = |file: &str, matches: &dyn Fn(&str) -> bool| -> Vec<String> {
+        let mut current = String::new();
+        let mut hits = Vec::new();
+        for line in production_source(&runtime.join(file)).lines() {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            if let Some(at) = code.find("fn ") {
+                let name = &code[at + 3..];
+                current = name[..name.find(['(', '<']).unwrap_or(name.len())].to_string();
+            }
+            if matches(code) {
+                hits.push(format!("{file}::{current}"));
+            }
+        }
+        hits
+    };
+
+    // Decompression happens in the untimed `StoredObject::decode` (for a
+    // holder of an object outside any runtime) and the timed `Tier::decode`;
+    // inside the runtime only the quarantine diagnostic takes the former.
+    let mut decompress = Vec::new();
+    let mut untimed = Vec::new();
+    for path in rust_files(&runtime) {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        decompress.extend(fns_with(&file, &|l| l.contains("decompress_payload(")));
+        untimed.extend(fns_with(&file, &|l| l.contains(".decode()")));
+    }
+    assert_eq!(decompress, ["tier.rs::decode", "tier.rs::decode"]);
+    assert_eq!(untimed, ["cluster_dir.rs::loss_detail"]);
+    let timed = fns_with("tier.rs", &|l| l.contains("on_decode("));
+    assert_eq!(timed, ["tier.rs::decode"]);
+
+    // And the host tier is written from one staging body.
+    let stagers = fns_with("runtime.rs", &|l| {
+        l.contains("host.store_object") || l.contains("host.put(")
+    });
+    assert!(!stagers.is_empty(), "runtime.rs no longer stages anything?");
+    assert!(
+        stagers.iter().all(|f| f == "runtime.rs::stage"),
+        "the host tier is written outside AsyncRuntime::stage: {stagers:?}"
     );
 }
