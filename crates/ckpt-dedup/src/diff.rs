@@ -29,8 +29,10 @@
 //! -- payload: payload_len bytes --
 //! ```
 
+use crate::bytes::Bytes;
 use crate::chunking::Chunking;
 use crate::util::LeReader;
+use std::ops::Range;
 
 /// Which checkpointing method produced a diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,15 +107,16 @@ pub struct Diff {
     /// Shifted-duplicate regions. Empty for `Full`/`Basic`.
     pub shift_regions: Vec<ShiftRegion>,
     /// `Basic` only: changed-chunk bitmap.
-    pub bitmap: Vec<u8>,
+    pub bitmap: Bytes,
     /// Compression applied to `payload` (0 = none; see
     /// `ckpt_compress::codec_by_id`). First-occurrence data is compressed
     /// *after* de-duplication — the hybrid the paper's §5 proposes.
     pub payload_codec: u8,
     /// Raw bytes of the first-occurrence regions, concatenated in table
     /// order (`Basic`: changed chunks in ascending chunk order; `Full`: the
-    /// entire buffer).
-    pub payload: Vec<u8>,
+    /// entire buffer). A decoded diff's bitmap and payload are views of
+    /// the record they were parsed from (see [`Diff::decode_shared`]).
+    pub payload: Bytes,
 }
 
 /// Errors from [`Diff::decode`].
@@ -220,8 +223,21 @@ impl Diff {
 
     /// Deserialize from bytes. A decoded diff is safe to hand to any
     /// restore path: its geometry can be chunked and every region-table
-    /// node id lies inside the geometry's tree.
+    /// node id lies inside the geometry's tree. Parse-then-own, for callers
+    /// that hold only a slice: bitmap and payload are copied out of `buf`.
     pub fn decode(buf: &[u8]) -> Result<Diff, DecodeError> {
+        Self::parse(buf, |section| Bytes::from(buf[section].to_vec()))
+    }
+
+    /// [`decode`](Self::decode) of a shared record: bitmap and payload are
+    /// views of `record`, so decoding moves no payload byte.
+    pub fn decode_shared(record: &Bytes) -> Result<Diff, DecodeError> {
+        Self::parse(record, |section| record.slice(section))
+    }
+
+    /// The one parser: header, tables, and the two byte sections handed to
+    /// `take` as ranges of `buf`.
+    fn parse(buf: &[u8], take: impl Fn(Range<usize>) -> Bytes) -> Result<Diff, DecodeError> {
         let (h, mut r) = Header::read(buf)?;
         // `Header::read` checked the sections against the buffer, so none
         // of the reads below can underrun.
@@ -238,7 +254,8 @@ impl Diff {
                 Err(DecodeError::NodeOutOfRange(node, n_nodes))
             }
         };
-        let bitmap = r.take(h.bitmap_len).ok_or_else(underrun)?.to_vec();
+        let bitmap = take(HEADER_BYTES..HEADER_BYTES + h.bitmap_len);
+        r.take(h.bitmap_len).ok_or_else(underrun)?;
         let mut first_regions = Vec::with_capacity(h.n_first);
         for _ in 0..h.n_first {
             first_regions.push(in_tree(r.u32())?);
@@ -260,7 +277,7 @@ impl Diff {
             shift_regions,
             bitmap,
             payload_codec: h.payload_codec,
-            payload: r.rest().to_vec(),
+            payload: take(h.total_len - h.payload_len..h.total_len),
         })
     }
 }
@@ -377,9 +394,9 @@ mod tests {
                 ref_node: 3,
                 ref_ckpt: 0,
             }],
-            bitmap: Vec::new(),
+            bitmap: Default::default(),
             payload_codec: 0,
-            payload: vec![0xab; 192],
+            payload: vec![0xab; 192].into(),
         }
     }
 
@@ -400,9 +417,9 @@ mod tests {
             chunk_size: 64,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: Vec::new(),
+            bitmap: Default::default(),
             payload_codec: 0,
-            payload: (0..100u8).collect(),
+            payload: Vec::from_iter(0..100u8).into(),
         };
         assert_eq!(Diff::decode(&d.encode()).unwrap(), d);
     }
@@ -420,9 +437,9 @@ mod tests {
             chunk_size: 64,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: bm,
+            bitmap: bm.into(),
             payload_codec: 0,
-            payload: vec![1u8; 128],
+            payload: vec![1u8; 128].into(),
         };
         let back = Diff::decode(&d.encode()).unwrap();
         assert_eq!(back, d);

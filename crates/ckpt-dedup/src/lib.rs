@@ -56,6 +56,7 @@
 //! builds every version and shares no resolution logic with the engine —
 //! kept as the oracle the engine is tested against, not as a second way in.
 
+pub mod bytes;
 pub mod chunking;
 pub mod diff;
 pub mod frame;
@@ -68,6 +69,7 @@ pub mod stats;
 pub mod tree;
 pub(crate) mod util;
 
+pub use bytes::Bytes;
 pub use chunking::Chunking;
 pub use ckpt_telemetry::{StageBreakdown, StageSample};
 pub use diff::{Diff, MethodKind, ShiftRegion};

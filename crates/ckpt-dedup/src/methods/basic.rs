@@ -168,9 +168,9 @@ impl Checkpointer for BasicCheckpointer {
             chunk_size: chunking.chunk_size() as u32,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: bm,
+            bitmap: bm.into(),
             payload_codec: 0,
-            payload,
+            payload: payload.into(),
         };
         let unchanged = n as u64 - n_changed;
         let stats = CheckpointStats::of(&diff, n_changed, 0, unchanged, timer.stop(&device));

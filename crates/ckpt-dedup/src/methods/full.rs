@@ -4,6 +4,7 @@
 //! throughput of the whole buffer (§3.2), which is what the other methods
 //! must beat after paying their compute overhead.
 
+use crate::bytes::Bytes;
 use crate::chunking::Chunking;
 use crate::diff::{Diff, MethodKind};
 use crate::methods::{CheckpointOutput, Checkpointer, Timer};
@@ -56,9 +57,9 @@ impl Checkpointer for FullCheckpointer {
             chunk_size: chunking.chunk_size() as u32,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: Vec::new(),
+            bitmap: Bytes::default(),
             payload_codec: 0,
-            payload,
+            payload: payload.into(),
         };
         let stats = CheckpointStats::of(&diff, 0, 0, 0, timer.stop(&self.device));
         self.ckpt_id += 1;

@@ -19,6 +19,7 @@
 //! The step is a type parameter: it is chosen at construction and runs once
 //! per checkpoint, never inside a kernel body.
 
+use crate::bytes::Bytes;
 use crate::chunking::Chunking;
 use crate::diff::{Diff, MethodKind, ShiftRegion};
 use crate::labels::LabelArray;
@@ -275,9 +276,9 @@ fn serialize_diff(
         chunk_size: chunking.chunk_size() as u32,
         first_regions: first,
         shift_regions: shift,
-        bitmap: Vec::new(),
+        bitmap: Bytes::default(),
         payload_codec,
-        payload,
+        payload: payload.into(),
     }
 }
 

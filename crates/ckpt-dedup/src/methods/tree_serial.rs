@@ -6,6 +6,7 @@
 //! *bit-identical diffs* (canonical occurrences resolve to the earliest data
 //! position in both), which the cross-implementation tests assert.
 
+use crate::bytes::Bytes;
 use crate::chunking::Chunking;
 use crate::diff::{Diff, MethodKind, ShiftRegion};
 use crate::labels::Label;
@@ -224,9 +225,9 @@ impl Checkpointer for SerialTreeCheckpointer {
             chunk_size: s.chunking.chunk_size() as u32,
             first_regions: first,
             shift_regions: shift,
-            bitmap: Vec::new(),
+            bitmap: Bytes::default(),
             payload_codec: 0,
-            payload,
+            payload: payload.into(),
         };
         let measured_sec = start.elapsed().as_secs_f64();
         let stats = CheckpointStats {

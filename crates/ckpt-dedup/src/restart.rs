@@ -750,9 +750,9 @@ mod tests {
             chunk_size: 32,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: Vec::new(),
+            bitmap: Default::default(),
             payload_codec: 0,
-            payload: Vec::new(),
+            payload: Default::default(),
         }
     }
 
@@ -850,7 +850,7 @@ mod tests {
     fn ref_below_base_is_typed() {
         let mut d = tree_diff(5, 64);
         d.first_regions = vec![1]; // chunk 0
-        d.payload = vec![0; 32];
+        d.payload = vec![0; 32].into();
         d.shift_regions = vec![ShiftRegion {
             node: 2,
             ref_node: 1,
@@ -885,7 +885,7 @@ mod tests {
                 ref_ckpt: 0,
             },
         ];
-        d.payload = [[7u8; 32], [9u8; 32]].concat();
+        d.payload = [[7u8; 32], [9u8; 32]].concat().into();
         let device = Device::a100();
         let (v, _) = restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap();
         assert_eq!(&v[0..96], &[7u8; 96][..]);
@@ -893,7 +893,7 @@ mod tests {
 
         let mut cyc = tree_diff(0, 128);
         cyc.first_regions = vec![3, 6];
-        cyc.payload = vec![0; 64];
+        cyc.payload = vec![0; 64].into();
         cyc.shift_regions = vec![
             ShiftRegion {
                 node: 4,
@@ -917,7 +917,7 @@ mod tests {
     fn uncovered_chunks_are_zero_chunks() {
         let mut d = tree_diff(0, 123);
         d.first_regions = vec![4]; // chunk 1
-        d.payload = vec![7; 32];
+        d.payload = vec![7; 32].into();
         d.shift_regions = vec![ShiftRegion {
             node: 5, // chunk 2 <- chunk 0, which nothing covers
             ref_node: 3,
@@ -953,7 +953,7 @@ mod tests {
         // Node 1 (chunks 0–1) as payload, and leaf 4 (chunk 1) shifted in.
         let mut d = tree_diff(0, 128);
         d.first_regions = vec![1, 2];
-        d.payload = vec![0; 128];
+        d.payload = vec![0; 128].into();
         d.shift_regions = vec![ShiftRegion {
             node: 4,
             ref_node: 6,
@@ -970,7 +970,7 @@ mod tests {
         // applied before the other.
         let mut d = tree_diff(0, 128);
         d.first_regions = vec![6];
-        d.payload = vec![9; 32];
+        d.payload = vec![9; 32].into();
         d.shift_regions = vec![
             ShiftRegion {
                 node: 1,

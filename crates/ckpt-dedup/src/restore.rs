@@ -406,9 +406,9 @@ mod tests {
             chunk_size: 32,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: Vec::new(),
+            bitmap: Default::default(),
             payload_codec: 0,
-            payload: Vec::new(),
+            payload: Default::default(),
         }
     }
 
@@ -421,9 +421,9 @@ mod tests {
             chunk_size: 32,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: Vec::new(),
+            bitmap: Default::default(),
             payload_codec: 0,
-            payload: vec![fill; 64],
+            payload: vec![fill; 64].into(),
         };
         let versions = restore_record(&[mk(0, 1), mk(1, 2)]).unwrap();
         assert_eq!(versions[0], vec![1u8; 64]);
@@ -434,7 +434,7 @@ mod tests {
     fn rejects_out_of_order() {
         let mut d = tree_diff(5, 64);
         d.first_regions = vec![0];
-        d.payload = vec![0; 64];
+        d.payload = vec![0; 64].into();
         let err = restore_record(&[d]).unwrap_err();
         assert!(matches!(err, RestoreError::OutOfOrder { ckpt_id: 5, .. }));
     }
@@ -448,9 +448,9 @@ mod tests {
             chunk_size: 32,
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
-            bitmap: Vec::new(),
+            bitmap: Default::default(),
             payload_codec: 0,
-            payload: vec![0; 64],
+            payload: vec![0; 64].into(),
         };
         let d1 = tree_diff(1, 64);
         let err = restore_record(&[d0, d1]).unwrap_err();
@@ -462,7 +462,7 @@ mod tests {
         // Root region of a 2-chunk tree claims 64 bytes, payload has 10.
         let mut d = tree_diff(0, 64);
         d.first_regions = vec![0];
-        d.payload = vec![0; 10];
+        d.payload = vec![0; 10].into();
         let err = restore_record(&[d]).unwrap_err();
         assert!(matches!(err, RestoreError::PayloadTruncated { ckpt_id: 0 }));
     }
@@ -489,7 +489,7 @@ mod tests {
                 ref_ckpt: 0,
             }, // chunk 1 <- chunk 0
         ];
-        d.payload = [[7u8; 32], [9u8; 32]].concat();
+        d.payload = [[7u8; 32], [9u8; 32]].concat().into();
         let v = restore_record(std::slice::from_ref(&d)).unwrap();
         assert_eq!(&v[0][0..32], &[7u8; 32]);
         assert_eq!(&v[0][32..64], &[7u8; 32]);
@@ -501,7 +501,7 @@ mod tests {
     fn detects_unresolvable_cycle() {
         let mut d = tree_diff(0, 128);
         d.first_regions = vec![3, 6];
-        d.payload = vec![0; 64];
+        d.payload = vec![0; 64].into();
         d.shift_regions = vec![
             ShiftRegion {
                 node: 4,
@@ -527,7 +527,7 @@ mod tests {
         // ckpt 0's chunk 3 content, rest fixed.
         let mut d0 = tree_diff(0, 128);
         d0.first_regions = vec![0];
-        d0.payload = (0..128u8).map(|i| i / 32).collect(); // chunks 0,1,2,3
+        d0.payload = Vec::from_iter((0..128u8).map(|i| i / 32)).into(); // chunks 0,1,2,3
         let mut d1 = tree_diff(1, 128);
         d1.shift_regions = vec![ShiftRegion {
             node: 3,
@@ -543,7 +543,7 @@ mod tests {
     fn forward_reference_rejected() {
         let mut d = tree_diff(0, 64);
         d.first_regions = vec![1]; // chunk 0
-        d.payload = vec![0; 32];
+        d.payload = vec![0; 32].into();
         d.shift_regions = vec![ShiftRegion {
             node: 2,
             ref_node: 1,

@@ -99,12 +99,14 @@ fn tamper(diff: &mut Diff, slot: usize, value: u32) -> String {
     let (n_first, n_shift) = (diff.first_regions.len(), diff.shift_regions.len());
     match diff.kind {
         MethodKind::Full => {
-            diff.payload.pop();
+            diff.payload = diff.payload.slice(0..diff.payload.len().saturating_sub(1));
             "payload cut by one byte".into()
         }
         MethodKind::Basic => {
             let c = slot % diff.n_chunks();
-            diff.bitmap[c / 8] ^= 1 << (c % 8);
+            let mut bits = diff.bitmap.to_vec();
+            bits[c / 8] ^= 1 << (c % 8);
+            diff.bitmap = bits.into();
             format!("bitmap bit {c} flipped")
         }
         MethodKind::List | MethodKind::Tree if n_first + n_shift == 0 => "nothing".into(),
@@ -292,13 +294,13 @@ fn a_twenty_thousand_link_same_record_chain_is_chased_iteratively() {
         chunk_size: chunk as u32,
         first_regions: Vec::new(),
         shift_regions: Vec::new(),
-        bitmap: Vec::new(),
+        bitmap: Default::default(),
         payload_codec: 0,
-        payload: Vec::new(),
+        payload: Default::default(),
     };
     let mut base = record(0);
     base.first_regions = vec![leaf(0)];
-    base.payload = vec![0xc4; chunk];
+    base.payload = vec![0xc4; chunk].into();
     base.shift_regions = (1..n)
         .map(|c| ShiftRegion {
             node: leaf(c),
@@ -310,7 +312,7 @@ fn a_twenty_thousand_link_same_record_chain_is_chased_iteratively() {
     // chunk of record 0.
     let mut top = record(1);
     top.first_regions = (1..n).map(leaf).collect();
-    top.payload = (0..LINKS * chunk).map(|i| (i % 251) as u8).collect();
+    top.payload = Vec::from_iter((0..LINKS * chunk).map(|i| (i % 251) as u8)).into();
     top.shift_regions = vec![ShiftRegion {
         node: leaf(0),
         ref_node: leaf(LINKS),

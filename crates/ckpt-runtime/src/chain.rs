@@ -22,6 +22,7 @@ use crate::rankdedup::{RankDedupIndex, Resolver};
 use crate::redundancy::RedundancyStore;
 use crate::tier::{Decoded, ObjectId, ObjectState, StoredObject, Tier, TierConfig};
 use ckpt_dedup::frame::Kind;
+use ckpt_dedup::Bytes;
 use ckpt_telemetry::Registry;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
@@ -176,7 +177,7 @@ impl TierChain {
         match red.reconstruct(id, &fetch) {
             Ok(obj) => {
                 red.metrics().restored_objects.inc();
-                let _ = self.pfs.store_object(id, obj.clone());
+                let _ = self.pfs.store_object(id, StoredObject::clone(&obj));
                 Some(obj)
             }
             Err(_) => {
@@ -224,7 +225,7 @@ impl TierChain {
     /// One-shot: a call that reads several objects opens one
     /// [`reader`](Self::reader) instead, so the records they reference are
     /// fetched once for the whole call.
-    pub fn locate(&self, id: ObjectId) -> Option<Vec<u8>> {
+    pub fn locate(&self, id: ObjectId) -> Option<Bytes> {
         self.reader().locate(id)
     }
 
@@ -274,7 +275,7 @@ impl TierChain {
     /// Resolution fetches *referenced* records through this, so a remote
     /// chunk on a lost rank still reconstructs from its parity group — and
     /// resolution never recurses.
-    fn locate_stored(&self, id: ObjectId) -> Option<Vec<u8>> {
+    fn locate_stored(&self, id: ObjectId) -> Option<Bytes> {
         self.poll_rank_loss();
         let mut found = None;
         let mut corrupt: Vec<&Tier> = Vec::new();
@@ -374,7 +375,7 @@ impl TierChain {
             .into_iter()
             .map(|(rank, ckpts)| {
                 let mut objects = Vec::with_capacity(ckpts.len());
-                let mut durable: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+                let mut durable: BTreeMap<u32, Bytes> = BTreeMap::new();
                 for ckpt_id in ckpts {
                     let status = match self.recover_object(&mut reader, (rank, ckpt_id)) {
                         Ok((status, payload)) => {
@@ -402,10 +403,10 @@ impl TierChain {
 /// Outcome of classifying one object for recovery: `Ok` carries a durable
 /// status ([`ObjectStatus::is_durable`]) with the decoded payload, `Err` the
 /// typed loss.
-type Recovered = Result<(ObjectStatus, Vec<u8>), ObjectStatus>;
+type Recovered = Result<(ObjectStatus, Bytes), ObjectStatus>;
 
 /// Fetch closure of a [`ChainReader`]: the chain's `locate_stored`.
-type StoredFetch<'a> = Box<dyn Fn(ObjectId) -> Option<Vec<u8>> + Send + 'a>;
+type StoredFetch<'a> = Box<dyn Fn(ObjectId) -> Option<Bytes> + Send + 'a>;
 
 /// [`TierChain::locate`] for the span of one read call. Rank-dedup records
 /// resolve through a single [`Resolver`], so a referenced object shared by
@@ -418,7 +419,7 @@ pub struct ChainReader<'a> {
 
 impl ChainReader<'_> {
     /// See [`TierChain::locate`].
-    pub fn locate(&mut self, id: ObjectId) -> Option<Vec<u8>> {
+    pub fn locate(&mut self, id: ObjectId) -> Option<Bytes> {
         let bytes = self.tiers.locate_stored(id)?;
         self.resolve(id, bytes)
     }
@@ -428,7 +429,7 @@ impl ChainReader<'_> {
     /// cannot be resolved — target gone from every tier *and* its group,
     /// or failing the recorded checksum — yields `None` (a typed hole),
     /// never a wrong payload.
-    fn resolve(&mut self, id: ObjectId, bytes: Vec<u8>) -> Option<Vec<u8>> {
+    fn resolve(&mut self, id: ObjectId, bytes: Bytes) -> Option<Bytes> {
         if Kind::sniff(&bytes) != Some(Kind::RankDedup) {
             return Some(bytes);
         }
@@ -449,7 +450,7 @@ impl ChainReader<'_> {
 /// contiguous run with the greatest top id that has a legal head (see
 /// [`run_head`]). An incremental run stranded above a hole is skipped in
 /// favor of an older replayable run; with none, the chain is empty.
-fn usable_chain(durable: &mut BTreeMap<u32, Vec<u8>>) -> (u32, Vec<Vec<u8>>) {
+fn usable_chain(durable: &mut BTreeMap<u32, Bytes>) -> (u32, Vec<Bytes>) {
     // Contiguous runs, oldest first.
     let mut runs: Vec<(u32, u32)> = Vec::new();
     for &id in durable.keys() {
@@ -481,6 +482,40 @@ mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::redundancy::{RedundancyMetrics, RedundancyPolicy};
+
+    /// Pins `repair_pfs_from_upper` as found (DESIGN §9, finding): during
+    /// recovery a corrupt SSD copy above a condemned PFS copy is passed
+    /// over — not counted corrupt, not quarantined, not repaired — and the
+    /// host copy repairs the PFS. `locate` would condemn that SSD copy.
+    #[test]
+    fn recovery_passes_over_a_corrupt_upper_copy_and_repairs_from_the_next() {
+        let plan = FaultPlan::builder()
+            .on_put("pfs", 0, FaultKind::BitFlip { bit: 300 })
+            .on_put("ssd", 0, FaultKind::BitFlip { bit: 700 })
+            .build();
+        let tiers = TierChain::with_faults(plan);
+        let id = (0, 0);
+        for tier in [&tiers.host, &tiers.ssd, &tiers.pfs] {
+            tier.put(id, vec![9; 256]).unwrap();
+        }
+        let report = tiers.recover_report();
+        let rank = &report.ranks[0];
+        assert_eq!(rank.objects[0].status, ObjectStatus::Repaired);
+        assert_eq!(rank.payloads, vec![vec![9u8; 256]]);
+        // Only the condemned PFS copy was counted and quarantined.
+        assert_eq!(tiers.integrity().corrupt_count(), 1);
+        assert_eq!(tiers.integrity().repaired_count(), 1);
+        assert_eq!(tiers.pfs.quarantined(), vec![id]);
+        assert_eq!(tiers.ssd.quarantined(), Vec::<ObjectId>::new());
+        assert!(matches!(
+            tiers.ssd.inspect_object(id),
+            ObjectState::Corrupt(_)
+        ));
+        // The repair is the host's frame itself, not a re-minted copy.
+        assert!(tiers.pfs.inspect_object(id).into_object().is_some());
+        let repaired = tiers.pfs.raw(id).unwrap();
+        assert!(repaired.shares_with(&tiers.host.raw(id).unwrap()));
+    }
 
     #[test]
     fn known_ckpts_unions_tiers_quarantine_and_group() {

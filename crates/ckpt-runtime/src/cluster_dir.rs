@@ -30,6 +30,7 @@ use crate::ObjectStatus;
 use ckpt_dedup::diff::Diff;
 use ckpt_dedup::frame::Kind;
 use ckpt_dedup::restart::{check_chain, RestartStats};
+use ckpt_dedup::Bytes;
 use gpu_sim::Device;
 use std::collections::{BTreeSet, HashSet};
 use std::io;
@@ -291,7 +292,7 @@ impl ClusterDir {
             };
             let objects = recovered.into_iter().flat_map(|r| &r.objects).map(|o| {
                 let id = (rank, o.ckpt_id);
-                let decodes = |payload: Vec<u8>| Diff::decode(&payload).is_ok();
+                let decodes = |payload: Bytes| Diff::decode_shared(&payload).is_ok();
                 let proven = o.status.is_durable()
                     && (in_chain(o.ckpt_id) || tiers.locate(id).is_some_and(decodes));
                 let (status, detail) = if !proven {
@@ -437,7 +438,7 @@ impl Loaded {
             .iter()
             .enumerate()
             .map(|(i, bytes)| {
-                Diff::decode(bytes).map_err(|e| RecordError {
+                Diff::decode_shared(bytes).map_err(|e| RecordError {
                     ckpt_id: base + i as u32,
                     detail: format!("undecodable diff: {e}"),
                 })
@@ -662,7 +663,7 @@ mod tests {
         std::fs::remove_file(root.join(rank_name(1)).join("0002.ckpt")).unwrap();
         let dir = ClusterDir::new(&root);
         let loaded = dir.import().unwrap();
-        assert_eq!(loaded.tiers.pfs.raw((0, 1)), Some(bytes));
+        assert_eq!(loaded.tiers.pfs.raw((0, 1)), Some(bytes.into()));
         assert!(loaded.tiers.pfs.quarantined().is_empty());
         // Reading through the chain rebuilds both from the partner copies.
         assert_eq!(latest(&loaded, 0), newest[0]);

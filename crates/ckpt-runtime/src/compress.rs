@@ -177,46 +177,38 @@ impl CompressionEngine {
         self.policy != CompressionPolicy::Off
     }
 
-    /// Encode one raw payload according to the policy. Infallible: any
-    /// path that cannot shrink the payload falls back to codec 0.
-    pub fn encode(&self, payload: Vec<u8>) -> StoredObject {
+    /// Encode one raw object (or plain payload) according to the policy.
+    /// Infallible: any path that cannot shrink the payload hands `raw`
+    /// back untouched — with the frame it carries, if it was read out of a
+    /// tier, so storing it again mints nothing.
+    pub fn encode(&self, raw: impl Into<StoredObject>) -> StoredObject {
+        let raw: StoredObject = raw.into();
+        debug_assert!(!raw.is_compressed(), "encode takes raw objects");
+        let payload = raw.payload();
+        let len = payload.len() as u64;
         let codec_id = match self.policy {
-            CompressionPolicy::Off => return StoredObject::raw(payload),
-            _ if payload.len() < MIN_COMPRESS_LEN => {
-                self.metrics
-                    .on_encode("store", payload.len() as u64, payload.len() as u64, 0);
-                return StoredObject::raw(payload);
-            }
+            CompressionPolicy::Off => return raw,
+            _ if payload.len() < MIN_COMPRESS_LEN => None,
             CompressionPolicy::Fixed(id) => Some(id).filter(|id| codec_by_id(*id).is_some()),
-            CompressionPolicy::Adaptive => self.select(&payload),
+            CompressionPolicy::Adaptive => self.select(payload),
         };
         let Some(codec_id) = codec_id else {
-            self.metrics
-                .on_encode("store", payload.len() as u64, payload.len() as u64, 0);
-            return StoredObject::raw(payload);
+            self.metrics.on_encode("store", len, len, 0);
+            return raw;
         };
         let codec = codec_by_id(codec_id).expect("validated codec id");
         let t0 = Instant::now();
-        let container = compress_blocks(&*codec, &payload, DEFAULT_BLOCK_SIZE);
+        let container = compress_blocks(&*codec, payload, DEFAULT_BLOCK_SIZE);
         let ns = t0.elapsed().as_nanos() as u64;
         // Object-level store fallback: the container (plus the frame's
         // uncompressed-length extension) must beat the raw payload.
         if container.len() + FRAME_EXT_LEN >= payload.len() {
-            self.metrics
-                .on_encode("store", payload.len() as u64, payload.len() as u64, ns);
-            return StoredObject::raw(payload);
+            self.metrics.on_encode("store", len, len, ns);
+            return raw;
         }
-        self.metrics.on_encode(
-            codec.name(),
-            payload.len() as u64,
-            (container.len() + FRAME_EXT_LEN) as u64,
-            ns,
-        );
-        StoredObject {
-            codec: codec_id,
-            uncompressed_len: payload.len() as u64,
-            payload: container,
-        }
+        let stored = (container.len() + FRAME_EXT_LEN) as u64;
+        self.metrics.on_encode(codec.name(), len, stored, ns);
+        StoredObject::encoded(codec_id, len, container)
     }
 
     /// Adaptive selection: compress a prefix sample through each candidate
@@ -271,8 +263,8 @@ mod tests {
         let (eng, reg) = engine(CompressionPolicy::Off);
         let data = counters(&(0..100_000).map(|i| i / 9).collect::<Vec<_>>());
         let obj = eng.encode(data.clone());
-        assert_eq!(obj.codec, 0);
-        assert_eq!(obj.payload, data);
+        assert_eq!(obj.codec(), 0);
+        assert_eq!(*obj.payload(), data);
         // Lazy metrics: the schema must not grow when compression is off.
         assert!(!reg.snapshot_json().contains("compress/"));
     }
@@ -282,9 +274,9 @@ mod tests {
         let (eng, reg) = engine(CompressionPolicy::Fixed(6));
         let data = counters(&(0..100_000).map(|i| i / 9).collect::<Vec<_>>());
         let obj = eng.encode(data.clone());
-        assert_eq!(obj.codec, 6);
-        assert_eq!(obj.uncompressed_len, data.len() as u64);
-        assert!(obj.payload.len() < data.len() / 2);
+        assert_eq!(obj.codec(), 6);
+        assert_eq!(obj.uncompressed_len(), data.len() as u64);
+        assert!(obj.payload().len() < data.len() / 2);
         assert_eq!(obj.decode().unwrap(), data);
         let json = reg.snapshot_json();
         for key in [
@@ -304,8 +296,8 @@ mod tests {
         let (eng, reg) = engine(CompressionPolicy::Fixed(6));
         let noise = noise(50_000, 0x1234_5678);
         let obj = eng.encode(noise.clone());
-        assert_eq!(obj.codec, 0, "noise must not be stored compressed");
-        assert_eq!(obj.payload, noise);
+        assert_eq!(obj.codec(), 0, "noise must not be stored compressed");
+        assert_eq!(*obj.payload(), noise);
         assert_eq!(reg.counter("compress/objects/store").get(), 1);
     }
 
@@ -314,20 +306,20 @@ mod tests {
         let (eng, _reg) = engine(CompressionPolicy::Adaptive);
         let data = counters(&(0..200_000).map(|i| i / 11).collect::<Vec<_>>());
         let obj = eng.encode(data.clone());
-        assert_ne!(obj.codec, 0, "counter lanes are compressible");
+        assert_ne!(obj.codec(), 0, "counter lanes are compressible");
         assert_eq!(obj.decode().unwrap(), data);
 
         let noise = noise(200_000, 0x9e37_79b9);
         let obj = eng.encode(noise.clone());
-        assert_eq!(obj.codec, 0);
-        assert_eq!(obj.payload, noise);
+        assert_eq!(obj.codec(), 0);
+        assert_eq!(*obj.payload(), noise);
     }
 
     #[test]
     fn tiny_objects_skip_compression() {
         let (eng, reg) = engine(CompressionPolicy::Adaptive);
         let obj = eng.encode(vec![0u8; MIN_COMPRESS_LEN - 1]);
-        assert_eq!(obj.codec, 0);
+        assert_eq!(obj.codec(), 0);
         assert_eq!(reg.counter("compress/objects/store").get(), 1);
         assert_eq!(reg.counter("compress/select_ns").get(), 0);
     }

@@ -267,6 +267,29 @@ pub(crate) fn apply_latency(kind: &FaultKind) {
     }
 }
 
+/// What a storage fault ([`FaultKind::TornWrite`], [`FaultKind::BitFlip`])
+/// leaves of `framed` on the device: a damaged **copy** — the frame handed
+/// in may be shared with other tiers, so it is never written through.
+/// `None` for every other kind (the frame lands as it is).
+pub(crate) fn damaged_copy(kind: &FaultKind, framed: &[u8]) -> Option<Vec<u8>> {
+    match *kind {
+        FaultKind::TornWrite { keep_bytes } => {
+            let keep = (keep_bytes as usize).min(framed.len().saturating_sub(1));
+            Some(framed[..keep].to_vec())
+        }
+        FaultKind::BitFlip { bit } => {
+            let mut copy = framed.to_vec();
+            let nbits = (copy.len() * 8) as u64;
+            if nbits > 0 {
+                let at = (bit % nbits) as usize;
+                copy[at / 8] ^= 1 << (at % 8);
+            }
+            Some(copy)
+        }
+        _ => None,
+    }
+}
+
 /// SplitMix64: tiny deterministic generator for seeded plans (and for the
 /// crash-consistency harness's schedules).
 pub struct SplitMix64 {

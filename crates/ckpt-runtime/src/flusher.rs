@@ -209,7 +209,7 @@ impl Flusher {
             Edge::HostToSsd => (&t.ssd, &m.into_ssd),
             Edge::HostToPfs | Edge::SsdToPfs => (&t.pfs, &m.into_pfs),
         };
-        let (raw_len, wire_len) = (object.uncompressed_len, object.stored_len());
+        let (raw_len, wire_len) = (object.uncompressed_len(), object.stored_len());
         let started = Instant::now();
         dst.store_object_with_retry(id, object, || m.retries.inc())
             .map_err(|refused| refused.object)?;
@@ -249,11 +249,13 @@ impl Flusher {
         };
         if let Some(staged) = staged {
             // Host staging holds raw objects; anything already encoded (a
-            // re-flush of a repaired copy) passes through untouched.
-            let object = if staged.codec == 0 {
-                self.engine.encode(staged.payload)
-            } else {
+            // re-flush of a repaired copy) passes through untouched — as
+            // does a raw object the policy stores as it is, which keeps
+            // the host frame it carries all the way down.
+            let object = if staged.is_compressed() {
                 staged
+            } else {
+                self.engine.encode(staged)
             };
             // Redundancy-encode the framed (post-compression) object across
             // its parity group, overlapped with the drain — idempotent, so

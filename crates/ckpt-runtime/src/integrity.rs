@@ -11,6 +11,7 @@
 //! | `integrity/frames_repaired` | counter | corrupt copies rewritten from a redundant valid copy |
 
 use crate::tier::ObjectId;
+use ckpt_dedup::Bytes;
 use ckpt_telemetry::{JsonWriter, LazyCounter, Registry};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -126,7 +127,7 @@ pub struct RankRecovery {
     pub prefix_len: usize,
     /// Decoded (unframed) payloads of the usable chain, in order
     /// (`payloads[i]` is checkpoint `base + i`).
-    pub payloads: Vec<Vec<u8>>,
+    pub payloads: Vec<Bytes>,
 }
 
 impl RankRecovery {
@@ -177,7 +178,7 @@ impl RecoveryReport {
     }
 
     /// The legacy recovery view: rank → durable prefix payloads.
-    pub fn into_prefixes(self) -> HashMap<u32, Vec<Vec<u8>>> {
+    pub fn into_prefixes(self) -> HashMap<u32, Vec<Bytes>> {
         self.ranks
             .into_iter()
             .map(|r| (r.rank, r.payloads))
@@ -290,7 +291,7 @@ mod tests {
                 ],
                 base: 0,
                 prefix_len: 2,
-                payloads: vec![vec![1], vec![2]],
+                payloads: vec![vec![1].into(), vec![2].into()],
             }],
         };
         assert_eq!(report.total_verified(), 1);

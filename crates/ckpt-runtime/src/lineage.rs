@@ -12,6 +12,7 @@ use crate::chain::TierChain;
 use ckpt_dedup::diff::{DecodeError, Diff};
 use ckpt_dedup::restart::is_self_contained;
 use ckpt_dedup::restore::RestoreError;
+use ckpt_dedup::Bytes;
 use std::collections::BTreeMap;
 
 /// Errors when reading a rank's lineage back.
@@ -69,8 +70,8 @@ impl std::error::Error for LineageError {}
 /// compacted away). Otherwise the run has a genuine hole — an id whose
 /// every copy is lost below the durable suffix — and that is surfaced as
 /// [`LineageError::Hole`] instead of silently restoring stale state.
-pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>), LineageError> {
-    let mut present: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Bytes>), LineageError> {
+    let mut present: BTreeMap<u32, Bytes> = BTreeMap::new();
     // One read session: a record several of the rank's records reference
     // is fetched and indexed once for the whole collection.
     let mut reader = tiers.reader();
@@ -106,11 +107,11 @@ pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>
 /// cannot be replayed. What a caller does with a stranded newest run is its
 /// own answer ([`collect_record`] types the hole, recovery falls back to an
 /// older run).
-pub(crate) fn run_head(records: &BTreeMap<u32, Vec<u8>>, lo: u32, hi: u32) -> Option<u32> {
+pub(crate) fn run_head(records: &BTreeMap<u32, Bytes>, lo: u32, hi: u32) -> Option<u32> {
     if lo == 0 {
         return Some(0);
     }
-    (lo..=hi).find(|k| Diff::decode(&records[k]).is_ok_and(|d| is_self_contained(&d)))
+    (lo..=hi).find(|k| Diff::decode_shared(&records[k]).is_ok_and(|d| is_self_contained(&d)))
 }
 
 /// The runtime-level **oracle**: materialize every surviving version of
@@ -125,7 +126,9 @@ pub fn restore_rank(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>),
     let diffs = encoded
         .iter()
         .enumerate()
-        .map(|(i, bytes)| Diff::decode(bytes).map_err(|e| LineageError::Decode(base + i as u32, e)))
+        .map(|(i, bytes)| {
+            Diff::decode_shared(bytes).map_err(|e| LineageError::Decode(base + i as u32, e))
+        })
         .collect::<Result<Vec<Diff>, LineageError>>()?;
     let versions = ckpt_dedup::restore::restore_record_from(base, &diffs);
     Ok((base, versions.map_err(LineageError::Restore)?))
@@ -194,11 +197,11 @@ mod tests {
         tiers.host.put((0, 1), vec![4, 5]).unwrap(); // corrupted by the plan
         assert_eq!(
             collect_record(&tiers, 0).unwrap(),
-            (0, vec![vec![1, 2, 3], vec![4, 5]])
+            (0, vec![vec![1, 2, 3].into(), vec![4, 5].into()])
         );
         assert_eq!(tiers.integrity().corrupt_count(), 1);
         assert_eq!(tiers.integrity().repaired_count(), 1);
-        assert_eq!(tiers.host.get((0, 1)), Some(vec![4, 5]));
+        assert_eq!(tiers.host.get((0, 1)), Some(vec![4, 5].into()));
     }
 
     #[test]

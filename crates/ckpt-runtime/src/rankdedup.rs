@@ -68,6 +68,7 @@ use crate::fault::{FaultKind, FaultPlan, OpKind, SplitMix64};
 use crate::tier::ObjectId;
 use ckpt_dedup::diff::Diff;
 use ckpt_dedup::frame::{self, RankDedupEntry, RankDedupRecord, RemoteRef};
+use ckpt_dedup::Bytes;
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use ckpt_telemetry::{LazyCounter, Registry};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -801,7 +802,7 @@ pub struct Resolver<F> {
     targets: HashMap<ObjectId, RankDedupRecord>,
 }
 
-impl<F: Fn(ObjectId) -> Option<Vec<u8>>> Resolver<F> {
+impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
     pub fn new(fetch: F) -> Self {
         Resolver {
             fetch,
@@ -813,7 +814,7 @@ impl<F: Fn(ObjectId) -> Option<Vec<u8>>> Resolver<F> {
     /// object `id`. Depth-1: referenced entries must be local in their
     /// record. The reassembly is verified against the recorded original
     /// length and checksum before it is returned.
-    pub fn resolve(&mut self, id: ObjectId, bytes: &[u8]) -> Result<Vec<u8>, RankDedupError> {
+    pub fn resolve(&mut self, id: ObjectId, bytes: &[u8]) -> Result<Bytes, RankDedupError> {
         let rec = RankDedupRecord::decode(bytes).map_err(RankDedupError::Decode)?;
         if (rec.rank, rec.ckpt_id) != id {
             return Err(RankDedupError::Decode(frame::FrameError::IdMismatch {
@@ -881,7 +882,7 @@ impl<F: Fn(ObjectId) -> Option<Vec<u8>>> Resolver<F> {
         if frame::checksum64(rec.rank, rec.ckpt_id, &out) != rec.orig_checksum {
             return Err(RankDedupError::ChecksumMismatch);
         }
-        Ok(out)
+        Ok(out.into())
     }
 }
 
@@ -891,8 +892,8 @@ impl<F: Fn(ObjectId) -> Option<Vec<u8>>> Resolver<F> {
 pub fn resolve_record(
     id: ObjectId,
     bytes: &[u8],
-    fetch: &dyn Fn(ObjectId) -> Option<Vec<u8>>,
-) -> Result<Vec<u8>, RankDedupError> {
+    fetch: &dyn Fn(ObjectId) -> Option<Bytes>,
+) -> Result<Bytes, RankDedupError> {
     Resolver::new(fetch).resolve(id, bytes)
 }
 
@@ -929,7 +930,7 @@ mod tests {
         );
         let store: HashMap<ObjectId, Vec<u8>> =
             [((0, 0), first.clone()), ((1, 0), second.clone())].into();
-        let fetch = |id: ObjectId| store.get(&id).cloned();
+        let fetch = |id: ObjectId| store.get(&id).cloned().map(Bytes::from);
         assert_eq!(resolve_record((0, 0), &first, &fetch).unwrap(), shared);
         assert_eq!(resolve_record((1, 0), &second, &fetch).unwrap(), shared);
     }
@@ -946,7 +947,7 @@ mod tests {
         assert!(rec
             .remote_refs()
             .all(|r| (r.owner_rank, r.ckpt_id) == (0, 0)));
-        let fetch = |_: ObjectId| -> Option<Vec<u8>> { panic!("self refs must not fetch") };
+        let fetch = |_: ObjectId| -> Option<Bytes> { panic!("self refs must not fetch") };
         assert_eq!(resolve_record((0, 0), &enc, &fetch).unwrap(), bytes);
     }
 
@@ -956,19 +957,19 @@ mod tests {
         let shared = payload(9, 64 * 4);
         let first = e.encode((0, 0), shared.clone());
         let second = e.encode((1, 0), shared.clone());
-        let fetch_gone = |_: ObjectId| -> Option<Vec<u8>> { None };
+        let fetch_gone = |_: ObjectId| -> Option<Bytes> { None };
         match resolve_record((1, 0), &second, &fetch_gone) {
             Err(RankDedupError::DanglingRef { .. }) => {}
             other => panic!("expected DanglingRef, got {other:?}"),
         }
         // A wrong referenced payload fails the checksum, typed.
         let decoy = e.encode((0, 1), payload(250, 64 * 4));
-        let fetch_wrong = move |_: ObjectId| Some(decoy.clone());
+        let fetch_wrong = move |_: ObjectId| Some(decoy.clone().into());
         assert!(matches!(
             resolve_record((1, 0), &second, &fetch_wrong),
             Err(RankDedupError::ChecksumMismatch) | Err(RankDedupError::NotLocal { .. })
         ));
-        let fetch_ok = move |_: ObjectId| Some(first.clone());
+        let fetch_ok = move |_: ObjectId| Some(first.clone().into());
         assert_eq!(resolve_record((1, 0), &second, &fetch_ok).unwrap(), shared);
     }
 
@@ -993,7 +994,7 @@ mod tests {
         let fetched = RefCell::new(Vec::new());
         let fetch = |id: ObjectId| {
             fetched.borrow_mut().push(id);
-            store.get(&id).cloned()
+            store.get(&id).cloned().map(Bytes::from)
         };
 
         let mut resolver = Resolver::new(&fetch);
@@ -1021,7 +1022,7 @@ mod tests {
         let first = e.encode((0, 0), shared.clone());
         let second = e.encode((1, 0), shared.clone());
         let present = Cell::new(false);
-        let mut resolver = Resolver::new(|_: ObjectId| present.get().then(|| first.clone()));
+        let mut resolver = Resolver::new(|_: ObjectId| present.get().then(|| first.clone().into()));
         assert!(matches!(
             resolver.resolve((1, 0), &second),
             Err(RankDedupError::DanglingRef { .. })

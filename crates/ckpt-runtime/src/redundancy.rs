@@ -286,7 +286,7 @@ impl RedundancyStore {
     }
 
     fn member_checksum(id: ObjectId, object: &StoredObject) -> u64 {
-        frame::checksum64_region(id.0, id.1, object.codec, &object.payload)
+        frame::checksum64_region(id.0, id.1, object.codec(), object.payload())
     }
 
     /// Protect one member's encoded object across its group. Idempotent:
@@ -297,9 +297,9 @@ impl RedundancyStore {
             return;
         }
         let meta = MemberMeta {
-            codec: object.codec,
-            uncompressed_len: object.uncompressed_len,
-            stored_len: object.payload.len() as u64,
+            codec: object.codec(),
+            uncompressed_len: object.uncompressed_len(),
+            stored_len: object.payload().len() as u64,
             chunk_len: 0,
             checksum: Self::member_checksum(id, object),
         };
@@ -326,7 +326,7 @@ impl RedundancyStore {
     fn encode_xor(&self, id: ObjectId, object: &StoredObject, mut meta: MemberMeta, k: usize) {
         let (rank, ckpt) = (id.0 as usize, id.1);
         let (g, l) = (rank / k, rank % k);
-        let len = object.payload.len();
+        let len = object.payload().len();
         let chunk_len = len.div_ceil(k - 1);
         meta.chunk_len = chunk_len as u64;
         let mut all_ok = true;
@@ -335,7 +335,7 @@ impl RedundancyStore {
             let host = (g * k + s) as u32;
             let key = (host, ckpt);
             let mut rec = match self.group.inspect_object(key).into_object() {
-                Some(obj) => ParityRecord::decode(&obj.payload).unwrap_or_default(),
+                Some(obj) => ParityRecord::decode(obj.payload()).unwrap_or_default(),
                 None => ParityRecord::default(),
             };
             rec.group = g as u32;
@@ -347,7 +347,7 @@ impl RedundancyStore {
             let lo = j * chunk_len;
             let hi = ((j + 1) * chunk_len).min(len);
             if lo < len {
-                for (i, b) in object.payload[lo..hi].iter().enumerate() {
+                for (i, b) in object.payload()[lo..hi].iter().enumerate() {
                     rec.parity[i] ^= b;
                 }
             }
@@ -403,8 +403,8 @@ impl RedundancyStore {
                 self.reconstruct_xor(id, meta, group_size as usize, fetch)?
             }
         };
-        let ok = object.codec == meta.codec
-            && object.payload.len() as u64 == meta.stored_len
+        let ok = object.codec() == meta.codec
+            && object.payload().len() as u64 == meta.stored_len
             && Self::member_checksum(id, &object) == meta.checksum;
         if ok {
             Ok(object)
@@ -429,7 +429,7 @@ impl RedundancyStore {
             let s = if j >= l { j + 1 } else { j };
             let key = ((g * k + s) as u32, ckpt);
             let rec = match self.group.inspect_object(key) {
-                ObjectState::Valid(obj) => ParityRecord::decode(&obj.payload)
+                ObjectState::Valid(obj) => ParityRecord::decode(obj.payload())
                     .map_err(|_| ReconstructError::CorruptGroupCopy)?,
                 ObjectState::Missing => return Err(ReconstructError::MissingGroupCopy),
                 _ => return Err(ReconstructError::CorruptGroupCopy),
@@ -444,7 +444,7 @@ impl RedundancyStore {
                         .ok_or(ReconstructError::MissingSurvivor { rank: m.rank })?;
                     // A survivor whose bytes drifted from what was encoded
                     // would silently poison the XOR — verify up front.
-                    if obj.payload.len() as u64 != m.stored_len
+                    if obj.payload().len() as u64 != m.stored_len
                         || Self::member_checksum((m.rank, ckpt), &obj) != m.checksum
                     {
                         return Err(ReconstructError::MissingSurvivor { rank: m.rank });
@@ -455,12 +455,12 @@ impl RedundancyStore {
                 let lm = (m.rank as usize) % k;
                 let jm = if s > lm { s - 1 } else { s };
                 let ml = m.chunk_len as usize;
-                let lo = (jm * ml).min(obj.payload.len());
-                let hi = ((jm + 1) * ml).min(obj.payload.len());
+                let lo = (jm * ml).min(obj.payload().len());
+                let hi = ((jm + 1) * ml).min(obj.payload().len());
                 if chunk.len() < hi - lo {
                     return Err(ReconstructError::CorruptGroupCopy);
                 }
-                for (i, b) in obj.payload[lo..hi].iter().enumerate() {
+                for (i, b) in obj.payload()[lo..hi].iter().enumerate() {
                     chunk[i] ^= b;
                 }
             }
@@ -471,10 +471,9 @@ impl RedundancyStore {
         if payload.len() as u64 != meta.stored_len {
             return Err(ReconstructError::ChecksumMismatch);
         }
-        Ok(StoredObject {
-            codec: meta.codec,
-            uncompressed_len: meta.uncompressed_len,
-            payload,
+        Ok(match meta.codec {
+            0 => StoredObject::raw(payload),
+            codec => StoredObject::encoded(codec, meta.uncompressed_len, payload),
         })
     }
 
@@ -744,11 +743,13 @@ mod tests {
             if mid.0 == 0 {
                 return None;
             }
-            let mut obj = objs[mid.0 as usize].clone();
-            if mid.0 == 1 {
-                obj.payload[17] ^= 0x40;
+            let obj = &objs[mid.0 as usize];
+            if mid.0 != 1 {
+                return Some(obj.clone());
             }
-            Some(obj)
+            let mut drifted = obj.payload().to_vec();
+            drifted[17] ^= 0x40;
+            Some(StoredObject::raw(drifted))
         };
         assert_eq!(
             s.reconstruct((0, 2), &fetch).unwrap_err(),

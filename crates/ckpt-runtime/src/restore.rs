@@ -33,6 +33,7 @@ use crate::lineage::LineageError;
 use crate::runtime::AsyncRuntime;
 use ckpt_dedup::diff::Diff;
 use ckpt_dedup::restart::{is_self_contained, RestartStats, SinglePassRestore};
+use ckpt_dedup::Bytes;
 use ckpt_telemetry::Registry;
 use crossbeam::channel::bounded;
 use gpu_sim::Device;
@@ -84,7 +85,7 @@ pub fn restore_rank_latest_parallel(
     // only, read after the scope below has joined the reader.
     let records_fetched = AtomicU64::new(1);
 
-    let mut diff = Diff::decode(&top_bytes).map_err(|e| LineageError::Decode(top, e))?;
+    let mut diff = Diff::decode_shared(&top_bytes).map_err(|e| LineageError::Decode(top, e))?;
     // A record that references nothing older provably ends the walk: the
     // one below it is asked for — before this one is resolved, which is the
     // overlap — only otherwise.
@@ -92,7 +93,7 @@ pub fn restore_rank_latest_parallel(
 
     let engine = std::thread::scope(|s| -> Result<SinglePassRestore, LineageError> {
         let (want, wanted) = bounded::<()>(1);
-        let (tx, rx) = bounded::<(u32, Option<Vec<u8>>)>(1);
+        let (tx, rx) = bounded::<(u32, Option<Bytes>)>(1);
         if !ends_walk {
             let records_fetched = &records_fetched;
             s.spawn(move || {
@@ -137,7 +138,7 @@ pub fn restore_rank_latest_parallel(
             };
             records_read += 1;
             bytes_read += bytes.len() as u64;
-            diff = Diff::decode(&bytes).map_err(|e| LineageError::Decode(id, e))?;
+            diff = Diff::decode_shared(&bytes).map_err(|e| LineageError::Decode(id, e))?;
             ends_walk = is_self_contained(&diff);
             if !ends_walk {
                 // With no reader left to hear it, the `recv` above fails.

@@ -34,6 +34,7 @@ use crate::integrity::RecoveryReport;
 use crate::rankdedup::RankDedupEngine;
 use crate::redundancy::{RedundancyMetrics, RedundancyPolicy, RedundancyStore};
 use crate::tier::{ObjectId, StoreErrorKind, StoredObject, TierFull};
+use ckpt_dedup::Bytes;
 use ckpt_telemetry::Registry;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -220,7 +221,7 @@ impl AsyncRuntime {
         let start = Instant::now();
         let (host, m) = (&self.shared.tiers.host, &self.shared.m);
         let mut object = StoredObject::raw(self.dedup_transform(id, bytes));
-        let len = object.payload.len();
+        let len = object.payload().len();
         let mut stalled = false;
         loop {
             let stored = if blocking {
@@ -328,7 +329,7 @@ impl AsyncRuntime {
     /// Restart must resume from these (later diffs may exist but are
     /// unusable without their predecessors). See
     /// [`recover_report`](Self::recover_report) for per-object accounting.
-    pub fn recover(&self) -> HashMap<u32, Vec<Vec<u8>>> {
+    pub fn recover(&self) -> HashMap<u32, Vec<Bytes>> {
         self.recover_report().into_prefixes()
     }
 
@@ -371,8 +372,8 @@ mod tests {
         rt.submit(0, 0, vec![1; 100]).unwrap();
         rt.submit(0, 1, vec![2; 100]).unwrap();
         rt.wait_durable(&[(0, 0), (0, 1)]);
-        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![1; 100]));
-        assert_eq!(rt.tiers().pfs.get((0, 1)), Some(vec![2; 100]));
+        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![1; 100].into()));
+        assert_eq!(rt.tiers().pfs.get((0, 1)), Some(vec![2; 100].into()));
         assert!(!rt.tiers().host.contains((0, 0)));
         assert!(!rt.tiers().ssd.contains((0, 0)));
         rt.shutdown();
@@ -383,7 +384,7 @@ mod tests {
         let rt = AsyncRuntime::new();
         rt.submit(3, 0, vec![7; 10]).unwrap();
         rt.wait_durable(&[(3, 0)]);
-        assert_eq!(rt.tiers().locate((3, 0)), Some(vec![7; 10]));
+        assert_eq!(rt.tiers().locate((3, 0)), Some(vec![7; 10].into()));
         assert_eq!(rt.tiers().locate((9, 9)), None);
     }
 
@@ -455,7 +456,7 @@ mod tests {
         let ids: Vec<_> = (0..8u32).map(|k| (0, k)).collect();
         rt.wait_durable(&ids);
         for &id in &ids {
-            assert_eq!(rt.tiers().pfs.get(id), Some(vec![id.1 as u8; 100]));
+            assert_eq!(rt.tiers().pfs.get(id), Some(vec![id.1 as u8; 100].into()));
         }
         rt.shutdown();
     }
@@ -553,7 +554,7 @@ mod tests {
         let ids = [(0, 0), (0, 1), (0, 2)];
         rt.wait_durable(&ids);
         for id in ids {
-            assert_eq!(rt.tiers().pfs.get(id), Some(vec![id.1 as u8; 128]));
+            assert_eq!(rt.tiers().pfs.get(id), Some(vec![id.1 as u8; 128].into()));
         }
         let reg = Arc::clone(rt.telemetry());
         assert!(rt.undrainable().is_empty());
@@ -577,7 +578,7 @@ mod tests {
         });
         rt.submit(0, 0, vec![5; 256]).unwrap();
         rt.wait_durable(&[(0, 0)]);
-        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![5; 256]));
+        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![5; 256].into()));
         assert!(!rt.tiers().ssd.contains((0, 0)));
         assert!(!rt.tiers().host.contains((0, 0)));
         let reg = Arc::clone(rt.telemetry());
@@ -606,7 +607,7 @@ mod tests {
         });
         rt.submit(0, 0, vec![1; 64]).unwrap();
         rt.wait_durable(&[(0, 0)]);
-        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![1; 64]));
+        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![1; 64].into()));
         let reg = Arc::clone(rt.telemetry());
         rt.shutdown();
         assert_eq!(reg.counter("runtime/degraded_flushes").get(), 1);
@@ -629,7 +630,7 @@ mod tests {
         rt.submit(0, 1, vec![8; 512]).unwrap();
         rt.wait_durable(&[(0, 0), (0, 1)]);
         assert_eq!(rt.undrainable(), vec![(0, 0)]);
-        assert_eq!(rt.tiers().pfs.get((0, 1)), Some(vec![8; 512]));
+        assert_eq!(rt.tiers().pfs.get((0, 1)), Some(vec![8; 512].into()));
         let report = rt.recover_report();
         assert_eq!(report.total(ObjectStatus::LostVolatile), 1);
         // ckpt 0 lost ⇒ the durable prefix is empty even though ckpt 1
@@ -652,11 +653,11 @@ mod tests {
         let tiers = TierChain::with_faults(plan);
         tiers.host.put((0, 0), vec![3; 128]).unwrap();
         tiers.ssd.put((0, 0), vec![3; 128]).unwrap(); // corrupted by the plan
-        assert_eq!(tiers.locate((0, 0)), Some(vec![3; 128]));
+        assert_eq!(tiers.locate((0, 0)), Some(vec![3; 128].into()));
         assert_eq!(tiers.integrity().corrupt_count(), 1);
         assert_eq!(tiers.integrity().repaired_count(), 1);
         // The repaired SSD copy now verifies.
-        assert_eq!(tiers.ssd.get((0, 0)), Some(vec![3; 128]));
+        assert_eq!(tiers.ssd.get((0, 0)), Some(vec![3; 128].into()));
         assert_eq!(tiers.ssd.quarantined(), vec![(0, 0)]);
     }
 
@@ -676,7 +677,7 @@ mod tests {
         assert_eq!(report.ranks[0].prefix_len, 1);
         assert_eq!(report.ranks[0].payloads[0], vec![6; 200]);
         // The PFS copy has been rewritten and now verifies.
-        assert_eq!(tiers.pfs.get((2, 0)), Some(vec![6; 200]));
+        assert_eq!(tiers.pfs.get((2, 0)), Some(vec![6; 200].into()));
         assert_eq!(tiers.integrity().repaired_count(), 1);
     }
 
@@ -726,12 +727,12 @@ mod tests {
 
         // Transparent reads return the original bytes; the durable copy is
         // stored compressed and charged at its compressed size.
-        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(payload.clone()));
+        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(payload.clone().into()));
         let durable = rt.tiers().pfs.inspect_object((0, 0)).into_object().unwrap();
-        assert_ne!(durable.codec, 0);
-        assert_eq!(durable.uncompressed_len, payload.len() as u64);
+        assert_ne!(durable.codec(), 0);
+        assert_eq!(durable.uncompressed_len(), payload.len() as u64);
         assert!(rt.tiers().pfs.used_bytes() < payload.len() as u64 / 2);
-        assert_eq!(rt.tiers().locate((0, 0)), Some(payload.clone()));
+        assert_eq!(rt.tiers().locate((0, 0)), Some(payload.clone().into()));
 
         rt.shutdown();
         // Size histograms stay in payload units regardless of policy
@@ -799,7 +800,7 @@ mod tests {
         });
         rt.submit_blocking(0, 0, vec![7; 256]).unwrap();
         rt.wait_durable(&[(0, 0)]);
-        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![7; 256]));
+        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(vec![7; 256].into()));
         let reg = Arc::clone(rt.telemetry());
         rt.shutdown();
         // The host tier had room all along.
@@ -839,9 +840,9 @@ mod tests {
         let payload = compressible_payload(60_000);
         rt.submit(0, 0, payload.clone()).unwrap();
         rt.wait_durable(&[(0, 0)]);
-        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(payload));
+        assert_eq!(rt.tiers().pfs.get((0, 0)), Some(payload.into()));
         let durable = rt.tiers().pfs.inspect_object((0, 0)).into_object().unwrap();
-        assert_eq!(durable.codec, 6);
+        assert_eq!(durable.codec(), 6);
         rt.shutdown();
         assert_eq!(reg.counter("runtime/degraded_flushes").get(), 1);
         // Encoded exactly once: the degraded PFS retry reuses the object.
@@ -880,7 +881,7 @@ mod tests {
         let obj = zstd_object(&payload);
         tiers.ssd.store_object((0, 0), obj.clone()).unwrap(); // corrupted
         tiers.host.store_object((0, 0), obj.clone()).unwrap(); // good copy
-        assert_eq!(tiers.locate((0, 0)), Some(payload));
+        assert_eq!(tiers.locate((0, 0)), Some(payload.into()));
         assert_eq!(tiers.integrity().repaired_count(), 1);
         // The repaired SSD copy verifies and is still compressed.
         assert_eq!(tiers.ssd.inspect_object((0, 0)).into_object(), Some(obj));

@@ -21,6 +21,23 @@
 //! bandwidth and byte accounting remain *payload-based* (the 32-byte header
 //! is bookkeeping, not modeled I/O).
 //!
+//! # Who owns a frame
+//!
+//! A frame's bytes are allocated once, where it is **minted**: the
+//! `store_object` of an object that carries no frame for that slot (the
+//! producer's host write, a compressed object leaving the flusher's
+//! encoder, a parity stripe, a group rebuild). The tier holds it behind a
+//! shared immutable [`Bytes`]; [`inspect_object`](Tier::inspect_object)
+//! hands out a reference-count bump of it, verifies it in place — every
+//! read still pays the one checksum pass — and returns a [`StoredObject`]
+//! whose payload is a view into it and which **carries** it. Storing that
+//! object under the same id — the SSD → PFS hop, the degraded edge, a
+//! repair — installs the very same bytes: no allocation, no copy, no second
+//! checksum; the checksum minted at the producer travels end to end.
+//! Nothing can write through a [`Bytes`], and an injected
+//! [`FaultKind::TornWrite`] / [`FaultKind::BitFlip`] damages a private
+//! copy, so one tier's damage never reaches the copy another tier shares.
+//!
 //! # Compressed objects
 //!
 //! The flusher may hand a tier an already-compressed payload via
@@ -46,8 +63,8 @@
 //! it at the next read.
 
 use crate::compress::CompressMetrics;
-use crate::fault::{apply_latency, FaultKind, FaultPlan, OpKind};
-use ckpt_dedup::frame;
+use crate::fault::{apply_latency, damaged_copy, FaultKind, FaultPlan, OpKind};
+use ckpt_dedup::{frame, Bytes};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,10 +146,11 @@ impl TierConfig {
 /// One simulated storage tier.
 pub struct Tier {
     cfg: TierConfig,
-    /// Framed objects (header + payload).
-    objects: Mutex<HashMap<ObjectId, Vec<u8>>>,
+    /// Framed objects (header + payload), each possibly shared with the
+    /// other tiers holding the same object.
+    objects: Mutex<HashMap<ObjectId, Bytes>>,
     /// Corrupt frames pulled out of circulation, kept for forensics.
-    quarantined: Mutex<HashMap<ObjectId, Vec<u8>>>,
+    quarantined: Mutex<HashMap<ObjectId, Bytes>>,
     used: AtomicU64,
     bytes_written: AtomicU64,
     /// Modeled cumulative busy time in femtoseconds.
@@ -152,24 +170,44 @@ pub struct Tier {
 /// original payload length, and the bytes as they sit on the device
 /// (compressed when `codec != 0`). This is the currency of the flush path:
 /// the SSD→PFS hop moves a `StoredObject` verbatim, never transcoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Immutable once built, because an object read out of a tier carries the
+/// verified frame its payload is a view of (see the module docs); equality
+/// compares what is stored, not where it came from.
+#[derive(Debug, Clone)]
 pub struct StoredObject {
-    /// `ckpt_compress` codec id; 0 means the payload is stored verbatim.
-    pub codec: u8,
-    /// Length of the original (decoded) payload in bytes.
-    pub uncompressed_len: u64,
-    /// The stored bytes (a [`ckpt_compress::blocks`] container when
-    /// `codec != 0`, the payload itself otherwise).
-    pub payload: Vec<u8>,
+    codec: u8,
+    uncompressed_len: u64,
+    payload: Bytes,
+    /// The verified frame `payload` is a view of, and the slot it is the
+    /// frame for.
+    carried: Option<(ObjectId, Bytes)>,
+}
+
+impl PartialEq for StoredObject {
+    fn eq(&self, other: &StoredObject) -> bool {
+        (self.codec, self.uncompressed_len, &self.payload)
+            == (other.codec, other.uncompressed_len, &other.payload)
+    }
+}
+
+impl Eq for StoredObject {}
+
+impl From<Vec<u8>> for StoredObject {
+    fn from(payload: Vec<u8>) -> StoredObject {
+        StoredObject::raw(payload)
+    }
 }
 
 impl StoredObject {
     /// An uncompressed object.
     pub fn raw(payload: Vec<u8>) -> Self {
+        let payload = Bytes::from(payload);
         StoredObject {
             codec: 0,
             uncompressed_len: payload.len() as u64,
             payload,
+            carried: None,
         }
     }
 
@@ -179,8 +217,25 @@ impl StoredObject {
         StoredObject {
             codec,
             uncompressed_len,
-            payload,
+            payload: payload.into(),
+            carried: None,
         }
+    }
+
+    /// `ckpt_compress` codec id; 0 means the payload is stored verbatim.
+    pub fn codec(&self) -> u8 {
+        self.codec
+    }
+
+    /// Length of the original (decoded) payload in bytes.
+    pub fn uncompressed_len(&self) -> u64 {
+        self.uncompressed_len
+    }
+
+    /// The stored bytes (a [`ckpt_compress::blocks`] container when
+    /// `codec != 0`, the payload itself otherwise).
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
     }
 
     pub fn is_compressed(&self) -> bool {
@@ -200,40 +255,49 @@ impl StoredObject {
     }
 
     /// Recover the original payload (decompressing through the recorded
-    /// codec when one is set).
-    pub fn decode(self) -> Result<Vec<u8>, frame::FrameError> {
+    /// codec when one is set; a raw object's payload is handed over as the
+    /// view it is).
+    pub fn decode(self) -> Result<Bytes, frame::FrameError> {
         if self.codec == 0 {
             Ok(self.payload)
         } else {
             frame::decompress_payload(self.codec, self.uncompressed_len, &self.payload)
+                .map(Bytes::from)
         }
     }
 
     /// The self-verifying frame this object is stored as under `id` — the
-    /// bytes a tier holds and a record file contains.
-    pub fn frame(&self, id: ObjectId) -> Vec<u8> {
-        if self.codec == 0 {
-            frame::encode_frame(id.0, id.1, &self.payload)
-        } else {
-            frame::encode_frame_compressed(
+    /// bytes a tier holds and a record file contains. The carried frame
+    /// when the object was read out of slot `id`; minted (one allocation,
+    /// one copy, one checksum pass) otherwise.
+    pub fn frame(&self, id: ObjectId) -> Bytes {
+        match &self.carried {
+            Some((slot, framed)) if *slot == id => Bytes::clone(framed),
+            _ if self.codec == 0 => frame::encode_frame(id.0, id.1, &self.payload).into(),
+            _ => frame::encode_frame_compressed(
                 id.0,
                 id.1,
                 self.codec,
                 self.uncompressed_len,
                 &self.payload,
             )
+            .into(),
         }
     }
 
-    /// Inverse of [`frame`](Self::frame): verify the frame (checksum over
-    /// the stored bytes and, with `expect`, the slot ids) and return the
-    /// object still in its stored form.
-    pub fn unframe(framed: &[u8], expect: Option<ObjectId>) -> Result<Self, frame::FrameError> {
+    /// Inverse of [`frame`](Self::frame), and the one verify of a read:
+    /// check the frame in place (checksum over the stored bytes and, with
+    /// `expect`, the slot ids) and return the object still in its stored
+    /// form — its payload a view into `framed`, which it carries.
+    pub fn unframe(framed: &Bytes, expect: Option<ObjectId>) -> Result<Self, frame::FrameError> {
         let (header, stored) = frame::decode_frame(framed, expect)?;
+        // The stored payload is the frame's tail.
+        let payload = framed.slice(framed.len() - stored.len()..framed.len());
         Ok(StoredObject {
             codec: header.codec,
             uncompressed_len: header.uncompressed_len,
-            payload: stored.to_vec(),
+            payload,
+            carried: Some(((header.rank, header.ckpt_id), Bytes::clone(framed))),
         })
     }
 }
@@ -293,23 +357,21 @@ impl ObjectState {
     }
 }
 
-/// A verified object after [`Tier::decode`]: the original payload, plus the
-/// stored form when that is something else.
+/// A verified object after [`Tier::decode`]: the original payload beside
+/// the object it was decoded from.
 pub(crate) struct Decoded {
-    pub payload: Vec<u8>,
-    /// The object as read, kept only when compressed — a raw object *is*
-    /// its payload, which was moved here rather than copied.
-    compressed: Option<StoredObject>,
+    /// A view into the object's frame when it is raw, the decompressed
+    /// bytes otherwise.
+    pub payload: Bytes,
+    object: StoredObject,
 }
 
 impl Decoded {
-    /// The object in its stored form again, for a verbatim re-store. This
-    /// is the one copy a repair pays; a plain read never makes it.
+    /// The object in its stored form again, for a verbatim re-store: it
+    /// carries its frame, so this is a reference-count bump and the
+    /// re-store under the same id installs the bytes that were read.
     pub fn stored(&self) -> StoredObject {
-        match &self.compressed {
-            Some(object) => object.clone(),
-            None => StoredObject::raw(self.payload.clone()),
-        }
+        StoredObject::clone(&self.object)
     }
 }
 
@@ -418,21 +480,12 @@ impl Tier {
         }
 
         let mut framed = object.frame(id);
-        // Storage faults mutate the framed bytes *before* the atomic
-        // insert: readers see the complete (corrupt) object, never a
-        // half-applied write.
-        match fault {
-            Some(FaultKind::TornWrite { keep_bytes }) => {
-                framed.truncate((keep_bytes as usize).min(framed.len().saturating_sub(1)));
-            }
-            Some(FaultKind::BitFlip { bit }) => {
-                let nbits = (framed.len() * 8) as u64;
-                if nbits > 0 {
-                    let at = (bit % nbits) as usize;
-                    framed[at / 8] ^= 1 << (at % 8);
-                }
-            }
-            _ => {}
+        // A storage fault lands a damaged private copy in place of the
+        // frame, *before* the atomic insert: readers see the complete
+        // (corrupt) object, never a half-applied write, and a frame shared
+        // with another tier is left as it is.
+        if let Some(damaged) = fault.and_then(|kind| damaged_copy(&kind, &framed)) {
+            framed = damaged.into();
         }
 
         // Re-charge to what actually landed (a torn write stores less than
@@ -498,40 +551,38 @@ impl Tier {
     /// `decode`: a verified copy of an object's original payload. Corrupt,
     /// undecodable, missing and transiently-unreadable objects all read as
     /// `None`; `inspect_object` tells them apart.
-    pub fn get(&self, id: ObjectId) -> Option<Vec<u8>> {
+    pub fn get(&self, id: ObjectId) -> Option<Bytes> {
         let object = self.inspect_object(id).into_object()?;
         Some(self.decode(object).ok()?.payload)
     }
 
     /// The one decode of a verified object back to its original payload,
     /// timed into `compress/decode_ns` when it decompresses. A compressed
-    /// object is decompressed from a borrow and kept beside the result; a
-    /// raw one is moved — nothing is copied just to be decoded. An object
-    /// whose frame verified but whose payload the codec rejects is an
-    /// error the caller treats as corruption.
+    /// object is decompressed from its view; a raw one's payload *is* the
+    /// view — nothing is copied just to be decoded. An object whose frame
+    /// verified but whose payload the codec rejects is an error the caller
+    /// treats as corruption.
     pub(crate) fn decode(&self, object: StoredObject) -> Result<Decoded, frame::FrameError> {
-        if !object.is_compressed() {
-            return Ok(Decoded {
-                payload: object.payload,
-                compressed: None,
-            });
-        }
-        let started = Instant::now();
-        let payload =
-            frame::decompress_payload(object.codec, object.uncompressed_len, &object.payload)?;
-        if let Some(m) = self.compress_metrics.get() {
-            m.on_decode(started.elapsed().as_nanos() as u64);
-        }
-        Ok(Decoded {
-            payload,
-            compressed: Some(object),
-        })
+        let payload = if object.is_compressed() {
+            let started = Instant::now();
+            let payload =
+                frame::decompress_payload(object.codec, object.uncompressed_len, &object.payload)?;
+            if let Some(m) = self.compress_metrics.get() {
+                m.on_decode(started.elapsed().as_nanos() as u64);
+            }
+            payload.into()
+        } else {
+            Bytes::clone(&object.payload)
+        };
+        Ok(Decoded { payload, object })
     }
 
     /// Read and verify an object's frame *without* decompressing: the
     /// checksum (over the stored bytes) and ids are checked, and every
     /// outcome is told apart; the payload comes back in its encoded form
-    /// so it can be re-stored on another tier verbatim.
+    /// so it can be re-stored on another tier verbatim. Under the tier lock
+    /// this is a reference-count bump; the verify runs on the shared frame
+    /// outside it, and the object returned is a view into that frame.
     pub fn inspect_object(&self, id: ObjectId) -> ObjectState {
         let fault = self
             .faults
@@ -544,9 +595,8 @@ impl Tier {
                 return ObjectState::TransientIo;
             }
         }
-        let framed = match self.objects.lock().get(&id) {
-            Some(bytes) => bytes.clone(),
-            None => return ObjectState::Missing,
+        let Some(framed) = self.objects.lock().get(&id).cloned() else {
+            return ObjectState::Missing;
         };
         match StoredObject::unframe(&framed, Some(id)) {
             Ok(object) => ObjectState::Valid(object),
@@ -558,7 +608,8 @@ impl Tier {
     /// time, and *no verification* — a damaged frame is found by the next
     /// read, exactly like one damaged in place. This is how a record
     /// directory is loaded back (see [`crate::cluster_dir`]).
-    pub fn put_framed(&self, id: ObjectId, framed: Vec<u8>) {
+    pub fn put_framed(&self, id: ObjectId, framed: impl Into<Bytes>) {
+        let framed = framed.into();
         self.used
             .fetch_add(Self::charged_bytes(&framed), Ordering::Relaxed);
         if let Some(old) = self.objects.lock().insert(id, framed) {
@@ -569,7 +620,7 @@ impl Tier {
 
     /// The framed bytes of a resident (else quarantined) object, unverified
     /// and fault-free: what export writes and loss diagnostics re-examine.
-    pub fn raw(&self, id: ObjectId) -> Option<Vec<u8>> {
+    pub fn raw(&self, id: ObjectId) -> Option<Bytes> {
         let resident = self.objects.lock().get(&id).cloned();
         resident.or_else(|| self.quarantined.lock().get(&id).cloned())
     }
@@ -674,7 +725,7 @@ mod tests {
     fn put_get_evict() {
         let t = Tier::new(TierConfig::host());
         t.put((0, 0), vec![1, 2, 3]).unwrap();
-        assert_eq!(t.get((0, 0)), Some(vec![1, 2, 3]));
+        assert_eq!(t.get((0, 0)), Some(vec![1, 2, 3].into()));
         assert_eq!(t.used_bytes(), 3);
         assert!(t.evict((0, 0)));
         assert_eq!(t.used_bytes(), 0);
@@ -734,7 +785,7 @@ mod tests {
         assert_eq!(raw.len(), 64 + ckpt_dedup::frame::FRAME_HEADER_LEN);
         assert_eq!(frame::Kind::sniff(&raw), Some(frame::Kind::Frame));
         // get strips and verifies the frame.
-        assert_eq!(t.get((3, 9)), Some(vec![5; 64]));
+        assert_eq!(t.get((3, 9)), Some(vec![5; 64].into()));
         assert_eq!(
             t.inspect_object((3, 9)),
             ObjectState::Valid(StoredObject::raw(vec![5; 64]))
@@ -760,7 +811,7 @@ mod tests {
         assert_eq!(plan.fired().len(), 1);
         // The next put is clean.
         t.put((0, 1), vec![7; 100]).unwrap();
-        assert_eq!(t.get((0, 1)), Some(vec![7; 100]));
+        assert_eq!(t.get((0, 1)), Some(vec![7; 100].into()));
     }
 
     #[test]
@@ -787,15 +838,15 @@ mod tests {
             .store_object((0, 0), StoredObject::raw(vec![9; 30]))
             .unwrap_err();
         assert_eq!(err.kind, StoreErrorKind::TransientIo);
-        assert_eq!(err.object.payload, vec![9; 30]);
+        assert_eq!(*err.object.payload(), vec![9; 30]);
         assert_eq!(t.used_bytes(), 0);
         assert_eq!(t.bytes_written(), 0);
         // Retry (op 1) succeeds; the handed-back object is reusable as-is.
         t.store_object((0, 0), err.object).unwrap();
         // Get op 0 fine, op 1 faulted, op 2 fine.
-        assert_eq!(t.get((0, 0)), Some(vec![9; 30]));
+        assert_eq!(t.get((0, 0)), Some(vec![9; 30].into()));
         assert_eq!(t.inspect_object((0, 0)), ObjectState::TransientIo);
-        assert_eq!(t.get((0, 0)), Some(vec![9; 30]));
+        assert_eq!(t.get((0, 0)), Some(vec![9; 30].into()));
     }
 
     #[test]
@@ -806,6 +857,108 @@ mod tests {
         let raw = t.raw((0, 0)).unwrap();
         t.objects.lock().insert((0, 1), raw);
         assert!(matches!(t.inspect_object((0, 1)), ObjectState::Corrupt(_)));
+    }
+
+    /// Frames are shared between tiers, damage is not: storing an object a
+    /// tier read hands the next tier the very same frame, while a storage
+    /// fault on that put lands a damaged private copy and a refused put
+    /// hands the object back as it came — through `quarantine`, `evict`
+    /// and `wipe_rank`, whose accounting is per tier, not per allocation.
+    #[test]
+    fn tiers_share_a_frame_and_never_its_damage() {
+        let (id, len) = ((2, 5), 4096u64);
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+        for lower in ["ssd", "pfs"] {
+            let plan = FaultPlanBuilder::new()
+                .on_put(lower, 0, FaultKind::BitFlip { bit: 12_345 })
+                .on_put(lower, 1, FaultKind::TornWrite { keep_bytes: 100 })
+                .on_put(lower, 2, FaultKind::TornWrite { keep_bytes: 10 })
+                .on_put(lower, 3, FaultKind::TransientIo)
+                .build();
+            let upper = Tier::new(TierConfig::host());
+            let lower = Tier::with_faults(
+                TierConfig {
+                    name: lower,
+                    ..TierConfig::ssd()
+                },
+                plan,
+            );
+            upper.put(id, payload.clone()).unwrap();
+            let minted = upper.raw(id).unwrap();
+            let pristine = minted.to_vec();
+            let read = || {
+                upper
+                    .inspect_object(id)
+                    .into_object()
+                    .expect("upper verifies")
+            };
+            let siblings_intact = |what: &str| {
+                assert_eq!(read(), StoredObject::raw(payload.clone()), "{what}");
+                assert!(upper.raw(id).unwrap().shares_with(&minted), "{what}");
+                assert_eq!(*minted, pristine[..], "{what}: the shared frame changed");
+                assert_eq!(upper.used_bytes(), len, "{what}");
+            };
+            // A read is a view of the tier's frame, not a copy of it.
+            assert!(read().frame(id).shares_with(&minted));
+            let frame_len = minted.len();
+            assert_eq!(
+                read().payload().as_ptr(),
+                minted[frame_len - len as usize..].as_ptr()
+            );
+
+            // Bit flip on the lower put: full charge, corrupt there only.
+            lower.store_object(id, read()).unwrap();
+            assert!(matches!(lower.inspect_object(id), ObjectState::Corrupt(_)));
+            assert!(!lower.raw(id).unwrap().shares_with(&minted));
+            assert_eq!(lower.used_bytes(), len);
+            siblings_intact("after a bit flip below");
+            assert!(lower.quarantine(id));
+            assert_eq!(lower.used_bytes(), 0);
+
+            // Torn writes: charged what landed past the header, or nothing.
+            lower.store_object(id, read()).unwrap();
+            assert!(matches!(lower.inspect_object(id), ObjectState::Corrupt(_)));
+            assert_eq!(lower.used_bytes(), 100 - frame::FRAME_HEADER_LEN as u64);
+            siblings_intact("after a torn write below");
+            assert!(lower.evict(id));
+            assert_eq!(lower.used_bytes(), 0);
+            lower.store_object(id, read()).unwrap();
+            assert_eq!(lower.used_bytes(), 0, "a sub-header stub charges nothing");
+            assert_eq!(lower.wipe_rank(id.0), vec![id]);
+            assert_eq!(lower.used_bytes(), 0);
+            siblings_intact("after wiping the damaged copies below");
+
+            // A refused put hands back what it was handed, frame and all,
+            // and leaves no trace.
+            let refused = lower.store_object(id, read()).unwrap_err();
+            assert_eq!(refused.kind, StoreErrorKind::TransientIo);
+            assert_eq!(refused.object, read());
+            assert!(refused.object.frame(id).shares_with(&minted));
+            assert_eq!(
+                (lower.used_bytes(), lower.bytes_written()),
+                (0, len + 100 - 32)
+            );
+
+            // The clean put installs the upper tier's frame itself.
+            lower.store_object(id, refused.object).unwrap();
+            assert!(lower.raw(id).unwrap().shares_with(&minted));
+            assert_eq!(lower.used_bytes(), len);
+            siblings_intact("after the clean put below");
+            // Another slot is another frame: the carried one is not reused.
+            lower.store_object((2, 6), read()).unwrap();
+            assert!(!lower.raw((2, 6)).unwrap().shares_with(&minted));
+            assert_eq!(lower.get((2, 6)), Some(payload.clone().into()));
+
+            // Each tier accounts for its own residency of the one frame.
+            assert!(upper.evict(id));
+            assert_eq!(upper.used_bytes(), 0);
+            assert_eq!(lower.get(id), Some(payload.clone().into()));
+            assert!(lower.quarantine(id));
+            assert_eq!(lower.used_bytes(), len, "slot (2, 6) is still resident");
+            assert_eq!(lower.wipe_rank(2), vec![id, (2, 6)]);
+            assert_eq!(lower.used_bytes(), 0);
+            assert_eq!(*minted, pristine[..]);
+        }
     }
 
     fn zstd_object(payload: &[u8]) -> StoredObject {
@@ -830,7 +983,7 @@ mod tests {
         t.store_object((2, 7), obj.clone()).unwrap();
 
         // Reads decode transparently…
-        assert_eq!(t.get((2, 7)), Some(payload));
+        assert_eq!(t.get((2, 7)), Some(payload.into()));
         // …while inspect_object exposes the encoded form verbatim.
         assert_eq!(t.inspect_object((2, 7)), ObjectState::Valid(obj));
 

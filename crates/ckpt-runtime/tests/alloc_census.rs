@@ -1,0 +1,119 @@
+//! Allocation census: a record's bytes are allocated once per tier
+//! crossing and never copied on the way to the restore engine.
+//!
+//! A counting `#[global_allocator]` (its own test binary, so nothing else
+//! allocates under it) adds up every byte requested while a window is
+//! open. Both windows live in one `#[test]`: the count is process-wide.
+
+use ckpt_dedup::prelude::*;
+use ckpt_runtime::{restore_rank_latest_parallel, AsyncRuntime, TierChain};
+use gpu_sim::Device;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// relaxed statistic that no allocation depends on.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Growth requests the new block whole (it may move).
+        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes requested from the allocator, by any thread, while `f` ran.
+fn requested_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = REQUESTED.load(Ordering::Relaxed);
+    let out = f();
+    (out, REQUESTED.load(Ordering::Relaxed) - before)
+}
+
+/// What a window may request beyond what its bound names: channels, the
+/// reader thread, run lists, telemetry — nothing that grows with a record.
+const SLACK: u64 = 256 << 10;
+
+#[test]
+fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
+    // ---- restore: a 16-record Tree chain whose records are almost all
+    // payload (each checkpoint rewrites one contiguous 3/8 of the buffer,
+    // so the tables stay a few entries long) ----
+    const DATA_LEN: usize = 1 << 20;
+    const RECORDS: u32 = 16;
+    let device = Device::a100();
+    let tiers = TierChain::new();
+    let mut ckpt = TreeCheckpointer::new(device.clone(), TreeConfig::new(128));
+    let mut noise = 0x9e37_79b9_7f4a_7c15u64;
+    let mut fill = |bytes: &mut [u8]| {
+        for b in bytes {
+            noise ^= noise << 13;
+            noise ^= noise >> 7;
+            noise ^= noise << 17;
+            *b = noise as u8;
+        }
+    };
+    let mut data = vec![0u8; DATA_LEN];
+    fill(&mut data);
+    let (mut record_bytes, mut table_bytes) = (0u64, 0u64);
+    for k in 0..RECORDS {
+        let at = (k as usize * 37_813) % (DATA_LEN * 5 / 8);
+        fill(&mut data[at..at + DATA_LEN * 3 / 8]);
+        let diff = ckpt.checkpoint(&data).diff;
+        record_bytes += diff.stored_bytes() as u64;
+        table_bytes += diff.metadata_bytes() as u64;
+        tiers.pfs.put((0, k), diff.encode()).unwrap();
+    }
+    assert!(
+        record_bytes > 5 * DATA_LEN as u64 && table_bytes < record_bytes / 100,
+        "the chain must be payload-heavy: {record_bytes} B of records, {table_bytes} B of tables"
+    );
+    // Warm the device arena, as a restarting process's second restore is.
+    let warm = restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap();
+    assert_eq!(warm.data, data);
+    drop(warm);
+
+    let (restored, requested) =
+        requested_during(|| restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap());
+    assert_eq!((restored.version, &restored.data), (RECORDS - 1, &data));
+    // The restored buffer, and per table entry its decoded form plus the
+    // visit's interval, segment and run lists (a fixed multiple of the
+    // encoded entry) — and nothing proportional to record payload bytes.
+    let bound = DATA_LEN as u64 + 32 * table_bytes + SLACK;
+    assert!(
+        requested <= bound,
+        "a restore of {record_bytes} B of records requested {requested} B (bound {bound} B)"
+    );
+    assert!(bound < record_bytes / 2, "the bound must exclude one copy");
+
+    // ---- drain: host → SSD → PFS of one raw object mints one frame ----
+    const OBJECT_LEN: usize = 4 << 20;
+    let rt = AsyncRuntime::new();
+    let object: Vec<u8> = (0..OBJECT_LEN as u32).map(|i| (i >> 7) as u8).collect();
+    let ((), requested) = requested_during(|| {
+        rt.submit(3, 0, object).expect("host tier accepts");
+        rt.wait_durable(&[(3, 0)]);
+    });
+    let pfs = rt.tiers().pfs.raw((3, 0)).expect("durable");
+    assert_eq!(pfs.len(), OBJECT_LEN + ckpt_dedup::FRAME_HEADER_LEN);
+    let bound = pfs.len() as u64 + SLACK;
+    assert!(
+        requested <= bound,
+        "draining a {OBJECT_LEN} B object requested {requested} B (bound {bound} B: one frame)"
+    );
+    rt.shutdown();
+}

@@ -109,7 +109,7 @@ fn round(rt: &AsyncRuntime, diffs: &[Vec<Vec<u8>>]) {
 fn tier_digest(tier: &Tier) -> String {
     let mut all = Vec::new();
     for id in tier.resident() {
-        all.extend(tier.raw(id).unwrap());
+        all.extend_from_slice(&tier.raw(id).unwrap());
     }
     let d = Murmur3.hash_seeded(&all, 0);
     format!("{:016x}{:016x}", d.h1, d.h2)

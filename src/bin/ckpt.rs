@@ -438,7 +438,7 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
             // header is bookkeeping, not checkpoint data).
             let object = stored_object(rt.tiers(), id)
                 .ok_or_else(|| format!("{}: the runtime could not store it", path.display()))?;
-            let stored_len = object.payload.len();
+            let stored_len = object.payload().len();
             total_in += data.len() as u64;
             total_out += stored_len as u64;
             println!(
@@ -447,11 +447,11 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
                 stored_len,
                 out.stats.ratio(),
                 path.display(),
-                if object.codec != 0 {
+                if object.codec() != 0 {
                     format!(
                         "  [frame {}: {} -> {stored_len} B]",
-                        codec_name(object.codec),
-                        object.uncompressed_len,
+                        codec_name(object.codec()),
+                        object.uncompressed_len(),
                     )
                 } else {
                     String::new()
@@ -541,7 +541,7 @@ fn cmd_info(args: &[String]) -> CliResult {
     let mut total = 0u64;
     for d in &diffs {
         total += d.stored_bytes() as u64;
-        let frame_codec = stored_object(&loaded.tiers, (rank, d.ckpt_id)).map_or(0, |o| o.codec);
+        let frame_codec = stored_object(&loaded.tiers, (rank, d.ckpt_id)).map_or(0, |o| o.codec());
         println!(
             "  v{:04}  stored {:>10} B  payload {:>10} B  meta {:>8} B  regions {:>6}+{:<6}{}{}",
             d.ckpt_id,
@@ -612,10 +612,10 @@ fn cmd_stats(args: &[String]) -> CliResult {
             let Some(object) = stored_object(&loaded.tiers, (rank, d.ckpt_id)) else {
                 continue;
             };
-            if object.codec != 0 {
+            if object.codec() != 0 {
                 compressed_frames += 1;
                 registry
-                    .counter(&format!("record/frames/{}", codec_name(object.codec)))
+                    .counter(&format!("record/frames/{}", codec_name(object.codec())))
                     .inc();
             }
             let dedup = object.decode().ok();

@@ -14,7 +14,8 @@
 //!
 //! Tier census: one verified pair moves bytes through a `Tier`
 //! (`store_object` / `inspect_object`), one timed function decodes what
-//! came out, and one staging body writes the host tier.
+//! came out, one staging body writes the host tier, and nothing between a
+//! tier's map and the restore engine copies a payload.
 
 use std::path::{Path, PathBuf};
 
@@ -217,6 +218,32 @@ fn one_verified_way_through_a_tier() {
     assert_eq!(untimed, ["cluster_dir.rs::loss_detail"]);
     let timed = fns_with("tier.rs", &|l| l.contains("on_decode("));
     assert_eq!(timed, ["tier.rs::decode"]);
+
+    // A record is read once: between a tier's map and the engine nothing
+    // copies a payload. `Bytes` and `StoredObject` are reference-counted
+    // views, bumped with the `Type::clone(&x)` spelling; the method-call
+    // spellings below are how a byte copy would come back.
+    let diff = production_source(&root.join("crates/ckpt-dedup/src/diff.rs"));
+    let shared = diff
+        .find("pub fn decode_shared(")
+        .expect("Diff::decode_shared");
+    let shared = &diff[shared..shared + diff[shared..].find("\n    }\n").expect("fn end")];
+    let copies_bytes = |code: &str| {
+        [".to_vec()", ".clone()", ".to_owned()"]
+            .iter()
+            .any(|c| code.contains(c))
+    };
+    let mut copies = Vec::new();
+    if copies_bytes(shared) {
+        copies.push("diff.rs::decode_shared".to_string());
+    }
+    for file in ["tier.rs", "chain.rs", "restore.rs"] {
+        copies.extend(fns_with(file, &copies_bytes));
+    }
+    assert!(
+        copies.is_empty(),
+        "a payload copy grew back on the read path: {copies:?}"
+    );
 
     // And the host tier is written from one staging body.
     let stagers = fns_with("runtime.rs", &|l| {
