@@ -97,6 +97,38 @@ impl RuntimeMetrics {
     }
 }
 
+/// The one signal every runtime wait sleeps on: a generation the flusher
+/// bumps after each event a waiter may be waiting for — a landed hop (the
+/// object is one tier down, the source evicted), an object marked
+/// undrainable, its own exit — and that `kill` bumps once more. A waiter
+/// reads the generation, tests its predicate, and sleeps until the
+/// generation moves: a bump between the test and the sleep is seen, not
+/// lost.
+#[derive(Default)]
+pub(crate) struct Progress {
+    generation: Mutex<u64>,
+    moved: Condvar,
+}
+
+impl Progress {
+    pub fn generation(&self) -> u64 {
+        *self.generation.lock()
+    }
+
+    pub fn bump(&self) {
+        *self.generation.lock() += 1;
+        self.moved.notify_all();
+    }
+
+    /// Sleep until the generation is no longer `seen`.
+    pub fn wait_past(&self, seen: u64) {
+        let mut generation = self.generation.lock();
+        while *generation == seen {
+            self.moved.wait(&mut generation);
+        }
+    }
+}
+
 /// What the producers (through [`AsyncRuntime`](crate::AsyncRuntime)) and
 /// the flusher thread share.
 pub(crate) struct Shared {
@@ -104,11 +136,9 @@ pub(crate) struct Shared {
     pub m: RuntimeMetrics,
     /// Set by a simulated crash: the flusher stops draining.
     pub killed: AtomicBool,
-    /// Bumped and signaled after the flusher evicts from the host tier,
-    /// unblocking producers stalled on host capacity.
-    pub space_freed: (Mutex<u64>, Condvar),
+    pub progress: Progress,
     /// Objects the flusher has given up on (never durable without outside
-    /// help); lets `wait_durable` terminate instead of spinning forever.
+    /// help); lets `wait_durable` terminate instead of waiting forever.
     pub undrainable: Mutex<HashSet<ObjectId>>,
 }
 
@@ -118,15 +148,9 @@ impl Shared {
             tiers,
             m: RuntimeMetrics::new(registry),
             killed: AtomicBool::new(false),
-            space_freed: (Mutex::new(0), Condvar::new()),
+            progress: Progress::default(),
             undrainable: Mutex::new(HashSet::new()),
         }
-    }
-
-    fn wake_producers(&self) {
-        let (gen, cv) = &self.space_freed;
-        *gen.lock() += 1;
-        cv.notify_all();
     }
 }
 
@@ -164,6 +188,7 @@ impl Flusher {
 
     fn mark_undrainable(&self, id: ObjectId) {
         self.shared.undrainable.lock().insert(id);
+        self.shared.progress.bump();
     }
 
     /// Read `id` from `src` (without decoding) for its next hop, counting
@@ -197,8 +222,9 @@ impl Flusher {
     /// length (what actually crosses the link), record `flush_ns` and
     /// `object_bytes` on the raw length (so size distributions stay
     /// comparable across compression policies), mark durable when the
-    /// target is the PFS, then evict the source. Hands the object back,
-    /// encoded exactly as handed in, when the target refuses it.
+    /// target is the PFS, evict the source, then bump the progress signal.
+    /// Hands the object back, encoded exactly as handed in, when the target
+    /// refuses it.
     fn hop(&self, edge: Edge, id: ObjectId, object: StoredObject) -> Result<(), StoredObject> {
         let (t, m) = (&self.shared.tiers, &self.shared.m);
         let (src, evictions) = match edge {
@@ -225,8 +251,8 @@ impl Flusher {
         }
         if matches!(edge, Edge::HostToSsd | Edge::HostToPfs) {
             m.host_used_bytes.set(t.host.used_bytes() as i64);
-            self.shared.wake_producers();
         }
+        self.shared.progress.bump();
         Ok(())
     }
 
@@ -297,7 +323,7 @@ impl Flusher {
                 }
             }
         }
-        // Unblock any stalled producers on exit.
-        self.shared.wake_producers();
+        // Nothing moves after this: let every waiter re-test.
+        self.shared.progress.bump();
     }
 }

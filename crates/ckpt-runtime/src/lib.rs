@@ -25,7 +25,7 @@
 //! * [`redundancy`] — cross-rank redundancy groups (partner copy / XOR
 //!   parity) enabling cluster-level rank-loss recovery;
 //! * [`rankdedup`] — the cluster-wide content-addressed dedup index:
-//!   hash-space sharding across a group's ranks, asynchronous
+//!   hash-space sharding across a group's ranks, a seeded (thread-free)
 //!   first-occurrence claim exchange, cross-rank reference records;
 //! * [`lineage`] — record collection (the hole rule) and the
 //!   sequential-replay oracle tests compare the engine against;
@@ -63,8 +63,8 @@ pub use integrity::{
 pub use lineage::{collect_record, restore_rank, LineageError};
 pub use pipeline::{CheckpointPipeline, PipelineStats, ProduceFn};
 pub use rankdedup::{
-    resolve_record, ClaimBatch, ClaimExchange, ClaimLoc, RankDedupConfig, RankDedupEngine,
-    RankDedupError, RankDedupIndex, RankDedupMetrics, Resolver,
+    resolve_record, ClaimLoc, RankDedupConfig, RankDedupEngine, RankDedupError, RankDedupIndex,
+    RankDedupMetrics, Resolver,
 };
 pub use redundancy::{ReconstructError, RedundancyMetrics, RedundancyPolicy, RedundancyStore};
 pub use restore::{restore_rank_latest_parallel, ParallelRestoreOutcome};

@@ -14,24 +14,33 @@
 //!
 //! # Claim exchange
 //!
-//! Claims travel through a [`ClaimExchange`] stage in the
-//! [`CheckpointPipeline`](crate::pipeline::CheckpointPipeline) shape: a
-//! bounded hand-off to a dedicated worker, overlapped with the producer's
-//! hashing of the next checkpoint. The stage is deterministic and
-//! adversarially schedulable: a seeded reorder window commits claims out of
-//! arrival order (so "who wins a race" is reproducible from the seed), and
-//! the existing [`FaultPlan`] machinery injects latency (defer until the
-//! next flush), drops, and rank loss against the virtual `"exchange"` tier.
-//! A claim that loses its race — or is dropped by a fault or a crash — is
-//! an **orphan**: the claimant keeps its local copy, the duplicate bytes
-//! are simply not saved, and the `rankdedup/orphans` counter types the
-//! event. Orphans never dangle: every committed claim points at bytes its
-//! claimant stored locally *before* publishing.
+//! Claims for a shard the claimant owns commit at once; the rest cross the
+//! **claim exchange**, which is a seeded schedule, not a thread: state
+//! behind one lock inside [`RankDedupEngine`], advanced by the claimant
+//! itself. A published batch enters a reorder window, and whenever more
+//! than `window` batches are held a seeded pick commits — so "who wins a
+//! race" is a pure function of the seed and the order of `encode` calls.
+//! The existing [`FaultPlan`] machinery injects latency (defer until the
+//! next [`quiesce`](RankDedupEngine::quiesce)), drops, and rank loss
+//! against the virtual `"exchange"` tier, and
+//! [`kill`](RankDedupEngine::kill) drops whatever is still held. A claim
+//! that loses its race — or is dropped by a fault or a kill — is an
+//! **orphan**: the claimant keeps its local copy, the duplicate bytes are
+//! simply not saved, and `rankdedup/orphans` counts it (one per claim).
 //!
-//! With no window and no fault plan the exchange is **inline**: claims
-//! commit synchronously in the claimant, which makes stored-byte totals
-//! bit-reproducible (the idealized interconnect the benchmarks measure
-//! against).
+//! A claim is visible to every later `encode` from the moment it commits,
+//! which is before its object reaches any tier. The runtime closes the gap:
+//! a submission the host tier refuses is retracted from the index (its
+//! claims, its held batches, its reference edges), so no later record
+//! points into an object that was never stored. (An `encode` running on
+//! another thread between that rewrite and the refusal can still take
+//! such a reference; it reads back as a typed dangling reference, never a
+//! wrong payload.)
+//!
+//! [`RankDedupEngine::new`] is the schedule with window 0 and no plan:
+//! every batch commits in the claimant before `encode` returns, which
+//! makes stored-byte totals bit-reproducible (the idealized interconnect
+//! the benchmarks measure against).
 //!
 //! # Chunk-grid alignment
 //!
@@ -71,14 +80,11 @@ use ckpt_dedup::frame::{self, RankDedupEntry, RankDedupRecord, RemoteRef};
 use ckpt_dedup::Bytes;
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use ckpt_telemetry::{LazyCounter, Registry};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpu_sim::TILE;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Seed for the 128-bit content hashes the index is keyed by (distinct
@@ -94,7 +100,7 @@ const CHUNK_HASH_SEED: u32 = 0x5244_4858;
 /// | `rankdedup/remote_refs` | counter | chunks rewritten to cross-rank references |
 /// | `rankdedup/remote_bytes_saved` | counter | payload bytes not stored thanks to remote refs |
 /// | `rankdedup/fetch_ns` | counter | nanoseconds spent resolving remote refs on reads |
-/// | `rankdedup/orphans` | counter | claims that lost a race or were dropped/killed in the exchange |
+/// | `rankdedup/orphans` | counter | claims (one per claim, never per batch) that lost a race or were dropped/killed in the exchange; plus one per record whose read-side resolution failed |
 pub struct RankDedupMetrics {
     claims: LazyCounter,
     remote_refs: LazyCounter,
@@ -323,24 +329,7 @@ impl RankDedupIndex {
     /// *later* floor advance of its rank finds it unpinned.
     pub fn compact_below(&self, rank: u32, below: u32) -> HashSet<ObjectId> {
         let under = |id: &ObjectId| id.0 == rank && id.1 < below;
-        // Release outbound edges of the objects being evicted.
-        {
-            let mut outbound = self.outbound.lock();
-            let mut inbound = self.inbound.lock();
-            let evicted: Vec<ObjectId> = outbound.keys().copied().filter(under).collect();
-            for from in evicted {
-                if let Some(tos) = outbound.remove(&from) {
-                    for to in tos {
-                        if let Some(set) = inbound.get_mut(&to) {
-                            set.remove(&from);
-                            if set.is_empty() {
-                                inbound.remove(&to);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.release_outbound(under);
         // Everything under the floor still referenced from outside stays.
         let keep: HashSet<ObjectId> = self
             .inbound
@@ -356,262 +345,64 @@ impl RankDedupIndex {
             .retain(|_, loc| !under(&loc.object()) || keep.contains(&loc.object()));
         keep
     }
-}
 
-/// One rank's published claims for one checkpoint object.
-pub struct ClaimBatch {
-    pub claimant: ObjectId,
-    pub claims: Vec<(ChunkHash, ClaimLoc)>,
-}
-
-enum Msg {
-    Batch(ClaimBatch),
-    Flush,
-}
-
-struct ExchangeShared {
-    published: AtomicU64,
-    /// Batches committed *or* dropped — quiesce waits for this to catch
-    /// `published`.
-    settled: AtomicU64,
-    signal: (Mutex<()>, Condvar),
-}
-
-impl ExchangeShared {
-    fn settle(&self) {
-        self.settled.fetch_add(1, Ordering::Release);
-        let _g = self.signal.0.lock();
-        self.signal.1.notify_all();
-    }
-}
-
-/// The asynchronous claim-publication stage (see the module docs). Inline
-/// when built with no reorder window and no fault plan.
-pub struct ClaimExchange {
-    index: Arc<RankDedupIndex>,
-    tx: Mutex<Option<Sender<Msg>>>,
-    worker: Mutex<Option<JoinHandle<()>>>,
-    shared: Arc<ExchangeShared>,
-    killed: Arc<AtomicBool>,
-    inline: bool,
-}
-
-impl ClaimExchange {
-    /// An inline exchange: claims commit synchronously in the claimant.
-    pub fn inline(index: Arc<RankDedupIndex>) -> Self {
-        Self::build(index, 0, 0, None, true)
-    }
-
-    /// An asynchronous exchange with a seeded reorder window of `window`
-    /// batches and optional fault injection against the `"exchange"` tier
-    /// (`LatencySpike` defers a batch to the next flush/quiesce;
-    /// `TransientIo`/`TornWrite`/`BitFlip` drop it; `RankLoss{rank}` drops
-    /// it when the claimant is that rank).
-    pub fn with_schedule(
-        index: Arc<RankDedupIndex>,
-        seed: u64,
-        window: usize,
-        plan: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        Self::build(index, seed, window, plan, false)
-    }
-
-    fn build(
-        index: Arc<RankDedupIndex>,
-        seed: u64,
-        window: usize,
-        plan: Option<Arc<FaultPlan>>,
-        inline: bool,
-    ) -> Self {
-        let shared = Arc::new(ExchangeShared {
-            published: AtomicU64::new(0),
-            settled: AtomicU64::new(0),
-            signal: (Mutex::new(()), Condvar::new()),
-        });
-        let killed = Arc::new(AtomicBool::new(false));
-        let (tx, worker) = if inline {
-            (None, None)
-        } else {
-            let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
-            let w = {
-                let index = Arc::clone(&index);
-                let shared = Arc::clone(&shared);
-                let killed = Arc::clone(&killed);
-                std::thread::spawn(move || {
-                    exchange_loop(rx, index, shared, killed, seed, window, plan)
-                })
-            };
-            (Some(tx), Some(w))
-        };
-        ClaimExchange {
-            index,
-            tx: Mutex::new(tx),
-            worker: Mutex::new(worker),
-            shared,
-            killed,
-            inline,
-        }
-    }
-
-    /// Hand one checkpoint's claims to the exchange. Inline mode commits
-    /// before returning; otherwise the batch is queued for the worker and
-    /// this returns immediately (the PR 4 pipeline hand-off shape). After
-    /// a [`kill`](Self::kill) the claims are dropped and counted as
-    /// orphans.
-    pub fn publish(&self, batch: ClaimBatch) {
-        if batch.claims.is_empty() {
-            return;
-        }
-        self.shared.published.fetch_add(1, Ordering::Release);
-        if self.inline {
-            commit_batch(&self.index, batch);
-            self.shared.settle();
-            return;
-        }
-        let sent = {
-            let tx = self.tx.lock();
-            match tx.as_ref() {
-                Some(tx) => tx.send(Msg::Batch(batch)).is_ok(),
-                None => false,
-            }
-        };
-        if !sent {
-            // Exchange gone (killed): the claims die with it — typed, not
-            // silently re-queued. Recompute nothing; the claimant's local
-            // copies remain authoritative.
-            self.index.metrics().on_orphans(1);
-            self.shared.settle();
-        }
-    }
-
-    /// Block until every published batch has settled (committed or
-    /// dropped), flushing deferred batches first. Between checkpoint
-    /// rounds this makes cross-rank claim visibility — and therefore
-    /// stored-byte totals — deterministic.
-    pub fn quiesce(&self) {
-        if !self.inline {
-            let tx = self.tx.lock();
-            if let Some(tx) = tx.as_ref() {
-                let _ = tx.send(Msg::Flush);
+    /// Release the outbound reference edges of every object `gone` selects
+    /// (they are about to be evicted, or were never stored).
+    fn release_outbound(&self, gone: impl Fn(&ObjectId) -> bool) {
+        let mut outbound = self.outbound.lock();
+        let mut inbound = self.inbound.lock();
+        let froms: Vec<ObjectId> = outbound.keys().copied().filter(gone).collect();
+        for from in froms {
+            for to in outbound.remove(&from).into_iter().flatten() {
+                if let Some(set) = inbound.get_mut(&to) {
+                    set.remove(&from);
+                    if set.is_empty() {
+                        inbound.remove(&to);
+                    }
+                }
             }
         }
-        loop {
-            if self.shared.settled.load(Ordering::Acquire)
-                >= self.shared.published.load(Ordering::Acquire)
-            {
-                return;
-            }
-            let mut g = self.shared.signal.0.lock();
-            self.shared
-                .signal
-                .1
-                .wait_for(&mut g, Duration::from_millis(1));
-        }
-    }
-
-    /// Crash the exchange: in-flight and queued batches are *dropped* and
-    /// counted as orphans — never committed after the kill point, never
-    /// silently re-stored.
-    pub fn kill(&self) {
-        self.killed.store(true, Ordering::SeqCst);
-        drop(self.tx.lock().take());
-        if let Some(w) = self.worker.lock().take() {
-            let _ = w.join();
-        }
-    }
-
-    /// Graceful close: drain and commit everything still queued.
-    pub fn close(&self) {
-        drop(self.tx.lock().take());
-        if let Some(w) = self.worker.lock().take() {
-            let _ = w.join();
-        }
     }
 }
 
-impl Drop for ClaimExchange {
-    fn drop(&mut self) {
-        self.close();
+/// One checkpoint object's first-occurrence claims for shards other ranks
+/// own. Never empty, and every claim names that one object.
+type ClaimBatch = Vec<(ChunkHash, ClaimLoc)>;
+
+/// The claim exchange (see the module docs): the batches published but not
+/// yet committed, and the seeded order they commit in.
+struct Schedule {
+    rng: SplitMix64,
+    window: usize,
+    plan: Option<Arc<FaultPlan>>,
+    /// The reorder window.
+    held: Vec<ClaimBatch>,
+    /// Delayed by a `LatencySpike`; commit in arrival order at the next
+    /// quiesce.
+    deferred: Vec<ClaimBatch>,
+    killed: bool,
+}
+
+impl Schedule {
+    /// Commit seeded picks from the window until at most `keep` are held.
+    fn commit_down_to(&mut self, keep: usize, index: &RankDedupIndex) {
+        while self.held.len() > keep {
+            let i = (self.rng.next() % self.held.len() as u64) as usize;
+            commit_batch(index, self.held.swap_remove(i));
+        }
     }
 }
 
 fn commit_batch(index: &RankDedupIndex, batch: ClaimBatch) {
-    for (hash, loc) in batch.claims {
+    for (hash, loc) in batch {
         index.commit_claim(hash, loc);
     }
 }
 
-fn exchange_loop(
-    rx: Receiver<Msg>,
-    index: Arc<RankDedupIndex>,
-    shared: Arc<ExchangeShared>,
-    killed: Arc<AtomicBool>,
-    seed: u64,
-    window: usize,
-    plan: Option<Arc<FaultPlan>>,
-) {
-    let mut rng = SplitMix64::new(seed ^ 0x0063_6c61_696d_7321);
-    let mut held: Vec<ClaimBatch> = Vec::new();
-    let mut deferred: Vec<ClaimBatch> = Vec::new();
-    let commit = |b: ClaimBatch| {
-        commit_batch(&index, b);
-        shared.settle();
-    };
-    let drop_batch = |b: ClaimBatch| {
-        index.metrics().on_orphans(b.claims.len() as u64);
-        drop(b);
-        shared.settle();
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Msg::Batch(b) => {
-                let fault = plan
-                    .as_ref()
-                    .and_then(|p| p.next_op("exchange", OpKind::Put));
-                match fault {
-                    Some(FaultKind::LatencySpike { .. }) => deferred.push(b),
-                    Some(FaultKind::RankLoss { rank }) if b.claimant.0 == rank => drop_batch(b),
-                    Some(FaultKind::TransientIo)
-                    | Some(FaultKind::TornWrite { .. })
-                    | Some(FaultKind::BitFlip { .. }) => drop_batch(b),
-                    _ => {
-                        held.push(b);
-                        while held.len() > window {
-                            let i = (rng.next() % held.len() as u64) as usize;
-                            let b = held.swap_remove(i);
-                            commit(b);
-                        }
-                    }
-                }
-            }
-            Msg::Flush => {
-                while !held.is_empty() {
-                    let i = (rng.next() % held.len() as u64) as usize;
-                    let b = held.swap_remove(i);
-                    commit(b);
-                }
-                for b in deferred.drain(..) {
-                    commit(b);
-                }
-            }
-        }
-    }
-    // Disconnected. A crash discards everything still held (typed orphans,
-    // never committed past the kill point); a graceful close drains it.
-    if killed.load(Ordering::SeqCst) {
-        for b in held.drain(..).chain(deferred.drain(..)) {
-            drop_batch(b);
-        }
-    } else {
-        while !held.is_empty() {
-            let i = (rng.next() % held.len() as u64) as usize;
-            let b = held.swap_remove(i);
-            commit(b);
-        }
-        for b in deferred.drain(..) {
-            commit(b);
-        }
-    }
+/// The one drop path: the claims die with the exchange — typed, never
+/// re-queued; the claimant's local copies remain authoritative.
+fn orphan_batch(index: &RankDedupIndex, batch: ClaimBatch) {
+    index.metrics().on_orphans(batch.len() as u64);
 }
 
 /// Configuration of the producer-side dedup transform.
@@ -624,29 +415,27 @@ pub struct RankDedupConfig {
     pub chunk_len: usize,
 }
 
-/// The per-cluster dedup engine: the shared [`RankDedupIndex`], the
-/// [`ClaimExchange`] stage, and the payload transform that rewrites
-/// submitted diffs into [`RankDedupRecord`]s.
+/// The per-cluster dedup engine: the shared [`RankDedupIndex`], the claim
+/// exchange's schedule, and the payload transform that rewrites submitted
+/// diffs into [`RankDedupRecord`]s.
 pub struct RankDedupEngine {
     cfg: RankDedupConfig,
     index: Arc<RankDedupIndex>,
-    exchange: ClaimExchange,
+    schedule: Mutex<Schedule>,
 }
 
 impl RankDedupEngine {
-    /// An engine with an inline exchange (deterministic stored bytes).
+    /// An engine whose claims commit in the claimant, in `encode` order
+    /// (deterministic stored bytes).
     pub fn new(cfg: RankDedupConfig, metrics: RankDedupMetrics) -> Arc<Self> {
-        let index = Arc::new(RankDedupIndex::new(cfg.ranks, metrics));
-        let exchange = ClaimExchange::inline(Arc::clone(&index));
-        Arc::new(RankDedupEngine {
-            cfg,
-            index,
-            exchange,
-        })
+        Self::with_exchange(cfg, metrics, 0, 0, None)
     }
 
-    /// An engine whose exchange reorders/faults claims per the seed and
-    /// plan (see [`ClaimExchange::with_schedule`]).
+    /// An engine whose exchange holds up to `window` batches and commits
+    /// seeded picks from them, with optional fault injection against the
+    /// `"exchange"` tier, one op per published batch (`LatencySpike` defers
+    /// the batch to the next quiesce; `TransientIo`/`TornWrite`/`BitFlip`
+    /// drop it; `RankLoss{rank}` drops it when the claimant is that rank).
     pub fn with_exchange(
         cfg: RankDedupConfig,
         metrics: RankDedupMetrics,
@@ -654,12 +443,17 @@ impl RankDedupEngine {
         window: usize,
         plan: Option<Arc<FaultPlan>>,
     ) -> Arc<Self> {
-        let index = Arc::new(RankDedupIndex::new(cfg.ranks, metrics));
-        let exchange = ClaimExchange::with_schedule(Arc::clone(&index), seed, window, plan);
         Arc::new(RankDedupEngine {
             cfg,
-            index,
-            exchange,
+            index: Arc::new(RankDedupIndex::new(cfg.ranks, metrics)),
+            schedule: Mutex::new(Schedule {
+                rng: SplitMix64::new(seed ^ 0x0063_6c61_696d_7321),
+                window,
+                plan,
+                held: Vec::new(),
+                deferred: Vec::new(),
+                killed: false,
+            }),
         })
     }
 
@@ -671,18 +465,72 @@ impl RankDedupEngine {
         &self.index
     }
 
-    pub fn exchange(&self) -> &ClaimExchange {
-        &self.exchange
+    /// Hand one object's cross-shard claims to the exchange: consult the
+    /// fault plan, then hold the batch and commit while the window
+    /// overflows. After a [`kill`](Self::kill) the claims are orphans.
+    fn publish(&self, batch: ClaimBatch) {
+        let Some(&(_, first)) = batch.first() else {
+            return;
+        };
+        let mut s = self.schedule.lock();
+        if s.killed {
+            return orphan_batch(&self.index, batch);
+        }
+        let fault = s
+            .plan
+            .as_ref()
+            .and_then(|p| p.next_op("exchange", OpKind::Put));
+        match fault {
+            Some(FaultKind::LatencySpike { .. }) => s.deferred.push(batch),
+            Some(FaultKind::RankLoss { rank }) if first.rank == rank => {
+                orphan_batch(&self.index, batch)
+            }
+            Some(
+                FaultKind::TransientIo | FaultKind::TornWrite { .. } | FaultKind::BitFlip { .. },
+            ) => orphan_batch(&self.index, batch),
+            _ => {
+                s.held.push(batch);
+                let window = s.window;
+                s.commit_down_to(window, &self.index);
+            }
+        }
     }
 
-    /// Barrier: wait until every published claim batch settled.
+    /// Commit every batch the exchange still holds, the window's in seeded
+    /// order and then the deferred ones. Between checkpoint rounds this
+    /// makes cross-rank claim visibility — and therefore stored-byte
+    /// totals — independent of the window.
     pub fn quiesce(&self) {
-        self.exchange.quiesce();
+        let mut s = self.schedule.lock();
+        s.commit_down_to(0, &self.index);
+        for batch in std::mem::take(&mut s.deferred) {
+            commit_batch(&self.index, batch);
+        }
     }
 
-    /// Crash the exchange stage (see [`ClaimExchange::kill`]).
+    /// Crash the exchange: every batch it holds, and every batch published
+    /// from now on, is *dropped* and counted as orphans — never committed
+    /// after the kill point, never silently re-stored.
     pub fn kill(&self) {
-        self.exchange.kill();
+        let mut s = self.schedule.lock();
+        s.killed = true;
+        let s = &mut *s;
+        for batch in s.held.drain(..).chain(s.deferred.drain(..)) {
+            orphan_batch(&self.index, batch);
+        }
+    }
+
+    /// Forget object `id`, which [`encode`](Self::encode) rewrote but no
+    /// tier accepted: its committed claims, its batches still held, and the
+    /// reference edges it pinned other objects with. (Not orphans: nothing
+    /// was stored for the claims to advertise.)
+    pub(crate) fn retract(&self, id: ObjectId) {
+        let mut s = self.schedule.lock();
+        let elsewhere = |batch: &ClaimBatch| batch[0].1.object() != id;
+        s.held.retain(elsewhere);
+        s.deferred.retain(elsewhere);
+        self.index.release_outbound(|from| *from == id);
+        self.index.claims.lock().retain(|_, loc| loc.object() != id);
     }
 
     /// Rewrite one submitted payload against the cluster index: cut it on
@@ -762,13 +610,8 @@ impl RankDedupEngine {
         let (own, cross): (Vec<_>, Vec<_>) = claims
             .into_iter()
             .partition(|(h, _)| self.index.owner_of(*h) == id.0);
-        for (hash, loc) in own {
-            self.index.commit_claim(hash, loc);
-        }
-        self.exchange.publish(ClaimBatch {
-            claimant: id,
-            claims: cross,
-        });
+        commit_batch(&self.index, own);
+        self.publish(cross);
         RankDedupRecord::new(
             id.0,
             id.1,
@@ -1086,6 +929,50 @@ mod tests {
         // Publishing after the kill also orphans, deterministically.
         let _ = e.encode((1, 0), payload(6, 64 * 8));
         e.quiesce();
+    }
+
+    #[test]
+    fn orphans_count_claims_whichever_way_a_batch_dies() {
+        // Four distinct chunks claimed by a rank that owns none of their
+        // shards: one four-claim batch crosses the exchange.
+        let data = payload(17, 64 * 4);
+        let owners: Vec<u32> = data
+            .chunks(64)
+            .map(|c| owner_of(chunk_hash(c), 8))
+            .collect();
+        let outsider = (0..8)
+            .find(|r| !owners.contains(r))
+            .expect("4 chunks, 8 ranks");
+        let plan = FaultPlan::builder()
+            .on_put("exchange", 0, FaultKind::TransientIo)
+            .build();
+        for (held_at_kill, killed_first, plan) in [
+            (true, false, None),
+            (false, true, None),
+            (false, false, Some(plan)),
+        ] {
+            let reg = Arc::new(Registry::new());
+            let e = RankDedupEngine::with_exchange(
+                RankDedupConfig {
+                    ranks: 8,
+                    chunk_len: 64,
+                },
+                RankDedupMetrics::bound(Arc::clone(&reg)),
+                3,
+                4,
+                plan,
+            );
+            if killed_first {
+                e.kill();
+            }
+            let _ = e.encode((outsider, 0), data.clone());
+            if held_at_kill {
+                e.kill();
+            }
+            e.quiesce();
+            assert_eq!(reg.counter("rankdedup/orphans").get(), 4);
+            assert_eq!(e.index().claim_count(), 0);
+        }
     }
 
     #[test]

@@ -216,7 +216,9 @@ impl AsyncRuntime {
     /// The one staging body, and the only place that writes the host tier:
     /// rewrite against the cluster dedup index, store, account, queue the
     /// drain. `blocking` waits out a full host tier (retrying transient
-    /// errors); otherwise the store is attempted once.
+    /// errors); otherwise the store is attempted once. A refused submission
+    /// is retracted from the index: it claimed chunks of an object no tier
+    /// holds.
     fn stage(&self, id: ObjectId, bytes: Vec<u8>, blocking: bool) -> Result<Duration, TierFull> {
         let start = Instant::now();
         let (host, m) = (&self.shared.tiers.host, &self.shared.m);
@@ -224,6 +226,7 @@ impl AsyncRuntime {
         let len = object.payload().len();
         let mut stalled = false;
         loop {
+            let seen = self.shared.progress.generation();
             let stored = if blocking {
                 host.store_object_with_retry(id, object, || m.retries.inc())
             } else {
@@ -234,14 +237,16 @@ impl AsyncRuntime {
                 && refused.kind == StoreErrorKind::Full
                 && !self.shared.killed.load(Ordering::Relaxed);
             if !wait {
+                if let Some(e) = &self.rank_dedup {
+                    e.retract(id);
+                }
                 return Err(TierFull { tier: host.name() });
             }
             stalled = true;
             object = refused.object;
-            // Wait for the flusher to evict something (bounded nap to stay
-            // robust against missed wakeups).
-            let (gen, cv) = &self.shared.space_freed;
-            cv.wait_for(&mut gen.lock(), Duration::from_millis(20));
+            // Only the flusher frees host space, and it bumps the signal
+            // each time it does (and when it stops for good).
+            self.shared.progress.wait_past(seen);
         }
         // Only submissions that found the host tier full count as stalls —
         // an unthrottled chain must report exactly zero.
@@ -251,12 +256,13 @@ impl AsyncRuntime {
         Ok(start.elapsed())
     }
 
-    /// Spin until every given id is `settled`, abandoned by the flusher
+    /// Sleep until every given id is `settled`, abandoned by the flusher
     /// (see [`undrainable`](Self::undrainable)), or the runtime is killed —
-    /// a failure after which nothing progresses further. (Polling keeps
-    /// the flusher honest about ordering.)
+    /// a failure after which nothing progresses further. Every one of
+    /// those events is followed by a bump of the progress signal.
     fn wait_settled(&self, ids: &[ObjectId], settled: impl Fn(ObjectId) -> bool) {
         loop {
+            let seen = self.shared.progress.generation();
             let all_settled = {
                 let undrainable = self.shared.undrainable.lock();
                 ids.iter()
@@ -265,7 +271,7 @@ impl AsyncRuntime {
             if all_settled || self.shared.killed.load(Ordering::Relaxed) {
                 return;
             }
-            std::thread::yield_now();
+            self.shared.progress.wait_past(seen);
         }
     }
 
@@ -287,9 +293,11 @@ impl AsyncRuntime {
         }
     }
 
-    fn join_worker(&self) {
-        let handle = self.worker.lock().take();
-        if let Some(w) = handle {
+    /// The one stop path: tell the flusher to finish (it drains what is
+    /// queued ahead of the message unless `killed` is set) and join it.
+    fn stop(&self) {
+        let _ = self.tx.send(Job::Shutdown);
+        if let Some(w) = self.worker.lock().take() {
             let _ = w.join();
         }
     }
@@ -306,8 +314,10 @@ impl AsyncRuntime {
     /// a half-applied write.
     pub fn kill(&self) {
         self.shared.killed.store(true, Ordering::Relaxed);
-        let _ = self.tx.send(Job::Shutdown);
-        self.join_worker();
+        self.stop();
+        // The flusher bumps as it exits; bump here too, so waiters see
+        // `killed` even when it was already gone.
+        self.shared.progress.bump();
         // The crash takes the claim-exchange stage with it: queued claims
         // are dropped as typed orphans, never committed past this point.
         if let Some(e) = &self.rank_dedup {
@@ -341,8 +351,7 @@ impl AsyncRuntime {
 
     /// Graceful shutdown: drain everything, then join the worker.
     pub fn shutdown(self) {
-        let _ = self.tx.send(Job::Shutdown);
-        self.join_worker();
+        self.stop();
     }
 }
 
@@ -354,8 +363,7 @@ impl Default for AsyncRuntime {
 
 impl Drop for AsyncRuntime {
     fn drop(&mut self) {
-        let _ = self.tx.send(Job::Shutdown);
-        self.join_worker();
+        self.stop();
     }
 }
 
@@ -899,6 +907,62 @@ mod tests {
         let report = tiers.recover_report();
         assert_eq!(report.total(ObjectStatus::LostCorrupt), 1);
         assert_eq!(tiers.pfs.quarantined(), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn stalled_producer_returns_once_the_slowed_eviction_lands() {
+        // The host holds one object; its only way out is an SSD put that
+        // takes 30 ms. The second submission finds the host full and has
+        // nothing to wake it but the bump after that hop.
+        let plan = FaultPlan::builder()
+            .on_put("ssd", 0, FaultKind::LatencySpike { micros: 30_000 })
+            .build();
+        let mut tiers = TierChain::with_faults(plan);
+        tiers.host = crate::tier::Tier::new(TierConfig {
+            capacity: 150,
+            ..TierConfig::host()
+        });
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers,
+            ..Default::default()
+        });
+        rt.submit_blocking(0, 0, vec![1; 100]).unwrap();
+        rt.submit_blocking(0, 1, vec![2; 100]).unwrap();
+        rt.wait_durable(&[(0, 0), (0, 1)]);
+        assert_eq!(rt.tiers().pfs.get((0, 1)), Some(vec![2; 100].into()));
+        let reg = Arc::clone(rt.telemetry());
+        rt.shutdown();
+        // (A producer descheduled for the whole 30 ms never saw it full.)
+        assert!(reg.counter("runtime/producer_stalls").get() <= 1);
+        assert_eq!(reg.counter("runtime/durable").get(), 2);
+    }
+
+    #[test]
+    fn wait_durable_returns_for_each_terminal_event_with_the_flusher_idle() {
+        // ckpt 0 lands torn on the host and strands there; ckpt 1 drains.
+        let plan = FaultPlan::builder()
+            .on_put("host", 0, FaultKind::TornWrite { keep_bytes: 8 })
+            .build();
+        let rt = AsyncRuntime::start(RuntimeConfig {
+            tiers: TierChain::with_faults(plan),
+            ..Default::default()
+        });
+        rt.submit(0, 0, vec![9; 512]).unwrap();
+        rt.submit(0, 1, vec![8; 512]).unwrap();
+        // The flusher takes jobs in order: once ckpt 1 is durable it has
+        // nothing left to do, and no later bump will come.
+        rt.wait_durable(&[(0, 1)]);
+        rt.wait_durable(&[(0, 0)]); // undrainable
+        rt.wait_durable(&[(0, 1)]); // durable
+        assert_eq!(rt.undrainable(), vec![(0, 0)]);
+        // Nobody submitted (9,9): only the kill ends this wait, whether
+        // the waiter was already asleep or arrives after it.
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| rt.wait_durable(&[(9, 9)]));
+            rt.kill();
+            waiter.join().expect("waiter");
+        });
+        rt.wait_durable(&[(9, 9)]);
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //!    cross-rank reference counter is non-zero and the durable tier holds
 //!    fewer bytes with dedup on.
 
+use ckpt_dedup::frame::RankDedupRecord;
 use ckpt_dedup::prelude::*;
 use ckpt_runtime::tier::ObjectId;
 use ckpt_runtime::{
     compact_below, restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, RankDedupConfig,
-    RankDedupEngine, RankDedupMetrics, RedundancyPolicy, RuntimeConfig, SplitMix64,
+    RankDedupEngine, RankDedupMetrics, RedundancyPolicy, RuntimeConfig, SplitMix64, TierChain,
+    TierConfig,
 };
 use ckpt_telemetry::Registry;
 use gpu_sim::Device;
@@ -367,4 +369,62 @@ fn disabled_engine_is_invisible() {
     }
     a.kill();
     b.kill();
+}
+
+/// A submission the host tier refuses was already rewritten against the
+/// index — claims committed, reference edges recorded — for an object no
+/// tier holds. The runtime must take all of it back: otherwise the next
+/// rank to see those bytes references the refused object and its own
+/// healthy checkpoint restores as a typed loss.
+#[test]
+fn refused_submit_leaves_no_claims_or_edges_behind() {
+    let mut rng = SplitMix64::new(0x5EED);
+    let mut block = || -> Vec<u8> { (0..512).map(|_| (rng.next() & 0xff) as u8).collect() };
+    let (a, b, c) = (block(), block(), block());
+    let engine = RankDedupEngine::new(
+        RankDedupConfig {
+            ranks: 3,
+            chunk_len: CHUNK,
+        },
+        RankDedupMetrics::detached(),
+    );
+    // Room for one 512-byte record with its table, not for two.
+    let host = TierConfig {
+        capacity: 1000,
+        ..TierConfig::host()
+    };
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        tiers: TierChain::with_configs(host, TierConfig::ssd(), TierConfig::pfs()),
+        rank_dedup: Some(Arc::clone(&engine)),
+        ..Default::default()
+    });
+    let index = engine.index();
+
+    rt.submit(0, 0, a.clone()).unwrap();
+    rt.wait_durable(&[(0, 0)]);
+    let claims_of_a = index.claim_count();
+    assert_eq!(claims_of_a, 512 / CHUNK);
+
+    // (1,0) references (0,0) for `a` and claims `b` and `c` — and is refused.
+    let big = [&a[..], &b[..], &c[..]].concat();
+    assert!(rt.submit(1, 0, big).is_err());
+    assert_eq!(
+        index.claim_count(),
+        claims_of_a,
+        "claims into (1,0) survive"
+    );
+    assert!(
+        !index.is_pinned((0, 0)),
+        "(1,0) still pins what it referenced"
+    );
+
+    // Rank 2 sees `b` next: nothing of its record may point into (1,0),
+    // and it restores.
+    rt.submit(2, 0, b.clone()).unwrap();
+    rt.wait_durable(&[(2, 0)]);
+    let stored = rt.tiers().pfs.inspect_object((2, 0)).into_object().unwrap();
+    let record = RankDedupRecord::decode(stored.payload()).unwrap();
+    assert!(record.remote_refs().all(|r| r.owner_rank != 1));
+    assert_eq!(rt.tiers().locate((2, 0)), Some(b.into()));
+    rt.shutdown();
 }

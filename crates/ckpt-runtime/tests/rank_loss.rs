@@ -19,6 +19,7 @@
 
 use ckpt_dedup::prelude::*;
 use ckpt_dedup::Diff;
+use ckpt_runtime::rankdedup::chunk_hash;
 use ckpt_runtime::tier::ObjectId;
 use ckpt_runtime::{
     restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, FaultKind, FaultPlan,
@@ -647,6 +648,140 @@ fn exchange_kill_mid_schedule_keeps_durable_prefixes_bit_exact() {
         );
     }
     rt.kill();
+}
+
+/// Everything one run of the claim exchange can show an observer.
+#[derive(PartialEq, Debug)]
+struct ExchangeOutcome {
+    records: Vec<Vec<u8>>,
+    claim_count: usize,
+    /// Which rank holds the claim on each grid chunk of the shared base.
+    winners: Vec<Option<u32>>,
+    /// `rankdedup/{claims,remote_refs,remote_bytes_saved,orphans}`.
+    counters: [u64; 4],
+    restored: Vec<Vec<u8>>,
+}
+
+fn run_exchange(
+    sched: &Cluster,
+    seed: u64,
+    window: usize,
+    plan: Option<Arc<FaultPlan>>,
+) -> ExchangeOutcome {
+    let registry = Arc::new(Registry::new());
+    let engine = RankDedupEngine::with_exchange(
+        RankDedupConfig {
+            ranks: sched.ranks,
+            chunk_len: CHUNK,
+        },
+        RankDedupMetrics::bound(Arc::clone(&registry)),
+        seed,
+        window,
+        plan,
+    );
+    let rt = AsyncRuntime::start(RuntimeConfig {
+        registry: Arc::clone(&registry),
+        rank_dedup: Some(Arc::clone(&engine)),
+        ..Default::default()
+    });
+    let ids = sched.ids();
+    for &(r, k) in &ids {
+        rt.submit(r, k, sched.diffs[r as usize][k as usize].clone())
+            .unwrap();
+    }
+    rt.wait_durable(&ids);
+    engine.quiesce();
+    let device = Device::a100();
+    ExchangeOutcome {
+        records: ids
+            .iter()
+            .map(|&id| {
+                let stored = rt.tiers().pfs.inspect_object(id).into_object().unwrap();
+                stored.payload().to_vec()
+            })
+            .collect(),
+        claim_count: engine.index().claim_count(),
+        winners: {
+            let base = &sched.diffs[0][0];
+            base[Diff::payload_offset(base).unwrap()..]
+                .chunks(CHUNK)
+                .map(|c| engine.index().lookup(chunk_hash(c)).map(|loc| loc.rank))
+                .collect()
+        },
+        counters: ["claims", "remote_refs", "remote_bytes_saved", "orphans"]
+            .map(|name| registry.counter(&format!("rankdedup/{name}")).get()),
+        restored: (0..sched.ranks)
+            .map(|r| {
+                restore_rank_latest_parallel(rt.tiers(), &device, r, None)
+                    .unwrap()
+                    .data
+            })
+            .collect(),
+    }
+}
+
+/// The exchange is a schedule, not a thread: with every rank both owning
+/// shards and claiming into the others' (so own-shard commits interleave
+/// with exchanged ones), a run is a pure function of `(seed, window,
+/// plan)` — record bytes, index size, counters and restores repeat
+/// exactly — and the seed is what picks the winners.
+#[test]
+fn exchange_schedule_replays_from_its_seed() {
+    let sched = shared_cluster(4, 3, 2048, 47);
+    let faults = |seed: u64| {
+        FaultPlan::builder()
+            .on_put(
+                "exchange",
+                seed % 3,
+                FaultKind::RankLoss {
+                    rank: (seed % 4) as u32,
+                },
+            )
+            .on_put("exchange", 3 + seed % 3, FaultKind::TransientIo)
+            .on_put(
+                "exchange",
+                6 + seed % 4,
+                FaultKind::LatencySpike { micros: 50 },
+            )
+            .build()
+    };
+    for window in [0usize, 2, 5] {
+        let mut distinct = std::collections::HashSet::new();
+        for seed in 0..200u64 {
+            let plain = run_exchange(&sched, seed, window, None);
+            assert_eq!(
+                plain,
+                run_exchange(&sched, seed, window, None),
+                "window {window} seed {seed}"
+            );
+            let faulted = run_exchange(&sched, seed, window, Some(faults(seed)));
+            assert_eq!(
+                faulted,
+                run_exchange(&sched, seed, window, Some(faults(seed))),
+                "window {window} seed {seed}, faulted"
+            );
+            for (r, data) in plain.restored.iter().chain(&faulted.restored).enumerate() {
+                let want = sched.snapshots[r % sched.ranks as usize].last().unwrap();
+                assert_eq!(data, want, "window {window} seed {seed}");
+            }
+            assert_eq!(
+                plain.counters[3] > 0,
+                window > 0,
+                "lost races need a window"
+            );
+            distinct.insert((plain.records, plain.winners));
+        }
+        // Window 0 commits in the claimant whatever the seed. A window
+        // narrower than the four ranks sharing the base commits a seeded
+        // pick between their encodes, so the seed decides who references
+        // whom; at 5 every rank has encoded the base before the first
+        // pick and each shard's owner has already won it.
+        match window {
+            0 => assert_eq!(distinct.len(), 1),
+            2 => assert!(distinct.len() > 1, "the seed must matter"),
+            _ => {}
+        }
+    }
 }
 
 /// Satellite differential: with rank-dedup *absent* (engine `None`), the

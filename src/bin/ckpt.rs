@@ -393,8 +393,8 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
     }
 
     let registry = Arc::new(Registry::new());
-    // The cluster dedup index: one inline engine shared by every rank, so
-    // stored-byte totals are deterministic. Ranks submit in order, so later
+    // The cluster dedup index: one engine shared by every rank, its claims
+    // committing in the claimant, so stored-byte totals are deterministic. Ranks submit in order, so later
     // ranks reference chunks the earlier ones claimed.
     let dedup = rank_dedup.then(|| {
         RankDedupEngine::new(

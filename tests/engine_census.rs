@@ -16,6 +16,12 @@
 //! (`store_object` / `inspect_object`), one timed function decodes what
 //! came out, one staging body writes the host tier, and nothing between a
 //! tier's map and the restore engine copies a payload.
+//!
+//! Thread-and-wait census: the runtime spawns two threads (the flusher,
+//! the pipeline's submit tail) plus the scoped workers of a restore and of
+//! the scaling harness, and nothing in it waits by polling — every wait
+//! sleeps on the flusher's progress signal, and the only `sleep` calls
+//! model time (retry backoff, bandwidth throttle, injected latency).
 
 use std::path::{Path, PathBuf};
 
@@ -254,4 +260,44 @@ fn one_verified_way_through_a_tier() {
         stagers.iter().all(|f| f == "runtime.rs::stage"),
         "the host tier is written outside AsyncRuntime::stage: {stagers:?}"
     );
+}
+
+/// The `ckpt-runtime` source files whose non-test, non-comment code
+/// contains `token`.
+fn runtime_files_with(token: &str) -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    rust_files(&root.join("crates/ckpt-runtime/src"))
+        .iter()
+        .filter(|path| {
+            production_source(path)
+                .lines()
+                .any(|l| !l.trim_start().starts_with("//") && l.contains(token))
+        })
+        .map(|path| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect()
+}
+
+#[test]
+fn no_thread_nobody_starts_and_no_wait_that_polls() {
+    let expected: [(&str, &[&str]); 8] = [
+        ("yield_now", &[]),
+        ("wait_for(", &[]),
+        ("recv_timeout", &[]),
+        ("thread::spawn", &["pipeline.rs", "runtime.rs"]),
+        // Scoped: joined before the call that spawned them returns.
+        (".spawn(", &["coordinator.rs", "restore.rs"]),
+        // Modeled time only: injected latency, bandwidth throttle, retry
+        // backoff.
+        ("sleep(", &["fault.rs", "flusher.rs", "tier.rs"]),
+        ("ClaimExchange", &[]),
+        // The schedule's private alias; `lib.rs` must not export it.
+        ("ClaimBatch", &["rankdedup.rs"]),
+    ];
+    for (token, files) in expected {
+        assert_eq!(
+            runtime_files_with(token),
+            files,
+            "files whose production code has `{token}`"
+        );
+    }
 }
