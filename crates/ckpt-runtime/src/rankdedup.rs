@@ -84,6 +84,7 @@ use gpu_sim::TILE;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,8 +98,8 @@ const CHUNK_HASH_SEED: u32 = 0x5244_4858;
 /// | metric | kind | meaning |
 /// |---|---|---|
 /// | `rankdedup/claims` | counter | first-occurrence claims committed to the index |
-/// | `rankdedup/remote_refs` | counter | chunks rewritten to cross-rank references |
-/// | `rankdedup/remote_bytes_saved` | counter | payload bytes not stored thanks to remote refs |
+/// | `rankdedup/remote_refs` | counter | chunks rewritten to [`RemoteRef`] entries: into another record's claimed copy, or into an earlier copy in the same record (a repeat inside one payload counts) |
+/// | `rankdedup/remote_bytes_saved` | counter | payload bytes of those chunks — not stored in the record, whichever record the reference names |
 /// | `rankdedup/fetch_ns` | counter | nanoseconds spent resolving remote refs on reads |
 /// | `rankdedup/orphans` | counter | claims (one per claim, never per batch) that lost a race or were dropped/killed in the exchange; plus one per record whose read-side resolution failed |
 pub struct RankDedupMetrics {
@@ -170,6 +171,35 @@ pub fn chunk_hash(chunk: &[u8]) -> ChunkHash {
 pub fn owner_of(hash: ChunkHash, ranks: u32) -> u32 {
     ((hash.0 ^ hash.1) % ranks.max(1) as u64) as u32
 }
+
+/// Hasher of the maps keyed by [`ChunkHash`]: the key's two words are
+/// already uniform Murmur3 output, so they are folded, not hashed again.
+/// Key equality stays the full 128 bits — a weak fold costs probe time,
+/// never correctness.
+#[derive(Default)]
+struct DigestFold(u64);
+
+impl Hasher for DigestFold {
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut le = [0u8; 8];
+            le[..word.len()].copy_from_slice(word);
+            self.write_u64(u64::from_le_bytes(le));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(32) ^ word;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type DigestMap<V> = HashMap<ChunkHash, V, BuildHasherDefault<DigestFold>>;
 
 /// Where a committed first-occurrence claim's bytes live: local entry
 /// `chunk` of the rank-dedup record stored as `(rank, ckpt_id)`.
@@ -244,7 +274,7 @@ impl std::error::Error for RankDedupError {}
 /// floors.
 pub struct RankDedupIndex {
     ranks: u32,
-    claims: Mutex<HashMap<ChunkHash, ClaimLoc>>,
+    claims: Mutex<DigestMap<ClaimLoc>>,
     /// referenced object -> referencing objects (self-references excluded).
     inbound: Mutex<HashMap<ObjectId, HashSet<ObjectId>>>,
     /// referencing object -> referenced objects (self-references excluded).
@@ -256,7 +286,7 @@ impl RankDedupIndex {
     pub fn new(ranks: u32, metrics: RankDedupMetrics) -> Self {
         RankDedupIndex {
             ranks: ranks.max(1),
-            claims: Mutex::new(HashMap::new()),
+            claims: Mutex::new(DigestMap::default()),
             inbound: Mutex::new(HashMap::new()),
             outbound: Mutex::new(HashMap::new()),
             metrics,
@@ -282,21 +312,36 @@ impl RankDedupIndex {
         self.claims.lock().get(&hash).copied()
     }
 
+    /// The committed locations of one tile's hashes, read under one lock.
+    fn lookup_tile(&self, digests: &[Digest128], found: &mut [Option<ClaimLoc>; TILE]) {
+        let claims = self.claims.lock();
+        for (slot, d) in found.iter_mut().zip(digests) {
+            *slot = claims.get(&(d.h1, d.h2)).copied();
+        }
+    }
+
     /// Commit a first-occurrence claim. First writer wins; a losing claim
     /// is an orphan (typed, counted — its bytes stay stored locally by the
     /// claimant, they are simply not advertised).
     pub fn commit_claim(&self, hash: ChunkHash, loc: ClaimLoc) -> bool {
-        match self.claims.lock().entry(hash) {
-            Entry::Vacant(v) => {
-                v.insert(loc);
-                self.metrics.on_claims(1);
-                true
-            }
-            Entry::Occupied(_) => {
-                self.metrics.on_orphans(1);
-                false
+        self.commit_claims(&[(hash, loc)]) == 1
+    }
+
+    /// Commit claims in order under one lock; returns how many won.
+    fn commit_claims(&self, batch: &[(ChunkHash, ClaimLoc)]) -> usize {
+        let mut won = 0;
+        {
+            let mut claims = self.claims.lock();
+            for &(hash, loc) in batch {
+                if let Entry::Vacant(v) = claims.entry(hash) {
+                    v.insert(loc);
+                    won += 1;
+                }
             }
         }
+        self.metrics.on_claims(won as u64);
+        self.metrics.on_orphans((batch.len() - won) as u64);
+        won
     }
 
     /// Record that object `from` carries remote references into `to`
@@ -388,14 +433,8 @@ impl Schedule {
     fn commit_down_to(&mut self, keep: usize, index: &RankDedupIndex) {
         while self.held.len() > keep {
             let i = (self.rng.next() % self.held.len() as u64) as usize;
-            commit_batch(index, self.held.swap_remove(i));
+            index.commit_claims(&self.held.swap_remove(i));
         }
-    }
-}
-
-fn commit_batch(index: &RankDedupIndex, batch: ClaimBatch) {
-    for (hash, loc) in batch {
-        index.commit_claim(hash, loc);
     }
 }
 
@@ -504,7 +543,7 @@ impl RankDedupEngine {
         let mut s = self.schedule.lock();
         s.commit_down_to(0, &self.index);
         for batch in std::mem::take(&mut s.deferred) {
-            commit_batch(&self.index, batch);
+            self.index.commit_claims(&batch);
         }
     }
 
@@ -539,17 +578,28 @@ impl RankDedupEngine {
     /// [`RemoteRef`]s, store first occurrences locally, and publish claims
     /// for them. Always returns a [`RankDedupRecord`] payload, so the
     /// on/off switch is uniform per runtime.
+    ///
+    /// The index is probed a tile (64 chunks) at a time, so a claim another
+    /// thread commits mid-tile is seen from the next tile on; for any one
+    /// order of `encode` calls the result is that of a per-chunk walk (the
+    /// test module keeps one as the oracle).
     pub fn encode(&self, id: ObjectId, bytes: Vec<u8>) -> Vec<u8> {
         let chunk_len = self.cfg.chunk_len.max(1);
         let off = Diff::payload_offset(&bytes).unwrap_or(0).min(bytes.len());
         let orig_checksum = frame::checksum64(id.0, id.1, &bytes);
-        let mut entries: Vec<RankDedupEntry> = Vec::new();
+        let grid = (bytes.len() - off).div_ceil(chunk_len);
+        let mut entries: Vec<RankDedupEntry> = Vec::with_capacity(grid + usize::from(off > 0));
         let mut local: Vec<u8> = Vec::new();
         // Hashes already claimed by *this* object (self-dedup): entry
         // index of their local copy.
-        let mut pending: HashMap<ChunkHash, u32> = HashMap::new();
-        let mut claims: Vec<(ChunkHash, ClaimLoc)> = Vec::new();
+        let mut pending: DigestMap<u32> = DigestMap::default();
+        // Claims for hashes this rank's shard owns commit locally; the
+        // rest go through the exchange (the cross-rank publication).
+        let (mut own, mut cross): (ClaimBatch, ClaimBatch) = (Vec::new(), Vec::new());
+        // References come in runs into one object: the set is touched
+        // when the run changes, not per reference.
         let mut refs: HashSet<ObjectId> = HashSet::new();
+        let mut last_ref = id;
         let mut remote_refs = 0u64;
         let mut bytes_saved = 0u64;
         if off > 0 {
@@ -557,44 +607,52 @@ impl RankDedupEngine {
             local.extend_from_slice(&bytes[..off]);
         }
         // The grid is hashed a tile at a time through the batch kernel
-        // (digests of `chunk_hash`), then walked chunk by chunk.
+        // (digests of `chunk_hash`) and probed a tile at a time: one
+        // `claims` lock per tile, then the walk runs outside it.
         let mut digests = [Digest128::ZERO; TILE];
+        let mut claimed = [None; TILE];
         for tile in bytes[off..].chunks(TILE.saturating_mul(chunk_len)) {
             let digests = &mut digests[..tile.len().div_ceil(chunk_len)];
             Murmur3.hash_chunks(tile, chunk_len, CHUNK_HASH_SEED, digests);
-            for (chunk, digest) in tile.chunks(chunk_len).zip(digests.iter()) {
-                let idx = entries.len() as u32;
+            self.index.lookup_tile(digests, &mut claimed);
+            for ((chunk, digest), claimed) in tile.chunks(chunk_len).zip(&*digests).zip(&claimed) {
                 let hash = (digest.h1, digest.h2);
-                if let Some(&at) = pending.get(&hash) {
-                    entries.push(RankDedupEntry::Remote(RemoteRef {
+                let reference = match (pending.get(&hash), claimed) {
+                    (Some(&at), _) => RemoteRef {
                         owner_rank: id.0,
                         ckpt_id: id.1,
                         chunk: at,
-                    }));
-                    remote_refs += 1;
-                    bytes_saved += chunk.len() as u64;
-                    continue;
-                }
-                if let Some(loc) = self.index.lookup(hash) {
-                    entries.push(RankDedupEntry::Remote(loc.reference()));
-                    refs.insert(loc.object());
-                    remote_refs += 1;
-                    bytes_saved += chunk.len() as u64;
-                    continue;
-                }
-                entries.push(RankDedupEntry::Local {
-                    len: chunk.len() as u32,
-                });
-                local.extend_from_slice(chunk);
-                pending.insert(hash, idx);
-                claims.push((
-                    hash,
-                    ClaimLoc {
-                        rank: id.0,
-                        ckpt_id: id.1,
-                        chunk: idx,
                     },
-                ));
+                    (None, Some(loc)) => {
+                        if loc.object() != last_ref {
+                            last_ref = loc.object();
+                            refs.insert(last_ref);
+                        }
+                        loc.reference()
+                    }
+                    (None, None) => {
+                        let idx = entries.len() as u32;
+                        entries.push(RankDedupEntry::Local {
+                            len: chunk.len() as u32,
+                        });
+                        local.extend_from_slice(chunk);
+                        pending.insert(hash, idx);
+                        let loc = ClaimLoc {
+                            rank: id.0,
+                            ckpt_id: id.1,
+                            chunk: idx,
+                        };
+                        if self.index.owner_of(hash) == id.0 {
+                            own.push((hash, loc));
+                        } else {
+                            cross.push((hash, loc));
+                        }
+                        continue;
+                    }
+                };
+                entries.push(RankDedupEntry::Remote(reference));
+                remote_refs += 1;
+                bytes_saved += chunk.len() as u64;
             }
         }
         // Pin referenced objects *before* this object becomes visible, so
@@ -605,12 +663,7 @@ impl RankDedupEngine {
         self.index
             .metrics()
             .on_remote_refs(remote_refs, bytes_saved);
-        // Claims for hashes this rank's shard owns commit locally; the
-        // rest go through the exchange (the cross-rank publication).
-        let (own, cross): (Vec<_>, Vec<_>) = claims
-            .into_iter()
-            .partition(|(h, _)| self.index.owner_of(*h) == id.0);
-        commit_batch(&self.index, own);
+        self.index.commit_claims(&own);
         self.publish(cross);
         RankDedupRecord::new(
             id.0,
@@ -744,6 +797,296 @@ pub fn resolve_record(
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use ckpt_dedup::diff::MethodKind;
+    use proptest::prelude::*;
+    use std::sync::Barrier;
+
+    /// The per-chunk walk `encode` was until the tile walk replaced it, kept
+    /// as its oracle: a std-hashed `pending`, one `lookup` (one lock) per
+    /// chunk, one `refs.insert` per reference, one `commit_claim` per own
+    /// claim.
+    fn encode_per_chunk(e: &RankDedupEngine, id: ObjectId, bytes: Vec<u8>) -> Vec<u8> {
+        let chunk_len = e.cfg.chunk_len.max(1);
+        let off = Diff::payload_offset(&bytes).unwrap_or(0).min(bytes.len());
+        let orig_checksum = frame::checksum64(id.0, id.1, &bytes);
+        let mut entries: Vec<RankDedupEntry> = Vec::new();
+        let mut local: Vec<u8> = Vec::new();
+        let mut pending: HashMap<ChunkHash, u32> = HashMap::new();
+        let mut claims: Vec<(ChunkHash, ClaimLoc)> = Vec::new();
+        let mut refs: HashSet<ObjectId> = HashSet::new();
+        let mut remote_refs = 0u64;
+        let mut bytes_saved = 0u64;
+        if off > 0 {
+            entries.push(RankDedupEntry::Local { len: off as u32 });
+            local.extend_from_slice(&bytes[..off]);
+        }
+        for chunk in bytes[off..].chunks(chunk_len) {
+            let idx = entries.len() as u32;
+            let hash = chunk_hash(chunk);
+            if let Some(&at) = pending.get(&hash) {
+                entries.push(RankDedupEntry::Remote(RemoteRef {
+                    owner_rank: id.0,
+                    ckpt_id: id.1,
+                    chunk: at,
+                }));
+                remote_refs += 1;
+                bytes_saved += chunk.len() as u64;
+                continue;
+            }
+            if let Some(loc) = e.index.lookup(hash) {
+                entries.push(RankDedupEntry::Remote(loc.reference()));
+                refs.insert(loc.object());
+                remote_refs += 1;
+                bytes_saved += chunk.len() as u64;
+                continue;
+            }
+            entries.push(RankDedupEntry::Local {
+                len: chunk.len() as u32,
+            });
+            local.extend_from_slice(chunk);
+            pending.insert(hash, idx);
+            claims.push((
+                hash,
+                ClaimLoc {
+                    rank: id.0,
+                    ckpt_id: id.1,
+                    chunk: idx,
+                },
+            ));
+        }
+        for to in refs {
+            e.index.add_ref(id, to);
+        }
+        e.index.metrics().on_remote_refs(remote_refs, bytes_saved);
+        let (own, cross): (Vec<_>, Vec<_>) = claims
+            .into_iter()
+            .partition(|(h, _)| e.index.owner_of(*h) == id.0);
+        for (hash, loc) in own {
+            e.index.commit_claim(hash, loc);
+        }
+        e.publish(cross);
+        RankDedupRecord::new(
+            id.0,
+            id.1,
+            chunk_len as u32,
+            bytes.len() as u64,
+            orig_checksum,
+            entries,
+            local,
+        )
+        .encode()
+    }
+
+    /// A payload built from what the index sees in practice: runs of the
+    /// all-zero chunk, repeats out of a small pool shared by every object
+    /// of the run, chunks nobody else has, a last chunk cut short, and for
+    /// every other payload a diff header in front of the grid. From under
+    /// one tile to a few.
+    fn generated_payload(rng: &mut SplitMix64, pool: &[Vec<u8>], chunk_len: usize) -> Vec<u8> {
+        let cells = 1 + (rng.next() % 40) as usize;
+        let mut body = Vec::new();
+        for _ in 0..cells {
+            match rng.next() % 4 {
+                0 => body.resize(body.len() + chunk_len * (1 + rng.next() as usize % 24), 0),
+                1 | 2 => body.extend_from_slice(&pool[rng.next() as usize % pool.len()]),
+                _ => body.extend((0..chunk_len).map(|_| rng.next() as u8)),
+            }
+        }
+        body.truncate(body.len() - rng.next() as usize % chunk_len);
+        if rng.next() & 1 == 0 {
+            return body;
+        }
+        Diff {
+            kind: MethodKind::Full,
+            ckpt_id: 0,
+            data_len: body.len() as u64,
+            chunk_size: chunk_len as u32,
+            first_regions: Vec::new(),
+            shift_regions: Vec::new(),
+            bitmap: Bytes::default(),
+            payload_codec: 0,
+            payload: body.into(),
+        }
+        .encode()
+    }
+
+    /// Everything an `encode` leaves behind besides the record it returns.
+    type Aftermath = (
+        DigestMap<ClaimLoc>,
+        HashMap<ObjectId, HashSet<ObjectId>>,
+        HashMap<ObjectId, HashSet<ObjectId>>,
+        [u64; 4],
+    );
+
+    fn aftermath(e: &RankDedupEngine, reg: &Registry) -> Aftermath {
+        (
+            e.index.claims.lock().clone(),
+            e.index.inbound.lock().clone(),
+            e.index.outbound.lock().clone(),
+            ["claims", "remote_refs", "remote_bytes_saved", "orphans"]
+                .map(|name| reg.counter(&format!("rankdedup/{name}")).get()),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The tile walk against the per-chunk oracle, two engines fed the
+        /// same objects in the same order: same record bytes, and after
+        /// every object the same claims, edges and counters.
+        #[test]
+        fn tile_walk_writes_what_the_per_chunk_walk_wrote(
+            seed in any::<u64>(),
+            chunk_len in prop_oneof![Just(32usize), Just(40), Just(100), Just(128)],
+            window in prop_oneof![Just(0usize), Just(2), Just(5)],
+            faulted in any::<bool>(),
+            objects in 4usize..14,
+        ) {
+            let engine = || {
+                let plan = faulted.then(|| {
+                    FaultPlan::builder()
+                        .on_put("exchange", seed % 3, FaultKind::RankLoss { rank: (seed % 4) as u32 })
+                        .on_put("exchange", 3 + seed % 3, FaultKind::TransientIo)
+                        .on_put("exchange", 6 + seed % 4, FaultKind::LatencySpike { micros: 50 })
+                        .build()
+                });
+                let reg = Arc::new(Registry::new());
+                let cfg = RankDedupConfig { ranks: 4, chunk_len };
+                let metrics = RankDedupMetrics::bound(Arc::clone(&reg));
+                (RankDedupEngine::with_exchange(cfg, metrics, seed, window, plan), reg)
+            };
+            let ((tile, tile_reg), (oracle, oracle_reg)) = (engine(), engine());
+            let mut rng = SplitMix64::new(seed);
+            let pool: Vec<Vec<u8>> = (0..6)
+                .map(|_| (0..chunk_len).map(|_| rng.next() as u8).collect())
+                .collect();
+            for k in 0..objects {
+                let id = ((k % 4) as u32, (k / 4) as u32);
+                let payload = generated_payload(&mut rng, &pool, chunk_len);
+                prop_assert_eq!(
+                    tile.encode(id, payload.clone()),
+                    encode_per_chunk(&oracle, id, payload),
+                    "record {:?}", id
+                );
+                prop_assert_eq!(aftermath(&tile, &tile_reg), aftermath(&oracle, &oracle_reg));
+            }
+            tile.quiesce();
+            oracle.quiesce();
+            prop_assert_eq!(aftermath(&tile, &tile_reg), aftermath(&oracle, &oracle_reg));
+        }
+    }
+
+    #[test]
+    fn a_weak_fold_costs_probes_never_answers() {
+        // Every key folds to the same value: the map degrades to a list
+        // and still tells the keys apart.
+        let mut map: DigestMap<u32> = DigestMap::default();
+        let keys: Vec<ChunkHash> = (0..200u64).map(|i| (i.rotate_left(32), i)).collect();
+        for (n, key) in keys.iter().enumerate() {
+            assert_eq!(map.insert(*key, n as u32), None);
+        }
+        for (n, key) in keys.iter().enumerate() {
+            assert_eq!(map.get(key), Some(&(n as u32)));
+        }
+        assert_eq!(map.get(&(0, 1)), None);
+    }
+
+    #[test]
+    fn concurrent_encoders_leave_one_consistent_index() {
+        const CHUNK: usize = 32;
+        for seed in 0..300u64 {
+            let threads = if seed & 1 == 0 { 2 } else { 4 };
+            let reg = Arc::new(Registry::new());
+            let e = RankDedupEngine::with_exchange(
+                RankDedupConfig {
+                    ranks: threads as u32,
+                    chunk_len: CHUNK,
+                },
+                RankDedupMetrics::bound(Arc::clone(&reg)),
+                seed,
+                (seed % 3) as usize,
+                None,
+            );
+            // The pool is what the threads' payloads overlap in; how much
+            // of a payload comes out of it varies with the seed.
+            let mut rng = SplitMix64::new(seed);
+            let pool: Vec<Vec<u8>> = (0..1 + seed % 12)
+                .map(|_| (0..CHUNK).map(|_| rng.next() as u8).collect())
+                .collect();
+            let originals: Vec<(ObjectId, Vec<u8>)> = (0..threads as u32 * 3)
+                .map(|k| {
+                    (
+                        (k % threads as u32, k / threads as u32),
+                        generated_payload(&mut rng, &pool, CHUNK),
+                    )
+                })
+                .collect();
+            // Every thread encodes its rank's objects, all released at once.
+            let start = Barrier::new(threads);
+            let records: HashMap<ObjectId, Vec<u8>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads as u32)
+                    .map(|rank| {
+                        let (e, start, originals) = (&e, &start, &originals);
+                        scope.spawn(move || {
+                            start.wait();
+                            originals
+                                .iter()
+                                .filter(|(id, _)| id.0 == rank)
+                                .map(|(id, bytes)| (*id, e.encode(*id, bytes.clone())))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().expect("encoder thread"))
+                    .collect()
+            });
+            e.quiesce();
+
+            let decoded: HashMap<ObjectId, RankDedupRecord> = records
+                .iter()
+                .map(|(id, bytes)| (*id, RankDedupRecord::decode(bytes).unwrap()))
+                .collect();
+            // A hash is claimed at most once, by a local entry of a record
+            // that was produced and that holds exactly those bytes.
+            let claims = e.index.claims.lock().clone();
+            for (hash, loc) in &claims {
+                let bytes = decoded[&loc.object()]
+                    .local_slice(loc.chunk)
+                    .unwrap_or_else(|| panic!("seed {seed}: {loc:?} is not a local entry"));
+                assert_eq!(chunk_hash(bytes), *hash, "seed {seed}: {loc:?}");
+            }
+            // Every first occurrence a record stores was published, and
+            // every published claim either won or is counted lost.
+            let published: usize = originals
+                .iter()
+                .map(|(id, bytes)| {
+                    let prefix = usize::from(Diff::payload_offset(bytes).is_some());
+                    let locals = decoded[id].entries().iter();
+                    locals
+                        .filter(|e| matches!(e, RankDedupEntry::Local { .. }))
+                        .count()
+                        - prefix
+                })
+                .sum();
+            let counter = |name: &str| reg.counter(&format!("rankdedup/{name}")).get() as usize;
+            assert_eq!(counter("claims"), claims.len(), "seed {seed}");
+            assert_eq!(
+                counter("claims") + counter("orphans"),
+                published,
+                "seed {seed}"
+            );
+            let fetch = |id: ObjectId| records.get(&id).cloned().map(Bytes::from);
+            for (id, bytes) in &originals {
+                assert_eq!(
+                    &resolve_record(*id, &records[id], &fetch).unwrap(),
+                    bytes,
+                    "seed {seed}: record {id:?}"
+                );
+            }
+        }
+    }
 
     fn engine(ranks: u32, chunk: usize) -> Arc<RankDedupEngine> {
         RankDedupEngine::new(

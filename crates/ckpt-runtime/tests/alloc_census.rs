@@ -3,10 +3,14 @@
 //!
 //! A counting `#[global_allocator]` (its own test binary, so nothing else
 //! allocates under it) adds up every byte requested while a window is
-//! open. Both windows live in one `#[test]`: the count is process-wide.
+//! open. Every window lives in one `#[test]`: the count is process-wide.
 
+use ckpt_dedup::frame::{RankDedupEntry, RANKDEDUP_ENTRY_LEN, RANKDEDUP_HEADER_LEN};
 use ckpt_dedup::prelude::*;
-use ckpt_runtime::{restore_rank_latest_parallel, AsyncRuntime, TierChain};
+use ckpt_runtime::{
+    restore_rank_latest_parallel, AsyncRuntime, RankDedupConfig, RankDedupEngine, RankDedupMetrics,
+    TierChain,
+};
 use gpu_sim::Device;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,4 +120,33 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
         "draining a {OBJECT_LEN} B object requested {requested} B (bound {bound} B: one frame)"
     );
     rt.shutdown();
+
+    // ---- rank-dedup encode: a payload the index already holds becomes an
+    // entry table, its `starts` and the record — the table is sized from
+    // the grid, not grown into ----
+    const CHUNKS: usize = 1 << 16;
+    const CHUNK_LEN: usize = 64;
+    let engine = RankDedupEngine::new(
+        RankDedupConfig {
+            ranks: 4,
+            chunk_len: CHUNK_LEN,
+        },
+        RankDedupMetrics::detached(),
+    );
+    let payload: Vec<u8> = (0..CHUNKS as u32)
+        .flat_map(|i| i.to_le_bytes().repeat(CHUNK_LEN / 4))
+        .collect();
+    engine.encode((0, 0), payload.clone());
+    let (record, requested) = requested_during(|| engine.encode((1, 0), payload));
+    assert_eq!(
+        record.len(),
+        RANKDEDUP_HEADER_LEN + RANKDEDUP_ENTRY_LEN * CHUNKS,
+        "every chunk must be a reference"
+    );
+    let tables = std::mem::size_of::<RankDedupEntry>() + std::mem::size_of::<usize>();
+    let bound = (tables * CHUNKS + record.len()) as u64 + SLACK;
+    assert!(
+        requested <= bound,
+        "encoding {CHUNKS} duplicate chunks requested {requested} B (bound {bound} B)"
+    );
 }
