@@ -63,10 +63,13 @@ impl Codec for Bitcomp {
         w.finish()
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
         let mut r = BitReader::new(data);
         let n_lanes = r.read(32)? as usize;
         let tail_len = r.read(2)? as usize;
+        if n_lanes * 4 + tail_len > max_len {
+            return Err(CorruptStream("bitcomp declared length exceeds its ceiling"));
+        }
         let mut tail = [0u8; 3];
         for t in tail.iter_mut().take(tail_len) {
             *t = r.read(8)? as u8;
@@ -115,7 +118,7 @@ mod tests {
             "packed {} bytes",
             packed.len()
         );
-        assert_eq!(Bitcomp.decompress(&packed).unwrap(), data);
+        assert_eq!(Bitcomp.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -126,7 +129,7 @@ mod tests {
         let packed = Bitcomp.compress(&data);
         // 4 frames × 38-bit headers + stream header ≈ 24 bytes.
         assert!(packed.len() < 40, "packed {} bytes", packed.len());
-        assert_eq!(Bitcomp.decompress(&packed).unwrap(), data);
+        assert_eq!(Bitcomp.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -134,7 +137,7 @@ mod tests {
         let mut data: Vec<u8> = (0..100u32).flat_map(|i| i.to_le_bytes()).collect();
         data.extend_from_slice(&[0xaa, 0xbb, 0xcc]);
         let packed = Bitcomp.compress(&data);
-        assert_eq!(Bitcomp.decompress(&packed).unwrap(), data);
+        assert_eq!(Bitcomp.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -142,7 +145,11 @@ mod tests {
         for n in 0..9usize {
             let data: Vec<u8> = (0..n as u8).collect();
             let packed = Bitcomp.compress(&data);
-            assert_eq!(Bitcomp.decompress(&packed).unwrap(), data, "len {n}");
+            assert_eq!(
+                Bitcomp.decompress(&packed, data.len()).unwrap(),
+                data,
+                "len {n}"
+            );
         }
     }
 
@@ -153,7 +160,16 @@ mod tests {
             .flat_map(|v| v.to_le_bytes())
             .collect();
         let packed = Bitcomp.compress(&data);
-        assert_eq!(Bitcomp.decompress(&packed).unwrap(), data);
+        assert_eq!(Bitcomp.decompress(&packed, data.len()).unwrap(), data);
+    }
+
+    #[test]
+    fn forged_lane_count_is_refused_before_it_is_reserved() {
+        // 2³² − 1 lanes declared by an 8-byte stream.
+        assert_eq!(
+            Bitcomp.decompress(&[0xff; 8], 1 << 20),
+            Err(CorruptStream("bitcomp declared length exceeds its ceiling"))
+        );
     }
 
     #[test]
@@ -161,21 +177,21 @@ mod tests {
         let data: Vec<u8> = (0..100u32).flat_map(|i| i.to_le_bytes()).collect();
         let mut packed = Bitcomp.compress(&data);
         packed.truncate(packed.len() / 2);
-        assert!(Bitcomp.decompress(&packed).is_err());
+        assert!(Bitcomp.decompress(&packed, data.len()).is_err());
     }
 
     proptest! {
         #[test]
         fn round_trip(data in prop::collection::vec(any::<u8>(), 0..2048)) {
             let packed = Bitcomp.compress(&data);
-            prop_assert_eq!(Bitcomp.decompress(&packed).unwrap(), data);
+            prop_assert_eq!(Bitcomp.decompress(&packed, data.len()).unwrap(), data);
         }
 
         #[test]
         fn round_trip_counters(vals in prop::collection::vec(0u32..1000, 0..600)) {
             let data: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
             let packed = Bitcomp.compress(&data);
-            prop_assert_eq!(Bitcomp.decompress(&packed).unwrap(), data);
+            prop_assert_eq!(Bitcomp.decompress(&packed, data.len()).unwrap(), data);
         }
     }
 }

@@ -129,7 +129,7 @@ pub fn decompress_blocks(codec: &dyn Codec, data: &[u8]) -> Result<Vec<u8>, Corr
             let raw = if comp_len == raw_len {
                 packed.to_vec() // stored block
             } else {
-                codec.decompress(packed)?
+                codec.decompress(packed, raw_len)?
             };
             if raw.len() != raw_len {
                 return Err(CorruptStream("block decoded to the wrong length"));
@@ -206,6 +206,42 @@ mod tests {
         rayon::set_active_threads(0);
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[0], outputs[2]);
+    }
+
+    #[test]
+    fn forged_inner_length_is_corrupt_before_anything_is_reserved() {
+        // The table of contents is honest; the block's own stream opens
+        // with a forged varint length. The codec must hear the table's
+        // `raw_len` and refuse, not reserve what the stream declares.
+        let data = vec![7u8; 1000];
+        // (The other codecs open with fixed-width fields.)
+        let lz_codecs: [&dyn Codec; 4] = [
+            &crate::Lz4Like::default(),
+            &crate::SnappyLike::default(),
+            &crate::DeflateLike::default(),
+            &ZstdLike::default(),
+        ];
+        for codec in lz_codecs {
+            let packed = compress_blocks(codec, &data, DEFAULT_BLOCK_SIZE);
+            let inner = &packed[CONTAINER_HEADER + TOC_ENTRY..];
+            let mut pos = 0;
+            assert_eq!(crate::lz::get_varint(inner, &mut pos).unwrap(), 1000);
+            for forged in [u64::MAX, (1 << 46) - 1, 1001] {
+                let mut stream = Vec::new();
+                crate::lz::put_varint(&mut stream, forged);
+                stream.extend_from_slice(&inner[pos..]);
+                let mut bad = packed[..CONTAINER_HEADER + TOC_ENTRY].to_vec();
+                bad[CONTAINER_HEADER..CONTAINER_HEADER + 4]
+                    .copy_from_slice(&(stream.len() as u32).to_le_bytes());
+                bad.extend_from_slice(&stream);
+                assert_eq!(
+                    decompress_blocks(codec, &bad),
+                    Err(CorruptStream("declared length exceeds its ceiling")),
+                    "{} with a declared length of {forged}",
+                    codec.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl Codec for Cascaded {
         out
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
         let mut pos = 0usize;
         let n_lanes = get_u32(data, &mut pos)? as usize;
         let n_runs = get_u32(data, &mut pos)? as usize;
@@ -105,14 +105,20 @@ impl Codec for Cascaded {
         if tail_len > 3 || pos + tail_len > data.len() {
             return Err(CorruptStream("cascaded tail truncated"));
         }
+        // (Each run covers at least one lane.)
+        if n_lanes * 4 + tail_len > max_len || n_runs > n_lanes {
+            return Err(CorruptStream(
+                "cascaded declared length exceeds its ceiling",
+            ));
+        }
         let tail = &data[pos..pos + tail_len];
         pos += tail_len;
         let pv_len = get_u32(data, &mut pos)? as usize;
         if pos + pv_len > data.len() {
             return Err(CorruptStream("cascaded values truncated"));
         }
-        let values = Bitcomp.decompress(&data[pos..pos + pv_len])?;
-        let counts = Bitcomp.decompress(&data[pos + pv_len..])?;
+        let values = Bitcomp.decompress(&data[pos..pos + pv_len], n_runs * 4)?;
+        let counts = Bitcomp.decompress(&data[pos + pv_len..], n_runs * 4)?;
         if values.len() != n_runs * 4 || counts.len() != n_runs * 4 {
             return Err(CorruptStream("cascaded run arrays inconsistent"));
         }
@@ -124,13 +130,13 @@ impl Codec for Cascaded {
             let v = u32::from_le_bytes(values[r * 4..r * 4 + 4].try_into().unwrap());
             let count = u32::from_le_bytes(counts[r * 4..r * 4 + 4].try_into().unwrap()) as usize;
             let delta = unzigzag(v) as u32;
-            for _ in 0..count {
-                prev = prev.wrapping_add(delta);
-                out.extend_from_slice(&prev.to_le_bytes());
-            }
             produced += count;
             if produced > n_lanes {
                 return Err(CorruptStream("cascaded produced too many lanes"));
+            }
+            for _ in 0..count {
+                prev = prev.wrapping_add(delta);
+                out.extend_from_slice(&prev.to_le_bytes());
             }
         }
         if produced != n_lanes {
@@ -163,7 +169,7 @@ mod tests {
         let data: Vec<u8> = (0..10_000u32).flat_map(|i| (i * 3).to_le_bytes()).collect();
         let packed = Cascaded.compress(&data);
         assert!(packed.len() < 100, "packed {} bytes", packed.len());
-        assert_eq!(Cascaded.decompress(&packed).unwrap(), data);
+        assert_eq!(Cascaded.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -174,7 +180,7 @@ mod tests {
             .collect();
         let packed = Cascaded.compress(&data);
         assert!(packed.len() < data.len() / 50);
-        assert_eq!(Cascaded.decompress(&packed).unwrap(), data);
+        assert_eq!(Cascaded.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -182,7 +188,7 @@ mod tests {
         let mut data: Vec<u8> = (0..40u32).flat_map(|i| i.to_le_bytes()).collect();
         data.extend_from_slice(&[1, 2]);
         let packed = Cascaded.compress(&data);
-        assert_eq!(Cascaded.decompress(&packed).unwrap(), data);
+        assert_eq!(Cascaded.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -192,7 +198,24 @@ mod tests {
             .flat_map(|v| v.to_le_bytes())
             .collect();
         let packed = Cascaded.compress(&data);
-        assert_eq!(Cascaded.decompress(&packed).unwrap(), data);
+        assert_eq!(Cascaded.decompress(&packed, data.len()).unwrap(), data);
+    }
+
+    #[test]
+    fn forged_run_count_is_refused_before_it_is_produced() {
+        // One honest lane, one run — whose count says 2³² − 1.
+        let mut forged = Vec::new();
+        put_u32(&mut forged, 1); // n_lanes
+        put_u32(&mut forged, 1); // n_runs
+        forged.push(0); // tail_len
+        let values = Bitcomp.compress(&zigzag(5).to_le_bytes());
+        put_u32(&mut forged, values.len() as u32);
+        forged.extend_from_slice(&values);
+        forged.extend_from_slice(&Bitcomp.compress(&u32::MAX.to_le_bytes()));
+        assert_eq!(
+            Cascaded.decompress(&forged, 4),
+            Err(CorruptStream("cascaded produced too many lanes"))
+        );
     }
 
     #[test]
@@ -200,7 +223,10 @@ mod tests {
         let data: Vec<u8> = (0..100u32).flat_map(|i| i.to_le_bytes()).collect();
         let packed = Cascaded.compress(&data);
         for cut in [0, 3, 8, packed.len() - 1] {
-            assert!(Cascaded.decompress(&packed[..cut]).is_err(), "cut {cut}");
+            assert!(
+                Cascaded.decompress(&packed[..cut], data.len()).is_err(),
+                "cut {cut}"
+            );
         }
     }
 
@@ -208,7 +234,7 @@ mod tests {
         #[test]
         fn round_trip(data in prop::collection::vec(any::<u8>(), 0..2048)) {
             let packed = Cascaded.compress(&data);
-            prop_assert_eq!(Cascaded.decompress(&packed).unwrap(), data);
+            prop_assert_eq!(Cascaded.decompress(&packed, data.len()).unwrap(), data);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! keeps the decoder table small.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::lz::{get_varint, put_varint};
+use crate::lz::{get_declared_len, put_varint};
 use crate::CorruptStream;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -135,10 +135,11 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a block produced by [`encode`].
-pub fn decode(data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
+/// Decode a block produced by [`encode`] that holds at most `max_len`
+/// symbols; one that declares more is corrupt.
+pub fn decode(data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
     let mut pos = 0usize;
-    let raw_len = get_varint(data, &mut pos)? as usize;
+    let raw_len = get_declared_len(data, &mut pos, max_len)?;
     if pos + 128 > data.len() {
         return Err(CorruptStream("huffman length table truncated"));
     }
@@ -203,7 +204,7 @@ mod tests {
         // Entropy ≈ 2 bits/byte on this alphabet: expect ~4x reduction
         // (header included).
         assert!(packed.len() < data.len() / 3, "packed {}", packed.len());
-        assert_eq!(decode(&packed).unwrap(), data);
+        assert_eq!(decode(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -211,20 +212,20 @@ mod tests {
         let data = vec![7u8; 10_000];
         let packed = encode(&data);
         assert!(packed.len() < 1400); // 1 bit per symbol + header
-        assert_eq!(decode(&packed).unwrap(), data);
+        assert_eq!(decode(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
     fn empty_input() {
         let packed = encode(&[]);
-        assert_eq!(decode(&packed).unwrap(), Vec::<u8>::new());
+        assert_eq!(decode(&packed, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn uniform_bytes_round_trip() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
         let packed = encode(&data);
-        assert_eq!(decode(&packed).unwrap(), data);
+        assert_eq!(decode(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -254,25 +255,25 @@ mod tests {
     fn corrupt_blocks_rejected() {
         let data = b"hello hello hello".to_vec();
         let packed = encode(&data);
-        assert!(decode(&packed[..10]).is_err());
+        assert!(decode(&packed[..10], data.len()).is_err());
         // A block claiming data but with an all-zero code table.
         let mut bogus = Vec::new();
         put_varint(&mut bogus, 5);
         bogus.extend_from_slice(&[0u8; 128]);
-        assert!(decode(&bogus).is_err());
+        assert!(decode(&bogus, 5).is_err());
     }
 
     proptest! {
         #[test]
         fn round_trip_any(data in prop::collection::vec(any::<u8>(), 0..4096)) {
             let packed = encode(&data);
-            prop_assert_eq!(decode(&packed).unwrap(), data);
+            prop_assert_eq!(decode(&packed, data.len()).unwrap(), data);
         }
 
         #[test]
         fn round_trip_skewed(data in prop::collection::vec(0u8..5, 0..4096)) {
             let packed = encode(&data);
-            prop_assert_eq!(decode(&packed).unwrap(), data);
+            prop_assert_eq!(decode(&packed, data.len()).unwrap(), data);
         }
 
         #[test]

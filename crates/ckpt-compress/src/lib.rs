@@ -30,7 +30,7 @@
 //! let data = b"abcabcabcabcabcabc".repeat(10);
 //! let packed = codec.compress(&data);
 //! assert!(packed.len() < data.len());
-//! assert_eq!(codec.decompress(&packed).unwrap(), data);
+//! assert_eq!(codec.decompress(&packed, data.len()).unwrap(), data);
 //! ```
 
 pub mod bitio;
@@ -71,8 +71,11 @@ pub trait Codec: Send + Sync {
     /// Compress `data` into a self-contained block.
     fn compress(&self, data: &[u8]) -> Vec<u8>;
 
-    /// Invert [`compress`](Self::compress).
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream>;
+    /// Invert [`compress`](Self::compress). `max_len` is the most the
+    /// caller knows the block may hold (its length, when recorded beside
+    /// it): a stream that declares or would produce more is corrupt, and
+    /// is refused before any memory is reserved for it.
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream>;
 
     /// Approximate compression cost in ALU-op-equivalents per input byte,
     /// used by the benchmark harness to model GPU compression throughput.
@@ -139,7 +142,7 @@ mod tests {
 
         for codec in all_codecs() {
             let packed = codec.compress(&data);
-            let back = codec.decompress(&packed).unwrap_or_else(|e| {
+            let back = codec.decompress(&packed, data.len()).unwrap_or_else(|e| {
                 panic!("{} failed to decompress its own output: {e}", codec.name())
             });
             assert_eq!(back, data, "{} round trip", codec.name());
@@ -151,11 +154,29 @@ mod tests {
         for codec in all_codecs() {
             let packed = codec.compress(&[]);
             assert_eq!(
-                codec.decompress(&packed).unwrap(),
+                codec.decompress(&packed, 0).unwrap(),
                 Vec::<u8>::new(),
                 "{}",
                 codec.name()
             );
+        }
+    }
+
+    #[test]
+    fn every_codec_refuses_a_stream_that_holds_more_than_its_ceiling() {
+        let mut data = vec![0u8; 700];
+        data.extend((0..400u32).flat_map(|i| (i / 3).to_le_bytes()));
+        data.extend(b"abcabcabd".repeat(30));
+        for codec in all_codecs() {
+            let packed = codec.compress(&data);
+            assert_eq!(codec.decompress(&packed, data.len()).unwrap(), data);
+            for max_len in [data.len() - 1, data.len() / 2, 0] {
+                assert!(
+                    codec.decompress(&packed, max_len).is_err(),
+                    "{} produced past a ceiling of {max_len}",
+                    codec.name()
+                );
+            }
         }
     }
 

@@ -5,6 +5,8 @@
 //! *sequences* — a run of literals followed by a back-reference — using this
 //! engine with different window sizes and search depths.
 
+use std::cell::RefCell;
+
 /// Match-finder configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MatchConfig {
@@ -73,6 +75,8 @@ pub struct Seq {
 
 const HASH_BITS: u32 = 16;
 const HASH_SIZE: usize = 1 << HASH_BITS;
+/// Empty hash slot / end of chain (positions are `u32`, inputs shorter).
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
@@ -80,15 +84,132 @@ fn hash4(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Longest common prefix of `data[a..]` and `data[b..]`, capped at `max`.
+/// Longest common prefix of `data[a..]` and `data[b..]` (`a < b`), capped
+/// at `limit <= data.len() - b`. Eight bytes a step: the first set bit of
+/// the XOR of two little-endian words is the first byte that differs.
 #[inline]
-fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let (x, y) = (&data[a..a + limit], &data[b..b + limit]);
     let mut n = 0;
-    let limit = max.min(data.len() - b);
-    while n < limit && data[a + n] == data[b + n] {
-        n += 1;
+    for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let diff =
+            u64::from_le_bytes(wx.try_into().unwrap()) ^ u64::from_le_bytes(wy.try_into().unwrap());
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
     }
-    n
+    n + x[n..]
+        .iter()
+        .zip(&y[n..])
+        .take_while(|(p, q)| p == q)
+        .count()
+}
+
+/// The hash-chain tables, kept per thread (the pool's workers persist) so
+/// a parse allocates only its output: 256 KiB of `head` plus 4 B per byte
+/// of the longest input this thread has parsed.
+struct Tables {
+    /// Most recent position per hash bucket; refilled with [`NIL`] per parse.
+    head: Vec<u32>,
+    /// Previous position in the same bucket. Never cleared: a walk reaches
+    /// `prev[p]` only through `head` or another `prev` slot written during
+    /// this parse, and `insert` writes `prev[p]` before linking `p`.
+    prev: Vec<u32>,
+}
+
+thread_local! {
+    static TABLES: RefCell<Tables> = const {
+        RefCell::new(Tables { head: Vec::new(), prev: Vec::new() })
+    };
+}
+
+impl Tables {
+    #[inline]
+    fn insert(&mut self, data: &[u8], pos: usize) {
+        let h = hash4(data, pos);
+        self.prev[pos] = self.head[h];
+        self.head[h] = pos as u32;
+    }
+
+    fn parse(&mut self, data: &[u8], cfg: &MatchConfig) -> Vec<Seq> {
+        let n = data.len();
+        assert!(n < NIL as usize, "LZ input must be shorter than 4 GiB");
+        let mut seqs = Vec::new();
+        if n == 0 {
+            return seqs;
+        }
+        self.head.clear();
+        self.head.resize(HASH_SIZE, NIL);
+        if self.prev.len() < n {
+            self.prev.resize(n, NIL);
+        }
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+
+        while i + cfg.min_match <= n && i + 4 <= n {
+            // Probe the chain for the best match at i. Only a strictly
+            // longer candidate replaces the best, and one that is longer
+            // agrees with `i` at byte `best_len` — so a candidate that
+            // differs there is skipped uncompared, and the walk ends once
+            // nothing longer can exist. Neither changes the parse.
+            let limit = cfg.max_match.min(n - i);
+            let mut cand = self.head[hash4(data, i)];
+            let mut best_len = 0usize;
+            let mut best_off = 0usize;
+            let mut probes = 0usize;
+            while cand != NIL && probes < cfg.max_chain {
+                let c = cand as usize;
+                if i - c > cfg.window {
+                    break;
+                }
+                if data[c + best_len] == data[i + best_len] {
+                    let len = match_len(data, c, i, limit);
+                    if len > best_len {
+                        best_len = len;
+                        best_off = i - c;
+                        if len >= limit {
+                            break;
+                        }
+                    }
+                }
+                cand = self.prev[c];
+                probes += 1;
+            }
+
+            if best_len >= cfg.min_match {
+                seqs.push(Seq {
+                    lit_start,
+                    lit_len: i - lit_start,
+                    offset: best_off,
+                    match_len: best_len,
+                });
+                // Index the positions the match skips over (sparsely for long
+                // matches, capped to bound worst-case cost).
+                let end = i + best_len;
+                let step = if best_len > 256 { 8 } else { 1 };
+                let mut p = i;
+                while p < end && p + 4 <= n {
+                    self.insert(data, p);
+                    p += step;
+                }
+                i = end;
+                lit_start = i;
+            } else {
+                self.insert(data, i);
+                i += 1;
+            }
+        }
+
+        // Final literal-only sequence (possibly empty literals).
+        seqs.push(Seq {
+            lit_start,
+            lit_len: n - lit_start,
+            offset: 0,
+            match_len: 0,
+        });
+        seqs
+    }
 }
 
 /// Parse `data` into sequences. Concatenating, for each sequence, its
@@ -96,95 +217,37 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 /// reproduces `data` exactly (the round-trip property every format test
 /// checks).
 pub fn find_sequences(data: &[u8], cfg: &MatchConfig) -> Vec<Seq> {
-    let n = data.len();
-    let mut seqs = Vec::new();
-    if n == 0 {
-        return seqs;
-    }
-
-    let mut head = vec![-1i64; HASH_SIZE];
-    let mut prev = vec![-1i64; n];
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
-
-    let insert = |head: &mut [i64], prev: &mut [i64], data: &[u8], pos: usize| {
-        if pos + 4 <= data.len() {
-            let h = hash4(data, pos);
-            prev[pos] = head[h];
-            head[h] = pos as i64;
-        }
-    };
-
-    while i + cfg.min_match <= n && i + 4 <= n {
-        // Probe the chain for the best match at i.
-        let h = hash4(data, i);
-        let mut cand = head[h];
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        let mut probes = 0usize;
-        while cand >= 0 && probes < cfg.max_chain {
-            let c = cand as usize;
-            if i - c > cfg.window {
-                break;
-            }
-            let len = match_len(data, c, i, cfg.max_match);
-            if len > best_len {
-                best_len = len;
-                best_off = i - c;
-                if len >= cfg.max_match {
-                    break;
-                }
-            }
-            cand = prev[c];
-            probes += 1;
-        }
-
-        if best_len >= cfg.min_match {
-            seqs.push(Seq {
-                lit_start,
-                lit_len: i - lit_start,
-                offset: best_off,
-                match_len: best_len,
-            });
-            // Index the positions the match skips over (sparsely for long
-            // matches, capped to bound worst-case cost).
-            let end = i + best_len;
-            let step = if best_len > 256 { 8 } else { 1 };
-            let mut p = i;
-            while p < end && p + 4 <= n {
-                insert(&mut head, &mut prev, data, p);
-                p += step;
-            }
-            i = end;
-            lit_start = i;
-        } else {
-            insert(&mut head, &mut prev, data, i);
-            i += 1;
-        }
-    }
-
-    // Final literal-only sequence (possibly empty literals).
-    seqs.push(Seq {
-        lit_start,
-        lit_len: n - lit_start,
-        offset: 0,
-        match_len: 0,
-    });
-    seqs
+    TABLES.with_borrow_mut(|tables| tables.parse(data, cfg))
 }
 
-/// Replay sequences against `literals`-bearing `data` (the original buffer)
-/// is only possible during compression; decoders use
-/// decoder-side replay logic on their own streams. This helper exists
-/// for the engine's tests: rebuild the input from sequences + the original
-/// data's literal ranges.
+/// Append `len` bytes to `out`, each a copy of the byte `offset` back — an
+/// LZ match, which may overlap its own output (`offset < len` repeats the
+/// last `offset` bytes). The caller has checked `1 <= offset <= out.len()`.
+pub fn copy_match(out: &mut Vec<u8>, offset: usize, len: usize) {
+    assert!(
+        (1..=out.len()).contains(&offset),
+        "match offset outside the output"
+    );
+    let start = out.len() - offset;
+    let end = out.len() + len;
+    // Everything from `start` on is periodic in `offset`, and stays a whole
+    // number of periods long until the last pass, so each pass may copy
+    // all of it: the pattern doubles.
+    while out.len() < end {
+        let n = (out.len() - start).min(end - out.len());
+        out.extend_from_within(start..start + n);
+    }
+}
+
+/// Rebuild the input from its sequences and the original buffer's literal
+/// ranges — the engine's own round-trip check (decoders replay their own
+/// streams).
 pub fn rebuild(data: &[u8], seqs: &[Seq]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     for s in seqs {
         out.extend_from_slice(&data[s.lit_start..s.lit_start + s.lit_len]);
-        for _ in 0..s.match_len {
-            let b = out[out.len() - s.offset];
-            out.push(b);
+        if s.match_len > 0 {
+            copy_match(&mut out, s.offset, s.match_len);
         }
     }
     out
@@ -201,6 +264,21 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(b | 0x80);
     }
+}
+
+/// Read the varint length a stream opens with. One past `max_len` — what
+/// the caller knows the stream may hold — is corrupt, and says so before
+/// anything is reserved for it.
+pub fn get_declared_len(
+    data: &[u8],
+    pos: &mut usize,
+    max_len: usize,
+) -> Result<usize, crate::CorruptStream> {
+    let len = get_varint(data, pos)?;
+    if len > max_len as u64 {
+        return Err(crate::CorruptStream("declared length exceeds its ceiling"));
+    }
+    Ok(len as usize)
 }
 
 /// Read an LEB128 varint.
@@ -228,6 +306,284 @@ pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, crate::CorruptStr
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The walk `find_sequences` replaced, kept as its oracle: `i64` tables
+    /// allocated per call, a byte-at-a-time compare, and a full compare of
+    /// every chain candidate.
+    fn oracle_find_sequences(data: &[u8], cfg: &MatchConfig) -> Vec<Seq> {
+        fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+            let mut n = 0;
+            let limit = max.min(data.len() - b);
+            while n < limit && data[a + n] == data[b + n] {
+                n += 1;
+            }
+            n
+        }
+
+        let n = data.len();
+        let mut seqs = Vec::new();
+        if n == 0 {
+            return seqs;
+        }
+
+        let mut head = vec![-1i64; HASH_SIZE];
+        let mut prev = vec![-1i64; n];
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+
+        let insert = |head: &mut [i64], prev: &mut [i64], data: &[u8], pos: usize| {
+            if pos + 4 <= data.len() {
+                let h = hash4(data, pos);
+                prev[pos] = head[h];
+                head[h] = pos as i64;
+            }
+        };
+
+        while i + cfg.min_match <= n && i + 4 <= n {
+            let h = hash4(data, i);
+            let mut cand = head[h];
+            let mut best_len = 0usize;
+            let mut best_off = 0usize;
+            let mut probes = 0usize;
+            while cand >= 0 && probes < cfg.max_chain {
+                let c = cand as usize;
+                if i - c > cfg.window {
+                    break;
+                }
+                let len = match_len(data, c, i, cfg.max_match);
+                if len > best_len {
+                    best_len = len;
+                    best_off = i - c;
+                    if len >= cfg.max_match {
+                        break;
+                    }
+                }
+                cand = prev[c];
+                probes += 1;
+            }
+
+            if best_len >= cfg.min_match {
+                seqs.push(Seq {
+                    lit_start,
+                    lit_len: i - lit_start,
+                    offset: best_off,
+                    match_len: best_len,
+                });
+                let end = i + best_len;
+                let step = if best_len > 256 { 8 } else { 1 };
+                let mut p = i;
+                while p < end && p + 4 <= n {
+                    insert(&mut head, &mut prev, data, p);
+                    p += step;
+                }
+                i = end;
+                lit_start = i;
+            } else {
+                insert(&mut head, &mut prev, data, i);
+                i += 1;
+            }
+        }
+
+        seqs.push(Seq {
+            lit_start,
+            lit_len: n - lit_start,
+            offset: 0,
+            match_len: 0,
+        });
+        seqs
+    }
+
+    /// The four shipped configurations plus two that make the rare branches
+    /// common: a window that expires after 8 bytes with a single probe, and
+    /// a `max_match` most matches hit.
+    fn oracle_configs() -> [MatchConfig; 6] {
+        [
+            MatchConfig::lz4(),
+            MatchConfig::snappy(),
+            MatchConfig::deflate(),
+            MatchConfig::zstd(),
+            MatchConfig {
+                window: 8,
+                min_match: 4,
+                max_match: 64,
+                max_chain: 1,
+            },
+            MatchConfig {
+                window: 1 << 16,
+                min_match: 3,
+                max_match: 5,
+                max_chain: 8,
+            },
+        ]
+    }
+
+    fn assert_parses_like_the_oracle(data: &[u8]) {
+        for cfg in oracle_configs() {
+            let seqs = find_sequences(data, &cfg);
+            assert_eq!(seqs, oracle_find_sequences(data, &cfg), "{cfg:?}");
+            assert_eq!(rebuild(data, &seqs), data);
+        }
+    }
+
+    /// One stretch of generated input, shaped like what the engine meets.
+    #[derive(Debug, Clone)]
+    enum Piece {
+        /// Fixed-width records that differ in a few bytes (the rank-dedup
+        /// entry table is period 13): the hash chain's worst case.
+        Table {
+            period: usize,
+            rows: usize,
+            seed: u8,
+        },
+        /// A run of one byte; past 256 the engine inserts every 8th position.
+        Run {
+            byte: u8,
+            len: usize,
+        },
+        Noise {
+            len: usize,
+            seed: u32,
+        },
+        /// A copy of the input's first `len` bytes, so a match reaches back
+        /// over everything in between (and, placed last, ends the input).
+        Echo {
+            len: usize,
+        },
+    }
+
+    fn piece() -> impl Strategy<Value = Piece> {
+        prop_oneof![
+            (1usize..=32, 0usize..600, any::<u8>())
+                .prop_map(|(period, rows, seed)| { Piece::Table { period, rows, seed } }),
+            (any::<u8>(), 0usize..1200).prop_map(|(byte, len)| Piece::Run { byte, len }),
+            (0usize..3000, any::<u32>()).prop_map(|(len, seed)| Piece::Noise { len, seed }),
+            (0usize..2000).prop_map(|len| Piece::Echo { len }),
+        ]
+    }
+
+    fn render(pieces: &[Piece]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for p in pieces {
+            match *p {
+                Piece::Table { period, rows, seed } => {
+                    for r in 0..rows {
+                        let row = (r as u32).wrapping_mul(seed as u32 | 1);
+                        out.extend((0..period).map(|k| match k {
+                            0 => row as u8,
+                            1 => (row >> 8) as u8,
+                            _ => seed.wrapping_add(k as u8),
+                        }));
+                    }
+                }
+                Piece::Run { byte, len } => out.extend(std::iter::repeat_n(byte, len)),
+                Piece::Noise { len, seed } => {
+                    let mut x = seed | 1;
+                    out.extend((0..len).map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 17;
+                        x ^= x << 5;
+                        (x >> 8) as u8
+                    }));
+                }
+                Piece::Echo { len } => {
+                    let n = len.min(out.len());
+                    out.extend_from_within(..n);
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn parse_equals_the_old_walk_on_mixed_shapes(
+            pieces in prop::collection::vec(piece(), 0..8)
+        ) {
+            assert_parses_like_the_oracle(&render(&pieces));
+        }
+
+        #[test]
+        fn parse_equals_the_old_walk_on_tiny_inputs(
+            data in prop::collection::vec(0u8..3, 0..12)
+        ) {
+            assert_parses_like_the_oracle(&data);
+        }
+
+        #[test]
+        fn parse_equals_the_old_walk_on_noise(
+            data in prop::collection::vec(any::<u8>(), 0..4096)
+        ) {
+            assert_parses_like_the_oracle(&data);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Past 64 KiB the snappy / deflate (32 KiB) and lz4 (64 KiB)
+        /// windows expire mid-input; a leading block echoed at the end is
+        /// in reach of the zstd window only.
+        #[test]
+        fn parse_equals_the_old_walk_past_every_window(
+            period in 1usize..=32,
+            seed in any::<u8>(),
+            gap in 60_000usize..90_000,
+            tail in prop::collection::vec(piece(), 0..4),
+        ) {
+            let mut pieces = vec![
+                Piece::Table { period, rows: 4000 / period, seed },
+                Piece::Noise { len: gap / 2, seed: seed as u32 + 1 },
+                Piece::Run { byte: seed, len: 700 },
+                Piece::Table { period: 13, rows: gap / 26, seed },
+                Piece::Echo { len: 4000 },
+            ];
+            pieces.extend(tail);
+            assert_parses_like_the_oracle(&render(&pieces));
+        }
+    }
+
+    #[test]
+    fn tables_carry_nothing_from_one_parse_to_the_next() {
+        // The per-thread `prev` keeps the last parse's chains; a shorter
+        // input whose buckets collide with them must not follow one.
+        let long = render(&[Piece::Table {
+            period: 13,
+            rows: 3000,
+            seed: 5,
+        }]);
+        let short = long[7..900].to_vec();
+        for cfg in oracle_configs() {
+            find_sequences(&long, &cfg);
+            assert_eq!(
+                find_sequences(&short, &cfg),
+                oracle_find_sequences(&short, &cfg)
+            );
+        }
+    }
+
+    #[test]
+    fn copy_match_equals_the_byte_loop() {
+        let seed: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for offset in 1..=40 {
+            for len in 0..=100 {
+                let mut expect = seed.clone();
+                for _ in 0..len {
+                    expect.push(expect[expect.len() - offset]);
+                }
+                let mut out = seed.clone();
+                copy_match(&mut out, offset, len);
+                assert_eq!(out, expect, "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "match offset outside the output")]
+    fn copy_match_refuses_a_zero_offset() {
+        copy_match(&mut vec![1, 2, 3], 0, 4);
+    }
 
     #[test]
     fn sequences_rebuild_repetitive_input() {

@@ -6,7 +6,7 @@
 //! value 15 in either nibble chains into 255-valued extension bytes, exactly
 //! like real LZ4. The final sequence carries literals only (offset omitted).
 
-use crate::lz::{find_sequences, get_varint, put_varint, MatchConfig};
+use crate::lz::{copy_match, find_sequences, get_declared_len, put_varint, MatchConfig};
 use crate::{Codec, CorruptStream};
 
 /// LZ4-like byte-aligned LZ codec.
@@ -86,9 +86,9 @@ impl Codec for Lz4Like {
         out
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
         let mut pos = 0usize;
-        let raw_len = get_varint(data, &mut pos)? as usize;
+        let raw_len = get_declared_len(data, &mut pos, max_len)?;
         let mut out = Vec::with_capacity(raw_len);
         while out.len() < raw_len {
             if pos >= data.len() {
@@ -117,10 +117,7 @@ impl Codec for Lz4Like {
             if out.len() + match_len > raw_len {
                 return Err(CorruptStream("lz4 match overruns block"));
             }
-            for _ in 0..match_len {
-                let b = out[out.len() - offset];
-                out.push(b);
-            }
+            copy_match(&mut out, offset, match_len);
         }
         if out.len() != raw_len {
             return Err(CorruptStream("lz4 length mismatch"));
@@ -147,7 +144,7 @@ mod tests {
         let data = b"incremental checkpointing with gpu-accelerated de-duplication ".repeat(100);
         let packed = codec().compress(&data);
         assert!(packed.len() < data.len() / 5);
-        assert_eq!(codec().decompress(&packed).unwrap(), data);
+        assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -157,7 +154,7 @@ mod tests {
             .map(|i| (i.wrapping_mul(97) % 251) as u8)
             .collect();
         let packed = codec().compress(&data);
-        assert_eq!(codec().decompress(&packed).unwrap(), data);
+        assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -165,7 +162,7 @@ mod tests {
         let data = vec![3u8; 5000];
         let packed = codec().compress(&data);
         assert!(packed.len() < 64);
-        assert_eq!(codec().decompress(&packed).unwrap(), data);
+        assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -175,7 +172,7 @@ mod tests {
         put_varint(&mut bytes, 100);
         bytes.push(0x00); // 0 literals, match_len nibble 0 (=4)
         bytes.extend_from_slice(&0u16.to_le_bytes());
-        assert!(codec().decompress(&bytes).is_err());
+        assert!(codec().decompress(&bytes, 100).is_err());
     }
 
     #[test]
@@ -187,25 +184,25 @@ mod tests {
             // reconstruction (the final literal-only token is redundant when
             // a match already reached raw_len, so full equality is legal for
             // the last byte). It must never panic or return wrong bytes.
-            if let Ok(out) = codec().decompress(&packed[..cut]) {
+            if let Ok(out) = codec().decompress(&packed[..cut], data.len()) {
                 assert_eq!(out, data, "cut {cut} produced wrong bytes");
                 assert!(cut >= packed.len() - 1, "early cut {cut} decoded fully");
             }
         }
-        assert!(codec().decompress(&[]).is_err());
+        assert!(codec().decompress(&[], data.len()).is_err());
     }
 
     proptest! {
         #[test]
         fn round_trip_any(data in prop::collection::vec(any::<u8>(), 0..4096)) {
             let packed = codec().compress(&data);
-            prop_assert_eq!(codec().decompress(&packed).unwrap(), data);
+            prop_assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
         }
 
         #[test]
         fn round_trip_low_entropy(data in prop::collection::vec(0u8..3, 0..4096)) {
             let packed = codec().compress(&data);
-            prop_assert_eq!(codec().decompress(&packed).unwrap(), data);
+            prop_assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
         }
     }
 }

@@ -59,14 +59,17 @@ impl Codec for Rle {
         out
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
-        let mut out = Vec::with_capacity(data.len() * 2);
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
+        let mut out = Vec::with_capacity((data.len() * 2).min(max_len));
         let mut i = 0;
         while i < data.len() {
             let c = data[i] as usize;
             i += 1;
+            let n = if c < 128 { c + 1 } else { c - 126 };
+            if n > max_len - out.len() {
+                return Err(CorruptStream("rle output exceeds its ceiling"));
+            }
             if c < 128 {
-                let n = c + 1;
                 if i + n > data.len() {
                     return Err(CorruptStream("rle literal run past end"));
                 }
@@ -76,7 +79,6 @@ impl Codec for Rle {
                 if i >= data.len() {
                     return Err(CorruptStream("rle repeat run missing byte"));
                 }
-                let n = c - 126;
                 let b = data[i];
                 i += 1;
                 out.extend(std::iter::repeat_n(b, n));
@@ -100,7 +102,7 @@ mod tests {
         let data = vec![7u8; 1000];
         let packed = Rle.compress(&data);
         assert!(packed.len() <= 2 * 1000_usize.div_ceil(MAX_RUN) + 2);
-        assert_eq!(Rle.decompress(&packed).unwrap(), data);
+        assert_eq!(Rle.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -110,34 +112,34 @@ mod tests {
             .collect();
         let packed = Rle.compress(&data);
         assert!(packed.len() <= data.len() + data.len() / 100 + 2);
-        assert_eq!(Rle.decompress(&packed).unwrap(), data);
+        assert_eq!(Rle.decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
     fn two_byte_runs_are_encoded() {
         let data = b"aabbccddee".to_vec();
         let packed = Rle.compress(&data);
-        assert_eq!(Rle.decompress(&packed).unwrap(), data);
+        assert_eq!(Rle.decompress(&packed, data.len()).unwrap(), data);
         assert_eq!(packed.len(), 10); // five repeat runs of 2, each 2 bytes
     }
 
     #[test]
     fn corrupt_streams_are_rejected() {
-        assert!(Rle.decompress(&[5]).is_err()); // literal run of 6 with no bytes
-        assert!(Rle.decompress(&[200]).is_err()); // repeat run missing byte
+        assert!(Rle.decompress(&[5], 6).is_err()); // literal run of 6 with no bytes
+        assert!(Rle.decompress(&[200], 74).is_err()); // repeat run missing byte
     }
 
     proptest! {
         #[test]
         fn round_trip(data in prop::collection::vec(any::<u8>(), 0..4096)) {
             let packed = Rle.compress(&data);
-            prop_assert_eq!(Rle.decompress(&packed).unwrap(), data);
+            prop_assert_eq!(Rle.decompress(&packed, data.len()).unwrap(), data);
         }
 
         #[test]
         fn round_trip_runny(data in prop::collection::vec(0u8..4, 0..4096)) {
             let packed = Rle.compress(&data);
-            prop_assert_eq!(Rle.decompress(&packed).unwrap(), data);
+            prop_assert_eq!(Rle.decompress(&packed, data.len()).unwrap(), data);
         }
     }
 }

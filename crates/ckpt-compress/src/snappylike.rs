@@ -8,7 +8,7 @@
 //!
 //! Block prefix: varint uncompressed length.
 
-use crate::lz::{find_sequences, get_varint, put_varint, MatchConfig};
+use crate::lz::{copy_match, find_sequences, get_declared_len, put_varint, MatchConfig};
 use crate::{Codec, CorruptStream};
 
 /// Snappy-like fast LZ codec.
@@ -56,9 +56,9 @@ impl Codec for SnappyLike {
         out
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
         let mut pos = 0usize;
-        let raw_len = get_varint(data, &mut pos)? as usize;
+        let raw_len = get_declared_len(data, &mut pos, max_len)?;
         let mut out = Vec::with_capacity(raw_len);
         while out.len() < raw_len {
             if pos >= data.len() {
@@ -83,10 +83,7 @@ impl Codec for SnappyLike {
                 if offset == 0 || offset > out.len() {
                     return Err(CorruptStream("snappy offset out of range"));
                 }
-                for _ in 0..n {
-                    let b = out[out.len() - offset];
-                    out.push(b);
-                }
+                copy_match(&mut out, offset, n);
             }
         }
         if out.len() != raw_len {
@@ -114,7 +111,7 @@ mod tests {
         let data = b"0123456789abcdef".repeat(200);
         let packed = codec().compress(&data);
         assert!(packed.len() < data.len() / 3);
-        assert_eq!(codec().decompress(&packed).unwrap(), data);
+        assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -134,20 +131,20 @@ mod tests {
         put_varint(&mut bytes, 50);
         bytes.push(0x01); // copy of 4 from offset...
         bytes.extend_from_slice(&9999u16.to_le_bytes()); // before start
-        assert!(codec().decompress(&bytes).is_err());
+        assert!(codec().decompress(&bytes, 50).is_err());
     }
 
     proptest! {
         #[test]
         fn round_trip_any(data in prop::collection::vec(any::<u8>(), 0..4096)) {
             let packed = codec().compress(&data);
-            prop_assert_eq!(codec().decompress(&packed).unwrap(), data);
+            prop_assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
         }
 
         #[test]
         fn round_trip_runs(data in prop::collection::vec(0u8..2, 0..4096)) {
             let packed = codec().compress(&data);
-            prop_assert_eq!(codec().decompress(&packed).unwrap(), data);
+            prop_assert_eq!(codec().decompress(&packed, data.len()).unwrap(), data);
         }
     }
 }

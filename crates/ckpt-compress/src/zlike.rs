@@ -13,7 +13,9 @@
 //! ```
 
 use crate::huffman;
-use crate::lz::{find_sequences, get_varint, put_varint, MatchConfig};
+use crate::lz::{
+    copy_match, find_sequences, get_declared_len, get_varint, put_varint, MatchConfig,
+};
 use crate::{Codec, CorruptStream};
 
 fn compress_with(cfg: &MatchConfig, data: &[u8]) -> Vec<u8> {
@@ -39,15 +41,16 @@ fn compress_with(cfg: &MatchConfig, data: &[u8]) -> Vec<u8> {
     out
 }
 
-fn decompress_with(data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
+fn decompress_with(data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
     let mut pos = 0usize;
-    let raw_len = get_varint(data, &mut pos)? as usize;
+    let raw_len = get_declared_len(data, &mut pos, max_len)?;
     let n_seq = get_varint(data, &mut pos)? as usize;
     let lit_block_len = get_varint(data, &mut pos)? as usize;
-    if pos + lit_block_len > data.len() {
+    if lit_block_len > data.len() - pos {
         return Err(CorruptStream("literal block truncated"));
     }
-    let literals = huffman::decode(&data[pos..pos + lit_block_len])?;
+    // The literals are a subsequence of the output.
+    let literals = huffman::decode(&data[pos..pos + lit_block_len], raw_len)?;
     pos += lit_block_len;
 
     let mut out = Vec::with_capacity(raw_len);
@@ -56,7 +59,7 @@ fn decompress_with(data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
         let lit_len = get_varint(data, &mut pos)? as usize;
         let match_len = get_varint(data, &mut pos)? as usize;
         let offset = get_varint(data, &mut pos)? as usize;
-        if lit_pos + lit_len > literals.len() {
+        if lit_len > literals.len() - lit_pos {
             return Err(CorruptStream("literal stream exhausted"));
         }
         out.extend_from_slice(&literals[lit_pos..lit_pos + lit_len]);
@@ -65,13 +68,10 @@ fn decompress_with(data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
             if offset == 0 || offset > out.len() {
                 return Err(CorruptStream("offset out of range"));
             }
-            if out.len() + match_len > raw_len {
+            if match_len > raw_len.saturating_sub(out.len()) {
                 return Err(CorruptStream("match overruns block"));
             }
-            for _ in 0..match_len {
-                let b = out[out.len() - offset];
-                out.push(b);
-            }
+            copy_match(&mut out, offset, match_len);
         }
     }
     if out.len() != raw_len {
@@ -103,8 +103,8 @@ impl Codec for DeflateLike {
         compress_with(&self.cfg, data)
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
-        decompress_with(data)
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
+        decompress_with(data, max_len)
     }
 
     fn flops_per_byte(&self) -> f64 {
@@ -135,8 +135,8 @@ impl Codec for ZstdLike {
         compress_with(&self.cfg, data)
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
-        decompress_with(data)
+    fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
+        decompress_with(data, max_len)
     }
 
     fn flops_per_byte(&self) -> f64 {
@@ -161,7 +161,7 @@ mod tests {
                 codec.name(),
                 packed.len()
             );
-            assert_eq!(codec.decompress(&packed).unwrap(), data);
+            assert_eq!(codec.decompress(&packed, data.len()).unwrap(), data);
         }
     }
 
@@ -179,7 +179,7 @@ mod tests {
         assert!(z < d * 3 / 4, "zstd {z} vs deflate {d}");
         assert_eq!(
             ZstdLike::default()
-                .decompress(&ZstdLike::default().compress(&data))
+                .decompress(&ZstdLike::default().compress(&data), data.len())
                 .unwrap(),
             data
         );
@@ -200,18 +200,63 @@ mod tests {
             .collect();
         let packed = DeflateLike::default().compress(&data);
         assert!(packed.len() < data.len() * 2 / 3, "packed {}", packed.len());
-        assert_eq!(DeflateLike::default().decompress(&packed).unwrap(), data);
+        assert_eq!(
+            DeflateLike::default()
+                .decompress(&packed, data.len())
+                .unwrap(),
+            data
+        );
     }
 
     #[test]
     fn corrupt_container_rejected() {
         let data = b"abc".repeat(100);
         let packed = DeflateLike::default().compress(&data);
-        assert!(DeflateLike::default().decompress(&packed[..5]).is_err());
+        assert!(DeflateLike::default()
+            .decompress(&packed[..5], data.len())
+            .is_err());
         let mut broken = packed.clone();
         let n = broken.len();
         broken.truncate(n - 2);
-        assert!(DeflateLike::default().decompress(&broken).is_err());
+        assert!(DeflateLike::default()
+            .decompress(&broken, data.len())
+            .is_err());
+    }
+
+    #[test]
+    fn forged_inner_lengths_fail_typed() {
+        // An honest 100-byte declaration around one sequence whose fields,
+        // and whose literal block's own length, are forged in turn.
+        let stream = |lit_block_len: Option<u64>, lit_decl: u64, lit_len: u64, match_len: u64| {
+            let mut lit_block = Vec::new();
+            put_varint(&mut lit_block, lit_decl);
+            lit_block.extend_from_slice(&huffman::encode(b"abcd")[1..]);
+            let mut s = Vec::new();
+            put_varint(&mut s, 100);
+            put_varint(&mut s, 1);
+            put_varint(&mut s, lit_block_len.unwrap_or(lit_block.len() as u64));
+            s.extend_from_slice(&lit_block);
+            for v in [lit_len, match_len, 4] {
+                put_varint(&mut s, v);
+            }
+            s
+        };
+        assert_eq!(
+            decompress_with(&stream(None, 4, 4, 96), 100).unwrap().len(),
+            100
+        );
+        for (forged, why) in [
+            (stream(Some(u64::MAX), 4, 4, 96), "literal block truncated"),
+            (
+                stream(None, (1 << 46) - 1, 4, 96),
+                "declared length exceeds its ceiling",
+            ),
+            (stream(None, 4, u64::MAX, 96), "literal stream exhausted"),
+            (stream(None, 4, 4, u64::MAX), "match overruns block"),
+            (stream(None, 4, 4, 97), "match overruns block"),
+        ] {
+            assert_eq!(decompress_with(&forged, 100), Err(CorruptStream(why)));
+        }
     }
 
     proptest! {
@@ -219,7 +264,7 @@ mod tests {
         fn round_trip_any(data in prop::collection::vec(any::<u8>(), 0..4096)) {
             for codec in [&DeflateLike::default() as &dyn Codec, &ZstdLike::default()] {
                 let packed = codec.compress(&data);
-                prop_assert_eq!(codec.decompress(&packed).unwrap(), data.clone());
+                prop_assert_eq!(codec.decompress(&packed, data.len()).unwrap(), data.clone());
             }
         }
 
@@ -228,7 +273,7 @@ mod tests {
             let data: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
             for codec in [&DeflateLike::default() as &dyn Codec, &ZstdLike::default()] {
                 let packed = codec.compress(&data);
-                prop_assert_eq!(codec.decompress(&packed).unwrap(), data.clone());
+                prop_assert_eq!(codec.decompress(&packed, data.len()).unwrap(), data.clone());
             }
         }
     }

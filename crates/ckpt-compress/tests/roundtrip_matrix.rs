@@ -11,7 +11,7 @@ use proptest::prelude::*;
 fn assert_roundtrip(codec: &dyn Codec, data: &[u8], label: &str) {
     let packed = codec.compress(data);
     let back = codec
-        .decompress(&packed)
+        .decompress(&packed, data.len())
         .unwrap_or_else(|e| panic!("{} failed on {label}: {e}", codec.name()));
     assert_eq!(back, data, "{} corrupted {label}", codec.name());
 }

@@ -168,7 +168,9 @@ pub fn restore_record_from(base: u32, diffs: &[Diff]) -> Result<Vec<Vec<u8>>, Re
     Ok(versions)
 }
 
-/// The diff's payload with any §5 hybrid compression undone.
+/// The diff's payload with any §5 hybrid compression undone. A payload
+/// holds each chunk at most once, so one that decodes past `data_len` is
+/// corrupt and is refused before it is allocated.
 pub(crate) fn decoded_payload(diff: &Diff) -> Result<Cow<'_, [u8]>, RestoreError> {
     if diff.payload_codec == 0 {
         return Ok(Cow::Borrowed(&diff.payload));
@@ -179,7 +181,7 @@ pub(crate) fn decoded_payload(diff: &Diff) -> Result<Cow<'_, [u8]>, RestoreError
             codec: diff.payload_codec,
         })?;
     codec
-        .decompress(&diff.payload)
+        .decompress(&diff.payload, diff.data_len as usize)
         .map(Cow::Owned)
         .map_err(|_| RestoreError::PayloadCorrupt {
             ckpt_id: diff.ckpt_id,

@@ -5,11 +5,14 @@
 //! allocates under it) adds up every byte requested while a window is
 //! open. Every window lives in one `#[test]`: the count is process-wide.
 
+use ckpt_compress::blocks::DEFAULT_BLOCK_SIZE;
+use ckpt_compress::lz::{find_sequences, MatchConfig, Seq};
 use ckpt_dedup::frame::{RankDedupEntry, RANKDEDUP_ENTRY_LEN, RANKDEDUP_HEADER_LEN};
 use ckpt_dedup::prelude::*;
+use ckpt_runtime::compress::SAMPLE_LEN;
 use ckpt_runtime::{
-    restore_rank_latest_parallel, AsyncRuntime, RankDedupConfig, RankDedupEngine, RankDedupMetrics,
-    TierChain,
+    restore_rank_latest_parallel, AsyncRuntime, CompressMetrics, CompressionEngine,
+    CompressionPolicy, RankDedupConfig, RankDedupEngine, RankDedupMetrics, TierChain,
 };
 use gpu_sim::Device;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -148,5 +151,68 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
     assert!(
         requested <= bound,
         "encoding {CHUNKS} duplicate chunks requested {requested} B (bound {bound} B)"
+    );
+
+    // ---- compression: an entry-table-like object (13-byte slots that
+    // mostly count up, as a rank-dedup record's are) costs its outputs and
+    // sequence lists — the LZ engine's hash-chain tables are the thread's,
+    // not the call's. One participant, so the warm-up call and the counted
+    // one meet the same thread's tables ----
+    const SLOTS: usize = 26_400;
+    let mut object = Vec::with_capacity(SLOTS * RANKDEDUP_ENTRY_LEN);
+    let mut chunk = 0u32;
+    for i in 0..SLOTS as u32 {
+        noise ^= noise << 13;
+        noise ^= noise >> 7;
+        noise ^= noise << 17;
+        if noise.is_multiple_of(41) {
+            chunk = (noise >> 20) as u32 % 60_000;
+        }
+        object.push(1);
+        object.extend_from_slice(&(noise as u32 >> 30).to_le_bytes());
+        object.extend_from_slice(&(i / 6_600).to_le_bytes());
+        object.extend_from_slice(&chunk.to_le_bytes());
+        chunk += 1;
+    }
+    let compressor = CompressionEngine::new(
+        CompressionPolicy::Adaptive,
+        std::sync::Arc::new(CompressMetrics::detached()),
+    );
+    rayon::set_active_threads(1);
+    let warm = compressor.encode(object.clone());
+    assert_eq!(
+        warm.codec(),
+        1,
+        "the table must go the way cluster_full's do"
+    );
+    let copy = object.clone();
+    let (stored, requested) = requested_during(|| compressor.encode(copy));
+    rayon::set_active_threads(0);
+    assert_eq!(stored.payload(), warm.payload());
+    // The four LZ parses: two sampled trials, then the container's blocks.
+    let (lz4, sample) = (MatchConfig::lz4(), &object[..SAMPLE_LEN]);
+    let mut parses = vec![(sample, MatchConfig::zstd()), (sample, lz4)];
+    parses.extend(object.chunks(DEFAULT_BLOCK_SIZE).map(|b| (b, lz4)));
+    // A list grown by doubling has asked for under twice its last capacity.
+    let lists: usize = parses
+        .iter()
+        .map(|(d, cfg)| find_sequences(d, cfg).len().next_power_of_two())
+        .map(|cap| 2 * cap * std::mem::size_of::<Seq>())
+        .sum();
+    // Outputs, literal streams and the Cascaded trial's lane and run
+    // arrays (several times its sample): nothing per hash bucket.
+    let outputs = 4 * object.len();
+    let bound = (lists + outputs) as u64 + SLACK;
+    assert!(
+        requested <= bound,
+        "compressing a {} B table requested {requested} B (bound {bound} B)",
+        object.len()
+    );
+    // What the parses allocated when the tables were the call's: 8 B per
+    // hash bucket and per input byte.
+    let tables: usize = parses.iter().map(|(d, _)| 8 * ((1 << 16) + d.len())).sum();
+    assert!(
+        outputs as u64 + SLACK < tables as u64,
+        "the bound must exclude the tables"
     );
 }
