@@ -28,10 +28,11 @@
 //!                     digests, policy x rank-dedup on/off over 4 ranks
 //!                     with overlapping working sets (writes
 //!                     BENCH_rank_dedup.json)
-//!   ablation-hash     A1: Murmur3 vs MD5
+//!   ablation-hash     A1: Murmur3 vs MD5 and SHA-256
 //!   ablation-metadata A2: Tree vs List metadata
 //!   ablation-waves    A3: two-stage vs naive wave ordering
 //!   ablation-gorder   A4: Gorder on/off
+//!   ablation-fusion   A5: one fused kernel vs per-pass launches
 //!   all               everything above
 //! ```
 

@@ -4,7 +4,10 @@
 //! * [`workload`] — ORANGES GDV snapshot sequences over the Table 1 graphs;
 //! * [`codecs`] — compressor baselines and the common measurement currency;
 //! * [`experiments`] — one driver per table/figure/ablation, each result
-//!   listing its fields once and, where it has invariants, its gate;
+//!   listing its fields once and, where it has invariants, its gate; the
+//!   Fig. 6 strong-scaling harness lives beside its figure there;
+//! * [`md5`], [`sha256`] — the cryptographic hashes ablation A1 compares
+//!   against the production Murmur3;
 //! * [`report`] — the report model, its one table and one JSON renderer.
 //!
 //! Run `cargo run -p ckpt-bench --release --bin figures -- all` to regenerate
@@ -13,5 +16,7 @@
 
 pub mod codecs;
 pub mod experiments;
+pub mod md5;
 pub mod report;
+pub mod sha256;
 pub mod workload;

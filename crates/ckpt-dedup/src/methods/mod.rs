@@ -171,9 +171,9 @@ pub trait Checkpointer: Send {
     /// Capture the next checkpoint as a **rebase record**: a self-contained
     /// checkpoint that references no earlier checkpoint, while keeping the
     /// record's checkpoint ids consecutive. After a rebase at id *r*, a
-    /// restore of any checkpoint ≥ *r* only needs records `r..`, so the
-    /// coordinator may garbage-collect everything below *r* (chain
-    /// compaction). Methods with historical state suppress fixed-duplicate
+    /// restore of any checkpoint ≥ *r* only needs records `r..`, so once it
+    /// is durable the runtime's `compact_below` may garbage-collect
+    /// everything below *r* (chain compaction). Methods with historical state suppress fixed-duplicate
     /// detection and reset their hash record for this one checkpoint; the
     /// default is correct for methods whose every checkpoint is already
     /// self-contained (Full).

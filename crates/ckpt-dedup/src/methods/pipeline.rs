@@ -196,7 +196,6 @@ fn serialize_diff(
     first: Vec<u32>,
     shift: Vec<ShiftRegion>,
     codec: Option<&(u8, Box<dyn ckpt_compress::Codec>)>,
-    streamed_slices: Option<u32>,
 ) -> Diff {
     let Pass {
         device,
@@ -223,48 +222,38 @@ fn serialize_diff(
     }
     let payload_len: usize = segments.iter().map(|s| s.1).sum();
 
-    let (payload_codec, payload) = if let Some(n_slices) = streamed_slices {
-        // §5 streaming extension: gather and transfer overlap as a pipeline;
-        // the overlapped work is attributed to the gather stage, leaving only
-        // the metadata ride-along under "d2h".
-        let payload =
-            device.streamed_gather_to_host("serialize_streamed", data, &segments, n_slices);
-        pass.stages.mark("gather_serialize");
-        (0, payload)
-    } else {
-        // Consolidate scattered regions into one contiguous device buffer
-        // with team-cooperative copies, then one device-to-host transfer
-        // (§2.1). The staging buffer is an arena lease floored at the full
-        // snapshot size; the gather overwrites exactly the prefix the
-        // transfer reads, so stale pool contents are never observable.
-        let mut staging = arena.lease_with_floor::<u8>("dedup/staging", payload_len, data.len());
-        device.team_gather("serialize_payload", data, &segments, staging.as_mut_slice());
+    // Consolidate scattered regions into one contiguous device buffer with
+    // team-cooperative copies, then one device-to-host transfer (§2.1). The
+    // staging buffer is an arena lease floored at the full snapshot size;
+    // the gather overwrites exactly the prefix the transfer reads, so stale
+    // pool contents are never observable.
+    let mut staging = arena.lease_with_floor::<u8>("dedup/staging", payload_len, data.len());
+    device.team_gather("serialize_payload", data, &segments, staging.as_mut_slice());
 
-        // Optional §5 hybrid: compress the consolidated first occurrences on
-        // the device before the transfer (modeled as one more kernel over the
-        // payload), shipping whichever representation is smaller.
-        let compressed = match codec {
-            Some((id, codec)) if payload_len > 0 => {
-                let packed = codec.compress(staging.as_slice());
-                device.parallel_for(
-                    "compress_payload",
-                    0,
-                    KernelCost {
-                        bytes_read: payload_len as u64,
-                        bytes_written: packed.len() as u64,
-                        flops: (payload_len as f64 * codec.flops_per_byte()) as u64,
-                    },
-                    |_| {},
-                );
-                (packed.len() < payload_len).then_some((*id, packed))
-            }
-            _ => None,
-        };
-        pass.stages.mark("gather_serialize");
-        let (id, payload) = compressed.unwrap_or_else(|| (0, staging[..payload_len].to_vec()));
-        device.account_d2h_bytes(payload.len() as u64);
-        (id, payload)
+    // Optional §5 hybrid: compress the consolidated first occurrences on the
+    // device before the transfer (modeled as one more kernel over the
+    // payload), shipping whichever representation is smaller.
+    let compressed = match codec {
+        Some((id, codec)) if payload_len > 0 => {
+            let packed = codec.compress(staging.as_slice());
+            device.parallel_for(
+                "compress_payload",
+                0,
+                KernelCost {
+                    bytes_read: payload_len as u64,
+                    bytes_written: packed.len() as u64,
+                    flops: (payload_len as f64 * codec.flops_per_byte()) as u64,
+                },
+                |_| {},
+            );
+            (packed.len() < payload_len).then_some((*id, packed))
+        }
+        _ => None,
     };
+    pass.stages.mark("gather_serialize");
+    let (payload_codec, payload) =
+        compressed.unwrap_or_else(|| (0, staging[..payload_len].to_vec()));
+    device.account_d2h_bytes(payload.len() as u64);
     // The metadata tables ride along in the same consolidated transfer.
     device.account_d2h_bytes((first.len() * 4 + shift.len() * 12) as u64);
     pass.stages.mark("d2h");
@@ -329,22 +318,16 @@ impl<S: RegionStep> Checkpointer for DedupCheckpointer<S> {
             stages: StageRecorder::start(&device),
         };
 
-        let (codec, streamed) = (self.codec.as_ref(), config.streamed_slices);
-        let run = |pass: &mut Pass<'_>| {
-            leaf_pass::run(pass);
+        let codec = self.codec.as_ref();
+        // One fused kernel (§2.1).
+        let diff = device.fused("dedup_checkpoint", || {
+            leaf_pass::run(&mut pass);
             pass.stages.mark("leaf_hash");
-            let mut regions = S::build_regions(pass);
-            let shift = resolve_shift_refs(pass, &regions.shift_nodes, &mut regions.first);
+            let mut regions = S::build_regions(&mut pass);
+            let shift = resolve_shift_refs(&pass, &regions.shift_nodes, &mut regions.first);
             pass.stages.mark("metadata_compact");
-            serialize_diff(pass, S::KIND, regions.first, shift, codec, streamed)
-        };
-        // One fused kernel (§2.1), or the per-launch latency a naive
-        // multi-kernel implementation pays.
-        let diff = if config.fused {
-            device.fused("dedup_checkpoint", || run(&mut pass))
-        } else {
-            run(&mut pass)
-        };
+            serialize_diff(&mut pass, S::KIND, regions.first, shift, codec)
+        });
 
         let breakdown = pass.stages.finish(S::KIND, ckpt_id);
         let elapsed = timer.stop(&device);

@@ -35,18 +35,10 @@ use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 pub struct TreeConfig {
     /// De-duplication granularity in bytes (32–512 in the paper's sweeps).
     pub chunk_size: usize,
-    /// Run the whole pipeline as one fused kernel (§2.1). Disable to measure
-    /// the per-launch latency a naive multi-kernel implementation pays.
-    pub fused: bool,
     /// Compress the first-occurrence payload with this codec before the
     /// device-to-host transfer (`ckpt_compress::codec_id`) — the paper's §5
     /// dedup+compression hybrid. `None` ships raw bytes.
     pub payload_codec: Option<u8>,
-    /// Overlap payload serialization with the device-to-host transfer as an
-    /// `n`-slice pipeline (§5's streaming extension). `None` serializes then
-    /// transfers sequentially. Mutually exclusive with `payload_codec`
-    /// (compression needs the whole payload before the transfer).
-    pub streamed_slices: Option<u32>,
     /// §2.4's hash-collision mitigation: keep a device-resident cache of
     /// first-occurrence chunk contents and verify candidate duplicates
     /// against it; detected collisions are stored instead of referenced.
@@ -57,32 +49,15 @@ impl TreeConfig {
     pub fn new(chunk_size: usize) -> Self {
         TreeConfig {
             chunk_size,
-            fused: true,
             payload_codec: None,
-            streamed_slices: None,
             verify_collisions: false,
         }
     }
 
     /// Enable the §5 hybrid with the named codec ("zstd", "lz4", …).
     pub fn with_payload_codec(mut self, name: &str) -> Self {
-        assert!(
-            self.streamed_slices.is_none(),
-            "streaming and compression are exclusive"
-        );
         self.payload_codec =
             Some(ckpt_compress::codec_id(name).unwrap_or_else(|| panic!("unknown codec {name}")));
-        self
-    }
-
-    /// Enable §5's streaming extension: overlap serialization with the
-    /// transfer as an `n`-slice pipeline.
-    pub fn with_streaming(mut self, n_slices: u32) -> Self {
-        assert!(
-            self.payload_codec.is_none(),
-            "streaming and compression are exclusive"
-        );
-        self.streamed_slices = Some(n_slices.max(1));
         self
     }
 

@@ -368,56 +368,3 @@ fn hybrid_never_inflates_incompressible_payloads() {
     assert_eq!(a.diff.stored_bytes(), b.diff.stored_bytes());
     assert_eq!(restore_record(&[b.diff]).unwrap()[0], v0);
 }
-
-#[test]
-fn streamed_serialization_round_trips_and_overlaps() {
-    // §5 streaming extension: identical bytes, lower modeled time when the
-    // payload is large enough for the pipeline to amortize its slice setups.
-    let snaps = snapshot_sequence();
-    let mut plain = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-    let mut streamed = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS).with_streaming(4));
-    for snap in &snaps {
-        let a = plain.checkpoint(snap);
-        let b = streamed.checkpoint(snap);
-        assert_eq!(a.diff.payload, b.diff.payload);
-        assert_eq!(a.diff.first_regions, b.diff.first_regions);
-    }
-    let diffs: Vec<_> = {
-        let mut m = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS).with_streaming(4));
-        snaps.iter().map(|s| m.checkpoint(s).diff).collect()
-    };
-    assert_eq!(restore_record(&diffs).unwrap(), snaps);
-}
-
-#[test]
-fn serialization_stage_streaming_is_roughly_neutral() {
-    // Structural finding (documented in gpu_sim::PerfModel): HBM is ~60x
-    // PCIe on an A100, so overlapping only the *serialization* stage with
-    // the transfer can hide no more than the tiny gather kernel. The
-    // modeled time must therefore stay within a few percent of the
-    // sequential path (the win comes from checkpoint-level pipelining,
-    // which the `streaming` experiment quantifies).
-    // Unique (incompressible, non-repeating) content so the whole buffer is
-    // first-occurrence payload and the transfer dominates.
-    let mut state = 0x243F_6A88_85A3_08D3u64;
-    let v: Vec<u8> = (0..16 << 20)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect();
-    let run = |cfg: TreeConfig| {
-        let dev = Device::a100();
-        let mut m = TreeCheckpointer::new(dev.clone(), cfg);
-        m.checkpoint(&v);
-        dev.metrics().modeled_sec()
-    };
-    let t_plain = run(TreeConfig::new(512));
-    let t_stream = run(TreeConfig::new(512).with_streaming(2));
-    assert!(
-        (t_stream - t_plain).abs() / t_plain < 0.05,
-        "streamed {t_stream} vs sequential {t_plain}"
-    );
-}

@@ -3,27 +3,19 @@
 //! The de-duplication engine compares data chunks by their 128-bit digests.
 //! The paper uses the non-cryptographic MurmurHash3 x64-128 function because
 //! its throughput is high enough not to bottleneck de-duplication, unlike
-//! cryptographic functions such as MD5 (§2.4 of the paper). Both are provided
-//! here so the trade-off can be measured (ablation A1 in `DESIGN.md`):
+//! cryptographic functions such as MD5 (§2.4 of the paper). [`Murmur3`] is
+//! that production hash; the cryptographic comparison points of ablation A1
+//! (MD5, SHA-256) live with the experiment in `ckpt-bench`.
 //!
-//! * [`Murmur3`] — MurmurHash3 x64-128, the production hash.
-//! * [`Md5`] — RFC 1321 MD5, the slow cryptographic comparison point.
-//! * [`Sha256`] — FIPS 180-4 SHA-256 (truncated to 128 bits), the
-//!   conservative cryptographic option.
-//!
-//! All hash functions implement the [`Hasher128`] trait and produce a
+//! Hash functions implement the [`Hasher128`] trait and produce a
 //! [`Digest128`], a plain-old-data 128-bit value that can live inside lock-free
 //! hash-table slots and flattened Merkle-tree arrays.
 
 pub mod digest;
-pub mod md5;
 pub mod murmur3;
-pub mod sha256;
 
 pub use digest::Digest128;
-pub use md5::Md5;
 pub use murmur3::Murmur3;
-pub use sha256::Sha256;
 
 /// A 128-bit digest function over byte strings.
 ///
@@ -133,17 +125,5 @@ mod tests {
                 h.combine(&pair[0], &pair[1])
             );
         }
-    }
-
-    #[test]
-    fn trait_object_dispatch() {
-        let hashers: Vec<Box<dyn Hasher128>> =
-            vec![Box::new(Murmur3), Box::new(Md5), Box::new(Sha256)];
-        for h in &hashers {
-            // Same input twice -> same digest; different input -> different digest.
-            assert_eq!(h.hash(b"x"), h.hash(b"x"));
-            assert_ne!(h.hash(b"x"), h.hash(b"y"));
-        }
-        assert_ne!(hashers[0].hash(b"x"), hashers[1].hash(b"x"));
     }
 }

@@ -477,6 +477,40 @@ impl Default for TierChain {
         Self::new()
     }
 }
+
+/// Garbage-collect every record of `rank` below a **durable** rebase point,
+/// in every layer that keeps one: evict ids `0..rebase_id` from all tiers
+/// and advance the rank's floor in the redundancy group, if any. The caller
+/// must have confirmed durability of `(rank, rebase_id)` first — with a
+/// group, of its group encoding too
+/// ([`AsyncRuntime::wait_redundancy_durable`](crate::AsyncRuntime::wait_redundancy_durable)):
+/// compaction that races a crash or a rank loss must err on keeping the old
+/// chain (see the kill-during-compaction crash schedule). Returns the
+/// records evicted from the tiers.
+pub fn compact_below(tiers: &TierChain, rank: u32, rebase_id: u32) -> usize {
+    // Cluster-dedup GC floor: an object another rank still references
+    // remotely must outlive this rank's rebase — evicting it would turn
+    // those references dangling. The index releases this rank's own
+    // outbound edges, retires claims into what *will* be evicted, and
+    // names what must stay.
+    let pinned = tiers
+        .rank_dedup_index()
+        .map(|ix| ix.compact_below(rank, rebase_id))
+        .unwrap_or_default();
+    let mut evicted = 0;
+    for tier in [&tiers.pfs, &tiers.ssd, &tiers.host] {
+        for (r, k) in tier.resident() {
+            if r == rank && k < rebase_id && !pinned.contains(&(r, k)) && tier.evict((r, k)) {
+                evicted += 1;
+            }
+        }
+    }
+    if let Some(group) = tiers.redundancy() {
+        group.compact_below(rank, rebase_id);
+    }
+    evicted
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

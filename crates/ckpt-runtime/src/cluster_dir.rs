@@ -2,7 +2,7 @@
 //!
 //! | path | content |
 //! |---|---|
-//! | `NNNN.ckpt` | flat layout: rank 0's object `(0, NNNN)`, framed (legacy unframed files are still read) |
+//! | `NNNN.ckpt` | flat layout: rank 0's object `(0, NNNN)`, framed (a file without a frame reads as a damaged one) |
 //! | `rank####/NNNN.ckpt` | ranked layout: object `(####, NNNN)`, framed with its real rank |
 //! | `group/h####_c####.grp` | group-tier object keyed `(hosting rank, ckpt)`: a partner copy or parity stripe |
 //! | `group/MANIFEST` | [`RedundancyStore::export_manifest`]: policy + member table |
@@ -187,7 +187,6 @@ impl ClusterDir {
             tiers: TierChain::new(),
             layout: self.layout(),
             notes: Vec::new(),
-            legacy: HashSet::new(),
             rank_dirs: BTreeSet::new(),
         };
         if loaded.layout == Layout::Flat {
@@ -298,9 +297,7 @@ impl ClusterDir {
                 let (status, detail) = if !proven {
                     (VerifyStatus::Lost, loaded.loss_detail(id))
                 } else if o.status == ObjectStatus::Verified && intact.contains(&id) {
-                    let legacy = loaded.legacy.contains(&id);
-                    let detail = if legacy { "legacy unframed" } else { "" };
-                    (VerifyStatus::Verified, detail.to_string())
+                    (VerifyStatus::Verified, String::new())
                 } else {
                     let group = group.as_deref().unwrap_or_default();
                     let detail = format!("reconstructable from group ({group})");
@@ -343,9 +340,6 @@ pub struct Loaded {
     pub layout: Layout,
     /// One line per thing that could not be loaded as found.
     pub notes: Vec<String>,
-    /// Flat-layout files with no frame (pre-framing records), framed on
-    /// the way in.
-    legacy: HashSet<ObjectId>,
     rank_dirs: BTreeSet<u32>,
 }
 
@@ -378,18 +372,9 @@ impl Loaded {
             let Some(ckpt) = parse_ckpt(&name) else {
                 continue;
             };
-            let id = (rank, ckpt);
-            let bytes = std::fs::read(&path)?;
-            // Only flat records predate framing; in a ranked layout an
-            // unframed file is a damaged frame.
-            if self.layout == Layout::Flat && Kind::sniff(&bytes) != Some(Kind::Frame) {
-                self.legacy.insert(id);
-                self.tiers
-                    .pfs
-                    .put_framed(id, StoredObject::raw(bytes).frame(id));
-            } else {
-                self.tiers.pfs.put_framed(id, bytes);
-            }
+            self.tiers
+                .pfs
+                .put_framed((rank, ckpt), std::fs::read(&path)?);
         }
         Ok(())
     }

@@ -11,7 +11,8 @@
 //! * [`tier`] — simulated storage tiers with bandwidth/capacity accounting,
 //!   integrity framing and the one bounded retry of tier reads and writes;
 //! * [`chain`] — the host/SSD/PFS [`TierChain`] and its read side: locate,
-//!   quarantine, repair, post-crash recovery;
+//!   quarantine, repair, post-crash recovery — plus [`compact_below`], the
+//!   one garbage collection below a durable rebase point;
 //! * [`compress`] — the post-dedup compression stage: per-object adaptive
 //!   codec selection, pool-parallel encode, lazy `compress/*` telemetry;
 //! * [`fault`] — deterministic, seedable fault injection;
@@ -32,13 +33,11 @@
 //! * [`restore`] — the restore engine: prefetched tier reads feeding a
 //!   single-pass resolution walk;
 //! * [`cluster_dir`] — the on-disk record layout: export a chain to a
-//!   directory, import it back unverified, and the one `verify`;
-//! * [`coordinator`] — the multi-rank strong-scaling harness (Fig. 6).
+//!   directory, import it back unverified, and the one `verify`.
 
 pub mod chain;
 pub mod cluster_dir;
 pub mod compress;
-pub mod coordinator;
 pub mod fault;
 mod flusher;
 pub mod integrity;
@@ -50,10 +49,9 @@ pub mod restore;
 pub mod runtime;
 pub mod tier;
 
-pub use chain::{ChainReader, TierChain};
+pub use chain::{compact_below, ChainReader, TierChain};
 pub use cluster_dir::{ClusterDir, Layout, VerifyReport, VerifyStatus};
 pub use compress::{CompressMetrics, CompressionEngine, CompressionPolicy};
-pub use coordinator::{compact_below, run_scaling, RebasePolicy, ScalingConfig, ScalingReport};
 pub use fault::{
     FaultKind, FaultPlan, FaultPlanBuilder, FaultSpec, FiredFault, OpKind, SplitMix64,
 };

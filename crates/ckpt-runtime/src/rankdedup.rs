@@ -55,7 +55,7 @@
 //! A remotely-referenced object must outlive its referers:
 //! [`RankDedupIndex::compact_below`] returns the set of ids *pinned* by
 //! inbound references from live objects, and
-//! [`coordinator::compact_below`](crate::coordinator::compact_below) keeps
+//! [`compact_below`](crate::compact_below) keeps
 //! those resident past the rank's rebase floor. Claims pointing into
 //! evicted (unpinned) objects are retired so no future checkpoint can
 //! acquire a dangling reference.

@@ -44,8 +44,9 @@
 //!
 //! # GC gating
 //!
-//! [`RedundancyStore::compact_below`] mirrors the tier chain's
-//! `compact_below`: partner copies below a rank's rebase floor drop
+//! The group's half of [`compact_below`](crate::compact_below), which
+//! advances a rank's floor here as it evicts the rank's tier records below
+//! a rebase point: partner copies below a rank's rebase floor drop
 //! immediately, while an XOR parity stripe at checkpoint `c` only drops
 //! once *every* member of the group has advanced its floor past `c` — a
 //! stripe is useful exactly as long as any member might still need it.
@@ -562,7 +563,7 @@ impl RedundancyStore {
     /// can need anymore: partner copies of this rank below the floor
     /// immediately; XOR parity stripes of the group only below the
     /// *minimum* floor across all its members. Returns evicted objects.
-    pub fn compact_below(&self, rank: u32, below: u32) -> usize {
+    pub(crate) fn compact_below(&self, rank: u32, below: u32) -> usize {
         {
             let mut floors = self.floors.lock();
             let f = floors.entry(rank).or_insert(0);

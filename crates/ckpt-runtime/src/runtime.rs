@@ -284,9 +284,10 @@ impl AsyncRuntime {
 
     /// Block until every given checkpoint's redundancy encoding is
     /// durable in the group tier (or the object was abandoned, or the
-    /// runtime killed). Immediate without a redundancy group. GC calls
-    /// this before `compact_below` so a rebase record's group encoding is
-    /// never outrun by the eviction of the history it replaces.
+    /// runtime killed). Immediate without a redundancy group. A caller of
+    /// [`compact_below`](crate::compact_below) waits here first so a rebase
+    /// record's group encoding is never outrun by the eviction of the
+    /// history it replaces.
     pub fn wait_redundancy_durable(&self, ids: &[ObjectId]) {
         if let Some(red) = self.shared.tiers.redundancy() {
             self.wait_settled(ids, |id| red.is_encoded(id));

@@ -314,43 +314,6 @@ impl Device {
     pub fn account_d2h_bytes(&self, bytes: u64) {
         self.account_d2h(bytes);
     }
-
-    /// Gather scattered `segments` into host memory as a *streamed* pipeline:
-    /// the gather kernel and the device→host DMA run concurrently over
-    /// `n_slices` slices (§5's "streaming methods that overlap de-duplication
-    /// with transfers to host memory"). Functionally identical to a
-    /// [`team_gather`](Self::team_gather) followed by a transfer; only the
-    /// modeled time differs (the slower of the two stages instead of their
-    /// sum).
-    pub fn streamed_gather_to_host(
-        &self,
-        _name: &str,
-        src: &[u8],
-        segments: &[collectives::Segment],
-        n_slices: u32,
-    ) -> Vec<u8> {
-        let bytes: u64 = segments.iter().map(|&(_, l)| l as u64).sum();
-        let mut out = vec![0u8; bytes as usize];
-        collectives::segmented_gather(src, segments, &mut out);
-
-        let perf = &self.inner.perf;
-        let kernel_sec = perf.kernel_sec(bytes, bytes, bytes / 8);
-        let share_sec =
-            bytes as f64 / (perf.config().pcie_bytes_per_sec / self.contenders().max(1) as f64);
-        let pipelined = perf.streamed_pipeline_sec(kernel_sec, share_sec, n_slices);
-        // Book the whole pipeline as one fused launch + one transfer whose
-        // combined modeled time is the pipelined duration (kernel part under
-        // "kernel", remainder under "transfer").
-        let m = &self.inner.metrics;
-        if self.inner.fused_depth.load(Ordering::Relaxed) == 0 {
-            m.record_launch_latency(perf.launch_sec());
-        } else {
-            m.record_fused();
-        }
-        m.record_kernel(bytes, bytes, kernel_sec.min(pipelined));
-        m.record_d2h(bytes, (pipelined - kernel_sec.min(pipelined)).max(0.0));
-        out
-    }
 }
 
 impl std::fmt::Debug for Device {

@@ -71,7 +71,10 @@ impl DeviceMetrics {
         self.alloc_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Number of kernel launches issued (a fused region counts once).
+    /// Number of logical kernels run, inside a fused region or not. The
+    /// launches that paid latency are [`modeled_launch_sec`](Self::modeled_launch_sec)
+    /// over the per-launch latency: one per fused region plus one per
+    /// kernel outside any.
     pub fn kernels_launched(&self) -> u64 {
         self.kernels_launched.load(Ordering::Relaxed)
     }

@@ -108,25 +108,6 @@ impl PerfModel {
         let share = self.config.pcie_bytes_per_sec / contenders.max(1) as f64;
         self.config.transfer_setup_sec + bytes as f64 / share
     }
-
-    /// Modeled duration of a two-stage pipeline (a producer stage overlapped
-    /// with a DMA stage over `n_slices` slices): the §5 "streaming methods
-    /// that overlap de-duplication with transfers" extension. Classic
-    /// two-stage pipeline algebra — the slower stage dominates, the faster
-    /// one only contributes its first/last slice, and every slice pays one
-    /// DMA setup:
-    /// `max(K, T + n·setup) + min(K, T)/n`.
-    ///
-    /// Note the structural consequence at A100 ratios: HBM is ~60× PCIe, so
-    /// a *serialization-stage* overlap can only hide the (tiny) gather
-    /// kernel, while overlapping at *checkpoint* granularity (transfer of
-    /// diff k against the full de-duplication compute of k+1) hides the
-    /// whole smaller side.
-    pub fn streamed_pipeline_sec(&self, kernel_sec: f64, transfer_sec: f64, n_slices: u32) -> f64 {
-        let n = n_slices.max(1) as f64;
-        let t_with_setups = transfer_sec + n * self.config.transfer_setup_sec;
-        kernel_sec.max(t_with_setups) + kernel_sec.min(transfer_sec) / n
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! tests can `use gpu_dedup_ckpt::...`. See `README.md` for the architecture
 //! overview and `DESIGN.md` for the system inventory.
 
-pub use ckpt_adjoint as adjoint;
 pub use ckpt_compress as compress;
 pub use ckpt_dedup as dedup;
 pub use ckpt_graph as graph;

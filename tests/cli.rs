@@ -344,7 +344,8 @@ fn stats_reports_have_stable_json_keys() {
 }
 
 /// `ckpt verify <dir>` with no originals: integrity-only mode. Checks the
-/// on-disk framing, corruption detection, and legacy (unframed) fallback.
+/// on-disk framing, corruption detection, and that an unframed file (the
+/// pre-framing format, no longer read) is a damaged frame.
 #[test]
 fn verify_integrity_mode_and_legacy_fallback() {
     let tmp = TempDir::new("integrity");
@@ -394,41 +395,45 @@ fn verify_integrity_mode_and_legacy_fallback() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("corrupt frame"));
 
-    // Legacy fallback: strip the 32-byte headers in place; the record must
-    // still restore, verify against originals, and pass integrity mode.
+    // Strip the 32-byte headers in place (version 1 from its pristine
+    // copy): every file is now a frame with a bad magic. Integrity mode
+    // types each lost with a corrupt frame's exit code, and restore refuses
+    // without writing anything.
     for version in 0..3 {
         let path = record.join(format!("{version:04}.ckpt"));
-        let bytes = std::fs::read(&path).unwrap();
-        let payload = if version == 1 {
-            // Repair the corrupted version from its pristine framed copy.
-            framed[32..].to_vec()
+        let bytes = if version == 1 {
+            framed.clone()
         } else {
-            bytes[32..].to_vec()
+            std::fs::read(&path).unwrap()
         };
-        std::fs::write(&path, payload).unwrap();
+        std::fs::write(&path, &bytes[32..]).unwrap();
     }
     let out = ckpt()
         .args(["verify", record.to_str().unwrap()])
-        .args(snaps.iter().map(|p| p.to_str().unwrap()))
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for version in 0..3 {
+        let bad = format!("v{version:04} BAD  corrupt frame: bad frame magic");
+        assert!(stdout.contains(&bad), "{stdout}");
+    }
+    let restored = tmp.path().join("restored.bin");
     let out = ckpt()
-        .args(["verify", record.to_str().unwrap()])
+        .args(["restore", record.to_str().unwrap(), "--out"])
+        .arg(&restored)
         .output()
         .unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("legacy unframed"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("LOST  corrupt frame"));
+    assert!(!restored.exists(), "restore wrote output");
 }
 
-/// A legacy unframed record has no checksum, so a forged header field or
-/// table entry reaches `Diff::decode` straight from disk. Each is a typed
-/// failure naming the version — `verify` types it lost, `restore` exits 1
-/// and writes nothing — never a panic (exit 101), never bytes.
+/// An unframed file with a forged header field — the pre-framing format,
+/// which once reached `Diff::decode` with no checksum in front of it — is
+/// typed lost as a damaged frame before anything decodes it: `verify`
+/// types it lost, `restore` exits 1 and writes nothing — never a panic
+/// (exit 101), never bytes.
 #[test]
 fn forged_legacy_record_is_a_typed_loss_not_a_panic() {
     let tmp = TempDir::new("forged-legacy");
@@ -440,62 +445,41 @@ fn forged_legacy_record_is_a_typed_loss_not_a_panic() {
         .status()
         .unwrap()
         .success());
-    for version in 0..3 {
-        let path = record.join(format!("{version:04}.ckpt"));
-        let framed = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &framed[32..]).unwrap();
-    }
-    // Diff header: data_len u64 @12, chunk_size u32 @20; the first region
-    // node id sits right behind the 40-byte header. Forged into the newest
-    // record (where the restore walk starts) and the oldest (where it ends).
-    for victim in [2, 0] {
-        let path = record.join(format!("{victim:04}.ckpt"));
-        let pristine = std::fs::read(&path).unwrap();
-        let flipped = [pristine[43] ^ 0x80];
-        for (what, at, forged) in [
-            ("data_len = 0", 12, &[0u8; 8][..]),
-            ("chunk_size = 0", 20, &[0u8; 4][..]),
-            ("chunk_size = 31", 20, &31u32.to_le_bytes()[..]),
-            ("first node id = u32::MAX", 40, &[0xff; 4][..]),
-            ("one flipped node-id bit", 43, &flipped[..]),
-        ] {
-            let what = format!("v{victim:04} {what}");
-            let mut bytes = pristine.clone();
-            bytes[at..at + forged.len()].copy_from_slice(forged);
-            std::fs::write(&path, &bytes).unwrap();
+    // The newest record, unframed, with its diff's data_len (u64 @12) zeroed.
+    let path = record.join("0002.ckpt");
+    let mut bytes = std::fs::read(&path).unwrap()[32..].to_vec();
+    bytes[12..20].fill(0);
+    std::fs::write(&path, &bytes).unwrap();
 
-            let out = ckpt()
-                .args(["verify", record.to_str().unwrap(), "--json"])
-                .output()
-                .unwrap();
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert_eq!(out.status.code(), Some(4), "{what}: {stdout}");
-            let lost = format!(r#"{{"ckpt_id":{victim},"status":"lost"}}"#);
-            assert!(stdout.contains(&lost), "{what}: {stdout}");
-            // Plain flat mode keeps its historical exit 1.
-            let out = ckpt()
-                .args(["verify", record.to_str().unwrap()])
-                .output()
-                .unwrap();
-            assert_eq!(out.status.code(), Some(1), "{what}");
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            let bad = format!("v{victim:04} BAD  undecodable diff");
-            assert!(stdout.contains(&bad), "{what}: {stdout}");
+    let out = ckpt()
+        .args(["verify", record.to_str().unwrap(), "--json"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(4), "{stdout}");
+    assert!(
+        stdout.contains(r#"{"ckpt_id":2,"status":"lost"}"#),
+        "{stdout}"
+    );
+    // Plain flat mode keeps its historical exit 1.
+    let out = ckpt()
+        .args(["verify", record.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("v0002 BAD  corrupt frame"), "{stdout}");
 
-            let restored = tmp.path().join("restored.bin");
-            let out = ckpt()
-                .args(["restore", record.to_str().unwrap(), "--out"])
-                .arg(&restored)
-                .output()
-                .unwrap();
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
-            let lost = format!("v{victim:04} LOST  undecodable diff");
-            assert!(stderr.contains(&lost), "{what}: {stderr}");
-            assert!(!restored.exists(), "{what}: restore wrote output");
-        }
-        std::fs::write(&path, &pristine).unwrap();
-    }
+    let restored = tmp.path().join("restored.bin");
+    let out = ckpt()
+        .args(["restore", record.to_str().unwrap(), "--out"])
+        .arg(&restored)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("v0002 LOST  corrupt frame"), "{stderr}");
+    assert!(!restored.exists(), "restore wrote output");
 }
 
 #[test]

@@ -18,10 +18,14 @@
 //! tier's map and the restore engine copies a payload.
 //!
 //! Thread-and-wait census: the runtime spawns two threads (the flusher,
-//! the pipeline's submit tail) plus the scoped workers of a restore and of
-//! the scaling harness, and nothing in it waits by polling — every wait
-//! sleeps on the flusher's progress signal, and the only `sleep` calls
-//! model time (retry backoff, bandwidth throttle, injected latency).
+//! the pipeline's submit tail) plus the scoped workers of a restore, and
+//! nothing in it waits by polling — every wait sleeps on the flusher's
+//! progress signal, and the only `sleep` calls model time (retry backoff,
+//! bandwidth throttle, injected latency).
+//!
+//! Production census: code that exists only for an experiment lives with
+//! the experiment in `ckpt-bench` — the Fig. 6 harness, A1's cryptographic
+//! hashes — and the options no binary, runtime or workload sets are gone.
 
 use std::path::{Path, PathBuf};
 
@@ -285,7 +289,7 @@ fn no_thread_nobody_starts_and_no_wait_that_polls() {
         ("recv_timeout", &[]),
         ("thread::spawn", &["pipeline.rs", "runtime.rs"]),
         // Scoped: joined before the call that spawned them returns.
-        (".spawn(", &["coordinator.rs", "restore.rs"]),
+        (".spawn(", &["restore.rs"]),
         // Modeled time only: injected latency, bandwidth throttle, retry
         // backoff.
         ("sleep(", &["fault.rs", "flusher.rs", "tier.rs"]),
@@ -300,4 +304,69 @@ fn no_thread_nobody_starts_and_no_wait_that_polls() {
             "files whose production code has `{token}`"
         );
     }
+}
+
+/// The names of the `.rs` files directly under `dir`.
+fn file_names(dir: &Path) -> Vec<String> {
+    rust_files(dir)
+        .iter()
+        .map(|path| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect()
+}
+
+#[test]
+fn production_crates_hold_only_what_the_system_runs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = root.join("crates");
+
+    // A1's MD5 and SHA-256 live beside the ablation.
+    assert_eq!(
+        file_names(&crates.join("ckpt-hash/src")),
+        ["digest.rs", "lib.rs", "murmur3.rs"]
+    );
+
+    // The Fig. 6 harness and its rebase policy left the runtime.
+    let runtime = crates.join("ckpt-runtime/src");
+    assert!(
+        !runtime.join("coordinator.rs").exists(),
+        "coordinator.rs is back"
+    );
+    for token in ["run_scaling", "ScalingConfig", "RebasePolicy"] {
+        assert_eq!(
+            runtime_files_with(token),
+            Vec::<String>::new(),
+            "runtime files naming `{token}`"
+        );
+    }
+
+    // `TreeConfig` keeps the three options something sets; the
+    // serialization-stage streaming fork is gone from device and pipeline.
+    let tree = production_source(&crates.join("ckpt-dedup/src/methods/tree.rs"));
+    let at = tree.find("pub struct TreeConfig {").expect("TreeConfig");
+    let body = &tree[at..at + tree[at..].find("\n}").expect("struct end")];
+    let fields: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("pub "))
+        .filter(|l| !l.starts_with("struct"))
+        .collect();
+    assert_eq!(fields.len(), 3, "TreeConfig fields: {fields:?}");
+    let mut streamed = Vec::new();
+    for dir in ["gpu-sim/src", "ckpt-dedup/src", "ckpt-dedup/src/methods"] {
+        for path in rust_files(&crates.join(dir)) {
+            if production_source(&path).contains("streamed") {
+                streamed.push(path.strip_prefix(root).unwrap().display().to_string());
+            }
+        }
+    }
+    assert!(streamed.is_empty(), "`streamed` in: {streamed:?}");
+
+    // GC is one call: the runtime's `compact_below` also advances the
+    // redundancy group's floors.
+    let chain = production_source(&runtime.join("chain.rs"));
+    let at = chain.find("pub fn compact_below(").expect("compact_below");
+    let gc = &chain[at..at + chain[at..].find("\n}").expect("fn end")];
+    assert!(
+        gc.contains("tiers.redundancy()") && gc.matches(".compact_below(").count() == 2,
+        "compact_below no longer reaches the index and the group:\n{gc}"
+    );
 }
