@@ -9,7 +9,7 @@
 //!   fig4              chunk-size sweep (ratio + throughput)
 //!   fig5              checkpoint-frequency sweep incl. compressors
 //!   fig6              strong scaling 1..64 ranks, Tree vs Full
-//!   hybrid            E1: dedup + payload compression (paper §5)
+//!   hybrid            E1: Tree records through flush-stage compression (§5)
 //!   highfreq          E2: producer stall under storage backpressure (§1)
 //!   streaming         E3: checkpoint-level compute/transfer pipelining (§5)
 //!   adjoint           E5: adjoint reversal, revolve vs dedup store (§5)

@@ -9,8 +9,10 @@
 
 use crate::report::{f, table_only, Row, Value::*};
 use ckpt_compress::Codec;
+use ckpt_runtime::{CompressMetrics, CompressionEngine, CompressionPolicy};
 use ckpt_telemetry::{StageBreakdown, StageSample};
 use gpu_sim::{Device, KernelCost};
+use std::sync::Arc;
 
 /// Aggregate result of running one method over a snapshot sequence —
 /// the common currency of every figure.
@@ -112,13 +114,18 @@ pub fn run_codec(codec: &dyn Codec, snapshots: &[Vec<u8>], skip_first: bool) -> 
 }
 
 /// Run a de-duplication method over a snapshot sequence into the same
-/// currency as [`run_codec`].
+/// currency as [`run_codec`]. A `compression` other than `Off` passes each
+/// encoded diff through the runtime's flush stage (`--compress`): `stored`
+/// counts what a tier would hold, and the encode adds measured time but no
+/// modeled device time — the flusher runs it on the host pool.
 pub fn run_dedup(
     method: &mut dyn ckpt_dedup::Checkpointer,
     name: &str,
     snapshots: &[Vec<u8>],
     skip_first: bool,
+    compression: CompressionPolicy,
 ) -> MeasuredRecord {
+    let engine = CompressionEngine::new(compression, Arc::new(CompressMetrics::detached()));
     let mut uncompressed = 0u64;
     let mut stored = 0u64;
     let mut metadata = 0u64;
@@ -127,14 +134,22 @@ pub fn run_dedup(
     let mut breakdown = StageBreakdown::default();
     for (k, snap) in snapshots.iter().enumerate() {
         let out = method.checkpoint(snap);
+        let (stored_len, encode_sec) = if engine.enabled() {
+            let record = out.diff.encode();
+            let t0 = std::time::Instant::now();
+            let stored_len = engine.encode(record).stored_len();
+            (stored_len, t0.elapsed().as_secs_f64())
+        } else {
+            (out.stats.stored_bytes, 0.0)
+        };
         if skip_first && k == 0 {
             continue;
         }
         uncompressed += out.stats.uncompressed_bytes;
-        stored += out.stats.stored_bytes;
+        stored += stored_len;
         metadata += out.stats.metadata_bytes;
         modeled += out.stats.modeled_sec;
-        measured += out.stats.measured_sec;
+        measured += out.stats.measured_sec + encode_sec;
         breakdown.accumulate(&out.breakdown);
     }
     breakdown.method = name.to_string();
@@ -188,7 +203,7 @@ mod tests {
         let snaps = snapshots();
         let zstd = run_codec(&ZstdLike::default(), &snaps, true);
         let mut tree = TreeCheckpointer::new(gpu_sim::Device::a100(), TreeConfig::new(64));
-        let dedup = run_dedup(&mut tree, "Tree", &snaps, true);
+        let dedup = run_dedup(&mut tree, "Tree", &snaps, true, CompressionPolicy::Off);
         assert!(
             dedup.ratio() > zstd.ratio(),
             "tree {:.1} vs zstd {:.1} on near-identical snapshots",

@@ -16,6 +16,7 @@ use ckpt_compress::all_codecs;
 use ckpt_dedup::methods::tree_naive::NaiveTreeCheckpointer;
 use ckpt_dedup::prelude::*;
 use ckpt_graph::{GraphStats, PaperGraph};
+use ckpt_runtime::CompressionPolicy::Off;
 use ckpt_runtime::{
     restore_rank_latest_parallel, AsyncRuntime, CheckpointPipeline, CompressionPolicy,
     RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyPolicy, RuntimeConfig,
@@ -184,7 +185,7 @@ pub fn fig4(cfg: ExpConfig) -> Vec<Fig4Cell> {
             // checkpoint, §3.2).
             let methods = dedup_methods(chunk)
                 .into_iter()
-                .map(|(name, mut m)| run_dedup(&mut *m, name, &w.snapshots, false))
+                .map(|(name, mut m)| run_dedup(&mut *m, name, &w.snapshots, false, Off))
                 .collect();
             out.push(Fig4Cell {
                 graph,
@@ -229,8 +230,8 @@ pub const FIG5_COUNTS: [usize; 3] = [5, 10, 20];
 /// Chunk size used in the frequency scenario.
 pub const FIG5_CHUNK: usize = 128;
 
-/// Hybrid series added to Figure 5: the Tree method with its
-/// first-occurrence payloads compressed by these codecs — the composed
+/// Hybrid series added to Figure 5: the Tree method with its records
+/// compressed by these codecs in the runtime's flush stage — the composed
 /// dedup+compression data point next to the paper's either/or comparison.
 pub const FIG5_HYBRID_CODECS: [&str; 2] = ["zstd", "cascaded"];
 
@@ -243,17 +244,10 @@ pub fn fig5(cfg: ExpConfig) -> Vec<Fig5Cell> {
             let w = gdv_snapshots(graph, cfg.scale, n, cfg.seed, true);
             let mut methods: Vec<MeasuredRecord> = dedup_methods(FIG5_CHUNK)
                 .into_iter()
-                .map(|(name, mut m)| run_dedup(&mut *m, name, &w.snapshots, true))
+                .map(|(name, mut m)| run_dedup(&mut *m, name, &w.snapshots, true, Off))
                 .collect();
             for codec in FIG5_HYBRID_CODECS {
-                let cfg_c = TreeConfig::new(FIG5_CHUNK).with_payload_codec(codec);
-                let mut m = TreeCheckpointer::new(Device::a100(), cfg_c);
-                methods.push(run_dedup(
-                    &mut m,
-                    &format!("Tree+{codec}"),
-                    &w.snapshots,
-                    true,
-                ));
+                methods.push(tree_through(codec, &w.snapshots, true));
             }
             for codec in all_codecs() {
                 methods.push(run_codec(&*codec, &w.snapshots, true));
@@ -1097,8 +1091,8 @@ pub fn ablation_waves(cfg: ExpConfig) -> Vec<WavesPoint> {
             let mut naive = NaiveTreeCheckpointer::new(Device::a100(), TreeConfig::new(64));
             WavesPoint {
                 workload: format!("GDV / {}", graph.name()),
-                two_stage: run_dedup(&mut two, "Tree(two-stage)", &w.snapshots, true),
-                naive: run_dedup(&mut naive, "Tree(naive)", &w.snapshots, true),
+                two_stage: run_dedup(&mut two, "Tree(two-stage)", &w.snapshots, true, Off),
+                naive: run_dedup(&mut naive, "Tree(naive)", &w.snapshots, true, Off),
             }
         })
         .collect();
@@ -1108,8 +1102,8 @@ pub fn ablation_waves(cfg: ExpConfig) -> Vec<WavesPoint> {
     let mut naive = NaiveTreeCheckpointer::new(Device::a100(), TreeConfig::new(64));
     points.push(WavesPoint {
         workload: "synthetic repeated patterns".to_string(),
-        two_stage: run_dedup(&mut two, "Tree(two-stage)", &snaps, false),
-        naive: run_dedup(&mut naive, "Tree(naive)", &snaps, false),
+        two_stage: run_dedup(&mut two, "Tree(two-stage)", &snaps, false, Off),
+        naive: run_dedup(&mut naive, "Tree(naive)", &snaps, false, Off),
     });
     points
 }
@@ -1323,7 +1317,8 @@ pub fn highfreq(cfg: ExpConfig) -> Vec<HighFreqPoint> {
 }
 
 /// Extension E1 (paper §5 future work): the dedup+compression hybrid —
-/// "compressing the first-time occurrences in the difference".
+/// "compressing the first-time occurrences in the difference". Tree's
+/// records go through the runtime's flush stage; row 0 stores them plain.
 #[derive(Debug)]
 pub struct HybridPoint {
     pub graph: PaperGraph,
@@ -1332,7 +1327,7 @@ pub struct HybridPoint {
 
 impl Fields for HybridPoint {
     const TITLE: &'static str =
-        "Extension E1 (paper \u{a7}5): compressing first occurrences inside the diff";
+        "Extension E1 (paper \u{a7}5): Tree records through flush-stage compression";
     fn fields(&self) -> Row {
         vec![
             f("graph", Text(self.graph.name().into())),
@@ -1341,24 +1336,27 @@ impl Fields for HybridPoint {
     }
 }
 
+/// Tree at [`FIG5_CHUNK`] with its records compressed by `policy` (a
+/// [`CompressionPolicy::parse`] spelling) in the flush stage: `Tree` for
+/// `off`, `Tree+<codec>` otherwise.
+fn tree_through(policy: &str, snapshots: &[Vec<u8>], skip_first: bool) -> MeasuredRecord {
+    let mut m = TreeCheckpointer::new(Device::a100(), TreeConfig::new(FIG5_CHUNK));
+    let compression = CompressionPolicy::parse(policy).expect("registered codec");
+    let name = match compression {
+        Off => "Tree".to_string(),
+        _ => format!("Tree+{policy}"),
+    };
+    run_dedup(&mut m, &name, snapshots, skip_first, compression)
+}
+
 pub fn hybrid(cfg: ExpConfig) -> Vec<HybridPoint> {
     PaperGraph::single_process()
         .into_iter()
         .map(|graph| {
             let w = gdv_snapshots(graph, cfg.scale, FIG4_CHECKPOINTS, cfg.seed, true);
-            let mut methods = Vec::new();
-            let mut raw = TreeCheckpointer::new(Device::a100(), TreeConfig::new(FIG5_CHUNK));
-            methods.push(run_dedup(&mut raw, "Tree", &w.snapshots, false));
-            for codec in ["zstd", "lz4", "cascaded", "bitcomp"] {
-                let cfg_c = TreeConfig::new(FIG5_CHUNK).with_payload_codec(codec);
-                let mut m = TreeCheckpointer::new(Device::a100(), cfg_c);
-                methods.push(run_dedup(
-                    &mut m,
-                    &format!("Tree+{codec}"),
-                    &w.snapshots,
-                    false,
-                ));
-            }
+            let methods = ["off", "zstd", "lz4", "cascaded", "bitcomp"]
+                .map(|codec| tree_through(codec, &w.snapshots, false))
+                .into();
             HybridPoint { graph, methods }
         })
         .collect()
@@ -2441,7 +2439,7 @@ pub fn ablation_gorder(cfg: ExpConfig) -> Vec<GorderPoint> {
                     let w =
                         gdv_snapshots_ordered(graph, cfg.scale, FIG4_CHECKPOINTS, cfg.seed, *order);
                     let mut m = TreeCheckpointer::new(Device::a100(), TreeConfig::new(64));
-                    run_dedup(&mut m, &format!("Tree/{name}"), &w.snapshots, true)
+                    run_dedup(&mut m, &format!("Tree/{name}"), &w.snapshots, true, Off)
                 })
                 .collect();
             GorderPoint { graph, orderings }
@@ -2496,7 +2494,7 @@ pub fn ablation_hash(cfg: ExpConfig) -> Vec<HashPoint> {
         let dt = t0.elapsed().as_secs_f64();
 
         let mut m = TreeCheckpointer::with_hasher(Device::a100(), TreeConfig::new(chunk), hasher);
-        let record = run_dedup(&mut m, name, &w.snapshots, true);
+        let record = run_dedup(&mut m, name, &w.snapshots, true, Off);
         out.push(HashPoint {
             hasher: name,
             chunk_size: chunk,
@@ -2795,7 +2793,7 @@ mod tests {
 
     fn record() -> MeasuredRecord {
         let mut tree = TreeCheckpointer::new(Device::a100(), TreeConfig::new(64));
-        let mut record = run_dedup(&mut tree, "Tree", &[vec![7u8; 4096]], false);
+        let mut record = run_dedup(&mut tree, "Tree", &[vec![7u8; 4096]], false, Off);
         record.breakdown.stages.truncate(1);
         record
     }
@@ -3175,18 +3173,25 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_compresses_further_without_losing_restorability() {
+    fn hybrid_rows_store_no_more_than_plain_tree() {
         let points = hybrid(cfg(1500, 4));
         for p in &points {
             let raw = &p.methods[0];
-            let zstd = p.methods.iter().find(|m| m.name == "Tree+zstd").unwrap();
-            assert!(
-                zstd.stored <= raw.stored,
-                "{}: hybrid {} vs raw {}",
-                p.graph,
-                zstd.stored,
-                raw.stored
-            );
+            assert_eq!(raw.name, "Tree");
+            for m in &p.methods[1..] {
+                assert_eq!(
+                    (m.uncompressed, m.metadata),
+                    (raw.uncompressed, raw.metadata)
+                );
+                assert!(
+                    m.stored <= raw.stored,
+                    "{}: {} {} vs raw {}",
+                    p.graph,
+                    m.name,
+                    m.stored,
+                    raw.stored
+                );
+            }
         }
     }
 

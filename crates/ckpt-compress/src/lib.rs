@@ -98,9 +98,8 @@ pub fn all_codecs() -> Vec<Box<dyn Codec>> {
     ]
 }
 
-/// Stable wire-format identifiers for each codec (used by checkpoint diffs
-/// whose payload is compressed — the paper's §5 dedup+compression hybrid).
-/// `0` is reserved for "no compression".
+/// Stable wire-format identifiers for each codec (the codec byte of a
+/// compressed frame). `0` is reserved for "no compression".
 pub fn codec_id(name: &str) -> Option<u8> {
     match name {
         "lz4" => Some(1),

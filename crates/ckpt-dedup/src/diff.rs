@@ -13,8 +13,7 @@
 //! magic      [u8;4] = b"GDCD"
 //! version    u16
 //! kind       u8            (Full / Basic / List / Tree)
-//! payload_codec u8         (0 = raw; else a `ckpt_compress::codec_by_id`
-//!                           id — the §5 dedup+compression hybrid)
+//! reserved   u8 = 0
 //! ckpt_id    u32
 //! data_len   u64
 //! chunk_size u32
@@ -108,10 +107,6 @@ pub struct Diff {
     pub shift_regions: Vec<ShiftRegion>,
     /// `Basic` only: changed-chunk bitmap.
     pub bitmap: Bytes,
-    /// Compression applied to `payload` (0 = none; see
-    /// `ckpt_compress::codec_by_id`). First-occurrence data is compressed
-    /// *after* de-duplication — the hybrid the paper's §5 proposes.
-    pub payload_codec: u8,
     /// Raw bytes of the first-occurrence regions, concatenated in table
     /// order (`Basic`: changed chunks in ascending chunk order; `Full`: the
     /// entire buffer). A decoded diff's bitmap and payload are views of
@@ -137,6 +132,9 @@ pub enum DecodeError {
     /// `(node, n_nodes)`: a region table names a node outside the
     /// `2·n_chunks − 1` nodes of the geometry's tree.
     NodeOutOfRange(u32, u64),
+    /// The header's reserved byte is not 0. Records once stored a payload
+    /// codec there; compression now happens only at the flush stage.
+    Reserved(u8),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -155,6 +153,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::NodeOutOfRange(node, n_nodes) => {
                 write!(f, "region node {node} outside a tree of {n_nodes} nodes")
             }
+            DecodeError::Reserved(v) => write!(f, "reserved header byte is {v}, not 0"),
         }
     }
 }
@@ -195,7 +194,7 @@ impl Diff {
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(self.kind as u8);
-        out.push(self.payload_codec);
+        out.push(0);
         out.extend_from_slice(&self.ckpt_id.to_le_bytes());
         out.extend_from_slice(&self.data_len.to_le_bytes());
         out.extend_from_slice(&self.chunk_size.to_le_bytes());
@@ -276,7 +275,6 @@ impl Diff {
             first_regions,
             shift_regions,
             bitmap,
-            payload_codec: h.payload_codec,
             payload: take(h.total_len - h.payload_len..h.total_len),
         })
     }
@@ -286,7 +284,6 @@ impl Diff {
 /// heads: the section lengths it announces add up to exactly the buffer.
 struct Header {
     kind: MethodKind,
-    payload_codec: u8,
     ckpt_id: u32,
     data_len: u64,
     chunk_size: u32,
@@ -309,7 +306,7 @@ impl Header {
         let magic = r.take(MAGIC.len()).ok_or(DecodeError::TooShort)?;
         let version = r.u16().ok_or(DecodeError::TooShort)?;
         let kind = r.u8().ok_or(DecodeError::TooShort)?;
-        let payload_codec = r.u8().ok_or(DecodeError::TooShort)?;
+        let reserved = r.u8().ok_or(DecodeError::TooShort)?;
         let ckpt_id = r.u32().ok_or(DecodeError::TooShort)?;
         let data_len = r.u64().ok_or(DecodeError::TooShort)?;
         let chunk_size = r.u32().ok_or(DecodeError::TooShort)?;
@@ -323,6 +320,9 @@ impl Header {
             return Err(DecodeError::BadVersion(version));
         }
         let kind = MethodKind::from_u8(kind).ok_or(DecodeError::BadKind(kind))?;
+        if reserved != 0 {
+            return Err(DecodeError::Reserved(reserved));
+        }
         if data_len == 0 || (chunk_size as usize) < Chunking::MIN_CHUNK_SIZE {
             return Err(DecodeError::BadGeometry(data_len, chunk_size));
         }
@@ -343,7 +343,6 @@ impl Header {
         }
         let header = Header {
             kind,
-            payload_codec,
             ckpt_id,
             data_len,
             chunk_size,
@@ -395,7 +394,6 @@ mod tests {
                 ref_ckpt: 0,
             }],
             bitmap: Default::default(),
-            payload_codec: 0,
             payload: vec![0xab; 192].into(),
         }
     }
@@ -418,7 +416,6 @@ mod tests {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: Default::default(),
-            payload_codec: 0,
             payload: Vec::from_iter(0..100u8).into(),
         };
         assert_eq!(Diff::decode(&d.encode()).unwrap(), d);
@@ -438,7 +435,6 @@ mod tests {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: bm.into(),
-            payload_codec: 0,
             payload: vec![1u8; 128].into(),
         };
         let back = Diff::decode(&d.encode()).unwrap();
@@ -547,6 +543,11 @@ mod tests {
         let mut bytes = sample_tree_diff().encode();
         bytes[6] = 7;
         assert_eq!(Diff::decode(&bytes), Err(DecodeError::BadKind(7)));
+
+        let mut bytes = sample_tree_diff().encode();
+        bytes[7] = 3;
+        assert_eq!(Diff::decode(&bytes), Err(DecodeError::Reserved(3)));
+        assert_eq!(Diff::payload_offset(&bytes), None);
 
         let mut bytes = sample_tree_diff().encode();
         bytes.pop();

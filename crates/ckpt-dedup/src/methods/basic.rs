@@ -169,7 +169,6 @@ impl Checkpointer for BasicCheckpointer {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: bm.into(),
-            payload_codec: 0,
             payload: payload.into(),
         };
         let unchanged = n as u64 - n_changed;

@@ -58,7 +58,6 @@ impl Checkpointer for FullCheckpointer {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: Bytes::default(),
-            payload_codec: 0,
             payload: payload.into(),
         };
         let stats = CheckpointStats::of(&diff, 0, 0, 0, timer.stop(&self.device));

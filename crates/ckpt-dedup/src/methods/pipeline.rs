@@ -30,7 +30,7 @@ use crate::methods::{
 use crate::stats::CheckpointStats;
 use crate::tree::{MerkleTree, TreeShape};
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
-use gpu_sim::{ContentCache, Device, DistinctMap, KernelCost};
+use gpu_sim::{ContentCache, Device, DistinctMap};
 use std::marker::PhantomData;
 
 /// Everything the passes of one checkpoint share. Built once per
@@ -91,7 +91,6 @@ pub struct DedupCheckpointer<S: RegionStep> {
     device: Device,
     hasher: Box<dyn Hasher128>,
     config: TreeConfig,
-    codec: Option<(u8, Box<dyn ckpt_compress::Codec>)>,
     state: Option<State>,
     ckpt_id: u32,
     /// Rebase mode for the current checkpoint (see [`Pass::force_all`]).
@@ -121,17 +120,10 @@ impl<S: RegionStep> DedupCheckpointer<S> {
 
     /// Use a custom hash function (the A1 ablation swaps in MD5).
     pub fn with_hasher(device: Device, config: TreeConfig, hasher: Box<dyn Hasher128>) -> Self {
-        let codec = config.payload_codec.map(|id| {
-            (
-                id,
-                ckpt_compress::codec_by_id(id).expect("validated by TreeConfig"),
-            )
-        });
         DedupCheckpointer {
             device,
             hasher,
             config,
-            codec,
             state: None,
             ckpt_id: 0,
             force_all: false,
@@ -195,7 +187,6 @@ fn serialize_diff(
     kind: MethodKind,
     first: Vec<u32>,
     shift: Vec<ShiftRegion>,
-    codec: Option<&(u8, Box<dyn ckpt_compress::Codec>)>,
 ) -> Diff {
     let Pass {
         device,
@@ -230,29 +221,8 @@ fn serialize_diff(
     let mut staging = arena.lease_with_floor::<u8>("dedup/staging", payload_len, data.len());
     device.team_gather("serialize_payload", data, &segments, staging.as_mut_slice());
 
-    // Optional §5 hybrid: compress the consolidated first occurrences on the
-    // device before the transfer (modeled as one more kernel over the
-    // payload), shipping whichever representation is smaller.
-    let compressed = match codec {
-        Some((id, codec)) if payload_len > 0 => {
-            let packed = codec.compress(staging.as_slice());
-            device.parallel_for(
-                "compress_payload",
-                0,
-                KernelCost {
-                    bytes_read: payload_len as u64,
-                    bytes_written: packed.len() as u64,
-                    flops: (payload_len as f64 * codec.flops_per_byte()) as u64,
-                },
-                |_| {},
-            );
-            (packed.len() < payload_len).then_some((*id, packed))
-        }
-        _ => None,
-    };
     pass.stages.mark("gather_serialize");
-    let (payload_codec, payload) =
-        compressed.unwrap_or_else(|| (0, staging[..payload_len].to_vec()));
+    let payload = staging[..payload_len].to_vec();
     device.account_d2h_bytes(payload.len() as u64);
     // The metadata tables ride along in the same consolidated transfer.
     device.account_d2h_bytes((first.len() * 4 + shift.len() * 12) as u64);
@@ -266,7 +236,6 @@ fn serialize_diff(
         first_regions: first,
         shift_regions: shift,
         bitmap: Bytes::default(),
-        payload_codec,
         payload: payload.into(),
     }
 }
@@ -318,7 +287,6 @@ impl<S: RegionStep> Checkpointer for DedupCheckpointer<S> {
             stages: StageRecorder::start(&device),
         };
 
-        let codec = self.codec.as_ref();
         // One fused kernel (§2.1).
         let diff = device.fused("dedup_checkpoint", || {
             leaf_pass::run(&mut pass);
@@ -326,7 +294,7 @@ impl<S: RegionStep> Checkpointer for DedupCheckpointer<S> {
             let mut regions = S::build_regions(&mut pass);
             let shift = resolve_shift_refs(&pass, &regions.shift_nodes, &mut regions.first);
             pass.stages.mark("metadata_compact");
-            serialize_diff(&mut pass, S::KIND, regions.first, shift, codec)
+            serialize_diff(&mut pass, S::KIND, regions.first, shift)
         });
 
         let breakdown = pass.stages.finish(S::KIND, ckpt_id);

@@ -35,10 +35,6 @@ use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 pub struct TreeConfig {
     /// De-duplication granularity in bytes (32–512 in the paper's sweeps).
     pub chunk_size: usize,
-    /// Compress the first-occurrence payload with this codec before the
-    /// device-to-host transfer (`ckpt_compress::codec_id`) — the paper's §5
-    /// dedup+compression hybrid. `None` ships raw bytes.
-    pub payload_codec: Option<u8>,
     /// §2.4's hash-collision mitigation: keep a device-resident cache of
     /// first-occurrence chunk contents and verify candidate duplicates
     /// against it; detected collisions are stored instead of referenced.
@@ -49,16 +45,8 @@ impl TreeConfig {
     pub fn new(chunk_size: usize) -> Self {
         TreeConfig {
             chunk_size,
-            payload_codec: None,
             verify_collisions: false,
         }
-    }
-
-    /// Enable the §5 hybrid with the named codec ("zstd", "lz4", …).
-    pub fn with_payload_codec(mut self, name: &str) -> Self {
-        self.payload_codec =
-            Some(ckpt_compress::codec_id(name).unwrap_or_else(|| panic!("unknown codec {name}")));
-        self
     }
 
     /// Enable §2.4's collision verification via a chunk-content cache.

@@ -226,7 +226,6 @@ impl Checkpointer for SerialTreeCheckpointer {
             first_regions: first,
             shift_regions: shift,
             bitmap: Bytes::default(),
-            payload_codec: 0,
             payload: payload.into(),
         };
         let measured_sec = start.elapsed().as_secs_f64();

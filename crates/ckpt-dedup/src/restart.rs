@@ -31,17 +31,16 @@
 //! so older records are never visited — the chain-compaction payoff.
 //!
 //! **Everything that can fail, fails before a byte moves.** A record visit
-//! starts with `Chain::index` (header, payload decode, table ranges, disjoint
-//! destinations, acyclic same-record shifts); past it neither the run walk
-//! nor the copies can fail. So [`check_chain`] proves a whole chain
-//! restorable by indexing each record once — no run list, no buffer, no copy.
+//! starts with `Chain::index` (header, table ranges, disjoint destinations,
+//! acyclic same-record shifts); past it neither the run walk nor the copies
+//! can fail. So [`check_chain`] proves a whole chain restorable by indexing
+//! each record once — no run list, no buffer, no copy.
 
 use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
-use crate::restore::{decoded_payload, RestoreError};
+use crate::restore::RestoreError;
 use crate::tree::TreeShape;
 use gpu_sim::{ArenaLease, Device, KernelCost};
-use std::borrow::Cow;
 
 /// Counters describing one single-pass restore (or one [`check_chain`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,7 +93,7 @@ pub fn is_self_contained(diff: &Diff) -> bool {
 }
 
 /// A payload-backed region of the record being visited: chunks
-/// `clo..chi` live at byte `off` of the decoded payload.
+/// `clo..chi` live at byte `off` of the payload.
 struct PayloadIv {
     clo: u32,
     chi: u32,
@@ -222,11 +221,7 @@ impl Chain {
 
     /// Validate `diff` as the chain's record at position `pos` and build
     /// its visit index — the only fallible step of a record visit.
-    fn index<'d>(
-        &self,
-        pos: u32,
-        diff: &'d Diff,
-    ) -> Result<(Cow<'d, [u8]>, RecordIndex), RestoreError> {
+    fn index(&self, pos: u32, diff: &Diff) -> Result<RecordIndex, RestoreError> {
         if diff.ckpt_id != self.base + pos {
             return Err(RestoreError::OutOfOrder {
                 index: pos as usize,
@@ -244,13 +239,8 @@ impl Chain {
         {
             return Err(RestoreError::GeometryChanged);
         }
-        let payload = decoded_payload(diff)?;
-        let index = self.build_index(diff, payload.len())?;
-        Ok((payload, index))
-    }
-
-    fn build_index(&self, diff: &Diff, payload_len: usize) -> Result<RecordIndex, RestoreError> {
         let n = self.ck.n_chunks();
+        let payload_len = diff.payload.len();
         match diff.kind {
             MethodKind::Full => {
                 if payload_len != self.ck.data_len() {
@@ -364,9 +354,8 @@ impl Chain {
 /// record of the chain, or to the zero prefix, so version `k` restores iff
 /// version `k − 1` does and record `k` passes the one fallible step of a
 /// visit — the `Chain::index` that [`SinglePassRestore::feed`] runs. One
-/// pass over each record's metadata (plus a decompression where the payload
-/// carries a codec); the stats count the records and, there being no buffer
-/// to copy into, no copies.
+/// pass over each record's metadata; the stats count the records and, there
+/// being no buffer to copy into, no copies.
 pub fn check_chain(
     device: &Device,
     base: u32,
@@ -417,7 +406,7 @@ struct Seg {
 }
 
 enum Source {
-    /// This record's decoded payload, from byte `off`.
+    /// This record's payload, from byte `off`.
     Payload { off: u64 },
     /// Record position `ref_pos`'s version, from chunk `slo`.
     Shift { slo: u32, ref_pos: u32 },
@@ -587,7 +576,7 @@ impl SinglePassRestore {
             return Ok(true);
         }
         let j = self.next_pos;
-        let (payload, index) = self.chain.index(j, diff)?;
+        let index = self.chain.index(j, diff)?;
         self.stats.records_visited += 1;
 
         // Split every run waiting on this record against its tables. Older
@@ -601,7 +590,7 @@ impl SinglePassRestore {
         let mut visit = Visit {
             ck,
             buf: &mut self.buf,
-            payload: &payload,
+            payload: &diff.payload,
             older,
             held: (0, 0, 0),
             pieces: 0,
@@ -751,7 +740,6 @@ mod tests {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: Default::default(),
-            payload_codec: 0,
             payload: Default::default(),
         }
     }

@@ -5,7 +5,7 @@
 //! proptests, the fault matrix, the `restart_latency` baseline): a direct
 //! transcription of the paper's procedure that materializes every version
 //! in order. It must stay independent — no resolution logic is shared with
-//! the engine; only the payload decode is.
+//! the engine.
 //!
 //! "To restore a checkpoint from the differences, it is enough to start from
 //! the first-time occurrences, then fill the fixed duplicates and finally
@@ -26,7 +26,6 @@
 use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
 use crate::tree::TreeShape;
-use std::borrow::Cow;
 
 /// Errors surfaced while reconstructing checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,10 +59,6 @@ pub enum RestoreError {
     /// Same-checkpoint shifted duplicates could not be resolved (cycle or
     /// corrupt reference).
     UnresolvableShifts { ckpt_id: u32, remaining: usize },
-    /// The payload claims a compression codec this build does not know.
-    UnknownCodec { ckpt_id: u32, codec: u8 },
-    /// The compressed payload failed to decompress.
-    PayloadCorrupt { ckpt_id: u32 },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -112,12 +107,6 @@ impl std::fmt::Display for RestoreError {
                     f,
                     "{remaining} unresolvable shifted duplicates in checkpoint {ckpt_id}"
                 )
-            }
-            RestoreError::UnknownCodec { ckpt_id, codec } => {
-                write!(f, "checkpoint {ckpt_id} uses unknown payload codec {codec}")
-            }
-            RestoreError::PayloadCorrupt { ckpt_id } => {
-                write!(f, "checkpoint {ckpt_id} payload failed to decompress")
             }
         }
     }
@@ -168,26 +157,6 @@ pub fn restore_record_from(base: u32, diffs: &[Diff]) -> Result<Vec<Vec<u8>>, Re
     Ok(versions)
 }
 
-/// The diff's payload with any §5 hybrid compression undone. A payload
-/// holds each chunk at most once, so one that decodes past `data_len` is
-/// corrupt and is refused before it is allocated.
-pub(crate) fn decoded_payload(diff: &Diff) -> Result<Cow<'_, [u8]>, RestoreError> {
-    if diff.payload_codec == 0 {
-        return Ok(Cow::Borrowed(&diff.payload));
-    }
-    let codec =
-        ckpt_compress::codec_by_id(diff.payload_codec).ok_or(RestoreError::UnknownCodec {
-            ckpt_id: diff.ckpt_id,
-            codec: diff.payload_codec,
-        })?;
-    codec
-        .decompress(&diff.payload, diff.data_len as usize)
-        .map(Cow::Owned)
-        .map_err(|_| RestoreError::PayloadCorrupt {
-            ckpt_id: diff.ckpt_id,
-        })
-}
-
 /// Copy `regions` — `(dst_offset, len, payload_offset)` triples, already
 /// bounds-checked and with pairwise disjoint destinations (a table that
 /// writes a chunk twice is rejected first) — from `payload` into `buf`.
@@ -229,17 +198,16 @@ fn copy_regions(buf: &mut [u8], payload: &[u8], regions: &[(usize, usize, usize)
 }
 
 fn restore_full(diff: &Diff) -> Result<Vec<u8>, RestoreError> {
-    let payload = decoded_payload(diff)?;
-    if payload.len() != diff.data_len as usize {
+    if diff.payload.len() != diff.data_len as usize {
         return Err(RestoreError::PayloadTruncated {
             ckpt_id: diff.ckpt_id,
         });
     }
-    Ok(payload.into_owned())
+    Ok(diff.payload.to_vec())
 }
 
 fn restore_basic(diff: &Diff, prev: Option<&[u8]>) -> Result<Vec<u8>, RestoreError> {
-    let payload = decoded_payload(diff)?;
+    let payload = &diff.payload;
     let ck = Chunking::new(diff.data_len as usize, diff.chunk_size as usize);
     let mut buf = match prev {
         Some(p) => p.to_vec(),
@@ -260,7 +228,7 @@ fn restore_basic(diff: &Diff, prev: Option<&[u8]>) -> Result<Vec<u8>, RestoreErr
             cursor += len;
         }
     }
-    copy_regions(&mut buf, &payload, &regions);
+    copy_regions(&mut buf, payload, &regions);
     Ok(buf)
 }
 
@@ -298,7 +266,7 @@ fn restore_regions(
 
     // First occurrences: payload slices in region-table order. Validate the
     // whole table first, then copy all regions in parallel.
-    let payload = decoded_payload(diff)?;
+    let payload = &diff.payload;
     let mut regions: Vec<(usize, usize, usize)> = Vec::with_capacity(diff.first_regions.len());
     let mut cursor = 0usize;
     for &node in &diff.first_regions {
@@ -313,7 +281,7 @@ fn restore_regions(
         regions.push((a, len, cursor));
         cursor += len;
     }
-    copy_regions(&mut buf, &payload, &regions);
+    copy_regions(&mut buf, payload, &regions);
 
     // Shifted duplicates. Chunk-granularity readiness: chunks under a
     // not-yet-applied same-checkpoint shift region are stale until that
@@ -409,7 +377,6 @@ mod tests {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: Default::default(),
-            payload_codec: 0,
             payload: Default::default(),
         }
     }
@@ -424,7 +391,6 @@ mod tests {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: Default::default(),
-            payload_codec: 0,
             payload: vec![fill; 64].into(),
         };
         let versions = restore_record(&[mk(0, 1), mk(1, 2)]).unwrap();
@@ -451,7 +417,6 @@ mod tests {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: Default::default(),
-            payload_codec: 0,
             payload: vec![0; 64].into(),
         };
         let d1 = tree_diff(1, 64);

@@ -305,66 +305,3 @@ fn record_size_grows_sublinearly_for_sparse_updates() {
     let versions = restore_record(&rec.diffs).unwrap();
     assert_eq!(versions.last().unwrap(), &data);
 }
-
-#[test]
-fn hybrid_payload_compression_round_trips_every_codec() {
-    // The §5 dedup+compression hybrid: first occurrences are compressed
-    // before the transfer; restore undoes it transparently.
-    let snaps = snapshot_sequence();
-    for codec in [
-        "lz4", "snappy", "cascaded", "bitcomp", "deflate", "zstd", "rle",
-    ] {
-        let cfg = TreeConfig::new(CS).with_payload_codec(codec);
-        let mut m = TreeCheckpointer::new(Device::a100(), cfg);
-        let rec = run_record(&mut m, snaps.iter().map(|s| s.as_slice()));
-        // Exercise the wire format too.
-        let decoded: Vec<_> = rec
-            .diffs
-            .iter()
-            .map(|d| ckpt_dedup::Diff::decode(&d.encode()).expect("decode"))
-            .collect();
-        let versions = restore_record(&decoded).expect("restore");
-        for (k, (got, want)) in versions.iter().zip(&snaps).enumerate() {
-            assert_eq!(got, want, "codec {codec} version {k}");
-        }
-    }
-}
-
-#[test]
-fn hybrid_shrinks_compressible_payloads() {
-    // Compressible chunk contents (each chunk is a run of one byte).
-    let snaps = snapshot_sequence();
-    let mut raw = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-    let mut hybrid = TreeCheckpointer::new(
-        Device::a100(),
-        TreeConfig::new(CS).with_payload_codec("zstd"),
-    );
-    let raw_rec = run_record(&mut raw, snaps.iter().map(|s| s.as_slice()));
-    let hy_rec = run_record(&mut hybrid, snaps.iter().map(|s| s.as_slice()));
-    assert!(
-        hy_rec.total_stored() < raw_rec.total_stored(),
-        "hybrid {} vs raw {}",
-        hy_rec.total_stored(),
-        raw_rec.total_stored()
-    );
-}
-
-#[test]
-fn hybrid_never_inflates_incompressible_payloads() {
-    // Random payload: the codec's output is larger, so the diff must fall
-    // back to raw bytes (payload_codec 0).
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(99);
-    let v0: Vec<u8> = (0..CS * 64).map(|_| rng.gen()).collect();
-    let mut raw = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-    let mut hybrid = TreeCheckpointer::new(
-        Device::a100(),
-        TreeConfig::new(CS).with_payload_codec("rle"),
-    );
-    let a = raw.checkpoint(&v0);
-    let b = hybrid.checkpoint(&v0);
-    assert_eq!(b.diff.payload_codec, 0, "should have fallen back to raw");
-    assert_eq!(a.diff.stored_bytes(), b.diff.stored_bytes());
-    assert_eq!(restore_record(&[b.diff]).unwrap()[0], v0);
-}

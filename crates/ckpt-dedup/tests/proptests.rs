@@ -183,22 +183,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn hybrid_codecs_restore_any_workload(
-        len in 100usize..2500,
-        seed in any::<u8>(),
-        edits in prop::collection::vec(edit_strategy(), 1..4),
-        codec_idx in 0usize..7,
-    ) {
-        let codec = ["lz4", "snappy", "cascaded", "bitcomp", "deflate", "zstd", "rle"][codec_idx];
-        let snapshots = snapshots_from_edits(len, seed, &edits);
-        let mut m = TreeCheckpointer::new(
-            Device::a100(),
-            TreeConfig::new(32).with_payload_codec(codec),
-        );
-        assert_roundtrip(&mut m, &snapshots);
-    }
-
-    #[test]
     fn collision_verification_is_transparent_with_strong_hash(
         len in 100usize..2000,
         seed in any::<u8>(),

@@ -295,7 +295,6 @@ fn a_twenty_thousand_link_same_record_chain_is_chased_iteratively() {
         first_regions: Vec::new(),
         shift_regions: Vec::new(),
         bitmap: Default::default(),
-        payload_codec: 0,
         payload: Default::default(),
     };
     let mut base = record(0);

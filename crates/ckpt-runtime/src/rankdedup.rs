@@ -904,7 +904,6 @@ mod tests {
             first_regions: Vec::new(),
             shift_regions: Vec::new(),
             bitmap: Bytes::default(),
-            payload_codec: 0,
             payload: body.into(),
         }
         .encode()

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! ckpt create  --out <dir> [--method tree|list|basic|full] [--chunk N]
-//!              [--compress off|adaptive|zstd|lz4|...]
-//!              [--payload-compress zstd|lz4|...] [--verify-collisions]
+//!              [--compress off|adaptive|zstd|lz4|...] [--verify-collisions]
 //!              [--stats] <snapshot files...>
 //! ckpt info    <dir>
 //! ckpt stats   <dir>
@@ -24,13 +23,10 @@
 //! (`adaptive` samples each object and picks a codec; a codec name fixes
 //! one; `off` is the default) and is stored in a compressed frame whose
 //! checksum covers the compressed bytes. `info`/`stats`/`verify` read the codec flag and
-//! decompress transparently. `--payload-compress` is the older, orthogonal
-//! dedup-layer knob: it compresses first-occurrence chunk payloads *inside*
-//! the diff (`Diff::payload_codec`) before it is ever framed. It and
-//! `--verify-collisions` act inside the de-duplication pipeline, so they
-//! take `--method tree` or `list`; with `basic` or `full` they are a usage
-//! error (exit 2), and an unknown codec name fails like an unknown
-//! `--compress` policy.
+//! decompress transparently; it is the only place checkpoint bytes are
+//! compressed. `--verify-collisions` acts inside the de-duplication
+//! pipeline, so it takes `--method tree` or `list`; with `basic` or `full`
+//! it is a usage error (exit 2).
 //!
 //! A *compacted* record (chain-compaction GC deleted the files below a
 //! rebase point) starts at some version above 0; every command detects the
@@ -72,14 +68,13 @@ use std::sync::Arc;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ckpt create  --out <dir> [--method tree|list|basic|full] [--chunk N] \
-         [--compress off|adaptive|<codec>] [--payload-compress <codec>] \
+         [--compress off|adaptive|<codec>] \
          [--redundancy off|partner|xor:<k>] [--ranks R] [--rank-dedup] \
          [--verify-collisions] [--stats] <snapshots...>\n  \
          ckpt info    <dir>\n  ckpt stats   <dir>\n  \
          ckpt restore <dir> --version K --out <file> [--stats]\n  \
          ckpt verify  <dir> [--json] [<snapshots...>]   (no snapshots: integrity-only mode)\n\n\
-         --payload-compress and --verify-collisions apply to --method \
-         tree|list only. \
+         --verify-collisions applies to --method tree|list only. \
          --redundancy splits the snapshots across R ranks (default: the group \
          size), writes rank####/ record subdirs plus a group/ directory of \
          partner copies or XOR parity stripes, and makes verify/stats/restore \
@@ -265,7 +260,6 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
     let mut method = "tree".to_string();
     let mut chunk = 128usize;
     let mut compress: Option<String> = None;
-    let mut payload_compress: Option<String> = None;
     let mut redundancy = RedundancyPolicy::Off;
     let mut ranks: Option<usize> = None;
     let mut verify_collisions = false;
@@ -305,14 +299,6 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
                 compress = Some(args.get(i + 1).ok_or("--compress needs a value")?.clone());
                 i += 2;
             }
-            "--payload-compress" => {
-                payload_compress = Some(
-                    args.get(i + 1)
-                        .ok_or("--payload-compress needs a value")?
-                        .clone(),
-                );
-                i += 2;
-            }
             "--verify-collisions" => {
                 verify_collisions = true;
                 i += 1;
@@ -340,32 +326,20 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
     }
     let kind =
         MethodKind::from_name(&method).ok_or_else(|| format!("unknown method '{method}'"))?;
-    // The dedup-layer knobs act inside the Tree/List pipeline; Basic and
-    // Full have nothing they could apply to.
-    for (flag, given) in [
-        ("--payload-compress", payload_compress.is_some()),
-        ("--verify-collisions", verify_collisions),
-    ] {
-        if given && !matches!(kind, MethodKind::Tree | MethodKind::List) {
+    // Collision verification acts inside the Tree/List pipeline; Basic and
+    // Full have nothing it could apply to.
+    let mut cfg = TreeConfig::new(chunk);
+    if verify_collisions {
+        if !matches!(kind, MethodKind::Tree | MethodKind::List) {
             return Err(exit_with(
                 EXIT_USAGE,
-                format!("create: {flag} applies to --method tree|list, not {method}"),
+                format!("create: --verify-collisions applies to --method tree|list, not {method}"),
             ));
         }
-    }
-    let mut cfg = TreeConfig::new(chunk);
-    if let Some(codec) = &payload_compress {
-        if gpu_dedup_ckpt::compress::codec_id(codec).is_none() {
-            return Err(format!("unknown --payload-compress codec '{codec}'").into());
-        }
-        cfg = cfg.with_payload_codec(codec);
-    }
-    if verify_collisions {
         cfg = cfg.with_collision_verification();
     }
 
-    // `--compress` is the frame-level stage (post-dedup, per record file);
-    // `--payload-compress` the dedup-layer knob (inside the diff).
+    // `--compress` is the flush stage (post-dedup, per record file).
     let policy = match &compress {
         None => CompressionPolicy::Off,
         Some(spec) => CompressionPolicy::parse(spec)
@@ -543,18 +517,13 @@ fn cmd_info(args: &[String]) -> CliResult {
         total += d.stored_bytes() as u64;
         let frame_codec = stored_object(&loaded.tiers, (rank, d.ckpt_id)).map_or(0, |o| o.codec());
         println!(
-            "  v{:04}  stored {:>10} B  payload {:>10} B  meta {:>8} B  regions {:>6}+{:<6}{}{}",
+            "  v{:04}  stored {:>10} B  payload {:>10} B  meta {:>8} B  regions {:>6}+{:<6}{}",
             d.ckpt_id,
             d.stored_bytes(),
             d.payload.len(),
             d.metadata_bytes(),
             d.first_regions.len(),
             d.shift_regions.len(),
-            if d.payload_codec != 0 {
-                "  [compressed]"
-            } else {
-                ""
-            },
             if frame_codec != 0 {
                 format!("  [frame {}]", codec_name(frame_codec))
             } else {

@@ -125,10 +125,7 @@ fn create_with_compression_and_other_methods() {
     for (tag, extra) in [
         ("tree-zstd", vec!["--method", "tree", "--compress", "zstd"]),
         ("list", vec!["--method", "list"]),
-        (
-            "list-zstd",
-            vec!["--method", "list", "--payload-compress", "zstd"],
-        ),
+        ("list-zstd", vec!["--method", "list", "--compress", "zstd"]),
         ("list-vc", vec!["--method", "list", "--verify-collisions"]),
         ("basic", vec!["--method", "basic"]),
         ("full", vec!["--method", "full"]),
@@ -158,9 +155,9 @@ fn create_with_compression_and_other_methods() {
         );
     }
 
-    // List runs the same serializer as Tree, so it honours the dedup-layer
-    // codec: the (compressible) first occurrences shrink, and the record
-    // still restores bit-exactly.
+    // The flush stage compresses whatever method wrote the record: List's
+    // (compressible) first occurrences shrink, and the record still
+    // restores bit-exactly.
     let stored = |tag: &str| -> u64 {
         std::fs::read_dir(tmp.path().join(format!("rec-{tag}")))
             .unwrap()
@@ -482,6 +479,62 @@ fn forged_legacy_record_is_a_typed_loss_not_a_panic() {
     assert!(!restored.exists(), "restore wrote output");
 }
 
+/// The diff header's reserved byte — where a dedup-layer payload codec
+/// once lived — set inside an intact frame is a typed loss: decode refuses
+/// it, `verify` types the version lost, and `restore` writes nothing.
+#[test]
+fn nonzero_reserved_diff_byte_is_a_typed_loss() {
+    use gpu_dedup_ckpt::dedup::diff::DecodeError;
+    use gpu_dedup_ckpt::dedup::frame::{decode_frame, encode_frame};
+    use gpu_dedup_ckpt::dedup::Diff;
+    let tmp = TempDir::new("reserved-byte");
+    let snaps = write_snapshots(tmp.path());
+    let record = tmp.path().join("record");
+    assert!(ckpt()
+        .args(["create", "--out", record.to_str().unwrap(), "--chunk", "64"])
+        .args(snaps.iter().map(|p| p.to_str().unwrap()))
+        .status()
+        .unwrap()
+        .success());
+    // Version 1's diff with its reserved byte (@7) set, re-framed so the
+    // frame itself verifies and only the diff is wrong.
+    let path = record.join("0001.ckpt");
+    let framed = std::fs::read(&path).unwrap();
+    let (header, diff) = decode_frame(&framed, Some((0, 1))).unwrap();
+    assert_eq!((header.codec, diff[7]), (0, 0));
+    let mut diff = diff.to_vec();
+    diff[7] = 6;
+    assert_eq!(Diff::decode(&diff), Err(DecodeError::Reserved(6)));
+    std::fs::write(&path, encode_frame(0, 1, &diff)).unwrap();
+
+    let out = ckpt()
+        .args(["verify", record.to_str().unwrap(), "--json"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(4), "{stdout}");
+    assert!(
+        stdout.contains(r#"{"ckpt_id":1,"status":"lost"}"#),
+        "{stdout}"
+    );
+
+    let restored = tmp.path().join("restored.bin");
+    let out = ckpt()
+        .args([
+            "restore",
+            record.to_str().unwrap(),
+            "--version",
+            "1",
+            "--out",
+        ])
+        .arg(&restored)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(!restored.exists(), "restore wrote output");
+}
+
 #[test]
 fn helpful_errors() {
     let tmp = TempDir::new("errors");
@@ -531,6 +584,12 @@ fn helpful_errors() {
             "--parallel",
             vec!["restore", record, "--parallel", "--out", x],
         ),
+        // Gone with the dedup-layer codec: the flush stage (`--compress`)
+        // is the one place checkpoint bytes are compressed.
+        (
+            "--payload-compress",
+            vec!["create", "--out", x, "--payload-compress", "zstd", snap],
+        ),
     ] {
         let out = ckpt().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -542,35 +601,19 @@ fn helpful_errors() {
     }
     // A dedup-layer flag on a method with no pipeline to apply it to is a
     // usage error naming both, not a silently ignored option.
-    for (method, flag) in [
-        ("basic", vec!["--payload-compress", "zstd"]),
-        ("full", vec!["--verify-collisions"]),
-    ] {
+    for method in ["basic", "full"] {
         let out = ckpt()
             .args(["create", "--out", x, "--method", method])
-            .args(&flag)
-            .arg(snap)
+            .args(["--verify-collisions", snap])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(2), "{method} {flag:?}");
+        assert_eq!(out.status.code(), Some(2), "{method}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(flag[0]) && stderr.contains(method),
-            "{method} {flag:?}: {stderr}"
+            stderr.contains("--verify-collisions") && stderr.contains(method),
+            "{method}: {stderr}"
         );
     }
-    // An unknown payload codec fails like an unknown --compress policy: a
-    // message naming it, not a panic.
-    let out = ckpt()
-        .args(["create", "--out", x, "--payload-compress", "bogus", snap])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown --payload-compress codec 'bogus'"),
-        "{stderr}"
-    );
 }
 
 /// Every version restores to its snapshot through the one restore path,

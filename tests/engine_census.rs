@@ -26,6 +26,9 @@
 //! Production census: code that exists only for an experiment lives with
 //! the experiment in `ckpt-bench` — the Fig. 6 harness, A1's cryptographic
 //! hashes — and the options no binary, runtime or workload sets are gone.
+//!
+//! Compression census: checkpoint bytes are compressed in one stage, the
+//! runtime's flush stage, and decompressed in one function, the frame's.
 
 use std::path::{Path, PathBuf};
 
@@ -59,6 +62,28 @@ fn without_fn(source: &str, name: &str) -> String {
         .unwrap_or(at);
     let end = at + lines[at..].iter().position(|l| *l == "}").expect("fn end");
     [&lines[..start], &lines[end + 1..]].concat().join("\n")
+}
+
+/// `file::fn` for each non-comment production line of `path` that
+/// `matches`, naming the function the line sits in.
+fn fns_with(path: &Path, matches: &dyn Fn(&str) -> bool) -> Vec<String> {
+    let file = path.file_name().unwrap().to_string_lossy();
+    let mut current = String::new();
+    let mut hits = Vec::new();
+    for line in production_source(path).lines() {
+        let code = line.trim_start();
+        if code.starts_with("//") {
+            continue;
+        }
+        if let Some(at) = code.find("fn ") {
+            let name = &code[at + 3..];
+            current = name[..name.find(['(', '<']).unwrap_or(name.len())].to_string();
+        }
+        if matches(code) {
+            hits.push(format!("{file}::{current}"));
+        }
+    }
+    hits
 }
 
 fn rust_files(dir: &Path) -> Vec<PathBuf> {
@@ -194,25 +219,8 @@ fn one_verified_way_through_a_tier() {
         offences.join("\n")
     );
 
-    // The function each matching non-comment line of a file sits in.
-    let fns_with = |file: &str, matches: &dyn Fn(&str) -> bool| -> Vec<String> {
-        let mut current = String::new();
-        let mut hits = Vec::new();
-        for line in production_source(&runtime.join(file)).lines() {
-            let code = line.trim_start();
-            if code.starts_with("//") {
-                continue;
-            }
-            if let Some(at) = code.find("fn ") {
-                let name = &code[at + 3..];
-                current = name[..name.find(['(', '<']).unwrap_or(name.len())].to_string();
-            }
-            if matches(code) {
-                hits.push(format!("{file}::{current}"));
-            }
-        }
-        hits
-    };
+    let fns_with =
+        |file: &str, matches: &dyn Fn(&str) -> bool| fns_with(&runtime.join(file), matches);
 
     // Decompression happens in the untimed `StoredObject::decode` (for a
     // holder of an object outside any runtime) and the timed `Tier::decode`;
@@ -339,7 +347,7 @@ fn production_crates_hold_only_what_the_system_runs() {
         );
     }
 
-    // `TreeConfig` keeps the three options something sets; the
+    // `TreeConfig` keeps the two options something sets; the
     // serialization-stage streaming fork is gone from device and pipeline.
     let tree = production_source(&crates.join("ckpt-dedup/src/methods/tree.rs"));
     let at = tree.find("pub struct TreeConfig {").expect("TreeConfig");
@@ -349,7 +357,7 @@ fn production_crates_hold_only_what_the_system_runs() {
         .filter_map(|l| l.trim().strip_prefix("pub "))
         .filter(|l| !l.starts_with("struct"))
         .collect();
-    assert_eq!(fields.len(), 3, "TreeConfig fields: {fields:?}");
+    assert_eq!(fields.len(), 2, "TreeConfig fields: {fields:?}");
     let mut streamed = Vec::new();
     for dir in ["gpu-sim/src", "ckpt-dedup/src", "ckpt-dedup/src/methods"] {
         for path in rust_files(&crates.join(dir)) {
@@ -368,5 +376,40 @@ fn production_crates_hold_only_what_the_system_runs() {
     assert!(
         gc.contains("tiers.redundancy()") && gc.matches(".compact_below(").count() == 2,
         "compact_below no longer reaches the index and the group:\n{gc}"
+    );
+}
+
+#[test]
+fn one_compression_stage() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in [
+        "crates/ckpt-dedup/src",
+        "crates/ckpt-dedup/src/methods",
+        "crates/ckpt-runtime/src",
+        "src/bin",
+    ] {
+        files.extend(rust_files(&root.join(dir)));
+    }
+    let (mut compress, mut decompress, mut codec_field) = (Vec::new(), Vec::new(), Vec::new());
+    for path in &files {
+        // `decompress_blocks(` is not a compression site.
+        compress.extend(fns_with(path, &|l| {
+            let l = l.replace("decompress", "");
+            l.contains("compress_blocks(") || l.contains(".compress(")
+        }));
+        decompress.extend(fns_with(path, &|l| {
+            l.contains("decompress_blocks(") || l.contains(".decompress(")
+        }));
+        if production_source(path).contains("payload_codec") {
+            codec_field.push(path.strip_prefix(root).unwrap().display().to_string());
+        }
+    }
+    // The flush stage: a container encode, and adaptive selection's samples.
+    assert_eq!(compress, ["compress.rs::encode", "compress.rs::select"]);
+    assert_eq!(decompress, ["frame.rs::decompress_payload"]);
+    assert!(
+        codec_field.is_empty(),
+        "`payload_codec` in: {codec_field:?}"
     );
 }
