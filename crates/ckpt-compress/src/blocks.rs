@@ -122,8 +122,11 @@ pub fn decompress_blocks(codec: &dyn Codec, data: &[u8]) -> Result<Vec<u8>, Corr
     if offset != data.len() {
         return Err(CorruptStream("trailing bytes after the last block"));
     }
+    // One block per executor chunk: under a slice's default minimum a
+    // container of fewer than 1 024 blocks would decode on one thread.
     let parts: Vec<Result<Vec<u8>, CorruptStream>> = entries
         .par_iter()
+        .with_max_len(1)
         .map(|&(off, comp_len, raw_len)| {
             let packed = &data[off..off + comp_len];
             let raw = if comp_len == raw_len {

@@ -7,17 +7,18 @@
 //! a different position), and keep the historical record pointing at the
 //! *earliest* occurrence within the current checkpoint (lines 13–16).
 
-use crate::labels::{Label, LabelArray};
+use crate::labels::Label;
 use crate::methods::pipeline::Pass;
-use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
 use ckpt_hash::Digest128;
 use gpu_sim::{
     BatchedInserts, ContentCache, InsertResult, KernelCost, MapEntry, Verification, TILE,
 };
+use std::sync::atomic::Ordering;
 
 /// Run the leaf pass of one checkpoint: `pass.labels` receives the per-leaf
-/// classification and `pass.map` the first occurrences.
+/// classification, `pass.dirty` the bit of every leaf that is not a fixed
+/// duplicate, and `pass.map` the first occurrences.
 ///
 /// With a content cache (§2.4's hash-collision mitigation) first occurrences
 /// are cached; candidate duplicates whose cached bytes differ are
@@ -31,6 +32,7 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
         hasher,
         data,
         labels,
+        dirty,
         map,
         cache,
         ckpt_id,
@@ -43,6 +45,10 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
     let n = chunking.n_chunks();
     let cost = KernelCost::stream(data.len() as u64)
         .with_writes((n * std::mem::size_of::<Digest128>()) as u64);
+    // Relaxed: the set is read only after this kernel's barrier.
+    let mark_changed = |leaf: usize| {
+        dirty[leaf / 64].fetch_or(1 << (leaf % 64), Ordering::Relaxed);
+    };
 
     // Classify chunk `c`, whose content hashes to `digest`.
     let classify = |state: &mut (BatchedInserts<'_>, [u8; 32]), c: usize, digest: Digest128| {
@@ -67,6 +73,7 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
             // against the chunk having changed into a colliding value.
             match cache.map_or(Verification::Unknown, |c| c.verify(&digest, chunk)) {
                 Verification::Collision => {
+                    mark_changed(leaf);
                     collide_to_first(scratch, &digest);
                     return;
                 }
@@ -76,6 +83,7 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
                 }
             }
         }
+        mark_changed(leaf);
         unsafe { tree.write(leaf, digest) };
 
         // "Earlier" between two occurrences in the same checkpoint means
@@ -158,28 +166,16 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
     });
 }
 
-/// Count leaves carrying each label (stats helper): returns
-/// `(first, fixed, shift)`.
-pub(crate) fn leaf_label_counts(shape: &TreeShape, labels: &LabelArray) -> (u64, u64, u64) {
-    use rayon::prelude::*;
-    (0..shape.n_chunks())
-        .into_par_iter()
-        .map(|c| match labels.get(shape.leaf_of_chunk(c)) {
-            Label::FirstOcur => (1u64, 0u64, 0u64),
-            Label::FixedDupl => (0, 1, 0),
-            Label::ShiftDupl => (0, 0, 1),
-            other => unreachable!("leaf with label {other:?} after leaf pass"),
-        })
-        .reduce(|| (0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunking::Chunking;
+    use crate::labels::LabelArray;
     use crate::methods::StageRecorder;
+    use crate::tree::TreeShape;
     use ckpt_hash::{Hasher128, Murmur3};
     use gpu_sim::{Device, DistinctMap};
+    use std::sync::atomic::AtomicU64;
 
     /// One record's leaf-pass state: what the checkpointer body keeps
     /// between checkpoints, with a map of `record_capacity` digests.
@@ -189,6 +185,7 @@ mod tests {
         shape: TreeShape,
         digests: Vec<Digest128>,
         labels: LabelArray,
+        dirty: Vec<AtomicU64>,
         map: DistinctMap,
         ckpt_id: u32,
     }
@@ -203,14 +200,22 @@ mod tests {
                 shape,
                 digests: vec![Digest128::ZERO; shape.n_nodes()],
                 labels: LabelArray::new(shape.n_nodes()),
+                dirty: (0..shape.n_nodes().div_ceil(64))
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
                 map: DistinctMap::with_capacity(record_capacity),
                 ckpt_id: 0,
             }
         }
 
-        /// Leaf pass of the next checkpoint; returns `(first, fixed, shift)`.
+        /// Leaf pass of the next checkpoint; returns `(first, fixed, shift)`
+        /// leaf counts, after checking one dirty bit per leaf that is not a
+        /// fixed duplicate.
         fn checkpoint(&mut self, data: &[u8]) -> (u64, u64, u64) {
             self.labels.clear();
+            for word in &mut self.dirty {
+                *word.get_mut() = 0;
+            }
             run(&mut Pass {
                 device: &self.device,
                 shape: self.shape,
@@ -219,6 +224,7 @@ mod tests {
                 data,
                 digests: &mut self.digests,
                 labels: &self.labels,
+                dirty: &self.dirty,
                 map: &self.map,
                 cache: None,
                 ckpt_id: self.ckpt_id,
@@ -226,7 +232,23 @@ mod tests {
                 stages: StageRecorder::start(&self.device),
             });
             self.ckpt_id += 1;
-            leaf_label_counts(&self.shape, &self.labels)
+            let mut counts = (0, 0, 0);
+            for c in 0..self.shape.n_chunks() {
+                let leaf = self.shape.leaf_of_chunk(c);
+                let marked = (self.dirty[leaf / 64].load(Ordering::Relaxed) >> (leaf % 64)) & 1;
+                match self.labels.get(leaf) {
+                    Label::FirstOcur => counts.0 += 1,
+                    Label::FixedDupl => counts.1 += 1,
+                    Label::ShiftDupl => counts.2 += 1,
+                    other => unreachable!("leaf with label {other:?} after leaf pass"),
+                }
+                assert_eq!(
+                    marked == 1,
+                    self.labels.get(leaf) != Label::FixedDupl,
+                    "chunk {c}: dirty bit"
+                );
+            }
+            counts
         }
     }
 

@@ -4,8 +4,8 @@
 //! the metadata compaction, which is omitted. Instead, a full list of all
 //! first-time occurrences and shifted duplicates is stored along the new
 //! chunks" (§3.2). It is the shared pipeline (`pipeline.rs`) — and
-//! therefore the full spatiotemporal de-duplication power, the §5 payload
-//! codec and §2.4's collision check — with a step that emits one metadata
+//! therefore the full spatiotemporal de-duplication power and §2.4's
+//! collision check — with a step that emits one metadata
 //! entry per non-fixed chunk, which is what the Tree method's hierarchical
 //! consolidation compacts away.
 

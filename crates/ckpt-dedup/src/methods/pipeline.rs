@@ -32,6 +32,7 @@ use crate::tree::{MerkleTree, TreeShape};
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use gpu_sim::{ContentCache, Device, DistinctMap};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Everything the passes of one checkpoint share. Built once per
 /// `checkpoint()` by the body and handed to each pass in turn.
@@ -45,6 +46,10 @@ pub struct Pass<'a> {
     /// digests on entry to the leaf pass and the current ones after it.
     pub(crate) digests: &'a mut [Digest128],
     pub(crate) labels: &'a LabelArray,
+    /// One bit per tree node, clear on entry: the leaf pass sets the bit of
+    /// every leaf that is not a fixed duplicate, a step may mark interior
+    /// nodes after it.
+    pub(crate) dirty: &'a [AtomicU64],
     /// The historical record of unique hashes.
     pub(crate) map: &'a DistinctMap,
     /// Chunk-content cache of §2.4's collision mitigation, when enabled.
@@ -272,6 +277,14 @@ impl<S: RegionStep> Checkpointer for DedupCheckpointer<S> {
         );
         let shape = *state.tree.shape();
         state.labels.clear();
+        // Arena contents are whatever the last lease left: cleared here, as
+        // a fresh allocation would be.
+        let mut dirty = device
+            .arena()
+            .lease::<AtomicU64>("dedup/dirty_nodes", shape.n_nodes().div_ceil(64));
+        for word in dirty.iter_mut() {
+            *word.get_mut() = 0;
+        }
         let mut pass = Pass {
             device: &device,
             shape,
@@ -280,6 +293,7 @@ impl<S: RegionStep> Checkpointer for DedupCheckpointer<S> {
             data,
             digests: state.tree.digests_mut(),
             labels: &state.labels,
+            dirty: &dirty,
             map: &state.map,
             cache: state.cache.as_ref(),
             ckpt_id,
@@ -288,18 +302,26 @@ impl<S: RegionStep> Checkpointer for DedupCheckpointer<S> {
         };
 
         // One fused kernel (§2.1).
-        let diff = device.fused("dedup_checkpoint", || {
+        let (diff, changed) = device.fused("dedup_checkpoint", || {
             leaf_pass::run(&mut pass);
+            // Only leaves are marked yet: one bit per chunk that is not a
+            // fixed duplicate.
+            let changed: u64 = pass
+                .dirty
+                .iter()
+                .map(|word| u64::from(word.load(Ordering::Relaxed).count_ones()))
+                .sum();
             pass.stages.mark("leaf_hash");
             let mut regions = S::build_regions(&mut pass);
             let shift = resolve_shift_refs(&pass, &regions.shift_nodes, &mut regions.first);
             pass.stages.mark("metadata_compact");
-            serialize_diff(&mut pass, S::KIND, regions.first, shift)
+            let diff = serialize_diff(&mut pass, S::KIND, regions.first, shift);
+            (diff, changed)
         });
 
         let breakdown = pass.stages.finish(S::KIND, ckpt_id);
         let elapsed = timer.stop(&device);
-        let (_, fixed, _) = leaf_pass::leaf_label_counts(&shape, &state.labels);
+        let fixed = shape.n_chunks() as u64 - changed;
         let (n_first, n_shift) = (diff.first_regions.len(), diff.shift_regions.len());
         let stats = CheckpointStats::of(&diff, n_first as u64, n_shift as u64, fixed, elapsed);
         self.ckpt_id += 1;

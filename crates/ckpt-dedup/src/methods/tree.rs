@@ -7,26 +7,36 @@
 //! 1. **First-occurrence consolidation** (lines 24–32): level-by-level
 //!    bottom-up, consolidate adjacent first-occurrence subtrees, inserting
 //!    each consolidated region's digest into the historical record.
-//! 2. **Shifted-duplicate consolidation and region collection** (lines
-//!    33–46): level-by-level bottom-up over the remaining nodes, consolidate
-//!    adjacent shifted duplicates when their combined digest is already
-//!    recorded, propagate fixed duplicates, and emit the roots of maximal
-//!    uniform regions.
+//! 2. **Shifted-duplicate consolidation** (lines 33–46): level-by-level
+//!    bottom-up over the remaining nodes, consolidate adjacent shifted
+//!    duplicates when their combined digest is already recorded, and
+//!    propagate fixed duplicates.
+//! 3. **Region collection**: once both waves have settled every label, read
+//!    off the roots of maximal uniform regions.
 //!
-//! The two are strictly ordered ("we process the sub-trees corresponding to
-//! the first-time occurrences, then ... the shifted duplicates") so a
-//! shifted-duplicate lookup never races with the first-occurrence insert it
-//! should match — the missed-dedup hazard §2.2 calls out. The ablation
-//! benchmark `waves` ([`super::tree_naive`]) quantifies what a fused
-//! single-stage pass would lose.
+//! The two waves are strictly ordered ("we process the sub-trees
+//! corresponding to the first-time occurrences, then ... the shifted
+//! duplicates") so a shifted-duplicate lookup never races with the
+//! first-occurrence insert it should match — the missed-dedup hazard §2.2
+//! calls out. The ablation benchmark `waves` ([`super::tree_naive`])
+//! quantifies what a fused single-stage pass would lose.
+//!
+//! The paper's kernel gives every node of a level a thread. On the host the
+//! waves visit only each level's *frontier*, the ancestors of the leaves the
+//! leaf pass found changed ([`Frontiers`]): a node whose subtree holds only
+//! fixed duplicates ends every checkpoint a fixed duplicate and emits
+//! nothing, so skipping it changes no digest, record entry or diff byte. It
+//! keeps [`Label::None`], which its parent reads as [`Label::FixedDupl`].
+//! The device model still charges every level's full-width launch.
 
 use crate::diff::MethodKind;
-use crate::labels::Label;
+use crate::labels::{Label, LabelArray};
 use crate::methods::pipeline::{DedupCheckpointer, EmittedRegions, Pass, RegionStep};
 use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
-use gpu_sim::{Device, InsertResult, KernelCost, MapEntry};
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
+use gpu_sim::{ArenaLease, Device, InsertResult, KernelCost, MapEntry};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Configuration of the pipeline methods: [`TreeCheckpointer`],
 /// [`super::list::ListCheckpointer`] and the A3 ablation. Basic and Full read
@@ -77,18 +87,98 @@ impl RegionStep for TreeStep {
     }
 
     fn build_regions(pass: &mut Pass<'_>) -> EmittedRegions {
-        first_ocur_pass(pass);
+        let frontiers = Frontiers::build(pass.device, &pass.shape, pass.dirty);
+        first_ocur_pass(pass, &frontiers);
         pass.stages.mark("first_ocur_wave");
-        let emit_flags = collect_pass(pass);
+        shift_dupl_pass(pass, &frontiers);
         pass.stages.mark("shift_dupl_wave");
-        // Compaction stays outside the waves so the stage clock attributes
-        // them and the metadata compaction separately.
-        compact_emissions(pass.device, &emit_flags)
+        // Collection stays outside the waves so the stage clock attributes
+        // it to the metadata compaction.
+        collect_regions(pass, &frontiers)
+    }
+}
+
+/// The interior nodes the waves visit: per level, the ancestors of the
+/// leaves the leaf pass marked changed.
+struct Frontiers {
+    /// Every level's frontier, ascending within a level, deepest level first.
+    nodes: ArenaLease<u32>,
+    /// Per interior level, bottom-up: its width and its frontier in `nodes`.
+    levels: Vec<(usize, Range<usize>)>,
+}
+
+impl Frontiers {
+    /// Mark every interior ancestor of a marked leaf in `dirty` (one bit per
+    /// node) and list them per level. Bottom-up, a level `[lo, hi)`'s
+    /// frontier is the parents of the marked nodes in its child range
+    /// `[2·lo + 1, 2·hi + 1)`, scanned a 64-bit word at a time. That range
+    /// holds the level below and, when `n_chunks` is not a power of two, the
+    /// leaves one level above the deepest, so both leaf depths are covered.
+    fn build(device: &Device, shape: &TreeShape, dirty: &[AtomicU64]) -> Frontiers {
+        // Each interior node is listed at most once.
+        let mut nodes = device
+            .arena()
+            .lease::<u32>("dedup/frontier", shape.n_interior());
+        let mut len = 0;
+        let levels = shape
+            .interior_levels_bottom_up()
+            .into_iter()
+            .map(|(lo, hi)| {
+                let start = len;
+                let (a, b) = (2 * lo + 1, 2 * hi + 1);
+                for w in a / 64..b.div_ceil(64) {
+                    let mut bits = dirty[w].load(AtomicOrdering::Relaxed);
+                    if w == a / 64 {
+                        bits &= u64::MAX << (a % 64);
+                    }
+                    if w == b / 64 {
+                        bits &= (1u64 << (b % 64)) - 1;
+                    }
+                    while bits != 0 {
+                        let child = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let parent = shape.parent(child);
+                        // Siblings are adjacent bits, so a repeated parent is
+                        // always the last one listed.
+                        if len == start || nodes[len - 1] as usize != parent {
+                            nodes[len] = parent as u32;
+                            len += 1;
+                            // No kernel runs while the frontiers are built:
+                            // this thread alone touches the set.
+                            let word = &dirty[parent / 64];
+                            let bit = 1u64 << (parent % 64);
+                            word.store(
+                                word.load(AtomicOrdering::Relaxed) | bit,
+                                AtomicOrdering::Relaxed,
+                            );
+                        }
+                    }
+                }
+                (hi - lo, start..len)
+            })
+            .collect();
+        Frontiers { nodes, levels }
+    }
+
+    /// `(width, frontier)` of each interior level, deepest first.
+    fn levels(&self) -> impl DoubleEndedIterator<Item = (usize, &[u32])> + '_ {
+        self.levels
+            .iter()
+            .map(|(width, range)| (*width, &self.nodes[range.clone()]))
+    }
+}
+
+/// A child's label once the waves are done with its level: an interior node
+/// no wave visited holds only fixed duplicates.
+fn settled(labels: &LabelArray, node: usize) -> Label {
+    match labels.get(node) {
+        Label::None => Label::FixedDupl,
+        label => label,
     }
 }
 
 /// Consolidate first-occurrence subtrees bottom-up (lines 24–32).
-fn first_ocur_pass(pass: &mut Pass<'_>) {
+fn first_ocur_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
     let Pass {
         device,
         shape,
@@ -99,71 +189,76 @@ fn first_ocur_pass(pass: &mut Pass<'_>) {
         ..
     } = *pass;
     let tree = SharedSliceMut::new(pass.digests);
-    for (lo, hi) in shape.interior_levels_bottom_up() {
-        let width = hi - lo;
+    for (width, frontier) in frontiers.levels() {
         let cost = KernelCost::stream((width * 2 * 16) as u64).with_writes((width * 16) as u64);
         let state = || (map.batch(), [0u8; 32]);
-        device.parallel_for_init("consolidate_first_ocur", width, cost, state, |state, k| {
-            let (batch, scratch) = state;
-            let node = lo + k;
-            let (cl, cr) = (shape.left(node), shape.right(node));
-            if labels.get(cl) == Label::FirstOcur && labels.get(cr) == Label::FirstOcur {
-                // SAFETY: children were finalized by the previous level's
-                // kernel (fork-join barrier); `node` is owned by this thread.
-                let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
-                let combined = hasher.combine_with(&dl, &dr, scratch);
-                unsafe { tree.write(node, combined) };
-                let me = MapEntry::new(node as u32, ckpt_id);
-                match batch.insert(&combined, me) {
-                    InsertResult::Inserted => {
-                        labels.set(node, Label::FirstOcur);
-                        // See the leaf pass: demote ourselves if an earlier
-                        // twin displaced us concurrently.
-                        if map.get(&combined).is_some_and(|e| e != me) {
-                            labels.set(node, Label::ShiftDupl);
-                        }
-                    }
-                    // A twin subtree elsewhere already registered this
-                    // digest: this whole region is a shifted duplicate. Keep
-                    // the record pointing at the leftmost twin (nodes within
-                    // a level are in data order) so the outcome matches the
-                    // sequential reference. Displacement is restricted to
-                    // twins on the *same level* — a twin on a deeper level
-                    // was finalized by an earlier kernel and its parent may
-                    // be consuming its label concurrently with ours, so
-                    // relabeling it here would race.
-                    InsertResult::Exists(e)
-                        if e.ckpt == ckpt_id
-                            && (node as u32) < e.node
-                            && shape.depth(node) == shape.depth(e.node as usize) =>
-                    {
-                        let (before, after) = map
-                            .update_with(&combined, |cur| {
-                                (cur.ckpt == ckpt_id && (node as u32) < cur.node).then_some(me)
-                            })
-                            .expect("digest just observed must be present");
-                        if after == me {
+        device.parallel_for_init(
+            "consolidate_first_ocur",
+            frontier.len(),
+            cost,
+            state,
+            |state, k| {
+                let (batch, scratch) = state;
+                let node = frontier[k] as usize;
+                let (cl, cr) = (shape.left(node), shape.right(node));
+                if labels.get(cl) == Label::FirstOcur && labels.get(cr) == Label::FirstOcur {
+                    // SAFETY: children were finalized by the previous level's
+                    // kernel (fork-join barrier); `node` is owned by this thread.
+                    let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
+                    let combined = hasher.combine_with(&dl, &dr, scratch);
+                    unsafe { tree.write(node, combined) };
+                    let me = MapEntry::new(node as u32, ckpt_id);
+                    match batch.insert(&combined, me) {
+                        InsertResult::Inserted => {
                             labels.set(node, Label::FirstOcur);
-                            if before.ckpt == ckpt_id && before.node != node as u32 {
-                                labels.set(before.node as usize, Label::ShiftDupl);
-                            }
-                            if map.get(&combined).is_some_and(|e2| e2 != me) {
+                            // See the leaf pass: demote ourselves if an earlier
+                            // twin displaced us concurrently.
+                            if map.get(&combined).is_some_and(|e| e != me) {
                                 labels.set(node, Label::ShiftDupl);
                             }
-                        } else {
-                            labels.set(node, Label::ShiftDupl);
                         }
+                        // A twin subtree elsewhere already registered this
+                        // digest: this whole region is a shifted duplicate. Keep
+                        // the record pointing at the leftmost twin (nodes within
+                        // a level are in data order) so the outcome matches the
+                        // sequential reference. Displacement is restricted to
+                        // twins on the *same level* — a twin on a deeper level
+                        // was finalized by an earlier kernel and its parent may
+                        // be consuming its label concurrently with ours, so
+                        // relabeling it here would race.
+                        InsertResult::Exists(e)
+                            if e.ckpt == ckpt_id
+                                && (node as u32) < e.node
+                                && shape.depth(node) == shape.depth(e.node as usize) =>
+                        {
+                            let (before, after) = map
+                                .update_with(&combined, |cur| {
+                                    (cur.ckpt == ckpt_id && (node as u32) < cur.node).then_some(me)
+                                })
+                                .expect("digest just observed must be present");
+                            if after == me {
+                                labels.set(node, Label::FirstOcur);
+                                if before.ckpt == ckpt_id && before.node != node as u32 {
+                                    labels.set(before.node as usize, Label::ShiftDupl);
+                                }
+                                if map.get(&combined).is_some_and(|e2| e2 != me) {
+                                    labels.set(node, Label::ShiftDupl);
+                                }
+                            } else {
+                                labels.set(node, Label::ShiftDupl);
+                            }
+                        }
+                        InsertResult::Exists(_) => labels.set(node, Label::ShiftDupl),
+                        InsertResult::OutOfCapacity => labels.set(node, Label::FirstOcur),
                     }
-                    InsertResult::Exists(_) => labels.set(node, Label::ShiftDupl),
-                    InsertResult::OutOfCapacity => labels.set(node, Label::FirstOcur),
                 }
-            }
-        });
+            },
+        );
     }
 }
 
-/// Consolidate shifted duplicates, propagate fixed duplicates, and collect
-/// maximal region roots (lines 33–46).
+/// Consolidate shifted duplicates and propagate fixed duplicates (lines
+/// 33–46).
 ///
 /// Per §2.2, a consolidated region "is added to the historical record of
 /// unique hashes" even when its combined digest is *new*: the first
@@ -174,8 +269,8 @@ fn first_ocur_pass(pass: &mut Pass<'_>) {
 /// multi-chunk patterns. Each level therefore runs in two sub-kernels:
 /// first publish combined digests into the record (with the same
 /// earliest-twin canonicalization as the other passes, so the outcome is
-/// deterministic), then decide labels and emit regions.
-fn collect_pass(pass: &mut Pass<'_>) -> gpu_sim::ArenaLease<AtomicU8> {
+/// deterministic), then decide labels.
+fn shift_dupl_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
     let Pass {
         device,
         shape,
@@ -186,51 +281,19 @@ fn collect_pass(pass: &mut Pass<'_>) -> gpu_sim::ArenaLease<AtomicU8> {
         ..
     } = *pass;
     let tree = SharedSliceMut::new(pass.digests);
-    // Lock-free emission, GPU style: kernels set a per-node flag (1 = first
-    // occurrence region, 2 = shifted region) and the lists are built
-    // afterwards by stream compaction — no mutex exists in a real kernel.
-    // The flag buffer is leased from the device arena (steady-state
-    // zero-allocation) and cleared explicitly: arena contents are whatever
-    // the previous checkpoint left, and a fresh allocation is zeroed the
-    // same way, so pooled and unpooled runs stay bit-identical.
-    let mut emit_flags = device
-        .arena()
-        .lease::<AtomicU8>("dedup/emit_flags", shape.n_nodes());
-    {
-        use rayon::prelude::*;
-        emit_flags
-            .as_mut_slice()
-            .par_chunks_mut(16 * 1024)
-            .for_each(|chunk| {
-                for f in chunk {
-                    *f.get_mut() = 0;
-                }
-            });
-    }
-    let emit_flags = emit_flags;
-    let emit = |node: usize| match labels.get(node) {
-        Label::FirstOcur => emit_flags[node].store(1, AtomicOrdering::Relaxed),
-        Label::ShiftDupl => emit_flags[node].store(2, AtomicOrdering::Relaxed),
-        // Fixed duplicates are omitted; Mixed children already emitted
-        // their own regions at a deeper level.
-        Label::FixedDupl | Label::Mixed => {}
-        Label::None => unreachable!("unlabeled child below current level"),
-    };
-
-    for (lo, hi) in shape.interior_levels_bottom_up() {
-        let width = hi - lo;
+    for (width, frontier) in frontiers.levels() {
         let cost = KernelCost::stream((width * 2 * 16) as u64);
 
         // Sub-kernel 1: combine shifted pairs and publish their digests.
         let state = || (map.batch(), [0u8; 32]);
         device.parallel_for_init(
             "consolidate_shift_publish",
-            width,
+            frontier.len(),
             cost,
             state,
             |state, k| {
                 let (batch, scratch) = state;
-                let node = lo + k;
+                let node = frontier[k] as usize;
                 if labels.get(node) != Label::None {
                     return; // consolidated in the first-occurrence pass
                 }
@@ -267,60 +330,122 @@ fn collect_pass(pass: &mut Pass<'_>) -> gpu_sim::ArenaLease<AtomicU8> {
             },
         );
 
-        // Sub-kernel 2: decide labels and emit the regions that cannot
-        // consolidate further.
-        device.parallel_for("consolidate_shift_decide", width, cost, |k| {
-            let node = lo + k;
+        // Sub-kernel 2: decide labels. A node that cannot consolidate
+        // further becomes `Mixed`: its children are the regions.
+        device.parallel_for("consolidate_shift_decide", frontier.len(), cost, |k| {
+            let node = frontier[k] as usize;
             if labels.get(node) != Label::None {
                 return;
             }
             let (cl, cr) = (shape.left(node), shape.right(node));
-            match (labels.get(cl), labels.get(cr)) {
-                (Label::FixedDupl, Label::FixedDupl) => labels.set(node, Label::FixedDupl),
+            let label = match (settled(labels, cl), settled(labels, cr)) {
+                (Label::FixedDupl, Label::FixedDupl) => Label::FixedDupl,
                 (Label::ShiftDupl, Label::ShiftDupl) => {
                     // SAFETY: written by sub-kernel 1 (fork-join barrier).
                     let combined = unsafe { tree.read(node) };
                     match map.get(&combined) {
+                        // A prior occurrence exists: this whole region is a
+                        // shifted duplicate of it.
                         Some(e) if !(e.node == node as u32 && e.ckpt == ckpt_id) => {
-                            // A prior occurrence exists: this whole region
-                            // is a shifted duplicate of it.
-                            labels.set(node, Label::ShiftDupl);
+                            Label::ShiftDupl
                         }
                         // We are the canonical first occurrence of this
                         // pattern (or the record is full): the children are
                         // the maximal representable regions.
-                        _ => {
-                            labels.set(node, Label::Mixed);
-                            emit(cl);
-                            emit(cr);
-                        }
+                        _ => Label::Mixed,
                     }
                 }
-                _ => {
-                    labels.set(node, Label::Mixed);
-                    emit(cl);
-                    emit(cr);
-                }
-            }
+                _ => Label::Mixed,
+            };
+            labels.set(node, label);
         });
     }
-
-    // The root of a fully-uniform tree never had a parent to emit it.
-    emit(0);
-    emit_flags
 }
 
-/// Build the sorted region lists from per-node emission flags with two
-/// device compactions. The compaction predicate reads the settled flags
-/// directly — no intermediate flag vectors, no scratch allocation.
-pub(crate) fn compact_emissions(device: &Device, emit_flags: &[AtomicU8]) -> EmittedRegions {
-    let n = emit_flags.len();
-    EmittedRegions {
-        first: device.compact_where("compact_first_regions", n, |i| {
-            emit_flags[i].load(AtomicOrdering::Relaxed) == 1
-        }),
-        shift_nodes: device.compact_where("compact_shift_regions", n, |i| {
-            emit_flags[i].load(AtomicOrdering::Relaxed) == 2
-        }),
+/// The region lists, read from the settled labels: the first-occurrence and
+/// shifted children of every `Mixed` node, plus the root when it is a region
+/// itself (it has no parent to emit it). Every `Mixed` node is on a
+/// frontier, and the levels walked top-down with each frontier ascending
+/// give both lists in ascending node order.
+fn collect_regions(pass: &Pass<'_>, frontiers: &Frontiers) -> EmittedRegions {
+    let Pass {
+        device,
+        shape,
+        labels,
+        ..
+    } = *pass;
+    // The paper's kernel builds the lists with two stream compactions over
+    // every node; the model charges those.
+    let cost = KernelCost::stream(2 * shape.n_nodes() as u64);
+    device.parallel_for("compact_first_regions", 0, cost, |_| {});
+    device.parallel_for("compact_shift_regions", 0, cost, |_| {});
+    let mut regions = EmittedRegions::default();
+    let mut emit = |node: usize| match labels.get(node) {
+        Label::FirstOcur => regions.first.push(node as u32),
+        Label::ShiftDupl => regions.shift_nodes.push(node as u32),
+        // Fixed duplicates are omitted, a Mixed child emitted its own
+        // children, and an unvisited node holds only fixed duplicates.
+        Label::FixedDupl | Label::Mixed | Label::None => {}
+    };
+    emit(0);
+    for (_, frontier) in frontiers.levels().rev() {
+        for &node in frontier {
+            let node = node as usize;
+            if labels.get(node) == Label::Mixed {
+                emit(shape.left(node));
+                emit(shape.right(node));
+            }
+        }
+    }
+    debug_assert!(regions.first.is_sorted() && regions.shift_nodes.is_sorted());
+    regions
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_changed_leaf_puts_its_one_ancestor_on_each_level() {
+        let device = Device::a100();
+        for n in [1usize, 2, 3, 5, 6, 8, 13, 64, 100, 1025] {
+            let shape = TreeShape::new(n);
+            for c in 0..n {
+                let dirty: Vec<AtomicU64> = (0..shape.n_nodes().div_ceil(64))
+                    .map(|_| AtomicU64::new(0))
+                    .collect();
+                let leaf = shape.leaf_of_chunk(c);
+                dirty[leaf / 64].fetch_or(1 << (leaf % 64), AtomicOrdering::Relaxed);
+                let mut ancestors = Vec::new();
+                let mut node = leaf;
+                while node > 0 {
+                    node = shape.parent(node);
+                    ancestors.push(node as u32);
+                }
+
+                let frontiers = Frontiers::build(&device, &shape, &dirty);
+                let levels = shape.interior_levels_bottom_up();
+                assert_eq!(frontiers.levels().count(), levels.len());
+                for ((width, frontier), (lo, hi)) in frontiers.levels().zip(levels) {
+                    assert_eq!(width, hi - lo);
+                    // A leaf one level above the deepest has no ancestor on
+                    // the deepest interior level; every other level holds
+                    // exactly one.
+                    let want: Vec<u32> = ancestors
+                        .iter()
+                        .copied()
+                        .filter(|&a| (lo..hi).contains(&(a as usize)))
+                        .collect();
+                    assert_eq!(frontier, want, "n={n}, chunk {c}, level {lo}..{hi}");
+                }
+                let marked: Vec<usize> = (0..shape.n_nodes())
+                    .filter(|&i| (dirty[i / 64].load(AtomicOrdering::Relaxed) >> (i % 64)) & 1 == 1)
+                    .collect();
+                let mut want: Vec<usize> = ancestors.iter().map(|&a| a as usize).collect();
+                want.push(leaf);
+                want.sort_unstable();
+                assert_eq!(marked, want, "n={n}, chunk {c}: marked nodes");
+            }
+        }
     }
 }

@@ -17,10 +17,9 @@
 use crate::diff::MethodKind;
 use crate::labels::Label;
 use crate::methods::pipeline::{DedupCheckpointer, EmittedRegions, Pass, RegionStep};
-use crate::methods::tree::compact_emissions;
 use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
-use gpu_sim::{InsertResult, KernelCost, MapEntry};
+use gpu_sim::{Device, InsertResult, KernelCost, MapEntry};
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 /// Naive single-stage consolidation (ablation only).
@@ -56,7 +55,7 @@ fn naive_sweep(pass: &mut Pass<'_>) -> EmittedRegions {
         ..
     } = *pass;
     let tree = SharedSliceMut::new(pass.digests);
-    // Lock-free emission via flags + compaction, as in the two-stage method.
+    // Lock-free emission: per-node flags, then two stream compactions.
     let emit_flags: Vec<AtomicU8> = (0..shape.n_nodes()).map(|_| AtomicU8::new(0)).collect();
     let emit = |node: usize| match labels.get(node) {
         Label::FirstOcur => emit_flags[node].store(1, AtomicOrdering::Relaxed),
@@ -161,6 +160,21 @@ fn naive_sweep(pass: &mut Pass<'_>) -> EmittedRegions {
 
     emit(0);
     compact_emissions(device, &emit_flags)
+}
+
+/// Build the sorted region lists from per-node emission flags (1 = first
+/// occurrence, 2 = shifted) with two device compactions. The compaction
+/// predicate reads the settled flags directly.
+fn compact_emissions(device: &Device, emit_flags: &[AtomicU8]) -> EmittedRegions {
+    let n = emit_flags.len();
+    EmittedRegions {
+        first: device.compact_where("compact_first_regions", n, |i| {
+            emit_flags[i].load(AtomicOrdering::Relaxed) == 1
+        }),
+        shift_nodes: device.compact_where("compact_shift_regions", n, |i| {
+            emit_flags[i].load(AtomicOrdering::Relaxed) == 2
+        }),
+    }
 }
 
 #[cfg(test)]

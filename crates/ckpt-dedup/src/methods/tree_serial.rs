@@ -23,6 +23,8 @@ pub struct SerialTreeCheckpointer {
     chunk_size: usize,
     state: Option<State>,
     ckpt_id: u32,
+    /// Rebase mode for the current checkpoint: no fixed-duplicate shortcut.
+    force_all: bool,
 }
 
 struct State {
@@ -40,6 +42,7 @@ impl SerialTreeCheckpointer {
             chunk_size,
             state: None,
             ckpt_id: 0,
+            force_all: false,
         }
     }
 
@@ -49,6 +52,7 @@ impl SerialTreeCheckpointer {
             chunk_size,
             state: None,
             ckpt_id: 0,
+            force_all: false,
         }
     }
 
@@ -70,6 +74,7 @@ impl Checkpointer for SerialTreeCheckpointer {
     fn checkpoint(&mut self, data: &[u8]) -> CheckpointOutput {
         let start = std::time::Instant::now();
         let ckpt_id = self.ckpt_id;
+        let force_all = self.force_all;
         if self.state.is_none() {
             let chunking = Chunking::new(data.len(), self.chunk_size);
             let shape = TreeShape::new(chunking.n_chunks());
@@ -95,7 +100,7 @@ impl Checkpointer for SerialTreeCheckpointer {
         for c in 0..s.chunking.n_chunks() {
             let leaf = s.shape.leaf_of_chunk(c);
             let digest = hasher.hash(s.chunking.chunk(data, c));
-            if ckpt_id > 0 && digest == s.digests[leaf] {
+            if !force_all && ckpt_id > 0 && digest == s.digests[leaf] {
                 s.labels[leaf] = Label::FixedDupl;
                 continue;
             }
@@ -244,5 +249,17 @@ impl Checkpointer for SerialTreeCheckpointer {
         };
         self.ckpt_id += 1;
         CheckpointOutput::with_total_breakdown(diff, stats)
+    }
+
+    /// Rebase as the pipeline methods do: forget the historical record and
+    /// take one checkpoint without the fixed-duplicate shortcut.
+    fn rebase_checkpoint(&mut self, data: &[u8]) -> CheckpointOutput {
+        if let Some(s) = self.state.as_mut() {
+            s.map.clear();
+        }
+        self.force_all = true;
+        let out = self.checkpoint(data);
+        self.force_all = false;
+        out
     }
 }

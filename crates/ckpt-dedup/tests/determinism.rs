@@ -205,6 +205,102 @@ fn tile_seams_match_the_serial_oracle_at_every_thread_count() {
     rayon::set_active_threads(0);
 }
 
+/// 32-byte chunks, one per tag; distinct tags give distinct contents.
+fn tagged(tags: &[u64]) -> Vec<u8> {
+    tags.iter()
+        .flat_map(|&t| {
+            (0..4u64).flat_map(move |i| (t.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i).to_le_bytes())
+        })
+        .collect()
+}
+
+/// A record over `n` chunks that walks Tree's frontier regime: a base with
+/// repeated content, then one checkpoint per edit rewriting exactly its
+/// chunks — every third with its right neighbour's content (a shifted
+/// duplicate), the rest with content never seen before.
+fn frontier_record(n: usize) -> Vec<Vec<u8>> {
+    let shape = ckpt_dedup::TreeShape::new(n);
+    let subtree = if n >= 4 {
+        shape.left(shape.right(0))
+    } else {
+        0
+    };
+    let (sub_lo, sub_hi) = shape.chunk_range(subtree);
+    let edits: [Vec<usize>; 7] = [
+        vec![],                                // nothing changes
+        vec![0],                               // a leaf on the deepest level
+        vec![n - 1],                           // a leaf one level up (n not a power of two)
+        (n / 2..(n / 2 + 2).min(n)).collect(), // two adjacent leaves
+        (sub_lo..sub_hi).collect(),            // a whole aligned subtree
+        (0..n).collect(),                      // every leaf
+        vec![n / 3],                           // one leaf again
+    ];
+    let mut tags: Vec<u64> = (0..n as u64).map(|c| c % (n as u64 / 3 + 1)).collect();
+    let mut snapshots = vec![tagged(&tags)];
+    for (s, edit) in edits.iter().enumerate() {
+        let prev = tags.clone();
+        for &c in edit {
+            tags[c] = if (c + s) % 3 == 0 {
+                prev[(c + 1) % n]
+            } else {
+                (1 << 32) | (s * n + c) as u64
+            };
+        }
+        snapshots.push(tagged(&tags));
+    }
+    snapshots
+}
+
+/// Tree's waves visit only the ancestors of changed leaves. On records that
+/// change no leaf, one leaf at either leaf depth, two adjacent leaves, a
+/// whole aligned subtree or every leaf, with a rebase in mid-record, on
+/// grids of 1, 2, 3 and 1 025 chunks and one whose frontier levels pass the
+/// 1 024-item parallel cut-off (5 000 chunks: a 2 048-node level), Tree must
+/// give the serial oracle's bytes and fixed-chunk counts at 1, 2 and 4
+/// threads.
+#[test]
+fn frontier_waves_match_the_serial_oracle_at_every_thread_count() {
+    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const REBASE_AT: usize = 4;
+    let run = |m: &mut dyn Checkpointer, snapshots: &[Vec<u8>]| -> Vec<(Vec<u8>, u64)> {
+        snapshots
+            .iter()
+            .enumerate()
+            .map(|(k, s)| {
+                let out = if k == REBASE_AT {
+                    m.rebase_checkpoint(s)
+                } else {
+                    m.checkpoint(s)
+                };
+                (out.diff.encode(), out.stats.n_fixed_chunks)
+            })
+            .collect()
+    };
+    for n in [1usize, 2, 3, 1025, 5000] {
+        let snapshots = frontier_record(n);
+        let oracle = run(&mut SerialTreeCheckpointer::new(32), &snapshots);
+        let diffs: Vec<ckpt_dedup::Diff> = oracle
+            .iter()
+            .map(|(e, _)| ckpt_dedup::Diff::decode(e).expect("decode"))
+            .collect();
+        assert_eq!(
+            restore_record(&diffs).expect("restore"),
+            snapshots,
+            "{n} chunks: the oracle's record must restore"
+        );
+        for threads in [1, 2, 4] {
+            rayon::set_active_threads(threads);
+            let mut tree = TreeCheckpointer::new(Device::a100(), TreeConfig::new(32));
+            assert_eq!(
+                run(&mut tree, &snapshots),
+                oracle,
+                "{n} chunks at {threads} threads"
+            );
+        }
+    }
+    rayon::set_active_threads(0);
+}
+
 #[test]
 fn tree_checkpoints_are_bit_identical_across_thread_counts() {
     assert_bit_identical_across_threads("tree", &|| {

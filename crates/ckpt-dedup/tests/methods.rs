@@ -48,6 +48,39 @@ fn snapshot_sequence() -> Vec<Vec<u8>> {
     ]
 }
 
+/// The waves skip host work only. A fixed Tree record on a fresh device
+/// charges the model what the full-level sweeps charged: the same launches,
+/// fused launches, kernel bytes read and written, and modeled seconds to
+/// the bit (values captured from the full-level implementation).
+#[test]
+fn tree_record_charges_the_full_level_model() {
+    let device = Device::a100();
+    let mut tree = TreeCheckpointer::new(device.clone(), TreeConfig::new(128));
+    // 3 907 chunks (a non-power-of-two tree with a short last chunk) and
+    // point edits growing from none to 35 a checkpoint.
+    let mut data: Vec<u8> = (0..500_000u32)
+        .map(|i| (i / 300) as u8 ^ (i >> 11) as u8)
+        .collect();
+    for k in 0..6usize {
+        for j in 0..7 * k {
+            let at = (j * 7919 + k * 104_729) % data.len();
+            data[at] = data[at].wrapping_add(1 + k as u8);
+        }
+        tree.checkpoint(&data);
+    }
+    let m = device.metrics();
+    assert_eq!(
+        (
+            m.kernels_launched(),
+            m.fused_kernels(),
+            m.device_bytes_read(),
+            m.device_bytes_written(),
+            m.modeled_sec().to_bits()
+        ),
+        (240, 240, 5_677_400, 990_080, 0x3f25_a4fe_7433_a3dd)
+    );
+}
+
 #[test]
 fn tree_round_trip() {
     let mut m = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));

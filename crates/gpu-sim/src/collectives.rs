@@ -113,9 +113,11 @@ where
     }
 
     let n_blocks = n.div_ceil(SCAN_BLOCK);
-    // Pass 1: per-block survivor counts.
+    // Pass 1: per-block survivor counts, one block (already `SCAN_BLOCK`
+    // items) per executor chunk.
     let counts: Vec<u64> = (0..n_blocks)
         .into_par_iter()
+        .with_max_len(1)
         .map(|b| {
             let lo = b * SCAN_BLOCK;
             let hi = (lo + SCAN_BLOCK).min(n);

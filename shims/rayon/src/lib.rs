@@ -327,6 +327,9 @@ where
     fn min_items_per_chunk(&self) -> usize {
         self.inner.min_items_per_chunk()
     }
+    fn max_items_per_chunk(&self) -> usize {
+        self.inner.max_items_per_chunk()
+    }
     unsafe fn item(&self, i: usize) -> O {
         (self.f)(unsafe { self.inner.item(i) })
     }
@@ -344,6 +347,9 @@ unsafe impl<P: Producer> Producer for EnumerateProducer<P> {
     }
     fn min_items_per_chunk(&self) -> usize {
         self.inner.min_items_per_chunk()
+    }
+    fn max_items_per_chunk(&self) -> usize {
+        self.inner.max_items_per_chunk()
     }
     unsafe fn item(&self, i: usize) -> (usize, P::Item) {
         (i, unsafe { self.inner.item(i) })
@@ -388,6 +394,11 @@ unsafe impl<A: Producer, B: Producer> Producer for ZipProducer<A, B> {
         self.a
             .min_items_per_chunk()
             .min(self.b.min_items_per_chunk())
+    }
+    fn max_items_per_chunk(&self) -> usize {
+        self.a
+            .max_items_per_chunk()
+            .min(self.b.max_items_per_chunk())
     }
     unsafe fn item(&self, i: usize) -> (A::Item, B::Item) {
         unsafe { (self.a.item(i), self.b.item(i)) }
@@ -820,5 +831,29 @@ mod tests {
         assert_eq!(current_num_threads(), 3);
         set_active_threads(0);
         assert!(current_num_threads() >= 1);
+    }
+
+    /// `with_max_len` is a property of the source that every adapter
+    /// forwards: 23 items capped at one per chunk plan 23 chunks however
+    /// they are mapped, enumerated or zipped.
+    #[test]
+    fn max_len_survives_map_enumerate_and_zip() {
+        fn chunks<P: super::Producer>(par: super::Par<P>) -> usize {
+            super::pool::plan(&par.0).n_chunks
+        }
+        let v: Vec<u32> = (0..23).collect();
+        assert_eq!(
+            chunks(v.par_iter().map(|x| x + 1)),
+            1,
+            "uncapped: one chunk"
+        );
+        assert_eq!(chunks(v.par_iter().with_max_len(1).map(|x| x + 1)), 23);
+        assert_eq!(chunks(v.par_iter().with_max_len(1).enumerate()), 23);
+        assert_eq!(chunks(v.par_iter().with_max_len(1).zip(v.par_iter())), 23);
+        assert_eq!(chunks(v.par_iter().zip(v.par_iter().with_max_len(1))), 23);
+        assert_eq!(
+            chunks((0..23usize).into_par_iter().with_max_len(1).map(|i| i * 2)),
+            23
+        );
     }
 }
