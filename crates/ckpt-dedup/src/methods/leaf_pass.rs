@@ -14,7 +14,7 @@ use ckpt_hash::Digest128;
 use gpu_sim::{
     BatchedInserts, ContentCache, InsertResult, KernelCost, MapEntry, Verification, TILE,
 };
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Run the leaf pass of one checkpoint: `pass.labels` receives the per-leaf
 /// classification, `pass.dirty` the bit of every leaf that is not a fixed
@@ -45,45 +45,54 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
     let n = chunking.n_chunks();
     let cost = KernelCost::stream(data.len() as u64)
         .with_writes((n * std::mem::size_of::<Digest128>()) as u64);
-    // Relaxed: the set is read only after this kernel's barrier.
-    let mark_changed = |leaf: usize| {
-        dirty[leaf / 64].fetch_or(1 << (leaf % 64), Ordering::Relaxed);
+
+    // A detected collision must not be referenced *or* become
+    // referenceable: the chunk is stored as a first occurrence under a
+    // digest salted with its position, which no other content hashes to.
+    let collide_to_first = |scratch: &mut [u8; 32], leaf: usize, digest: &Digest128| {
+        let salt = Digest128::new(leaf as u64, ckpt_id as u64 | 1 << 63);
+        let salted = hasher.combine_with(digest, &salt, scratch);
+        // SAFETY: leaf owned by this thread.
+        unsafe { tree.write(leaf, salted) };
+        labels.set(leaf, Label::FirstOcur);
     };
 
-    // Classify chunk `c`, whose content hashes to `digest`.
-    let classify = |state: &mut (BatchedInserts<'_>, [u8; 32]), c: usize, digest: Digest128| {
-        let (batch, scratch) = state;
-        let leaf = shape.leaf_of_chunk(c);
-        let chunk = chunking.chunk(data, c);
-        // A detected collision must not be referenced *or* become
-        // referenceable: the chunk is stored as a first occurrence under a
-        // digest salted with its position, which no other content hashes to.
-        let collide_to_first = |scratch: &mut [u8; 32], digest: &Digest128| {
-            let salt = Digest128::new(leaf as u64, ckpt_id as u64 | 1 << 63);
-            let salted = hasher.combine_with(digest, &salt, scratch);
-            // SAFETY: leaf owned by this thread.
-            unsafe { tree.write(leaf, salted) };
-            labels.set(leaf, Label::FirstOcur);
-        };
+    // Step 1 for chunk `c` at `leaf`, whose content hashes to `digest`:
+    // settle it if it is a fixed duplicate (same digest at the same
+    // position) or a collision under one; `true` when it must probe the
+    // record instead.
+    let settle_fixed = |scratch: &mut [u8; 32],
+                        marks: &mut DirtyMarks<'_>,
+                        c: usize,
+                        leaf: usize,
+                        digest: &Digest128| {
         // SAFETY: leaf index owned by this thread for this kernel (the
         // chunk→leaf map is a bijection).
         let prev = unsafe { tree.read(leaf) };
-        if !force_all && ckpt_id > 0 && digest == prev {
-            // Same digest at the same position. With verification on, guard
-            // against the chunk having changed into a colliding value.
-            match cache.map_or(Verification::Unknown, |c| c.verify(&digest, chunk)) {
-                Verification::Collision => {
-                    mark_changed(leaf);
-                    collide_to_first(scratch, &digest);
-                    return;
-                }
-                _ => {
-                    labels.set(leaf, Label::FixedDupl);
-                    return;
-                }
-            }
+        if force_all || ckpt_id == 0 || *digest != prev {
+            return true;
         }
-        mark_changed(leaf);
+        // With verification on, guard against the chunk having changed
+        // into a colliding value.
+        let chunk = chunking.chunk(data, c);
+        match cache.map_or(Verification::Unknown, |c| c.verify(digest, chunk)) {
+            Verification::Collision => {
+                marks.mark(leaf);
+                collide_to_first(scratch, leaf, digest);
+            }
+            _ => labels.set(leaf, Label::FixedDupl),
+        }
+        false
+    };
+
+    // Step 2 for a chunk step 1 listed: classify it against the record.
+    let classify = |batch: &mut BatchedInserts<'_>,
+                    scratch: &mut [u8; 32],
+                    c: usize,
+                    leaf: usize,
+                    digest: Digest128| {
+        let chunk = chunking.chunk(data, c);
+        // SAFETY: leaf owned by this thread, as in step 1.
         unsafe { tree.write(leaf, digest) };
 
         // "Earlier" between two occurrences in the same checkpoint means
@@ -115,7 +124,7 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
                 }
             }
             InsertResult::Exists(_) if verified_collision(cache) => {
-                collide_to_first(scratch, &digest)
+                collide_to_first(scratch, leaf, &digest)
             }
             InsertResult::Exists(e) if e.ckpt == ckpt_id && earlier(leaf as u32, e.node) => {
                 // This leaf is earlier than the recorded occurrence in the
@@ -155,15 +164,69 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
     // Per-tile kernel state: a batched map-insert handle (one shared `len`
     // atomic update per tile instead of per inserted digest) and a reusable
     // salt-combine scratch buffer (no per-collision allocation). A tile is
-    // hashed in one batch call, then classified chunk by chunk.
+    // hashed in one batch call, then walked twice: step 1 settles the fixed
+    // duplicates, lists the other chunks, marks their dirty bits and
+    // prefetches their record slots; step 2 probes the record for the
+    // listed chunks in chunk order, their misses already in flight.
     let state = || (map.batch(), [0u8; 32]);
     device.parallel_for_tiles("leaf_hash_and_classify", n, cost, state, |state, tile| {
+        let (batch, scratch) = state;
         let mut digests = [Digest128::ZERO; TILE];
         let digests = chunking.hash_tile(hasher, data, &tile, &mut digests);
-        for (c, &digest) in tile.zip(digests) {
-            classify(state, c, digest);
+        // Offsets into the tile of the chunks step 2 classifies.
+        let mut listed = [0u8; TILE];
+        let mut n_listed = 0;
+        let mut marks = DirtyMarks::new(dirty);
+        for (k, (c, digest)) in tile.clone().zip(digests).enumerate() {
+            let leaf = shape.leaf_of_chunk(c);
+            if settle_fixed(scratch, &mut marks, c, leaf, digest) {
+                marks.mark(leaf);
+                map.prefetch(digest);
+                listed[n_listed] = k as u8;
+                n_listed += 1;
+            }
+        }
+        marks.flush();
+        for &k in &listed[..n_listed] {
+            let (c, digest) = (tile.start + k as usize, digests[k as usize]);
+            classify(batch, scratch, c, shape.leaf_of_chunk(c), digest);
         }
     });
+}
+
+/// One tile's dirty bits, folded into one relaxed `fetch_or` per touched
+/// word instead of one per changed leaf. A tile's leaves ascend within each
+/// of the tree's two leaf depths, so a word is flushed whenever the next
+/// leaf lies in another. The set is read only after the kernel's barrier.
+struct DirtyMarks<'a> {
+    dirty: &'a [AtomicU64],
+    word: usize,
+    bits: u64,
+}
+
+impl<'a> DirtyMarks<'a> {
+    fn new(dirty: &'a [AtomicU64]) -> Self {
+        DirtyMarks {
+            dirty,
+            word: 0,
+            bits: 0,
+        }
+    }
+
+    fn mark(&mut self, leaf: usize) {
+        if leaf / 64 != self.word {
+            self.flush();
+            self.word = leaf / 64;
+        }
+        self.bits |= 1 << (leaf % 64);
+    }
+
+    fn flush(&mut self) {
+        if self.bits != 0 {
+            self.dirty[self.word].fetch_or(self.bits, Ordering::Relaxed);
+            self.bits = 0;
+        }
+    }
 }
 
 #[cfg(test)]

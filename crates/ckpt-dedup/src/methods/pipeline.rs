@@ -30,7 +30,7 @@ use crate::methods::{
 use crate::stats::CheckpointStats;
 use crate::tree::{MerkleTree, TreeShape};
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
-use gpu_sim::{ContentCache, Device, DistinctMap};
+use gpu_sim::{ContentCache, Device, DistinctMap, TILE};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -156,12 +156,18 @@ fn resolve_shift_refs(
     let (digests, map, ckpt_id) = (&*pass.digests, pass.map, pass.ckpt_id);
     // The map probes are the expensive part; do them in parallel into
     // position-indexed results, then partition sequentially so both output
-    // lists keep the order the sequential reference produces.
+    // lists keep the order the sequential reference produces. The first
+    // node of each tile prefetches the slots of the tile's lookups.
     let resolved: Vec<Result<ShiftRegion, u32>> = shift_nodes
         .par_iter()
-        .map(|&node| {
-            let digest = digests[node as usize];
-            match map.get(&digest) {
+        .enumerate()
+        .map(|(i, &node)| {
+            if i % TILE == 0 {
+                for &n in &shift_nodes[i..(i + TILE).min(shift_nodes.len())] {
+                    map.prefetch(&digests[n as usize]);
+                }
+            }
+            match map.get(&digests[node as usize]) {
                 Some(e) if !(e.node == node && e.ckpt == ckpt_id) => Ok(ShiftRegion {
                     node,
                     ref_node: e.node,

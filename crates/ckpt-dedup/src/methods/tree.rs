@@ -34,7 +34,7 @@ use crate::labels::{Label, LabelArray};
 use crate::methods::pipeline::{DedupCheckpointer, EmittedRegions, Pass, RegionStep};
 use crate::tree::TreeShape;
 use crate::util::SharedSliceMut;
-use gpu_sim::{ArenaLease, Device, InsertResult, KernelCost, MapEntry};
+use gpu_sim::{ArenaLease, Device, InsertResult, KernelCost, MapEntry, TILE};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -178,6 +178,11 @@ fn settled(labels: &LabelArray, node: usize) -> Label {
 }
 
 /// Consolidate first-occurrence subtrees bottom-up (lines 24–32).
+///
+/// A frontier tile at a time: step 1 combines the digests of the nodes
+/// whose children are both first occurrences, writes them and prefetches
+/// their record slots; step 2 inserts them in frontier order. Children were
+/// settled by the level below, so step 1 reads what a per-node walk would.
 fn first_ocur_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
     let Pass {
         device,
@@ -192,40 +197,55 @@ fn first_ocur_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
     for (width, frontier) in frontiers.levels() {
         let cost = KernelCost::stream((width * 2 * 16) as u64).with_writes((width * 16) as u64);
         let state = || (map.batch(), [0u8; 32]);
-        device.parallel_for_init(
+        device.parallel_for_tiles(
             "consolidate_first_ocur",
             frontier.len(),
             cost,
             state,
-            |state, k| {
+            |state, tile| {
                 let (batch, scratch) = state;
-                let node = frontier[k] as usize;
-                let (cl, cr) = (shape.left(node), shape.right(node));
-                if labels.get(cl) == Label::FirstOcur && labels.get(cr) == Label::FirstOcur {
-                    // SAFETY: children were finalized by the previous level's
-                    // kernel (fork-join barrier); `node` is owned by this thread.
-                    let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
-                    let combined = hasher.combine_with(&dl, &dr, scratch);
-                    unsafe { tree.write(node, combined) };
+                let nodes = &frontier[tile];
+                let mut listed = [0u8; TILE];
+                let mut n_listed = 0;
+                for (k, &node) in nodes.iter().enumerate() {
+                    let node = node as usize;
+                    let (cl, cr) = (shape.left(node), shape.right(node));
+                    if labels.get(cl) == Label::FirstOcur && labels.get(cr) == Label::FirstOcur {
+                        // SAFETY: children were finalized by the previous
+                        // level's kernel (fork-join barrier); `node` is
+                        // owned by this thread.
+                        let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
+                        let combined = hasher.combine_with(&dl, &dr, scratch);
+                        unsafe { tree.write(node, combined) };
+                        map.prefetch(&combined);
+                        listed[n_listed] = k as u8;
+                        n_listed += 1;
+                    }
+                }
+                for &k in &listed[..n_listed] {
+                    let node = nodes[k as usize] as usize;
+                    // SAFETY: written by step 1 on this thread.
+                    let combined = unsafe { tree.read(node) };
                     let me = MapEntry::new(node as u32, ckpt_id);
                     match batch.insert(&combined, me) {
                         InsertResult::Inserted => {
                             labels.set(node, Label::FirstOcur);
-                            // See the leaf pass: demote ourselves if an earlier
-                            // twin displaced us concurrently.
+                            // See the leaf pass: demote ourselves if an
+                            // earlier twin displaced us concurrently.
                             if map.get(&combined).is_some_and(|e| e != me) {
                                 labels.set(node, Label::ShiftDupl);
                             }
                         }
                         // A twin subtree elsewhere already registered this
-                        // digest: this whole region is a shifted duplicate. Keep
-                        // the record pointing at the leftmost twin (nodes within
-                        // a level are in data order) so the outcome matches the
-                        // sequential reference. Displacement is restricted to
-                        // twins on the *same level* — a twin on a deeper level
-                        // was finalized by an earlier kernel and its parent may
-                        // be consuming its label concurrently with ours, so
-                        // relabeling it here would race.
+                        // digest: this whole region is a shifted duplicate.
+                        // Keep the record pointing at the leftmost twin
+                        // (nodes within a level are in data order) so the
+                        // outcome matches the sequential reference.
+                        // Displacement is restricted to twins on the *same
+                        // level* — a twin on a deeper level was finalized by
+                        // an earlier kernel and its parent may be consuming
+                        // its label concurrently with ours, so relabeling it
+                        // here would race.
                         InsertResult::Exists(e)
                             if e.ckpt == ckpt_id
                                 && (node as u32) < e.node
@@ -269,7 +289,9 @@ fn first_ocur_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
 /// multi-chunk patterns. Each level therefore runs in two sub-kernels:
 /// first publish combined digests into the record (with the same
 /// earliest-twin canonicalization as the other passes, so the outcome is
-/// deterministic), then decide labels.
+/// deterministic), then decide labels. Both walk a frontier tile in two
+/// steps like [`first_ocur_pass`]: prefetch the slots of the tile's
+/// probes, then probe in frontier order.
 fn shift_dupl_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
     let Pass {
         device,
@@ -286,32 +308,46 @@ fn shift_dupl_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
 
         // Sub-kernel 1: combine shifted pairs and publish their digests.
         let state = || (map.batch(), [0u8; 32]);
-        device.parallel_for_init(
+        device.parallel_for_tiles(
             "consolidate_shift_publish",
             frontier.len(),
             cost,
             state,
-            |state, k| {
+            |state, tile| {
                 let (batch, scratch) = state;
-                let node = frontier[k] as usize;
-                if labels.get(node) != Label::None {
-                    return; // consolidated in the first-occurrence pass
+                let nodes = &frontier[tile];
+                let mut listed = [0u8; TILE];
+                let mut n_listed = 0;
+                for (k, &node) in nodes.iter().enumerate() {
+                    let node = node as usize;
+                    if labels.get(node) != Label::None {
+                        continue; // consolidated in the first-occurrence pass
+                    }
+                    let (cl, cr) = (shape.left(node), shape.right(node));
+                    if labels.get(cl) == Label::ShiftDupl && labels.get(cr) == Label::ShiftDupl {
+                        // SAFETY: children finalized by previous levels;
+                        // `node` owned by this thread.
+                        let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
+                        let combined = hasher.combine_with(&dl, &dr, scratch);
+                        unsafe { tree.write(node, combined) };
+                        map.prefetch(&combined);
+                        listed[n_listed] = k as u8;
+                        n_listed += 1;
+                    }
                 }
-                let (cl, cr) = (shape.left(node), shape.right(node));
-                if labels.get(cl) == Label::ShiftDupl && labels.get(cr) == Label::ShiftDupl {
-                    // SAFETY: children finalized by previous levels; `node`
-                    // owned by this thread.
-                    let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
-                    let combined = hasher.combine_with(&dl, &dr, scratch);
-                    unsafe { tree.write(node, combined) };
+                for &k in &listed[..n_listed] {
+                    let node = nodes[k as usize] as usize;
+                    // SAFETY: written by step 1 on this thread.
+                    let combined = unsafe { tree.read(node) };
                     let me = MapEntry::new(node as u32, ckpt_id);
                     match batch.insert(&combined, me) {
                         InsertResult::Inserted | InsertResult::OutOfCapacity => {}
-                        // Keep the record pointing at the leftmost same-level
-                        // twin so the decision sub-kernel is deterministic (the
-                        // sequential reference processes nodes in ascending
-                        // order). Cross-level twins keep the deeper entry:
-                        // referencing it consolidates better than re-publishing.
+                        // Keep the record pointing at the leftmost
+                        // same-level twin so the decision sub-kernel is
+                        // deterministic (the sequential reference processes
+                        // nodes in ascending order). Cross-level twins keep
+                        // the deeper entry: referencing it consolidates
+                        // better than re-publishing.
                         InsertResult::Exists(e)
                             if e.ckpt == ckpt_id
                                 && (node as u32) < e.node
@@ -332,18 +368,40 @@ fn shift_dupl_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
 
         // Sub-kernel 2: decide labels. A node that cannot consolidate
         // further becomes `Mixed`: its children are the regions.
-        device.parallel_for("consolidate_shift_decide", frontier.len(), cost, |k| {
-            let node = frontier[k] as usize;
-            if labels.get(node) != Label::None {
-                return;
-            }
-            let (cl, cr) = (shape.left(node), shape.right(node));
-            let label = match (settled(labels, cl), settled(labels, cr)) {
-                (Label::FixedDupl, Label::FixedDupl) => Label::FixedDupl,
-                (Label::ShiftDupl, Label::ShiftDupl) => {
-                    // SAFETY: written by sub-kernel 1 (fork-join barrier).
+        device.parallel_for_tiles(
+            "consolidate_shift_decide",
+            frontier.len(),
+            cost,
+            || (),
+            |_, tile| {
+                let nodes = &frontier[tile];
+                let mut listed = [0u8; TILE];
+                let mut n_listed = 0;
+                for (k, &node) in nodes.iter().enumerate() {
+                    let node = node as usize;
+                    if labels.get(node) != Label::None {
+                        continue;
+                    }
+                    let (cl, cr) = (shape.left(node), shape.right(node));
+                    let label = match (settled(labels, cl), settled(labels, cr)) {
+                        (Label::FixedDupl, Label::FixedDupl) => Label::FixedDupl,
+                        (Label::ShiftDupl, Label::ShiftDupl) => {
+                            // SAFETY: written by sub-kernel 1 (fork-join
+                            // barrier).
+                            map.prefetch(&unsafe { tree.read(node) });
+                            listed[n_listed] = k as u8;
+                            n_listed += 1;
+                            continue;
+                        }
+                        _ => Label::Mixed,
+                    };
+                    labels.set(node, label);
+                }
+                for &k in &listed[..n_listed] {
+                    let node = nodes[k as usize] as usize;
+                    // SAFETY: as in step 1.
                     let combined = unsafe { tree.read(node) };
-                    match map.get(&combined) {
+                    let label = match map.get(&combined) {
                         // A prior occurrence exists: this whole region is a
                         // shifted duplicate of it.
                         Some(e) if !(e.node == node as u32 && e.ckpt == ckpt_id) => {
@@ -353,12 +411,11 @@ fn shift_dupl_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
                         // pattern (or the record is full): the children are
                         // the maximal representable regions.
                         _ => Label::Mixed,
-                    }
+                    };
+                    labels.set(node, label);
                 }
-                _ => Label::Mixed,
-            };
-            labels.set(node, label);
-        });
+            },
+        );
     }
 }
 

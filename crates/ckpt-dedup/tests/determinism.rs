@@ -158,6 +158,13 @@ fn assert_reset_record_repeats(name: &str, make: &dyn Fn() -> Box<dyn Checkpoint
 /// short last chunk, at chunk sizes the lane kernel takes (32, 128) and one
 /// it leaves to the scalar path (100), must still give the bytes of the
 /// sequential oracle, at every thread count.
+///
+/// The leaf pass and the waves also probe the record a tile at a time
+/// (settle or combine, prefetch, then probe in order), so a record built to
+/// put work on those seams ([`seam_record`]: frontiers of 63, 64, 65 and
+/// 1 100 nodes on one level, twin subtrees and equal chunks either side of
+/// a seam, a tile mixing every leaf class) must give the oracle's bytes and
+/// fixed-chunk counts too, with and without §2.4's verification.
 #[test]
 fn tile_seams_match_the_serial_oracle_at_every_thread_count() {
     let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -202,7 +209,94 @@ fn tile_seams_match_the_serial_oracle_at_every_thread_count() {
     // Once with §2.4's content verification in the classify body.
     let verified = TreeConfig::new(128).with_collision_verification();
     seam(128, 1025, true, &[("tree", &|| tree(verified))]);
+
+    let run = |m: &mut dyn Checkpointer, snapshots: &[Vec<u8>]| -> Vec<(Vec<u8>, u64)> {
+        snapshots
+            .iter()
+            .map(|s| {
+                let out = m.checkpoint(s);
+                (out.diff.encode(), out.stats.n_fixed_chunks)
+            })
+            .collect()
+    };
+    let snapshots = seam_record(SEAM_CHUNKS);
+    let oracle = run(&mut SerialTreeCheckpointer::new(32), &snapshots);
+    let diffs: Vec<ckpt_dedup::Diff> = oracle
+        .iter()
+        .map(|(e, _)| ckpt_dedup::Diff::decode(e).expect("decode"))
+        .collect();
+    assert_eq!(restore_record(&diffs).expect("restore"), snapshots);
+    for config in [
+        TreeConfig::new(32),
+        TreeConfig::new(32).with_collision_verification(),
+    ] {
+        for threads in [1, 2, 4] {
+            rayon::set_active_threads(threads);
+            let mut tree = TreeCheckpointer::new(Device::a100(), config);
+            assert_eq!(
+                run(&mut tree, &snapshots),
+                oracle,
+                "seam record, verify_collisions {}, {threads} threads",
+                config.verify_collisions
+            );
+        }
+    }
     rayon::set_active_threads(0);
+}
+
+/// Chunks in [`seam_record`]: leaves at two depths (3 904 on the deepest
+/// level, 96 one above), 1 952 interior nodes on the deepest interior level.
+const SEAM_CHUNKS: usize = 4000;
+
+/// A record over `n` 32-byte chunks that puts the tiled kernels' work on
+/// their seams. After a base of distinct chunks:
+///
+/// * four checkpoints rewrite one leaf under each of the first 63, 64, 65
+///   and 1 100 deepest interior nodes, so that level's frontier is that
+///   long (1 100 passes the 1 024-item parallel cut-off). The last one also
+///   fills the chunks under interior nodes 56..72 and 1 016..1 032 with one
+///   constant each: runs of twin shifted subtrees whose earliest-twin
+///   displacement spans the frontier tile seams at 64 and 1 024;
+/// * one checkpoint gives chunks 63 and 64, and 1 023 and 1 024, equal new
+///   contents (twins either side of a leaf tile seam), and makes the tile of
+///   chunks 128..192 mix fixed duplicates, first occurrences, shifted
+///   duplicates of the previous checkpoint and same-tile twins;
+/// * one checkpoint reverts to the base.
+fn seam_record(n: usize) -> Vec<Vec<u8>> {
+    let fresh = |s: usize, c: usize| (1u64 << 32) | (s * n + c) as u64;
+    let base: Vec<u64> = (0..n as u64).collect();
+    let mut tags = base.clone();
+    let mut snapshots = vec![tagged(&tags)];
+    let mut s = 0;
+    for width in [63, 64, 65, 1100] {
+        s += 1;
+        for node in 0..width {
+            tags[2 * node] = fresh(s, 2 * node);
+        }
+        if width == 1100 {
+            for (run, nodes) in [(0u64, 56..72), (1, 1016..1032)] {
+                tags[2 * nodes.start..2 * nodes.end].fill(3 << 40 | run);
+            }
+        }
+        snapshots.push(tagged(&tags));
+    }
+    s += 1;
+    let prev = tags.clone();
+    for (a, b) in [(63, 64), (1023, 1024)] {
+        tags[a] = fresh(s, a);
+        tags[b] = fresh(s, a);
+    }
+    for (k, tag) in tags[136..144].iter_mut().enumerate() {
+        *tag = fresh(s, 136 + k);
+    }
+    tags[144..152].copy_from_slice(&prev[3144..3152]);
+    for c in 152..156 {
+        tags[c] = fresh(s, c);
+        tags[c + 4] = fresh(s, c);
+    }
+    snapshots.push(tagged(&tags));
+    snapshots.push(tagged(&base));
+    snapshots
 }
 
 /// 32-byte chunks, one per tag; distinct tags give distinct contents.

@@ -97,9 +97,10 @@ const LINE: usize = 64;
 
 /// Ask for the cache line at `ahead` (x86-64; elsewhere nothing). Callers
 /// compute `ahead` with `wrapping_add`, so it may lie past the end of the
-/// buffer being hashed, or of its allocation.
+/// buffer being hashed, or of its allocation. Public for the other serial
+/// chains of misses in the workspace (the historical record's probes).
 #[inline(always)]
-fn prefetch(ahead: *const u8) {
+pub fn prefetch(ahead: *const u8) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch is a hint: it never faults and reads nothing
     // architecturally, whatever address it is given.

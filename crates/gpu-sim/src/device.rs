@@ -154,41 +154,15 @@ impl Device {
         }
     }
 
-    /// Like [`parallel_for`](Self::parallel_for), but each executor chunk
-    /// first builds private state with `init` — the hook kernels use for
-    /// per-chunk scratch buffers and batched-atomic accumulators (shared
-    /// memory / registers in GPU terms). State granularity is per chunk,
-    /// never per item, and chunking is thread-count-independent, so kernels
-    /// whose state carries side effects (e.g. batched map inserts) stay
-    /// deterministic.
-    pub fn parallel_for_init<T, INIT, F>(
-        &self,
-        _name: &str,
-        n: usize,
-        cost: KernelCost,
-        init: INIT,
-        body: F,
-    ) where
-        INIT: Fn() -> T + Sync + Send,
-        F: Fn(&mut T, usize) + Sync + Send,
-    {
-        self.account_launch(cost);
-        if n < 1024 {
-            let mut state = init();
-            for i in 0..n {
-                body(&mut state, i);
-            }
-        } else {
-            (0..n).into_par_iter().for_each_init(init, body);
-        }
-    }
-
     /// Launch a grid of `n` work items a [`TILE`] at a time: `body(state,
-    /// lo..hi)` once per tile, for kernels whose first step is a batch
-    /// primitive over neighbouring items (hash a tile of chunks in one call,
-    /// then classify each). Tile `t` is `t * TILE..min((t + 1) * TILE, n)` —
-    /// a pure function of `n`, so per-tile state with side effects stays as
-    /// deterministic as under [`parallel_for_init`](Self::parallel_for_init).
+    /// lo..hi)` once per tile, for kernels whose first step is a batch over
+    /// neighbouring items (hash a tile of chunks in one call, prefetch the
+    /// map slots a tile will probe), then a walk over each. The one launch
+    /// form with state: `init` builds it per tile (shared memory /
+    /// registers in GPU terms — scratch buffers, batched-atomic
+    /// accumulators). Tile `t` is `t * TILE..min((t + 1) * TILE, n)` — a
+    /// pure function of `n`, never of the thread count, so per-tile state
+    /// with side effects (batched map inserts) stays deterministic.
     /// Every tile is its own schedulable unit with its own `init` state:
     /// a tile is already coarse, and grouping tiles under the executor's
     /// per-item minimum would leave a 1 426-tile grid as two units. One

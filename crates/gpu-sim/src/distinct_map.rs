@@ -89,6 +89,9 @@ impl InsertResult {
     }
 }
 
+/// 32 bytes, aligned to 32, so a slot never straddles two cache lines: a
+/// probe, and a [`DistinctMap::prefetch`] of it, touch one line.
+#[repr(align(32))]
 struct Slot {
     /// `(generation << 2) | state`. A slot tagged with a stale generation is
     /// effectively EMPTY regardless of its state bits.
@@ -261,6 +264,17 @@ impl DistinctMap {
             map: self,
             pending: 0,
         }
+    }
+
+    /// Hint that `digest` is about to be probed: ask for the cache line of
+    /// the slot its probe starts at (x86-64; elsewhere nothing). A caller
+    /// holding a tile of digests prefetches them all before its first probe,
+    /// so their misses overlap instead of each probe waiting on its own.
+    /// Changes nothing the map holds or returns.
+    #[inline]
+    pub fn prefetch(&self, digest: &Digest128) {
+        let slot: *const Slot = &self.slots[self.start_index(digest)];
+        ckpt_hash::murmur3::prefetch(slot.cast());
     }
 
     /// Look up a digest.
@@ -766,6 +780,25 @@ mod tests {
             }
         });
         assert_eq!(map.len(), 8000);
+    }
+
+    #[test]
+    fn prefetch_is_only_a_hint() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        let map = DistinctMap::with_capacity(8);
+        for i in 0..64 {
+            map.prefetch(&digest(i));
+        }
+        assert!(map.is_empty());
+        for i in 0..8 {
+            map.prefetch(&digest(i));
+            assert!(map
+                .insert(&digest(i), MapEntry::new(i as u32, 0))
+                .inserted());
+            map.prefetch(&digest(i));
+            assert_eq!(map.get(&digest(i)), Some(MapEntry::new(i as u32, 0)));
+        }
+        assert_eq!(map.len(), 8);
     }
 
     #[test]
