@@ -78,7 +78,7 @@ pub fn gdv_snapshots_ordered(
     };
     let mut snapshots = Vec::with_capacity(n_checkpoints);
     let mut run = OrangesRun::new(&g);
-    run.run_with_checkpoints_par(n_checkpoints, |bytes, _| snapshots.push(bytes.to_vec()));
+    run.run_with_checkpoints(n_checkpoints, |bytes, _| snapshots.push(bytes.to_vec()));
     Workload {
         graph,
         n_vertices: g.n_vertices(),
@@ -143,7 +143,7 @@ pub fn scaling_snapshots_with_coverage(
         let target = ((n as f64 * coverage) as u64 * k / n_checkpoints as u64) as u32;
         while run.next_root() < target {
             let batch = (target - run.next_root()) as usize;
-            run.step_par(batch);
+            run.step(batch);
         }
         snapshots.push(run.gdv().as_bytes().to_vec());
     }

@@ -23,7 +23,7 @@
 //!
 //! The paper's kernel gives every node of a level a thread. On the host the
 //! waves visit only each level's *frontier*, the ancestors of the leaves the
-//! leaf pass found changed ([`Frontiers`]): a node whose subtree holds only
+//! leaf pass found changed (`Frontiers`): a node whose subtree holds only
 //! fixed duplicates ends every checkpoint a fixed duplicate and emits
 //! nothing, so skipping it changes no digest, record entry or diff byte. It
 //! keeps [`Label::None`], which its parent reads as [`Label::FixedDupl`].

@@ -9,13 +9,16 @@
 //! * [`esu`] — exact-once enumeration of connected induced subgraphs
 //!   (Wernicke's ESU);
 //! * [`gdv`] — the flat GDV counter array with a zero-copy byte view;
-//! * [`runner`] — resumable vertex-ordered execution with evenly spaced
-//!   checkpoint hooks and a restart path.
+//! * [`runner`] — resumable execution, roots in label order and each
+//!   batch of them enumerated in parallel, with evenly spaced checkpoint
+//!   hooks and a restart path.
 //!
 //! ```
 //! use ckpt_oranges::OrangesRun;
 //! let g = ckpt_graph::generators::delaunay(500, 1);
 //! let mut run = OrangesRun::new(&g);
+//! // Five snapshots; the parallel enumerator between them produces the
+//! // sequential walk's counts, so every snapshot is reproducible.
 //! run.run_with_checkpoints(5, |gdv_bytes, done_roots| {
 //!     // hand `gdv_bytes` to the checkpointing engine
 //!     assert!(done_roots as usize <= g.n_vertices());

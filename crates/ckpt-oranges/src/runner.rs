@@ -1,13 +1,14 @@
 //! Resumable ORANGES execution with checkpoint hooks.
 //!
 //! ORANGES computes the GDV of every vertex by enumerating all 2–5-vertex
-//! graphlet instances. The run proceeds vertex-by-vertex in label order
-//! (each step enumerates the subgraphs rooted at — i.e. whose minimum is —
-//! the next vertex and bumps the counters of *all* member vertices). The
-//! partially-filled GDV array between steps is exactly the evolving data
-//! structure the paper checkpoints at high frequency: updates are sparse and
-//! concentrated around the current root's neighborhood, which Gorder's
-//! locality turns into contiguous dirty regions.
+//! graphlet instances. The run walks the roots in label order a batch at a
+//! time (each step enumerates, in parallel, the subgraphs rooted at — i.e.
+//! whose minimum is — the batch's vertices and bumps the counters of *all*
+//! member vertices). The partially-filled GDV array between steps is
+//! exactly the evolving data structure the paper checkpoints at high
+//! frequency: updates are sparse and concentrated around the current
+//! roots' neighborhood, which Gorder's locality turns into contiguous dirty
+//! regions.
 
 use crate::esu::EsuScratch;
 use crate::gdv::Gdv;
@@ -18,7 +19,6 @@ use ckpt_graph::CsrGraph;
 pub struct OrangesRun<'g> {
     graph: &'g CsrGraph,
     gdv: Gdv,
-    scratch: EsuScratch,
     next_root: u32,
     subgraphs_seen: u64,
 }
@@ -28,7 +28,6 @@ impl<'g> OrangesRun<'g> {
         OrangesRun {
             graph,
             gdv: Gdv::new(graph.n_vertices()),
-            scratch: EsuScratch::new(graph.n_vertices()),
             next_root: 0,
             subgraphs_seen: 0,
         }
@@ -44,7 +43,6 @@ impl<'g> OrangesRun<'g> {
         Some(OrangesRun {
             graph,
             gdv,
-            scratch: EsuScratch::new(graph.n_vertices()),
             next_root,
             subgraphs_seen: 0,
         })
@@ -75,34 +73,11 @@ impl<'g> OrangesRun<'g> {
     }
 
     /// Process up to `batch` root vertices; returns how many were processed
-    /// (0 when done).
+    /// (0 when done). Roots fan out across the thread pool (the application
+    /// is GPU-parallel in the paper) and counter bumps are atomic; counter
+    /// addition commutes, so the GDV is the sequential walk's whatever the
+    /// schedule, which the tests assert.
     pub fn step(&mut self, batch: usize) -> usize {
-        let table = OrbitTable::global();
-        let n = self.graph.n_vertices() as u32;
-        let end = (self.next_root + batch as u32).min(n);
-        let mut seen = 0u64;
-        for root in self.next_root..end {
-            let gdv = &mut self.gdv;
-            self.scratch
-                .enumerate_from_root(self.graph, root, 5, &mut |sub, mask| {
-                    seen += 1;
-                    for (i, &v) in sub.iter().enumerate() {
-                        gdv.bump(v, table.orbit_of(sub.len(), mask, i));
-                    }
-                });
-        }
-        let processed = (end - self.next_root) as usize;
-        self.next_root = end;
-        self.subgraphs_seen += seen;
-        processed
-    }
-
-    /// Process up to `batch` root vertices in parallel (the application is
-    /// GPU-parallel in the paper; here roots fan out across a thread pool
-    /// and counter bumps are atomic). Produces exactly the same GDV as the
-    /// sequential [`step`](Self::step) — counter addition commutes — which
-    /// the tests assert.
-    pub fn step_par(&mut self, batch: usize) -> usize {
         use rayon::prelude::*;
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,36 +113,7 @@ impl<'g> OrangesRun<'g> {
 
     /// Run to completion.
     pub fn run_to_completion(&mut self) {
-        while !self.is_done() {
-            self.step(1024);
-        }
-    }
-
-    /// Run to completion using the parallel enumerator.
-    pub fn run_to_completion_par(&mut self) {
-        let n = self.graph.n_vertices();
-        while !self.is_done() {
-            self.step_par(n);
-        }
-    }
-
-    /// [`run_with_checkpoints`](Self::run_with_checkpoints) using the
-    /// parallel enumerator between checkpoints.
-    pub fn run_with_checkpoints_par(
-        &mut self,
-        n_checkpoints: usize,
-        mut on_checkpoint: impl FnMut(&[u8], u32),
-    ) {
-        assert!(n_checkpoints >= 1);
-        let n = self.graph.n_vertices() as u32;
-        for k in 1..=n_checkpoints as u32 {
-            let target = (n as u64 * k as u64 / n_checkpoints as u64) as u32;
-            while self.next_root < target {
-                let batch = (target - self.next_root) as usize;
-                self.step_par(batch);
-            }
-            on_checkpoint(self.gdv.as_bytes(), self.next_root);
-        }
+        self.step(self.graph.n_vertices());
     }
 
     /// Evenly spaced checkpoint schedule: process the whole graph while
@@ -184,10 +130,7 @@ impl<'g> OrangesRun<'g> {
         let n = self.graph.n_vertices() as u32;
         for k in 1..=n_checkpoints as u32 {
             let target = (n as u64 * k as u64 / n_checkpoints as u64) as u32;
-            while self.next_root < target {
-                let batch = (target - self.next_root).min(1024) as usize;
-                self.step(batch);
-            }
+            self.step(target.saturating_sub(self.next_root) as usize);
             on_checkpoint(self.gdv.as_bytes(), self.next_root);
         }
     }
@@ -197,6 +140,26 @@ impl<'g> OrangesRun<'g> {
 mod tests {
     use super::*;
     use crate::orbits::N_ORBITS;
+
+    /// The oracle: [`OrangesRun::step`] as a sequential walk over the
+    /// roots, one scratch, plain counter bumps.
+    fn serial_step(run: &mut OrangesRun, batch: usize) -> usize {
+        let table = OrbitTable::global();
+        let end = (run.next_root + batch as u32).min(run.graph.n_vertices() as u32);
+        let mut scratch = EsuScratch::new(run.graph.n_vertices());
+        for root in run.next_root..end {
+            let gdv = &mut run.gdv;
+            scratch.enumerate_from_root(run.graph, root, 5, &mut |sub, mask| {
+                run.subgraphs_seen += 1;
+                for (i, &v) in sub.iter().enumerate() {
+                    gdv.bump(v, table.orbit_of(sub.len(), mask, i));
+                }
+            });
+        }
+        let processed = (end - run.next_root) as usize;
+        run.next_root = end;
+        processed
+    }
 
     #[test]
     fn triangle_gdv() {
@@ -281,9 +244,9 @@ mod tests {
     fn parallel_run_equals_serial() {
         let g = ckpt_graph::generators::delaunay(1200, 6);
         let mut serial = OrangesRun::new(&g);
-        serial.run_to_completion();
+        while serial_step(&mut serial, 1024) > 0 {}
         let mut par = OrangesRun::new(&g);
-        par.run_to_completion_par();
+        par.run_to_completion();
         assert_eq!(par.gdv(), serial.gdv());
         assert_eq!(par.subgraphs_seen(), serial.subgraphs_seen());
     }
@@ -291,10 +254,16 @@ mod tests {
     #[test]
     fn parallel_checkpoint_snapshots_equal_serial() {
         let g = ckpt_graph::generators::message_race(1500, 8);
+        let n = g.n_vertices();
         let mut a = Vec::new();
+        let mut serial = OrangesRun::new(&g);
+        for k in 1..=6 {
+            let batch = n * k / 6 - serial.next_root() as usize;
+            serial_step(&mut serial, batch);
+            a.push(serial.gdv().as_bytes().to_vec());
+        }
         let mut b = Vec::new();
-        OrangesRun::new(&g).run_with_checkpoints(6, |bytes, _| a.push(bytes.to_vec()));
-        OrangesRun::new(&g).run_with_checkpoints_par(6, |bytes, _| b.push(bytes.to_vec()));
+        OrangesRun::new(&g).run_with_checkpoints(6, |bytes, _| b.push(bytes.to_vec()));
         assert_eq!(a, b);
     }
 

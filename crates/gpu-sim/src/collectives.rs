@@ -1,4 +1,5 @@
-//! Device-wide collective primitives: exclusive scan and segmented gather.
+//! Device-wide collective primitives: exclusive scan, stream compaction
+//! and segmented gather.
 //!
 //! The paper's serialization step "pre-calculates offsets in the consolidated
 //! difference and assigns GPU threads to parallelize the data transfers"
@@ -65,42 +66,15 @@ pub fn exclusive_scan(input: &[u64], out: &mut [u64]) -> u64 {
     total
 }
 
-/// Stream compaction: collect the indices `i` where `flags[i] != 0`, in
-/// ascending order — the standard GPU pattern for building output lists
-/// without locks (flag kernel → exclusive scan → scatter kernel). This is
-/// how the de-duplication pipeline emits its region lists.
-pub fn compact_indices(flags: &[u8]) -> Vec<u32> {
-    let ones: Vec<u64> = flags.iter().map(|&f| (f != 0) as u64).collect();
-    let mut offsets = vec![0u64; flags.len()];
-    let total = exclusive_scan(&ones, &mut offsets) as usize;
-
-    let mut out = vec![0u32; total];
-    {
-        let slots = &mut out[..];
-        // Scatter in parallel: each flagged index writes its own slot.
-        use std::sync::atomic::{AtomicU32, Ordering};
-        // SAFETY: AtomicU32 has the same layout as u32; each slot is written
-        // by exactly one flagged index (offsets are unique).
-        let atomic_slots = unsafe {
-            std::slice::from_raw_parts(slots.as_mut_ptr() as *const AtomicU32, slots.len())
-        };
-        flags.par_iter().enumerate().for_each(|(i, &f)| {
-            if f != 0 {
-                atomic_slots[offsets[i] as usize].store(i as u32, Ordering::Relaxed);
-            }
-        });
-    }
-    out
-}
-
 /// Stream compaction over a predicate: collect the indices `i in 0..n` where
 /// `pred(i)`, in ascending order, without materializing a flag array.
 ///
 /// Blocked three-pass structure (per-block count → scan of block counts →
-/// per-block writes into disjoint output ranges), the same decomposition as
-/// [`compact_indices`] but with the predicate evaluated in-register — the
-/// fused form the de-duplication pipeline uses to emit region lists straight
-/// from settled label arrays.
+/// per-block writes into disjoint output ranges) — the standard GPU way to
+/// build output lists without locks, with the predicate evaluated
+/// in-register instead of read from a flag array. The de-duplication
+/// pipeline emits its region lists this way, straight from settled label
+/// arrays.
 pub fn compact_where<P>(n: usize, pred: P) -> Vec<u32>
 where
     P: Fn(usize) -> bool + Sync,
@@ -191,51 +165,6 @@ pub fn segmented_gather(src: &[u8], segments: &[Segment], dst: &mut [u8]) -> usi
     total
 }
 
-/// Scatter `src` (contiguous, in segment order) back out to `segments` of
-/// `dst` — the inverse of [`segmented_gather`], used on restore.
-pub fn segmented_scatter(src: &[u8], segments: &[Segment], dst: &mut [u8]) -> usize {
-    let total: usize = segments.iter().map(|&(_, len)| len).sum();
-    assert!(
-        src.len() >= total,
-        "scatter source too small: {} < {total}",
-        src.len()
-    );
-
-    // Destination segments may be arbitrary; to stay safe we sort an index by
-    // offset and verify disjointness, then split `dst` into disjoint parts.
-    let mut order: Vec<usize> = (0..segments.len()).collect();
-    order.sort_unstable_by_key(|&i| segments[i].0);
-    for w in order.windows(2) {
-        let (a_off, a_len) = segments[w[0]];
-        let (b_off, _) = segments[w[1]];
-        assert!(a_off + a_len <= b_off, "scatter segments overlap");
-    }
-
-    // Compute source offsets per segment (in original order).
-    let lens: Vec<u64> = segments.iter().map(|&(_, len)| len as u64).collect();
-    let mut src_offsets = vec![0u64; segments.len()];
-    exclusive_scan(&lens, &mut src_offsets);
-
-    // Split dst by ascending offset.
-    let mut parts: Vec<(usize, &mut [u8])> = Vec::with_capacity(segments.len());
-    let mut consumed = 0usize;
-    let mut rest = dst;
-    for &i in &order {
-        let (off, len) = segments[i];
-        let (_, tail) = rest.split_at_mut(off - consumed);
-        let (head, tail) = tail.split_at_mut(len);
-        parts.push((i, head));
-        consumed = off + len;
-        rest = tail;
-    }
-
-    parts.into_par_iter().for_each(|(i, part)| {
-        let s = src_offsets[i] as usize;
-        part.copy_from_slice(&src[s..s + part.len()]);
-    });
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,22 +199,30 @@ mod tests {
         assert_eq!(total, acc);
     }
 
-    #[test]
-    fn compact_collects_flagged_indices_in_order() {
-        let mut flags = vec![0u8; 10_000];
-        let expect: Vec<u32> = (0..10_000).filter(|i| i % 7 == 3 || i % 113 == 0).collect();
-        for &i in &expect {
-            flags[i as usize] = 1;
+    /// The oracle: flag → exclusive scan → scatter, over a materialized
+    /// flag array.
+    fn compact_indices(flags: &[u8]) -> Vec<u32> {
+        let ones: Vec<u64> = flags.iter().map(|&f| (f != 0) as u64).collect();
+        let mut offsets = vec![0u64; flags.len()];
+        let total = exclusive_scan(&ones, &mut offsets) as usize;
+        let mut out = vec![0u32; total];
+        for (i, &f) in flags.iter().enumerate() {
+            if f != 0 {
+                out[offsets[i] as usize] = i as u32;
+            }
         }
-        assert_eq!(compact_indices(&flags), expect);
+        out
     }
 
     #[test]
-    fn compact_edge_cases() {
-        assert!(compact_indices(&[]).is_empty());
-        assert!(compact_indices(&[0, 0, 0]).is_empty());
-        assert_eq!(compact_indices(&[1, 1, 1]), vec![0, 1, 2]);
-        assert_eq!(compact_indices(&[0, 2, 0, 255]), vec![1, 3]);
+    fn compact_collects_flagged_indices_in_order() {
+        let expect: Vec<u32> = (0..10_000).filter(|i| i % 7 == 3 || i % 113 == 0).collect();
+        let mut flags = vec![0u8; 10_000];
+        for &i in &expect {
+            flags[i as usize] = 1;
+        }
+        assert_eq!(compact_where(flags.len(), |i| flags[i] != 0), expect);
+        assert_eq!(compact_indices(&flags), expect);
     }
 
     #[test]
@@ -319,40 +256,6 @@ mod tests {
         let src = [1u8, 2, 3];
         let mut dst = vec![0u8; 0];
         assert_eq!(segmented_gather(&src, &[], &mut dst), 0);
-    }
-
-    #[test]
-    fn scatter_inverts_gather() {
-        let src: Vec<u8> = (0..100u8).collect();
-        let segments = [(5usize, 10usize), (40, 7), (80, 20)];
-        let total: usize = segments.iter().map(|s| s.1).sum();
-        let mut packed = vec![0u8; total];
-        segmented_gather(&src, &segments, &mut packed);
-
-        let mut restored = vec![0u8; 100];
-        segmented_scatter(&packed, &segments, &mut restored);
-        for &(off, len) in &segments {
-            assert_eq!(&restored[off..off + len], &src[off..off + len]);
-        }
-    }
-
-    #[test]
-    fn scatter_unsorted_segments() {
-        // Segment order in the diff need not be ascending by offset.
-        let packed = [9u8, 8, 7, 6];
-        let segments = [(6usize, 2usize), (0, 2)]; // out of order
-        let mut dst = vec![0u8; 8];
-        segmented_scatter(&packed, &segments, &mut dst);
-        assert_eq!(dst, [7, 6, 0, 0, 0, 0, 9, 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn scatter_rejects_overlap() {
-        let packed = [0u8; 4];
-        let segments = [(0usize, 3usize), (2, 1)];
-        let mut dst = vec![0u8; 8];
-        segmented_scatter(&packed, &segments, &mut dst);
     }
 
     #[test]

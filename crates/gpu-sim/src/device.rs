@@ -1,7 +1,6 @@
 //! The simulated device: kernel launches, fused regions, transfers.
 
 use crate::arena::DeviceArena;
-use crate::buffer::DeviceBuffer;
 use crate::collectives;
 use crate::metrics::DeviceMetrics;
 use crate::perf::{DeviceConfig, PerfModel};
@@ -203,19 +202,11 @@ impl Device {
         collectives::exclusive_scan(input, out)
     }
 
-    /// Stream compaction on the device: indices of non-zero `flags`, in
-    /// ascending order (flag → scan → scatter; the lock-free way GPU
-    /// pipelines build output lists).
-    pub fn compact_indices(&self, _name: &str, flags: &[u8]) -> Vec<u32> {
-        self.account_launch(KernelCost::stream(2 * flags.len() as u64));
-        collectives::compact_indices(flags)
-    }
-
     /// Stream compaction over a predicate: indices `i in 0..n` where
     /// `pred(i)`, ascending, with no intermediate flag buffer — the fused
-    /// form of [`compact_indices`](Self::compact_indices) used to emit
-    /// region lists straight from settled label arrays. Same modeled cost
-    /// (the flag read is replaced by the predicate's source read).
+    /// flag → scan → scatter the pipeline uses to emit region lists
+    /// straight from settled label arrays. Modeled as one stream over two
+    /// bytes per item (the flag read and the scatter it fuses).
     pub fn compact_where<P>(&self, _name: &str, n: usize, pred: P) -> Vec<u32>
     where
         P: Fn(usize) -> bool + Sync + Send,
@@ -254,39 +245,11 @@ impl Device {
         out
     }
 
-    /// Allocate a device buffer of `len` default-initialized elements.
-    pub fn alloc<T: Clone + Default + Send + Sync>(&self, len: usize) -> DeviceBuffer<T> {
-        DeviceBuffer::new(self.clone(), vec![T::default(); len])
-    }
-
-    /// Allocate a device buffer initialized from host data, accounting the
-    /// host→device transfer.
-    pub fn alloc_from_host<T: Clone + Send + Sync>(&self, host: &[T]) -> DeviceBuffer<T> {
-        let bytes = std::mem::size_of_val(host) as u64;
-        self.account_h2d(bytes);
-        self.inner.metrics.record_alloc(bytes);
-        DeviceBuffer::new(self.clone(), host.to_vec())
-    }
-
-    pub(crate) fn account_alloc(&self, bytes: u64) {
-        self.inner.metrics.record_alloc(bytes);
-    }
-
-    pub(crate) fn account_d2h(&self, bytes: u64) {
+    /// Account a device→host transfer of `bytes` — e.g. a checkpoint's
+    /// consolidated diff and the metadata tables that travel with it.
+    pub fn account_d2h_bytes(&self, bytes: u64) {
         let sec = self.inner.perf.transfer_sec(bytes, self.contenders());
         self.inner.metrics.record_d2h(bytes, sec);
-    }
-
-    pub(crate) fn account_h2d(&self, bytes: u64) {
-        let sec = self.inner.perf.transfer_sec(bytes, self.contenders());
-        self.inner.metrics.record_h2d(bytes, sec);
-    }
-
-    /// Account a device→host transfer of `bytes` that rides along with (or
-    /// happens outside) a buffer copy — e.g. the metadata tables that travel
-    /// in the same consolidated diff transfer.
-    pub fn account_d2h_bytes(&self, bytes: u64) {
-        self.account_d2h(bytes);
     }
 }
 
@@ -355,10 +318,7 @@ mod tests {
     #[test]
     fn transfers_account_modeled_time_and_bytes() {
         let dev = Device::a100();
-        let buf = dev.alloc_from_host(&vec![0u8; 1 << 20]);
-        let mut host = vec![0u8; 1 << 20];
-        buf.copy_to_host(&mut host);
-        assert_eq!(dev.metrics().h2d_bytes(), 1 << 20);
+        dev.account_d2h_bytes(1 << 20);
         assert_eq!(dev.metrics().d2h_bytes(), 1 << 20);
         assert!(dev.metrics().modeled_transfer_sec() > 0.0);
     }
@@ -368,9 +328,8 @@ mod tests {
         let solo = Device::a100();
         let crowded = Device::a100();
         crowded.set_contenders(8);
-        let data = vec![0u8; 4 << 20];
-        solo.alloc_from_host(&data);
-        crowded.alloc_from_host(&data);
+        solo.account_d2h_bytes(4 << 20);
+        crowded.account_d2h_bytes(4 << 20);
         assert!(
             crowded.metrics().modeled_transfer_sec() > 5.0 * solo.metrics().modeled_transfer_sec()
         );

@@ -28,7 +28,6 @@
 //! the executor (a thread pool instead of warps).
 
 pub mod arena;
-pub mod buffer;
 pub mod collectives;
 pub mod content_cache;
 pub mod device;
@@ -37,7 +36,6 @@ pub mod metrics;
 pub mod perf;
 
 pub use arena::{ArenaLease, ArenaStats, DeviceArena};
-pub use buffer::DeviceBuffer;
 pub use content_cache::{ContentCache, Verification};
 pub use device::{Device, KernelCost, TILE};
 pub use distinct_map::{BatchedInserts, DistinctMap, InsertResult, MapEntry};

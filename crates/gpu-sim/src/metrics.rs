@@ -16,14 +16,12 @@ pub struct DeviceMetrics {
     device_bytes_read: AtomicU64,
     device_bytes_written: AtomicU64,
     d2h_bytes: AtomicU64,
-    h2d_bytes: AtomicU64,
     /// Modeled kernel execution time, femtoseconds.
     kernel_femtos: AtomicU64,
     /// Modeled launch latency, femtoseconds.
     launch_femtos: AtomicU64,
     /// Modeled transfer time, femtoseconds.
     transfer_femtos: AtomicU64,
-    alloc_bytes: AtomicU64,
 }
 
 fn to_femtos(sec: f64) -> u64 {
@@ -61,16 +59,6 @@ impl DeviceMetrics {
             .fetch_add(to_femtos(modeled_sec), Ordering::Relaxed);
     }
 
-    pub(crate) fn record_h2d(&self, bytes: u64, modeled_sec: f64) {
-        self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.transfer_femtos
-            .fetch_add(to_femtos(modeled_sec), Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_alloc(&self, bytes: u64) {
-        self.alloc_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Number of logical kernels run, inside a fused region or not. The
     /// launches that paid latency are [`modeled_launch_sec`](Self::modeled_launch_sec)
     /// over the per-launch latency: one per fused region plus one per
@@ -97,16 +85,6 @@ impl DeviceMetrics {
     /// Device→host bytes transferred.
     pub fn d2h_bytes(&self) -> u64 {
         self.d2h_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Host→device bytes transferred.
-    pub fn h2d_bytes(&self) -> u64 {
-        self.h2d_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes allocated on the device over its lifetime.
-    pub fn alloc_bytes(&self) -> u64 {
-        self.alloc_bytes.load(Ordering::Relaxed)
     }
 
     /// Total modeled device time in seconds (kernels + launch latency +
@@ -141,7 +119,6 @@ impl DeviceMetrics {
             device_bytes_read: self.device_bytes_read(),
             device_bytes_written: self.device_bytes_written(),
             d2h_bytes: self.d2h_bytes(),
-            h2d_bytes: self.h2d_bytes(),
             modeled_sec: self.modeled_sec(),
             modeled_kernel_sec: self.modeled_kernel_sec(),
             modeled_launch_sec: self.modeled_launch_sec(),
@@ -156,11 +133,9 @@ impl DeviceMetrics {
         self.device_bytes_read.store(0, Ordering::Relaxed);
         self.device_bytes_written.store(0, Ordering::Relaxed);
         self.d2h_bytes.store(0, Ordering::Relaxed);
-        self.h2d_bytes.store(0, Ordering::Relaxed);
         self.kernel_femtos.store(0, Ordering::Relaxed);
         self.launch_femtos.store(0, Ordering::Relaxed);
         self.transfer_femtos.store(0, Ordering::Relaxed);
-        self.alloc_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -172,18 +147,10 @@ pub struct MetricsSnapshot {
     pub device_bytes_read: u64,
     pub device_bytes_written: u64,
     pub d2h_bytes: u64,
-    pub h2d_bytes: u64,
     pub modeled_sec: f64,
     pub modeled_kernel_sec: f64,
     pub modeled_launch_sec: f64,
     pub modeled_transfer_sec: f64,
-}
-
-impl MetricsSnapshot {
-    /// Modeled time elapsed between two snapshots (self taken after `earlier`).
-    pub fn modeled_sec_since(&self, earlier: &MetricsSnapshot) -> f64 {
-        self.modeled_sec - earlier.modeled_sec
-    }
 }
 
 #[cfg(test)]
@@ -208,19 +175,9 @@ mod tests {
         let m = DeviceMetrics::new();
         m.record_kernel(1, 1, 1.0);
         m.record_launch_latency(1.0);
-        m.record_h2d(5, 0.5);
+        m.record_d2h(5, 0.5);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let m = DeviceMetrics::new();
-        m.record_kernel(1, 1, 1.0);
-        let s1 = m.snapshot();
-        m.record_kernel(1, 1, 0.5);
-        let s2 = m.snapshot();
-        assert!((s2.modeled_sec_since(&s1) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -29,6 +29,11 @@
 //!
 //! Compression census: checkpoint bytes are compressed in one stage, the
 //! runtime's flush stage, and decompressed in one function, the frame's.
+//!
+//! Fault-harness census: the fault schedules are one integration target,
+//! `ckpt-runtime`'s `tests/faults/`, whose `support` module builds every
+//! workload, runs every submit–kill–recover schedule and audits it; the
+//! root package ships one binary.
 
 use std::path::{Path, PathBuf};
 
@@ -412,4 +417,55 @@ fn one_compression_stage() {
         codec_field.is_empty(),
         "`payload_codec` in: {codec_field:?}"
     );
+}
+
+#[test]
+fn one_fault_schedule_harness() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(file_names(&root.join("src/bin")), ["ckpt.rs"]);
+
+    // Two suites pin a workload of their own and run no fault schedule:
+    // `runtime_assembly.rs` holds golden digests of its stream, and
+    // `flush_compression.rs` draws its edit scripts from proptest.
+    let tests = root.join("crates/ckpt-runtime/tests");
+    let mut files = rust_files(&tests);
+    files.extend(rust_files(&tests.join("faults")));
+    files.retain(|p| !p.ends_with("runtime_assembly.rs") && !p.ends_with("flush_compression.rs"));
+
+    // `file::fn` for each function of `path` that has every token.
+    let fns_with_all = |path: &Path, tokens: &[&str]| -> Vec<String> {
+        let mut hits: Option<Vec<String>> = None;
+        for token in tokens {
+            let mut with = fns_with(path, &|l| l.contains(token));
+            with.dedup();
+            hits = Some(match hits {
+                None => with,
+                Some(prev) => prev.into_iter().filter(|f| with.contains(f)).collect(),
+            });
+        }
+        hits.unwrap_or_default()
+    };
+    // Each role by the code that gives it away: a snapshot generator
+    // derives a rank's seeded stream, a record builder encodes a
+    // checkpointer's diffs, a runner submits, crashes and recovers.
+    let roles: [(&str, &[&str]); 3] = [
+        ("snapshot generator", &["wrapping_mul(0x9e37_79b9)"]),
+        ("record builder", &[".diff.encode()"]),
+        (
+            "submit–kill–recover runner",
+            &[".submit(", ".kill()", "recover_report("],
+        ),
+    ];
+    for (role, tokens) in roles {
+        let defined: Vec<String> = files
+            .iter()
+            .flat_map(|path| fns_with_all(path, tokens))
+            .collect();
+        let mut in_files: Vec<&str> = defined
+            .iter()
+            .map(|f| &f[..f.find("::").unwrap()])
+            .collect();
+        in_files.dedup();
+        assert_eq!(in_files, ["support.rs"], "{role}s: {defined:?}");
+    }
 }
