@@ -11,12 +11,14 @@
 //! own — seeded with the single run `0..n` at the target. Visiting records
 //! newest→oldest, each waiting run is split against the record's region
 //! tables: a piece covered by payload is copied into place (adjacent pieces
-//! coalesce into one `memcpy`), a piece covered by a shifted duplicate
-//! becomes a run on the referenced record (possibly this one — chased on an
-//! explicit work stack), and an uncovered piece is a fixed duplicate that
-//! carries to the next-older record. Total bytes moved: one checkpoint's
-//! worth, regardless of chain length; total resolution work: proportional
-//! to the runs a record is asked for, not to the snapshot's chunk count.
+//! coalesce into one `memcpy`), a piece covered by a shifted duplicate of an
+//! older record becomes a run on that record, one covered by a shifted
+//! duplicate of this same record resolves through a per-visit memo to the
+//! chunk it ends at, and an uncovered piece is a fixed duplicate that
+//! carries to the next-older record — runs untouched by the record's tables
+//! move there in bulk. Total bytes moved: one checkpoint's worth, regardless
+//! of chain length; total resolution work: the record's tables plus the
+//! pieces it resolves, not the snapshot's chunk count.
 //!
 //! **Determinism:** a visit is a pure function of the record's region tables
 //! and the runs waiting on it, every run list has pairwise-disjoint
@@ -57,6 +59,11 @@ pub struct RestartStats {
     pub bytes_copied: u64,
     /// Chunks that resolved to the zero prefix below the record base.
     pub zero_chunks: u64,
+    /// Pieces the walk sent on one at a time: copied, referred to a record,
+    /// carried to the previous one or counted as zeros. Runs a sweep moves
+    /// down in bulk are not pieces, and a same-record shift sends one per
+    /// stretch of its resolved chunks.
+    pub pieces: u64,
 }
 
 /// Does this diff reference no earlier checkpoint? Structural check used to
@@ -78,17 +85,34 @@ pub fn is_self_contained(diff: &Diff) -> bool {
             // Every chunk must be covered by a payload or shift region;
             // an uncovered chunk would inherit from the previous version.
             let shape = TreeShape::new(n);
-            let mut covered = vec![false; n];
-            for &node in &diff.first_regions {
+            let nodes = diff.first_regions.iter();
+            let nodes = nodes.chain(diff.shift_regions.iter().map(|s| &s.node));
+            let mut covered = vec![0u64; n.div_ceil(64)];
+            for &node in nodes {
                 let (clo, chi) = shape.chunk_range(node as usize);
-                covered[clo..chi].fill(true);
+                set_bits(&mut covered, clo, chi);
             }
-            for s in &diff.shift_regions {
-                let (clo, chi) = shape.chunk_range(s.node as usize);
-                covered[clo..chi].fill(true);
-            }
-            covered.into_iter().all(|c| c)
+            let (whole, tail) = (n / 64, n % 64);
+            covered[..whole].iter().all(|&w| w == u64::MAX)
+                && (tail == 0 || covered[whole] == (1u64 << tail) - 1)
         }
+    }
+}
+
+/// Set bits `lo..hi` of a word bitset, a word at a time.
+fn set_bits(words: &mut [u64], lo: usize, hi: usize) {
+    if lo >= hi {
+        return;
+    }
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    let head = u64::MAX << (lo % 64);
+    let tail = u64::MAX >> (63 - (hi - 1) % 64);
+    if first == last {
+        words[first] |= head & tail;
+    } else {
+        words[first] |= head;
+        words[first + 1..last].fill(u64::MAX);
+        words[last] |= tail;
     }
 }
 
@@ -119,12 +143,9 @@ enum RecordIndex {
         flags: ArenaLease<u64>,
         ranks: ArenaLease<u64>,
     },
-    /// Tree/List: interval tables over chunk ids, sorted by `clo`, their
-    /// destinations pairwise disjoint.
-    Regions {
-        payload: Vec<PayloadIv>,
-        shifts: Vec<ShiftIv>,
-    },
+    /// Tree/List: where each chunk comes from, as segments tiling the
+    /// chunks in order.
+    Regions { segs: Vec<Seg> },
 }
 
 /// A chunk that two entries of the tables (each sorted by `clo`) both
@@ -153,6 +174,9 @@ fn first_overlap(payload: &[PayloadIv], shifts: &[ShiftIv]) -> Option<u32> {
 /// shift's dependencies are one contiguous run. Zero for every table a
 /// method emits; then a chunk's chase enters each shift at most once.
 fn stuck_shifts(shifts: &[ShiftIv], j: u32) -> usize {
+    if shifts.iter().all(|s| s.ref_pos != j) {
+        return 0;
+    }
     const UNSEEN: u8 = 0;
     const ON_PATH: u8 = 1;
     const APPLIED: u8 = 2;
@@ -293,7 +317,11 @@ impl Chain {
                     });
                     cursor += b - a;
                 }
-                payload.sort_unstable_by_key(|r| r.clo);
+                // A Tree table lists its regions level by level, each level
+                // ascending; the stable sort is a natural merge sort that
+                // finds those runs and merges them. Offsets were assigned in
+                // table order, so any order indexes to the same tables.
+                payload.sort_by_key(|r| r.clo);
 
                 let mut shifts = Vec::with_capacity(diff.shift_regions.len());
                 for s in &diff.shift_regions {
@@ -327,14 +355,18 @@ impl Chain {
                         ref_pos,
                     });
                 }
-                shifts.sort_unstable_by_key(|r| r.clo);
+                shifts.sort_by_key(|r| r.clo);
 
-                if let Some(chunk) = first_overlap(&payload, &shifts) {
+                let n_chunks = n as u32;
+                let Some(segs) = segments(&payload, &shifts, n_chunks) else {
+                    // Both find the same overlaps; the chunk the error names
+                    // comes from the one rule the oracle shares.
+                    let chunk = first_overlap(&payload, &shifts).unwrap_or(0);
                     return Err(RestoreError::RegionsOverlap {
                         ckpt_id: diff.ckpt_id,
                         chunk,
                     });
-                }
+                };
                 let stuck = stuck_shifts(&shifts, diff.ckpt_id - self.base);
                 if stuck > 0 {
                     return Err(RestoreError::UnresolvableShifts {
@@ -342,7 +374,7 @@ impl Chain {
                         remaining: stuck,
                     });
                 }
-                Ok(RecordIndex::Regions { payload, shifts })
+                Ok(RecordIndex::Regions { segs })
             }
         }
     }
@@ -387,8 +419,25 @@ struct Run {
     len: u32,
 }
 
+impl Run {
+    /// The source chunk past the run's last.
+    fn end(&self) -> u32 {
+        self.src + self.len
+    }
+
+    /// The run without its first `len` chunks.
+    fn after(&self, len: u32) -> Run {
+        Run {
+            dst: self.dst + len,
+            src: self.src + len,
+            len: self.len - len,
+        }
+    }
+}
+
 /// Append `run` to `list`, growing the last run instead where `run`
 /// continues it in both the output and the source.
+#[inline(always)]
 fn push_run(list: &mut Vec<Run>, run: Run) {
     match list.last_mut() {
         Some(last) if last.dst + last.len == run.dst && last.src + last.len == run.src => {
@@ -398,13 +447,28 @@ fn push_run(list: &mut Vec<Run>, run: Run) {
     }
 }
 
+/// The runs waiting on one record position, in two lists.
+#[derive(Debug, Clone, Default)]
+struct Waiting {
+    /// Stretches of the target no record above has touched: each run's
+    /// `src` is its `dst`, in order. Seeded with `0..n` at the target and
+    /// written only by the sweep of the record above, which keeps them so.
+    carried: Vec<Run>,
+    /// Everything else, in arrival order: shifted duplicates of this
+    /// record, and whatever a same-record shift or a Basic record resolved
+    /// to it.
+    referred: Vec<Run>,
+}
+
 /// Where chunks `clo..chi` of the visited record's version come from.
+#[derive(Clone, Copy)]
 struct Seg {
     clo: u32,
     chi: u32,
     from: Source,
 }
 
+#[derive(Clone, Copy)]
 enum Source {
     /// This record's payload, from byte `off`.
     Payload { off: u64 },
@@ -415,28 +479,39 @@ enum Source {
     Previous,
 }
 
-/// A record's two tables (each sorted by `clo`, all destinations disjoint)
-/// and the gaps they leave, merged into one list that tiles `0..n_chunks`.
-fn segments(payload: &[PayloadIv], shifts: &[ShiftIv], n_chunks: u32) -> Vec<Seg> {
+/// A record's two tables (each sorted by `clo`) and the gaps they leave,
+/// merged into one list that tiles `0..n_chunks` — or `None` if two
+/// entries write one chunk.
+fn segments(payload: &[PayloadIv], shifts: &[ShiftIv], n_chunks: u32) -> Option<Vec<Seg>> {
     let mut segs = Vec::with_capacity(2 * (payload.len() + shifts.len()) + 1);
-    let (mut payload, mut shifts) = (payload.iter().peekable(), shifts.iter().peekable());
     let gap = |clo, chi| Seg {
         clo,
         chi,
         from: Source::Previous,
     };
+    let (mut p, mut s) = (0, 0);
     let mut covered = 0;
     loop {
-        let next = match (payload.peek(), shifts.peek()) {
-            (Some(p), s) if s.is_none_or(|s| p.clo < s.clo) => payload
-                .next()
-                .map(|p| (p.clo, p.chi, Source::Payload { off: p.off })),
-            _ => shifts.next().map(|s| {
-                let (slo, ref_pos) = (s.slo, s.ref_pos);
-                (s.clo, s.chi, Source::Shift { slo, ref_pos })
-            }),
+        let shift_first = match (payload.get(p), shifts.get(s)) {
+            (None, None) => break,
+            (Some(r), Some(t)) => t.clo <= r.clo,
+            (r, _) => r.is_none(),
         };
-        let Some((clo, chi, from)) = next else { break };
+        let (clo, chi, from) = if shift_first {
+            let t = &shifts[s];
+            s += 1;
+            let (slo, ref_pos) = (t.slo, t.ref_pos);
+            (t.clo, t.chi, Source::Shift { slo, ref_pos })
+        } else {
+            let r = &payload[p];
+            p += 1;
+            (r.clo, r.chi, Source::Payload { off: r.off })
+        };
+        // In `clo` order, entries are disjoint iff each starts past the
+        // one before.
+        if clo < covered {
+            return None;
+        }
         if covered < clo {
             segs.push(gap(covered, clo));
         }
@@ -446,7 +521,129 @@ fn segments(payload: &[PayloadIv], shifts: &[ShiftIv], n_chunks: u32) -> Vec<Seg
     if covered < n_chunks {
         segs.push(gap(covered, n_chunks));
     }
-    segs
+    Some(segs)
+}
+
+/// An unset entry of [`Memo::terminal`].
+const UNSET: u32 = u32::MAX;
+
+/// Per chunk of the visited record, where its same-record shifts end: the
+/// **terminal** chunk of the same version, outside every same-record shift,
+/// whose content it has. Leased once per restore and reset after each
+/// visit only where that visit wrote.
+struct Memo {
+    terminal: ArenaLease<u32>,
+    touched: ArenaLease<u32>,
+    n_touched: usize,
+}
+
+/// Chunks per entry of a visit's segment directory.
+const BLOCK: usize = 16;
+
+/// A visit's lookups: a directory from every [`BLOCK`]-th chunk to the
+/// segment holding it, built the first time a piece needs one, and the
+/// restore's [`Memo`] for same-record shifts.
+struct Chase<'a> {
+    device: &'a Device,
+    segs: &'a [Seg],
+    /// Position of the visited record.
+    j: u32,
+    dir: Option<ArenaLease<u32>>,
+    memo: &'a mut Option<Memo>,
+}
+
+/// The segment of `segs` holding `chunk`: from its block's entry in `dir`,
+/// a short scan forward.
+#[inline(always)]
+fn seg_index(dir: &[u32], segs: &[Seg], chunk: u32) -> usize {
+    let mut k = dir[chunk as usize / BLOCK] as usize;
+    while segs[k].chi <= chunk {
+        k += 1;
+    }
+    k
+}
+
+impl Chase<'_> {
+    /// The directory, built on first use: O(blocks + segments).
+    fn dir<'c>(
+        dir: &'c mut Option<ArenaLease<u32>>,
+        segs: &[Seg],
+        device: &Device,
+    ) -> &'c ArenaLease<u32> {
+        dir.get_or_insert_with(|| {
+            let n = segs.last().map_or(0, |s| s.chi as usize);
+            let mut dir = device
+                .arena()
+                .lease::<u32>("restart/seg_dir", n.div_ceil(BLOCK));
+            let mut k = 0;
+            for (b, entry) in dir.iter_mut().enumerate() {
+                while (segs[k].chi as usize) <= b * BLOCK {
+                    k += 1;
+                }
+                *entry = k as u32;
+            }
+            dir
+        })
+    }
+
+    /// The segment holding `chunk`.
+    #[inline(always)]
+    fn seg_of(&mut self, chunk: u32) -> Seg {
+        let dir = Self::dir(&mut self.dir, self.segs, self.device);
+        self.segs[seg_index(dir, self.segs, chunk)]
+    }
+
+    /// The terminal chunk of `chunk`: each chunk of a same-record shift is
+    /// chased once per visit, and the index has no same-record cycle, so
+    /// the chase ends.
+    #[inline(always)]
+    fn terminal(&mut self, chunk: u32) -> u32 {
+        let (segs, device) = (self.segs, self.device);
+        let dir = Self::dir(&mut self.dir, segs, device);
+        let memo = self.memo.get_or_insert_with(|| {
+            let arena = device.arena();
+            let n = segs.last().map_or(0, |s| s.chi as usize);
+            let mut terminal = arena.lease::<u32>("restart/memo", n);
+            terminal.fill(UNSET);
+            Memo {
+                terminal,
+                touched: arena.lease::<u32>("restart/memo_touched", n),
+                n_touched: 0,
+            }
+        });
+        let from = memo.n_touched;
+        let mut c = chunk;
+        loop {
+            let known = memo.terminal[c as usize];
+            if known != UNSET {
+                c = known;
+                break;
+            }
+            let seg = &segs[seg_index(dir, segs, c)];
+            match seg.from {
+                Source::Shift { slo, ref_pos } if ref_pos == self.j => {
+                    memo.touched[memo.n_touched] = c;
+                    memo.n_touched += 1;
+                    c = slo + (c - seg.clo);
+                }
+                _ => break,
+            }
+        }
+        for &p in &memo.touched[from..memo.n_touched] {
+            memo.terminal[p as usize] = c;
+        }
+        c
+    }
+
+    /// Forget what this visit memoised.
+    fn reset(&mut self) {
+        if let Some(memo) = self.memo {
+            for &p in &memo.touched[..memo.n_touched] {
+                memo.terminal[p as usize] = UNSET;
+            }
+            memo.n_touched = 0;
+        }
+    }
 }
 
 /// One record visit: where the pieces of the runs waiting on it go. A copy
@@ -455,20 +652,21 @@ fn segments(payload: &[PayloadIv], shifts: &[ShiftIv], n_chunks: u32) -> Vec<Seg
 /// `memcpy`.
 struct Visit<'a> {
     ck: Chunking,
+    /// Position of the visited record.
+    j: u32,
     buf: &'a mut [u8],
     payload: &'a [u8],
-    /// The lists of the records below the visited one, by position.
-    older: &'a mut [Vec<Run>],
+    /// The runs waiting on the records below the visited one, by position.
+    older: &'a mut [Waiting],
     /// The copy not yet made: `(output byte, payload byte, length)`.
     held: (usize, usize, usize),
-    /// Pieces handled.
-    pieces: u64,
     stats: &'a mut RestartStats,
     unresolved: &'a mut usize,
 }
 
 impl Visit<'_> {
     /// Output chunks `dst..dst + len` are the payload's bytes from `off`.
+    #[inline(always)]
     fn copy(&mut self, dst: u32, len: u32, off: u64) {
         let (a, b) = self
             .ck
@@ -480,7 +678,7 @@ impl Visit<'_> {
             self.flush();
             self.held = (a, off as usize, b - a);
         }
-        self.pieces += 1;
+        self.stats.pieces += 1;
         *self.unresolved -= len as usize;
     }
 
@@ -493,30 +691,157 @@ impl Visit<'_> {
         }
     }
 
-    /// `piece` is what record position `ref_pos` has at `piece.src`: it
-    /// waits on that record's list — or, that being the visited record
-    /// itself (`older` ends one below it), on the visit's own stack.
-    fn refer(&mut self, ref_pos: u32, piece: Run, same_record: &mut Vec<Run>) {
-        match self.older.get_mut(ref_pos as usize) {
-            Some(list) => push_run(list, piece),
-            None => same_record.push(piece),
-        }
-        self.pieces += 1;
+    /// Chunks `len` no record supplies: the zeros the buffer starts as.
+    fn zeros(&mut self, len: u64) {
+        self.stats.zero_chunks += len;
+        *self.unresolved -= len as usize;
     }
 
-    /// `piece` is in neither table of the visited record: it waits on the
-    /// previous record, or below the chain's first record is the zeros the
-    /// buffer starts as.
-    fn carry(&mut self, piece: Run) {
+    /// `piece` is what the visited record has at `piece.src`, and `seg`
+    /// holds that chunk and is not a same-record shift: copy it, refer it
+    /// to the older record it names, or carry it.
+    #[inline(always)]
+    fn send(&mut self, seg: &Seg, piece: Run, in_order: bool) {
+        let into = piece.src - seg.clo;
+        match seg.from {
+            Source::Payload { off } => {
+                let chunk = self.ck.chunk_size() as u64;
+                self.copy(piece.dst, piece.len, off + into as u64 * chunk)
+            }
+            Source::Shift { slo, ref_pos } => {
+                let list = &mut self.older[ref_pos as usize].referred;
+                push_run(
+                    list,
+                    Run {
+                        src: slo + into,
+                        ..piece
+                    },
+                );
+                self.stats.pieces += 1;
+            }
+            Source::Previous => self.carry(piece, in_order),
+        }
+    }
+
+    /// `piece` is a fixed duplicate: it waits on the previous record — on
+    /// its carried list when the caller emits in `src` order — or below
+    /// the chain's first record is the zeros the buffer starts as.
+    #[inline(always)]
+    fn carry(&mut self, piece: Run, in_order: bool) {
         match self.older.last_mut() {
-            Some(previous) => push_run(previous, piece),
-            None => {
-                self.stats.zero_chunks += piece.len as u64;
-                *self.unresolved -= piece.len as usize;
+            Some(w) if in_order => push_run(&mut w.carried, piece),
+            Some(w) => push_run(&mut w.referred, piece),
+            None => self.zeros(piece.len as u64),
+        }
+        self.stats.pieces += 1;
+    }
+
+    /// Place `piece` (its `src` inside `seg`), resolving a same-record
+    /// shift through the memo: chunk by chunk to their terminals, sent on
+    /// in stretches whose terminals continue one another.
+    #[inline(always)]
+    fn place(&mut self, seg: &Seg, piece: Run, chase: &mut Chase, in_order: bool) {
+        let (slo, into) = match seg.from {
+            Source::Shift { slo, ref_pos } if ref_pos == self.j => (slo, piece.src - seg.clo),
+            _ => return self.send(seg, piece, in_order),
+        };
+        let mut stretch: Option<(Run, Seg)> = None;
+        for i in 0..piece.len {
+            let t = chase.terminal(slo + into + i);
+            if let Some((run, at)) = &mut stretch {
+                if t == run.end() && t < at.chi {
+                    run.len += 1;
+                    continue;
+                }
+                let (run, at) = (*run, *at);
+                self.send(&at, run, false);
+            }
+            let dst = piece.dst + i;
+            stretch = Some((
+                Run {
+                    dst,
+                    src: t,
+                    len: 1,
+                },
+                chase.seg_of(t),
+            ));
+        }
+        if let Some((run, at)) = stretch {
+            self.send(&at, run, false);
+        }
+    }
+
+    /// Split the carried `runs` against `segs` in one pass, both in chunk
+    /// order. Runs wholly inside a gap move to the previous record's
+    /// carried list together, in one slice copy, with no lookup or split of
+    /// their own; what the pass carries keeps the carried lists' order.
+    fn sweep(&mut self, runs: &[Run], segs: &[Seg], chase: &mut Chase) {
+        let (mut i, mut k) = (0, 0);
+        while i < runs.len() {
+            while segs[k].chi <= runs[i].src {
+                k += 1;
+            }
+            if let Source::Previous = segs[k].from {
+                // Of the runs starting in the gap only the last can cross
+                // its end.
+                let chi = segs[k].chi;
+                let mut end = i + starting_before(&runs[i..], chi);
+                if runs[end - 1].end() > chi {
+                    end -= 1;
+                }
+                if end > i {
+                    self.carry_all(&runs[i..end]);
+                    i = end;
+                    continue;
+                }
+            }
+            // Piece by piece across the segments the run crosses; the next
+            // run starts past its end.
+            let mut run = runs[i];
+            i += 1;
+            loop {
+                let len = run.len.min(segs[k].chi - run.src);
+                self.place(&segs[k], Run { len, ..run }, chase, true);
+                if len == run.len {
+                    break;
+                }
+                run = run.after(len);
+                k += 1;
             }
         }
-        self.pieces += 1;
     }
+
+    /// Split one referred run against the segments it crosses, each found
+    /// through the directory.
+    fn split(&mut self, mut run: Run, chase: &mut Chase) {
+        while run.len > 0 {
+            let seg = chase.seg_of(run.src);
+            let len = run.len.min(seg.chi - run.src);
+            self.place(&seg, Run { len, ..run }, chase, false);
+            run = run.after(len);
+        }
+    }
+
+    /// `runs`, in `src` order, lie in a gap: they wait on the previous
+    /// record as they are, or below the chain's first record are zeros.
+    fn carry_all(&mut self, runs: &[Run]) {
+        match self.older.last_mut() {
+            Some(w) => w.carried.extend_from_slice(runs),
+            None => self.zeros(runs.iter().map(|r| r.len as u64).sum()),
+        }
+    }
+}
+
+/// How many of `runs` (in `src` order, sources disjoint, the first
+/// starting before `chi`) start before `chi`: a galloping search, O(log)
+/// in the answer.
+fn starting_before(runs: &[Run], chi: u32) -> usize {
+    let mut hi = 1;
+    while hi < runs.len() && runs[hi].src < chi {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + runs[lo..hi.min(runs.len())].partition_point(|r| r.src < chi)
 }
 
 /// Incremental single-pass restore of one target version.
@@ -534,7 +859,11 @@ pub struct SinglePassRestore {
     /// Per record position, the runs it must supply. Across all lists the
     /// destinations are pairwise disjoint and are exactly the chunks not
     /// yet resolved.
-    waiting: Vec<Vec<Run>>,
+    waiting: Vec<Waiting>,
+    /// The carried list a visit consumed, kept for the next to fill.
+    spare: Vec<Run>,
+    /// Leased the first time a visit meets a same-record shift.
+    memo: Option<Memo>,
     /// Target chunks no visited record has supplied yet; the restore is
     /// done at zero.
     unresolved: usize,
@@ -555,14 +884,18 @@ impl SinglePassRestore {
         let chain = Chain::of(device, base, target);
         let n = chain.ck.n_chunks();
         // The whole target is one run on the target's own record.
-        let mut waiting = vec![Vec::new(); target_pos as usize + 1];
+        let mut waiting = vec![Waiting::default(); target_pos as usize + 1];
         let (dst, src, len) = (0, 0, n as u32);
-        waiting[target_pos as usize].push(Run { dst, src, len });
+        waiting[target_pos as usize]
+            .carried
+            .push(Run { dst, src, len });
         Ok(SinglePassRestore {
             next_pos: target_pos,
             buf: vec![0u8; chain.ck.data_len()],
             chain,
             waiting,
+            spare: Vec::new(),
+            memo: None,
             unresolved: n,
             stats: RestartStats::default(),
         })
@@ -581,86 +914,73 @@ impl SinglePassRestore {
 
         // Split every run waiting on this record against its tables. Older
         // records' lists only grow here and no two runs anywhere share an
-        // output chunk, so the order of the walk cannot show in the result.
+        // output chunk, so the order of the walk cannot show in the bytes.
         let (older, rest) = self.waiting.split_at_mut(j as usize);
-        let runs = std::mem::take(&mut rest[0]);
+        let Waiting {
+            mut carried,
+            referred,
+        } = std::mem::take(&mut rest[0]);
+        if let Some(previous) = older.last_mut() {
+            std::mem::swap(&mut previous.carried, &mut self.spare);
+        }
+        let n_runs = carried.len() + referred.len();
         let ck = self.chain.ck;
         let chunk_size = ck.chunk_size() as u64;
-        let copied_before = self.stats.bytes_copied;
+        let (copied_before, pieces_before) = (self.stats.bytes_copied, self.stats.pieces);
+        let device = &self.chain.device;
         let mut visit = Visit {
             ck,
+            j,
             buf: &mut self.buf,
             payload: &diff.payload,
             older,
             held: (0, 0, 0),
-            pieces: 0,
             stats: &mut self.stats,
             unresolved: &mut self.unresolved,
         };
         match &index {
             RecordIndex::Full => {
-                for run in &runs {
+                for run in carried.iter().chain(&referred) {
                     visit.copy(run.dst, run.len, run.src as u64 * chunk_size);
                 }
             }
             RecordIndex::Basic { flags, ranks } => {
-                for run in &runs {
-                    for (dst, src) in (run.dst..).zip(run.src..run.src + run.len) {
+                for run in carried.iter().chain(&referred) {
+                    for (dst, src) in (run.dst..).zip(run.src..run.end()) {
                         if flags[src as usize] == 1 {
                             visit.copy(dst, 1, ranks[src as usize] * chunk_size);
                         } else {
-                            visit.carry(Run { dst, src, len: 1 });
+                            visit.carry(Run { dst, src, len: 1 }, false);
                         }
                     }
                 }
             }
-            RecordIndex::Regions { .. } if runs.is_empty() => {}
-            RecordIndex::Regions { payload, shifts } => {
-                let segs = segments(payload, shifts, ck.n_chunks() as u32);
-                // cover[chunk] → the segment holding it: one load per piece
-                // where finding it in `segs` is a binary search.
-                let arena = self.chain.device.arena();
-                let mut cover = arena.lease::<u32>("restart/cover", ck.n_chunks());
-                for (k, seg) in segs.iter().enumerate() {
-                    cover[seg.clo as usize..seg.chi as usize].fill(k as u32);
+            RecordIndex::Regions { segs } => {
+                let mut chase = Chase {
+                    device,
+                    segs,
+                    j,
+                    dir: None,
+                    memo: &mut self.memo,
+                };
+                visit.sweep(&carried, segs, &mut chase);
+                for &run in &referred {
+                    visit.split(run, &mut chase);
                 }
-                // Shifts into this same record are chased on a stack, never
-                // by recursion. The index has no same-record shift cycle, so
-                // a piece leaves every shift it enters for good and no chunk
-                // is chased further than it would be alone.
-                let mut stack = Vec::new();
-                for &run in &runs {
-                    stack.push(run);
-                    while let Some(mut run) = stack.pop() {
-                        while run.len > 0 {
-                            let seg = &segs[cover[run.src as usize] as usize];
-                            let len = run.len.min(seg.chi - run.src);
-                            let (dst, into) = (run.dst, run.src - seg.clo);
-                            match seg.from {
-                                Source::Payload { off } => {
-                                    visit.copy(dst, len, off + into as u64 * chunk_size)
-                                }
-                                Source::Shift { slo, ref_pos } => {
-                                    let src = slo + into;
-                                    visit.refer(ref_pos, Run { dst, src, len }, &mut stack)
-                                }
-                                Source::Previous => visit.carry(Run { len, ..run }),
-                            }
-                            run.dst += len;
-                            run.src += len;
-                            run.len -= len;
-                        }
-                    }
-                }
+                chase.reset();
             }
         }
         visit.flush();
+        carried.clear();
+        self.spare = carried;
 
-        // On the device the split is one kernel over the pieces handled, and
-        // everything this record supplies moves in one copy wave.
-        let split = KernelCost::stream(std::mem::size_of::<Run>() as u64 * visit.pieces);
+        // On the device the split is one kernel over the runs read and the
+        // pieces handled, and everything this record supplies moves in one
+        // copy wave.
+        let pieces = self.stats.pieces - pieces_before;
+        let split =
+            KernelCost::stream(std::mem::size_of::<Run>() as u64 * (n_runs as u64 + pieces));
         let copy = KernelCost::copy(self.stats.bytes_copied - copied_before);
-        let device = &self.chain.device;
         device.parallel_for("restart_split_runs", 0, split, |_| {});
         device.parallel_for("restart_copy_wave", 0, copy, |_| {});
 
@@ -834,6 +1154,60 @@ mod tests {
         assert!(!is_self_contained(&d1));
     }
 
+    /// The word bitset gives the verdict a per-chunk flag array gives, on
+    /// tables that overlap, that leave one chunk out, and over chunk counts
+    /// on and off a word boundary.
+    #[test]
+    fn self_containment_is_a_union_of_the_tables() {
+        let by_flags = |d: &Diff| {
+            let shape = TreeShape::new(d.n_chunks());
+            let mut covered = vec![false; d.n_chunks()];
+            let nodes = d.first_regions.iter();
+            for &node in nodes.chain(d.shift_regions.iter().map(|s| &s.node)) {
+                let (lo, hi) = shape.chunk_range(node as usize);
+                covered[lo..hi].fill(true);
+            }
+            covered.into_iter().all(|c| c)
+        };
+        for n in [1usize, 63, 64, 65, 130, 256] {
+            let shape = TreeShape::new(n);
+            let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
+            let mut d = tree_diff(0, n as u64 * 32);
+            let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+                // The root, and the root twice over.
+                (vec![0], vec![]),
+                (vec![0, 0], vec![0]),
+                // Every leaf, plus the root's left child on top of them.
+                (
+                    (0..n)
+                        .map(leaf)
+                        .chain([1].into_iter().filter(|_| n > 1))
+                        .collect(),
+                    vec![],
+                ),
+                // Every leaf but the last, whatever overlaps the rest.
+                (
+                    (0..n - 1).map(leaf).collect(),
+                    (0..n - 1).map(leaf).collect(),
+                ),
+                // The last leaf alone, as payload and as a shift.
+                (vec![leaf(n - 1)], vec![leaf(n - 1)]),
+            ];
+            for (first, shifted) in cases {
+                d.first_regions = first;
+                d.shift_regions = shifted
+                    .iter()
+                    .map(|&node| ShiftRegion {
+                        node,
+                        ref_node: node,
+                        ref_ckpt: 0,
+                    })
+                    .collect();
+                assert_eq!(is_self_contained(&d), by_flags(&d), "{n} chunks: {d:?}");
+            }
+        }
+    }
+
     #[test]
     fn ref_below_base_is_typed() {
         let mut d = tree_diff(5, 64);
@@ -898,6 +1272,35 @@ mod tests {
         assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
     }
 
+    /// Both records chase chunk 3 through a same-record shift, to a
+    /// different terminal each: a visit's memo answers for its own record
+    /// only.
+    #[test]
+    fn the_memo_is_per_record() {
+        let shape = TreeShape::new(4);
+        let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
+        let shift = |c, from, ref_ckpt| ShiftRegion {
+            node: leaf(c),
+            ref_node: leaf(from),
+            ref_ckpt,
+        };
+        // v0 = [A, B, A, A]: chunk 2 <- chunk 3 <- chunk 0.
+        let mut d0 = tree_diff(0, 128);
+        d0.first_regions = vec![leaf(0), leaf(1)];
+        d0.payload = [[0xa; 32], [0xb; 32]].concat().into();
+        d0.shift_regions = vec![shift(2, 3, 0), shift(3, 0, 0)];
+        // v1 = [C, A, A, A]: chunk 1 <- chunk 3 <- chunk 2 <- v0's chunk 2.
+        let mut d1 = tree_diff(1, 128);
+        d1.first_regions = vec![leaf(0)];
+        d1.payload = vec![0xc; 32].into();
+        d1.shift_regions = vec![shift(1, 3, 1), shift(3, 2, 1), shift(2, 2, 0)];
+        let chain = [d0, d1];
+        let want = [[0xc; 32], [0xa; 32], [0xa; 32], [0xa; 32]].concat();
+        assert_eq!(restore_record(&chain).unwrap()[1], want);
+        let (got, _) = restore_latest_single_pass(&Device::a100(), 0, &chain).unwrap();
+        assert_eq!(got, want);
+    }
+
     /// What no record covers is the zeros below the chain — reached directly,
     /// through a shift, or on the short last chunk — and is counted, not
     /// copied.
@@ -920,6 +1323,7 @@ mod tests {
             regions_copied: 1,
             bytes_copied: 32,
             zero_chunks: 3,
+            pieces: 4,
         };
         assert_eq!(stats, expect);
     }

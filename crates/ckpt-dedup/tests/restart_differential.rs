@@ -202,13 +202,13 @@ fn scattered_snapshots(seed: u64, count: usize, chunks: usize, edits: usize) -> 
 
 /// A snapshot of zeros with a few live bytes, as a degree vector starts out:
 /// its first record is zero pages shifted onto one another, doubling. Every
-/// step adds a few more live bytes.
-fn mostly_zero_snapshots(seed: u64, count: usize, len: usize) -> Vec<Vec<u8>> {
+/// step sets `edits` more live bytes, each rewriting one scattered chunk.
+fn mostly_zero_snapshots(seed: u64, count: usize, len: usize, edits: usize) -> Vec<Vec<u8>> {
     let mut next = splitmix(seed);
     let mut data = vec![0u8; len];
     (0..count)
         .map(|_| {
-            for _ in 0..12 {
+            for _ in 0..edits {
                 data[(next() as usize) % len] = 1 + (next() % 255) as u8;
             }
             data.clone()
@@ -250,7 +250,7 @@ fn scattered_single_chunk_rewrites_reach_the_base_as_short_runs() {
 #[test]
 fn mostly_zero_snapshots_restore_through_a_self_similar_base_record() {
     let count = 6;
-    let snaps = mostly_zero_snapshots(11, count, 96 * 1024);
+    let snaps = mostly_zero_snapshots(11, count, 96 * 1024, 12);
     for method_idx in 0..4 {
         let what = format!("method {method_idx}");
         assert_matches_oracle(0, &build_chain(method_idx, &snaps, None), &what);
@@ -258,6 +258,31 @@ fn mostly_zero_snapshots_restore_through_a_self_similar_base_record() {
         assert_matches_oracle(0, &rebased, &format!("{what}, rebase at 3"));
         let stats = assert_matches_oracle(3, &rebased[3..], &format!("{what}, compacted from 3"));
         assert_eq!(stats[0].records_visited, 1, "the rebase record is a base");
+    }
+}
+
+/// The `sparse_tree` shape at test size: sixteen records over that doubling
+/// zero base, each rewriting scattered single chunks, so the walk reaches
+/// the base with hundreds of one- and two-chunk runs that land on its zero
+/// pages. Each chunk of a same-record shift is resolved once per visit
+/// through the memo, where the walk used to chase every piece down the
+/// doubling spans one split at a time.
+#[test]
+fn scattered_rewrites_over_a_doubling_zero_base_resolve_each_chunk_once() {
+    let (count, chunks) = (16, 4096);
+    let snaps = mostly_zero_snapshots(5, count, chunks * CHUNK, 48);
+    // Tree, then List (whose base shifts each zero chunk onto the first).
+    for method_idx in 0..2 {
+        let diffs = build_chain(method_idx, &snaps, None);
+        let stats = assert_matches_oracle(0, &diffs, &format!("method {method_idx}"));
+        let newest = stats[count - 1];
+        assert_eq!(newest.records_visited as usize, count);
+        // At most one and a half pieces per chunk. The walk that chased
+        // every piece handled 17 665 (Tree) and 12 280 (List) here.
+        assert!(
+            newest.pieces <= chunks as u64 * 3 / 2,
+            "method {method_idx}: {newest:?}"
+        );
     }
 }
 
@@ -333,8 +358,17 @@ fn a_twenty_thousand_link_same_record_chain_is_chased_iteratively() {
     assert_eq!(stats.bytes_copied, (n * chunk) as u64);
 }
 
+/// `default` cases, or `PROPTEST_CASES` when it is set (CI runs these
+/// blocks optimized at a larger count).
+fn cases(default: u32) -> ProptestConfig {
+    let set = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    ProptestConfig::with_cases(set.unwrap_or(default))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(cases(10))]
 
     /// The headline determinism property: parallel == sequential, bitwise,
     /// at 1, 2 and 8 pool threads, for every method and target version —
@@ -382,7 +416,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
 
     /// The chain check against the oracle: on an untouched chain and on
     /// the same chain with one table entry overwritten (whatever still
@@ -440,6 +474,94 @@ proptest! {
                 prop_assert_eq!(device.metrics().kernels_launched(), 0, "{}", what);
             }
             assert_matches_oracle(base as u32, &chain, &what);
+        }
+    }
+}
+
+/// Shuffle `diff`'s `first_regions` and `shift_regions` by `seed`, moving
+/// each payload region's bytes with its entry — the same record in another
+/// table order. A payload too short for its table (a forged one) keeps its
+/// bytes as they are.
+fn permute_tables(diff: &mut Diff, seed: u64) {
+    let mut next = splitmix(seed);
+    let mut shuffle = |len: usize| {
+        let mut order: Vec<usize> = (0..len).collect();
+        for i in (1..len).rev() {
+            order.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        order
+    };
+    let shape = TreeShape::new(diff.n_chunks());
+    let (chunk, data_len) = (diff.chunk_size as usize, diff.data_len as usize);
+    let bytes_of = |node: u32| {
+        let (lo, hi) = shape.chunk_range(node as usize);
+        (hi * chunk).min(data_len) - lo * chunk
+    };
+    let order = shuffle(diff.first_regions.len());
+    let mut starts = vec![0usize];
+    for &node in &diff.first_regions {
+        starts.push(starts.last().unwrap() + bytes_of(node));
+    }
+    let total = *starts.last().unwrap();
+    if total <= diff.payload.len() {
+        let mut payload = Vec::with_capacity(diff.payload.len());
+        for &k in &order {
+            payload.extend_from_slice(&diff.payload[starts[k]..starts[k + 1]]);
+        }
+        payload.extend_from_slice(&diff.payload[total..]);
+        diff.payload = payload.into();
+    }
+    diff.first_regions = order.iter().map(|&k| diff.first_regions[k]).collect();
+    let order = shuffle(diff.shift_regions.len());
+    diff.shift_regions = order.iter().map(|&k| diff.shift_regions[k]).collect();
+}
+
+proptest! {
+    #![proptest_config(cases(64))]
+
+    /// A Tree/List record's tables in any order are the same record: with
+    /// one record's tables shuffled (its payload re-laid to match), and
+    /// that record forged or not, `check_chain` returns exactly what it
+    /// returns on the tables as emitted, every version restores to the same
+    /// bytes and counters or fails with the same typed error, and the
+    /// oracle agrees on which chains restore and on their bytes.
+    #[test]
+    fn table_order_does_not_change_the_index(
+        tree in any::<bool>(),
+        count in 2usize..6,
+        len in 256usize..2400,
+        seed in any::<u64>(),
+        record in any::<u16>(),
+        shuffle in any::<u64>(),
+        forged in any::<bool>(),
+        slot in any::<u16>(),
+        value in any::<u32>(),
+    ) {
+        let snaps = shifty_snapshots(seed, count, len);
+        let mut chain = build_chain(if tree { 0 } else { 1 }, &snaps, None);
+        let record = record as usize % chain.len();
+        let forge = forged.then(|| tamper(&mut chain[record], slot as usize, value));
+        let mut shuffled = chain.clone();
+        permute_tables(&mut shuffled[record], shuffle);
+        let what = format!("record {record} of {count}, forged {forge:?}");
+
+        let device = Device::a100();
+        let check = check_chain(&device, 0, &shuffled);
+        prop_assert_eq!(&check, &check_chain(&device, 0, &chain), "{}", what);
+        for target in 0..chain.len() {
+            // Payload offsets moved, so copies may coalesce differently;
+            // everything else is the same.
+            let without_copies = |r: Result<(Vec<u8>, RestartStats), _>| {
+                r.map(|(bytes, st)| (bytes, RestartStats { regions_copied: 0, ..st }))
+            };
+            let got = without_copies(restore_version_single_pass(&device, 0, &shuffled, target));
+            let want = without_copies(restore_version_single_pass(&device, 0, &chain, target));
+            prop_assert_eq!(got, want, "{} target {}", what, target);
+        }
+        let oracle = restore_record(&shuffled);
+        prop_assert_eq!(check.is_ok(), oracle.is_ok(), "{}: check {:?}", what, check);
+        if oracle.is_ok() {
+            assert_matches_oracle(0, &shuffled, &what);
         }
     }
 }

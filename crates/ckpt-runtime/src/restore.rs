@@ -158,6 +158,7 @@ pub fn restore_rank_latest_parallel(
         reg.counter("restore/bytes_read").add(bytes_read);
         reg.counter("restore/regions_copied")
             .add(stats.regions_copied);
+        reg.counter("restore/pieces").add(stats.pieces);
         reg.counter("restore/bytes_copied").add(stats.bytes_copied);
         reg.counter("restore/fetch_wait_ns").add(fetch_wait_ns);
     }

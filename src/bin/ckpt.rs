@@ -690,6 +690,7 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
             ("restore/chains_restored", 1),
             ("restore/records_read", walk.records_visited as u64),
             ("restore/regions_copied", walk.regions_copied),
+            ("restore/pieces", walk.pieces),
             ("restore/bytes_copied", walk.bytes_copied),
             ("restore/zero_chunks", walk.zero_chunks),
         ] {

@@ -670,6 +670,7 @@ fn every_version_restores_and_stats_count_the_walk() {
         "restore/chains_restored",
         "restore/records_read",
         "restore/regions_copied",
+        "restore/pieces",
         "restore/bytes_copied",
         "restore/zero_chunks",
     ] {
