@@ -1823,7 +1823,7 @@ pub fn flush_pipeline_at(scales: &[usize], seed: u64, threads: &[usize]) -> Flus
 /// One redundancy-policy point of the rank-loss sweep.
 #[derive(Debug)]
 pub struct RedundancyPoint {
-    /// Policy spelling (`off`, `partner`, `xor:<k>`).
+    /// Policy spelling (`off`, `xor:<k>`).
     pub policy: String,
     /// Pre-compression payload bytes submitted across all ranks.
     pub raw_bytes: u64,
@@ -1832,7 +1832,7 @@ pub struct RedundancyPoint {
     /// Bytes resident on the redundancy group tier (0 with policy off).
     pub group_bytes: u64,
     /// `group_bytes * 100 / stored_bytes` — the storage cost of the
-    /// encoding (≈100 for partner, ≈100/(k−1) for `xor:k`).
+    /// encoding (≈100/(k−1) for `xor:k`: ≈100 for the `xor:2` mirror).
     pub storage_overhead_pct: u64,
     /// Wall time from first submit to a fully drained PFS (the
     /// producer-visible makespan; redundancy encoding rides the flusher).
@@ -1847,7 +1847,7 @@ pub struct RedundancyPoint {
     pub enqueue_wait_sec: f64,
     /// Where the lost rank's record came back from: `pfs` (policy off —
     /// local tiers lost, PFS survives) or `group` (every local copy
-    /// including the PFS lost; partners/parity rebuild it).
+    /// including the PFS lost; the parity group rebuilds it).
     pub restore_source: &'static str,
     /// Wall time to restore the lost rank's latest checkpoint.
     pub rank_loss_restore_sec: f64,
@@ -1905,13 +1905,13 @@ impl RedundancyReport {
 /// Ceiling on the Tree cell's `xor:4` storage overhead, percent of stored
 /// bytes. Theory is ~100/(k-1) = 33%; 50 keeps slack for the per-stripe
 /// member-list framing on small objects while staying well under the
-/// partner mirror's 100%. Overheads are gated on stored bytes, never wall
+/// `xor:2` mirror's 100%. Overheads are gated on stored bytes, never wall
 /// time: wall-clock deltas at smoke scale are runner noise.
 pub const XOR4_OVERHEAD_CEILING_PCT: u64 = 50;
 
 /// Where a lost rank must come back from under `policy`: without a group
 /// only the local tiers are wiped and the PFS copy serves; with one the
-/// PFS copy is wiped too, so only partners/parity can.
+/// PFS copy is wiped too, so only the parity group can.
 fn restore_source_for(policy: &str) -> &'static str {
     match policy {
         "off" => "pfs",
@@ -2007,9 +2007,9 @@ pub const REDUNDANCY_CHECKPOINTS: usize = 6;
 /// Ranks in the modeled cluster (divisible by every swept group size).
 pub const REDUNDANCY_RANKS: usize = 4;
 
-/// Policies swept: no redundancy (PFS-only recovery baseline), full
-/// partner copies, and XOR parity at two group sizes.
-pub const REDUNDANCY_POLICIES: [&str; 4] = ["off", "partner", "xor:2", "xor:4"];
+/// Policies swept: no redundancy (PFS-only recovery baseline) and XOR
+/// parity at two group sizes (`xor:2` is the partner mirror).
+pub const REDUNDANCY_POLICIES: [&str; 3] = ["off", "xor:2", "xor:4"];
 
 /// Default problem scale (graph vertices per rank).
 pub const REDUNDANCY_SCALE: usize = 20_000;
@@ -2272,7 +2272,7 @@ impl Report for RankDedupReport {
 }
 
 /// Redundancy policies crossed with rank-dedup on/off.
-pub const RANK_DEDUP_POLICIES: [&str; 3] = ["off", "partner", "xor:4"];
+pub const RANK_DEDUP_POLICIES: [&str; 3] = ["off", "xor:2", "xor:4"];
 
 /// Restore-side thread counts the digests are checked at.
 pub const RANK_DEDUP_THREADS: [usize; 3] = [1, 2, 8];
@@ -2988,18 +2988,18 @@ mod tests {
                 (|r| r.lost_rank = 4, Rule::Shape),
                 (|r| r.cells.truncate(1), Rule::Shape),
                 (|r| r.cells[1].points.truncate(2), Rule::Shape),
-                (|r| red(r, 2).restore_ok = false, Rule::DigestDrift),
-                (|r| red(r, 2).restore_digest = (1, 2), Rule::DigestDrift),
+                (|r| red(r, 1).restore_ok = false, Rule::DigestDrift),
+                (|r| red(r, 1).restore_digest = (1, 2), Rule::DigestDrift),
                 (|r| red(r, 0).group_bytes = 1, Rule::StoredBytes),
                 (|r| red(r, 1).group_bytes = 0, Rule::StoredBytes),
-                (|r| red(r, 3).restore_source = "pfs", Rule::RestoreSource),
+                (|r| red(r, 2).restore_source = "pfs", Rule::RestoreSource),
                 (
-                    |r| red(r, 3).storage_overhead_pct = XOR4_OVERHEAD_CEILING_PCT,
+                    |r| red(r, 2).storage_overhead_pct = XOR4_OVERHEAD_CEILING_PCT,
                     Rule::Threshold,
                 ),
             ],
         );
-        // Points alternate index off / on per policy: 0-1 off, 2-3 partner, 4-5 xor:4.
+        // Points alternate index off / on per policy: 0-1 off, 2-3 xor:2, 4-5 xor:4.
         fires(
             rank_dedup_clean,
             &[
@@ -3325,13 +3325,12 @@ mod tests {
         // must, group bytes only with a group, xor:4 under its ceiling.
         assert!(rep.gate().is_empty(), "{:?}", rep.gate());
         for cell in &rep.cells {
-            // XOR parity must be cheaper than mirroring, and wider groups
-            // cheaper than narrow ones.
-            let partner = cell.point("partner").unwrap();
+            // Wider groups are cheaper than narrow ones, and the `xor:2`
+            // mirror costs its stored bytes plus one stripe table each.
             let x2 = cell.point("xor:2").unwrap();
             let x4 = cell.point("xor:4").unwrap();
             assert!(x4.group_bytes < x2.group_bytes);
-            assert!(x2.group_bytes <= partner.group_bytes + partner.group_bytes / 8);
+            assert!(x2.group_bytes <= x2.stored_bytes + x2.stored_bytes / 8);
         }
     }
 

@@ -429,9 +429,9 @@ pub fn decompress_payload(
 
 // ---- Redundancy-group parity records ------------------------------------
 //
-// Cross-rank redundancy (partner copies / XOR parity groups) stores *parity
-// records* alongside ordinary objects. A parity record is a self-describing
-// payload with its own magic — it travels **inside** a standard codec-0
+// Cross-rank redundancy (XOR parity groups) stores *parity records*
+// alongside ordinary objects. A parity record is a self-describing payload
+// with its own magic — it travels **inside** a standard codec-0
 // frame in the group store, so the legacy frame format above is untouched.
 //
 // Layout (little-endian):

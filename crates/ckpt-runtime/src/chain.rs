@@ -152,7 +152,7 @@ impl TierChain {
             wiped.extend(self.host.wipe_rank(rank));
             wiped.extend(self.ssd.wipe_rank(rank));
             if let Some(red) = &self.redundancy {
-                red.apply_rank_loss(rank);
+                red.group_tier().wipe_rank(rank);
                 red.metrics().rank_losses.inc();
             }
         }
@@ -559,7 +559,10 @@ mod tests {
             .on_put("pfs", 1, FaultKind::BitFlip { bit: 99 })
             .build();
         let mut tiers = TierChain::with_faults(plan);
-        let store = RedundancyStore::new(RedundancyPolicy::Partner, RedundancyMetrics::detached());
+        let store = RedundancyStore::new(
+            RedundancyPolicy::Xor { group_size: 2 },
+            RedundancyMetrics::detached(),
+        );
         // Rank 3 is known only to the group: no tier lists it.
         store.encode_member((3, 1), &StoredObject::raw(vec![3; 32]));
         store.encode_member((3, 0), &StoredObject::raw(vec![3; 32]));

@@ -4,7 +4,7 @@
 //! |---|---|
 //! | `NNNN.ckpt` | flat layout: rank 0's object `(0, NNNN)`, framed (a file without a frame reads as a damaged one) |
 //! | `rank####/NNNN.ckpt` | ranked layout: object `(####, NNNN)`, framed with its real rank |
-//! | `group/h####_c####.grp` | group-tier object keyed `(hosting rank, ckpt)`: a partner copy or parity stripe |
+//! | `group/h####_c####.grp` | group-tier object keyed `(hosting rank, ckpt)`: an `xor:<k>` parity stripe (`xor:2`: the partner's mirror) |
 //! | `group/MANIFEST` | [`RedundancyStore::export_manifest`]: policy + member table |
 //!
 //! [`ClusterDir::export`] writes a [`TierChain`]'s PFS and group-tier
@@ -545,13 +545,13 @@ mod tests {
     use crate::{AsyncRuntime, RedundancyPolicy, RuntimeConfig};
     use ckpt_dedup::prelude::*;
 
-    /// A throwaway directory holding a 2-rank x 3-version partner record
+    /// A throwaway directory holding a 2-rank x 3-version `xor:2` record
     /// written through the runtime, plus each rank's newest snapshot.
     fn exported(tag: &str) -> (PathBuf, Vec<Vec<u8>>) {
         let root = std::env::temp_dir().join(format!("cluster-dir-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let rt = AsyncRuntime::start(RuntimeConfig {
-            redundancy: RedundancyPolicy::Partner,
+            redundancy: RedundancyPolicy::Xor { group_size: 2 },
             ..Default::default()
         });
         let mut newest = Vec::new();
@@ -650,7 +650,7 @@ mod tests {
         let loaded = dir.import().unwrap();
         assert_eq!(loaded.tiers.pfs.raw((0, 1)), Some(bytes.into()));
         assert!(loaded.tiers.pfs.quarantined().is_empty());
-        // Reading through the chain rebuilds both from the partner copies.
+        // Reading through the chain rebuilds both from the mirror stripes.
         assert_eq!(latest(&loaded, 0), newest[0]);
         assert_eq!(latest(&loaded, 1), newest[1]);
         assert_eq!(loaded.tiers.pfs.quarantined(), [(0, 1)]);

@@ -76,8 +76,8 @@ pub enum ObjectStatus {
     /// valid copy in a higher tier.
     Repaired,
     /// Every local copy was lost or corrupt, but the object was rebuilt
-    /// bit-identically from its cross-rank redundancy group (partner copy
-    /// or XOR parity) and re-stored on the PFS.
+    /// bit-identically from its cross-rank redundancy group (XOR parity)
+    /// and re-stored on the PFS.
     RestoredFromGroup,
     /// A durable copy existed but was corrupt with no redundant copy.
     LostCorrupt,

@@ -23,8 +23,8 @@
 //!   degradation — is the private `flusher` module);
 //! * [`pipeline`] — the double-buffered submit tail that overlaps one
 //!   checkpoint's serialize/D2H/submit with the next one's hashing;
-//! * [`redundancy`] — cross-rank redundancy groups (partner copy / XOR
-//!   parity) enabling cluster-level rank-loss recovery;
+//! * [`redundancy`] — cross-rank redundancy groups (XOR parity stripes)
+//!   enabling cluster-level rank-loss recovery;
 //! * [`rankdedup`] — the cluster-wide content-addressed dedup index:
 //!   hash-space sharding across a group's ranks, a seeded (thread-free)
 //!   first-occurrence claim exchange, cross-rank reference records;

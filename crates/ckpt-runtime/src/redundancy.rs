@@ -1,11 +1,10 @@
-//! Cross-rank redundancy groups: partner copies and XOR parity stripes.
+//! Cross-rank redundancy groups: XOR parity stripes.
 //!
 //! Multi-level checkpointing systems (FTI, SCR, VeloC) put a redundancy
 //! level *between* node-local storage and the PFS: ranks form small groups
-//! and each checkpoint object is either mirrored onto a partner rank or
-//! XOR-parity-encoded across the group, so losing one whole node costs
-//! nothing that the surviving group members cannot rebuild. This module is
-//! that level for the simulated tier chain.
+//! and each checkpoint object is XOR-parity-encoded across the group, so
+//! losing one whole node costs nothing that the surviving group members
+//! cannot rebuild. This module is that level for the simulated tier chain.
 //!
 //! # Encoding
 //!
@@ -14,42 +13,40 @@
 //! on the flusher thread, overlapped with the next checkpoint via the
 //! depth-1 pipeline, so the producer's critical path is untouched.
 //!
-//! * **Partner** (`partner`): groups of two, `partner(r) = r ^ 1`. The full
-//!   encoded object is copied into the group store, hosted on the partner.
-//! * **XOR** (`xor:<k>`): SCR-style striping. Member `r` (group-local index
-//!   `l = r % k`) splits its encoded payload into `k-1` chunks of
-//!   `ceil(len / (k-1))` bytes; chunk `j` is assigned to stripe
-//!   `s = j + (j >= l)` — every stripe *except* the member's own index —
-//!   and the parity for stripe `s` is hosted on group-local rank `s`. A
-//!   single rank loss therefore leaves every parity stripe a lost member
-//!   needs alive on a surviving host; two losses in one group are
-//!   unrecoverable by construction and surface as a typed error, never a
-//!   wrong payload.
+//! `xor:<k>` is SCR-style striping. Member `r` (group-local index
+//! `l = r % k`) splits its encoded payload into `k-1` chunks of
+//! `ceil(len / (k-1))` bytes; chunk `j` is assigned to stripe
+//! `s = j + (j >= l)` — every stripe *except* the member's own index — and
+//! the parity for stripe `s` is hosted on group-local rank `s` under the
+//! key `(hosting rank, ckpt)`. A single rank loss therefore leaves every
+//! parity stripe a lost member needs alive on a surviving host; two losses
+//! in one group are unrecoverable by construction and surface as a typed
+//! error, never a wrong payload. A group of two is the partner mirror:
+//! member `r`'s one chunk is its whole payload, hosted on rank `r ^ 1`.
 //!
 //! Parity stripes are [`ckpt_dedup::frame::ParityRecord`]s carrying every
-//! contributor's metadata (codec, lengths, chunk length, and a checksum of
-//! its stored bytes), serialized as ordinary codec-0 payloads inside a
-//! dedicated group [`Tier`] — so framing, fault injection and capacity
-//! accounting come for free and legacy frames are untouched.
+//! contributor's [`ParityMember`] (codec, lengths, chunk length, and a
+//! checksum of its stored bytes), serialized as ordinary codec-0 payloads
+//! inside a dedicated group [`Tier`] — so framing, fault injection,
+//! capacity accounting and rank loss ([`Tier::wipe_rank`]) come for free
+//! and legacy frames are untouched.
 //!
 //! # Reconstruction
 //!
 //! [`RedundancyStore::reconstruct`] rebuilds a member's stored object
-//! bit-identically: partner mode reads the mirror; XOR mode fetches every
-//! surviving contributor's object (via a caller-supplied closure over the
-//! local tiers), XORs their chunks back out of each needed stripe, and
-//! reassembles the payload. The result is verified against the member
-//! checksum recorded at encode time — on any mismatch or missing piece the
-//! caller gets a typed [`ReconstructError`].
+//! bit-identically: it fetches every surviving contributor's object (via a
+//! caller-supplied closure over the local tiers), XORs their chunks back
+//! out of each needed stripe, and reassembles the payload. The result is
+//! verified against the member checksum recorded at encode time — on any
+//! mismatch or missing piece the caller gets a typed [`ReconstructError`].
 //!
 //! # GC gating
 //!
 //! The group's half of [`compact_below`](crate::compact_below), which
 //! advances a rank's floor here as it evicts the rank's tier records below
-//! a rebase point: partner copies below a rank's rebase floor drop
-//! immediately, while an XOR parity stripe at checkpoint `c` only drops
-//! once *every* member of the group has advanced its floor past `c` — a
-//! stripe is useful exactly as long as any member might still need it.
+//! a rebase point: a parity stripe at checkpoint `c` only drops once
+//! *every* member of the group has advanced its floor past `c` — a stripe
+//! is useful exactly as long as any member might still need it.
 
 use crate::tier::{ObjectId, ObjectState, StoredObject, Tier, TierConfig};
 use ckpt_dedup::frame::{self, ParityMember, ParityRecord};
@@ -65,30 +62,25 @@ pub enum RedundancyPolicy {
     /// byte).
     #[default]
     Off,
-    /// Mirror each object onto its partner rank (`r ^ 1`); groups of two.
-    Partner,
     /// XOR parity striping across groups of `group_size` consecutive
-    /// ranks (`group_size >= 2`).
+    /// ranks (`group_size >= 2`; a group of two mirrors each object onto
+    /// rank `r ^ 1`).
     Xor { group_size: u32 },
 }
 
 impl RedundancyPolicy {
-    /// Parse a CLI/bench spelling: `off`, `partner`, or `xor:<k>`.
+    /// Parse a CLI/bench spelling: `off` or `xor:<k>`.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "off" | "none" => Some(RedundancyPolicy::Off),
-            "partner" => Some(RedundancyPolicy::Partner),
-            _ => {
-                let k = s.strip_prefix("xor:")?.parse::<u32>().ok()?;
-                (k >= 2).then_some(RedundancyPolicy::Xor { group_size: k })
-            }
+        if matches!(s, "off" | "none") {
+            return Some(RedundancyPolicy::Off);
         }
+        let k = s.strip_prefix("xor:")?.parse::<u32>().ok()?;
+        (k >= 2).then_some(RedundancyPolicy::Xor { group_size: k })
     }
 
     pub fn label(&self) -> String {
         match self {
             RedundancyPolicy::Off => "off".into(),
-            RedundancyPolicy::Partner => "partner".into(),
             RedundancyPolicy::Xor { group_size } => format!("xor:{group_size}"),
         }
     }
@@ -97,14 +89,8 @@ impl RedundancyPolicy {
     pub fn group_size(&self) -> u32 {
         match self {
             RedundancyPolicy::Off => 1,
-            RedundancyPolicy::Partner => 2,
             RedundancyPolicy::Xor { group_size } => *group_size,
         }
-    }
-
-    /// The group a rank belongs to.
-    pub fn group_of(&self, rank: u32) -> u32 {
-        rank / self.group_size().max(1)
     }
 }
 
@@ -115,11 +101,10 @@ impl RedundancyPolicy {
 pub enum ReconstructError {
     /// The store never encoded this member (nothing to rebuild from).
     UnknownMember,
-    /// A needed group copy / parity stripe is gone (e.g. its host rank was
-    /// also lost — two losses in one group).
+    /// A needed parity stripe is gone (e.g. its host rank was also lost —
+    /// two losses in one group).
     MissingGroupCopy,
-    /// A needed group copy / parity stripe is present but fails
-    /// verification.
+    /// A needed parity stripe is present but fails verification.
     CorruptGroupCopy,
     /// A surviving contributor's object could not be fetched from any
     /// local tier (simultaneous loss elsewhere in the group).
@@ -152,14 +137,12 @@ impl std::error::Error for ReconstructError {}
 ///
 /// | metric | kind | meaning |
 /// |---|---|---|
-/// | `redundancy/partner_copies` | counter | objects mirrored onto a partner |
 /// | `redundancy/parity_updates` | counter | parity stripe merges performed |
 /// | `redundancy/bytes_stored` | counter | bytes written into the group store |
 /// | `redundancy/restored_objects` | counter | objects rebuilt from the group |
 /// | `redundancy/restore_failures` | counter | known members that failed to rebuild |
 /// | `redundancy/rank_losses` | counter | `RankLoss` faults applied to the chain |
 pub struct RedundancyMetrics {
-    partner_copies: LazyCounter,
     parity_updates: LazyCounter,
     bytes_stored: LazyCounter,
     pub(crate) restored_objects: LazyCounter,
@@ -180,7 +163,6 @@ impl RedundancyMetrics {
     fn over(registry: Option<&Arc<Registry>>) -> Self {
         let lazy = |name| LazyCounter::new(registry, name);
         RedundancyMetrics {
-            partner_copies: lazy("redundancy/partner_copies"),
             parity_updates: lazy("redundancy/parity_updates"),
             bytes_stored: lazy("redundancy/bytes_stored"),
             restored_objects: lazy("redundancy/restored_objects"),
@@ -190,45 +172,18 @@ impl RedundancyMetrics {
     }
 }
 
-/// Per-member metadata kept by the store (mirrors what travels inside
-/// parity records) so "does the group know this object" and verification
-/// survive the loss of the member's own copies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MemberMeta {
-    codec: u8,
-    uncompressed_len: u64,
-    stored_len: u64,
-    chunk_len: u64,
-    checksum: u64,
-}
-
-impl MemberMeta {
-    fn to_parity(self, rank: u32) -> ParityMember {
-        ParityMember {
-            rank,
-            codec: self.codec,
-            uncompressed_len: self.uncompressed_len,
-            stored_len: self.stored_len,
-            chunk_len: self.chunk_len,
-            checksum: self.checksum,
-        }
-    }
-}
-
 /// The cross-rank redundancy level: a dedicated group [`Tier`] holding
-/// partner copies / parity stripes, plus the member and hosting metadata
-/// needed to wipe the right objects on a rank loss and to rebuild lost
-/// members.
+/// parity stripes keyed `(hosting rank, ckpt)` — so a lost rank's stripes
+/// are [`Tier::wipe_rank`] of it — plus the member metadata needed to
+/// rebuild lost members.
 pub struct RedundancyStore {
     policy: RedundancyPolicy,
-    /// Group objects, framed like any other tier object. Keys: the member
-    /// id itself for partner copies; `(hosting_rank, ckpt_id)` for XOR
-    /// parity stripes.
+    /// Parity stripes, framed like any other tier object.
     group: Tier,
-    /// Which rank hosts each group object (wiped with that rank).
-    hosts: Mutex<HashMap<ObjectId, u32>>,
-    /// Every member the group has encoded, with its verification metadata.
-    members: Mutex<HashMap<ObjectId, MemberMeta>>,
+    /// Every member the group has encoded, as its stripes record it, so
+    /// "does the group know this object" and verification survive the
+    /// loss of the member's own copies.
+    members: Mutex<HashMap<ObjectId, ParityMember>>,
     /// Ids already encoded (idempotence across degraded re-flushes).
     encoded: Mutex<HashSet<ObjectId>>,
     /// Per-rank GC floors (see [`compact_below`](Self::compact_below)).
@@ -245,7 +200,6 @@ impl RedundancyStore {
         RedundancyStore {
             policy,
             group: Tier::new(TierConfig::group()),
-            hosts: Mutex::new(HashMap::new()),
             members: Mutex::new(HashMap::new()),
             encoded: Mutex::new(HashSet::new()),
             floors: Mutex::new(HashMap::new()),
@@ -257,7 +211,8 @@ impl RedundancyStore {
         self.policy
     }
 
-    /// The underlying group tier (modeled time, accounting, fault binding).
+    /// The underlying group tier (modeled time, accounting, fault binding,
+    /// rank loss).
     pub fn group_tier(&self) -> &Tier {
         &self.group
     }
@@ -272,7 +227,7 @@ impl RedundancyStore {
         self.encoded.lock().contains(&id)
     }
 
-    /// Whether the group has metadata for this member (even if its copies
+    /// Whether the group has metadata for this member (even if its stripes
     /// were since lost — the distinction between `LostCorrupt` and
     /// `LostVolatile` for wiped ranks).
     pub fn knows_member(&self, id: ObjectId) -> bool {
@@ -290,6 +245,18 @@ impl RedundancyStore {
         frame::checksum64_region(id.0, id.1, object.codec(), object.payload())
     }
 
+    /// The ranks of `rank`'s group: `k` of them, from a multiple of `k`.
+    fn group_ranks(&self, rank: u32) -> std::ops::Range<u32> {
+        let k = self.policy.group_size();
+        rank / k * k..(rank / k + 1) * k
+    }
+
+    /// The hosts of the stripes `rank`'s `k - 1` chunks go into, in chunk
+    /// order: every rank of its group but itself.
+    fn stripe_hosts(&self, rank: u32) -> impl Iterator<Item = u32> {
+        self.group_ranks(rank).filter(move |&h| h != rank)
+    }
+
     /// Protect one member's encoded object across its group. Idempotent:
     /// re-encoding an already-protected id (degraded re-flushes) is a
     /// no-op. Runs on the flusher thread, off the producer's critical path.
@@ -297,73 +264,48 @@ impl RedundancyStore {
         if !self.encoded.lock().insert(id) {
             return;
         }
-        let meta = MemberMeta {
+        let k = self.policy.group_size();
+        let (rank, ckpt) = id;
+        let payload = object.payload();
+        let chunk_len = payload.len().div_ceil(k as usize - 1);
+        let member = ParityMember {
+            rank,
             codec: object.codec(),
             uncompressed_len: object.uncompressed_len(),
-            stored_len: object.payload().len() as u64,
-            chunk_len: 0,
+            stored_len: payload.len() as u64,
+            chunk_len: chunk_len as u64,
             checksum: Self::member_checksum(id, object),
         };
-        match self.policy {
-            RedundancyPolicy::Off => unreachable!("Off carries no store"),
-            RedundancyPolicy::Partner => {
-                // Group stores follow the chain's retry policy.
-                let copy = object.clone();
-                if self.group.store_object_with_retry(id, copy, || {}).is_ok() {
-                    self.hosts.lock().insert(id, id.0 ^ 1);
-                    self.members.lock().insert(id, meta);
-                    self.metrics.partner_copies.inc();
-                    self.metrics.bytes_stored.add(object.stored_len());
-                } else {
-                    self.encoded.lock().remove(&id);
-                }
-            }
-            RedundancyPolicy::Xor { group_size } => {
-                self.encode_xor(id, object, meta, group_size as usize);
-            }
-        }
-    }
-
-    fn encode_xor(&self, id: ObjectId, object: &StoredObject, mut meta: MemberMeta, k: usize) {
-        let (rank, ckpt) = (id.0 as usize, id.1);
-        let (g, l) = (rank / k, rank % k);
-        let len = object.payload().len();
-        let chunk_len = len.div_ceil(k - 1);
-        meta.chunk_len = chunk_len as u64;
         let mut all_ok = true;
-        for j in 0..k - 1 {
-            let s = if j >= l { j + 1 } else { j };
-            let host = (g * k + s) as u32;
+        for (j, host) in self.stripe_hosts(rank).enumerate() {
             let key = (host, ckpt);
             let mut rec = match self.group.inspect_object(key).into_object() {
                 Some(obj) => ParityRecord::decode(obj.payload()).unwrap_or_default(),
                 None => ParityRecord::default(),
             };
-            rec.group = g as u32;
-            rec.stripe = s as u32;
+            rec.group = rank / k;
+            rec.stripe = host % k;
             rec.ckpt_id = ckpt;
             if rec.parity.len() < chunk_len {
                 rec.parity.resize(chunk_len, 0);
             }
-            let lo = j * chunk_len;
-            let hi = ((j + 1) * chunk_len).min(len);
-            if lo < len {
-                for (i, b) in object.payload()[lo..hi].iter().enumerate() {
-                    rec.parity[i] ^= b;
-                }
+            let lo = (j * chunk_len).min(payload.len());
+            let hi = ((j + 1) * chunk_len).min(payload.len());
+            for (p, b) in rec.parity.iter_mut().zip(&payload[lo..hi]) {
+                *p ^= b;
             }
-            rec.members.retain(|m| m.rank != id.0);
-            rec.members.push(meta.to_parity(id.0));
+            rec.members.retain(|m| m.rank != rank);
+            rec.members.push(member);
             rec.members.sort_by_key(|m| m.rank);
             let bytes = rec.encode();
             let stored = bytes.len() as u64;
+            // Group stores follow the chain's retry policy.
             let stripe = StoredObject::raw(bytes);
             if self
                 .group
                 .store_object_with_retry(key, stripe, || {})
                 .is_ok()
             {
-                self.hosts.lock().insert(key, host);
                 self.metrics.parity_updates.inc();
                 self.metrics.bytes_stored.add(stored);
             } else {
@@ -371,7 +313,7 @@ impl RedundancyStore {
             }
         }
         if all_ok {
-            self.members.lock().insert(id, meta);
+            self.members.lock().insert(id, member);
         } else {
             self.encoded.lock().remove(&id);
         }
@@ -379,9 +321,9 @@ impl RedundancyStore {
 
     /// Rebuild one member's stored object bit-identically from the group.
     /// `fetch` resolves a surviving contributor's encoded object from the
-    /// local tiers (XOR only; partner mode needs no survivors). The result
-    /// is verified against the checksum recorded at encode time — a wrong
-    /// payload is never returned.
+    /// local tiers (a group of two needs none). The result is verified
+    /// against the checksum recorded at encode time — a wrong payload is
+    /// never returned.
     pub fn reconstruct(
         &self,
         id: ObjectId,
@@ -393,51 +335,22 @@ impl RedundancyStore {
             .get(&id)
             .copied()
             .ok_or(ReconstructError::UnknownMember)?;
-        let object = match self.policy {
-            RedundancyPolicy::Off => return Err(ReconstructError::UnknownMember),
-            RedundancyPolicy::Partner => match self.group.inspect_object(id) {
-                ObjectState::Valid(obj) => obj,
-                ObjectState::Missing => return Err(ReconstructError::MissingGroupCopy),
-                _ => return Err(ReconstructError::CorruptGroupCopy),
-            },
-            RedundancyPolicy::Xor { group_size } => {
-                self.reconstruct_xor(id, meta, group_size as usize, fetch)?
-            }
-        };
-        let ok = object.codec() == meta.codec
-            && object.payload().len() as u64 == meta.stored_len
-            && Self::member_checksum(id, &object) == meta.checksum;
-        if ok {
-            Ok(object)
-        } else {
-            Err(ReconstructError::ChecksumMismatch)
-        }
-    }
-
-    fn reconstruct_xor(
-        &self,
-        id: ObjectId,
-        meta: MemberMeta,
-        k: usize,
-        fetch: &dyn Fn(ObjectId) -> Option<StoredObject>,
-    ) -> Result<StoredObject, ReconstructError> {
-        let (rank, ckpt) = (id.0 as usize, id.1);
-        let (g, l) = (rank / k, rank % k);
+        let k = self.policy.group_size();
+        let (rank, ckpt) = id;
         let chunk_len = meta.chunk_len as usize;
         let mut payload = Vec::with_capacity(meta.stored_len as usize);
         let mut fetched: HashMap<u32, StoredObject> = HashMap::new();
-        for j in 0..k - 1 {
-            let s = if j >= l { j + 1 } else { j };
-            let key = ((g * k + s) as u32, ckpt);
-            let rec = match self.group.inspect_object(key) {
+        for host in self.stripe_hosts(rank) {
+            let rec = match self.group.inspect_object((host, ckpt)) {
                 ObjectState::Valid(obj) => ParityRecord::decode(obj.payload())
                     .map_err(|_| ReconstructError::CorruptGroupCopy)?,
                 ObjectState::Missing => return Err(ReconstructError::MissingGroupCopy),
                 _ => return Err(ReconstructError::CorruptGroupCopy),
             };
-            let mut chunk = rec.parity.clone();
+            let s = host % k;
+            let mut chunk = rec.parity;
             for m in &rec.members {
-                if m.rank == id.0 {
+                if m.rank == rank {
                     continue;
                 }
                 if let std::collections::hash_map::Entry::Vacant(e) = fetched.entry(m.rank) {
@@ -453,16 +366,16 @@ impl RedundancyStore {
                     e.insert(obj);
                 }
                 let obj = &fetched[&m.rank];
-                let lm = (m.rank as usize) % k;
-                let jm = if s > lm { s - 1 } else { s };
+                let lm = m.rank % k;
+                let jm = (if s > lm { s - 1 } else { s }) as usize;
                 let ml = m.chunk_len as usize;
                 let lo = (jm * ml).min(obj.payload().len());
                 let hi = ((jm + 1) * ml).min(obj.payload().len());
                 if chunk.len() < hi - lo {
                     return Err(ReconstructError::CorruptGroupCopy);
                 }
-                for (i, b) in obj.payload()[lo..hi].iter().enumerate() {
-                    chunk[i] ^= b;
+                for (c, b) in chunk.iter_mut().zip(&obj.payload()[lo..hi]) {
+                    *c ^= b;
                 }
             }
             chunk.resize(chunk_len, 0);
@@ -472,10 +385,18 @@ impl RedundancyStore {
         if payload.len() as u64 != meta.stored_len {
             return Err(ReconstructError::ChecksumMismatch);
         }
-        Ok(match meta.codec {
+        let object = match meta.codec {
             0 => StoredObject::raw(payload),
             codec => StoredObject::encoded(codec, meta.uncompressed_len, payload),
-        })
+        };
+        let ok = object.codec() == meta.codec
+            && object.payload().len() as u64 == meta.stored_len
+            && Self::member_checksum(id, &object) == meta.checksum;
+        if ok {
+            Ok(object)
+        } else {
+            Err(ReconstructError::ChecksumMismatch)
+        }
     }
 
     /// Serialize the policy and member metadata as a small line-oriented
@@ -515,7 +436,8 @@ impl RedundancyStore {
             let mut f = line.strip_prefix("member ")?.split(' ');
             let rank: u32 = f.next()?.parse().ok()?;
             let ckpt: u32 = f.next()?.parse().ok()?;
-            let meta = MemberMeta {
+            let member = ParityMember {
+                rank,
                 codec: f.next()?.parse().ok()?,
                 uncompressed_len: f.next()?.parse().ok()?,
                 stored_len: f.next()?.parse().ok()?,
@@ -528,95 +450,35 @@ impl RedundancyStore {
             if f.next().is_some() {
                 return None;
             }
-            store.members.lock().insert((rank, ckpt), meta);
+            store.members.lock().insert((rank, ckpt), member);
             store.encoded.lock().insert((rank, ckpt));
         }
         Some(store)
     }
 
-    /// Wipe every group object hosted on a lost rank (applied by the tier
-    /// chain when a `RankLoss` fault is polled). Member metadata survives —
-    /// cluster metadata is replicated in these systems — so a wiped member
-    /// is still *known*, which is what distinguishes `LostCorrupt` from
-    /// `LostVolatile` at recovery time.
-    pub fn apply_rank_loss(&self, rank: u32) -> usize {
-        let keys: Vec<ObjectId> = {
-            let hosts = self.hosts.lock();
-            hosts
-                .iter()
-                .filter(|&(_, &h)| h == rank)
-                .map(|(&k, _)| k)
-                .collect()
-        };
-        let mut wiped = 0;
-        for key in keys {
-            if self.group.evict(key) {
-                wiped += 1;
-            }
-            self.hosts.lock().remove(&key);
-        }
-        self.metrics.rank_losses.inc();
-        wiped
-    }
-
-    /// Advance `rank`'s GC floor to `below` and drop group objects nothing
-    /// can need anymore: partner copies of this rank below the floor
-    /// immediately; XOR parity stripes of the group only below the
-    /// *minimum* floor across all its members. Returns evicted objects.
+    /// Advance `rank`'s GC floor to `below` and drop the group's parity
+    /// stripes below the *minimum* floor across all its members. Returns
+    /// evicted objects.
     pub(crate) fn compact_below(&self, rank: u32, below: u32) -> usize {
-        {
+        let group = self.group_ranks(rank);
+        let min_floor = {
             let mut floors = self.floors.lock();
             let f = floors.entry(rank).or_insert(0);
             *f = (*f).max(below);
-        }
+            group
+                .clone()
+                .map(|r| floors.get(&r).copied().unwrap_or(0))
+                .min()
+                .unwrap_or(0)
+        };
+        let below_floor = |&(r, c): &ObjectId| group.contains(&r) && c < min_floor;
         let mut evicted = 0;
-        match self.policy {
-            RedundancyPolicy::Off => {}
-            RedundancyPolicy::Partner => {
-                let ids: Vec<ObjectId> = self
-                    .members
-                    .lock()
-                    .keys()
-                    .filter(|&&(r, c)| r == rank && c < below)
-                    .copied()
-                    .collect();
-                for id in ids {
-                    if self.group.evict(id) {
-                        evicted += 1;
-                    }
-                    self.hosts.lock().remove(&id);
-                    self.members.lock().remove(&id);
-                }
-            }
-            RedundancyPolicy::Xor { group_size } => {
-                let k = group_size;
-                let g = rank / k;
-                let group_ranks = g * k..(g + 1) * k;
-                let min_floor = {
-                    let floors = self.floors.lock();
-                    group_ranks
-                        .clone()
-                        .map(|r| floors.get(&r).copied().unwrap_or(0))
-                        .min()
-                        .unwrap_or(0)
-                };
-                let stripe_ids: Vec<ObjectId> = self
-                    .group
-                    .resident()
-                    .into_iter()
-                    .filter(|&(h, c)| group_ranks.contains(&h) && c < min_floor)
-                    .collect();
-                for key in stripe_ids {
-                    if self.group.evict(key) {
-                        evicted += 1;
-                    }
-                    self.hosts.lock().remove(&key);
-                }
-                self.members
-                    .lock()
-                    .retain(|&(r, c), _| !(group_ranks.contains(&r) && c < min_floor));
+        for key in self.group.resident().into_iter().filter(&below_floor) {
+            if self.group.evict(key) {
+                evicted += 1;
             }
         }
+        self.members.lock().retain(|id, _| !below_floor(id));
         evicted
     }
 }
@@ -624,6 +486,7 @@ impl RedundancyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_dedup::frame::{PARITY_HEADER_LEN, PARITY_MEMBER_LEN};
 
     fn store(policy: RedundancyPolicy) -> RedundancyStore {
         RedundancyStore::new(policy, RedundancyMetrics::detached())
@@ -648,10 +511,7 @@ mod tests {
     #[test]
     fn policy_parsing_round_trips() {
         assert_eq!(RedundancyPolicy::parse("off"), Some(RedundancyPolicy::Off));
-        assert_eq!(
-            RedundancyPolicy::parse("partner"),
-            Some(RedundancyPolicy::Partner)
-        );
+        assert_eq!(RedundancyPolicy::parse("partner"), None);
         assert_eq!(
             RedundancyPolicy::parse("xor:4"),
             Some(RedundancyPolicy::Xor { group_size: 4 })
@@ -660,22 +520,30 @@ mod tests {
         assert_eq!(RedundancyPolicy::parse("xor:"), None);
         assert_eq!(RedundancyPolicy::parse("raid6"), None);
         assert_eq!(RedundancyPolicy::Xor { group_size: 8 }.label(), "xor:8");
-        assert_eq!(RedundancyPolicy::Partner.group_size(), 2);
-        assert_eq!(RedundancyPolicy::Xor { group_size: 4 }.group_of(7), 1);
+        assert_eq!(RedundancyPolicy::Xor { group_size: 2 }.group_size(), 2);
+        assert_eq!(RedundancyPolicy::Off.group_size(), 1);
     }
 
     #[test]
-    fn partner_copy_reconstructs_bit_identically() {
-        let s = store(RedundancyPolicy::Partner);
+    fn a_group_of_two_is_the_partner_mirror() {
+        let s = store(RedundancyPolicy::Xor { group_size: 2 });
         let obj = payload(2, 5, 4096);
         s.encode_member((2, 5), &obj);
         assert!(s.is_encoded((2, 5)));
-        assert!(s.knows_member((2, 5)));
-        assert_eq!(s.reconstruct((2, 5), &no_fetch).unwrap(), obj);
-        // Losing the partner host (rank 3) wipes the copy: typed error.
-        s.apply_rank_loss(3);
+        // The one stripe holds the whole payload, hosted on rank 2 ^ 1.
+        assert_eq!(s.group_tier().resident(), vec![(3, 5)]);
         assert_eq!(
-            s.reconstruct((2, 5), &no_fetch).unwrap_err(),
+            s.group_tier().used_bytes(),
+            (4096 + PARITY_HEADER_LEN + PARITY_MEMBER_LEN) as u64
+        );
+        // No survivor contributes to a mirror.
+        let no_survivor =
+            |mid: ObjectId| -> Option<StoredObject> { panic!("fetched survivor {mid:?}") };
+        assert_eq!(s.reconstruct((2, 5), &no_survivor).unwrap(), obj);
+        // Losing the host (rank 3) wipes the stripe: typed error.
+        assert_eq!(s.group_tier().wipe_rank(3), vec![(3, 5)]);
+        assert_eq!(
+            s.reconstruct((2, 5), &no_survivor).unwrap_err(),
             ReconstructError::MissingGroupCopy
         );
         assert!(s.knows_member((2, 5)), "metadata survives the wipe");
@@ -714,8 +582,8 @@ mod tests {
         }
         // Ranks 1 and 2 both lost: stripes hosted there are gone AND rank
         // 2 cannot serve as a survivor for rank 1's rebuild.
-        s.apply_rank_loss(1);
-        s.apply_rank_loss(2);
+        s.group_tier().wipe_rank(1);
+        s.group_tier().wipe_rank(2);
         let fetch = |mid: ObjectId| -> Option<StoredObject> {
             (mid.0 != 1 && mid.0 != 2).then(|| objs[mid.0 as usize].clone())
         };
@@ -770,25 +638,10 @@ mod tests {
 
     #[test]
     fn unknown_member_is_typed() {
-        let s = store(RedundancyPolicy::Partner);
+        let s = store(RedundancyPolicy::Xor { group_size: 2 });
         assert_eq!(
             s.reconstruct((9, 9), &no_fetch).unwrap_err(),
             ReconstructError::UnknownMember
-        );
-    }
-
-    #[test]
-    fn partner_compaction_drops_below_floor() {
-        let s = store(RedundancyPolicy::Partner);
-        for c in 0..4u32 {
-            s.encode_member((0, c), &payload(0, c, 256));
-        }
-        assert_eq!(s.compact_below(0, 2), 2);
-        assert!(!s.knows_member((0, 1)));
-        assert!(s.knows_member((0, 2)));
-        assert_eq!(
-            s.reconstruct((0, 3), &no_fetch).unwrap(),
-            payload(0, 3, 256)
         );
     }
 
@@ -836,6 +689,27 @@ mod tests {
         assert_eq!(loaded.reconstruct((1, 4), &fetch).unwrap(), objs[1]);
         assert!(RedundancyStore::from_manifest("policy off\n").is_none());
         assert!(RedundancyStore::from_manifest("member 0 0\n").is_none());
+    }
+
+    #[test]
+    fn imported_store_wipes_a_lost_hosts_stripes() {
+        let s = store(RedundancyPolicy::Xor { group_size: 2 });
+        let objs: Vec<StoredObject> = (0..2).map(|r| payload(r, 0, 500)).collect();
+        for (r, obj) in objs.iter().enumerate() {
+            s.encode_member((r as u32, 0), obj);
+        }
+        // What `ClusterDir::import` does: the manifest, then the stripes.
+        let loaded = RedundancyStore::from_manifest(&s.export_manifest()).unwrap();
+        for key in s.group_tier().resident() {
+            let framed = s.group_tier().raw(key).unwrap();
+            loaded.group_tier().put_framed(key, framed);
+        }
+        assert_eq!(loaded.group_tier().wipe_rank(1).len(), 1, "stripes wiped");
+        assert_eq!(
+            loaded.reconstruct((0, 0), &no_fetch).unwrap_err(),
+            ReconstructError::MissingGroupCopy
+        );
+        assert_eq!(loaded.reconstruct((1, 0), &no_fetch).unwrap(), objs[1]);
     }
 
     #[test]

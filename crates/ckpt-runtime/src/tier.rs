@@ -131,7 +131,7 @@ impl TierConfig {
         }
     }
 
-    /// Redundancy-group store: partner copies / parity stripes living on
+    /// Redundancy-group store: parity stripes living on
     /// peer nodes' local SSDs, reached over the interconnect — SSD-class
     /// bandwidth, shared capacity.
     pub fn group() -> Self {

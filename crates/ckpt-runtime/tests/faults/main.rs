@@ -22,7 +22,7 @@
 //! The suites add their own scenarios: [`crash`] (per-method crash,
 //! compaction-window and compressed schedules, and the fixed-seed fault
 //! matrix whose reports CI uploads), [`rank_loss`] (whole-rank losses
-//! under partner / XOR groups and the claim exchange's faults),
+//! under XOR groups and the claim exchange's faults),
 //! [`rank_dedup`] (the cluster dedup index on vs off) and [`corruption`]
 //! (one damaged record at a time against the sequential oracle).
 

@@ -1,8 +1,8 @@
 //! Cluster failure schedules for cross-rank redundancy groups: whole-rank
 //! node loss ([`FaultKind::RankLoss`], drawn by
 //! [`FaultPlan::from_seed_clustered`]) over 4–8 rank clusters running
-//! partner-copy or XOR-parity redundancy, and faults against the claim
-//! exchange of the cluster dedup index.
+//! XOR-parity redundancy at group sizes 2 and 4, and faults against the
+//! claim exchange of the cluster dedup index.
 //!
 //! Beyond the audit:
 //!
@@ -112,8 +112,8 @@ proptest! {
     ) {
         let redundancy = match policy_idx {
             0 => RedundancyPolicy::Off,
-            1 => RedundancyPolicy::Partner,
-            _ => RedundancyPolicy::Xor { group_size: 2 },
+            1 => RedundancyPolicy::Xor { group_size: 2 },
+            _ => RedundancyPolicy::Xor { group_size: 4 },
         };
         let w = cluster(ranks, ckpts, len, data_seed);
         let total = (ranks * ckpts) as usize;
@@ -172,16 +172,14 @@ proptest! {
 /// A fully-lost rank (host, SSD *and* PFS wiped) restores its latest
 /// checkpoint from the redundancy group bit-identically to sequential
 /// fault-free replay — at 1, 2 and 8 pool threads, with compression Off
-/// and Adaptive, under both partner and XOR policies.
+/// and Adaptive, under XOR groups of two (the mirror) and four.
 #[test]
 fn fully_lost_rank_restores_from_group_bit_identically() {
     let device = Device::a100();
     let w = cluster(4, 4, 4096, 2024);
     let lost = 2u32;
-    for redundancy in [
-        RedundancyPolicy::Partner,
-        RedundancyPolicy::Xor { group_size: 4 },
-    ] {
+    for group_size in [2, 4] {
+        let redundancy = RedundancyPolicy::Xor { group_size };
         for compression in [CompressionPolicy::Off, CompressionPolicy::Adaptive] {
             for threads in [1usize, 2, 8] {
                 rayon::set_active_threads(threads);
@@ -233,7 +231,7 @@ fn xor4_after_losing(
         .clone();
     for lost in ranks {
         lose_rank(&out.rt, lost);
-        red.apply_rank_loss(lost);
+        red.group_tier().wipe_rank(lost);
     }
     out.rt
 }
@@ -365,7 +363,10 @@ fn exchange_kill_mid_schedule_keeps_durable_prefixes_bit_exact() {
     let rt = AsyncRuntime::start(RuntimeConfig {
         registry: Arc::clone(&registry),
         rank_dedup: Some(Arc::clone(&engine)),
-        ..stack(CompressionPolicy::Off, RedundancyPolicy::Partner)
+        ..stack(
+            CompressionPolicy::Off,
+            RedundancyPolicy::Xor { group_size: 2 },
+        )
     });
     // The exchange crashes between checkpoint rounds 1 and 2.
     w.submit_ckpts(&rt, 0..2);
@@ -386,7 +387,7 @@ fn exchange_kill_mid_schedule_keeps_durable_prefixes_bit_exact() {
 
     // Rank 0 won the shared-base claims; lose it completely and restore a
     // surviving rank whose records reference it: the remotely-referenced
-    // chunks must come back through the partner group before the replay.
+    // chunks must come back through its mirror group before the replay.
     lose_rank(&rt, 0);
     for r in [2u32, 0] {
         let out = restore_rank_latest_parallel(rt.tiers(), &Device::a100(), r, None)

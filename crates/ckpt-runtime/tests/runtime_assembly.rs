@@ -348,6 +348,11 @@ fn every_registered_metric_is_in_the_design_inventory() {
     ] {
         assert!(registry.counter(must).get() > 0, "{must} never counted");
     }
+    assert_eq!(
+        registry.counter("redundancy/rank_losses").get(),
+        1,
+        "the one RankLoss is counted once"
+    );
 
     let inventory = design_inventory();
     let snapshot = registry.snapshot_json();

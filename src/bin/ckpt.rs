@@ -69,7 +69,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ckpt create  --out <dir> [--method tree|list|basic|full] [--chunk N] \
          [--compress off|adaptive|<codec>] \
-         [--redundancy off|partner|xor:<k>] [--ranks R] [--rank-dedup] \
+         [--redundancy off|xor:<k>] [--ranks R] [--rank-dedup] \
          [--verify-collisions] [--stats] <snapshots...>\n  \
          ckpt info    <dir>\n  ckpt stats   <dir>\n  \
          ckpt restore <dir> --version K --out <file> [--stats]\n  \
@@ -77,7 +77,8 @@ fn usage() -> ExitCode {
          --verify-collisions applies to --method tree|list only. \
          --redundancy splits the snapshots across R ranks (default: the group \
          size), writes rank####/ record subdirs plus a group/ directory of \
-         partner copies or XOR parity stripes, and makes verify/stats/restore \
+         XOR parity stripes (xor:2 mirrors each rank onto its partner), and \
+         makes verify/stats/restore \
          group-aware: a rank whose directory is absent is reported per object \
          as reconstructable-from-group or LOST, never silently skipped, and \
          restores through the group. \
@@ -271,7 +272,10 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
             "--redundancy" => {
                 let spec = args.get(i + 1).ok_or("--redundancy needs a value")?;
                 redundancy = RedundancyPolicy::parse(spec).ok_or_else(|| {
-                    format!("unknown --redundancy policy '{spec}' (off|partner|xor:<k>)")
+                    exit_with(
+                        EXIT_USAGE,
+                        format!("unknown --redundancy policy '{spec}' (off|xor:<k>)"),
+                    )
                 })?;
                 i += 2;
             }

@@ -34,6 +34,10 @@
 //! `ckpt-runtime`'s `tests/faults/`, whose `support` module builds every
 //! workload, runs every submit–kill–recover schedule and audits it; the
 //! root package ships one binary.
+//!
+//! Redundancy census: the group store holds one code, `xor:<k>` stripes
+//! keyed `(hosting rank, ckpt)` — a partner mirror is `xor:2` — so nothing
+//! dispatches on the policy and a lost rank's stripes are found by key.
 
 use std::path::{Path, PathBuf};
 
@@ -468,4 +472,27 @@ fn one_fault_schedule_harness() {
         in_files.dedup();
         assert_eq!(in_files, ["support.rs"], "{role}s: {defined:?}");
     }
+}
+
+#[test]
+fn one_redundancy_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let path = root.join("crates/ckpt-runtime/src/redundancy.rs");
+    let source = production_source(&path);
+    let partner: Vec<&str> = source.lines().filter(|l| l.contains("Partner")).collect();
+    assert!(partner.is_empty(), "a second code is back: {partner:?}");
+    let dispatch = fns_with(&path, &|l| l.contains("match ") && l.contains("policy"));
+    assert!(dispatch.is_empty(), "a match on the policy: {dispatch:?}");
+    let at = source
+        .find("pub struct RedundancyStore {")
+        .expect("RedundancyStore");
+    let store = &source[at..at + source[at..].find("\n}").expect("struct end")];
+    let host_maps: Vec<&str> = store
+        .lines()
+        .filter(|l| l.contains("hosts") || l.contains("HashMap<ObjectId, u32>"))
+        .collect();
+    assert!(
+        host_maps.is_empty(),
+        "a group object's host is its key, not a field: {host_maps:?}"
+    );
 }

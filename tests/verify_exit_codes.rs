@@ -96,11 +96,11 @@ fn verify_json(record: &Path) -> (i32, String) {
 /// The full matrix, per redundancy policy: clean record → 0, group-
 /// repairable damage → 3, unrepairable damage (including dangling
 /// cross-rank references) → 4. The clean-record JSON report is
-/// byte-identical across policies — one schema, not three.
+/// byte-identical across policies — one schema, not one per policy.
 #[test]
 fn verify_exit_code_matrix_across_policies() {
     let mut clean_jsons = Vec::new();
-    for policy in ["off", "partner", "xor:2"] {
+    for policy in ["off", "xor:2"] {
         let tmp = TempDir::new(&format!("matrix-{}", policy.replace(':', "-")));
         let snaps = write_snapshots(tmp.path(), 8);
         let record = tmp.path().join("record");
@@ -170,7 +170,6 @@ fn verify_exit_code_matrix_across_policies() {
         clean_jsons[0], clean_jsons[1],
         "report schema must not depend on the policy"
     );
-    assert_eq!(clean_jsons[1], clean_jsons[2]);
 }
 
 /// Flat (single-rank) records speak the same JSON schema with
@@ -207,7 +206,8 @@ fn flat_verify_json_shares_the_schema() {
 /// Usage errors are exit 2 — distinct from verification outcomes.
 #[test]
 fn usage_errors_exit_2() {
-    for args in [&[][..], &["frobnicate"][..], &["verify"][..]] {
+    let partner = ["create", "--out", "x", "--redundancy", "partner", "s"];
+    for args in [&[][..], &["frobnicate"][..], &["verify"][..], &partner] {
         let out = ckpt().args(args).output().unwrap();
         assert_eq!(
             out.status.code(),
@@ -215,6 +215,13 @@ fn usage_errors_exit_2() {
             "args {args:?} must be a usage error"
         );
     }
+    // A mirror is `xor:2`; the policy list names the codes there are.
+    let out = ckpt().args(partner).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown --redundancy policy 'partner' (off|xor:<k>)"),
+        "{stderr}"
+    );
 }
 
 /// Run `ckpt` and return (exit code, stdout, stderr).
@@ -263,8 +270,8 @@ fn holed_chain_is_lost_or_group_repairable_never_stale() {
             5,
         ),
         (
-            "ranks2-partner",
-            &["--ranks", "2", "--redundancy", "partner"][..],
+            "ranks2-xor2",
+            &["--ranks", "2", "--redundancy", "xor:2"][..],
             "rank0001/0001.ckpt",
             "rank0001",
             5,
@@ -290,7 +297,7 @@ fn holed_chain_is_lost_or_group_repairable_never_stale() {
         let restored = std::fs::read(&out).ok();
         let _ = std::fs::remove_file(&out);
 
-        if tag == "ranks2-partner" {
+        if tag == "ranks2-xor2" {
             assert_eq!(code, 3, "{tag}: the group still knows the id: {json}");
             assert!(
                 rank_objects.contains(&format!(r#"{{"ckpt_id":{ckpt_id},"status":"repairable"}}"#)),
@@ -407,4 +414,50 @@ fn damaged_group_tier_stays_in_the_matrix() {
     assert_eq!(code, 4, "{stdout}");
     assert!(stdout.contains("MANIFEST BAD"), "{stdout}");
     assert!(!stdout.contains(r#""status":"repairable""#), "{stdout}");
+}
+
+/// A directory whose manifest names a policy there is no code for (an old
+/// `policy partner` record) loads no group: the manifest is reported
+/// malformed, and damage it would have repaired is typed lost — the
+/// record never half-loads or restores wrong bytes.
+#[test]
+fn unknown_manifest_policy_is_typed_never_silent() {
+    let tmp = TempDir::new("partner-manifest");
+    let snaps = write_snapshots(tmp.path(), 6);
+    let record = tmp.path().join("record");
+    create(&record, &snaps, &["--ranks", "2", "--redundancy", "xor:2"]);
+    let manifest = record.join("group").join("MANIFEST");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let rest = text.strip_prefix("policy xor:2\n").expect("xor:2 manifest");
+    std::fs::write(&manifest, format!("policy partner\n{rest}")).unwrap();
+    let victim = record.join("rank0001").join("0001.ckpt");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x40;
+    std::fs::write(&victim, &bytes).unwrap();
+
+    let dir = record.to_str().unwrap();
+    let (code, stdout, _) = run(&["verify", dir, "--json"]);
+    assert_eq!(code, 4, "{stdout}");
+    assert!(
+        stdout.contains("group MANIFEST BAD malformed or truncated"),
+        "{stdout}"
+    );
+    let rank1 = stdout.split(r#""rank":1,"#).nth(1).unwrap_or_default();
+    assert!(
+        rank1.contains(r#"{"ckpt_id":1,"status":"lost"}"#),
+        "the damaged object has no group to repair it: {stdout}"
+    );
+    assert!(!stdout.contains(r#""status":"repairable""#), "{stdout}");
+
+    let out = tmp.path().join("restored.bin");
+    let member = record.join("rank0001");
+    let (code, _, stderr) = run(&[
+        "restore",
+        member.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_ne!(code, 0, "{stderr}");
+    assert!(!out.exists(), "no output file on a failed restore");
 }
