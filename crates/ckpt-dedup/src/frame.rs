@@ -775,10 +775,57 @@ impl RankDedupRecord {
         })
     }
 
-    /// Parse and fully verify a serialized rank-dedup record. Lengths are
-    /// validated against the actual buffer before anything is hashed, so a
-    /// corrupted count field can never drive an allocation.
+    /// Parse and fully verify a serialized rank-dedup record into an owned
+    /// one: [`RecordIndex::parse`]'s checks, then the table and the local
+    /// bytes copied out.
     pub fn decode(bytes: &[u8]) -> Result<RankDedupRecord, FrameError> {
+        let index = RecordIndex::parse(bytes)?;
+        Ok(RankDedupRecord::new(
+            index.rank,
+            index.ckpt_id,
+            index.chunk_len,
+            index.orig_len,
+            index.orig_checksum,
+            index.entries(bytes).collect(),
+            index.local_region(bytes).to_vec(),
+        ))
+    }
+}
+
+/// A verified rank-dedup record's entry table, indexed in place: what a
+/// reader needs to find any entry's bytes, without an owned entry list.
+///
+/// It keeps one bit per entry (local or not), the count of local entries
+/// before each 64-entry word, and one offset per local entry (plus the
+/// local region's end), so [`local_slice`](Self::local_slice) is a bit
+/// test, a popcount and two loads. The index holds no record bytes: the
+/// accessors take the buffer it was parsed from, or — for `local_slice` —
+/// its [`local_region`](Self::local_region), which a holder may copy out
+/// and keep without the table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordIndex {
+    pub rank: u32,
+    pub ckpt_id: u32,
+    pub chunk_len: u32,
+    pub orig_len: u64,
+    pub orig_checksum: u64,
+    n_entries: u32,
+    /// Bit `i % 64` of word `i / 64` is set when entry `i` is local.
+    is_local: Vec<u64>,
+    /// `before[w]`: local entries in words `0..w`.
+    before: Vec<u32>,
+    /// `offsets[k]`: where the `k`-th local entry starts in the local
+    /// region; one more, the region's length, ends the last one.
+    offsets: Vec<u64>,
+}
+
+impl RecordIndex {
+    /// Parse and fully verify a serialized rank-dedup record: the prelude,
+    /// the header's length claim before the checksum touches a byte (so a
+    /// corrupted count can never drive an allocation), the record checksum,
+    /// then — in one pass over the table — every tag and the sum of the
+    /// local lengths against the bytes carried.
+    pub fn parse(bytes: &[u8]) -> Result<RecordIndex, FrameError> {
         let short = FrameError::TooShort { len: bytes.len() };
         let (_, mut r) = Kind::RankDedup.open(bytes)?;
         let rank = r.u32().ok_or(short)?;
@@ -787,44 +834,46 @@ impl RankDedupRecord {
         // Everything from here on is what the record checksum covers.
         let covered = r.rest();
         let chunk_len = r.u32().ok_or(short)?;
-        let n_entries = r.u32().ok_or(short)? as u64;
+        let n_entries = r.u32().ok_or(short)?;
         let orig_len = r.u64().ok_or(short)?;
         let orig_checksum = r.u64().ok_or(short)?;
         let local_len = r.u64().ok_or(short)?;
         let expected = ((RANKDEDUP_HEADER_LEN - RANKDEDUP_CHECK_OFFSET) as u64)
-            .saturating_add(n_entries.saturating_mul(RANKDEDUP_ENTRY_LEN as u64))
+            .saturating_add((n_entries as u64).saturating_mul(RANKDEDUP_ENTRY_LEN as u64))
             .saturating_add(local_len);
         let truncated = check_covered(covered, expected, checksum, |b| {
             rankdedup_sum(rank, ckpt_id, b)
         })?;
-        let mut entries = Vec::with_capacity(n_entries as usize);
-        let mut starts = Vec::with_capacity(n_entries as usize);
+        // The checksum passed over exactly `expected` bytes, so the table
+        // is in the buffer and every count below is bounded by it.
+        let n = n_entries as usize;
+        let table = r.take(n * RANKDEDUP_ENTRY_LEN).ok_or(truncated)?;
+        let words = n.div_ceil(64);
+        let mut is_local = Vec::with_capacity(words);
+        let mut before = Vec::with_capacity(words);
+        // Sized for every entry, trimmed once the pass has counted.
+        let mut offsets = Vec::with_capacity(n + 1);
         let mut local_sum = 0u64;
-        for i in 0..n_entries {
-            // At most `local_len` (≤ the buffer) while the record is valid;
-            // a forged table that runs past it fails the sum check below.
-            starts.push(local_sum as usize);
-            // One slot, one length check: a record has tens of thousands.
-            let slot: [u8; RANKDEDUP_ENTRY_LEN] = r.array().ok_or(truncated)?;
-            let mut e = LeReader::new(&slot);
-            match e.u8().ok_or(truncated)? {
-                0 => {
-                    let len = e.u32().ok_or(truncated)?;
-                    local_sum += len as u64;
-                    entries.push(RankDedupEntry::Local { len });
-                }
-                1 => entries.push(RankDedupEntry::Remote(RemoteRef {
-                    owner_rank: e.u32().ok_or(truncated)?,
-                    ckpt_id: e.u32().ok_or(truncated)?,
-                    chunk: e.u32().ok_or(truncated)?,
-                })),
-                tag => {
-                    return Err(FrameError::BadEntryTag {
-                        index: i as u32,
-                        tag,
-                    })
+        for (w, slots) in table.chunks(64 * RANKDEDUP_ENTRY_LEN).enumerate() {
+            before.push(offsets.len() as u32);
+            let mut word = 0u64;
+            for (b, slot) in slots.chunks_exact(RANKDEDUP_ENTRY_LEN).enumerate() {
+                match slot[0] {
+                    0 => {
+                        word |= 1 << b;
+                        offsets.push(local_sum);
+                        local_sum += slot_u32(slot, 1) as u64;
+                    }
+                    1 => {}
+                    tag => {
+                        return Err(FrameError::BadEntryTag {
+                            index: (w * 64 + b) as u32,
+                            tag,
+                        })
+                    }
                 }
             }
+            is_local.push(word);
         }
         if local_sum != local_len {
             return Err(FrameError::LengthMismatch {
@@ -832,17 +881,88 @@ impl RankDedupRecord {
                 got: local_sum,
             });
         }
-        Ok(RankDedupRecord {
+        offsets.push(local_sum);
+        offsets.shrink_to_fit();
+        Ok(RecordIndex {
             rank,
             ckpt_id,
             chunk_len,
             orig_len,
             orig_checksum,
-            entries,
-            local: r.rest().to_vec(),
-            starts,
+            n_entries,
+            is_local,
+            before,
+            offsets,
         })
     }
+
+    /// Entries in the table, one per grid cell.
+    pub fn n_entries(&self) -> u32 {
+        self.n_entries
+    }
+
+    /// Entries whose bytes the record carries.
+    pub fn n_local(&self) -> u32 {
+        (self.offsets.len() - 1) as u32
+    }
+
+    /// Bytes the local entries carry, in total.
+    pub fn local_len(&self) -> u64 {
+        self.offsets[self.offsets.len() - 1]
+    }
+
+    /// The local entries' bytes, concatenated in table order, in `bytes`
+    /// (the buffer this index was parsed from): its tail.
+    pub fn local_region<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        bytes
+            .get(self.local_at()..)
+            .expect("the buffer this index was parsed from")
+    }
+
+    /// The entry table, read in place from `bytes` (the buffer this index
+    /// was parsed from), in table order.
+    pub fn entries<'a>(&self, bytes: &'a [u8]) -> impl Iterator<Item = RankDedupEntry> + 'a {
+        bytes
+            .get(RANKDEDUP_HEADER_LEN..self.local_at())
+            .expect("the buffer this index was parsed from")
+            .chunks_exact(RANKDEDUP_ENTRY_LEN)
+            .map(|slot| match slot[0] {
+                0 => RankDedupEntry::Local {
+                    len: slot_u32(slot, 1),
+                },
+                _ => RankDedupEntry::Remote(RemoteRef {
+                    owner_rank: slot_u32(slot, 1),
+                    ckpt_id: slot_u32(slot, 5),
+                    chunk: slot_u32(slot, 9),
+                }),
+            })
+    }
+
+    /// Borrow the bytes of local entry `index` out of `local`, this
+    /// record's [`local_region`](Self::local_region) (or a copy of it).
+    /// `None` when the index is out of range or names a remote entry.
+    #[inline]
+    pub fn local_slice<'a>(&self, local: &'a [u8], index: u32) -> Option<&'a [u8]> {
+        let i = index as usize;
+        let word = *self.is_local.get(i / 64)?;
+        let bit = 1u64 << (i % 64);
+        if word & bit == 0 {
+            return None;
+        }
+        let k = self.before[i / 64] as usize + (word & (bit - 1)).count_ones() as usize;
+        local.get(self.offsets[k] as usize..self.offsets[k + 1] as usize)
+    }
+
+    /// Where the local region starts in the parsed buffer.
+    fn local_at(&self) -> usize {
+        RANKDEDUP_HEADER_LEN + self.n_entries as usize * RANKDEDUP_ENTRY_LEN
+    }
+}
+
+/// The little-endian `u32` at `at` in an entry-table slot.
+#[inline]
+fn slot_u32(slot: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(slot[at..at + 4].try_into().expect("inside a 13-byte slot"))
 }
 
 #[cfg(test)]
@@ -1159,6 +1279,64 @@ mod tests {
             }
         }
         None
+    }
+
+    /// The index at its word seams: records of 1, 63, 64, 65 and 130
+    /// entries, all local, all remote, alternating, and with zero-length
+    /// local entries among the rest. Every index answers what the linear
+    /// scan does, and `None` past the end and for every remote entry.
+    #[test]
+    fn index_local_slice_equals_linear_scan_at_word_seams() {
+        // Entry `i`'s local length, or `None` for a remote entry.
+        type Cell = fn(usize) -> Option<u32>;
+        let shapes: [(&str, Cell); 4] = [
+            ("all local", |i| Some(1 + i as u32 % 7)),
+            ("all remote", |_| None),
+            ("alternating", |i| (i % 2 == 0).then_some(3)),
+            ("zero-length locals", |i| match i % 3 {
+                0 => Some(0),
+                1 => Some(5),
+                _ => None,
+            }),
+        ];
+        for n in [1usize, 63, 64, 65, 130] {
+            for (shape, cell) in shapes {
+                let entries: Vec<RankDedupEntry> = (0..n)
+                    .map(|i| match cell(i) {
+                        Some(len) => RankDedupEntry::Local { len },
+                        None => RankDedupEntry::Remote(RemoteRef {
+                            owner_rank: 1,
+                            ckpt_id: 2,
+                            chunk: i as u32,
+                        }),
+                    })
+                    .collect();
+                let local_len: u32 = (0..n).filter_map(cell).sum();
+                let local: Vec<u8> = (0..local_len).map(|i| (i % 251) as u8).collect();
+                let rec = RankDedupRecord::new(3, 4, 8, 0, 0, entries, local);
+                let bytes = rec.encode();
+                let index = RecordIndex::parse(&bytes).unwrap();
+                let region = index.local_region(&bytes);
+                assert_eq!(region, rec.local(), "{shape}, {n} entries");
+                assert_eq!(index.n_entries() as usize, n);
+                assert!(index.entries(&bytes).eq(rec.entries().iter().copied()));
+                for i in (0..n as u32 + 70).chain([u32::MAX]) {
+                    let want = local_slice_linear(&rec, i);
+                    assert_eq!(
+                        index.local_slice(region, i),
+                        want,
+                        "{shape}, {n} entries, index {i}"
+                    );
+                    let remote = matches!(
+                        rec.entries().get(i as usize),
+                        Some(RankDedupEntry::Remote(_))
+                    );
+                    if remote || i as usize >= n {
+                        assert_eq!(want, None);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

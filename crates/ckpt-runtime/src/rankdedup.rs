@@ -76,7 +76,7 @@
 use crate::fault::{FaultKind, FaultPlan, OpKind, SplitMix64};
 use crate::tier::ObjectId;
 use ckpt_dedup::diff::Diff;
-use ckpt_dedup::frame::{self, RankDedupEntry, RankDedupRecord, RemoteRef};
+use ckpt_dedup::frame::{self, RankDedupEntry, RankDedupRecord, RecordIndex, RemoteRef};
 use ckpt_dedup::Bytes;
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use ckpt_telemetry::{LazyCounter, Registry};
@@ -681,21 +681,33 @@ impl RankDedupEngine {
 /// Remote-reference resolution for the span of **one read call** (a
 /// restore, a [`collect_record`](crate::lineage::collect_record), a
 /// [`recover_report`](crate::chain::TierChain::recover_report)): the
-/// fetch closure plus every referenced record fetched so far, decoded
-/// (record checksum verified) and indexed.
+/// fetch closure plus every referenced record fetched so far, verified and
+/// indexed.
 ///
 /// `fetch` returns the *stored payload bytes* of a referenced object
 /// (themselves a serialized record), through whatever read path the caller
 /// has — the tier chain's `locate` (including group-tier reconstruction for
 /// lost ranks) at runtime, a plain map in tests. Each distinct referenced
 /// object is fetched once per `Resolver`, in first-reference order — one at
-/// a time, so a [`FaultPlan`]'s op ordinals replay. Nothing outlives the
-/// call, so there is nothing to invalidate; the memory bound is one indexed
-/// copy per distinct referenced object. A failed fetch is not remembered:
-/// the next record naming that object asks again.
+/// a time, so a [`FaultPlan`]'s op ordinals replay. A failed fetch is not
+/// remembered: the next record naming that object asks again. Nothing
+/// outlives the call, so there is nothing to invalidate.
+///
+/// Memory: a referenced record is kept as its [`RecordIndex`] — about two
+/// bits per entry and one offset per local entry — and a copy of its local
+/// bytes; the fetched buffer (decompressed, on a compressed tier) is
+/// released as soon as it is indexed. The record being resolved is read in
+/// place from the caller's bytes. The output is reserved once, at the
+/// length the cells sum to.
 pub struct Resolver<F> {
     fetch: F,
-    targets: HashMap<ObjectId, RankDedupRecord>,
+    targets: HashMap<ObjectId, Target>,
+}
+
+/// A referenced record as a [`Resolver`] keeps it.
+struct Target {
+    index: RecordIndex,
+    local: Box<[u8]>,
 }
 
 impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
@@ -711,7 +723,7 @@ impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
     /// record. The reassembly is verified against the recorded original
     /// length and checksum before it is returned.
     pub fn resolve(&mut self, id: ObjectId, bytes: &[u8]) -> Result<Bytes, RankDedupError> {
-        let rec = RankDedupRecord::decode(bytes).map_err(RankDedupError::Decode)?;
+        let rec = RecordIndex::parse(bytes).map_err(RankDedupError::Decode)?;
         if (rec.rank, rec.ckpt_id) != id {
             return Err(RankDedupError::Decode(frame::FrameError::IdMismatch {
                 expected: id,
@@ -719,9 +731,13 @@ impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
             }));
         }
         // References come in runs into one object: remember the last one
-        // looked at, here and below, and skip the map for the rest of a run.
+        // looked at, here and in `each_cell`, and skip the map for the rest
+        // of a run.
         let mut last = id;
-        for r in rec.remote_refs() {
+        for entry in rec.entries(bytes) {
+            let RankDedupEntry::Remote(r) = entry else {
+                continue;
+            };
             let target = (r.owner_rank, r.ckpt_id);
             if target == last {
                 continue;
@@ -733,38 +749,16 @@ impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
             if let Entry::Vacant(slot) = self.targets.entry(target) {
                 let raw =
                     (self.fetch)(target).ok_or(RankDedupError::DanglingRef { reference: r })?;
-                slot.insert(RankDedupRecord::decode(&raw).map_err(RankDedupError::Decode)?);
+                let index = RecordIndex::parse(&raw).map_err(RankDedupError::Decode)?;
+                let local = index.local_region(&raw).into();
+                slot.insert(Target { index, local });
             }
         }
-        // Every cell is now one table lookup away; sizing the output from
-        // the cells themselves means a forged `orig_len` is a typed
-        // mismatch, never an allocation.
-        let mut cells: Vec<&[u8]> = Vec::with_capacity(rec.entries().len());
-        let mut from = (id, &rec);
-        for (i, entry) in rec.entries().iter().enumerate() {
-            cells.push(match entry {
-                RankDedupEntry::Local { len } => rec.local_slice(i as u32).ok_or(
-                    RankDedupError::Decode(frame::FrameError::LengthMismatch {
-                        expected: *len as u64,
-                        got: 0,
-                    }),
-                )?,
-                RankDedupEntry::Remote(r) => {
-                    let not_local = RankDedupError::NotLocal { reference: *r };
-                    let target = (r.owner_rank, r.ckpt_id);
-                    if target != from.0 {
-                        let source = if target == id {
-                            &rec
-                        } else {
-                            self.targets.get(&target).ok_or(not_local)?
-                        };
-                        from = (target, source);
-                    }
-                    from.1.local_slice(r.chunk).ok_or(not_local)?
-                }
-            });
-        }
-        let got: u64 = cells.iter().map(|c| c.len() as u64).sum();
+        // Two passes over the cells: the first sums them, so a forged
+        // `orig_len` is a typed mismatch, never an allocation; the second
+        // fills an output reserved once.
+        let mut got = 0u64;
+        self.each_cell(id, &rec, bytes, |cell| got += cell.len() as u64)?;
         if got != rec.orig_len {
             return Err(RankDedupError::LengthMismatch {
                 expected: rec.orig_len,
@@ -772,13 +766,56 @@ impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
             });
         }
         let mut out: Vec<u8> = Vec::with_capacity(got as usize);
-        for cell in cells {
-            out.extend_from_slice(cell);
-        }
+        self.each_cell(id, &rec, bytes, |cell| out.extend_from_slice(cell))?;
         if frame::checksum64(rec.rank, rec.ckpt_id, &out) != rec.orig_checksum {
             return Err(RankDedupError::ChecksumMismatch);
         }
         Ok(out.into())
+    }
+
+    /// Hand `visit` the bytes of every cell of `rec` (the record `bytes`
+    /// stored as `id`) in table order. Every referenced record other than
+    /// `id` itself must already be fetched.
+    fn each_cell<'a>(
+        &'a self,
+        id: ObjectId,
+        rec: &'a RecordIndex,
+        bytes: &'a [u8],
+        mut visit: impl FnMut(&'a [u8]),
+    ) -> Result<(), RankDedupError> {
+        let own = rec.local_region(bytes);
+        // The record's own local entries come in table order.
+        let mut at = 0usize;
+        let mut from = (id, rec, own);
+        for entry in rec.entries(bytes) {
+            let cell = match entry {
+                RankDedupEntry::Local { len } => {
+                    let cell = own
+                        .get(at..at + len as usize)
+                        .ok_or(RankDedupError::Decode(frame::FrameError::LengthMismatch {
+                            expected: len as u64,
+                            got: 0,
+                        }))?;
+                    at += cell.len();
+                    cell
+                }
+                RankDedupEntry::Remote(r) => {
+                    let not_local = RankDedupError::NotLocal { reference: r };
+                    let target = (r.owner_rank, r.ckpt_id);
+                    if target != from.0 {
+                        from = if target == id {
+                            (id, rec, own)
+                        } else {
+                            let t = self.targets.get(&target).ok_or(not_local)?;
+                            (target, &t.index, &t.local[..])
+                        };
+                    }
+                    from.1.local_slice(from.2, r.chunk).ok_or(not_local)?
+                }
+            };
+            visit(cell);
+        }
+        Ok(())
     }
 }
 
@@ -1214,6 +1251,359 @@ mod tests {
         ));
         present.set(true);
         assert_eq!(resolver.resolve((1, 0), &second).unwrap(), shared);
+    }
+
+    /// The resolver as it was before the index replaced the owned decode,
+    /// kept as the oracle of `indexed_resolve_matches_the_decoding_oracle`:
+    /// the record and every referenced record decoded whole (entries,
+    /// offsets and a local copy each), one slice gathered per cell, then
+    /// the gathered cells copied out.
+    struct DecodingResolver<F> {
+        fetch: F,
+        targets: HashMap<ObjectId, RankDedupRecord>,
+    }
+
+    impl<F: Fn(ObjectId) -> Option<Bytes>> DecodingResolver<F> {
+        fn new(fetch: F) -> Self {
+            DecodingResolver {
+                fetch,
+                targets: HashMap::new(),
+            }
+        }
+
+        fn resolve(&mut self, id: ObjectId, bytes: &[u8]) -> Result<Bytes, RankDedupError> {
+            let rec = RankDedupRecord::decode(bytes).map_err(RankDedupError::Decode)?;
+            if (rec.rank, rec.ckpt_id) != id {
+                return Err(RankDedupError::Decode(frame::FrameError::IdMismatch {
+                    expected: id,
+                    got: (rec.rank, rec.ckpt_id),
+                }));
+            }
+            let mut last = id;
+            for r in rec.remote_refs() {
+                let target = (r.owner_rank, r.ckpt_id);
+                if target == last {
+                    continue;
+                }
+                last = target;
+                if target == id {
+                    continue;
+                }
+                if let Entry::Vacant(slot) = self.targets.entry(target) {
+                    let raw =
+                        (self.fetch)(target).ok_or(RankDedupError::DanglingRef { reference: r })?;
+                    slot.insert(RankDedupRecord::decode(&raw).map_err(RankDedupError::Decode)?);
+                }
+            }
+            let mut cells: Vec<&[u8]> = Vec::with_capacity(rec.entries().len());
+            let mut from = (id, &rec);
+            for (i, entry) in rec.entries().iter().enumerate() {
+                cells.push(match entry {
+                    RankDedupEntry::Local { len } => rec.local_slice(i as u32).ok_or(
+                        RankDedupError::Decode(frame::FrameError::LengthMismatch {
+                            expected: *len as u64,
+                            got: 0,
+                        }),
+                    )?,
+                    RankDedupEntry::Remote(r) => {
+                        let not_local = RankDedupError::NotLocal { reference: *r };
+                        let target = (r.owner_rank, r.ckpt_id);
+                        if target != from.0 {
+                            let source = if target == id {
+                                &rec
+                            } else {
+                                self.targets.get(&target).ok_or(not_local)?
+                            };
+                            from = (target, source);
+                        }
+                        from.1.local_slice(r.chunk).ok_or(not_local)?
+                    }
+                });
+            }
+            let got: u64 = cells.iter().map(|c| c.len() as u64).sum();
+            if got != rec.orig_len {
+                return Err(RankDedupError::LengthMismatch {
+                    expected: rec.orig_len,
+                    got,
+                });
+            }
+            let mut out: Vec<u8> = Vec::with_capacity(got as usize);
+            for cell in cells {
+                out.extend_from_slice(cell);
+            }
+            if frame::checksum64(rec.rank, rec.ckpt_id, &out) != rec.orig_checksum {
+                return Err(RankDedupError::ChecksumMismatch);
+            }
+            Ok(out.into())
+        }
+    }
+
+    /// `default` cases, or `PROPTEST_CASES` when it is set (CI runs the
+    /// differential block optimized at a larger count).
+    fn cases(default: u32) -> ProptestConfig {
+        let set = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok());
+        ProptestConfig::with_cases(set.unwrap_or(default))
+    }
+
+    /// Re-seal a (forged) rank-dedup record with a valid checksum, so the
+    /// checks behind the checksum are what a forgery meets. The seed mixing
+    /// is `frame`'s private `rankdedup_sum`; `resealed_records_are_unchanged`
+    /// holds the two together.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let (rank, ckpt) = (word(8), word(12));
+        let sum =
+            frame::checksum64_region(rank ^ 0x524b_4452, ckpt.rotate_left(16), 0, &bytes[24..]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn resealed_records_are_unchanged() {
+        let e = engine(2, 32);
+        let record = e.encode((1, 4), payload(5, 32 * 9 + 7));
+        assert_eq!(reseal(record.clone()), record);
+    }
+
+    /// A payload of exactly `cells` grid cells (no diff header), most of
+    /// them out of `pool`, so its record has `cells` entries.
+    fn payload_of_cells(rng: &mut SplitMix64, pool: &[Vec<u8>], cells: usize) -> Vec<u8> {
+        let chunk_len = pool[0].len();
+        let mut body = Vec::with_capacity(cells * chunk_len);
+        for _ in 0..cells {
+            match rng.next() % 3 {
+                0 => body.extend((0..chunk_len).map(|_| rng.next() as u8)),
+                _ => body.extend_from_slice(&pool[rng.next() as usize % pool.len()]),
+            }
+        }
+        body
+    }
+
+    /// One forgery of the record `bytes` stored as `id`, picked by `kind`:
+    /// a record the encoder never writes, with a valid checksum.
+    fn forge(
+        rng: &mut SplitMix64,
+        kind: u64,
+        id: ObjectId,
+        bytes: &[u8],
+        store: &HashMap<ObjectId, Vec<u8>>,
+    ) -> Vec<u8> {
+        let rec = RankDedupRecord::decode(bytes).unwrap();
+        let mut entries = rec.entries().to_vec();
+        let n = entries.len();
+        let pick = |rng: &mut SplitMix64, want: fn(&RankDedupEntry) -> bool| {
+            let hits: Vec<usize> = (0..n).filter(|&i| want(&entries[i])).collect();
+            (!hits.is_empty()).then(|| hits[rng.next() as usize % hits.len()])
+        };
+        let is_local = |e: &RankDedupEntry| matches!(e, RankDedupEntry::Local { .. });
+        let is_remote = |e: &RankDedupEntry| matches!(e, RankDedupEntry::Remote(_));
+        let slot = |i: usize| frame::RANKDEDUP_HEADER_LEN + i * frame::RANKDEDUP_ENTRY_LEN;
+        let mut orig_len = rec.orig_len;
+        match kind {
+            // A tag that is neither local nor remote.
+            0 if n > 0 => {
+                let mut forged = bytes.to_vec();
+                forged[slot(rng.next() as usize % n)] = 2 + (rng.next() % 254) as u8;
+                return reseal(forged);
+            }
+            // Local lengths summing one off the bytes carried.
+            1 => {
+                if let Some(i) = pick(rng, is_local) {
+                    let mut forged = bytes.to_vec();
+                    let RankDedupEntry::Local { len } = entries[i] else {
+                        unreachable!()
+                    };
+                    let len = if len == 0 || rng.next() & 1 == 0 {
+                        len + 1
+                    } else {
+                        len - 1
+                    };
+                    forged[slot(i) + 1..slot(i) + 5].copy_from_slice(&len.to_le_bytes());
+                    return reseal(forged);
+                }
+            }
+            // Zero-length local entries spliced in, self references moved
+            // along: still the same payload.
+            2 => {
+                for _ in 0..1 + rng.next() % 4 {
+                    let at = rng.next() as usize % (entries.len() + 1);
+                    for e in &mut entries {
+                        if let RankDedupEntry::Remote(r) = e {
+                            if (r.owner_rank, r.ckpt_id) == id && r.chunk as usize >= at {
+                                r.chunk += 1;
+                            }
+                        }
+                    }
+                    entries.insert(at, RankDedupEntry::Local { len: 0 });
+                }
+            }
+            // A chunk index at or past the end of the referenced table.
+            3 => {
+                if let Some(i) = pick(rng, is_remote) {
+                    let RankDedupEntry::Remote(r) = &mut entries[i] else {
+                        unreachable!()
+                    };
+                    let target = (r.owner_rank, r.ckpt_id);
+                    let len = match store.get(&target) {
+                        Some(t) if target != id => {
+                            RankDedupRecord::decode(t).unwrap().entries().len()
+                        }
+                        _ => n,
+                    };
+                    r.chunk = match rng.next() % 3 {
+                        0 => u32::MAX,
+                        _ => (len as u64 + rng.next() % 70) as u32,
+                    };
+                }
+            }
+            // A reference to an entry that is itself a reference.
+            4 => {
+                if let Some(i) = pick(rng, is_remote) {
+                    let RankDedupEntry::Remote(r) = entries[i] else {
+                        unreachable!()
+                    };
+                    let target = (r.owner_rank, r.ckpt_id);
+                    let table = match store.get(&target) {
+                        Some(t) if target != id => {
+                            RankDedupRecord::decode(t).unwrap().entries().to_vec()
+                        }
+                        _ => entries.clone(),
+                    };
+                    let remote: Vec<usize> =
+                        (0..table.len()).filter(|&j| is_remote(&table[j])).collect();
+                    if let Some(&j) = remote.get(rng.next() as usize % remote.len().max(1)) {
+                        entries[i] = RankDedupEntry::Remote(RemoteRef {
+                            chunk: j as u32,
+                            ..r
+                        });
+                    }
+                }
+            }
+            // A reference into the record itself, anywhere in its table
+            // (backwards, forwards, onto itself).
+            5 => {
+                if let Some(i) = pick(rng, is_remote) {
+                    entries[i] = RankDedupEntry::Remote(RemoteRef {
+                        owner_rank: id.0,
+                        ckpt_id: id.1,
+                        chunk: (rng.next() % (n as u64 + 1)) as u32,
+                    });
+                }
+            }
+            // A recorded original length the cells do not sum to.
+            _ => {
+                orig_len = match rng.next() % 3 {
+                    0 => u64::MAX,
+                    1 => orig_len + 1 + rng.next() % 100,
+                    _ => orig_len.saturating_sub(1 + rng.next() % 100),
+                };
+            }
+        }
+        RankDedupRecord::new(
+            rec.rank,
+            rec.ckpt_id,
+            rec.chunk_len,
+            orig_len,
+            rec.orig_checksum,
+            entries,
+            rec.local().to_vec(),
+        )
+        .encode()
+    }
+
+    proptest! {
+        #![proptest_config(cases(64))]
+
+        /// The indexed resolver against the decoding oracle: one resolver
+        /// each over every record of a generated cluster run (sharing
+        /// their targets across the calls), then fresh pairs over forged
+        /// records and over genuine ones whose target is forged or gone.
+        /// Same bytes or the same typed error, and the same fetches in
+        /// the same order, every time.
+        #[test]
+        fn indexed_resolve_matches_the_decoding_oracle(
+            seed in any::<u64>(),
+            chunk_len in prop_oneof![Just(16usize), Just(40), Just(64)],
+            objects in 6usize..14,
+        ) {
+            use std::cell::RefCell;
+            let e = engine(4, chunk_len);
+            let mut rng = SplitMix64::new(seed);
+            let pool: Vec<Vec<u8>> = (0..5)
+                .map(|_| (0..chunk_len).map(|_| rng.next() as u8).collect())
+                .collect();
+            let mut ids = Vec::new();
+            let mut store: HashMap<ObjectId, Vec<u8>> = HashMap::new();
+            for k in 0..objects {
+                let id = ((k % 4) as u32, (k / 4) as u32);
+                let payload = match rng.next() % 3 {
+                    0 => {
+                        let cells = [0, 63, 64, 65][rng.next() as usize % 4];
+                        payload_of_cells(&mut rng, &pool, cells)
+                    }
+                    _ => generated_payload(&mut rng, &pool, chunk_len),
+                };
+                store.insert(id, e.encode(id, payload));
+                ids.push(id);
+            }
+            let run = |store: &HashMap<ObjectId, Vec<u8>>, reads: &[(ObjectId, Vec<u8>)]| {
+                let fetched = [RefCell::new(Vec::new()), RefCell::new(Vec::new())];
+                let fetch = |side: usize| {
+                    let fetched = &fetched[side];
+                    move |id: ObjectId| {
+                        fetched.borrow_mut().push(id);
+                        store.get(&id).cloned().map(Bytes::from)
+                    }
+                };
+                let mut indexed = Resolver::new(fetch(0));
+                let mut oracle = DecodingResolver::new(fetch(1));
+                let results: Vec<_> = reads
+                    .iter()
+                    .map(|(id, bytes)| {
+                        let got = indexed.resolve(*id, bytes).map(|b| b.to_vec());
+                        let want = oracle.resolve(*id, bytes).map(|b| b.to_vec());
+                        (got, want)
+                    })
+                    .collect();
+                let [a, b] = fetched.map(RefCell::into_inner);
+                (results, a, b)
+            };
+            let genuine: Vec<_> = ids.iter().map(|id| (*id, store[id].clone())).collect();
+            let (results, a, b) = run(&store, &genuine);
+            for ((got, want), (id, _)) in results.iter().zip(&genuine) {
+                prop_assert!(want.is_ok(), "genuine record {:?}: {:?}", id, want);
+                prop_assert_eq!(got, want, "record {:?}", id);
+            }
+            prop_assert_eq!(a, b);
+            for round in 0..24 {
+                let id = ids[rng.next() as usize % ids.len()];
+                let kind = rng.next() % 8;
+                let mut forged_store = store.clone();
+                let read = if kind == 7 {
+                    // A target forged, or gone from the store.
+                    let rec = RankDedupRecord::decode(&store[&id]).unwrap();
+                    if let Some(r) = rec.remote_refs().find(|r| (r.owner_rank, r.ckpt_id) != id) {
+                        let target = (r.owner_rank, r.ckpt_id);
+                        match rng.next() % 3 {
+                            0 => { forged_store.remove(&target); }
+                            k => {
+                                let forged = forge(&mut rng, k - 1, target, &store[&target], &store);
+                                forged_store.insert(target, forged);
+                            }
+                        }
+                    }
+                    (id, store[&id].clone())
+                } else {
+                    (id, forge(&mut rng, kind, id, &store[&id], &store))
+                };
+                let (results, a, b) = run(&forged_store, std::slice::from_ref(&read));
+                let (got, want) = &results[0];
+                prop_assert_eq!(got, want, "round {} kind {} record {:?}", round, kind, id);
+                prop_assert_eq!(a, b, "round {} kind {}", round, kind);
+            }
+        }
     }
 
     #[test]

@@ -3,16 +3,20 @@
 //!
 //! A counting `#[global_allocator]` (its own test binary, so nothing else
 //! allocates under it) adds up every byte requested while a window is
-//! open. Every window lives in one `#[test]`: the count is process-wide.
+//! open, and tracks the bytes live at once and their high-water mark.
+//! Every window lives in one `#[test]`: the counts are process-wide.
 
 use ckpt_compress::blocks::DEFAULT_BLOCK_SIZE;
 use ckpt_compress::lz::{find_sequences, MatchConfig, Seq};
-use ckpt_dedup::frame::{RankDedupEntry, RANKDEDUP_ENTRY_LEN, RANKDEDUP_HEADER_LEN};
+use ckpt_dedup::frame::{
+    RankDedupEntry, RankDedupRecord, RANKDEDUP_ENTRY_LEN, RANKDEDUP_HEADER_LEN,
+};
 use ckpt_dedup::prelude::*;
 use ckpt_runtime::compress::SAMPLE_LEN;
 use ckpt_runtime::{
-    restore_rank_latest_parallel, AsyncRuntime, CompressMetrics, CompressionEngine,
-    CompressionPolicy, RankDedupConfig, RankDedupEngine, RankDedupMetrics, TierChain,
+    resolve_record, restore_rank_latest_parallel, AsyncRuntime, CompressMetrics, CompressionEngine,
+    CompressionPolicy, RankDedupConfig, RankDedupEngine, RankDedupMetrics, Tier, TierChain,
+    TierConfig,
 };
 use gpu_sim::Device;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,22 +25,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// relaxed statistic that no allocation depends on.
+/// `bytes` more are live: raise the high-water mark to meet them.
+fn grow(bytes: u64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// relaxed statistics that no allocation depends on.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Growth requests the new block whole (it may move).
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        // Counted as a move: both blocks are live for a moment.
+        grow(new_size as u64);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,6 +66,15 @@ fn requested_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = REQUESTED.load(Ordering::Relaxed);
     let out = f();
     (out, REQUESTED.load(Ordering::Relaxed) - before)
+}
+
+/// The most bytes live at once while `f` ran, above those live when it
+/// started.
+fn peak_live_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
 }
 
 /// What a window may request beyond what its bound names: channels, the
@@ -214,5 +240,91 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
     assert!(
         outputs as u64 + SLACK < tables as u64,
         "the bound must exclude the tables"
+    );
+
+    // ---- rank-dedup resolve: a record whose every cell is a reference
+    // into one of eight records, each of those mostly references itself
+    // (into a shared base) and fetched through a compressed tier, so each
+    // fetch decompresses. A referenced record may be held as its local
+    // bytes and a few bits per entry; the one being indexed may be held
+    // whole; the record being resolved is read in place ----
+    const BASE_CHUNKS: usize = 16_384;
+    const OWN_CHUNKS: usize = 512;
+    const TARGETS: u32 = 8;
+    let engine = RankDedupEngine::new(
+        RankDedupConfig {
+            ranks: TARGETS + 2,
+            chunk_len: CHUNK_LEN,
+        },
+        RankDedupMetrics::detached(),
+    );
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut chunks = |n: usize| -> Vec<u8> {
+        (0..n * CHUNK_LEN)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect()
+    };
+    let base = chunks(BASE_CHUNKS);
+    let owns: Vec<Vec<u8>> = (0..TARGETS).map(|_| chunks(OWN_CHUNKS)).collect();
+    let compressor = CompressionEngine::new(
+        CompressionPolicy::parse("lz4").expect("a codec name"),
+        std::sync::Arc::new(CompressMetrics::detached()),
+    );
+    let pfs = Tier::new(TierConfig::pfs());
+    engine.encode((0, 0), base.clone());
+    let mut targets = Vec::new();
+    for (rank, own) in (1..).zip(&owns) {
+        let record = engine.encode((rank, 0), [&base[..], own].concat());
+        let stored = compressor.encode(record.clone());
+        assert_ne!(stored.codec(), 0, "each fetch must decompress");
+        pfs.store_object((rank, 0), stored).unwrap();
+        targets.push(record);
+    }
+    let top = (TARGETS + 1, 0);
+    let original = owns.concat();
+    let record = engine.encode(top, original.clone());
+    assert_eq!(
+        record.len(),
+        RANKDEDUP_HEADER_LEN + RANKDEDUP_ENTRY_LEN * owns.len() * OWN_CHUNKS,
+        "every cell must be a reference"
+    );
+    let referenced: std::collections::BTreeSet<u32> = RankDedupRecord::decode(&record)
+        .unwrap()
+        .remote_refs()
+        .map(|r| r.owner_rank)
+        .collect();
+    assert_eq!(referenced, (1..=TARGETS).collect());
+    let fetch = |id| pfs.get(id);
+    let (resolved, peak) = peak_live_during(|| resolve_record(top, &record, &fetch).unwrap());
+    assert_eq!(resolved, original);
+    let tables: Vec<RankDedupRecord> = targets
+        .iter()
+        .map(|t| RankDedupRecord::decode(t).unwrap())
+        .collect();
+    let indexed: u64 = tables
+        .iter()
+        .map(|t| t.local().len() as u64 + t.entries().len() as u64 / 4)
+        .sum();
+    let largest = targets.iter().map(Vec::len).max().unwrap() as u64;
+    let bound = original.len() as u64 + largest + indexed + SLACK;
+    assert!(
+        peak <= bound,
+        "resolving a record over {TARGETS} referenced records held {peak} B live at once \
+         (bound {bound} B: output {} B, largest record {largest} B, indexed targets {indexed} B)",
+        original.len()
+    );
+    // What the targets cost held as decoded records: 24 B per entry.
+    let decoded: u64 = tables
+        .iter()
+        .map(|t| t.local().len() as u64 + 24 * t.entries().len() as u64)
+        .sum();
+    assert!(
+        original.len() as u64 + decoded > bound,
+        "the bound must exclude decoded targets"
     );
 }

@@ -52,7 +52,7 @@
 //! `DESIGN.md` § Observability).
 
 use gpu_dedup_ckpt::dedup::prelude::*;
-use gpu_dedup_ckpt::dedup::{Diff, RankDedupRecord};
+use gpu_dedup_ckpt::dedup::{Diff, RecordIndex};
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::runtime::cluster_dir::{rank_name, Loaded, Record};
 use gpu_dedup_ckpt::runtime::{
@@ -592,10 +592,10 @@ fn cmd_stats(args: &[String]) -> CliResult {
                     .inc();
             }
             let dedup = object.decode().ok();
-            if let Some(rec) = dedup.and_then(|p| RankDedupRecord::decode(&p).ok()) {
+            if let Some(rec) = dedup.and_then(|p| RecordIndex::parse(&p).ok()) {
                 dedup_records += 1;
-                dedup_remote_refs += rec.remote_refs().count() as u64;
-                dedup_bytes_saved += rec.orig_len.saturating_sub(rec.local().len() as u64);
+                dedup_remote_refs += (rec.n_entries() - rec.n_local()) as u64;
+                dedup_bytes_saved += rec.orig_len.saturating_sub(rec.local_len());
             }
         }
         versions += diffs.len() as u64;
