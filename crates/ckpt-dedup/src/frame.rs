@@ -644,29 +644,6 @@ pub enum RankDedupEntry {
     Remote(RemoteRef),
 }
 
-/// A payload rewritten against the cluster-wide dedup index. See the
-/// layout comment above.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankDedupRecord {
-    pub rank: u32,
-    pub ckpt_id: u32,
-    /// Grid chunk length the payload was cut with (entry 0 may be a
-    /// variable-length local cell covering the diff metadata prefix).
-    pub chunk_len: u32,
-    /// Length of the original (pre-dedup) payload.
-    pub orig_len: u64,
-    /// [`checksum64`]`(rank, ckpt_id, original payload)`: resolution is
-    /// verified against this before any payload is returned.
-    pub orig_checksum: u64,
-    entries: Vec<RankDedupEntry>,
-    /// Local entries' bytes, concatenated in table order.
-    local: Vec<u8>,
-    /// `starts[i]`: offset in `local` at which entry `i`'s bytes begin (the
-    /// running local total for a remote entry). Derived from `entries`, so
-    /// both stay private: [`local_slice`](Self::local_slice) is one lookup.
-    starts: Vec<usize>,
-}
-
 /// Seed mixing for the record checksum: distinct from both the frame and
 /// parity seeds so a record can never masquerade as either.
 #[inline]
@@ -674,121 +651,78 @@ fn rankdedup_sum(rank: u32, ckpt_id: u32, region: &[u8]) -> u64 {
     checksum64_region(rank ^ 0x524b_4452, ckpt_id.rotate_left(16), 0, region)
 }
 
-impl RankDedupRecord {
-    /// Assemble a record from its entry table and the local entries' bytes
-    /// (concatenated in table order; their lengths must add up to
-    /// `local.len()`).
-    pub fn new(
-        rank: u32,
-        ckpt_id: u32,
-        chunk_len: u32,
-        orig_len: u64,
-        orig_checksum: u64,
-        entries: Vec<RankDedupEntry>,
-        local: Vec<u8>,
-    ) -> RankDedupRecord {
-        let mut at = 0usize;
-        let starts = entries
-            .iter()
-            .map(|e| {
-                let start = at;
-                if let RankDedupEntry::Local { len } = e {
-                    at += *len as usize;
-                }
-                start
-            })
-            .collect();
-        debug_assert_eq!(at, local.len());
-        RankDedupRecord {
-            rank,
-            ckpt_id,
-            chunk_len,
-            orig_len,
-            orig_checksum,
-            entries,
-            local,
-            starts,
-        }
-    }
+/// The one writer of the layout above: the header and an entry table sized
+/// for `n_entries` slots up front, each slot written in place as the caller
+/// walks its grid, each local entry's bytes appended behind the table.
+/// [`RecordIndex::parse`] is its reader.
+#[derive(Debug)]
+pub struct RecordWriter {
+    out: Vec<u8>,
+    id: (u32, u32),
+    /// Where the next slot starts.
+    next: usize,
+    /// Where the table ends and the local region starts.
+    local_at: usize,
+}
 
-    /// The entry table, one slot per grid cell.
-    pub fn entries(&self) -> &[RankDedupEntry] {
-        &self.entries
-    }
-
-    /// Local entries' bytes, concatenated in table order.
-    pub fn local(&self) -> &[u8] {
-        &self.local
-    }
-
-    /// Borrow the inline bytes of local entry `index`. `None` when the
-    /// index is out of range or names a remote entry.
-    pub fn local_slice(&self, index: u32) -> Option<&[u8]> {
-        let i = index as usize;
-        match self.entries.get(i)? {
-            RankDedupEntry::Local { len } => {
-                let at = self.starts[i];
-                self.local.get(at..at.checked_add(*len as usize)?)
-            }
-            RankDedupEntry::Remote(_) => None,
-        }
-    }
-
-    /// Every remote reference the record carries, in table order.
-    pub fn remote_refs(&self) -> impl Iterator<Item = RemoteRef> + '_ {
-        self.entries.iter().filter_map(|e| match e {
-            RankDedupEntry::Remote(r) => Some(*r),
-            RankDedupEntry::Local { .. } => None,
-        })
-    }
-
-    /// Serialize to the layout documented above.
-    pub fn encode(&self) -> Vec<u8> {
-        let body_len = RANKDEDUP_ENTRY_LEN * self.entries.len() + self.local.len();
-        let mut out = Kind::RankDedup.begin(0, RANKDEDUP_HEADER_LEN + body_len);
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.ckpt_id.to_le_bytes());
+impl RecordWriter {
+    /// Start the record of object `(rank, ckpt_id)`, cut on a grid of
+    /// `chunk_len`, whose table holds exactly `n_entries` slots.
+    pub fn new(rank: u32, ckpt_id: u32, chunk_len: u32, n_entries: u32) -> RecordWriter {
+        let local_at = RANKDEDUP_HEADER_LEN + n_entries as usize * RANKDEDUP_ENTRY_LEN;
+        let mut out = Kind::RankDedup.begin(0, local_at);
+        out.extend_from_slice(&rank.to_le_bytes());
+        out.extend_from_slice(&ckpt_id.to_le_bytes());
         out.extend_from_slice(&[0u8; 8]); // checksum, patched by `seal`
-        out.extend_from_slice(&self.chunk_len.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.orig_len.to_le_bytes());
-        out.extend_from_slice(&self.orig_checksum.to_le_bytes());
-        out.extend_from_slice(&(self.local.len() as u64).to_le_bytes());
-        for e in &self.entries {
-            match e {
-                RankDedupEntry::Local { len } => {
-                    out.push(0);
-                    out.extend_from_slice(&len.to_le_bytes());
-                    out.extend_from_slice(&[0u8; 8]);
-                }
-                RankDedupEntry::Remote(r) => {
-                    out.push(1);
-                    out.extend_from_slice(&r.owner_rank.to_le_bytes());
-                    out.extend_from_slice(&r.ckpt_id.to_le_bytes());
-                    out.extend_from_slice(&r.chunk.to_le_bytes());
-                }
-            }
+        out.extend_from_slice(&chunk_len.to_le_bytes());
+        out.extend_from_slice(&n_entries.to_le_bytes());
+        // The lengths and the original checksum are patched by `finish`;
+        // the slots are written one by one.
+        out.resize(local_at, 0);
+        RecordWriter {
+            out,
+            id: (rank, ckpt_id),
+            next: RANKDEDUP_HEADER_LEN,
+            local_at,
         }
-        out.extend_from_slice(&self.local);
-        Kind::RankDedup.seal(out, |covered| {
-            rankdedup_sum(self.rank, self.ckpt_id, covered)
-        })
     }
 
-    /// Parse and fully verify a serialized rank-dedup record into an owned
-    /// one: [`RecordIndex::parse`]'s checks, then the table and the local
-    /// bytes copied out.
-    pub fn decode(bytes: &[u8]) -> Result<RankDedupRecord, FrameError> {
-        let index = RecordIndex::parse(bytes)?;
-        Ok(RankDedupRecord::new(
-            index.rank,
-            index.ckpt_id,
-            index.chunk_len,
-            index.orig_len,
-            index.orig_checksum,
-            index.entries(bytes).collect(),
-            index.local_region(bytes).to_vec(),
-        ))
+    /// The next slot, tagged `tag`: its 12 bytes after the tag.
+    fn slot(&mut self, tag: u8) -> &mut [u8] {
+        let at = self.next;
+        assert!(at < self.local_at, "rank-dedup table overfull");
+        self.next += RANKDEDUP_ENTRY_LEN;
+        self.out[at] = tag;
+        &mut self.out[at + 1..self.next]
+    }
+
+    /// Write a local entry carrying `bytes`; returns its entry index.
+    pub fn local(&mut self, bytes: &[u8]) -> u32 {
+        let index = (self.next - RANKDEDUP_HEADER_LEN) / RANKDEDUP_ENTRY_LEN;
+        let len = u32::try_from(bytes.len()).expect("a local entry's length fits its slot");
+        self.slot(0)[..4].copy_from_slice(&len.to_le_bytes());
+        self.out.extend_from_slice(bytes);
+        index as u32
+    }
+
+    /// Write a remote entry naming `r`.
+    pub fn remote(&mut self, r: RemoteRef) {
+        let slot = self.slot(1);
+        slot[..4].copy_from_slice(&r.owner_rank.to_le_bytes());
+        slot[4..8].copy_from_slice(&r.ckpt_id.to_le_bytes());
+        slot[8..].copy_from_slice(&r.chunk.to_le_bytes());
+    }
+
+    /// Record the original payload's length and [`checksum64`] under the
+    /// ids, and seal. Panics unless every slot was written.
+    pub fn finish(mut self, orig_len: u64, orig_checksum: u64) -> Vec<u8> {
+        assert_eq!(self.next, self.local_at, "rank-dedup table short");
+        let local_len = (self.out.len() - self.local_at) as u64;
+        for (at, field) in [(32, orig_len), (40, orig_checksum), (48, local_len)] {
+            self.out[at..at + 8].copy_from_slice(&field.to_le_bytes());
+        }
+        let (rank, ckpt_id) = self.id;
+        Kind::RankDedup.seal(self.out, |covered| rankdedup_sum(rank, ckpt_id, covered))
     }
 }
 
@@ -894,6 +828,12 @@ impl RecordIndex {
             before,
             offsets,
         })
+    }
+
+    /// Whether `bytes` open with the rank-dedup magic: a cheap sniff that
+    /// says nothing about validity ([`parse`](Self::parse) decides that).
+    pub fn is_record(bytes: &[u8]) -> bool {
+        Kind::sniff(bytes) == Some(Kind::RankDedup)
     }
 
     /// Entries in the table, one per grid cell.
@@ -1219,14 +1159,96 @@ mod tests {
         }
     }
 
-    fn sample_rankdedup() -> RankDedupRecord {
-        RankDedupRecord::new(
-            2,
-            5,
-            64,
-            40 + 3 * 64,
-            0x1122_3344_5566_7788,
-            vec![
+    /// A rank-dedup record's contents, owned: what these tests build
+    /// records from, and what reading one back copies out.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Contents {
+        rank: u32,
+        ckpt_id: u32,
+        chunk_len: u32,
+        orig_len: u64,
+        orig_checksum: u64,
+        entries: Vec<RankDedupEntry>,
+        /// Local entries' bytes, concatenated in table order.
+        local: Vec<u8>,
+    }
+
+    impl Contents {
+        /// Through the one writer, slot by slot.
+        fn write(&self) -> Vec<u8> {
+            let n = self.entries.len() as u32;
+            let mut w = RecordWriter::new(self.rank, self.ckpt_id, self.chunk_len, n);
+            let mut at = 0;
+            for (i, e) in self.entries.iter().enumerate() {
+                match *e {
+                    RankDedupEntry::Local { len } => {
+                        let bytes = &self.local[at..at + len as usize];
+                        assert_eq!(w.local(bytes), i as u32);
+                        at += bytes.len();
+                    }
+                    RankDedupEntry::Remote(r) => w.remote(r),
+                }
+            }
+            w.finish(self.orig_len, self.orig_checksum)
+        }
+
+        /// The owned record's `encode` as it was before the writer
+        /// replaced it, kept verbatim as the writer's oracle.
+        fn encode_reference(&self) -> Vec<u8> {
+            let body_len = RANKDEDUP_ENTRY_LEN * self.entries.len() + self.local.len();
+            let mut out = Kind::RankDedup.begin(0, RANKDEDUP_HEADER_LEN + body_len);
+            out.extend_from_slice(&self.rank.to_le_bytes());
+            out.extend_from_slice(&self.ckpt_id.to_le_bytes());
+            out.extend_from_slice(&[0u8; 8]); // checksum, patched by `seal`
+            out.extend_from_slice(&self.chunk_len.to_le_bytes());
+            out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+            out.extend_from_slice(&self.orig_len.to_le_bytes());
+            out.extend_from_slice(&self.orig_checksum.to_le_bytes());
+            out.extend_from_slice(&(self.local.len() as u64).to_le_bytes());
+            for e in &self.entries {
+                match e {
+                    RankDedupEntry::Local { len } => {
+                        out.push(0);
+                        out.extend_from_slice(&len.to_le_bytes());
+                        out.extend_from_slice(&[0u8; 8]);
+                    }
+                    RankDedupEntry::Remote(r) => {
+                        out.push(1);
+                        out.extend_from_slice(&r.owner_rank.to_le_bytes());
+                        out.extend_from_slice(&r.ckpt_id.to_le_bytes());
+                        out.extend_from_slice(&r.chunk.to_le_bytes());
+                    }
+                }
+            }
+            out.extend_from_slice(&self.local);
+            Kind::RankDedup.seal(out, |covered| {
+                rankdedup_sum(self.rank, self.ckpt_id, covered)
+            })
+        }
+
+        /// [`RecordIndex::parse`], then the table and local bytes copied out.
+        fn read(bytes: &[u8]) -> Result<Contents, FrameError> {
+            let index = RecordIndex::parse(bytes)?;
+            Ok(Contents {
+                rank: index.rank,
+                ckpt_id: index.ckpt_id,
+                chunk_len: index.chunk_len,
+                orig_len: index.orig_len,
+                orig_checksum: index.orig_checksum,
+                entries: index.entries(bytes).collect(),
+                local: index.local_region(bytes).to_vec(),
+            })
+        }
+    }
+
+    fn sample_rankdedup() -> Contents {
+        Contents {
+            rank: 2,
+            ckpt_id: 5,
+            chunk_len: 64,
+            orig_len: 40 + 3 * 64,
+            orig_checksum: 0x1122_3344_5566_7788,
+            entries: vec![
                 RankDedupEntry::Local { len: 40 },
                 RankDedupEntry::Remote(RemoteRef {
                     owner_rank: 0,
@@ -1240,27 +1262,35 @@ mod tests {
                     chunk: 2,
                 }),
             ],
-            (0..104u32).map(|i| (i % 253) as u8).collect(),
-        )
+            local: (0..104u32).map(|i| (i % 253) as u8).collect(),
+        }
     }
 
     #[test]
     fn rankdedup_record_round_trips() {
         let rec = sample_rankdedup();
-        let bytes = rec.encode();
+        let bytes = rec.write();
         assert_eq!(Kind::sniff(&bytes), Some(Kind::RankDedup));
-        let back = RankDedupRecord::decode(&bytes).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(back.local_slice(0).unwrap(), &rec.local[..40]);
-        assert_eq!(back.local_slice(2).unwrap(), &rec.local[40..]);
-        assert_eq!(back.local_slice(1), None, "remote entry has no local bytes");
-        assert_eq!(back.local_slice(9), None);
-        assert_eq!(back.remote_refs().count(), 2);
+        assert!(RecordIndex::is_record(&bytes));
+        assert!(!RecordIndex::is_record(&sample_parity().encode()));
+        assert_eq!(Contents::read(&bytes).unwrap(), rec);
+        let index = RecordIndex::parse(&bytes).unwrap();
+        let local = index.local_region(&bytes);
+        assert_eq!(index.local_slice(local, 0).unwrap(), &rec.local[..40]);
+        assert_eq!(index.local_slice(local, 2).unwrap(), &rec.local[40..]);
+        assert_eq!(
+            index.local_slice(local, 1),
+            None,
+            "remote entry has no local bytes"
+        );
+        assert_eq!(index.local_slice(local, 9), None);
+        assert_eq!((index.n_entries(), index.n_local()), (4, 2));
+        assert_eq!(index.local_len(), 104);
     }
 
-    /// The pre-offset-table `local_slice`: walk the entry table from 0,
-    /// summing local lengths. Kept as the oracle for the indexed lookup.
-    fn local_slice_linear(rec: &RankDedupRecord, index: u32) -> Option<&[u8]> {
+    /// `local_slice` as a walk of the entry table from 0, summing local
+    /// lengths: the oracle for the indexed lookup.
+    fn local_slice_linear(rec: &Contents, index: u32) -> Option<&[u8]> {
         let mut at = 0usize;
         for (i, e) in rec.entries.iter().enumerate() {
             match e {
@@ -1279,6 +1309,29 @@ mod tests {
             }
         }
         None
+    }
+
+    /// Contents with `cells[i]` as entry `i`'s local length, or a remote
+    /// entry for `None`; local bytes count up.
+    fn contents_of(cells: &[Option<u32>], remote: impl Fn(usize) -> RemoteRef) -> Contents {
+        let entries = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| match *cell {
+                Some(len) => RankDedupEntry::Local { len },
+                None => RankDedupEntry::Remote(remote(i)),
+            })
+            .collect();
+        let local_len: u32 = cells.iter().flatten().sum();
+        Contents {
+            rank: 3,
+            ckpt_id: 4,
+            chunk_len: 8,
+            orig_len: 0,
+            orig_checksum: 0,
+            entries,
+            local: (0..local_len).map(|i| (i % 251) as u8).collect(),
+        }
     }
 
     /// The index at its word seams: records of 1, 63, 64, 65 and 130
@@ -1301,25 +1354,18 @@ mod tests {
         ];
         for n in [1usize, 63, 64, 65, 130] {
             for (shape, cell) in shapes {
-                let entries: Vec<RankDedupEntry> = (0..n)
-                    .map(|i| match cell(i) {
-                        Some(len) => RankDedupEntry::Local { len },
-                        None => RankDedupEntry::Remote(RemoteRef {
-                            owner_rank: 1,
-                            ckpt_id: 2,
-                            chunk: i as u32,
-                        }),
-                    })
-                    .collect();
-                let local_len: u32 = (0..n).filter_map(cell).sum();
-                let local: Vec<u8> = (0..local_len).map(|i| (i % 251) as u8).collect();
-                let rec = RankDedupRecord::new(3, 4, 8, 0, 0, entries, local);
-                let bytes = rec.encode();
+                let cells: Vec<Option<u32>> = (0..n).map(cell).collect();
+                let rec = contents_of(&cells, |i| RemoteRef {
+                    owner_rank: 1,
+                    ckpt_id: 2,
+                    chunk: i as u32,
+                });
+                let bytes = rec.write();
                 let index = RecordIndex::parse(&bytes).unwrap();
                 let region = index.local_region(&bytes);
-                assert_eq!(region, rec.local(), "{shape}, {n} entries");
+                assert_eq!(region, rec.local, "{shape}, {n} entries");
                 assert_eq!(index.n_entries() as usize, n);
-                assert!(index.entries(&bytes).eq(rec.entries().iter().copied()));
+                assert!(index.entries(&bytes).eq(rec.entries.iter().copied()));
                 for i in (0..n as u32 + 70).chain([u32::MAX]) {
                     let want = local_slice_linear(&rec, i);
                     assert_eq!(
@@ -1327,10 +1373,8 @@ mod tests {
                         want,
                         "{shape}, {n} entries, index {i}"
                     );
-                    let remote = matches!(
-                        rec.entries().get(i as usize),
-                        Some(RankDedupEntry::Remote(_))
-                    );
+                    let remote =
+                        matches!(rec.entries.get(i as usize), Some(RankDedupEntry::Remote(_)));
                     if remote || i as usize >= n {
                         assert_eq!(want, None);
                     }
@@ -1341,21 +1385,45 @@ mod tests {
 
     #[test]
     fn empty_rankdedup_record_round_trips() {
-        let rec = RankDedupRecord::new(0, 0, 64, 0, checksum64(0, 0, &[]), Vec::new(), Vec::new());
-        let bytes = rec.encode();
+        let rec = Contents {
+            rank: 0,
+            ckpt_id: 0,
+            chunk_len: 64,
+            orig_len: 0,
+            orig_checksum: checksum64(0, 0, &[]),
+            entries: Vec::new(),
+            local: Vec::new(),
+        };
+        let bytes = rec.write();
         assert_eq!(bytes.len(), RANKDEDUP_HEADER_LEN);
-        assert_eq!(RankDedupRecord::decode(&bytes).unwrap(), rec);
+        assert_eq!(Contents::read(&bytes).unwrap(), rec);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank-dedup table short")]
+    fn a_short_table_is_a_caller_bug() {
+        let mut w = RecordWriter::new(0, 0, 64, 2);
+        w.local(b"one");
+        w.finish(3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank-dedup table overfull")]
+    fn an_overfull_table_is_a_caller_bug() {
+        let mut w = RecordWriter::new(0, 0, 64, 1);
+        w.local(b"one");
+        w.local(b"two");
     }
 
     #[test]
     fn every_rankdedup_bit_flip_is_detected() {
-        let bytes = sample_rankdedup().encode();
+        let bytes = sample_rankdedup().write();
         for byte in 0..bytes.len() {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[byte] ^= 1 << bit;
                 assert!(
-                    RankDedupRecord::decode(&bad).is_err(),
+                    RecordIndex::parse(&bad).is_err(),
                     "rank-dedup flip at byte {byte} bit {bit} went undetected"
                 );
             }
@@ -1364,17 +1432,17 @@ mod tests {
 
     #[test]
     fn rankdedup_truncation_is_typed_before_allocation() {
-        let mut bytes = sample_rankdedup().encode();
+        let mut bytes = sample_rankdedup().write();
         // A corrupted entry count must fail as Truncated, not allocate.
         bytes[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            RankDedupRecord::decode(&bytes),
+            RecordIndex::parse(&bytes),
             Err(FrameError::Truncated { .. })
         ));
-        let whole = sample_rankdedup().encode();
+        let whole = sample_rankdedup().write();
         for cut in 0..whole.len() {
             assert!(
-                RankDedupRecord::decode(&whole[..cut]).is_err(),
+                RecordIndex::parse(&whole[..cut]).is_err(),
                 "prefix of {cut} bytes went undetected"
             );
         }
@@ -1386,13 +1454,13 @@ mod tests {
         // error (not the checksum) must surface, typed with the slot index.
         let mut rec = sample_rankdedup();
         rec.entries[1] = RankDedupEntry::Local { len: 0 };
-        let mut bytes = rec.encode();
+        let mut bytes = rec.write();
         let tag_at = RANKDEDUP_HEADER_LEN + RANKDEDUP_ENTRY_LEN;
         bytes[tag_at] = 7;
         let sum = rankdedup_sum(rec.rank, rec.ckpt_id, &bytes[RANKDEDUP_CHECK_OFFSET..]);
         bytes[16..24].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            RankDedupRecord::decode(&bytes).unwrap_err(),
+            RecordIndex::parse(&bytes).unwrap_err(),
             FrameError::BadEntryTag { index: 1, tag: 7 }
         );
     }
@@ -1402,12 +1470,12 @@ mod tests {
         // Local entry lengths that do not add up to the carried bytes are a
         // typed LengthMismatch even under a recomputed checksum.
         let rec = sample_rankdedup();
-        let mut bytes = rec.encode();
+        let mut bytes = rec.write();
         bytes[RANKDEDUP_HEADER_LEN + 1] = 41;
         let sum = rankdedup_sum(rec.rank, rec.ckpt_id, &bytes[RANKDEDUP_CHECK_OFFSET..]);
         bytes[16..24].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
-            RankDedupRecord::decode(&bytes),
+            RecordIndex::parse(&bytes),
             Err(FrameError::LengthMismatch { .. })
         ));
     }
@@ -1434,7 +1502,9 @@ mod tests {
 
     /// Captured at the commit before the three preludes became one: neither
     /// the wire bytes nor the `FrameError` any damaged input decodes to may
-    /// move.
+    /// move. The CKPR taxonomy digest was taken again when its reader became
+    /// `RecordIndex::parse`: of its log, only the intact record's `Ok(..)`
+    /// line differs from the owned decode's.
     #[test]
     fn wire_bytes_and_error_taxonomy_are_pinned() {
         let slot = Some((1, 2));
@@ -1447,8 +1517,8 @@ mod tests {
             wire_and_taxonomy(&sample_parity().encode(), |b| {
                 format!("{:?}", ParityRecord::decode(b))
             }),
-            wire_and_taxonomy(&sample_rankdedup().encode(), |b| {
-                format!("{:?}", RankDedupRecord::decode(b))
+            wire_and_taxonomy(&sample_rankdedup().write(), |b| {
+                format!("{:?}", RecordIndex::parse(b))
             }),
         ];
         let got: Vec<_> = got.iter().map(|(w, t)| (w.as_str(), t.as_str())).collect();
@@ -1467,7 +1537,7 @@ mod tests {
             ),
             (
                 "1e5946a8007aafea42185d33a4c5473d",
-                "5f203cf5fc78f9cba35f492a5d585cc9",
+                "b8a298f6c90945a845e45f3e9b47ae4d",
             ),
         ];
         assert_eq!(got, want, "order: CKF1, CKF1+codec, CKPX, CKPR");
@@ -1521,43 +1591,6 @@ mod tests {
                 prop_assert_eq!(back, payload);
             }
 
-            /// The offset table answers exactly what the linear scan did,
-            /// for a record built by the encoder's constructor and for its
-            /// decoded round trip: every in-range index (local, zero-length
-            /// local, remote) and out-of-range ones.
-            #[test]
-            fn indexed_local_slice_equals_linear_scan(
-                cells in proptest::collection::vec((any::<bool>(), 0u32..48), 0..64),
-                far in any::<u32>(),
-            ) {
-                let entries: Vec<RankDedupEntry> = cells
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(remote, len))| {
-                        if remote {
-                            RankDedupEntry::Remote(RemoteRef {
-                                owner_rank: len,
-                                ckpt_id: i as u32,
-                                chunk: len ^ 5,
-                            })
-                        } else {
-                            RankDedupEntry::Local { len }
-                        }
-                    })
-                    .collect();
-                let local_len: u32 = cells.iter().filter(|c| !c.0).map(|c| c.1).sum();
-                let local: Vec<u8> = (0..local_len).map(|i| (i % 251) as u8).collect();
-                let built = RankDedupRecord::new(3, 4, 48, 0, 0, entries, local);
-                let decoded = RankDedupRecord::decode(&built.encode()).unwrap();
-                prop_assert_eq!(&decoded, &built);
-                let n = cells.len() as u32;
-                for index in (0..n + 8).chain([far, u32::MAX]) {
-                    let want = local_slice_linear(&built, index);
-                    prop_assert_eq!(built.local_slice(index), want);
-                    prop_assert_eq!(decoded.local_slice(index), want);
-                }
-            }
-
             /// Fuzz: feeding arbitrary byte strings to every parser in
             /// this module never panics — each either succeeds (the fuzzer
             /// stumbled on a valid object, which the checksums make
@@ -1569,7 +1602,7 @@ mod tests {
                 let _ = decode_frame(&bytes, None);
                 let _ = decode_payload(&bytes, Some((1, 2)));
                 let _ = ParityRecord::decode(&bytes);
-                let _ = RankDedupRecord::decode(&bytes);
+                let _ = RecordIndex::parse(&bytes);
             }
 
             /// Fuzz: arbitrary bytes *behind valid magic* still land in the
@@ -1588,7 +1621,7 @@ mod tests {
                 bytes.extend_from_slice(&tail);
                 prop_assert!(decode_frame(&bytes, None).is_err() || which == 0);
                 prop_assert!(ParityRecord::decode(&bytes).is_err() || which == 1);
-                prop_assert!(RankDedupRecord::decode(&bytes).is_err() || which == 2);
+                prop_assert!(RecordIndex::parse(&bytes).is_err() || which == 2);
             }
 
             /// Fuzz: truncating a *valid* object of any of the three
@@ -1630,13 +1663,13 @@ mod tests {
                 }
 
                 let half = payload.len() / 2;
-                let dedup = RankDedupRecord::new(
+                let dedup = Contents {
                     rank,
-                    ckpt,
-                    64,
-                    payload.len() as u64,
-                    checksum64(rank, ckpt, &payload),
-                    vec![
+                    ckpt_id: ckpt,
+                    chunk_len: 64,
+                    orig_len: payload.len() as u64,
+                    orig_checksum: checksum64(rank, ckpt, &payload),
+                    entries: vec![
                         RankDedupEntry::Local { len: half as u32 },
                         RankDedupEntry::Remote(RemoteRef {
                             owner_rank: rank ^ 1,
@@ -1647,11 +1680,107 @@ mod tests {
                             len: (payload.len() - half) as u32,
                         },
                     ],
-                    payload.clone(),
-                )
-                .encode();
+                    local: payload.clone(),
+                }
+                .write();
                 for cut in 0..dedup.len() {
-                    prop_assert!(RankDedupRecord::decode(&dedup[..cut]).is_err());
+                    prop_assert!(RecordIndex::parse(&dedup[..cut]).is_err());
+                }
+            }
+        }
+
+        /// A record's table, drawn from `seed`: `n` entries shaped by
+        /// `shape` (0 random, 1 all local, 2 all remote, 3 alternating),
+        /// local lengths from 0 up, reference fields and `orig_len` now and
+        /// then at `u32::MAX`.
+        fn drawn(seed: u64, n: usize, shape: u8) -> Contents {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let field = |r: u64| match r % 4 {
+                0 => u32::MAX,
+                1 => 0,
+                _ => (r >> 8) as u32 % 1_000,
+            };
+            let cells: Vec<Option<u32>> = (0..n)
+                .map(|i| {
+                    let r = next();
+                    let local = match shape {
+                        1 => true,
+                        2 => false,
+                        3 => i % 2 == 0,
+                        _ => r & 1 == 0,
+                    };
+                    local.then_some((r >> 1) as u32 % 40)
+                })
+                .collect();
+            let refs: Vec<RemoteRef> = (0..n)
+                .map(|_| RemoteRef {
+                    owner_rank: field(next()),
+                    ckpt_id: field(next()),
+                    chunk: field(next()),
+                })
+                .collect();
+            let mut rec = contents_of(&cells, |i| refs[i]);
+            rec.rank = field(next());
+            rec.ckpt_id = field(next());
+            rec.orig_len = match next() % 3 {
+                0 => u32::MAX as u64,
+                1 => u64::MAX,
+                r => r << 20,
+            };
+            rec.orig_checksum = next();
+            rec
+        }
+
+        proptest! {
+            /// The writer against the owned encoder it replaced: the same
+            /// bytes for any table, and `parse` reads back the same entries
+            /// and every local entry's bytes.
+            #[test]
+            fn writer_writes_what_the_reference_encoder_wrote(
+                seed in any::<u64>(),
+                n in prop_oneof![0usize..=200, Just(63usize), Just(64), Just(65)],
+                shape in 0u8..4,
+            ) {
+                let rec = drawn(seed, n, shape);
+                let bytes = rec.write();
+                prop_assert_eq!(&bytes, &rec.encode_reference());
+                let index = RecordIndex::parse(&bytes).unwrap();
+                prop_assert!(index.entries(&bytes).eq(rec.entries.iter().copied()));
+                let region = index.local_region(&bytes);
+                for i in 0..n as u32 + 2 {
+                    prop_assert_eq!(index.local_slice(region, i), local_slice_linear(&rec, i));
+                }
+                prop_assert_eq!(Contents::read(&bytes).unwrap(), rec);
+            }
+
+            /// The offset table answers exactly what the linear scan does,
+            /// for every in-range index (local, zero-length local, remote)
+            /// and out-of-range ones.
+            #[test]
+            fn indexed_local_slice_equals_linear_scan(
+                cells in proptest::collection::vec((any::<bool>(), 0u32..48), 0..64),
+                far in any::<u32>(),
+            ) {
+                let cells: Vec<Option<u32>> =
+                    cells.iter().map(|&(remote, len)| (!remote).then_some(len)).collect();
+                let rec = contents_of(&cells, |i| RemoteRef {
+                    owner_rank: i as u32 * 7,
+                    ckpt_id: i as u32,
+                    chunk: i as u32 ^ 5,
+                });
+                let bytes = rec.write();
+                prop_assert_eq!(&Contents::read(&bytes).unwrap(), &rec);
+                let index = RecordIndex::parse(&bytes).unwrap();
+                let region = index.local_region(&bytes);
+                let n = cells.len() as u32;
+                for i in (0..n + 8).chain([far, u32::MAX]) {
+                    prop_assert_eq!(index.local_slice(region, i), local_slice_linear(&rec, i));
                 }
             }
         }

@@ -75,8 +75,8 @@ pub use ckpt_telemetry::{StageBreakdown, StageSample};
 pub use diff::{Diff, MethodKind, ShiftRegion};
 pub use frame::{
     decode_frame, encode_frame, encode_frame_compressed, verify_frame, FrameError, FrameHeader,
-    ParityMember, ParityRecord, RankDedupEntry, RankDedupRecord, RecordIndex, RemoteRef,
-    FRAME_EXT_LEN, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION,
+    ParityMember, ParityRecord, RankDedupEntry, RecordIndex, RemoteRef, FRAME_EXT_LEN,
+    FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION,
 };
 pub use labels::Label;
 pub use methods::basic::BasicCheckpointer;

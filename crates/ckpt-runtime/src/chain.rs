@@ -21,7 +21,7 @@ use crate::lineage::run_head;
 use crate::rankdedup::{RankDedupIndex, Resolver};
 use crate::redundancy::RedundancyStore;
 use crate::tier::{Decoded, ObjectId, ObjectState, StoredObject, Tier, TierConfig};
-use ckpt_dedup::frame::Kind;
+use ckpt_dedup::frame::RecordIndex;
 use ckpt_dedup::Bytes;
 use ckpt_telemetry::Registry;
 use parking_lot::Mutex;
@@ -430,7 +430,7 @@ impl ChainReader<'_> {
     /// or failing the recorded checksum — yields `None` (a typed hole),
     /// never a wrong payload.
     fn resolve(&mut self, id: ObjectId, bytes: Bytes) -> Option<Bytes> {
-        if Kind::sniff(&bytes) != Some(Kind::RankDedup) {
+        if !RecordIndex::is_record(&bytes) {
             return Some(bytes);
         }
         let metrics = self.tiers.rank_dedup.as_ref().map(|ix| ix.metrics());

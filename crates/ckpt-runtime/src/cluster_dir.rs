@@ -28,7 +28,7 @@ use crate::redundancy::RedundancyStore;
 use crate::tier::{ObjectId, ObjectState, StoredObject};
 use crate::ObjectStatus;
 use ckpt_dedup::diff::Diff;
-use ckpt_dedup::frame::Kind;
+use ckpt_dedup::frame::RecordIndex;
 use ckpt_dedup::restart::{check_chain, RestartStats};
 use ckpt_dedup::Bytes;
 use gpu_sim::Device;
@@ -440,7 +440,7 @@ impl Loaded {
             // The file itself is fine, so no copy of it would help.
             Some(raw) => match StoredObject::unframe(&raw, Some(id)).and_then(|o| o.decode()) {
                 Err(e) => format!("corrupt frame: {e}"),
-                Ok(payload) if Kind::sniff(&payload) == Some(Kind::RankDedup) => {
+                Ok(payload) if RecordIndex::is_record(&payload) => {
                     return "dangling rank-dedup reference".into()
                 }
                 Ok(_) => return "undecodable diff".into(),

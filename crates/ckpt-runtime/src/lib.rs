@@ -61,7 +61,7 @@ pub use integrity::{
 pub use lineage::{collect_record, restore_rank, LineageError};
 pub use pipeline::{CheckpointPipeline, PipelineStats, ProduceFn};
 pub use rankdedup::{
-    resolve_record, ClaimLoc, RankDedupConfig, RankDedupEngine, RankDedupError, RankDedupIndex,
+    resolve_record, RankDedupConfig, RankDedupEngine, RankDedupError, RankDedupIndex,
     RankDedupMetrics, Resolver,
 };
 pub use redundancy::{ReconstructError, RedundancyMetrics, RedundancyPolicy, RedundancyStore};

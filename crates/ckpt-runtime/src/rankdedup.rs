@@ -8,9 +8,10 @@
 //! sharded across the ranks of the group (`owner_of`), each rank publishes
 //! **first-occurrence claims** for the chunks it stores, and later
 //! occurrences anywhere in the cluster are rewritten to
-//! [`RemoteRef`]`{owner_rank, ckpt_id, chunk}` entries of a
-//! [`RankDedupRecord`] — a chunk first seen by any rank is stored exactly
-//! once cluster-wide.
+//! [`RemoteRef`]`{owner_rank, ckpt_id, chunk}` entries of a rank-dedup
+//! record ([`frame::RecordWriter`] writes it, [`RecordIndex::parse`] reads
+//! it) — a chunk first seen by any rank is stored exactly once
+//! cluster-wide.
 //!
 //! # Claim exchange
 //!
@@ -76,7 +77,7 @@
 use crate::fault::{FaultKind, FaultPlan, OpKind, SplitMix64};
 use crate::tier::ObjectId;
 use ckpt_dedup::diff::Diff;
-use ckpt_dedup::frame::{self, RankDedupEntry, RankDedupRecord, RecordIndex, RemoteRef};
+use ckpt_dedup::frame::{self, RankDedupEntry, RecordIndex, RecordWriter, RemoteRef};
 use ckpt_dedup::Bytes;
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use ckpt_telemetry::{LazyCounter, Registry};
@@ -201,27 +202,10 @@ impl Hasher for DigestFold {
 
 type DigestMap<V> = HashMap<ChunkHash, V, BuildHasherDefault<DigestFold>>;
 
-/// Where a committed first-occurrence claim's bytes live: local entry
-/// `chunk` of the rank-dedup record stored as `(rank, ckpt_id)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClaimLoc {
-    pub rank: u32,
-    pub ckpt_id: u32,
-    pub chunk: u32,
-}
-
-impl ClaimLoc {
-    fn object(&self) -> ObjectId {
-        (self.rank, self.ckpt_id)
-    }
-
-    fn reference(&self) -> RemoteRef {
-        RemoteRef {
-            owner_rank: self.rank,
-            ckpt_id: self.ckpt_id,
-            chunk: self.chunk,
-        }
-    }
+/// The object a reference (or a committed claim) points into.
+#[inline]
+fn object(r: &RemoteRef) -> ObjectId {
+    (r.owner_rank, r.ckpt_id)
 }
 
 /// Why rank-dedup configuration or resolution failed. Every resolution
@@ -269,12 +253,12 @@ impl std::fmt::Display for RankDedupError {
 
 impl std::error::Error for RankDedupError {}
 
-/// The shared cluster index: committed first-occurrence claims plus the
-/// cross-rank reference edges that pin remotely-referenced objects past GC
-/// floors.
+/// The shared cluster index: committed first-occurrence claims — each the
+/// [`RemoteRef`] later occurrences are rewritten to — plus the cross-rank
+/// reference edges that pin remotely-referenced objects past GC floors.
 pub struct RankDedupIndex {
     ranks: u32,
-    claims: Mutex<DigestMap<ClaimLoc>>,
+    claims: Mutex<DigestMap<RemoteRef>>,
     /// referenced object -> referencing objects (self-references excluded).
     inbound: Mutex<HashMap<ObjectId, HashSet<ObjectId>>>,
     /// referencing object -> referenced objects (self-references excluded).
@@ -308,12 +292,12 @@ impl RankDedupIndex {
     }
 
     /// The committed first-occurrence location for a hash, if any.
-    pub fn lookup(&self, hash: ChunkHash) -> Option<ClaimLoc> {
+    pub fn lookup(&self, hash: ChunkHash) -> Option<RemoteRef> {
         self.claims.lock().get(&hash).copied()
     }
 
     /// The committed locations of one tile's hashes, read under one lock.
-    fn lookup_tile(&self, digests: &[Digest128], found: &mut [Option<ClaimLoc>; TILE]) {
+    fn lookup_tile(&self, digests: &[Digest128], found: &mut [Option<RemoteRef>; TILE]) {
         let claims = self.claims.lock();
         for (slot, d) in found.iter_mut().zip(digests) {
             *slot = claims.get(&(d.h1, d.h2)).copied();
@@ -323,12 +307,12 @@ impl RankDedupIndex {
     /// Commit a first-occurrence claim. First writer wins; a losing claim
     /// is an orphan (typed, counted — its bytes stay stored locally by the
     /// claimant, they are simply not advertised).
-    pub fn commit_claim(&self, hash: ChunkHash, loc: ClaimLoc) -> bool {
+    pub fn commit_claim(&self, hash: ChunkHash, loc: RemoteRef) -> bool {
         self.commit_claims(&[(hash, loc)]) == 1
     }
 
     /// Commit claims in order under one lock; returns how many won.
-    fn commit_claims(&self, batch: &[(ChunkHash, ClaimLoc)]) -> usize {
+    fn commit_claims(&self, batch: &[(ChunkHash, RemoteRef)]) -> usize {
         let mut won = 0;
         {
             let mut claims = self.claims.lock();
@@ -387,7 +371,7 @@ impl RankDedupIndex {
         // references; retire them.
         self.claims
             .lock()
-            .retain(|_, loc| !under(&loc.object()) || keep.contains(&loc.object()));
+            .retain(|_, loc| !under(&object(loc)) || keep.contains(&object(loc)));
         keep
     }
 
@@ -412,7 +396,7 @@ impl RankDedupIndex {
 
 /// One checkpoint object's first-occurrence claims for shards other ranks
 /// own. Never empty, and every claim names that one object.
-type ClaimBatch = Vec<(ChunkHash, ClaimLoc)>;
+type ClaimBatch = Vec<(ChunkHash, RemoteRef)>;
 
 /// The claim exchange (see the module docs): the batches published but not
 /// yet committed, and the seeded order they commit in.
@@ -456,7 +440,7 @@ pub struct RankDedupConfig {
 
 /// The per-cluster dedup engine: the shared [`RankDedupIndex`], the claim
 /// exchange's schedule, and the payload transform that rewrites submitted
-/// diffs into [`RankDedupRecord`]s.
+/// diffs into rank-dedup records.
 pub struct RankDedupEngine {
     cfg: RankDedupConfig,
     index: Arc<RankDedupIndex>,
@@ -521,7 +505,7 @@ impl RankDedupEngine {
             .and_then(|p| p.next_op("exchange", OpKind::Put));
         match fault {
             Some(FaultKind::LatencySpike { .. }) => s.deferred.push(batch),
-            Some(FaultKind::RankLoss { rank }) if first.rank == rank => {
+            Some(FaultKind::RankLoss { rank }) if first.owner_rank == rank => {
                 orphan_batch(&self.index, batch)
             }
             Some(
@@ -565,18 +549,19 @@ impl RankDedupEngine {
     /// was stored for the claims to advertise.)
     pub(crate) fn retract(&self, id: ObjectId) {
         let mut s = self.schedule.lock();
-        let elsewhere = |batch: &ClaimBatch| batch[0].1.object() != id;
+        let elsewhere = |batch: &ClaimBatch| object(&batch[0].1) != id;
         s.held.retain(elsewhere);
         s.deferred.retain(elsewhere);
         self.index.release_outbound(|from| *from == id);
-        self.index.claims.lock().retain(|_, loc| loc.object() != id);
+        self.index.claims.lock().retain(|_, loc| object(loc) != id);
     }
 
     /// Rewrite one submitted payload against the cluster index: cut it on
     /// the chunk grid (metadata prefix as one variable-length local
     /// entry), replace chunks whose hash has a committed claim with
     /// [`RemoteRef`]s, store first occurrences locally, and publish claims
-    /// for them. Always returns a [`RankDedupRecord`] payload, so the
+    /// for them. Always returns a rank-dedup record, written in place by
+    /// one [`RecordWriter`] whose table is sized from the grid, so the
     /// on/off switch is uniform per runtime.
     ///
     /// The index is probed a tile (64 chunks) at a time, so a claim another
@@ -586,10 +571,14 @@ impl RankDedupEngine {
     pub fn encode(&self, id: ObjectId, bytes: Vec<u8>) -> Vec<u8> {
         let chunk_len = self.cfg.chunk_len.max(1);
         let off = Diff::payload_offset(&bytes).unwrap_or(0).min(bytes.len());
-        let orig_checksum = frame::checksum64(id.0, id.1, &bytes);
         let grid = (bytes.len() - off).div_ceil(chunk_len);
-        let mut entries: Vec<RankDedupEntry> = Vec::with_capacity(grid + usize::from(off > 0));
-        let mut local: Vec<u8> = Vec::new();
+        let n_entries = u32::try_from(grid + usize::from(off > 0)).expect("a u32 entry count");
+        let mut record = RecordWriter::new(id.0, id.1, chunk_len as u32, n_entries);
+        let here = |chunk| RemoteRef {
+            owner_rank: id.0,
+            ckpt_id: id.1,
+            chunk,
+        };
         // Hashes already claimed by *this* object (self-dedup): entry
         // index of their local copy.
         let mut pending: DigestMap<u32> = DigestMap::default();
@@ -603,8 +592,7 @@ impl RankDedupEngine {
         let mut remote_refs = 0u64;
         let mut bytes_saved = 0u64;
         if off > 0 {
-            entries.push(RankDedupEntry::Local { len: off as u32 });
-            local.extend_from_slice(&bytes[..off]);
+            record.local(&bytes[..off]);
         }
         // The grid is hashed a tile at a time through the batch kernel
         // (digests of `chunk_hash`) and probed a tile at a time: one
@@ -618,39 +606,26 @@ impl RankDedupEngine {
             for ((chunk, digest), claimed) in tile.chunks(chunk_len).zip(&*digests).zip(&claimed) {
                 let hash = (digest.h1, digest.h2);
                 let reference = match (pending.get(&hash), claimed) {
-                    (Some(&at), _) => RemoteRef {
-                        owner_rank: id.0,
-                        ckpt_id: id.1,
-                        chunk: at,
-                    },
-                    (None, Some(loc)) => {
-                        if loc.object() != last_ref {
-                            last_ref = loc.object();
+                    (Some(&at), _) => here(at),
+                    (None, Some(r)) => {
+                        if object(r) != last_ref {
+                            last_ref = object(r);
                             refs.insert(last_ref);
                         }
-                        loc.reference()
+                        *r
                     }
                     (None, None) => {
-                        let idx = entries.len() as u32;
-                        entries.push(RankDedupEntry::Local {
-                            len: chunk.len() as u32,
-                        });
-                        local.extend_from_slice(chunk);
-                        pending.insert(hash, idx);
-                        let loc = ClaimLoc {
-                            rank: id.0,
-                            ckpt_id: id.1,
-                            chunk: idx,
-                        };
+                        let at = record.local(chunk);
+                        pending.insert(hash, at);
                         if self.index.owner_of(hash) == id.0 {
-                            own.push((hash, loc));
+                            own.push((hash, here(at)));
                         } else {
-                            cross.push((hash, loc));
+                            cross.push((hash, here(at)));
                         }
                         continue;
                     }
                 };
-                entries.push(RankDedupEntry::Remote(reference));
+                record.remote(reference);
                 remote_refs += 1;
                 bytes_saved += chunk.len() as u64;
             }
@@ -665,16 +640,7 @@ impl RankDedupEngine {
             .on_remote_refs(remote_refs, bytes_saved);
         self.index.commit_claims(&own);
         self.publish(cross);
-        RankDedupRecord::new(
-            id.0,
-            id.1,
-            chunk_len as u32,
-            bytes.len() as u64,
-            orig_checksum,
-            entries,
-            local,
-        )
-        .encode()
+        record.finish(bytes.len() as u64, frame::checksum64(id.0, id.1, &bytes))
     }
 }
 
@@ -738,7 +704,7 @@ impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
             let RankDedupEntry::Remote(r) = entry else {
                 continue;
             };
-            let target = (r.owner_rank, r.ckpt_id);
+            let target = object(&r);
             if target == last {
                 continue;
             }
@@ -801,7 +767,7 @@ impl<F: Fn(ObjectId) -> Option<Bytes>> Resolver<F> {
                 }
                 RankDedupEntry::Remote(r) => {
                     let not_local = RankDedupError::NotLocal { reference: r };
-                    let target = (r.owner_rank, r.ckpt_id);
+                    let target = object(&r);
                     if target != from.0 {
                         from = if target == id {
                             (id, rec, own)
@@ -846,46 +812,41 @@ mod tests {
         let chunk_len = e.cfg.chunk_len.max(1);
         let off = Diff::payload_offset(&bytes).unwrap_or(0).min(bytes.len());
         let orig_checksum = frame::checksum64(id.0, id.1, &bytes);
-        let mut entries: Vec<RankDedupEntry> = Vec::new();
-        let mut local: Vec<u8> = Vec::new();
+        let n_entries = bytes[off..].chunks(chunk_len).count() + usize::from(off > 0);
+        let mut record = RecordWriter::new(id.0, id.1, chunk_len as u32, n_entries as u32);
         let mut pending: HashMap<ChunkHash, u32> = HashMap::new();
-        let mut claims: Vec<(ChunkHash, ClaimLoc)> = Vec::new();
+        let mut claims: Vec<(ChunkHash, RemoteRef)> = Vec::new();
         let mut refs: HashSet<ObjectId> = HashSet::new();
         let mut remote_refs = 0u64;
         let mut bytes_saved = 0u64;
         if off > 0 {
-            entries.push(RankDedupEntry::Local { len: off as u32 });
-            local.extend_from_slice(&bytes[..off]);
+            record.local(&bytes[..off]);
         }
         for chunk in bytes[off..].chunks(chunk_len) {
-            let idx = entries.len() as u32;
             let hash = chunk_hash(chunk);
             if let Some(&at) = pending.get(&hash) {
-                entries.push(RankDedupEntry::Remote(RemoteRef {
+                record.remote(RemoteRef {
                     owner_rank: id.0,
                     ckpt_id: id.1,
                     chunk: at,
-                }));
+                });
                 remote_refs += 1;
                 bytes_saved += chunk.len() as u64;
                 continue;
             }
-            if let Some(loc) = e.index.lookup(hash) {
-                entries.push(RankDedupEntry::Remote(loc.reference()));
-                refs.insert(loc.object());
+            if let Some(r) = e.index.lookup(hash) {
+                record.remote(r);
+                refs.insert(object(&r));
                 remote_refs += 1;
                 bytes_saved += chunk.len() as u64;
                 continue;
             }
-            entries.push(RankDedupEntry::Local {
-                len: chunk.len() as u32,
-            });
-            local.extend_from_slice(chunk);
+            let idx = record.local(chunk);
             pending.insert(hash, idx);
             claims.push((
                 hash,
-                ClaimLoc {
-                    rank: id.0,
+                RemoteRef {
+                    owner_rank: id.0,
                     ckpt_id: id.1,
                     chunk: idx,
                 },
@@ -902,16 +863,87 @@ mod tests {
             e.index.commit_claim(hash, loc);
         }
         e.publish(cross);
-        RankDedupRecord::new(
-            id.0,
-            id.1,
-            chunk_len as u32,
-            bytes.len() as u64,
-            orig_checksum,
-            entries,
-            local,
-        )
-        .encode()
+        record.finish(bytes.len() as u64, orig_checksum)
+    }
+
+    /// A record decoded whole, as the owned form's `decode` did it:
+    /// [`RecordIndex::parse`], then the table and the local bytes copied
+    /// out, each local entry's start summed once in table order.
+    struct Decoded {
+        rank: u32,
+        ckpt_id: u32,
+        chunk_len: u32,
+        orig_len: u64,
+        orig_checksum: u64,
+        entries: Vec<RankDedupEntry>,
+        local: Vec<u8>,
+        starts: Vec<usize>,
+    }
+
+    impl Decoded {
+        fn decode(bytes: &[u8]) -> Result<Decoded, frame::FrameError> {
+            let index = RecordIndex::parse(bytes)?;
+            let entries: Vec<RankDedupEntry> = index.entries(bytes).collect();
+            let mut at = 0usize;
+            let starts = entries
+                .iter()
+                .map(|e| {
+                    let start = at;
+                    if let RankDedupEntry::Local { len } = e {
+                        at += *len as usize;
+                    }
+                    start
+                })
+                .collect();
+            Ok(Decoded {
+                rank: index.rank,
+                ckpt_id: index.ckpt_id,
+                chunk_len: index.chunk_len,
+                orig_len: index.orig_len,
+                orig_checksum: index.orig_checksum,
+                entries,
+                local: index.local_region(bytes).to_vec(),
+                starts,
+            })
+        }
+
+        /// The inline bytes of local entry `index`; `None` when the index
+        /// is out of range or names a remote entry.
+        fn local_slice(&self, index: u32) -> Option<&[u8]> {
+            let i = index as usize;
+            match self.entries.get(i)? {
+                RankDedupEntry::Local { len } => {
+                    let at = self.starts[i];
+                    self.local.get(at..at.checked_add(*len as usize)?)
+                }
+                RankDedupEntry::Remote(_) => None,
+            }
+        }
+
+        fn remote_refs(&self) -> impl Iterator<Item = RemoteRef> + '_ {
+            self.entries.iter().filter_map(|e| match e {
+                RankDedupEntry::Remote(r) => Some(*r),
+                RankDedupEntry::Local { .. } => None,
+            })
+        }
+
+        /// Written back through the writer, the local entries taking their
+        /// bytes from `local` in table order (`starts` is not read).
+        fn write(&self) -> Vec<u8> {
+            let n = self.entries.len() as u32;
+            let mut w = RecordWriter::new(self.rank, self.ckpt_id, self.chunk_len, n);
+            let mut at = 0;
+            for e in &self.entries {
+                match *e {
+                    RankDedupEntry::Local { len } => {
+                        w.local(&self.local[at..at + len as usize]);
+                        at += len as usize;
+                    }
+                    RankDedupEntry::Remote(r) => w.remote(r),
+                }
+            }
+            w.finish(self.orig_len, self.orig_checksum)
+        }
     }
 
     /// A payload built from what the index sees in practice: runs of the
@@ -948,7 +980,7 @@ mod tests {
 
     /// Everything an `encode` leaves behind besides the record it returns.
     type Aftermath = (
-        DigestMap<ClaimLoc>,
+        DigestMap<RemoteRef>,
         HashMap<ObjectId, HashSet<ObjectId>>,
         HashMap<ObjectId, HashSet<ObjectId>>,
         [u64; 4],
@@ -1080,15 +1112,15 @@ mod tests {
             });
             e.quiesce();
 
-            let decoded: HashMap<ObjectId, RankDedupRecord> = records
+            let decoded: HashMap<ObjectId, Decoded> = records
                 .iter()
-                .map(|(id, bytes)| (*id, RankDedupRecord::decode(bytes).unwrap()))
+                .map(|(id, bytes)| (*id, Decoded::decode(bytes).unwrap()))
                 .collect();
             // A hash is claimed at most once, by a local entry of a record
             // that was produced and that holds exactly those bytes.
             let claims = e.index.claims.lock().clone();
             for (hash, loc) in &claims {
-                let bytes = decoded[&loc.object()]
+                let bytes = decoded[&object(loc)]
                     .local_slice(loc.chunk)
                     .unwrap_or_else(|| panic!("seed {seed}: {loc:?} is not a local entry"));
                 assert_eq!(chunk_hash(bytes), *hash, "seed {seed}: {loc:?}");
@@ -1099,7 +1131,7 @@ mod tests {
                 .iter()
                 .map(|(id, bytes)| {
                     let prefix = usize::from(Diff::payload_offset(bytes).is_some());
-                    let locals = decoded[id].entries().iter();
+                    let locals = decoded[id].entries.iter();
                     locals
                         .filter(|e| matches!(e, RankDedupEntry::Local { .. }))
                         .count()
@@ -1165,10 +1197,8 @@ mod tests {
         let chunk = payload(3, 32);
         let bytes: Vec<u8> = chunk.iter().copied().cycle().take(32 * 6).collect();
         let enc = e.encode((0, 0), bytes.clone());
-        let rec = RankDedupRecord::decode(&enc).unwrap();
-        assert!(rec
-            .remote_refs()
-            .all(|r| (r.owner_rank, r.ckpt_id) == (0, 0)));
+        let rec = Decoded::decode(&enc).unwrap();
+        assert!(rec.remote_refs().all(|r| object(&r) == (0, 0)));
         let fetch = |_: ObjectId| -> Option<Bytes> { panic!("self refs must not fetch") };
         assert_eq!(resolve_record((0, 0), &enc, &fetch).unwrap(), bytes);
     }
@@ -1260,7 +1290,7 @@ mod tests {
     /// the gathered cells copied out.
     struct DecodingResolver<F> {
         fetch: F,
-        targets: HashMap<ObjectId, RankDedupRecord>,
+        targets: HashMap<ObjectId, Decoded>,
     }
 
     impl<F: Fn(ObjectId) -> Option<Bytes>> DecodingResolver<F> {
@@ -1272,7 +1302,7 @@ mod tests {
         }
 
         fn resolve(&mut self, id: ObjectId, bytes: &[u8]) -> Result<Bytes, RankDedupError> {
-            let rec = RankDedupRecord::decode(bytes).map_err(RankDedupError::Decode)?;
+            let rec = Decoded::decode(bytes).map_err(RankDedupError::Decode)?;
             if (rec.rank, rec.ckpt_id) != id {
                 return Err(RankDedupError::Decode(frame::FrameError::IdMismatch {
                     expected: id,
@@ -1292,12 +1322,12 @@ mod tests {
                 if let Entry::Vacant(slot) = self.targets.entry(target) {
                     let raw =
                         (self.fetch)(target).ok_or(RankDedupError::DanglingRef { reference: r })?;
-                    slot.insert(RankDedupRecord::decode(&raw).map_err(RankDedupError::Decode)?);
+                    slot.insert(Decoded::decode(&raw).map_err(RankDedupError::Decode)?);
                 }
             }
-            let mut cells: Vec<&[u8]> = Vec::with_capacity(rec.entries().len());
+            let mut cells: Vec<&[u8]> = Vec::with_capacity(rec.entries.len());
             let mut from = (id, &rec);
-            for (i, entry) in rec.entries().iter().enumerate() {
+            for (i, entry) in rec.entries.iter().enumerate() {
                 cells.push(match entry {
                     RankDedupEntry::Local { len } => rec.local_slice(i as u32).ok_or(
                         RankDedupError::Decode(frame::FrameError::LengthMismatch {
@@ -1390,8 +1420,8 @@ mod tests {
         bytes: &[u8],
         store: &HashMap<ObjectId, Vec<u8>>,
     ) -> Vec<u8> {
-        let rec = RankDedupRecord::decode(bytes).unwrap();
-        let mut entries = rec.entries().to_vec();
+        let rec = Decoded::decode(bytes).unwrap();
+        let mut entries = rec.entries.clone();
         let n = entries.len();
         let pick = |rng: &mut SplitMix64, want: fn(&RankDedupEntry) -> bool| {
             let hits: Vec<usize> = (0..n).filter(|&i| want(&entries[i])).collect();
@@ -1447,9 +1477,7 @@ mod tests {
                     };
                     let target = (r.owner_rank, r.ckpt_id);
                     let len = match store.get(&target) {
-                        Some(t) if target != id => {
-                            RankDedupRecord::decode(t).unwrap().entries().len()
-                        }
+                        Some(t) if target != id => Decoded::decode(t).unwrap().entries.len(),
                         _ => n,
                     };
                     r.chunk = match rng.next() % 3 {
@@ -1466,9 +1494,7 @@ mod tests {
                     };
                     let target = (r.owner_rank, r.ckpt_id);
                     let table = match store.get(&target) {
-                        Some(t) if target != id => {
-                            RankDedupRecord::decode(t).unwrap().entries().to_vec()
-                        }
+                        Some(t) if target != id => Decoded::decode(t).unwrap().entries,
                         _ => entries.clone(),
                     };
                     let remote: Vec<usize> =
@@ -1501,16 +1527,12 @@ mod tests {
                 };
             }
         }
-        RankDedupRecord::new(
-            rec.rank,
-            rec.ckpt_id,
-            rec.chunk_len,
-            orig_len,
-            rec.orig_checksum,
+        Decoded {
             entries,
-            rec.local().to_vec(),
-        )
-        .encode()
+            orig_len,
+            ..rec
+        }
+        .write()
     }
 
     proptest! {
@@ -1583,9 +1605,9 @@ mod tests {
                 let mut forged_store = store.clone();
                 let read = if kind == 7 {
                     // A target forged, or gone from the store.
-                    let rec = RankDedupRecord::decode(&store[&id]).unwrap();
-                    if let Some(r) = rec.remote_refs().find(|r| (r.owner_rank, r.ckpt_id) != id) {
-                        let target = (r.owner_rank, r.ckpt_id);
+                    let rec = Decoded::decode(&store[&id]).unwrap();
+                    if let Some(r) = rec.remote_refs().find(|r| object(r) != id) {
+                        let target = object(&r);
                         match rng.next() % 3 {
                             0 => { forged_store.remove(&target); }
                             k => {
@@ -1630,10 +1652,8 @@ mod tests {
         );
         // New occurrences of the same content re-claim instead of dangling.
         let third = e.encode((1, 5), shared.clone());
-        let rec = RankDedupRecord::decode(&third).unwrap();
-        assert!(rec
-            .remote_refs()
-            .all(|r| (r.owner_rank, r.ckpt_id) == (1, 5)));
+        let rec = Decoded::decode(&third).unwrap();
+        assert!(rec.remote_refs().all(|r| object(&r) == (1, 5)));
     }
 
     #[test]
@@ -1738,7 +1758,7 @@ mod tests {
             (0..4usize)
                 .map(|c| {
                     let h = chunk_hash(&data[c * 64..][..64]);
-                    e.index().lookup(h).map(|l| l.rank)
+                    e.index().lookup(h).map(|r| r.owner_rank)
                 })
                 .collect()
         };
@@ -1770,7 +1790,7 @@ mod tests {
         // Despite the spike, quiesce flushed the deferred batch: the
         // second rank sees the claims.
         let enc = e.encode((2, 0), shared.clone());
-        let rec = RankDedupRecord::decode(&enc).unwrap();
+        let rec = Decoded::decode(&enc).unwrap();
         assert!(rec.remote_refs().count() > 0);
     }
 }

@@ -321,10 +321,11 @@ mod tests {
         let referers = (0..12u32)
             .filter(|&k| {
                 let record = tiers.pfs.get((1, k)).unwrap();
-                ckpt_dedup::RankDedupRecord::decode(&record)
-                    .unwrap()
-                    .remote_refs()
-                    .any(|r| (r.owner_rank, r.ckpt_id) == (0, 0))
+                let index = ckpt_dedup::RecordIndex::parse(&record).unwrap();
+                let into_pool = index.entries(&record).filter(
+                    |e| matches!(e, ckpt_dedup::RankDedupEntry::Remote(r) if r.owner_rank == 0),
+                );
+                into_pool.count() > 0
             })
             .count();
         assert!(referers >= 11, "only {referers} records share the pool");

@@ -8,9 +8,7 @@
 
 use ckpt_compress::blocks::DEFAULT_BLOCK_SIZE;
 use ckpt_compress::lz::{find_sequences, MatchConfig, Seq};
-use ckpt_dedup::frame::{
-    RankDedupEntry, RankDedupRecord, RANKDEDUP_ENTRY_LEN, RANKDEDUP_HEADER_LEN,
-};
+use ckpt_dedup::frame::{RankDedupEntry, RecordIndex, RANKDEDUP_ENTRY_LEN, RANKDEDUP_HEADER_LEN};
 use ckpt_dedup::prelude::*;
 use ckpt_runtime::compress::SAMPLE_LEN;
 use ckpt_runtime::{
@@ -150,9 +148,9 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
     );
     rt.shutdown();
 
-    // ---- rank-dedup encode: a payload the index already holds becomes an
-    // entry table, its `starts` and the record — the table is sized from
-    // the grid, not grown into ----
+    // ---- rank-dedup encode: a payload the index already holds becomes the
+    // record alone — its table is sized from the grid and written in place,
+    // not grown into or copied ----
     const CHUNKS: usize = 1 << 16;
     const CHUNK_LEN: usize = 64;
     let engine = RankDedupEngine::new(
@@ -172,11 +170,10 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
         RANKDEDUP_HEADER_LEN + RANKDEDUP_ENTRY_LEN * CHUNKS,
         "every chunk must be a reference"
     );
-    let tables = std::mem::size_of::<RankDedupEntry>() + std::mem::size_of::<usize>();
-    let bound = (tables * CHUNKS + record.len()) as u64 + SLACK;
+    let bound = record.len() as u64 + SLACK;
     assert!(
         requested <= bound,
-        "encoding {CHUNKS} duplicate chunks requested {requested} B (bound {bound} B)"
+        "encoding {CHUNKS} duplicate chunks requested {requested} B (bound {bound} B: the record)"
     );
 
     // ---- compression: an entry-table-like object (13-byte slots that
@@ -293,22 +290,25 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
         RANKDEDUP_HEADER_LEN + RANKDEDUP_ENTRY_LEN * owns.len() * OWN_CHUNKS,
         "every cell must be a reference"
     );
-    let referenced: std::collections::BTreeSet<u32> = RankDedupRecord::decode(&record)
+    let referenced: std::collections::BTreeSet<u32> = RecordIndex::parse(&record)
         .unwrap()
-        .remote_refs()
-        .map(|r| r.owner_rank)
+        .entries(&record)
+        .filter_map(|e| match e {
+            RankDedupEntry::Remote(r) => Some(r.owner_rank),
+            RankDedupEntry::Local { .. } => None,
+        })
         .collect();
     assert_eq!(referenced, (1..=TARGETS).collect());
     let fetch = |id| pfs.get(id);
     let (resolved, peak) = peak_live_during(|| resolve_record(top, &record, &fetch).unwrap());
     assert_eq!(resolved, original);
-    let tables: Vec<RankDedupRecord> = targets
+    let tables: Vec<RecordIndex> = targets
         .iter()
-        .map(|t| RankDedupRecord::decode(t).unwrap())
+        .map(|t| RecordIndex::parse(t).unwrap())
         .collect();
     let indexed: u64 = tables
         .iter()
-        .map(|t| t.local().len() as u64 + t.entries().len() as u64 / 4)
+        .map(|t| t.local_len() + t.n_entries() as u64 / 4)
         .sum();
     let largest = targets.iter().map(Vec::len).max().unwrap() as u64;
     let bound = original.len() as u64 + largest + indexed + SLACK;
@@ -321,7 +321,7 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
     // What the targets cost held as decoded records: 24 B per entry.
     let decoded: u64 = tables
         .iter()
-        .map(|t| t.local().len() as u64 + 24 * t.entries().len() as u64)
+        .map(|t| t.local_len() + 24 * t.n_entries() as u64)
         .sum();
     assert!(
         original.len() as u64 + decoded > bound,

@@ -19,7 +19,7 @@
 //! 4. a submission the host refuses leaves no claim or reference edge.
 
 use crate::support::{holds, replay_violations, Snapshots, Workload, CHUNK, METHODS};
-use ckpt_dedup::frame::RankDedupRecord;
+use ckpt_dedup::frame::{RankDedupEntry, RecordIndex};
 use ckpt_runtime::{
     compact_below, restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, RankDedupConfig,
     RankDedupEngine, RankDedupMetrics, RuntimeConfig, SplitMix64, TierChain, TierConfig,
@@ -302,8 +302,11 @@ fn refused_submit_leaves_no_claims_or_edges_behind() {
     rt.submit(2, 0, b.clone()).unwrap();
     rt.wait_durable(&[(2, 0)]);
     let stored = rt.tiers().pfs.inspect_object((2, 0)).into_object().unwrap();
-    let record = RankDedupRecord::decode(stored.payload()).unwrap();
-    assert!(record.remote_refs().all(|r| r.owner_rank != 1));
+    let record = stored.payload();
+    let index = RecordIndex::parse(record).unwrap();
+    assert!(index
+        .entries(record)
+        .all(|e| !matches!(e, RankDedupEntry::Remote(r) if r.owner_rank == 1)));
     assert_eq!(rt.tiers().locate((2, 0)), Some(b.into()));
     rt.shutdown();
 }

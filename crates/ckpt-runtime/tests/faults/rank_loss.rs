@@ -442,7 +442,7 @@ fn run_exchange(
         claim_count: engine.index().claim_count(),
         winners: base[Diff::payload_offset(base).unwrap()..]
             .chunks(CHUNK)
-            .map(|c| engine.index().lookup(chunk_hash(c)).map(|loc| loc.rank))
+            .map(|c| engine.index().lookup(chunk_hash(c)).map(|r| r.owner_rank))
             .collect(),
         counters: ["claims", "remote_refs", "remote_bytes_saved", "orphans"]
             .map(|name| registry.counter(&format!("rankdedup/{name}")).get()),

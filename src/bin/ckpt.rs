@@ -15,8 +15,10 @@
 //! command imports the directory back into a [`TierChain`] and asks the
 //! chain. The directory layout, and the one `verify`, live in
 //! [`ClusterDir`]; nothing here frames, compresses, parity-encodes or
-//! classifies an object. All snapshots must have equal length (the engine
-//! checkpoints a fixed-size buffer, like the paper's GDV array).
+//! classifies an object. The snapshots of one rank must have equal, nonzero
+//! length (the engine checkpoints a fixed-size buffer, like the paper's GDV
+//! array), and `--chunk` is at least `Chunking::MIN_CHUNK_SIZE`; both are
+//! checked before anything is written.
 //!
 //! `--compress` applies the runtime's frame-level compression stage to each
 //! record file: the encoded diff goes through the [`CompressionPolicy`]
@@ -52,7 +54,7 @@
 //! `DESIGN.md` § Observability).
 
 use gpu_dedup_ckpt::dedup::prelude::*;
-use gpu_dedup_ckpt::dedup::{Diff, RecordIndex};
+use gpu_dedup_ckpt::dedup::{Chunking, Diff, RecordIndex};
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::runtime::cluster_dir::{rank_name, Loaded, Record};
 use gpu_dedup_ckpt::runtime::{
@@ -297,6 +299,15 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
             }
             "--chunk" => {
                 chunk = args.get(i + 1).ok_or("--chunk needs a value")?.parse()?;
+                if chunk < Chunking::MIN_CHUNK_SIZE {
+                    return Err(exit_with(
+                        EXIT_USAGE,
+                        format!(
+                            "create: --chunk {chunk} is below the minimum of {} bytes",
+                            Chunking::MIN_CHUNK_SIZE
+                        ),
+                    ));
+                }
                 i += 2;
             }
             "--compress" => {
@@ -369,6 +380,39 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
         )
         .into());
     }
+    // Contiguous split: the first `n % ranks` ranks take one extra.
+    let mut next = 0;
+    let per_rank: Vec<&[PathBuf]> = (0..n_ranks)
+        .map(|rank| {
+            let take = n / n_ranks + usize::from(rank < n % n_ranks);
+            next += take;
+            &snapshots[next - take..next]
+        })
+        .collect();
+    // A rank checkpoints one fixed-size buffer: every snapshot of it has
+    // the first one's length, and that length is not 0. Checked before the
+    // runtime starts, so a bad input writes nothing.
+    for paths in &per_rank {
+        let mut want = None;
+        for path in *paths {
+            let len = std::fs::metadata(path)
+                .map_err(|e| format!("{}: {e}", path.display()))?
+                .len();
+            if len == 0 {
+                return Err(format!("{}: empty snapshot", path.display()).into());
+            }
+            let want = *want.get_or_insert(len);
+            if len != want {
+                return Err(format!(
+                    "{}: {len} bytes, but {} has {want}; the snapshots of one rank must \
+                     have equal length",
+                    path.display(),
+                    paths[0].display()
+                )
+                .into());
+            }
+        }
+    }
 
     let registry = Arc::new(Registry::new());
     // The cluster dedup index: one engine shared by every rank, its claims
@@ -391,17 +435,14 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
         ..Default::default()
     });
 
-    // Contiguous split: the first `n % ranks` ranks take one extra.
-    let mut next = 0usize;
     let mut ids = Vec::with_capacity(n);
     let mut breakdowns = Vec::new();
     let (mut total_in, mut total_out, mut modeled_sec) = (0u64, 0u64, 0f64);
-    for rank in 0..n_ranks as u32 {
-        let take = n / n_ranks + usize::from((rank as usize) < n % n_ranks);
+    for (rank, paths) in (0..).zip(per_rank) {
         let device = Device::a100();
         let mut ckpt = new_checkpointer(kind, device.clone(), cfg);
         let prefix = rank_prefix(layout, rank);
-        for (version, path) in snapshots[next..next + take].iter().enumerate() {
+        for (version, path) in paths.iter().enumerate() {
             let data = std::fs::read(path)?;
             let mut span = registry.span("cli/checkpoint");
             let out = ckpt.checkpoint(&data);
@@ -446,7 +487,6 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
             breakdowns.push(out.breakdown);
             ids.push(id);
         }
-        next += take;
         modeled_sec += device.metrics().modeled_sec();
         // Steady-state memory counters: device-arena lease traffic and
         // historical-record reset/rebuild counts, summed over ranks.

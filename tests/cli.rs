@@ -614,6 +614,64 @@ fn helpful_errors() {
             "{method}: {stderr}"
         );
     }
+    // Inputs the engine cannot checkpoint are refused before anything runs
+    // or is written, naming the flag or the file — never a panic. A chunk
+    // below the minimum is a usage error; an empty snapshot, or snapshots
+    // of different lengths in one rank, are file errors.
+    let empty = tmp.path().join("empty.bin");
+    std::fs::write(&empty, b"").unwrap();
+    let short = tmp.path().join("short.bin");
+    std::fs::write(&short, vec![7u8; 1000]).unwrap();
+    let (empty, short) = (empty.to_str().unwrap(), short.to_str().unwrap());
+    let mut cases = vec![
+        (2, "--chunk 16", vec!["--chunk", "16", snap]),
+        (2, "--chunk 31", vec!["--chunk", "31", snap]),
+        (1, "empty.bin: empty snapshot", vec![empty]),
+        (
+            1,
+            "empty.bin: empty snapshot",
+            vec!["--ranks", "2", snap, empty],
+        ),
+    ];
+    for method in ["tree", "list", "basic", "full"] {
+        cases.push((
+            1,
+            "short.bin: 1000 bytes",
+            vec!["--method", method, snap, short],
+        ));
+    }
+    for (code, names, args) in cases {
+        let out = ckpt()
+            .args(["create", "--out", x])
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+        assert!(!Path::new(x).exists(), "{args:?} wrote {x}");
+    }
+    // Snapshots of different lengths on different ranks are legal.
+    let out = ckpt()
+        .args([
+            "create",
+            "--out",
+            x,
+            "--ranks",
+            "2",
+            "--rank-dedup",
+            snap,
+            short,
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = ckpt().args(["verify", x]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
 }
 
 /// Every version restores to its snapshot through the one restore path,

@@ -38,6 +38,11 @@
 //! Redundancy census: the group store holds one code, `xor:<k>` stripes
 //! keyed `(hosting rank, ckpt)` — a partner mirror is `xor:2` — so nothing
 //! dispatches on the policy and a lost rank's stripes are found by key.
+//!
+//! Rank-dedup codec census: a `CKPR` record has one writer
+//! (`frame::RecordWriter`) and one reader (`RecordIndex::parse`), no owned
+//! form, and one reference type (`RemoteRef`); nothing outside `frame.rs`
+//! knows the layout.
 
 use std::path::{Path, PathBuf};
 
@@ -494,5 +499,86 @@ fn one_redundancy_code() {
     assert!(
         host_maps.is_empty(),
         "a group object's host is its key, not a field: {host_maps:?}"
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively, skipping build output.
+fn rust_files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            if !path.ends_with("target") {
+                files.extend(rust_files_under(&path));
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn one_rank_dedup_codec() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut everywhere = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "bench/src"] {
+        everywhere.extend(rust_files_under(&root.join(dir)));
+    }
+    // No owned record beside the writer and the index, and no second
+    // reference type beside `RemoteRef`.
+    let mut owned = Vec::new();
+    for path in &everywhere {
+        let text = std::fs::read_to_string(path).unwrap();
+        for name in ["RankDedupRecord", "ClaimLoc"] {
+            for item in ["struct", "enum", "type", "trait"] {
+                if text.contains(&format!("{item} {name}")) {
+                    owned.push(format!(
+                        "{}: {item} {name}",
+                        path.strip_prefix(root).unwrap().display()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(owned.is_empty(), "a second rank-dedup form: {owned:?}");
+
+    // Only `frame.rs` knows the layout: its kind, magic and slot size.
+    let mut sources = vec![root.join("src")];
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        sources.push(krate.unwrap().path().join("src"));
+    }
+    let mut knowers = Vec::new();
+    for dir in sources {
+        for path in rust_files_under(&dir) {
+            let code = production_source(&path);
+            let knows = ["Kind::RankDedup", "RANKDEDUP_MAGIC", "RANKDEDUP_ENTRY_LEN"]
+                .iter()
+                .any(|token| {
+                    code.lines()
+                        .any(|l| !l.trim_start().starts_with("//") && l.contains(token))
+                });
+            if knows && !path.ends_with("ckpt-dedup/src/frame.rs") {
+                knowers.push(path.strip_prefix(root).unwrap().display().to_string());
+            }
+        }
+    }
+    assert!(
+        knowers.is_empty(),
+        "the CKPR layout is known in: {knowers:?}"
+    );
+
+    // Inside it, one function starts a record and one opens one.
+    let frame = root.join("crates/ckpt-dedup/src/frame.rs");
+    let writers = fns_with(&frame, &|l| l.contains("Kind::RankDedup.begin("));
+    let readers = fns_with(&frame, &|l| l.contains("Kind::RankDedup.open("));
+    assert_eq!(
+        (writers, readers),
+        (
+            vec!["frame.rs::new".to_string()],
+            vec!["frame.rs::parse".to_string()]
+        ),
+        "CKPR writers and readers"
     );
 }

@@ -207,7 +207,14 @@ fn flat_verify_json_shares_the_schema() {
 #[test]
 fn usage_errors_exit_2() {
     let partner = ["create", "--out", "x", "--redundancy", "partner", "s"];
-    for args in [&[][..], &["frobnicate"][..], &["verify"][..], &partner] {
+    let chunk = ["create", "--out", "x", "--chunk", "16", "s"];
+    for args in [
+        &[][..],
+        &["frobnicate"][..],
+        &["verify"][..],
+        &partner,
+        &chunk,
+    ] {
         let out = ckpt().args(args).output().unwrap();
         assert_eq!(
             out.status.code(),
@@ -220,6 +227,13 @@ fn usage_errors_exit_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("unknown --redundancy policy 'partner' (off|xor:<k>)"),
+        "{stderr}"
+    );
+    // A chunk the engine cannot cut is named before any snapshot is read.
+    let out = ckpt().args(chunk).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--chunk 16 is below the minimum of 32 bytes"),
         "{stderr}"
     );
 }
