@@ -140,6 +140,11 @@ pub fn decompress_blocks(codec: &dyn Codec, data: &[u8]) -> Result<Vec<u8>, Corr
             Ok(raw)
         })
         .collect();
+    if parts.len() == 1 {
+        // A one-block container decodes to its block: no second buffer and
+        // no copy, so a decode holds the payload once.
+        return parts.into_iter().next().expect("one block");
+    }
     let mut out = Vec::with_capacity(entries.iter().map(|e| e.2).sum());
     for part in parts {
         out.extend_from_slice(&part?);

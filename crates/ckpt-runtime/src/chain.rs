@@ -18,7 +18,7 @@ use crate::integrity::{
     group_by_rank, IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
 };
 use crate::lineage::run_head;
-use crate::rankdedup::{RankDedupIndex, Resolver};
+use crate::rankdedup::{RankDedupIndex, RecordSource, Resolver};
 use crate::redundancy::RedundancyStore;
 use crate::tier::{Decoded, ObjectId, ObjectState, StoredObject, Tier, TierConfig};
 use ckpt_dedup::frame::RecordIndex;
@@ -234,18 +234,29 @@ impl TierChain {
     pub fn reader(&self) -> ChainReader<'_> {
         ChainReader {
             tiers: self,
-            resolver: Resolver::new(Box::new(move |target| self.locate_stored(target))),
+            resolver: Resolver::new(TierSource(self)),
         }
     }
 
-    /// The read step every tier copy goes through: verify the frame, decode
-    /// (unless `found` already holds a payload — a redundant valid copy is
-    /// verified, not decoded too), count it verified or corrupt, and
-    /// quarantine a copy that failed either check. A missing or
-    /// transiently unreadable copy counts nothing. Returns whether the
-    /// copy was condemned, so the caller can repair it.
+    /// [`settle_copy`](Self::settle_copy) of the copy `tier` holds now.
     fn read_copy(&self, tier: &Tier, id: ObjectId, found: &mut Option<Decoded>) -> bool {
-        let usable = match Self::inspect(tier, id) {
+        self.settle_copy(tier, id, Self::inspect(tier, id), found)
+    }
+
+    /// The read step every tier copy goes through, once its frame has been
+    /// inspected: decode (unless `found` already holds a payload — a
+    /// redundant valid copy is verified, not decoded too), count it
+    /// verified or corrupt, and quarantine a copy that failed either check.
+    /// A missing or transiently unreadable copy counts nothing. Returns
+    /// whether the copy was condemned, so the caller can repair it.
+    fn settle_copy(
+        &self,
+        tier: &Tier,
+        id: ObjectId,
+        state: ObjectState,
+        found: &mut Option<Decoded>,
+    ) -> bool {
+        let usable = match state {
             ObjectState::Missing | ObjectState::TransientIo => return false,
             ObjectState::Corrupt(_) => false,
             ObjectState::Valid(_) if found.is_some() => true,
@@ -272,16 +283,46 @@ impl TierChain {
 
     /// `locate` minus rank-dedup resolution: the stored payload verbatim
     /// (a `CKPR` record when the object was submitted with rank-dedup on).
-    /// Resolution fetches *referenced* records through this, so a remote
-    /// chunk on a lost rank still reconstructs from its parity group — and
-    /// resolution never recurses.
+    /// Resolution reads *referenced* records through the same steps, so a
+    /// remote chunk on a lost rank still reconstructs from its parity group
+    /// — and resolution never recurses.
     fn locate_stored(&self, id: ObjectId) -> Option<Bytes> {
+        self.fetch_stored(id, false).and_then(Fetched::into_payload)
+    }
+
+    /// The tier step of a read: inspect every tier's copy (PFS first),
+    /// condemn and quarantine the corrupt ones, rebuild from the group when
+    /// no local copy is usable, and repair the condemned copies. On a clean
+    /// read — a verified copy and none condemned — with `defer` set, the
+    /// first verified copy comes back still encoded, for
+    /// [`Fetched::into_payload`] to decompress off this thread; anything else is
+    /// decoded here, copy by copy, so a copy the codec rejects is condemned
+    /// before the next is tried and repairs come from a decoded copy.
+    fn fetch_stored(&self, id: ObjectId, defer: bool) -> Option<Fetched<'_>> {
         self.poll_rank_loss();
+        let copies = [&self.pfs, &self.ssd, &self.host].map(|tier| (tier, Self::inspect(tier, id)));
+        let condemned = copies
+            .iter()
+            .any(|(_, state)| matches!(state, ObjectState::Corrupt(_)));
         let mut found = None;
         let mut corrupt: Vec<&Tier> = Vec::new();
-        for tier in [&self.pfs, &self.ssd, &self.host] {
-            if self.read_copy(tier, id, &mut found) {
-                corrupt.push(tier);
+        if defer && !condemned {
+            let mut verified = copies
+                .into_iter()
+                .filter_map(|(tier, state)| Some((tier, state.into_object()?)));
+            if let Some((tier, object)) = verified.next() {
+                return Some(Fetched::Stored {
+                    tier,
+                    object,
+                    copies: 1 + verified.count(),
+                    integrity: &self.integrity,
+                });
+            }
+        } else {
+            for (tier, state) in copies {
+                if self.settle_copy(tier, id, state, &mut found) {
+                    corrupt.push(tier);
+                }
             }
         }
         // Every local copy gone or corrupt: the last resort before the
@@ -293,7 +334,7 @@ impl TierChain {
                 self.integrity.on_repaired();
             }
         }
-        Some(found.payload)
+        Some(Fetched::Decoded(found.payload))
     }
 
     /// Classify one object for recovery: a durable status with the
@@ -405,8 +446,69 @@ impl TierChain {
 /// typed loss.
 type Recovered = Result<(ObjectStatus, Bytes), ObjectStatus>;
 
-/// Fetch closure of a [`ChainReader`]: the chain's `locate_stored`.
-type StoredFetch<'a> = Box<dyn Fn(ObjectId) -> Option<Bytes> + Send + 'a>;
+/// An object as the chain's tier step hands it over.
+enum Fetched<'a> {
+    /// The first verified copy of a clean read, still encoded, with the
+    /// tier whose decode accounts for it and the verified copies its
+    /// decode counts.
+    Stored {
+        tier: &'a Tier,
+        object: StoredObject,
+        copies: usize,
+        integrity: &'a IntegrityCounters,
+    },
+    /// The stored payload, decoded during the tier step.
+    Decoded(Bytes),
+}
+
+impl Fetched<'_> {
+    /// The stored payload bytes, decompressed through the tier's timed
+    /// `decode` if need be; `None` when the codec rejects a copy whose frame
+    /// verified. The copies of a clean read count as verified only once it
+    /// decodes, as the serial read counts them.
+    fn into_payload(self) -> Option<Bytes> {
+        match self {
+            Fetched::Stored {
+                tier,
+                object,
+                copies,
+                integrity,
+            } => {
+                let payload = tier.decode(object).ok()?.payload;
+                for _ in 0..copies {
+                    integrity.on_verified();
+                }
+                Some(payload)
+            }
+            Fetched::Decoded(payload) => Some(payload),
+        }
+    }
+}
+
+/// The chain as a [`ChainReader`]'s resolver reads referenced records:
+/// [`TierChain::fetch_stored`] is the tier step, the decode the CPU step,
+/// and a copy whose decode fails is read again by `locate_stored`.
+struct TierSource<'a>(&'a TierChain);
+
+impl<'a> RecordSource for TierSource<'a> {
+    type Fetched = Fetched<'a>;
+
+    fn fetch(&self, id: ObjectId) -> Option<Fetched<'a>> {
+        self.0.fetch_stored(id, true)
+    }
+
+    fn holds_payload(fetched: &Fetched<'a>) -> bool {
+        matches!(fetched, Fetched::Decoded(_))
+    }
+
+    fn decode(fetched: Fetched<'a>) -> Option<Bytes> {
+        fetched.into_payload()
+    }
+
+    fn refetch(&self, id: ObjectId) -> Option<Bytes> {
+        self.0.locate_stored(id)
+    }
+}
 
 /// [`TierChain::locate`] for the span of one read call. Rank-dedup records
 /// resolve through a single [`Resolver`], so a referenced object shared by
@@ -414,7 +516,7 @@ type StoredFetch<'a> = Box<dyn Fn(ObjectId) -> Option<Bytes> + Send + 'a>;
 /// indexed once — and dropped with the reader, so no copy can go stale.
 pub struct ChainReader<'a> {
     tiers: &'a TierChain,
-    resolver: Resolver<StoredFetch<'a>>,
+    resolver: Resolver<TierSource<'a>>,
 }
 
 impl ChainReader<'_> {

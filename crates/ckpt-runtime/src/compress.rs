@@ -18,10 +18,12 @@
 //! * `Fixed(codec)` — every object through one codec, still with the
 //!   store fallback when the container would not shrink it.
 //! * `Adaptive` — sample the object's first [`SAMPLE_LEN`] bytes through
-//!   each candidate (`ZstdLike`, `Lz4Like`, `Cascaded`), estimate the
+//!   the candidates (`ZstdLike`, `Lz4Like`, `Cascaded`), estimate the
 //!   ratio, and pick the candidate maximizing estimated bytes saved per
 //!   unit of encode cost (`(1 − ratio) / flops_per_byte`); if even the
-//!   best sample ratio clears [`STORE_RATIO`], store uncompressed.
+//!   best sample ratio clears [`STORE_RATIO`], store uncompressed. The
+//!   trials run cheapest first and skip a candidate that cannot win, so a
+//!   compressible object rarely pays for the costliest one.
 //!
 //! Either way an object whose container fails to shrink below its raw size
 //! (frame extension included) is stored with codec 0 — compression can
@@ -29,7 +31,7 @@
 
 use crate::tier::StoredObject;
 use ckpt_compress::blocks::{compress_blocks, DEFAULT_BLOCK_SIZE};
-use ckpt_compress::codec_by_id;
+use ckpt_compress::{codec_by_id, Codec};
 use ckpt_dedup::frame::FRAME_EXT_LEN;
 use ckpt_telemetry::{Gauge, LazyCounter, Registry};
 use std::sync::{Arc, OnceLock};
@@ -47,8 +49,11 @@ pub const STORE_RATIO: f64 = 0.95;
 /// frame extension plus container overhead eats the win.
 pub const MIN_COMPRESS_LEN: usize = 1024;
 
-/// Candidate codec ids for adaptive selection, probed in this order:
-/// ZstdLike (6), Lz4Like (1), Cascaded (3).
+/// Candidate codec ids for adaptive selection, in the order a tied score
+/// goes by: ZstdLike (6), Lz4Like (1), Cascaded (3). They are listed
+/// costliest first and probed in reverse — Cascaded (3 flops/B), Lz4Like
+/// (6), ZstdLike (12) — and a candidate that cannot beat the best score so
+/// far is not probed.
 pub const ADAPTIVE_CANDIDATES: [u8; 3] = [6, 1, 3];
 
 /// Per-object codec selection for the flush path.
@@ -211,26 +216,43 @@ impl CompressionEngine {
         StoredObject::encoded(codec_id, len, container)
     }
 
-    /// Adaptive selection: compress a prefix sample through each candidate
+    /// Adaptive selection: compress a prefix sample through the candidates
     /// and score `(1 − ratio) / flops_per_byte` — estimated bytes saved per
     /// unit encode cost. Returns `None` when storing wins.
     fn select(&self, payload: &[u8]) -> Option<u8> {
         let t0 = Instant::now();
         let sample = &payload[..payload.len().min(SAMPLE_LEN)];
-        let mut best: Option<(u8, f64, f64)> = None; // (id, score, ratio)
-        for id in ADAPTIVE_CANDIDATES {
-            let codec = codec_by_id(id).expect("registered candidate");
-            let packed = codec.compress(sample);
-            let ratio = packed.len() as f64 / sample.len().max(1) as f64;
-            let score = (1.0 - ratio) / codec.flops_per_byte().max(1.0);
-            if best.is_none_or(|(_, s, _)| score > s) {
-                best = Some((id, score, ratio));
-            }
-        }
+        let best = best_candidate(|codec| {
+            codec.compress(sample).len() as f64 / sample.len().max(1) as f64
+        });
         self.metrics.on_select(t0.elapsed().as_nanos() as u64);
-        best.filter(|&(_, _, ratio)| ratio < STORE_RATIO)
-            .map(|(id, _, _)| id)
+        best.filter(|&(_, ratio)| ratio < STORE_RATIO)
+            .map(|(id, _)| id)
     }
+}
+
+/// The candidate of the highest score `(1 − ratio) / flops_per_byte` over
+/// the sample ratios `trial` measures, a tie going to the earliest in
+/// [`ADAPTIVE_CANDIDATES`], with its ratio. Candidates are tried cheapest
+/// first — the list reversed — and the trials stop at the first whose
+/// ceiling — its score at ratio 0, `1 / flops_per_byte` — is below the best
+/// score so far: neither it nor a costlier one can win. The choice is the
+/// one trying every candidate makes.
+fn best_candidate(mut trial: impl FnMut(&dyn Codec) -> f64) -> Option<(u8, f64)> {
+    let mut best: Option<(u8, f64, f64)> = None; // (id, score, ratio)
+    for &id in ADAPTIVE_CANDIDATES.iter().rev() {
+        let codec = codec_by_id(id).expect("registered candidate");
+        let cost = codec.flops_per_byte().max(1.0);
+        if best.is_some_and(|(_, score, _)| 1.0 / cost < score) {
+            break;
+        }
+        let ratio = trial(&*codec);
+        let score = (1.0 - ratio) / cost;
+        if best.is_none_or(|(_, s, _)| score >= s) {
+            best = Some((id, score, ratio));
+        }
+    }
+    best.map(|(id, _, ratio)| (id, ratio))
 }
 
 #[cfg(test)]
@@ -322,6 +344,113 @@ mod tests {
         assert_eq!(obj.codec(), 0);
         assert_eq!(reg.counter("compress/objects/store").get(), 1);
         assert_eq!(reg.counter("compress/select_ns").get(), 0);
+    }
+
+    /// The selection before its trials were pruned, kept as the oracle of
+    /// `pruned_selection_matches_the_exhaustive_oracle`: every candidate
+    /// tried in [`ADAPTIVE_CANDIDATES`] order, the first best score kept.
+    fn exhaustive(mut trial: impl FnMut(&dyn Codec) -> f64) -> Option<(u8, f64)> {
+        let mut best: Option<(u8, f64, f64)> = None;
+        for id in ADAPTIVE_CANDIDATES {
+            let codec = codec_by_id(id).expect("registered candidate");
+            let ratio = trial(&*codec);
+            let score = (1.0 - ratio) / codec.flops_per_byte().max(1.0);
+            if best.is_none_or(|(_, s, _)| score > s) {
+                best = Some((id, score, ratio));
+            }
+        }
+        best.map(|(id, _, ratio)| (id, ratio))
+    }
+
+    /// A selection over the sample ratios its trial closure measures.
+    type Selection = fn(&mut dyn FnMut(&dyn Codec) -> f64) -> Option<(u8, f64)>;
+
+    /// A rank-dedup entry table: 13-byte slots whose chunk index mostly
+    /// counts up, as `cluster_full`'s records carry.
+    fn table(slots: usize, mut seed: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(slots * 13);
+        let mut chunk = 0u32;
+        for i in 0..slots as u32 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            if seed.is_multiple_of(41) {
+                chunk = (seed >> 20) as u32 % 60_000;
+            }
+            out.push(1);
+            out.extend_from_slice(&(seed as u32 >> 30).to_le_bytes());
+            out.extend_from_slice(&(i / 600).to_le_bytes());
+            out.extend_from_slice(&chunk.to_le_bytes());
+            chunk += 1;
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Pruned selection against trying every candidate: the same codec
+        /// and ratio, and never more trials — over real samples (noise,
+        /// counters, zeros, entry tables, and mixes of them) and over
+        /// crafted ratios whose scores tie exactly: dyadic `x` puts ratio
+        /// `1 − k·x` on the codec of `k·3` flops/B, so any subset of the
+        /// three scores `x / 3`.
+        #[test]
+        fn pruned_selection_matches_the_exhaustive_oracle(
+            kind in 0u64..6,
+            len in 1024usize..20_000,
+            seed in proptest::prelude::any::<u64>(),
+            x64 in 1u64..24,
+            tied in 0u64..8,
+        ) {
+            let mixed = |a: Vec<u8>, b: Vec<u8>| -> Vec<u8> {
+                a[..len / 2].iter().chain(&b[len / 2..]).copied().collect()
+            };
+            let counter = |len: usize| {
+                counters(&(0..len as u32 / 4 + 1).map(|i| i / (1 + seed as u32 % 13)).collect::<Vec<_>>())
+            };
+            let data = match kind {
+                0 => noise(len, seed | 1),
+                1 => counter(len),
+                2 => vec![0u8; len],
+                3 => table(len / 13 + 1, seed | 1),
+                _ => mixed(noise(len, seed | 1), table(len / 13 + 1, seed | 1)),
+            };
+            let trials = |select: Selection| {
+                let mut tried = 0;
+                let best = select(&mut |codec: &dyn Codec| {
+                    tried += 1;
+                    codec.compress(&data).len() as f64 / data.len() as f64
+                });
+                (best, tried)
+            };
+            let (pruned, pruned_tried) = trials(|t| best_candidate(t));
+            let (oracle, oracle_tried) = trials(|t| exhaustive(t));
+            proptest::prop_assert_eq!(pruned, oracle, "kind {} len {}", kind, len);
+            proptest::prop_assert!(pruned_tried <= oracle_tried);
+
+            // Crafted: the codecs in `tied` score x / 3 exactly, the others
+            // a seeded ratio.
+            // A third of the cases at x = 1/4, where ZstdLike's ceiling
+            // 1/12 meets the tied score exactly.
+            let x = x64.min(16) as f64 / 64.0;
+            let crafted = |codec: &dyn Codec| -> f64 {
+                let k = codec.flops_per_byte() / 3.0;
+                let bit = match codec.name() {
+                    "cascaded" => 1,
+                    "lz4" => 2,
+                    _ => 4,
+                };
+                if tied & bit != 0 {
+                    1.0 - k * x
+                } else {
+                    (seed >> (bit * 8)) as u8 as f64 / 255.0
+                }
+            };
+            proptest::prop_assert_eq!(
+                best_candidate(crafted),
+                exhaustive(crafted),
+                "x {} tied {:b}", x, tied
+            );
+        }
     }
 
     #[test]

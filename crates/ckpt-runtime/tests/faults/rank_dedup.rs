@@ -16,13 +16,19 @@
 //! 3. the shared-working-set schedules really exercise the index: the
 //!    cross-rank reference counter is non-zero and the durable tier holds
 //!    fewer bytes with dedup on;
-//! 4. a submission the host refuses leaves no claim or reference edge.
+//! 4. a submission the host refuses leaves no claim or reference edge;
+//! 5. resolution under read faults — transient errors, a bit-flipped
+//!    durable copy, a rank loss — fires the same faults, issues the same
+//!    tier operations and restores the same bytes at 1, 2 and 8 pool
+//!    threads.
 
-use crate::support::{holds, replay_violations, Snapshots, Workload, CHUNK, METHODS};
+use crate::support::{holds, replay_violations, run, Snapshots, Workload, CHUNK, METHODS};
 use ckpt_dedup::frame::{RankDedupEntry, RecordIndex};
+use ckpt_dedup::MethodKind;
 use ckpt_runtime::{
-    compact_below, restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, RankDedupConfig,
-    RankDedupEngine, RankDedupMetrics, RuntimeConfig, SplitMix64, TierChain, TierConfig,
+    compact_below, restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, FaultKind,
+    FaultPlan, RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyPolicy, RuntimeConfig,
+    SplitMix64, TierChain, TierConfig,
 };
 use ckpt_telemetry::Registry;
 use gpu_sim::Device;
@@ -309,4 +315,148 @@ fn refused_submit_leaves_no_claims_or_edges_behind() {
         .all(|e| !matches!(e, RankDedupEntry::Remote(r) if r.owner_rank == 1)));
     assert_eq!(rt.tiers().locate((2, 0)), Some(b.into()));
     rt.shutdown();
+}
+
+/// The rank-dedup stack over a Mosaic cluster: adaptive compression, one
+/// XOR-4 group, a shared inline claim index.
+fn mosaic_stack(w: &Workload, registry: &Arc<Registry>) -> RuntimeConfig {
+    let engine = RankDedupEngine::new(
+        RankDedupConfig {
+            ranks: w.ranks,
+            chunk_len: CHUNK,
+        },
+        RankDedupMetrics::bound(Arc::clone(registry)),
+    );
+    RuntimeConfig {
+        registry: Arc::clone(registry),
+        compression: CompressionPolicy::Adaptive,
+        redundancy: RedundancyPolicy::Xor { group_size: 4 },
+        rank_dedup: Some(engine),
+        ..Default::default()
+    }
+}
+
+/// Faults on the reads of a Mosaic cluster of `objects` records, drawn
+/// from `seed`. Every PFS put before recovery is a drain (the host and SSD
+/// copies are evicted once durable), and recovery's PFS reads past the
+/// first `objects` are where its resolver fetches targets. There: three
+/// transient errors on consecutive reads — serial reads spend them on one
+/// object's retries, which then rebuilds from its group — and a rank loss
+/// that wipes the group stripes its rank hosts; before them, a bit-flipped
+/// drain, whose object only its group can bring back.
+fn read_faults(seed: u64, objects: u64) -> Arc<FaultPlan> {
+    let mut rng = SplitMix64::new(seed);
+    let transient = objects / 2 + rng.next() % (objects / 2);
+    let loss = transient + 3 + rng.next() % 4;
+    let mut plan = FaultPlan::builder()
+        .on_put(
+            "pfs",
+            rng.next() % objects,
+            FaultKind::BitFlip { bit: rng.next() },
+        )
+        .on_get(
+            "pfs",
+            loss,
+            FaultKind::RankLoss {
+                rank: (rng.next() % 4) as u32,
+            },
+        );
+    for at in transient..transient + 3 {
+        plan = plan.on_get("pfs", at, FaultKind::TransientIo);
+    }
+    plan.build()
+}
+
+/// Resolution does not depend on the pool's thread count, faults
+/// included: every top record of a Mosaic cluster references twelve or
+/// more records, and under seeded read faults the same faults fire, the
+/// tiers see the same operations, recovery reports the same and every
+/// rank restores the same bytes (or fails the same way) at 1, 2 and 8
+/// pool threads. The tier step of every read runs on the calling thread
+/// in first-reference order; only decoding and indexing fan out.
+#[test]
+fn resolution_is_independent_of_the_thread_count_under_faults() {
+    let snapshots = Snapshots::Mosaic {
+        ranks: 4,
+        ckpts: 4,
+        block: 1024,
+        seed: 0x7EAD,
+    };
+    let w = Workload::build(snapshots, MethodKind::Full, None);
+    let objects = (w.ranks * w.ckpts) as u64;
+    for seed in [1u64, 5, 11] {
+        let runs: Vec<_> = [1usize, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                rayon::set_active_threads(threads);
+                let registry = Arc::new(Registry::new());
+                let plan = read_faults(seed, objects);
+                let out = run(
+                    &w,
+                    mosaic_stack(&w, &registry),
+                    Arc::clone(&plan),
+                    usize::MAX,
+                );
+                let report = out.report.to_json();
+                holds(replay_violations(&w, &out.report));
+                let restores: Vec<_> = (0..w.ranks)
+                    .map(|r| {
+                        restore_rank_latest_parallel(out.rt.tiers(), &Device::a100(), r, None)
+                            .map(|o| (o.version, o.data))
+                            .map_err(|e| e.to_string())
+                    })
+                    .collect();
+                let counters: Vec<u64> = [
+                    "integrity/frames_verified",
+                    "integrity/frames_corrupt",
+                    "integrity/frames_repaired",
+                    "redundancy/restored_objects",
+                    "redundancy/restore_failures",
+                ]
+                .map(|name| registry.counter(name).get())
+                .to_vec();
+                let top = out.rt.tiers().pfs.get((0, w.ckpts - 1));
+                (
+                    out.fired(),
+                    plan.op_counts(),
+                    report,
+                    restores,
+                    counters,
+                    top,
+                )
+            })
+            .collect();
+        rayon::set_active_threads(0);
+        for (threads, other) in [2, 8].iter().zip(&runs[1..]) {
+            assert!(
+                runs[0] == *other,
+                "seed {seed}: {threads} threads diverged from 1:\n{:?}\nvs\n{:?}",
+                (&runs[0].0, &runs[0].1, &runs[0].2, &runs[0].4),
+                (&other.0, &other.1, &other.2, &other.4),
+            );
+        }
+        // The schedule did what it is for: every kind fired, and the top
+        // records are the wide ones.
+        let (fired, ..) = &runs[0];
+        for kind in ["TransientIo", "BitFlip", "RankLoss"] {
+            assert!(
+                fired
+                    .iter()
+                    .any(|f| format!("{:?}", f.kind).starts_with(kind)),
+                "seed {seed}: no {kind} fired: {fired:?}"
+            );
+        }
+        let top = runs[0].5.as_ref().expect("rank 0's top record is durable");
+        let index = RecordIndex::parse(top).unwrap();
+        let mut targets: Vec<(u32, u32)> = index
+            .entries(top)
+            .filter_map(|e| match e {
+                RankDedupEntry::Remote(r) => Some((r.owner_rank, r.ckpt_id)),
+                RankDedupEntry::Local { .. } => None,
+            })
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        assert!(targets.len() >= 12, "{} targets", targets.len());
+    }
 }

@@ -42,6 +42,16 @@ pub enum Snapshots {
         seed: u64,
         edits: u64,
     },
+    /// `ranks × ckpts` checkpoints over as many seeded `block`-byte
+    /// blocks, one block new per checkpoint: checkpoint `n`
+    /// (checkpoint-major) holds block `n`, then blocks `0..n`, then zeros.
+    /// With rank-dedup on, its record references every record before it.
+    Mosaic {
+        ranks: u32,
+        ckpts: u32,
+        block: usize,
+        seed: u64,
+    },
     /// One rank over a fixed ramp; version `k` flips 48 bytes on a stride
     /// from `k * 769`, so every record is a few scattered regions.
     Striped { ckpts: u32, len: usize },
@@ -94,6 +104,30 @@ impl Snapshots {
                         let mut rng =
                             SplitMix64::new(seed ^ (r as u64 + 1).wrapping_mul(0x9e37_79b9));
                         drift(base.clone(), &mut rng, ckpts, edits)
+                    })
+                    .collect()
+            }
+            Snapshots::Mosaic {
+                ranks,
+                ckpts,
+                block,
+                seed,
+            } => {
+                let total = (ranks * ckpts) as usize;
+                let mut rng = SplitMix64::new(seed);
+                let blocks: Vec<Vec<u8>> =
+                    (0..total).map(|_| seeded_bytes(block, &mut rng)).collect();
+                let snapshot = |n: usize| {
+                    let mut data = blocks[n].clone();
+                    data.extend(blocks[..n].iter().flatten());
+                    data.resize(total * block, 0);
+                    data
+                };
+                (0..ranks as usize)
+                    .map(|r| {
+                        (0..ckpts as usize)
+                            .map(|k| snapshot(k * ranks as usize + r))
+                            .collect()
                     })
                     .collect()
             }
