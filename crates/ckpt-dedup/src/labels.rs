@@ -52,8 +52,11 @@ impl Label {
 /// Relaxed is sufficient: every pass that reads labels is separated from the
 /// pass that wrote them by a parallel-for join (a full barrier), and within a
 /// pass each node's label is written by exactly one thread — except the
-/// earliest-leaf relabeling of Algorithm 1 lines 13-16, which is an
-/// idempotent store of the same value and benign in any interleaving.
+/// earliest-twin relabeling of Algorithm 1 lines 13–16, where a displacing
+/// twin marks the displaced node `ShiftDupl` while that node's own thread
+/// may still be labeling it. The node's own `FirstOcur` goes through
+/// [`claim_first`](Self::claim_first), which never lowers a label, so the
+/// displacement holds whichever write lands last.
 pub struct LabelArray {
     labels: Vec<AtomicU8>,
 }
@@ -82,6 +85,16 @@ impl LabelArray {
     #[inline]
     pub fn set(&self, node: usize, label: Label) {
         self.labels[node].store(label as u8, Ordering::Relaxed);
+    }
+
+    /// Label `node` `FirstOcur` unless a displacing twin has already marked
+    /// it `ShiftDupl`: a read-modify-write that keeps the higher of the two,
+    /// so it is ordered with the displacer's store on the node's one atomic
+    /// whatever the interleaving — the outcome depends on no ordering
+    /// between the label and the record slot.
+    #[inline]
+    pub fn claim_first(&self, node: usize) {
+        self.labels[node].fetch_max(Label::FirstOcur as u8, Ordering::Relaxed);
     }
 
     /// Reset all labels to [`Label::None`]. Runs as a blocked parallel

@@ -111,17 +111,9 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
                 if let Some(c) = cache {
                     c.insert(&digest, chunk);
                 }
-                labels.set(leaf, Label::FirstOcur);
-                // Close the displacement race: if a concurrently-running
-                // earlier leaf already displaced us, demote ourselves. Both
-                // orders of this re-check and the displacer's relabel
-                // converge to ShiftDupl.
-                if map
-                    .get(&digest)
-                    .is_some_and(|e| e != MapEntry::new(leaf as u32, ckpt_id))
-                {
-                    labels.set(leaf, Label::ShiftDupl);
-                }
+                // An earlier leaf that displaces this one marks it
+                // ShiftDupl, before or after this claim.
+                labels.claim_first(leaf);
             }
             InsertResult::Exists(_) if verified_collision(cache) => {
                 collide_to_first(scratch, leaf, &digest)
@@ -137,15 +129,9 @@ pub(crate) fn run(pass: &mut Pass<'_>) {
                     })
                     .expect("digest just observed must be present");
                 if after == MapEntry::new(leaf as u32, ckpt_id) {
-                    labels.set(leaf, Label::FirstOcur);
+                    labels.claim_first(leaf);
                     if before.ckpt == ckpt_id && before.node != leaf as u32 {
                         labels.set(before.node as usize, Label::ShiftDupl);
-                    }
-                    if map
-                        .get(&digest)
-                        .is_some_and(|e2| e2 != MapEntry::new(leaf as u32, ckpt_id))
-                    {
-                        labels.set(leaf, Label::ShiftDupl);
                     }
                 } else {
                     // An even earlier leaf won while we were retrying.

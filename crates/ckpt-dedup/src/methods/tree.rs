@@ -228,14 +228,9 @@ fn first_ocur_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
                     let combined = unsafe { tree.read(node) };
                     let me = MapEntry::new(node as u32, ckpt_id);
                     match batch.insert(&combined, me) {
-                        InsertResult::Inserted => {
-                            labels.set(node, Label::FirstOcur);
-                            // See the leaf pass: demote ourselves if an
-                            // earlier twin displaced us concurrently.
-                            if map.get(&combined).is_some_and(|e| e != me) {
-                                labels.set(node, Label::ShiftDupl);
-                            }
-                        }
+                        // See the leaf pass: an earlier twin that displaces
+                        // this node marks it ShiftDupl, in either order.
+                        InsertResult::Inserted => labels.claim_first(node),
                         // A twin subtree elsewhere already registered this
                         // digest: this whole region is a shifted duplicate.
                         // Keep the record pointing at the leftmost twin
@@ -257,12 +252,9 @@ fn first_ocur_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
                                 })
                                 .expect("digest just observed must be present");
                             if after == me {
-                                labels.set(node, Label::FirstOcur);
+                                labels.claim_first(node);
                                 if before.ckpt == ckpt_id && before.node != node as u32 {
                                     labels.set(before.node as usize, Label::ShiftDupl);
-                                }
-                                if map.get(&combined).is_some_and(|e2| e2 != me) {
-                                    labels.set(node, Label::ShiftDupl);
                                 }
                             } else {
                                 labels.set(node, Label::ShiftDupl);

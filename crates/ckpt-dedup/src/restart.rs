@@ -10,12 +10,14 @@
 //! chunks that hold what that record's version has at some stretch of its
 //! own — seeded with the single run `0..n` at the target. Visiting records
 //! newest→oldest, each waiting run is split against the record's region
-//! tables: a piece covered by payload is copied into place (adjacent pieces
-//! coalesce into one `memcpy`), a piece covered by a shifted duplicate of an
-//! older record becomes a run on that record, one covered by a shifted
-//! duplicate of this same record resolves through a per-visit memo to the
-//! chunk it ends at, and an uncovered piece is a fixed duplicate that
-//! carries to the next-older record — runs untouched by the record's tables
+//! tables — every method's record lists as the same kind, a Full record as
+//! one payload region and a Basic record as one per changed stretch: a
+//! piece covered by payload is copied into place (adjacent pieces coalesce
+//! into one `memcpy`), a piece covered by a shifted duplicate of an older
+//! record becomes a run on that record, one covered by a shifted duplicate
+//! of this same record resolves through a per-visit memo to the chunk it
+//! ends at, and an uncovered piece is a fixed duplicate that carries to the
+//! next-older record — runs untouched by the record's tables
 //! move there in bulk. Total bytes moved: one checkpoint's worth, regardless
 //! of chain length; total resolution work: the record's tables plus the
 //! pieces it resolves, not the snapshot's chunk count.
@@ -133,21 +135,6 @@ struct ShiftIv {
     ref_pos: u32,
 }
 
-/// The record-visit index: where each chunk of this version's content is.
-enum RecordIndex {
-    /// Full method: the payload is the whole version.
-    Full,
-    /// Basic method: per-chunk changed flags and their exclusive ranks
-    /// (payload offset of changed chunk `c` is `ranks[c] * chunk_size`).
-    Basic {
-        flags: ArenaLease<u64>,
-        ranks: ArenaLease<u64>,
-    },
-    /// Tree/List: where each chunk comes from, as segments tiling the
-    /// chunks in order.
-    Regions { segs: Vec<Seg> },
-}
-
 /// A chunk that two entries of the tables (each sorted by `clo`) both
 /// write, if there is one.
 fn first_overlap(payload: &[PayloadIv], shifts: &[ShiftIv]) -> Option<u32> {
@@ -244,8 +231,10 @@ impl Chain {
     }
 
     /// Validate `diff` as the chain's record at position `pos` and build
-    /// its visit index — the only fallible step of a record visit.
-    fn index(&self, pos: u32, diff: &Diff) -> Result<RecordIndex, RestoreError> {
+    /// its visit index — the only fallible step of a record visit. Every
+    /// method's record is listed as payload and shift intervals, and one
+    /// merge turns them into the segments a visit splits its runs against.
+    fn index(&self, pos: u32, diff: &Diff) -> Result<Vec<Seg>, RestoreError> {
         if diff.ckpt_id != self.base + pos {
             return Err(RestoreError::OutOfOrder {
                 index: pos as usize,
@@ -263,59 +252,81 @@ impl Chain {
         {
             return Err(RestoreError::GeometryChanged);
         }
+        let (payload, shifts) = self.intervals(diff)?;
+        let n_chunks = self.ck.n_chunks() as u32;
+        let Some(segs) = segments(&payload, &shifts, n_chunks) else {
+            // Both find the same overlaps; the chunk the error names comes
+            // from the one rule the oracle shares.
+            let chunk = first_overlap(&payload, &shifts).unwrap_or(0);
+            return Err(RestoreError::RegionsOverlap {
+                ckpt_id: diff.ckpt_id,
+                chunk,
+            });
+        };
+        let stuck = stuck_shifts(&shifts, diff.ckpt_id - self.base);
+        if stuck > 0 {
+            return Err(RestoreError::UnresolvableShifts {
+                ckpt_id: diff.ckpt_id,
+                remaining: stuck,
+            });
+        }
+        Ok(segs)
+    }
+
+    /// `diff`'s payload and shift intervals, each sorted by `clo` — the one
+    /// place the method shows. A Full record is one payload interval, a
+    /// Basic record one per run of set bitmap bits; Tree and List list
+    /// their tables. Payload intervals take the payload's bytes in listing
+    /// order.
+    fn intervals(&self, diff: &Diff) -> Result<(Vec<PayloadIv>, Vec<ShiftIv>), RestoreError> {
         let n = self.ck.n_chunks();
         let payload_len = diff.payload.len();
+        let truncated = || RestoreError::PayloadTruncated {
+            ckpt_id: diff.ckpt_id,
+        };
+        let mut payload = Vec::new();
+        let mut cursor = 0usize;
+        let mut list = |clo: usize, chi: usize| {
+            let (a, b) = self.ck.byte_range_of_chunks(clo, chi);
+            if cursor + (b - a) > payload_len {
+                return Err(truncated());
+            }
+            payload.push(PayloadIv {
+                clo: clo as u32,
+                chi: chi as u32,
+                off: cursor as u64,
+            });
+            cursor += b - a;
+            Ok(())
+        };
+        let mut shifts = Vec::new();
         match diff.kind {
             MethodKind::Full => {
                 if payload_len != self.ck.data_len() {
-                    return Err(RestoreError::PayloadTruncated {
-                        ckpt_id: diff.ckpt_id,
-                    });
+                    return Err(truncated());
                 }
-                Ok(RecordIndex::Full)
+                list(0, n)?;
             }
             MethodKind::Basic => {
-                let arena = self.device.arena();
-                let mut flags = arena.lease::<u64>("restart/basic_flags", n);
-                for (c, f) in flags.as_mut_slice().iter_mut().enumerate() {
-                    *f = bitmap::get(&diff.bitmap, c) as u64;
+                let mut run_start = None;
+                for c in 0..n {
+                    match (run_start, bitmap::get(&diff.bitmap, c)) {
+                        (None, true) => run_start = Some(c),
+                        (Some(lo), false) => {
+                            list(lo, c)?;
+                            run_start = None;
+                        }
+                        _ => {}
+                    }
                 }
-                let mut ranks = arena.lease::<u64>("restart/basic_ranks", n);
-                let changed =
-                    self.device
-                        .exclusive_scan("restart_basic_ranks", &flags, ranks.as_mut_slice())
-                        as usize;
-                // All changed chunks are full-size except a changed global
-                // last chunk, which is the final payload entry.
-                let mut required = changed * self.ck.chunk_size();
-                if changed > 0 && flags[n - 1] == 1 {
-                    let (a, b) = self.ck.byte_range(n - 1);
-                    required = required - self.ck.chunk_size() + (b - a);
+                if let Some(lo) = run_start {
+                    list(lo, n)?;
                 }
-                if required > payload_len {
-                    return Err(RestoreError::PayloadTruncated {
-                        ckpt_id: diff.ckpt_id,
-                    });
-                }
-                Ok(RecordIndex::Basic { flags, ranks })
             }
             MethodKind::List | MethodKind::Tree => {
-                let mut payload = Vec::with_capacity(diff.first_regions.len());
-                let mut cursor = 0usize;
                 for &node in &diff.first_regions {
                     let (clo, chi) = self.shape.chunk_range(node as usize);
-                    let (a, b) = self.ck.byte_range_of_chunks(clo, chi);
-                    if cursor + (b - a) > payload_len {
-                        return Err(RestoreError::PayloadTruncated {
-                            ckpt_id: diff.ckpt_id,
-                        });
-                    }
-                    payload.push(PayloadIv {
-                        clo: clo as u32,
-                        chi: chi as u32,
-                        off: cursor as u64,
-                    });
-                    cursor += b - a;
+                    list(clo, chi)?;
                 }
                 // A Tree table lists its regions level by level, each level
                 // ascending; the stable sort is a natural merge sort that
@@ -323,7 +334,7 @@ impl Chain {
                 // table order, so any order indexes to the same tables.
                 payload.sort_by_key(|r| r.clo);
 
-                let mut shifts = Vec::with_capacity(diff.shift_regions.len());
+                shifts.reserve(diff.shift_regions.len());
                 for s in &diff.shift_regions {
                     if s.ref_ckpt > diff.ckpt_id {
                         return Err(RestoreError::ForwardReference {
@@ -356,27 +367,9 @@ impl Chain {
                     });
                 }
                 shifts.sort_by_key(|r| r.clo);
-
-                let n_chunks = n as u32;
-                let Some(segs) = segments(&payload, &shifts, n_chunks) else {
-                    // Both find the same overlaps; the chunk the error names
-                    // comes from the one rule the oracle shares.
-                    let chunk = first_overlap(&payload, &shifts).unwrap_or(0);
-                    return Err(RestoreError::RegionsOverlap {
-                        ckpt_id: diff.ckpt_id,
-                        chunk,
-                    });
-                };
-                let stuck = stuck_shifts(&shifts, diff.ckpt_id - self.base);
-                if stuck > 0 {
-                    return Err(RestoreError::UnresolvableShifts {
-                        ckpt_id: diff.ckpt_id,
-                        remaining: stuck,
-                    });
-                }
-                Ok(RecordIndex::Regions { segs })
             }
         }
+        Ok((payload, shifts))
     }
 }
 
@@ -455,8 +448,7 @@ struct Waiting {
     /// written only by the sweep of the record above, which keeps them so.
     carried: Vec<Run>,
     /// Everything else, in arrival order: shifted duplicates of this
-    /// record, and whatever a same-record shift or a Basic record resolved
-    /// to it.
+    /// record, and whatever a same-record shift resolved to it.
     referred: Vec<Run>,
 }
 
@@ -909,7 +901,7 @@ impl SinglePassRestore {
             return Ok(true);
         }
         let j = self.next_pos;
-        let index = self.chain.index(j, diff)?;
+        let segs = self.chain.index(j, diff)?;
         self.stats.records_visited += 1;
 
         // Split every run waiting on this record against its tables. Older
@@ -925,7 +917,6 @@ impl SinglePassRestore {
         }
         let n_runs = carried.len() + referred.len();
         let ck = self.chain.ck;
-        let chunk_size = ck.chunk_size() as u64;
         let (copied_before, pieces_before) = (self.stats.bytes_copied, self.stats.pieces);
         let device = &self.chain.device;
         let mut visit = Visit {
@@ -938,38 +929,18 @@ impl SinglePassRestore {
             stats: &mut self.stats,
             unresolved: &mut self.unresolved,
         };
-        match &index {
-            RecordIndex::Full => {
-                for run in carried.iter().chain(&referred) {
-                    visit.copy(run.dst, run.len, run.src as u64 * chunk_size);
-                }
-            }
-            RecordIndex::Basic { flags, ranks } => {
-                for run in carried.iter().chain(&referred) {
-                    for (dst, src) in (run.dst..).zip(run.src..run.end()) {
-                        if flags[src as usize] == 1 {
-                            visit.copy(dst, 1, ranks[src as usize] * chunk_size);
-                        } else {
-                            visit.carry(Run { dst, src, len: 1 }, false);
-                        }
-                    }
-                }
-            }
-            RecordIndex::Regions { segs } => {
-                let mut chase = Chase {
-                    device,
-                    segs,
-                    j,
-                    dir: None,
-                    memo: &mut self.memo,
-                };
-                visit.sweep(&carried, segs, &mut chase);
-                for &run in &referred {
-                    visit.split(run, &mut chase);
-                }
-                chase.reset();
-            }
+        let mut chase = Chase {
+            device,
+            segs: &segs,
+            j,
+            dir: None,
+            memo: &mut self.memo,
+        };
+        visit.sweep(&carried, &segs, &mut chase);
+        for &run in &referred {
+            visit.split(run, &mut chase);
         }
+        chase.reset();
         visit.flush();
         carried.clear();
         self.spare = carried;
@@ -1047,6 +1018,8 @@ pub fn restore_latest_single_pass(
 mod tests {
     use super::*;
     use crate::diff::ShiftRegion;
+    use crate::methods::basic::BasicCheckpointer;
+    use crate::methods::full::FullCheckpointer;
     use crate::methods::tree::{TreeCheckpointer, TreeConfig};
     use crate::methods::Checkpointer;
     use crate::restore::{restore_record, restore_record_from};
@@ -1385,20 +1358,33 @@ mod tests {
     #[test]
     fn check_chain_visits_every_record_and_launches_nothing() {
         let device = Device::a100();
-        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
         let snaps = snapshots(6, 8192);
+        let methods: [Box<dyn Checkpointer>; 3] = [
+            Box::new(TreeCheckpointer::new(device.clone(), TreeConfig::new(64))),
+            Box::new(BasicCheckpointer::new(device.clone(), 64)),
+            Box::new(FullCheckpointer::new(device.clone(), 64)),
+        ];
+        for mut m in methods {
+            let diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
+            let cold = Device::a100();
+            let stats = check_chain(&cold, 0, &diffs).unwrap();
+            assert_eq!(
+                stats,
+                RestartStats {
+                    records_visited: 6,
+                    ..RestartStats::default()
+                },
+                "{}",
+                m.name()
+            );
+            assert_eq!(cold.metrics().kernels_launched(), 0, "{}", m.name());
+            let leases = cold.arena().stats().misses;
+            assert_eq!(leases, 0, "{}: no table, no buffer leased", m.name());
+        }
+
+        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
         let mut diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
         let cold = Device::a100();
-        let stats = check_chain(&cold, 0, &diffs).unwrap();
-        assert_eq!(
-            stats,
-            RestartStats {
-                records_visited: 6,
-                ..RestartStats::default()
-            }
-        );
-        assert_eq!(cold.metrics().kernels_launched(), 0);
-        assert_eq!(cold.arena().stats().misses, 0, "no table, no buffer leased");
 
         // A bad record anywhere fails the chain, also where a restore of
         // the newest version would never look.

@@ -244,6 +244,46 @@ fn tile_seams_match_the_serial_oracle_at_every_thread_count() {
     rayon::set_active_threads(0);
 }
 
+/// Twins racing to be the canonical first occurrence (Algorithm 1, lines
+/// 13–16) settle as on one thread, whatever the schedule. A checkpoint of
+/// 1 025 chunks holding 256 contents four times over, 256 chunks apart,
+/// puts every content's twins in four leaf tiles dealt to different pool
+/// participants; four participants outnumber most hosts' cores, so they
+/// are also preempted mid-tile. The first checkpoint of a record probes
+/// every chunk, so earlier twins keep displacing later ones — leaves, and
+/// the subtrees above them — while those are still labeling themselves.
+/// Taken `ROUNDS` times per method after a `reset_record`, the checkpoint
+/// must be the one-thread bytes every time. With the displaced twin's own
+/// `FirstOcur` able to land after its displacer's `ShiftDupl`, about one
+/// round in a hundred kept both twins as first occurrences on a 2-vCPU
+/// host.
+#[test]
+fn twin_displacement_races_settle_as_on_one_thread() {
+    const ROUNDS: usize = 2000;
+    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cs = 32;
+    let snapshot: Vec<u8> = (0..1025 * cs).map(|i| (i / cs % 256) as u8).collect();
+    let config = TreeConfig::new(cs);
+    for name in ["tree", "list"] {
+        let make = || -> Box<dyn Checkpointer> {
+            match name {
+                "tree" => Box::new(TreeCheckpointer::new(Device::a100(), config)),
+                _ => Box::new(ListCheckpointer::new(Device::a100(), config)),
+            }
+        };
+        rayon::set_active_threads(1);
+        let want = make().checkpoint(&snapshot).diff.encode();
+        rayon::set_active_threads(4);
+        let mut m = make();
+        for round in 0..ROUNDS {
+            m.reset_record();
+            let got = m.checkpoint(&snapshot).diff.encode();
+            assert!(got == want, "{name}: round {round} differs at 4 threads");
+        }
+    }
+    rayon::set_active_threads(0);
+}
+
 /// Chunks in [`seam_record`]: leaves at two depths (3 904 on the deepest
 /// level, 96 one above), 1 952 interior nodes on the deepest interior level.
 const SEAM_CHUNKS: usize = 4000;

@@ -13,7 +13,7 @@
 
 use ckpt_dedup::prelude::*;
 use ckpt_dedup::restart::{check_chain, restore_version_single_pass, RestartStats};
-use ckpt_dedup::restore::{restore_record, restore_record_from};
+use ckpt_dedup::restore::{restore_record, restore_record_from, RestoreError};
 use ckpt_dedup::{Diff, MethodKind, ShiftRegion, TreeShape};
 use gpu_sim::Device;
 use proptest::prelude::*;
@@ -288,6 +288,13 @@ fn scattered_rewrites_over_a_doubling_zero_base_resolve_each_chunk_once() {
 
 /// `data_len` is not a multiple of the chunk size, and the edits keep
 /// touching the short last chunk: runs that end there copy fewer bytes.
+///
+/// Forged there too: each Basic record with its last chunk's changed bit
+/// flipped, and with its payload a byte short; each Full record a byte
+/// short and a byte long. Every version restores to the oracle's bytes or
+/// fails with the oracle's error, and a forged record whose payload no
+/// longer holds what its bitmap (Basic) or the snapshot (Full) needs is
+/// `PayloadTruncated` when it is restored.
 #[test]
 fn runs_that_end_on_a_short_last_chunk() {
     let len = 300 * CHUNK + 17;
@@ -296,11 +303,73 @@ fn runs_that_end_on_a_short_last_chunk() {
         s[len - 1] = k as u8;
         s[len - 20] = k as u8;
     }
+    let device = Device::a100();
     for method_idx in 0..4 {
         let diffs = build_chain(method_idx, &snaps, None);
         let stats = assert_matches_oracle(0, &diffs, &format!("method {method_idx}"));
         assert!(stats.iter().all(|st| st.bytes_copied == len as u64));
+
+        let clean = restore_record(&diffs).expect("sequential replay");
+        let last = diffs[0].n_chunks() - 1;
+        for (record, diff) in diffs.iter().enumerate() {
+            let mut forged = Vec::new();
+            let (short, long) = (diff.payload.len().saturating_sub(1), diff.payload.len() + 1);
+            let resized = |at: usize| -> Diff {
+                let mut d = diff.clone();
+                d.payload = [&diff.payload[..], &[0x5a]].concat()[..at].to_vec().into();
+                d
+            };
+            match diff.kind {
+                MethodKind::Basic => {
+                    let mut flipped = diff.clone();
+                    let mut bits = diff.bitmap.to_vec();
+                    bits[last / 8] ^= 1 << (last % 8);
+                    flipped.bitmap = bits.into();
+                    let needs_last = bitmap_bit(diff, last);
+                    forged.push((flipped, !needs_last && diff.payload.len() < len));
+                    forged.push((resized(short), needs_last));
+                }
+                MethodKind::Full => {
+                    forged.push((resized(short), true));
+                    forged.push((resized(long), true));
+                }
+                _ => {}
+            }
+            for (bad, truncated) in forged {
+                let mut chain = diffs.clone();
+                chain[record] = bad;
+                let what = format!("method {method_idx}, record {record} forged");
+                let check = check_chain(&device, 0, &chain);
+                for target in 0..chain.len() {
+                    let got = restore_version_single_pass(&device, 0, &chain, target);
+                    let want = restore_record(&chain[..=target]);
+                    let agrees = match (&got, &want) {
+                        (Ok((bytes, _)), Ok(versions)) => *bytes == versions[target],
+                        (Err(e), Err(oracle)) => e == oracle,
+                        // Above the forged record the walk may stop before
+                        // it, where replay cannot.
+                        (Ok((bytes, _)), Err(_)) => target > record && *bytes == clean[target],
+                        (Err(_), Ok(_)) => false,
+                    };
+                    assert!(agrees, "{what}: target {target}: {:?}", got.map(|_| ()));
+                    if truncated && target == record {
+                        let ckpt_id = record as u32;
+                        assert_eq!(
+                            got.map(|_| ()),
+                            Err(RestoreError::PayloadTruncated { ckpt_id }),
+                            "{what}: target {target}"
+                        );
+                    }
+                }
+                assert_eq!(check.is_ok(), restore_record(&chain).is_ok(), "{what}");
+            }
+        }
     }
+}
+
+/// Whether `diff`'s bitmap marks chunk `c` changed.
+fn bitmap_bit(diff: &Diff, c: usize) -> bool {
+    diff.bitmap[c / 8] & (1 << (c % 8)) != 0
 }
 
 /// Chunk `k` of record 0 is chunk `k − 1` of the same record, 20 000 times
@@ -469,10 +538,8 @@ proptest! {
                 (0, 0, 0),
                 "{}", what
             );
-            if matches!(chain[0].kind, MethodKind::Tree | MethodKind::List) {
-                // Not even a kernel: the tables were read, nothing resolved.
-                prop_assert_eq!(device.metrics().kernels_launched(), 0, "{}", what);
-            }
+            // Not even a kernel: the tables were read, nothing resolved.
+            prop_assert_eq!(device.metrics().kernels_launched(), 0, "{}", what);
             assert_matches_oracle(base as u32, &chain, &what);
         }
     }

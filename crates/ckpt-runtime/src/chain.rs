@@ -341,6 +341,8 @@ impl TierChain {
     /// verified, resolved payload, or the typed loss.
     fn recover_object(&self, reader: &mut ChainReader<'_>, id: ObjectId) -> Recovered {
         let (status, stored) = self.recover_object_stored(id)?;
+        // A later record referencing this one resolves against this read.
+        reader.resolver.keep(id, &stored);
         // The record itself may be durable while a cross-rank reference
         // dangles (referenced rank lost beyond its group's reach): typed
         // loss, never a wrong payload.
@@ -523,6 +525,16 @@ impl ChainReader<'_> {
     /// See [`TierChain::locate`].
     pub fn locate(&mut self, id: ObjectId) -> Option<Bytes> {
         let bytes = self.tiers.locate_stored(id)?;
+        self.resolve(id, bytes)
+    }
+
+    /// [`locate`](Self::locate), keeping the stored record for the records
+    /// this reader resolves after it: for a call that reads records oldest
+    /// first (record collection). A restore reads newest first and keeps
+    /// nothing.
+    pub(crate) fn locate_kept(&mut self, id: ObjectId) -> Option<Bytes> {
+        let bytes = self.tiers.locate_stored(id)?;
+        self.resolver.keep(id, &bytes);
         self.resolve(id, bytes)
     }
 

@@ -76,7 +76,7 @@ pub fn collect_record(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Bytes>),
     // is fetched and indexed once for the whole collection.
     let mut reader = tiers.reader();
     for k in tiers.known_ckpts(rank) {
-        if let Some(bytes) = reader.locate((rank, k)) {
+        if let Some(bytes) = reader.locate_kept((rank, k)) {
             present.insert(k, bytes);
         }
     }

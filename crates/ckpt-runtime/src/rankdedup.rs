@@ -63,12 +63,14 @@
 //!
 //! # Resolution
 //!
-//! A [`Resolver`] reassembles original payloads, fetching referenced
-//! records through a caller-supplied closure (the tier chain's read path,
-//! including group-tier reconstruction — so a remote chunk on a lost rank
-//! rebuilds from its parity group before restore proceeds). It lives for
-//! one read call and fetches each distinct referenced object once in that
-//! call; [`resolve_record`] is the one-record form. The reassembly is
+//! A [`Resolver`] reassembles original payloads, reading referenced
+//! records from a [`RecordSource`]: the tier chain's read path (including
+//! group-tier reconstruction — so a remote chunk on a lost rank rebuilds
+//! from its parity group before restore proceeds), or a plain closure in
+//! tests and one-shot callers. It lives for one read call and fetches each
+//! distinct referenced object once in that call, none that the call already
+//! read itself ([`Resolver::keep`]); [`resolve_record`] is the one-record
+//! form. The reassembly is
 //! verified against the original payload's checksum recorded at encode
 //! time: a dangling or wrong reference is a typed [`RankDedupError`], never
 //! a silently wrong payload. References are depth-1 by construction (claims
@@ -758,6 +760,18 @@ impl<S: RecordSource> Resolver<S> {
         Resolver {
             source,
             targets: HashMap::new(),
+        }
+    }
+
+    /// Keep `raw`, the verified stored payload of the record `id` that the
+    /// caller has just read itself, as a referenced record: a later record
+    /// naming `id` resolves against it instead of fetching it again. Bytes
+    /// that do not parse as a record are not kept, so that read fetches.
+    pub fn keep(&mut self, id: ObjectId, raw: &[u8]) {
+        if let Entry::Vacant(slot) = self.targets.entry(id) {
+            if let Ok(target) = Target::index(raw) {
+                slot.insert(target);
+            }
         }
     }
 

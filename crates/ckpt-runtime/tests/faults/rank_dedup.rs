@@ -20,19 +20,22 @@
 //! 5. resolution under read faults — transient errors, a bit-flipped
 //!    durable copy, a rank loss — fires the same faults, issues the same
 //!    tier operations and restores the same bytes at 1, 2 and 8 pool
-//!    threads.
+//!    threads;
+//! 6. recovery reads a record from the tiers once for its own verdict and
+//!    again only if a record it classified earlier referenced it.
 
 use crate::support::{holds, replay_violations, run, Snapshots, Workload, CHUNK, METHODS};
 use ckpt_dedup::frame::{RankDedupEntry, RecordIndex};
 use ckpt_dedup::MethodKind;
 use ckpt_runtime::{
-    compact_below, restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, FaultKind,
-    FaultPlan, RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyPolicy, RuntimeConfig,
-    SplitMix64, TierChain, TierConfig,
+    collect_record, compact_below, restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy,
+    FaultKind, FaultPlan, OpKind, RankDedupConfig, RankDedupEngine, RankDedupMetrics,
+    RedundancyPolicy, RuntimeConfig, SplitMix64, TierChain, TierConfig,
 };
 use ckpt_telemetry::Registry;
 use gpu_sim::Device;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Chains over one shared base, up to 16 edits per version.
@@ -338,9 +341,10 @@ fn mosaic_stack(w: &Workload, registry: &Arc<Registry>) -> RuntimeConfig {
 
 /// Faults on the reads of a Mosaic cluster of `objects` records, drawn
 /// from `seed`. Every PFS put before recovery is a drain (the host and SSD
-/// copies are evicted once durable), and recovery's PFS reads past the
-/// first `objects` are where its resolver fetches targets. There: three
-/// transient errors on consecutive reads — serial reads spend them on one
+/// copies are evicted once durable), and recovery's PFS reads — one per
+/// object, and the resolver's fetches of targets named before their own
+/// turn — follow, then the restores'. From the middle of recovery's reads
+/// on: three transient errors on consecutive reads — serial reads spend them on one
 /// object's retries, which then rebuilds from its group — and a rank loss
 /// that wipes the group stripes its rank hosts; before them, a bit-flipped
 /// drain, whose object only its group can bring back.
@@ -458,5 +462,87 @@ fn resolution_is_independent_of_the_thread_count_under_faults() {
         targets.sort_unstable();
         targets.dedup();
         assert!(targets.len() >= 12, "{} targets", targets.len());
+    }
+}
+
+/// Recovery classifies a Mosaic cluster's sixteen records rank by rank,
+/// oldest first, and each classification is a tier read of its own. A
+/// record that a later one references resolves from that read; only a
+/// target named before its own turn is fetched, once, by the resolver. So
+/// recovery's PFS gets are the objects plus those early targets — and the
+/// report is the one the first recovery wrote. Collecting one rank's record
+/// reads the same way over that rank's records.
+#[test]
+fn recovery_reads_a_classified_record_once() {
+    let snapshots = Snapshots::Mosaic {
+        ranks: 4,
+        ckpts: 4,
+        block: 1024,
+        seed: 0x7EAD,
+    };
+    let w = Workload::build(snapshots, MethodKind::Full, None);
+    let registry = Arc::new(Registry::new());
+    let plan = FaultPlan::builder().build();
+    let out = run(
+        &w,
+        mosaic_stack(&w, &registry),
+        Arc::clone(&plan),
+        usize::MAX,
+    );
+    holds(replay_violations(&w, &out.report));
+    let pfs_gets = || -> u64 {
+        let counts = plan.op_counts();
+        let gets = counts.iter().filter(|(op, _)| *op == ("pfs", OpKind::Get));
+        gets.map(|(_, n)| n).sum()
+    };
+    let gets_of = |read: &dyn Fn()| {
+        let before = pfs_gets();
+        read();
+        pfs_gets() - before
+    };
+    let recovery = gets_of(&|| assert_eq!(out.rt.recover_report().to_json(), out.report.to_json()));
+    let collect: Vec<u64> = (0..w.ranks)
+        .map(|rank| gets_of(&|| drop(collect_record(out.rt.tiers(), rank).unwrap())))
+        .collect();
+
+    // Reading `ids` in order: one get each, plus one per target named
+    // before it was read.
+    // Rank by rank, oldest first, as recovery reads them.
+    let mut ids = w.ids();
+    ids.sort_unstable();
+    let records: Vec<_> = ids
+        .into_iter()
+        .map(|id| (id, out.rt.tiers().pfs.get(id).unwrap()))
+        .collect();
+    let reads = |rank: Option<u32>| {
+        let mut read = HashSet::new();
+        let mut gets = 0;
+        for (id, record) in records
+            .iter()
+            .filter(|(id, _)| rank.is_none_or(|r| id.0 == r))
+        {
+            read.insert(*id);
+            gets += 1;
+            for entry in RecordIndex::parse(record).unwrap().entries(record) {
+                if let RankDedupEntry::Remote(r) = entry {
+                    gets += u64::from(read.insert((r.owner_rank, r.ckpt_id)));
+                }
+            }
+        }
+        gets
+    };
+    let objects = records.len() as u64;
+    assert!(reads(None) < 2 * objects, "the cluster barely shares");
+    assert_eq!(
+        recovery,
+        reads(None),
+        "PFS gets of recovering {objects} objects"
+    );
+    for (rank, gets) in collect.into_iter().enumerate() {
+        assert_eq!(
+            gets,
+            reads(Some(rank as u32)),
+            "PFS gets collecting rank {rank}"
+        );
     }
 }

@@ -1,70 +1,19 @@
-//! Device-wide collective primitives: exclusive scan, stream compaction
-//! and segmented gather.
+//! Device-wide collective primitives: stream compaction and segmented
+//! gather.
 //!
 //! The paper's serialization step "pre-calculates offsets in the consolidated
 //! difference and assigns GPU threads to parallelize the data transfers"
-//! (§2.1). Pre-calculating offsets is an exclusive prefix sum over region
-//! lengths; the data movement is a segmented gather where a *team* of threads
-//! cooperates on each region so accesses coalesce (§2.4). Both are implemented
-//! here as two-pass blocked parallel algorithms, the same decomposition a GPU
-//! implementation uses across thread blocks.
+//! (§2.1). The data movement is a segmented gather where a *team* of threads
+//! cooperates on each region so accesses coalesce (§2.4); its offsets are a
+//! prefix over the region lengths, taken in order as the destination is
+//! split. Stream compaction is the blocked three-pass algorithm a GPU
+//! implementation runs across thread blocks (per-block counts, their prefix,
+//! per-block writes).
 
 use rayon::prelude::*;
 
 /// Minimum elements per parallel block; below this, sequential is faster.
 const SCAN_BLOCK: usize = 16 * 1024;
-
-/// Exclusive prefix sum: `out[i] = sum(input[..i])`. Returns the grand total.
-///
-/// Two-pass blocked scan: (1) per-block sums in parallel, (2) sequential scan
-/// of the (few) block sums, (3) per-block exclusive scans seeded with the
-/// block offsets, in parallel. This mirrors the standard GPU scan
-/// decomposition (block-local scan + block-offset fix-up).
-pub fn exclusive_scan(input: &[u64], out: &mut [u64]) -> u64 {
-    assert_eq!(input.len(), out.len(), "scan input/output length mismatch");
-    let n = input.len();
-    if n == 0 {
-        return 0;
-    }
-    if n <= SCAN_BLOCK {
-        let mut acc = 0u64;
-        for i in 0..n {
-            out[i] = acc;
-            acc += input[i];
-        }
-        return acc;
-    }
-
-    let n_blocks = n.div_ceil(SCAN_BLOCK);
-    // Pass 1: block sums.
-    let mut block_sums: Vec<u64> = input
-        .par_chunks(SCAN_BLOCK)
-        .map(|chunk| chunk.iter().sum())
-        .collect();
-    debug_assert_eq!(block_sums.len(), n_blocks);
-
-    // Pass 2: exclusive scan of block sums (cheap, sequential).
-    let mut acc = 0u64;
-    for s in block_sums.iter_mut() {
-        let v = *s;
-        *s = acc;
-        acc += v;
-    }
-    let total = acc;
-
-    // Pass 3: block-local exclusive scans with offsets.
-    out.par_chunks_mut(SCAN_BLOCK)
-        .zip(input.par_chunks(SCAN_BLOCK))
-        .zip(block_sums.par_iter())
-        .for_each(|((out_chunk, in_chunk), &offset)| {
-            let mut acc = offset;
-            for (o, &v) in out_chunk.iter_mut().zip(in_chunk) {
-                *o = acc;
-                acc += v;
-            }
-        });
-    total
-}
 
 /// Stream compaction over a predicate: collect the indices `i in 0..n` where
 /// `pred(i)`, in ascending order, without materializing a flag array.
@@ -99,9 +48,9 @@ where
         })
         .collect();
 
-    // Pass 2: block output offsets (cheap, sequential).
-    let mut offsets = vec![0u64; n_blocks];
-    let total = exclusive_scan(&counts, &mut offsets) as usize;
+    // Pass 2: block output offsets (cheap, sequential) — each block's
+    // range follows the ranges of the blocks before it.
+    let total = counts.iter().sum::<u64>() as usize;
 
     // Pass 3: each block writes its own disjoint output range.
     let mut out = vec![0u32; total];
@@ -137,21 +86,20 @@ pub type Segment = (usize, usize);
 /// Each segment is copied by its own task ("team"), so a large region's copy
 /// is one streaming memcpy — the coalesced-team-copy optimization from §2.4.
 pub fn segmented_gather(src: &[u8], segments: &[Segment], dst: &mut [u8]) -> usize {
-    // Pre-compute destination offsets (the scan the paper describes).
-    let lens: Vec<u64> = segments.iter().map(|&(_, len)| len as u64).collect();
-    let mut offsets = vec![0u64; segments.len()];
-    let total = exclusive_scan(&lens, &mut offsets) as usize;
+    let total: usize = segments.iter().map(|&(_, len)| len).sum();
     assert!(
         dst.len() >= total,
         "gather destination too small: {} < {total}",
         dst.len()
     );
 
-    // Partition `dst` into one disjoint mutable slice per segment.
+    // Partition `dst` into one disjoint mutable slice per segment, in
+    // segment order: each starts where the ones before it end (the offsets
+    // the paper pre-calculates).
     let mut parts: Vec<&mut [u8]> = Vec::with_capacity(segments.len());
     let mut rest = &mut dst[..total];
-    for &len in lens.iter() {
-        let (head, tail) = rest.split_at_mut(len as usize);
+    for &(_, len) in segments {
+        let (head, tail) = rest.split_at_mut(len);
         parts.push(head);
         rest = tail;
     }
@@ -169,46 +117,19 @@ pub fn segmented_gather(src: &[u8], segments: &[Segment], dst: &mut [u8]) -> usi
 mod tests {
     use super::*;
 
-    #[test]
-    fn scan_empty() {
-        let mut out = [];
-        assert_eq!(exclusive_scan(&[], &mut out), 0);
-    }
-
-    #[test]
-    fn scan_small_matches_reference() {
-        let input = [3u64, 1, 4, 1, 5, 9, 2, 6];
-        let mut out = [0u64; 8];
-        let total = exclusive_scan(&input, &mut out);
-        assert_eq!(out, [0, 3, 4, 8, 9, 14, 23, 25]);
-        assert_eq!(total, 31);
-    }
-
-    #[test]
-    fn scan_large_matches_sequential() {
-        let n = SCAN_BLOCK * 3 + 17;
-        let input: Vec<u64> = (0..n as u64).map(|i| i % 7).collect();
-        let mut par = vec![0u64; n];
-        let total = exclusive_scan(&input, &mut par);
-
-        let mut acc = 0u64;
-        for i in 0..n {
-            assert_eq!(par[i], acc, "mismatch at {i}");
-            acc += input[i];
-        }
-        assert_eq!(total, acc);
-    }
-
-    /// The oracle: flag → exclusive scan → scatter, over a materialized
-    /// flag array.
+    /// The oracle: flag → exclusive prefix sum → scatter, over a
+    /// materialized flag array.
     fn compact_indices(flags: &[u8]) -> Vec<u32> {
-        let ones: Vec<u64> = flags.iter().map(|&f| (f != 0) as u64).collect();
-        let mut offsets = vec![0u64; flags.len()];
-        let total = exclusive_scan(&ones, &mut offsets) as usize;
+        let mut offsets = vec![0usize; flags.len()];
+        let mut total = 0;
+        for (offset, &f) in offsets.iter_mut().zip(flags) {
+            *offset = total;
+            total += (f != 0) as usize;
+        }
         let mut out = vec![0u32; total];
         for (i, &f) in flags.iter().enumerate() {
             if f != 0 {
-                out[offsets[i] as usize] = i as u32;
+                out[offsets[i]] = i as u32;
             }
         }
         out

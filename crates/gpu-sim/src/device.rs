@@ -194,14 +194,6 @@ impl Device {
         }
     }
 
-    /// Exclusive prefix sum on the device (used to pre-compute serialization
-    /// offsets). Returns the total.
-    pub fn exclusive_scan(&self, name: &str, input: &[u64], out: &mut [u64]) -> u64 {
-        self.account_launch(KernelCost::copy(8 * input.len() as u64));
-        let _ = name;
-        collectives::exclusive_scan(input, out)
-    }
-
     /// Stream compaction over a predicate: indices `i in 0..n` where
     /// `pred(i)`, ascending, with no intermediate flag buffer — the fused
     /// flag → scan → scatter the pipeline uses to emit region lists
@@ -333,16 +325,5 @@ mod tests {
         assert!(
             crowded.metrics().modeled_transfer_sec() > 5.0 * solo.metrics().modeled_transfer_sec()
         );
-    }
-
-    #[test]
-    fn exclusive_scan_on_device() {
-        let dev = Device::a100();
-        let input = vec![2u64; 100];
-        let mut out = vec![0u64; 100];
-        let total = dev.exclusive_scan("offsets", &input, &mut out);
-        assert_eq!(total, 200);
-        assert_eq!(out[0], 0);
-        assert_eq!(out[99], 198);
     }
 }

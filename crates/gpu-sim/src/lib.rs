@@ -7,8 +7,8 @@
 //! * [`Device`] — a simulated accelerator. Kernels launched on it run
 //!   data-parallel on a CPU thread pool (rayon), with the same structure the
 //!   paper's fused Kokkos kernels have: grid launches (`parallel_for`),
-//!   reductions, exclusive scans (used to pre-compute serialization offsets)
-//!   and team-cooperative gather copies (`team_gather`).
+//!   reductions, stream compaction (`compact_where`) and team-cooperative
+//!   gather copies (`team_gather`).
 //! * [`DistinctMap`] — a lock-free, insert-only open-addressing hash table
 //!   equivalent to `Kokkos::UnorderedMap`: thousands of concurrent
 //!   `insert-if-absent` operations with no locks on the fast path. This holds

@@ -43,6 +43,12 @@
 //! (`frame::RecordWriter`) and one reader (`RecordIndex::parse`), no owned
 //! form, and one reference type (`RemoteRef`); nothing outside `frame.rs`
 //! knows the layout.
+//!
+//! Record-index census: the restore engine indexes every method's record
+//! one way, as payload and shift intervals merged into one segment list.
+//! `restart.rs` names a method only where it lists those intervals (and in
+//! the structural `is_self_contained`), and the device has no exclusive
+//! scan left to index a Basic record with.
 
 use std::path::{Path, PathBuf};
 
@@ -580,5 +586,27 @@ fn one_rank_dedup_codec() {
             vec!["frame.rs::parse".to_string()]
         ),
         "CKPR writers and readers"
+    );
+}
+
+#[test]
+fn one_record_index() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let restart = root.join("crates/ckpt-dedup/src/restart.rs");
+    let mut by_method = fns_with(&restart, &|l| l.contains("MethodKind::"));
+    by_method.dedup();
+    assert_eq!(
+        by_method,
+        ["restart.rs::is_self_contained", "restart.rs::intervals"],
+        "functions of the restore engine that name a method"
+    );
+
+    let mut scans = Vec::new();
+    for path in rust_files(&root.join("crates/gpu-sim/src")) {
+        scans.extend(fns_with(&path, &|l| l.contains("fn exclusive_scan")));
+    }
+    assert!(
+        scans.is_empty(),
+        "gpu-sim defines an exclusive scan: {scans:?}"
     );
 }
