@@ -8,6 +8,7 @@
 //! aggregation rules.
 
 use crate::codecs::{run_codec, run_dedup, MeasuredRecord};
+use crate::oracle::restore_record;
 use crate::report::{
     f, json_only, rows, Fields, Gate, Report, Row, Rule, Show, Value, Value::*, Violation,
 };
@@ -3122,7 +3123,7 @@ mod tests {
             .collect();
         rt.wait_durable(&ids);
         for rank in 0..4u32 {
-            let (base, versions) = ckpt_runtime::restore_rank(rt.tiers(), rank).unwrap();
+            let (base, versions) = crate::oracle::restore_rank(rt.tiers(), rank).unwrap();
             assert_eq!(base, 0);
             let expect = rank_snapshots(rank, 4, 32_000);
             assert_eq!(versions, expect, "rank {rank}");

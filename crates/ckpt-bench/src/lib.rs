@@ -8,6 +8,8 @@
 //!   Fig. 6 strong-scaling harness lives beside its figure there;
 //! * [`md5`], [`sha256`] — the cryptographic hashes ablation A1 compares
 //!   against the production Murmur3;
+//! * [`oracle`] — the test oracles the production crates' tests reach as a
+//!   dev-dependency (the sequential replay is also a sweep's baseline);
 //! * [`report`] — the report model, its one table and one JSON renderer.
 //!
 //! Run `cargo run -p ckpt-bench --release --bin figures -- all` to regenerate
@@ -17,6 +19,7 @@
 pub mod codecs;
 pub mod experiments;
 pub mod md5;
+pub mod oracle;
 pub mod report;
 pub mod sha256;
 pub mod workload;

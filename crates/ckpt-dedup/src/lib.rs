@@ -44,17 +44,16 @@
 //! resolution, serialization — that differs in the region-building step
 //! alone, so both take every [`TreeConfig`] option; Basic and Full read its
 //! chunk size. The A3 ablation's single-stage sweep is a third step, at
-//! [`methods::tree_naive`]; [`SerialTreeCheckpointer`] is the sequential
-//! oracle the pipeline is tested against.
+//! [`methods::tree_naive`].
 //!
 //! # Restoring
 //!
-//! [`restart`] is the restore engine, the only one production code calls:
-//! one newest→oldest pass that writes each chunk of the wanted version
-//! once, plus [`check_chain`], which proves a whole chain restorable from
-//! its region tables alone. [`mod@restore`] is §2.2's sequential replay; it
-//! builds every version and shares no resolution logic with the engine —
-//! kept as the oracle the engine is tested against, not as a second way in.
+//! [`restart`] is the restore engine, the only one in this crate: one
+//! newest→oldest pass that writes each chunk of the wanted version once,
+//! plus [`check_chain`], which proves a whole chain restorable from its
+//! region tables alone. The oracles it and the pipeline are tested against
+//! — §2.2's sequential replay and the serial Tree checkpointer — live in
+//! `ckpt_bench::oracle`, a dev-dependency of the integration tests only.
 
 pub mod bytes;
 pub mod chunking;
@@ -64,7 +63,6 @@ pub mod labels;
 pub mod methods;
 pub mod record;
 pub mod restart;
-pub mod restore;
 pub mod stats;
 pub mod tree;
 pub(crate) mod util;
@@ -83,14 +81,12 @@ pub use methods::basic::BasicCheckpointer;
 pub use methods::full::FullCheckpointer;
 pub use methods::list::ListCheckpointer;
 pub use methods::tree::{TreeCheckpointer, TreeConfig};
-pub use methods::tree_serial::SerialTreeCheckpointer;
 pub use methods::{new_checkpointer, CheckpointOutput, Checkpointer};
 pub use record::{run_record, CheckpointRecord};
 pub use restart::{
     check_chain, is_self_contained, restore_latest_single_pass, restore_version_single_pass,
-    RestartStats, SinglePassRestore,
+    RestartStats, RestoreError, SinglePassRestore,
 };
-pub use restore::{restore_record, restore_record_from, RestoreError};
 pub use stats::{CheckpointStats, RecordStats};
 pub use tree::{MerkleTree, TreeShape};
 
@@ -100,14 +96,12 @@ pub mod prelude {
     pub use crate::methods::full::FullCheckpointer;
     pub use crate::methods::list::ListCheckpointer;
     pub use crate::methods::tree::{TreeCheckpointer, TreeConfig};
-    pub use crate::methods::tree_serial::SerialTreeCheckpointer;
     pub use crate::methods::{new_checkpointer, CheckpointOutput, Checkpointer};
     pub use crate::record::{run_record, CheckpointRecord};
     pub use crate::restart::{
         check_chain, is_self_contained, restore_latest_single_pass, restore_version_single_pass,
         SinglePassRestore,
     };
-    pub use crate::restore::{restore_record, restore_record_from};
     pub use crate::stats::{CheckpointStats, RecordStats};
     pub use crate::MethodKind;
 }

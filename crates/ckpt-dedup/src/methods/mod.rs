@@ -13,8 +13,9 @@
 //! only in its region-building step; `tree.rs` and `list.rs` hold their
 //! step. [`tree_naive`] is a third step, ablation A3's single-stage sweep,
 //! kept here because it needs the crate-private passes. Basic and Full have
-//! bodies of their own, and [`tree_serial`] is the sequential oracle the
-//! pipeline is checked against — it shares no logic with it.
+//! bodies of their own. The sequential oracle the pipeline is checked
+//! against shares no logic with it and lives outside this crate
+//! (`ckpt_bench::oracle::SerialTreeCheckpointer`).
 //!
 //! All share the [`Checkpointer`] trait so experiments can sweep methods
 //! uniformly, all parallel code paths run through the `gpu-sim` device so
@@ -28,7 +29,6 @@ pub mod list;
 pub(crate) mod pipeline;
 pub mod tree;
 pub mod tree_naive;
-pub mod tree_serial;
 
 use crate::diff::{Diff, MethodKind};
 use crate::stats::CheckpointStats;

@@ -176,93 +176,3 @@ fn compact_emissions(device: &Device, emit_flags: &[AtomicU8]) -> EmittedRegions
         }),
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::methods::tree::{TreeCheckpointer, TreeConfig};
-    use crate::methods::Checkpointer;
-    use crate::restore::restore_record;
-    use gpu_sim::Device;
-
-    const CS: usize = 32;
-
-    fn chunks(tags: &[u8]) -> Vec<u8> {
-        let mut v = Vec::with_capacity(tags.len() * CS);
-        for &t in tags {
-            v.extend((0..CS).map(|i| t.wrapping_mul(31).wrapping_add(i as u8)));
-        }
-        v
-    }
-
-    #[test]
-    fn naive_still_restores_exactly() {
-        let snaps = vec![
-            chunks(&[1, 2, 3, 4, 5, 6, 7, 8]),
-            chunks(&[9, 10, 11, 12, 5, 1, 9, 10]),
-            chunks(&[9, 10, 11, 12, 5, 1, 9, 10]),
-        ];
-        let mut m = NaiveTreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-        let diffs: Vec<_> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
-        let versions = restore_record(&diffs).unwrap();
-        assert_eq!(versions, snaps);
-    }
-
-    /// The Figure 2 scenario: two-stage consolidates leaves 13,14 into node
-    /// 6 (a shifted duplicate of the same-level node 3); the naive sweep
-    /// cannot see node 3's insert and must emit the leaves separately.
-    #[test]
-    fn naive_misses_same_level_consolidation() {
-        let v0 = chunks(b"ABCDEFGH");
-        let v1 = chunks(b"IJKLEAIJ");
-
-        let mut two_stage = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-        two_stage.checkpoint(&v0);
-        let ts = two_stage.checkpoint(&v1);
-
-        let mut naive = NaiveTreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-        naive.checkpoint(&v0);
-        let nv = naive.checkpoint(&v1);
-
-        // Two-stage: 3 regions (1 first + 2 shift). Naive: node 6 stays
-        // unconsolidated → leaves 13 and 14 emitted separately → 4 regions.
-        assert_eq!(ts.stats.n_first + ts.stats.n_shift, 3);
-        assert_eq!(nv.stats.n_first + nv.stats.n_shift, 4);
-        assert!(nv.stats.metadata_bytes > ts.stats.metadata_bytes);
-
-        // Both restore identically.
-        let mut a = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-        let da: Vec<_> = [&v0, &v1].iter().map(|s| a.checkpoint(s).diff).collect();
-        let mut b = NaiveTreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-        let db: Vec<_> = [&v0, &v1].iter().map(|s| b.checkpoint(s).diff).collect();
-        assert_eq!(restore_record(&da).unwrap(), restore_record(&db).unwrap());
-    }
-
-    #[test]
-    fn naive_never_beats_two_stage_metadata() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n_chunks = 64;
-            let mut tags: Vec<u8> = (0..n_chunks).map(|_| rng.gen_range(0..30)).collect();
-            let mut ts = TreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-            let mut nv = NaiveTreeCheckpointer::new(Device::a100(), TreeConfig::new(CS));
-            for _ in 0..4 {
-                let data = chunks(&tags);
-                let a = ts.checkpoint(&data);
-                let b = nv.checkpoint(&data);
-                assert!(
-                    b.stats.metadata_bytes >= a.stats.metadata_bytes,
-                    "seed {seed}: naive metadata {} < two-stage {}",
-                    b.stats.metadata_bytes,
-                    a.stats.metadata_bytes
-                );
-                for _ in 0..6 {
-                    let at = rng.gen_range(0..n_chunks);
-                    tags[at] = rng.gen_range(0..30);
-                }
-            }
-        }
-    }
-}

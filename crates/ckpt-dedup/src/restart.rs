@@ -3,8 +3,8 @@
 //!
 //! Replaying a record front-to-back clones and patches every version on
 //! the way to the one that is wanted — O(chain length × checkpoint size)
-//! bytes moved for a single restore (that replay survives in
-//! [`crate::restore`] as the oracle this engine is tested against). This
+//! bytes moved for a single restore (that replay survives as the oracle
+//! this engine is tested against, in `ckpt_bench::oracle`). This
 //! module walks the chain the other way, and by **runs**, not by chunks:
 //! the demand on a record is a list of `Run`s — stretches of the target's
 //! chunks that hold what that record's version has at some stretch of its
@@ -42,9 +42,95 @@
 
 use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
-use crate::restore::RestoreError;
 use crate::tree::TreeShape;
 use gpu_sim::{ArenaLease, Device, KernelCost};
+
+/// Errors surfaced while reconstructing checkpoints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// Diff `ckpt_id`s must be 0, 1, 2, … in order.
+    OutOfOrder { index: usize, ckpt_id: u32 },
+    /// All diffs in a record must come from one method.
+    MixedKinds {
+        expected: MethodKind,
+        found: MethodKind,
+    },
+    /// Geometry (data length / chunk size) changed mid-record.
+    GeometryChanged,
+    /// A payload was shorter than its region table requires.
+    PayloadTruncated { ckpt_id: u32 },
+    /// A shifted duplicate referenced a checkpoint that does not exist yet.
+    ForwardReference { ckpt_id: u32, ref_ckpt: u32 },
+    /// A shifted duplicate referenced a checkpoint below the record's base —
+    /// the chain was compacted (rebased) but a record still points into the
+    /// garbage-collected region, so the reference cannot be materialized.
+    RefBelowBase {
+        ckpt_id: u32,
+        ref_ckpt: u32,
+        base: u32,
+    },
+    /// A shifted duplicate's source span does not match its target span.
+    SpanMismatch { node: u32, ref_node: u32 },
+    /// Two region-table entries write `chunk`. No method emits such a
+    /// table, and which entry would win is not defined.
+    RegionsOverlap { ckpt_id: u32, chunk: u32 },
+    /// Same-checkpoint shifted duplicates could not be resolved (cycle or
+    /// corrupt reference).
+    UnresolvableShifts { ckpt_id: u32, remaining: usize },
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RestoreError::OutOfOrder { index, ckpt_id } => {
+                write!(f, "diff at position {index} has ckpt_id {ckpt_id}")
+            }
+            RestoreError::MixedKinds { expected, found } => {
+                write!(
+                    f,
+                    "record mixes methods: {} vs {}",
+                    expected.name(),
+                    found.name()
+                )
+            }
+            RestoreError::GeometryChanged => write!(f, "data length or chunk size changed"),
+            RestoreError::PayloadTruncated { ckpt_id } => {
+                write!(f, "payload truncated in checkpoint {ckpt_id}")
+            }
+            RestoreError::ForwardReference { ckpt_id, ref_ckpt } => {
+                write!(
+                    f,
+                    "checkpoint {ckpt_id} references future checkpoint {ref_ckpt}"
+                )
+            }
+            RestoreError::RefBelowBase {
+                ckpt_id,
+                ref_ckpt,
+                base,
+            } => {
+                write!(
+                    f,
+                    "checkpoint {ckpt_id} references checkpoint {ref_ckpt} below the \
+                     record base {base} (compacted away)"
+                )
+            }
+            RestoreError::SpanMismatch { node, ref_node } => {
+                write!(f, "shift region {node} has mismatched source {ref_node}")
+            }
+            RestoreError::RegionsOverlap { ckpt_id, chunk } => {
+                write!(f, "two regions of checkpoint {ckpt_id} write chunk {chunk}")
+            }
+            RestoreError::UnresolvableShifts { ckpt_id, remaining } => {
+                write!(
+                    f,
+                    "{remaining} unresolvable shifted duplicates in checkpoint {ckpt_id}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
 
 /// Counters describing one single-pass restore (or one [`check_chain`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -980,9 +1066,9 @@ impl SinglePassRestore {
 }
 
 /// Restore version `target_index` of a (possibly compacted, base-offset)
-/// record in a single pass. Bit-identical to
-/// [`restore_record_from`](crate::restore::restore_record_from)'s
-/// corresponding version at any thread count.
+/// record in a single pass. Bit-identical to the corresponding version of
+/// the sequential replay (`ckpt_bench::oracle::restore_record_from`) at any
+/// thread count.
 pub fn restore_version_single_pass(
     device: &Device,
     base: u32,
@@ -1012,403 +1098,4 @@ pub fn restore_latest_single_pass(
 ) -> Result<(Vec<u8>, RestartStats), RestoreError> {
     // An empty record has no index 0: typed there.
     restore_version_single_pass(device, base, diffs, diffs.len().saturating_sub(1))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::diff::ShiftRegion;
-    use crate::methods::basic::BasicCheckpointer;
-    use crate::methods::full::FullCheckpointer;
-    use crate::methods::tree::{TreeCheckpointer, TreeConfig};
-    use crate::methods::Checkpointer;
-    use crate::restore::{restore_record, restore_record_from};
-
-    fn tree_diff(ckpt_id: u32, data_len: u64) -> Diff {
-        Diff {
-            kind: MethodKind::Tree,
-            ckpt_id,
-            data_len,
-            chunk_size: 32,
-            first_regions: Vec::new(),
-            shift_regions: Vec::new(),
-            bitmap: Default::default(),
-            payload: Default::default(),
-        }
-    }
-
-    fn snapshots(n: usize, len: usize) -> Vec<Vec<u8>> {
-        let mut data: Vec<u8> = (0..len).map(|i| ((i * 31) % 251) as u8).collect();
-        let mut out = vec![data.clone()];
-        for k in 1..n {
-            for j in 0..len / 64 {
-                let at = (k * 911 + j * 53) % len;
-                data[at] = data[at].wrapping_add(1);
-            }
-            out.push(data.clone());
-        }
-        out
-    }
-
-    #[test]
-    fn single_pass_matches_sequential_tree_chain() {
-        let device = Device::a100();
-        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
-        let snaps = snapshots(6, 8192);
-        let diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
-        let seq = restore_record(&diffs).unwrap();
-        for (t, expect) in seq.iter().enumerate() {
-            let (par, _) = restore_version_single_pass(&device, 0, &diffs, t).unwrap();
-            assert_eq!(&par, expect, "version {t}");
-        }
-    }
-
-    #[test]
-    fn rebase_record_short_circuits_the_walk() {
-        let device = Device::a100();
-        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
-        let snaps = snapshots(6, 8192);
-        let mut diffs = Vec::new();
-        for (k, s) in snaps.iter().enumerate() {
-            let out = if k == 3 {
-                m.rebase_checkpoint(s)
-            } else {
-                m.checkpoint(s)
-            };
-            diffs.push(out.diff);
-        }
-        assert!(
-            is_self_contained(&diffs[3]),
-            "rebase must be self-contained"
-        );
-        let seq = restore_record(&diffs).unwrap();
-        let (par, stats) = restore_latest_single_pass(&device, 0, &diffs).unwrap();
-        assert_eq!(par, seq[5]);
-        assert!(
-            stats.records_visited <= 3,
-            "walk must stop at the rebase record, visited {}",
-            stats.records_visited
-        );
-    }
-
-    #[test]
-    fn compacted_chain_restores_from_base() {
-        let device = Device::a100();
-        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
-        let snaps = snapshots(6, 8192);
-        let mut diffs = Vec::new();
-        for (k, s) in snaps.iter().enumerate() {
-            let out = if k == 3 {
-                m.rebase_checkpoint(s)
-            } else {
-                m.checkpoint(s)
-            };
-            diffs.push(out.diff);
-        }
-        // Garbage-collect below the rebase: only records 3.. survive.
-        let tail = &diffs[3..];
-        let seq = restore_record_from(3, tail).unwrap();
-        assert_eq!(seq[0], snaps[3]);
-        assert_eq!(seq[2], snaps[5]);
-        let (par, _) = restore_latest_single_pass(&device, 3, tail).unwrap();
-        assert_eq!(par, snaps[5]);
-    }
-
-    #[test]
-    fn self_containment_detection() {
-        let device = Device::a100();
-        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
-        let snaps = snapshots(3, 4096);
-        let d0 = m.checkpoint(&snaps[0]).diff;
-        let d1 = m.checkpoint(&snaps[1]).diff;
-        // Checkpoint 0 references nothing earlier; an incremental later
-        // checkpoint of a sparse update is dominated by fixed duplicates.
-        assert!(is_self_contained(&d0));
-        assert!(!is_self_contained(&d1));
-    }
-
-    /// The word bitset gives the verdict a per-chunk flag array gives, on
-    /// tables that overlap, that leave one chunk out, and over chunk counts
-    /// on and off a word boundary.
-    #[test]
-    fn self_containment_is_a_union_of_the_tables() {
-        let by_flags = |d: &Diff| {
-            let shape = TreeShape::new(d.n_chunks());
-            let mut covered = vec![false; d.n_chunks()];
-            let nodes = d.first_regions.iter();
-            for &node in nodes.chain(d.shift_regions.iter().map(|s| &s.node)) {
-                let (lo, hi) = shape.chunk_range(node as usize);
-                covered[lo..hi].fill(true);
-            }
-            covered.into_iter().all(|c| c)
-        };
-        for n in [1usize, 63, 64, 65, 130, 256] {
-            let shape = TreeShape::new(n);
-            let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
-            let mut d = tree_diff(0, n as u64 * 32);
-            let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
-                // The root, and the root twice over.
-                (vec![0], vec![]),
-                (vec![0, 0], vec![0]),
-                // Every leaf, plus the root's left child on top of them.
-                (
-                    (0..n)
-                        .map(leaf)
-                        .chain([1].into_iter().filter(|_| n > 1))
-                        .collect(),
-                    vec![],
-                ),
-                // Every leaf but the last, whatever overlaps the rest.
-                (
-                    (0..n - 1).map(leaf).collect(),
-                    (0..n - 1).map(leaf).collect(),
-                ),
-                // The last leaf alone, as payload and as a shift.
-                (vec![leaf(n - 1)], vec![leaf(n - 1)]),
-            ];
-            for (first, shifted) in cases {
-                d.first_regions = first;
-                d.shift_regions = shifted
-                    .iter()
-                    .map(|&node| ShiftRegion {
-                        node,
-                        ref_node: node,
-                        ref_ckpt: 0,
-                    })
-                    .collect();
-                assert_eq!(is_self_contained(&d), by_flags(&d), "{n} chunks: {d:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn ref_below_base_is_typed() {
-        let mut d = tree_diff(5, 64);
-        d.first_regions = vec![1]; // chunk 0
-        d.payload = vec![0; 32].into();
-        d.shift_regions = vec![ShiftRegion {
-            node: 2,
-            ref_node: 1,
-            ref_ckpt: 2, // below base 5
-        }];
-        let device = Device::a100();
-        let err = restore_latest_single_pass(&device, 5, std::slice::from_ref(&d)).unwrap_err();
-        assert!(matches!(
-            err,
-            RestoreError::RefBelowBase {
-                ref_ckpt: 2,
-                base: 5,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn same_record_shift_chain_and_cycles() {
-        // Mirror restore.rs's chain test: 5 -> 4 -> 3(payload).
-        let mut d = tree_diff(0, 128);
-        d.first_regions = vec![3, 6];
-        d.shift_regions = vec![
-            ShiftRegion {
-                node: 5,
-                ref_node: 4,
-                ref_ckpt: 0,
-            },
-            ShiftRegion {
-                node: 4,
-                ref_node: 3,
-                ref_ckpt: 0,
-            },
-        ];
-        d.payload = [[7u8; 32], [9u8; 32]].concat().into();
-        let device = Device::a100();
-        let (v, _) = restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap();
-        assert_eq!(&v[0..96], &[7u8; 96][..]);
-        assert_eq!(&v[96..128], &[9u8; 32][..]);
-
-        let mut cyc = tree_diff(0, 128);
-        cyc.first_regions = vec![3, 6];
-        cyc.payload = vec![0; 64].into();
-        cyc.shift_regions = vec![
-            ShiftRegion {
-                node: 4,
-                ref_node: 5,
-                ref_ckpt: 0,
-            },
-            ShiftRegion {
-                node: 5,
-                ref_node: 4,
-                ref_ckpt: 0,
-            },
-        ];
-        let err = restore_latest_single_pass(&device, 0, std::slice::from_ref(&cyc)).unwrap_err();
-        assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
-    }
-
-    /// Both records chase chunk 3 through a same-record shift, to a
-    /// different terminal each: a visit's memo answers for its own record
-    /// only.
-    #[test]
-    fn the_memo_is_per_record() {
-        let shape = TreeShape::new(4);
-        let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
-        let shift = |c, from, ref_ckpt| ShiftRegion {
-            node: leaf(c),
-            ref_node: leaf(from),
-            ref_ckpt,
-        };
-        // v0 = [A, B, A, A]: chunk 2 <- chunk 3 <- chunk 0.
-        let mut d0 = tree_diff(0, 128);
-        d0.first_regions = vec![leaf(0), leaf(1)];
-        d0.payload = [[0xa; 32], [0xb; 32]].concat().into();
-        d0.shift_regions = vec![shift(2, 3, 0), shift(3, 0, 0)];
-        // v1 = [C, A, A, A]: chunk 1 <- chunk 3 <- chunk 2 <- v0's chunk 2.
-        let mut d1 = tree_diff(1, 128);
-        d1.first_regions = vec![leaf(0)];
-        d1.payload = vec![0xc; 32].into();
-        d1.shift_regions = vec![shift(1, 3, 1), shift(3, 2, 1), shift(2, 2, 0)];
-        let chain = [d0, d1];
-        let want = [[0xc; 32], [0xa; 32], [0xa; 32], [0xa; 32]].concat();
-        assert_eq!(restore_record(&chain).unwrap()[1], want);
-        let (got, _) = restore_latest_single_pass(&Device::a100(), 0, &chain).unwrap();
-        assert_eq!(got, want);
-    }
-
-    /// What no record covers is the zeros below the chain — reached directly,
-    /// through a shift, or on the short last chunk — and is counted, not
-    /// copied.
-    #[test]
-    fn uncovered_chunks_are_zero_chunks() {
-        let mut d = tree_diff(0, 123);
-        d.first_regions = vec![4]; // chunk 1
-        d.payload = vec![7; 32].into();
-        d.shift_regions = vec![ShiftRegion {
-            node: 5, // chunk 2 <- chunk 0, which nothing covers
-            ref_node: 3,
-            ref_ckpt: 0,
-        }];
-        let device = Device::a100();
-        let (v, stats) = restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap();
-        assert_eq!(v, restore_record(std::slice::from_ref(&d)).unwrap()[0]);
-        assert_eq!(v, [vec![0; 32], vec![7; 32], vec![0; 59]].concat());
-        let expect = RestartStats {
-            records_visited: 1,
-            regions_copied: 1,
-            bytes_copied: 32,
-            zero_chunks: 3,
-            pieces: 4,
-        };
-        assert_eq!(stats, expect);
-    }
-
-    /// Tables the oracle refuses are refused the same way here, before a
-    /// byte moves: two entries writing one chunk, and shifts that wait on
-    /// each other region-wise even though no single chunk's chase loops.
-    #[test]
-    fn overlapping_and_deadlocked_tables_match_the_oracle() {
-        let device = Device::a100();
-        let both = |d: &Diff| {
-            let engine = restore_latest_single_pass(&device, 0, std::slice::from_ref(d));
-            let check = check_chain(&device, 0, std::slice::from_ref(d)).unwrap_err();
-            let oracle = restore_record(std::slice::from_ref(d)).unwrap_err();
-            assert_eq!(engine.unwrap_err(), check);
-            (check, oracle)
-        };
-
-        // Node 1 (chunks 0–1) as payload, and leaf 4 (chunk 1) shifted in.
-        let mut d = tree_diff(0, 128);
-        d.first_regions = vec![1, 2];
-        d.payload = vec![0; 128].into();
-        d.shift_regions = vec![ShiftRegion {
-            node: 4,
-            ref_node: 6,
-            ref_ckpt: 0,
-        }];
-        let overlap = RestoreError::RegionsOverlap {
-            ckpt_id: 0,
-            chunk: 1,
-        };
-        assert_eq!(both(&d), (overlap.clone(), overlap));
-
-        // Chunks 0–1 <- chunks 2–3 and chunk 2 <- chunk 1: chunk 0 chases
-        // 0 -> 2 -> 1 -> 3 and ends in payload, but neither region can be
-        // applied before the other.
-        let mut d = tree_diff(0, 128);
-        d.first_regions = vec![6];
-        d.payload = vec![9; 32].into();
-        d.shift_regions = vec![
-            ShiftRegion {
-                node: 1,
-                ref_node: 2,
-                ref_ckpt: 0,
-            },
-            ShiftRegion {
-                node: 5,
-                ref_node: 4,
-                ref_ckpt: 0,
-            },
-        ];
-        let stuck = RestoreError::UnresolvableShifts {
-            ckpt_id: 0,
-            remaining: 2,
-        };
-        assert_eq!(both(&d), (stuck.clone(), stuck));
-    }
-
-    #[test]
-    fn check_chain_visits_every_record_and_launches_nothing() {
-        let device = Device::a100();
-        let snaps = snapshots(6, 8192);
-        let methods: [Box<dyn Checkpointer>; 3] = [
-            Box::new(TreeCheckpointer::new(device.clone(), TreeConfig::new(64))),
-            Box::new(BasicCheckpointer::new(device.clone(), 64)),
-            Box::new(FullCheckpointer::new(device.clone(), 64)),
-        ];
-        for mut m in methods {
-            let diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
-            let cold = Device::a100();
-            let stats = check_chain(&cold, 0, &diffs).unwrap();
-            assert_eq!(
-                stats,
-                RestartStats {
-                    records_visited: 6,
-                    ..RestartStats::default()
-                },
-                "{}",
-                m.name()
-            );
-            assert_eq!(cold.metrics().kernels_launched(), 0, "{}", m.name());
-            let leases = cold.arena().stats().misses;
-            assert_eq!(leases, 0, "{}: no table, no buffer leased", m.name());
-        }
-
-        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
-        let mut diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
-        let cold = Device::a100();
-
-        // A bad record anywhere fails the chain, also where a restore of
-        // the newest version would never look.
-        diffs[2].ckpt_id = 9;
-        assert!(matches!(
-            check_chain(&cold, 0, &diffs),
-            Err(RestoreError::OutOfOrder {
-                index: 2,
-                ckpt_id: 9
-            })
-        ));
-        assert!(check_chain(&cold, 0, &[]).is_err());
-    }
-
-    #[test]
-    fn early_stop_without_resolution_errors() {
-        let device = Device::a100();
-        let mut m = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
-        let snaps = snapshots(3, 4096);
-        let diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
-        let mut sp = SinglePassRestore::begin(&device, 0, &diffs[2]).unwrap();
-        let done = sp.feed(&diffs[2]).unwrap();
-        assert!(!done, "incremental tail cannot be self-sufficient");
-        let err = sp.finish().unwrap_err();
-        assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
-    }
 }

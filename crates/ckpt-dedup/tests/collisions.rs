@@ -8,6 +8,7 @@
 //! collisions, and (b) that enabling the content-cache verification restores
 //! exactly, storing colliding chunks instead of referencing them.
 
+use ckpt_bench::oracle::restore_record;
 use ckpt_dedup::prelude::*;
 use ckpt_hash::{Digest128, Hasher128, Murmur3};
 use gpu_sim::Device;

@@ -7,6 +7,7 @@
 //! override cannot race with unrelated tests; within the binary the
 //! override-touching tests share `THREAD_LOCK`.
 
+use ckpt_bench::oracle::{restore_record, SerialTreeCheckpointer};
 use ckpt_dedup::prelude::*;
 use gpu_sim::{Device, TILE};
 use std::sync::Mutex;

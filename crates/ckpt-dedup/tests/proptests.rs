@@ -3,6 +3,7 @@
 //! replay and, version by version, by the single-pass engine — and the
 //! parallel Tree implementation agrees with its sequential reference.
 
+use ckpt_bench::oracle::{restore_record, SerialTreeCheckpointer};
 use ckpt_dedup::methods::tree_naive::NaiveTreeCheckpointer;
 use ckpt_dedup::prelude::*;
 use gpu_sim::Device;

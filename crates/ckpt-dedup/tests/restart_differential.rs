@@ -9,12 +9,15 @@
 //! The engine resolves by runs, so the fixed cases below aim at run shapes:
 //! tens of thousands of one-chunk runs, a self-similar base record, runs
 //! that end on a short last chunk, and a same-record shift chain far deeper
-//! than a small stack could recurse.
+//! than a small stack could recurse. Small hand-built records pin the
+//! rest: a rebase record ends the walk, a visit's memo is its record's
+//! own, uncovered chunks are zeros, tables the oracle refuses are refused
+//! alike, and the chain check launches nothing.
 
+use ckpt_bench::oracle::{restore_record, restore_record_from};
 use ckpt_dedup::prelude::*;
 use ckpt_dedup::restart::{check_chain, restore_version_single_pass, RestartStats};
-use ckpt_dedup::restore::{restore_record, restore_record_from, RestoreError};
-use ckpt_dedup::{Diff, MethodKind, ShiftRegion, TreeShape};
+use ckpt_dedup::{Diff, MethodKind, RestoreError, ShiftRegion, TreeShape};
 use gpu_sim::Device;
 use proptest::prelude::*;
 
@@ -367,6 +370,20 @@ fn runs_that_end_on_a_short_last_chunk() {
     }
 }
 
+/// An empty Tree record of 32-byte chunks, to fill in by hand.
+fn tree_diff(ckpt_id: u32, data_len: u64) -> Diff {
+    Diff {
+        kind: MethodKind::Tree,
+        ckpt_id,
+        data_len,
+        chunk_size: 32,
+        first_regions: Vec::new(),
+        shift_regions: Vec::new(),
+        bitmap: Default::default(),
+        payload: Default::default(),
+    }
+}
+
 /// Whether `diff`'s bitmap marks chunk `c` changed.
 fn bitmap_bit(diff: &Diff, c: usize) -> bool {
     diff.bitmap[c / 8] & (1 << (c % 8)) != 0
@@ -381,16 +398,7 @@ fn a_twenty_thousand_link_same_record_chain_is_chased_iteratively() {
     let (n, chunk) = (LINKS + 1, 32usize);
     let shape = TreeShape::new(n);
     let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
-    let record = |ckpt_id: u32| Diff {
-        kind: MethodKind::Tree,
-        ckpt_id,
-        data_len: (n * chunk) as u64,
-        chunk_size: chunk as u32,
-        first_regions: Vec::new(),
-        shift_regions: Vec::new(),
-        bitmap: Default::default(),
-        payload: Default::default(),
-    };
+    let record = |ckpt_id: u32| tree_diff(ckpt_id, (n * chunk) as u64);
     let mut base = record(0);
     base.first_regions = vec![leaf(0)];
     base.payload = vec![0xc4; chunk].into();
@@ -425,6 +433,337 @@ fn a_twenty_thousand_link_same_record_chain_is_chased_iteratively() {
     assert!(got == oracle[1]);
     assert_eq!(stats.records_visited, 2);
     assert_eq!(stats.bytes_copied, (n * chunk) as u64);
+}
+
+#[test]
+fn single_pass_matches_sequential_tree_chain() {
+    let device = Device::a100();
+    let diffs = build_chain(0, &snapshots(3, 6, 8192), None);
+    let seq = restore_record(&diffs).unwrap();
+    for (t, expect) in seq.iter().enumerate() {
+        let (par, _) = restore_version_single_pass(&device, 0, &diffs, t).unwrap();
+        assert_eq!(&par, expect, "version {t}");
+    }
+}
+
+#[test]
+fn rebase_record_short_circuits_the_walk() {
+    let device = Device::a100();
+    let diffs = build_chain(0, &snapshots(3, 6, 8192), Some(3));
+    assert!(
+        is_self_contained(&diffs[3]),
+        "rebase must be self-contained"
+    );
+    let seq = restore_record(&diffs).unwrap();
+    let (par, stats) = restore_latest_single_pass(&device, 0, &diffs).unwrap();
+    assert_eq!(par, seq[5]);
+    assert!(
+        stats.records_visited <= 3,
+        "walk must stop at the rebase record, visited {}",
+        stats.records_visited
+    );
+}
+
+#[test]
+fn compacted_chain_restores_from_base() {
+    let device = Device::a100();
+    let snaps = snapshots(3, 6, 8192);
+    let diffs = build_chain(0, &snaps, Some(3));
+    // Garbage-collect below the rebase: only records 3.. survive.
+    let tail = &diffs[3..];
+    let seq = restore_record_from(3, tail).unwrap();
+    assert_eq!(seq[0], snaps[3]);
+    assert_eq!(seq[2], snaps[5]);
+    let (par, _) = restore_latest_single_pass(&device, 3, tail).unwrap();
+    assert_eq!(par, snaps[5]);
+}
+
+/// Both records chase chunk 3 through a same-record shift, to a
+/// different terminal each: a visit's memo answers for its own record
+/// only.
+#[test]
+fn the_memo_is_per_record() {
+    let shape = TreeShape::new(4);
+    let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
+    let shift = |c, from, ref_ckpt| ShiftRegion {
+        node: leaf(c),
+        ref_node: leaf(from),
+        ref_ckpt,
+    };
+    // v0 = [A, B, A, A]: chunk 2 <- chunk 3 <- chunk 0.
+    let mut d0 = tree_diff(0, 128);
+    d0.first_regions = vec![leaf(0), leaf(1)];
+    d0.payload = [[0xa; 32], [0xb; 32]].concat().into();
+    d0.shift_regions = vec![shift(2, 3, 0), shift(3, 0, 0)];
+    // v1 = [C, A, A, A]: chunk 1 <- chunk 3 <- chunk 2 <- v0's chunk 2.
+    let mut d1 = tree_diff(1, 128);
+    d1.first_regions = vec![leaf(0)];
+    d1.payload = vec![0xc; 32].into();
+    d1.shift_regions = vec![shift(1, 3, 1), shift(3, 2, 1), shift(2, 2, 0)];
+    let chain = [d0, d1];
+    let want = [[0xc; 32], [0xa; 32], [0xa; 32], [0xa; 32]].concat();
+    assert_eq!(restore_record(&chain).unwrap()[1], want);
+    let (got, _) = restore_latest_single_pass(&Device::a100(), 0, &chain).unwrap();
+    assert_eq!(got, want);
+}
+
+/// What no record covers is the zeros below the chain — reached directly,
+/// through a shift, or on the short last chunk — and is counted, not
+/// copied.
+#[test]
+fn uncovered_chunks_are_zero_chunks() {
+    let mut d = tree_diff(0, 123);
+    d.first_regions = vec![4]; // chunk 1
+    d.payload = vec![7; 32].into();
+    d.shift_regions = vec![ShiftRegion {
+        node: 5, // chunk 2 <- chunk 0, which nothing covers
+        ref_node: 3,
+        ref_ckpt: 0,
+    }];
+    let device = Device::a100();
+    let (v, stats) = restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap();
+    assert_eq!(v, restore_record(std::slice::from_ref(&d)).unwrap()[0]);
+    assert_eq!(v, [vec![0; 32], vec![7; 32], vec![0; 59]].concat());
+    let expect = RestartStats {
+        records_visited: 1,
+        regions_copied: 1,
+        bytes_copied: 32,
+        zero_chunks: 3,
+        pieces: 4,
+    };
+    assert_eq!(stats, expect);
+}
+
+/// Tables the oracle refuses are refused the same way here, before a
+/// byte moves: two entries writing one chunk, and shifts that wait on
+/// each other region-wise even though no single chunk's chase loops.
+#[test]
+fn overlapping_and_deadlocked_tables_match_the_oracle() {
+    let device = Device::a100();
+    let both = |d: &Diff| {
+        let engine = restore_latest_single_pass(&device, 0, std::slice::from_ref(d));
+        let check = check_chain(&device, 0, std::slice::from_ref(d)).unwrap_err();
+        let oracle = restore_record(std::slice::from_ref(d)).unwrap_err();
+        assert_eq!(engine.unwrap_err(), check);
+        (check, oracle)
+    };
+
+    // Node 1 (chunks 0–1) as payload, and leaf 4 (chunk 1) shifted in.
+    let mut d = tree_diff(0, 128);
+    d.first_regions = vec![1, 2];
+    d.payload = vec![0; 128].into();
+    d.shift_regions = vec![ShiftRegion {
+        node: 4,
+        ref_node: 6,
+        ref_ckpt: 0,
+    }];
+    let overlap = RestoreError::RegionsOverlap {
+        ckpt_id: 0,
+        chunk: 1,
+    };
+    assert_eq!(both(&d), (overlap.clone(), overlap));
+
+    // Chunks 0–1 <- chunks 2–3 and chunk 2 <- chunk 1: chunk 0 chases
+    // 0 -> 2 -> 1 -> 3 and ends in payload, but neither region can be
+    // applied before the other.
+    let mut d = tree_diff(0, 128);
+    d.first_regions = vec![6];
+    d.payload = vec![9; 32].into();
+    d.shift_regions = vec![
+        ShiftRegion {
+            node: 1,
+            ref_node: 2,
+            ref_ckpt: 0,
+        },
+        ShiftRegion {
+            node: 5,
+            ref_node: 4,
+            ref_ckpt: 0,
+        },
+    ];
+    let stuck = RestoreError::UnresolvableShifts {
+        ckpt_id: 0,
+        remaining: 2,
+    };
+    assert_eq!(both(&d), (stuck.clone(), stuck));
+}
+
+#[test]
+fn self_containment_detection() {
+    let [d0, d1]: [Diff; 2] = build_chain(0, &snapshots(3, 2, 4096), None)
+        .try_into()
+        .unwrap();
+    // Checkpoint 0 references nothing earlier; an incremental later
+    // checkpoint of a sparse update is dominated by fixed duplicates.
+    assert!(is_self_contained(&d0));
+    assert!(!is_self_contained(&d1));
+}
+
+/// The word bitset gives the verdict a per-chunk flag array gives, on
+/// tables that overlap, that leave one chunk out, and over chunk counts
+/// on and off a word boundary.
+#[test]
+fn self_containment_is_a_union_of_the_tables() {
+    let by_flags = |d: &Diff| {
+        let shape = TreeShape::new(d.n_chunks());
+        let mut covered = vec![false; d.n_chunks()];
+        let nodes = d.first_regions.iter();
+        for &node in nodes.chain(d.shift_regions.iter().map(|s| &s.node)) {
+            let (lo, hi) = shape.chunk_range(node as usize);
+            covered[lo..hi].fill(true);
+        }
+        covered.into_iter().all(|c| c)
+    };
+    for n in [1usize, 63, 64, 65, 130, 256] {
+        let shape = TreeShape::new(n);
+        let leaf = |c: usize| shape.leaf_of_chunk(c) as u32;
+        let mut d = tree_diff(0, n as u64 * 32);
+        let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            // The root, and the root twice over.
+            (vec![0], vec![]),
+            (vec![0, 0], vec![0]),
+            // Every leaf, plus the root's left child on top of them.
+            (
+                (0..n)
+                    .map(leaf)
+                    .chain([1].into_iter().filter(|_| n > 1))
+                    .collect(),
+                vec![],
+            ),
+            // Every leaf but the last, whatever overlaps the rest.
+            (
+                (0..n - 1).map(leaf).collect(),
+                (0..n - 1).map(leaf).collect(),
+            ),
+            // The last leaf alone, as payload and as a shift.
+            (vec![leaf(n - 1)], vec![leaf(n - 1)]),
+        ];
+        for (first, shifted) in cases {
+            d.first_regions = first;
+            d.shift_regions = shifted
+                .iter()
+                .map(|&node| ShiftRegion {
+                    node,
+                    ref_node: node,
+                    ref_ckpt: 0,
+                })
+                .collect();
+            assert_eq!(is_self_contained(&d), by_flags(&d), "{n} chunks: {d:?}");
+        }
+    }
+}
+
+#[test]
+fn ref_below_base_is_typed() {
+    let mut d = tree_diff(5, 64);
+    d.first_regions = vec![1]; // chunk 0
+    d.payload = vec![0; 32].into();
+    d.shift_regions = vec![ShiftRegion {
+        node: 2,
+        ref_node: 1,
+        ref_ckpt: 2, // below base 5
+    }];
+    let device = Device::a100();
+    let err = restore_latest_single_pass(&device, 5, std::slice::from_ref(&d)).unwrap_err();
+    assert!(matches!(
+        err,
+        RestoreError::RefBelowBase {
+            ref_ckpt: 2,
+            base: 5,
+            ..
+        }
+    ));
+}
+
+#[test]
+fn same_record_shift_chain_and_cycles() {
+    // Mirror the oracle's chain test: 5 -> 4 -> 3(payload).
+    let mut d = tree_diff(0, 128);
+    d.first_regions = vec![3, 6];
+    d.shift_regions = vec![
+        ShiftRegion {
+            node: 5,
+            ref_node: 4,
+            ref_ckpt: 0,
+        },
+        ShiftRegion {
+            node: 4,
+            ref_node: 3,
+            ref_ckpt: 0,
+        },
+    ];
+    d.payload = [[7u8; 32], [9u8; 32]].concat().into();
+    let device = Device::a100();
+    let (v, _) = restore_latest_single_pass(&device, 0, std::slice::from_ref(&d)).unwrap();
+    assert_eq!(&v[0..96], &[7u8; 96][..]);
+    assert_eq!(&v[96..128], &[9u8; 32][..]);
+
+    let mut cyc = tree_diff(0, 128);
+    cyc.first_regions = vec![3, 6];
+    cyc.payload = vec![0; 64].into();
+    cyc.shift_regions = vec![
+        ShiftRegion {
+            node: 4,
+            ref_node: 5,
+            ref_ckpt: 0,
+        },
+        ShiftRegion {
+            node: 5,
+            ref_node: 4,
+            ref_ckpt: 0,
+        },
+    ];
+    let err = restore_latest_single_pass(&device, 0, std::slice::from_ref(&cyc)).unwrap_err();
+    assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
+}
+
+#[test]
+fn check_chain_visits_every_record_and_launches_nothing() {
+    let snaps = snapshots(3, 6, 8192);
+    for method_idx in [0, 2, 3] {
+        let mut m = make_checkpointer(method_idx);
+        let diffs: Vec<Diff> = snaps.iter().map(|s| m.checkpoint(s).diff).collect();
+        let cold = Device::a100();
+        let stats = check_chain(&cold, 0, &diffs).unwrap();
+        assert_eq!(
+            stats,
+            RestartStats {
+                records_visited: 6,
+                ..RestartStats::default()
+            },
+            "{}",
+            m.name()
+        );
+        assert_eq!(cold.metrics().kernels_launched(), 0, "{}", m.name());
+        let leases = cold.arena().stats().misses;
+        assert_eq!(leases, 0, "{}: no table, no buffer leased", m.name());
+    }
+
+    let mut diffs = build_chain(0, &snaps, None);
+    let cold = Device::a100();
+
+    // A bad record anywhere fails the chain, also where a restore of
+    // the newest version would never look.
+    diffs[2].ckpt_id = 9;
+    assert!(matches!(
+        check_chain(&cold, 0, &diffs),
+        Err(RestoreError::OutOfOrder {
+            index: 2,
+            ckpt_id: 9
+        })
+    ));
+    assert!(check_chain(&cold, 0, &[]).is_err());
+}
+
+#[test]
+fn early_stop_without_resolution_errors() {
+    let device = Device::a100();
+    let diffs = build_chain(0, &snapshots(3, 3, 4096), None);
+    let mut sp = SinglePassRestore::begin(&device, 0, &diffs[2]).unwrap();
+    let done = sp.feed(&diffs[2]).unwrap();
+    assert!(!done, "incremental tail cannot be self-sufficient");
+    let err = sp.finish().unwrap_err();
+    assert!(matches!(err, RestoreError::UnresolvableShifts { .. }));
 }
 
 /// `default` cases, or `PROPTEST_CASES` when it is set (CI runs these

@@ -6,7 +6,7 @@
 //! flusher drains host memory → node-local SSD → parallel file system with
 //! modeled tier bandwidths. The runtime also provides the restart path:
 //! recovering the durable prefix of each rank's record after a failure and
-//! replaying it back into checkpoint contents.
+//! resolving it back into checkpoint contents.
 //!
 //! * [`tier`] — simulated storage tiers with bandwidth/capacity accounting,
 //!   integrity framing and the one bounded retry of tier reads and writes;
@@ -28,8 +28,8 @@
 //! * [`rankdedup`] — the cluster-wide content-addressed dedup index:
 //!   hash-space sharding across a group's ranks, a seeded (thread-free)
 //!   first-occurrence claim exchange, cross-rank reference records;
-//! * [`lineage`] — record collection (the hole rule) and the
-//!   sequential-replay oracle tests compare the engine against;
+//! * [`lineage`] — record collection (the hole rule): the run of records
+//!   a restore reads;
 //! * [`restore`] — the restore engine: prefetched tier reads feeding a
 //!   single-pass resolution walk;
 //! * [`cluster_dir`] — the on-disk record layout: export a chain to a
@@ -58,7 +58,7 @@ pub use fault::{
 pub use integrity::{
     IntegrityCounters, ObjectStatus, RankRecovery, RecoveredObject, RecoveryReport,
 };
-pub use lineage::{collect_record, restore_rank, LineageError};
+pub use lineage::{collect_record, LineageError};
 pub use pipeline::{CheckpointPipeline, PipelineStats, ProduceFn};
 pub use rankdedup::{
     resolve_record, RankDedupConfig, RankDedupEngine, RankDedupError, RankDedupIndex,

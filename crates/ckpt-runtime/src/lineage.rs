@@ -4,15 +4,14 @@
 //! `(rank, 0), (rank, 1), …` spread across the tier chain.
 //! [`collect_record`] picks the newest restorable run of them (the hole
 //! rule); rebuilding a version from that run is the single-pass engine's
-//! job ([`crate::restore`], `ckpt_dedup::restart`). The one exception is
-//! [`restore_rank`], the sequential-replay oracle that tests compare the
-//! engine against.
+//! job ([`crate::restore`], `ckpt_dedup::restart`). The sequential-replay
+//! oracle tests compare that engine against replays the same run, from
+//! outside this crate (`ckpt_bench::oracle::restore_rank`).
 
 use crate::chain::TierChain;
 use ckpt_dedup::diff::{DecodeError, Diff};
 use ckpt_dedup::restart::is_self_contained;
-use ckpt_dedup::restore::RestoreError;
-use ckpt_dedup::Bytes;
+use ckpt_dedup::{Bytes, RestoreError};
 use std::collections::BTreeMap;
 
 /// Errors when reading a rank's lineage back.
@@ -114,72 +113,10 @@ pub(crate) fn run_head(records: &BTreeMap<u32, Bytes>, lo: u32, hi: u32) -> Opti
     (lo..=hi).find(|k| Diff::decode_shared(&records[k]).is_ok_and(|d| is_self_contained(&d)))
 }
 
-/// The runtime-level **oracle**: materialize every surviving version of
-/// `rank`'s record by sequential replay (`ckpt_dedup::restore_record_from`,
-/// which shares no resolution logic with the engine). Returns the base
-/// checkpoint id (0 unless the chain was compacted) and the versions
-/// `base, base+1, …` in order. Tests hold the engine's bytes against this;
-/// production code restores through [`crate::restore`] and must not call
-/// it — it keeps every version of the chain in memory.
-pub fn restore_rank(tiers: &TierChain, rank: u32) -> Result<(u32, Vec<Vec<u8>>), LineageError> {
-    let (base, encoded) = collect_record(tiers, rank)?;
-    let diffs = encoded
-        .iter()
-        .enumerate()
-        .map(|(i, bytes)| {
-            Diff::decode_shared(bytes).map_err(|e| LineageError::Decode(base + i as u32, e))
-        })
-        .collect::<Result<Vec<Diff>, LineageError>>()?;
-    let versions = ckpt_dedup::restore::restore_record_from(base, &diffs);
-    Ok((base, versions.map_err(LineageError::Restore)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::AsyncRuntime;
     use ckpt_dedup::prelude::*;
-
-    #[test]
-    fn full_round_trip_through_the_runtime() {
-        let rt = AsyncRuntime::new();
-        let dev = gpu_sim::Device::a100();
-        let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
-
-        let mut data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
-        let mut snapshots = Vec::new();
-        let mut ids = Vec::new();
-        for k in 0..4u32 {
-            if k > 0 {
-                let len = data.len();
-                for j in 0..64 {
-                    data[(k as usize * 997 + j * 13) % len] ^= 0x5a;
-                }
-            }
-            snapshots.push(data.clone());
-            let out = ckpt.checkpoint(&data);
-            rt.submit(0, k, out.diff.encode()).unwrap();
-            ids.push((0, k));
-        }
-        rt.wait_durable(&ids);
-
-        let (base, versions) = restore_rank(rt.tiers(), 0).unwrap();
-        assert_eq!(base, 0);
-        assert_eq!(versions.len(), 4);
-        for (v, s) in versions.iter().zip(&snapshots) {
-            assert_eq!(v, s);
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn empty_rank_errors() {
-        let rt = AsyncRuntime::new();
-        assert!(matches!(
-            restore_rank(rt.tiers(), 42),
-            Err(LineageError::Empty)
-        ));
-    }
 
     #[test]
     fn corrupt_shallow_copy_is_skipped_for_deeper_valid_one() {
@@ -234,44 +171,5 @@ mod tests {
             other => panic!("expected a typed hole, got {other:?}"),
         }
         assert_eq!(tiers.pfs.quarantined(), vec![(0, 1)]);
-    }
-
-    #[test]
-    fn compacted_chain_collects_from_the_rebase_base() {
-        // GC below a rebase record: ids 0–1 evicted, 2 is self-contained.
-        let tiers = crate::chain::TierChain::new();
-        let dev = gpu_sim::Device::a100();
-        let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
-        let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 233) as u8).collect();
-        let mut snapshots = Vec::new();
-        for k in 0..4u32 {
-            if k > 0 {
-                data[k as usize * 97] ^= 0xa5;
-            }
-            snapshots.push(data.clone());
-            let out = if k == 2 {
-                ckpt.rebase_checkpoint(&data)
-            } else {
-                ckpt.checkpoint(&data)
-            };
-            tiers.pfs.put((0, k), out.diff.encode()).unwrap();
-        }
-        assert!(tiers.pfs.evict((0, 0)));
-        assert!(tiers.pfs.evict((0, 1)));
-        let (base, chain) = collect_record(&tiers, 0).unwrap();
-        assert_eq!((base, chain.len()), (2, 2));
-        let (base, versions) = restore_rank(&tiers, 0).unwrap();
-        assert_eq!(base, 2);
-        assert_eq!(versions, snapshots[2..]);
-    }
-
-    #[test]
-    fn corrupt_diff_reported_with_index() {
-        let rt = AsyncRuntime::new();
-        rt.tiers().pfs.put((1, 0), vec![0xde, 0xad]).unwrap();
-        match restore_rank(rt.tiers(), 1) {
-            Err(LineageError::Decode(0, _)) => {}
-            other => panic!("expected decode error, got {other:?}"),
-        }
     }
 }

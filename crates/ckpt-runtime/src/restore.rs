@@ -55,8 +55,8 @@ pub struct ParallelRestoreOutcome {
 /// pass, prefetching tier reads one record ahead. Records are fetched
 /// via [`TierChain::locate`], so corruption fallback and repair behave
 /// exactly as in [`crate::lineage::collect_record`]; the restored bytes are
-/// bit-identical to the oracle's ([`crate::lineage::restore_rank`]) at any
-/// thread count.
+/// bit-identical to the sequential-replay oracle's
+/// (`ckpt_bench::oracle::restore_rank`) at any thread count.
 ///
 /// When `registry` is given, the walk records `restore/*` counters (see
 /// the metric table on the runtime's telemetry).
@@ -179,205 +179,5 @@ impl AsyncRuntime {
         rank: u32,
     ) -> Result<ParallelRestoreOutcome, LineageError> {
         restore_rank_latest_parallel(self.tiers(), device, rank, Some(self.telemetry()))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lineage::{restore_rank, LineageError};
-    use ckpt_dedup::prelude::*;
-
-    fn run_chain(rebase_at: Option<u32>) -> (crate::chain::TierChain, Vec<Vec<u8>>) {
-        let tiers = crate::chain::TierChain::new();
-        let dev = gpu_sim::Device::a100();
-        let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
-        let mut data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
-        let mut snapshots = Vec::new();
-        for k in 0..6u32 {
-            if k > 0 {
-                let len = data.len();
-                for j in 0..96 {
-                    data[(k as usize * 997 + j * 13) % len] ^= 0x5a;
-                }
-            }
-            snapshots.push(data.clone());
-            let out = if rebase_at == Some(k) {
-                ckpt.rebase_checkpoint(&data)
-            } else {
-                ckpt.checkpoint(&data)
-            };
-            tiers.pfs.put((0, k), out.diff.encode()).unwrap();
-        }
-        (tiers, snapshots)
-    }
-
-    #[test]
-    fn parallel_matches_sequential_and_counts_telemetry() {
-        let (tiers, snapshots) = run_chain(None);
-        let device = gpu_sim::Device::a100();
-        let registry = ckpt_telemetry::Registry::new();
-        let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
-        assert_eq!(out.version, 5);
-        assert_eq!(&out.data, snapshots.last().unwrap());
-        let (base, oracle) = restore_rank(&tiers, 0).unwrap();
-        assert_eq!(out.version as usize, base as usize + oracle.len() - 1);
-        assert_eq!(Some(&out.data), oracle.last());
-        let json = registry.snapshot_json();
-        for key in ["restore/chains_restored", "restore/records_read"] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // The walk runs down to checkpoint 0: every record is read, and
-        // the reader is never more than the one asked-for record ahead.
-        let (read, fetched) = walk_counts(&registry);
-        assert_eq!(read, 6);
-        assert!((read..=read + 1).contains(&fetched), "fetched {fetched}");
-    }
-
-    fn walk_counts(registry: &ckpt_telemetry::Registry) -> (u64, u64) {
-        (
-            registry.counter("restore/records_read").get(),
-            registry.counter("restore/records_fetched").get(),
-        )
-    }
-
-    #[test]
-    fn full_top_record_is_the_only_locate() {
-        let tiers = crate::chain::TierChain::new();
-        let mut ckpt = FullCheckpointer::new(gpu_sim::Device::a100(), 64);
-        let mut data: Vec<u8> = (0..4096u32).map(|i| (i % 239) as u8).collect();
-        for k in 0..4u32 {
-            data[k as usize * 7] ^= 0x33;
-            tiers
-                .pfs
-                .put((0, k), ckpt.checkpoint(&data).diff.encode())
-                .unwrap();
-        }
-        let registry = ckpt_telemetry::Registry::new();
-        let device = gpu_sim::Device::a100();
-        let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
-        assert_eq!((out.version, &out.data), (3, &data));
-        assert_eq!(walk_counts(&registry), (1, 1));
-    }
-
-    #[test]
-    fn rebase_record_stops_the_prefetch_walk() {
-        let (tiers, snapshots) = run_chain(Some(4));
-        let device = gpu_sim::Device::a100();
-        let registry = ckpt_telemetry::Registry::new();
-        let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
-        assert_eq!(&out.data, snapshots.last().unwrap());
-        assert!(
-            out.stats.records_visited <= 2,
-            "walk must stop at the rebase record, visited {}",
-            out.stats.records_visited
-        );
-        // Records 5 and 4 and nothing below: the rebase record is known to
-        // end the walk before anything under it is asked for.
-        assert_eq!(walk_counts(&registry), (2, 2));
-    }
-
-    #[test]
-    fn shared_referenced_record_is_fetched_once_per_restore() {
-        use crate::fault::{FaultPlan, OpKind};
-        use crate::rankdedup::{RankDedupConfig, RankDedupEngine, RankDedupMetrics};
-        // Rank 0 stores a pool of chunks once; each of rank 1's twelve Tree
-        // checkpoints then overwrites one more stripe of its own state
-        // with the pool's bytes — new to rank 1, already claimed by (0, 0)
-        // cluster-wide — so records 1..=11 all reference that one object.
-        let plan = FaultPlan::empty();
-        let tiers = crate::chain::TierChain::with_faults(plan.clone());
-        let cfg = RankDedupConfig {
-            ranks: 2,
-            chunk_len: 64,
-        };
-        let engine = RankDedupEngine::new(cfg, RankDedupMetrics::detached());
-        let dev = gpu_sim::Device::a100();
-        let pool: Vec<u8> = (0..8192u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
-        let stored = TreeCheckpointer::new(dev.clone(), TreeConfig::new(64))
-            .checkpoint(&pool)
-            .diff
-            .encode();
-        tiers
-            .pfs
-            .put((0, 0), engine.encode((0, 0), stored))
-            .unwrap();
-
-        let mut ckpt = TreeCheckpointer::new(dev.clone(), TreeConfig::new(64));
-        let mut data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
-        for k in 0..12u32 {
-            if k > 0 {
-                let stripe = k as usize * 512..(k as usize + 1) * 512;
-                data[stripe.clone()].copy_from_slice(&pool[stripe]);
-            }
-            let encoded = ckpt.checkpoint(&data).diff.encode();
-            tiers
-                .pfs
-                .put((1, k), engine.encode((1, k), encoded))
-                .unwrap();
-        }
-        let referers = (0..12u32)
-            .filter(|&k| {
-                let record = tiers.pfs.get((1, k)).unwrap();
-                let index = ckpt_dedup::RecordIndex::parse(&record).unwrap();
-                let into_pool = index.entries(&record).filter(
-                    |e| matches!(e, ckpt_dedup::RankDedupEntry::Remote(r) if r.owner_rank == 0),
-                );
-                into_pool.count() > 0
-            })
-            .count();
-        assert!(referers >= 11, "only {referers} records share the pool");
-
-        let pfs_gets = || {
-            plan.op_counts()
-                .into_iter()
-                .find(|(key, _)| *key == ("pfs", OpKind::Get))
-                .map_or(0, |(_, n)| n)
-        };
-        let before = pfs_gets();
-        let out = restore_rank_latest_parallel(&tiers, &dev, 1, None).unwrap();
-        assert_eq!((out.version, &out.data), (11, &data));
-        // Twelve records of the chain plus the one object they share.
-        assert_eq!(pfs_gets() - before, 12 + 1);
-    }
-
-    #[test]
-    fn compacted_chain_restores_without_the_gc_ed_prefix() {
-        let (tiers, snapshots) = run_chain(Some(3));
-        for k in 0..3u32 {
-            assert!(tiers.pfs.evict((0, k)));
-        }
-        let device = gpu_sim::Device::a100();
-        let out = restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap();
-        assert_eq!(out.version, 5);
-        assert_eq!(&out.data, snapshots.last().unwrap());
-    }
-
-    #[test]
-    fn hole_below_the_surviving_run_is_typed() {
-        let (tiers, _) = run_chain(None);
-        assert!(tiers.pfs.evict((0, 2)));
-        let device = gpu_sim::Device::a100();
-        let err = restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap_err();
-        match err {
-            LineageError::Hole {
-                rank: 0,
-                missing: 2,
-                present_above: 3,
-            } => {}
-            other => panic!("expected a typed hole, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_rank_errors() {
-        let tiers = crate::chain::TierChain::new();
-        let device = gpu_sim::Device::a100();
-        assert!(matches!(
-            restore_rank_latest_parallel(&tiers, &device, 9, None),
-            Err(LineageError::Empty)
-        ));
     }
 }

@@ -6,10 +6,11 @@
 //! with the `integrity/*` counters in each cell of the matrix.
 
 use crate::support::{Snapshots, Workload};
+use ckpt_bench::oracle::restore_rank;
 use ckpt_dedup::MethodKind;
 use ckpt_runtime::{
-    restore_rank, restore_rank_latest_parallel, FaultKind, FaultPlan, LineageError,
-    ParallelRestoreOutcome, TierChain,
+    restore_rank_latest_parallel, FaultKind, FaultPlan, LineageError, ParallelRestoreOutcome,
+    TierChain,
 };
 use gpu_sim::Device;
 

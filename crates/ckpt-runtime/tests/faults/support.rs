@@ -1,8 +1,8 @@
 //! The harness's scaffolding, defined once: the workload builder, the
 //! submit–kill–recover runner and the audit of invariants 1–3.
 
+use ckpt_bench::oracle::restore_record_from;
 use ckpt_dedup::prelude::*;
-use ckpt_dedup::restore::restore_record_from;
 use ckpt_dedup::Diff;
 use ckpt_runtime::tier::ObjectId;
 use ckpt_runtime::{

@@ -65,7 +65,7 @@ impl Field {
 
 fn main() {
     let device = Device::a100();
-    let mut ckpt = TreeCheckpointer::new(device, TreeConfig::new(64));
+    let mut ckpt = TreeCheckpointer::new(device.clone(), TreeConfig::new(64));
     let mut field = Field::new();
 
     // Forward pass: checkpoint every CKPT_EVERY steps.
@@ -93,7 +93,10 @@ fn main() {
     );
 
     // Backward (adjoint) pass: revisit the stored states newest-first.
-    let versions = restore_record(&diffs).expect("lineage restores");
+    let versions: Vec<Vec<u8>> = (0..diffs.len())
+        .map(|k| restore_version_single_pass(&device, 0, &diffs, k))
+        .map(|restored| restored.expect("lineage restores").0)
+        .collect();
     println!("\nbackward pass over {} stored states:", versions.len());
     for (k, v) in versions.iter().enumerate().rev().take(5) {
         println!("  state {k}: total energy {}", Field::energy(v));

@@ -81,8 +81,9 @@ fn main() {
             inc.modeled_throughput() / 1e9,
         );
         // Every method's record must reproduce the exact GDV history.
-        let versions = restore_record(&rec.diffs).expect("restore");
-        assert_eq!(versions.last().unwrap(), snapshots.last().unwrap());
+        let (latest, _) =
+            restore_latest_single_pass(&Device::a100(), 0, &rec.diffs).expect("restore");
+        assert_eq!(&latest, snapshots.last().unwrap());
     }
     println!("\nall records restored bit-exactly ✓");
 }

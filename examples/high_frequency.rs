@@ -70,6 +70,9 @@ fn drive(name: &str, mut method: Box<dyn Checkpointer>, snaps: &[Vec<u8>]) {
         stall.as_secs_f64() * 1e3,
         stored / 1024,
     );
+    // Whichever tier holds it now, the newest checkpoint restores exactly.
+    let restored = rt.restore_latest_parallel(&Device::a100(), 0);
+    assert_eq!(&restored.expect("restore").data, snaps.last().unwrap());
     rt.shutdown();
 }
 

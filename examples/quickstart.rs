@@ -54,8 +54,12 @@ fn main() {
         diffs.push(out.diff);
     }
 
-    // Any version can be reconstructed from the record.
-    let versions = restore_record(&diffs).expect("record is well-formed");
+    // Any version can be reconstructed from the record, each in one
+    // newest-to-oldest pass that writes every byte once.
+    let versions: Vec<Vec<u8>> = (0..diffs.len())
+        .map(|k| restore_version_single_pass(&device, 0, &diffs, k))
+        .map(|restored| restored.expect("record is well-formed").0)
+        .collect();
     assert_eq!(versions.last().unwrap(), &state);
     println!(
         "\nrestored all {} versions; latest matches live state ✓",

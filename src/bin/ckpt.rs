@@ -47,6 +47,10 @@
 //! [`ClusterDir::verify`] and each rank's chain proven restorable from its
 //! region tables alone — no version is built, no original needed.
 //!
+//! Missing or malformed operands (an unknown flag, a flag without a value or
+//! with one it cannot take, a missing `<dir>`) exit 2 naming the flag;
+//! errors about the data exit 1.
+//!
 //! `--stats` (on `create` and `restore`) and the `stats` subcommand emit a
 //! one-line JSON telemetry report on stdout, prefixed with `stats: `. The
 //! schema is stable: `{"command", "method", ..., "breakdowns": [...],
@@ -131,7 +135,8 @@ fn main() -> ExitCode {
     }
 }
 
-type CliResult = Result<(), Box<dyn std::error::Error>>;
+type CliError = Box<dyn std::error::Error>;
+type CliResult<T = ()> = Result<T, CliError>;
 
 /// Missing or malformed command-line operands.
 const EXIT_USAGE: u8 = 2;
@@ -157,11 +162,91 @@ impl std::fmt::Display for CliExit {
 
 impl std::error::Error for CliExit {}
 
-fn exit_with(code: u8, msg: impl Into<String>) -> Box<dyn std::error::Error> {
+fn exit_with(code: u8, msg: impl Into<String>) -> CliError {
     Box::new(CliExit {
         code,
         msg: msg.into(),
     })
+}
+
+/// Missing or malformed operands: exit 2, whatever the command.
+fn usage_error(msg: impl Into<String>) -> CliError {
+    exit_with(EXIT_USAGE, msg)
+}
+
+/// One command's operands: `--flag value` pairs for the flags it takes,
+/// the switches given, and the positional operands in order. An unknown
+/// `--flag`, or a flag with no value, is a usage error naming it.
+#[derive(Default)]
+struct Operands<'a> {
+    cmd: &'static str,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Operands<'a> {
+    fn parse(
+        cmd: &'static str,
+        args: &'a [String],
+        flags: &[&str],
+        switches: &[&str],
+    ) -> CliResult<Self> {
+        let mut ops = Operands {
+            cmd,
+            ..Default::default()
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if switches.contains(&arg) {
+                ops.switches.push(arg);
+            } else if flags.contains(&arg) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| usage_error(format!("{cmd}: {arg} needs a value")))?;
+                ops.values.push((arg, value));
+            } else if arg.starts_with("--") {
+                return Err(usage_error(format!("{cmd}: unknown flag {arg}")));
+            } else {
+                ops.positional.push(arg);
+            }
+        }
+        Ok(ops)
+    }
+
+    /// The last value given for `flag`, read by `parse`. A value it rejects
+    /// is the usage error "unknown `flag` `what` 'value' (`takes`)".
+    fn value<T>(
+        &self,
+        flag: &str,
+        (what, takes): (&str, &str),
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> CliResult<Option<T>> {
+        let Some(&(_, value)) = self.values.iter().rev().find(|(f, _)| *f == flag) else {
+            return Ok(None);
+        };
+        let cmd = self.cmd;
+        let bad = || usage_error(format!("{cmd}: unknown {flag} {what} '{value}' ({takes})"));
+        parse(value).map(Some).ok_or_else(bad)
+    }
+
+    /// The `--out` path, which the command needs.
+    fn out(&self, what: &str) -> CliResult<PathBuf> {
+        let out = self.value("--out", ("path", what), |v| Some(PathBuf::from(v)))?;
+        out.ok_or_else(|| usage_error(format!("{}: missing --out <{what}>", self.cmd)))
+    }
+
+    /// The one positional operand, the record directory.
+    fn dir(&self) -> CliResult<PathBuf> {
+        match self.positional[..] {
+            [dir] => Ok(PathBuf::from(dir)),
+            ref got => Err(usage_error(format!(
+                "{}: takes one <dir>, not {}",
+                self.cmd,
+                got.len()
+            ))),
+        }
+    }
 }
 
 /// The object as the chain's PFS stores it — what sits in the record file:
@@ -190,7 +275,7 @@ fn rank_prefix(layout: Layout, rank: u32) -> String {
 
 /// Import the record `path` belongs to, with the rank `path` names (if it
 /// is a member of a ranked record). Import findings go to stderr.
-fn import(path: &Path) -> Result<(Loaded, Option<u32>), Box<dyn std::error::Error>> {
+fn import(path: &Path) -> CliResult<(Loaded, Option<u32>)> {
     let (dir, member) = ClusterDir::containing(path);
     let loaded = dir.import()?;
     for note in &loaded.notes {
@@ -201,7 +286,7 @@ fn import(path: &Path) -> Result<(Loaded, Option<u32>), Box<dyn std::error::Erro
 
 /// [`import`] and decode the chain of the rank `path` names (rank 0 of a
 /// flat record).
-fn open_record(path: &Path) -> Result<(Loaded, u32, Record), Box<dyn std::error::Error>> {
+fn open_record(path: &Path) -> CliResult<(Loaded, u32, Record)> {
     let (loaded, member) = import(path)?;
     let rank = match loaded.layout {
         Layout::Flat => 0,
@@ -259,107 +344,67 @@ fn emit_stats_report(
 /// `--out`). Otherwise the snapshots are split into `R` contiguous
 /// per-rank sequences and the record is ranked.
 fn cmd_create(args: &[String], stats: bool) -> CliResult {
-    let mut out_dir: Option<PathBuf> = None;
-    let mut method = "tree".to_string();
-    let mut chunk = 128usize;
-    let mut compress: Option<String> = None;
-    let mut redundancy = RedundancyPolicy::Off;
-    let mut ranks: Option<usize> = None;
-    let mut verify_collisions = false;
-    let mut rank_dedup = false;
-    let mut snapshots: Vec<PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--redundancy" => {
-                let spec = args.get(i + 1).ok_or("--redundancy needs a value")?;
-                redundancy = RedundancyPolicy::parse(spec).ok_or_else(|| {
-                    exit_with(
-                        EXIT_USAGE,
-                        format!("unknown --redundancy policy '{spec}' (off|xor:<k>)"),
-                    )
-                })?;
-                i += 2;
-            }
-            "--ranks" => {
-                let r: usize = args.get(i + 1).ok_or("--ranks needs a value")?.parse()?;
-                if r == 0 {
-                    return Err("--ranks must be at least 1".into());
-                }
-                ranks = Some(r);
-                i += 2;
-            }
-            "--out" => {
-                out_dir = Some(PathBuf::from(args.get(i + 1).ok_or("--out needs a value")?));
-                i += 2;
-            }
-            "--method" => {
-                method = args.get(i + 1).ok_or("--method needs a value")?.clone();
-                i += 2;
-            }
-            "--chunk" => {
-                chunk = args.get(i + 1).ok_or("--chunk needs a value")?.parse()?;
-                if chunk < Chunking::MIN_CHUNK_SIZE {
-                    return Err(exit_with(
-                        EXIT_USAGE,
-                        format!(
-                            "create: --chunk {chunk} is below the minimum of {} bytes",
-                            Chunking::MIN_CHUNK_SIZE
-                        ),
-                    ));
-                }
-                i += 2;
-            }
-            "--compress" => {
-                compress = Some(args.get(i + 1).ok_or("--compress needs a value")?.clone());
-                i += 2;
-            }
-            "--verify-collisions" => {
-                verify_collisions = true;
-                i += 1;
-            }
-            "--rank-dedup" => {
-                rank_dedup = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(exit_with(
-                    EXIT_USAGE,
-                    format!("create: unknown flag {flag}"),
-                ));
-            }
-            other => {
-                snapshots.push(PathBuf::from(other));
-                i += 1;
-            }
-        }
+    let flags = [
+        "--out",
+        "--method",
+        "--chunk",
+        "--compress",
+        "--redundancy",
+        "--ranks",
+    ];
+    let ops = Operands::parse(
+        "create",
+        args,
+        &flags,
+        &["--verify-collisions", "--rank-dedup"],
+    )?;
+    let out_dir = ops.out("dir")?;
+    let method = ops.value("--method", ("name", "tree|list|basic|full"), |v| {
+        MethodKind::from_name(v).map(|kind| (kind, v.to_string()))
+    })?;
+    let (kind, method) = method.unwrap_or((MethodKind::Tree, "tree".into()));
+    let chunk = ops.value("--chunk", ("size", "a byte count"), |v| v.parse().ok())?;
+    let chunk = chunk.unwrap_or(128);
+    if chunk < Chunking::MIN_CHUNK_SIZE {
+        return Err(usage_error(format!(
+            "create: --chunk {chunk} is below the minimum of {} bytes",
+            Chunking::MIN_CHUNK_SIZE
+        )));
     }
-    let out_dir = out_dir.ok_or("missing --out <dir>")?;
+    // `--compress` is the flush stage (post-dedup, per record file).
+    let policy = ops.value(
+        "--compress",
+        ("policy", "off|adaptive|<codec>"),
+        CompressionPolicy::parse,
+    )?;
+    let policy = policy.unwrap_or(CompressionPolicy::Off);
+    let redundancy = ops.value(
+        "--redundancy",
+        ("policy", "off|xor:<k>"),
+        RedundancyPolicy::parse,
+    )?;
+    let redundancy = redundancy.unwrap_or(RedundancyPolicy::Off);
+    let ranks = ops.value("--ranks", ("count", "an integer >= 1"), |v| {
+        v.parse().ok().filter(|&r: &usize| r > 0)
+    })?;
+    let rank_dedup = ops.switches.contains(&"--rank-dedup");
+    let snapshots: Vec<PathBuf> = ops.positional.iter().map(PathBuf::from).collect();
     let n = snapshots.len();
     if n == 0 {
-        return Err("no snapshot files given".into());
+        return Err(usage_error("create: no snapshot files given"));
     }
-    let kind =
-        MethodKind::from_name(&method).ok_or_else(|| format!("unknown method '{method}'"))?;
     // Collision verification acts inside the Tree/List pipeline; Basic and
     // Full have nothing it could apply to.
     let mut cfg = TreeConfig::new(chunk);
-    if verify_collisions {
+    if ops.switches.contains(&"--verify-collisions") {
         if !matches!(kind, MethodKind::Tree | MethodKind::List) {
-            return Err(exit_with(
-                EXIT_USAGE,
-                format!("create: --verify-collisions applies to --method tree|list, not {method}"),
-            ));
+            return Err(usage_error(format!(
+                "create: --verify-collisions applies to --method tree|list, not {method}"
+            )));
         }
         cfg = cfg.with_collision_verification();
     }
 
-    // `--compress` is the flush stage (post-dedup, per record file).
-    let policy = match &compress {
-        None => CompressionPolicy::Off,
-        Some(spec) => CompressionPolicy::parse(spec)
-            .ok_or_else(|| format!("unknown --compress policy '{spec}' (off|adaptive|<codec>)"))?,
-    };
     let group_size = redundancy.group_size().max(1) as usize;
     let (layout, n_ranks) = if redundancy != RedundancyPolicy::Off || ranks.is_some() {
         // A rank count defaults to one full redundancy group.
@@ -368,17 +413,20 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
         (Layout::Flat, 1)
     };
     if rank_dedup && layout == Layout::Flat {
-        return Err("--rank-dedup needs a clustered record (--ranks and/or --redundancy)".into());
+        return Err(usage_error(
+            "create: --rank-dedup needs a clustered record (--ranks and/or --redundancy)",
+        ));
     }
     if n < n_ranks {
-        return Err(format!("{n} snapshots cannot be split across {n_ranks} ranks").into());
+        return Err(usage_error(format!(
+            "create: {n} snapshots cannot be split across {n_ranks} ranks"
+        )));
     }
     if !n_ranks.is_multiple_of(group_size) {
-        return Err(format!(
-            "--ranks {n_ranks} is not a multiple of the {} group size {group_size}",
+        return Err(usage_error(format!(
+            "create: --ranks {n_ranks} is not a multiple of the {} group size {group_size}",
             redundancy.label()
-        )
-        .into());
+        )));
     }
     // Contiguous split: the first `n % ranks` ranks take one extra.
     let mut next = 0;
@@ -541,7 +589,7 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
 }
 
 fn cmd_info(args: &[String]) -> CliResult {
-    let dir = PathBuf::from(args.first().ok_or("missing <dir>")?);
+    let dir = Operands::parse("info", args, &[], &[])?.dir()?;
     let (loaded, rank, Record { base, diffs }) = open_record(&dir)?;
     println!(
         "record {}: {} versions{}, method {}, chunk {} B, buffer {} bytes",
@@ -588,7 +636,7 @@ fn cmd_info(args: &[String]) -> CliResult {
 /// ranked record the rank-dedup and redundancy-group inventory. A rank
 /// whose directory is gone is read through its group like any other.
 fn cmd_stats(args: &[String]) -> CliResult {
-    let path = PathBuf::from(args.first().ok_or("missing <dir>")?);
+    let path = Operands::parse("stats", args, &[], &[])?.dir()?;
     let (loaded, member) = import(&path)?;
     let ranks: Vec<u32> = match member {
         Some(rank) => vec![rank],
@@ -682,34 +730,10 @@ fn cmd_stats(args: &[String]) -> CliResult {
 }
 
 fn cmd_restore(args: &[String], stats: bool) -> CliResult {
-    let mut dir: Option<PathBuf> = None;
-    let mut version: Option<usize> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--version" => {
-                version = Some(args.get(i + 1).ok_or("--version needs a value")?.parse()?);
-                i += 2;
-            }
-            "--out" => {
-                out = Some(PathBuf::from(args.get(i + 1).ok_or("--out needs a value")?));
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(exit_with(
-                    EXIT_USAGE,
-                    format!("restore: unknown flag {flag}"),
-                ));
-            }
-            other => {
-                dir = Some(PathBuf::from(other));
-                i += 1;
-            }
-        }
-    }
-    let dir = dir.ok_or("missing <dir>")?;
-    let out = out.ok_or("missing --out <file>")?;
+    let ops = Operands::parse("restore", args, &["--version", "--out"], &[])?;
+    let dir = ops.dir()?;
+    let out = ops.out("file")?;
+    let version = ops.value("--version", ("id", "a checkpoint id"), |v| v.parse().ok())?;
     let (_loaded, _rank, Record { base, diffs }) = open_record(&dir)?;
     let base = base as usize;
     let last = base + diffs.len() - 1;
@@ -801,21 +825,19 @@ fn verify_report_json(report: &VerifyReport, [verified, repairable, lost]: [u64;
 /// (0 clean / 3 repairable / 4 lost; a flat record without `--json` keeps
 /// its historical exit 1).
 fn cmd_verify(args: &[String]) -> CliResult {
-    let mut args: Vec<String> = args.to_vec();
-    let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-    let path = PathBuf::from(args.first().ok_or_else(|| {
-        exit_with(
-            EXIT_USAGE,
-            "usage: ckpt verify <dir> [originals...] [--json]",
-        )
-    })?);
-    let originals = &args[1..];
+    let ops = Operands::parse("verify", args, &[], &["--json"])?;
+    let json = ops.switches.contains(&"--json");
+    let Some((path, originals)) = ops.positional.split_first() else {
+        return Err(usage_error("verify: missing <dir>"));
+    };
+    let path = Path::new(path);
     if !originals.is_empty() {
         if json {
-            return Err("--json applies to integrity mode (no originals)".into());
+            return Err(usage_error(
+                "verify: --json applies to integrity mode (no originals)",
+            ));
         }
-        let (_loaded, _rank, Record { base, diffs }) = open_record(&path)?;
+        let (_loaded, _rank, Record { base, diffs }) = open_record(path)?;
         if originals.len() != diffs.len() {
             return Err(format!(
                 "record has {} versions (from v{base:04}) but {} originals were given",
@@ -836,7 +858,7 @@ fn cmd_verify(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    let (dir, member) = ClusterDir::containing(&path);
+    let (dir, member) = ClusterDir::containing(path);
     let mut report = dir.verify()?;
     report.ranks.retain(|r| member.is_none_or(|m| r.rank == m));
     if report.ranks.is_empty() {

@@ -4,12 +4,13 @@
 //! graph generation → Gorder → ORANGES → GPU-sim de-duplication →
 //! asynchronous multi-level runtime → failure → recovery → restart.
 
+use ckpt_bench::oracle::{restore_rank, restore_record, SerialTreeCheckpointer};
 use gpu_dedup_ckpt::dedup::methods::tree_naive::NaiveTreeCheckpointer;
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::graph::{gorder, PaperGraph};
 use gpu_dedup_ckpt::oranges::OrangesRun;
-use gpu_dedup_ckpt::runtime::{restore_rank, restore_rank_latest_parallel, AsyncRuntime};
+use gpu_dedup_ckpt::runtime::{restore_rank_latest_parallel, AsyncRuntime};
 
 /// GDV snapshots of a small ORANGES run (shared fixture).
 fn snapshots(graph: PaperGraph, n: usize, ckpts: usize, seed: u64) -> Vec<Vec<u8>> {

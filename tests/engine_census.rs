@@ -1,11 +1,12 @@
 //! Engine census: production code has exactly one way to rebuild a
 //! version — the single-pass engine (`ckpt_dedup::restart`). The
-//! sequential replay (`restore_record`, `restore_record_from`) survives
-//! only as the oracle tests compare the engine against, and the runtime's
-//! one doorway to it is `lineage::restore_rank`. This test reads the
-//! non-test source of the CLI, `ckpt-runtime` and `ckpt-adjoint` and fails
-//! if the oracle — or either deleted reader — is named anywhere else, so a
-//! second restore path cannot quietly grow back.
+//! sequential replay, the serial Tree checkpointer and the replay of a
+//! rank's record survive only as the oracles tests compare the engines
+//! against, in `ckpt_bench::oracle`. The crate graph keeps them out of
+//! production: `ckpt-dedup`, `ckpt-runtime` and `ckpt-adjoint` cannot
+//! depend on `ckpt-bench` (a cycle), and this test fails if the oracles'
+//! files come back to `ckpt-dedup`, if a production crate exports one, or
+//! if the root package takes `ckpt-bench` as more than a dev-dependency.
 //!
 //! Method census: the de-duplication pipeline exists once. Tree, List and
 //! the A3 ablation are one checkpointer body with three region-building
@@ -52,36 +53,11 @@
 
 use std::path::{Path, PathBuf};
 
-const ORACLE_ONLY: [&str; 4] = [
-    "restore_record",
-    "restore_record_from",
-    "Restorer",
-    "RecordReader",
-];
-
 /// The file's source above its first `#[cfg(test)]`.
 fn production_source(path: &Path) -> String {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let end = text.find("#[cfg(test)]").unwrap_or(text.len());
     text[..end].to_string()
-}
-
-/// `source` without the item `pub fn <name>(`: its doc comment, signature
-/// and body, up to the closing brace in column 0.
-fn without_fn(source: &str, name: &str) -> String {
-    let lines: Vec<&str> = source.lines().collect();
-    let sig = format!("pub fn {name}(");
-    let at = lines
-        .iter()
-        .position(|l| l.starts_with(&sig))
-        .unwrap_or_else(|| panic!("`{sig}` not found"));
-    let start = (0..at)
-        .rev()
-        .take_while(|&i| lines[i].starts_with("///"))
-        .last()
-        .unwrap_or(at);
-    let end = at + lines[at..].iter().position(|l| *l == "}").expect("fn end");
-    [&lines[..start], &lines[end + 1..]].concat().join("\n")
 }
 
 /// `file::fn` for each non-comment production line of `path` that
@@ -117,38 +93,55 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 #[test]
-fn the_oracle_is_named_only_inside_lineage_restore_rank() {
+fn the_oracles_live_in_ckpt_bench() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = vec![root.join("src/bin/ckpt.rs")];
-    files.extend(rust_files(&root.join("crates/ckpt-runtime/src")));
-    files.extend(rust_files(&root.join("crates/ckpt-adjoint/src")));
-
-    let mut saw_the_doorway = false;
-    let mut offences = Vec::new();
-    for path in &files {
-        let mut source = production_source(path);
-        if path.ends_with("ckpt-runtime/src/lineage.rs") {
-            let outside = without_fn(&source, "restore_rank");
-            saw_the_doorway = source.len() > outside.len();
-            source = outside;
-        }
-        for line in source.lines() {
-            if let Some(name) = ORACLE_ONLY.iter().find(|name| line.contains(**name)) {
-                let shown = path.strip_prefix(root).unwrap().display();
-                offences.push(format!("{shown}: `{name}` in: {}", line.trim()));
-            }
-        }
+    let dedup = root.join("crates/ckpt-dedup/src");
+    for gone in ["restore.rs", "methods/tree_serial.rs", "random_access.rs"] {
+        assert!(!dedup.join(gone).exists(), "ckpt-dedup/src/{gone} is back");
     }
-    assert!(saw_the_doorway, "lineage::restore_rank is gone");
+
+    // Neither production crate exports an oracle (or a deleted reader).
+    let oracles = [
+        "restore_record",
+        "restore_record_from",
+        "SerialTreeCheckpointer",
+        "restore_rank",
+        "Restorer",
+        "RecordReader",
+    ];
+    let mut exported = Vec::new();
+    for lib in ["ckpt-dedup", "ckpt-runtime"] {
+        let source = production_source(&root.join(format!("crates/{lib}/src/lib.rs")));
+        let code = source.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let words = code.flat_map(|l| l.split(|c: char| !c.is_alphanumeric() && c != '_'));
+        exported.extend(
+            words
+                .filter(|w| oracles.contains(w))
+                .map(|w| format!("{lib}: {w}")),
+        );
+    }
+    assert!(exported.is_empty(), "an oracle is exported: {exported:?}");
+
+    // The root package takes the oracles' crate as a dev-dependency only,
+    // and its source does not name it. (`ckpt-dedup`, `ckpt-runtime` and
+    // `ckpt-adjoint` cannot depend on it at all: that would be a cycle.)
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    let mut tables = manifest.split("\n[");
+    let deps = tables
+        .find(|t| t.starts_with("dependencies]"))
+        .expect("[dependencies]");
     assert!(
-        offences.is_empty(),
-        "the sequential oracle is reachable from production code:\n{}",
-        offences.join("\n")
+        !deps.contains("ckpt-bench"),
+        "the root package depends on ckpt-bench"
     );
-    assert!(
-        !root.join("crates/ckpt-dedup/src/random_access.rs").exists(),
-        "random_access.rs is back"
-    );
+    for path in rust_files_under(&root.join("src")) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            !text.contains("ckpt_bench"),
+            "{} names ckpt-bench",
+            path.display()
+        );
+    }
 }
 
 #[test]
@@ -156,7 +149,7 @@ fn one_pipeline_body_and_one_constructor() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let methods = root.join("crates/ckpt-dedup/src/methods");
     // One entry per `impl … Checkpointer for`, named by its file: Full,
-    // Basic, the shared pipeline body, the serial oracle.
+    // Basic, the shared pipeline body.
     let mut bodies = Vec::new();
     for path in rust_files(&methods) {
         let file = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -166,10 +159,7 @@ fn one_pipeline_body_and_one_constructor() {
             }
         }
     }
-    assert_eq!(
-        bodies,
-        ["basic.rs", "full.rs", "pipeline.rs", "tree_serial.rs"]
-    );
+    assert_eq!(bodies, ["basic.rs", "full.rs", "pipeline.rs"]);
     for step in ["list.rs", "tree_naive.rs"] {
         assert!(
             !production_source(&methods.join(step)).contains("fn checkpoint"),
@@ -439,13 +429,17 @@ fn one_fault_schedule_harness() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert_eq!(file_names(&root.join("src/bin")), ["ckpt.rs"]);
 
-    // Two suites pin a workload of their own and run no fault schedule:
-    // `runtime_assembly.rs` holds golden digests of its stream, and
-    // `flush_compression.rs` draws its edit scripts from proptest.
+    // Three suites pin a workload of their own and run no fault schedule:
+    // `runtime_assembly.rs` holds golden digests of its stream,
+    // `flush_compression.rs` draws its edit scripts from proptest, and
+    // `restore.rs` (the restore engine's and the lineage's tests, outside
+    // the crate because they call the oracle in `ckpt-bench`) builds short
+    // chains by hand.
     let tests = root.join("crates/ckpt-runtime/tests");
     let mut files = rust_files(&tests);
     files.extend(rust_files(&tests.join("faults")));
-    files.retain(|p| !p.ends_with("runtime_assembly.rs") && !p.ends_with("flush_compression.rs"));
+    let own_workload = ["runtime_assembly.rs", "flush_compression.rs", "restore.rs"];
+    files.retain(|p| !own_workload.iter().any(|f| p.ends_with(f)));
 
     // `file::fn` for each function of `path` that has every token.
     let fns_with_all = |path: &Path, tokens: &[&str]| -> Vec<String> {

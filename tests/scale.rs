@@ -6,6 +6,7 @@
 //! that nothing about the implementation is small-input-only: memory stays
 //! bounded by the sized structures, ratios hold, and restoration is exact.
 
+use ckpt_bench::oracle::restore_record;
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
 use gpu_dedup_ckpt::runtime::{

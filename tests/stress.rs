@@ -2,11 +2,10 @@
 //! randomly-timed crash; recovery must always yield a clean durable prefix
 //! per rank that restores bit-exactly.
 
+use ckpt_bench::oracle::restore_rank;
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;
-use gpu_dedup_ckpt::runtime::{
-    restore_rank, AsyncRuntime, ObjectStatus, RuntimeConfig, TierChain, TierConfig,
-};
+use gpu_dedup_ckpt::runtime::{AsyncRuntime, ObjectStatus, RuntimeConfig, TierChain, TierConfig};
 
 fn rank_snapshots(rank: u32, n: usize) -> Vec<Vec<u8>> {
     let len = 16 * 1024;

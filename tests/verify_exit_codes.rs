@@ -212,6 +212,12 @@ fn usage_errors_exit_2() {
         &[][..],
         &["frobnicate"][..],
         &["verify"][..],
+        &["info"][..],
+        &["restore"][..],
+        &["restore", "--out", "y"][..],
+        &["create", "s"][..],
+        &["create", "--out", "x"][..],
+        &["create", "--ranks"][..],
         &partner,
         &chunk,
     ] {
@@ -221,6 +227,24 @@ fn usage_errors_exit_2() {
             Some(2),
             "args {args:?} must be a usage error"
         );
+    }
+    // A malformed flag value is a usage error naming the flag, never a
+    // bare parse error.
+    for (flag, value) in [
+        ("--compress", "bogus"),
+        ("--method", "bogus"),
+        ("--ranks", "0"),
+        ("--ranks", "abc"),
+        ("--chunk", "abc"),
+        ("--version", "abc"),
+    ] {
+        let (code, _, stderr) = match flag {
+            "--version" => run(&["restore", "r", flag, value, "--out", "y"]),
+            _ => run(&["create", "--out", "x", flag, value, "s"]),
+        };
+        assert_eq!(code, 2, "{flag} {value} must be a usage error: {stderr}");
+        let named = stderr.contains(&format!("unknown {flag} "));
+        assert!(named && !stderr.contains("invalid digit"), "{stderr}");
     }
     // A mirror is `xor:2`; the policy list names the codes there are.
     let out = ckpt().args(partner).output().unwrap();
