@@ -177,7 +177,7 @@ pub fn checksum64(rank: u32, ckpt_id: u32, payload: &[u8]) -> u64 {
 /// one reader, one length-and-checksum check and one writer serve the
 /// three; each format keeps only its own fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
+enum Kind {
     /// `CKF1`: the integrity frame around every stored object.
     Frame,
     /// `CKPX`: a redundancy-group parity record.
@@ -225,7 +225,7 @@ impl Kind {
 
     /// Which format `bytes` opens with, by magic alone (a cheap sniff for
     /// legacy/unframed inputs; says nothing about validity).
-    pub fn sniff(bytes: &[u8]) -> Option<Kind> {
+    fn sniff(bytes: &[u8]) -> Option<Kind> {
         Kind::ALL
             .into_iter()
             .find(|k| bytes.starts_with(&k.magic()))
@@ -407,6 +407,10 @@ pub fn verify_frame(bytes: &[u8], expect: Option<(u32, u32)>) -> Result<&[u8], F
 /// Decompress a stored payload extracted from a frame with the given codec
 /// byte (0 copies through). Shared by the tier read path, which keeps the
 /// encoded bytes around for transcode-free flushing.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one decompression of a stored payload"
+)]
 pub fn decompress_payload(
     codec: u8,
     uncompressed_len: u64,
@@ -608,19 +612,19 @@ impl ParityRecord {
 // in a record is detected at decode time.
 
 /// Rank-dedup record magic: "CKPR".
-pub const RANKDEDUP_MAGIC: [u8; 4] = *b"CKPR";
+const RANKDEDUP_MAGIC: [u8; 4] = *b"CKPR";
 
 /// Current rank-dedup record version.
-pub const RANKDEDUP_VERSION: u16 = 1;
+const RANKDEDUP_VERSION: u16 = 1;
 
 /// Fixed rank-dedup header size preceding the entry table.
-pub const RANKDEDUP_HEADER_LEN: usize = 56;
+const RANKDEDUP_HEADER_LEN: usize = 56;
 
 /// Offset at which the record checksum's coverage starts.
 const RANKDEDUP_CHECK_OFFSET: usize = 24;
 
 /// Serialized size of one entry-table slot.
-pub const RANKDEDUP_ENTRY_LEN: usize = 13;
+const RANKDEDUP_ENTRY_LEN: usize = 13;
 
 /// A cross-rank first-occurrence reference: the chunk's bytes live in
 /// entry `chunk` of the rank-dedup record stored as object

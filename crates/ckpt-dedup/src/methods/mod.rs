@@ -214,6 +214,10 @@ pub(crate) struct Timer {
 impl Timer {
     pub(crate) fn start(device: &Device) -> Self {
         Timer {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a checkpoint's measured wall time"
+            )]
             start: std::time::Instant::now(),
             modeled_before: device.metrics().modeled_sec(),
         }

@@ -14,6 +14,10 @@
 //! own, uncovered chunks are zeros, tables the oracle refuses are refused
 //! alike, and the chain check launches nothing.
 
+// A test drives threads, clocks, files and codecs directly; the rules of
+// `clippy.toml` hold production code.
+#![allow(clippy::disallowed_methods)]
+
 use ckpt_bench::oracle::{restore_record, restore_record_from};
 use ckpt_dedup::prelude::*;
 use ckpt_dedup::restart::{check_chain, restore_version_single_pass, RestartStats};

@@ -548,6 +548,10 @@ impl ChainReader<'_> {
             return Some(bytes);
         }
         let metrics = self.tiers.rank_dedup.as_ref().map(|ix| ix.metrics());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times a rank-dedup resolve into `rankdedup/fetch_ns`"
+        )]
         let t0 = Instant::now();
         let resolved = self.resolver.resolve(id, &bytes);
         if let Some(m) = metrics {
@@ -663,6 +667,26 @@ mod tests {
         assert!(tiers.pfs.inspect_object(id).into_object().is_some());
         let repaired = tiers.pfs.raw(id).unwrap();
         assert!(repaired.shares_with(&tiers.host.raw(id).unwrap()));
+    }
+
+    /// GC is one call: [`compact_below`] advances the redundancy group's
+    /// floors with the tiers, so stripes go once every member has moved on.
+    #[test]
+    fn compact_below_advances_the_group() {
+        let mut tiers = TierChain::new();
+        let store = Arc::new(RedundancyStore::new(
+            RedundancyPolicy::Xor { group_size: 2 },
+            RedundancyMetrics::detached(),
+        ));
+        for rank in 0..2 {
+            tiers.pfs.put((rank, 0), vec![rank as u8; 64]).unwrap();
+            store.encode_member((rank, 0), &StoredObject::raw(vec![rank as u8; 64]));
+        }
+        tiers.attach_redundancy(Arc::clone(&store));
+        for rank in 0..2 {
+            assert_eq!(compact_below(&tiers, rank, 1), 1);
+        }
+        assert!(!store.knows_member((0, 0)) && !store.knows_member((1, 0)));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use ckpt_dedup::restart::{check_chain, RestartStats};
 use ckpt_dedup::Bytes;
 use gpu_sim::Device;
 use std::collections::{BTreeSet, HashSet};
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -91,6 +91,18 @@ fn entries(dir: &Path) -> Vec<(String, PathBuf)> {
     out
 }
 
+/// Write `bytes` to a new file at `path`: an existing file is an error
+/// naming it, never replaced.
+fn write_new(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(path)
+        .and_then(|mut file| file.write_all(bytes))
+        .map_err(named)
+}
+
 /// A record directory (see the module docs for the layout).
 pub struct ClusterDir {
     root: PathBuf,
@@ -142,10 +154,21 @@ impl ClusterDir {
         }
     }
 
+    /// Whether the directory already holds a record: a `NNNN.ckpt` file,
+    /// a `rank####/` or a `group/` directory. A new record goes only where
+    /// none is, so two runs' versions never mix in one chain.
+    pub fn holds_record(&self) -> bool {
+        self.layout() == Layout::Ranked
+            || entries(&self.root)
+                .iter()
+                .any(|(name, _)| parse_ckpt(name).is_some())
+    }
+
     /// Write the chain's durable state: every PFS object under its rank
     /// (`Flat` requires all of them to be rank 0's), and — when a
     /// redundancy store is attached — every group object plus the
-    /// manifest. Bytes are the tiers' framed bytes, untouched.
+    /// manifest. Bytes are the tiers' framed bytes, untouched. Every file
+    /// is new: one that exists already is an error, never overwritten.
     pub fn export(&self, tiers: &TierChain, layout: Layout) -> io::Result<()> {
         std::fs::create_dir_all(&self.root)?;
         for id in tiers.pfs.resident() {
@@ -161,7 +184,7 @@ impl ClusterDir {
             };
             std::fs::create_dir_all(&dir)?;
             if let Some(framed) = tiers.pfs.raw(id) {
-                std::fs::write(dir.join(format!("{:04}.ckpt", id.1)), framed)?;
+                write_new(&dir.join(format!("{:04}.ckpt", id.1)), &framed)?;
             }
         }
         if let Some(store) = tiers.redundancy() {
@@ -169,10 +192,10 @@ impl ClusterDir {
             std::fs::create_dir_all(&gdir)?;
             for key in store.group_tier().resident() {
                 if let Some(framed) = store.group_tier().raw(key) {
-                    std::fs::write(gdir.join(format!("{}.grp", group_stem(key))), framed)?;
+                    write_new(&gdir.join(format!("{}.grp", group_stem(key))), &framed)?;
                 }
             }
-            std::fs::write(gdir.join(MANIFEST), store.export_manifest())?;
+            write_new(&gdir.join(MANIFEST), store.export_manifest().as_bytes())?;
         }
         Ok(())
     }
@@ -434,6 +457,10 @@ impl Loaded {
 
     /// Why `id` has no provable payload: what is wrong with the file, and
     /// whether a group could have stood in for it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a diagnostic of a file no read could use: decoded untimed, outside the read path"
+    )]
     fn loss_detail(&self, id: ObjectId) -> String {
         let file = match self.tiers.pfs.raw(id) {
             None => "missing".to_string(),

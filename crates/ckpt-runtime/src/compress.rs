@@ -202,7 +202,15 @@ impl CompressionEngine {
             return raw;
         };
         let codec = codec_by_id(codec_id).expect("validated codec id");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the flush stage's encode into `compress/encode_ns`"
+        )]
         let t0 = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the flush stage: the one compression of a stored object"
+        )]
         let container = compress_blocks(&*codec, payload, DEFAULT_BLOCK_SIZE);
         let ns = t0.elapsed().as_nanos() as u64;
         // Object-level store fallback: the container (plus the frame's
@@ -220,8 +228,16 @@ impl CompressionEngine {
     /// and score `(1 − ratio) / flops_per_byte` — estimated bytes saved per
     /// unit encode cost. Returns `None` when storing wins.
     fn select(&self, payload: &[u8]) -> Option<u8> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times adaptive selection into `compress/select_ns`"
+        )]
         let t0 = Instant::now();
         let sample = &payload[..payload.len().min(SAMPLE_LEN)];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "adaptive selection compresses a sample through each candidate"
+        )]
         let best = best_candidate(|codec| {
             codec.compress(sample).len() as f64 / sample.len().max(1) as f64
         });

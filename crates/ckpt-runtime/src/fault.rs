@@ -263,6 +263,10 @@ impl FaultPlanBuilder {
 /// to the taxonomy.
 pub(crate) fn apply_latency(kind: &FaultKind) {
     if let FaultKind::LatencySpike { micros } = kind {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an injected latency spike models time"
+        )]
         std::thread::sleep(Duration::from_micros(*micros as u64));
     }
 }

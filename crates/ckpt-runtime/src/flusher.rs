@@ -182,6 +182,10 @@ impl Flusher {
     fn throttle(&self, bytes: u64, bw: f64) {
         if self.time_scale > 0.0 {
             let sec = bytes as f64 / bw * self.time_scale;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the bandwidth throttle models a tier's transfer time"
+            )]
             std::thread::sleep(Duration::from_secs_f64(sec));
         }
     }
@@ -236,6 +240,10 @@ impl Flusher {
             Edge::HostToPfs | Edge::SsdToPfs => (&t.pfs, &m.into_pfs),
         };
         let (raw_len, wire_len) = (object.uncompressed_len(), object.stored_len());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times a drain hop into `tier/<t>/flush_ns`"
+        )]
         let started = Instant::now();
         dst.store_object_with_retry(id, object, || m.retries.inc())
             .map_err(|refused| refused.object)?;

@@ -92,6 +92,10 @@ impl CheckpointPipeline {
         let worker = {
             let rt = Arc::clone(&rt);
             let shared = Arc::clone(&shared);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pipeline's submit tail, one of the runtime's two threads"
+            )]
             std::thread::spawn(move || worker_loop(rx, rt, shared))
         };
         CheckpointPipeline {

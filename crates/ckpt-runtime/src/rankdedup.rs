@@ -1581,7 +1581,20 @@ mod tests {
         };
         let is_local = |e: &RankDedupEntry| matches!(e, RankDedupEntry::Local { .. });
         let is_remote = |e: &RankDedupEntry| matches!(e, RankDedupEntry::Remote(_));
-        let slot = |i: usize| frame::RANKDEDUP_HEADER_LEN + i * frame::RANKDEDUP_ENTRY_LEN;
+        // Where slot `i` starts, sized through the writer: a record of no
+        // entries is all header, and each remote entry adds one slot.
+        let sized = |n: u32| {
+            let mut w = RecordWriter::new(0, 0, 1, n);
+            let r = RemoteRef {
+                owner_rank: 0,
+                ckpt_id: 0,
+                chunk: 0,
+            };
+            (0..n).for_each(|_| w.remote(r));
+            w.finish(0, 0).len()
+        };
+        let (header, entry) = (sized(0), sized(1) - sized(0));
+        let slot = |i: usize| header + i * entry;
         let mut orig_len = rec.orig_len;
         match kind {
             // A tag that is neither local nor remote.

@@ -488,6 +488,19 @@ mod tests {
     use super::*;
     use ckpt_dedup::frame::{PARITY_HEADER_LEN, PARITY_MEMBER_LEN};
 
+    // A group object's host is its key, not a field: a new field of the
+    // store stops this module compiling.
+    const _: fn(&RedundancyStore) = |store| {
+        let RedundancyStore {
+            policy: _,
+            group: _,
+            members: _,
+            encoded: _,
+            floors: _,
+            metrics: _,
+        } = store;
+    };
+
     fn store(policy: RedundancyPolicy) -> RedundancyStore {
         RedundancyStore::new(policy, RedundancyMetrics::detached())
     }

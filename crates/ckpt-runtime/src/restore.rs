@@ -96,6 +96,10 @@ pub fn restore_rank_latest_parallel(
         let (tx, rx) = bounded::<(u32, Option<Bytes>)>(1);
         if !ends_walk {
             let records_fetched = &records_fetched;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the restore's record reader, joined before the scope returns"
+            )]
             s.spawn(move || {
                 // One `locate` per token, newest first. Either channel
                 // closing (resolution complete, or an error) ends the walk.
@@ -120,6 +124,10 @@ pub fn restore_rank_latest_parallel(
             if engine.feed(&diff).map_err(LineageError::Restore)? || ends_walk {
                 return Ok(engine);
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "times the engine's wait for a record into `restore/fetch_wait_ns`"
+            )]
             let t0 = Instant::now();
             let Ok((id, bytes)) = rx.recv() else {
                 // The reader is gone with the engine still wanting records;

@@ -134,6 +134,10 @@ impl AsyncRuntime {
             time_scale,
         };
         let (tx, rx) = unbounded();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the flusher, one of the runtime's two threads"
+        )]
         let worker = std::thread::spawn(move || flusher.run(rx));
         AsyncRuntime {
             shared,
@@ -220,6 +224,10 @@ impl AsyncRuntime {
     /// is retracted from the index: it claimed chunks of an object no tier
     /// holds.
     fn stage(&self, id: ObjectId, bytes: Vec<u8>, blocking: bool) -> Result<Duration, TierFull> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times a submission's staging into the blocked time it reports"
+        )]
         let start = Instant::now();
         let (host, m) = (&self.shared.tiers.host, &self.shared.m);
         let mut object = StoredObject::raw(self.dedup_transform(id, bytes));

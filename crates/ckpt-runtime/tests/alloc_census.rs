@@ -8,7 +8,7 @@
 
 use ckpt_compress::blocks::DEFAULT_BLOCK_SIZE;
 use ckpt_compress::lz::{find_sequences, MatchConfig, Seq};
-use ckpt_dedup::frame::{RankDedupEntry, RecordIndex, RANKDEDUP_ENTRY_LEN, RANKDEDUP_HEADER_LEN};
+use ckpt_dedup::frame::{RankDedupEntry, RecordIndex};
 use ckpt_dedup::prelude::*;
 use ckpt_dedup::Bytes;
 use ckpt_runtime::compress::SAMPLE_LEN;
@@ -165,9 +165,10 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
         .collect();
     engine.encode((0, 0), payload.clone());
     let (record, requested) = requested_during(|| engine.encode((1, 0), payload));
+    let index = RecordIndex::parse(&record).unwrap();
     assert_eq!(
-        record.len(),
-        RANKDEDUP_HEADER_LEN + RANKDEDUP_ENTRY_LEN * CHUNKS,
+        (index.n_entries(), index.n_local()),
+        (CHUNKS as u32, 0),
         "every chunk must be a reference"
     );
     let bound = record.len() as u64 + SLACK;
@@ -182,7 +183,7 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
     // not the call's. One participant, so the warm-up call and the counted
     // one meet the same thread's tables ----
     const SLOTS: usize = 26_400;
-    let mut object = Vec::with_capacity(SLOTS * RANKDEDUP_ENTRY_LEN);
+    let mut object = Vec::with_capacity(SLOTS * 13);
     let mut chunk = 0u32;
     for i in 0..SLOTS as u32 {
         noise ^= noise << 13;
@@ -289,13 +290,13 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
     let original = owns.concat();
     let record = engine.encode(top, original.clone());
     tiers.pfs.put(top, record.clone()).unwrap();
+    let index = RecordIndex::parse(&record).unwrap();
     assert_eq!(
-        record.len(),
-        RANKDEDUP_HEADER_LEN + RANKDEDUP_ENTRY_LEN * owns.len() * OWN_CHUNKS,
+        (index.n_entries(), index.n_local()),
+        ((owns.len() * OWN_CHUNKS) as u32, 0),
         "every cell must be a reference"
     );
-    let referenced: std::collections::BTreeSet<u32> = RecordIndex::parse(&record)
-        .unwrap()
+    let referenced: std::collections::BTreeSet<u32> = index
         .entries(&record)
         .filter_map(|e| match e {
             RankDedupEntry::Remote(r) => Some(r.owner_rank),

@@ -26,6 +26,10 @@
 //! [`rank_dedup`] (the cluster dedup index on vs off) and [`corruption`]
 //! (one damaged record at a time against the sequential oracle).
 
+// A test drives threads, clocks, files and codecs directly; the rules of
+// `clippy.toml` hold production code.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 mod corruption;
 mod crash;
 mod rank_dedup;

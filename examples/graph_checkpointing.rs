@@ -41,30 +41,18 @@ fn main() {
 
     // 3. Checkpoint the same record with all four methods.
     let chunk = 128;
-    let methods: Vec<(&str, Box<dyn Checkpointer>)> = vec![
-        (
-            "Full",
-            Box::new(FullCheckpointer::new(Device::a100(), chunk)),
-        ),
-        (
-            "Basic",
-            Box::new(BasicCheckpointer::new(Device::a100(), chunk)),
-        ),
-        (
-            "List",
-            Box::new(ListCheckpointer::new(
-                Device::a100(),
-                TreeConfig::new(chunk),
-            )),
-        ),
-        (
-            "Tree",
-            Box::new(TreeCheckpointer::new(
-                Device::a100(),
-                TreeConfig::new(chunk),
-            )),
-        ),
-    ];
+    let methods: Vec<(&str, Box<dyn Checkpointer>)> = [
+        MethodKind::Full,
+        MethodKind::Basic,
+        MethodKind::List,
+        MethodKind::Tree,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let method = new_checkpointer(kind, Device::a100(), TreeConfig::new(chunk));
+        (kind.name(), method)
+    })
+    .collect();
     println!(
         "{:<8} {:>14} {:>10} {:>14} {:>14}",
         "method", "record bytes", "ratio", "metadata", "modeled tp"

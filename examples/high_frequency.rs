@@ -53,6 +53,10 @@ fn drive(name: &str, mut method: Box<dyn Checkpointer>, snaps: &[Vec<u8>]) {
         ..Default::default()
     });
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the example reports its wall time"
+    )]
     let t0 = std::time::Instant::now();
     let mut stall = std::time::Duration::ZERO;
     let mut stored = 0u64;

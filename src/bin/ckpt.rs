@@ -342,7 +342,8 @@ fn emit_stats_report(
 ///
 /// Without `--ranks`/`--redundancy` the record is flat (one rank, files in
 /// `--out`). Otherwise the snapshots are split into `R` contiguous
-/// per-rank sequences and the record is ranked.
+/// per-rank sequences and the record is ranked. An `--out` that already
+/// holds a record ([`ClusterDir::holds_record`]) is refused.
 fn cmd_create(args: &[String], stats: bool) -> CliResult {
     let flags = [
         "--out",
@@ -460,6 +461,17 @@ fn cmd_create(args: &[String], stats: bool) -> CliResult {
                 .into());
             }
         }
+    }
+
+    // A record goes into a new or record-free directory only: a second
+    // run's versions would land over the first's low ids, and its high ids
+    // would then restore onto them.
+    if ClusterDir::new(&out_dir).holds_record() {
+        return Err(format!(
+            "{}: already holds a record; create writes a new record only where none is",
+            out_dir.display()
+        )
+        .into());
     }
 
     let registry = Arc::new(Registry::new());
@@ -679,6 +691,10 @@ fn cmd_stats(args: &[String]) -> CliResult {
                     .counter(&format!("record/frames/{}", codec_name(object.codec())))
                     .inc();
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "`stats` reads each stored record's rank-dedup table; it restores nothing, so the decode is untimed"
+            )]
             let dedup = object.decode().ok();
             if let Some(rec) = dedup.and_then(|p| RecordIndex::parse(&p).ok()) {
                 dedup_records += 1;
@@ -747,6 +763,10 @@ fn cmd_restore(args: &[String], stats: bool) -> CliResult {
     let device = Device::a100();
     let (bytes, walk) = restore_version_single_pass(&device, base as u32, &diffs, index)?;
     drop(span);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`restore` writes the restored version to `--out`"
+    )]
     std::fs::write(&out, &bytes)?;
     println!(
         "restored v{version} ({} bytes) -> {}",

@@ -14,6 +14,10 @@
 //! 3. whatever `verify` said, a restore that exits 0 wrote exactly the
 //!    newest snapshot — never an older version, never other bytes.
 
+// A test drives threads, clocks, files and codecs directly; the rules of
+// `clippy.toml` hold production code.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use gpu_dedup_ckpt::runtime::SplitMix64;
 use std::path::{Path, PathBuf};
 use std::process::Command;

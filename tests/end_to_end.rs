@@ -4,6 +4,10 @@
 //! graph generation → Gorder → ORANGES → GPU-sim de-duplication →
 //! asynchronous multi-level runtime → failure → recovery → restart.
 
+// A test drives threads, clocks, files and codecs directly; the rules of
+// `clippy.toml` hold production code.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use ckpt_bench::oracle::{restore_rank, restore_record, SerialTreeCheckpointer};
 use gpu_dedup_ckpt::dedup::methods::tree_naive::NaiveTreeCheckpointer;
 use gpu_dedup_ckpt::dedup::prelude::*;

@@ -6,6 +6,10 @@
 //! that nothing about the implementation is small-input-only: memory stays
 //! bounded by the sized structures, ratios hold, and restoration is exact.
 
+// A test drives threads, clocks, files and codecs directly; the rules of
+// `clippy.toml` hold production code.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use ckpt_bench::oracle::restore_record;
 use gpu_dedup_ckpt::dedup::prelude::*;
 use gpu_dedup_ckpt::gpu_sim::Device;

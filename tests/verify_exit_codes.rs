@@ -6,6 +6,10 @@
 //! — exit 2. The machine-readable report (`--json`) keeps one stable
 //! schema across redundancy policies and rank-dedup on/off.
 
+// A test drives threads, clocks, files and codecs directly; the rules of
+// `clippy.toml` hold production code.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -498,4 +502,85 @@ fn unknown_manifest_policy_is_typed_never_silent() {
     ]);
     assert_ne!(code, 0, "{stderr}");
     assert!(!out.exists(), "no output file on a failed restore");
+}
+
+/// Every file under `dir`, with its bytes, in path order.
+fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree_bytes(&path));
+        } else {
+            files.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A second `create` into a directory that already holds a record is a
+/// data error naming the directory, and leaves every file alone: the new
+/// run's versions would otherwise land over the old run's low ids, and the
+/// old high ids would restore onto them with exit 0.
+#[test]
+fn create_into_a_used_directory_is_refused() {
+    let tmp = TempDir::new("reuse");
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    let mut snapshot = |name: &str, base: Option<&[u8]>| -> PathBuf {
+        let mut data: Vec<u8> = base.map(<[u8]>::to_vec).unwrap_or_else(|| {
+            (0..64 * 1024)
+                .map(|_| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed as u8
+                })
+                .collect()
+        });
+        if base.is_some() {
+            let at = (seed as usize) % (data.len() - 512);
+            seed = seed.rotate_left(17) ^ 0x5bd1_e995;
+            data[at..at + 512].fill(name.len() as u8 ^ 0xa5);
+        }
+        let path = tmp.path().join(name);
+        std::fs::write(&path, &data).unwrap();
+        path
+    };
+    let a0 = snapshot("a0", None);
+    let a0_bytes = std::fs::read(&a0).unwrap();
+    let mut first = vec![a0];
+    for name in ["a1", "a2", "a3"] {
+        first.push(snapshot(name, Some(&a0_bytes)));
+    }
+    let second = [snapshot("b0", None), snapshot("b1", None)];
+
+    let record = tmp.path().join("d");
+    let dir = record.to_str().unwrap();
+    let create_from = |snaps: &[PathBuf]| {
+        let out = ckpt()
+            .args(["create", "--out", dir])
+            .args(snaps)
+            .output()
+            .unwrap();
+        (
+            out.status.code().unwrap(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = create_from(&first);
+    assert_eq!(code, 0, "{stderr}");
+    let before = tree_bytes(&record);
+    assert_eq!(before.len(), 4, "four versions: {before:?}");
+
+    let (code, stderr) = create_from(&second);
+    assert_eq!(code, 1, "a second create into {dir}: {stderr}");
+    assert!(
+        stderr.contains(dir),
+        "the refusal names the directory: {stderr}"
+    );
+    assert!(
+        tree_bytes(&record) == before,
+        "a refused create changed {dir}"
+    );
 }
