@@ -8,26 +8,41 @@
 //! module walks the chain the other way, and by **runs**, not by chunks:
 //! the demand on a record is a list of `Run`s — stretches of the target's
 //! chunks that hold what that record's version has at some stretch of its
-//! own — seeded with the single run `0..n` at the target. Visiting records
+//! own — seeded with one run per output slice at the target. Visiting records
 //! newest→oldest, each waiting run is split against the record's region
 //! tables — every method's record lists as the same kind, a Full record as
 //! one payload region and a Basic record as one per changed stretch: a
 //! piece covered by payload is copied into place (adjacent pieces coalesce
 //! into one `memcpy`), a piece covered by a shifted duplicate of an older
 //! record becomes a run on that record, one covered by a shifted duplicate
-//! of this same record resolves through a per-visit memo to the chunk it
+//! of this same record resolves through a memo to the chunk it
 //! ends at, and an uncovered piece is a fixed duplicate that carries to the
 //! next-older record — runs untouched by the record's tables
 //! move there in bulk. Total bytes moved: one checkpoint's worth, regardless
 //! of chain length; total resolution work: the record's tables plus the
 //! pieces it resolves, not the snapshot's chunk count.
 //!
-//! **Determinism:** a visit is a pure function of the record's region tables
-//! and the runs waiting on it, every run list has pairwise-disjoint
-//! destinations, and each output chunk is written by exactly one copy — so
-//! the restored bytes and every counter are identical at any thread count,
-//! and identical to the sequential replay (the run walk computes exactly the
-//! provenance the sequential clone-and-patch loop realizes in place).
+//! **Output slices.** The target is split into slices of
+//! [`slice_chunks`] chunks, a plan fixed by the chunk count. Each slice
+//! holds its own run lists and counters and owns a disjoint range of the
+//! output; a run never leaves the slice of its destination, so a slice
+//! walks the whole chain alone, and a visit sweeps the slices as one job on
+//! the pool (or in order on the calling thread:
+//! [`SinglePassRestore::feed_in_order`]). The output is never zeroed: each
+//! byte is written once, by a copy or, below the chain's first record, a
+//! zero fill.
+//!
+//! **Determinism:** a slice's visit is a pure function of the record's
+//! region tables and the runs waiting on it in that slice; what slices
+//! share — the tables, and a memo of same-record shift terminals, a pure
+//! function of the tables — they only read or store the same value into.
+//! Every run list has pairwise-disjoint destinations, and each output chunk
+//! is written by exactly one copy or fill — so the restored bytes and every
+//! counter are identical at any thread count and whether the slices ran on
+//! the pool or in order, and the bytes are identical to the sequential
+//! replay (the run walk computes exactly the provenance the sequential
+//! clone-and-patch loop realizes in place). Copies and runs coalesce only
+//! inside a slice, so the counters depend on the slice plan.
 //!
 //! Chains whose head is a **rebase record** (see
 //! [`Checkpointer::rebase_checkpoint`](crate::methods::Checkpointer::rebase_checkpoint))
@@ -44,6 +59,10 @@ use crate::chunking::Chunking;
 use crate::diff::{bitmap, Diff, MethodKind};
 use crate::tree::TreeShape;
 use gpu_sim::{ArenaLease, Device, KernelCost};
+use rayon::prelude::*;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Errors surfaced while reconstructing checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -602,32 +621,51 @@ fn segments(payload: &[PayloadIv], shifts: &[ShiftIv], n_chunks: u32) -> Option<
     Some(segs)
 }
 
-/// An unset entry of [`Memo::terminal`].
-const UNSET: u32 = u32::MAX;
+/// Chunks per output slice of a target up to [`MAX_SLICES`] of them long:
+/// a restore splits its target into slices (the last one shorter) and a
+/// visit sweeps them as one parallel job.
+pub const SLICE_CHUNKS: usize = 16 * 1024;
 
-/// Per chunk of the visited record, where its same-record shifts end: the
-/// **terminal** chunk of the same version, outside every same-record shift,
-/// whose content it has. Leased once per restore and reset after each
-/// visit only where that visit wrote.
-struct Memo {
-    terminal: ArenaLease<u32>,
-    touched: ArenaLease<u32>,
-    n_touched: usize,
+/// The most slices a target is split into. Each slice keeps one run-list
+/// header per record position, so this bounds the walk's scratch at
+/// `MAX_SLICES` headers per position, whatever the target's size.
+pub const MAX_SLICES: usize = 256;
+
+/// Chunks per output slice of an `n_chunks`-chunk target: [`SLICE_CHUNKS`],
+/// or more when that would make more than [`MAX_SLICES`] slices. The plan
+/// is a function of the chunk count alone, never of the thread count, so
+/// the counters are too.
+pub fn slice_chunks(n_chunks: usize) -> usize {
+    SLICE_CHUNKS.max(n_chunks.div_ceil(MAX_SLICES))
 }
+
+/// What a debug build fills a fresh output buffer with, so that a byte no
+/// visit wrote shows up in the restored bytes.
+const POISON: u8 = 0xa5;
 
 /// Chunks per entry of a visit's segment directory.
 const BLOCK: usize = 16;
 
-/// A visit's lookups: a directory from every [`BLOCK`]-th chunk to the
-/// segment holding it, built the first time a piece needs one, and the
-/// restore's [`Memo`] for same-record shifts.
-struct Chase<'a> {
-    device: &'a Device,
-    segs: &'a [Seg],
+/// What every slice's visit of one record reads: the record's segments and
+/// payload, a directory from every [`BLOCK`]-th chunk to the segment holding
+/// it (built the first time a piece needs one), and the restore's memo of
+/// same-record shift terminals.
+struct Record<'a> {
+    ck: Chunking,
     /// Position of the visited record.
     j: u32,
-    dir: Option<ArenaLease<u32>>,
-    memo: &'a mut Option<Memo>,
+    segs: &'a [Seg],
+    payload: &'a [u8],
+    device: &'a Device,
+    dir: OnceLock<ArenaLease<u32>>,
+    /// Per chunk, where the visited record's same-record shifts end: the
+    /// **terminal** chunk of the same version, outside every same-record
+    /// shift, whose content it has — in the low half, under the visit's
+    /// stamp `j + 1` in the high half, so an entry an earlier visit wrote
+    /// reads as unset. Shared by all slices: a terminal is a pure function
+    /// of the record's tables, so slices that race on an entry store the
+    /// same value. Empty when no visited record has a same-record shift.
+    memo: &'a [AtomicU64],
 }
 
 /// The segment of `segs` holding `chunk`: from its block's entry in `dir`,
@@ -641,16 +679,14 @@ fn seg_index(dir: &[u32], segs: &[Seg], chunk: u32) -> usize {
     k
 }
 
-impl Chase<'_> {
+impl Record<'_> {
     /// The directory, built on first use: O(blocks + segments).
-    fn dir<'c>(
-        dir: &'c mut Option<ArenaLease<u32>>,
-        segs: &[Seg],
-        device: &Device,
-    ) -> &'c ArenaLease<u32> {
-        dir.get_or_insert_with(|| {
+    fn dir(&self) -> &[u32] {
+        self.dir.get_or_init(|| {
+            let segs = self.segs;
             let n = segs.last().map_or(0, |s| s.chi as usize);
-            let mut dir = device
+            let mut dir = self
+                .device
                 .arena()
                 .lease::<u32>("restart/seg_dir", n.div_ceil(BLOCK));
             let mut k = 0;
@@ -666,74 +702,62 @@ impl Chase<'_> {
 
     /// The segment holding `chunk`.
     #[inline(always)]
-    fn seg_of(&mut self, chunk: u32) -> Seg {
-        let dir = Self::dir(&mut self.dir, self.segs, self.device);
-        self.segs[seg_index(dir, self.segs, chunk)]
+    fn seg_of(&self, chunk: u32) -> Seg {
+        self.segs[seg_index(self.dir(), self.segs, chunk)]
     }
 
-    /// The terminal chunk of `chunk`: each chunk of a same-record shift is
-    /// chased once per visit, and the index has no same-record cycle, so
-    /// the chase ends.
+    /// Where a chase of the visited record's same-record shifts goes from
+    /// `chunk`: the chunk it has the content of, or `None` if `chunk` lies
+    /// in no same-record shift.
     #[inline(always)]
-    fn terminal(&mut self, chunk: u32) -> u32 {
-        let (segs, device) = (self.segs, self.device);
-        let dir = Self::dir(&mut self.dir, segs, device);
-        let memo = self.memo.get_or_insert_with(|| {
-            let arena = device.arena();
-            let n = segs.last().map_or(0, |s| s.chi as usize);
-            let mut terminal = arena.lease::<u32>("restart/memo", n);
-            terminal.fill(UNSET);
-            Memo {
-                terminal,
-                touched: arena.lease::<u32>("restart/memo_touched", n),
-                n_touched: 0,
-            }
-        });
-        let from = memo.n_touched;
-        let mut c = chunk;
-        loop {
-            let known = memo.terminal[c as usize];
-            if known != UNSET {
-                c = known;
-                break;
-            }
-            let seg = &segs[seg_index(dir, segs, c)];
-            match seg.from {
-                Source::Shift { slo, ref_pos } if ref_pos == self.j => {
-                    memo.touched[memo.n_touched] = c;
-                    memo.n_touched += 1;
-                    c = slo + (c - seg.clo);
-                }
-                _ => break,
-            }
+    fn chased(&self, dir: &[u32], chunk: u32) -> Option<u32> {
+        let seg = &self.segs[seg_index(dir, self.segs, chunk)];
+        match seg.from {
+            Source::Shift { slo, ref_pos } if ref_pos == self.j => Some(slo + (chunk - seg.clo)),
+            _ => None,
         }
-        for &p in &memo.touched[from..memo.n_touched] {
-            memo.terminal[p as usize] = c;
-        }
-        c
     }
 
-    /// Forget what this visit memoised.
-    fn reset(&mut self) {
-        if let Some(memo) = self.memo {
-            for &p in &memo.touched[..memo.n_touched] {
-                memo.terminal[p as usize] = UNSET;
+    /// The terminal chunk of `chunk`. The chase ends, since the index has
+    /// no same-record cycle; a second walk memoises it along the path up to
+    /// where the first stopped, so each chunk of a same-record shift is
+    /// chased about once per visit.
+    #[inline(always)]
+    fn terminal(&self, chunk: u32) -> u32 {
+        let dir = self.dir();
+        let stamp = (u64::from(self.j) + 1) << 32;
+        let mut end = chunk;
+        let t = loop {
+            let known = self.memo[end as usize].load(Ordering::Relaxed);
+            if known & !u64::from(u32::MAX) == stamp {
+                break known as u32;
             }
-            memo.n_touched = 0;
+            match self.chased(dir, end) {
+                Some(next) => end = next,
+                None => break end,
+            }
+        };
+        let mut c = chunk;
+        while c != end {
+            self.memo[c as usize].store(stamp | u64::from(t), Ordering::Relaxed);
+            let Some(next) = self.chased(dir, c) else {
+                break;
+            };
+            c = next;
         }
+        t
     }
 }
 
-/// One record visit: where the pieces of the runs waiting on it go. A copy
-/// is held back until the next piece shows whether it continues it — in the
-/// output and in the payload — so a maximal contiguous stretch is one
-/// `memcpy`.
+/// One slice's visit of a record: where the pieces of the runs waiting on
+/// it go. A copy is held back until the next piece shows whether it
+/// continues it — in the output and in the payload — so a maximal
+/// contiguous stretch inside the slice is one `memcpy`.
 struct Visit<'a> {
-    ck: Chunking,
-    /// Position of the visited record.
-    j: u32,
-    buf: &'a mut [u8],
-    payload: &'a [u8],
+    rec: &'a Record<'a>,
+    /// The slice's output bytes, which start at output byte `at`.
+    out: &'a mut [MaybeUninit<u8>],
+    at: usize,
     /// The runs waiting on the records below the visited one, by position.
     older: &'a mut [Waiting],
     /// The copy not yet made: `(output byte, payload byte, length)`.
@@ -747,6 +771,7 @@ impl Visit<'_> {
     #[inline(always)]
     fn copy(&mut self, dst: u32, len: u32, off: u64) {
         let (a, b) = self
+            .rec
             .ck
             .byte_range_of_chunks(dst as usize, (dst + len) as usize);
         let (to, from, held) = self.held;
@@ -763,16 +788,22 @@ impl Visit<'_> {
     fn flush(&mut self) {
         let (to, from, len) = std::mem::take(&mut self.held);
         if len > 0 {
-            self.buf[to..to + len].copy_from_slice(&self.payload[from..from + len]);
+            let to = to - self.at;
+            let from = &self.rec.payload[from..from + len];
+            self.out[to..to + len].write_copy_of_slice(from);
             self.stats.regions_copied += 1;
             self.stats.bytes_copied += len as u64;
         }
     }
 
-    /// Chunks `len` no record supplies: the zeros the buffer starts as.
-    fn zeros(&mut self, len: u64) {
-        self.stats.zero_chunks += len;
-        *self.unresolved -= len as usize;
+    /// `run` is below the chain's first record, which no record supplies:
+    /// zeros, written into place.
+    fn zeros(&mut self, run: &Run) {
+        let ck = self.rec.ck;
+        let (a, b) = ck.byte_range_of_chunks(run.dst as usize, (run.dst + run.len) as usize);
+        self.out[a - self.at..b - self.at].fill(MaybeUninit::new(0));
+        self.stats.zero_chunks += u64::from(run.len);
+        *self.unresolved -= run.len as usize;
     }
 
     /// `piece` is what the visited record has at `piece.src`, and `seg`
@@ -783,7 +814,7 @@ impl Visit<'_> {
         let into = piece.src - seg.clo;
         match seg.from {
             Source::Payload { off } => {
-                let chunk = self.ck.chunk_size() as u64;
+                let chunk = self.rec.ck.chunk_size() as u64;
                 self.copy(piece.dst, piece.len, off + into as u64 * chunk)
             }
             Source::Shift { slo, ref_pos } => {
@@ -803,13 +834,13 @@ impl Visit<'_> {
 
     /// `piece` is a fixed duplicate: it waits on the previous record — on
     /// its carried list when the caller emits in `src` order — or below
-    /// the chain's first record is the zeros the buffer starts as.
+    /// the chain's first record is zeros.
     #[inline(always)]
     fn carry(&mut self, piece: Run, in_order: bool) {
         match self.older.last_mut() {
             Some(w) if in_order => push_run(&mut w.carried, piece),
             Some(w) => push_run(&mut w.referred, piece),
-            None => self.zeros(piece.len as u64),
+            None => self.zeros(&piece),
         }
         self.stats.pieces += 1;
     }
@@ -818,14 +849,14 @@ impl Visit<'_> {
     /// shift through the memo: chunk by chunk to their terminals, sent on
     /// in stretches whose terminals continue one another.
     #[inline(always)]
-    fn place(&mut self, seg: &Seg, piece: Run, chase: &mut Chase, in_order: bool) {
+    fn place(&mut self, seg: &Seg, piece: Run, in_order: bool) {
         let (slo, into) = match seg.from {
-            Source::Shift { slo, ref_pos } if ref_pos == self.j => (slo, piece.src - seg.clo),
+            Source::Shift { slo, ref_pos } if ref_pos == self.rec.j => (slo, piece.src - seg.clo),
             _ => return self.send(seg, piece, in_order),
         };
         let mut stretch: Option<(Run, Seg)> = None;
         for i in 0..piece.len {
-            let t = chase.terminal(slo + into + i);
+            let t = self.rec.terminal(slo + into + i);
             if let Some((run, at)) = &mut stretch {
                 if t == run.end() && t < at.chi {
                     run.len += 1;
@@ -841,7 +872,7 @@ impl Visit<'_> {
                     src: t,
                     len: 1,
                 },
-                chase.seg_of(t),
+                self.rec.seg_of(t),
             ));
         }
         if let Some((run, at)) = stretch {
@@ -849,12 +880,18 @@ impl Visit<'_> {
         }
     }
 
-    /// Split the carried `runs` against `segs` in one pass, both in chunk
-    /// order. Runs wholly inside a gap move to the previous record's
-    /// carried list together, in one slice copy, with no lookup or split of
-    /// their own; what the pass carries keeps the carried lists' order.
-    fn sweep(&mut self, runs: &[Run], segs: &[Seg], chase: &mut Chase) {
-        let (mut i, mut k) = (0, 0);
+    /// Split the carried `runs` against the record's segments in one pass,
+    /// both in chunk order, from the segment holding the first run (a
+    /// binary search). Runs wholly inside a gap move to the previous
+    /// record's carried list together, in one slice copy, with no lookup or
+    /// split of their own; what the pass carries keeps the carried lists'
+    /// order.
+    fn sweep(&mut self, runs: &[Run]) {
+        let segs = self.rec.segs;
+        let Some(first) = runs.first() else {
+            return;
+        };
+        let (mut i, mut k) = (0, segs.partition_point(|s| s.chi <= first.src));
         while i < runs.len() {
             while segs[k].chi <= runs[i].src {
                 k += 1;
@@ -879,7 +916,7 @@ impl Visit<'_> {
             i += 1;
             loop {
                 let len = run.len.min(segs[k].chi - run.src);
-                self.place(&segs[k], Run { len, ..run }, chase, true);
+                self.place(&segs[k], Run { len, ..run }, true);
                 if len == run.len {
                     break;
                 }
@@ -891,11 +928,11 @@ impl Visit<'_> {
 
     /// Split one referred run against the segments it crosses, each found
     /// through the directory.
-    fn split(&mut self, mut run: Run, chase: &mut Chase) {
+    fn split(&mut self, mut run: Run) {
         while run.len > 0 {
-            let seg = chase.seg_of(run.src);
+            let seg = self.rec.seg_of(run.src);
             let len = run.len.min(seg.chi - run.src);
-            self.place(&seg, Run { len, ..run }, chase, false);
+            self.place(&seg, Run { len, ..run }, false);
             run = run.after(len);
         }
     }
@@ -905,7 +942,7 @@ impl Visit<'_> {
     fn carry_all(&mut self, runs: &[Run]) {
         match self.older.last_mut() {
             Some(w) => w.carried.extend_from_slice(runs),
-            None => self.zeros(runs.iter().map(|r| r.len as u64).sum()),
+            None => runs.iter().for_each(|run| self.zeros(run)),
         }
     }
 }
@@ -922,6 +959,67 @@ fn starting_before(runs: &[Run], chi: u32) -> usize {
     lo + runs[lo..hi.min(runs.len())].partition_point(|r| r.src < chi)
 }
 
+/// One output slice's walk: the runs waiting on each record position for
+/// its chunks, and what its visits have done. A run never leaves the slice
+/// of its `dst`, so a slice walks the whole chain alone.
+#[derive(Debug, Clone, Default)]
+struct Slice {
+    /// First output byte of the slice.
+    at: usize,
+    /// Per record position, the runs it must supply. Across all lists the
+    /// destinations are pairwise disjoint and are exactly the slice's
+    /// chunks not yet written.
+    waiting: Vec<Waiting>,
+    /// The carried list a visit consumed, kept for the next to fill.
+    spare: Vec<Run>,
+    /// The slice's chunks no visited record has supplied yet.
+    unresolved: usize,
+    stats: RestartStats,
+}
+
+impl Slice {
+    /// Split every run waiting on record `rec.j` against its tables, writing
+    /// into `out` — the slice's output bytes. Older records' lists only grow
+    /// here and no two runs share an output chunk, so the order of the walk
+    /// cannot show in the bytes.
+    fn visit(&mut self, rec: &Record<'_>, out: &mut [MaybeUninit<u8>]) {
+        if self.unresolved == 0 {
+            return;
+        }
+        let (older, rest) = self.waiting.split_at_mut(rec.j as usize);
+        let Waiting {
+            mut carried,
+            referred,
+        } = std::mem::take(&mut rest[0]);
+        if let Some(previous) = older.last_mut() {
+            std::mem::swap(&mut previous.carried, &mut self.spare);
+        }
+        let mut visit = Visit {
+            rec,
+            out,
+            at: self.at,
+            older,
+            held: (0, 0, 0),
+            stats: &mut self.stats,
+            unresolved: &mut self.unresolved,
+        };
+        visit.sweep(&carried);
+        for &run in &referred {
+            visit.split(run);
+        }
+        visit.flush();
+        carried.clear();
+        self.spare = carried;
+    }
+
+    /// Runs waiting on record position `j`.
+    fn runs_at(&self, j: u32) -> usize {
+        self.waiting
+            .get(j as usize)
+            .map_or(0, |w| w.carried.len() + w.referred.len())
+    }
+}
+
 /// Incremental single-pass restore of one target version.
 ///
 /// Feed records newest→oldest starting with the target itself;
@@ -933,19 +1031,15 @@ pub struct SinglePassRestore {
     chain: Chain,
     /// Record position the next `feed` must carry (`ckpt_id == base + pos`).
     next_pos: u32,
+    /// The output, reserved and never zeroed: its length stays 0 until
+    /// [`finish`](Self::finish) finds every byte written.
     buf: Vec<u8>,
-    /// Per record position, the runs it must supply. Across all lists the
-    /// destinations are pairwise disjoint and are exactly the chunks not
-    /// yet resolved.
-    waiting: Vec<Waiting>,
-    /// The carried list a visit consumed, kept for the next to fill.
-    spare: Vec<Run>,
-    /// Leased the first time a visit meets a same-record shift.
-    memo: Option<Memo>,
-    /// Target chunks no visited record has supplied yet; the restore is
-    /// done at zero.
-    unresolved: usize,
-    stats: RestartStats,
+    /// The target's [`slice_chunks`]-chunk slices, in output order.
+    slices: Vec<Slice>,
+    /// Leased, and cleared, the first time a visited record has a
+    /// same-record shift; see [`Record::memo`].
+    memo: Option<ArenaLease<AtomicU64>>,
+    records_visited: u32,
 }
 
 impl SinglePassRestore {
@@ -960,108 +1054,163 @@ impl SinglePassRestore {
             });
         };
         let chain = Chain::of(device, base, target);
-        let n = chain.ck.n_chunks();
-        // The whole target is one run on the target's own record.
-        let mut waiting = vec![Waiting::default(); target_pos as usize + 1];
-        let (dst, src, len) = (0, 0, n as u32);
-        waiting[target_pos as usize]
-            .carried
-            .push(Run { dst, src, len });
+        let (n, data_len) = (chain.ck.n_chunks(), chain.ck.data_len());
+        let per_slice = slice_chunks(n);
+        // Each slice is one run on the target's own record.
+        let slices = (0..n)
+            .step_by(per_slice)
+            .map(|lo| {
+                let len = per_slice.min(n - lo);
+                let mut waiting = vec![Waiting::default(); target_pos as usize + 1];
+                let (dst, src, len) = (lo as u32, lo as u32, len as u32);
+                waiting[target_pos as usize]
+                    .carried
+                    .push(Run { dst, src, len });
+                Slice {
+                    at: lo * chain.ck.chunk_size(),
+                    waiting,
+                    unresolved: len as usize,
+                    ..Slice::default()
+                }
+            })
+            .collect();
+        let mut buf = Vec::with_capacity(data_len);
+        if cfg!(debug_assertions) {
+            buf.spare_capacity_mut()[..data_len].fill(MaybeUninit::new(POISON));
+        }
         Ok(SinglePassRestore {
             next_pos: target_pos,
-            buf: vec![0u8; chain.ck.data_len()],
+            buf,
             chain,
-            waiting,
-            spare: Vec::new(),
+            slices,
             memo: None,
-            unresolved: n,
-            stats: RestartStats::default(),
+            records_visited: 0,
         })
     }
 
     /// Visit the next record, newest first: the target, then each position
-    /// below the last one fed. Returns `true` when every chunk is resolved
-    /// and the remaining (older) records are not needed.
+    /// below the last one fed. The slices sweep it as one job on the pool.
+    /// Returns `true` when every chunk is resolved and the remaining
+    /// (older) records are not needed.
     pub fn feed(&mut self, diff: &Diff) -> Result<bool, RestoreError> {
-        if self.unresolved == 0 {
+        self.visit(diff, true)
+    }
+
+    /// [`feed`](Self::feed), with the slices swept in order on the calling
+    /// thread — for a caller whose other threads are busy. The bytes and
+    /// every counter are the same either way.
+    pub fn feed_in_order(&mut self, diff: &Diff) -> Result<bool, RestoreError> {
+        self.visit(diff, false)
+    }
+
+    fn visit(&mut self, diff: &Diff, on_pool: bool) -> Result<bool, RestoreError> {
+        if self.done() {
             return Ok(true);
         }
         let j = self.next_pos;
         let segs = self.chain.index(j, diff)?;
-        self.stats.records_visited += 1;
-
-        // Split every run waiting on this record against its tables. Older
-        // records' lists only grow here and no two runs anywhere share an
-        // output chunk, so the order of the walk cannot show in the bytes.
-        let (older, rest) = self.waiting.split_at_mut(j as usize);
-        let Waiting {
-            mut carried,
-            referred,
-        } = std::mem::take(&mut rest[0]);
-        if let Some(previous) = older.last_mut() {
-            std::mem::swap(&mut previous.carried, &mut self.spare);
-        }
-        let n_runs = carried.len() + referred.len();
-        let ck = self.chain.ck;
-        let (copied_before, pieces_before) = (self.stats.bytes_copied, self.stats.pieces);
+        self.records_visited += 1;
         let device = &self.chain.device;
-        let mut visit = Visit {
+        let same_record = |s: &Seg| matches!(s.from, Source::Shift { ref_pos, .. } if ref_pos == j);
+        if self.memo.is_none() && segs.iter().any(same_record) {
+            let n = self.chain.ck.n_chunks();
+            let mut memo = device.arena().lease::<AtomicU64>("restart/memo", n);
+            memo.iter_mut().for_each(|e| *e.get_mut() = 0);
+            self.memo = Some(memo);
+        }
+
+        let before = self.stats();
+        let n_runs: usize = self.slices.iter().map(|s| s.runs_at(j)).sum();
+        let ck = self.chain.ck;
+        let rec = Record {
             ck,
             j,
-            buf: &mut self.buf,
-            payload: &diff.payload,
-            older,
-            held: (0, 0, 0),
-            stats: &mut self.stats,
-            unresolved: &mut self.unresolved,
-        };
-        let mut chase = Chase {
-            device,
             segs: &segs,
-            j,
-            dir: None,
-            memo: &mut self.memo,
+            payload: &diff.payload,
+            device,
+            dir: OnceLock::new(),
+            memo: self.memo.as_deref().unwrap_or_default(),
         };
-        visit.sweep(&carried, &segs, &mut chase);
-        for &run in &referred {
-            visit.split(run, &mut chase);
+        let slice_bytes = slice_chunks(ck.n_chunks()) * ck.chunk_size();
+        let out = &mut self.buf.spare_capacity_mut()[..ck.data_len()];
+        let visit = |(slice, out): (&mut Slice, &mut [MaybeUninit<u8>])| slice.visit(&rec, out);
+        if on_pool {
+            self.slices
+                .par_iter_mut()
+                .zip(out.par_chunks_mut(slice_bytes))
+                .with_max_len(1)
+                .for_each(visit);
+        } else {
+            self.slices
+                .iter_mut()
+                .zip(out.chunks_mut(slice_bytes))
+                .for_each(visit);
         }
-        chase.reset();
-        visit.flush();
-        carried.clear();
-        self.spare = carried;
 
         // On the device the split is one kernel over the runs read and the
         // pieces handled, and everything this record supplies moves in one
         // copy wave.
-        let pieces = self.stats.pieces - pieces_before;
+        let after = self.stats();
+        let pieces = after.pieces - before.pieces;
         let split =
             KernelCost::stream(std::mem::size_of::<Run>() as u64 * (n_runs as u64 + pieces));
-        let copy = KernelCost::copy(self.stats.bytes_copied - copied_before);
+        let copy = KernelCost::copy(after.bytes_copied - before.bytes_copied);
         device.parallel_for("restart_split_runs", 0, split, |_| {});
         device.parallel_for("restart_copy_wave", 0, copy, |_| {});
 
-        debug_assert!(
-            j > 0 || self.unresolved == 0,
-            "record position 0 must resolve every chunk"
-        );
-        let done = self.unresolved == 0;
+        let done = self.done();
+        debug_assert!(j > 0 || done, "record position 0 must resolve every chunk");
         if !done {
             self.next_pos = j - 1;
         }
         Ok(done)
     }
 
+    /// Every slice has written all its chunks.
+    fn done(&self) -> bool {
+        self.slices.iter().all(|s| s.unresolved == 0)
+    }
+
+    /// The walk's counters, summed over the slices.
+    fn stats(&self) -> RestartStats {
+        let mut total = RestartStats {
+            records_visited: self.records_visited,
+            ..RestartStats::default()
+        };
+        for s in &self.slices {
+            total.regions_copied += s.stats.regions_copied;
+            total.bytes_copied += s.stats.bytes_copied;
+            total.zero_chunks += s.stats.zero_chunks;
+            total.pieces += s.stats.pieces;
+        }
+        total
+    }
+
     /// The restored bytes and walk statistics. Errors if records stopped
-    /// being fed before every chunk was resolved.
-    pub fn finish(self) -> Result<(Vec<u8>, RestartStats), RestoreError> {
-        if self.unresolved > 0 {
+    /// being fed before every chunk was resolved; the unfinished buffer is
+    /// dropped at length 0, never read.
+    pub fn finish(mut self) -> Result<(Vec<u8>, RestartStats), RestoreError> {
+        let remaining: usize = self.slices.iter().map(|s| s.unresolved).sum();
+        if remaining > 0 {
             return Err(RestoreError::UnresolvableShifts {
                 ckpt_id: self.chain.base + self.next_pos,
-                remaining: self.unresolved,
+                remaining,
             });
         }
-        Ok((self.buf, self.stats))
+        let stats = self.stats();
+        // SAFETY: `begin` reserved `data_len` bytes, and every one of them
+        // is written. A slice's `unresolved` starts at its chunk count, and
+        // a visit takes off exactly the chunks it writes into the slice's
+        // own bytes: copied from a payload (`Visit::copy`, made by the
+        // `flush` that ends every visit) or zero-filled (`Visit::zeros`),
+        // the short last chunk whole. The runs a restore holds have
+        // pairwise-disjoint destinations — one run per slice at `begin`, and
+        // a visit hands on a run's chunks to one list, one copy or one fill
+        // each, after `Chain::index` refused overlapping tables — so no
+        // chunk is counted twice, and all slices at zero means every chunk,
+        // hence every byte, written once.
+        unsafe { self.buf.set_len(self.chain.ck.data_len()) };
+        Ok((self.buf, stats))
     }
 }
 

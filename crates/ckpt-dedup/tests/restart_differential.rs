@@ -20,7 +20,10 @@
 
 use ckpt_bench::oracle::{restore_record, restore_record_from};
 use ckpt_dedup::prelude::*;
-use ckpt_dedup::restart::{check_chain, restore_version_single_pass, RestartStats};
+use ckpt_dedup::restart::{
+    check_chain, restore_version_single_pass, slice_chunks, RestartStats, SinglePassRestore,
+    MAX_SLICES, SLICE_CHUNKS,
+};
 use ckpt_dedup::{Diff, MethodKind, RestoreError, ShiftRegion, TreeShape};
 use gpu_sim::Device;
 use proptest::prelude::*;
@@ -236,8 +239,12 @@ fn scattered_single_chunk_rewrites_reach_the_base_as_short_runs() {
         let newest = stats[count - 1];
         assert_eq!(newest.zero_chunks, 0);
         match diffs[0].kind {
-            // One copy, whatever the chain.
-            MethodKind::Full => assert_eq!((newest.records_visited, newest.regions_copied), (1, 1)),
+            // One copy per output slice, whatever the chain: coalescing
+            // stops at a slice's end.
+            MethodKind::Full => {
+                let slices = chunks.div_ceil(slice_chunks(chunks)) as u64;
+                assert_eq!((newest.records_visited, newest.regions_copied), (1, slices))
+            }
             // The rewritten chunks split what the first record supplies
             // into about as many stretches.
             _ => {
@@ -249,6 +256,71 @@ fn scattered_single_chunk_rewrites_reach_the_base_as_short_runs() {
                 assert!(newest.regions_copied < chunks as u64);
             }
         }
+    }
+}
+
+/// Restore version `target` of `chain` with every visit's slices swept in
+/// order on the calling thread.
+fn restore_in_order(chain: &[Diff], target: usize) -> (Vec<u8>, RestartStats) {
+    let device = Device::a100();
+    let mut sp = SinglePassRestore::begin(&device, 0, &chain[target]).expect("begin");
+    for d in chain[..=target].iter().rev() {
+        if sp.feed_in_order(d).expect("visit") {
+            break;
+        }
+    }
+    sp.finish().expect("in order")
+}
+
+/// Chains three and a bit output slices long, the last slice and its last
+/// chunk short, for every method, with and without a mid-chain rebase:
+/// block moves that refer runs across slices over a self-similar first
+/// record, and a doubling zero base whose same-record shifts every slice
+/// chases through the one shared memo. Each version is the oracle's bytes
+/// with the same counters at 1, 2 and 8 threads, and with the slices swept
+/// in order on one thread.
+#[test]
+fn chains_spanning_several_slices_restore_alike_on_the_pool_and_in_order() {
+    let chunks = 3 * SLICE_CHUNKS + 777;
+    let len = chunks * CHUNK - 47;
+    let shapes = [
+        ("block moves", shifty_snapshots(43, 4, len)),
+        ("zero base", mostly_zero_snapshots(44, 4, len, 300)),
+    ];
+    for (shape, snaps) in &shapes {
+        for method_idx in 0..4 {
+            for rebase_at in [None, Some(2)] {
+                let diffs = build_chain(method_idx, snaps, rebase_at);
+                assert_eq!(diffs[0].n_chunks().div_ceil(slice_chunks(chunks)), 4);
+                let what = format!("{shape}, method {method_idx}, rebase at {rebase_at:?}");
+                let stats = assert_matches_oracle(0, &diffs, &what);
+                for (target, st) in stats.iter().enumerate() {
+                    let (bytes, in_order) = restore_in_order(&diffs, target);
+                    assert!(bytes == snaps[target], "{what}: target {target} in order");
+                    assert_eq!(*st, in_order, "{what}: target {target}: pool vs in order");
+                }
+            }
+        }
+    }
+}
+
+/// The slice plan is a function of the chunk count: slices of
+/// `SLICE_CHUNKS` until there would be more than `MAX_SLICES` of them, then
+/// `MAX_SLICES` slices at most, each whole but the last.
+#[test]
+fn the_slice_plan_caps_the_slice_count() {
+    let capped = MAX_SLICES * SLICE_CHUNKS;
+    for n in [1, SLICE_CHUNKS, SLICE_CHUNKS + 1, capped - 1, capped] {
+        assert_eq!(slice_chunks(n), SLICE_CHUNKS, "{n} chunks");
+    }
+    // 10 GiB of 128-byte chunks, and every chunk count a u32 destination holds.
+    for n in [capped + 1, 3 * capped + 5, 10 << 23, u32::MAX as usize] {
+        let per = slice_chunks(n);
+        assert!(n.div_ceil(per) <= MAX_SLICES, "{n} chunks: {per} per slice");
+        assert!(
+            n.div_ceil(per - 1) > MAX_SLICES,
+            "{n} chunks: {per} per slice"
+        );
     }
 }
 

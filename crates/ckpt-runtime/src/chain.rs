@@ -337,21 +337,6 @@ impl TierChain {
         Some(Fetched::Decoded(found.payload))
     }
 
-    /// Classify one object for recovery: a durable status with the
-    /// verified, resolved payload, or the typed loss.
-    fn recover_object(&self, reader: &mut ChainReader<'_>, id: ObjectId) -> Recovered {
-        let (status, stored) = self.recover_object_stored(id)?;
-        // A later record referencing this one resolves against this read.
-        reader.resolver.keep(id, &stored);
-        // The record itself may be durable while a cross-rank reference
-        // dangles (referenced rank lost beyond its group's reach): typed
-        // loss, never a wrong payload.
-        let payload = reader
-            .resolve(id, stored)
-            .ok_or(ObjectStatus::LostCorrupt)?;
-        Ok((status, payload))
-    }
-
     /// Tier/group classification of one object, pre-resolution.
     fn recover_object_stored(&self, id: ObjectId) -> Recovered {
         let mut durable = None;
@@ -408,19 +393,48 @@ impl TierChain {
     /// tier (including quarantined ones) is classified as verified,
     /// repaired, or lost, and each rank's contiguous durable prefix is
     /// extracted. See [`RecoveryReport`].
+    ///
+    /// Every object is classified — one tier read each — before any record
+    /// is resolved, and each durable one is kept for the resolution, so a
+    /// record's durable targets resolve against reads already made: a
+    /// durable target is never read a second time, and no target is
+    /// repaired by a resolver's read before its own verdict. A target
+    /// classified as lost is not kept, so a record naming it still has the
+    /// reader fetch it — its tiers read, and its group tried, once more —
+    /// and resolves to a typed loss if that fails too.
     pub fn recover_report(&self) -> RecoveryReport {
         self.poll_rank_loss();
         // Ranks ascend (a `BTreeMap`): the PFS re-stores recovery performs
         // and the reader's fetch order repeat from run to run.
         let mut reader = self.reader();
-        let ranks = self
+        let classified: Vec<(u32, Vec<(u32, Recovered)>)> = self
             .known_ids()
             .into_iter()
             .map(|(rank, ckpts)| {
-                let mut objects = Vec::with_capacity(ckpts.len());
+                let objects = ckpts.into_iter().map(|ckpt_id| {
+                    let stored = self.recover_object_stored((rank, ckpt_id));
+                    if let Ok((_, bytes)) = &stored {
+                        reader.resolver.keep((rank, ckpt_id), bytes);
+                    }
+                    (ckpt_id, stored)
+                });
+                (rank, objects.collect())
+            })
+            .collect();
+        let ranks = classified
+            .into_iter()
+            .map(|(rank, classified)| {
+                let mut objects = Vec::with_capacity(classified.len());
                 let mut durable: BTreeMap<u32, Bytes> = BTreeMap::new();
-                for ckpt_id in ckpts {
-                    let status = match self.recover_object(&mut reader, (rank, ckpt_id)) {
+                for (ckpt_id, stored) in classified {
+                    // The record itself may be durable while a cross-rank
+                    // reference dangles (referenced rank lost beyond its
+                    // group's reach): typed loss, never a wrong payload.
+                    let resolved = stored.and_then(|(status, bytes)| {
+                        let payload = reader.resolve((rank, ckpt_id), bytes);
+                        Ok((status, payload.ok_or(ObjectStatus::LostCorrupt)?))
+                    });
+                    let status = match resolved {
                         Ok((status, payload)) => {
                             durable.insert(ckpt_id, payload);
                             status

@@ -14,7 +14,12 @@
 //! rebase-terminated chain fetches exactly the records it reads, and any
 //! other chain at most one more (the engine can finish on a record that
 //! is not structurally self-contained, with its successor already asked
-//! for).
+//! for). The engine sweeps a visit's output slices on the pool when the
+//! reader is ahead of the walk — the record was in hand before the walk
+//! asked for it — or when no record is wanted; otherwise the reader's
+//! `locate` of the next record is what the walk waits on, and the slices
+//! sweep in order on the caller's thread beside it, with the same bytes
+//! and counters.
 //!
 //! Every read of the walk goes through one [`ChainReader`], so corrupt
 //! shallow copies are skipped and repaired on the way, and a record
@@ -120,8 +125,17 @@ pub fn restore_rank_latest_parallel(
         // base never needs to be known up front.
         let mut engine =
             SinglePassRestore::begin(device, 0, &diff).map_err(LineageError::Restore)?;
+        // Whether the record being visited was in hand before the walk
+        // asked for it. If not, the reader is the slower side, and a visit
+        // on the pool would take the cores its next `locate` needs.
+        let mut reader_ahead = false;
         loop {
-            if engine.feed(&diff).map_err(LineageError::Restore)? || ends_walk {
+            let done = if ends_walk || reader_ahead {
+                engine.feed(&diff)
+            } else {
+                engine.feed_in_order(&diff)
+            };
+            if done.map_err(LineageError::Restore)? || ends_walk {
                 return Ok(engine);
             }
             #[expect(
@@ -129,7 +143,9 @@ pub fn restore_rank_latest_parallel(
                 reason = "times the engine's wait for a record into `restore/fetch_wait_ns`"
             )]
             let t0 = Instant::now();
-            let Ok((id, bytes)) = rx.recv() else {
+            let in_hand = rx.try_recv().ok();
+            reader_ahead = in_hand.is_some();
+            let Some((id, bytes)) = in_hand.or_else(|| rx.recv().ok()) else {
                 // The reader is gone with the engine still wanting records;
                 // `finish` below types that.
                 return Ok(engine);

@@ -79,57 +79,65 @@ fn peak_live_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// reader thread, run lists, telemetry — nothing that grows with a record.
 const SLACK: u64 = 256 << 10;
 
-#[test]
-fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
-    // ---- restore: a 16-record Tree chain whose records are almost all
-    // payload (each checkpoint rewrites one contiguous 3/8 of the buffer,
-    // so the tables stay a few entries long) ----
-    const DATA_LEN: usize = 1 << 20;
+/// Restore a 16-record Tree chain of `data_len`-byte snapshots in
+/// `chunk`-byte chunks, whose records are almost all payload (each
+/// checkpoint rewrites one contiguous 3/8 of the buffer, so the tables stay
+/// a few entries long), on a warm device arena: it may request the restored
+/// buffer, and per table entry its decoded form plus the visit's interval,
+/// segment and run lists (a fixed multiple of the encoded entry) — and
+/// nothing proportional to record payload bytes. The noise continues from
+/// `noise`.
+fn restore_window(data_len: usize, chunk: usize, noise: &mut u64) {
     const RECORDS: u32 = 16;
     let device = Device::a100();
     let tiers = TierChain::new();
-    let mut ckpt = TreeCheckpointer::new(device.clone(), TreeConfig::new(128));
-    let mut noise = 0x9e37_79b9_7f4a_7c15u64;
+    let mut ckpt = TreeCheckpointer::new(device.clone(), TreeConfig::new(chunk));
     let mut fill = |bytes: &mut [u8]| {
         for b in bytes {
-            noise ^= noise << 13;
-            noise ^= noise >> 7;
-            noise ^= noise << 17;
-            *b = noise as u8;
+            *noise ^= *noise << 13;
+            *noise ^= *noise >> 7;
+            *noise ^= *noise << 17;
+            *b = *noise as u8;
         }
     };
-    let mut data = vec![0u8; DATA_LEN];
+    let mut data = vec![0u8; data_len];
     fill(&mut data);
     let (mut record_bytes, mut table_bytes) = (0u64, 0u64);
     for k in 0..RECORDS {
-        let at = (k as usize * 37_813) % (DATA_LEN * 5 / 8);
-        fill(&mut data[at..at + DATA_LEN * 3 / 8]);
+        let at = (k as usize * 37_813) % (data_len * 5 / 8);
+        fill(&mut data[at..at + data_len * 3 / 8]);
         let diff = ckpt.checkpoint(&data).diff;
         record_bytes += diff.stored_bytes() as u64;
         table_bytes += diff.metadata_bytes() as u64;
         tiers.pfs.put((0, k), diff.encode()).unwrap();
     }
     assert!(
-        record_bytes > 5 * DATA_LEN as u64 && table_bytes < record_bytes / 100,
+        record_bytes > 5 * data_len as u64 && table_bytes < record_bytes / 100,
         "the chain must be payload-heavy: {record_bytes} B of records, {table_bytes} B of tables"
     );
     // Warm the device arena, as a restarting process's second restore is.
     let warm = restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap();
     assert_eq!(warm.data, data);
     drop(warm);
-
     let (restored, requested) =
         requested_during(|| restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap());
     assert_eq!((restored.version, &restored.data), (RECORDS - 1, &data));
-    // The restored buffer, and per table entry its decoded form plus the
-    // visit's interval, segment and run lists (a fixed multiple of the
-    // encoded entry) — and nothing proportional to record payload bytes.
-    let bound = DATA_LEN as u64 + 32 * table_bytes + SLACK;
+    let bound = data_len as u64 + 32 * table_bytes + SLACK;
     assert!(
         requested <= bound,
         "a restore of {record_bytes} B of records requested {requested} B (bound {bound} B)"
     );
     assert!(bound < record_bytes / 2, "the bound must exclude one copy");
+}
+
+#[test]
+fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
+    // ---- restore: one output slice, then a chain four and a half slices
+    // long, whose slices' scratch comes from the warm arena too ----
+    let mut noise = 0x9e37_79b9_7f4a_7c15u64;
+    restore_window(1 << 20, 128, &mut noise);
+    let sliced = 9 * ckpt_dedup::restart::SLICE_CHUNKS / 2 * 64;
+    restore_window(sliced, 64, &mut 0x2545_f491_4f6c_dd1d);
 
     // ---- drain: host → SSD → PFS of one raw object mints one frame ----
     const OBJECT_LEN: usize = 4 << 20;

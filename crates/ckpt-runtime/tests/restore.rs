@@ -4,6 +4,7 @@
 
 use ckpt_bench::oracle::restore_rank;
 use ckpt_dedup::prelude::*;
+use ckpt_dedup::Diff;
 use ckpt_runtime::{LineageError, TierChain};
 
 mod restore {
@@ -11,10 +12,16 @@ mod restore {
     use ckpt_runtime::restore_rank_latest_parallel;
 
     fn run_chain(rebase_at: Option<u32>) -> (TierChain, Vec<Vec<u8>>) {
+        run_chain_of(8192, rebase_at)
+    }
+
+    /// Six Tree checkpoints of `len` bytes that repeat every 241 bytes, so
+    /// the first record is self-similar (same-record shifts).
+    fn run_chain_of(len: u32, rebase_at: Option<u32>) -> (TierChain, Vec<Vec<u8>>) {
         let tiers = TierChain::new();
         let dev = gpu_sim::Device::a100();
         let mut ckpt = TreeCheckpointer::new(dev, TreeConfig::new(64));
-        let mut data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
+        let mut data: Vec<u8> = (0..len).map(|i| (i % 241) as u8).collect();
         let mut snapshots = Vec::new();
         for k in 0..6u32 {
             if k > 0 {
@@ -34,26 +41,38 @@ mod restore {
         (tiers, snapshots)
     }
 
+    /// One output slice, and three: the runtime's restore sweeps each
+    /// visit's slices on the pool or in order as its reader keeps up, which
+    /// this does not control; it checks only that the bytes and every
+    /// counter equal the engine's fed from memory.
     #[test]
     fn parallel_matches_sequential_and_counts_telemetry() {
-        let (tiers, snapshots) = run_chain(None);
-        let device = gpu_sim::Device::a100();
-        let registry = ckpt_telemetry::Registry::new();
-        let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
-        assert_eq!(out.version, 5);
-        assert_eq!(&out.data, snapshots.last().unwrap());
-        let (base, oracle) = restore_rank(&tiers, 0).unwrap();
-        assert_eq!(out.version as usize, base as usize + oracle.len() - 1);
-        assert_eq!(Some(&out.data), oracle.last());
-        let json = registry.snapshot_json();
-        for key in ["restore/chains_restored", "restore/records_read"] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        use ckpt_dedup::restart::{restore_version_single_pass, SLICE_CHUNKS};
+        for len in [8192, (2 * SLICE_CHUNKS as u32 + 300) * 64] {
+            let (tiers, snapshots) = run_chain_of(len, None);
+            let device = gpu_sim::Device::a100();
+            let registry = ckpt_telemetry::Registry::new();
+            let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
+            assert_eq!(out.version, 5);
+            assert_eq!(&out.data, snapshots.last().unwrap());
+            let (base, oracle) = restore_rank(&tiers, 0).unwrap();
+            assert_eq!(out.version as usize, base as usize + oracle.len() - 1);
+            assert_eq!(Some(&out.data), oracle.last());
+            let diffs: Vec<Diff> = (0..6)
+                .map(|k| Diff::decode(&tiers.pfs.get((0, k)).unwrap()).unwrap())
+                .collect();
+            let (_, stats) = restore_version_single_pass(&device, 0, &diffs, 5).unwrap();
+            assert_eq!(out.stats, stats, "{len} bytes");
+            let json = registry.snapshot_json();
+            for key in ["restore/chains_restored", "restore/records_read"] {
+                assert!(json.contains(key), "missing {key} in {json}");
+            }
+            // The walk runs down to checkpoint 0: every record is read, and
+            // the reader is never more than the one asked-for record ahead.
+            let (read, fetched) = walk_counts(&registry);
+            assert_eq!(read, 6);
+            assert!((read..=read + 1).contains(&fetched), "fetched {fetched}");
         }
-        // The walk runs down to checkpoint 0: every record is read, and
-        // the reader is never more than the one asked-for record ahead.
-        let (read, fetched) = walk_counts(&registry);
-        assert_eq!(read, 6);
-        assert!((read..=read + 1).contains(&fetched), "fetched {fetched}");
     }
 
     fn walk_counts(registry: &ckpt_telemetry::Registry) -> (u64, u64) {
