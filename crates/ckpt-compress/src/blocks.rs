@@ -7,8 +7,11 @@
 //! `par_chunks`, and concatenates the results behind a small table of
 //! contents. Block boundaries are a pure function of the input length and
 //! the block size — never of the thread count — so the container bytes are
-//! bit-identical at 1, 2, or N threads, and decompression parallelizes the
-//! same way.
+//! bit-identical at 1, 2, or N threads. Decompression parallelizes the same
+//! way: the output is allocated once, at the table's total, and each block
+//! decodes on the pool straight into its own slice of it
+//! ([`Codec::decompress_into`]), so a decode holds the payload once and
+//! copies nothing after.
 //!
 //! Wire format (all integers little-endian):
 //!
@@ -75,10 +78,17 @@ pub fn compress_blocks(codec: &dyn Codec, data: &[u8], block_size: usize) -> Vec
     out
 }
 
-/// Invert [`compress_blocks`]. Every table entry is validated against the
-/// remaining buffer *before* any block is decoded or any output allocated,
-/// so a corrupt length field fails typed instead of over-allocating.
-pub fn decompress_blocks(codec: &dyn Codec, data: &[u8]) -> Result<Vec<u8>, CorruptStream> {
+/// A container's validated table of contents: each block's payload
+/// offset, compressed and raw length, and the raw lengths' total.
+struct Table {
+    block_size: usize,
+    entries: Vec<(usize, usize, usize)>,
+    raw_len: usize,
+}
+
+/// Validate the whole table before decoding: every entry in bounds, every
+/// raw length within one block, payload bytes exactly accounted.
+fn table(data: &[u8]) -> Result<Table, CorruptStream> {
     if data.len() < CONTAINER_HEADER {
         return Err(CorruptStream("block container shorter than its header"));
     }
@@ -97,10 +107,9 @@ pub fn decompress_blocks(codec: &dyn Codec, data: &[u8]) -> Result<Vec<u8>, Corr
     if data.len() < toc_end {
         return Err(CorruptStream("table of contents truncated"));
     }
-    // Validate the whole table before decoding: every entry in bounds,
-    // every raw length within one block, payload bytes exactly accounted.
     let mut entries = Vec::with_capacity(n_blocks);
     let mut offset = toc_end;
+    let mut total = 0usize;
     for i in 0..n_blocks {
         let at = CONTAINER_HEADER + i * TOC_ENTRY;
         let comp_len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
@@ -118,36 +127,64 @@ pub fn decompress_blocks(codec: &dyn Codec, data: &[u8]) -> Result<Vec<u8>, Corr
         }
         entries.push((offset, comp_len, raw_len));
         offset += comp_len;
+        total += raw_len;
     }
     if offset != data.len() {
         return Err(CorruptStream("trailing bytes after the last block"));
     }
-    // One block per executor chunk: under a slice's default minimum a
-    // container of fewer than 1 024 blocks would decode on one thread.
-    let parts: Vec<Result<Vec<u8>, CorruptStream>> = entries
-        .par_iter()
-        .with_max_len(1)
-        .map(|&(off, comp_len, raw_len)| {
-            let packed = &data[off..off + comp_len];
-            let raw = if comp_len == raw_len {
-                packed.to_vec() // stored block
-            } else {
-                codec.decompress(packed, raw_len)?
-            };
-            if raw.len() != raw_len {
-                return Err(CorruptStream("block decoded to the wrong length"));
-            }
-            Ok(raw)
-        })
-        .collect();
-    if parts.len() == 1 {
-        // A one-block container decodes to its block: no second buffer and
-        // no copy, so a decode holds the payload once.
-        return parts.into_iter().next().expect("one block");
+    Ok(Table {
+        block_size,
+        entries,
+        raw_len: total,
+    })
+}
+
+/// The bytes a container decodes to, read from its validated table of
+/// contents without decoding a block.
+pub fn decoded_len(data: &[u8]) -> Result<usize, CorruptStream> {
+    table(data).map(|t| t.raw_len)
+}
+
+/// Invert [`compress_blocks`]. Every table entry is validated against the
+/// remaining buffer *before* any block is decoded or any output allocated,
+/// so a corrupt length field fails typed instead of over-allocating; a
+/// table that holds more than `max_len` bytes — the most the caller knows
+/// the container may hold — is corrupt too. The output is allocated once,
+/// and each block decodes on the pool straight into its own slice of it.
+pub fn decompress_blocks(
+    codec: &dyn Codec,
+    data: &[u8],
+    max_len: usize,
+) -> Result<Vec<u8>, CorruptStream> {
+    let Table {
+        block_size,
+        entries,
+        raw_len,
+    } = table(data)?;
+    if raw_len > max_len {
+        return Err(CorruptStream("declared length exceeds its ceiling"));
     }
-    let mut out = Vec::with_capacity(entries.iter().map(|e| e.2).sum());
-    for part in parts {
-        out.extend_from_slice(&part?);
+    let mut out = vec![0; raw_len];
+    if raw_len > 0 {
+        // Every block but the last holds exactly `block_size` bytes, so the
+        // output's `block_size`-byte chunks are the blocks' slices in order
+        // (a last block of 0 bytes has none, and needs none). One block per
+        // executor chunk: under a slice's default minimum a container of
+        // fewer than 1 024 blocks would decode on one thread.
+        out.par_chunks_mut(block_size)
+            .zip(entries.par_iter())
+            .with_max_len(1)
+            .map(|(dst, &(off, comp_len, raw_len))| {
+                debug_assert_eq!(dst.len(), raw_len);
+                let packed = &data[off..off + comp_len];
+                if comp_len == raw_len {
+                    dst.copy_from_slice(packed); // stored block
+                    Ok(())
+                } else {
+                    codec.decompress_into(packed, dst)
+                }
+            })
+            .collect::<Result<(), CorruptStream>>()?;
     }
     Ok(out)
 }
@@ -157,20 +194,63 @@ mod tests {
     use super::*;
     use crate::{all_codecs, ZstdLike};
 
+    /// Each codec's `decompress_into` — the default and `Lz4Like`'s own —
+    /// fills a block's slice exactly, and refuses one a byte off.
     #[test]
     fn round_trips_across_block_boundaries() {
-        let codec = ZstdLike::default();
         let data: Vec<u8> = (0..300_000u32)
             .flat_map(|i| (i / 9).to_le_bytes())
             .collect();
-        for block_size in [1, 7, 4096, DEFAULT_BLOCK_SIZE, data.len(), data.len() * 2] {
-            let packed = compress_blocks(&codec, &data, block_size);
-            assert_eq!(
-                decompress_blocks(&codec, &packed).unwrap(),
-                data,
-                "block_size {block_size}"
-            );
+        let sizes = [1, 7, 4096, DEFAULT_BLOCK_SIZE, data.len(), data.len() * 2];
+        // Blocks of 1 and 7 bytes never shrink, so every one is stored and
+        // no codec decodes them: one codec covers those sizes.
+        let runs: [(&dyn Codec, &[usize]); 2] = [
+            (&ZstdLike::default(), &sizes),
+            (&crate::Lz4Like::default(), &sizes[2..]),
+        ];
+        for (codec, sizes) in runs {
+            for &block_size in sizes {
+                let packed = compress_blocks(codec, &data, block_size);
+                assert_eq!(
+                    decompress_blocks(codec, &packed, data.len()).unwrap(),
+                    data,
+                    "{} block_size {block_size}",
+                    codec.name()
+                );
+                let n_blocks = u32::from_le_bytes(packed[0..4].try_into().unwrap()) as usize;
+                let mut off = CONTAINER_HEADER + n_blocks * TOC_ENTRY;
+                for (i, raw) in data.chunks(block_size).enumerate() {
+                    let at = CONTAINER_HEADER + i * TOC_ENTRY;
+                    let comp_len = u32::from_le_bytes(packed[at..at + 4].try_into().unwrap());
+                    let block = &packed[off..off + comp_len as usize];
+                    off += comp_len as usize;
+                    if block.len() == raw.len() {
+                        continue; // stored
+                    }
+                    let mut out = vec![0xa5; raw.len()];
+                    codec.decompress_into(block, &mut out).unwrap();
+                    assert_eq!(out, raw, "{} block {i} of {block_size}", codec.name());
+                    for len in [raw.len() - 1, raw.len() + 1] {
+                        assert!(codec.decompress_into(block, &mut vec![0; len]).is_err());
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn a_table_holding_more_than_the_ceiling_is_refused() {
+        let data = vec![3u8; 100_000];
+        let codec = crate::Lz4Like::default();
+        let packed = compress_blocks(&codec, &data, 16 * 1024);
+        assert_eq!(
+            decompress_blocks(&codec, &packed, data.len() - 1),
+            Err(CorruptStream("declared length exceeds its ceiling"))
+        );
+        assert_eq!(
+            decompress_blocks(&codec, &packed, usize::MAX).unwrap(),
+            data
+        );
     }
 
     #[test]
@@ -179,7 +259,7 @@ mod tests {
         let packed = compress_blocks(&codec, &[], DEFAULT_BLOCK_SIZE);
         assert_eq!(packed.len(), CONTAINER_HEADER);
         assert_eq!(
-            decompress_blocks(&codec, &packed).unwrap(),
+            decompress_blocks(&codec, &packed, 0).unwrap(),
             Vec::<u8>::new()
         );
     }
@@ -198,7 +278,10 @@ mod tests {
                 codec.name(),
                 packed.len()
             );
-            assert_eq!(decompress_blocks(&*codec, &packed).unwrap(), data);
+            assert_eq!(
+                decompress_blocks(&*codec, &packed, data.len()).unwrap(),
+                data
+            );
         }
     }
 
@@ -243,7 +326,7 @@ mod tests {
                     .copy_from_slice(&(stream.len() as u32).to_le_bytes());
                 bad.extend_from_slice(&stream);
                 assert_eq!(
-                    decompress_blocks(codec, &bad),
+                    decompress_blocks(codec, &bad, data.len()),
                     Err(CorruptStream("declared length exceeds its ceiling")),
                     "{} with a declared length of {forged}",
                     codec.name()
@@ -259,15 +342,15 @@ mod tests {
         let packed = compress_blocks(&codec, &data, 16 * 1024);
         // Truncations at every prefix length parse as errors, never panic.
         for keep in 0..packed.len().min(64) {
-            assert!(decompress_blocks(&codec, &packed[..keep]).is_err());
+            assert!(decompress_blocks(&codec, &packed[..keep], data.len()).is_err());
         }
         // A table entry claiming a huge raw length must not allocate it.
         let mut bad = packed.clone();
         bad[CONTAINER_HEADER + 4..CONTAINER_HEADER + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decompress_blocks(&codec, &bad).is_err());
+        assert!(decompress_blocks(&codec, &bad, usize::MAX).is_err());
         // A block count far past the buffer fails the bounds check.
         let mut bad = packed.clone();
         bad[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decompress_blocks(&codec, &bad).is_err());
+        assert!(decompress_blocks(&codec, &bad, usize::MAX).is_err());
     }
 }

@@ -77,6 +77,19 @@ pub trait Codec: Send + Sync {
     /// is refused before any memory is reserved for it.
     fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream>;
 
+    /// [`decompress`](Self::decompress) into caller-owned memory: `block`
+    /// must decode to exactly `out.len()` bytes, and a stream that declares
+    /// or produces any other length is corrupt. What `out` holds after an
+    /// error is unspecified. The default decompresses and copies.
+    fn decompress_into(&self, block: &[u8], out: &mut [u8]) -> Result<(), CorruptStream> {
+        let raw = self.decompress(block, out.len())?;
+        if raw.len() != out.len() {
+            return Err(CorruptStream("block decoded to the wrong length"));
+        }
+        out.copy_from_slice(&raw);
+        Ok(())
+    }
+
     /// Approximate compression cost in ALU-op-equivalents per input byte,
     /// used by the benchmark harness to model GPU compression throughput.
     /// Calibrated loosely to nvCOMP's published throughput ordering.

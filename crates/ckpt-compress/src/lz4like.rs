@@ -6,7 +6,7 @@
 //! value 15 in either nibble chains into 255-valued extension bytes, exactly
 //! like real LZ4. The final sequence carries literals only (offset omitted).
 
-use crate::lz::{copy_match, find_sequences, get_declared_len, put_varint, MatchConfig};
+use crate::lz::{find_sequences, get_declared_len, put_varint, MatchConfig};
 use crate::{Codec, CorruptStream};
 
 /// LZ4-like byte-aligned LZ codec.
@@ -24,6 +24,14 @@ impl Default for Lz4Like {
 }
 
 const MIN_MATCH: usize = 4;
+
+/// Width of the decoder's fixed copies: one 16-byte load and store.
+const STEP: usize = 16;
+
+/// The first [`STEP`] bytes of `src`, as one fixed-width word.
+fn word(src: &[u8]) -> [u8; STEP] {
+    src[..STEP].try_into().expect("STEP bytes of room")
+}
 
 fn put_len(out: &mut Vec<u8>, mut extra: usize) {
     // Extension bytes after a nibble of 15: 255* then the remainder.
@@ -87,6 +95,103 @@ impl Codec for Lz4Like {
     }
 
     fn decompress(&self, data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
+        let raw_len = get_declared_len(data, &mut 0, max_len)?;
+        let mut out = vec![0; raw_len];
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// Literals and matches of at most `STEP` (16) bytes are one fixed-width
+    /// load and store, where the input and `out` both have `STEP` bytes of
+    /// room: the bytes past the sequence's end are garbage that the next
+    /// sequence overwrites, as every byte of `out` is written in order. A
+    /// match that overlaps its own output keeps the doubling copy.
+    fn decompress_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), CorruptStream> {
+        let mut pos = 0usize;
+        let raw_len = get_declared_len(data, &mut pos, out.len())?;
+        if raw_len != out.len() {
+            return Err(CorruptStream("block decoded to the wrong length"));
+        }
+        let mut op = 0usize;
+        while op < raw_len {
+            if pos >= data.len() {
+                return Err(CorruptStream("lz4 block truncated"));
+            }
+            let token = data[pos];
+            pos += 1;
+            let lit_len = get_len(data, &mut pos, (token >> 4) as usize)?;
+            if lit_len > data.len() - pos {
+                return Err(CorruptStream("lz4 literals truncated"));
+            }
+            if lit_len > raw_len - op {
+                return Err(CorruptStream("lz4 length mismatch"));
+            }
+            let (src, dst) = (&data[pos..], &mut out[op..]);
+            if lit_len <= STEP && src.len() >= STEP && dst.len() >= STEP {
+                dst[..STEP].copy_from_slice(&word(src));
+            } else {
+                dst[..lit_len].copy_from_slice(&src[..lit_len]);
+            }
+            pos += lit_len;
+            op += lit_len;
+            if op == raw_len {
+                break; // final literal-only sequence
+            }
+            if data.len() - pos < 2 {
+                return Err(CorruptStream("lz4 offset truncated"));
+            }
+            let offset = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
+            pos += 2;
+            let match_len = get_len(data, &mut pos, (token & 0x0f) as usize)? + MIN_MATCH;
+            if offset == 0 || offset > op {
+                return Err(CorruptStream("lz4 offset out of range"));
+            }
+            if match_len > raw_len - op {
+                return Err(CorruptStream("lz4 match overruns block"));
+            }
+            let from = op - offset;
+            if match_len > offset {
+                // Everything from `from` on is periodic in `offset`: each
+                // pass copies all of it, and the pattern doubles.
+                let end = op + match_len;
+                let mut at = op;
+                while at < end {
+                    let n = (at - from).min(end - at);
+                    out.copy_within(from..from + n, at);
+                    at += n;
+                }
+            } else if match_len <= STEP && raw_len - op >= STEP {
+                // The word is loaded whole before it is stored; for an
+                // offset under `STEP` it runs into the output's own bytes,
+                // but only its first `match_len <= offset` are kept.
+                let w = word(&out[from..]);
+                out[op..op + STEP].copy_from_slice(&w);
+            } else {
+                out.copy_within(from..from + match_len, op);
+            }
+            op += match_len;
+        }
+        Ok(())
+    }
+
+    fn flops_per_byte(&self) -> f64 {
+        6.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn codec() -> Lz4Like {
+        Lz4Like::default()
+    }
+
+    /// The decoder `decompress_into` replaced, kept as its oracle: it grows
+    /// a `Vec` a sequence at a time and copies every match through
+    /// `lz::copy_match`.
+    fn oracle(data: &[u8], max_len: usize) -> Result<Vec<u8>, CorruptStream> {
         let mut pos = 0usize;
         let raw_len = get_declared_len(data, &mut pos, max_len)?;
         let mut out = Vec::with_capacity(raw_len);
@@ -117,7 +222,7 @@ impl Codec for Lz4Like {
             if out.len() + match_len > raw_len {
                 return Err(CorruptStream("lz4 match overruns block"));
             }
-            copy_match(&mut out, offset, match_len);
+            crate::lz::copy_match(&mut out, offset, match_len);
         }
         if out.len() != raw_len {
             return Err(CorruptStream("lz4 length mismatch"));
@@ -125,18 +230,71 @@ impl Codec for Lz4Like {
         Ok(out)
     }
 
-    fn flops_per_byte(&self) -> f64 {
-        6.0
+    /// `decompress` returns the oracle's bytes or both fail, and so does
+    /// `decompress_into` for an output of `max_len` bytes, which only a
+    /// stream of exactly that length fills.
+    fn agrees(stream: &[u8], max_len: usize) {
+        let (new, old) = (codec().decompress(stream, max_len), oracle(stream, max_len));
+        match (&new, &old) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Err(_), Err(_)) => {}
+            _ => prop_assert!(false, "decoder {new:?}, oracle {old:?}"),
+        }
+        let mut out = vec![0xa5; max_len];
+        match (codec().decompress_into(stream, &mut out), old) {
+            (Ok(()), Ok(b)) => prop_assert_eq!(out, b),
+            (Err(_), Ok(b)) => prop_assert_ne!(b.len(), max_len, "into refused a whole stream"),
+            (Ok(()), Err(e)) => prop_assert!(false, "into decoded what the oracle refused: {e}"),
+            (Err(_), Err(_)) => {}
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
+    /// A stream of `lits` literal bytes, then a match at `offset` of `len`
+    /// bytes, then `tail` literal bytes, declaring `declared` bytes.
+    fn forged(lits: usize, offset: u16, len: usize, tail: usize, declared: u64) -> Vec<u8> {
+        let mut s = Vec::new();
+        put_varint(&mut s, declared);
+        let nib = (len - MIN_MATCH).min(15);
+        s.push(((lits.min(15) as u8) << 4) | nib as u8);
+        if lits >= 15 {
+            put_len(&mut s, lits - 15);
+        }
+        s.extend((0..lits).map(|i| (i * 31 + 7) as u8));
+        s.extend_from_slice(&offset.to_le_bytes());
+        if nib == 15 {
+            put_len(&mut s, len - MIN_MATCH - 15);
+        }
+        s.push((tail.min(15) as u8) << 4);
+        if tail >= 15 {
+            put_len(&mut s, tail - 15);
+        }
+        s.extend((0..tail).map(|i| (i * 13 + 1) as u8));
+        s
+    }
 
-    fn codec() -> Lz4Like {
-        Lz4Like::default()
+    #[test]
+    fn overlapping_matches_and_forged_offsets_agree_with_the_oracle() {
+        for offset in 1..=17u16 {
+            for len in 4..=40 {
+                for tail in [0, 3, 16, 40] {
+                    let lits = offset as usize;
+                    let raw = (lits + len + tail) as u64;
+                    let stream = forged(lits, offset, len, tail, raw);
+                    let expect = oracle(&stream, raw as usize).unwrap();
+                    assert_eq!(expect.len() as u64, raw);
+                    agrees(&stream, raw as usize);
+                    for declared in [raw - 1, raw + 1] {
+                        agrees(&forged(lits, offset, len, tail, declared), raw as usize + 1);
+                    }
+                    // Offset 0, one past the output, and the largest.
+                    for bad in [0, offset + 1, u16::MAX] {
+                        let stream = forged(lits, bad, len, tail, raw);
+                        assert!(oracle(&stream, raw as usize).is_err());
+                        agrees(&stream, raw as usize);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -193,6 +351,47 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn decoder_matches_the_oracle_on_random_streams(
+            stream in prop::collection::vec(any::<u8>(), 0..512),
+            max_len in 0usize..4096,
+        ) {
+            agrees(&stream, max_len);
+        }
+
+        /// Every byte of a real stream mutated, every truncation, and the
+        /// declared length one short and one long.
+        #[test]
+        fn decoder_matches_the_oracle_on_forged_streams(
+            bytes in prop::collection::vec(any::<u8>(), 0..1500),
+            alphabet in 1u8..=255,
+            flip in 1u8..=255,
+        ) {
+            // A small alphabet makes long matches, a large one long literals.
+            let data: Vec<u8> = bytes.iter().map(|b| b % alphabet).collect();
+            let packed = codec().compress(&data);
+            let n = data.len();
+            agrees(&packed, n);
+            for at in 0..packed.len() {
+                let mut bad = packed.clone();
+                bad[at] ^= flip;
+                agrees(&bad, n);
+                agrees(&bad, n + 64);
+            }
+            for cut in 0..packed.len() {
+                agrees(&packed[..cut], n);
+            }
+            let mut pos = 0;
+            crate::lz::get_varint(&packed, &mut pos).unwrap();
+            for declared in [n.wrapping_sub(1), n + 1] {
+                let mut bad = Vec::new();
+                put_varint(&mut bad, declared as u64);
+                bad.extend_from_slice(&packed[pos..]);
+                agrees(&bad, n);
+                agrees(&bad, n + 1);
+            }
+        }
+
         #[test]
         fn round_trip_any(data in prop::collection::vec(any::<u8>(), 0..4096)) {
             let packed = codec().compress(&data);

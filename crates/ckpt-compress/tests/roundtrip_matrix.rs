@@ -78,7 +78,10 @@ fn store_fallback_bounds_expansion() {
                 data.len(),
                 container_overhead(data.len(), block)
             );
-            assert_eq!(decompress_blocks(&*codec, &packed).unwrap(), *data);
+            assert_eq!(
+                decompress_blocks(&*codec, &packed, data.len()).unwrap(),
+                *data
+            );
         }
     }
 }
@@ -104,7 +107,7 @@ proptest! {
             assert_roundtrip(&*codec, &data, "structured buffer");
             let packed = compress_blocks(&*codec, &data, 4096);
             prop_assert!(packed.len() <= data.len() + container_overhead(data.len(), 4096));
-            prop_assert_eq!(decompress_blocks(&*codec, &packed).unwrap(), data.clone());
+            prop_assert_eq!(decompress_blocks(&*codec, &packed, data.len()).unwrap(), data.clone());
         }
     }
 }

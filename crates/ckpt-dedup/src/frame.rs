@@ -420,15 +420,17 @@ pub fn decompress_payload(
         return Ok(stored.to_vec());
     }
     let c = ckpt_compress::codec_by_id(codec).ok_or(FrameError::UnknownCodec { codec })?;
-    let payload = ckpt_compress::blocks::decompress_blocks(&*c, stored)
-        .map_err(|_| FrameError::Decompress { codec })?;
-    if payload.len() as u64 != uncompressed_len {
+    let corrupt = |_| FrameError::Decompress { codec };
+    // The container's table names its length before anything is allocated
+    // for it: one other than the recorded length is refused unread.
+    let len = ckpt_compress::blocks::decoded_len(stored).map_err(corrupt)?;
+    if len as u64 != uncompressed_len {
         return Err(FrameError::LengthMismatch {
             expected: uncompressed_len,
-            got: payload.len() as u64,
+            got: len as u64,
         });
     }
-    Ok(payload)
+    ckpt_compress::blocks::decompress_blocks(&*c, stored, len).map_err(corrupt)
 }
 
 // ---- Redundancy-group parity records ------------------------------------

@@ -30,7 +30,7 @@
 //!   first-occurrence claim exchange, cross-rank reference records;
 //! * [`lineage`] — record collection (the hole rule): the run of records
 //!   a restore reads;
-//! * [`restore`] — the restore engine: prefetched tier reads feeding a
+//! * [`restore`] — the restore engine: a record reader running ahead of a
 //!   single-pass resolution walk;
 //! * [`cluster_dir`] — the on-disk record layout: export a chain to a
 //!   directory, import it back unverified, and the one `verify`.
@@ -69,6 +69,6 @@ pub use rankdedup::{
     RankDedupMetrics, Resolver,
 };
 pub use redundancy::{ReconstructError, RedundancyMetrics, RedundancyPolicy, RedundancyStore};
-pub use restore::{restore_rank_latest_parallel, ParallelRestoreOutcome};
+pub use restore::{restore_rank_latest_parallel, ParallelRestoreOutcome, READ_AHEAD};
 pub use runtime::{AsyncRuntime, RuntimeConfig};
 pub use tier::{ObjectState, StoreError, StoreErrorKind, StoredObject, Tier, TierConfig};

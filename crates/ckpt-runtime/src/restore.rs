@@ -1,25 +1,27 @@
-//! The restore engine: single-pass chain resolution fed by demand-driven,
-//! one-record-ahead tier reads.
+//! The restore engine: single-pass chain resolution fed by a record reader
+//! that runs ahead of it, down to the chain's self-contained floor.
 //!
 //! [`ckpt_dedup::restart::SinglePassRestore`] resolves a record chain
 //! newest→oldest, needing each encoded diff exactly once. That shape is a
-//! pipeline: while the resolution kernel works on record *j*, record *j−1*
-//! can already be on its way out of the tier chain. A reader thread
-//! supplies that overlap — but only on demand. The caller's thread decodes
-//! record *j*, and hands the reader one token for *j−1* **unless** *j* is
-//! self-contained (a Full record, or a rebase record: it references
-//! nothing older, so the walk ends there); only then does it resolve *j*.
-//! The reader never starts a `locate` it holds no token for, so a
-//! self-contained top record costs exactly one `locate` and no thread, a
-//! rebase-terminated chain fetches exactly the records it reads, and any
-//! other chain at most one more (the engine can finish on a record that
-//! is not structurally self-contained, with its successor already asked
-//! for). The engine sweeps a visit's output slices on the pool when the
-//! reader is ahead of the walk — the record was in hand before the walk
-//! asked for it — or when no record is wanted; otherwise the reader's
-//! `locate` of the next record is what the walk waits on, and the slices
-//! sweep in order on the caller's thread beside it, with the same bytes
-//! and counters.
+//! pipeline: while the resolution kernel works on record *j*, records
+//! *j−1*, *j−2*, … can already be on their way out of the tier chain. A
+//! reader thread supplies that overlap. It `locate`s records newest first,
+//! decodes each itself, and hands the decoded record to the walk through a
+//! channel of [`READ_AHEAD`] slots, so it is at most that many records
+//! (plus the one in its hands) ahead. It stops after the first
+//! self-contained record (a Full record, or a rebase record: it
+//! references nothing older, so the walk ends there), after a hole, or
+//! when the walk hangs up. A self-contained top record therefore costs
+//! exactly one `locate` and no thread, a chain that ends on a
+//! self-contained record fetches exactly the records it reads, and any
+//! other chain at most `READ_AHEAD + 1` more — only when the walk finishes
+//! on a record that is not structurally self-contained.
+//!
+//! The engine sweeps a visit's output slices on the pool once the reader
+//! has nothing left to read, or when the walk ends at that record;
+//! otherwise the reader's `locate`s (which decompress and resolve on the
+//! pool) are what the walk waits on, and the slices sweep in order on the
+//! caller's thread beside them, with the same bytes and counters.
 //!
 //! Every read of the walk goes through one [`ChainReader`], so corrupt
 //! shallow copies are skipped and repaired on the way, and a record
@@ -36,14 +38,21 @@
 use crate::chain::TierChain;
 use crate::lineage::LineageError;
 use crate::runtime::AsyncRuntime;
-use ckpt_dedup::diff::Diff;
+use ckpt_dedup::diff::{DecodeError, Diff};
 use ckpt_dedup::restart::{is_self_contained, RestartStats, SinglePassRestore};
-use ckpt_dedup::Bytes;
 use ckpt_telemetry::Registry;
 use crossbeam::channel::bounded;
 use gpu_sim::Device;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
+
+/// How many decoded records the reader may hold ready for the walk: it is
+/// at most this many, plus the one it is reading, ahead.
+pub const READ_AHEAD: usize = 4;
+
+/// A record as the reader hands it over: its stored length, its decode,
+/// and whether it ends the walk — or `None` for a hole.
+type Fetched = Option<(u64, Result<Diff, DecodeError>, bool)>;
 
 /// Result of one parallel restart.
 #[derive(Debug)]
@@ -57,10 +66,10 @@ pub struct ParallelRestoreOutcome {
 }
 
 /// Restore the latest surviving version of `rank`'s record in a single
-/// pass, prefetching tier reads one record ahead. Records are fetched
-/// via [`TierChain::locate`], so corruption fallback and repair behave
-/// exactly as in [`crate::lineage::collect_record`]; the restored bytes are
-/// bit-identical to the sequential-replay oracle's
+/// pass, reading records up to [`READ_AHEAD`] ahead of the walk. Records
+/// are fetched via [`TierChain::locate`], so corruption fallback and
+/// repair behave exactly as in [`crate::lineage::collect_record`]; the
+/// restored bytes are bit-identical to the sequential-replay oracle's
 /// (`ckpt_bench::oracle::restore_rank`) at any thread count.
 ///
 /// When `registry` is given, the walk records `restore/*` counters (see
@@ -86,51 +95,57 @@ pub fn restore_rank_latest_parallel(
     let mut records_read = 1u64;
     let mut bytes_read = top_bytes.len() as u64;
     let mut fetch_wait_ns = 0u64;
-    // Locates the walk started, the top record's included. A statistic
+    // Locates the restore started, the top record's included. A statistic
     // only, read after the scope below has joined the reader.
     let records_fetched = AtomicU64::new(1);
+    // Set before the reader hands over the last record it will read: from
+    // then on the walk has the cores to itself. A scheduling hint that
+    // publishes nothing, so relaxed.
+    let reader_done = AtomicBool::new(false);
 
     let mut diff = Diff::decode_shared(&top_bytes).map_err(|e| LineageError::Decode(top, e))?;
-    // A record that references nothing older provably ends the walk: the
-    // one below it is asked for — before this one is resolved, which is the
-    // overlap — only otherwise.
+    // A record that references nothing older provably ends the walk:
+    // nothing below it is read.
     let mut ends_walk = is_self_contained(&diff);
 
     let engine = std::thread::scope(|s| -> Result<SinglePassRestore, LineageError> {
-        let (want, wanted) = bounded::<()>(1);
-        let (tx, rx) = bounded::<(u32, Option<Bytes>)>(1);
+        let (tx, rx) = bounded::<(u32, Fetched)>(READ_AHEAD);
         if !ends_walk {
-            let records_fetched = &records_fetched;
+            let (records_fetched, reader_done) = (&records_fetched, &reader_done);
             #[expect(
                 clippy::disallowed_methods,
                 reason = "the restore's record reader, joined before the scope returns"
             )]
             s.spawn(move || {
-                // One `locate` per token, newest first. Either channel
-                // closing (resolution complete, or an error) ends the walk.
                 for id in (0..top).rev() {
-                    if wanted.recv().is_err() {
-                        break;
-                    }
                     records_fetched.fetch_add(1, Ordering::Relaxed);
-                    if tx.send((id, reader.locate((rank, id)))).is_err() {
+                    let fetched = reader.locate((rank, id)).map(|bytes| {
+                        let diff = Diff::decode_shared(&bytes);
+                        let ends = diff.as_ref().is_ok_and(is_self_contained);
+                        (bytes.len() as u64, diff, ends)
+                    });
+                    // A hole, a corrupt record or the floor: nothing below
+                    // it is read.
+                    let last = id == 0 || !matches!(fetched, Some((_, Ok(_), false)));
+                    if last {
+                        reader_done.store(true, Ordering::Relaxed);
+                    }
+                    // The walk hangs up when it is done (or failed).
+                    if tx.send((id, fetched)).is_err() || last {
                         break;
                     }
                 }
             });
-            let _ = want.send(());
         }
         // Positions are absolute checkpoint ids (base 0): the engine stops
         // on its own at a self-contained rebase record, so the true chain
         // base never needs to be known up front.
         let mut engine =
             SinglePassRestore::begin(device, 0, &diff).map_err(LineageError::Restore)?;
-        // Whether the record being visited was in hand before the walk
-        // asked for it. If not, the reader is the slower side, and a visit
-        // on the pool would take the cores its next `locate` needs.
-        let mut reader_ahead = false;
         loop {
-            let done = if ends_walk || reader_ahead {
+            // While the reader still reads, a visit on the pool would take
+            // the cores its `locate`s need.
+            let done = if ends_walk || reader_done.load(Ordering::Relaxed) {
                 engine.feed(&diff)
             } else {
                 engine.feed_in_order(&diff)
@@ -143,15 +158,13 @@ pub fn restore_rank_latest_parallel(
                 reason = "times the engine's wait for a record into `restore/fetch_wait_ns`"
             )]
             let t0 = Instant::now();
-            let in_hand = rx.try_recv().ok();
-            reader_ahead = in_hand.is_some();
-            let Some((id, bytes)) = in_hand.or_else(|| rx.recv().ok()) else {
+            let Ok((id, fetched)) = rx.recv() else {
                 // The reader is gone with the engine still wanting records;
                 // `finish` below types that.
                 return Ok(engine);
             };
             fetch_wait_ns += t0.elapsed().as_nanos() as u64;
-            let Some(bytes) = bytes else {
+            let Some((len, decoded, ends)) = fetched else {
                 // Every copy of `id` is missing or corrupt, and newer
                 // records still need it: a genuine hole, not a chain end.
                 return Err(LineageError::Hole {
@@ -161,16 +174,12 @@ pub fn restore_rank_latest_parallel(
                 });
             };
             records_read += 1;
-            bytes_read += bytes.len() as u64;
-            diff = Diff::decode_shared(&bytes).map_err(|e| LineageError::Decode(id, e))?;
-            ends_walk = is_self_contained(&diff);
-            if !ends_walk {
-                // With no reader left to hear it, the `recv` above fails.
-                let _ = want.send(());
-            }
+            bytes_read += len;
+            diff = decoded.map_err(|e| LineageError::Decode(id, e))?;
+            ends_walk = ends;
         }
-        // `want` and `rx` drop on return: the reader's `recv` or `send`
-        // fails and it exits without starting another `locate`.
+        // `rx` drops on return: the reader's next `send` fails and it
+        // exits without starting another `locate`.
     })?;
     let (data, stats) = engine.finish().map_err(LineageError::Restore)?;
 

@@ -6,8 +6,13 @@
 //! open, and tracks the bytes live at once and their high-water mark.
 //! Every window lives in one `#[test]`: the counts are process-wide.
 
-use ckpt_compress::blocks::DEFAULT_BLOCK_SIZE;
+// A test drives codecs directly; the rules of `clippy.toml` hold
+// production code.
+#![allow(clippy::disallowed_methods)]
+
+use ckpt_compress::blocks::{compress_blocks, decompress_blocks, DEFAULT_BLOCK_SIZE};
 use ckpt_compress::lz::{find_sequences, MatchConfig, Seq};
+use ckpt_compress::Lz4Like;
 use ckpt_dedup::frame::{RankDedupEntry, RecordIndex};
 use ckpt_dedup::prelude::*;
 use ckpt_dedup::Bytes;
@@ -138,6 +143,26 @@ fn a_record_is_allocated_once_per_crossing_and_never_copied_to_the_engine() {
     restore_window(1 << 20, 128, &mut noise);
     let sliced = 9 * ckpt_dedup::restart::SLICE_CHUNKS / 2 * 64;
     restore_window(sliced, 64, &mut 0x2545_f491_4f6c_dd1d);
+
+    // ---- container decode: four LZ4 blocks decode on the pool straight
+    // into one output, with no block of their own and no concatenation ----
+    let raw: Vec<u8> = (0..DEFAULT_BLOCK_SIZE as u32)
+        .flat_map(|i| (i / 9).to_le_bytes())
+        .collect();
+    let container = compress_blocks(&Lz4Like::default(), &raw, DEFAULT_BLOCK_SIZE);
+    assert!(
+        container.len() < raw.len() / 4,
+        "every block must be compressed"
+    );
+    let (decoded, requested) =
+        requested_during(|| decompress_blocks(&Lz4Like::default(), &container, raw.len()));
+    assert_eq!(decoded.unwrap(), raw);
+    let bound = raw.len() as u64 + SLACK;
+    assert!(
+        requested <= bound,
+        "decoding a 4-block container of {} B requested {requested} B (bound {bound} B)",
+        raw.len()
+    );
 
     // ---- drain: host → SSD → PFS of one raw object mints one frame ----
     const OBJECT_LEN: usize = 4 << 20;

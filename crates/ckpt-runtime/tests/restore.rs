@@ -67,8 +67,8 @@ mod restore {
             for key in ["restore/chains_restored", "restore/records_read"] {
                 assert!(json.contains(key), "missing {key} in {json}");
             }
-            // The walk runs down to checkpoint 0: every record is read, and
-            // the reader is never more than the one asked-for record ahead.
+            // The walk runs down to checkpoint 0, the chain's floor: every
+            // record is read, and the reader reads nothing below it.
             let (read, fetched) = walk_counts(&registry);
             assert_eq!(read, 6);
             assert!((read..=read + 1).contains(&fetched), "fetched {fetched}");
@@ -80,6 +80,55 @@ mod restore {
             registry.counter("restore/records_read").get(),
             registry.counter("restore/records_fetched").get(),
         )
+    }
+
+    /// Sixteen Tree records; the top one rewrites every chunk — its first
+    /// half is the one below's fresh first half moved by a chunk, its
+    /// second half new — so the walk ends on record 14, which is not
+    /// self-contained, while the reader is still reading below it.
+    #[test]
+    fn read_ahead_past_an_early_end_is_bounded() {
+        use ckpt_runtime::READ_AHEAD;
+        const LEN: usize = 8192;
+        let tiers = TierChain::new();
+        let mut ckpt = TreeCheckpointer::new(gpu_sim::Device::a100(), TreeConfig::new(64));
+        let mut noise = 0x2545_f491_4f6c_dd1du64;
+        let mut fresh = |bytes: &mut [u8]| {
+            for b in bytes {
+                noise ^= noise << 13;
+                noise ^= noise >> 7;
+                noise ^= noise << 17;
+                *b = noise as u8;
+            }
+        };
+        let mut data: Vec<u8> = (0..LEN).map(|i| (i % 241) as u8).collect();
+        for k in 0..16u32 {
+            match k {
+                0 => {}
+                14 => fresh(&mut data[..LEN / 2]),
+                15 => {
+                    data[..LEN / 2].rotate_left(64);
+                    fresh(&mut data[LEN / 2..]);
+                }
+                _ => data[k as usize * 389 % LEN] ^= 0x5a,
+            }
+            tiers
+                .pfs
+                .put((0, k), ckpt.checkpoint(&data).diff.encode())
+                .unwrap();
+        }
+        let device = gpu_sim::Device::a100();
+        let registry = ckpt_telemetry::Registry::new();
+        let out = restore_rank_latest_parallel(&tiers, &device, 0, Some(&registry)).unwrap();
+        assert_eq!((out.version, &out.data), (15, &data));
+        let (_, oracle) = restore_rank(&tiers, 0).unwrap();
+        assert_eq!(Some(&out.data), oracle.last());
+        let (read, fetched) = walk_counts(&registry);
+        assert_eq!((read, out.stats.records_visited), (2, 2));
+        assert!(
+            (read..=read + READ_AHEAD as u64 + 1).contains(&fetched),
+            "read {read}, fetched {fetched}"
+        );
     }
 
     #[test]
@@ -196,19 +245,23 @@ mod restore {
         assert_eq!(&out.data, snapshots.last().unwrap());
     }
 
+    /// Deep in the chain, and right under the top record, where the reader
+    /// meets it first.
     #[test]
     fn hole_below_the_surviving_run_is_typed() {
-        let (tiers, _) = run_chain(None);
-        assert!(tiers.pfs.evict((0, 2)));
-        let device = gpu_sim::Device::a100();
-        let err = restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap_err();
-        match err {
-            LineageError::Hole {
-                rank: 0,
-                missing: 2,
-                present_above: 3,
-            } => {}
-            other => panic!("expected a typed hole, got {other:?}"),
+        for missing in [2, 4] {
+            let (tiers, _) = run_chain(None);
+            assert!(tiers.pfs.evict((0, missing)));
+            let device = gpu_sim::Device::a100();
+            let err = restore_rank_latest_parallel(&tiers, &device, 0, None).unwrap_err();
+            match err {
+                LineageError::Hole {
+                    rank: 0,
+                    missing: m,
+                    present_above,
+                } if m == missing && present_above == missing + 1 => {}
+                other => panic!("expected a typed hole at {missing}, got {other:?}"),
+            }
         }
     }
 

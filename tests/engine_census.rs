@@ -80,7 +80,8 @@ fn one_compression_stage() {
     let compress = "ckpt_compress::blocks::compress_blocks ckpt_compress::Codec::compress";
     banned(&[ROOT, DEDUP], compress);
     banned(&[ROOT, RUNTIME], "ckpt_compress::blocks::decompress_blocks");
-    banned(&[ROOT, DEDUP, RUNTIME], "ckpt_compress::Codec::decompress");
+    let decompress = "ckpt_compress::Codec::decompress ckpt_compress::Codec::decompress_into";
+    banned(&[ROOT, DEDUP, RUNTIME], decompress);
 }
 
 /// One binary, and one fault harness. Its roles, by what they do: a generator
