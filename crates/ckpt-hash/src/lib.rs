@@ -10,6 +10,12 @@
 //! Hash functions implement the [`Hasher128`] trait and produce a
 //! [`Digest128`], a plain-old-data 128-bit value that can live inside lock-free
 //! hash-table slots and flattened Merkle-tree arrays.
+//!
+//! Chunk grids are hashed a tile at a time through
+//! [`Hasher128::hash_chunks`]; Murmur3's runs eight chunks per step, on
+//! AVX-512 vectors where the CPU reports `avx512f` and `avx512dq` and on
+//! portable interleaved lanes elsewhere, with the same digests either way
+//! ([`murmur3`]).
 
 pub mod digest;
 pub mod murmur3;

@@ -7,13 +7,21 @@
 //! On the host one hash state is a serial multiply/rotate chain, so hashing
 //! a grid of small chunks one at a time is latency-bound. [`Murmur3`]'s
 //! [`hash_chunks`](Hasher128::hash_chunks) therefore advances eight chunks
-//! side by side; the scalar [`murmur3_x64_128`] shares its block round and
-//! finalizer, and remains the path for everything the lanes do not take —
-//! above all the frame checksum, one state over a whole multi-megabyte
-//! record, which it streams a cache line at a time behind a software
-//! prefetch so a verify of bytes nobody has touched runs near copy speed.
+//! side by side. On an x86-64 CPU that reports AVX-512F and AVX-512DQ the
+//! eight are the lanes of one vector (the `avx512` module), since the
+//! portable kernel sends all eight chains' multiplies through one scalar
+//! multiplier; everywhere else the portable kernel runs, and the tests hold
+//! the two against each other. The CPU alone picks: no option does. The
+//! scalar [`murmur3_x64_128`] shares the block round and finalizer, and
+//! remains the path for everything the lanes do not take — above all the
+//! frame checksum, one state over a whole multi-megabyte record, which it
+//! streams a cache line at a time behind a software prefetch so a verify of
+//! bytes nobody has touched runs near copy speed.
 
 use crate::{Digest128, Hasher128};
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 const C1: u64 = 0x87c3_7b91_1142_53d5;
 const C2: u64 = 0x4cf5_ad43_2745_937f;
@@ -216,6 +224,20 @@ fn hash_lanes(group: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128])
     }
 }
 
+/// Hash the whole groups of [`LANES`] chunks in `data` into `out`: on the
+/// AVX-512 kernel where the CPU has it, on [`hash_lanes`] everywhere else.
+fn hash_groups(data: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::detected() {
+        // SAFETY: this CPU has both features the kernel is compiled with.
+        return unsafe { avx512::hash_groups(data, chunk_size, seed, out) };
+    }
+    let group = LANES * chunk_size;
+    for (bytes, digests) in data.chunks_exact(group).zip(out.chunks_exact_mut(LANES)) {
+        hash_lanes(bytes, chunk_size, seed, digests);
+    }
+}
+
 impl Hasher128 for Murmur3 {
     #[inline]
     fn hash_seeded(&self, data: &[u8], seed: u32) -> Digest128 {
@@ -223,18 +245,21 @@ impl Hasher128 for Murmur3 {
     }
 
     /// Full chunks whose size is a multiple of the 16-byte block go through
-    /// the eight-lane interleaved kernel, a group at a time; the groups'
+    /// an eight-lane kernel, a group at a time (AVX-512 where the CPU has
+    /// it, the portable interleaved lanes elsewhere); the groups'
     /// remainder, a trailing partial chunk and every other chunk size take
     /// [`murmur3_x64_128`]. Digests are those of the per-chunk call.
     fn hash_chunks(&self, data: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128]) {
         crate::assert_chunk_grid(data, chunk_size, out);
         let mut done = 0;
         if chunk_size.is_multiple_of(16) {
-            let group = LANES * chunk_size;
-            for (bytes, digests) in data.chunks_exact(group).zip(out.chunks_exact_mut(LANES)) {
-                hash_lanes(bytes, chunk_size, seed, digests);
-                done += LANES;
-            }
+            done = data.len() / (LANES * chunk_size) * LANES;
+            hash_groups(
+                &data[..done * chunk_size],
+                chunk_size,
+                seed,
+                &mut out[..done],
+            );
         }
         let rest = data[done * chunk_size..].chunks(chunk_size);
         for (digest, chunk) in out[done..].iter_mut().zip(rest) {
@@ -327,9 +352,10 @@ mod tests {
         }
     }
 
-    /// Sizes on both sides of the lane kernel's precondition: 100 is not a
-    /// multiple of the 16-byte block, the others are.
-    const CHUNK_SIZES: [usize; 6] = [32, 48, 100, 128, 512, 4096];
+    /// Sizes on both sides of the lane kernels' precondition: 100 is not a
+    /// multiple of the 16-byte block, the others are; 16, 32 and 48 are all
+    /// tail to the wide kernel, 64 and 512 all whole segments.
+    const CHUNK_SIZES: [usize; 8] = [16, 32, 48, 64, 100, 128, 512, 4096];
     /// The seed `ckpt-runtime`'s rank-dedup index hashes its grid with.
     const CHUNK_HASH_SEED: u32 = 0x5244_4858;
 
@@ -362,28 +388,82 @@ mod tests {
     #[test]
     fn hash_chunks_equals_per_chunk_hashing_on_fixed_shapes() {
         for cs in CHUNK_SIZES {
-            // Empty, under one chunk, fewer chunks than lanes, exact lane
-            // groups, a group plus stragglers, and ragged last chunks.
-            let lens = [
-                0,
-                1,
-                cs - 1,
-                cs,
-                cs + 1,
-                (LANES - 1) * cs,
-                LANES * cs,
-                LANES * cs + 1,
-                (LANES + 1) * cs,
-                2 * LANES * cs,
-                (2 * LANES + 3) * cs + cs / 2,
-                64 * cs,
-                65 * cs + 7,
-            ];
-            for (i, len) in lens.into_iter().enumerate() {
-                let data = pattern(len, (cs * 131 + i) as u64);
-                for seed in [0, CHUNK_HASH_SEED, 0xdead_beef] {
-                    assert_batch_is_per_chunk(&data, cs, seed);
+            // Zero, one and two whole groups, then every group remainder,
+            // then no ragged last chunk or one of 1, half or all but one
+            // byte: empty input, fewer chunks than lanes, exact groups and
+            // stragglers of every count.
+            for groups in 0..3 {
+                for rem in 0..LANES {
+                    for ragged in [0, 1, cs / 2, cs - 1] {
+                        let len = (groups * LANES + rem) * cs + ragged;
+                        let data = pattern(len, (cs * 131 + len) as u64);
+                        for seed in [0, CHUNK_HASH_SEED, 0xdead_beef] {
+                            assert_batch_is_per_chunk(&data, cs, seed);
+                        }
+                    }
                 }
+            }
+            let data = pattern(65 * cs + 7, cs as u64);
+            assert_batch_is_per_chunk(&data, cs, CHUNK_HASH_SEED);
+        }
+    }
+
+    /// The digests of `data`'s whole groups by the portable lanes.
+    fn portable(data: &[u8], cs: usize, seed: u32) -> Vec<Digest128> {
+        let mut out = vec![Digest128::new(!0, !0); data.len() / cs];
+        let group = LANES * cs;
+        for (bytes, digests) in data.chunks_exact(group).zip(out.chunks_exact_mut(LANES)) {
+            hash_lanes(bytes, cs, seed, digests);
+        }
+        out
+    }
+
+    /// The digests of `data`'s whole groups by the AVX-512 kernel, or
+    /// `None` where this CPU cannot run it. The first skip is written to
+    /// stderr directly, past the harness's capture, so a pass never hides
+    /// it.
+    fn wide(data: &[u8], cs: usize, seed: u32) -> Option<Vec<Digest128>> {
+        #[cfg(target_arch = "x86_64")]
+        if avx512::detected() {
+            let mut out = vec![Digest128::new(!0, !0); data.len() / cs];
+            // SAFETY: this CPU has both features the kernel is compiled with.
+            unsafe { avx512::hash_groups(data, cs, seed, &mut out) };
+            return Some(out);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (data, cs, seed);
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        SKIPPED.call_once(|| {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "ckpt-hash: the AVX-512 chunk kernel did not run (this CPU lacks avx512f/avx512dq)"
+            );
+        });
+        None
+    }
+
+    /// The wide kernel's digests equal the portable lanes' and the
+    /// per-chunk reference's on `groups` whole groups of `cs`-byte chunks.
+    fn assert_wide_is_both_references(groups: usize, cs: usize, seed: u32, salt: u64) {
+        let data = pattern(groups * LANES * cs, salt);
+        let Some(got) = wide(&data, cs, seed) else {
+            return;
+        };
+        let want: Vec<Digest128> = data.chunks(cs).map(|c| murmur3_x64_128(c, seed)).collect();
+        assert_eq!(
+            portable(&data, cs, seed),
+            want,
+            "portable: cs {cs} seed {seed:#x}"
+        );
+        assert_eq!(got, want, "wide: cs {cs} seed {seed:#x}");
+    }
+
+    #[test]
+    fn wide_kernel_equals_both_references_at_every_chunk_size() {
+        for cs in (16..=1024).step_by(16).chain([4096]) {
+            for seed in [0, CHUNK_HASH_SEED, 0xdead_beef] {
+                assert_wide_is_both_references(2, cs, seed, cs as u64 ^ seed as u64);
             }
         }
     }
@@ -400,6 +480,16 @@ mod tests {
             let cs = CHUNK_SIZES[size];
             let data = pattern(n_full * cs + ragged % cs, salt);
             assert_batch_is_per_chunk(&data, cs, seed);
+        }
+
+        #[test]
+        fn wide_kernel_equals_both_references(
+            cs in prop_oneof![(1usize..=64).prop_map(|b| 16 * b), Just(4096usize)],
+            groups in 1usize..4,
+            seed in any::<u32>(),
+            salt in any::<u64>(),
+        ) {
+            assert_wide_is_both_references(groups, cs, seed, salt);
         }
 
         #[test]
@@ -445,36 +535,75 @@ mod tests {
         PerChunk.hash_chunks(&data, 128, 0, &mut [Digest128::ZERO; 5]);
     }
 
+    /// The SMHasher verification procedure with `hash` in place of
+    /// Murmur3: hash keys {[], [0], [0,1], ... [0..254]} with seeds 256-len,
+    /// concatenate the digests, hash the concatenation with seed 0, and
+    /// return its first 4 LE bytes.
+    fn smhasher_verification(hash: impl Fn(&[u8], u32) -> Digest128) -> u32 {
+        let mut key = [0u8; 256];
+        let mut hashes = Vec::with_capacity(256 * 16);
+        for i in 0..256 {
+            key[i] = i as u8;
+            hashes.extend_from_slice(&hash(&key[..i], (256 - i) as u32).to_bytes());
+        }
+        let fin = hash(&hashes, 0);
+        u32::from_le_bytes(fin.to_bytes()[..4].try_into().unwrap())
+    }
+
+    /// The published verification constant for MurmurHash3_x64_128.
+    const SMHASHER_VERIFICATION: u32 = 0x6384_BA69;
+
     /// The SMHasher constant with every key the lane kernel accepts (length
     /// a positive multiple of 16) hashed by it: the key is laid out as
     /// `LANES + 1` equal chunks, so lanes and the scalar straggler must agree
     /// before the lane digest enters the verification buffer.
     #[test]
     fn smhasher_verification_constant_through_the_batch_path() {
-        let through_lanes = |key: &[u8], seed: u32| {
-            let grid = key.repeat(LANES + 1);
-            let digests = batch(&Murmur3, &grid, key.len(), seed);
+        let verification = smhasher_verification(|key, seed| {
+            if key.is_empty() {
+                return murmur3_x64_128(key, seed);
+            }
+            let digests = batch(&Murmur3, &key.repeat(LANES + 1), key.len(), seed);
             assert!(
                 digests.iter().all(|d| *d == digests[0]),
                 "len {}",
                 key.len()
             );
             digests[0]
+        });
+        assert_eq!(
+            verification, SMHASHER_VERIFICATION,
+            "got {verification:#010x}"
+        );
+    }
+
+    /// The SMHasher constant with every key of a positive multiple of 16
+    /// bytes hashed by each lane kernel directly, laid out as one group of
+    /// equal chunks; the other keys take the scalar function.
+    #[test]
+    fn smhasher_verification_constant_through_each_lane_kernel() {
+        let through = |kernel: fn(&[u8], usize, u32) -> Option<Vec<Digest128>>| {
+            smhasher_verification(|key, seed| {
+                if key.is_empty() || !key.len().is_multiple_of(16) {
+                    return murmur3_x64_128(key, seed);
+                }
+                let digests = kernel(&key.repeat(LANES), key.len(), seed)
+                    .expect("the kernel runs on this CPU");
+                assert!(
+                    digests.iter().all(|d| *d == digests[0]),
+                    "len {}",
+                    key.len()
+                );
+                digests[0]
+            })
         };
-        let mut key = [0u8; 256];
-        let mut hashes = Vec::with_capacity(256 * 16);
-        for i in 0..256 {
-            key[i] = i as u8;
-            let seed = (256 - i) as u32;
-            let d = match i {
-                0 => murmur3_x64_128(&[], seed),
-                _ => through_lanes(&key[..i], seed),
-            };
-            hashes.extend_from_slice(&d.to_bytes());
+        assert_eq!(
+            through(|d, cs, seed| Some(portable(d, cs, seed))),
+            SMHASHER_VERIFICATION
+        );
+        if wide(&[], 16, 0).is_some() {
+            assert_eq!(through(wide), SMHASHER_VERIFICATION);
         }
-        let fin = through_lanes(&hashes, 0);
-        let verification = u32::from_le_bytes(fin.to_bytes()[..4].try_into().unwrap());
-        assert_eq!(verification, 0x6384_BA69, "got {verification:#010x}");
     }
 
     #[test]
@@ -488,25 +617,13 @@ mod tests {
         assert_ne!(murmur3_x64_128(b"", 1), Digest128::ZERO);
     }
 
-    /// The SMHasher verification test: hash keys {[0], [0,1], ... [0..254]}
-    /// with seeds 256-len, concatenate the digests, hash the concatenation
-    /// with seed 0, and compare the first 4 LE bytes against the published
-    /// verification constant for MurmurHash3_x64_128.
+    /// The SMHasher verification test against the published constant.
     #[test]
     fn smhasher_verification_constant() {
-        const EXPECTED: u32 = 0x6384_BA69;
-        let mut key = [0u8; 256];
-        let mut hashes = Vec::with_capacity(255 * 16);
-        for i in 0..256 {
-            key[i] = i as u8;
-            let d = murmur3_x64_128(&key[..i], (256 - i) as u32);
-            hashes.extend_from_slice(&d.to_bytes());
-        }
-        let fin = murmur3_x64_128(&hashes, 0);
-        let verification = u32::from_le_bytes(fin.to_bytes()[..4].try_into().unwrap());
+        let verification = smhasher_verification(murmur3_x64_128);
         assert_eq!(
-            verification, EXPECTED,
-            "got {verification:#010x}, expected {EXPECTED:#010x}"
+            verification, SMHASHER_VERIFICATION,
+            "got {verification:#010x}, expected {SMHASHER_VERIFICATION:#010x}"
         );
     }
 
