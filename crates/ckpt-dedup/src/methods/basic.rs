@@ -106,6 +106,8 @@ impl Checkpointer for BasicCheckpointer {
                         let old = unsafe { prev.read(c) };
                         if force_all || ckpt_id == 0 || digest != old {
                             changed[c].store(1, Ordering::Relaxed);
+                            // SAFETY: as for the read: chunk `c` belongs to
+                            // this tile alone, so no other thread touches it.
                             unsafe { prev.write(c, digest) };
                         }
                     }

@@ -216,6 +216,8 @@ fn first_ocur_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
                         // owned by this thread.
                         let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
                         let combined = hasher.combine_with(&dl, &dr, scratch);
+                        // SAFETY: `node` belongs to this tile alone, and no
+                        // thread reads it until the next level's kernel.
                         unsafe { tree.write(node, combined) };
                         map.prefetch(&combined);
                         listed[n_listed] = k as u8;
@@ -321,6 +323,8 @@ fn shift_dupl_pass(pass: &mut Pass<'_>, frontiers: &Frontiers) {
                         // `node` owned by this thread.
                         let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
                         let combined = hasher.combine_with(&dl, &dr, scratch);
+                        // SAFETY: `node` belongs to this tile alone, and no
+                        // thread reads it until the next level's kernel.
                         unsafe { tree.write(node, combined) };
                         map.prefetch(&combined);
                         listed[n_listed] = k as u8;

@@ -80,6 +80,8 @@ fn naive_sweep(pass: &mut Pass<'_>) -> EmittedRegions {
                 // owned by this thread.
                 let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
                 let combined = hasher.combine(&dl, &dr);
+                // SAFETY: `node` is this iteration's alone, and no thread
+                // reads it until a later kernel.
                 unsafe { tree.write(node, combined) };
                 let me = MapEntry::new(node as u32, ckpt_id);
                 match map.insert(&combined, me) {
@@ -140,8 +142,13 @@ fn naive_sweep(pass: &mut Pass<'_>) -> EmittedRegions {
             let (cl, cr) = (shape.left(node), shape.right(node));
             debug_assert_eq!(labels.get(cl), Label::FirstOcur);
             debug_assert_eq!(labels.get(cr), Label::FirstOcur);
+            // SAFETY: the children were written by the previous level's
+            // kernels, which have returned (fork-join barrier); this level
+            // writes only its own nodes.
             let (dl, dr) = unsafe { (tree.read(cl), tree.read(cr)) };
             let combined = hasher.combine(&dl, &dr);
+            // SAFETY: `node` is this iteration's alone, and no thread reads
+            // it until a later kernel.
             unsafe { tree.write(node, combined) };
             match map.insert(&combined, MapEntry::new(node as u32, ckpt_id)) {
                 InsertResult::Inserted => labels.set(node, Label::FirstOcur),

@@ -70,6 +70,9 @@ pub struct SharedSliceMut<'a, T> {
 // SAFETY: see the struct-level contract; all aliasing is managed by callers
 // obeying the one-writer-per-index rule within a kernel.
 unsafe impl<T: Send + Sync> Sync for SharedSliceMut<'_, T> {}
+// SAFETY: the wrapper is a shared view of the cells, so sending it to a
+// kernel's worker gives that thread the same access sharing it does, held to
+// the same one-writer-per-index contract.
 unsafe impl<T: Send + Sync> Send for SharedSliceMut<'_, T> {}
 
 impl<'a, T> SharedSliceMut<'a, T> {

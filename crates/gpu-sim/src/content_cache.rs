@@ -59,7 +59,6 @@ pub struct ContentCache {
 // SAFETY: `data` is partitioned into per-slot spans governed by the slot
 // protocol above.
 unsafe impl Sync for ContentCache {}
-unsafe impl Send for ContentCache {}
 
 impl ContentCache {
     /// A cache for `capacity` chunks of at most `chunk_size` bytes.

@@ -1,12 +1,11 @@
 //! Minimal offline stand-in for the subset of `rayon` 1.x this workspace
 //! uses, backed by a persistent work-stealing thread pool (`pool`).
 //!
-//! Unlike the earlier shim — which wrapped sequential iterators and spawned
-//! fresh scoped threads per `for_each` — every terminal here (`for_each`,
-//! `map`+`collect`, `reduce`, `sum`, `count`) executes on the shared pool.
-//! Sources and adapters implement an indexed [`Producer`] model (length +
-//! random access by position), which is what makes *value-producing*
-//! terminals parallelizable with deterministic results:
+//! Every terminal (`for_each`, `map`+`collect`, `reduce`, `sum`, `count`)
+//! executes on the shared pool. Sources and adapters implement an indexed
+//! [`Producer`] model (length + random access by position), which is what
+//! makes *value-producing* terminals parallelizable with deterministic
+//! results:
 //!
 //! * `collect` writes each item into a pre-sized output slot at its source
 //!   position, so output order is independent of execution order;
@@ -24,10 +23,8 @@ use std::marker::PhantomData;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
 
-pub mod host_clock;
 mod pool;
 
-pub use host_clock::{host_clock_enable, host_clock_take, HostClockSample};
 pub use pool::{current_num_threads, pool_spawned_threads, set_active_threads, MAX_POOL_THREADS};
 
 pub mod prelude {
@@ -133,9 +130,12 @@ pub struct VecProducer<T: Send> {
     cap: usize,
 }
 
-// SAFETY: access is index-disjoint per the `Producer` contract; `T: Send`
-// lets items cross to worker threads.
+// SAFETY: shared access only reads items out by index, and the `Producer`
+// contract makes those reads index-disjoint; `T: Send` lets the moved-out
+// items cross to worker threads.
 unsafe impl<T: Send> Sync for VecProducer<T> {}
+// SAFETY: the producer owns the allocation and its items, as the `Vec` it
+// came from did; `T: Send` lets both move to another thread.
 unsafe impl<T: Send> Send for VecProducer<T> {}
 
 // SAFETY: each index read at most once (contract), so no double-move.
@@ -150,6 +150,9 @@ unsafe impl<T: Send> Producer for VecProducer<T> {
         1
     }
     unsafe fn item(&self, i: usize) -> T {
+        // SAFETY: the caller guarantees `i < len`, so `buf + i` is an
+        // initialized element of the original `Vec`, and reads it at most
+        // once, so the value is moved out once and never dropped in place.
         unsafe { std::ptr::read(self.buf.add(i)) }
     }
 }
@@ -159,6 +162,9 @@ impl<T: Send> Drop for VecProducer<T> {
         // Reclaims the allocation only: items were moved out by `item`. If
         // a panicking terminal left indices unconsumed their values leak —
         // the documented trade-off for lock-free by-index consumption.
+        // SAFETY: `buf` and `cap` are the pointer and capacity of the `Vec`
+        // `into_par_iter` took apart (never freed: it was `ManuallyDrop`),
+        // and length 0 makes the rebuilt `Vec` drop no element.
         unsafe { drop(Vec::from_raw_parts(self.buf, 0, self.cap)) };
     }
 }
@@ -187,6 +193,7 @@ unsafe impl<'a, T: Sync> Producer for SliceProducer<'a, T> {
         self.slice.len()
     }
     unsafe fn item(&self, i: usize) -> &'a T {
+        // SAFETY: the caller guarantees `i < len()`, the slice's length.
         unsafe { self.slice.get_unchecked(i) }
     }
 }
@@ -221,6 +228,8 @@ pub struct SliceMutProducer<'a, T> {
 // SAFETY: each index is handed out at most once (contract), so the `&mut`s
 // produced are disjoint; `T: Send` lets them cross threads.
 unsafe impl<T: Send> Sync for SliceMutProducer<'_, T> {}
+// SAFETY: the producer stands for the `&mut [T]` it was built from, which
+// may move to another thread when `T: Send`.
 unsafe impl<T: Send> Send for SliceMutProducer<'_, T> {}
 
 // SAFETY: see `Sync` justification above.
@@ -230,6 +239,9 @@ unsafe impl<'a, T: Send + 'a> Producer for SliceMutProducer<'a, T> {
         self.len
     }
     unsafe fn item(&self, i: usize) -> &'a mut T {
+        // SAFETY: `i < len` (caller), so the element lies in the slice
+        // borrowed mutably for `'a`; no other `&mut` to it exists because
+        // each index is handed out at most once.
         unsafe { &mut *self.ptr.add(i) }
     }
 }
@@ -244,6 +256,7 @@ pub struct ChunksMutProducer<'a, T> {
 // SAFETY: as for `SliceMutProducer`; chunks at distinct indices are
 // disjoint sub-slices.
 unsafe impl<T: Send> Sync for ChunksMutProducer<'_, T> {}
+// SAFETY: as for `SliceMutProducer`: it stands for a `&mut [T]`.
 unsafe impl<T: Send> Send for ChunksMutProducer<'_, T> {}
 
 // SAFETY: see `Sync` justification above.
@@ -258,6 +271,9 @@ unsafe impl<'a, T: Send + 'a> Producer for ChunksMutProducer<'a, T> {
     unsafe fn item(&self, i: usize) -> &'a mut [T] {
         let lo = i * self.size;
         let n = self.size.min(self.len - lo);
+        // SAFETY: `i < len.div_ceil(size)` (caller) puts `lo..lo + n` inside
+        // the slice borrowed mutably for `'a`, and distinct indices give
+        // disjoint ranges, each handed out at most once.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), n) }
     }
 }
@@ -331,6 +347,7 @@ where
         self.inner.max_items_per_chunk()
     }
     unsafe fn item(&self, i: usize) -> O {
+        // SAFETY: same length, same index, same once-only call as ours.
         (self.f)(unsafe { self.inner.item(i) })
     }
 }
@@ -352,6 +369,7 @@ unsafe impl<P: Producer> Producer for EnumerateProducer<P> {
         self.inner.max_items_per_chunk()
     }
     unsafe fn item(&self, i: usize) -> (usize, P::Item) {
+        // SAFETY: same length, same index, same once-only call as ours.
         (i, unsafe { self.inner.item(i) })
     }
 }
@@ -374,6 +392,7 @@ unsafe impl<P: Producer> Producer for MaxLenProducer<P> {
         self.inner.max_items_per_chunk().min(self.max)
     }
     unsafe fn item(&self, i: usize) -> P::Item {
+        // SAFETY: same length, same index, same once-only call as ours.
         unsafe { self.inner.item(i) }
     }
 }
@@ -401,6 +420,8 @@ unsafe impl<A: Producer, B: Producer> Producer for ZipProducer<A, B> {
             .min(self.b.max_items_per_chunk())
     }
     unsafe fn item(&self, i: usize) -> (A::Item, B::Item) {
+        // SAFETY: `i` is below the shorter length, so in bounds for both
+        // sides, and each side sees it exactly as often as we do: once.
         unsafe { (self.a.item(i), self.b.item(i)) }
     }
 }
@@ -419,6 +440,8 @@ impl<T> Slots<T> {
     /// # Safety
     /// `i` in bounds and written by exactly one thread.
     unsafe fn write(&self, i: usize, value: T) {
+        // SAFETY: the caller guarantees slot `i` is in bounds and that no
+        // other thread touches it, so this is the one access to it.
         unsafe { (*self.0.add(i)).write(value) };
     }
 }
@@ -429,6 +452,10 @@ impl<T> Slots<T> {
 /// Every element must have been written.
 unsafe fn assume_init_vec<T>(slots: Vec<MaybeUninit<T>>) -> Vec<T> {
     let mut s = ManuallyDrop::new(slots);
+    // SAFETY: `MaybeUninit<T>` has `T`'s layout, so the allocation is a
+    // valid `Vec<T>` buffer of the same length and capacity; every element
+    // is initialized (caller), and `ManuallyDrop` keeps `slots` from
+    // freeing the buffer the new `Vec` now owns.
     unsafe { Vec::from_raw_parts(s.as_mut_ptr() as *mut T, s.len(), s.capacity()) }
 }
 
@@ -471,17 +498,7 @@ impl<P: Producer> Par<P> {
     where
         F: Fn(P::Item) + Sync,
     {
-        let p = self.0;
-        let plan = pool::plan(&p);
-        let n = p.len();
-        pool::run_chunks(plan.n_chunks, &|c| {
-            let lo = c * plan.chunk_size;
-            let hi = (lo + plan.chunk_size).min(n);
-            for i in lo..hi {
-                // SAFETY: chunks partition 0..n; each index visited once.
-                f(unsafe { p.item(i) });
-            }
-        });
+        self.for_each_init(|| (), |(), item| f(item));
     }
 
     /// Like `for_each`, but each executor chunk builds its own state with
@@ -528,6 +545,7 @@ impl<P: Producer> Par<P> {
             // SAFETY: chunks partition 0..n; indices consumed once each.
             let mut acc = unsafe { p.item(lo) };
             for i in lo + 1..hi {
+                // SAFETY: as above; `i` lies in this chunk alone.
                 acc = op(acc, unsafe { p.item(i) });
             }
             // SAFETY: slot `c` written exactly once, by this chunk.

@@ -103,6 +103,8 @@ struct Job {
 // SAFETY: `run` points at a `Sync` closure that outlives the job (see the
 // field comment); every other field is already thread-safe.
 unsafe impl Send for Job {}
+// SAFETY: as for `Send`: participants share `run` only by `&`, which a
+// `Sync` closure allows, and every other field synchronizes itself.
 unsafe impl Sync for Job {}
 
 impl Job {
@@ -206,63 +208,18 @@ pub fn pool_spawned_threads() -> usize {
 /// Execute `run(c)` for every `c in 0..n_chunks` on the pool, blocking
 /// until all chunks complete. Chunks may run on any participant in any
 /// order; callers needing determinism index their outputs by chunk.
-///
-/// When the [`crate::host_clock`] is enabled, every top-level region (not
-/// nested terminals — those bill to their enclosing chunk) additionally
-/// records per-chunk CPU time so scaling studies can model the region's
-/// makespan independently of the machine's physical core count.
 pub(crate) fn run_chunks(n_chunks: usize, run: &(dyn Fn(usize) + Sync)) {
-    if n_chunks == 0 {
-        return;
-    }
-    // A terminal launched from inside another terminal's body runs inline;
-    // its time is already part of the enclosing chunk's measurement.
-    if IN_PARALLEL.with(|f| f.get()) {
-        for c in 0..n_chunks {
-            run(c);
-        }
-        return;
-    }
-    if !crate::host_clock::enabled() {
-        dispatch(n_chunks, run);
-        return;
-    }
-    use std::sync::atomic::AtomicU64;
-    let work = AtomicU64::new(0);
-    let span = AtomicU64::new(0);
-    let timed = |c: usize| {
-        let t0 = crate::host_clock::thread_cpu_ns();
-        run(c);
-        let dt = crate::host_clock::thread_cpu_ns().saturating_sub(t0);
-        work.fetch_add(dt, Ordering::Relaxed);
-        span.fetch_max(dt, Ordering::Relaxed);
-    };
-    let started = std::time::Instant::now();
-    dispatch(n_chunks, &timed);
-    crate::host_clock::record_region(
-        work.load(Ordering::Relaxed),
-        span.load(Ordering::Relaxed),
-        started.elapsed().as_nanos() as u64,
-        current_num_threads().min(n_chunks) as u64,
-    );
-}
-
-/// The untimed execution core of [`run_chunks`].
-fn dispatch(n_chunks: usize, run: &(dyn Fn(usize) + Sync)) {
+    let inline = || (0..n_chunks).for_each(run);
     let threads = current_num_threads();
-    if n_chunks == 1 || threads <= 1 {
-        for c in 0..n_chunks {
-            run(c);
-        }
-        return;
+    // Nothing to share out, or a terminal launched from inside another
+    // terminal's body: run on the calling thread.
+    if n_chunks <= 1 || threads <= 1 || IN_PARALLEL.with(|f| f.get()) {
+        return inline();
     }
     let pool = pool();
     let Ok(submit) = pool.submit.try_lock() else {
         // Another thread's job is in flight; inline is always correct.
-        for c in 0..n_chunks {
-            run(c);
-        }
-        return;
+        return inline();
     };
 
     let participants = threads.min(n_chunks);
