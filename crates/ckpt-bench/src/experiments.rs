@@ -500,7 +500,8 @@ fn timed<T>(work: impl FnOnce() -> T) -> (T, f64) {
 #[derive(Debug)]
 pub struct HostScalingPoint {
     pub threads: usize,
-    /// Measured wall time for the whole checkpoint record.
+    /// Measured wall time for the whole checkpoint record: the median of
+    /// [`HOST_SCALING_RECORDS`] records.
     pub wall_sec: f64,
     /// Modeled device time for the same record (thread-count independent).
     pub modeled_sec: f64,
@@ -508,7 +509,7 @@ pub struct HostScalingPoint {
     /// Order-sensitive Murmur3 digest chained over every encoded diff;
     /// equal digests mean bit-identical checkpoint records.
     pub record_digest: (u64, u64),
-    /// Per-stage totals over the record: (stage, measured wall sec,
+    /// Per-stage totals over the median record: (stage, measured wall sec,
     /// modeled device sec), in pipeline order.
     pub stages: Vec<(String, f64, f64)>,
 }
@@ -616,6 +617,10 @@ impl Report for HostScalingReport {
 /// Checkpoints per (scale, thread-count) point in the host-scaling sweep.
 pub const HOST_SCALING_CHECKPOINTS: usize = 8;
 
+/// Records timed per (scale, thread-count) point; the point reports the
+/// median wall time, so one preempted record does not set its speedup.
+pub const HOST_SCALING_RECORDS: usize = 5;
+
 /// Thread counts swept (fixed so reports are comparable across machines;
 /// the shim pool oversubscribes if the host has fewer cores).
 pub const HOST_SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -629,11 +634,11 @@ pub const HOST_SCALING_SCALES: [usize; 3] = [20_000, 80_000, 200_000];
 /// workload. Modeled device time and checkpoint bytes must not move with
 /// the thread count — only host time may.
 ///
-/// One checkpointer persists per scale; each thread point restarts its
-/// record via `reset_record`, so the sweep runs on warm arenas and a
-/// generation-bumped hash map — the steady-state path. Encoding and
-/// digesting the diffs happens outside the timed window (the digest is a
-/// correctness check, not a pipeline stage).
+/// One checkpointer persists per scale; each of a thread point's
+/// [`HOST_SCALING_RECORDS`] records restarts via `reset_record`, so the
+/// sweep runs on warm arenas and a generation-bumped hash map — the
+/// steady-state path. Encoding and digesting the diffs happens outside the
+/// timed window (the digest is a correctness check, not a pipeline stage).
 pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
     use ckpt_hash::{Hasher128, Murmur3};
 
@@ -660,44 +665,62 @@ pub fn host_scaling_at(scales: &[usize], seed: u64) -> HostScalingReport {
         let mut points: Vec<HostScalingPoint> = Vec::new();
         for &threads in &HOST_SCALING_THREADS {
             warm_pool(threads);
-            m.reset_record();
-
-            let before = device.metrics().snapshot();
-            let mut stages: Vec<(String, f64, f64)> = Vec::new();
-            let mut diffs = Vec::with_capacity(w.snapshots.len());
-            let ((), wall_sec) = timed(|| {
-                for snap in &w.snapshots {
-                    let out = m.checkpoint(snap);
-                    for s in &out.breakdown.stages {
-                        match stages.iter_mut().find(|(name, ..)| name == s.name) {
-                            Some((_, measured, modeled)) => {
-                                *measured += s.measured_sec;
-                                *modeled += s.modeled_sec;
+            let mut records: Vec<HostScalingPoint> = (0..HOST_SCALING_RECORDS)
+                .map(|_| {
+                    m.reset_record();
+                    let before = device.metrics().snapshot();
+                    let mut stages: Vec<(String, f64, f64)> = Vec::new();
+                    let mut diffs = Vec::with_capacity(w.snapshots.len());
+                    let ((), wall_sec) = timed(|| {
+                        for snap in &w.snapshots {
+                            let out = m.checkpoint(snap);
+                            for s in &out.breakdown.stages {
+                                match stages.iter_mut().find(|(name, ..)| name == s.name) {
+                                    Some((_, measured, modeled)) => {
+                                        *measured += s.measured_sec;
+                                        *modeled += s.modeled_sec;
+                                    }
+                                    None => stages.push((
+                                        s.name.to_string(),
+                                        s.measured_sec,
+                                        s.modeled_sec,
+                                    )),
+                                }
                             }
-                            None => {
-                                stages.push((s.name.to_string(), s.measured_sec, s.modeled_sec))
-                            }
+                            diffs.push(out.diff);
                         }
-                    }
-                    diffs.push(out.diff);
-                }
-            });
-            let after = device.metrics().snapshot();
+                    });
+                    let after = device.metrics().snapshot();
 
-            let mut stored = 0u64;
-            let mut digest = hasher.hash(b"host_scaling");
-            for diff in &diffs {
-                stored += diff.stored_bytes() as u64;
-                digest = hasher.combine(&digest, &hasher.hash(&diff.encode()));
+                    let mut stored = 0u64;
+                    let mut digest = hasher.hash(b"host_scaling");
+                    for diff in &diffs {
+                        stored += diff.stored_bytes() as u64;
+                        digest = hasher.combine(&digest, &hasher.hash(&diff.encode()));
+                    }
+                    HostScalingPoint {
+                        threads,
+                        wall_sec,
+                        modeled_sec: after.modeled_sec - before.modeled_sec,
+                        stored_bytes: stored,
+                        record_digest: (digest.h1, digest.h2),
+                        stages,
+                    }
+                })
+                .collect();
+            // Every record of a point must be the same bytes: one that is
+            // not gives the point a digest no other point has, so the
+            // drift gate fires.
+            let first = (records[0].record_digest, records[0].stored_bytes);
+            let agree = records
+                .iter()
+                .all(|r| (r.record_digest, r.stored_bytes) == first);
+            records.sort_by(|a, b| a.wall_sec.total_cmp(&b.wall_sec));
+            let mut median = records.swap_remove(HOST_SCALING_RECORDS / 2);
+            if !agree {
+                median.record_digest = (!0, !(threads as u64));
             }
-            points.push(HostScalingPoint {
-                threads,
-                wall_sec,
-                modeled_sec: after.modeled_sec - before.modeled_sec,
-                stored_bytes: stored,
-                record_digest: (digest.h1, digest.h2),
-                stages,
-            });
+            points.push(median);
         }
         out.push(HostScalingScale {
             scale,

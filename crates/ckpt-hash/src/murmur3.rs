@@ -11,12 +11,16 @@
 //! eight are the lanes of one vector (the `avx512` module), since the
 //! portable kernel sends all eight chains' multiplies through one scalar
 //! multiplier; everywhere else the portable kernel runs, and the tests hold
-//! the two against each other. The CPU alone picks: no option does. The
-//! scalar [`murmur3_x64_128`] shares the block round and finalizer, and
-//! remains the path for everything the lanes do not take — above all the
-//! frame checksum, one state over a whole multi-megabyte record, which it
-//! streams a cache line at a time behind a software prefetch so a verify of
-//! bytes nobody has touched runs near copy speed.
+//! the two against each other. The CPU alone picks: no option does.
+//!
+//! A long buffer is digested the same way: [`murmur3_fold`] cuts it into
+//! [`FOLD_BLOCK`]-byte blocks, hashes them through `hash_chunks` and folds
+//! the block digests into one state. That fold is the checksum every stored
+//! frame and record of version 2 carries. The scalar [`murmur3_x64_128`]
+//! shares the block round and finalizer and remains the path for
+//! everything the lanes do not take — the per-chunk call, a grid's
+//! stragglers and the version-1 checksum, one state over a whole record,
+//! which it streams a cache line at a time behind a software prefetch.
 
 use crate::{Digest128, Hasher128};
 
@@ -201,6 +205,19 @@ const LANES: usize = 8;
 /// How far ahead of the block being mixed the batch kernel prefetches.
 const PREFETCH_AHEAD: usize = 8 << 10;
 
+/// How far ahead of the line being mixed a lane kernel prefetches for
+/// `chunk_size`-byte chunks: [`PREFETCH_AHEAD`], or one group and one chunk
+/// once that is farther — only chunks of 912 bytes and up, such as the
+/// fold's 4 KiB blocks, whose eight lanes lie a page apart, so
+/// `PREFETCH_AHEAD` lands inside the group being mixed. Measured folding 16
+/// freshly written 5.09 MB frames on the 2-vCPU AVX-512 reference host:
+/// 8.6 GB/s prefetching 8 KiB ahead, 11.4 one group ahead, 10.7 two, and
+/// 14–16 one group and one chunk ahead.
+#[inline(always)]
+fn prefetch_ahead(chunk_size: usize) -> usize {
+    PREFETCH_AHEAD.max((LANES + 1) * chunk_size)
+}
+
 /// Hash `LANES` consecutive `chunk_size`-byte chunks of `group`, one state
 /// per chunk, all states advanced one block at a time.
 #[inline]
@@ -210,10 +227,11 @@ fn hash_lanes(group: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128])
     let lanes: [&[u8]; LANES] = std::array::from_fn(|l| &group[l * chunk_size..][..chunk_size]);
     let mut h1 = [seed as u64; LANES];
     let mut h2 = [seed as u64; LANES];
+    let ahead = prefetch_ahead(chunk_size);
     for at in (0..chunk_size).step_by(16) {
         for l in 0..LANES {
             if at.is_multiple_of(LINE) {
-                prefetch(lanes[l].as_ptr().wrapping_add(at + PREFETCH_AHEAD));
+                prefetch(lanes[l].as_ptr().wrapping_add(at + ahead));
             }
             let (k1, k2) = le_words(&lanes[l][at..at + 16]);
             mix_block(&mut h1[l], &mut h2[l], k1, k2);
@@ -236,6 +254,55 @@ fn hash_groups(data: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128])
     for (bytes, digests) in data.chunks_exact(group).zip(out.chunks_exact_mut(LANES)) {
         hash_lanes(bytes, chunk_size, seed, digests);
     }
+}
+
+/// The block a [`murmur3_fold`] cuts its input into. Measured on the
+/// 2-vCPU AVX-512 reference host, folding 16 freshly written 5.09 MB frames
+/// (median of 7, three runs; EXPERIMENTS.md, "Lane-split checksum"): 1 KiB
+/// blocks 10.3–13.9 GB/s, 2 KiB 11.5–15.9, 4 KiB 12.8–16.6, 8 KiB
+/// 12.2–15.8, against 4.7–5.0 GB/s for one serial chain. 4 KiB was the
+/// fastest in every run.
+pub const FOLD_BLOCK: usize = 4 << 10;
+
+/// Block digests a [`murmur3_fold`] holds at a time: one 1 KiB stack tile,
+/// so the fold allocates nothing.
+const FOLD_TILE: usize = 64;
+
+/// The lane-split digest of `data` under `seed`: the Murmur3 digest of the
+/// concatenated (16-byte, little-endian) digests of `data`'s
+/// [`FOLD_BLOCK`]-byte blocks, every one hashed under `seed` — the last
+/// may be short — and the concatenation hashed under `seed` too.
+///
+/// The blocks go through [`Murmur3::hash_chunks`], eight at a time (the
+/// AVX-512 body where the CPU has it, the portable lanes elsewhere), 64
+/// blocks at a time into a stack tile, and each tile's digests are mixed
+/// straight into one state finalized over `16 × blocks` bytes: nothing is
+/// concatenated and nothing allocated. An empty `data` has no block, so
+/// its fold is `murmur3_x64_128(&[], seed)`.
+pub fn murmur3_fold(data: &[u8], seed: u32) -> Digest128 {
+    fold_tiles(data, seed, |tile, digests| {
+        Murmur3.hash_chunks(tile, FOLD_BLOCK, seed, digests)
+    })
+}
+
+/// [`murmur3_fold`] with the tile hash a parameter, so the tests can run
+/// the fold through each lane kernel.
+#[inline(always)]
+fn fold_tiles(
+    data: &[u8],
+    seed: u32,
+    mut hash_tile: impl FnMut(&[u8], &mut [Digest128]),
+) -> Digest128 {
+    let mut tile = [Digest128::ZERO; FOLD_TILE];
+    let (mut h1, mut h2) = (seed as u64, seed as u64);
+    for bytes in data.chunks(FOLD_TILE * FOLD_BLOCK) {
+        let digests = &mut tile[..bytes.len().div_ceil(FOLD_BLOCK)];
+        hash_tile(bytes, digests);
+        for d in digests.iter() {
+            mix_block(&mut h1, &mut h2, d.h1, d.h2);
+        }
+    }
+    finalize(h1, h2, 16 * data.len().div_ceil(FOLD_BLOCK))
 }
 
 impl Hasher128 for Murmur3 {
@@ -468,6 +535,102 @@ mod tests {
         }
     }
 
+    /// The fold written straight from its definition: hash each block,
+    /// concatenate the digests as bytes, hash the concatenation once.
+    fn fold_reference(data: &[u8], seed: u32) -> Digest128 {
+        let digests: Vec<u8> = data
+            .chunks(FOLD_BLOCK)
+            .flat_map(|block| murmur3_x64_128(block, seed).to_bytes())
+            .collect();
+        murmur3_x64_128(&digests, seed)
+    }
+
+    /// A lane kernel as the tests call it: the digests of the whole groups
+    /// of `cs`-byte chunks in its input, or `None` where it cannot run.
+    type Kernel = fn(&[u8], usize, u32) -> Option<Vec<Digest128>>;
+
+    /// The fold with every tile's whole groups hashed by `kernel` and its
+    /// other blocks by the scalar function.
+    fn fold_through(data: &[u8], seed: u32, kernel: Kernel) -> Digest128 {
+        fold_tiles(data, seed, |tile, out| {
+            let whole = tile.len() / (LANES * FOLD_BLOCK) * LANES;
+            let groups = kernel(&tile[..whole * FOLD_BLOCK], FOLD_BLOCK, seed)
+                .expect("the kernel runs on this CPU");
+            out[..whole].copy_from_slice(&groups);
+            let rest = tile[whole * FOLD_BLOCK..].chunks(FOLD_BLOCK);
+            for (digest, block) in out[whole..].iter_mut().zip(rest) {
+                *digest = murmur3_x64_128(block, seed);
+            }
+        })
+    }
+
+    /// The public fold, the fold through the portable lanes and — where
+    /// this CPU runs it — through the AVX-512 body all equal the reference.
+    fn assert_fold_is_the_reference(data: &[u8], seed: u32) {
+        let want = fold_reference(data, seed);
+        let len = data.len();
+        assert_eq!(murmur3_fold(data, seed), want, "len {len} seed {seed:#x}");
+        let portable: Kernel = |d, cs, seed| Some(portable(d, cs, seed));
+        assert_eq!(
+            fold_through(data, seed, portable),
+            want,
+            "portable: len {len} seed {seed:#x}"
+        );
+        if wide(&[], 16, 0).is_some() {
+            assert_eq!(
+                fold_through(data, seed, wide),
+                want,
+                "wide: len {len} seed {seed:#x}"
+            );
+        }
+    }
+
+    const FOLD_SEEDS: [u32; 3] = [0, CHUNK_HASH_SEED, 0xdead_beef];
+
+    #[test]
+    fn fold_equals_the_reference_at_every_block_remainder() {
+        // Every remainder near both ends of a block, every 16th between,
+        // behind no whole block and behind a group and one.
+        let rems = (0..=64)
+            .chain((80..FOLD_BLOCK - 64).step_by(16))
+            .chain(FOLD_BLOCK - 64..FOLD_BLOCK);
+        let data = pattern((LANES + 2) * FOLD_BLOCK, 0xf01d);
+        for rem in rems {
+            for whole in [0, LANES + 1] {
+                for seed in FOLD_SEEDS {
+                    assert_fold_is_the_reference(&data[..whole * FOLD_BLOCK + rem], seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_equals_the_reference_across_the_tile_seam() {
+        // One block, one short of a tile, a tile, one past it and two and
+        // one: whole, and with a ragged last block.
+        let data = pattern((2 * FOLD_TILE + 2) * FOLD_BLOCK, 0x5ea4);
+        for blocks in [
+            1,
+            FOLD_TILE - 1,
+            FOLD_TILE,
+            FOLD_TILE + 1,
+            2 * FOLD_TILE + 1,
+        ] {
+            for ragged in [0, 1, FOLD_BLOCK / 2 + 3] {
+                for seed in FOLD_SEEDS {
+                    assert_fold_is_the_reference(&data[..blocks * FOLD_BLOCK + ragged], seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_fold_is_the_empty_digest() {
+        for seed in FOLD_SEEDS {
+            assert_eq!(murmur3_fold(&[], seed), murmur3_x64_128(&[], seed));
+        }
+    }
+
     proptest! {
         #[test]
         fn hash_chunks_equals_per_chunk_hashing(
@@ -506,6 +669,20 @@ mod tests {
             let buf = pattern(off + len, salt);
             let data = &buf[off..];
             prop_assert_eq!(murmur3_x64_128(data, seed), murmur3_blockwise(data, seed));
+        }
+
+        #[test]
+        fn fold_equals_the_reference(
+            len in prop_oneof![
+                0usize..2 * FOLD_BLOCK,
+                0usize..(2 * FOLD_TILE + 3) * FOLD_BLOCK,
+            ],
+            off in 0usize..LINE,
+            seed in any::<u32>(),
+            salt in any::<u64>(),
+        ) {
+            let buf = pattern(off + len, salt);
+            assert_fold_is_the_reference(&buf[off..], seed);
         }
 
         #[test]

@@ -23,7 +23,7 @@ use std::arch::x86_64::{
     _mm512_unpacklo_epi64, _mm512_xor_si512,
 };
 
-use super::{prefetch, C1, C2, LANES, LINE, PREFETCH_AHEAD};
+use super::{prefetch, prefetch_ahead, C1, C2, LANES, LINE};
 use crate::Digest128;
 
 /// Whether this CPU runs the wide kernel: the 64-bit lane multiply is
@@ -59,11 +59,12 @@ fn hash_group(group: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128])
     let mut h2 = h1;
 
     let segments = chunk_size / LINE * LINE;
+    let ahead = prefetch_ahead(chunk_size);
     for at in (0..segments).step_by(LINE) {
         let mut rows = [h1; LANES];
         for (l, row) in rows.iter_mut().enumerate() {
             let line = base.wrapping_add(l * chunk_size + at);
-            prefetch(line.wrapping_add(PREFETCH_AHEAD));
+            prefetch(line.wrapping_add(ahead));
             // SAFETY: the features were detected before the kernel was
             // entered, and the 64 bytes at `l * chunk_size + at` lie inside
             // `group`: `at + LINE <= segments <= chunk_size`, and `group`
@@ -95,7 +96,7 @@ fn hash_group(group: &[u8], chunk_size: usize, seed: u32, out: &mut [Digest128])
         let block = base.wrapping_add(at);
         if at == segments {
             for l in 0..LANES {
-                prefetch(block.wrapping_add(l * chunk_size + PREFETCH_AHEAD));
+                prefetch(block.wrapping_add(l * chunk_size + ahead));
             }
         }
         // SAFETY: the features were detected before the kernel was

@@ -885,7 +885,7 @@ impl<S: RecordSource> Resolver<S> {
         }
         let mut out: Vec<u8> = Vec::with_capacity(got as usize);
         self.each_cell(id, &rec, bytes, |cell| out.extend_from_slice(cell))?;
-        if frame::checksum64(rec.rank, rec.ckpt_id, &out) != rec.orig_checksum {
+        if !rec.is_original(bytes, &out) {
             return Err(RankDedupError::ChecksumMismatch);
         }
         Ok(out.into())
@@ -1513,7 +1513,9 @@ mod tests {
             for cell in cells {
                 out.extend_from_slice(cell);
             }
-            if frame::checksum64(rec.rank, rec.ckpt_id, &out) != rec.orig_checksum {
+            let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+            let want = frame::checksum64_region(version, rec.rank, rec.ckpt_id, 0, &out);
+            if want != rec.orig_checksum {
                 return Err(RankDedupError::ChecksumMismatch);
             }
             Ok(out.into())
@@ -1529,15 +1531,16 @@ mod tests {
         ProptestConfig::with_cases(set.unwrap_or(default))
     }
 
-    /// Re-seal a (forged) rank-dedup record with a valid checksum, so the
-    /// checks behind the checksum are what a forgery meets. The seed mixing
-    /// is `frame`'s private `rankdedup_sum`; `resealed_records_are_unchanged`
-    /// holds the two together.
+    /// Re-seal a (forged) rank-dedup record with a valid checksum under
+    /// its version, so the checks behind the checksum are what a forgery
+    /// meets. The seed mixing is `frame`'s private `rankdedup_seed`;
+    /// `resealed_records_are_unchanged` holds the two together.
     fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
         let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let (rank, ckpt) = (word(8), word(12));
-        let sum =
-            frame::checksum64_region(rank ^ 0x524b_4452, ckpt.rotate_left(16), 0, &bytes[24..]);
+        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        let (seed_rank, seed_ckpt) = (rank ^ 0x524b_4452, ckpt.rotate_left(16));
+        let sum = frame::checksum64_region(version, seed_rank, seed_ckpt, 0, &bytes[24..]);
         bytes[16..24].copy_from_slice(&sum.to_le_bytes());
         bytes
     }

@@ -184,6 +184,10 @@ pub struct RedundancyStore {
     /// "does the group know this object" and verification survive the
     /// loss of the member's own copies.
     members: Mutex<HashMap<ObjectId, ParityMember>>,
+    /// The frame version whose checksum function the member checksums
+    /// use: [`frame::FRAME_VERSION`] for a new group, 1 for one loaded
+    /// from a manifest without a `version` line.
+    version: u16,
     /// Ids already encoded (idempotence across degraded re-flushes).
     encoded: Mutex<HashSet<ObjectId>>,
     /// Per-rank GC floors (see [`compact_below`](Self::compact_below)).
@@ -201,6 +205,7 @@ impl RedundancyStore {
             policy,
             group: Tier::new(TierConfig::group()),
             members: Mutex::new(HashMap::new()),
+            version: frame::FRAME_VERSION,
             encoded: Mutex::new(HashSet::new()),
             floors: Mutex::new(HashMap::new()),
             metrics,
@@ -241,8 +246,9 @@ impl RedundancyStore {
         ids
     }
 
-    fn member_checksum(id: ObjectId, object: &StoredObject) -> u64 {
-        frame::checksum64_region(id.0, id.1, object.codec(), object.payload())
+    fn member_checksum(&self, id: ObjectId, object: &StoredObject) -> u64 {
+        let (version, codec) = (self.version, object.codec());
+        frame::checksum64_region(version, id.0, id.1, codec, object.payload())
     }
 
     /// The ranks of `rank`'s group: `k` of them, from a multiple of `k`.
@@ -274,7 +280,7 @@ impl RedundancyStore {
             uncompressed_len: object.uncompressed_len(),
             stored_len: payload.len() as u64,
             chunk_len: chunk_len as u64,
-            checksum: Self::member_checksum(id, object),
+            checksum: self.member_checksum(id, object),
         };
         let mut all_ok = true;
         for (j, host) in self.stripe_hosts(rank).enumerate() {
@@ -359,7 +365,7 @@ impl RedundancyStore {
                     // A survivor whose bytes drifted from what was encoded
                     // would silently poison the XOR — verify up front.
                     if obj.payload().len() as u64 != m.stored_len
-                        || Self::member_checksum((m.rank, ckpt), &obj) != m.checksum
+                        || self.member_checksum((m.rank, ckpt), &obj) != m.checksum
                     {
                         return Err(ReconstructError::MissingSurvivor { rank: m.rank });
                     }
@@ -391,7 +397,7 @@ impl RedundancyStore {
         };
         let ok = object.codec() == meta.codec
             && object.payload().len() as u64 == meta.stored_len
-            && Self::member_checksum(id, &object) == meta.checksum;
+            && self.member_checksum(id, &object) == meta.checksum;
         if ok {
             Ok(object)
         } else {
@@ -400,11 +406,14 @@ impl RedundancyStore {
     }
 
     /// Serialize the policy and member metadata as a small line-oriented
-    /// manifest (`policy <label>` then one `member` line per id) so a CLI
-    /// record directory can persist group state next to the exported group
-    /// objects.
+    /// manifest (`policy <label>`, `version <v>` — absent for version 1 —
+    /// then one `member` line per id) so a CLI record directory can persist
+    /// group state next to the exported group objects.
     pub fn export_manifest(&self) -> String {
         let mut out = format!("policy {}\n", self.policy.label());
+        if self.version > 1 {
+            out.push_str(&format!("version {}\n", self.version));
+        }
         let ids = self.member_ids();
         let members = self.members.lock();
         for id in ids {
@@ -424,14 +433,23 @@ impl RedundancyStore {
     /// malformed line — a truncated manifest must not half-load: the text
     /// must end in a newline and every member line must carry exactly its
     /// seven fields, the last a full 16-hex-digit checksum, so a cut
-    /// anywhere but a line boundary is refused.
+    /// anywhere but a line boundary is refused. A manifest without a
+    /// `version` line is version 1 (its member checksums are the serial
+    /// chain's); a version this build does not write is refused.
     pub fn from_manifest(text: &str) -> Option<RedundancyStore> {
-        let mut lines = text.strip_suffix('\n')?.lines();
+        let mut lines = text.strip_suffix('\n')?.lines().peekable();
         let policy = RedundancyPolicy::parse(lines.next()?.strip_prefix("policy ")?)?;
         if policy == RedundancyPolicy::Off {
             return None;
         }
-        let store = RedundancyStore::new(policy, RedundancyMetrics::detached());
+        let mut store = RedundancyStore::new(policy, RedundancyMetrics::detached());
+        store.version = match lines.next_if(|l| l.starts_with("version ")) {
+            Some(line) => line["version ".len()..]
+                .parse()
+                .ok()
+                .filter(|v| (2..=frame::FRAME_VERSION).contains(v))?,
+            None => 1,
+        };
         for line in lines {
             let mut f = line.strip_prefix("member ")?.split(' ');
             let rank: u32 = f.next()?.parse().ok()?;
@@ -495,6 +513,7 @@ mod tests {
             policy: _,
             group: _,
             members: _,
+            version: _,
             encoded: _,
             floors: _,
             metrics: _,
@@ -704,6 +723,49 @@ mod tests {
         assert!(RedundancyStore::from_manifest("member 0 0\n").is_none());
     }
 
+    /// The manifest names the function of its member checksums: a new
+    /// group writes `version 2` after `policy` and folds; one without the
+    /// line is version 1 and rebuilds under the serial chain, and claiming
+    /// the other version fails the rebuild's checksum instead of returning
+    /// a payload. A version this build does not write is refused.
+    #[test]
+    fn manifest_version_names_the_member_checksum() {
+        let objs: Vec<StoredObject> = (0..3).map(|r| payload(r, 1, 5000)).collect();
+        let fetch = |mid: ObjectId| -> Option<StoredObject> {
+            (mid.0 != 1).then(|| objs[mid.0 as usize].clone())
+        };
+        for version in [1, frame::FRAME_VERSION] {
+            let mut s = store(RedundancyPolicy::Xor { group_size: 3 });
+            s.version = version;
+            for (r, obj) in objs.iter().enumerate() {
+                s.encode_member((r as u32, 1), obj);
+            }
+            let manifest = s.export_manifest();
+            let line = format!("version {version}\n");
+            assert_eq!(manifest.contains(&line), version > 1, "{manifest}");
+            let other = match version {
+                1 => manifest.replacen('\n', "\nversion 2\n", 1),
+                _ => manifest.replacen(&line, "", 1),
+            };
+            for (text, rebuilds) in [(manifest, true), (other, false)] {
+                let loaded = RedundancyStore::from_manifest(&text).unwrap();
+                for key in s.group_tier().resident() {
+                    let framed = s.group_tier().raw(key).unwrap();
+                    loaded.group_tier().put_framed(key, framed);
+                }
+                let got = loaded.reconstruct((1, 1), &fetch);
+                match rebuilds {
+                    true => assert_eq!(got.unwrap(), objs[1], "version {version}"),
+                    false => assert!(got.is_err(), "version {version}: {text}"),
+                }
+            }
+        }
+        for bad in ["version 1", "version 3", "version x"] {
+            let text = format!("policy xor:2\n{bad}\n");
+            assert!(RedundancyStore::from_manifest(&text).is_none(), "{bad}");
+        }
+    }
+
     #[test]
     fn imported_store_wipes_a_lost_hosts_stripes() {
         let s = store(RedundancyPolicy::Xor { group_size: 2 });
@@ -732,17 +794,21 @@ mod tests {
             s.encode_member((rank, ckpt), &payload(rank, ckpt, 300));
         }
         let manifest = s.export_manifest();
-        assert_eq!(manifest.lines().count(), 4);
+        assert_eq!(manifest.lines().count(), 5);
         for cut in 0..manifest.len() {
             let loaded = RedundancyStore::from_manifest(&manifest[..cut]);
             // Only a cut on a line boundary (past the policy line) is a
             // well-formed, shorter manifest; it loads exactly the whole
-            // member lines before the cut.
+            // member lines before the cut. (Cut right after the policy
+            // line, it is a version-1 manifest of no member.)
             let on_boundary = cut > 0 && manifest.as_bytes()[cut - 1] == b'\n';
             match loaded {
                 Some(l) => {
                     assert!(on_boundary, "cut {cut} half-loaded a line");
-                    let whole = manifest[..cut].lines().count() - 1;
+                    let whole = manifest[..cut]
+                        .lines()
+                        .filter(|l| l.starts_with("member "))
+                        .count();
                     assert_eq!(l.member_ids(), s.member_ids()[..whole], "cut {cut}");
                 }
                 None => assert!(!on_boundary, "cut {cut} refused a whole-line prefix"),

@@ -23,13 +23,14 @@ use ckpt_dedup::prelude::*;
 use ckpt_dedup::Diff;
 use ckpt_runtime::rankdedup::chunk_hash;
 use ckpt_runtime::{
-    restore_rank_latest_parallel, AsyncRuntime, CompressionPolicy, FaultKind, FaultPlan,
-    ObjectStatus, RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyPolicy,
+    restore_rank_latest_parallel, AsyncRuntime, ClusterDir, CompressionPolicy, FaultKind,
+    FaultPlan, ObjectStatus, RankDedupConfig, RankDedupEngine, RankDedupMetrics, RedundancyPolicy,
     RuntimeConfig,
 };
 use ckpt_telemetry::Registry;
 use gpu_sim::Device;
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Independent per-rank Tree chains with up to 24 edits per version.
@@ -547,5 +548,74 @@ fn rank_dedup_off_report_json_identical_to_baseline() {
             json(named),
             "engine None changed the recovery report JSON"
         );
+    }
+}
+
+/// A record directory as the version-1 writers left it (`ckpt create
+/// --ranks 4 --redundancy xor:4 --rank-dedup --compress adaptive` over
+/// eight snapshots), copied to a scratch directory under `tag` with its
+/// group `MANIFEST` passed through `edit`.
+fn v1_cluster_copy(tag: &str, edit: impl Fn(&str) -> String) -> ClusterDir {
+    fn copy(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            let dest = to.join(path.file_name().unwrap());
+            if path.is_dir() {
+                copy(&path, &dest);
+            } else {
+                std::fs::copy(&path, &dest).unwrap();
+            }
+        }
+    }
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v1/cluster");
+    let root = std::env::temp_dir().join(format!("faults-v1-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    copy(&fixture, &root);
+    let manifest = root.join("group/MANIFEST");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(&manifest, edit(&text)).unwrap();
+    ClusterDir::new(root)
+}
+
+/// A version-1 group manifest — no `version` line, so its member
+/// checksums are the serial chain's — rebuilds a fully lost rank bit-
+/// identically to that rank's intact restore. The same manifest claiming
+/// `version 2` reads those checksums under the lane-split fold: the
+/// rebuild fails verification and the restore is a typed loss, never a
+/// payload.
+#[test]
+fn a_version_1_manifest_rebuilds_a_lost_rank() {
+    let device = Device::a100();
+    let lost = 2u32;
+    for claim_v2 in [false, true] {
+        let dir = v1_cluster_copy(if claim_v2 { "claims-v2" } else { "as-is" }, |text| {
+            assert!(!text.contains("\nversion "), "a version-1 manifest");
+            match claim_v2 {
+                false => text.to_string(),
+                true => text.replacen('\n', "\nversion 2\n", 1),
+            }
+        });
+        let loaded = dir.import().expect("the fixture imports");
+        assert!(loaded.notes.is_empty(), "{:?}", loaded.notes);
+        let intact = restore_rank_latest_parallel(&loaded.tiers, &device, lost, None)
+            .expect("the intact rank restores from its own records");
+        let tiers = &loaded.tiers;
+        for tier in [&tiers.host, &tiers.ssd, &tiers.pfs] {
+            tier.wipe_rank(lost);
+        }
+        let rebuilt = restore_rank_latest_parallel(tiers, &device, lost, None);
+        match (claim_v2, rebuilt) {
+            (false, Ok(rebuilt)) => {
+                assert_eq!(rebuilt.version, intact.version);
+                assert_eq!(rebuilt.data, intact.data, "group rebuild not bit-identical");
+            }
+            (true, Err(_)) => {}
+            (claim_v2, got) => panic!(
+                "manifest claiming version 2: {claim_v2}, restore ok: {}",
+                got.is_ok()
+            ),
+        }
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 }

@@ -879,11 +879,61 @@ fn dir_digest(root: &Path) -> String {
     gpu_dedup_ckpt::hash::murmur3::murmur3_x64_128(&buf, 0).to_hex()
 }
 
-/// On-disk byte stability: the digests below were captured from the `ckpt`
-/// binary as it stood before `create` moved onto `AsyncRuntime` +
-/// `ClusterDir::export`. Equal digests mean every directory written by an
-/// older binary is byte-for-byte what this one writes — and each is then
-/// verified and restored by the current read path.
+/// The version-1 record directories `on_disk_bytes_are_stable` pins, as
+/// the version-1 `ckpt create` wrote them from `write_n_snapshots`.
+fn v1_fixtures() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1")
+}
+
+/// `ckpt verify <record>` exits 0, and every version of every rank of
+/// `record` restores to its snapshot: rank `r` of a ranked record holds
+/// `snaps[r * per_rank..][..per_rank]`, a flat record all of `snaps`.
+fn verify_and_restore_all(tag: &str, record: &Path, snaps: &[PathBuf], ranks: usize, out: &Path) {
+    let run = ckpt()
+        .args(["verify", record.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{tag}: {}",
+        String::from_utf8_lossy(&run.stdout)
+    );
+    let per_rank = snaps.len() / ranks;
+    for (i, snap) in snaps.iter().enumerate() {
+        let (rank, version) = (i / per_rank, i % per_rank);
+        let target = if ranks > 1 {
+            record.join(format!("rank{rank:04}"))
+        } else {
+            record.to_path_buf()
+        };
+        let restored = out.join(format!("{tag}-{i}.bin"));
+        let run = ckpt()
+            .args(["restore", target.to_str().unwrap()])
+            .args(["--version", &version.to_string(), "--out"])
+            .arg(&restored)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{tag} rank {rank} v{version}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        assert_eq!(
+            std::fs::read(&restored).unwrap(),
+            std::fs::read(snap).unwrap(),
+            "{tag} rank {rank} v{version}"
+        );
+    }
+}
+
+/// On-disk byte stability, per frame version. Version 1: the three
+/// directories in `tests/fixtures/v1/` are what `ckpt create` wrote from
+/// `write_n_snapshots` before the lane-split checksum; their digests were
+/// captured from the binary as it stood before `create` moved onto
+/// `AsyncRuntime` + `ClusterDir::export`, and they must still verify and
+/// restore every version bit-exactly through the current read path.
+/// Version 2: what `create` writes today, pinned the same way and read
+/// back the same way.
 #[test]
 fn on_disk_bytes_are_stable() {
     let tmp = TempDir::new("golden");
@@ -897,26 +947,37 @@ fn on_disk_bytes_are_stable() {
         "--compress",
         "adaptive",
     ];
-    for (tag, extra, n, want) in [
+    for (tag, extra, n, ranks, v1, v2) in [
         (
             "flat-off",
             &["--compress", "off"][..],
             3,
+            1,
             "04b557dc9f1155a3ec23772d0386965c",
+            "4a826ddfb2e2e8e80348a82ca69d63cf",
         ),
         (
             "flat-adaptive-list",
             &["--compress", "adaptive", "--method", "list"][..],
             3,
+            1,
             "837b97c6463ae02da09508f5072e21b5",
+            "6dc437a42daab1258e0833c6b1c68e13",
         ),
         (
             "cluster",
             &cluster[..],
             8,
+            4,
             "bf12f87cf7ae848ff838198619162130",
+            "30e74cc5087f1e596daaa190dcacb1a6",
         ),
     ] {
+        let fixture = v1_fixtures().join(tag);
+        assert_eq!(dir_digest(&fixture), v1, "{tag}: version-1 fixture moved");
+        let v1_tag = format!("{tag}-v1");
+        verify_and_restore_all(&v1_tag, &fixture, &snaps[..n], ranks, tmp.path());
+
         let record = tmp.path().join(tag);
         let out = ckpt()
             .args(["create", "--out", record.to_str().unwrap()])
@@ -929,38 +990,62 @@ fn on_disk_bytes_are_stable() {
             "{tag}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert_eq!(dir_digest(&record), want, "{tag}: on-disk bytes moved");
-
-        let out = ckpt()
-            .args(["verify", record.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{tag}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        // The newest version of the last rank (or of the flat record).
-        let target = if tag == "cluster" {
-            record.join("rank0003")
-        } else {
-            record.clone()
-        };
-        let restored = tmp.path().join(format!("{tag}.bin"));
-        let out = ckpt()
-            .args(["restore", target.to_str().unwrap(), "--out"])
-            .arg(&restored)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{tag}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            std::fs::read(&restored).unwrap(),
-            std::fs::read(&snaps[n - 1]).unwrap(),
-            "{tag}"
-        );
+        assert_eq!(dir_digest(&record), v2, "{tag}: on-disk bytes moved");
+        verify_and_restore_all(tag, &record, &snaps[..n], ranks, tmp.path());
     }
+}
+
+/// A version-1 group (its `MANIFEST` has no `version` line, so its member
+/// checksums are the serial chain's) rebuilds a lost rank: with the rank
+/// directory gone, `verify` types it repairable and `restore` returns its
+/// snapshot through the group.
+#[test]
+fn a_version_1_group_rebuilds_a_lost_rank() {
+    fn copy_dir(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            let dest = to.join(path.file_name().unwrap());
+            if path.is_dir() {
+                copy_dir(&path, &dest);
+            } else {
+                std::fs::copy(&path, &dest).unwrap();
+            }
+        }
+    }
+    let tmp = TempDir::new("v1-rank-loss");
+    let snaps = write_n_snapshots(tmp.path(), 8);
+    let record = tmp.path().join("cluster");
+    copy_dir(&v1_fixtures().join("cluster"), &record);
+    let manifest = std::fs::read_to_string(record.join("group/MANIFEST")).unwrap();
+    assert!(manifest.starts_with("policy xor:4\nmember "), "{manifest}");
+    std::fs::remove_dir_all(record.join("rank0002")).unwrap();
+
+    let out = ckpt()
+        .args(["verify", record.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{stdout}");
+    assert!(stdout.contains("REPAIRABLE"), "{stdout}");
+
+    let restored = tmp.path().join("rank2.bin");
+    let out = ckpt()
+        .args([
+            "restore",
+            record.join("rank0002").to_str().unwrap(),
+            "--out",
+        ])
+        .arg(&restored)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&restored).unwrap(),
+        std::fs::read(&snaps[5]).unwrap()
+    );
 }
